@@ -4,17 +4,17 @@
 every waitable the protocol layers use — ``timeout``, ``event``,
 ``signal``, ``any_of``, ``process`` — keeps its exact semantics and
 ``(time, seq)`` ordering. The only change is *when* timers fire:
-:meth:`run_async` pops the same merged heap/immediate streams, but a
-timer due in the future makes the coroutine actually sleep (interrupted
-early by :meth:`kick` when a socket delivers work) instead of jumping
-the clock forward. ``now`` is wall-clock seconds since the run started,
-so ``lambda_priority = 0.25`` means a quarter of a real second.
+:meth:`run_async` pops the same merged heap/immediate streams (through
+the kernel's own ``_pop_due`` step), but a timer due in the future makes
+the coroutine actually sleep (interrupted early by :meth:`kick` when a
+socket delivers work) instead of jumping the clock forward. ``now`` is
+wall-clock seconds since the run started, so ``lambda_priority = 0.25``
+means a quarter of a real second.
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
 from typing import Callable
 
 from repro.sim.loop import Environment
@@ -60,8 +60,9 @@ class LiveClock(Environment):
                         deadline: float | None = None) -> None:
         """Drive the timer queues in real time until ``stop_when``.
 
-        Mirrors :meth:`Environment.run`: same merge of the heap and
-        immediate streams, same failure propagation on every exit path.
+        Mirrors :meth:`Environment.run`: it pops through the same
+        ``_pop_due`` step, with the same failure propagation on every
+        exit path.
         ``deadline`` is in clock seconds (``now``); exceeding it raises
         :class:`TimeoutError` — a live run that overruns its budget is
         a failure, not a longer wait. Unlike the sim loop, empty queues
@@ -74,9 +75,6 @@ class LiveClock(Environment):
         loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         origin = loop.time() - self.now
-        heap = self._heap
-        immediate = self._immediate
-        heappop = heapq.heappop
         try:
             while True:
                 self._raise_if_failed()
@@ -87,26 +85,14 @@ class LiveClock(Environment):
                     raise TimeoutError(
                         f"live run exceeded its {deadline:.1f}s deadline "
                         f"(now={self.now:.1f})")
-                while heap and heap[0][2].cancelled:
-                    heappop(heap)
-                while immediate and immediate[0].cancelled:
-                    immediate.popleft()
-                if not heap and not immediate:
-                    await self._sleep(self.tick)
+                # The kernel's own pop: same pruning, same (time, seq)
+                # merge as Environment.run, due against the wall clock.
+                timer = self._pop_due(wall)
+                if timer is None:
+                    due = self._next_time()
+                    await self._sleep(self.tick if due is None
+                                      else min(due - wall, self.tick))
                     continue
-                # Exact (time, seq) merge, as in Environment.run.
-                from_immediate = bool(immediate) and (
-                    not heap
-                    or (immediate[0].time, immediate[0].seq) < heap[0][:2])
-                timer = immediate[0] if from_immediate else heap[0][2]
-                if timer.time > wall:
-                    await self._sleep(min(timer.time - wall, self.tick))
-                    continue
-                if from_immediate:
-                    immediate.popleft()
-                    self.immediates_processed += 1
-                else:
-                    heappop(heap)
                 lag = wall - timer.time
                 if lag > self.max_lag:
                     self.max_lag = lag
@@ -114,7 +100,7 @@ class LiveClock(Environment):
                 # late timer's callback still sees honest elapsed time.
                 if wall > self.now:
                     self.now = wall
-                timer.callback()
+                timer._fire()
                 self.events_processed += 1
                 # Yield between callbacks so socket reader/writer tasks
                 # interleave with protocol work instead of starving.

@@ -25,6 +25,7 @@ expressed without touching the latency model.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Protocol
 
@@ -40,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class SupportsLatency(Protocol):
     def latency(self, src: int, dst: int) -> float: ...
+    def latencies(self, src: int, dsts: list[int]) -> list[float]: ...
     def city_of(self, user_index: int) -> str: ...
 
 
@@ -214,20 +216,20 @@ class NetworkInterface:
                     batch = list(urgent)
                     urgent.clear()
                     offset = 0.0
-                    items = []
-                    for envelope, dst in batch:
+                    offsets = []
+                    for envelope, _ in batch:
                         if bandwidth is not None:
                             offset += envelope.size * 8.0 / bandwidth
                         self.bytes_sent += envelope.size
                         self.messages_sent += 1
-                        items.append((offset, dst, envelope))
+                        offsets.append(offset)
                         if metrics is not None:
                             metrics.inc("gossip.sent." + envelope.kind)
                             metrics.inc("gossip.sent_bytes." + envelope.kind,
                                         envelope.size)
                     if metrics is not None:
                         metrics.observe("gossip.egress_batch", len(batch))
-                    network._transmit_batch(self.index, items)
+                    network._transmit_batch(self, batch, offsets)
                     if offset > 0.0:
                         # Uplink busy until the batch finishes; newly
                         # queued messages serialize after it, as before.
@@ -235,7 +237,8 @@ class NetworkInterface:
                 else:
                     # Bulk transfers stay one-at-a-time so a vote arriving
                     # mid-block still preempts after the current message.
-                    envelope, dst = bulk.popleft()
+                    item = bulk.popleft()
+                    envelope = item[0]
                     if bandwidth is not None:
                         yield env.timeout(envelope.size * 8.0 / bandwidth)
                     self.bytes_sent += envelope.size
@@ -244,7 +247,7 @@ class NetworkInterface:
                         metrics.inc("gossip.sent." + envelope.kind)
                         metrics.inc("gossip.sent_bytes." + envelope.kind,
                                     envelope.size)
-                    network._transmit(self.index, dst, envelope)
+                    network._transmit(self, item)
             yield self._egress_signal.next_event()
 
     def discard_egress_to(self, target: int) -> int:
@@ -271,6 +274,17 @@ class NetworkInterface:
         return dropped
 
     # --- Receiving --------------------------------------------------------
+
+    def _land(self, item: tuple[Envelope, int]) -> None:
+        """One of *this* node's transmissions reaches its destination.
+
+        ``item`` is the ``(envelope, dst)`` record the egress lane
+        queued; the sender's bound method is the arrival callback, so a
+        transmission needs no closure to remember where it came from.
+        """
+        network = self._network
+        network.messages_delivered += 1
+        network.interfaces[item[1]]._deliver(item[0], self.index)
 
     def _deliver(self, envelope: Envelope, from_index: int) -> None:
         metrics = self._metrics
@@ -482,64 +496,60 @@ class GossipNetwork:
             interface._egress_urgent.clear()
             interface._egress_bulk.clear()
 
-    def _transmit(self, src: int, dst: int, envelope: Envelope) -> None:
+    def _transmit(self, sender: NetworkInterface,
+                  item: tuple[Envelope, int]) -> None:
+        """Put one egress-lane ``(envelope, dst)`` record on the wire."""
+        for delay in self._shaped_delays(sender.index, item):
+            self.env.schedule(delay, sender._land, item)
+
+    def _transmit_batch(self, sender: NetworkInterface,
+                        batch: list[tuple[Envelope, int]],
+                        offsets: list[float]) -> None:
+        """Batched-arrival path: one schedule for a whole egress batch.
+
+        ``batch`` holds the egress lane's own ``(envelope, dst)``
+        records and ``offsets`` their cumulative serialization offsets;
+        each message arrives at ``now + (offset + latency(src, dst))`` —
+        in exactly that float association — as the per-neighbor path
+        would deliver it, but the whole batch shares one
+        :class:`repro.sim.loop.BatchSchedule` (arrivals landing at the
+        same instant — e.g. under the uniform latency model — share a
+        single event) and the lane records are reused as its payloads.
+        """
+        src = sender.index
+        if self.drop_filter is None and self.link_shaper is None:
+            latencies = self.latency_model.latencies(
+                src, [dst for _, dst in batch])
+            arrivals = zip(map(operator.add, offsets, latencies), batch)
+        else:
+            # Fault hooks may draw from one shared RNG, so they keep the
+            # per-message filter -> latency -> shaper call order.
+            arrivals = [(offset + delay, item)
+                        for offset, item in zip(offsets, batch)
+                        for delay in self._shaped_delays(src, item)]
+            if not arrivals:
+                return
+        self.env.schedule_batch(arrivals, sender._land,
+                                prelude=self.batch_verifier)
+
+    def _shaped_delays(self, src: int,
+                       item: tuple[Envelope, int]) -> list[float]:
+        """Arrival delays of one message after the fault hooks.
+
+        Empty when ``drop_filter`` drops it; several entries when
+        ``link_shaper`` duplicates it.
+        """
+        envelope, dst = item
         if self.drop_filter is not None and self.drop_filter(src, dst,
                                                              envelope):
             if self.obs is not None:
                 self.obs.metrics.inc("gossip.filtered")
-            return
+            return []
         delay = self.latency_model.latency(src, dst)
-        if self.link_shaper is not None:
-            for shaped in self.link_shaper(src, dst, envelope, delay):
-                self.env.schedule(
-                    max(0.0, shaped),
-                    lambda e=envelope: self._arrive(src, dst, e),
-                )
-            return
-        self.env.schedule(
-            delay,
-            lambda: self._arrive(src, dst, envelope),
-        )
-
-    def _transmit_batch(self, src: int,
-                        items: list[tuple[float, int, Envelope]]) -> None:
-        """Batched-arrival path: one schedule for a whole egress batch.
-
-        ``items`` carries ``(serialization_offset, dst, envelope)``; each
-        message arrives at ``offset + latency(src, dst)``, exactly as the
-        per-neighbor path would deliver it, but the whole batch shares one
-        :class:`repro.sim.loop.BatchSchedule` (arrivals landing at the
-        same instant — e.g. under the uniform latency model — share a
-        single event).
-        """
-        drop_filter = self.drop_filter
-        shaper = self.link_shaper
-        latency = self.latency_model.latency
-        arrivals = []
-        for offset, dst, envelope in items:
-            if drop_filter is not None and drop_filter(src, dst, envelope):
-                if self.obs is not None:
-                    self.obs.metrics.inc("gossip.filtered")
-                continue
-            if shaper is not None:
-                for shaped in shaper(src, dst, envelope, latency(src, dst)):
-                    arrivals.append((offset + max(0.0, shaped),
-                                     (dst, envelope)))
-                continue
-            arrivals.append((offset + latency(src, dst), (dst, envelope)))
-        if not arrivals:
-            return
-
-        def deliver(item: tuple[int, Envelope]) -> None:
-            self.messages_delivered += 1
-            self.interfaces[item[0]]._deliver(item[1], src)
-
-        self.env.schedule_batch(arrivals, deliver,
-                                prelude=self.batch_verifier)
-
-    def _arrive(self, src: int, dst: int, envelope: Envelope) -> None:
-        self.messages_delivered += 1
-        self.interfaces[dst]._deliver(envelope, src)
+        if self.link_shaper is None:
+            return [delay]
+        return [max(0.0, shaped)
+                for shaped in self.link_shaper(src, dst, envelope, delay)]
 
     def end_round(self) -> None:
         """Round boundary: prune every node's duplicate-suppression set."""

@@ -103,6 +103,20 @@ class LatencyModel:
         factor = 1.0 + self._jitter * float(self._rng.standard_normal())
         return float(base * max(0.25, factor))
 
+    def latencies(self, src: int, dsts: list[int]) -> list[float]:
+        """One :meth:`latency` sample per destination, in one draw.
+
+        Bit-identical to calling :meth:`latency` for each destination in
+        order, RNG state included: ``standard_normal(n)`` consumes the
+        stream exactly like ``n`` scalar draws, and every arithmetic
+        step is the same IEEE operation applied elementwise.
+        """
+        base = self._matrix[self._city_of[src]][self._city_of[dsts]]
+        if self._jitter == 0:
+            return base.tolist()
+        factor = 1.0 + self._jitter * self._rng.standard_normal(len(dsts))
+        return (base * np.maximum(0.25, factor)).tolist()
+
 
 class UniformLatencyModel:
     """Constant-latency model for controlled experiments and tests."""
@@ -117,3 +131,6 @@ class UniformLatencyModel:
 
     def latency(self, src: int, dst: int) -> float:
         return self._latency
+
+    def latencies(self, src: int, dsts: list[int]) -> list[float]:
+        return [self._latency] * len(dsts)

@@ -550,7 +550,7 @@ class BatchVerifier:
     Installed as ``network.batch_verifier``: the event loop calls it
     once per same-instant delivery group (one
     :class:`repro.sim.loop.BatchSchedule` walk) with the group's
-    ``(dst, envelope)`` payloads, *before* any of them is delivered.
+    ``(envelope, dst)`` payloads, *before* any of them is delivered.
     One pass over the group's distinct vote signatures fills the shared
     :class:`~repro.runtime.cache.VerificationCache`, so the per-envelope
     checks admission and the vote handler then run — synchronously,
@@ -574,7 +574,7 @@ class BatchVerifier:
         triples = None
         seen = None
         for item in payloads:
-            envelope: Envelope = item[1]
+            envelope: Envelope = item[0]
             if envelope.kind != "vote":
                 continue
             vote: VoteMessage = envelope.payload

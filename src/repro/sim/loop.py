@@ -17,10 +17,17 @@ always reproduces the same run.
 from __future__ import annotations
 
 import heapq
+import math
+import operator
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
 from repro.common.errors import SimulationError
+
+_RECORD_TIME = operator.itemgetter(0)
+
+#: ``Timer.arg`` value meaning "call ``callback()`` with no argument".
+_NO_ARG: Any = object()
 
 
 class Timer:
@@ -29,27 +36,59 @@ class Timer:
     Heap entries are ``(time, seq, timer)`` tuples so ordering is decided
     by C-level tuple comparison (``seq`` is unique, so the Timer itself
     is never compared) — this is the event loop's hottest path.
+
+    A timer carries ``(callback, arg)`` rather than a closure: it fires
+    ``callback(arg)`` (or ``callback()`` when no ``arg`` was given), so
+    waking a waiter costs no lambda and no cells. Both references are
+    dropped the moment the timer fires or is cancelled; a cancelled
+    timer left in the heap is an empty shell that pins nothing.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
+    __slots__ = ("time", "seq", "callback", "arg", "cancelled", "_env")
 
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[[], None]) -> None:
+    def __init__(self, time: float, seq: int, callback: Callable[..., None],
+                 arg: Any, env: "Environment | None") -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
+        self.arg = arg
         self.cancelled = False
+        #: The owning environment while the timer sits in the *heap*
+        #: (``None`` for immediates): tells it a heap entry went dead.
+        self._env = env
+
+    def _fire(self) -> None:
+        callback, arg = self.callback, self.arg
+        self.callback = self.arg = None
+        if arg is _NO_ARG:
+            callback()
+        else:
+            callback(arg)
 
     def cancel(self) -> None:
+        if self.callback is None:  # already fired or cancelled
+            return
         self.cancelled = True
+        self.callback = self.arg = None
+        if self._env is not None:
+            self._env._heap_entry_died()
 
 
 class Waitable:
-    """Base class for things a process can yield."""
+    """Base class for things a process can yield.
 
-    def _arm(self, env: "Environment",
-             callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Register ``callback`` to fire once; return a disarm function."""
+    A *waiter* is any object with a ``_wake(value)`` method (a
+    :class:`Process`, or one branch of an :class:`AnyOf`).
+    """
+
+    __slots__ = ()
+
+    def _arm(self, env: "Environment", waiter: Any) -> Any:
+        """Arrange one ``waiter._wake(value)``; return a handle.
+
+        The handle's ``cancel()`` withdraws the wake-up if it has not
+        been delivered to the event loop yet, and is a no-op afterwards.
+        """
         raise NotImplementedError
 
 
@@ -64,13 +103,30 @@ class Timeout(Waitable):
         self.delay = delay
         self.value = value
 
-    def _arm(self, env: "Environment",
-             callback: Callable[[Any], None]) -> Callable[[], None]:
+    def _arm(self, env: "Environment", waiter: Any) -> Timer:
         if self.delay == 0.0:
-            timer = env.schedule_now(lambda: callback(self.value))
-        else:
-            timer = env.schedule(self.delay, lambda: callback(self.value))
-        return timer.cancel
+            return env.schedule_now(waiter._wake, self.value)
+        return env.schedule(self.delay, waiter._wake, self.value)
+
+
+class _EventWait:
+    """Handle for one waiter parked on an untriggered :class:`Event`."""
+
+    __slots__ = ("event", "waiter")
+
+    def __init__(self, event: "Event", waiter: Any) -> None:
+        self.event = event
+        self.waiter = waiter
+
+    def cancel(self) -> None:
+        event = self.event
+        if event is None:
+            return
+        # Once the event has triggered, the wake-up is already on the
+        # event loop and the waiter itself decides whether it is stale.
+        if not event.triggered:
+            event._waiters.remove(self.waiter)
+        self.event = self.waiter = None
 
 
 class Event(Waitable):
@@ -80,7 +136,8 @@ class Event(Waitable):
 
     def __init__(self, env: "Environment") -> None:
         self._env = env
-        self._waiters: list[Callable[[Any], None]] = []
+        #: Parked waiters; ``None`` once triggered (nobody parks again).
+        self._waiters: list[Any] | None = []
         self.triggered = False
         self.value: Any = None
 
@@ -89,25 +146,17 @@ class Event(Waitable):
             raise SimulationError("event already triggered")
         self.triggered = True
         self.value = value
-        waiters, self._waiters = self._waiters, []
+        waiters, self._waiters = self._waiters, None
+        schedule_now = self._env.schedule_now
         for waiter in waiters:
             # Deliver on the event loop to keep callback ordering sane.
-            self._env.schedule_now(lambda w=waiter: w(value))
+            schedule_now(waiter._wake, value)
 
-    def _arm(self, env: "Environment",
-             callback: Callable[[Any], None]) -> Callable[[], None]:
+    def _arm(self, env: "Environment", waiter: Any) -> "Timer | _EventWait":
         if self.triggered:
-            timer = env.schedule_now(lambda: callback(self.value))
-            return timer.cancel
-        self._waiters.append(callback)
-
-        def disarm() -> None:
-            try:
-                self._waiters.remove(callback)
-            except ValueError:
-                pass
-
-        return disarm
+            return env.schedule_now(waiter._wake, self.value)
+        self._waiters.append(waiter)
+        return _EventWait(self, waiter)
 
 
 class Signal:
@@ -130,43 +179,73 @@ class Signal:
             self._pending.trigger(value)
 
 
-class AnyOf(Waitable):
-    """Fires when the first of ``children`` fires; value ``(index, value)``."""
+class _Branch:
+    """The waiter an armed :class:`AnyOf` parks on one of its children."""
 
-    __slots__ = ("children",)
+    __slots__ = ("wait", "index", "handle")
+
+    def __init__(self, wait: "AnyOf", index: int) -> None:
+        self.wait = wait
+        self.index = index
+        self.handle: Any = None
+
+    def _wake(self, value: Any) -> None:
+        wait = self.wait
+        # ``None``: the wait already resolved (another child won, or it
+        # was disarmed) — a late fire from a loser is ignored.
+        if wait is not None:
+            wait._resolve(self.index, value)
+
+
+class AnyOf(Waitable):
+    """Fires when the first of ``children`` fires; value ``(index, value)``.
+
+    Arming parks one :class:`_Branch` on each child. The wait and its
+    branches reference each other only while armed: the first child to
+    fire — or :meth:`cancel` — unlinks every branch and cancels the
+    other children's handles, so reference counting frees the whole
+    wait the moment it resolves.
+    """
+
+    __slots__ = ("children", "_waiter", "_branches")
 
     def __init__(self, children: Iterable[Waitable]) -> None:
         self.children = list(children)
         if not self.children:
             raise SimulationError("AnyOf requires at least one waitable")
+        self._waiter: Any = None
+        self._branches: list[_Branch] | None = None
 
-    def _arm(self, env: "Environment",
-             callback: Callable[[Any], None]) -> Callable[[], None]:
-        disarms: list[Callable[[], None]] = []
-        done = False
+    def _arm(self, env: "Environment", waiter: Any) -> "AnyOf":
+        if self._branches is not None:
+            raise SimulationError("AnyOf is already armed")
+        self._waiter = waiter
+        self._branches = branches = []
+        for index, child in enumerate(self.children):
+            branch = _Branch(self, index)
+            branches.append(branch)
+            branch.handle = child._arm(env, branch)
+        return self
 
-        def fire(index: int, value: Any) -> None:
-            nonlocal done
-            if done:
-                return
-            done = True
-            for i, disarm in enumerate(disarms):
-                if i != index:
-                    disarm()
-            callback((index, value))
+    def _release(self, winner: int | None) -> None:
+        """Unlink every branch; cancel all children but ``winner``."""
+        branches = self._branches
+        self._waiter = self._branches = None
+        for branch in branches:
+            handle = branch.handle
+            branch.wait = branch.handle = None
+            if branch.index != winner:
+                handle.cancel()
 
-        for i, child in enumerate(self.children):
-            disarms.append(
-                child._arm(env, lambda v, i=i: fire(i, v))
-            )
+    def _resolve(self, index: int, value: Any) -> None:
+        waiter = self._waiter
+        self._release(index)
+        waiter._wake((index, value))
 
-        def disarm_all() -> None:
-            nonlocal done
-            done = True
-            for disarm in disarms:
-                disarm()
-
-        return disarm_all
+    def cancel(self) -> None:
+        """Disarm: idempotent, and a no-op once the wait has fired."""
+        if self._branches is not None:
+            self._release(None)
 
 
 ProcessGenerator = Generator[Waitable, Any, Any]
@@ -174,6 +253,9 @@ ProcessGenerator = Generator[Waitable, Any, Any]
 
 class Process(Waitable):
     """Drives a generator; itself waitable (join yields the return value)."""
+
+    __slots__ = ("_env", "_generator", "name", "done", "result", "error",
+                 "_done_event", "_finish_callbacks", "_wait")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
                  name: str = "") -> None:
@@ -185,13 +267,14 @@ class Process(Waitable):
         self.error: BaseException | None = None
         self._done_event = Event(env)
         self._finish_callbacks: list[Callable[["Process"], None]] = []
-        self._current_disarm: Callable[[], None] | None = None
-        env.schedule_now(lambda: self._resume(None))
+        #: Handle of the waitable the generator is blocked on.
+        self._wait: Any = None
+        env.schedule_now(self._wake, None)
 
-    def _resume(self, value: Any) -> None:
+    def _wake(self, value: Any) -> None:
         if self.done:
             return
-        self._current_disarm = None
+        self._wait = None
         try:
             target = self._generator.send(value)
         except StopIteration as stop:
@@ -208,7 +291,7 @@ class Process(Waitable):
                 f"{type(target).__name__}"
             ))
             return
-        self._current_disarm = target._arm(self._env, self._resume)
+        self._wait = target._arm(self._env, self)
 
     def _finish(self, result: Any, error: BaseException | None) -> None:
         self.done = True
@@ -249,30 +332,35 @@ class Process(Waitable):
         """Stop the process at its current wait point."""
         if self.done:
             return
-        if self._current_disarm is not None:
-            self._current_disarm()
+        wait, self._wait = self._wait, None
+        if wait is not None:
+            wait.cancel()
         self._generator.close()
         self._finish(None, None)
 
-    def _arm(self, env: "Environment",
-             callback: Callable[[Any], None]) -> Callable[[], None]:
-        return self._done_event._arm(env, callback)
+    def _arm(self, env: "Environment", waiter: Any) -> Any:
+        return self._done_event._arm(env, waiter)
 
 
 class BatchSchedule:
     """One heap entry delivering a whole batch of timed payloads.
 
-    Where ``schedule`` creates one ``Timer`` (plus one heap entry and one
-    callback closure) per event, a batch walks a pre-sorted list of
-    ``(time, payload)`` pairs with a single live heap entry that re-arms
-    itself for the next distinct time. Payloads sharing an arrival time are
-    delivered by one event, in insertion order. The gossip network uses
-    this to schedule one event per destination batch instead of one per
-    neighbor.
+    Where ``schedule`` creates one ``Timer`` (plus one heap entry) per
+    event, a batch walks a pre-sorted list of ``(time, payload)`` records
+    with a single live heap entry that re-arms itself for the next
+    distinct time. Payloads sharing an arrival time are delivered by one
+    event, in insertion order. The gossip network uses this to schedule
+    one event per destination batch instead of one per neighbor.
+
+    The event loop dispatches through :meth:`_fire`; the batch never
+    stores a reference to itself (or to a bound method of itself), so it
+    is freed by reference counting when its last payload is delivered.
+    ``items`` are ``(absolute_time, payload)`` records; the batch takes
+    the list over and sorts it in place.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "_env", "_items",
-                 "_deliver", "_cursor", "_prelude")
+    __slots__ = ("time", "seq", "cancelled", "_env", "_items", "_deliver",
+                 "_cursor", "_prelude")
 
     def __init__(self, env: "Environment",
                  items: list[tuple[float, Any]],
@@ -280,7 +368,8 @@ class BatchSchedule:
                  prelude: Callable[[list[Any]], None] | None = None) -> None:
         self._env = env
         # Stable sort: payloads with equal times keep caller order.
-        self._items = sorted(items, key=lambda item: item[0])
+        items.sort(key=_RECORD_TIME)
+        self._items = items
         self._deliver = deliver
         self._cursor = 0
         #: Optional per-group hook: called once with every payload of a
@@ -289,13 +378,15 @@ class BatchSchedule:
         #: (the gossip layer uses it to prime the verification cache).
         self._prelude = prelude
         self.cancelled = False
-        self.callback = self._fire
-        self.time = self._items[0][0]
+        self.time = items[0][0]
 
     def _fire(self) -> None:
         items = self._items
+        # Off the heap while it fires: a cancel() issued by one of its
+        # own deliveries has no heap entry to retire.
+        self._items = ()
         deliver = self._deliver
-        cursor = self._cursor
+        cursor = start = self._cursor
         time = self.time
         n = len(items)
         prelude = self._prelude
@@ -310,15 +401,22 @@ class BatchSchedule:
             deliver(payload)
         env = self._env
         env.batch_walks += 1
-        env.batch_deliveries += cursor - self._cursor
-        self._cursor = cursor
+        env.batch_deliveries += cursor - start
         if cursor < n and not self.cancelled:
+            self._items = items
+            self._cursor = cursor
             self.time = items[cursor][0]
-            self._env._push(self)
+            env._push(self)
 
     def cancel(self) -> None:
         """Drop all not-yet-delivered payloads."""
+        if self.cancelled:
+            return
         self.cancelled = True
+        self._deliver = self._prelude = None
+        if self._items:  # queued in the heap
+            self._items = ()
+            self._env._heap_entry_died()
 
 
 class Environment:
@@ -330,13 +428,25 @@ class Environment:
     Ordering is unchanged in both cases — every entry still carries a
     ``(time, seq)`` pair and fires in exactly the order a heap-only loop
     would have produced.
+
+    Allocation contract: a heap entry is one ``(time, seq, handle)``
+    tuple whose handle (:class:`Timer` or :class:`BatchSchedule`) holds
+    ``(callback, arg)`` or a record list — never a closure, and never a
+    reference to itself. Handles drop what they hold when they fire or
+    are cancelled, so a steady-state round leaves nothing for the cyclic
+    collector. Each cancel checks whether cancelled heap entries now
+    outnumber the live ones and, if so, compacts them away; ``(time,
+    seq)`` keys are never touched, so firing order does not depend on
+    when compaction happens.
     """
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Timer]] = []
+        self._heap: list[tuple[float, int, Timer | BatchSchedule]] = []
         self._immediate: deque[Timer] = deque()
         self._seq = 0
+        #: Cancelled entries still sitting in :attr:`_heap`.
+        self._dead = 0
         self._failures: list[tuple[Process, BaseException]] = []
         #: Total events fired across all :meth:`run` calls (perf metric).
         self.events_processed = 0
@@ -348,28 +458,33 @@ class Environment:
         self.batch_walks = 0
         self.batch_deliveries = 0
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
+    def schedule(self, delay: float, callback: Callable[..., None],
+                 arg: Any = _NO_ARG) -> Timer:
+        """Fire ``callback()`` — or ``callback(arg)`` — after ``delay``."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past ({delay})")
-        timer = Timer(self.now + delay, self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._heap, (timer.time, timer.seq, timer))
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        timer = Timer(time, seq, callback, arg, self)
+        heapq.heappush(self._heap, (time, seq, timer))
         return timer
 
-    def schedule_now(self, callback: Callable[[], None]) -> Timer:
+    def schedule_now(self, callback: Callable[..., None],
+                     arg: Any = _NO_ARG) -> Timer:
         """Schedule ``callback`` at the current time without heap traffic.
 
-        Equivalent to ``schedule(0.0, callback)`` — including ordering
-        relative to every other timer — but O(1): immediates carry the
-        same monotone ``(time, seq)`` keys as heap timers, so the run loop
-        can merge the two streams exactly.
+        Equivalent to ``schedule(0.0, callback, arg)`` — including
+        ordering relative to every other timer — but O(1): immediates
+        carry the same monotone ``(time, seq)`` keys as heap timers, so
+        the run loop can merge the two streams exactly.
         """
-        timer = Timer(self.now, self._seq, callback)
+        timer = Timer(self.now, self._seq, callback, arg, None)
         self._seq += 1
         self._immediate.append(timer)
         return timer
 
-    def schedule_batch(self, items: list[tuple[float, Any]],
+    def schedule_batch(self, items: Iterable[tuple[float, Any]],
                        deliver: Callable[[Any], None],
                        prelude: Callable[[list[Any]], None] | None = None,
                        ) -> BatchSchedule:
@@ -381,24 +496,34 @@ class Environment:
         ``prelude``, when given, runs once per same-instant delivery
         group with the group's payloads, before its deliveries.
         """
-        if not items:
-            raise SimulationError("schedule_batch requires at least one item")
         now = self.now
-        absolute = []
+        records = []
         for delay, payload in items:
             if delay < 0:
                 raise SimulationError(
                     f"cannot schedule in the past ({delay})")
-            absolute.append((now + delay, payload))
-        batch = BatchSchedule(self, absolute, deliver, prelude)
+            records.append((now + delay, payload))
+        if not records:
+            raise SimulationError("schedule_batch requires at least one item")
+        batch = BatchSchedule(self, records, deliver, prelude)
         self._push(batch)
         return batch
 
-    def _push(self, timer: "Timer | BatchSchedule") -> None:
-        """(Re-)insert an entry carrying its own ``time`` into the heap."""
-        timer.seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, (timer.time, timer.seq, timer))
+    def _push(self, batch: BatchSchedule) -> None:
+        """(Re-)insert a batch carrying its own ``time`` into the heap."""
+        batch.seq = seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (batch.time, seq, batch))
+
+    def _heap_entry_died(self) -> None:
+        """A queued heap entry was cancelled; compact when dead > live."""
+        self._dead = dead = self._dead + 1
+        heap = self._heap
+        if dead * 2 > len(heap):
+            # In place: run loops hold an alias to the list.
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapq.heapify(heap)
+            self._dead = 0
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(delay, value)
@@ -427,6 +552,56 @@ class Environment:
                 f"process {process.name!r} failed at t={self.now:.3f}"
             ) from error
 
+    def _pop_due(self, limit: float) -> "Timer | BatchSchedule | None":
+        """Pop the next live entry in ``(time, seq)`` order, if due.
+
+        The one step every run loop shares (:meth:`run` here, the
+        wall-clock ``LiveClock.run_async``): prune cancelled heads, merge
+        the heap and immediate streams exactly, and pop the winner unless
+        its time is later than ``limit``. ``None`` means nothing is due —
+        the queues are empty or :meth:`_next_time` is past ``limit``.
+        """
+        heap = self._heap
+        immediate = self._immediate
+        # Drop cancelled heads so the head comparison sees live timers.
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._dead -= 1
+        while immediate and immediate[0].cancelled:
+            immediate.popleft()
+        if immediate:
+            # Immediates are FIFO with monotone keys, so their head is
+            # their minimum.
+            timer = immediate[0]
+            time = timer.time
+            if heap:
+                head = heap[0]
+                if head[0] < time or (head[0] == time
+                                      and head[1] < timer.seq):
+                    if head[0] > limit:
+                        return None
+                    return heapq.heappop(heap)[2]
+            if time > limit:
+                return None
+            immediate.popleft()
+            self.immediates_processed += 1
+            return timer
+        if not heap or heap[0][0] > limit:
+            return None
+        return heapq.heappop(heap)[2]
+
+    def _next_time(self) -> float | None:
+        """Due time of the earliest queued entry, ``None`` if idle.
+
+        Exact right after :meth:`_pop_due` (cancelled heads pruned).
+        """
+        heap = self._heap
+        immediate = self._immediate
+        if immediate:
+            time = immediate[0].time
+            return min(time, heap[0][0]) if heap else time
+        return heap[0][0] if heap else None
+
     def run(self, until: float | None = None,
             max_events: int | None = None,
             stop_when: Callable[[], bool] | None = None) -> None:
@@ -441,39 +616,17 @@ class Environment:
         so simulations never silently swallow node crashes.
         """
         events = 0
-        heap = self._heap
-        immediate = self._immediate
-        heappop = heapq.heappop
+        limit = math.inf if until is None else until
+        failures = self._failures
+        pop_due = self._pop_due
         while True:
-            # Drop cancelled heads so the head comparison sees live timers.
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-            while immediate and immediate[0].cancelled:
-                immediate.popleft()
-            if not heap and not immediate:
+            if failures:
+                self._raise_if_failed()
+            handle = pop_due(limit)
+            if handle is None:
                 break
-            self._raise_if_failed()
-            # Merge the two streams in exact (time, seq) order. Immediates
-            # are FIFO with monotone keys, so their head is their minimum.
-            if immediate and (not heap
-                              or (immediate[0].time, immediate[0].seq)
-                              < heap[0][:2]):
-                timer = immediate[0]
-                if until is not None and timer.time > until:
-                    self.now = until
-                    self._raise_if_failed()
-                    return
-                immediate.popleft()
-                self.immediates_processed += 1
-            else:
-                timer = heap[0][2]
-                if until is not None and timer.time > until:
-                    self.now = until
-                    self._raise_if_failed()
-                    return
-                heappop(heap)
-            self.now = timer.time
-            timer.callback()
+            self.now = handle.time
+            handle._fire()
             events += 1
             self.events_processed += 1
             if stop_when is not None and stop_when():
@@ -483,6 +636,5 @@ class Environment:
                 raise SimulationError(
                     f"exceeded max_events={max_events} (possible livelock)"
                 )
-        self._raise_if_failed()
         if until is not None:
             self.now = until

@@ -4,6 +4,8 @@ Deduplicates the three shapes almost every integration test rebuilds:
 
 * :func:`run_sim` / :func:`run_traced` — build, fund and run a seeded
   :class:`~repro.experiments.harness.Simulation` in one call;
+* :func:`chain_hash` — one digest over every committed byte and round
+  record, for golden-value tests;
 * :func:`assert_chains_byte_identical` — the byte-identity bar used by
   the admission, population and damping equivalence suites: same block
   dataclasses (timestamps included), same round records, on every node;
@@ -16,9 +18,12 @@ directory is a package).
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.baplus.messages import VoteMessage, make_vote
 from repro.crypto.hashing import H
 from repro.experiments.harness import Simulation, SimulationConfig
+from repro.network.wire import encode_block
 from repro.obs import TraceBus
 
 
@@ -57,6 +62,20 @@ def chain_fingerprint(sim: Simulation) -> list[list[tuple]]:
         out.append([(block, record)
                     for block, record in zip(blocks, records)])
     return out
+
+
+def chain_hash(sim: Simulation) -> str:
+    """:func:`chain_fingerprint` as one hex digest, for golden tests.
+
+    Wire bytes of every block plus the ``repr`` of every round record
+    (whose float durations move with any event-timing drift), per node.
+    """
+    digest = hashlib.sha256()
+    for node in sim.nodes:
+        for r in range(1, node.chain.height + 1):
+            digest.update(encode_block(node.chain.block_at(r)))
+            digest.update(repr(node.metrics.round_record(r)).encode())
+    return digest.hexdigest()
 
 
 def assert_chains_byte_identical(one: Simulation, other: Simulation,

@@ -58,8 +58,30 @@ class TestLatencyModel:
     def test_uniform_model(self):
         model = UniformLatencyModel(0.05)
         assert model.latency(0, 1) == 0.05
+        assert model.latencies(0, [1, 2, 3]) == [0.05, 0.05, 0.05]
         with pytest.raises(ValueError):
             UniformLatencyModel(-1)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.1])
+    def test_vectorised_latencies_are_bit_identical(self, jitter):
+        """``latencies`` is the egress batch's one-draw form of
+        ``latency``: same floats to the last bit (compared as hex, so
+        -0.0/NaN tricks cannot hide a slip) and the same RNG state
+        afterwards, so mixing the two never forks a seeded run."""
+        scalar = LatencyModel(60, np.random.default_rng(7), jitter)
+        vector = LatencyModel(60, np.random.default_rng(7), jitter)
+        picker = np.random.default_rng(99)
+        for _ in range(200):
+            src = int(picker.integers(60))
+            dsts = picker.integers(60, size=int(picker.integers(1, 40)))
+            dsts = [int(d) for d in dsts]
+            one_by_one = [scalar.latency(src, dst) for dst in dsts]
+            at_once = vector.latencies(src, dsts)
+            assert all(type(value) is float for value in at_once)
+            assert ([value.hex() for value in at_once]
+                    == [value.hex() for value in one_by_one])
+        assert (scalar._rng.bit_generator.state
+                == vector._rng.bit_generator.state)
 
 
 class TestTopology:

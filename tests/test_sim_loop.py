@@ -222,6 +222,163 @@ class TestAnyOf:
         with pytest.raises(SimulationError):
             AnyOf([])
 
+    def test_late_fire_from_losing_child_is_ignored(self):
+        """Both events trigger inside one callback: the loser's wake-up
+        is already on the event loop when the winner resolves the wait,
+        and must not resume the process a second time."""
+        env = Environment()
+        first, second = env.event(), env.event()
+        resumes = []
+
+        def proc():
+            result = yield env.any_of([first, second])
+            resumes.append(result)
+            yield env.timeout(10)
+            resumes.append(env.now)
+
+        def trigger_both():
+            first.trigger("a")
+            second.trigger("b")
+
+        env.process(proc())
+        env.schedule(1, trigger_both)
+        env.run()
+        assert resumes == [(0, "a"), 11.0]
+
+    def test_disarm_is_idempotent_and_noop_after_fire(self):
+        env = Environment()
+        woken = []
+
+        class Waiter:
+            def _wake(self, value):
+                woken.append(value)
+
+        signal = env.signal()
+        wait = env.any_of([signal.next_event(), env.timeout(5, "late")])
+        handle = wait._arm(env, Waiter())
+        handle.cancel()
+        handle.cancel()
+        signal.pulse("ignored")
+        env.run()
+        assert woken == []
+
+        wait = env.any_of([env.timeout(1, "fast"), env.timeout(5, "slow")])
+        handle = wait._arm(env, Waiter())
+        env.run(until=2)
+        assert woken == [(0, "fast")]
+        handle.cancel()  # after fire: nothing left to withdraw
+        env.run()
+        assert woken == [(0, "fast")]
+
+    def test_interrupt_cancels_every_child(self):
+        env = Environment()
+        signal = env.signal()
+        fired = []
+
+        def proc():
+            yield env.any_of([signal.next_event(), env.timeout(3),
+                              env.timeout(7)])
+            fired.append("resumed")
+
+        process = env.process(proc())
+        env.run(until=1)
+        event = signal.next_event()
+        timers = [entry[2] for entry in env._heap]
+        assert len(event._waiters) == 1 and len(timers) == 2
+        process.interrupt()
+        assert event._waiters == []
+        assert all(t.cancelled and t.callback is None for t in timers)
+        signal.pulse()
+        env.run()
+        assert fired == [] and process.done
+
+    def test_resolved_wait_is_freed_without_the_collector(self):
+        """No reference cycle survives a resolved wait: with the cyclic
+        collector off, everything the losing far-future timeout pinned
+        dies the moment the process drops the wait."""
+        import gc
+        import weakref
+
+        class Marker:
+            pass
+
+        env = Environment()
+        signal = env.signal()
+        refs = []
+
+        def proc():
+            marker = Marker()
+            refs.append(weakref.ref(marker))
+            wait = env.any_of([signal.next_event(),
+                               env.timeout(1000.0, marker)])
+            del marker
+            yield wait
+            del wait
+            yield env.timeout(1)
+
+        gc.collect()
+        gc.disable()
+        try:
+            env.process(proc())
+            env.schedule(0.5, signal.pulse)
+            env.run(until=1)
+            assert refs[0]() is None
+        finally:
+            gc.enable()
+
+
+class TestDeadTimers:
+    def test_cancel_releases_callback_at_once(self):
+        env = Environment()
+        timer = env.schedule(100, lambda: None)
+        timer.cancel()
+        assert timer.cancelled and timer.callback is None
+        timer.cancel()  # idempotent
+
+    def test_cancelled_far_future_timeouts_do_not_pile_up(self):
+        """10,000 waits each lose a far-future timeout: the heap must
+        stay bounded, and the surviving timers fire in (time, seq)
+        order exactly as if nothing had ever been compacted."""
+        env = Environment()
+        signal = env.signal()
+        log = []
+        high_water = [0]
+        for k in range(50):
+            env.schedule(500.0 + (k * 7) % 13, lambda k=k: log.append(k))
+
+        def waiter():
+            for _ in range(10_000):
+                yield env.any_of([signal.next_event(),
+                                  env.timeout(1000.0)])
+                high_water[0] = max(high_water[0], len(env._heap))
+
+        def pulser():
+            for _ in range(10_000):
+                yield env.timeout(0.001)
+                signal.pulse()
+
+        env.process(waiter())
+        env.process(pulser())
+        env.run()
+        # 50 survivors + pulser timeout + the live wait: dead entries
+        # may at most equal the live ones before compaction strikes.
+        assert high_water[0] <= 2 * 52 + 2
+        assert log == sorted(range(50),
+                             key=lambda k: (500.0 + (k * 7) % 13, k))
+
+    def test_compaction_keeps_batches_and_order(self):
+        env = Environment()
+        log = []
+        env.schedule_batch([(5.0, "b5"), (9.0, "b9")], log.append)
+        doomed = [env.schedule(7.0, lambda: log.append("x"))
+                  for _ in range(20)]
+        env.schedule(6.0, lambda: log.append("t6"))
+        for timer in doomed:
+            timer.cancel()
+        assert len(env._heap) <= 4
+        env.run()
+        assert log == ["b5", "t6", "b9"]
+
 
 class TestSignal:
     def test_signal_reusable(self):
@@ -345,6 +502,23 @@ class TestBatchSchedule:
         env = Environment()
         with pytest.raises(SimulationError):
             env.schedule_batch([(1.0, "a"), (-0.5, "b")], lambda p: None)
+
+    def test_batch_does_not_reference_itself(self):
+        import gc
+
+        env = Environment()
+        batch = env.schedule_batch([(1.0, "a"), (2.0, "b")], lambda p: None)
+        assert not any(referent is batch
+                       for referent in gc.get_referents(batch))
+
+    def test_callback_with_argument(self):
+        env = Environment()
+        log = []
+        env.schedule(1, log.append, "timed")
+        env.schedule_now(log.append, "now")
+        env.schedule(2, log.append, None)
+        env.run()
+        assert log == ["now", "timed", None]
 
 
 class TestFailureSurfacing:
