@@ -106,8 +106,6 @@ if mode == "stripped":
         if self.disconnected or envelope.msg_id in self._seen:
             return
         self._seen.add(envelope.msg_id)
-        self.inbox.append(envelope)
-        self.receive_signal.pulse()
         if self.relay_policy(envelope):
             self._send_to_neighbors(envelope, exclude=from_index)
 

@@ -216,8 +216,7 @@ def _curve_point(num_users: int, mode: str) -> dict:
         stats = sim.population.stats()
         point["live_high_water"] = stats["live_high_water"]
         point["retired_total"] = stats["retired_total"]
-        point["votes_batch_primed"] = (
-            sim.summary()["batch_verify"]["votes_primed"])
+        point["dup_elided"] = sim.network.dup_elided
     assert sim.all_chains_equal()
     return point
 

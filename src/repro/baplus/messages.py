@@ -11,14 +11,52 @@ value is the block hash being voted for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.common.encoding import encode
 from repro.crypto.backend import CryptoBackend
+from repro.crypto.hashing import H, HASHLEN_BITS
+from repro.sortition.roles import committee_role
+from repro.sortition.selection import verify_sort
+
+#: One past the largest possible coin hash (Algorithm 9 sentinel).
+COIN_HASH_CEILING = 1 << HASHLEN_BITS
+
+
+def coin_min_hash(sorthash: bytes, weight: int) -> int:
+    """Algorithm 9's per-vote coin contribution: min H(sorthash || j).
+
+    One hash per selected sub-user. Weight 0 contributes nothing (the
+    ceiling).
+    """
+    best = COIN_HASH_CEILING
+    for j in range(1, weight + 1):
+        h = int.from_bytes(H(sorthash, j.to_bytes(8, "big")), "big")
+        if h < best:
+            best = h
+    return best
 
 
 @dataclass(frozen=True)
 class VoteMessage:
-    """One committee member's vote for ``value`` at ``(round, step)``."""
+    """One committee member's vote for ``value`` at ``(round, step)``.
+
+    A vote is immutable and every layer it passes through — admission,
+    the vote handler, the relay damper, each ``CountVotes`` pass, the
+    common coin, certificate building — asks the same three questions
+    of it, so the instance carries its *receipts*: the canonical signing
+    payload, the signature verdict, and the committee weight ``j`` with
+    the Algorithm 9 coin minimum for that ``j``. A verdict is computed
+    once per context: the signature verdict depends on the bytes alone;
+    the weight receipt is one slot keyed by the full sortition context
+    ``(seed, tau, weight, total_weight)`` (the role is fixed by the
+    vote's own ``(round, step)``), so a node on another seed or weight
+    table recomputes instead of inheriting. Receipts live on the
+    instance, outside the dataclass fields: a forged copy, a decoded
+    copy and ``dataclasses.replace(vote, ...)`` all start with none, and
+    a vote nobody could weigh (future round, foreign tip, recovery
+    round) is never given a weight receipt because nobody asks for one.
+    """
 
     voter: bytes
     round_number: int
@@ -29,22 +67,69 @@ class VoteMessage:
     value: bytes
     signature: bytes = field(default=b"", compare=False)
 
+    def _remember(self, slot: str, receipt: Any) -> None:
+        # Frozen dataclass: bypass __setattr__.
+        object.__setattr__(self, slot, receipt)
+
     def signing_payload(self) -> bytes:
-        # Votes are immutable and re-verified at every relay hop; cache
-        # the canonical encoding on the instance (frozen dataclass, so
-        # bypass __setattr__).
         cached = getattr(self, "_signing_payload", None)
         if cached is None:
             cached = encode([
                 "vote", self.round_number, self.step, self.sorthash,
                 self.sortproof, self.prev_hash, self.value,
             ])
-            object.__setattr__(self, "_signing_payload", cached)
+            self._remember("_signing_payload", cached)
         return cached
 
     def verify_signature(self, backend: CryptoBackend) -> bool:
-        return backend.is_valid_signature(
-            self.voter, self.signing_payload(), self.signature)
+        valid = getattr(self, "_signature_valid", None)
+        if valid is None:
+            valid = backend.is_valid_signature(
+                self.voter, self.signing_payload(), self.signature)
+            self._remember("_signature_valid", valid)
+        return valid
+
+    def committee_votes(self, backend: CryptoBackend, seed: bytes,
+                        tau: float, weight: int, total_weight: int) -> int:
+        """Section 5.2's ``VerifySort`` for this vote's committee.
+
+        The sub-user count ``j`` (0: not selected, or a bad proof) under
+        the given sortition context. First sight — or a changed context —
+        goes through the shared :class:`~repro.runtime.cache.
+        VerificationCache` when ``backend`` carries one, else straight
+        to :func:`~repro.sortition.selection.verify_sort`.
+        """
+        receipt = getattr(self, "_weight_receipt", None)
+        if (receipt is not None and receipt[0] == seed
+                and receipt[1] == tau and receipt[2] == weight
+                and receipt[3] == total_weight):
+            return receipt[4]
+        role = committee_role(self.round_number, self.step)
+        cache = getattr(backend, "cache", None)
+        if cache is None:
+            j = verify_sort(backend, self.voter, self.sorthash,
+                            self.sortproof, seed, tau, role, weight,
+                            total_weight)
+        else:
+            j = cache.memo_sortition(
+                lambda: verify_sort(
+                    backend, self.voter, self.sorthash, self.sortproof,
+                    seed, tau, role, weight, total_weight),
+                self.voter, self.sorthash, self.sortproof, seed, tau,
+                role, weight, total_weight)
+        self._remember("_weight_receipt",
+                       (seed, tau, weight, total_weight, j))
+        return j
+
+    def coin_hash(self, votes: int) -> int:
+        """Algorithm 9 minimum over this vote's ``votes`` sub-users."""
+        if votes <= 0:  # unweighed: contributes nothing, remembers nothing
+            return COIN_HASH_CEILING
+        receipt = getattr(self, "_coin_receipt", None)
+        if receipt is None or receipt[0] != votes:
+            receipt = (votes, coin_min_hash(self.sorthash, votes))
+            self._remember("_coin_receipt", receipt)
+        return receipt[1]
 
 
 def make_vote(backend: CryptoBackend, secret: bytes, voter: bytes,

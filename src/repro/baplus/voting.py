@@ -12,13 +12,16 @@ from typing import Callable
 
 from repro.baplus.buffer import VoteBuffer
 from repro.baplus.context import BAContext
-from repro.baplus.messages import VoteMessage, make_vote
+from repro.baplus.messages import (
+    COIN_HASH_CEILING,
+    VoteMessage,
+    make_vote,
+)
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend, KeyPair
-from repro.crypto.hashing import H, HASHLEN_BITS
 from repro.sim.loop import Environment
 from repro.sortition.roles import committee_role
-from repro.sortition.selection import SortitionProof, sortition, verify_sort
+from repro.sortition.selection import SortitionProof, sortition
 
 
 class _TimeoutSentinel:
@@ -90,7 +93,10 @@ def process_msg(backend: CryptoBackend, ctx: BAContext, tau: float,
     """Algorithm 6: validate a vote; returns ``(votes, value, sorthash)``.
 
     ``votes == 0`` means the message must be ignored (bad signature, wrong
-    chain, or failed sortition).
+    chain, or failed sortition). Both verdicts are the vote's own
+    receipts: each is computed on first sight (or when ``ctx`` differs
+    from the one it was weighed under) and read back by every later
+    ``CountVotes``/coin/certificate pass.
     """
     if not vote.verify_signature(backend):
         return 0, None, None
@@ -98,11 +104,8 @@ def process_msg(backend: CryptoBackend, ctx: BAContext, tau: float,
         # Vote extends a different chain (possibly a fork); ignore here —
         # the fork monitor tracks these separately (section 8.2).
         return 0, None, None
-    role = committee_role(vote.round_number, vote.step)
-    votes = verify_sort(
-        backend, vote.voter, vote.sorthash, vote.sortproof, ctx.seed, tau,
-        role, ctx.weight_of(vote.voter), ctx.total_weight,
-    )
+    votes = vote.committee_votes(backend, ctx.seed, tau,
+                                 ctx.weight_of(vote.voter), ctx.total_weight)
     if votes == 0:
         return 0, None, None
     return votes, vote.value, vote.sorthash
@@ -208,11 +211,9 @@ def common_coin(part: BAParticipant, ctx: BAContext, round_number: int,
     ``H(sorthash || j)`` over all valid votes observed in this step, one
     hash per selected sub-user.
     """
-    min_hash = 1 << HASHLEN_BITS
+    min_hash = COIN_HASH_CEILING
     for vote in part.buffer.messages(round_number, step):
-        votes, _, sorthash = process_msg(part.backend, ctx, tau, vote)
-        for j in range(1, votes + 1):
-            h = int.from_bytes(H(sorthash, j.to_bytes(8, "big")), "big")
-            if h < min_hash:
-                min_hash = h
+        votes, _, _ = process_msg(part.backend, ctx, tau, vote)
+        if votes:
+            min_hash = min(min_hash, vote.coin_hash(votes))
     return min_hash % 2

@@ -108,10 +108,6 @@ class RuntimeConfig:
     #: local tally crosses the step threshold. The agreed blocks,
     #: proposers, and seeds are identical with this on or off.
     relay_damping: bool = True
-    #: Batch signature verification per delivery drain. ``"auto"``
-    #: enables it exactly for aggregated populations; explicit ``True``
-    #: requires ``use_verification_cache``.
-    batch_verify: bool | str = "auto"
     #: Online conformance checking (:mod:`repro.conformance`). ``"auto"``
     #: (default) enables it exactly when a trace bus is supplied;
     #: ``True`` forces it; ``False`` disables it. Pure observer either
@@ -121,18 +117,10 @@ class RuntimeConfig:
     def validate(self) -> None:
         if self.admission is not None:
             self.admission.validate()
-        if self.batch_verify not in (True, False, "auto"):
-            raise ConfigError(
-                f"batch_verify must be True, False, or 'auto', "
-                f"got {self.batch_verify!r}")
         if self.conformance not in (True, False, "auto"):
             raise ConfigError(
                 f"conformance must be True, False, or 'auto', "
                 f"got {self.conformance!r}")
-        if self.batch_verify is True and not self.use_verification_cache:
-            raise ConfigError(
-                "batch_verify=True requires use_verification_cache "
-                "(priming writes into the shared cache)")
 
 
 @dataclass(frozen=True)
@@ -242,7 +230,6 @@ _FLAT_KNOBS: dict[str, tuple[str, str]] = {
     "use_admission": ("runtime", "use_admission"),
     "admission": ("runtime", "admission"),
     "relay_damping": ("runtime", "relay_damping"),
-    "batch_verify": ("runtime", "batch_verify"),
     "conformance": ("runtime", "conformance"),
     "always_on_core": ("population", "always_on_core"),
     "steps_ahead": ("population", "steps_ahead"),
@@ -383,10 +370,6 @@ class SimulationConfig:
         return self.runtime.relay_damping
 
     @property
-    def batch_verify(self) -> bool | str:
-        return self.runtime.batch_verify
-
-    @property
     def conformance(self) -> bool | str:
         return self.runtime.conformance
 
@@ -399,12 +382,6 @@ class SimulationConfig:
         return self.population.steps_ahead
 
     # ------------------------------------------------------------------
-
-    def batch_verify_enabled(self) -> bool:
-        if self.runtime.batch_verify == "auto":
-            return (self.population.mode == "aggregated"
-                    and self.runtime.use_verification_cache)
-        return bool(self.runtime.batch_verify)
 
     def validate(self) -> None:
         """Raise a typed :class:`~repro.common.errors.ConfigError` subclass

@@ -38,7 +38,6 @@ from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.runtime.admission import (
     AdmissionConfig,
-    BatchVerifier,
     QuarantineDirectory,
     attach_admission,
 )
@@ -181,16 +180,6 @@ class Simulation:
                                      index_of=index_of)
                 if config.relay_damping:
                     attach_damping(node)
-
-        if config.batch_verify_enabled():
-            # The verifier primes with the *inner* backend: a cache miss
-            # must do real work exactly once, not recurse into the
-            # CachedBackend wrapper it is warming.
-            self.batch_verifier: BatchVerifier | None = BatchVerifier(
-                inner_backend, self.verification_cache)
-            self.network.batch_verifier = self.batch_verifier
-        else:
-            self.batch_verifier = None
 
         def on_commit(round_number: int) -> None:
             self.network.end_round()
@@ -388,6 +377,7 @@ class Simulation:
         metrics.set_gauge("simloop.now", env.now)
         metrics.set_gauge("network.messages_delivered",
                           self.network.messages_delivered)
+        metrics.set_gauge("gossip.dup_elided", self.network.dup_elided)
         metrics.set_gauge("network.total_bytes_sent",
                           self.network.total_bytes_sent)
         if self.verification_cache is not None:
@@ -395,7 +385,6 @@ class Simulation:
             metrics.set_counter("cache.hits", cache.hits)
             metrics.set_counter("cache.misses", cache.misses)
             metrics.set_counter("cache.negative_hits", cache.negative_hits)
-            metrics.set_counter("cache.batch_primed", cache.batch_primed)
             metrics.set_gauge("cache.entries", len(cache))
         if self.population is not None:
             for name, value in self.population.stats().items():
@@ -460,6 +449,7 @@ class Simulation:
             "batch_deliveries": self.env.batch_deliveries,
             "simulated_seconds": self.env.now,
             "messages_delivered": self.network.messages_delivered,
+            "dup_elided": self.network.dup_elided,
             "total_bytes_sent": self.network.total_bytes_sent,
             "router_unknown_kinds": sum(node.router.unknown_kinds
                                         for node in self.nodes),
@@ -469,11 +459,6 @@ class Simulation:
             result["verification_cache"] = self.verification_cache.stats()
         if self.population is not None:
             result["population"] = self.population.stats()
-        if self.batch_verifier is not None:
-            result["batch_verify"] = {
-                "groups": self.batch_verifier.groups,
-                "votes_primed": self.batch_verifier.votes_primed,
-            }
         if self.quarantine_directory is not None:
             admissions = [node.admission for node in self.nodes
                           if node.admission is not None]

@@ -10,7 +10,10 @@ a framed reader task and a queued writer task.
 Delivery semantics mirror the sim interface deliberately —
 validate-before-relay (§8.4), dedup by ``msg_id`` *after* the ingress
 gate (a rejected copy does not poison a later clean one), synchronous
-dispatch through ``relay_policy``. Two live-only concerns are added:
+dispatch through ``relay_policy``. Ingress pays once per message, like
+the sim: a frame's routing header is decoded first, and a frame whose
+``msg_id`` is already in the seen-set is counted and dropped without
+its payload ever being decoded. Two live-only concerns are added:
 
 * **Global msg_id uniqueness** — every process counts envelopes from
   zero, so locally-originated envelopes are re-stamped with an
@@ -48,9 +51,11 @@ from typing import Callable
 from repro.live.clock import LiveClock
 from repro.network.message import Envelope
 from repro.network.wire import (
+    EnvelopeHeader,
     FrameDecoder,
     WireError,
-    decode_envelope,
+    decode_envelope_body,
+    decode_envelope_header,
     encode_envelope,
     encode_frame,
 )
@@ -164,8 +169,6 @@ class LiveTransport:
         self.clock = clock
         self.obs = obs
         self.neighbors: list[int] = []
-        self.inbox: deque[Envelope] = deque()
-        self.receive_signal = clock.signal()
         self.relay_policy: Callable[[Envelope], bool] = lambda envelope: True
         self.ingress: Callable[[Envelope, int], bool] | None = None
         self.disconnected = False
@@ -201,7 +204,8 @@ class LiveTransport:
         self.reconnects = 0
         self._links: dict[int, PeerLink] = {}
         self._seen: set[int] = set()
-        self._rx: deque[tuple[int, Envelope, bytes]] = deque()
+        #: ``(peer, decoded header, frame payload)`` awaiting a drain.
+        self._rx: deque[tuple[int, EnvelopeHeader, bytes]] = deque()
         self._drain_scheduled = False
         # A respawned process must not reuse its predecessor's msg_ids —
         # peers hold them in their dedup sets and would silently drop
@@ -312,11 +316,14 @@ class LiveTransport:
     # -- receiving ------------------------------------------------------
 
     def _on_payload(self, peer: int, payload: bytes) -> None:
-        """Socket reader handoff: decode, enqueue, schedule a drain.
+        """Socket reader handoff: header, dedup, enqueue, schedule a drain.
 
         Runs on the asyncio side (never inside a protocol callback);
         protocol code only ever sees envelopes from :meth:`_drain`,
-        which the clock fires like any other event.
+        which the clock fires like any other event. Only the routing
+        header is decoded here; a copy of a message this node already
+        holds stops at the seen-set and costs neither a queue slot nor a
+        payload decode.
         """
         if peer in self.severed:
             plane = self.fault_plane
@@ -324,14 +331,17 @@ class LiveTransport:
                 plane.dropped_frames += 1
             return
         try:
-            envelope = decode_envelope(payload)
+            header = decode_envelope_header(payload)
         except WireError:
             self.garbage_frames += 1
+            return
+        if header[0] in self._seen:
+            self._count_duplicate()
             return
         if len(self._rx) >= self.rx_queue_limit:
             self._rx.popleft()
             self.rx_dropped += 1
-        self._rx.append((peer, envelope, payload))
+        self._rx.append((peer, header, payload))
         if not self._drain_scheduled:
             self._drain_scheduled = True
             self.clock.schedule_now(self._drain)
@@ -342,20 +352,28 @@ class LiveTransport:
         budget = self.drain_budget
         while self._rx and budget > 0:
             budget -= 1
-            peer, envelope, payload = self._rx.popleft()
-            self._deliver(peer, envelope, payload)
+            self._deliver(*self._rx.popleft())
         if self._rx and not self._drain_scheduled:
             self._drain_scheduled = True
             self.clock.schedule_now(self._drain)
 
-    def _deliver(self, from_peer: int, envelope: Envelope,
+    def _count_duplicate(self) -> None:
+        if self.obs is not None and not self.disconnected:
+            self.obs.metrics.inc("gossip.dup_dropped")
+
+    def _deliver(self, from_peer: int, header: EnvelopeHeader,
                  payload: bytes) -> None:
         """Mirror of ``NetworkInterface._deliver``, relay over sockets."""
-        metrics = self.obs.metrics if self.obs is not None else None
-        if self.disconnected or envelope.msg_id in self._seen:
-            if metrics is not None and not self.disconnected:
-                metrics.inc("gossip.dup_dropped")
+        if self.disconnected or header[0] in self._seen:
+            # Two copies can sit in one drain: the second is caught here.
+            self._count_duplicate()
             return
+        try:
+            envelope = decode_envelope_body(header)
+        except WireError:
+            self.garbage_frames += 1
+            return
+        metrics = self.obs.metrics if self.obs is not None else None
         ingress = self.ingress
         if ingress is not None and not ingress(envelope, from_peer):
             # Rejected before joining the seen-set: a later clean copy
@@ -364,8 +382,6 @@ class LiveTransport:
                 metrics.inc("gossip.ingress_rejected")
             return
         self._seen.add(envelope.msg_id)
-        self.inbox.append(envelope)
-        self.receive_signal.pulse()
         if metrics is not None:
             metrics.inc("gossip.recv." + envelope.kind)
             metrics.inc("gossip.recv_bytes." + envelope.kind, envelope.size)
@@ -394,7 +410,6 @@ class LiveTransport:
             "rx_dropped": self.rx_dropped,
             "garbage_frames": self.garbage_frames,
             "garbage_streams": self.garbage_streams,
-            "inbox_depth": len(self.inbox),
             "links": len(self._links),
             "reconnect_attempts": self.reconnect_attempts,
             "reconnects": self.reconnects,

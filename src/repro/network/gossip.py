@@ -25,7 +25,6 @@ expressed without touching the latency model.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Protocol
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from repro.common.errors import NetworkError
 from repro.network.message import Envelope, next_msg_id
-from repro.sim.loop import Environment, Signal
+from repro.sim.loop import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.bus import TraceBus
@@ -52,7 +51,7 @@ DropFilter = Callable[[int, int, Envelope], bool]
 LinkShaper = Callable[[int, int, Envelope, float], list[float]]
 RelayPolicy = Callable[[Envelope], bool]
 #: (envelope, from_index) -> admit? Runs after duplicate suppression and
-#: before the inbox/relay (see :mod:`repro.runtime.admission`).
+#: before the relay policy (see :mod:`repro.runtime.admission`).
 IngressPolicy = Callable[[Envelope, int], bool]
 
 #: Messages at or below this size use the urgent egress lane (votes,
@@ -85,15 +84,16 @@ class NetworkInterface:
         self._seen: set[int] = set()
         #: Round-boundary msg-id watermarks driving :meth:`prune_seen`.
         self._seen_watermarks: deque[int] = deque()
-        self.inbox: deque[Envelope] = deque()
-        self.receive_signal: Signal = network.env.signal()
+        #: The newest of them: an id in ``_seen`` at or above it outlives
+        #: the next ``seen_horizon_rounds`` boundaries (see :meth:`_elide`).
+        self._seen_floor = 0
         #: Protocol-layer validation: called before relaying a received
         #: message; return False to accept locally but not forward.
         self.relay_policy: RelayPolicy = lambda envelope: True
         #: Optional admission gate (:mod:`repro.runtime.admission`):
         #: called with ``(envelope, from_index)`` after duplicate
         #: suppression; returning False drops the message before the
-        #: inbox, the relay policy, and any forwarding.
+        #: relay policy and any forwarding.
         self.ingress: IngressPolicy | None = None
         self.disconnected = False
         self.bytes_sent = 0
@@ -135,7 +135,6 @@ class NetworkInterface:
         self.neighbors = []
         self._egress_urgent.clear()
         self._egress_bulk.clear()
-        self.inbox.clear()
 
     # --- Sending ----------------------------------------------------------
 
@@ -286,6 +285,32 @@ class NetworkInterface:
         network.messages_delivered += 1
         network.interfaces[item[1]]._deliver(item[0], self.index)
 
+    def _elide(self, item: tuple[Envelope, int]) -> bool:
+        """Would this transmission reach a receiver that already holds it?
+
+        A copy is an event only if it can change state. One whose
+        ``msg_id`` is in the destination's ``_seen`` can only be counted
+        and dropped when it lands, so it is counted *now* and never
+        scheduled: asked when a transmission is put on the wire and, as
+        the :class:`~repro.sim.loop.BatchSchedule` skip predicate, each
+        time an in-flight batch advances to its next arrival. Ids below
+        the receiver's newest prune watermark are left alone — the next
+        round boundary may forget them, and a forgotten id is accepted
+        again — while an id at or above it stays in ``_seen`` for
+        ``seen_horizon_rounds`` more boundaries. The sender has already
+        paid for the copy (uplink time, ``bytes_sent``, latency draw).
+        """
+        network = self._network
+        receiver = network.interfaces[item[1]]
+        msg_id = item[0].msg_id
+        if msg_id not in receiver._seen or msg_id < receiver._seen_floor:
+            return False
+        network.messages_delivered += 1
+        network.dup_elided += 1
+        if self._metrics is not None:
+            self._metrics.inc("gossip.dup_dropped")
+        return True
+
     def _deliver(self, envelope: Envelope, from_index: int) -> None:
         metrics = self._metrics
         if self.disconnected or envelope.msg_id in self._seen:
@@ -305,8 +330,6 @@ class NetworkInterface:
                 metrics.inc("gossip.ingress_rejected")
             return
         self._seen.add(envelope.msg_id)
-        self.inbox.append(envelope)
-        self.receive_signal.pulse()
         if metrics is not None:
             metrics.inc("gossip.recv." + envelope.kind)
             metrics.inc("gossip.recv_bytes." + envelope.kind,
@@ -330,6 +353,7 @@ class NetworkInterface:
         protocol layer's stale-round checks discard it without relaying.
         """
         self._seen_watermarks.append(watermark)
+        self._seen_floor = watermark
         while len(self._seen_watermarks) > horizon_rounds:
             cutoff = self._seen_watermarks.popleft()
             before = len(self._seen)
@@ -375,13 +399,10 @@ class GossipNetwork:
         self.lane_budget_msgs = lane_budget_msgs
         self.drop_filter: DropFilter | None = None
         self.link_shaper: LinkShaper | None = None
-        #: Optional cache-priming hook for batched deliveries (see
-        #: :class:`repro.runtime.admission.BatchVerifier`): called once
-        #: per same-instant arrival group with the ``(dst, envelope)``
-        #: payloads, before the group is delivered. Purely a
-        #: verification-cache warm-up — it must never change semantics.
-        self.batch_verifier: Callable[[list], None] | None = None
+        #: Copies that reached a receiver's duplicate check — landed, or
+        #: elided before they became an event (:attr:`dup_elided` of them).
         self.messages_delivered = 0
+        self.dup_elided = 0
         #: Nodes currently severed from the topology (peer quarantine);
         #: maintained by :meth:`set_quarantined`.
         self.quarantined: frozenset[int] = frozenset()
@@ -500,7 +521,8 @@ class GossipNetwork:
                   item: tuple[Envelope, int]) -> None:
         """Put one egress-lane ``(envelope, dst)`` record on the wire."""
         for delay in self._shaped_delays(sender.index, item):
-            self.env.schedule(delay, sender._land, item)
+            if not sender._elide(item):
+                self.env.schedule(delay, sender._land, item)
 
     def _transmit_batch(self, sender: NetworkInterface,
                         batch: list[tuple[Envelope, int]],
@@ -515,22 +537,27 @@ class GossipNetwork:
         :class:`repro.sim.loop.BatchSchedule` (arrivals landing at the
         same instant — e.g. under the uniform latency model — share a
         single event) and the lane records are reused as its payloads.
+        Latencies are drawn for the whole batch before any copy is
+        elided (:meth:`NetworkInterface._elide`), so the RNG stream does
+        not depend on who already holds what; a batch whose every copy
+        is elided schedules nothing.
         """
         src = sender.index
+        elide = sender._elide
         if self.drop_filter is None and self.link_shaper is None:
             latencies = self.latency_model.latencies(
                 src, [dst for _, dst in batch])
-            arrivals = zip(map(operator.add, offsets, latencies), batch)
+            arrivals = [(offset + latency, item) for offset, latency, item
+                        in zip(offsets, latencies, batch) if not elide(item)]
         else:
             # Fault hooks may draw from one shared RNG, so they keep the
             # per-message filter -> latency -> shaper call order.
             arrivals = [(offset + delay, item)
                         for offset, item in zip(offsets, batch)
-                        for delay in self._shaped_delays(src, item)]
-            if not arrivals:
-                return
-        self.env.schedule_batch(arrivals, sender._land,
-                                prelude=self.batch_verifier)
+                        for delay in self._shaped_delays(src, item)
+                        if not elide(item)]
+        if arrivals:
+            self.env.schedule_batch(arrivals, sender._land, skip=elide)
 
     def _shaped_delays(self, src: int,
                        item: tuple[Envelope, int]) -> list[float]:

@@ -258,26 +258,46 @@ def encode_envelope(envelope) -> bytes:
                    codec[0](envelope.payload), envelope.size])
 
 
-def decode_envelope(data: bytes):
-    """Inverse of :func:`encode_envelope`; returns a fresh ``Envelope``."""
-    from repro.network.message import Envelope
+#: ``(msg_id, origin, kind, size, body)`` — the body still opaque bytes.
+EnvelopeHeader = tuple[int, bytes, str, int, bytes]
 
+
+def decode_envelope_header(data: bytes) -> EnvelopeHeader:
+    """Routing metadata first: ``(msg_id, origin, kind, size, body)``.
+
+    The payload is nested as opaque bytes, so this touches none of it —
+    a receiver can look ``msg_id`` up in its seen-set and drop a
+    duplicate without decoding the vote/block inside.
+    :func:`decode_envelope_body` finishes the job.
+    """
     try:
         fields = _expect(decode(data), "wenv")
-        _, msg_id, origin, kind, payload_bytes, size = fields
+        _, msg_id, origin, kind, body, size = fields
     except (ValueError, TypeError) as exc:
         raise WireError(f"bad envelope payload: {exc}") from exc
-    codec = ENVELOPE_CODECS.get(kind)
-    if codec is None:
+    if kind not in ENVELOPE_CODECS:
         raise WireError(f"unknown envelope kind {kind!r}")
     if not isinstance(msg_id, int) or not isinstance(size, int):
         raise WireError("envelope msg_id/size must be integers")
+    return msg_id, origin, kind, size, body
+
+
+def decode_envelope_body(header: EnvelopeHeader):
+    """Decode the payload of a header; returns a fresh ``Envelope``."""
+    from repro.network.message import Envelope
+
+    msg_id, origin, kind, size, body = header
     try:
-        payload = codec[1](payload_bytes)
+        payload = ENVELOPE_CODECS[kind][1](body)
     except (ValueError, TypeError) as exc:
         raise WireError(f"bad {kind} envelope payload: {exc}") from exc
     return Envelope(origin=origin, kind=kind, payload=payload, size=size,
                     msg_id=msg_id)
+
+
+def decode_envelope(data: bytes):
+    """Inverse of :func:`encode_envelope`; returns a fresh ``Envelope``."""
+    return decode_envelope_body(decode_envelope_header(data))
 
 
 # --- Framing (length-prefixed, stream-safe) ---------------------------------

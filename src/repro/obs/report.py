@@ -219,7 +219,8 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
                      f"({counters.get('sortition.subusers_selected', 0)} "
                      f"sub-users)"])
         rows.append(["gossip hygiene",
-                     f"{counters.get('gossip.dup_dropped', 0)} dup-dropped / "
+                     f"{counters.get('gossip.dup_dropped', 0)} dup-dropped "
+                     f"({gauges.get('gossip.dup_elided', 0)} elided) / "
                      f"{counters.get('gossip.filtered', 0)} filtered",
                      f"{counters.get('gossip.pruned_ids', 0)} seen-ids "
                      f"pruned"])

@@ -62,8 +62,7 @@ from repro.baplus.accountability import DoubleVoteEvidence, EquivocationEvidence
 from repro.baplus.messages import VoteMessage
 from repro.common.errors import ConfigError
 from repro.network.message import Envelope
-from repro.sortition.roles import FINAL_STEP, committee_role
-from repro.sortition.selection import verify_sort
+from repro.sortition.roles import FINAL_STEP
 
 if TYPE_CHECKING:
     from repro.baplus.context import BAContext  # pragma: no cover - typing only
@@ -283,11 +282,13 @@ def sortition_weight(node: "Node", vote: VoteMessage,
     """Committee weight of ``vote`` in ``node``'s current context.
 
     Section 5.2's ``VerifySort`` against the committee for the vote's
-    ``(round, step)``, memoized through the shared verification cache
-    when one is installed. The single weighing every ingress-side
-    consumer shares: sortition-gated admission and the relay damper
-    (:mod:`repro.runtime.damping`) must agree on a vote's weight or
-    their decisions could diverge from the vote count itself.
+    ``(round, step)``, read from the vote's own weight receipt
+    (:meth:`~repro.baplus.messages.VoteMessage.committee_votes`) after
+    its first computation. The single weighing every consumer shares:
+    sortition-gated admission, the relay damper
+    (:mod:`repro.runtime.damping`) and ``process_msg`` must agree on a
+    vote's weight or their decisions could diverge from the vote count
+    itself.
 
     Callers are responsible for decidability (same round, same tip) —
     this helper weighs against ``node``'s context for the vote's round,
@@ -298,26 +299,15 @@ def sortition_weight(node: "Node", vote: VoteMessage,
         ctx = node._current_context(vote.round_number)
     tau = (node.params.tau_final if vote.step == FINAL_STEP
            else node.params.tau_step)
-    role = committee_role(vote.round_number, vote.step)
-    weight = ctx.weight_of(vote.voter)
-    cache = getattr(node.backend, "cache", None)
-    if cache is not None:
-        return cache.memo_sortition(
-            lambda: verify_sort(
-                node.backend, vote.voter, vote.sorthash, vote.sortproof,
-                ctx.seed, tau, role, weight, ctx.total_weight),
-            vote.voter, vote.sorthash, vote.sortproof, ctx.seed,
-            tau, role, weight, ctx.total_weight)
-    return verify_sort(
-        node.backend, vote.voter, vote.sorthash, vote.sortproof,
-        ctx.seed, tau, role, weight, ctx.total_weight)
+    return vote.committee_votes(node.backend, ctx.seed, tau,
+                                ctx.weight_of(vote.voter), ctx.total_weight)
 
 
 class AdmissionControl:
     """Per-node ingress filter installed on the gossip interface.
 
     ``admit(envelope, from_index)`` runs *after* duplicate suppression
-    and *before* the inbox, the router, and any relay — a rejected
+    and *before* the router and any relay — a rejected
     message costs the node one verification and is never amplified.
     """
 
@@ -542,56 +532,6 @@ class AdmissionControl:
         """Drop volatile state (crash); counters survive as receipts."""
         self.on_chain_adopted()
         self.health.reset()
-
-
-class BatchVerifier:
-    """Per-drain batch signature verification for the gossip fabric.
-
-    Installed as ``network.batch_verifier``: the event loop calls it
-    once per same-instant delivery group (one
-    :class:`repro.sim.loop.BatchSchedule` walk) with the group's
-    ``(envelope, dst)`` payloads, *before* any of them is delivered.
-    One pass over the group's distinct vote signatures fills the shared
-    :class:`~repro.runtime.cache.VerificationCache`, so the per-envelope
-    checks admission and the vote handler then run — synchronously,
-    validate-before-relay, exactly as without batching — are all cache
-    hits. Semantics are untouched by construction: the only observable
-    is verification *cost*, which is what the aggregated population is
-    buying down.
-    """
-
-    __slots__ = ("_backend", "_cache", "groups", "votes_primed")
-
-    def __init__(self, backend, cache) -> None:
-        #: The *inner* (uncached) backend — primes must do real work
-        #: exactly once, not recurse through the cache wrapper.
-        self._backend = backend
-        self._cache = cache
-        self.groups = 0
-        self.votes_primed = 0
-
-    def __call__(self, payloads: list) -> None:
-        triples = None
-        seen = None
-        for item in payloads:
-            envelope: Envelope = item[0]
-            if envelope.kind != "vote":
-                continue
-            vote: VoteMessage = envelope.payload
-            key = (vote.voter, vote.signature)
-            if triples is None:
-                triples = []
-                seen = set()
-            if key in seen:
-                continue
-            seen.add(key)
-            triples.append((vote.voter, vote.signing_payload(),
-                            vote.signature))
-        if not triples:
-            return
-        self.groups += 1
-        self.votes_primed += self._cache.prime_signatures(self._backend,
-                                                          triples)
 
 
 def attach_admission(node: "Node", config: AdmissionConfig | None = None,

@@ -48,8 +48,7 @@ class VerificationCache:
     """
 
     __slots__ = ("_entries", "max_entries", "hits", "misses",
-                 "negative_hits", "sort_hits", "sort_misses",
-                 "batch_primed", "counts")
+                 "negative_hits", "sort_hits", "sort_misses", "counts")
 
     def __init__(self, max_entries: int = 1 << 18,
                  counts: Any = None) -> None:
@@ -70,10 +69,6 @@ class VerificationCache:
         #: bad VRF proof seen before) — the adversarial-flood share of
         #: the cache's work, reported separately in trace snapshots.
         self.negative_hits = 0
-        #: Verdicts stored by :meth:`prime_signatures` (batched drains);
-        #: kept out of ``hits``/``misses`` so those preserve the "every
-        #: miss reached the inner backend *from a delivery*" accounting.
-        self.batch_primed = 0
         #: Optional :class:`repro.crypto.counting.CryptoOpCounts` (or any
         #: object with ``cache_hits``/``cache_misses``) to mirror into.
         self.counts = counts
@@ -113,7 +108,6 @@ class VerificationCache:
             "negative_hits": self.negative_hits,
             "sort_hits": self.sort_hits,
             "sort_misses": self.sort_misses,
-            "batch_primed": self.batch_primed,
             "hit_rate": self.hit_rate,
             "entries": len(self._entries),
         }
@@ -138,40 +132,6 @@ class VerificationCache:
             self._entries[key] = (exc,)
             raise
         self._entries[key] = (None,)
-
-    def prime_signatures(self, backend: Any,
-                         triples: "list[tuple[bytes, bytes, bytes]]") -> int:
-        """Batched warm-up: verify unseen ``(public, message, signature)``
-        triples once and memoize the verdicts.
-
-        Used by the admission layer's per-drain batch verification: one
-        pass over a delivery group's vote signatures replaces that
-        group's per-envelope cache misses. Verdicts (including
-        failures) land in the same key space :meth:`verify` reads, so
-        the subsequent per-envelope checks are guaranteed hits. Purely
-        a cache effect — simulation semantics cannot observe it.
-
-        Returns the number of triples actually verified (cache fills).
-        """
-        entries = self._entries
-        primed = 0
-        for public, message, signature in triples:
-            key = (_SIG, public, message, signature)
-            if key in entries:
-                continue
-            primed += 1
-            try:
-                backend.verify(public, message, signature)
-            except Exception as exc:
-                entries[key] = (exc,)
-            else:
-                entries[key] = (None,)
-        if primed and len(entries) >= self.max_entries:
-            drop = max(1, len(entries) // 4)
-            for stale in list(islice(iter(entries), drop)):
-                del entries[stale]
-        self.batch_primed += primed
-        return primed
 
     def vrf_verify(self, backend: Any, public: bytes, proof: bytes,
                    alpha: bytes) -> bytes:

@@ -49,8 +49,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.baplus.messages import VoteMessage
-from repro.crypto.hashing import H, HASHLEN_BITS
+from repro.baplus.messages import COIN_HASH_CEILING, VoteMessage
+from repro.runtime.admission import sortition_weight
 from repro.sortition.roles import FINAL_STEP
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,23 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Mirrors :data:`repro.node.recovery.RECOVERY_ROUND_BASE` by value
 #: (recovery sits above this module in the import graph).
 RECOVERY_ROUND_BASE = 1_000_000_000
-
-#: One past the largest possible coin hash (Algorithm 9 sentinel).
-COIN_HASH_CEILING = 1 << HASHLEN_BITS
-
-
-def coin_min_hash(sorthash: bytes, weight: int) -> int:
-    """Algorithm 9's per-vote coin contribution: min H(sorthash || j).
-
-    Matches :func:`repro.baplus.voting.common_coin` exactly — one hash
-    per selected sub-user. Weight 0 contributes nothing (the ceiling).
-    """
-    best = COIN_HASH_CEILING
-    for j in range(1, weight + 1):
-        h = int.from_bytes(H(sorthash, j.to_bytes(8, "big")), "big")
-        if h < best:
-            best = h
-    return best
 
 
 class DampingTally:
@@ -224,7 +207,6 @@ class RelayDamper:
         round_number = vote.round_number
         if round_number >= RECOVERY_ROUND_BASE:
             return 0
-        from repro.runtime.admission import sortition_weight
         if (round_number == chain.next_round
                 and vote.prev_hash == chain.tip_hash):
             ctx = self.node._current_context(round_number)
@@ -243,7 +225,7 @@ class RelayDamper:
         weight = self._weight(vote)
         suppress = self.tally.observe(
             vote.round_number, vote.step, vote.value, vote.voter,
-            weight, coin_min_hash(vote.sorthash, weight))
+            weight, vote.coin_hash(weight))
         if suppress:
             self.suppressed += 1
             if self._metrics is not None:
@@ -257,8 +239,7 @@ class RelayDamper:
         self.observed += 1
         weight = self._weight(vote)
         self.tally.observe(vote.round_number, vote.step, vote.value,
-                           vote.voter, weight,
-                           coin_min_hash(vote.sorthash, weight))
+                           vote.voter, weight, vote.coin_hash(weight))
 
     # -- round hygiene -------------------------------------------------
 

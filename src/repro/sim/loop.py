@@ -352,6 +352,15 @@ class BatchSchedule:
     event, in insertion order. The gossip network uses this to schedule
     one event per destination batch instead of one per neighbor.
 
+    A batch keeps **one** ``seq`` for its whole life — the one it drew
+    when it was scheduled — so every payload fires exactly where "one
+    ``schedule()`` per payload, back to back" would have put it, however
+    often the walker re-arms. ``skip``, when given, is asked about each
+    payload as the walker advances to it: a payload it answers ``True``
+    for is dropped without ever becoming an event (the gossip layer
+    skips copies whose receiver already holds the message). Because the
+    key is stable, skipping cannot reorder the survivors.
+
     The event loop dispatches through :meth:`_fire`; the batch never
     stores a reference to itself (or to a bound method of itself), so it
     is freed by reference counting when its last payload is delivered.
@@ -360,23 +369,20 @@ class BatchSchedule:
     """
 
     __slots__ = ("time", "seq", "cancelled", "_env", "_items", "_deliver",
-                 "_cursor", "_prelude")
+                 "_cursor", "_skip")
 
-    def __init__(self, env: "Environment",
+    def __init__(self, env: "Environment", seq: int,
                  items: list[tuple[float, Any]],
                  deliver: Callable[[Any], None],
-                 prelude: Callable[[list[Any]], None] | None = None) -> None:
+                 skip: Callable[[Any], bool] | None = None) -> None:
         self._env = env
+        self.seq = seq
         # Stable sort: payloads with equal times keep caller order.
         items.sort(key=_RECORD_TIME)
         self._items = items
         self._deliver = deliver
+        self._skip = skip
         self._cursor = 0
-        #: Optional per-group hook: called once with every payload of a
-        #: same-instant delivery group, *before* the group's deliveries.
-        #: Must be side-effect-free with respect to simulation semantics
-        #: (the gossip layer uses it to prime the verification cache).
-        self._prelude = prelude
         self.cancelled = False
         self.time = items[0][0]
 
@@ -389,12 +395,6 @@ class BatchSchedule:
         cursor = start = self._cursor
         time = self.time
         n = len(items)
-        prelude = self._prelude
-        if prelude is not None:
-            end = cursor
-            while end < n and items[end][0] == time:
-                end += 1
-            prelude([items[k][1] for k in range(cursor, end)])
         while cursor < n and items[cursor][0] == time:
             payload = items[cursor][1]
             cursor += 1
@@ -402,18 +402,22 @@ class BatchSchedule:
         env = self._env
         env.batch_walks += 1
         env.batch_deliveries += cursor - start
+        skip = self._skip
+        if skip is not None:
+            while cursor < n and skip(items[cursor][1]):
+                cursor += 1
         if cursor < n and not self.cancelled:
             self._items = items
             self._cursor = cursor
-            self.time = items[cursor][0]
-            env._push(self)
+            self.time = time = items[cursor][0]
+            heapq.heappush(env._heap, (time, self.seq, self))
 
     def cancel(self) -> None:
         """Drop all not-yet-delivered payloads."""
         if self.cancelled:
             return
         self.cancelled = True
-        self._deliver = self._prelude = None
+        self._deliver = self._skip = None
         if self._items:  # queued in the heap
             self._items = ()
             self._env._heap_entry_died()
@@ -486,15 +490,15 @@ class Environment:
 
     def schedule_batch(self, items: Iterable[tuple[float, Any]],
                        deliver: Callable[[Any], None],
-                       prelude: Callable[[list[Any]], None] | None = None,
+                       skip: Callable[[Any], bool] | None = None,
                        ) -> BatchSchedule:
         """Schedule ``deliver(payload)`` for each ``(delay, payload)``.
 
         One :class:`BatchSchedule` walks the whole batch with a single
         live heap entry; same-time payloads are delivered by one event.
         Delays are relative to :attr:`now` and must be non-negative.
-        ``prelude``, when given, runs once per same-instant delivery
-        group with the group's payloads, before its deliveries.
+        ``skip(payload)``, when given, is consulted each time the walker
+        advances past its first arrival; ``True`` drops that payload.
         """
         now = self.now
         records = []
@@ -505,15 +509,11 @@ class Environment:
             records.append((now + delay, payload))
         if not records:
             raise SimulationError("schedule_batch requires at least one item")
-        batch = BatchSchedule(self, records, deliver, prelude)
-        self._push(batch)
-        return batch
-
-    def _push(self, batch: BatchSchedule) -> None:
-        """(Re-)insert a batch carrying its own ``time`` into the heap."""
-        batch.seq = seq = self._seq
+        seq = self._seq
         self._seq = seq + 1
+        batch = BatchSchedule(self, seq, records, deliver, skip)
         heapq.heappush(self._heap, (batch.time, seq, batch))
+        return batch
 
     def _heap_entry_died(self) -> None:
         """A queued heap entry was cancelled; compact when dead > live."""

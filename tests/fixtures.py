@@ -10,7 +10,9 @@ Deduplicates the three shapes almost every integration test rebuilds:
   the admission, population and damping equivalence suites: same block
   dataclasses (timestamps included), same round records, on every node;
 * :func:`signed_vote` — a validly-signed :class:`VoteMessage` from one
-  of a simulation's users, with forgeable fields overridable per test.
+  of a simulation's users, with forgeable fields overridable per test;
+* :func:`record_received` — a recording ``relay_policy`` on every
+  interface of a bare gossip network (what each node accepted).
 
 Import from tests as ``from tests.fixtures import run_sim`` (the tests
 directory is a package).
@@ -96,6 +98,22 @@ def assert_chains_byte_identical(one: Simulation, other: Simulation,
         for r in range(1, rounds + 1):
             assert (node_other.metrics.round_record(r)
                     == node_one.metrics.round_record(r))
+
+
+def record_received(net, relay: bool = True) -> list[list]:
+    """Install a recording ``relay_policy`` on every interface of ``net``.
+
+    Returns one list per interface, filled with the envelopes that
+    interface accepts (past duplicate suppression and ingress); each
+    policy answers ``relay``.
+    """
+    received: list[list] = [[] for _ in net.interfaces]
+    for interface, log in zip(net.interfaces, received):
+        def policy(envelope, log=log):
+            log.append(envelope)
+            return relay
+        interface.relay_policy = policy
+    return received
 
 
 def signed_vote(sim: Simulation, voter_index: int, round_number: int,

@@ -152,13 +152,5 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config.validate()
 
-    def test_batch_verify_requires_cache(self):
-        config = SimulationConfig(
-            num_users=6,
-            runtime=RuntimeConfig(use_verification_cache=False,
-                                  batch_verify=True))
-        with pytest.raises(ConfigError):
-            config.validate()
-
     def test_default_config_validates(self):
         SimulationConfig().validate()

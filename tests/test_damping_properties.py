@@ -27,12 +27,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baplus.messages import COIN_HASH_CEILING, coin_min_hash
 from repro.crypto.hashing import H
-from repro.runtime.damping import (
-    COIN_HASH_CEILING,
-    DampingTally,
-    coin_min_hash,
-)
+from repro.runtime.damping import DampingTally
 from repro.sortition.roles import FINAL_STEP
 
 EXAMPLES = 200

@@ -1,4 +1,4 @@
-"""Regression guards for the event kernel's two contracts.
+"""Regression guards for the event kernel's contracts.
 
 * **Allocation:** a steady-state simulated round builds no reference
   cycles — timers carry ``(callback, arg)``, handles never reference
@@ -10,16 +10,35 @@
   exactly that float association; the golden hashes below were recorded
   at the commit *before* the allocation-lean kernel and fail on any
   reassociation, RNG-stream slip or reordering of same-time events.
+* **A copy is an event only if it can change state:** copies whose
+  receiver already holds the message are elided at transmit and as the
+  in-flight walker advances. The oracle is :class:`PerCopyNetwork` —
+  one ``env.schedule()`` per copy at transmit, nothing elided — against
+  which chains, round records, bytes and per-kind gossip counters must
+  be identical, jittered or with every arrival tied; and the golden
+  run's event count stays under a recorded ceiling, so per-copy events
+  cannot creep back in.
 """
 
 from __future__ import annotations
 
 import gc
 
+import numpy as np
 import pytest
 
-from repro.experiments.config import PopulationConfig
-from tests.fixtures import chain_hash, run_sim
+import repro.experiments.harness as harness
+from repro.experiments.config import NetworkConfig, PopulationConfig
+from repro.network.gossip import GossipNetwork
+from repro.network.latency import LatencyModel, UniformLatencyModel
+from repro.network.message import Envelope, next_msg_id
+from repro.sim.loop import Environment
+from tests.fixtures import (
+    chain_fingerprint,
+    chain_hash,
+    run_sim,
+    run_traced,
+)
 
 #: Unreachable objects a 10-user, 2-round run may leave for the cyclic
 #: collector. The closure-based kernel left 16,925 (two per event); the
@@ -54,3 +73,205 @@ def test_golden_chain_hash(seed, population):
     sim = run_sim(2, payments=10, num_users=20, seed=seed,
                   population=population)
     assert chain_hash(sim) == GOLDEN_20_USERS_2_ROUNDS[seed]
+
+
+# ---------------------------------------------------------------------------
+# Elision: the per-copy oracle
+# ---------------------------------------------------------------------------
+
+#: ``env.events_processed`` per round of the golden 20-user run may not
+#: exceed this. Recorded: 10,914.5 (seed 1) / 10,555.5 (seed 2) with
+#: duplicate copies elided; 16,490.5 / 15,902.5 when every copy is an
+#: event.
+EVENTS_PER_ROUND_CEILING = 12_500
+
+
+class PerCopyNetwork(GossipNetwork):
+    """The oracle: one ``env.schedule()`` per copy, nothing elided."""
+
+    def _transmit(self, sender, item):
+        for delay in self._shaped_delays(sender.index, item):
+            self.env.schedule(delay, sender._land, item)
+
+    def _transmit_batch(self, sender, batch, offsets):
+        src = sender.index
+        if self.drop_filter is None and self.link_shaper is None:
+            delays = [[latency] for latency in self.latency_model.latencies(
+                src, [dst for _, dst in batch])]
+        else:
+            delays = [self._shaped_delays(src, item) for item in batch]
+        for offset, item, shaped in zip(offsets, batch, delays):
+            for delay in shaped:
+                self.env.schedule(offset + delay, sender._land, item)
+
+
+def _gossip_counters(bus) -> dict:
+    counters = bus.metrics.snapshot()["counters"]
+    return {name: value for name, value in counters.items()
+            if name.startswith(("gossip.recv.", "gossip.relayed.",
+                                "gossip.dup_dropped"))}
+
+
+@pytest.mark.parametrize("network", [
+    NetworkConfig(),
+    NetworkConfig(latency_model="uniform", bandwidth_bps=None),
+    NetworkConfig(latency_model="uniform"),
+], ids=["jittered-city", "every-arrival-ties", "ties-across-rearms"])
+def test_elision_matches_per_copy_oracle(monkeypatch, network):
+    def run():
+        sim, bus = run_traced(2, payments=8, num_users=16, seed=5,
+                              network=network)
+        # Let what is still on the wire land, so both sides have counted
+        # every copy (an elided copy is counted when it is decided).
+        sim.env.run()
+        return sim, bus
+
+    elided, elided_bus = run()
+    monkeypatch.setattr(harness, "GossipNetwork", PerCopyNetwork)
+    oracle, oracle_bus = run()
+    assert isinstance(oracle.network, PerCopyNetwork)
+    assert oracle.network.dup_elided == 0 < elided.network.dup_elided
+    assert chain_fingerprint(elided) == chain_fingerprint(oracle)
+    assert (elided.network.bytes_sent_per_node()
+            == oracle.network.bytes_sent_per_node())
+    assert _gossip_counters(elided_bus) == _gossip_counters(oracle_bus)
+    assert (elided.network.messages_delivered
+            == oracle.network.messages_delivered)
+    assert elided.env.events_processed < oracle.env.events_processed
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_20_USERS_2_ROUNDS))
+def test_golden_run_event_count_ceiling(seed):
+    sim = run_sim(2, payments=10, num_users=20, seed=seed)
+    assert sim.env.events_processed / 2 <= EVENTS_PER_ROUND_CEILING
+
+
+def _bare(network_class, num_nodes=12, seed=3, bandwidth=1e6,
+          latency_model=None, horizon=2):
+    env = Environment()
+    rng = np.random.default_rng(seed)
+    if latency_model is None:
+        latency_model = LatencyModel(num_nodes, rng)
+    net = network_class(env, num_nodes, rng, latency_model,
+                        bandwidth_bps=bandwidth,
+                        seen_horizon_rounds=horizon)
+    return env, net
+
+
+def _flood(network_class, scenario):
+    """Run ``scenario(env, net)`` on a bare network; what every node saw."""
+    env, net = _bare(network_class)
+    log: list[tuple] = []
+    for index, interface in enumerate(net.interfaces):
+        def accept(envelope, index=index):
+            log.append((env.now, index, envelope.kind))
+            return True
+        interface.relay_policy = accept
+    scenario(env, net)
+    env.run()
+    return (log, net.bytes_sent_per_node(), net.messages_delivered,
+            net.rng.bit_generator.state)
+
+
+def _both(scenario):
+    return _flood(GossipNetwork, scenario), _flood(PerCopyNetwork, scenario)
+
+
+def _envelope(kind="vote", size=200):
+    return Envelope(origin=b"o", kind=kind, payload=None, size=size)
+
+
+class TestElisionEdgeCases:
+    def test_receiver_crash_with_copies_in_flight(self):
+        def scenario(env, net):
+            victim = net.interfaces[0].neighbors[0]
+            for k in range(4):
+                net.interfaces[0].broadcast(_envelope(f"m{k}"))
+            env.schedule(0.02, lambda: setattr(
+                net.interfaces[victim], "disconnected", True))
+            env.schedule(0.4, lambda: setattr(
+                net.interfaces[victim], "disconnected", False))
+            env.schedule(0.4, lambda: net.interfaces[3].broadcast(
+                _envelope("late")))
+
+        elided, oracle = _both(scenario)
+        assert elided == oracle
+
+    @pytest.mark.parametrize("shape", ["duplicate", "reorder", "loss"])
+    def test_link_shaper_faults_stay_reproducible(self, shape):
+        def scenario(env, net):
+            chaos = np.random.default_rng(11)
+
+            def shaper(src, dst, envelope, delay):
+                draw = chaos.random()
+                if shape == "duplicate":
+                    return [delay, delay + 0.05] if draw < 0.3 else [delay]
+                if shape == "reorder":
+                    return [delay + (0.2 if draw < 0.3 else 0.0)]
+                return [] if draw < 0.2 else [delay]
+            net.link_shaper = shaper
+            net.drop_filter = lambda src, dst, envelope: chaos.random() < 0.05
+            for k in range(5):
+                net.interfaces[k].broadcast(_envelope(f"m{k}"))
+                net.interfaces[k].broadcast(_envelope(f"b{k}", size=50_000))
+
+        elided, oracle = _both(scenario)
+        assert elided == oracle
+        assert _flood(GossipNetwork, scenario) == elided
+
+    def test_id_below_newest_watermark_is_not_elided(self):
+        env, net = _bare(GossipNetwork, latency_model=UniformLatencyModel(0.01))
+        sender, receiver = net.interfaces[0], net.interfaces[
+            net.interfaces[0].neighbors[0]]
+        old = _envelope()
+        receiver._seen.add(old.msg_id)
+        item = (old, receiver.index)
+        assert sender._elide(item)
+        # One boundary later the id is still held, but the next prune
+        # may forget it: the copy must be simulated, not decided early.
+        net.end_round()
+        assert old.msg_id in receiver._seen
+        assert old.msg_id < receiver._seen_floor
+        assert not sender._elide(item)
+        fresh = _envelope()
+        receiver._seen.add(fresh.msg_id)
+        assert sender._elide((fresh, receiver.index))
+        # ... and it outlives ``seen_horizon_rounds`` more boundaries.
+        for _ in range(net.seen_horizon_rounds):
+            next_msg_id()
+            net.end_round()
+            assert fresh.msg_id in receiver._seen
+        assert old.msg_id not in receiver._seen
+
+    def test_pruned_id_is_accepted_again_like_the_oracle(self):
+        def scenario(env, net):
+            first = _envelope("first")
+            net.interfaces[0].broadcast(first)
+            for boundary in range(4):
+                env.schedule(1.0 + boundary, net.end_round)
+            # A straggling copy of the long-forgotten message.
+            env.schedule(6.0, lambda: net.interfaces[1]._send_to_neighbors(
+                first, exclude=None))
+
+        elided, oracle = _both(scenario)
+        assert elided == oracle
+        # Re-accepted once by whoever the straggler reached.
+        accepted = [node for _, node, kind in elided[0] if kind == "first"]
+        assert max(accepted.count(node) for node in accepted) == 2
+
+    def test_whole_batch_elided_schedules_nothing(self):
+        env, net = _bare(GossipNetwork)
+        sender = net.interfaces[0]
+        envelope = _envelope()
+        for neighbor in sender.neighbors:
+            net.interfaces[neighbor]._seen.add(envelope.msg_id)
+        draws_before = net.rng.bit_generator.state
+        sender.broadcast(envelope)
+        env.run()
+        copies = len(sender.neighbors)
+        assert env.batch_walks == env.batch_deliveries == 0
+        assert net.dup_elided == net.messages_delivered == copies
+        # The sender still paid: uplink bytes and one latency draw each.
+        assert sender.bytes_sent == copies * envelope.size
+        assert sender.messages_sent == copies
+        assert net.rng.bit_generator.state != draws_before

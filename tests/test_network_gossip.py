@@ -16,6 +16,7 @@ from repro.network.latency import (
 )
 from repro.network.message import Envelope
 from repro.sim.loop import Environment
+from tests.fixtures import record_received
 
 
 def _network(num_nodes=20, seed=0, bandwidth=None, latency=0.01,
@@ -114,30 +115,29 @@ class TestTopology:
 class TestFlooding:
     def test_broadcast_reaches_everyone(self):
         env, net = _network(40)
+        received = record_received(net)
         net.interfaces[0].broadcast(
             Envelope(origin=b"o", kind="t", payload=None, size=100))
         env.run()
-        reached = sum(1 for i in net.interfaces[1:] if i.inbox)
-        assert reached == 39
+        assert sum(1 for log in received[1:] if log) == 39
 
     def test_duplicates_suppressed(self):
         env, net = _network(20)
+        received = record_received(net)
         envelope = Envelope(origin=b"o", kind="t", payload=None, size=100)
         net.interfaces[0].broadcast(envelope)
         env.run()
         # Each node sees the message exactly once despite flooding.
-        for iface in net.interfaces[1:]:
-            assert len(iface.inbox) == 1
+        assert all(log == [envelope] for log in received[1:])
 
     def test_relay_policy_false_stops_forwarding(self):
         env, net = _network(30)
-        for iface in net.interfaces:
-            iface.relay_policy = lambda e: False
+        received = record_received(net, relay=False)
         net.interfaces[0].broadcast(
             Envelope(origin=b"o", kind="t", payload=None, size=100))
         env.run()
         # Only direct neighbors receive it.
-        reached = {i.index for i in net.interfaces if i.inbox}
+        reached = {index for index, log in enumerate(received) if log}
         assert reached == set(net.interfaces[0].neighbors)
 
     def test_latency_bounds_propagation_time(self):
@@ -163,11 +163,12 @@ class TestFlooding:
 
     def test_disconnected_node_neither_sends_nor_receives(self):
         env, net = _network(20)
+        received = record_received(net)
         net.interfaces[5].disconnected = True
         net.interfaces[0].broadcast(
             Envelope(origin=b"o", kind="t", payload=None, size=100))
         env.run()
-        assert not net.interfaces[5].inbox
+        assert not received[5]
 
     def test_drop_filter_partitions_network(self):
         env, net = _network(30)
@@ -177,10 +178,11 @@ class TestFlooding:
             return (src in left) != (dst in left)
 
         net.drop_filter = drop
+        received = record_received(net)
         net.interfaces[0].broadcast(
             Envelope(origin=b"o", kind="t", payload=None, size=100))
         env.run()
-        reached = {i.index for i in net.interfaces if i.inbox}
+        reached = {index for index, log in enumerate(received) if log}
         assert reached <= left
 
     def test_bytes_accounting(self):

@@ -48,17 +48,6 @@ class TestRepresentationEquivalence:
                       population="aggregated", always_on_core=100)
         assert_byte_identical(full, agg, 2)
 
-    def test_batch_priming_is_invisible_and_used(self):
-        # The N=20 equivalence above already ran with batch_verify on
-        # (auto resolves True for aggregated); here pin that the primer
-        # actually did work, so the byte-identity is a real statement
-        # about priming being semantics-free rather than it being idle.
-        agg = run_sim(2, num_users=20, seed=4,
-                      population="aggregated", always_on_core=20)
-        summary = agg.summary()
-        assert summary["batch_verify"]["votes_primed"] > 0
-        assert summary["verification_cache"]["batch_primed"] > 0
-
 
 DORMANCY_CFG = dict(num_users=150, initial_balance=1,
                     params=TEST_PARAMS.scaled(0.1), seed=2)
@@ -144,23 +133,3 @@ class TestValidation:
             SimulationConfig(population="aggregated",
                              steps_ahead=0).validate()
 
-    def test_batch_verify_resolution(self):
-        assert not SimulationConfig().batch_verify_enabled()
-        assert SimulationConfig(
-            population="aggregated").batch_verify_enabled()
-        assert SimulationConfig(batch_verify=True).batch_verify_enabled()
-        with pytest.raises(ConfigError):
-            SimulationConfig(batch_verify=True,
-                             use_verification_cache=False).validate()
-        with pytest.raises(ConfigError):
-            SimulationConfig(batch_verify="yes").validate()
-
-    def test_batch_verifier_wiring(self):
-        full = Simulation(SimulationConfig(num_users=3, seed=0))
-        assert full.batch_verifier is None
-        assert full.network.batch_verifier is None
-        agg = Simulation(SimulationConfig(
-            num_users=3, seed=0, population="aggregated",
-            always_on_core=3))
-        assert agg.network.batch_verifier is agg.batch_verifier
-        assert agg.batch_verifier is not None

@@ -152,8 +152,7 @@ class TestVerificationCache:
         cache = VerificationCache()
         assert cache.stats() == {"hits": 0, "misses": 0, "negative_hits": 0,
                                  "sort_hits": 0, "sort_misses": 0,
-                                 "hit_rate": 0.0, "entries": 0,
-                                 "batch_primed": 0}
+                                 "hit_rate": 0.0, "entries": 0}
 
     def test_max_entries_validated(self):
         with pytest.raises(ValueError):
@@ -254,6 +253,31 @@ class TestEquivocationNotLaundered:
         cached.verify(kp.public, b"block-A", signature)  # now cached valid
         with pytest.raises(SignatureError):
             cached.verify(kp.public, b"block-B", signature)
+
+    def test_forged_vote_never_inherits_an_instance_verdict(self):
+        """The same proof one level up: verdicts memoized on a vote
+        *instance* (its receipts) stay with that instance. ``signature``
+        is excluded from ``VoteMessage`` equality, so a forgery sharing
+        ``(voter, round, step)`` can even compare equal to the honest
+        vote — and still gets its own, failing, verification."""
+        import dataclasses
+
+        from repro.baplus.messages import make_vote
+
+        backend = CachedBackend(FastBackend(), VerificationCache())
+        kp = backend.keypair(b"v" * 32)
+        honest = make_vote(backend, kp.secret, kp.public, 3, "1",
+                           b"sorthash", b"proof", b"prev", b"value-A")
+        assert honest.verify_signature(backend)
+        assert honest.__dict__["_signature_valid"] is True
+        other_value = dataclasses.replace(honest, value=b"value-B")
+        other_signature = dataclasses.replace(honest, signature=b"x" * 32)
+        assert other_signature == honest  # the trap
+        for forged in (other_value, other_signature):
+            assert "_signature_valid" not in forged.__dict__
+            assert not forged.verify_signature(backend)
+            assert not forged.verify_signature(backend)  # memoized: False
+        assert honest.verify_signature(backend)
 
     def test_equivocating_proposer_with_cache(self):
         """End-to-end: with the shared cache on, equivocators still never

@@ -493,6 +493,48 @@ class TestBatchSchedule:
         env.run()
         assert log == ["a"]
 
+    def test_batch_keeps_its_transmit_order_across_rearms(self):
+        """One (time, seq) identity per batch: ties resolve as if every
+        payload had its own timer, scheduled back to back."""
+        def run(schedule):
+            env = Environment()
+            log = []
+            schedule(env, [(2.0, "first@2"), (3.0, "first@3")], log.append)
+            schedule(env, [(1.0, "second@1"), (3.0, "second@3")], log.append)
+            env.run()
+            return log
+
+        def per_payload(env, items, deliver):
+            for delay, payload in items:
+                env.schedule(delay, deliver, payload)
+
+        batched = run(lambda env, items, deliver:
+                      env.schedule_batch(items, deliver))
+        assert batched == run(per_payload)
+        # The second batch re-armed first (at t=1), yet still fires last.
+        assert batched[-2:] == ["first@3", "second@3"]
+
+    def test_skip_is_asked_as_the_walker_advances(self):
+        env = Environment()
+        log, asked = [], []
+        held = {"b", "c", "e"}
+
+        def skip(payload):
+            asked.append((env.now, payload))
+            return payload in held
+
+        env.schedule_batch([(1.0, "a"), (2.0, "b"), (3.0, "c"),
+                            (4.0, "d"), (5.0, "e")], log.append, skip=skip)
+        env.schedule(3.5, held.add, "d")  # too late: "d" is the armed head
+        env.run()
+        assert log == ["a", "d"]
+        # Never about the first arrival; each later payload exactly once,
+        # at the fire before it. A skipped payload is no event at all.
+        assert asked == [(1.0, "b"), (1.0, "c"), (1.0, "d"), (4.0, "e")]
+        assert env.batch_walks == 2 and env.batch_deliveries == 2
+        assert env.events_processed == 3
+        assert not env._heap
+
     def test_empty_batch_rejected(self):
         env = Environment()
         with pytest.raises(SimulationError):

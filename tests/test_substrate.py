@@ -19,6 +19,7 @@ from repro.experiments.harness import Simulation, SimulationConfig
 from repro.live.clock import LiveClock
 from repro.live.transport import MSG_ID_SEQ_BITS, LiveTransport
 from repro.network.message import Envelope
+from repro.common.encoding import encode
 from repro.network.wire import encode_envelope
 from repro.substrate import Clock, SimSubstrate, Substrate, Transport
 
@@ -135,6 +136,10 @@ class TestLiveTransport:
         for peer in (1, 2):
             if peer != index:
                 transport.add_link(_FakeLink(peer))
+        #: Envelopes the transport accepted (a recording relay policy).
+        self.received = []
+        transport.relay_policy = (
+            lambda envelope: self.received.append(envelope) or True)
         return transport
 
     def test_broadcast_restamps_msg_id_into_index_namespace(self):
@@ -163,7 +168,7 @@ class TestLiveTransport:
         transport._on_payload(1, payload)
         transport._on_payload(1, payload)  # duplicate
         transport._drain()
-        assert len(transport.inbox) == 1
+        assert len(self.received) == 1
         assert transport.links[1].frames == []     # never back to sender
         assert len(transport.links[2].frames) == 1  # relayed once
 
@@ -173,11 +178,11 @@ class TestLiveTransport:
         transport.ingress = lambda envelope, from_index: False
         transport._on_payload(1, payload)
         transport._drain()
-        assert len(transport.inbox) == 0
+        assert len(self.received) == 0
         transport.ingress = None  # later clean copy must be admitted
         transport._on_payload(2, payload)
         transport._drain()
-        assert len(transport.inbox) == 1
+        assert len(self.received) == 1
 
     def test_rx_queue_bounded_drop_oldest(self):
         transport = self._transport(rx_queue_limit=3)
@@ -187,14 +192,48 @@ class TestLiveTransport:
         assert transport.rx_dropped == 2
         transport._drain()
         # Oldest two (ids 0, 1) were shed before delivery.
-        assert sorted(e.msg_id for e in transport.inbox) == [2, 3, 4]
+        assert sorted(e.msg_id for e in self.received) == [2, 3, 4]
 
     def test_garbage_payload_counted_not_fatal(self):
         transport = self._transport()
         transport._on_payload(1, b"certainly not an envelope")
         assert transport.garbage_frames == 1
         transport._drain()
-        assert len(transport.inbox) == 0
+        assert len(self.received) == 0
+
+    def test_duplicate_frame_dropped_before_payload_decode(self):
+        from repro.obs import TraceBus
+
+        bus = TraceBus()
+        transport = self._transport(obs=bus)
+        envelope = _envelope(b"o" * 32, msg_id=5)
+        transport._on_payload(1, encode_envelope(envelope))
+        transport._drain()
+        # Same header, body that no codec accepts: a held msg_id stops
+        # at the seen-set, so the garbage body is never looked at and
+        # the copy takes no queue slot.
+        header_only = encode(["wenv", 5, envelope.origin, envelope.kind,
+                              b"garbage", envelope.size])
+        transport._on_payload(2, header_only)
+        assert not transport._rx
+        assert transport.garbage_frames == 0
+        assert bus.metrics.snapshot()["counters"]["gossip.dup_dropped"] == 1
+        # The same body under a fresh id is decoded at drain, and fails.
+        transport._on_payload(2, encode(
+            ["wenv", 6, envelope.origin, envelope.kind, b"garbage",
+             envelope.size]))
+        transport._drain()
+        assert transport.garbage_frames == 1
+        assert len(self.received) == 1
+
+    def test_two_copies_in_one_drain_deliver_once(self):
+        transport = self._transport()
+        payload = encode_envelope(_envelope(b"o" * 32, msg_id=8))
+        transport._on_payload(1, payload)
+        transport._on_payload(2, payload)  # not yet seen: both queue
+        assert len(transport._rx) == 2
+        transport._drain()
+        assert len(self.received) == 1
 
     def test_drain_budget_reschedules_backlog(self):
         transport = self._transport(drain_budget=2)
@@ -202,8 +241,8 @@ class TestLiveTransport:
             transport._on_payload(
                 1, encode_envelope(_envelope(b"o" * 32, msg_id=msg_id)))
         transport._drain()
-        assert len(transport.inbox) == 2   # one budgeted pass
+        assert len(self.received) == 2   # one budgeted pass
         assert transport._drain_scheduled  # backlog rescheduled itself
         transport._drain()
         transport._drain()
-        assert len(transport.inbox) == 5
+        assert len(self.received) == 5
