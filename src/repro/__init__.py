@@ -46,21 +46,34 @@ Config knobs are grouped (``network=NetworkConfig(...)``,
 still accepted under a :class:`DeprecationWarning`.
 """
 
-from repro.common.params import PAPER_PARAMS, TEST_PARAMS, ProtocolParams
-from repro.experiments.harness import (
-    NetworkConfig,
-    PopulationConfig,
-    RuntimeConfig,
-    Simulation,
-    SimulationConfig,
-    SubstrateConfig,
-    deploy,
-)
-from repro.live.cluster import LiveCluster
-from repro.obs import TraceBus
-from repro.substrate import Clock, SimSubstrate, Substrate, Transport
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
+
+if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
+    from repro.common.params import PAPER_PARAMS, TEST_PARAMS, ProtocolParams
+    from repro.experiments.harness import (
+        NetworkConfig, PopulationConfig, RuntimeConfig, Simulation,
+        SimulationConfig, SubstrateConfig, deploy,
+    )
+    from repro.live.cluster import LiveCluster
+    from repro.obs.bus import TraceBus
+    from repro.substrate.api import Clock, Substrate, Transport
+    from repro.substrate.sim import SimSubstrate
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.common.params": ("PAPER_PARAMS", "TEST_PARAMS", "ProtocolParams"),
+    "repro.experiments.harness": (
+        "NetworkConfig", "PopulationConfig", "RuntimeConfig", "Simulation",
+        "SimulationConfig", "SubstrateConfig", "deploy",
+    ),
+    "repro.live.cluster": ("LiveCluster",),
+    "repro.obs.bus": ("TraceBus",),
+    "repro.substrate.api": ("Clock", "Substrate", "Transport"),
+    "repro.substrate.sim": ("SimSubstrate",),
+})
 
 __all__ = [
     "Simulation",

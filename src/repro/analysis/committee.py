@@ -28,7 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+
+from repro.common.errors import MissingExtraError
+
+try:
+    from scipy.stats import poisson
+except ModuleNotFoundError as error:
+    raise MissingExtraError("scipy", "analysis", __name__) from error
 
 #: The violation probability used for Figure 3.
 FIGURE3_EPSILON = 5e-9

@@ -15,8 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+
+from repro.common.errors import MissingExtraError
+
+try:
+    import networkx as nx
+except ModuleNotFoundError as error:
+    raise MissingExtraError("networkx", "analysis", __name__) from error
 
 
 def build_gossip_graph(num_nodes: int, peers_per_node: int,

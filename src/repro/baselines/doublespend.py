@@ -16,8 +16,12 @@ comparison helpers below put side by side.
 
 from __future__ import annotations
 
+from repro.common.errors import MissingExtraError
 
-from scipy.stats import nbinom
+try:
+    from scipy.stats import nbinom
+except ModuleNotFoundError as error:
+    raise MissingExtraError("scipy", "analysis", __name__) from error
 
 
 def catch_up_probability(deficit: int, q: float) -> float:

@@ -9,19 +9,39 @@ repro.chaos`` is the command-line entry point; docs/CHAOS.md is the
 manual.
 """
 
-# NOTE: repro.chaos.live is deliberately NOT imported here — it pulls in
-# repro.live.cluster, which itself imports repro.chaos.scenario, and
-# eagerly importing it would make ``import repro.live`` circular. Use
-# ``from repro.chaos.live import run_live_scenario`` directly.
-from repro.chaos.faults import FaultInjector, ShaperChain
-from repro.chaos.generate import generate_scenario
-from repro.chaos.monitor import (InvariantMonitor, Violation, audit_chains,
-                                 audit_ingress)
-from repro.chaos.runner import ChaosVerdict, run_scenario
-from repro.chaos.scenario import (FAULT_KINDS, FaultAction, ScenarioError,
-                                  ScenarioScript, flood_recovery_scenario,
-                                  kill_partition_scenario,
-                                  partition_heal_scenario)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
+    from repro.chaos.faults import FaultInjector, ShaperChain
+    from repro.chaos.generate import generate_scenario
+    from repro.chaos.monitor import (
+        InvariantMonitor, Violation, audit_chains, audit_ingress,
+    )
+    from repro.chaos.runner import ChaosVerdict, run_scenario
+    from repro.chaos.scenario import (
+        FAULT_KINDS, FaultAction, ScenarioError, ScenarioScript,
+        flood_recovery_scenario, kill_partition_scenario,
+        partition_heal_scenario,
+    )
+
+# repro.chaos.live (the live-cluster runner) is not part of this
+# surface: ``from repro.chaos.live import run_live_scenario``.
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.chaos.faults": ("FaultInjector", "ShaperChain"),
+    "repro.chaos.generate": ("generate_scenario",),
+    "repro.chaos.monitor": (
+        "InvariantMonitor", "Violation", "audit_chains", "audit_ingress",
+    ),
+    "repro.chaos.runner": ("ChaosVerdict", "run_scenario"),
+    "repro.chaos.scenario": (
+        "FAULT_KINDS", "FaultAction", "ScenarioError", "ScenarioScript",
+        "flood_recovery_scenario", "kill_partition_scenario",
+        "partition_heal_scenario",
+    ),
+})
 
 __all__ = [
     "FAULT_KINDS",

@@ -21,15 +21,11 @@ import numpy as np
 
 from repro.adversary.network_control import FilterChain, Partitioner
 from repro.baplus.messages import VoteMessage, make_vote
-from repro.chaos.scenario import FaultAction, ScenarioScript
+from repro.chaos.scenario import FAULT_RNG_TAG, FaultAction, ScenarioScript
 from repro.crypto.hashing import H
 from repro.network.gossip import GossipNetwork
 from repro.network.message import Envelope, vote_envelope
 from repro.node.catchup import resync_from_peers
-
-#: Seed-sequence spice mixed with the scenario seed for fault RNG.
-_FAULT_RNG_TAG = 0xC4A05
-
 
 class ShaperChain:
     """Composes per-link delivery mutators into one ``link_shaper``.
@@ -121,7 +117,7 @@ class FaultInjector:
             action.validate(total_nodes)
         self.sim = sim
         self.script = script
-        self.rng = np.random.default_rng([script.seed, _FAULT_RNG_TAG])
+        self.rng = np.random.default_rng([script.seed, FAULT_RNG_TAG])
         self.chain = FilterChain(sim.network)
         self.shaper = ShaperChain(sim.network)
         #: Nodes crashed with no scheduled restart; the runner excludes

@@ -66,6 +66,10 @@ ATTACKER_FAULTS = frozenset({"flood", "spam"})
 #: Kinds expressed through the gossip ``link_shaper`` hook.
 LINK_FAULTS = frozenset({"delay", "loss", "duplicate", "reorder"})
 
+#: Seed-sequence spice mixed with the scenario seed for fault RNG, on
+#: both substrates (``repro.chaos.faults``, ``repro.live.faults``).
+FAULT_RNG_TAG = 0xC4A05
+
 
 class ScenarioError(ReproError):
     """A scenario script failed validation."""

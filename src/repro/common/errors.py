@@ -77,6 +77,24 @@ class SpecError(ConfigError):
     out-of-range values (bad sweep fraction, non-positive wait, ...)."""
 
 
+class MissingExtraError(ReproError, ImportError):
+    """A module needs a dependency that only an optional extra installs.
+
+    The run-time stack (sim, live nodes, chaos, bench) needs ``numpy``
+    alone; ``scipy`` and ``networkx`` belong to the ``analysis`` extra.
+    Subclasses :class:`ImportError` so ``except ImportError`` guards
+    around the import keep working.
+    """
+
+    def __init__(self, dependency: str, extra: str, needed_by: str) -> None:
+        super().__init__(
+            f"{needed_by} needs {dependency}, which only the {extra!r} "
+            f"extra installs: pip install 'repro[{extra}]' "
+            f"(from a checkout: pip install -e '.[{extra}]')")
+        self.dependency = dependency
+        self.extra = extra
+
+
 class NetworkError(ReproError):
     """The simulated network was misconfigured (unknown peer, bad topology)."""
 

@@ -7,66 +7,77 @@ dispatcher) and the process-parallel grid engine in
 measurement logic and sweep-ready grid builders.
 """
 
-from repro.experiments.adversarial import (
-    AdversarialPoint,
-    figure8,
-    figure8_specs,
-    run_adversarial_point,
-)
-from repro.experiments.costs import (
-    CostReport,
-    bandwidth_independence,
-    expected_certificate_bytes,
-    measure_costs,
-)
-from repro.experiments.harness import Simulation, SimulationConfig
-from repro.experiments.latency import (
-    LatencyPoint,
-    figure5,
-    figure5_specs,
-    figure6,
-    figure6_specs,
-    flatness,
-    run_latency_point,
-)
-from repro.experiments.metrics import LatencySummary, format_table
-from repro.experiments.spec import (
-    AdversarialSpec,
-    BlockSizeSpec,
-    ExperimentSpec,
-    LatencySpec,
-    PointResult,
-    SPEC_KINDS,
-    WaitingSpec,
-    run_point,
-    spec_from_json,
-)
-from repro.experiments.sweep import (
-    PointOutcome,
-    SweepReport,
-    load_checkpoint,
-    run_sweep,
-)
-from repro.experiments.throughput import (
-    BlockSizePoint,
-    ThroughputRow,
-    figure7,
-    figure7_specs,
-    paper_scale_projection,
-    run_block_size_point,
-    throughput_table,
-)
-from repro.experiments.waiting import (
-    WaitingPoint,
-    run_waiting_point,
-    waiting_specs,
-    waiting_tradeoff,
-)
-from repro.experiments.timeouts import (
-    TimeoutReport,
-    measure_priority_gossip,
-    measure_timeouts,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
+    from repro.experiments.adversarial import (
+        AdversarialPoint, figure8, figure8_specs, run_adversarial_point,
+    )
+    from repro.experiments.costs import (
+        CostReport, bandwidth_independence, expected_certificate_bytes,
+        measure_costs,
+    )
+    from repro.experiments.harness import Simulation, SimulationConfig
+    from repro.experiments.latency import (
+        LatencyPoint, figure5, figure5_specs, figure6, figure6_specs, flatness,
+        run_latency_point,
+    )
+    from repro.experiments.metrics import LatencySummary, format_table
+    from repro.experiments.spec import (
+        SPEC_KINDS, AdversarialSpec, BlockSizeSpec, ExperimentSpec,
+        LatencySpec, PointResult, WaitingSpec, run_point, spec_from_json,
+    )
+    from repro.experiments.sweep import (
+        PointOutcome, SweepReport, load_checkpoint, run_sweep,
+    )
+    from repro.experiments.throughput import (
+        BlockSizePoint, ThroughputRow, figure7, figure7_specs,
+        paper_scale_projection, run_block_size_point, throughput_table,
+    )
+    from repro.experiments.timeouts import (
+        TimeoutReport, measure_priority_gossip, measure_timeouts,
+    )
+    from repro.experiments.waiting import (
+        WaitingPoint, run_waiting_point, waiting_specs, waiting_tradeoff,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.adversarial": (
+        "AdversarialPoint", "figure8", "figure8_specs",
+        "run_adversarial_point",
+    ),
+    "repro.experiments.costs": (
+        "CostReport", "bandwidth_independence", "expected_certificate_bytes",
+        "measure_costs",
+    ),
+    "repro.experiments.harness": ("Simulation", "SimulationConfig"),
+    "repro.experiments.latency": (
+        "LatencyPoint", "figure5", "figure5_specs", "figure6", "figure6_specs",
+        "flatness", "run_latency_point",
+    ),
+    "repro.experiments.metrics": ("LatencySummary", "format_table"),
+    "repro.experiments.spec": (
+        "SPEC_KINDS", "AdversarialSpec", "BlockSizeSpec", "ExperimentSpec",
+        "LatencySpec", "PointResult", "WaitingSpec", "run_point",
+        "spec_from_json",
+    ),
+    "repro.experiments.sweep": (
+        "PointOutcome", "SweepReport", "load_checkpoint", "run_sweep",
+    ),
+    "repro.experiments.throughput": (
+        "BlockSizePoint", "ThroughputRow", "figure7", "figure7_specs",
+        "paper_scale_projection", "run_block_size_point", "throughput_table",
+    ),
+    "repro.experiments.timeouts": (
+        "TimeoutReport", "measure_priority_gossip", "measure_timeouts",
+    ),
+    "repro.experiments.waiting": (
+        "WaitingPoint", "run_waiting_point", "waiting_specs",
+        "waiting_tradeoff",
+    ),
+})
 
 __all__ = [
     "Simulation",

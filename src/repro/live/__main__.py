@@ -67,6 +67,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  wire bytes sent: {summary['wire_bytes_sent']}   "
               f"messages: {summary['messages_sent']}   "
               f"rx dropped: {summary['rx_dropped']}")
+        slowest = max(summary["startup"].values(),
+                      key=lambda report: report["ready_s"])
+        print(f"  start-up (slowest node): ready in "
+              f"{slowest['ready_s']:.2f} s — imports "
+              f"{slowest['import_s']:.2f} s, build "
+              f"{slowest['build_s']:.2f} s, "
+              f"{slowest['modules_loaded']} modules, "
+              f"{slowest['rss_mb']:.0f} MB")
         print(f"  merged trace: {summary['merged_trace']}")
         print(f"  artifacts:    {summary['runtime_dir']}")
 

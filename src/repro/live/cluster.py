@@ -54,6 +54,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -165,6 +166,9 @@ class LiveCluster:
         self.rounds_run = 0
         #: Measured kills: ``{"node": i, "t": scenario_seconds}``.
         self.kill_log: list[dict] = []
+        #: Each node's own start-up split from its ``ready`` message
+        #: (the latest incarnation's, after a respawn).
+        self.startup: dict[int, dict] = {}
         self._payments = 0
         #: Every trace file each node index wrote, in incarnation order.
         self._trace_paths: dict[int, list[str]] = {}
@@ -230,6 +234,8 @@ class LiveCluster:
             "catchup_adopted": total("catchup_adopted"),
             "per_node": {i: dict(r["stats"])
                          for i, r in sorted(self.results.items())},
+            "startup": {i: dict(report)
+                        for i, report in sorted(self.startup.items())},
             "merged_trace": (str(self.merged_trace_path)
                              if self.merged_trace_path else None),
             "runtime_dir": str(self.runtime_dir),
@@ -286,6 +292,9 @@ class LiveCluster:
         cfg = self._node_config(index, control, incarnation=incarnation)
         if extra:
             cfg.update(extra)
+        # The node measures its import time from here (one host, one
+        # wall clock), so interpreter boot is inside it.
+        cfg["spawned_at"] = time.time()
         suffix = f"-r{incarnation}" if incarnation else ""
         cfg_path = self.runtime_dir / f"node-{index}{suffix}.json"
         cfg_path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
@@ -357,8 +366,9 @@ class LiveCluster:
         await send_message(writer, {"type": "peers",
                                     "addresses": self._addresses,
                                     "neighbors": self._neighbors})
-        await self._guarded(stream.expect("ready",
-                                          timeout=sub.connect_timeout))
+        ready = await self._guarded(stream.expect(
+            "ready", timeout=sub.connect_timeout))
+        self.startup[index] = ready["startup"]
         self._expected_dead.discard(index)
         await send_message(writer, dict(self._start_message,
                                         deadline=deadline, rounds=rounds))
@@ -474,8 +484,9 @@ class LiveCluster:
                                     "addresses": self._addresses,
                                     "neighbors": self._neighbors})
             for index in range(n):
-                await self._guarded(streams[index].expect(
+                ready = await self._guarded(streams[index].expect(
                     "ready", timeout=sub.connect_timeout))
+                self.startup[index] = ready["startup"]
 
             per_round = (self.params.lambda_block
                          + self.params.lambda_step * self.params.max_steps)

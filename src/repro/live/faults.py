@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
+# numpy >= 2 loads numpy.random on first attribute access (~20 ms):
+# name it here so that cost is start-up, not the first round.
+from numpy.random import default_rng
 
-from repro.chaos.faults import _FAULT_RNG_TAG as FAULT_RNG_TAG
-from repro.chaos.scenario import FaultAction
+from repro.chaos.scenario import FAULT_RNG_TAG, FaultAction
 from repro.live.clock import LiveClock
 from repro.live.transport import LiveTransport
 
@@ -64,7 +65,7 @@ class LiveFaultPlane:
         self.num_nodes = num_nodes
         self.clock = clock
         self.transport = transport
-        self.rng = np.random.default_rng([seed, FAULT_RNG_TAG, index])
+        self.rng = default_rng([seed, FAULT_RNG_TAG, index])
         #: Active loss effects: ``(nodes, rate)`` — ``nodes`` empty means
         #: every link (matching the sim's ``_matches`` semantics).
         self._loss: list[tuple[frozenset[int], float]] = []

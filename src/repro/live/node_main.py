@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import resource
 import sys
+import time
 from pathlib import Path
 
-import numpy as np
+from numpy.random import default_rng  # by name: see repro.live.faults
 
 from repro.chaos.scenario import FaultAction
 from repro.common.encoding import decode, encode
@@ -56,6 +58,9 @@ from repro.obs.sink import JsonlTraceSink
 from repro.runtime.admission import AdmissionConfig, attach_admission
 from repro.runtime.cache import VerificationCache
 from repro.runtime.damping import attach_damping
+
+#: Wall time at which the imports above finished (start-up report).
+_IMPORTED_AT = time.time()
 
 #: Reconnect backoff: first retry delay and cap (seconds).
 RECONNECT_BACKOFF_BASE = 0.25
@@ -81,7 +86,7 @@ async def _read_hello(reader: asyncio.StreamReader
             if (not isinstance(hello, dict)
                     or hello.get("type") != "peer-hello"):
                 raise ControlError(f"expected peer-hello, got {hello!r}")
-            return hello, frames[1:], bytes(decoder._buffer)
+            return hello, frames[1:], decoder.residue()
 
 
 class NodeProcess:
@@ -279,6 +284,27 @@ class NodeProcess:
         node.resync_retries = int(cfg.get("resync_retries", 60))
         return node
 
+    def _startup_report(self, build_began: float) -> dict:
+        """Where this process's start-up went (the ``ready`` message).
+
+        ``import_s`` runs from the coordinator's spawn stamp (same host,
+        same wall clock) to the end of this module's imports, so it
+        includes interpreter boot; ``build_s`` is keys + genesis + the
+        protocol stack; what is left of ``ready_s`` is the handshake —
+        mostly waiting for the slowest peer to say hello.
+        """
+        now = time.time()
+        spawned_at = self.cfg.get("spawned_at", _IMPORTED_AT)
+        return {
+            "import_s": round(_IMPORTED_AT - spawned_at, 4),
+            "build_s": round(now - build_began, 4),
+            "ready_s": round(now - spawned_at, 4),
+            "modules_loaded": len(sys.modules),
+            # Peak so far; Linux reports KiB.
+            "rss_mb": round(resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        }
+
     def _submit_payments(self, node: Node, count: int) -> None:
         """Replay the cluster-wide schedule; submit only our share.
 
@@ -290,7 +316,7 @@ class NodeProcess:
         uncommitted ones get a second chance to gossip.
         """
         n = self.num_nodes
-        rng = np.random.default_rng(self.seed)
+        rng = default_rng(self.seed)
         nonces: dict[int, int] = {}
         for k in range(count):
             sender_index = k % n
@@ -348,12 +374,15 @@ class NodeProcess:
         if self.num_nodes > 1 and not self.rejoin:
             await asyncio.wait_for(self._links_complete.wait(),
                                    timeout=timeout)
+        build_began = time.time()
         node = self._build_node()
         self.fault_plane = LiveFaultPlane(
             self.index, self.num_nodes, self.clock, self.transport,
             self.seed)
         self.fault_plane.on_release = self._ensure_redial
-        await send_message(writer, {"type": "ready", "index": self.index})
+        await send_message(writer, {
+            "type": "ready", "index": self.index,
+            "startup": self._startup_report(build_began)})
         start = await control.expect("start", timeout=timeout)
         rounds: int = start["rounds"]
         per_round = (self.params.lambda_block

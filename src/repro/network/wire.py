@@ -352,6 +352,15 @@ class FrameDecoder:
         """Bytes held waiting for the rest of a frame."""
         return len(self._buffer)
 
+    def residue(self) -> bytes:
+        """The bytes of the incomplete frame held so far (a copy).
+
+        Feeding them to another decoder continues the stream exactly
+        where this one stopped — how a handshake reader hands the
+        connection on without losing a frame it read the start of.
+        """
+        return bytes(self._buffer)
+
     def feed(self, data: bytes) -> list[bytes]:
         """Absorb ``data``; return all payloads completed by it."""
         self.bytes_fed += len(data)

@@ -17,7 +17,7 @@ exceeds ``B(0; w, p) = (1-p)^w`` — the CDF walk in
 the fraction is above the running sum. ``(1-p)^w`` for the whole pool
 is one ``numpy`` expression; accounts whose fraction clears the
 threshold (minus a conservative epsilon for the float-path difference
-between ``exp(w·log1p(-p))`` and python's ``(1-p)**w``) are then
+between numpy's and ``math``'s ``exp(w·log1p(-p))``) are then
 *confirmed* through the unchanged scalar oracle, which assigns the
 exact ``j``. The screen therefore can only err by letting a borderline
 account through to the oracle — never by dropping a winner — and every
@@ -43,11 +43,12 @@ from repro.sortition.selection import (
 )
 
 #: Relative safety margin on the ``(1-p)^w`` screen threshold. The
-#: vectorized threshold is evaluated as ``exp(w * log1p(-p))`` whose
-#: relative error vs. python's ``(1-p)**w`` is O(w · ulp) — below 1e-11
-#: even at w = 1e6 — so a 1e-9 relative margin admits every account the
-#: scalar oracle could select, at the cost of a (rare) false candidate
-#: that the oracle then rejects.
+#: vectorized threshold and the scalar oracle's ``B(0)`` are the same
+#: expression, ``exp(w * log1p(-p))``, evaluated by numpy and by
+#: ``math`` — ulps apart — and the oracle's complement walk resolves
+#: ``1 - B(0)`` to a relative 1e-15, so a 1e-9 relative margin admits
+#: every account the scalar oracle could select, at the cost of a
+#: (rare) false candidate that the oracle then rejects.
 _SCREEN_MARGIN = 1e-9
 
 

@@ -7,9 +7,29 @@ distribution ``B(j; w, tau/W)``. The paper's interval walk
 
     while hash/2^hashlen not in [ sum_{k<=j} B(k), sum_{k<=j+1} B(k) ): j++
 
-is exactly the inverse binomial CDF evaluated at the hash fraction, which
-is how we compute it (via :func:`scipy.stats.binom.ppf`, with an exact
-fallback for small weights).
+is exactly the inverse binomial CDF evaluated at the hash fraction, and
+:func:`_inverse_cdf` is that walk, for every weight:
+
+* **Recurrence.** ``B(k+1) = B(k) · (w-k)/(k+1) · p/(1-p)``, summed
+  upward from a starting term until the running sum reaches the
+  fraction. Summing small-to-large keeps the lower tail accurate to a
+  relative error of a few ulp per step.
+* **Start.** ``B(0) = (1-p)^w`` (as ``exp(w·log1p(-p))``, whose error
+  grows with ``w·p``, not ``w``) whenever that is a normal double — any
+  expected selection count below ~708, which is every workload we run.
+* **Mode anchor.** When ``B(0)`` underflows (a 10 % stakeholder at
+  tau_final = 10,000 expects 1,000 sub-users) the same recurrence runs
+  outward from the mode with the mode's term set to 1, the sum of those
+  relative terms normalizes them (the pmf sums to 1), and the walk
+  starts from the first term that is not negligible against the
+  fraction. ``lgamma`` would give the anchor directly but with an
+  absolute error of an ulp of ``lgamma(w)`` — 2e-10 on every CDF value
+  at w = 1e5 — where the normalizing sum stays near 1e-14.
+
+Why not ``scipy.stats.binom.ppf``: it is the *reference* the tests hold
+this function to (``tests/test_sortition_cdf.py``), but importing
+``scipy.stats`` costs every process that runs sortition ~1 s of start-up
+and ~67 MB of RSS, and a call costs ~57 us against ~2 us for the walk.
 
 The binomial is what makes sortition Sybil-resistant: since
 ``B(k1; n1, p) + B(k2; n2, p)`` convolves to ``B(k1+k2; n1+n2, p)``,
@@ -20,9 +40,8 @@ selected sub-users unchanged (tested property).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.stats import binom
 
 from repro.common.errors import SortitionError
 from repro.crypto.backend import CryptoBackend
@@ -68,29 +87,91 @@ def sub_users_selected(vrf_hash: bytes, weight: int, tau: float,
     if p >= 1.0:
         # Every sub-user is selected with certainty.
         return weight
-    fraction = hash_to_fraction(vrf_hash)
-    if weight <= _EXACT_WEIGHT_LIMIT:
-        return _inverse_cdf_exact(fraction, weight, p)
-    j = int(binom.ppf(fraction, weight, p))
-    return max(0, min(j, weight))
+    return _inverse_cdf(hash_to_fraction(vrf_hash), weight, p)
 
 
-#: Below this weight we walk the CDF with exact term recurrences, which is
-#: faster than a scipy call and free of any tail-accuracy concerns.
-_EXACT_WEIGHT_LIMIT = 64
+#: Smallest normal double: below it ``B(0)`` has lost bits (or is 0.0)
+#: and the walk cannot start there.
+_MIN_NORMAL = sys.float_info.min
+
+#: A term this far below what it is compared with cannot move a 53-bit
+#: comparison even after the whole tail beyond it (at most a few
+#: thousand times the term, for weights up to 1e7) is added.
+_NEGLIGIBLE = 2.0 ** -80
+
+#: Fractions above this are answered from the other end. The running
+#: sum carries an absolute error of about an ulp of 1.0 per step, which
+#: is harmless until the mass left *above* the answer is that small too
+#: — and past 1 - 1e-15 the sum saturates below the fraction and the
+#: walk would run to ``w``.
+_UPPER_TAIL = 1.0 - 2.0 ** -20
 
 
-def _inverse_cdf_exact(fraction: float, w: int, p: float) -> int:
-    """Smallest ``j`` with ``CDF(j) >= fraction`` by direct summation."""
-    term = (1.0 - p) ** w  # B(0; w, p)
-    cumulative = term
+def _inverse_cdf(fraction: float, w: int, p: float) -> int:
+    """Smallest ``j`` with ``CDF(j) >= fraction`` for ``Binomial(w, p)``.
+
+    ``w >= 1``, ``0 < p < 1`` and ``fraction`` a 53-bit value in
+    ``[0, 1)``; see the module docstring for the method.
+    """
+    if fraction <= 0.0:
+        return 0
+    if fraction <= _UPPER_TAIL:
+        return _first_reaching(fraction, w, math.log1p(-p), p / (1.0 - p))
+    # Count the sub-users *not* selected, ``Binomial(w, 1-p)``: ``j``
+    # is the smallest with ``P(X > j) <= 1 - fraction`` (exact, the
+    # fraction being dyadic), i.e. ``w`` minus the first miss count
+    # whose CDF exceeds ``1 - fraction``.
+    above = math.nextafter(1.0 - fraction, 1.0)
+    return w - _first_reaching(above, w, math.log(p), (1.0 - p) / p)
+
+
+def _first_reaching(target: float, w: int, log_miss: float,
+                    odds: float) -> int:
+    """Smallest ``j`` whose CDF is at least ``target > 0``.
+
+    The binomial is given by its per-trial ``log(1 - p)`` and odds
+    ``p / (1 - p)`` — the two quantities the recurrence uses — so the
+    mirrored call loses nothing to rounding ``1 - p`` twice.
+    """
     j = 0
-    while cumulative < fraction and j < w:
+    term = math.exp(w * log_miss)  # B(0)
+    if term < _MIN_NORMAL:
+        j, term = _start_below_mode(target, w, odds)
+    cumulative = term
+    while cumulative < target and j < w:
         # B(k+1) = B(k) * (w-k)/(k+1) * p/(1-p)
-        term *= (w - j) / (j + 1) * (p / (1.0 - p))
+        term *= (w - j) / (j + 1) * odds
         cumulative += term
         j += 1
     return j
+
+
+def _start_below_mode(target: float, w: int, odds: float
+                      ) -> tuple[int, float]:
+    """``(k, B(k))`` for a ``k`` whose lower tail cannot matter.
+
+    Terms are computed relative to the mode's (set to 1.0) by the same
+    recurrence run outward in both directions; their sum is ``1/B(mode)``
+    because the pmf sums to 1. The walk down stops at the first term
+    negligible against ``target`` — everything below it together is
+    still under half an ulp of any CDF value that could be compared
+    with ``target``.
+    """
+    mode = min(w, int((w + 1) * (odds / (1.0 + odds))))
+    total = term = 1.0
+    k = mode
+    while k < w and term > total * _NEGLIGIBLE:
+        term *= (w - k) / (k + 1) * odds
+        total += term
+        k += 1
+    floor = target * _NEGLIGIBLE
+    term = 1.0
+    k = mode
+    while k > 0 and term > floor:
+        term *= k / (w - k + 1) / odds
+        total += term
+        k -= 1
+    return k, term / total
 
 
 class SelectionStats:

@@ -74,3 +74,14 @@ class TestLiveCluster:
         assert summary["garbage_frames"] == 0
         assert summary["conformance_ok"]
         assert summary["conformance_violations"] == 0
+
+    def test_summary_reports_each_nodes_startup(self, cluster):
+        """"Why did setup take that long" is answerable from summary()."""
+        startup = cluster.summary()["startup"]
+        assert sorted(startup) == list(range(NODES))
+        for report in startup.values():
+            assert 0.0 < report["import_s"] <= report["ready_s"]
+            assert 0.0 < report["build_s"] <= report["ready_s"]
+            assert report["rss_mb"] > 0.0
+            # A node process that has loaded scipy has > 1,000 modules.
+            assert 0 < report["modules_loaded"] < 600

@@ -113,6 +113,7 @@ class TestFrameCodec:
         decoder = FrameDecoder()
         assert decoder.feed(frame[:3]) == []
         assert decoder.buffered == 3
+        assert decoder.residue() == frame[:3]
         assert decoder.feed(frame[3:]) == [b"split-me"]
         assert decoder.buffered == 0
 
@@ -167,6 +168,13 @@ class TestFrameRobustnessFuzz:
         head = decoder.feed(stream[:cut])
         assert head == payloads[:len(head)]
         assert decoder.buffered <= FRAME_HEADER.size + 64
+        # Handing the stream to a second decoder mid-frame (what the
+        # peer-hello handshake does) loses nothing either.
+        residue = decoder.residue()
+        assert len(residue) == decoder.buffered
+        heir = FrameDecoder()
+        assert head + heir.feed(residue + stream[cut:]) == payloads
+        assert heir.buffered == 0
         assert head + decoder.feed(stream[cut:]) == payloads
         assert decoder.buffered == 0
 
