@@ -29,7 +29,13 @@ BLOCK_HEADER_OVERHEAD = 360
 
 @dataclass(frozen=True)
 class Block:
-    """One entry of the ledger."""
+    """One entry of the ledger.
+
+    A block that was decoded from, or has once been encoded to, wire
+    bytes keeps them on the instance (``_wire``, outside the dataclass
+    fields — see :class:`repro.network.wire.Layout`), so relaying,
+    catch-up serving and the end-of-run ``result`` never re-encode it.
+    """
 
     round_number: int
     prev_hash: bytes

@@ -20,7 +20,7 @@ from repro.crypto.backend import CryptoBackend
 from repro.ledger.blockchain import Blockchain
 
 #: Format marker + version for forward compatibility.
-_MAGIC = "repro-chain-v1"
+_MAGIC = "repro-chain-v2"
 
 
 def chain_to_bytes(chain: Blockchain) -> bytes:

@@ -20,7 +20,17 @@ from repro.crypto.hashing import H
 
 @dataclass(frozen=True)
 class Transaction:
-    """A payment of ``amount`` from ``sender`` to ``recipient``."""
+    """A payment of ``amount`` from ``sender`` to ``recipient``.
+
+    Immutable, so an instance carries its *receipts* the way a
+    :class:`~repro.baplus.messages.VoteMessage` does — on the instance,
+    outside the dataclass fields, so a forged copy and
+    ``dataclasses.replace(tx, ...)`` start with none: the canonical
+    signing payload (asked for by ``verify_signature``, ``txid`` and
+    ``size``) and, once the transaction has crossed the wire in either
+    direction, its transport bytes (``_wire``, kept by
+    :mod:`repro.network.wire`).
+    """
 
     sender: bytes
     recipient: bytes
@@ -30,11 +40,16 @@ class Transaction:
     signature: bytes = field(default=b"", compare=False)
 
     def signing_payload(self) -> bytes:
-        """Canonical bytes covered by the signature."""
-        return encode([
-            "tx", self.sender, self.recipient, self.amount, self.nonce,
-            self.note,
-        ])
+        """Canonical bytes covered by the signature (computed once)."""
+        cached = getattr(self, "_signing_payload", None)
+        if cached is None:
+            cached = encode([
+                "tx", self.sender, self.recipient, self.amount, self.nonce,
+                self.note,
+            ])
+            # Frozen dataclass: bypass __setattr__.
+            object.__setattr__(self, "_signing_payload", cached)
+        return cached
 
     @cached_property
     def txid(self) -> bytes:

@@ -11,9 +11,10 @@ Delivery semantics mirror the sim interface deliberately —
 validate-before-relay (§8.4), dedup by ``msg_id`` *after* the ingress
 gate (a rejected copy does not poison a later clean one), synchronous
 dispatch through ``relay_policy``. Ingress pays once per message, like
-the sim: a frame's routing header is decoded first, and a frame whose
-``msg_id`` is already in the seen-set is counted and dropped without
-its payload ever being decoded. Two live-only concerns are added:
+the sim: a frame's fixed-offset header is read first (one
+``unpack_from``), and a frame whose ``msg_id`` is already in the
+seen-set is counted and dropped without its body ever being sliced out,
+let alone decoded. Two live-only concerns are added:
 
 * **Global msg_id uniqueness** — every process counts envelopes from
   zero, so locally-originated envelopes are re-stamped with an
@@ -204,7 +205,7 @@ class LiveTransport:
         self.reconnects = 0
         self._links: dict[int, PeerLink] = {}
         self._seen: set[int] = set()
-        #: ``(peer, decoded header, frame payload)`` awaiting a drain.
+        #: ``(peer, validated header, frame payload)`` awaiting a drain.
         self._rx: deque[tuple[int, EnvelopeHeader, bytes]] = deque()
         self._drain_scheduled = False
         # A respawned process must not reuse its predecessor's msg_ids —
@@ -290,7 +291,6 @@ class LiveTransport:
 
     def _send_frames(self, frame: bytes, envelope: Envelope,
                      exclude: int | None) -> None:
-        metrics = self.obs.metrics if self.obs is not None else None
         plane = self.fault_plane
         if plane is not None:
             # Frames this node would have sent over links the fault
@@ -299,19 +299,24 @@ class LiveTransport:
             for peer in self.severed:
                 if peer != exclude:
                     plane.dropped_frames += 1
+        sent = 0
         for peer, link in list(self._links.items()):
             if peer == exclude or link.closed or peer in self.severed:
                 continue
             if plane is not None and plane.outbound_drop(peer):
                 continue
             link.send(frame)
-            self.bytes_sent += envelope.size
-            self.messages_sent += 1
-            self.wire_bytes_sent += len(frame)
-            if metrics is not None:
-                metrics.inc("gossip.sent." + envelope.kind)
-                metrics.inc("gossip.sent_bytes." + envelope.kind,
-                            envelope.size)
+            sent += 1
+        if not sent:
+            return
+        self.bytes_sent += sent * envelope.size
+        self.messages_sent += sent
+        self.wire_bytes_sent += sent * len(frame)
+        if self.obs is not None:
+            metrics = self.obs.metrics
+            metrics.inc("gossip.sent." + envelope.kind, sent)
+            metrics.inc("gossip.sent_bytes." + envelope.kind,
+                        sent * envelope.size)
 
     # -- receiving ------------------------------------------------------
 
@@ -320,10 +325,10 @@ class LiveTransport:
 
         Runs on the asyncio side (never inside a protocol callback);
         protocol code only ever sees envelopes from :meth:`_drain`,
-        which the clock fires like any other event. Only the routing
-        header is decoded here; a copy of a message this node already
-        holds stops at the seen-set and costs neither a queue slot nor a
-        payload decode.
+        which the clock fires like any other event. Only the
+        fixed-offset header is read here; a copy of a message this node
+        already holds stops at the seen-set and costs neither a queue
+        slot nor a look at its body.
         """
         if peer in self.severed:
             plane = self.fault_plane
@@ -369,7 +374,7 @@ class LiveTransport:
             self._count_duplicate()
             return
         try:
-            envelope = decode_envelope_body(header)
+            envelope = decode_envelope_body(header, payload)
         except WireError:
             self.garbage_frames += 1
             return

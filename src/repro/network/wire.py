@@ -1,20 +1,27 @@
-"""Wire format: byte encodings for every protocol message.
+"""Wire format: the transport encoding of every protocol message.
 
 The simulator moves Python objects and charges bandwidth using calibrated
-size constants (matching the paper's reported ~200-byte priority messages
-and ~250-byte votes). This module provides the real, deterministic byte
-encodings a deployment would put on the wire — used for (a) size-constant
-calibration tests, (b) persisting chains, (c) hashing/signing consistency
-guarantees (everything routes through the canonical codec), and (d) the
-live substrate (:mod:`repro.live`), whose node processes exchange these
-bytes over real TCP/Unix-domain sockets.
+size constants (the paper's ~200-byte priority messages and ~250-byte
+votes). This module provides the real bytes a deployment puts on the
+wire: for size-constant calibration tests, for persisting chains, and for
+the live substrate (:mod:`repro.live`), whose node processes exchange
+them over real TCP/Unix-domain sockets.
 
-Two layers live here:
+This is the *transport* format and is free to evolve: nothing here is
+hashed or signed. Every hash and signature input goes through the
+canonical codec (:mod:`repro.common.encoding`), which is frozen.
 
-* **Payload codecs** — ``encode_vote``/``decode_vote`` and friends, one
-  pair per protocol message type, plus ``encode_envelope``/
-  ``decode_envelope`` wrapping a payload with its gossip routing
-  metadata (msg_id, origin, kind, logical size).
+* **Layouts** — each fixed-shape message (``vote``, ``priority``,
+  ``tx``, ``block``, ``cert``, ``chainreq``, ``chain``) is one
+  declarative field table compiled at import into a :class:`Layout`:
+  one ``struct`` head holding every scalar, length and count, then the
+  variable-length data in field order. Fields are typed, so a body of
+  the wrong shape cannot decode and a value a field cannot carry cannot
+  encode — both are :class:`WireError`.
+* **Envelope** — a fixed-offset header (:data:`ENVELOPE_HEADER`), the
+  origin key, then the body. A receiver reads ``msg_id`` with one
+  ``unpack_from`` and drops a copy it already holds without touching
+  the body.
 * **Framing** — :func:`encode_frame` and :class:`FrameDecoder`
   length-prefix payloads so they survive a TCP byte stream: reads may
   arrive split or coalesced arbitrarily, and the decoder reassembles
@@ -25,19 +32,21 @@ Two layers live here:
 from __future__ import annotations
 
 import struct
-from typing import Any
+from operator import attrgetter, itemgetter
+from typing import Any, Callable
 
 from repro.baplus.certificate import Certificate
 from repro.baplus.messages import VoteMessage
-from repro.common.encoding import decode, encode
 from repro.common.errors import ReproError
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction
+from repro.network.message import Envelope
+from repro.node.catchup import ChainAnnouncement, ChainRequest
 from repro.node.proposal import PriorityMessage
 
 
 class WireError(ReproError):
-    """A wire payload could not be decoded."""
+    """A wire payload could not be encoded or decoded."""
 
 
 class FrameSizeError(WireError):
@@ -50,254 +59,271 @@ class FrameSizeError(WireError):
     """
 
 
-def _expect(data: Any, tag: str) -> list:
-    if not isinstance(data, list) or not data or data[0] != tag:
-        raise WireError(f"expected {tag!r} payload")
-    return data
+# --- Layouts (declarative field tables -> compiled pack/unpack) -------------
+
+#: Field types. Scalars sit in the head as themselves; ``BYTES``/``STR``
+#: put a u32 length there, ``OPT_BYTES`` an i32 length with -1 for
+#: ``None`` (the empty block's absent proposer fields), ``[layout]`` a
+#: u32 item count and a bare ``layout`` (one nested message) nothing.
+U64, F64, BYTES, STR, OPT_BYTES = "u64", "f64", "bytes", "str", "opt-bytes"
+_HEAD_CODE = {U64: "Q", F64: "d", BYTES: "I", STR: "I", OPT_BYTES: "i"}
+_MANY, _ONE = "[layout]", "layout"
 
 
-# --- Transactions ---------------------------------------------------------
+class Layout:
+    """One message shape: ``fields`` is ``((getter, type), ...)``.
 
-def encode_transaction(tx: Transaction) -> bytes:
-    return encode(["wtx", tx.sender, tx.recipient, tx.amount, tx.nonce,
-                   tx.note, tx.signature])
+    A getter is an attribute name or a callable; ``build`` receives the
+    decoded values in field order. With ``keeps_bytes`` an instance
+    remembers its encoding (PR 14's receipt pattern: on the instance,
+    outside the dataclass fields, so a forged copy or
+    ``dataclasses.replace`` starts bare): decoded from or once encoded
+    to wire bytes, :meth:`pack` returns them without re-walking.
+    """
 
+    def __init__(self, name: str, build: Callable[..., Any],
+                 fields: tuple, keeps_bytes: bool = False) -> None:
+        self.name = name
+        self.build = build
+        self._keeps_bytes = keeps_bytes
+        self._getters = [attrgetter(getter) if isinstance(getter, str)
+                         else getter for getter, _ in fields]
+        codes = []
+        #: ``(slot, type, nested layout)`` per field with data behind
+        #: the head, in field order.
+        self._tail: list[tuple[int, str, Layout | None]] = []
+        for slot, (_, kind) in enumerate(fields):
+            if isinstance(kind, Layout):
+                codes.append("0s")  # a slot in the head, no bytes
+                self._tail.append((slot, _ONE, kind))
+            elif isinstance(kind, list):
+                codes.append("I")
+                self._tail.append((slot, _MANY, kind[0]))
+            else:
+                codes.append(_HEAD_CODE[kind])
+                if kind not in (U64, F64):
+                    self._tail.append((slot, kind, None))
+        head = struct.Struct(">" + "".join(codes))
+        self._pack_head, self._unpack_head = head.pack, head.unpack_from
+        self._head_size = head.size
 
-def decode_transaction(data: bytes) -> Transaction:
-    try:
-        fields = _expect(decode(data), "wtx")
-        _, sender, recipient, amount, nonce, note, signature = fields
-        return Transaction(sender=sender, recipient=recipient,
-                           amount=amount, nonce=nonce, note=note,
-                           signature=signature)
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad transaction payload: {exc}") from exc
+    def pack(self, message: Any) -> bytes:
+        """``message`` as bytes; :class:`WireError` if a field cannot
+        carry its value (wrong type, negative, beyond 64 bits)."""
+        if self._keeps_bytes:
+            kept = getattr(message, "_wire", None)
+            if kept is not None:
+                return kept
+        try:
+            head = [getter(message) for getter in self._getters]
+            parts = [b""]  # the packed head goes here
+            for slot, kind, nested in self._tail:
+                value = head[slot]
+                if kind is _ONE:
+                    head[slot] = b""
+                    parts.append(nested.pack(value))
+                elif kind is _MANY:
+                    head[slot] = len(value)
+                    parts.extend(map(nested.pack, value))
+                elif value is None and kind is OPT_BYTES:
+                    head[slot] = -1
+                else:
+                    if kind is STR:
+                        value = value.encode("utf-8")
+                    head[slot] = len(value)
+                    parts.append(value)
+            parts[0] = self._pack_head(*head)
+            packed = b"".join(parts)
+        except (struct.error, TypeError, AttributeError, LookupError) as exc:
+            raise WireError(f"cannot encode {self.name}: {exc}") from exc
+        if self._keeps_bytes:
+            object.__setattr__(message, "_wire", packed)
+        return packed
 
+    def unpack(self, data: bytes, start: int = 0) -> Any:
+        """The message occupying exactly ``data[start:]``."""
+        try:
+            message, end = self.unpack_from(data, start, True)
+        except (struct.error, ValueError) as exc:  # incl. bad UTF-8
+            raise WireError(f"bad {self.name} payload: {exc}") from exc
+        if end != len(data):
+            raise WireError(f"trailing bytes after {self.name} payload")
+        return message
 
-# --- Votes ----------------------------------------------------------------
+    def unpack_from(self, data: bytes, pos: int,
+                    keep: bool) -> tuple[Any, int]:
+        """The message at ``data[pos:]`` and the offset just past it.
 
-def encode_vote(vote: VoteMessage) -> bytes:
-    return encode(["wvote", vote.voter, vote.round_number, vote.step,
-                   vote.sorthash, vote.sortproof, vote.prev_hash,
-                   vote.value, vote.signature])
-
-
-def decode_vote(data: bytes) -> VoteMessage:
-    try:
-        fields = _expect(decode(data), "wvote")
-        (_, voter, round_number, step, sorthash, sortproof, prev_hash,
-         value, signature) = fields
-        return VoteMessage(voter=voter, round_number=round_number,
-                           step=step, sorthash=sorthash,
-                           sortproof=sortproof, prev_hash=prev_hash,
-                           value=value, signature=signature)
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad vote payload: {exc}") from exc
-
-
-# --- Priority announcements -------------------------------------------------
-
-def encode_priority(message: PriorityMessage) -> bytes:
-    return encode(["wprio", message.proposer, message.round_number,
-                   message.vrf_hash, message.vrf_proof,
-                   message.sub_users, message.priority])
-
-
-def decode_priority(data: bytes) -> PriorityMessage:
-    try:
-        fields = _expect(decode(data), "wprio")
-        _, proposer, round_number, vrf_hash, vrf_proof, sub_users, priority = fields
-        return PriorityMessage(proposer=proposer,
-                               round_number=round_number,
-                               vrf_hash=vrf_hash, vrf_proof=vrf_proof,
-                               sub_users=sub_users, priority=priority)
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad priority payload: {exc}") from exc
-
-
-# --- Blocks -----------------------------------------------------------------
-
-def encode_block(block: Block) -> bytes:
-    return encode([
-        "wblock", block.round_number, block.prev_hash, block.timestamp,
-        block.seed, block.seed_proof, block.proposer,
-        block.proposer_vrf_hash, block.proposer_vrf_proof,
-        block.proposer_priority,
-        [encode_transaction(tx) for tx in block.transactions],
-    ])
-
-
-def decode_block(data: bytes) -> Block:
-    try:
-        fields = _expect(decode(data), "wblock")
-        (_, round_number, prev_hash, timestamp, seed, seed_proof,
-         proposer, vrf_hash, vrf_proof, priority, raw_txs) = fields
-        return Block(
-            round_number=round_number, prev_hash=prev_hash,
-            timestamp=timestamp, seed=seed, seed_proof=seed_proof,
-            proposer=proposer, proposer_vrf_hash=vrf_hash,
-            proposer_vrf_proof=vrf_proof, proposer_priority=priority,
-            transactions=tuple(decode_transaction(raw) for raw in raw_txs),
-        )
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad block payload: {exc}") from exc
-
-
-# --- Certificates -----------------------------------------------------------
-
-def encode_certificate(certificate: Certificate) -> bytes:
-    return encode([
-        "wcert", certificate.round_number, certificate.step,
-        certificate.value,
-        [encode_vote(vote) for vote in certificate.votes],
-    ])
-
-
-def decode_certificate(data: bytes) -> Certificate:
-    try:
-        fields = _expect(decode(data), "wcert")
-        _, round_number, step, value, raw_votes = fields
-        return Certificate(
-            round_number=round_number, step=step, value=value,
-            votes=tuple(decode_vote(raw) for raw in raw_votes),
-        )
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad certificate payload: {exc}") from exc
-
-
-# --- Chain sync (catch-up request / announcement) ---------------------------
-
-def encode_chain_request(request: "ChainRequest") -> bytes:
-    return encode(["wchainreq", request.height])
-
-
-def decode_chain_request(data: bytes) -> "ChainRequest":
-    from repro.node.catchup import ChainRequest
-
-    try:
-        fields = _expect(decode(data), "wchainreq")
-        _, height = fields
-        if not isinstance(height, int) or height < 0:
-            raise WireError("chain request height must be a non-negative "
-                            "integer")
-        return ChainRequest(height=height)
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad chain request payload: {exc}") from exc
+        ``keep`` is cleared below a message that keeps its bytes — the
+        parent's span already covers its children.
+        """
+        start = pos
+        values = list(self._unpack_head(data, pos))
+        pos += self._head_size
+        keep_here = keep and self._keeps_bytes
+        keep = keep and not keep_here
+        for slot, kind, nested in self._tail:
+            count = values[slot]
+            if nested is None:
+                if count >= 0:
+                    end = pos + count
+                    values[slot] = (data[pos:end] if kind is not STR
+                                    else str(data[pos:end], "utf-8"))
+                    pos = end
+                elif count == -1:  # only OPT_BYTES lengths are signed
+                    values[slot] = None
+                else:
+                    raise WireError(
+                        f"negative length in {self.name} payload")
+            elif kind is _MANY:
+                items = []
+                for _ in range(count):
+                    item, pos = nested.unpack_from(data, pos, keep)
+                    items.append(item)
+                values[slot] = tuple(items)
+            else:
+                values[slot], pos = nested.unpack_from(data, pos, keep)
+        if pos > len(data):  # slices past the end come back short
+            raise WireError(f"truncated {self.name} payload")
+        message = self.build(*values)
+        if keep_here:
+            object.__setattr__(message, "_wire", data[start:pos])
+        return message, pos
 
 
-def encode_chain_announcement(announcement: "ChainAnnouncement") -> bytes:
-    return encode([
-        "wchain",
-        [encode_block(block) for block in announcement.blocks],
-        [[round_number, encode_certificate(certificate)]
-         for round_number, certificate
-         in sorted(announcement.certificates.items())],
-    ])
+TX = Layout("tx", Transaction, (
+    ("sender", BYTES), ("recipient", BYTES), ("amount", U64),
+    ("nonce", U64), ("note", BYTES), ("signature", BYTES)),
+    keeps_bytes=True)
 
+VOTE = Layout("vote", VoteMessage, (
+    ("voter", BYTES), ("round_number", U64), ("step", STR),
+    ("sorthash", BYTES), ("sortproof", BYTES), ("prev_hash", BYTES),
+    ("value", BYTES), ("signature", BYTES)))
 
-def decode_chain_announcement(data: bytes) -> "ChainAnnouncement":
-    from repro.node.catchup import ChainAnnouncement
+PRIORITY = Layout("priority", PriorityMessage, (
+    ("proposer", BYTES), ("round_number", U64), ("vrf_hash", BYTES),
+    ("vrf_proof", BYTES), ("sub_users", U64), ("priority", BYTES)))
 
-    try:
-        fields = _expect(decode(data), "wchain")
-        _, raw_blocks, raw_certs = fields
-        return ChainAnnouncement(
-            blocks=tuple(decode_block(raw) for raw in raw_blocks),
-            certificates={round_number: decode_certificate(raw)
-                          for round_number, raw in raw_certs},
-        )
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad chain announcement payload: {exc}") from exc
+BLOCK = Layout("block", Block, (
+    ("round_number", U64), ("prev_hash", BYTES), ("timestamp", F64),
+    ("seed", OPT_BYTES), ("seed_proof", OPT_BYTES),
+    ("proposer", OPT_BYTES), ("proposer_vrf_hash", OPT_BYTES),
+    ("proposer_vrf_proof", OPT_BYTES), ("proposer_priority", OPT_BYTES),
+    ("transactions", [TX])), keeps_bytes=True)
+
+CERT = Layout("cert", Certificate, (
+    ("round_number", U64), ("step", STR), ("value", BYTES),
+    ("votes", [VOTE])))
+
+CHAIN_REQUEST = Layout("chainreq", ChainRequest, (("height", U64),))
+
+#: A chain's certificates travel filed under the round they certify.
+_FILED_CERT = Layout("filed cert", lambda *filed: filed, (
+    (itemgetter(0), U64), (itemgetter(1), CERT)))
+
+CHAIN = Layout(
+    "chain",
+    lambda blocks, filed: ChainAnnouncement(blocks=blocks,
+                                            certificates=dict(filed)),
+    (("blocks", [BLOCK]),
+     (lambda announcement: sorted(announcement.certificates.items()),
+      [_FILED_CERT])))
+
+#: What persistence, the live control ``result`` and the benchmark call.
+encode_block, decode_block = BLOCK.pack, BLOCK.unpack
+encode_certificate, decode_certificate = CERT.pack, CERT.unpack
 
 
 def wire_size(obj: Transaction | VoteMessage | PriorityMessage | Block
               | Certificate) -> int:
     """Exact encoded size of any protocol message."""
-    if isinstance(obj, Transaction):
-        return len(encode_transaction(obj))
-    if isinstance(obj, VoteMessage):
-        return len(encode_vote(obj))
-    if isinstance(obj, PriorityMessage):
-        return len(encode_priority(obj))
-    if isinstance(obj, Block):
-        return len(encode_block(obj))
-    if isinstance(obj, Certificate):
-        return len(encode_certificate(obj))
+    for layout in (TX, VOTE, PRIORITY, BLOCK, CERT):
+        if isinstance(obj, layout.build):
+            return len(layout.pack(obj))
     raise TypeError(f"no wire format for {type(obj).__name__}")
 
 
-# --- Envelopes (gossip routing metadata + payload) --------------------------
+# --- Envelopes (gossip routing header + origin + body) ----------------------
 
-#: Per-kind payload codecs: the envelope codec dispatches through this
-#: table, so a kind without a real byte encoding (e.g. the in-simulation
-#: recovery/chain-sync extension messages) fails loudly at encode time.
-ENVELOPE_CODECS: dict[str, tuple] = {
-    "tx": (encode_transaction, decode_transaction),
-    "vote": (encode_vote, decode_vote),
-    "priority": (encode_priority, decode_priority),
-    "block": (encode_block, decode_block),
-    "cert": (encode_certificate, decode_certificate),
-    "chain": (encode_chain_announcement, decode_chain_announcement),
-    "chainreq": (encode_chain_request, decode_chain_request),
+#: Envelope kind -> ``(kind code, body layout)``. A kind without a wire
+#: layout (e.g. the in-simulation recovery extension messages) fails
+#: loudly at encode time.
+ENVELOPE_LAYOUTS: dict[str, tuple[int, Layout]] = {
+    "tx": (1, TX), "vote": (2, VOTE), "priority": (3, PRIORITY),
+    "block": (4, BLOCK), "cert": (5, CERT), "chain": (6, CHAIN),
+    "chainreq": (7, CHAIN_REQUEST),
 }
+_KIND_OF_CODE = {code: (kind, layout)
+                 for kind, (code, layout) in ENVELOPE_LAYOUTS.items()}
+
+#: ``msg_id`` u64 at offset 0, kind code u8 at 8, logical size u32 at 9,
+#: origin length u8 at 13, body length u32 at 14; origin, then body.
+ENVELOPE_HEADER = struct.Struct(">QBIBI")
+
+#: What :data:`ENVELOPE_HEADER` unpacks to, validated:
+#: ``(msg_id, kind code, size, origin length, body length)``.
+EnvelopeHeader = tuple[int, int, int, int, int]
 
 
-def encode_envelope(envelope) -> bytes:
-    """Serialize a gossip envelope (metadata + payload) to bytes.
+def encode_envelope(envelope: Envelope) -> bytes:
+    """Serialize a gossip envelope (header + origin + body) to bytes.
 
     The logical ``size`` (the simulator's calibrated bandwidth charge)
     rides along so both substrates account identically. Raises
-    :class:`WireError` for kinds without a registered payload codec.
+    :class:`WireError` for kinds without a registered layout.
     """
-    codec = ENVELOPE_CODECS.get(envelope.kind)
-    if codec is None:
+    entry = ENVELOPE_LAYOUTS.get(envelope.kind)
+    if entry is None:
         raise WireError(
-            f"no wire codec for envelope kind {envelope.kind!r} "
-            f"(known: {sorted(ENVELOPE_CODECS)})")
-    return encode(["wenv", envelope.msg_id, envelope.origin, envelope.kind,
-                   codec[0](envelope.payload), envelope.size])
-
-
-#: ``(msg_id, origin, kind, size, body)`` — the body still opaque bytes.
-EnvelopeHeader = tuple[int, bytes, str, int, bytes]
+            f"no wire layout for envelope kind {envelope.kind!r} "
+            f"(known: {sorted(ENVELOPE_LAYOUTS)})")
+    code, layout = entry
+    body = layout.pack(envelope.payload)
+    try:
+        return b"".join((
+            ENVELOPE_HEADER.pack(envelope.msg_id, code, envelope.size,
+                                 len(envelope.origin), len(body)),
+            envelope.origin, body))
+    except (struct.error, TypeError) as exc:
+        raise WireError(f"cannot encode envelope header: {exc}") from exc
 
 
 def decode_envelope_header(data: bytes) -> EnvelopeHeader:
-    """Routing metadata first: ``(msg_id, origin, kind, size, body)``.
+    """Routing metadata first, from one ``unpack_from`` on the frame.
 
-    The payload is nested as opaque bytes, so this touches none of it —
-    a receiver can look ``msg_id`` up in its seen-set and drop a
-    duplicate without decoding the vote/block inside.
+    Touches nothing behind the header — a receiver can look ``msg_id``
+    (``header[0]``) up in its seen-set and drop a duplicate without
+    slicing, let alone decoding, the vote/block inside.
     :func:`decode_envelope_body` finishes the job.
     """
     try:
-        fields = _expect(decode(data), "wenv")
-        _, msg_id, origin, kind, body, size = fields
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad envelope payload: {exc}") from exc
-    if kind not in ENVELOPE_CODECS:
-        raise WireError(f"unknown envelope kind {kind!r}")
-    if not isinstance(msg_id, int) or not isinstance(size, int):
-        raise WireError("envelope msg_id/size must be integers")
-    return msg_id, origin, kind, size, body
+        header = ENVELOPE_HEADER.unpack_from(data)
+    except struct.error as exc:
+        raise WireError(f"bad envelope header: {exc}") from exc
+    _, code, size, origin_length, body_length = header
+    if code not in _KIND_OF_CODE:
+        raise WireError(f"unknown envelope kind code {code}")
+    if not size:
+        raise WireError("envelope size must be positive")
+    if ENVELOPE_HEADER.size + origin_length + body_length != len(data):
+        raise WireError("envelope lengths do not add up to the frame")
+    return header
 
 
-def decode_envelope_body(header: EnvelopeHeader):
-    """Decode the payload of a header; returns a fresh ``Envelope``."""
-    from repro.network.message import Envelope
-
-    msg_id, origin, kind, size, body = header
-    try:
-        payload = ENVELOPE_CODECS[kind][1](body)
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad {kind} envelope payload: {exc}") from exc
-    return Envelope(origin=origin, kind=kind, payload=payload, size=size,
+def decode_envelope_body(header: EnvelopeHeader, data: bytes) -> Envelope:
+    """Decode the body behind ``header``; returns a fresh ``Envelope``."""
+    msg_id, code, size, origin_length, _ = header
+    kind, layout = _KIND_OF_CODE[code]
+    body_at = ENVELOPE_HEADER.size + origin_length
+    return Envelope(origin=data[ENVELOPE_HEADER.size:body_at], kind=kind,
+                    payload=layout.unpack(data, body_at), size=size,
                     msg_id=msg_id)
 
 
-def decode_envelope(data: bytes):
+def decode_envelope(data: bytes) -> Envelope:
     """Inverse of :func:`encode_envelope`; returns a fresh ``Envelope``."""
-    return decode_envelope_body(decode_envelope_header(data))
+    return decode_envelope_body(decode_envelope_header(data), data)
 
 
 # --- Framing (length-prefixed, stream-safe) ---------------------------------
@@ -362,23 +388,33 @@ class FrameDecoder:
         return bytes(self._buffer)
 
     def feed(self, data: bytes) -> list[bytes]:
-        """Absorb ``data``; return all payloads completed by it."""
+        """Absorb ``data``; return all payloads completed by it.
+
+        Linear in the bytes fed: frames are cut at a walking offset, one
+        copy each, and the consumed prefix is dropped once at the end.
+        """
         self.bytes_fed += len(data)
-        self._buffer += data
+        buffer = self._buffer
+        buffer += data
         frames: list[bytes] = []
-        header = FRAME_HEADER.size
-        while len(self._buffer) >= header:
-            (length,) = FRAME_HEADER.unpack_from(self._buffer)
-            if length == 0:
-                raise FrameSizeError("zero-length frame")
-            if length > self.max_bytes:
-                raise FrameSizeError(
-                    f"frame length {length} exceeds the "
-                    f"{self.max_bytes}-byte limit (desynced or garbage "
-                    f"stream)")
-            if len(self._buffer) < header + length:
-                break
-            frames.append(bytes(self._buffer[header:header + length]))
-            del self._buffer[:header + length]
-            self.frames_decoded += 1
+        pos, available = 0, len(buffer)
+        try:
+            with memoryview(buffer) as view:
+                while available - pos >= FRAME_HEADER.size:
+                    (length,) = FRAME_HEADER.unpack_from(view, pos)
+                    if length == 0:
+                        raise FrameSizeError("zero-length frame")
+                    if length > self.max_bytes:
+                        raise FrameSizeError(
+                            f"frame length {length} exceeds the "
+                            f"{self.max_bytes}-byte limit (desynced or "
+                            f"garbage stream)")
+                    end = pos + FRAME_HEADER.size + length
+                    if end > available:
+                        break
+                    frames.append(bytes(view[pos + FRAME_HEADER.size:end]))
+                    pos = end
+        finally:
+            del buffer[:pos]
+            self.frames_decoded += len(frames)
         return frames

@@ -23,9 +23,10 @@ from __future__ import annotations
 import hashlib
 
 from repro.baplus.messages import VoteMessage, make_vote
+from repro.common.encoding import encode
 from repro.crypto.hashing import H
 from repro.experiments.harness import Simulation, SimulationConfig
-from repro.network.wire import encode_block
+from repro.ledger.block import Block
 from repro.obs import TraceBus
 
 
@@ -66,16 +67,34 @@ def chain_fingerprint(sim: Simulation) -> list[list[tuple]]:
     return out
 
 
+def canonical_block_dump(block: Block) -> bytes:
+    """Every field of ``block`` through the canonical (frozen) codec.
+
+    Deliberately not the transport encoding: the wire layouts are free
+    to evolve, the golden hashes pinned on this dump must not move when
+    they do. (Byte for byte the list format the wire used when the
+    goldens were recorded, which is why the tags read ``w...``.)
+    """
+    return encode([
+        "wblock", block.round_number, block.prev_hash, block.timestamp,
+        block.seed, block.seed_proof, block.proposer,
+        block.proposer_vrf_hash, block.proposer_vrf_proof,
+        block.proposer_priority,
+        [encode(["wtx", tx.sender, tx.recipient, tx.amount, tx.nonce,
+                 tx.note, tx.signature]) for tx in block.transactions],
+    ])
+
+
 def chain_hash(sim: Simulation) -> str:
     """:func:`chain_fingerprint` as one hex digest, for golden tests.
 
-    Wire bytes of every block plus the ``repr`` of every round record
+    Every field of every block plus the ``repr`` of every round record
     (whose float durations move with any event-timing drift), per node.
     """
     digest = hashlib.sha256()
     for node in sim.nodes:
         for r in range(1, node.chain.height + 1):
-            digest.update(encode_block(node.chain.block_at(r)))
+            digest.update(canonical_block_dump(node.chain.block_at(r)))
             digest.update(repr(node.metrics.round_record(r)).encode())
     return digest.hexdigest()
 

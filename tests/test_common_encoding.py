@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.common.encoding import decode, encode
+from repro.common.encoding import MAX_DEPTH, decode, encode
 
 
 class TestEncodeBasics:
@@ -60,6 +61,142 @@ class TestEncodeBasics:
             encode(object())
 
 
+def _q(n: int) -> bytes:
+    return struct.pack(">Q", n)
+
+
+class TestGoldenVectors:
+    """The canonical bytes are frozen: every hash and signature in every
+    chain ever produced depends on them, so they are pinned literally."""
+
+    @pytest.mark.parametrize("value, expected", [
+        (None, b"N"), (True, b"T"), (False, b"F"),
+        (0, b"I" + _q(1) + b"\x00"),
+        (1, b"I" + _q(1) + b"\x01"),
+        (-1, b"I" + _q(1) + b"\xff"),
+        (127, b"I" + _q(1) + b"\x7f"),
+        (128, b"I" + _q(2) + b"\x00\x80"),
+        (255, b"I" + _q(2) + b"\x00\xff"),
+        (256, b"I" + _q(2) + b"\x01\x00"),
+        (-127, b"I" + _q(1) + b"\x81"),
+        (-128, b"I" + _q(1) + b"\x80"),
+        (-129, b"I" + _q(2) + b"\xff\x7f"),
+        (-256, b"I" + _q(2) + b"\xff\x00"),
+        (-32768, b"I" + _q(2) + b"\x80\x00"),
+        (-32769, b"I" + _q(3) + b"\xff\x7f\xff"),
+        (-2**63, b"I" + _q(8) + b"\x80" + b"\x00" * 7),
+        (2**63, b"I" + _q(9) + b"\x00\x80" + b"\x00" * 7),
+        (2**64 - 1, b"I" + _q(9) + b"\x00" + b"\xff" * 8),
+        (1.5, b"f" + struct.pack(">d", 1.5)),
+        (-0.0, b"f\x80" + b"\x00" * 7),
+        (b"", b"B" + _q(0)),
+        (b"\x00\xff", b"B" + _q(2) + b"\x00\xff"),
+        (bytearray(b"ab"), b"B" + _q(2) + b"ab"),
+        (memoryview(b"ab"), b"B" + _q(2) + b"ab"),
+        ("", b"S" + _q(0)),
+        ("h\u00e9", b"S" + _q(3) + b"h\xc3\xa9"),
+        ([], b"L" + _q(0)),
+        ((1, None), b"L" + _q(2) + b"I" + _q(1) + b"\x01N"),
+        ([[True], b"x"], b"L" + _q(2) + b"L" + _q(1) + b"T"
+         + b"B" + _q(1) + b"x"),
+        ({}, b"D" + _q(0)),
+        ({"b": 1, "a": {"z": None, "y": False}},
+         b"D" + _q(2)
+         + b"S" + _q(1) + b"a" + b"D" + _q(2)
+         + b"S" + _q(1) + b"y" + b"F" + b"S" + _q(1) + b"z" + b"N"
+         + b"S" + _q(1) + b"b" + b"I" + _q(1) + b"\x01"),
+    ])
+    def test_pinned_bytes(self, value, expected):
+        assert encode(value) == expected
+
+    def test_bool_and_int_have_different_tags(self):
+        assert encode([True, 1, False, 0]) == (
+            b"L" + _q(4) + b"T" + b"I" + _q(1) + b"\x01"
+            + b"F" + b"I" + _q(1) + b"\x00")
+
+    def test_a_vote_signing_payload(self):
+        """One real hash input, end to end."""
+        payload = encode(["vote", 7, "final", b"\x01" * 2])
+        assert payload.hex() == (
+            "4c0000000000000004"
+            "530000000000000004766f7465"
+            "49000000000000000107"
+            "53000000000000000566696e616c"
+            "4200000000000000020101")
+
+    def test_subclasses_encode_as_their_base(self):
+        class Key(bytes):
+            pass
+
+        class Count(int):
+            pass
+
+        assert encode([Key(b"k"), Count(5)]) == encode([b"k", 5])
+
+
+def _reference_encode(value) -> bytes:
+    """The implementation this codec replaced, kept as the oracle."""
+    def length(n):
+        return struct.pack(">Q", n)
+
+    if value is None:
+        return b"N"
+    if value is True:
+        return b"T"
+    if value is False:
+        return b"F"
+    if isinstance(value, int):
+        raw = value.to_bytes((value.bit_length() + 8) // 8, "big",
+                             signed=True) if value else b"\x00"
+        while len(raw) > 1 and ((raw[0] == 0x00 and raw[1] < 0x80)
+                                or (raw[0] == 0xFF and raw[1] >= 0x80)):
+            raw = raw[1:]
+        return b"I" + length(len(raw)) + raw
+    if isinstance(value, float):
+        return b"f" + struct.pack(">d", value)
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return b"B" + length(len(value)) + bytes(value)
+    if isinstance(value, str):
+        data = value.encode("utf-8")
+        return b"S" + length(len(data)) + data
+    if isinstance(value, (list, tuple)):
+        return b"L" + length(len(value)) + b"".join(
+            _reference_encode(item) for item in value)
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("canonical encoding requires string dict keys")
+        return b"D" + length(len(value)) + b"".join(
+            _reference_encode(key) + _reference_encode(value[key])
+            for key in sorted(value))
+    raise TypeError(f"cannot canonically encode {type(value).__name__}")
+
+
+class TestNestingBound:
+    def test_deep_input_is_a_value_error_not_a_recursion_error(self):
+        hostile = (b"L" + _q(1)) * 5000 + b"N"
+        with pytest.raises(ValueError, match="nested too deeply"):
+            decode(hostile)
+
+    def test_both_directions_share_the_bound(self):
+        value = None
+        for _ in range(MAX_DEPTH):
+            value = [value]
+        assert decode(encode(value)) == value
+        with pytest.raises(ValueError, match="nested too deeply"):
+            encode([value])
+        with pytest.raises(ValueError, match="nested too deeply"):
+            decode(_reference_encode({"k": value}))
+
+    def test_non_string_dict_key_rejected_on_decode(self):
+        with pytest.raises(ValueError):
+            decode(b"D" + _q(1) + encode(1) + encode(2))
+
+    def test_huge_declared_length_fails_fast(self):
+        for tag in (b"B", b"S", b"I", b"L", b"D"):
+            with pytest.raises(ValueError):
+                decode(tag + _q(2**63) + b"xx")
+
+
 class TestDecodeErrors:
     def test_truncated(self):
         data = encode([1, 2, 3])
@@ -106,6 +243,13 @@ _values = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=16,
 )
+
+
+@settings(max_examples=500, deadline=None)
+@given(_values | st.integers(-2**70, 2**70)
+       | st.integers(0, 80).map(lambda bits: -(2**bits)))
+def test_same_function_as_the_reference_walker(value):
+    assert encode(value) == _reference_encode(value)
 
 
 @given(_values)

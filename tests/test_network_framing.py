@@ -1,4 +1,4 @@
-"""Stream framing tests: frames, envelopes, real sockets, chunk fuzzing.
+"""Stream framing tests: frames, envelopes, real sockets, ingress fuzzing.
 
 The live substrate moves :mod:`repro.network.wire` messages over stream
 sockets, which give back bytes in arbitrary chunks — a frame may arrive
@@ -8,11 +8,16 @@ pin the two guarantees the transport relies on:
 * ``FrameDecoder`` recovers exactly the encoded frame sequence under
   any byte chunking (Hypothesis drives the chunk boundaries), and
 * every wire message kind survives a real socketpair round trip through
-  ``encode_envelope``/``decode_envelope`` inside frames.
+  ``encode_envelope``/``decode_envelope`` inside frames, and
+* the live ingress path is *total*: whatever bytes sit inside a
+  well-formed frame, ``LiveTransport._on_payload`` + ``_drain`` in front
+  of a real ``AdmissionControl`` count them as garbage, reject them or
+  deliver them — they never raise into the clock loop.
 """
 
 from __future__ import annotations
 
+import functools
 import socket
 
 import pytest
@@ -21,16 +26,21 @@ from hypothesis import strategies as st
 
 from repro.baplus.certificate import Certificate
 from repro.baplus.messages import make_vote
+from repro.common.encoding import decode, encode
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
-from repro.ledger.block import empty_block
+from repro.ledger.block import Block, empty_block
 from repro.ledger.transaction import make_transaction
+from repro.live.clock import LiveClock
+from repro.live.transport import LiveTransport
 from repro.network.message import (
     PRIORITY_MESSAGE_BYTES,
     VOTE_MESSAGE_BYTES,
     Envelope,
 )
 from repro.network.wire import (
+    ENVELOPE_HEADER,
+    ENVELOPE_LAYOUTS,
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     FrameDecoder,
@@ -40,7 +50,10 @@ from repro.network.wire import (
     encode_envelope,
     encode_frame,
 )
+from repro.node.catchup import ChainAnnouncement, ChainRequest
 from repro.node.proposal import PriorityMessage
+from repro.obs import TraceBus
+from tests.fixtures import run_sim, signed_vote
 
 
 @pytest.fixture
@@ -260,3 +273,128 @@ class TestSocketRoundTrip:
         assert [e.msg_id for e in received] == [e.msg_id for e in envelopes]
         assert [encode_envelope(e) for e in received] \
             == [encode_envelope(e) for e in envelopes]
+
+
+@functools.cache
+def _ingress_corpus() -> tuple:
+    """A 6-user sim (for a real admission gate) + one frame per kind."""
+    sim = run_sim(0, num_users=6, seed=11)
+    backend, node = sim.backend, sim.nodes[0]
+    alice, bob = sim.keypairs[1], sim.keypairs[2]
+    tx = make_transaction(backend, alice.secret, alice.public, bob.public,
+                          5, 0, note=b"fuzzed")
+    vote = signed_vote(sim, 1, 1, "1")
+    priority = PriorityMessage(
+        proposer=alice.public, round_number=1, vrf_hash=H(b"vrf"),
+        vrf_proof=b"proof" * 16, sub_users=2, priority=H(b"prio"))
+    block = Block(round_number=1, prev_hash=node.chain.tip_hash,
+                  timestamp=1.5, seed=H(b"seed"), seed_proof=b"sp" * 40,
+                  proposer=alice.public, proposer_vrf_hash=H(b"vrf"),
+                  proposer_vrf_proof=b"vp" * 40,
+                  proposer_priority=H(b"prio"), transactions=(tx,))
+    cert = Certificate(round_number=1, step="1", value=block.block_hash,
+                       votes=(vote,))
+    payloads = {
+        "tx": tx, "vote": vote, "priority": priority, "block": block,
+        "cert": cert, "chainreq": ChainRequest(height=0),
+        "chain": ChainAnnouncement(blocks=(block, empty_block(2, H(b"x"))),
+                                   certificates={1: cert}),
+    }
+    assert sorted(payloads) == sorted(ENVELOPE_LAYOUTS)
+    frames = [encode_envelope(Envelope(
+        origin=alice.public, kind=kind, payload=payload, size=250,
+        msg_id=(1 << 40) | number))
+        for number, (kind, payload) in enumerate(sorted(payloads.items()))]
+    return sim, frames
+
+
+class TestLiveIngressFuzz:
+    """Hostile bytes in well-formed frames never raise past ingress.
+
+    Every payload ends in exactly one bucket: ``garbage_frames``,
+    ``gossip.ingress_rejected`` (the real admission gate said no),
+    ``gossip.dup_dropped`` or delivered to the relay policy. CI reruns
+    this class with ``--hypothesis-seed=random``.
+    """
+
+    def _push(self, payload: bytes) -> str:
+        sim, _ = _ingress_corpus()
+        bus = TraceBus()
+        transport = LiveTransport(0, LiveClock(), obs=bus)
+        delivered = []
+        transport.ingress = sim.nodes[0].admission.admit
+        transport.relay_policy = lambda envelope: bool(
+            delivered.append(envelope))
+        transport._on_payload(1, payload)
+        transport._drain()
+        counters = bus.metrics.snapshot()["counters"]
+        outcome = {
+            "garbage": transport.garbage_frames,
+            "rejected": counters.get("gossip.ingress_rejected", 0),
+            "duplicate": counters.get("gossip.dup_dropped", 0),
+            "delivered": len(delivered)}
+        assert sum(outcome.values()) == 1, outcome
+        return max(outcome, key=outcome.get)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.binary(max_size=512))
+    def test_arbitrary_bytes_never_raise(self, payload):
+        self._push(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.binary(max_size=256), msg_id=st.integers(0, 2**64 - 1),
+           code=st.integers(0, 255), size=st.integers(0, 2**32 - 1),
+           origin=st.binary(max_size=40))
+    def test_arbitrary_body_behind_a_valid_header_never_raises(
+            self, payload, msg_id, code, size, origin):
+        self._push(ENVELOPE_HEADER.pack(msg_id, code, size, len(origin),
+                                        len(payload)) + origin + payload)
+
+    @settings(max_examples=600, deadline=None)
+    @given(which=st.integers(0, 6), at=st.integers(0, 2**30),
+           byte=st.integers(0, 255))
+    def test_single_byte_mutations_of_valid_frames_never_raise(
+            self, which, at, byte):
+        frame = bytearray(_ingress_corpus()[1][which])
+        frame[at % len(frame)] = byte
+        self._push(bytes(frame))
+
+    def test_every_clean_frame_gets_past_the_codec(self):
+        for frame in _ingress_corpus()[1]:
+            assert self._push(frame) != "garbage"
+
+    def test_zero_size_envelope_is_garbage_not_a_crash(self):
+        """At the parent ``Envelope(size=0)`` raised ``ValueError`` out
+        of ``_deliver`` into the clock loop and killed the process."""
+        origin, body = b"o" * 32, b"irrelevant"
+        assert self._push(ENVELOPE_HEADER.pack(9, 2, 0, len(origin),
+                                               len(body))
+                          + origin + body) == "garbage"
+        # The same attack in the parent's list format.
+        assert self._push(encode(["wenv", 9, origin, "vote", body, 0])) \
+            == "garbage"
+
+    def test_text_where_the_round_number_sits_cannot_confuse_admission(self):
+        """At the parent a vote body with ``round_number="x"`` decoded
+        and ``vote.round_number < horizon`` raised ``TypeError`` inside
+        the drain. A typed layout yields an int there or nothing."""
+        vote_frame = bytearray(_ingress_corpus()[1][
+            sorted(ENVELOPE_LAYOUTS).index("vote")])
+        round_at = ENVELOPE_HEADER.size + 32 + 4  # origin, voter length
+        vote_frame[round_at:round_at + 8] = b"xxxxxxxx"
+        assert self._push(bytes(vote_frame)) == "rejected"
+        hostile = encode(["wvote", b"v", "x", "y", 1, 2, 3, 4, 5])
+        assert self._push(encode(["wenv", 9, b"o" * 32, "vote", hostile,
+                                  250])) == "garbage"
+        assert self._push(ENVELOPE_HEADER.pack(9, 2, 250, 32, len(hostile))
+                          + b"o" * 32 + hostile) == "garbage"
+
+    def test_deeply_nested_frame_is_garbage_not_a_recursion_error(self):
+        """~45 KB of nested list tags took the reader task down with an
+        untyped ``RecursionError`` at the parent."""
+        nested = (b"L" + (1).to_bytes(8, "big")) * 5000 + b"N"
+        assert self._push(nested) == "garbage"
+        assert self._push(ENVELOPE_HEADER.pack(9, 6, 250, 0, len(nested))
+                          + nested) == "garbage"
+        with pytest.raises(ValueError, match="nested too deeply"):
+            decode(nested)

@@ -19,8 +19,7 @@ from repro.experiments.harness import Simulation, SimulationConfig
 from repro.live.clock import LiveClock
 from repro.live.transport import MSG_ID_SEQ_BITS, LiveTransport
 from repro.network.message import Envelope
-from repro.common.encoding import encode
-from repro.network.wire import encode_envelope
+from repro.network.wire import ENVELOPE_HEADER, encode_envelope
 from repro.substrate import Clock, SimSubstrate, Substrate, Transport
 
 
@@ -204,27 +203,72 @@ class TestLiveTransport:
     def test_duplicate_frame_dropped_before_payload_decode(self):
         from repro.obs import TraceBus
 
+        class Watched(bytes):
+            """Frame bytes that record every index/slice taken of them."""
+
+            touched: list
+
+            def __getitem__(self, key):
+                self.touched.append(key)
+                return super().__getitem__(key)
+
+        def frame(msg_id: int, body: bytes) -> Watched:
+            kind_code = 3  # priority
+            watched = Watched(ENVELOPE_HEADER.pack(
+                msg_id, kind_code, envelope.size, len(envelope.origin),
+                len(body)) + envelope.origin + body)
+            watched.touched = []
+            return watched
+
         bus = TraceBus()
         transport = self._transport(obs=bus)
         envelope = _envelope(b"o" * 32, msg_id=5)
         transport._on_payload(1, encode_envelope(envelope))
         transport._drain()
-        # Same header, body that no codec accepts: a held msg_id stops
-        # at the seen-set, so the garbage body is never looked at and
-        # the copy takes no queue slot.
-        header_only = encode(["wenv", 5, envelope.origin, envelope.kind,
-                              b"garbage", envelope.size])
-        transport._on_payload(2, header_only)
+        # Same header, body that no layout accepts: a held msg_id stops
+        # at the seen-set after one unpack_from on the frame, so the
+        # garbage body is never sliced out, let alone looked at, and the
+        # copy takes no queue slot.
+        held = frame(5, b"garbage")
+        transport._on_payload(2, held)
+        assert held.touched == []
         assert not transport._rx
         assert transport.garbage_frames == 0
         assert bus.metrics.snapshot()["counters"]["gossip.dup_dropped"] == 1
         # The same body under a fresh id is decoded at drain, and fails.
-        transport._on_payload(2, encode(
-            ["wenv", 6, envelope.origin, envelope.kind, b"garbage",
-             envelope.size]))
+        fresh = frame(6, b"garbage")
+        transport._on_payload(2, fresh)
+        assert fresh.touched == []  # queued on its header alone
         transport._drain()
+        assert fresh.touched
         assert transport.garbage_frames == 1
         assert len(self.received) == 1
+
+    def test_send_counters_are_bumped_once_per_call(self):
+        from repro.obs import TraceBus
+
+        class CountingMetrics:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def inc(self, name, value=1):
+                self.calls += 1
+                self.inner.inc(name, value)
+
+        bus = TraceBus()
+        transport = self._transport(obs=bus)
+        transport.add_link(_FakeLink(3))
+        counting = CountingMetrics(bus.metrics)
+        bus.metrics = counting
+        transport.broadcast(_envelope(b"o" * 32, msg_id=1))
+        assert counting.calls == 2  # not two per peer
+        counters = counting.inner.snapshot()["counters"]
+        assert counters["gossip.sent.priority"] == 3
+        assert counters["gossip.sent_bytes.priority"] == 600
+        assert transport.messages_sent == 3
+        assert transport.bytes_sent == 600
+        frame_bytes = len(transport.links[1].frames[0])
+        assert transport.wire_bytes_sent == 3 * frame_bytes
 
     def test_two_copies_in_one_drain_deliver_once(self):
         transport = self._transport()
