@@ -24,7 +24,11 @@ import math
 from conftest import print_table
 
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import (
+    NetworkConfig,
+    Simulation,
+    SimulationConfig,
+)
 from repro.experiments.metrics import format_table
 from repro.node.agent import Node
 
@@ -42,8 +46,9 @@ class PromiscuousNode(Node):
 
 def _proposal_bytes(node_class):
     sim = Simulation(SimulationConfig(
-        num_users=24, seed=900, bandwidth_bps=None,
-        latency_model="uniform", uniform_latency=0.02),
+        num_users=24, seed=900,
+        network=NetworkConfig(bandwidth_bps=None, latency_model="uniform",
+                              uniform_latency=0.02)),
         node_class=node_class)
     sim.submit_payments(48, note_bytes=150)
     sim.run_rounds(1)

@@ -1,11 +1,10 @@
-"""Benchmark-suite configuration.
+"""Helper for the ablation suite (``bench_ablations.py``).
 
-Every benchmark reproduces one table or figure from the paper's
-evaluation (section 10) or analysis (Figure 3). The simulations are
-discrete-event runs, so the *benchmark timing* is the wall-clock cost of
-reproducing the experiment; the *reproduced numbers* (simulated seconds,
-bytes, ratios) are printed to stdout — run with ``-s`` to see the tables
-— and asserted against the paper's qualitative shape.
+The paper's figures and tables are ``python -m repro.experiments
+<artifact>``; performance is ``bench/`` + ``BENCHMARK.json``. What lives
+here are the four ablations nothing else asserts: the reproduced numbers
+are printed to stdout — run with ``-s`` to see the tables — and asserted
+against the paper's qualitative shape.
 """
 
 from __future__ import annotations

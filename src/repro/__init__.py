@@ -42,8 +42,8 @@ Same protocol on real processes and sockets (live substrate)::
 
 Config knobs are grouped (``network=NetworkConfig(...)``,
 ``runtime=RuntimeConfig(...)``, ``population=PopulationConfig(...)``,
-``substrate=SubstrateConfig(...)``); the old flat keyword arguments are
-still accepted under a :class:`DeprecationWarning`.
+``substrate=SubstrateConfig(...)``) and the same config describes a
+deployment on either substrate (:mod:`repro.node.deployment`).
 """
 
 from typing import TYPE_CHECKING

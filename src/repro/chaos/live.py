@@ -31,10 +31,10 @@ from __future__ import annotations
 import dataclasses
 
 from repro.chaos.monitor import InvariantMonitor, Violation
-from repro.chaos.runner import ChaosVerdict
+from repro.chaos.runner import ChaosVerdict, derive_time_limit, render_verdict
 from repro.chaos.scenario import ScenarioError, ScenarioScript
 from repro.conformance.monitor import ConformanceMonitor
-from repro.experiments.config import SimulationConfig, SubstrateConfig
+from repro.node.deployment import SimulationConfig, SubstrateConfig
 from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
 from repro.live.faults import unsupported_live_kinds
 from repro.obs.sink import read_trace
@@ -46,15 +46,6 @@ from repro.obs.sink import read_trace
 #: sim-scale 30 steps. Committee sizes are untouched (W = 200 with the
 #: 5 x 40 design point).
 LIVE_CHAOS_PARAMS = dataclasses.replace(LIVE_SMOKE_PARAMS, max_steps=12)
-
-
-def derive_live_time_limit(script: ScenarioScript) -> float:
-    """Wall-clock ceiling: live per-round worst case + fault tail."""
-    per_round = (LIVE_CHAOS_PARAMS.lambda_block
-                 + LIVE_CHAOS_PARAMS.lambda_step
-                 * LIVE_CHAOS_PARAMS.max_steps)
-    return (per_round * (script.rounds + 1)
-            + script.last_heal_time() + script.liveness_bound)
 
 
 def _audit_block_bytes(cluster: LiveCluster, now: float) -> list[Violation]:
@@ -81,8 +72,7 @@ def _audit_block_bytes(cluster: LiveCluster, now: float) -> list[Violation]:
 
 def run_live_scenario(script: ScenarioScript, *,
                       runtime_dir: str | None = None,
-                      transport: str = "uds",
-                      sim_overrides: dict | None = None) -> ChaosVerdict:
+                      transport: str = "uds") -> ChaosVerdict:
     """Run ``script`` on a real process cluster; never raises on red.
 
     Orchestration failures (a node dying when not scripted to, a
@@ -104,13 +94,11 @@ def run_live_scenario(script: ScenarioScript, *,
         substrate=SubstrateConfig(kind="live", transport=transport,
                                   runtime_dir=runtime_dir),
     )
-    if sim_overrides:
-        config = dataclasses.replace(config, **sim_overrides)
     cluster = LiveCluster(config, faults=script.actions)
     if script.payments:
         cluster.submit_payments(script.payments)
     limit = (script.time_limit if script.time_limit is not None
-             else derive_live_time_limit(script))
+             else derive_time_limit(script, config.params))
     cluster.run_rounds(script.rounds, time_limit=limit)
 
     events, _ = read_trace(cluster.merged_trace_path)
@@ -124,59 +112,15 @@ def run_live_scenario(script: ScenarioScript, *,
 
     conformance = ConformanceMonitor()
     conformance.feed(events)
-    conformance_verdict = conformance.verdict()
-    conformance_section = {
-        "ok": conformance_verdict.ok,
-        "events_checked": conformance_verdict.events_checked,
-        "nodes": conformance_verdict.nodes,
-        "violations": len(conformance_verdict.violations),
-    }
-    for breach in conformance_verdict.violations:
-        violations.append(Violation(
-            invariant="conformance:" + breach["rule"],
-            t=breach["t"],
-            detail=(f"node {breach['node']} round {breach['round']} "
-                    f"step {breach['step']} ({breach['kind']} in "
-                    f"phase {breach['phase']}): {breach['detail']}")))
-
     permanently_gone = script.permanently_crashed()
-    missing = [index for index in range(script.num_users)
-               if index not in cluster.results
-               and index not in permanently_gone]
-    for index in missing:
-        violations.append(Violation(
-            invariant="convergence", t=now,
-            detail=(f"node {index} delivered no result although it was "
-                    f"not permanently crashed")))
-    laggards = [index for index, result in sorted(cluster.results.items())
-                if result["height"] < script.rounds]
-    converged = not laggards and not missing
-    if laggards:
-        ellipsis = "..." if len(laggards) > 5 else ""
-        violations.append(Violation(
-            invariant="convergence", t=now,
-            detail=(f"nodes {laggards[:5]}{ellipsis} below target height "
-                    f"{script.rounds} when the run ended at t={now:.2f}")))
-
-    seen: set[tuple] = set()
-    unique = []
-    for violation in violations:
-        key = (violation.invariant, violation.detail)
-        if key not in seen:
-            seen.add(key)
-            unique.append(violation)
-
-    heights = [cluster.results[index]["height"]
-               if index in cluster.results else None
-               for index in range(script.num_users)]
-    return ChaosVerdict(
-        scenario=script.to_dict(),
-        ok=not unique,
-        violations=[violation.to_dict() for violation in unique],
-        heights=heights,
-        converged=converged,
-        sim_seconds=now,
-        events_seen=monitor.events_seen,
-        conformance=conformance_section,
-        cluster=cluster,
-    )
+    return render_verdict(
+        script, violations, conformance.verdict(),
+        heights=[cluster.results[index]["height"]
+                 if index in cluster.results else None
+                 for index in range(script.num_users)],
+        laggards=[index for index, result in sorted(cluster.results.items())
+                  if result["height"] < script.rounds],
+        missing=[index for index in range(script.num_users)
+                 if index not in cluster.results
+                 and index not in permanently_gone],
+        now=now, events_seen=monitor.events_seen, cluster=cluster)

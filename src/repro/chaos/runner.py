@@ -18,7 +18,9 @@ re-running the same script yields byte-identical JSON (tested).
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.chaos.faults import FaultInjector
 from repro.chaos.monitor import (
@@ -28,11 +30,11 @@ from repro.chaos.monitor import (
     audit_ingress,
 )
 from repro.chaos.scenario import ScenarioScript
+from repro.common.params import ProtocolParams
+from repro.conformance.monitor import ConformanceVerdict
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
-
-import json
 
 
 @dataclass
@@ -74,13 +76,74 @@ class ChaosVerdict:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _derive_time_limit(script: ScenarioScript) -> float:
+def derive_time_limit(script: ScenarioScript,
+                      params: ProtocolParams) -> float:
     """A generous ceiling: per-round worst case + fault tail + liveness."""
-    params = SimulationConfig().params
-    per_round = (params.lambda_block
-                 + params.lambda_step * params.max_steps)
-    return (per_round * (script.rounds + 1)
+    return (params.round_budget * (script.rounds + 1)
             + script.last_heal_time() + script.liveness_bound)
+
+
+def render_verdict(script: ScenarioScript, violations: list[Violation],
+                   conformance: ConformanceVerdict | None, *,
+                   heights: list, laggards: Sequence[int],
+                   missing: Sequence[int] = (), now: float,
+                   events_seen: int, sim: Simulation | None = None,
+                   cluster: object | None = None) -> ChaosVerdict:
+    """Fold a run's findings into its verdict — one rule, both substrates.
+
+    ``violations`` are the invariant breaches the runner collected its
+    own way (online, or offline from a merged trace). Reference-machine
+    breaches join them as ``conformance:<rule>``, ``missing`` and
+    ``laggards`` nodes as ``convergence``; duplicates are dropped in
+    first-seen order (liveness and convergence can name one stall twice).
+    """
+    violations = list(violations)
+    conformance_section = None
+    if conformance is not None:
+        conformance_section = {
+            "ok": conformance.ok,
+            "events_checked": conformance.events_checked,
+            "nodes": conformance.nodes,
+            "violations": len(conformance.violations),
+        }
+        for breach in conformance.violations:
+            violations.append(Violation(
+                invariant="conformance:" + breach["rule"],
+                t=breach["t"],
+                detail=(f"node {breach['node']} round {breach['round']} "
+                        f"step {breach['step']} ({breach['kind']} in "
+                        f"phase {breach['phase']}): {breach['detail']}")))
+    for index in missing:
+        violations.append(Violation(
+            invariant="convergence", t=now,
+            detail=(f"node {index} delivered no result although it was "
+                    f"not permanently crashed")))
+    if laggards:
+        ellipsis = "..." if len(laggards) > 5 else ""
+        violations.append(Violation(
+            invariant="convergence", t=now,
+            detail=(f"nodes {list(laggards[:5])}{ellipsis} below target "
+                    f"height {script.rounds} when the run ended at "
+                    f"t={now:.2f}")))
+    seen: set[tuple] = set()
+    unique = []
+    for violation in violations:
+        key = (violation.invariant, violation.detail)
+        if key not in seen:
+            seen.add(key)
+            unique.append(violation)
+    return ChaosVerdict(
+        scenario=script.to_dict(),
+        ok=not unique,
+        violations=[violation.to_dict() for violation in unique],
+        heights=heights,
+        converged=not laggards and not missing,
+        sim_seconds=now,
+        events_seen=events_seen,
+        conformance=conformance_section,
+        sim=sim,
+        cluster=cluster,
+    )
 
 
 def run_scenario(script: ScenarioScript, *,
@@ -89,10 +152,10 @@ def run_scenario(script: ScenarioScript, *,
     """Run ``script`` and return its verdict (never raises on red).
 
     ``sim_overrides`` replaces fields of the derived
-    :class:`SimulationConfig` (e.g. ``{"relay_damping": False}`` or
-    ``{"bandwidth_bps": None}``) — the damping-equivalence suite runs
-    the same scenario under several deployments this way. Scenario
-    fields (``num_users``, ``seed``) stay script-owned.
+    :class:`SimulationConfig` (e.g. ``{"runtime":
+    RuntimeConfig(relay_damping=False)}``) — the damping-equivalence
+    suite runs the same scenario under several deployments this way.
+    Scenario fields (``num_users``, ``seed``) stay script-owned.
     """
     script.validate()
     bus = TraceBus()
@@ -122,7 +185,7 @@ def run_scenario(script: ScenarioScript, *,
                    for node in survivors)
 
     limit = (script.time_limit if script.time_limit is not None
-             else _derive_time_limit(script))
+             else derive_time_limit(script, config.params))
     sim.env.run(until=limit, stop_when=finished)
     now = sim.env.now
 
@@ -139,51 +202,12 @@ def run_scenario(script: ScenarioScript, *,
             skip=skip | script.attacker_nodes()))
     # The harness auto-attached a ConformanceMonitor (obs bus present):
     # reference-machine breaches are scenario violations like any other.
-    conformance_section = None
-    if sim.conformance is not None:
-        conformance_verdict = sim.conformance.verdict()
-        conformance_section = {
-            "ok": conformance_verdict.ok,
-            "events_checked": conformance_verdict.events_checked,
-            "nodes": conformance_verdict.nodes,
-            "violations": len(conformance_verdict.violations),
-        }
-        for breach in conformance_verdict.violations:
-            violations.append(Violation(
-                invariant="conformance:" + breach["rule"],
-                t=breach["t"],
-                detail=(f"node {breach['node']} round {breach['round']} "
-                        f"step {breach['step']} ({breach['kind']} in "
-                        f"phase {breach['phase']}): {breach['detail']}")))
-    laggards = [node.index for node in survivors
-                if node.chain.height < script.rounds]
-    converged = not laggards
-    if laggards:
-        ellipsis = "..." if len(laggards) > 5 else ""
-        violations.append(Violation(
-            invariant="convergence", t=now,
-            detail=(f"nodes {laggards[:5]}{ellipsis} below target height "
-                    f"{script.rounds} when the run ended at t={now:.2f}")))
-    bus.close()
-
-    # Deduplicate while preserving first-seen order (the liveness and
-    # convergence checks can describe the same stall twice).
-    seen: set[tuple] = set()
-    unique = []
-    for violation in violations:
-        key = (violation.invariant, violation.detail)
-        if key not in seen:
-            seen.add(key)
-            unique.append(violation)
-
-    return ChaosVerdict(
-        scenario=script.to_dict(),
-        ok=not unique,
-        violations=[violation.to_dict() for violation in unique],
+    verdict = render_verdict(
+        script, violations,
+        sim.conformance.verdict() if sim.conformance is not None else None,
         heights=[node.chain.height for node in sim.nodes],
-        converged=converged,
-        sim_seconds=now,
-        events_seen=monitor.events_seen,
-        conformance=conformance_section,
-        sim=sim,
-    )
+        laggards=[node.index for node in survivors
+                  if node.chain.height < script.rounds],
+        now=now, events_seen=monitor.events_seen, sim=sim)
+    bus.close()
+    return verdict

@@ -98,6 +98,13 @@ class ProtocolParams:
         """Votes needed to declare final consensus: T_final * tau_final."""
         return self.t_final * self.tau_final
 
+    @property
+    def round_budget(self) -> float:
+        """Worst-case seconds one round can take: the block wait plus
+        every BinaryBA* step timing out (lambda_block + lambda_step *
+        MaxSteps). Run deadlines and stall detectors are multiples of it."""
+        return self.lambda_block + self.lambda_step * self.max_steps
+
     def scaled(self, scale: float, **overrides: object) -> "ProtocolParams":
         """Return a copy with committee sizes multiplied by ``scale``.
 

@@ -140,11 +140,14 @@ class FastBackend(CryptoBackend):
         self._registry[public] = seed
         return KeyPair(secret=seed, public=public)
 
-    def _secret_for(self, public: bytes) -> bytes:
+    def _secret_for(self, public: bytes,
+                    failure: type[CryptoError]) -> bytes:
+        """A key nobody holds signed nothing: ``failure`` is the caller's
+        verification error, so a forged voter field is a bad signature."""
         try:
             return self._registry[public]
         except KeyError:
-            raise CryptoError(
+            raise failure(
                 "unknown public key: FastBackend can only verify keys it "
                 "generated (use one backend instance per simulation)"
             ) from None
@@ -153,7 +156,7 @@ class FastBackend(CryptoBackend):
         return sha512(b"fast-sig", secret, message)[:self._SIG_LEN]
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> None:
-        secret = self._secret_for(public)
+        secret = self._secret_for(public, SignatureError)
         expected = self.sign(secret, message)
         if not hmac.compare_digest(expected, signature):
             raise SignatureError("signature mismatch")
@@ -167,7 +170,7 @@ class FastBackend(CryptoBackend):
         return sha512(b"fast-vrf", secret, alpha)
 
     def vrf_verify(self, public: bytes, proof: bytes, alpha: bytes) -> bytes:
-        secret = self._secret_for(public)
+        secret = self._secret_for(public, VRFError)
         beta, expected = self.vrf_prove(secret, alpha)
         if not hmac.compare_digest(expected, proof):
             raise VRFError("VRF proof verification failed")

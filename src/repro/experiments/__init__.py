@@ -12,17 +12,13 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
-    from repro.experiments.adversarial import (
-        AdversarialPoint, figure8, figure8_specs, run_adversarial_point,
-    )
+    from repro.experiments.adversarial import AdversarialPoint, figure8_specs
     from repro.experiments.costs import (
-        CostReport, bandwidth_independence, expected_certificate_bytes,
-        measure_costs,
+        CostReport, expected_certificate_bytes, measure_costs,
     )
     from repro.experiments.harness import Simulation, SimulationConfig
     from repro.experiments.latency import (
-        LatencyPoint, figure5, figure5_specs, figure6, figure6_specs, flatness,
-        run_latency_point,
+        LatencyPoint, figure5_specs, figure6_specs, flatness,
     )
     from repro.experiments.metrics import LatencySummary, format_table
     from repro.experiments.spec import (
@@ -33,29 +29,22 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
         PointOutcome, SweepReport, load_checkpoint, run_sweep,
     )
     from repro.experiments.throughput import (
-        BlockSizePoint, ThroughputRow, figure7, figure7_specs,
-        paper_scale_projection, run_block_size_point, throughput_table,
+        BlockSizePoint, ThroughputRow, figure7_specs,
+        paper_scale_projection, throughput_table,
     )
     from repro.experiments.timeouts import (
         TimeoutReport, measure_priority_gossip, measure_timeouts,
     )
-    from repro.experiments.waiting import (
-        WaitingPoint, run_waiting_point, waiting_specs, waiting_tradeoff,
-    )
+    from repro.experiments.waiting import WaitingPoint, waiting_specs
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.experiments.adversarial": (
-        "AdversarialPoint", "figure8", "figure8_specs",
-        "run_adversarial_point",
-    ),
+    "repro.experiments.adversarial": ("AdversarialPoint", "figure8_specs"),
     "repro.experiments.costs": (
-        "CostReport", "bandwidth_independence", "expected_certificate_bytes",
-        "measure_costs",
+        "CostReport", "expected_certificate_bytes", "measure_costs",
     ),
     "repro.experiments.harness": ("Simulation", "SimulationConfig"),
     "repro.experiments.latency": (
-        "LatencyPoint", "figure5", "figure5_specs", "figure6", "figure6_specs",
-        "flatness", "run_latency_point",
+        "LatencyPoint", "figure5_specs", "figure6_specs", "flatness",
     ),
     "repro.experiments.metrics": ("LatencySummary", "format_table"),
     "repro.experiments.spec": (
@@ -67,16 +56,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "PointOutcome", "SweepReport", "load_checkpoint", "run_sweep",
     ),
     "repro.experiments.throughput": (
-        "BlockSizePoint", "ThroughputRow", "figure7", "figure7_specs",
-        "paper_scale_projection", "run_block_size_point", "throughput_table",
+        "BlockSizePoint", "ThroughputRow", "figure7_specs",
+        "paper_scale_projection", "throughput_table",
     ),
     "repro.experiments.timeouts": (
         "TimeoutReport", "measure_priority_gossip", "measure_timeouts",
     ),
-    "repro.experiments.waiting": (
-        "WaitingPoint", "run_waiting_point", "waiting_specs",
-        "waiting_tradeoff",
-    ),
+    "repro.experiments.waiting": ("WaitingPoint", "waiting_specs"),
 })
 
 __all__ = [
@@ -103,27 +89,17 @@ __all__ = [
     "LatencySummary",
     "format_table",
     "LatencyPoint",
-    "run_latency_point",
-    "figure5",
-    "figure6",
     "flatness",
     "BlockSizePoint",
     "ThroughputRow",
-    "run_block_size_point",
-    "figure7",
     "throughput_table",
     "paper_scale_projection",
     "CostReport",
     "measure_costs",
-    "bandwidth_independence",
     "expected_certificate_bytes",
     "AdversarialPoint",
-    "run_adversarial_point",
-    "figure8",
     "TimeoutReport",
     "measure_timeouts",
     "measure_priority_gossip",
     "WaitingPoint",
-    "run_waiting_point",
-    "waiting_tradeoff",
 ]

@@ -9,19 +9,14 @@ for this particular attack, Algorand is not significantly affected."
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.adversary.strategies import MaliciousNode
 from repro.common.errors import NoSamplesError
-from repro.common.params import ProtocolParams, TEST_PARAMS
+from repro.common.params import TEST_PARAMS
 from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
 from repro.experiments.metrics import LatencySummary
-from repro.experiments.spec import (
-    AdversarialSpec,
-    register_runner,
-    run_point,
-)
+from repro.experiments.spec import AdversarialSpec, register_runner
 
 #: Malicious-stake fractions swept by Figure 8.
 FIGURE8_FRACTIONS = [0.0, 0.05, 0.10, 0.15, 0.20]
@@ -77,29 +72,6 @@ def run_spec(spec: AdversarialSpec) -> AdversarialPoint:
         agreed=agreed,
         empty_rounds=empty_rounds,
     )
-
-
-def run_adversarial_point(fraction: float, *, num_users: int = 20,
-                          rounds: int = 2, seed: int = 0,
-                          params: ProtocolParams | None = None
-                          ) -> AdversarialPoint:
-    """Deprecated keyword shim: build an :class:`AdversarialSpec`."""
-    warnings.warn(
-        "run_adversarial_point() is deprecated; build an AdversarialSpec "
-        "and call repro.experiments.run_point(spec)", DeprecationWarning,
-        stacklevel=2)
-    return run_point(AdversarialSpec(
-        fraction=fraction, num_users=num_users, rounds=rounds, seed=seed,
-        params=params,
-    )).point
-
-
-def figure8(fractions: list[float] | None = None, *, num_users: int = 20,
-            seed: int = 0) -> list[AdversarialPoint]:
-    """Latency vs malicious stake fraction (Figure 8 shape)."""
-    return [run_point(spec).point
-            for spec in figure8_specs(fractions, num_users=num_users,
-                                      seed=seed)]
 
 
 def figure8_specs(fractions: list[float] | None = None, *,

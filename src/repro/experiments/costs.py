@@ -111,19 +111,6 @@ def measure_costs(num_users: int = 40, *, rounds: int = 3, seed: int = 0,
     )
 
 
-def bandwidth_independence(user_counts: list[int] | None = None,
-                           seed: int = 0) -> list[CostReport]:
-    """Per-user bandwidth across population sizes.
-
-    The paper's claim: communication cost per user is governed by the
-    committee size and peer count, not by N — so these reports' bandwidth
-    columns should stay within a small factor of each other.
-    """
-    counts = user_counts if user_counts is not None else [30, 60, 120]
-    return [measure_costs(n, seed=seed + i, rounds=2)
-            for i, n in enumerate(counts)]
-
-
 def expected_certificate_bytes(params: ProtocolParams) -> float:
     """Analytic certificate size: quorum votes x bytes per vote.
 

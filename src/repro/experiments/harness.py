@@ -2,47 +2,43 @@
 
 One :class:`Simulation` owns an event loop, a gossip network, and ``n``
 nodes sharing a genesis; experiments configure it through
-:class:`SimulationConfig` (see :mod:`repro.experiments.config` for the
-nested groups) and read results from node metrics and the network's
-cost counters. Everything is deterministic in ``config.seed``.
+:class:`SimulationConfig` (see :mod:`repro.node.deployment` for the
+nested groups and the node builder) and read results from node metrics
+and the network's cost counters. Everything is deterministic in
+``config.seed``.
 
 The harness is the *sim-substrate* runner: one process, virtual time.
 Its live-substrate twin is :class:`repro.live.cluster.LiveCluster`;
-:func:`repro.experiments.config.deploy` picks between them by config.
+:func:`repro.node.deployment.deploy` picks between them by config.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.common.encoding import encode
-from repro.common.errors import ConfigError, LatencyModelError
-from repro.crypto.backend import CachedBackend, CryptoBackend, FastBackend
-from repro.crypto.hashing import H
-from repro.ledger.blockchain import Blockchain
+from repro.common.errors import ConfigError
+from repro.conformance.monitor import ConformanceMonitor
+from repro.crypto.backend import CryptoBackend
 from repro.ledger.transaction import make_transaction
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
-from repro.conformance.monitor import ConformanceMonitor
-from repro.experiments.config import (  # noqa: F401  (re-exported API)
+from repro.node.agent import Node
+from repro.node.deployment import (  # noqa: F401  (re-exported API)
     NetworkConfig,
     PopulationConfig,
     RuntimeConfig,
     SimulationConfig,
     SubstrateConfig,
+    build_node,
     deploy,
+    derive_genesis,
+    make_backend,
+    payment_plan,
 )
-from repro.node.agent import Node
 from repro.node.population import Population
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
-from repro.runtime.admission import (
-    AdmissionConfig,
-    QuarantineDirectory,
-    attach_admission,
-)
-from repro.runtime.cache import VerificationCache
-from repro.runtime.damping import attach_damping
+from repro.runtime.admission import QuarantineDirectory
 from repro.sim.loop import Environment
 from repro.sortition.selection import SELECTION_STATS
 from repro.substrate.sim import SimSubstrate
@@ -59,6 +55,14 @@ class Simulation:
         config.validate()
         self.config = config
         self.env = Environment()
+        wants_conformance = config.runtime.wants_conformance(
+            traced=obs is not None)
+        if wants_conformance and obs is None:
+            # conformance=True without a caller bus: instrument the
+            # stack through a private bus that stores no events
+            # (max_events=0) — the monitor sees the stream, memory does
+            # not grow, and chains are unaffected.
+            obs = TraceBus(max_events=0)
         #: Optional trace bus (see :mod:`repro.obs`). When supplied, its
         #: clock is bound to this simulation's virtual time, every layer
         #: (network, nodes, BA*, router) records into it, and
@@ -71,19 +75,7 @@ class Simulation:
         #: Online reference-machine checker (:mod:`repro.conformance`);
         #: ``None`` when conformance is off for this run.
         self.conformance: ConformanceMonitor | None = None
-        want_conformance = (config.conformance
-                            if isinstance(config.conformance, bool)
-                            else obs is not None)
-        if want_conformance:
-            if obs is None:
-                # conformance=True without a caller bus: instrument the
-                # stack through a private bus that stores no events
-                # (max_events=0) — the monitor sees the stream, memory
-                # does not grow, and chains are unaffected.
-                obs = TraceBus(max_events=0)
-                obs.bind_clock(lambda: self.env.now)
-                obs.add_harvester(self._harvest_obs)
-                self.obs = obs
+        if wants_conformance:
             self.conformance = ConformanceMonitor(registry=obs.metrics)
             obs.add_sink(self.conformance)
         self._selection_baseline = SELECTION_STATS.as_dict()
@@ -93,32 +85,20 @@ class Simulation:
         # that has touched them (snapshot determinism depends on it).
         self._selection_delta = SELECTION_STATS.delta_since(
             self._selection_baseline)
-        inner_backend = backend if backend is not None else FastBackend()
-        if config.use_verification_cache:
-            # Wrap outermost: a cache hit never reaches an inner
-            # CountingBackend's tally, only its cache_hits mirror.
-            self.verification_cache: VerificationCache | None = (
-                VerificationCache(counts=getattr(inner_backend, "counts",
-                                                 None)))
-            self.backend = CachedBackend(inner_backend,
-                                         self.verification_cache)
-        else:
-            self.verification_cache = None
-            self.backend = inner_backend
+        self.backend, self.verification_cache = make_backend(config, backend)
         self.rng = np.random.default_rng(config.seed)
-        self.genesis_seed = H(b"genesis", encode(config.seed))
         self.registry = BlockRegistry()
+        genesis = derive_genesis(config, self.backend)
+        self.keypairs = genesis.keypairs
+        self.genesis_seed = genesis.seed
 
-        total_nodes = config.num_users + config.num_observers
-        if config.latency_model == "city":
+        network_cfg = config.network
+        total_nodes = len(genesis.keypairs)
+        if network_cfg.latency_model == "city":
             latency = LatencyModel(total_nodes, self.rng)
-        elif config.latency_model == "uniform":
-            latency = UniformLatencyModel(config.uniform_latency)
-        else:  # unreachable after validate(); guard for direct callers
-            raise LatencyModelError(
-                f"unknown latency model {config.latency_model}")
-        admission_cfg = ((config.admission or AdmissionConfig())
-                         if config.use_admission else None)
+        else:
+            latency = UniformLatencyModel(network_cfg.uniform_latency)
+        budgets = config.runtime.admission_budgets()
         aggregated = config.population.mode == "aggregated"
         core_size = min(config.population.always_on_core, config.num_users)
         # When the core covers everyone there is no dormant stake; the
@@ -128,11 +108,11 @@ class Simulation:
         dormant = aggregated and core_size < config.num_users
         self.network = GossipNetwork(
             self.env, total_nodes, self.rng, latency,
-            peers_per_node=config.peers_per_node,
-            bandwidth_bps=config.bandwidth_bps,
-            seen_horizon_rounds=config.seen_horizon_rounds,
-            lane_budget_msgs=(admission_cfg.egress_lane_budget
-                              if admission_cfg is not None else None),
+            peers_per_node=network_cfg.peers_per_node,
+            bandwidth_bps=network_cfg.bandwidth_bps,
+            seen_horizon_rounds=network_cfg.seen_horizon_rounds,
+            lane_budget_msgs=(budgets.egress_lane_budget
+                              if budgets is not None else None),
             obs=obs,
             active_indices=list(range(core_size)) if dormant else None,
         )
@@ -146,18 +126,6 @@ class Simulation:
             SimSubstrate(clock=self.env, transport=interface)
             for interface in self.network.interfaces
         ]
-
-        # Observers get keys but zero stake (appended after the users).
-        balances = config.make_balances() + [0] * config.num_observers
-        self.keypairs = [
-            self.backend.keypair(H(b"user-key", encode([config.seed, i])))
-            for i in range(total_nodes)
-        ]
-        initial_balances = {
-            kp.public: balance
-            for kp, balance in zip(self.keypairs, balances)
-            if balance > 0
-        }
         if config.num_malicious and malicious_class is None:
             raise ConfigError(
                 "num_malicious > 0 requires a malicious_class")
@@ -165,60 +133,41 @@ class Simulation:
 
         #: Network-wide quarantine state (None when admission is off).
         self.quarantine_directory: QuarantineDirectory | None = None
-        attach: "callable | None" = None
-        if admission_cfg is not None or config.relay_damping:
-            index_of = {kp.public: i
-                        for i, kp in enumerate(self.keypairs)}
-            if admission_cfg is not None:
-                self.quarantine_directory = QuarantineDirectory(
-                    self.network, admission_cfg, obs=obs)
-
-            def attach(node: Node) -> None:
-                if admission_cfg is not None:
-                    attach_admission(node, admission_cfg,
-                                     directory=self.quarantine_directory,
-                                     index_of=index_of)
-                if config.relay_damping:
-                    attach_damping(node)
+        if budgets is not None:
+            self.quarantine_directory = QuarantineDirectory(
+                self.network, budgets, obs=obs)
 
         def on_commit(round_number: int) -> None:
             self.network.end_round()
             if self.quarantine_directory is not None:
                 self.quarantine_directory.end_round(round_number)
-            if config.reshuffle_peers_each_round:
+            if network_cfg.reshuffle_peers_each_round:
                 self.network.reshuffle_peers()
 
         #: Aggregated stake pool (None in classic full-agent mode).
         self.population: Population | None = None
         if aggregated:
             self.population = Population(
-                env=self.env, backend=self.backend, params=config.params,
+                config, genesis, env=self.env, backend=self.backend,
                 network=self.network, registry=self.registry,
-                keypairs=self.keypairs, balances=balances,
-                genesis_seed=self.genesis_seed, core_size=core_size,
-                steps_ahead=config.steps_ahead, node_class=node_class,
-                obs=obs, attach_admission=attach, round_hook=on_commit,
+                node_class=node_class, obs=obs,
+                directory=self.quarantine_directory, round_hook=on_commit,
             )
             #: In aggregated mode ``nodes`` is the always-on core; the
             #: per-round transients live in ``population.live``.
             self.nodes: list[Node] = list(self.population.core_nodes)
         else:
-            self.nodes = []
-            for i in range(total_nodes):
-                chain = Blockchain(initial_balances, self.genesis_seed,
-                                   config.params.seed_refresh_interval)
-                is_malicious = first_malicious <= i < config.num_users
-                cls = malicious_class if is_malicious else node_class
-                node = cls(
-                    index=i, env=self.env, keypair=self.keypairs[i],
-                    backend=self.backend, params=config.params,
-                    chain=chain, interface=self.network.interfaces[i],
-                    registry=self.registry, obs=obs,
-                )
-                self.nodes.append(node)
-            if attach is not None:
-                for node in self.nodes:
-                    attach(node)
+            self.nodes = [
+                build_node(
+                    config, genesis, i, clock=self.env,
+                    transport=self.network.interfaces[i],
+                    backend=self.backend, registry=self.registry, obs=obs,
+                    node_class=(malicious_class
+                                if first_malicious <= i < config.num_users
+                                else node_class),
+                    directory=self.quarantine_directory)
+                for i in range(total_nodes)
+            ]
             self.nodes[0].on_commit = on_commit
 
     @property
@@ -236,24 +185,21 @@ class Simulation:
         Senders are drawn round-robin so nonces stay sequential; each
         payment is gossiped from its sender's node.
         """
-        nonces: dict[int, int] = {}
         # Observers neither pay nor earn; in aggregated mode payments
         # circulate among the always-on core (the only agents guaranteed
         # live to sign and gossip at injection time — dormant stake
         # still votes with its balance, it just doesn't transact).
         weighted = (len(self.nodes) if self.population is not None
                     else self.config.num_users)
-        if weighted < 2:
-            return  # a lone user has nobody to pay (no self-payments)
-        for k in range(count):
-            sender_index = k % weighted
+
+        def can_pay(index: int) -> bool:
+            sender = self.nodes[index]
+            return sender.chain.state.balance(sender.keypair.public) >= 1
+
+        nonces: dict[int, int] = {}
+        for sender_index, recipient_index in payment_plan(
+                self.rng, weighted, count, can_pay):
             sender = self.nodes[sender_index]
-            balance = sender.chain.state.balance(sender.keypair.public)
-            if balance < 1:
-                continue
-            recipient_index = int(self.rng.integers(weighted - 1))
-            if recipient_index >= sender_index:
-                recipient_index += 1
             nonce = nonces.get(sender_index,
                                sender.mempool.next_nonce_for(
                                    sender.chain.state,
@@ -293,10 +239,7 @@ class Simulation:
         if limit is None:
             # Generous per-round ceiling; hitting it is a test failure,
             # not silent truncation.
-            per_round = (self.config.params.lambda_block
-                         + self.config.params.lambda_step
-                         * self.config.params.max_steps)
-            limit = per_round * (rounds + 1)
+            limit = self.config.params.round_budget * (rounds + 1)
         self.env.run(until=limit, max_events=max_events,
                      stop_when=lambda: pending == 0)
         self._selection_delta = SELECTION_STATS.delta_since(
@@ -313,7 +256,8 @@ class Simulation:
                 raise TimeoutError(
                     f"aggregated run stalled: core nodes {stalled[:5]} "
                     f"halted below round {rounds} — a round ran deeper "
-                    f"than steps_ahead={self.config.steps_ahead}, whose "
+                    f"than steps_ahead="
+                    f"{self.config.population.steps_ahead}, whose "
                     f"later committees are dormant; raise steps_ahead "
                     f"(or the committee sizes) and rerun")
         unfinished = [node.index for node, process in zip(self.nodes,
@@ -359,6 +303,53 @@ class Simulation:
     # Observability
     # ------------------------------------------------------------------
 
+    def _runtime_counters(self) -> dict:
+        """Cache, admission and damping counters summed over the nodes.
+
+        The one aggregate both :meth:`summary` (as is) and the obs
+        harvester (under the registry's metric names) report. Sections
+        of layers that are switched off are absent.
+        """
+        counters: dict = {}
+        if self.verification_cache is not None:
+            counters["verification_cache"] = self.verification_cache.stats()
+        if self.quarantine_directory is not None:
+            admissions = [node.admission for node in self.nodes
+                          if node.admission is not None]
+            rejected: dict[str, int] = {}
+            for admission in admissions:
+                for reason, count in admission.rejected.items():
+                    rejected[reason] = rejected.get(reason, 0) + count
+            interfaces = self.network.interfaces
+            counters["admission"] = {
+                "admitted": sum(a.admitted for a in admissions),
+                "rejected": rejected,
+                "buffer_high_water": max(node.buffer.high_water
+                                         for node in self.nodes),
+                "buffer_evicted": sum(node.buffer.evicted
+                                      for node in self.nodes),
+                "buffer_rejected": sum(node.buffer.rejected
+                                       for node in self.nodes),
+                "egress_dropped": sum(i.egress_dropped for i in interfaces),
+                "egress_high_water": max(i.egress_high_water
+                                         for i in interfaces),
+                "quarantined": sorted(
+                    self.quarantine_directory.quarantined),
+                "banned": sorted(self.quarantine_directory.banned),
+                "quarantines": self.quarantine_directory.quarantines,
+            }
+        dampers = [node.damper for node in self.nodes
+                   if node.damper is not None]
+        if dampers:
+            # Core/live agents only — the authoritative network-wide
+            # count (transients included) is the live "gossip.damped.
+            # vote" counter the dampers increment themselves.
+            counters["damping"] = {
+                "suppressed": sum(d.suppressed for d in dampers),
+                "observed": sum(d.observed for d in dampers),
+            }
+        return counters
+
     def _harvest_obs(self, bus: TraceBus) -> None:
         """Pull the lazy runtime counters into the obs registry.
 
@@ -369,6 +360,7 @@ class Simulation:
         """
         metrics = bus.metrics
         env = self.env
+        counters = self._runtime_counters()
         metrics.set_gauge("simloop.events_processed", env.events_processed)
         metrics.set_gauge("simloop.immediates_processed",
                           env.immediates_processed)
@@ -380,12 +372,11 @@ class Simulation:
         metrics.set_gauge("gossip.dup_elided", self.network.dup_elided)
         metrics.set_gauge("network.total_bytes_sent",
                           self.network.total_bytes_sent)
-        if self.verification_cache is not None:
-            cache = self.verification_cache
-            metrics.set_counter("cache.hits", cache.hits)
-            metrics.set_counter("cache.misses", cache.misses)
-            metrics.set_counter("cache.negative_hits", cache.negative_hits)
-            metrics.set_gauge("cache.entries", len(cache))
+        cache = counters.get("verification_cache")
+        if cache is not None:
+            for name in ("hits", "misses", "negative_hits"):
+                metrics.set_counter("cache." + name, cache[name])
+            metrics.set_gauge("cache.entries", cache["entries"])
         if self.population is not None:
             for name, value in self.population.stats().items():
                 metrics.set_gauge("population." + name, value)
@@ -395,43 +386,19 @@ class Simulation:
             node.router.unknown_kinds for node in self.nodes))
         for name, value in self._selection_delta.items():
             metrics.set_counter("sortition." + name, value)
-        dampers = [node.damper for node in self.nodes
-                   if node.damper is not None]
-        if dampers:
-            # Core/live agents only — the authoritative network-wide
-            # count (transients included) is the live "gossip.damped.
-            # vote" counter the dampers increment themselves.
-            metrics.set_counter("damping.suppressed",
-                                sum(d.suppressed for d in dampers))
-            metrics.set_counter("damping.observed",
-                                sum(d.observed for d in dampers))
-        if self.quarantine_directory is not None:
-            admissions = [node.admission for node in self.nodes
-                          if node.admission is not None]
-            metrics.set_counter("admission.admitted", sum(
-                admission.admitted for admission in admissions))
-            rejected: dict[str, int] = {}
-            for admission in admissions:
-                for reason, count in admission.rejected.items():
-                    rejected[reason] = rejected.get(reason, 0) + count
-            for reason, count in sorted(rejected.items()):
+        for name, value in counters.get("damping", {}).items():
+            metrics.set_counter("damping." + name, value)
+        admission = counters.get("admission")
+        if admission is not None:
+            for reason, count in sorted(admission["rejected"].items()):
                 metrics.set_counter("admission.rejected." + reason, count)
-            metrics.set_gauge("admission.buffer_high_water", max(
-                node.buffer.high_water for node in self.nodes))
-            metrics.set_counter("admission.buffer_evicted", sum(
-                node.buffer.evicted for node in self.nodes))
-            metrics.set_counter("admission.buffer_rejected", sum(
-                node.buffer.rejected for node in self.nodes))
-            metrics.set_counter("admission.egress_dropped", sum(
-                interface.egress_dropped
-                for interface in self.network.interfaces))
-            metrics.set_gauge("admission.egress_high_water", max(
-                interface.egress_high_water
-                for interface in self.network.interfaces))
+            for name in ("admitted", "buffer_evicted", "buffer_rejected",
+                         "egress_dropped", "quarantines"):
+                metrics.set_counter("admission." + name, admission[name])
+            for name in ("buffer_high_water", "egress_high_water"):
+                metrics.set_gauge("admission." + name, admission[name])
             metrics.set_gauge("admission.quarantined_peers",
-                              len(self.quarantine_directory.quarantined))
-            metrics.set_counter("admission.quarantines",
-                                self.quarantine_directory.quarantines)
+                              len(admission["quarantined"]))
 
     def summary(self) -> dict:
         """One dict with every runtime counter an experiment may report.
@@ -454,41 +421,10 @@ class Simulation:
             "router_unknown_kinds": sum(node.router.unknown_kinds
                                         for node in self.nodes),
             "sortition": dict(self._selection_delta),
+            **self._runtime_counters(),
         }
-        if self.verification_cache is not None:
-            result["verification_cache"] = self.verification_cache.stats()
         if self.population is not None:
             result["population"] = self.population.stats()
-        if self.quarantine_directory is not None:
-            admissions = [node.admission for node in self.nodes
-                          if node.admission is not None]
-            rejected: dict[str, int] = {}
-            for admission in admissions:
-                for reason, count in admission.rejected.items():
-                    rejected[reason] = rejected.get(reason, 0) + count
-            result["admission"] = {
-                "admitted": sum(a.admitted for a in admissions),
-                "rejected": rejected,
-                "buffer_high_water": max(node.buffer.high_water
-                                         for node in self.nodes),
-                "buffer_evicted": sum(node.buffer.evicted
-                                      for node in self.nodes),
-                "egress_dropped": sum(i.egress_dropped
-                                      for i in self.network.interfaces),
-                "egress_high_water": max(i.egress_high_water
-                                         for i in self.network.interfaces),
-                "quarantined": sorted(
-                    self.quarantine_directory.quarantined),
-                "banned": sorted(self.quarantine_directory.banned),
-                "quarantines": self.quarantine_directory.quarantines,
-            }
-        dampers = [node.damper for node in self.nodes
-                   if node.damper is not None]
-        if dampers:
-            result["damping"] = {
-                "suppressed": sum(d.suppressed for d in dampers),
-                "observed": sum(d.observed for d in dampers),
-            }
         if self.conformance is not None:
             verdict = self.conformance.verdict()
             result["conformance"] = {

@@ -19,14 +19,13 @@ dividing per-user bandwidth by the users-per-VM packing factor.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 from repro.common.errors import NoSamplesError
 from repro.common.params import ProtocolParams, TEST_PARAMS
 from repro.experiments.harness import NetworkConfig, PopulationConfig, Simulation, SimulationConfig
 from repro.experiments.metrics import LatencySummary
-from repro.experiments.spec import LatencySpec, register_runner, run_point
+from repro.experiments.spec import LatencySpec, register_runner
 
 #: Scaled-down populations standing in for the paper's 5K..50K sweep.
 FIGURE5_USERS = [40, 80, 160, 320]
@@ -89,32 +88,6 @@ def run_spec(spec: LatencySpec) -> LatencyPoint:
     )
 
 
-def run_latency_point(num_users: int, *, seed: int = 0,
-                      params: ProtocolParams | None = None,
-                      rounds: int = 2, payload_bytes: int = 0,
-                      bandwidth_bps: float | None = 20e6,
-                      measure_round: int = 2) -> LatencyPoint:
-    """Deprecated keyword shim: build a :class:`LatencySpec` instead."""
-    warnings.warn(
-        "run_latency_point() is deprecated; build a LatencySpec and call "
-        "repro.experiments.run_point(spec)", DeprecationWarning,
-        stacklevel=2)
-    return run_point(LatencySpec(
-        num_users=num_users, seed=seed, params=params, rounds=rounds,
-        payload_bytes=payload_bytes, bandwidth_bps=bandwidth_bps,
-        measure_round=measure_round,
-    )).point
-
-
-def figure5(users: list[int] | None = None, *, seed: int = 0,
-            params: ProtocolParams | None = None,
-            payload_bytes: int = 50_000) -> list[LatencyPoint]:
-    """Latency vs number of users (Figure 5 shape)."""
-    return [run_point(spec).point
-            for spec in figure5_specs(users, seed=seed, params=params,
-                                      payload_bytes=payload_bytes)]
-
-
 def figure5_specs(users: list[int] | None = None, *, seed: int = 0,
                   params: ProtocolParams | None = None,
                   payload_bytes: int = 50_000) -> list[LatencySpec]:
@@ -124,19 +97,6 @@ def figure5_specs(users: list[int] | None = None, *, seed: int = 0,
                     payload_bytes=payload_bytes)
         for i, n in enumerate(users if users is not None else FIGURE5_USERS)
     ]
-
-
-def figure6(users: list[int] | None = None, *, seed: int = 0,
-            params: ProtocolParams | None = None,
-            packing: int = FIGURE6_PACKING) -> list[LatencyPoint]:
-    """Latency vs users under shared-host bandwidth contention (Figure 6).
-
-    Per-user bandwidth shrinks by the packing factor and lambda_step
-    grows, mirroring the paper's configuration change.
-    """
-    return [run_point(spec).point
-            for spec in figure6_specs(users, seed=seed, params=params,
-                                      packing=packing)]
 
 
 def figure6_specs(users: list[int] | None = None, *, seed: int = 0,

@@ -3,9 +3,7 @@
 The paper's evaluation (section 10) is a *grid of sweeps* — latency vs.
 user count (Fig. 5), contention (Fig. 6), block size (Fig. 7), malicious
 fraction (Fig. 8), proposal-wait window (section 6) — and every point of
-every grid used to be run through a differently-shaped ``run_*_point``
-function. This module replaces those four ad-hoc signatures with one
-contract:
+every grid goes through one contract:
 
 * an :class:`ExperimentSpec` — a **frozen, picklable, JSON-serializable**
   dataclass that completely determines one measurement point (including
@@ -18,11 +16,6 @@ Because specs are picklable and self-contained, the sweep engine
 (:mod:`repro.experiments.sweep`) can ship them to shared-nothing worker
 processes and merge results deterministically; because they serialize to
 canonical JSON, finished points can be checkpointed and resumed.
-
-The legacy ``run_latency_point`` / ``run_adversarial_point`` /
-``run_block_size_point`` / ``run_waiting_point`` entry points survive as
-thin keyword-compatible wrappers that emit :class:`DeprecationWarning`
-and forward here.
 """
 
 from __future__ import annotations
@@ -352,7 +345,3 @@ def run_point(spec: ExperimentSpec) -> PointResult:
     """The one entry point: validate + run one experiment spec."""
     return PointResult(spec=spec, point=spec.run())
 
-
-def run_point_json(spec_record: dict) -> dict:
-    """JSON-in/JSON-out variant used by sweep worker processes."""
-    return run_point(spec_from_json(spec_record)).to_json()

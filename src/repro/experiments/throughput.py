@@ -16,19 +16,14 @@ and compares with Bitcoin (125x at 10 MByte blocks).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.baselines.nakamoto import NakamotoConfig, throughput_bytes_per_hour
-from repro.common.params import ProtocolParams, TEST_PARAMS
+from repro.common.params import TEST_PARAMS
 from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
-from repro.experiments.spec import (
-    BlockSizeSpec,
-    register_runner,
-    run_point,
-)
+from repro.experiments.spec import BlockSizeSpec, register_runner
 
 #: Scaled block-size sweep standing in for the paper's 1 KB..10 MB.
 FIGURE7_BLOCK_SIZES = [1_000, 10_000, 50_000, 100_000, 250_000]
@@ -84,29 +79,6 @@ def run_spec(spec: BlockSizeSpec) -> BlockSizePoint:
         final_step_time=float(np.median(
             [record.final_step_duration for record in records])),
     )
-
-
-def run_block_size_point(block_size: int, *, num_users: int = 40,
-                         seed: int = 0,
-                         params: ProtocolParams | None = None,
-                         bandwidth_bps: float = 5e6) -> BlockSizePoint:
-    """Deprecated keyword shim: build a :class:`BlockSizeSpec`."""
-    warnings.warn(
-        "run_block_size_point() is deprecated; build a BlockSizeSpec and "
-        "call repro.experiments.run_point(spec)", DeprecationWarning,
-        stacklevel=2)
-    return run_point(BlockSizeSpec(
-        block_size=block_size, num_users=num_users, seed=seed,
-        params=params, bandwidth_bps=bandwidth_bps,
-    )).point
-
-
-def figure7(block_sizes: list[int] | None = None, *, seed: int = 0,
-            num_users: int = 40) -> list[BlockSizePoint]:
-    """Latency breakdown vs block size (Figure 7 shape)."""
-    return [run_point(spec).point
-            for spec in figure7_specs(block_sizes, seed=seed,
-                                      num_users=num_users)]
 
 
 def figure7_specs(block_sizes: list[int] | None = None, *, seed: int = 0,

@@ -34,18 +34,6 @@ class TimeoutReport:
     lambda_block_budget: float  # stepvar + priority + block
     rounds: int
 
-    @property
-    def steps_within_budget(self) -> bool:
-        return self.step_p99 < self.lambda_step
-
-    @property
-    def variance_within_budget(self) -> bool:
-        return self.ba_iqr < self.lambda_stepvar
-
-    @property
-    def proposals_within_budget(self) -> bool:
-        return self.proposal_p99 < self.lambda_block_budget
-
 
 def measure_timeouts(num_users: int = 40, *, rounds: int = 3, seed: int = 0,
                      params: ProtocolParams | None = None,

@@ -53,7 +53,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common.errors import SpecError
 from repro.common.params import TEST_PARAMS, ProtocolParams
 from repro.experiments.harness import RuntimeConfig, Simulation, SimulationConfig
 from repro.experiments.metrics import format_table

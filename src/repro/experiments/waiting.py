@@ -17,14 +17,13 @@ latency cost above it.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.params import ProtocolParams, TEST_PARAMS
+from repro.common.params import TEST_PARAMS
 from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
-from repro.experiments.spec import WaitingSpec, register_runner, run_point
+from repro.experiments.spec import WaitingSpec, register_runner
 
 #: Wait-window values (seconds) swept by the benchmark, spanning "far too
 #: short" to "comfortably padded" for the scaled WAN.
@@ -72,28 +71,6 @@ def run_spec(spec: WaitingSpec) -> WaitingPoint:
         median_latency=float(np.median(latencies)),
         rounds=rounds,
     )
-
-
-def run_waiting_point(wait_seconds: float, *, num_users: int = 20,
-                      rounds: int = 3, seed: int = 0,
-                      params: ProtocolParams | None = None) -> WaitingPoint:
-    """Deprecated keyword shim: build a :class:`WaitingSpec`."""
-    warnings.warn(
-        "run_waiting_point() is deprecated; build a WaitingSpec and call "
-        "repro.experiments.run_point(spec)", DeprecationWarning,
-        stacklevel=2)
-    return run_point(WaitingSpec(
-        wait_seconds=wait_seconds, num_users=num_users, rounds=rounds,
-        seed=seed, params=params,
-    )).point
-
-
-def waiting_tradeoff(waits: list[float] | None = None, *, seed: int = 0,
-                     num_users: int = 20) -> list[WaitingPoint]:
-    """The full sweep (section 6 trade-off curve)."""
-    return [run_point(spec).point
-            for spec in waiting_specs(waits, seed=seed,
-                                      num_users=num_users)]
 
 
 def waiting_specs(waits: list[float] | None = None, *, seed: int = 0,

@@ -28,7 +28,7 @@ Chaos extensions (all inert when ``faults`` is empty):
   respawns it as a fresh ``node_main`` with ``rejoin=True`` and a
   ``clock_offset`` resuming scenario time, then re-admits it through
   the same hello/peers/ready/start conversation. The victim rebuilds
-  its chain over gossip (:mod:`repro.live.catchup`).
+  its chain over gossip (:class:`repro.node.catchup.ChainSync`).
 * Trace merging stitches every incarnation together and synthesizes
   the events a SIGKILLed process cannot write for itself —
   ``step_exit`` closures for steps open at the kill, ``node_crashed``
@@ -59,8 +59,9 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.chaos.scenario import FaultAction
-from repro.common.params import TEST_PARAMS, ProtocolParams
-from repro.experiments.config import ConfigError, SimulationConfig, SubstrateConfig
+from repro.common.errors import ConfigError
+from repro.common.params import TEST_PARAMS
+from repro.node.deployment import SimulationConfig, SubstrateConfig
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.live.faults import unsupported_live_kinds
 from repro.network.wire import decode_block
@@ -145,7 +146,6 @@ class LiveCluster:
                 "the live substrate requires population mode 'full' "
                 "(every process is one first-class node)")
         self.config = config
-        self.params: ProtocolParams = config.params or LIVE_SMOKE_PARAMS
         self.num_nodes = config.num_users
         self.faults: tuple[FaultAction, ...] = tuple(faults)
         for action in self.faults:
@@ -217,7 +217,8 @@ class LiveCluster:
             "chains_equal": self.all_chains_equal(),
             "tips": {i: r["tip"].hex()[:16]
                      for i, r in sorted(self.results.items())},
-            "conformance_ok": all(r["conformance_ok"]
+            # A node run with conformance off reports ``None``.
+            "conformance_ok": all(r["conformance_ok"] is not False
                                   for r in self.results.values()),
             "conformance_violations": sum(r["conformance_violations"]
                                           for r in self.results.values()),
@@ -245,28 +246,17 @@ class LiveCluster:
 
     def _node_config(self, index: int, control, *,
                      incarnation: int = 0) -> dict:
-        sub = self.config.substrate
+        """What one node process is told: the deployment's config, whole,
+        plus the facts only the coordinator knows about this process."""
         runtime_dir = str(self.runtime_dir)
         suffix = f"-r{incarnation}" if incarnation else ""
         cfg = {
+            "config": self.config.to_json(),
             "index": index,
-            "num_nodes": self.num_nodes,
-            "seed": self.config.seed,
-            "params": dataclasses.asdict(self.params),
-            "transport": sub.transport,
-            "runtime_dir": runtime_dir,
-            "host": sub.host,
-            "base_port": sub.base_port,
             "control": control,
-            "initial_balance": self.config.initial_balance,
-            "balances": self.config.balances,
+            "runtime_dir": runtime_dir,
             "trace": str(Path(runtime_dir)
                          / f"trace-{index}{suffix}.jsonl"),
-            "connect_timeout": sub.connect_timeout,
-            "drain_budget": sub.drain_budget,
-            "rx_queue_limit": sub.rx_queue_limit,
-            "use_admission": self.config.runtime.use_admission,
-            "relay_damping": self.config.runtime.relay_damping,
             "incarnation": incarnation,
         }
         cfg.update(self.node_overrides.get(index, {}))
@@ -488,9 +478,8 @@ class LiveCluster:
                     "ready", timeout=sub.connect_timeout))
                 self.startup[index] = ready["startup"]
 
-            per_round = (self.params.lambda_block
-                         + self.params.lambda_step * self.params.max_steps)
-            deadline = time_limit or per_round * (rounds + 1)
+            deadline = (time_limit
+                        or self.config.params.round_budget * (rounds + 1))
             self._start_message = {
                 "type": "start",
                 "payments": self._payments,

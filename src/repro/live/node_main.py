@@ -1,11 +1,14 @@
 """One live node process: ``python -m repro.live.node_main <config.json>``.
 
 Spawned by :class:`repro.live.cluster.LiveCluster`, one per node. The
-process builds the exact stack the sim harness builds — keys, chain,
-admission, damping, obs, conformance — but on a :class:`LiveClock` and
-a :class:`LiveTransport`, then follows the control conversation in
-:mod:`repro.live.control`: hello → peers → (dial/accept gossip links)
-→ ready → start → run rounds → result.
+config file carries the deployment's :class:`SimulationConfig` as JSON
+(under ``"config"``) next to the facts only this process has — its
+index, the control address, its runtime directory and trace path, its
+incarnation. The process builds the exact stack the sim harness builds,
+with the same builder (:mod:`repro.node.deployment`), but on a
+:class:`LiveClock` and a :class:`LiveTransport`, then follows the
+control conversation in :mod:`repro.live.control`: hello → peers →
+(dial/accept gossip links) → ready → start → run rounds → result.
 
 Determinism across processes comes from construction, not luck: every
 process derives the same keypairs and genesis from the shared seed, and
@@ -23,7 +26,7 @@ Robustness plumbing (all dormant in a clean run):
 * **Rejoin** — a respawned process (``rejoin`` config flag) resumes its
   trace clock at ``clock_offset``, rebinds its original address, emits
   ``node_restarted``, and catches up over gossip
-  (:class:`~repro.live.catchup.LiveChainSync`) before running rounds.
+  (:class:`~repro.node.catchup.ChainSync`) before running rounds.
 """
 
 from __future__ import annotations
@@ -39,25 +42,25 @@ from numpy.random import default_rng  # by name: see repro.live.faults
 
 from repro.chaos.scenario import FaultAction
 from repro.common.encoding import decode, encode
-from repro.common.params import ProtocolParams
 from repro.conformance.monitor import ConformanceMonitor
-from repro.crypto.backend import CachedBackend, FastBackend
-from repro.crypto.hashing import H
-from repro.ledger.blockchain import Blockchain
 from repro.ledger.transaction import make_transaction
-from repro.live.catchup import LiveChainSync
 from repro.live.clock import LiveClock
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.live.faults import LiveFaultPlane
 from repro.live.transport import LiveTransport, PeerLink
 from repro.network.wire import FrameDecoder, encode_block, encode_frame
 from repro.node.agent import Node
+from repro.node.catchup import ChainSync
+from repro.node.deployment import (
+    SimulationConfig,
+    build_node,
+    derive_genesis,
+    make_backend,
+    payment_plan,
+)
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
-from repro.runtime.admission import AdmissionConfig, attach_admission
-from repro.runtime.cache import VerificationCache
-from repro.runtime.damping import attach_damping
 
 #: Wall time at which the imports above finished (start-up report).
 _IMPORTED_AT = time.time()
@@ -65,6 +68,10 @@ _IMPORTED_AT = time.time()
 #: Reconnect backoff: first retry delay and cap (seconds).
 RECONNECT_BACKOFF_BASE = 0.25
 RECONNECT_BACKOFF_CAP = 3.0
+
+#: ``resync`` polls after a ConsensusHalted before halting for good: a
+#: catch-up answer takes wall time (see ``Node.resync_retries``).
+RESYNC_RETRIES = 60
 
 
 async def _read_hello(reader: asyncio.StreamReader
@@ -94,21 +101,23 @@ class NodeProcess:
 
     def __init__(self, cfg: dict) -> None:
         self.cfg = cfg
+        self.config = SimulationConfig.from_json(cfg["config"])
         self.index: int = cfg["index"]
-        self.num_nodes: int = cfg["num_nodes"]
-        self.seed: int = cfg["seed"]
-        self.params = ProtocolParams(**cfg["params"])
+        self.num_nodes: int = self.config.num_users
+        self.params = self.config.params
+        self.incarnation = int(cfg.get("incarnation", 0))
         self.rejoin: bool = bool(cfg.get("rejoin"))
-        self.clock = LiveClock(tick=cfg.get("tick", 0.25))
+        self.clock = LiveClock()
         # A respawned process resumes protocol time where the kill left
         # it, so its trace timestamps merge monotonically with everyone
         # else's and scripted fault windows stay aligned.
         self.clock.now = float(cfg.get("clock_offset", 0.0))
+        substrate = self.config.substrate
         self.transport = LiveTransport(
             self.index, self.clock,
-            drain_budget=cfg.get("drain_budget", 128),
-            rx_queue_limit=cfg.get("rx_queue_limit", 4096),
-            incarnation=int(cfg.get("incarnation", 0)))
+            drain_budget=substrate.drain_budget,
+            rx_queue_limit=substrate.rx_queue_limit,
+            incarnation=self.incarnation)
         self.transport.on_link_down = self._ensure_redial
         self._links_complete = asyncio.Event()
         self._server: asyncio.base_events.Server | None = None
@@ -142,8 +151,8 @@ class NodeProcess:
         self._check_links()
 
     async def _listen(self) -> str | list:
-        cfg = self.cfg
-        if cfg["transport"] == "uds":
+        cfg, substrate = self.cfg, self.config.substrate
+        if substrate.transport == "uds":
             path = str(Path(cfg["runtime_dir"])
                        / f"node-{self.index}.sock")
             # A respawn after SIGKILL finds its own stale socket file.
@@ -152,14 +161,15 @@ class NodeProcess:
                 self._on_peer_connect, path=path)
             return path
         port = cfg.get("rebind_port") or (
-            (cfg["base_port"] + self.index) if cfg["base_port"] else 0)
+            (substrate.base_port + self.index) if substrate.base_port
+            else 0)
         self._server = await asyncio.start_server(
-            self._on_peer_connect, host=cfg["host"], port=port)
+            self._on_peer_connect, host=substrate.host, port=port)
         bound_port = self._server.sockets[0].getsockname()[1]
-        return [cfg["host"], bound_port]
+        return [substrate.host, bound_port]
 
     async def _dial_peer(self, peer: int, address) -> None:
-        if self.cfg["transport"] == "uds":
+        if self.config.substrate.transport == "uds":
             reader, writer = await asyncio.open_unix_connection(address)
         else:
             reader, writer = await asyncio.open_connection(
@@ -214,75 +224,60 @@ class NodeProcess:
         finally:
             self._redial_tasks.pop(peer, None)
 
-    # -- the protocol stack (mirrors the sim harness wiring) ------------
+    # -- the protocol stack (the sim harness's builder, live substrate) --
 
     def _build_node(self) -> Node:
-        cfg = self.cfg
-        inner = FastBackend()
-        self.verification_cache = VerificationCache()
-        backend = CachedBackend(inner, self.verification_cache)
-        self.keypairs = [
-            backend.keypair(H(b"user-key", encode([self.seed, i])))
-            for i in range(self.num_nodes)
-        ]
-        genesis_seed = H(b"genesis", encode(self.seed))
-        balances = cfg.get("balances")
-        if balances is not None:
-            initial_balances = {kp.public: int(balances[i])
-                                for i, kp in enumerate(self.keypairs)}
-        else:
-            initial_balances = {kp.public: cfg["initial_balance"]
-                                for kp in self.keypairs}
-        chain = Blockchain(initial_balances, genesis_seed,
-                           self.params.seed_refresh_interval)
+        config = self.config
+        backend, self.verification_cache = make_backend(config)
+        self.genesis = derive_genesis(config, backend)
         self.bus = TraceBus()
         self.bus.bind_clock(lambda: self.clock.now)
         self.transport.obs = self.bus
         # durable + line-buffered: a SIGKILL mid-run loses at most the
         # line being written, so the chaos coordinator can read a
         # victim's trace back after the kill.
-        self.sink = JsonlTraceSink(cfg["trace"], buffer_lines=1,
+        self.sink = JsonlTraceSink(self.cfg["trace"], buffer_lines=1,
                                    durable=True)
         self.bus.add_sink(self.sink)
-        self.monitor = ConformanceMonitor(registry=self.bus.metrics)
-        self.bus.add_sink(self.monitor)
+        #: Online reference-machine checker; ``None`` when the config
+        #: switches conformance off (a live node always has a bus, so
+        #: ``"auto"`` means on).
+        self.monitor: ConformanceMonitor | None = None
+        if config.runtime.wants_conformance(traced=True):
+            self.monitor = ConformanceMonitor(registry=self.bus.metrics)
+            self.bus.add_sink(self.monitor)
 
         def harvest(bus: TraceBus) -> None:
             metrics = bus.metrics
-            for name, value in self.transport.stats().items():
+            for name, value in self._stats().items():
                 metrics.set_gauge("live." + name, value)
             metrics.set_gauge("live.max_lag_s", self.clock.max_lag)
             metrics.set_gauge("simloop.events_processed",
                               self.clock.events_processed)
             metrics.set_gauge("simloop.now", self.clock.now)
-            self.monitor.harvest(metrics)
+            if self.monitor is not None:
+                self.monitor.harvest(metrics)
 
         self.bus.add_harvester(harvest)
-        node = Node(
-            index=self.index, env=self.clock,
-            keypair=self.keypairs[self.index], backend=backend,
-            params=self.params, chain=chain, interface=self.transport,
-            registry=BlockRegistry(), obs=self.bus,
-        )
-        index_of = {kp.public: i for i, kp in enumerate(self.keypairs)}
-        if cfg.get("use_admission", True):
-            attach_admission(node, AdmissionConfig(), directory=None,
-                             index_of=index_of)
-        if cfg.get("relay_damping", True):
-            attach_damping(node)
+        node = build_node(
+            config, self.genesis, self.index, clock=self.clock,
+            transport=self.transport, backend=backend,
+            registry=BlockRegistry(), obs=self.bus)
         # Live catch-up: chainreq/chain handlers + the resync hook, and
         # patience after a ConsensusHalted — answers take wall time.
-        self.chain_sync = LiveChainSync(
+        self.chain_sync = ChainSync(
             node, self.clock, self.transport,
             check_interval=max(0.25, self.params.lambda_step / 2),
             serve_cooldown=self.params.lambda_step,
             request_cooldown=self.params.lambda_step,
             # One whole worst-case round without a commit == stalled.
-            stall_after=(self.params.lambda_block
-                         + self.params.max_steps * self.params.lambda_step))
+            stall_after=self.params.round_budget)
         node.resync_patience = max(0.25, self.params.lambda_step / 2)
-        node.resync_retries = int(cfg.get("resync_retries", 60))
+        node.resync_retries = RESYNC_RETRIES
         return node
+
+    def _stats(self) -> dict:
+        return {**self.transport.stats(), **self.chain_sync.stats()}
 
     def _startup_report(self, build_began: float) -> dict:
         """Where this process's start-up went (the ``ready`` message).
@@ -315,22 +310,18 @@ class NodeProcess:
         already-committed transactions die at assembly against state,
         uncommitted ones get a second chance to gossip.
         """
-        n = self.num_nodes
-        rng = default_rng(self.seed)
+        keypairs = self.genesis.keypairs
         nonces: dict[int, int] = {}
-        for k in range(count):
-            sender_index = k % n
-            recipient_index = int(rng.integers(n - 1))
-            if recipient_index >= sender_index:
-                recipient_index += 1
+        for sender_index, recipient_index in payment_plan(
+                default_rng(self.config.seed), self.num_nodes, count):
             nonce = nonces.get(sender_index, 0)
             nonces[sender_index] = nonce + 1
             if sender_index != self.index:
                 continue
-            keypair = self.keypairs[sender_index]
+            keypair = keypairs[sender_index]
             tx = make_transaction(
                 node.backend, keypair.secret, keypair.public,
-                self.keypairs[recipient_index].public, 1, nonce)
+                keypairs[recipient_index].public, 1, nonce)
             node.submit_transaction(tx)
 
     # -- main -----------------------------------------------------------
@@ -342,9 +333,9 @@ class NodeProcess:
             print(f"node {self.index}: exit_at_start requested",
                   file=sys.stderr, flush=True)
             raise SystemExit(17)
-        timeout = cfg.get("connect_timeout", 30.0)
+        timeout = self.config.substrate.connect_timeout
         address = await self._listen()
-        if cfg["transport"] == "uds":
+        if self.config.substrate.transport == "uds":
             reader, writer = await asyncio.open_unix_connection(
                 cfg["control"])
         else:
@@ -378,16 +369,15 @@ class NodeProcess:
         node = self._build_node()
         self.fault_plane = LiveFaultPlane(
             self.index, self.num_nodes, self.clock, self.transport,
-            self.seed)
+            self.config.seed)
         self.fault_plane.on_release = self._ensure_redial
         await send_message(writer, {
             "type": "ready", "index": self.index,
             "startup": self._startup_report(build_began)})
         start = await control.expect("start", timeout=timeout)
         rounds: int = start["rounds"]
-        per_round = (self.params.lambda_block
-                     + self.params.lambda_step * self.params.max_steps)
-        deadline = start.get("deadline") or per_round * (rounds + 1)
+        deadline = (start.get("deadline")
+                    or self.params.round_budget * (rounds + 1))
         self.fault_plane.install(
             FaultAction.from_dict(record)
             for record in start.get("faults", ()))
@@ -396,9 +386,10 @@ class NodeProcess:
             # cannot have witnessed (the coordinator synthesizes the
             # real node_crashed into the merged trace at kill time);
             # without this, node_restarted from IDLE would be flagged.
-            self.monitor.write_event({
-                "kind": "node_crashed", "node": self.index,
-                "round": node.chain.next_round, "t": self.clock.now})
+            if self.monitor is not None:
+                self.monitor.write_event({
+                    "kind": "node_crashed", "node": self.index,
+                    "round": node.chain.next_round, "t": self.clock.now})
             node.obs.emit("node_restarted", node=self.index,
                           round=node.chain.next_round)
             # Ask the network for the history we missed and give the
@@ -427,22 +418,25 @@ class NodeProcess:
         chain = node.chain
         blocks = [encode_block(chain.block_at(r))
                   for r in range(1, chain.height + 1)]
-        verdict = self.monitor.verdict()
+        verdict = (self.monitor.verdict() if self.monitor is not None
+                   else None)
         await send_message(writer, {
             "type": "result",
             "index": self.index,
-            "incarnation": int(cfg.get("incarnation", 0)),
+            "incarnation": self.incarnation,
             "height": chain.height,
             "tip": chain.tip_hash,
             "blocks": blocks,
             "halted": node.halted,
             "trace": cfg["trace"],
-            "conformance_ok": verdict.ok,
-            "conformance_violations": len(verdict.violations),
+            # ``None``: this node ran with conformance switched off.
+            "conformance_ok": verdict.ok if verdict is not None else None,
+            "conformance_violations": (len(verdict.violations)
+                                       if verdict is not None else 0),
             "dropped_events": (self.bus.dropped_events
                                + self.sink.dropped),
             "stats": {key: int(value) for key, value
-                      in self.transport.stats().items()},
+                      in self._stats().items()},
         })
         # Linger: keep the clock pumping — and with it gossip dispatch
         # and chain serving — until the coordinator's ``stop`` releases

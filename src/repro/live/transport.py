@@ -164,7 +164,7 @@ class LiveTransport:
     """
 
     def __init__(self, index: int, clock: LiveClock, *,
-                 drain_budget: int = 128, rx_queue_limit: int = 4096,
+                 drain_budget: int, rx_queue_limit: int,
                  incarnation: int = 0, obs=None) -> None:
         self.index = index
         self.clock = clock
@@ -188,9 +188,6 @@ class LiveTransport:
         #: Optional :class:`repro.live.faults.LiveFaultPlane` injecting
         #: scripted partition/loss/delay effects on this node's links.
         self.fault_plane = None
-        #: Optional :class:`repro.live.catchup.LiveChainSync`, referenced
-        #: only so :meth:`stats` can report its counters.
-        self.chain_sync = None
         #: Callback fired (once per link) when a link's reader or writer
         #: dies and the peer is neither severed nor the whole transport
         #: closing — the owner decides whether to redial.
@@ -398,16 +395,8 @@ class LiveTransport:
             if metrics is not None:
                 metrics.inc("gossip.relayed." + envelope.kind)
 
-    # -- maintenance (NetworkInterface parity) --------------------------
-
-    def prune_seen(self, watermark: int, horizon_rounds: int) -> None:
-        """Live dedup ids are origin-namespaced, not globally monotone,
-        so the sim's watermark pruning does not apply; the seen-set is
-        bounded by the run length instead (cleared with the process)."""
-
     def stats(self) -> dict:
         plane = self.fault_plane
-        sync = self.chain_sync
         return {
             "bytes_sent": self.bytes_sent,
             "messages_sent": self.messages_sent,
@@ -422,8 +411,4 @@ class LiveTransport:
                                      if plane is not None else 0),
             "fault_delayed_frames": (plane.delayed_frames
                                      if plane is not None else 0),
-            "catchup_served": sync.served if sync is not None else 0,
-            "catchup_adopted": sync.adopted if sync is not None else 0,
-            "catchup_requests": (sync.requests_sent
-                                 if sync is not None else 0),
         }

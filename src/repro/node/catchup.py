@@ -1,11 +1,40 @@
-"""Bootstrapping new users (section 8.3).
+"""Catch-up: section 8.3, offline and over gossip, on either substrate.
 
-A joining user downloads the block history with its certificates and
-validates everything *in order* starting from the genesis block: the
-weights used to check round ``r``'s certificate come from the state after
-round ``r - 1``, and the sortition seed comes from the replayed seed
-chain. Final blocks are totally ordered, so checking safety needs only
-the most recent final certificate.
+A joining or lagging user downloads the block history with its
+certificates and validates everything *in order* starting from the
+genesis block: the weights used to check round ``r``'s certificate come
+from the state after round ``r - 1``, and the sortition seed comes from
+the replayed seed chain (:func:`replay_chain`). Final blocks are totally
+ordered, so checking safety needs only the most recent final certificate
+(:func:`verify_final_safety`).
+
+:class:`ChainSync` runs that replay as a request/response pair of gossip
+kinds, written against the substrate API (``clock.now``/``schedule``,
+``transport.broadcast``/``disconnected``) so the same object serves a
+live process and a virtual-time test:
+
+* ``"chainreq"`` (:class:`ChainRequest`) — a node that believes it has
+  fallen behind floods its height; requests relay, so a helper beyond
+  the requester's direct neighbors still hears it on a partial mesh.
+* ``"chain"`` (:class:`ChainAnnouncement`) — any peer strictly ahead
+  answers with its full history + certificates (throttled). The
+  receiver replays it from genesis, every certificate checked, and
+  **stashes** the validated replica; the round loop adopts it at the
+  next boundary or ConsensusHalted via the standard ``node.resync``
+  hook, so the reference machine sees a legal ``catchup_adopted``.
+
+Falling behind is detected three ways: an explicit
+:meth:`ChainSync.request` at rejoin, a periodic lag probe watching the
+vote buffer for rounds two or more ahead of our own (pipelining
+legitimately runs one round ahead), and a stall detector in the same
+probe — a node whose height has not moved for ``stall_after`` seconds
+starts requesting outright, which covers the case where every peer is
+already done (no fresh votes to betray the lag) and the ConsensusHalted
+patience loop is polling an empty stash.
+
+The sim chaos injector still restarts crashed nodes through
+:func:`resync_from_peers`, which reads peer ``Node`` objects directly —
+a luxury a real process does not have.
 """
 
 from __future__ import annotations
@@ -21,10 +50,12 @@ from repro.crypto.backend import CryptoBackend
 from repro.ledger.block import Block
 from repro.ledger.blockchain import Blockchain
 from repro.network.message import Envelope
+from repro.node.recovery import RECOVERY_ROUND_BASE
 from repro.sortition.seed import fallback_seed, verify_seed
 
 if TYPE_CHECKING:
     from repro.node.agent import Node
+    from repro.substrate.api import Clock, Transport
 
 
 def replay_chain(blocks: Iterable[Block],
@@ -166,32 +197,108 @@ def build_announcement(chain: Blockchain) -> ChainAnnouncement:
 
 
 class ChainSync:
-    """Gossip-driven catch-up: section 8.3 as a routed message handler.
+    """Request/response catch-up bound to one node."""
 
-    Registers a ``"chain"`` handler on the node's
-    :class:`repro.runtime.MessageRouter`. Peers announce their history
-    with :meth:`announce`; a receiver replays any strictly longer
-    announcement from genesis (:func:`replay_chain`, certificate checks
-    included) and adopts it only if every round validates. Invalid or
-    not-longer announcements are not relayed — the validate-before-relay
-    rule of section 8.4 applied to bootstrap traffic.
-    """
-
-    def __init__(self, node: "Node") -> None:
+    def __init__(self, node: "Node", clock: "Clock",
+                 transport: "Transport", *,
+                 check_interval: float = 0.5,
+                 serve_cooldown: float = 1.0,
+                 request_cooldown: float = 1.0,
+                 stall_after: float = 10.0) -> None:
         self.node = node
+        self.clock = clock
+        self.transport = transport
+        self.check_interval = check_interval
+        self.serve_cooldown = serve_cooldown
+        self.request_cooldown = request_cooldown
+        self.stall_after = stall_after
+        self._last_height = node.chain.height
+        self._last_progress = clock.now
+        #: Validated, strictly-longer replica awaiting adoption at the
+        #: next round boundary (or ConsensusHalted retry).
+        self.pending: Blockchain | None = None
+        self.served = 0
         self.adopted = 0
         self.rejected = 0
-        node.router.register("chain", self._handle_announcement)
+        self.requests_sent = 0
+        self._last_serve = float("-inf")
+        self._last_request = float("-inf")
+        node.router.register("chain", self._on_announcement)
+        node.router.register("chainreq", self._on_request)
+        node.resync = self.take_pending
+        self._probe = clock.schedule(check_interval, self._lag_probe)
+
+    def close(self) -> None:
+        """Detach from the node: no handlers, no hook, no probe."""
+        self.node.router.unregister("chain")
+        self.node.router.unregister("chainreq")
+        self.node.resync = None
+        self._probe.cancel()
+
+    def stats(self) -> dict[str, int]:
+        return {"catchup_served": self.served,
+                "catchup_adopted": self.adopted,
+                "catchup_requests": self.requests_sent}
+
+    # -- requesting ------------------------------------------------------
+
+    def request(self) -> None:
+        """Flood a catch-up request (throttled)."""
+        now = self.clock.now
+        if now - self._last_request < self.request_cooldown:
+            return
+        self._last_request = now
+        request = ChainRequest(height=self.node.chain.height)
+        self.transport.broadcast(Envelope(
+            origin=self.node.keypair.public, kind="chainreq",
+            payload=request, size=request.size))
+        self.requests_sent += 1
+
+    def _lag_probe(self) -> None:
+        """Request when the vote buffer or a flat height says we lag.
+
+        Peers at the same height simply ignore the request, so a
+        fully-caught-up cluster only pays a trickle of control traffic.
+        A disconnected node stops probing until it is rebuilt.
+        """
+        if not self.transport.disconnected:
+            height = self.node.chain.height
+            if height != self._last_height:
+                self._last_height = height
+                self._last_progress = self.clock.now
+            ahead = max(
+                (round_number
+                 for round_number in self.node.buffer.rounds_buffered()
+                 if round_number < RECOVERY_ROUND_BASE),
+                default=0)
+            stalled = (self.clock.now - self._last_progress
+                       >= self.stall_after)
+            if ahead >= self.node.chain.next_round + 2 or stalled:
+                self.request()
+            self._probe = self.clock.schedule(self.check_interval,
+                                              self._lag_probe)
+
+    # -- serving ---------------------------------------------------------
+
+    def _on_request(self, request: ChainRequest) -> bool:
+        if self.node.chain.height > request.height:
+            now = self.clock.now
+            if now - self._last_serve >= self.serve_cooldown:
+                self._last_serve = now
+                self.announce()
+        return True  # relay: helpers beyond our neighbors may be longer
 
     def announce(self) -> None:
         """Broadcast this node's chain for lagging peers to replay."""
         announcement = build_announcement(self.node.chain)
-        self.node.interface.broadcast(Envelope(
+        self.transport.broadcast(Envelope(
             origin=self.node.keypair.public, kind="chain",
-            payload=announcement, size=announcement.size,
-        ))
+            payload=announcement, size=announcement.size))
+        self.served += 1
 
-    def _handle_announcement(self, announcement: ChainAnnouncement) -> bool:
+    # -- receiving -------------------------------------------------------
+
+    def _on_announcement(self, announcement: ChainAnnouncement) -> bool:
         node = self.node
         if announcement.length <= node.chain.height:
             # Nothing to learn, but keep the flood alive for lagging
@@ -204,6 +311,9 @@ class ChainSync:
                 and (announcement.blocks[-1].block_hash
                      == node.chain.block_at(announcement.length).block_hash)
             )
+        if (self.pending is not None
+                and announcement.length <= self.pending.height):
+            return True  # already holding something at least as long
         try:
             replayed = replay_chain(
                 announcement.blocks, announcement.certificates,
@@ -214,12 +324,17 @@ class ChainSync:
         except (InvalidCertificate, LedgerError):
             self.rejected += 1
             return False  # never relay a history that failed validation
-        node.chain = replayed
-        self.adopted += 1
+        self.pending = replayed
         return True
 
-    def close(self) -> None:
-        self.node.router.unregister("chain")
+    def take_pending(self) -> Blockchain | None:
+        """``node.resync`` hook: hand over the stashed replica, if longer."""
+        replica = self.pending
+        self.pending = None
+        if replica is not None and replica.height > self.node.chain.height:
+            self.adopted += 1
+            return replica
+        return None
 
 
 def resync_from_peers(node: "Node",
@@ -264,13 +379,9 @@ def catch_up_from(node_chain: Blockchain, *, params: ProtocolParams,
     certificates from an existing replica and replays them as a new user
     would.
     """
-    blocks = node_chain.blocks[1:]
-    certificates = {}
-    for block in blocks:
-        certificate = node_chain.certificate_at(block.round_number)
-        if certificate is not None:
-            certificates[block.round_number] = certificate
+    announcement = build_announcement(node_chain)
     return replay_chain(
-        blocks, certificates, initial_balances=initial_balances,
-        genesis_seed=genesis_seed, params=params, backend=backend,
+        announcement.blocks, announcement.certificates,
+        initial_balances=initial_balances, genesis_seed=genesis_seed,
+        params=params, backend=backend,
     )

@@ -1,37 +1,37 @@
-"""Deployment configuration: nested groups with flat-kwarg back-compat.
+"""One description of a deployment, one builder of a node.
 
-:class:`SimulationConfig` historically accumulated ~20 flat knobs; they
-are now grouped by the layer that consumes them:
+Everything a substrate needs to stand up the protocol stack lives here,
+so the sim harness, the aggregated population and a live node process
+configure and wire the *same* node instead of three look-alikes:
 
-* :class:`NetworkConfig` — the gossip fabric (bandwidth, latency model,
-  peer degree, dedup horizon).
-* :class:`RuntimeConfig` — the runtime layers wrapped around the node
-  (verification cache, admission gate, relay damping, batch
-  verification, conformance monitoring).
-* :class:`PopulationConfig` — how users are represented (full agents vs
-  the aggregated stake pool).
-* :class:`SubstrateConfig` — what carries the protocol: the virtual
-  discrete-event world (``"sim"``, the default) or real OS processes
-  over sockets (``"live"``, see :mod:`repro.live`).
-
-Each group is frozen and owns its ``validate()``;
-:meth:`SimulationConfig.validate` runs the cross-field checks and
-delegates the rest. The old flat keywords
-(``SimulationConfig(bandwidth_bps=None, relay_damping=False)``) are
-still accepted — they are merged onto the matching group and a single
-:class:`DeprecationWarning` names the knobs to migrate (the same shim
-pattern as the ``run_*_point`` wrappers). Flat *reads*
-(``config.bandwidth_bps``) keep working silently via read-through
-properties, so result dicts and experiment code stay stable.
+* :class:`SimulationConfig` — seven scalars plus one frozen group per
+  consuming layer: :class:`NetworkConfig` (gossip fabric),
+  :class:`RuntimeConfig` (verification cache, admission gate, relay
+  damping, conformance), :class:`PopulationConfig` (full agents vs the
+  aggregated stake pool) and :class:`SubstrateConfig` (virtual time in
+  one process, or OS processes over sockets). Each group owns its
+  ``validate()``; :meth:`SimulationConfig.validate` adds the cross-field
+  checks. :meth:`SimulationConfig.to_json` / ``from_json`` are what
+  crosses a process boundary: a live node runs on the coordinator's
+  config, not on defaults of its own.
+* :func:`derive_genesis` — key pairs, balances and the genesis seed,
+  all functions of ``config.seed``, so every process of a deployment
+  derives the same :class:`Genesis` without exchanging it.
+* :func:`build_node` — the only place a node stack is wired: chain,
+  agent, admission gate, relay damper. The clock and the transport are
+  injected, which is all that distinguishes the substrates here.
+* :func:`payment_plan` — the one payment schedule both substrates'
+  ``submit_payments`` draw from.
+* :func:`deploy` — the harness ``config.substrate`` selects.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator
 
+from repro.common.encoding import encode
 from repro.common.errors import (
     BalancesError,
     ConfigError,
@@ -39,10 +39,26 @@ from repro.common.errors import (
     PopulationError,
 )
 from repro.common.params import ProtocolParams, TEST_PARAMS
-from repro.runtime.admission import AdmissionConfig
+from repro.crypto.backend import (
+    CachedBackend,
+    CryptoBackend,
+    FastBackend,
+    KeyPair,
+)
+from repro.crypto.hashing import H
+from repro.ledger.blockchain import Blockchain
+from repro.node.agent import Node
+from repro.node.registry import BlockRegistry
+from repro.runtime.admission import (
+    AdmissionConfig,
+    QuarantineDirectory,
+    attach_admission,
+)
+from repro.runtime.cache import VerificationCache
+from repro.runtime.damping import attach_damping
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    pass
+if TYPE_CHECKING:  # typing only: a node process does not load repro.substrate
+    from repro.substrate.api import Clock, Transport
 
 
 @dataclass(frozen=True)
@@ -121,6 +137,18 @@ class RuntimeConfig:
             raise ConfigError(
                 f"conformance must be True, False, or 'auto', "
                 f"got {self.conformance!r}")
+
+    def admission_budgets(self) -> AdmissionConfig | None:
+        """The admission budgets in force; ``None`` with the gate off."""
+        if not self.use_admission:
+            return None
+        return self.admission or AdmissionConfig()
+
+    def wants_conformance(self, traced: bool) -> bool:
+        """Resolve ``conformance`` for a run that has (or lacks) a bus."""
+        if isinstance(self.conformance, bool):
+            return self.conformance
+        return traced
 
 
 @dataclass(frozen=True)
@@ -213,48 +241,21 @@ class SubstrateConfig:
                 f"rx_queue_limit must be >= 1, got {self.rx_queue_limit}")
 
 
-_UNSET = object()
-
-#: Legacy flat keyword → (group field, knob name). The shim in
-#: ``SimulationConfig.__init__`` merges these onto the matching nested
-#: group (flat wins, so ``dataclasses.replace(config, relay_damping=...)``
-#: keeps working) and warns once per call listing the knobs used.
-_FLAT_KNOBS: dict[str, tuple[str, str]] = {
-    "bandwidth_bps": ("network", "bandwidth_bps"),
-    "latency_model": ("network", "latency_model"),
-    "uniform_latency": ("network", "uniform_latency"),
-    "peers_per_node": ("network", "peers_per_node"),
-    "reshuffle_peers_each_round": ("network", "reshuffle_peers_each_round"),
-    "seen_horizon_rounds": ("network", "seen_horizon_rounds"),
-    "use_verification_cache": ("runtime", "use_verification_cache"),
-    "use_admission": ("runtime", "use_admission"),
-    "admission": ("runtime", "admission"),
-    "relay_damping": ("runtime", "relay_damping"),
-    "conformance": ("runtime", "conformance"),
-    "always_on_core": ("population", "always_on_core"),
-    "steps_ahead": ("population", "steps_ahead"),
-}
-
-
-@dataclass(init=False)
+@dataclass
 class SimulationConfig:
     """Parameters of one deployment (simulated or live).
 
-    Construct with nested groups::
+    Seven scalars plus one frozen group per consuming layer::
 
         SimulationConfig(num_users=50, seed=11,
                          network=NetworkConfig(bandwidth_bps=None),
                          population=PopulationConfig(mode="aggregated"))
 
-    The pre-group flat keywords are still accepted under a single
-    :class:`DeprecationWarning` and merged onto the groups (flat wins
-    over an explicitly supplied group, which is what
-    ``dataclasses.replace(config, relay_damping=False)`` relies on).
-    Flat attribute *reads* remain first-class and silent.
+    Change a knob with ``dataclasses.replace`` on the group that owns it.
     """
 
     num_users: int = 20
-    params: ProtocolParams = field(default_factory=lambda: TEST_PARAMS)
+    params: ProtocolParams = TEST_PARAMS
     seed: int = 0
     #: Currency units per user ("equal share of money", section 10).
     initial_balance: int = 10
@@ -267,121 +268,34 @@ class SimulationConfig:
     #: Extra zero-stake nodes appended after the weighted users. They
     #: exercise the paper's "passive participation" property (section 7).
     num_observers: int = 0
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
-    population: PopulationConfig = field(default_factory=PopulationConfig)
-    substrate: SubstrateConfig = field(default_factory=SubstrateConfig)
+    network: NetworkConfig = NetworkConfig()
+    runtime: RuntimeConfig = RuntimeConfig()
+    population: PopulationConfig = PopulationConfig()
+    substrate: SubstrateConfig = SubstrateConfig()
 
-    def __init__(self, num_users: int = 20,
-                 params: ProtocolParams | None = None,
-                 seed: int = 0,
-                 initial_balance: int = 10,
-                 *,
-                 balances: list[int] | None = None,
-                 num_malicious: int = 0,
-                 num_observers: int = 0,
-                 network: NetworkConfig | None = None,
-                 runtime: RuntimeConfig | None = None,
-                 population: "PopulationConfig | str | None" = None,
-                 substrate: SubstrateConfig | None = None,
-                 **flat) -> None:
-        self.num_users = num_users
-        self.params = params if params is not None else TEST_PARAMS
-        self.seed = seed
-        self.initial_balance = initial_balance
-        self.balances = balances
-        self.num_malicious = num_malicious
-        self.num_observers = num_observers
-        self.network = network if network is not None else NetworkConfig()
-        self.runtime = runtime if runtime is not None else RuntimeConfig()
-        self.substrate = (substrate if substrate is not None
-                          else SubstrateConfig())
-        legacy_used: list[str] = []
-        if isinstance(population, str):
-            # Pre-group API: population was the mode string itself.
-            legacy_used.append(f"population={population!r}")
-            self.population = PopulationConfig(mode=population)
-        else:
-            self.population = (population if population is not None
-                               else PopulationConfig())
-        grouped: dict[str, dict[str, object]] = {}
-        for name, value in flat.items():
-            target = _FLAT_KNOBS.get(name)
-            if target is None:
-                raise TypeError(
-                    f"SimulationConfig got an unexpected keyword "
-                    f"argument {name!r}")
-            group_field, knob = target
-            grouped.setdefault(group_field, {})[knob] = value
-            legacy_used.append(name)
-        for group_field, overrides in grouped.items():
-            setattr(self, group_field,
-                    dataclasses.replace(getattr(self, group_field),
-                                        **overrides))
-        if legacy_used:
-            warnings.warn(
-                f"flat SimulationConfig knob(s) {', '.join(legacy_used)} "
-                f"are deprecated; pass nested groups instead "
-                f"(NetworkConfig/RuntimeConfig/PopulationConfig/"
-                f"SubstrateConfig)",
-                DeprecationWarning, stacklevel=2)
+    # -- serialization (what crosses a process boundary) ---------------
 
-    # -- flat read-through (silent; result dicts and experiments rely
-    # -- on these names staying readable) ------------------------------
+    def to_json(self) -> dict:
+        """Plain-data form: nested dicts, JSON-safe as is."""
+        return dataclasses.asdict(self)
 
-    @property
-    def bandwidth_bps(self) -> float | None:
-        return self.network.bandwidth_bps
+    @classmethod
+    def from_json(cls, record: dict) -> "SimulationConfig":
+        """Rebuild a config from :meth:`to_json` output.
 
-    @property
-    def latency_model(self) -> str:
-        return self.network.latency_model
-
-    @property
-    def uniform_latency(self) -> float:
-        return self.network.uniform_latency
-
-    @property
-    def peers_per_node(self) -> int:
-        return self.network.peers_per_node
-
-    @property
-    def reshuffle_peers_each_round(self) -> bool:
-        return self.network.reshuffle_peers_each_round
-
-    @property
-    def seen_horizon_rounds(self) -> int | None:
-        return self.network.seen_horizon_rounds
-
-    @property
-    def use_verification_cache(self) -> bool:
-        return self.runtime.use_verification_cache
-
-    @property
-    def use_admission(self) -> bool:
-        return self.runtime.use_admission
-
-    @property
-    def admission(self) -> AdmissionConfig | None:
-        return self.runtime.admission
-
-    @property
-    def relay_damping(self) -> bool:
-        return self.runtime.relay_damping
-
-    @property
-    def conformance(self) -> bool | str:
-        return self.runtime.conformance
-
-    @property
-    def always_on_core(self) -> int:
-        return self.population.always_on_core
-
-    @property
-    def steps_ahead(self) -> int:
-        return self.population.steps_ahead
-
-    # ------------------------------------------------------------------
+        A field this version does not know is a ``TypeError`` — a node
+        process must never run on half of what the coordinator meant.
+        """
+        data = dict(record)
+        data["params"] = ProtocolParams(**data["params"])
+        runtime = dict(data["runtime"])
+        if runtime["admission"] is not None:
+            runtime["admission"] = AdmissionConfig(**runtime["admission"])
+        data["runtime"] = RuntimeConfig(**runtime)
+        data["network"] = NetworkConfig(**data["network"])
+        data["population"] = PopulationConfig(**data["population"])
+        data["substrate"] = SubstrateConfig(**data["substrate"])
+        return cls(**data)
 
     def validate(self) -> None:
         """Raise a typed :class:`~repro.common.errors.ConfigError` subclass
@@ -453,3 +367,105 @@ def deploy(config: SimulationConfig, **kwargs):
     from repro.experiments.harness import Simulation
 
     return Simulation(config, **kwargs)
+
+
+# ---------------------------------------------------------------------
+# The builder: what every substrate derives and wires identically
+# ---------------------------------------------------------------------
+
+
+def make_backend(config: SimulationConfig,
+                 inner: CryptoBackend | None = None
+                 ) -> tuple[CryptoBackend, VerificationCache | None]:
+    """The crypto backend nodes share, and its cache (``None`` if off).
+
+    The cache wraps outermost: a hit never reaches an inner
+    ``CountingBackend``'s tally, only its ``cache_hits`` mirror.
+    """
+    inner = inner if inner is not None else FastBackend()
+    if not config.runtime.use_verification_cache:
+        return inner, None
+    cache = VerificationCache(counts=getattr(inner, "counts", None))
+    return CachedBackend(inner, cache), cache
+
+
+@dataclass(frozen=True)
+class Genesis:
+    """What all nodes of a deployment agree on before round 1."""
+
+    #: One key pair per node, observers last (index == node index).
+    keypairs: list[KeyPair]
+    #: The genesis ledger. Zero-balance accounts have no entry — they
+    #: exist as keys only — on every substrate.
+    initial_balances: dict[bytes, int]
+    seed: bytes
+    #: Public key -> node index (admission's origin-blame lookups).
+    index_of: dict[bytes, int]
+
+
+def derive_genesis(config: SimulationConfig,
+                   backend: CryptoBackend) -> Genesis:
+    """Keys, balances and genesis seed — all functions of ``config.seed``."""
+    balances = config.make_balances() + [0] * config.num_observers
+    keypairs = [backend.keypair(H(b"user-key", encode([config.seed, i])))
+                for i in range(len(balances))]
+    return Genesis(
+        keypairs=keypairs,
+        initial_balances={kp.public: balance
+                          for kp, balance in zip(keypairs, balances)
+                          if balance > 0},
+        seed=H(b"genesis", encode(config.seed)),
+        index_of={kp.public: i for i, kp in enumerate(keypairs)},
+    )
+
+
+def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
+               clock: Clock, transport: Transport,
+               backend: CryptoBackend, registry: BlockRegistry,
+               obs=None, node_class: type[Node] = Node,
+               directory: QuarantineDirectory | None = None,
+               chain: Blockchain | None = None) -> Node:
+    """Wire one node stack onto an injected clock and transport.
+
+    ``chain`` defaults to a fresh genesis chain; the aggregated
+    population passes an array-backed genesis or a boundary replica.
+    ``directory`` is the network-wide quarantine state (sim only: a live
+    node scores its peers locally and severs nobody else's links).
+    """
+    if chain is None:
+        chain = Blockchain(genesis.initial_balances, genesis.seed,
+                           config.params.seed_refresh_interval)
+    node = node_class(
+        index=index, env=clock, keypair=genesis.keypairs[index],
+        backend=backend, params=config.params, chain=chain,
+        interface=transport, registry=registry, obs=obs)
+    budgets = config.runtime.admission_budgets()
+    if budgets is not None:
+        attach_admission(node, budgets, directory=directory,
+                         index_of=genesis.index_of)
+    if config.runtime.relay_damping:
+        attach_damping(node)
+    return node
+
+
+def payment_plan(rng, senders: int, count: int,
+                 can_pay: Callable[[int], bool] | None = None
+                 ) -> Iterator[tuple[int, int]]:
+    """``(sender, recipient)`` index pairs of ``count`` payments.
+
+    Payment ``k`` is sent by ``k % senders`` (round-robin keeps each
+    sender's nonces sequential) to a recipient drawn from ``rng`` among
+    the others. A sender ``can_pay`` refuses is skipped *before* the
+    draw (the sim shares ``rng`` with its network model, so the stream
+    must not move). A lone user has nobody to pay: the plan is empty.
+    """
+    if senders < 2:
+        return
+    for k in range(count):
+        sender = k % senders
+        if can_pay is not None and not can_pay(sender):
+            continue
+        recipient = int(rng.integers(senders - 1))
+        if recipient >= sender:
+            recipient += 1
+        yield sender, recipient

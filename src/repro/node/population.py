@@ -52,14 +52,14 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.baplus.voting import interrupt_open_steps
-from repro.common.errors import ConfigError
-from repro.common.params import ProtocolParams
-from repro.crypto.backend import CryptoBackend, KeyPair
+from repro.crypto.backend import CryptoBackend
 from repro.ledger.arraystate import AccountIndex, ArrayState, ArrayWeights
 from repro.ledger.blockchain import Blockchain
 from repro.network.gossip import GossipNetwork
 from repro.node.agent import Node
+from repro.node.deployment import Genesis, SimulationConfig, build_node
 from repro.node.registry import BlockRegistry
+from repro.runtime.admission import QuarantineDirectory
 from repro.sim.loop import Environment, Process
 from repro.sortition.pool import pool_select
 from repro.sortition.roles import (
@@ -74,45 +74,36 @@ from repro.sortition.roles import (
 class Population:
     """Owns the stake pool and the live-agent table of one deployment."""
 
-    def __init__(self, *, env: Environment, backend: CryptoBackend,
-                 params: ProtocolParams, network: GossipNetwork,
-                 registry: BlockRegistry, keypairs: list[KeyPair],
-                 balances: list[int], genesis_seed: bytes,
-                 core_size: int, steps_ahead: int = 4,
-                 node_class: type[Node] = Node,
-                 obs=None,
-                 attach_admission: Callable[[Node], None] | None = None,
+    def __init__(self, config: SimulationConfig, genesis: Genesis, *,
+                 env: Environment, backend: CryptoBackend,
+                 network: GossipNetwork, registry: BlockRegistry,
+                 node_class: type[Node] = Node, obs=None,
+                 directory: QuarantineDirectory | None = None,
                  round_hook: Callable[[int], None] | None = None) -> None:
-        if core_size < 1:
-            raise ConfigError("always-on core must hold at least 1 agent")
-        if steps_ahead < 1:
-            raise ConfigError("steps_ahead must be >= 1")
+        self.config = config
+        self.genesis = genesis
         self.env = env
         self.backend = backend
-        self.params = params
+        self.params = config.params
         self.network = network
         self.registry = registry
-        self.keypairs = keypairs
-        self.genesis_seed = genesis_seed
-        self.steps_ahead = steps_ahead
+        self.steps_ahead = config.population.steps_ahead
         self.node_class = node_class
         self.obs = obs
-        self._attach_admission = attach_admission
+        self._directory = directory
         #: Harness round hook (seen-set pruning, quarantine round end,
         #: optional reshuffle) — invoked on the designated core agent's
         #: commits, exactly as the classic harness does via node 0.
         self._round_hook = round_hook
 
+        keypairs = genesis.keypairs
         self.num_accounts = len(keypairs)
-        self.core = list(range(min(core_size, self.num_accounts)))
+        self.core = list(range(min(config.population.always_on_core,
+                                   self.num_accounts)))
         self._all_core = len(self.core) == self.num_accounts
         #: Stable account index: slot i == simulation node index i.
         self.index = AccountIndex(kp.public for kp in keypairs)
         self._secrets = [kp.secret for kp in keypairs]
-        self.initial_balances = {
-            kp.public: balance
-            for kp, balance in zip(keypairs, balances) if balance > 0
-        }
 
         #: Live agents by slot (core + current transients).
         self.live: dict[int, Node] = {}
@@ -144,19 +135,18 @@ class Population:
         a genesis chain (construction-time core agents).
         """
         if source is None:
-            chain = Blockchain(self.initial_balances, self.genesis_seed,
+            chain = Blockchain(self.genesis.initial_balances,
+                               self.genesis.seed,
                                self.params.seed_refresh_interval,
                                state_factory=self._state_factory)
         else:
             chain = source.replica()
-        node = self.node_class(
-            index=slot, env=self.env, keypair=self.keypairs[slot],
-            backend=self.backend, params=self.params, chain=chain,
-            interface=self.network.interfaces[slot],
+        node = build_node(
+            self.config, self.genesis, slot, clock=self.env,
+            transport=self.network.interfaces[slot], backend=self.backend,
             registry=self.registry, obs=self.obs,
-        )
-        if self._attach_admission is not None:
-            self._attach_admission(node)
+            node_class=self.node_class, directory=self._directory,
+            chain=chain)
         node.on_commit = (
             lambda round_number, _node=node: self.note_commit(
                 _node, round_number))

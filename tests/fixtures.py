@@ -12,7 +12,9 @@ Deduplicates the three shapes almost every integration test rebuilds:
 * :func:`signed_vote` — a validly-signed :class:`VoteMessage` from one
   of a simulation's users, with forgeable fields overridable per test;
 * :func:`record_received` — a recording ``relay_policy`` on every
-  interface of a bare gossip network (what each node accepted).
+  interface of a bare gossip network (what each node accepted);
+* :func:`live_transport` — a socket-less :class:`LiveTransport` with the
+  queue bounds a default deployment would hand it.
 
 Import from tests as ``from tests.fixtures import run_sim`` (the tests
 directory is a package).
@@ -25,8 +27,14 @@ import hashlib
 from repro.baplus.messages import VoteMessage, make_vote
 from repro.common.encoding import encode
 from repro.crypto.hashing import H
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import (
+    Simulation,
+    SimulationConfig,
+    SubstrateConfig,
+)
 from repro.ledger.block import Block
+from repro.live.clock import LiveClock
+from repro.live.transport import LiveTransport
 from repro.obs import TraceBus
 
 
@@ -133,6 +141,19 @@ def record_received(net, relay: bool = True) -> list[list]:
             return relay
         interface.relay_policy = policy
     return received
+
+
+def live_transport(index: int = 0, clock: LiveClock | None = None,
+                   **overrides) -> LiveTransport:
+    """A :class:`LiveTransport` with no sockets behind it.
+
+    The queue bounds have one default, on :class:`SubstrateConfig`;
+    ``overrides`` replaces them (or passes ``obs``/``incarnation``).
+    """
+    bounds = {"drain_budget": SubstrateConfig.drain_budget,
+              "rx_queue_limit": SubstrateConfig.rx_queue_limit}
+    return LiveTransport(index, clock if clock is not None else LiveClock(),
+                         **{**bounds, **overrides})
 
 
 def signed_vote(sim: Simulation, voter_index: int, round_number: int,

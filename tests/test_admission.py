@@ -16,7 +16,11 @@ from repro.baplus.buffer import VoteBuffer
 from repro.baplus.messages import VoteMessage, make_vote
 from repro.common.errors import ConfigError
 from repro.crypto.hashing import H
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import (
+    RuntimeConfig,
+    Simulation,
+    SimulationConfig,
+)
 from repro.network.message import vote_envelope
 from repro.node.recovery import RECOVERY_ROUND_BASE, RecoverySession
 from repro.runtime.admission import (
@@ -352,7 +356,8 @@ class TestAdmissionGate:
         assert node.admission.health.scores[2] > 0
 
     def test_flood_budget_blocks_origin(self):
-        sim = self._sim(admission=AdmissionConfig(flood_budget_per_round=5))
+        sim = self._sim(runtime=RuntimeConfig(
+            admission=AdmissionConfig(flood_budget_per_round=5)))
         node = sim.nodes[0]
         keypair = sim.keypairs[2]
         for k in range(5):
@@ -415,8 +420,9 @@ class TestQuarantineTopology:
         """Enabling the admission machinery must not perturb the honest
         topology: same seed, same neighbor map, admission on or off."""
         with_admission = Simulation(SimulationConfig(num_users=12, seed=9))
-        without = Simulation(SimulationConfig(num_users=12, seed=9,
-                                              use_admission=False))
+        without = Simulation(SimulationConfig(
+            num_users=12, seed=9,
+            runtime=RuntimeConfig(use_admission=False)))
         assert ([i.neighbors for i in with_admission.network.interfaces]
                 == [i.neighbors for i in without.network.interfaces])
 
@@ -428,7 +434,8 @@ class TestHonestDeterminism:
         tips = {}
         for use_admission in (True, False):
             sim = run_sim(2, payments=12, num_users=10, seed=21,
-                          use_admission=use_admission)
+                          runtime=RuntimeConfig(
+                              use_admission=use_admission))
             tips[use_admission] = [node.chain.tip_hash
                                    for node in sim.nodes]
             if use_admission:

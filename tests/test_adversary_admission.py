@@ -10,7 +10,11 @@ identifies exactly the attackers, never an honest peer.
 from __future__ import annotations
 
 from repro.adversary import FloodingNode, MaliciousNode, SpamVoteNode
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import (
+    RuntimeConfig,
+    Simulation,
+    SimulationConfig,
+)
 from repro.runtime.admission import AdmissionConfig
 
 ROUNDS = 2
@@ -21,7 +25,8 @@ def _run_attack(malicious_class, *, num_users=10, num_malicious=2, seed=61,
     """Run a Byzantine sim until every honest node commits ROUNDS."""
     sim = Simulation(
         SimulationConfig(num_users=num_users, seed=seed,
-                         num_malicious=num_malicious, admission=admission),
+                         num_malicious=num_malicious,
+                         runtime=RuntimeConfig(admission=admission)),
         malicious_class=malicious_class)
     processes = [node.start(ROUNDS) for node in sim.nodes]
     honest = processes[:num_users - num_malicious]

@@ -10,7 +10,11 @@ from repro.adversary import (
     FilterChain,
     Partitioner,
 )
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import (
+    RuntimeConfig,
+    Simulation,
+    SimulationConfig,
+)
 from repro.network.message import Envelope
 
 
@@ -114,7 +118,7 @@ class TestStrategyMechanics:
         # reject it at ingress, so run the pre-admission wiring.
         sim = Simulation(
             SimulationConfig(num_users=12, seed=14, num_malicious=12,
-                             use_admission=False),
+                             runtime=RuntimeConfig(use_admission=False)),
             malicious_class=DoubleVotingNode)
         node = sim.nodes[0]
         from repro.baplus.messages import make_vote

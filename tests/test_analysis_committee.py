@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from repro.analysis.committee import (
     FIGURE3_EPSILON,
@@ -50,11 +52,46 @@ class TestViolationProbability:
             violation_probability(2000, 0.685, 0.0)
 
 
+def _scalar_violation_probability(tau, threshold, honest_fraction):
+    """The per-threshold arithmetic, one scipy call per term — the
+    reference the vectorised grid must reproduce bit for bit."""
+    quorum = threshold * tau
+    mean_honest = honest_fraction * tau
+    mean_bad = (1.0 - honest_fraction) * tau
+    p_liveness = poisson.cdf(math.floor(quorum), mean_honest)
+    b_hi = int(mean_bad + 12 * math.sqrt(max(mean_bad, 1.0))) + 2
+    b_values = np.arange(0, b_hi)
+    b_pmf = poisson.pmf(b_values, mean_bad)
+    g_needed = 2.0 * (quorum - b_values)
+    p_g_exceeds = poisson.sf(np.floor(g_needed), mean_honest)
+    p_g_exceeds[g_needed < 0] = 1.0
+    p_safety = float(np.dot(b_pmf, p_g_exceeds))
+    p_safety += float(poisson.sf(b_hi - 1, mean_bad))
+    return min(1.0, p_liveness + p_safety)
+
+
 class TestBestThreshold:
     def test_paper_threshold_recovered(self):
         """The optimizer should land on T ~ 0.685 at the paper's point."""
         threshold, _ = best_threshold(2000, 0.80)
         assert abs(threshold - 0.685) < 0.02
+
+    @pytest.mark.parametrize("tau, honest_fraction", [
+        (2000, 0.80), (500, 0.90), (7, 0.76), (12_000, 0.76)])
+    def test_vectorised_grid_equals_the_scalar_loop(self, tau,
+                                                    honest_fraction):
+        """Same arithmetic per element, so equality is exact — also at
+        tau = 7 (nothing feasible: the first grid point wins the tie)
+        and at 12,000, where the grid is evaluated in several chunks."""
+        best = (2.0 / 3.0 + 1e-6, 1.0)
+        for t in np.linspace(best[0], honest_fraction - 1e-6, 200):
+            p = _scalar_violation_probability(tau, float(t),
+                                              honest_fraction)
+            if p < best[1]:
+                best = (float(t), p)
+        assert best_threshold(tau, honest_fraction) == best
+        assert (violation_probability(tau, best[0], honest_fraction)
+                == best[1])
 
 
 class TestCommitteeSizeFor:

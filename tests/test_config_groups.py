@@ -1,15 +1,17 @@
-"""Config regrouping tests: nested groups, flat-kwarg shims, validation.
+"""Config surface tests: nested groups, JSON round trip, validation.
 
-``SimulationConfig``'s knobs moved into four frozen groups
-(``network``, ``runtime``, ``population``, ``substrate``). The old flat
-keyword arguments must keep working — under a ``DeprecationWarning``
-that names the offending knobs — and ``dataclasses.replace`` must keep
-working on configs built either way (the chaos engine relies on it).
+``SimulationConfig`` is a plain dataclass of seven scalars and four
+frozen groups (``network``, ``runtime``, ``population``,
+``substrate``). There is no flat spelling of a grouped knob: passing one
+is a ``TypeError``, and ``dataclasses.replace`` swaps whole groups (the
+chaos engine relies on it). ``to_json``/``from_json`` is what a live
+node process is configured from, so it must lose nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import warnings
 
 import pytest
@@ -20,6 +22,7 @@ from repro.common.errors import (
     LatencyModelError,
     PopulationError,
 )
+from repro.common.params import TEST_PARAMS
 from repro.experiments.harness import (
     NetworkConfig,
     PopulationConfig,
@@ -27,12 +30,7 @@ from repro.experiments.harness import (
     SimulationConfig,
     SubstrateConfig,
 )
-
-
-def _quiet(**kwargs) -> SimulationConfig:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return SimulationConfig(**kwargs)
+from repro.runtime.admission import AdmissionConfig
 
 
 class TestNestedConstruction:
@@ -68,64 +66,60 @@ class TestNestedConstruction:
 
 
 class TestFlatShims:
-    def test_flat_kwarg_warns_and_names_the_knob(self):
-        with pytest.warns(DeprecationWarning, match="bandwidth_bps"):
-            config = SimulationConfig(num_users=6, bandwidth_bps=5e6)
-        assert config.network.bandwidth_bps == 5e6
+    """The flat keyword shims are gone; what stays is how a dataclass
+    says no, and that ``replace`` still swaps one group."""
 
-    def test_flat_and_nested_builds_are_equal(self):
-        flat = _quiet(num_users=6, seed=3, latency_model="uniform",
-                      uniform_latency=0.02, relay_damping=False,
-                      peers_per_node=3)
-        nested = SimulationConfig(
-            num_users=6, seed=3,
-            network=NetworkConfig(latency_model="uniform",
-                                  uniform_latency=0.02, peers_per_node=3),
-            runtime=RuntimeConfig(relay_damping=False))
-        assert flat == nested
-
-    def test_read_through_properties(self):
-        config = SimulationConfig(
-            num_users=6,
-            network=NetworkConfig(peers_per_node=7),
-            population=PopulationConfig(mode="aggregated",
-                                        always_on_core=5, steps_ahead=2))
-        assert config.peers_per_node == 7
-        assert config.always_on_core == 5
-        assert config.steps_ahead == 2
-
-    def test_population_string_shim(self):
-        with pytest.warns(DeprecationWarning, match="population"):
-            config = SimulationConfig(num_users=6, population="aggregated",
-                                      always_on_core=4)
-        assert config.population.mode == "aggregated"
-        assert config.population.always_on_core == 4
+    @pytest.mark.parametrize("knob", [
+        "bandwidth_bps", "relay_damping", "always_on_core", "admission"])
+    def test_flat_kwarg_is_a_type_error(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            SimulationConfig(num_users=6, **{knob: 1})
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="no_such_knob"):
             SimulationConfig(num_users=6, no_such_knob=1)
 
-    def test_replace_preserves_flat_overrides(self):
-        """The chaos engine does replace(config, relay_damping=...)."""
-        base = _quiet(num_users=6, bandwidth_bps=5e6, peers_per_node=3)
-        flipped = _quiet_replace(base, relay_damping=False)
-        assert flipped.network.bandwidth_bps == 5e6
-        assert flipped.network.peers_per_node == 3
-        assert flipped.runtime.relay_damping is False
-
     def test_replace_with_nested_group(self):
         base = SimulationConfig(num_users=6,
                                 runtime=RuntimeConfig(use_admission=False))
-        swapped = _quiet_replace(
+        swapped = dataclasses.replace(
             base, network=NetworkConfig(latency_model="uniform"))
         assert swapped.network.latency_model == "uniform"
         assert swapped.runtime.use_admission is False
 
 
-def _quiet_replace(config, **changes):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return dataclasses.replace(config, **changes)
+class TestJsonRoundTrip:
+    @pytest.mark.parametrize("config", [
+        SimulationConfig(),
+        SimulationConfig(
+            num_users=7, seed=3, initial_balance=4, num_malicious=2,
+            num_observers=1, params=TEST_PARAMS.scaled(0.25),
+            network=NetworkConfig(bandwidth_bps=None, peers_per_node=3,
+                                  latency_model="uniform",
+                                  seen_horizon_rounds=None),
+            runtime=RuntimeConfig(use_verification_cache=False,
+                                  relay_damping=False, conformance=True)),
+        SimulationConfig(
+            num_users=3, balances=[5, 0, 2],
+            runtime=RuntimeConfig(admission=AdmissionConfig(
+                vote_buffer_budget=7, egress_lane_budget=None))),
+        SimulationConfig(
+            population=PopulationConfig(mode="aggregated",
+                                        always_on_core=4, steps_ahead=6),
+            substrate=SubstrateConfig(kind="live", transport="tcp",
+                                      base_port=9000, runtime_dir="rt",
+                                      drain_budget=16, rx_queue_limit=64)),
+    ], ids=["defaults", "scalars-network-runtime", "balances-admission",
+            "population-substrate"])
+    def test_round_trip_through_json_text(self, config):
+        text = json.dumps(config.to_json())
+        assert SimulationConfig.from_json(json.loads(text)) == config
+
+    def test_unknown_field_is_rejected(self):
+        record = SimulationConfig().to_json()
+        record["network"]["warp_factor"] = 9
+        with pytest.raises(TypeError, match="warp_factor"):
+            SimulationConfig.from_json(record)
 
 
 class TestValidation:

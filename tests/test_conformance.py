@@ -25,7 +25,12 @@ import pytest
 from repro.chaos import generate_scenario, run_scenario
 from repro.conformance import ConformanceMonitor, NodeMachine
 from repro.conformance.__main__ import main as conformance_main
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import (
+    PopulationConfig,
+    RuntimeConfig,
+    Simulation,
+    SimulationConfig,
+)
 from repro.obs import (
     EVENT_KINDS,
     EventSchemaError,
@@ -90,7 +95,8 @@ class TestCleanTraces:
         sim, bus = run_traced(
             2, num_users=150, initial_balance=1, seed=2,
             params=TEST_PARAMS.scaled(0.1),
-            population="aggregated", always_on_core=8, steps_ahead=6)
+            population=PopulationConfig(mode="aggregated",
+                                        always_on_core=8, steps_ahead=6))
         verdict = sim.conformance.verdict()
         assert verdict.ok, verdict.violations
         # Retirement events flow through the machine's grace path.
@@ -120,7 +126,8 @@ class TestCleanTraces:
     def test_monitor_is_pure_observer(self):
         def chain(conformance):
             sim = Simulation(SimulationConfig(
-                num_users=8, seed=3, conformance=conformance))
+                num_users=8, seed=3,
+                runtime=RuntimeConfig(conformance=conformance)))
             sim.submit_payments(8)
             sim.run_rounds(2)
             return [sim.nodes[0].chain.block_at(r).block_hash
@@ -130,16 +137,18 @@ class TestCleanTraces:
 
     def test_conformance_knob_validation(self):
         with pytest.raises(Exception):
-            SimulationConfig(num_users=8, conformance="yes").validate()
+            SimulationConfig(num_users=8, runtime=RuntimeConfig(
+                conformance="yes")).validate()
 
     def test_forced_conformance_without_bus(self):
-        sim = run_sim(1, num_users=8, seed=3, conformance=True)
+        sim = run_sim(1, num_users=8, seed=3,
+                      runtime=RuntimeConfig(conformance=True))
         assert sim.conformance is not None
         assert sim.conformance.verdict().ok
 
     def test_conformance_off(self):
         sim = run_sim(1, obs=TraceBus(), num_users=8, seed=3,
-                      conformance=False)
+                      runtime=RuntimeConfig(conformance=False))
         assert sim.conformance is None
         assert "conformance" not in sim.summary()
 

@@ -89,6 +89,17 @@ class TestFastBackendSpecifics:
         with pytest.raises(CryptoError):
             backend.verify(other.public, b"m", b"\x00" * 32)
 
+    def test_unknown_key_is_a_failed_verification(self):
+        """A key nobody holds signed nothing: the boolean wrappers say
+        no instead of raising (a forged voter field reaches them first)."""
+        backend = FastBackend()
+        other = FastBackend().keypair(H(b"elsewhere"))
+        assert not backend.is_valid_signature(other.public, b"m", b"s" * 32)
+        with pytest.raises(SignatureError):
+            backend.verify(other.public, b"m", b"\x00" * 32)
+        with pytest.raises(VRFError):
+            backend.vrf_verify(other.public, b"proof", b"alpha")
+
     def test_registries_are_isolated(self):
         b1, b2 = FastBackend(), FastBackend()
         kp = b1.keypair(H(b"user"))

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.baplus.messages import COIN_HASH_CEILING, coin_min_hash
 from repro.crypto.hashing import H
+from repro.experiments.harness import NetworkConfig, RuntimeConfig
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import UniformLatencyModel
 from repro.network.message import Envelope
@@ -22,6 +23,9 @@ from repro.runtime.damping import RECOVERY_ROUND_BASE, DampingTally
 from repro.sim.loop import Environment
 
 from tests.fixtures import record_received, run_sim, run_traced
+
+#: Constant latency, no bandwidth model: every arrival of a flood ties.
+TIES = NetworkConfig(latency_model="uniform", bandwidth_bps=None)
 
 V1 = H(b"value-one")
 V2 = H(b"value-two")
@@ -174,8 +178,7 @@ class TestDampingTally:
 
 class TestRelayDamperWiring:
     def test_damper_attached_and_active_by_default(self):
-        sim, bus = run_traced(2, num_users=14, seed=5,
-                              latency_model="uniform", bandwidth_bps=None)
+        sim, bus = run_traced(2, num_users=14, seed=5, network=TIES)
         assert all(node.damper is not None for node in sim.nodes)
         suppressed = sum(node.damper.suppressed for node in sim.nodes)
         observed = sum(node.damper.observed for node in sim.nodes)
@@ -185,13 +188,13 @@ class TestRelayDamperWiring:
         assert bus.metrics.counter("gossip.damped.vote") == suppressed
 
     def test_damping_off_leaves_nodes_bare(self):
-        sim = run_sim(1, num_users=8, seed=3, relay_damping=False)
+        sim = run_sim(1, num_users=8, seed=3,
+                      runtime=RuntimeConfig(relay_damping=False))
         assert all(getattr(node, "damper", None) is None
                    for node in sim.nodes)
 
     def test_crash_resets_tally_but_keeps_receipts(self):
-        sim = run_sim(1, num_users=10, seed=5,
-                      latency_model="uniform", bandwidth_bps=None)
+        sim = run_sim(1, num_users=10, seed=5, network=TIES)
         node = sim.nodes[0]
         before = node.damper.suppressed
         node.damper.tally.observe(99, "1", V1, _voter(0), 10**9)
@@ -201,8 +204,7 @@ class TestRelayDamperWiring:
         assert not node.damper._ctx_cache
 
     def test_summary_reports_damping(self):
-        sim = run_sim(1, num_users=10, seed=5,
-                      latency_model="uniform", bandwidth_bps=None)
+        sim = run_sim(1, num_users=10, seed=5, network=TIES)
         damping = sim.summary()["damping"]
         assert damping["suppressed"] == sum(
             node.damper.suppressed for node in sim.nodes)

@@ -32,12 +32,13 @@ from repro.chaos.scenario import (
     flood_recovery_scenario,
     partition_heal_scenario,
 )
+from repro.experiments.harness import NetworkConfig, RuntimeConfig
 
 from tests.fixtures import assert_chains_byte_identical
 
 #: The deterministic fabric: identical delivery times regardless of how
 #: many relays are in flight, so damping cannot shift any arrival.
-IDENTITY_FABRIC = {"latency_model": "uniform", "bandwidth_bps": None}
+IDENTITY_FABRIC = NetworkConfig(latency_model="uniform", bandwidth_bps=None)
 
 
 def _clean_scenario(seed: int) -> ScenarioScript:
@@ -60,7 +61,8 @@ def _assert_equivalent(script: ScenarioScript) -> None:
     verdicts = {}
     for damping in (False, True):
         verdict = run_scenario(script, sim_overrides={
-            **IDENTITY_FABRIC, "relay_damping": damping})
+            "network": IDENTITY_FABRIC,
+            "runtime": RuntimeConfig(relay_damping=damping)})
         assert verdict.ok, (script.name, damping, verdict.violations)
         assert verdict.conformance is not None
         assert verdict.conformance["ok"], (script.name, damping)

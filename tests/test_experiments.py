@@ -13,13 +13,21 @@ import pytest
 from repro.common.errors import NoSamplesError
 from repro.common.params import PAPER_PARAMS
 from repro.experiments.costs import expected_certificate_bytes, measure_costs
-from repro.experiments.harness import Simulation, SimulationConfig
-from repro.experiments.latency import flatness, run_latency_point
+from repro.experiments.harness import (
+    NetworkConfig,
+    Simulation,
+    SimulationConfig,
+)
+from repro.experiments.latency import flatness
 from repro.experiments.metrics import LatencySummary, format_table
-from repro.experiments.adversarial import run_adversarial_point
+from repro.experiments.spec import (
+    AdversarialSpec,
+    BlockSizeSpec,
+    LatencySpec,
+    run_point,
+)
 from repro.experiments.throughput import (
     paper_scale_projection,
-    run_block_size_point,
     throughput_table,
 )
 from repro.experiments.timeouts import measure_priority_gossip
@@ -75,30 +83,34 @@ class TestSimulationConfig:
 
     def test_unknown_latency_model(self):
         with pytest.raises(ValueError):
-            Simulation(SimulationConfig(num_users=4,
-                                        latency_model="quantum"))
+            Simulation(SimulationConfig(
+                num_users=4, network=NetworkConfig(latency_model="quantum")))
 
 
 class TestRunners:
     def test_latency_point_shape(self):
-        point = run_latency_point(10, seed=1, rounds=1, measure_round=1)
+        point = run_point(LatencySpec(num_users=10, seed=1, rounds=1,
+                                      measure_round=1)).point
         assert point.num_users == 10
         assert point.summary.count == 10
         assert point.summary.minimum > 0
 
     def test_flatness_of_identical_points(self):
-        point = run_latency_point(10, seed=1, rounds=1, measure_round=1)
+        point = run_point(LatencySpec(num_users=10, seed=1, rounds=1,
+                                      measure_round=1)).point
         assert flatness([point, point]) == 1.0
 
     def test_block_size_point_segments_positive(self):
-        point = run_block_size_point(5_000, num_users=10, seed=2)
+        point = run_point(BlockSizeSpec(block_size=5_000, num_users=10,
+                                        seed=2)).point
         assert point.proposal_time > 0
         assert point.ba_time >= 0
         assert point.final_step_time >= 0
         assert point.total > 0
 
     def test_throughput_table_structure(self):
-        point = run_block_size_point(5_000, num_users=10, seed=2)
+        point = run_point(BlockSizeSpec(block_size=5_000, num_users=10,
+                                        seed=2)).point
         rows = throughput_table([point])
         assert rows[0].system == "bitcoin"
         assert rows[1].system == "algorand"
@@ -106,17 +118,19 @@ class TestRunners:
             rows[1].bytes_per_hour / rows[0].bytes_per_hour)
 
     def test_pipelining_final_step_increases_throughput(self):
-        point = run_block_size_point(5_000, num_users=10, seed=2)
+        point = run_point(BlockSizeSpec(block_size=5_000, num_users=10,
+                                        seed=2)).point
         plain = throughput_table([point])[1]
         pipelined = throughput_table([point], pipeline_final_step=True)[1]
         assert pipelined.bytes_per_hour >= plain.bytes_per_hour
 
     def test_adversarial_point_bounds(self):
-        point = run_adversarial_point(0.2, num_users=10, rounds=1, seed=3)
+        point = run_point(AdversarialSpec(fraction=0.2, num_users=10,
+                                          rounds=1, seed=3)).point
         assert point.num_malicious == 2
         assert point.agreed
         with pytest.raises(ValueError):
-            run_adversarial_point(0.5)
+            run_point(AdversarialSpec(fraction=0.5))
 
     def test_costs_report_consistency(self):
         report = measure_costs(10, rounds=1, seed=4, payload_bytes=2_000)

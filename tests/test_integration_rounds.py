@@ -13,7 +13,11 @@ from repro.baplus.certificate import verify_certificate
 from repro.baplus.context import BAContext
 from repro.baplus.protocol import FINAL
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import (
+    NetworkConfig,
+    Simulation,
+    SimulationConfig,
+)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +159,8 @@ class TestBandwidthModel:
 
         def median_latency(note_bytes):
             sim = Simulation(SimulationConfig(
-                num_users=15, seed=3, bandwidth_bps=5e6, params=params))
+                num_users=15, seed=3, params=params,
+                network=NetworkConfig(bandwidth_bps=5e6)))
             sim.submit_payments(120, note_bytes=note_bytes)
             sim.run_rounds(1)
             latencies = sorted(sim.round_latencies(1))

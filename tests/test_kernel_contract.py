@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import repro.experiments.harness as harness
-from repro.experiments.config import NetworkConfig, PopulationConfig
+from repro.node.deployment import NetworkConfig, PopulationConfig
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
 from repro.network.message import Envelope, next_msg_id
@@ -48,6 +48,17 @@ UNREACHABLE_BUDGET = 100
 GOLDEN_20_USERS_2_ROUNDS = {
     1: "25505d09514688c01d75e143af869c914fcf5dc9ba4325b051af62d49d52216f",
     2: "fed5b7eb290c5401fb7b5df75fcd8e3a9f2ccb65f63ae84e7e5068f253216b56",
+}
+
+#: What the same runs cost, exactly: kernel events, copies delivered,
+#: copies elided, verification-cache lookups. Deterministic on any host,
+#: so a hot-path regression (an extra event per message, a lost cache
+#: hit) fails here without a timing.
+GOLDEN_WORK_20_USERS_2_ROUNDS = {
+    1: {"events_processed": 21_829, "messages_delivered": 24_103,
+        "dup_elided": 11_515, "cache_lookups": 1_403},
+    2: {"events_processed": 21_111, "messages_delivered": 24_265,
+        "dup_elided": 12_402, "cache_lookups": 1_482},
 }
 
 
@@ -73,6 +84,14 @@ def test_golden_chain_hash(seed, population):
     sim = run_sim(2, payments=10, num_users=20, seed=seed,
                   population=population)
     assert chain_hash(sim) == GOLDEN_20_USERS_2_ROUNDS[seed]
+    summary = sim.summary()
+    cache = summary["verification_cache"]
+    assert {
+        "events_processed": summary["events_processed"],
+        "messages_delivered": summary["messages_delivered"],
+        "dup_elided": summary["dup_elided"],
+        "cache_lookups": cache["hits"] + cache["misses"],
+    } == GOLDEN_WORK_20_USERS_2_ROUNDS[seed]
 
 
 # ---------------------------------------------------------------------------

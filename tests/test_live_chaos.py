@@ -24,7 +24,7 @@ import pytest
 
 from repro.chaos.scenario import FaultAction, kill_partition_scenario
 from repro.conformance.monitor import ConformanceMonitor
-from repro.experiments.config import SimulationConfig, SubstrateConfig
+from repro.node.deployment import SimulationConfig, SubstrateConfig
 from repro.live.cluster import LiveCluster
 from repro.obs.sink import read_trace
 

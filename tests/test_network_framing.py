@@ -21,7 +21,7 @@ import functools
 import socket
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baplus.certificate import Certificate
@@ -31,8 +31,6 @@ from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
 from repro.ledger.block import Block, empty_block
 from repro.ledger.transaction import make_transaction
-from repro.live.clock import LiveClock
-from repro.live.transport import LiveTransport
 from repro.network.message import (
     PRIORITY_MESSAGE_BYTES,
     VOTE_MESSAGE_BYTES,
@@ -53,7 +51,7 @@ from repro.network.wire import (
 from repro.node.catchup import ChainAnnouncement, ChainRequest
 from repro.node.proposal import PriorityMessage
 from repro.obs import TraceBus
-from tests.fixtures import run_sim, signed_vote
+from tests.fixtures import live_transport, run_sim, signed_vote
 
 
 @pytest.fixture
@@ -320,7 +318,7 @@ class TestLiveIngressFuzz:
     def _push(self, payload: bytes) -> str:
         sim, _ = _ingress_corpus()
         bus = TraceBus()
-        transport = LiveTransport(0, LiveClock(), obs=bus)
+        transport = live_transport(obs=bus)
         delivered = []
         transport.ingress = sim.nodes[0].admission.admit
         transport.relay_policy = lambda envelope: bool(
@@ -353,6 +351,9 @@ class TestLiveIngressFuzz:
     @settings(max_examples=600, deadline=None)
     @given(which=st.integers(0, 6), at=st.integers(0, 2**30),
            byte=st.integers(0, 255))
+    # A vote whose voter key nobody holds: ``FastBackend`` used to raise
+    # an untyped ``CryptoError`` through admission into the clock loop.
+    @example(which=6, at=86, byte=150)
     def test_single_byte_mutations_of_valid_frames_never_raise(
             self, which, at, byte):
         frame = bytearray(_ingress_corpus()[1][which])

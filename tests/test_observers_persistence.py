@@ -6,8 +6,12 @@ import pytest
 
 from repro.common.errors import LedgerError
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import Simulation, SimulationConfig
-from repro.experiments.waiting import run_waiting_point
+from repro.experiments.harness import (
+    NetworkConfig,
+    Simulation,
+    SimulationConfig,
+)
+from repro.experiments.spec import WaitingSpec, run_point
 from repro.ledger.persistence import (
     chain_from_bytes,
     chain_to_bytes,
@@ -64,8 +68,9 @@ class TestObservers:
 
 class TestPeerReshuffle:
     def test_reshuffle_each_round_changes_topology(self):
-        sim = Simulation(SimulationConfig(num_users=14, seed=82,
-                                          reshuffle_peers_each_round=True))
+        sim = Simulation(SimulationConfig(
+            num_users=14, seed=82,
+            network=NetworkConfig(reshuffle_peers_each_round=True)))
         before = [tuple(iface.neighbors)
                   for iface in sim.network.interfaces]
         sim.run_rounds(2)
@@ -138,9 +143,10 @@ class TestPersistence:
 class TestWaitingPoint:
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_waiting_point(0.0)
+            run_point(WaitingSpec(wait_seconds=0.0))
 
     def test_generous_wait_no_empties(self):
-        point = run_waiting_point(2.0, num_users=12, rounds=1, seed=84)
+        point = run_point(WaitingSpec(wait_seconds=2.0, num_users=12,
+                                      rounds=1, seed=84)).point
         assert point.empty_fraction == 0.0
         assert point.median_latency > 2.0

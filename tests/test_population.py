@@ -18,14 +18,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ConfigError, PopulationError
+from repro.common.errors import PopulationError
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import PopulationConfig, SimulationConfig
 
 from tests.fixtures import (
     assert_chains_byte_identical as assert_byte_identical,
     run_sim,
 )
+
+
+def aggregated(**knobs) -> PopulationConfig:
+    return PopulationConfig(mode="aggregated", **knobs)
 
 
 class TestRepresentationEquivalence:
@@ -35,7 +39,7 @@ class TestRepresentationEquivalence:
     def test_chains_and_round_records_identical(self, n, rounds):
         full = run_sim(rounds, payments=n, num_users=n, seed=11)
         agg = run_sim(rounds, payments=n, num_users=n, seed=11,
-                      population="aggregated", always_on_core=n)
+                      population=aggregated(always_on_core=n))
         assert_byte_identical(full, agg, rounds)
         # no dormant stake -> the pool pass never ran
         assert agg.summary()["sortition"]["pool_evaluations"] == 0
@@ -45,7 +49,7 @@ class TestRepresentationEquivalence:
     def test_chains_identical_at_100_users(self):
         full = run_sim(2, payments=50, num_users=100, seed=11)
         agg = run_sim(2, payments=50, num_users=100, seed=11,
-                      population="aggregated", always_on_core=100)
+                      population=aggregated(always_on_core=100))
         assert_byte_identical(full, agg, 2)
 
 
@@ -58,8 +62,9 @@ class TestDormancy:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        agg = run_sim(2, population="aggregated", always_on_core=8,
-                      steps_ahead=6, **DORMANCY_CFG)
+        agg = run_sim(2, population=aggregated(always_on_core=8,
+                                               steps_ahead=6),
+                      **DORMANCY_CFG)
         full = run_sim(2, **DORMANCY_CFG)
         return full, agg
 
@@ -106,30 +111,31 @@ class TestDormancy:
         cfg = dict(num_users=300, initial_balance=1,
                    params=TEST_PARAMS.scaled(0.1), seed=1)
         with pytest.raises(TimeoutError, match="steps_ahead"):
-            run_sim(3, population="aggregated", always_on_core=8, **cfg)
-        deep = run_sim(3, population="aggregated", always_on_core=8,
-                       steps_ahead=12, **cfg)
+            run_sim(3, population=aggregated(always_on_core=8), **cfg)
+        deep = run_sim(3, population=aggregated(always_on_core=8,
+                                                steps_ahead=12), **cfg)
         assert deep.nodes[0].chain.height == 3
 
 
 class TestValidation:
     def test_rejects_unknown_mode(self):
         with pytest.raises(PopulationError):
-            SimulationConfig(population="sharded").validate()
+            SimulationConfig(
+                population=PopulationConfig(mode="sharded")).validate()
 
     def test_aggregated_is_honest_only(self):
         with pytest.raises(PopulationError):
-            SimulationConfig(population="aggregated",
+            SimulationConfig(population=aggregated(),
                              num_malicious=1).validate()
         with pytest.raises(PopulationError):
-            SimulationConfig(population="aggregated",
+            SimulationConfig(population=aggregated(),
                              num_observers=1).validate()
 
     def test_aggregated_bounds(self):
         with pytest.raises(PopulationError):
-            SimulationConfig(population="aggregated",
-                             always_on_core=0).validate()
+            SimulationConfig(
+                population=aggregated(always_on_core=0)).validate()
         with pytest.raises(PopulationError):
-            SimulationConfig(population="aggregated",
-                             steps_ahead=0).validate()
+            SimulationConfig(
+                population=aggregated(steps_ahead=0)).validate()
 

@@ -19,9 +19,15 @@ from repro.adversary import EquivocatingProposerNode
 from repro.common.errors import NetworkError, SignatureError, VRFError
 from repro.crypto.backend import CachedBackend, FastBackend
 from repro.crypto.counting import CountingBackend, CryptoOpCounts
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import (
+    RuntimeConfig,
+    Simulation,
+    SimulationConfig,
+)
 from repro.network.message import Envelope
 from repro.runtime import MessageRouter, VerificationCache
+
+from tests.fixtures import signed_vote
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +192,8 @@ def _run(cache_on: bool, *, seed: int = 7, rounds: int = 2,
     sim = Simulation(
         SimulationConfig(num_users=num_users, seed=seed,
                          num_malicious=num_malicious,
-                         use_verification_cache=cache_on),
+                         runtime=RuntimeConfig(
+                             use_verification_cache=cache_on)),
         backend=backend, malicious_class=malicious_class,
     )
     sim.submit_payments(10)
@@ -296,36 +303,45 @@ class TestEquivocationNotLaundered:
         assert sim.verification_cache.hits > 0
 
 
+def _genesis_chain(sim: Simulation, node):
+    from repro.ledger.blockchain import Blockchain
+    return Blockchain(node.chain.initial_balances, node.chain.genesis_seed,
+                      sim.config.params.seed_refresh_interval)
+
+
+def _sync(sim: Simulation, node, **timing):
+    """A :class:`ChainSync` on the sim substrate: virtual clock, gossip
+    interface — the object a live process runs, made deterministic."""
+    from repro.node import ChainSync
+    return ChainSync(node, sim.env, node.interface, **timing)
+
+
 class TestChainSync:
     def test_laggard_bootstraps_beyond_announcer_neighborhood(self):
         """Up-to-date nodes relay a matching announcement, so the flood
         reaches laggards that are not direct neighbors of the announcer."""
-        from repro.ledger.blockchain import Blockchain
-        from repro.node import ChainSync
-
         sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
         laggard = sim.nodes[3]
-        laggard.chain = Blockchain(
-            laggard.chain.initial_balances, laggard.chain.genesis_seed,
-            sim.config.params.seed_refresh_interval)
-        syncs = [ChainSync(node) for node in sim.nodes]
+        laggard.chain = _genesis_chain(sim, laggard)
+        syncs = [_sync(sim, node) for node in sim.nodes]
         syncs[0].announce()
-        sim.env.run()
-        assert laggard.chain.height == 2
-        assert laggard.chain.tip_hash == sim.nodes[0].chain.tip_hash
+        sim.env.run(until=sim.env.now + 5.0)
+        # Validated and stashed; the round loop adopts it through the
+        # node's resync hook at its next boundary.
+        assert laggard.chain.height == 0
+        replica = laggard.resync()
+        assert replica.height == 2
+        assert replica.tip_hash == sim.nodes[0].chain.tip_hash
         assert syncs[3].adopted == 1
+        assert laggard.resync() is None  # handed over exactly once
 
     def test_invalid_announcement_rejected_not_relayed(self):
-        from repro.ledger.blockchain import Blockchain
-        from repro.node import ChainSync
         from repro.node.catchup import ChainAnnouncement
 
         sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
         victim = sim.nodes[5]
-        victim.chain = Blockchain(
-            victim.chain.initial_balances, victim.chain.genesis_seed,
-            sim.config.params.seed_refresh_interval)
-        sync = ChainSync(victim)
+        victim.chain = _genesis_chain(sim, victim)
+        sync = _sync(sim, victim)
         source = sim.nodes[0].chain
         forged = ChainAnnouncement(
             blocks=source.blocks[1:],
@@ -335,13 +351,105 @@ class TestChainSync:
             origin=b"adv", kind="chain", payload=forged, size=forged.size))
         assert relay is False
         assert victim.chain.height == 0
+        assert sync.pending is None
         assert sync.rejected == 1
 
     def test_close_unregisters(self):
-        from repro.node import ChainSync
-
         sim = _run(cache_on=True, seed=5, rounds=1, num_users=10)
-        sync = ChainSync(sim.nodes[0])
-        assert sim.nodes[0].router.is_registered("chain")
+        node = sim.nodes[0]
+        sync = _sync(sim, node)
+        assert node.router.is_registered("chain")
+        assert node.router.is_registered("chainreq")
         sync.close()
-        assert not sim.nodes[0].router.is_registered("chain")
+        assert not node.router.is_registered("chain")
+        assert not node.router.is_registered("chainreq")
+        assert node.resync is None
+        sim.env.run()  # returns: the lag probe no longer re-arms
+
+    def test_request_is_answered_by_peers_ahead(self):
+        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        laggard = sim.nodes[3]
+        laggard.chain = _genesis_chain(sim, laggard)
+        syncs = [_sync(sim, node) for node in sim.nodes]
+        syncs[3].request()
+        sim.env.run(until=sim.env.now + 5.0)
+        assert syncs[3].requests_sent == 1
+        # Everyone ahead heard the flooded request once and answered once.
+        assert [sync.served for sync in syncs] == [
+            0 if sync is syncs[3] else 1 for sync in syncs]
+        assert syncs[3].pending.tip_hash == sim.nodes[0].chain.tip_hash
+        # Peers already at that height learned nothing and hold nothing.
+        assert all(sync.pending is None for sync in syncs
+                   if sync is not syncs[3])
+        assert syncs[3].stats() == {"catchup_served": 0,
+                                    "catchup_adopted": 0,
+                                    "catchup_requests": 1}
+
+    def test_cooldowns_throttle_requests_and_answers(self):
+        from repro.node.catchup import ChainRequest
+
+        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        node = sim.nodes[0]
+        sync = _sync(sim, node, request_cooldown=2.0, serve_cooldown=2.0)
+        plea = ChainRequest(height=0)
+
+        def hear() -> bool:
+            return node.handle_envelope(Envelope(
+                origin=b"peer", kind="chainreq", payload=plea,
+                size=plea.size))
+
+        sync.request()
+        sync.request()
+        assert hear() and hear()  # requests always relay
+        assert (sync.requests_sent, sync.served) == (1, 1)
+        sim.env.run(until=sim.env.now + 2.0)
+        sync.request()
+        assert hear()
+        assert (sync.requests_sent, sync.served) == (2, 2)
+        # A requester at our height (or above) is not ours to answer.
+        sim.env.run(until=sim.env.now + 2.0)
+        node.handle_envelope(Envelope(
+            origin=b"peer", kind="chainreq",
+            payload=ChainRequest(height=2), size=plea.size))
+        assert sync.served == 2
+
+    def test_stall_detector_requests_without_vote_evidence(self):
+        """Every peer has finished: no votes betray the lag, only the
+        flat height does."""
+        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        laggard = sim.nodes[3]
+        laggard.chain = _genesis_chain(sim, laggard)
+        syncs = [_sync(sim, node, check_interval=0.5, stall_after=3.0,
+                       request_cooldown=10.0)
+                 for node in sim.nodes]
+        started = sim.env.now
+        sim.env.run(until=started + 2.9)
+        assert all(sync.requests_sent == 0 for sync in syncs)
+        sim.env.run(until=started + 8.0)
+        # Flat height is all a finished cluster shows: everyone asks,
+        # but only the laggard has anyone ahead of it to answer.
+        assert syncs[3].requests_sent == 1
+        assert syncs[3].served == 0
+        assert syncs[3].pending is not None
+        assert syncs[3].pending.height == 2
+
+    def test_buffered_future_votes_trigger_a_request(self):
+        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        node = sim.nodes[0]
+        sync = _sync(sim, node, check_interval=0.5)
+        ahead = node.chain.next_round + 2
+        # One round ahead is pipelining, not lag.
+        node.buffer.add(signed_vote(sim, 1, ahead - 1, "1"))
+        sim.env.run(until=sim.env.now + 0.6)
+        assert sync.requests_sent == 0
+        node.buffer.add(signed_vote(sim, 1, ahead, "1"))
+        sim.env.run(until=sim.env.now + 0.5)
+        assert sync.requests_sent == 1
+
+    def test_lag_probe_stops_while_disconnected(self):
+        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        node = sim.nodes[0]
+        sync = _sync(sim, node, check_interval=0.5, stall_after=1.0)
+        node.interface.disconnected = True
+        sim.env.run()  # returns: a severed node's probe does not re-arm
+        assert sync.requests_sent == 0

@@ -22,6 +22,8 @@ from repro.network.message import Envelope
 from repro.network.wire import ENVELOPE_HEADER, encode_envelope
 from repro.substrate import Clock, SimSubstrate, Substrate, Transport
 
+from tests.fixtures import live_transport
+
 
 def _envelope(origin: bytes, msg_id: int) -> Envelope:
     return Envelope(origin=origin, kind="priority", payload=_PRIORITY,
@@ -67,7 +69,7 @@ class TestProtocolConformance:
 
     def test_live_objects_satisfy_the_protocols(self):
         clock = LiveClock()
-        transport = LiveTransport(0, clock)
+        transport = live_transport(0, clock)
         assert isinstance(clock, Clock)
         assert isinstance(transport, Transport)
         assert isinstance(SimSubstrate(clock=clock, transport=transport,
@@ -131,7 +133,7 @@ class TestLiveClock:
 
 class TestLiveTransport:
     def _transport(self, index=0, **kwargs) -> LiveTransport:
-        transport = LiveTransport(index, LiveClock(), **kwargs)
+        transport = live_transport(index, **kwargs)
         for peer in (1, 2):
             if peer != index:
                 transport.add_link(_FakeLink(peer))

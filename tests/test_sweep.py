@@ -28,8 +28,12 @@ from repro.common.errors import (
 )
 from repro.common.params import TEST_PARAMS
 from repro.experiments import sweep as sweep_module
-from repro.experiments.harness import Simulation, SimulationConfig
-from repro.experiments.latency import LatencyPoint, run_latency_point
+from repro.experiments.harness import (
+    NetworkConfig,
+    Simulation,
+    SimulationConfig,
+)
+from repro.experiments.latency import LatencyPoint
 from repro.experiments.spec import (
     AdversarialSpec,
     BlockSizeSpec,
@@ -125,32 +129,6 @@ class TestRunPoint:
         assert data["summary"]["median"] == result.point.summary.median
         # strict JSON: no NaN may leak into the payload
         json.dumps(result.to_json(), allow_nan=False)
-
-
-class TestDeprecationShims:
-    def test_latency_shim_forwards(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_latency_point(8, seed=1, rounds=1,
-                                       measure_round=1)
-        modern = run_point(LatencySpec(num_users=8, seed=1, rounds=1,
-                                       measure_round=1)).point
-        assert legacy == modern
-
-    def test_all_shims_warn(self):
-        from repro.experiments.adversarial import run_adversarial_point
-        from repro.experiments.throughput import run_block_size_point
-        from repro.experiments.waiting import run_waiting_point
-        with pytest.warns(DeprecationWarning):
-            run_adversarial_point(0.0, num_users=6, rounds=1, seed=3)
-        with pytest.warns(DeprecationWarning):
-            run_block_size_point(2_000, num_users=6, seed=2)
-        with pytest.warns(DeprecationWarning):
-            run_waiting_point(1.0, num_users=6, rounds=1, seed=1)
-
-    def test_shim_still_raises_value_error(self):
-        from repro.experiments.adversarial import run_adversarial_point
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            run_adversarial_point(0.5)
 
 
 class TestSweepEngine:
@@ -358,17 +336,19 @@ class TestConfigValidation:
 
     def test_unknown_latency_model(self):
         with pytest.raises(LatencyModelError):
-            SimulationConfig(num_users=4,
-                             latency_model="quantum").validate()
+            SimulationConfig(num_users=4, network=NetworkConfig(
+                latency_model="quantum")).validate()
 
     def test_bad_bandwidth_and_peers(self):
         with pytest.raises(ConfigError):
-            SimulationConfig(num_users=4, bandwidth_bps=0.0).validate()
+            SimulationConfig(num_users=4, network=NetworkConfig(
+                bandwidth_bps=0.0)).validate()
         with pytest.raises(ConfigError):
-            SimulationConfig(num_users=4, peers_per_node=0).validate()
+            SimulationConfig(num_users=4, network=NetworkConfig(
+                peers_per_node=0)).validate()
         with pytest.raises(ConfigError):
-            SimulationConfig(num_users=4,
-                             seen_horizon_rounds=0).validate()
+            SimulationConfig(num_users=4, network=NetworkConfig(
+                seen_horizon_rounds=0)).validate()
 
     def test_simulation_init_validates(self):
         with pytest.raises(PopulationError):
