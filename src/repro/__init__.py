@@ -60,8 +60,7 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
     )
     from repro.live.cluster import LiveCluster
     from repro.obs.bus import TraceBus
-    from repro.substrate.api import Clock, Substrate, Transport
-    from repro.substrate.sim import SimSubstrate
+    from repro.substrate.api import Clock, Transport
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.common.params": ("PAPER_PARAMS", "TEST_PARAMS", "ProtocolParams"),
@@ -71,8 +70,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.live.cluster": ("LiveCluster",),
     "repro.obs.bus": ("TraceBus",),
-    "repro.substrate.api": ("Clock", "Substrate", "Transport"),
-    "repro.substrate.sim": ("SimSubstrate",),
+    "repro.substrate.api": ("Clock", "Transport"),
 })
 
 __all__ = [
@@ -86,8 +84,6 @@ __all__ = [
     "LiveCluster",
     "Clock",
     "Transport",
-    "Substrate",
-    "SimSubstrate",
     "TraceBus",
     "ProtocolParams",
     "PAPER_PARAMS",

@@ -3,82 +3,18 @@
 Both are built from the gossip layer's single ``drop_filter`` hook, which
 is exactly the power the paper grants the adversary in its weak-synchrony
 model (full control of the links for a bounded period).
+:class:`FilterChain` and :class:`Partitioner` live with the rest of the
+fault vocabulary in :mod:`repro.chaos.faults` (a live node process
+imports them there) and are re-exported here.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.chaos.faults import FilterChain, Partitioner  # noqa: F401
 from repro.network.gossip import GossipNetwork
 from repro.network.message import Envelope
-
-
-class FilterChain:
-    """Composes several drop predicates into one ``drop_filter``.
-
-    A previously installed ``drop_filter`` is absorbed as the chain's
-    first predicate instead of being silently clobbered, so constructing
-    a second chain (or chaining on top of a bare filter) keeps every
-    earlier adversary in force.
-    """
-
-    def __init__(self, network: GossipNetwork) -> None:
-        self.network = network
-        self._filters: list = []
-        existing = network.drop_filter
-        if existing is not None:
-            self._filters.append(existing)
-        network.drop_filter = self._evaluate
-
-    def add(self, predicate) -> None:
-        self._filters.append(predicate)
-
-    def remove(self, predicate) -> None:
-        self._filters.remove(predicate)
-
-    def _evaluate(self, src: int, dst: int, envelope: Envelope) -> bool:
-        return any(predicate(src, dst, envelope)
-                   for predicate in self._filters)
-
-
-class Partitioner:
-    """Splits the network into groups for a time window.
-
-    Messages crossing group boundaries are dropped while active. This is
-    the adversary of the weak-synchrony assumption: after ``heal()`` (or
-    the scheduled end time) the network is strongly synchronous again.
-    """
-
-    def __init__(self, chain: FilterChain, groups: list[set[int]]) -> None:
-        self._chain = chain
-        self._groups = groups
-        self._active = False
-
-    def _group_of(self, node: int) -> int:
-        for index, group in enumerate(self._groups):
-            if node in group:
-                return index
-        return -1
-
-    def _drop(self, src: int, dst: int, envelope: Envelope) -> bool:
-        return self._active and self._group_of(src) != self._group_of(dst)
-
-    def activate(self) -> None:
-        if not self._active:
-            self._active = True
-            self._chain.add(self._drop)
-
-    def heal(self) -> None:
-        if self._active:
-            self._active = False
-            self._chain.remove(self._drop)
-
-    def schedule(self, env, start: float, end: float) -> None:
-        """Partition during ``[start, end)`` simulated seconds."""
-        if end <= start:
-            raise ValueError("partition must end after it starts")
-        env.schedule(start, self.activate)
-        env.schedule(end, self.heal)
 
 
 class TargetedDoS:

@@ -16,6 +16,7 @@ Byzantine node that loses the chain stops being able to attack.
 from __future__ import annotations
 
 from repro.baplus.messages import VoteMessage, make_vote
+from repro.chaos.faults import junk_vote_loop
 from repro.crypto.hashing import H
 from repro.ledger.block import Block, empty_block_hash
 from repro.network.message import block_envelope, priority_envelope, vote_envelope
@@ -101,7 +102,27 @@ class MaliciousNode(DoubleVotingNode, EquivocatingProposerNode):
     """The full section 10.4 adversary: equivocate + double-vote."""
 
 
-class FloodingNode(Node):
+class _JunkVoter(Node):
+    """Honest in everything but a background loop of junk votes.
+
+    The loop (:func:`repro.chaos.faults.junk_vote_loop`, shared with the
+    chaos ``flood``/``spam`` faults) is counter-based — no RNG — so runs
+    stay deterministic.
+    """
+
+    junk_kind = ""
+    junk_batch = 0
+    junk_interval = 0.5
+
+    def start(self, target_height: int):
+        self.env.process(
+            junk_vote_loop(self, self.junk_kind, self.junk_batch,
+                           self.junk_interval, delay=self.junk_interval),
+            f"{self.junk_kind}-{self.index}")
+        return super().start(target_height)
+
+
+class FloodingNode(_JunkVoter):
     """Sprays invalid-signature votes at the network (link-level DoS).
 
     The junk is cheap to make and cheap to reject — the point is volume:
@@ -109,39 +130,14 @@ class FloodingNode(Node):
     buffered forever; with it, each neighbor rejects the votes at
     ingress (never relaying them), scores this node, and eventually
     quarantines it. Otherwise behaves honestly, so the attack isolates
-    the flooding dimension. The flood loop is counter-based (no RNG), so
-    runs stay deterministic.
+    the flooding dimension.
     """
 
-    flood_batch = 48
-    flood_interval = 0.5
-
-    def start(self, target_height: int):
-        self.env.process(self._flood_loop(), f"flood-{self.index}")
-        return super().start(target_height)
-
-    def _flood_loop(self):
-        counter = 0
-        while True:
-            yield self.env.timeout(self.flood_interval)
-            if self.crashed or self.interface.disconnected:
-                continue
-            for _ in range(self.flood_batch):
-                counter += 1
-                junk = H(b"flood", self.keypair.public, counter.to_bytes(8, "big"))
-                vote = VoteMessage(
-                    voter=self.keypair.public,
-                    round_number=self.chain.next_round,
-                    step="reduction_one",
-                    sorthash=junk, sortproof=junk,
-                    prev_hash=self.chain.tip_hash,
-                    value=junk, signature=junk[:32],
-                )
-                self.interface.broadcast(
-                    vote_envelope(self.keypair.public, vote))
+    junk_kind = "flood"
+    junk_batch = 48
 
 
-class SpamVoteNode(Node):
+class SpamVoteNode(_JunkVoter):
     """Floods validly *signed* votes for far-future rounds.
 
     The "undecidable messages" DoS of PAPERS.md: each vote carries a real
@@ -152,31 +148,8 @@ class SpamVoteNode(Node):
     exists to exercise.
     """
 
-    spam_batch = 16
-    spam_interval = 0.5
-    spam_horizon = 100
-
-    def start(self, target_height: int):
-        self.env.process(self._spam_loop(), f"spam-{self.index}")
-        return super().start(target_height)
-
-    def _spam_loop(self):
-        counter = 0
-        while True:
-            yield self.env.timeout(self.spam_interval)
-            if self.crashed or self.interface.disconnected:
-                continue
-            for _ in range(self.spam_batch):
-                counter += 1
-                junk = H(b"spam", self.keypair.public,
-                         counter.to_bytes(8, "big"))
-                vote = make_vote(
-                    self.backend, self.keypair.secret, self.keypair.public,
-                    self.chain.next_round + self.spam_horizon + counter,
-                    "reduction_one", junk, junk, self.chain.tip_hash, junk,
-                )
-                self.interface.broadcast(
-                    vote_envelope(self.keypair.public, vote))
+    junk_kind = "spam"
+    junk_batch = 16
 
 
 class SilentNode(Node):

@@ -1,7 +1,8 @@
 """Chaos scenario engine with online invariant checking.
 
 Declarative fault timelines (:mod:`repro.chaos.scenario`) compiled onto
-the simulation clock (:mod:`repro.chaos.faults`), watched live by a
+the clock and link hooks of either substrate (:mod:`repro.chaos.faults`),
+watched live by a
 TraceBus-sink invariant monitor (:mod:`repro.chaos.monitor`), generated
 from seeds (:mod:`repro.chaos.generate`), and executed end to end with a
 deterministic verdict (:mod:`repro.chaos.runner`). ``python -m

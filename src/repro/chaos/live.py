@@ -5,9 +5,9 @@
 :class:`~repro.chaos.scenario.ScenarioScript`, the same
 :class:`ChaosVerdict` out — but the faults are *real*. ``crash`` is a
 SIGKILL delivered by the coordinator and a respawned process rejoining
-over gossip catch-up; ``partition``/``loss``/``delay``/``dos`` are
-per-link effects inside each node's
-:class:`~repro.live.faults.LiveFaultPlane`
+over gossip catch-up; every other kind is armed inside each node
+process by the same :class:`~repro.chaos.faults.FaultInjector` the sim
+runner uses, on that node's socket transport
 (:class:`~repro.live.cluster.LiveCluster` carries the schedule in its
 ``start`` broadcast).
 
@@ -30,13 +30,16 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.chaos.monitor import InvariantMonitor, Violation
+from repro.chaos.monitor import (
+    InvariantMonitor,
+    Violation,
+    ingress_breach,
+)
 from repro.chaos.runner import ChaosVerdict, derive_time_limit, render_verdict
-from repro.chaos.scenario import ScenarioError, ScenarioScript
+from repro.chaos.scenario import ScenarioScript
 from repro.conformance.monitor import ConformanceMonitor
 from repro.node.deployment import SimulationConfig, SubstrateConfig
 from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
-from repro.live.faults import unsupported_live_kinds
 from repro.obs.sink import read_trace
 
 #: The live smoke parameters with the step budget tightened: a node
@@ -70,6 +73,23 @@ def _audit_block_bytes(cluster: LiveCluster, now: float) -> list[Violation]:
     return violations
 
 
+def _audit_ingress(cluster: LiveCluster, now: float,
+                   skip: frozenset[int]) -> list[Violation]:
+    """The sim's ``ingress-bounds`` audit, over reported vote buffers.
+
+    ``skip`` names the attackers: their own buffers are not part of the
+    robustness claim.
+    """
+    violations: list[Violation] = []
+    for index, result in sorted(cluster.results.items()):
+        if index not in skip:
+            stats = result["stats"]
+            violations += ingress_breach(
+                index, "vote-buffer", stats["vote_buffer_high_water"],
+                stats["vote_buffer_budget"], now)
+    return violations
+
+
 def run_live_scenario(script: ScenarioScript, *,
                       runtime_dir: str | None = None,
                       transport: str = "uds") -> ChaosVerdict:
@@ -80,12 +100,6 @@ def run_live_scenario(script: ScenarioScript, *,
     red verdict, it is no verdict.
     """
     script.validate()
-    unsupported = unsupported_live_kinds(script.actions)
-    if unsupported:
-        raise ScenarioError(
-            "scenario uses fault kind(s) with no live realization: "
-            + ", ".join(sorted(unsupported))
-            + " (run it on the sim substrate)")
     config = SimulationConfig(
         num_users=script.num_users,
         seed=script.seed,
@@ -109,6 +123,8 @@ def run_live_scenario(script: ScenarioScript, *,
     monitor.feed(events)
     violations: list[Violation] = list(monitor.finish(now))
     violations.extend(_audit_block_bytes(cluster, now))
+    violations.extend(_audit_ingress(cluster, now,
+                                     script.attacker_nodes()))
 
     conformance = ConformanceMonitor()
     conformance.feed(events)

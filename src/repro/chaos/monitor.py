@@ -214,6 +214,22 @@ def audit_chains(nodes, *, backend, now: float,
     return violations
 
 
+def ingress_breach(index: int, what: str, high_water: int,
+                   budget: int | None, now: float) -> list[Violation]:
+    """The ``ingress-bounds`` rule: a high-water mark above its budget.
+
+    One rule for both substrates: the sim audits node objects
+    (:func:`audit_ingress`), the live runner the ``stats`` each process
+    reported. No budget (``None``/0) means nothing to breach.
+    """
+    if not budget or high_water <= budget:
+        return []
+    return [Violation(
+        invariant="ingress-bounds", t=now,
+        detail=(f"node {index}: {what} high water {high_water} "
+                f"exceeded budget {budget}"))]
+
+
 def audit_ingress(nodes, network, *, now: float,
                   skip: frozenset[int] = frozenset()) -> list[Violation]:
     """Post-run bounded-buffer audit: high-water marks within budgets.
@@ -227,23 +243,15 @@ def audit_ingress(nodes, network, *, now: float,
     """
     violations: list[Violation] = []
     for node in nodes:
-        if node.index in skip:
-            continue
-        budget = getattr(node.buffer, "budget_messages", None)
-        high_water = getattr(node.buffer, "high_water", 0)
-        if budget is not None and high_water > budget:
-            violations.append(Violation(
-                invariant="ingress-bounds", t=now,
-                detail=(f"node {node.index}: vote-buffer high water "
-                        f"{high_water} exceeded budget {budget}")))
+        if node.index not in skip:
+            violations += ingress_breach(
+                node.index, "vote-buffer",
+                getattr(node.buffer, "high_water", 0),
+                getattr(node.buffer, "budget_messages", None), now)
     for index, interface in enumerate(network.interfaces):
-        if index in skip:
-            continue
-        lane_budget = getattr(interface, "lane_budget", None)
-        lane_high = getattr(interface, "egress_high_water", 0)
-        if lane_budget is not None and lane_high > lane_budget:
-            violations.append(Violation(
-                invariant="ingress-bounds", t=now,
-                detail=(f"node {index}: egress-lane high water "
-                        f"{lane_high} exceeded budget {lane_budget}")))
+        if index not in skip:
+            violations += ingress_breach(
+                index, "egress-lane",
+                getattr(interface, "egress_high_water", 0),
+                getattr(interface, "lane_budget", None), now)
     return violations

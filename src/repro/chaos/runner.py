@@ -22,6 +22,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from numpy.random import default_rng
+
 from repro.chaos.faults import FaultInjector
 from repro.chaos.monitor import (
     InvariantMonitor,
@@ -29,10 +31,11 @@ from repro.chaos.monitor import (
     audit_chains,
     audit_ingress,
 )
-from repro.chaos.scenario import ScenarioScript
+from repro.chaos.scenario import FAULT_RNG_TAG, ScenarioScript
 from repro.common.params import ProtocolParams
 from repro.conformance.monitor import ConformanceVerdict
 from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.catchup import resync_from_peers
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
 
@@ -170,14 +173,22 @@ def run_scenario(script: ScenarioScript, *,
     if sim_overrides:
         config = dataclasses.replace(config, **sim_overrides)
     sim = Simulation(config, obs=bus)
-    injector = FaultInjector(sim, script)
-    injector.install()
+    for node in sim.nodes:
+        # Crash-rejoin catch-up (and late-round resync for everyone):
+        # adopt the longest valid peer chain at round boundaries.
+        node.resync = lambda n=node: resync_from_peers(n, sim.nodes)
+    FaultInjector(
+        sim.env, sim.network, {node.index: node for node in sim.nodes},
+        script.actions, rng=default_rng([script.seed, FAULT_RNG_TAG]),
+        obs=bus, rounds=script.rounds).install()
     if script.payments:
         sim.submit_payments(script.payments)
 
     for node in sim.nodes:
         node.start(script.rounds)
-    skip = injector.permanently_crashed
+    # Crashed with no scheduled restart: excluded from convergence and
+    # liveness accounting.
+    skip = script.permanently_crashed()
     survivors = [node for node in sim.nodes if node.index not in skip]
 
     def finished() -> bool:

@@ -2,10 +2,12 @@
 
 A :class:`ScenarioScript` is pure data — one simulated deployment
 (users, rounds, seed) plus a list of :class:`FaultAction` entries, each
-a time window ``[start, end)`` on the simulated clock during which one
-fault is in force. The script never touches the network itself;
-:class:`repro.chaos.faults.FaultInjector` compiles it onto a live
-:class:`~repro.experiments.harness.Simulation`.
+a time window ``[start, end)`` on the run's clock (simulated seconds,
+or wall seconds on a live cluster) during which one fault is in force.
+The script never touches the network itself;
+:class:`repro.chaos.faults.FaultInjector` compiles it onto a
+:class:`~repro.experiments.harness.Simulation` or, per process, onto a
+live node.
 
 Fault vocabulary (the ``kind`` field):
 
@@ -63,11 +65,11 @@ FAULT_KINDS = ("partition", "delay", "loss", "duplicate", "reorder",
 #: ingress-bounds audit.
 ATTACKER_FAULTS = frozenset({"flood", "spam"})
 
-#: Kinds expressed through the gossip ``link_shaper`` hook.
+#: Kinds that mutate single deliveries on matching links.
 LINK_FAULTS = frozenset({"delay", "loss", "duplicate", "reorder"})
 
-#: Seed-sequence spice mixed with the scenario seed for fault RNG, on
-#: both substrates (``repro.chaos.faults``, ``repro.live.faults``).
+#: Seed-sequence spice mixed with the scenario seed for fault RNG: the
+#: sim runner seeds ``[seed, TAG]``, live node *i* ``[seed, TAG, i]``.
 FAULT_RNG_TAG = 0xC4A05
 
 
@@ -304,16 +306,22 @@ def flood_recovery_scenario(*, num_users: int = 15, seed: int = 47,
     verdict must show honest vote buffers and egress lanes inside their
     budgets throughout (the ``ingress-bounds`` audit), no safety
     violation, and rounds still committing after the flood stops.
+
+    Attackers never exceed the paper's 1/3 (being quarantined silences
+    an attacker's honest votes too): below seven users there is one,
+    running both attacks — the 5-process live cluster of 40-stake nodes
+    keeps 160/200 of its stake voting.
     """
-    attackers = max(2, num_users // 5)
-    first = num_users - attackers
+    attackers = min(max(2, num_users // 5), (num_users - 1) // 3)
+    spammer = num_users - 1
+    flooders = range(num_users - attackers, spammer) or (spammer,)
     actions = [
         FaultAction(kind="flood", start=start, end=end, nodes=(node,),
                     rate=60.0)
-        for node in range(first, num_users - 1)
+        for node in flooders
     ]
     actions.append(FaultAction(kind="spam", start=start, end=end,
-                               nodes=(num_users - 1,), rate=400.0))
+                               nodes=(spammer,), rate=400.0))
     return ScenarioScript(
         name="flood-recovery",
         seed=seed,

@@ -41,7 +41,6 @@ from repro.obs.bus import TraceBus
 from repro.runtime.admission import QuarantineDirectory
 from repro.sim.loop import Environment
 from repro.sortition.selection import SELECTION_STATS
-from repro.substrate.sim import SimSubstrate
 
 
 class Simulation:
@@ -116,16 +115,6 @@ class Simulation:
             obs=obs,
             active_indices=list(range(core_size)) if dormant else None,
         )
-        #: Per-node execution context: the explicit
-        #: :class:`repro.substrate.Substrate` pairing of this run's
-        #: virtual clock with each node's gossip interface. Purely
-        #: descriptive for the sim substrate (no behavior change);
-        #: :class:`~repro.live.cluster.LiveCluster` builds the live
-        #: equivalent per process.
-        self.substrates = [
-            SimSubstrate(clock=self.env, transport=interface)
-            for interface in self.network.interfaces
-        ]
         if config.num_malicious and malicious_class is None:
             raise ConfigError(
                 "num_malicious > 0 requires a malicious_class")

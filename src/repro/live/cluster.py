@@ -19,10 +19,12 @@ suitable for ``python -m repro.conformance``.
 
 Chaos extensions (all inert when ``faults`` is empty):
 
-* Link faults (``partition``/``loss``/``delay``/``dos``) ride inside
-  the ``start`` message; every node arms its own
-  :class:`~repro.live.faults.LiveFaultPlane` against the shared
-  schedule, so both ends of a cut link act at the same offsets.
+* Every fault kind but ``crash`` rides inside the ``start`` message;
+  each node arms the shared schedule with its own
+  :class:`~repro.chaos.faults.FaultInjector` (the sim's, over its
+  transport's two link hooks), so both ends of a cut link drop their
+  frames at the same offsets and an attacker floods from its own
+  process.
 * ``crash`` faults are realized here: the coordinator SIGKILLs the
   victim's process at the window start and — if the window has an end —
   respawns it as a fresh ``node_main`` with ``rejoin=True`` and a
@@ -63,7 +65,6 @@ from repro.common.errors import ConfigError
 from repro.common.params import TEST_PARAMS
 from repro.node.deployment import SimulationConfig, SubstrateConfig
 from repro.live.control import ControlError, MessageStream, send_message
-from repro.live.faults import unsupported_live_kinds
 from repro.network.wire import decode_block
 from repro.obs.sink import read_trace
 
@@ -150,12 +151,6 @@ class LiveCluster:
         self.faults: tuple[FaultAction, ...] = tuple(faults)
         for action in self.faults:
             action.validate(self.num_nodes)
-        unsupported = unsupported_live_kinds(self.faults)
-        if unsupported:
-            raise ConfigError(
-                "fault kind(s) with no live realization: "
-                + ", ".join(sorted(unsupported))
-                + " (sim-only; run them on the sim substrate)")
         #: Per-node config overrides merged into the generated node
         #: config files — test hooks (``exit_at_start``) and tuning.
         self.node_overrides = dict(node_overrides or {})

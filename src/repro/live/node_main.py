@@ -19,10 +19,12 @@ Robustness plumbing (all dormant in a clean run):
 
 * **Reconnect** — a lost gossip link is redialed by the pair's dialer
   (the higher index) with capped exponential backoff and a fresh
-  ``peer-hello`` handshake.
+  ``peer-hello`` handshake, until the process shuts down.
 * **Faults** — the ``start`` message may carry a scripted fault
-  schedule; :class:`~repro.live.faults.LiveFaultPlane` arms it on this
-  node's clock.
+  schedule; the one :class:`~repro.chaos.faults.FaultInjector` (the
+  sim's) arms it on this node's clock, transport hooks and node.
+  ``crash`` windows are the coordinator's (SIGKILL + respawn), and an
+  empty schedule builds no injector at all.
 * **Rejoin** — a respawned process (``rejoin`` config flag) resumes its
   trace clock at ``clock_offset``, rebinds its original address, emits
   ``node_restarted``, and catches up over gossip
@@ -38,15 +40,17 @@ import sys
 import time
 from pathlib import Path
 
-from numpy.random import default_rng  # by name: see repro.live.faults
+# numpy >= 2 loads numpy.random on first attribute access (~20 ms):
+# name it here so that cost is start-up, not the first round.
+from numpy.random import default_rng
 
-from repro.chaos.scenario import FaultAction
+from repro.chaos.faults import FaultInjector
+from repro.chaos.scenario import FAULT_RNG_TAG, FaultAction
 from repro.common.encoding import decode, encode
 from repro.conformance.monitor import ConformanceMonitor
 from repro.ledger.transaction import make_transaction
 from repro.live.clock import LiveClock
 from repro.live.control import ControlError, MessageStream, send_message
-from repro.live.faults import LiveFaultPlane
 from repro.live.transport import LiveTransport, PeerLink
 from repro.network.wire import FrameDecoder, encode_block, encode_frame
 from repro.node.agent import Node
@@ -137,10 +141,6 @@ class NodeProcess:
                                writer: asyncio.StreamWriter) -> None:
         hello, extra, residue = await _read_hello(reader)
         peer = hello["index"]
-        if peer in self.transport.severed:
-            # Fault plane says this link does not exist right now.
-            writer.close()
-            return
         link = PeerLink(self.transport, peer, reader, writer)
         self.transport.add_link(link)
         link.start()
@@ -183,16 +183,17 @@ class NodeProcess:
         self._check_links()
 
     def _ensure_redial(self, peer: int) -> None:
-        """Re-establish a lost/healed link, if we are the pair's dialer.
+        """Re-establish a lost link, if we are the pair's dialer.
 
         Connections are owned by the higher index of the pair (node *i*
         dials every *j < i* at startup); keeping that rule on reconnect
-        means a healed partition or a restarted peer gets exactly one
-        new connection, not a crossing pair.
+        means a restarted peer gets exactly one new connection, not a
+        crossing pair. ``transport.disconnected`` is not consulted: a
+        ``dos`` window sets it too, and a link lost during one must be
+        back when the window clears. Shutdown stops redialing by
+        cancelling the tasks and detaching ``on_link_down``.
         """
         if peer >= self.index or peer not in self._peer_addresses:
-            return
-        if self.transport.disconnected:
             return
         task = self._redial_tasks.get(peer)
         if task is not None and not task.done():
@@ -203,10 +204,7 @@ class NodeProcess:
     async def _redial(self, peer: int) -> None:
         backoff = RECONNECT_BACKOFF_BASE
         try:
-            while not self.transport.disconnected:
-                if peer in self.transport.severed:
-                    await asyncio.sleep(RECONNECT_BACKOFF_BASE)
-                    continue
+            while True:
                 existing = self.transport.links.get(peer)
                 if existing is not None and not existing.closed:
                     return
@@ -274,10 +272,17 @@ class NodeProcess:
             stall_after=self.params.round_budget)
         node.resync_patience = max(0.25, self.params.lambda_step / 2)
         node.resync_retries = RESYNC_RETRIES
+        horizon = config.network.seen_horizon_rounds
+        node.on_commit = lambda round_number: self.transport.end_round(
+            horizon)
         return node
 
     def _stats(self) -> dict:
-        return {**self.transport.stats(), **self.chain_sync.stats()}
+        buffer = self.chain_sync.node.buffer
+        return {**self.transport.stats(), **self.chain_sync.stats(),
+                "vote_buffer_high_water": buffer.high_water,
+                # 0: unbounded (admission off).
+                "vote_buffer_budget": buffer.budget_messages or 0}
 
     def _startup_report(self, build_began: float) -> dict:
         """Where this process's start-up went (the ``ready`` message).
@@ -367,10 +372,6 @@ class NodeProcess:
                                    timeout=timeout)
         build_began = time.time()
         node = self._build_node()
-        self.fault_plane = LiveFaultPlane(
-            self.index, self.num_nodes, self.clock, self.transport,
-            self.config.seed)
-        self.fault_plane.on_release = self._ensure_redial
         await send_message(writer, {
             "type": "ready", "index": self.index,
             "startup": self._startup_report(build_began)})
@@ -378,9 +379,17 @@ class NodeProcess:
         rounds: int = start["rounds"]
         deadline = (start.get("deadline")
                     or self.params.round_budget * (rounds + 1))
-        self.fault_plane.install(
-            FaultAction.from_dict(record)
-            for record in start.get("faults", ()))
+        # ``crash`` is coordinator-owned: a dead process cannot schedule
+        # its own murder. ``obs`` stays ``None``: the coordinator writes
+        # one fault_applied/fault_cleared pair for the whole cluster.
+        faults = [action for action in map(FaultAction.from_dict,
+                                           start.get("faults", ()))
+                  if action.kind != "crash"]
+        if faults:
+            FaultInjector(
+                self.clock, self.transport, {self.index: node}, faults,
+                rng=default_rng([self.config.seed, FAULT_RNG_TAG,
+                                 self.index])).install()
         if self.rejoin:
             # Seed only the local conformance machine with the crash it
             # cannot have witnessed (the coordinator synthesizes the

@@ -28,14 +28,17 @@ let alone decoded. Two live-only concerns are added:
   at most ``drain_budget`` envelopes before rescheduling itself, so one
   chatty peer cannot starve protocol timers.
 
-Two robustness hooks ride on the link layer (both optional, both
-``None`` in a clean run):
+Three optional attachment points ride on the link layer, all ``None``
+in a clean run:
 
-* **Fault plane** — :class:`repro.live.faults.LiveFaultPlane` assigned
-  into :attr:`LiveTransport.fault_plane` injects scripted per-link
-  effects: severed peers (partitions/DoS) are refused inbound and
-  skipped outbound, lossy links drop frames probabilistically at send
-  time, delayed links stall the writer queue's flush.
+* **The two link hooks** — ``drop_filter`` and ``link_shaper``, with the
+  signatures and call order of the sim fabric (the transport is a
+  :class:`repro.substrate.api.Fabric` for its own outbound links), so
+  the one :class:`repro.chaos.faults.FaultInjector` compiles a fault
+  schedule onto real sockets: a dropped copy is a frame that is never
+  written, a delayed one is ``clock.schedule(delay, link.send, frame)``,
+  a duplicated one is sent twice. The sockets themselves stay open — a
+  partition is packets disappearing, nobody gets a FIN.
 * **Link-down notification** — when a link's reader or writer dies
   (peer crashed, connection reset), :attr:`LiveTransport.on_link_down`
   fires once with the peer index so the owner can schedule a reconnect
@@ -50,6 +53,7 @@ from collections import deque
 from typing import Callable
 
 from repro.live.clock import LiveClock
+from repro.network.gossip import DropFilter, LinkShaper
 from repro.network.message import Envelope
 from repro.network.wire import (
     EnvelopeHeader,
@@ -103,15 +107,6 @@ class PeerLink:
                 frame = await self._outbound.get()
                 if frame is None:
                     break
-                plane = self.transport.fault_plane
-                if plane is not None:
-                    delay = plane.outbound_delay(self.peer)
-                    if delay > 0.0:
-                        # Delayed flush: the whole queue behind this
-                        # frame stalls too (head-of-line), which is what
-                        # a congested real link does.
-                        plane.delayed_frames += 1
-                        await asyncio.sleep(delay)
                 self.writer.write(frame)
                 await self.writer.drain()
         except (ConnectionError, asyncio.CancelledError):
@@ -185,23 +180,27 @@ class LiveTransport:
         self.rx_dropped = 0
         self.garbage_frames = 0
         self.garbage_streams = 0
-        #: Optional :class:`repro.live.faults.LiveFaultPlane` injecting
-        #: scripted partition/loss/delay effects on this node's links.
-        self.fault_plane = None
+        #: The fault hooks, asked once per peer copy in ``_send_frames``
+        #: with this node as ``src`` (see :class:`Fabric`).
+        self.drop_filter: DropFilter | None = None
+        self.link_shaper: LinkShaper | None = None
+        #: Copies the hooks dropped / sent late.
+        self.fault_dropped_frames = 0
+        self.fault_delayed_frames = 0
         #: Callback fired (once per link) when a link's reader or writer
-        #: dies and the peer is neither severed nor the whole transport
-        #: closing — the owner decides whether to redial.
+        #: dies — the owner decides whether to redial. :meth:`close`
+        #: detaches it: a link torn down on purpose is not a lost one.
         self.on_link_down: Callable[[int], None] | None = None
-        #: Peers currently refused by the fault plane (partition/DoS):
-        #: no sends, inbound dropped, reconnects rejected.
-        self.severed: set[int] = set()
         #: Dial attempts and successes after a lost link (the owner's
         #: backoff loop increments these; counted here so they travel
         #: with the rest of the transport stats).
         self.reconnect_attempts = 0
         self.reconnects = 0
         self._links: dict[int, PeerLink] = {}
+        #: Dedup state, one generation of msg_ids per round: the current
+        #: one, and the ``horizon_rounds`` before it (:meth:`end_round`).
         self._seen: set[int] = set()
+        self._seen_before: deque[set[int]] = deque()
         #: ``(peer, validated header, frame payload)`` awaiting a drain.
         self._rx: deque[tuple[int, EnvelopeHeader, bytes]] = deque()
         self._drain_scheduled = False
@@ -229,11 +228,6 @@ class LiveTransport:
             coro.close()
 
     def add_link(self, link: PeerLink) -> None:
-        if link.peer in self.severed:
-            # A peer the fault plane severed cannot slip back in through
-            # a fresh handshake; callers check first, this is the net.
-            self._close_soon(link)
-            return
         stale = self._links.get(link.peer)
         if stale is not None and stale is not link:
             # Reconnect replaced a dead (or half-dead) link: retire the
@@ -246,22 +240,9 @@ class LiveTransport:
         if link._down_notified:
             return
         link._down_notified = True
-        if (self._links.get(link.peer) is link and not self.disconnected
-                and link.peer not in self.severed
+        if (self._links.get(link.peer) is link
                 and self.on_link_down is not None):
             self.on_link_down(link.peer)
-
-    def sever_peer(self, peer: int) -> None:
-        """Fault plane: cut ``peer`` off — close, refuse, stay silent."""
-        self.severed.add(peer)
-        link = self._links.pop(peer, None)
-        self.neighbors = sorted(self._links)
-        if link is not None:
-            self._close_soon(link)
-
-    def release_peer(self, peer: int) -> None:
-        """Fault plane: lift a sever; the owner may now reconnect."""
-        self.severed.discard(peer)
 
     @property
     def links(self) -> dict[int, PeerLink]:
@@ -269,6 +250,7 @@ class LiveTransport:
 
     async def close(self) -> None:
         self.disconnected = True
+        self.on_link_down = None
         for link in self._links.values():
             await link.close()
 
@@ -288,22 +270,17 @@ class LiveTransport:
 
     def _send_frames(self, frame: bytes, envelope: Envelope,
                      exclude: int | None) -> None:
-        plane = self.fault_plane
-        if plane is not None:
-            # Frames this node would have sent over links the fault
-            # plane severed: counted so a partition window shows up in
-            # the fault-drop stats even though the link itself is gone.
-            for peer in self.severed:
-                if peer != exclude:
-                    plane.dropped_frames += 1
+        shaped = (self.drop_filter is not None
+                  or self.link_shaper is not None)
         sent = 0
         for peer, link in list(self._links.items()):
-            if peer == exclude or link.closed or peer in self.severed:
+            if peer == exclude or link.closed:
                 continue
-            if plane is not None and plane.outbound_drop(peer):
-                continue
-            link.send(frame)
-            sent += 1
+            if shaped:
+                sent += self._send_shaped(link, frame, envelope)
+            else:
+                link.send(frame)
+                sent += 1
         if not sent:
             return
         self.bytes_sent += sent * envelope.size
@@ -314,6 +291,34 @@ class LiveTransport:
             metrics.inc("gossip.sent." + envelope.kind, sent)
             metrics.inc("gossip.sent_bytes." + envelope.kind,
                         sent * envelope.size)
+
+    def _send_shaped(self, link: PeerLink, frame: bytes,
+                     envelope: Envelope) -> int:
+        """One peer's copy through the fault hooks; returns copies sent.
+
+        Same order as the sim fabric's ``_shaped_delays`` —
+        ``drop_filter``, base delay (0.0: the socket is the latency),
+        ``link_shaper``. A late copy rides the clock, whose
+        ``(time, seq)`` order keeps a link's equal delays in send order.
+        """
+        src, dst = self.index, link.peer
+        delays = [0.0]
+        if self.drop_filter is not None and self.drop_filter(src, dst,
+                                                             envelope):
+            delays = []
+        elif self.link_shaper is not None:
+            delays = self.link_shaper(src, dst, envelope, 0.0)
+        if not delays:
+            self.fault_dropped_frames += 1
+            if self.obs is not None:
+                self.obs.metrics.inc("gossip.filtered")
+        for delay in delays:
+            if delay > 0.0:
+                self.fault_delayed_frames += 1
+                self.clock.schedule(delay, link.send, frame)
+            else:
+                link.send(frame)
+        return len(delays)
 
     # -- receiving ------------------------------------------------------
 
@@ -327,17 +332,12 @@ class LiveTransport:
         already holds stops at the seen-set and costs neither a queue
         slot nor a look at its body.
         """
-        if peer in self.severed:
-            plane = self.fault_plane
-            if plane is not None:
-                plane.dropped_frames += 1
-            return
         try:
             header = decode_envelope_header(payload)
         except WireError:
             self.garbage_frames += 1
             return
-        if header[0] in self._seen:
+        if self._holds(header[0]):
             self._count_duplicate()
             return
         if len(self._rx) >= self.rx_queue_limit:
@@ -359,6 +359,33 @@ class LiveTransport:
             self._drain_scheduled = True
             self.clock.schedule_now(self._drain)
 
+    def _holds(self, msg_id: int) -> bool:
+        """Is ``msg_id`` in any dedup generation still kept?"""
+        if msg_id in self._seen:
+            return True
+        for generation in self._seen_before:
+            if msg_id in generation:
+                return True
+        return False
+
+    def end_round(self, horizon_rounds: int | None) -> None:
+        """Round boundary: start a fresh dedup generation.
+
+        Live ids are not monotone across origins, so the sim's
+        watermark pruning does not apply; instead the ids of each round
+        form one generation and the ``horizon_rounds`` latest finished
+        ones are kept beside the current. As in the sim, a copy that
+        straggles in after its generation is gone is accepted once more
+        (the protocol layer's stale-round checks discard it unrelayed),
+        and ``None`` keeps everything.
+        """
+        if horizon_rounds is None:
+            return
+        self._seen_before.appendleft(self._seen)
+        while len(self._seen_before) > horizon_rounds:
+            self._seen_before.pop()
+        self._seen = set()
+
     def _count_duplicate(self) -> None:
         if self.obs is not None and not self.disconnected:
             self.obs.metrics.inc("gossip.dup_dropped")
@@ -366,7 +393,7 @@ class LiveTransport:
     def _deliver(self, from_peer: int, header: EnvelopeHeader,
                  payload: bytes) -> None:
         """Mirror of ``NetworkInterface._deliver``, relay over sockets."""
-        if self.disconnected or header[0] in self._seen:
+        if self.disconnected or self._holds(header[0]):
             # Two copies can sit in one drain: the second is caught here.
             self._count_duplicate()
             return
@@ -396,7 +423,6 @@ class LiveTransport:
                 metrics.inc("gossip.relayed." + envelope.kind)
 
     def stats(self) -> dict:
-        plane = self.fault_plane
         return {
             "bytes_sent": self.bytes_sent,
             "messages_sent": self.messages_sent,
@@ -407,8 +433,6 @@ class LiveTransport:
             "links": len(self._links),
             "reconnect_attempts": self.reconnect_attempts,
             "reconnects": self.reconnects,
-            "fault_dropped_frames": (plane.dropped_frames
-                                     if plane is not None else 0),
-            "fault_delayed_frames": (plane.delayed_frames
-                                     if plane is not None else 0),
+            "fault_dropped_frames": self.fault_dropped_frames,
+            "fault_delayed_frames": self.fault_delayed_frames,
         }

@@ -32,7 +32,7 @@ starts requesting outright, which covers the case where every peer is
 already done (no fresh votes to betray the lag) and the ConsensusHalted
 patience loop is polling an empty stash.
 
-The sim chaos injector still restarts crashed nodes through
+The sim chaos runner still rejoins crashed nodes through
 :func:`resync_from_peers`, which reads peer ``Node`` objects directly —
 a luxury a real process does not have.
 """
@@ -259,7 +259,8 @@ class ChainSync:
 
         Peers at the same height simply ignore the request, so a
         fully-caught-up cluster only pays a trickle of control traffic.
-        A disconnected node stops probing until it is rebuilt.
+        A disconnected node (crashed, or inside a ``dos`` window) skips
+        the request but keeps probing: only :meth:`close` ends the probe.
         """
         if not self.transport.disconnected:
             height = self.node.chain.height
@@ -275,8 +276,8 @@ class ChainSync:
                        >= self.stall_after)
             if ahead >= self.node.chain.next_round + 2 or stalled:
                 self.request()
-            self._probe = self.clock.schedule(self.check_interval,
-                                              self._lag_probe)
+        self._probe = self.clock.schedule(self.check_interval,
+                                          self._lag_probe)
 
     # -- serving ---------------------------------------------------------
 

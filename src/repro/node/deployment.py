@@ -75,8 +75,8 @@ class NetworkConfig:
     #: "Algorand replaces gossip peers each round, which helps users
     #: recover from being possibly disconnected").
     reshuffle_peers_each_round: bool = False
-    #: Rounds of gossip duplicate-suppression memory per node; ``None``
-    #: keeps every msg_id forever (unbounded, pre-refactor behavior).
+    #: Rounds of gossip duplicate-suppression memory per node, on both
+    #: substrates; ``None`` keeps every msg_id forever (unbounded).
     seen_horizon_rounds: int | None = 2
 
     def validate(self) -> None:

@@ -13,9 +13,9 @@ heap or a socket — they only ever used two object shapes:
   points the node and admission gate assign into).
 
 This module names that implicit seam as explicit
-:class:`typing.Protocol` types — :class:`Clock`, :class:`Transport`, and
-the :class:`Substrate` pairing that a harness builds per node — so a
-second execution substrate is a *swap*, not a fork:
+:class:`typing.Protocol` types — :class:`Clock` and :class:`Transport`,
+plus :class:`Fabric`, the two link hooks fault injection is written
+against — so a second execution substrate is a *swap*, not a fork:
 
 ========== ============================== ===========================
 substrate  clock                          transport
@@ -29,7 +29,6 @@ substrate  clock                          transport
 Both are checked against these protocols in ``tests/test_substrate.py``.
 """
 
-from repro.substrate.api import Clock, Substrate, Transport
-from repro.substrate.sim import SimSubstrate
+from repro.substrate.api import Clock, Fabric, Transport
 
-__all__ = ["Clock", "Substrate", "Transport", "SimSubstrate"]
+__all__ = ["Clock", "Fabric", "Transport"]

@@ -1,17 +1,28 @@
-"""Clock / Transport / Substrate protocols.
+"""Clock / Transport / Fabric protocols.
 
 These are *structural* (``typing.Protocol``) rather than nominal base
-classes on purpose: ``repro.sim.loop.Environment`` and
-``repro.network.gossip.NetworkInterface`` predate this module and
-already satisfy them unchanged, and the live implementations in
+classes on purpose: ``repro.sim.loop.Environment``,
+``repro.network.gossip.NetworkInterface`` and
+``repro.network.gossip.GossipNetwork`` predate this module and already
+satisfy them unchanged, and the live implementations in
 :mod:`repro.live` satisfy them by construction. ``runtime_checkable``
 lets tests assert conformance with plain ``isinstance`` checks.
+:class:`~repro.node.catchup.ChainSync`,
+:func:`~repro.node.deployment.build_node` and
+:class:`~repro.chaos.faults.FaultInjector` are typed against them, which
+is why one copy of each serves both substrates.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
+from repro.network.gossip import (
+    DropFilter,
+    IngressPolicy,
+    LinkShaper,
+    RelayPolicy,
+)
 from repro.network.message import Envelope
 
 
@@ -51,7 +62,9 @@ class Transport(Protocol):
     ``broadcast`` pushes an envelope toward every peer; the node wires
     itself in by *assigning* ``relay_policy`` (synchronous dispatch of
     arriving envelopes, return value = relay decision) and the
-    admission gate by assigning ``ingress`` (pre-dedup accept/reject).
+    admission gate by assigning ``ingress`` (accept/reject, asked after
+    duplicate suppression and before the relay policy, with the index
+    of the peer that handed the copy over).
     Gossip metrics (``bytes_sent``/``messages_sent``) and liveness
     (``disconnected``) round out the surface the runtime layers read.
     """
@@ -62,25 +75,25 @@ class Transport(Protocol):
     messages_sent: int
     # Assignment points (declared as attributes so implementations must
     # expose them writable): the node's envelope handler and the
-    # admission gate's pre-filter.
-    relay_policy: Callable[[Envelope], bool]
-    ingress: Callable[[Envelope], bool] | None
+    # admission gate.
+    relay_policy: RelayPolicy
+    ingress: IngressPolicy | None
 
     def broadcast(self, envelope: Envelope) -> None: ...
 
 
 @runtime_checkable
-class Substrate(Protocol):
-    """One node's execution context: a clock plus its transport.
+class Fabric(Protocol):
+    """The two link hooks — all the power the adversary has over links.
 
-    A harness (``Simulation`` or ``LiveCluster``) builds one per node
-    and hands the pair to the substrate-agnostic stack
-    (``Node(env=..., interface=...)`` → admission → damping → obs).
-    ``name`` identifies which world the numbers came from — wall-clock
-    latencies from ``"live"`` and virtual latencies from ``"sim"`` must
-    never be averaged together.
+    Whatever puts a message on a link (the sim's ``GossipNetwork`` for
+    every node at once, a ``LiveTransport`` for its own outbound links)
+    asks, per ``(src, dst)`` copy and in this order:
+    ``drop_filter(src, dst, envelope)`` — true drops the copy — then
+    ``link_shaper(src, dst, envelope, base_delay)`` for its arrival
+    delays: empty drops it, more than one entry duplicates it. Both are
+    ``None`` in a clean run.
     """
 
-    name: str
-    clock: Clock
-    transport: Transport
+    drop_filter: DropFilter | None
+    link_shaper: LinkShaper | None

@@ -7,14 +7,16 @@ it forged conflicting certificates and a stalled clock and require red.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.chaos import (FaultAction, InvariantMonitor, ScenarioError,
-                         ScenarioScript, ShaperChain, generate_scenario,
-                         partition_heal_scenario)
+                         ScenarioScript, ShaperChain,
+                         flood_recovery_scenario, generate_scenario,
+                         partition_heal_scenario, run_scenario)
 from repro.chaos.__main__ import main as chaos_main
 from repro.chaos.faults import _WindowedLinkEffect
 from repro.experiments.harness import Simulation, SimulationConfig
@@ -100,8 +102,14 @@ class TestLinkEffects:
         assert effect(0, 3, _envelope(), [0.1]) == [0.6]
 
     def test_loss_rate_one_drops_everything(self):
-        effect = self._effect(kind="loss", start=0.0, end=1.0, rate=1.0)
-        assert effect(0, 1, _envelope(), [0.1]) == []
+        # Loss is a drop decision: the injector installs it as a
+        # drop_filter predicate, not as a shaper effect.
+        effect = self._effect(kind="loss", start=0.0, end=1.0, rate=1.0,
+                              nodes=(3,))
+        assert effect.drops(0, 3, _envelope())
+        assert not effect.drops(0, 1, _envelope())  # out of scope
+        effect.deactivate()
+        assert not effect.drops(0, 3, _envelope())
 
     def test_duplicate_rate_one_doubles_delivery(self):
         effect = self._effect(kind="duplicate", start=0.0, end=1.0,
@@ -133,6 +141,49 @@ class TestLinkEffects:
         chain = ShaperChain(sim.network)
         chain.add(lambda src, dst, env, delays: [])
         assert chain._shape(0, 1, _envelope(), 0.5) == []
+
+
+class TestSimVerdictsPinned:
+    """The sim must not move under injector refactors.
+
+    ``sha256(run_scenario(script).to_json())`` — violations, heights,
+    ``sim_seconds``, ``events_seen`` and the conformance summary, byte
+    for byte — recorded before the sim and live injectors were merged
+    (PR 18's parent) and stable across ``PYTHONHASHSEED``. Together the
+    five scripts arm all nine fault kinds, so hook order, the loss
+    coins' place in the filter chain and the shared fault RNG stream
+    are all under the hash.
+    """
+
+    GOLDEN = [
+        (partition_heal_scenario, {"partition"},
+         "4e2ed7cd2ca173e3b625379d4519ab14985a0e7a6f7740887a9bfa876f87bc81"),
+        (flood_recovery_scenario, {"flood", "spam"},
+         "725381e85f9b6ecf57701c530e8d0b71651b586945c012fa2b9da9845ca2a365"),
+        (lambda: generate_scenario(101), {"crash", "delay", "loss"},
+         "24d8eb821ff82e85bd280dc51f8e20f0b2467eb3a04731717e34a01b4ef56a30"),
+        (lambda: generate_scenario(105),
+         {"duplicate", "partition", "reorder"},
+         "89aa02454202ba75ec4fa10f56d04a9cfda5033811fb3a94b9f90e71f495b7bc"),
+        (lambda: generate_scenario(111), {"delay", "dos", "reorder"},
+         "b2364b433db584c0091aa5ae1dddce8877a44f17d20e60ef372f1989c6b0a8fd"),
+    ]
+
+    def test_the_five_scripts_cover_every_fault_kind(self):
+        from repro.chaos import FAULT_KINDS
+        assert set().union(*(kinds for _, kinds, _ in self.GOLDEN)) \
+            == set(FAULT_KINDS)
+
+    @pytest.mark.parametrize("make_script,kinds,golden", GOLDEN,
+                             ids=["partition-heal", "flood-recovery",
+                                  "seed-101", "seed-105", "seed-111"])
+    def test_verdict_bytes_unchanged(self, make_script, kinds, golden):
+        script = make_script()
+        assert {action.kind for action in script.actions} == kinds
+        verdict = run_scenario(script)
+        assert verdict.ok, verdict.violations
+        assert hashlib.sha256(
+            verdict.to_json().encode()).hexdigest() == golden
 
 
 def _commit(node: int, round_number: int, block_hash: str,

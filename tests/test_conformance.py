@@ -345,6 +345,8 @@ class TestEventCatalogue:
         assert bus.events
 
     def test_chaos_run_passes_validation(self):
+        from numpy.random import default_rng
+
         from repro.chaos import FaultAction, ScenarioScript
         from repro.chaos.faults import FaultInjector
         bus = TraceBus(validate=True)
@@ -353,7 +355,9 @@ class TestEventCatalogue:
             actions=(FaultAction(kind="loss", start=0.5, end=2.0,
                                  rate=0.1),))
         sim = Simulation(SimulationConfig(num_users=8, seed=4), obs=bus)
-        FaultInjector(sim, script).install()
+        FaultInjector(sim.env, sim.network, dict(enumerate(sim.nodes)),
+                      script.actions, rng=default_rng(4),
+                      obs=bus).install()
         sim.run_rounds(1)
         kinds = {e["kind"] for e in bus.events}
         assert "fault_applied" in kinds

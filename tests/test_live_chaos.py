@@ -1,15 +1,15 @@
-"""Live fault-plane tests: real SIGKILLs, severed links, gossip catch-up.
+"""Live chaos tests: real SIGKILLs, cut links, an attacker process.
 
 The tier-1 tests here run **3-process** clusters over Unix domain
 sockets with stakes ``[80, 80, 40]`` — the calibrated committee design
-point (W = 200) with the victim holding the small stake, so killing or
-severing it leaves 160/200 = 80% of the stake online and BA* quorums
-keep forming throughout. Each test drives :class:`LiveCluster` directly
-with a :class:`FaultAction` (the declarative layer the chaos engine
-compiles onto the live substrate) and checks the full recovery story:
-the victim rejoins, catches up via certificate-verified replay, chains
-end byte-identical, and the merged trace satisfies the reference state
-machine.
+point (W = 200) with the victim (or attacker) holding the small stake,
+so killing, cutting off or quarantining it leaves 160/200 = 80% of the
+stake online and BA* quorums keep forming throughout. Each test drives
+:class:`LiveCluster` directly with :class:`FaultAction` windows (the
+declarative layer the one ``FaultInjector`` compiles onto either
+substrate) and checks the full recovery story: the victim rejoins,
+catches up via certificate-verified replay, chains end byte-identical,
+and the merged trace satisfies the reference state machine.
 
 The 5-process scripted scenario sweep (the ``kill-partition`` builtin
 via :func:`run_live_scenario`) is marked ``slow``; run with
@@ -19,14 +19,24 @@ via :func:`run_live_scenario`) is marked ``slow``; run with
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
-from repro.chaos.scenario import FaultAction, kill_partition_scenario
+from repro.chaos.scenario import (
+    FAULT_KINDS,
+    FaultAction,
+    kill_partition_scenario,
+)
 from repro.conformance.monitor import ConformanceMonitor
-from repro.node.deployment import SimulationConfig, SubstrateConfig
+from repro.node.deployment import (
+    RuntimeConfig,
+    SimulationConfig,
+    SubstrateConfig,
+)
 from repro.live.cluster import LiveCluster
 from repro.obs.sink import read_trace
+from repro.runtime.admission import AdmissionConfig
 
 NODES = 3
 ROUNDS = 6
@@ -47,7 +57,7 @@ def _chaos_params():
     return dataclasses.replace(LIVE_CHAOS_PARAMS, max_steps=6)
 
 
-def _config(runtime_dir, seed: int = 7) -> SimulationConfig:
+def _config(runtime_dir, seed: int = 7, **groups) -> SimulationConfig:
     return SimulationConfig(
         num_users=NODES,
         seed=seed,
@@ -55,21 +65,28 @@ def _config(runtime_dir, seed: int = 7) -> SimulationConfig:
         params=_chaos_params(),
         substrate=SubstrateConfig(kind="live", transport="uds",
                                   runtime_dir=str(runtime_dir)),
+        **groups,
     )
 
 
-def _run(runtime_dir, faults, *, seed: int = 7,
-         node_overrides=None) -> LiveCluster:
-    cluster = LiveCluster(_config(runtime_dir, seed=seed), faults=faults,
-                          node_overrides=node_overrides)
+def _run(runtime_dir, faults, *, seed: int = 7, node_overrides=None,
+         rounds: int = ROUNDS, **groups) -> LiveCluster:
+    cluster = LiveCluster(_config(runtime_dir, seed=seed, **groups),
+                          faults=faults, node_overrides=node_overrides)
     cluster.submit_payments(6)
-    cluster.run_rounds(ROUNDS, time_limit=120.0)
+    cluster.run_rounds(rounds, time_limit=120.0)
     return cluster
 
 
 def _merged_events(cluster) -> list[dict]:
     events, _ = read_trace(cluster.merged_trace_path)
     return events
+
+
+def _counters(cluster, index: int) -> dict:
+    """The metric counters node ``index`` wrote into its own trace."""
+    _, snapshot = read_trace(cluster.results[index]["trace"])
+    return snapshot["counters"]
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +99,31 @@ def killed_cluster(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def partitioned_cluster(tmp_path_factory):
-    """Sever every link of the 40-stake node for 1.5s, then heal."""
+    """Cut every link of the 40-stake node for 1.5s, then heal — while
+    every link in the cluster delivers each frame twice."""
     return _run(tmp_path_factory.mktemp("live-partition"),
                 [FaultAction(kind="partition", start=1.0, end=2.5,
-                             groups=((0, 1), (VICTIM,)))])
+                             groups=((0, 1), (VICTIM,))),
+                 FaultAction(kind="duplicate", start=0.0, end=60.0,
+                             rate=1.0)])
+
+
+#: Small enough that one burst of far-future votes would overflow it
+#: were the bound not enforced.
+SPAM_BUFFER_BUDGET = 96
+#: Nobody has to catch up here, so three rounds tell the whole story.
+SPAM_ROUNDS = 3
+
+
+@pytest.fixture(scope="module")
+def spammed_cluster(tmp_path_factory):
+    """The 40-stake process spams validly signed far-future votes."""
+    return _run(tmp_path_factory.mktemp("live-spam"),
+                [FaultAction(kind="spam", start=0.0, end=60.0,
+                             nodes=(VICTIM,), rate=600.0)],
+                rounds=SPAM_ROUNDS,
+                runtime=RuntimeConfig(admission=AdmissionConfig(
+                    vote_buffer_budget=SPAM_BUFFER_BUDGET)))
 
 
 class TestKilledNodeCatchesUp:
@@ -123,6 +161,13 @@ class TestKilledNodeCatchesUp:
         assert verdict.ok, verdict.violations
         assert verdict.nodes == NODES
 
+    def test_respawned_victim_redialed_its_links(self, killed_cluster):
+        # The victim is the highest index, i.e. the dialer of both its
+        # links: its respawn goes through the backoff redial path.
+        stats = killed_cluster.results[VICTIM]["stats"]
+        assert stats["reconnects"] >= 1
+        assert killed_cluster.summary()["reconnects"] >= 1
+
     def test_summary_carries_fault_plane_stats(self, killed_cluster):
         summary = killed_cluster.summary()
         assert summary["kills"] and summary["kills"][0]["node"] == VICTIM
@@ -148,15 +193,106 @@ class TestPartitionedNodeCatchesUp:
         summary = partitioned_cluster.summary()
         assert summary["fault_dropped_frames"] >= 1
 
-    def test_severed_links_reconnected(self, partitioned_cluster):
-        summary = partitioned_cluster.summary()
-        assert summary["reconnects"] >= 1
+    def test_the_cut_left_the_sockets_open(self, partitioned_cluster):
+        # A partition is frames vanishing at both senders; nobody gets a
+        # FIN, so there is nothing to redial when it heals.
+        assert partitioned_cluster.summary()["reconnects"] == 0
+
+    def test_duplicate_window_doubled_deliveries(self, partitioned_cluster):
+        sent_late = dups = received = 0
+        for index in range(NODES):
+            stats = partitioned_cluster.results[index]["stats"]
+            sent_late += stats["fault_delayed_frames"]
+            counters = _counters(partitioned_cluster, index)
+            dups += counters["gossip.dup_dropped"]
+            received += sum(count for name, count in counters.items()
+                            if name.startswith("gossip.recv."))
+        assert sent_late >= 1  # second copies ride the clock, 50 ms late
+        # A 3-node mesh alone hands a node at most one spare copy of a
+        # message (the other peer's relay); doubling every link beats it.
+        assert dups > received
 
     def test_merged_trace_conforms(self, partitioned_cluster):
         monitor = ConformanceMonitor()
         monitor.feed(_merged_events(partitioned_cluster))
         verdict = monitor.verdict()
         assert verdict.ok, verdict.violations
+
+
+class TestSpammingProcessIsContained:
+    """ROADMAP item 4's undecidable-vote spammer, on real sockets."""
+
+    def test_cluster_converges_with_the_attacker_inside(self,
+                                                        spammed_cluster):
+        assert sorted(spammed_cluster.results) == list(range(NODES))
+        for result in spammed_cluster.results.values():
+            assert result["height"] == SPAM_ROUNDS
+        assert spammed_cluster.all_chains_equal()
+
+    def test_spam_reached_the_honest_nodes(self, spammed_cluster):
+        for index in (0, 1):
+            counters = _counters(spammed_cluster, index)
+            # Far-future votes are undecidable: admitted, buffered, and
+            # past the per-origin budget scored as flooding.
+            assert counters["gossip.recv.vote"] > SPAM_BUFFER_BUDGET
+        kinds = [(event["kind"], event.get("peer"))
+                 for event in _merged_events(spammed_cluster)]
+        assert ("peer_quarantined", VICTIM) in kinds
+
+    def test_honest_vote_buffers_stayed_inside_budget(self,
+                                                      spammed_cluster):
+        from repro.chaos.live import _audit_ingress
+
+        for index in (0, 1):
+            stats = spammed_cluster.results[index]["stats"]
+            assert stats["vote_buffer_budget"] == SPAM_BUFFER_BUDGET
+            assert 0 < stats["vote_buffer_high_water"] <= SPAM_BUFFER_BUDGET
+        assert _audit_ingress(spammed_cluster, now=0.0,
+                              skip=frozenset({VICTIM})) == []
+
+    def test_merged_trace_conforms(self, spammed_cluster):
+        monitor = ConformanceMonitor()
+        monitor.feed(_merged_events(spammed_cluster))
+        verdict = monitor.verdict()
+        assert verdict.ok, verdict.violations
+
+
+class TestOneVocabulary:
+    def test_every_fault_kind_is_accepted_live(self, tmp_path):
+        extra = {"partition": {"groups": ((0, 1), (2,))},
+                 "delay": {"extra_delay": 0.1},
+                 "loss": {"rate": 0.5}, "duplicate": {"rate": 0.5},
+                 "reorder": {"jitter": 0.1},
+                 "crash": {"nodes": (2,)}, "dos": {"nodes": (2,)},
+                 "flood": {"nodes": (2,), "rate": 10.0},
+                 "spam": {"nodes": (2,), "rate": 10.0}}
+        assert set(extra) == set(FAULT_KINDS)
+        for kind in FAULT_KINDS:
+            LiveCluster(_config(tmp_path), faults=[
+                FaultAction(kind=kind, start=0.0, end=1.0, **extra[kind])])
+
+    def test_live_runner_raises_the_sims_ingress_bounds_violation(self):
+        from repro.chaos.live import _audit_ingress
+        from repro.chaos.monitor import audit_ingress
+
+        def stats(high_water: int) -> dict:
+            return {"stats": {"vote_buffer_high_water": high_water,
+                              "vote_buffer_budget": 64}}
+
+        cluster = SimpleNamespace(
+            results={0: stats(64), 1: stats(65), 2: stats(9000)})
+        (breach,) = _audit_ingress(cluster, now=3.0, skip=frozenset({2}))
+        # The sim's audit, over node objects with the same numbers.
+        nodes = [SimpleNamespace(index=index, buffer=SimpleNamespace(
+                     high_water=result["stats"]["vote_buffer_high_water"],
+                     budget_messages=64))
+                 for index, result in cluster.results.items()]
+        (sim_breach,) = audit_ingress(
+            nodes, SimpleNamespace(interfaces=[]), now=3.0,
+            skip=frozenset({2}))
+        assert breach == sim_breach
+        assert breach.invariant == "ingress-bounds"
+        assert "node 1" in breach.detail and "65" in breach.detail
 
 
 class TestFailFastOrchestration:

@@ -30,7 +30,7 @@ class TestPackageRoot:
             "NetworkConfig", "RuntimeConfig", "PopulationConfig",
             "SubstrateConfig", "deploy",
             "LiveCluster",
-            "Clock", "Transport", "Substrate", "SimSubstrate",
+            "Clock", "Transport",
             "TraceBus",
             "ProtocolParams", "PAPER_PARAMS", "TEST_PARAMS",
             "__version__",

@@ -451,5 +451,27 @@ class TestChainSync:
         node = sim.nodes[0]
         sync = _sync(sim, node, check_interval=0.5, stall_after=1.0)
         node.interface.disconnected = True
-        sim.env.run()  # returns: a severed node's probe does not re-arm
+        sim.env.run(until=sim.env.now + 5.0)
+        assert sync.requests_sent == 0  # stalled, but nobody to ask
+        sync.close()
+        sim.env.run()  # returns: close() is what ends the probe
+
+    def test_lag_probe_resumes_after_a_dos_window(self):
+        """Disconnected is not dead: a ``dos`` window sets the same flag
+        and the probe must still be ticking when it clears."""
+        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        laggard = sim.nodes[3]
+        laggard.chain = _genesis_chain(sim, laggard)
+        sync = _sync(sim, laggard, check_interval=0.5, stall_after=1.0)
+        heard: list = []
+        for peer in sim.nodes:
+            if peer is not laggard:
+                peer.router.register(
+                    "chainreq", lambda request: heard.append(request) or True)
+        laggard.interface.disconnected = True
+        sim.env.run(until=sim.env.now + 1.5)  # three probe intervals
         assert sync.requests_sent == 0
+        laggard.interface.disconnected = False
+        sim.env.run(until=sim.env.now + 2.0)
+        assert sync.requests_sent >= 1
+        assert heard and heard[0].height == 0

@@ -2,10 +2,11 @@
 
 ``repro.substrate`` names the seam both runners satisfy; these tests
 pin that both the sim objects (``Environment``, ``NetworkInterface``,
-``SimSubstrate``) and the live objects (``LiveClock``,
+``GossipNetwork``) and the live objects (``LiveClock``,
 ``LiveTransport``) structurally conform, and unit-test the live pieces
 that have no sim twin: wall-clock pacing, the kick, msg_id re-stamping,
-and the bounded drain.
+the bounded drain, the dedup generations, and the two fault hooks as a
+socket-less transport realizes them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.live.clock import LiveClock
 from repro.live.transport import MSG_ID_SEQ_BITS, LiveTransport
 from repro.network.message import Envelope
 from repro.network.wire import ENVELOPE_HEADER, encode_envelope
-from repro.substrate import Clock, SimSubstrate, Substrate, Transport
+from repro.substrate import Clock, Fabric, Transport
 
 from tests.fixtures import live_transport
 
@@ -63,17 +64,14 @@ class TestProtocolConformance:
         sim = Simulation(SimulationConfig(num_users=6, seed=5))
         assert isinstance(sim.env, Clock)
         assert isinstance(sim.network.interfaces[0], Transport)
-        assert isinstance(sim.substrates[0], Substrate)
-        assert sim.substrates[0].name == "sim"
-        assert sim.substrates[0].clock is sim.env
+        assert isinstance(sim.network, Fabric)
 
     def test_live_objects_satisfy_the_protocols(self):
         clock = LiveClock()
         transport = live_transport(0, clock)
         assert isinstance(clock, Clock)
         assert isinstance(transport, Transport)
-        assert isinstance(SimSubstrate(clock=clock, transport=transport,
-                                       name="live"), Substrate)
+        assert isinstance(transport, Fabric)
 
 
 class TestLiveClock:
@@ -292,3 +290,180 @@ class TestLiveTransport:
         transport._drain()
         transport._drain()
         assert len(self.received) == 5
+
+    def test_link_lost_while_disconnected_still_reaches_the_owner(self):
+        # ``disconnected`` is a dos window as often as a shutdown: the
+        # owner must hear of the loss (and redial); close() is what
+        # detaches it.
+        transport = self._transport()
+        lost: list[int] = []
+        transport.on_link_down = lost.append
+        transport.disconnected = True
+        link = transport.links[1]
+        link._down_notified = False
+        transport._link_lost(link)
+        transport._link_lost(link)  # once per link
+        assert lost == [1]
+        asyncio.run(transport.close())
+        assert transport.on_link_down is None
+
+    # -- dedup generations ----------------------------------------------
+
+    def test_end_round_bounds_the_dedup_state(self):
+        horizon, per_round = 2, 100
+        transport = self._transport()
+        for boundary in range(50):
+            for k in range(per_round):
+                transport._on_payload(1, encode_envelope(_envelope(
+                    b"o" * 32, msg_id=boundary * per_round + k)))
+            transport._drain()
+            transport._drain()  # second budgeted pass empties the queue
+            transport.end_round(horizon)
+        assert len(self.received) == 50 * per_round
+        held = len(transport._seen) + sum(map(len, transport._seen_before))
+        assert held <= (horizon + 1) * per_round
+
+    def test_end_round_keeps_the_horizon_and_forgets_beyond_it(self):
+        transport = self._transport()
+        payload = encode_envelope(_envelope(b"o" * 32, msg_id=5))
+        transport._on_payload(1, payload)
+        transport._drain()
+        transport.end_round(2)
+        # The previous round's id still drops as a duplicate ...
+        transport._on_payload(2, payload)
+        assert not transport._rx
+        transport.end_round(2)
+        transport._on_payload(2, payload)
+        assert not transport._rx
+        # ... and one older than the horizon is accepted once more (the
+        # sim's documented behaviour), then held again.
+        transport.end_round(2)
+        transport._on_payload(2, payload)
+        transport._on_payload(1, payload)
+        transport._drain()
+        assert len(self.received) == 2
+
+    def test_end_round_none_keeps_everything(self):
+        transport = self._transport()
+        payload = encode_envelope(_envelope(b"o" * 32, msg_id=5))
+        transport._on_payload(1, payload)
+        transport._drain()
+        for _ in range(10):
+            transport.end_round(None)
+        transport._on_payload(2, payload)
+        assert not transport._rx and len(self.received) == 1
+
+    # -- the two fault hooks --------------------------------------------
+
+    def test_hooks_none_is_the_clean_path(self):
+        transport = self._transport()
+        assert transport.drop_filter is None
+        assert transport.link_shaper is None
+        transport.broadcast(_envelope(b"o" * 32, msg_id=1))
+        assert [len(link.frames) for link in transport.links.values()] \
+            == [1, 1]
+        stats = transport.stats()
+        assert stats["messages_sent"] == 2
+        assert stats["fault_dropped_frames"] == 0
+        assert stats["fault_delayed_frames"] == 0
+
+    def test_link_shaper_empty_list_drops_and_counts(self):
+        from repro.obs import TraceBus
+
+        bus = TraceBus()
+        transport = self._transport(obs=bus)
+        asked = []
+
+        def shaper(src, dst, envelope, base_delay):
+            asked.append((src, dst, base_delay))
+            return [] if dst == 1 else [base_delay]
+
+        transport.link_shaper = shaper
+        transport.broadcast(_envelope(b"o" * 32, msg_id=1))
+        assert asked == [(0, 1, 0.0), (0, 2, 0.0)]
+        assert transport.links[1].frames == []
+        assert len(transport.links[2].frames) == 1
+        assert transport.fault_dropped_frames == 1
+        assert transport.messages_sent == 1  # a dropped copy is not sent
+        counters = bus.metrics.snapshot()["counters"]
+        assert counters["gossip.filtered"] == 1
+        assert counters["gossip.sent.priority"] == 1
+
+    def test_link_shaper_two_delays_send_twice_the_second_later(self):
+        clock = LiveClock(tick=0.01)
+        transport = live_transport(0, clock)
+        link = _FakeLink(1)
+        transport.add_link(link)
+        transport.link_shaper = (
+            lambda src, dst, envelope, base_delay: [0.0, 0.05])
+        transport.broadcast(_envelope(b"o" * 32, msg_id=1))
+        assert len(link.frames) == 1  # the late copy waits for the clock
+        assert transport.fault_delayed_frames == 1
+        assert transport.messages_sent == 2  # the sender paid for both
+        asyncio.run(clock.run_async(
+            stop_when=lambda: len(link.frames) == 2, deadline=5.0))
+        assert clock.now >= 0.05
+        assert link.frames[0] == link.frames[1]
+
+    def test_drop_filter_blocks_both_directions_of_a_cut(self):
+        # Every process installs the same predicate and drops its *own*
+        # outbound frames, so a cut is silent both ways.
+        def cut(src, dst, envelope):
+            return {src, dst} == {0, 1}
+
+        ends = {index: live_transport(index) for index in (0, 1)}
+        for index, transport in ends.items():
+            for peer in {0, 1, 2} - {index}:
+                transport.add_link(_FakeLink(peer))
+            transport.drop_filter = cut
+            transport.broadcast(_envelope(b"o" * 32, msg_id=1))
+        assert ends[0].links[1].frames == []
+        assert ends[1].links[0].frames == []
+        assert len(ends[0].links[2].frames) == 1
+        assert len(ends[1].links[2].frames) == 1
+        assert [t.fault_dropped_frames for t in ends.values()] == [1, 1]
+
+    def test_drop_filter_runs_before_the_shaper(self):
+        transport = self._transport()
+        transport.drop_filter = lambda src, dst, envelope: dst == 1
+        shaped = []
+        transport.link_shaper = (
+            lambda src, dst, envelope, base_delay:
+            shaped.append(dst) or [base_delay])
+        transport.broadcast(_envelope(b"o" * 32, msg_id=1))
+        assert shaped == [2]  # a filtered copy never reaches the shaper
+
+    def test_injector_compiles_a_partition_onto_the_hooks(self):
+        """The sim's injector, unchanged, on a socket-less transport."""
+        from numpy.random import default_rng
+
+        from repro.chaos import FaultAction, FaultInjector
+
+        clock = LiveClock(tick=0.01)
+        transport = live_transport(2, clock)
+        for peer in (0, 1):
+            transport.add_link(_FakeLink(peer))
+        clock.now = 1.0  # a respawn: window one passed, two is under way
+        FaultInjector(clock, transport, {}, [
+            FaultAction(kind="loss", start=0.0, end=0.5, rate=1.0),
+            FaultAction(kind="partition", start=0.5, end=1.05,
+                        groups=((0, 2), (1,))),
+        ], rng=default_rng(0)).install()
+
+        # (time, seq): each marker fires after the window edge before it.
+        marks: list[str] = []
+        clock.schedule(0.0, lambda: marks.append("applied"))
+        clock.schedule(0.08, lambda: marks.append("cleared"))
+
+        async def run():
+            for mark, msg_id in (("applied", 1), ("cleared", 2)):
+                await clock.run_async(stop_when=lambda: mark in marks,
+                                      deadline=5.0)
+                transport.broadcast(_envelope(b"o" * 32, msg_id=msg_id))
+
+        asyncio.run(run())
+        # Clipped window: cut while it lasts, healed at its end; the
+        # window that ended before ``now`` was never armed.
+        assert len(transport.links[0].frames) == 2
+        assert len(transport.links[1].frames) == 1
+        assert transport.fault_dropped_frames == 1
