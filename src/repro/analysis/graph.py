@@ -53,10 +53,6 @@ class TopologyReport:
     average_degree: float
     isolated_nodes: int
 
-    @property
-    def fully_connected(self) -> bool:
-        return self.giant_component_fraction == 1.0
-
 
 def analyze_topology(num_nodes: int, peers_per_node: int = 4,
                      seed: int = 0) -> TopologyReport:

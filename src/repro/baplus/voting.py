@@ -20,7 +20,7 @@ from repro.baplus.messages import (
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend, KeyPair
 from repro.sim.loop import Environment
-from repro.sortition.roles import committee_role
+from repro.sortition.roles import RECOVERY_ROUND_BASE, committee_role
 from repro.sortition.selection import SortitionProof, sortition
 
 
@@ -166,16 +166,7 @@ def count_votes(part: BAParticipant, ctx: BAContext, round_number: int,
         ])
 
 
-#: Mirrors :data:`repro.node.recovery.RECOVERY_ROUND_BASE` by value
-#: (recovery sits above this module in the import graph). Recovery
-#: sessions are not killed by a fail-stop crash, so their open
-#: intervals must survive :func:`interrupt_open_steps`.
-_RECOVERY_ROUND_BASE = 1_000_000_000
-
-
-def interrupt_open_steps(part: BAParticipant, *,
-                         keep_at_or_above: int = _RECOVERY_ROUND_BASE
-                         ) -> None:
+def interrupt_open_steps(part: BAParticipant) -> None:
     """Close interrupted CountVotes intervals with a ``step_exit``.
 
     A generator killed at its wait point (``Process.interrupt()`` on a
@@ -187,15 +178,15 @@ def interrupt_open_steps(part: BAParticipant, *,
     never from a generator ``finally`` — because GC-time generator
     close is nondeterministic and would break trace reproducibility.
 
-    ``keep_at_or_above`` preserves recovery-lane intervals (their
-    sessions survive a crash and later finish their own counts).
+    Recovery-lane intervals are left open: recovery sessions are not
+    killed by a fail-stop crash and later finish their own counts.
     """
     obs = part.obs
     if obs is None or not part.open_steps:
         return
     env = part.env
     for round_number, step in sorted(part.open_steps):
-        if round_number >= keep_at_or_above:
+        if round_number >= RECOVERY_ROUND_BASE:
             continue
         start = part.open_steps.pop((round_number, step))
         obs.emit("step_exit", node=part.node_id, round=round_number,

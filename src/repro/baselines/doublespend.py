@@ -87,18 +87,6 @@ def confirmation_latency_seconds(q: float, risk: float = 1e-3,
     return confirmations_needed(q, risk) * block_interval
 
 
-def algorand_equivalent_wait(round_time: float = 22.0) -> float:
-    """Algorand's wait for *stronger* assurance: one final block.
-
-    A block declared final excludes competing blocks outright (violation
-    probability ~5e-9 per the committee analysis) — below any practical
-    PoW risk target after a single round.
-    """
-    if round_time <= 0:
-        raise ValueError("round_time must be positive")
-    return round_time
-
-
 def speedup_table(qs: tuple[float, ...] = (0.05, 0.10, 0.25),
                   risk: float = 1e-3,
                   block_interval: float = 600.0,
@@ -117,21 +105,6 @@ def speedup_table(qs: tuple[float, ...] = (0.05, 0.10, 0.25),
             "speedup": bitcoin_wait / algorand_round,
         })
     return rows
-
-
-def expected_attack_revenue(z: int, q: float, payment: float,
-                            block_reward: float = 0.0) -> float:
-    """Expected value of attempting one double-spend.
-
-    Success yields the payment back (spend twice); failure forfeits the
-    attacker's mining time (approximated by forgone block rewards while
-    racing). Used by the examples to show why deep confirmations deter
-    rational attackers.
-    """
-    if payment < 0 or block_reward < 0:
-        raise ValueError("amounts must be non-negative")
-    success = double_spend_probability(z, q)
-    return success * payment - (1.0 - success) * block_reward * z * q
 
 
 def risk_curve(q: float, z_values: range | None = None

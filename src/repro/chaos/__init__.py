@@ -2,9 +2,10 @@
 
 Declarative fault timelines (:mod:`repro.chaos.scenario`) compiled onto
 the clock and link hooks of either substrate (:mod:`repro.chaos.faults`),
-watched live by a
-TraceBus-sink invariant monitor (:mod:`repro.chaos.monitor`), generated
-from seeds (:mod:`repro.chaos.generate`), and executed end to end with a
+checked as they run by the reference machines of
+:mod:`repro.conformance` and afterwards by the stored-state audits of
+:mod:`repro.chaos.monitor`, generated from seeds
+(:mod:`repro.chaos.generate`), and executed end to end with a
 deterministic verdict (:mod:`repro.chaos.runner`). ``python -m
 repro.chaos`` is the command-line entry point; docs/CHAOS.md is the
 manual.
@@ -17,9 +18,7 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
     from repro.chaos.faults import FaultInjector, ShaperChain
     from repro.chaos.generate import generate_scenario
-    from repro.chaos.monitor import (
-        InvariantMonitor, Violation, audit_chains, audit_ingress,
-    )
+    from repro.chaos.monitor import Violation, audit_chains, audit_ingress
     from repro.chaos.runner import ChaosVerdict, run_scenario
     from repro.chaos.scenario import (
         FAULT_KINDS, FaultAction, ScenarioError, ScenarioScript,
@@ -33,9 +32,7 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.chaos.faults": ("FaultInjector", "ShaperChain"),
     "repro.chaos.generate": ("generate_scenario",),
-    "repro.chaos.monitor": (
-        "InvariantMonitor", "Violation", "audit_chains", "audit_ingress",
-    ),
+    "repro.chaos.monitor": ("Violation", "audit_chains", "audit_ingress"),
     "repro.chaos.runner": ("ChaosVerdict", "run_scenario"),
     "repro.chaos.scenario": (
         "FAULT_KINDS", "FaultAction", "ScenarioError", "ScenarioScript",
@@ -49,7 +46,6 @@ __all__ = [
     "ChaosVerdict",
     "FaultAction",
     "FaultInjector",
-    "InvariantMonitor",
     "ScenarioError",
     "ScenarioScript",
     "ShaperChain",

@@ -11,12 +11,11 @@ runner uses, on that node's socket transport
 (:class:`~repro.live.cluster.LiveCluster` carries the schedule in its
 ``start`` broadcast).
 
-Where the sim runner checks invariants online against live node
-objects, this runner checks them *offline* against the cluster's merged
-trace — the same :class:`~repro.chaos.monitor.InvariantMonitor` and
-:class:`~repro.conformance.monitor.ConformanceMonitor` replayed over
-the recorded events — plus a byte-level chain audit over the encoded
-blocks each process reported (the live analogue of
+Where the sim runner's trace is checked online, this runner checks it
+*offline*: the cluster's merged trace replayed through the same
+:class:`~repro.conformance.monitor.ConformanceMonitor` — which is what
+sees two *processes* disagree — plus a byte-level chain audit over the
+encoded blocks each process reported (the live analogue of
 :func:`~repro.chaos.monitor.audit_chains`'s prefix-consistency check:
 on this substrate "no fork" literally means identical bytes).
 
@@ -30,11 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.chaos.monitor import (
-    InvariantMonitor,
-    Violation,
-    ingress_breach,
-)
+from repro.chaos.monitor import Violation, ingress_breach
 from repro.chaos.runner import ChaosVerdict, derive_time_limit, render_verdict
 from repro.chaos.scenario import ScenarioScript
 from repro.conformance.monitor import ConformanceMonitor
@@ -118,19 +113,13 @@ def run_live_scenario(script: ScenarioScript, *,
     events, _ = read_trace(cluster.merged_trace_path)
     now = max((float(record.get("t", 0.0)) for record in events),
               default=0.0)
-    monitor = InvariantMonitor(liveness_bound=script.liveness_bound,
-                               heal_time=script.last_heal_time())
+    monitor = ConformanceMonitor()
     monitor.feed(events)
-    violations: list[Violation] = list(monitor.finish(now))
-    violations.extend(_audit_block_bytes(cluster, now))
-    violations.extend(_audit_ingress(cluster, now,
-                                     script.attacker_nodes()))
-
-    conformance = ConformanceMonitor()
-    conformance.feed(events)
     permanently_gone = script.permanently_crashed()
     return render_verdict(
-        script, violations, conformance.verdict(),
+        script, monitor,
+        _audit_block_bytes(cluster, now)
+        + _audit_ingress(cluster, now, script.attacker_nodes()),
         heights=[cluster.results[index]["height"]
                  if index in cluster.results else None
                  for index in range(script.num_users)],
@@ -139,4 +128,4 @@ def run_live_scenario(script: ScenarioScript, *,
         missing=[index for index in range(script.num_users)
                  if index not in cluster.results
                  and index not in permanently_gone],
-        now=now, events_seen=monitor.events_seen, cluster=cluster)
+        now=now, cluster=cluster)

@@ -1,34 +1,18 @@
-"""Online safety/liveness invariant checking over the trace stream.
+"""Chaos verdict rows and the post-run audits of stored state.
 
-The :class:`InvariantMonitor` implements the :class:`repro.obs.bus.TraceSink`
-protocol, so attaching it is one ``bus.add_sink(monitor)`` — it then
-sees every structured event the instant it is emitted and checks the
-paper's core properties *while the scenario runs*:
-
-``unique-certificate``
-    At most one certified block per round across all honest nodes
-    (section 5's safety theorem). Two honest ``round_commit`` events for
-    the same round with different block hashes is a fork, full stop.
-``monotonic-rounds``
-    A node's committed rounds strictly increase — commitments are never
-    rolled back (catch-up replaces a *shorter* chain only).
-``liveness``
-    After the last fault heals at ``heal_time``, some honest node must
-    commit a new block within ``liveness_bound`` simulated seconds
-    (section 3's weak-synchrony recovery promise). Checked at
-    :meth:`finish`, which also catches the degenerate stalled-clock
-    trace: time advanced past the bound with no commit at all.
-
-Post-run (when actual node objects are available),
-:func:`audit_chains` re-verifies what events alone cannot show: that
-committed prefixes do not fork, that each chain's seed chain is exactly
-the section 5.2 recurrence (block seed when the VRF proof verifies,
-fallback hash otherwise), and that stored certificates certify the
-blocks actually committed.
-
-The monitor is a pure observer: it never touches the bus, the clock, or
-any randomness, so a monitored run is byte-identical to an unmonitored
-one.
+Every rule a *trace* can break — ``unique-certificate``,
+``monotonic-rounds``, ``liveness`` and the per-node BA* rules — lives in
+:mod:`repro.conformance.machine` and is applied by the one
+:class:`~repro.conformance.monitor.ConformanceMonitor` the harness
+attaches to a traced run. What is left here is what events alone cannot
+show, checked once the run is over against what the nodes actually
+*stored*: :func:`audit_chains` re-verifies that committed prefixes do
+not fork, that each chain's seed chain is exactly the section 5.2
+recurrence (block seed when the VRF proof verifies, fallback hash
+otherwise), and that stored certificates certify the blocks actually
+committed; :func:`audit_ingress` that every honest buffer stayed inside
+its budget. :class:`Violation` is the row either kind of finding takes
+in a :class:`~repro.chaos.runner.ChaosVerdict`.
 """
 
 from __future__ import annotations
@@ -49,107 +33,6 @@ class Violation:
     def to_dict(self) -> dict:
         return {"invariant": self.invariant, "t": self.t,
                 "detail": self.detail}
-
-
-class InvariantMonitor:
-    """TraceBus sink asserting the paper's invariants online."""
-
-    def __init__(self, *, liveness_bound: float,
-                 heal_time: float = 0.0,
-                 honest: frozenset[int] | None = None) -> None:
-        if liveness_bound <= 0:
-            raise ValueError("liveness_bound must be positive")
-        self.liveness_bound = liveness_bound
-        self.heal_time = heal_time
-        #: Node indices whose commits count; ``None`` trusts every node
-        #: (chaos scenarios run honest deployments — faults live in the
-        #: network, not the nodes).
-        self.honest = honest
-        self.violations: list[Violation] = []
-        #: round -> {block_hash_hex: (t, node) of first commit}.
-        self._round_hashes: dict[int, dict[str, tuple[float, int]]] = {}
-        #: node -> highest committed round seen.
-        self._last_round: dict[int, int] = {}
-        self._commit_times: list[float] = []
-        self.events_seen = 0
-        self.finished = False
-
-    # -- TraceSink protocol --------------------------------------------
-
-    def write_event(self, record: dict) -> None:
-        self.events_seen += 1
-        if record.get("kind") != "round_commit":
-            return
-        node = record.get("node")
-        round_number = record.get("round")
-        block_hash = record.get("block_hash")
-        t = float(record.get("t", 0.0))
-        if node is None or round_number is None or block_hash is None:
-            return
-        if self.honest is not None and node not in self.honest:
-            return
-        self._commit_times.append(t)
-        hashes = self._round_hashes.setdefault(round_number, {})
-        if block_hash not in hashes:
-            if hashes:
-                other_hash, (other_t, other_node) = next(iter(hashes.items()))
-                self.violations.append(Violation(
-                    invariant="unique-certificate", t=t,
-                    detail=(f"round {round_number}: node {node} committed "
-                            f"{block_hash[:16]} at t={t:.2f} but node "
-                            f"{other_node} committed {other_hash[:16]} "
-                            f"at t={other_t:.2f}")))
-            hashes[block_hash] = (t, node)
-        last = self._last_round.get(node)
-        if last is not None and round_number <= last:
-            self.violations.append(Violation(
-                invariant="monotonic-rounds", t=t,
-                detail=(f"node {node} committed round {round_number} "
-                        f"after already committing round {last}")))
-        else:
-            self._last_round[node] = round_number
-
-    def write_snapshot(self, snapshot: dict) -> None:
-        """Snapshots carry counters, not events; nothing to check."""
-
-    def close(self) -> None:
-        """The bus owns the run's end; liveness is checked by finish()."""
-
-    # -- verdict-time checks -------------------------------------------
-
-    def feed(self, events: list[dict]) -> None:
-        """Replay a recorded trace through the online checks."""
-        for record in events:
-            self.write_event(record)
-
-    def commits_in_window(self, start: float, end: float) -> int:
-        return sum(1 for t in self._commit_times if start < t <= end)
-
-    def finish(self, now: float) -> list[Violation]:
-        """Evaluate liveness at the end of the run and return everything.
-
-        ``now`` is the simulated clock when the run stopped (for a
-        recorded trace, the last event's timestamp).
-        """
-        self.finished = True
-        deadline = self.heal_time + self.liveness_bound
-        if now >= deadline:
-            if self.heal_time > 0.0:
-                window = self.commits_in_window(self.heal_time, deadline)
-                if window == 0:
-                    self.violations.append(Violation(
-                        invariant="liveness", t=now,
-                        detail=(f"no honest commit within "
-                                f"{self.liveness_bound:.0f}s of the last "
-                                f"heal at t={self.heal_time:.2f} (clock "
-                                f"reached t={now:.2f})")))
-            elif not self._commit_times:
-                self.violations.append(Violation(
-                    invariant="liveness", t=now,
-                    detail=(f"fault-free run reached t={now:.2f} with no "
-                            f"commit at all (bound "
-                            f"{self.liveness_bound:.0f}s)")))
-        return list(self.violations)
 
 
 def audit_chains(nodes, *, backend, now: float,

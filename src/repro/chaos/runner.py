@@ -1,9 +1,10 @@
 """Execute one chaos scenario end to end and render a verdict.
 
 :func:`run_scenario` wires the whole stack: a :class:`~repro.obs.TraceBus`
-with the :class:`~repro.chaos.monitor.InvariantMonitor` attached as an
-online sink (plus an optional JSONL trace file), a deterministic
-:class:`~repro.experiments.harness.Simulation`, and a
+(plus an optional JSONL trace file), a deterministic
+:class:`~repro.experiments.harness.Simulation` — which, given a bus,
+checks every event online against the reference machines
+(:mod:`repro.conformance`) — and a
 :class:`~repro.chaos.faults.FaultInjector` compiling the script onto the
 sim clock. The run stops when every node that is not permanently crashed
 has committed the scenario's target rounds — or when the derived time
@@ -25,15 +26,11 @@ from typing import Sequence
 from numpy.random import default_rng
 
 from repro.chaos.faults import FaultInjector
-from repro.chaos.monitor import (
-    InvariantMonitor,
-    Violation,
-    audit_chains,
-    audit_ingress,
-)
+from repro.chaos.monitor import Violation, audit_chains, audit_ingress
 from repro.chaos.scenario import FAULT_RNG_TAG, ScenarioScript
 from repro.common.params import ProtocolParams
-from repro.conformance.monitor import ConformanceVerdict
+from repro.conformance.machine import OUTCOME_RULES
+from repro.conformance.monitor import ConformanceMonitor
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.node.catchup import resync_from_peers
 from repro.obs.bus import TraceBus
@@ -52,9 +49,10 @@ class ChaosVerdict:
     converged: bool
     sim_seconds: float
     events_seen: int
-    #: Summary of the online reference-machine check (repro.conformance)
-    #: — its violations are merged into ``violations`` (prefixed
-    #: ``conformance:``) and gate ``ok`` like any invariant.
+    #: Summary of the reference-machine check (repro.conformance) — its
+    #: violations are merged into ``violations`` (the outcome rules
+    #: under their own names, the rest prefixed ``conformance:``) and
+    #: gate ``ok`` like any invariant.
     conformance: dict | None = None
     #: The live simulation, for tests and post-mortems; never serialized.
     sim: Simulation | None = field(default=None, repr=False, compare=False)
@@ -86,36 +84,41 @@ def derive_time_limit(script: ScenarioScript,
             + script.last_heal_time() + script.liveness_bound)
 
 
-def render_verdict(script: ScenarioScript, violations: list[Violation],
-                   conformance: ConformanceVerdict | None, *,
+def render_verdict(script: ScenarioScript, monitor: ConformanceMonitor,
+                   audits: list[Violation], *,
                    heights: list, laggards: Sequence[int],
                    missing: Sequence[int] = (), now: float,
-                   events_seen: int, sim: Simulation | None = None,
+                   sim: Simulation | None = None,
                    cluster: object | None = None) -> ChaosVerdict:
     """Fold a run's findings into its verdict — one rule, both substrates.
 
-    ``violations`` are the invariant breaches the runner collected its
-    own way (online, or offline from a merged trace). Reference-machine
-    breaches join them as ``conformance:<rule>``, ``missing`` and
-    ``laggards`` nodes as ``convergence``; duplicates are dropped in
-    first-seen order (liveness and convergence can name one stall twice).
+    ``monitor`` has seen the run's whole trace (online, or offline from
+    a merged file); the liveness question is put to it here, with the
+    script's bound. Its outcome-rule breaches lead the verdict under
+    their bare names, the post-run ``audits`` of stored state follow,
+    then every other machine rule as ``conformance:<rule>`` and
+    ``missing``/``laggards`` nodes as ``convergence``; duplicates are
+    dropped in first-seen order (liveness and convergence can name one
+    stall twice).
     """
-    violations = list(violations)
-    conformance_section = None
-    if conformance is not None:
-        conformance_section = {
-            "ok": conformance.ok,
-            "events_checked": conformance.events_checked,
-            "nodes": conformance.nodes,
-            "violations": len(conformance.violations),
-        }
-        for breach in conformance.violations:
+    monitor.check_liveness(now, heal_time=script.last_heal_time(),
+                           bound=script.liveness_bound)
+    conformance = monitor.verdict()
+    violations: list[Violation] = []
+    stepwise: list[Violation] = []
+    for breach in conformance.violations:
+        if breach["rule"] in OUTCOME_RULES:
             violations.append(Violation(
+                invariant=breach["rule"], t=breach["t"],
+                detail=breach["detail"]))
+        else:
+            stepwise.append(Violation(
                 invariant="conformance:" + breach["rule"],
                 t=breach["t"],
                 detail=(f"node {breach['node']} round {breach['round']} "
                         f"step {breach['step']} ({breach['kind']} in "
                         f"phase {breach['phase']}): {breach['detail']}")))
+    violations += audits + stepwise
     for index in missing:
         violations.append(Violation(
             invariant="convergence", t=now,
@@ -142,8 +145,13 @@ def render_verdict(script: ScenarioScript, violations: list[Violation],
         heights=heights,
         converged=not laggards and not missing,
         sim_seconds=now,
-        events_seen=events_seen,
-        conformance=conformance_section,
+        events_seen=monitor.events_seen,
+        conformance={
+            "ok": conformance.ok,
+            "events_checked": conformance.events_checked,
+            "nodes": conformance.nodes,
+            "violations": len(conformance.violations),
+        },
         sim=sim,
         cluster=cluster,
     )
@@ -162,9 +170,6 @@ def run_scenario(script: ScenarioScript, *,
     """
     script.validate()
     bus = TraceBus()
-    monitor = InvariantMonitor(liveness_bound=script.liveness_bound,
-                               heal_time=script.last_heal_time())
-    bus.add_sink(monitor)
     if trace_path is not None:
         bus.add_sink(JsonlTraceSink(trace_path))
 
@@ -200,25 +205,20 @@ def run_scenario(script: ScenarioScript, *,
     sim.env.run(until=limit, stop_when=finished)
     now = sim.env.now
 
-    violations: list[Violation] = []
-    violations.extend(monitor.finish(now))
-    violations.extend(audit_chains(sim.nodes, backend=sim.backend,
-                                   now=now, skip=skip))
+    audits = audit_chains(sim.nodes, backend=sim.backend, now=now,
+                          skip=skip)
     if sim.quarantine_directory is not None:
         # Bounded-buffer invariant: honest high-water marks must have
         # stayed inside their budgets (attackers audit nothing — their
         # buffers are not part of the robustness claim).
-        violations.extend(audit_ingress(
+        audits.extend(audit_ingress(
             sim.nodes, sim.network, now=now,
             skip=skip | script.attacker_nodes()))
-    # The harness auto-attached a ConformanceMonitor (obs bus present):
-    # reference-machine breaches are scenario violations like any other.
     verdict = render_verdict(
-        script, violations,
-        sim.conformance.verdict() if sim.conformance is not None else None,
+        script, sim.conformance, audits,
         heights=[node.chain.height for node in sim.nodes],
         laggards=[node.index for node in survivors
                   if node.chain.height < script.rounds],
-        now=now, events_seen=monitor.events_seen, sim=sim)
+        now=now, sim=sim)
     bus.close()
     return verdict

@@ -4,24 +4,29 @@ PRs 1-6 rewrote the hot path repeatedly with chain byte-identity as the
 main safety net; byte-identical chains can still hide wrong
 *intermediate* protocol behaviour. This package closes that gap:
 
-* :mod:`repro.conformance.machine` — a standalone, dependency-free
-  labelled transition system for one node's BA* protocol state, with
-  explicit legal-transition tables (see ``docs/CONFORMANCE.md``);
-* :mod:`repro.conformance.monitor` — :class:`ConformanceMonitor`, a
-  :class:`~repro.obs.bus.TraceSink` that checks every node's event
-  stream online as it is emitted and renders a deterministic
+* :mod:`repro.conformance.machine` — standalone, dependency-free
+  labelled transition systems holding every rule a trace can break:
+  :class:`NodeMachine` for one node's BA* protocol state, with explicit
+  legal-transition tables, and :class:`ClusterMachine` for what the
+  paper promises of the system as a whole (one certified block per
+  round, progress after the network heals) — see
+  ``docs/CONFORMANCE.md``;
+* :mod:`repro.conformance.monitor` — :class:`ConformanceMonitor`, the
+  one :class:`~repro.obs.bus.TraceSink` that drives both machines from
+  the event stream as it is emitted and renders a deterministic
   :class:`ConformanceVerdict`;
-* ``python -m repro.conformance trace.jsonl`` — the offline checker for
-  recorded JSONL traces (CI artifacts, old runs).
+* ``python -m repro.conformance trace.jsonl`` — the same monitor over a
+  recorded JSONL trace (CI artifacts, old runs, merged live traces).
 
-The harness attaches a monitor automatically whenever a simulation has
-a trace bus (``SimulationConfig.conformance="auto"``); chaos scenario
-verdicts include conformance violations alongside the safety/liveness
-invariants.
+A traced run is a checked run: the harness attaches a monitor exactly
+when a simulation has a trace bus, a live node always; chaos verdicts
+are rendered from that monitor on either substrate.
 """
 
 from repro.conformance.machine import (
+    ClusterMachine,
     NodeMachine,
+    OUTCOME_RULES,
     PROTOCOL_EVENT_KINDS,
     Violation,
     step_order,
@@ -29,9 +34,11 @@ from repro.conformance.machine import (
 from repro.conformance.monitor import ConformanceMonitor, ConformanceVerdict
 
 __all__ = [
+    "ClusterMachine",
     "ConformanceMonitor",
     "ConformanceVerdict",
     "NodeMachine",
+    "OUTCOME_RULES",
     "PROTOCOL_EVENT_KINDS",
     "Violation",
     "step_order",

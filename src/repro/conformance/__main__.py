@@ -5,11 +5,13 @@ Usage::
     python -m repro.conformance trace.jsonl [--verdict out.json]
         [--require-complete] [--quiet]
 
-Replays every node's event stream through the reference BA* state
-machine and prints the verdict. Exit status: 0 when the trace conforms,
-1 on any violation (or, with ``--require-complete``, on an incomplete
-trace), 2 on usage errors. CI runs this against the recorded smoke
-traces and uploads the verdict JSON as an artifact.
+Replays the trace through the reference machines — each node's stream
+through its node machine, all of them through the cluster machine, the
+same :class:`~repro.conformance.monitor.ConformanceMonitor` a traced run
+carries online — and prints the verdict. Exit status: 0 when the trace
+conforms, 1 on any violation (or, with ``--require-complete``, on an
+incomplete trace), 2 on usage errors. CI runs this against the recorded
+smoke traces and uploads the verdict JSON as an artifact.
 
 A trace that *lost events* (bounded bus with sinks attached after the
 bound, or a sink with ``max_records``) is flagged: the machine may then
@@ -24,17 +26,7 @@ import argparse
 from pathlib import Path
 
 from repro.conformance.monitor import ConformanceMonitor
-from repro.obs.sink import read_trace
-
-
-def trace_losses(snapshot: dict | None) -> int:
-    """Events the recorded trace is known to be missing."""
-    if not snapshot:
-        return 0
-    dropped = int(snapshot.get("dropped_events", 0) or 0)
-    gauges = snapshot.get("gauges", {})
-    dropped += int(gauges.get("obs.sink_dropped", 0) or 0)
-    return dropped
+from repro.obs.sink import read_trace, trace_losses
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,15 +51,17 @@ def main(argv: list[str] | None = None) -> int:
 
     monitor = ConformanceMonitor()
     monitor.feed(events)
-    losses = trace_losses(snapshot)
+    losses = sum(trace_losses(snapshot))
     complete = losses == 0
     verdict = monitor.verdict(
         trace_complete=complete or not args.require_complete)
 
     status = "CONFORMS" if monitor.ok else "VIOLATIONS"
+    broken = sorted({violation.rule for violation in monitor.violations})
     print(f"{path}: {status} — {verdict.events_checked} protocol events "
           f"across {verdict.nodes} nodes, "
-          f"{len(monitor.violations)} violation(s)")
+          f"{len(monitor.violations)} violation(s)"
+          + (f" of {', '.join(broken)}" if broken else ""))
     if not complete:
         print(f"WARNING: trace is INCOMPLETE — {losses} event(s) were "
               f"dropped before reaching this file; a clean verdict over "

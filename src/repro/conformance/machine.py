@@ -1,11 +1,19 @@
-"""Reference BA* state machine for one node's trace-event stream.
+"""Reference BA* machines: every rule a trace-event stream can break.
 
 This module is **standalone and dependency-free** (stdlib only, no
 imports from the rest of the tree): it is the specification the
 implementation is checked against, so it must not share code with the
 implementation. The step names and round conventions mirror the paper
-(§7-§8) and the constants in :mod:`repro.sortition.roles` /
-:mod:`repro.node.recovery` by value, not by import.
+(§7-§8) and the constants in :mod:`repro.sortition.roles` by value, not
+by import (``tests/test_conformance.py`` pins the values equal).
+
+Two machines split the rules by what they are properties of: a
+:class:`NodeMachine` holds what one user's stream must obey, the
+:class:`ClusterMachine` what the paper promises of the *system* and no
+single stream can show — ``unique-certificate`` (§5, §7 safety: no two
+``round_commit`` events of one round differ in ``block_hash``) and
+``liveness`` (§3 weak synchrony: asked at end of run, some node
+committed within the bound of the last heal).
 
 One :class:`NodeMachine` tracks a single node's protocol state as a
 small labelled transition system over the phases
@@ -58,7 +66,10 @@ agent_retired       any but CRASHED            RETIRED [6]
     and its deciding step (the ``binary_steps`` field) must have exited
     with ``timed_out == False`` (a quorum, not a timeout, decides);
     ``consensus == "final"`` additionally requires a non-timeout
-    ``final`` exit. Committed rounds are strictly increasing.
+    ``final`` exit. Committed rounds are strictly increasing
+    (``monotonic-rounds``: commitments are never rolled back, catch-up
+    replaces a *shorter* chain only) — checked for every
+    ``round_commit``, whatever the phase.
 [4] ``final_certified`` needs the round committed and a non-timeout
     ``final`` exit for it (the pipelined count landed a quorum).
 [5] From BA only via the ConsensusHalted -> resync path, which leaves
@@ -78,10 +89,9 @@ from dataclasses import dataclass, field
 REDUCTION_ONE = "reduction_one"
 REDUCTION_TWO = "reduction_two"
 FINAL_STEP = "final"
-#: Mirrors repro.node.recovery.RECOVERY_ROUND_BASE: fork-recovery BA*
-#: executions use round numbers at/above this base; they run while the
-#: node's normal lifecycle is elsewhere (often HALTED), so the machine
-#: checks them as an independent per-round lane.
+#: Fork-recovery BA* executions use round numbers at/above this base;
+#: they run while the node's normal lifecycle is elsewhere (often
+#: HALTED), so the machine checks them as an independent per-round lane.
 RECOVERY_ROUND_BASE = 1_000_000_000
 
 # Phases of the node lifecycle.
@@ -154,6 +164,7 @@ class NodeMachine:
         self.steps = _RoundSteps()
         #: Rounds committed by this node (for pipelined-final checks).
         self.committed: set[int] = set()
+        #: Highest round any ``round_commit`` of this node named.
         self.last_commit: int | None = None
         #: round -> final-step exit record (normal rounds; final opens
         #: and exits can straddle commits under pipelining).
@@ -163,7 +174,6 @@ class NodeMachine:
         self.recovery: dict[int, _RoundSteps] = {}
         #: Aggregated self-retirement grace (see module docstring, [6]).
         self._retired_pending_commit: int | None = None
-        self.events_seen = 0
 
     # -- helpers -------------------------------------------------------
 
@@ -194,9 +204,7 @@ class NodeMachine:
 
     def feed(self, event: dict) -> list[Violation]:
         """Advance on one event; returns the violations it triggered."""
-        self.events_seen += 1
-        kind = event.get("kind")
-        handler = _HANDLERS.get(kind)
+        handler = _HANDLERS.get(event.get("kind"))
         if handler is None:
             return []  # not a protocol event (faults, population, sweep)
         return handler(self, event)
@@ -413,24 +421,34 @@ class NodeMachine:
     def _on_round_commit(self, event: dict) -> list[Violation]:
         violations: list[Violation] = []
         round_number = event.get("round")
+        if isinstance(round_number, int):
+            last = self.last_commit
+            if last is not None and round_number <= last:
+                violations.append(self._violation(
+                    "monotonic-rounds", event,
+                    f"node {self.node} committed round {round_number} "
+                    f"after already committing round {last}"))
+            else:
+                self.last_commit = round_number
         if self._retired_pending_commit is not None:
             # Aggregated self-retirement: the commit of the in-flight
             # round lands after agent_retired (see [6] above).
             if round_number == self._retired_pending_commit:
                 self._retired_pending_commit = None
                 self.committed.add(round_number)
-                self.last_commit = round_number
                 return violations
-            return [self._violation(
+            violations.append(self._violation(
                 "retired-activity", event,
                 f"round_commit for round {round_number} from a retired "
                 f"node (only the in-flight round "
-                f"{self._retired_pending_commit} may commit)")]
+                f"{self._retired_pending_commit} may commit)"))
+            return violations
         if self.phase != BA or round_number != self.round:
-            return [self._violation(
+            violations.append(self._violation(
                 "commit-phase", event,
                 f"round_commit outside BA of its round "
-                f"(current round {self.round})")]
+                f"(current round {self.round})"))
+            return violations
         if round_number in self.committed:
             violations.append(self._violation(
                 "duplicate-commit", event,
@@ -474,7 +492,6 @@ class NodeMachine:
                     f"round {round_number} committed as final but the "
                     f"final step reached no quorum"))
         self.committed.add(round_number)
-        self.last_commit = round_number
         if isinstance(round_number, int):
             self.expected_round = round_number + 1
         self._reset_round_state()
@@ -627,5 +644,75 @@ _HANDLERS = {
     "agent_retired": NodeMachine._on_agent_retired,
 }
 
-#: Event kinds the machine interprets (everything else is ignored).
+#: Event kinds the machines interpret (everything else is ignored).
 PROTOCOL_EVENT_KINDS = frozenset(_HANDLERS)
+
+
+class ClusterMachine:
+    """The reference rules over every node's stream at once."""
+
+    def __init__(self) -> None:
+        #: round -> {block_hash: (t, node) of its first commit}.
+        self.round_hashes: dict[int, dict[str, tuple[float, int]]] = {}
+        #: When each commit happened (what :meth:`liveness` is asked of).
+        self.commit_times: list[float] = []
+
+    def feed(self, event: dict) -> list[Violation]:
+        """Advance on one event; returns the violations it triggered."""
+        if event.get("kind") != "round_commit":
+            return []
+        node = event.get("node")
+        round_number = event.get("round")
+        block_hash = event.get("block_hash")
+        if node is None or round_number is None or block_hash is None:
+            return []
+        t = float(event.get("t", 0.0))
+        self.commit_times.append(t)
+        hashes = self.round_hashes.setdefault(round_number, {})
+        if block_hash in hashes:
+            return []
+        found: list[Violation] = []
+        if hashes:
+            other_hash, (other_t, other_node) = next(iter(hashes.items()))
+            found.append(Violation(
+                rule="unique-certificate", t=t, node=node,
+                round=round_number, step=None, kind="round_commit",
+                phase="", detail=(
+                    f"round {round_number}: node {node} committed "
+                    f"{block_hash[:16]} at t={t:.2f} but node "
+                    f"{other_node} committed {other_hash[:16]} "
+                    f"at t={other_t:.2f}")))
+        hashes[block_hash] = (t, node)
+        return found
+
+    def liveness(self, now: float, heal_time: float,
+                 bound: float) -> list[Violation]:
+        """The end-of-run question: did progress resume after the heal?
+
+        ``now`` is the clock when the run stopped (for a recorded trace,
+        the last event's timestamp), ``heal_time`` when the last fault
+        healed (0 for a fault-free run). A run that stopped before
+        ``heal_time + bound`` is not judged either way.
+        """
+        deadline = heal_time + bound
+        if now < deadline:
+            return []
+        if heal_time > 0.0:
+            if any(heal_time < t <= deadline for t in self.commit_times):
+                return []
+            detail = (f"no honest commit within {bound:.0f}s of the last "
+                      f"heal at t={heal_time:.2f} (clock reached "
+                      f"t={now:.2f})")
+        elif self.commit_times:
+            return []
+        else:
+            detail = (f"fault-free run reached t={now:.2f} with no commit "
+                      f"at all (bound {bound:.0f}s)")
+        return [Violation(rule="liveness", t=now, node=None, round=None,
+                          step=None, kind="", phase="", detail=detail)]
+
+
+#: What the paper promises of a run's outcome, as opposed to how each
+#: step must be taken; chaos verdicts report these under bare names.
+OUTCOME_RULES = frozenset(
+    {"unique-certificate", "monotonic-rounds", "liveness"})

@@ -1,12 +1,14 @@
 """Online conformance checking over the trace stream.
 
 :class:`ConformanceMonitor` implements the
-:class:`repro.obs.bus.TraceSink` protocol (shaped like
-:class:`repro.chaos.monitor.InvariantMonitor`): attach it with one
-``bus.add_sink(monitor)`` and every emitted event is replayed through
-that node's :class:`~repro.conformance.machine.NodeMachine` the instant
-it happens. Violations are recorded with full context — never raised —
-so a red run still completes and renders its verdict.
+:class:`repro.obs.bus.TraceSink` protocol: attach it with one
+``bus.add_sink(monitor)`` and every emitted event is replayed, the
+instant it happens, through that node's
+:class:`~repro.conformance.machine.NodeMachine` and the run's one
+:class:`~repro.conformance.machine.ClusterMachine`. It is the only
+checker of a trace: the harness, both chaos runners and the offline CLI
+all ask this sink. Violations are recorded with full context — never
+raised — so a red run still completes and renders its verdict.
 
 The monitor is a pure observer: it never touches the bus, the clock,
 randomness, or scheduling, so a monitored run commits chains
@@ -20,6 +22,7 @@ import json
 
 from repro.conformance.machine import (
     PROTOCOL_EVENT_KINDS,
+    ClusterMachine,
     NodeMachine,
     Violation,
 )
@@ -59,7 +62,7 @@ class ConformanceVerdict:
 
 
 class ConformanceMonitor:
-    """TraceBus sink replaying each node's stream through the machine."""
+    """TraceBus sink replaying a run's stream through the machines."""
 
     def __init__(self, *, registry=None,
                  max_violations: int = 1000) -> None:
@@ -71,13 +74,18 @@ class ConformanceMonitor:
         #: violation per event.
         self.max_violations = max_violations
         self.machines: dict[int | None, NodeMachine] = {}
+        self.cluster = ClusterMachine()
         self.violations: list[Violation] = []
+        #: Every record handed to the sink, and the protocol events
+        #: among them (the ones a machine interprets).
+        self.events_seen = 0
         self.events_checked = 0
         self.dropped_violations = 0
 
     # -- TraceSink protocol --------------------------------------------
 
     def write_event(self, record: dict) -> None:
+        self.events_seen += 1
         if record.get("kind") not in PROTOCOL_EVENT_KINDS:
             return
         self.events_checked += 1
@@ -85,7 +93,7 @@ class ConformanceMonitor:
         machine = self.machines.get(node)
         if machine is None:
             machine = self.machines[node] = NodeMachine(node)
-        found = machine.feed(record)
+        found = self.cluster.feed(record) + machine.feed(record)
         if found:
             self._record(found)
 
@@ -114,6 +122,13 @@ class ConformanceMonitor:
         """Replay a recorded trace (list of event dicts) through checks."""
         for record in events:
             self.write_event(record)
+
+    # -- end of run ----------------------------------------------------
+
+    def check_liveness(self, now: float, *, heal_time: float,
+                       bound: float) -> None:
+        """Put the cluster machine's liveness question and record it."""
+        self._record(self.cluster.liveness(now, heal_time, bound))
 
     # -- verdict -------------------------------------------------------
 

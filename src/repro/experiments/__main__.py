@@ -255,7 +255,7 @@ def run_obs() -> None:
           f"(hit rate {cache['hit_rate']:.3f}, "
           f"{cache['negative_hits']} negative); "
           f"router unknown-kind drops: {summary['router_unknown_kinds']}")
-    if _PRINT_CONFORMANCE and sim.conformance is not None:
+    if _PRINT_CONFORMANCE:
         verdict = sim.conformance.verdict()
         status = "CONFORMS" if verdict.ok else "VIOLATIONS"
         print(f"\nconformance: {status} — {verdict.events_checked:,} "

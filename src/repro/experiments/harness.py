@@ -54,27 +54,19 @@ class Simulation:
         config.validate()
         self.config = config
         self.env = Environment()
-        wants_conformance = config.runtime.wants_conformance(
-            traced=obs is not None)
-        if wants_conformance and obs is None:
-            # conformance=True without a caller bus: instrument the
-            # stack through a private bus that stores no events
-            # (max_events=0) — the monitor sees the stream, memory does
-            # not grow, and chains are unaffected.
-            obs = TraceBus(max_events=0)
         #: Optional trace bus (see :mod:`repro.obs`). When supplied, its
         #: clock is bound to this simulation's virtual time, every layer
         #: (network, nodes, BA*, router) records into it, and
         #: :meth:`summary` embeds its registry snapshot. ``None`` (the
         #: default) leaves all instrumentation as dormant no-op guards.
         self.obs = obs
+        #: Online reference-machine checker (:mod:`repro.conformance`):
+        #: a traced run is a checked run, an untraced one has ``None``.
+        #: (``obs=TraceBus(max_events=0)`` checks without storing.)
+        self.conformance: ConformanceMonitor | None = None
         if obs is not None:
             obs.bind_clock(lambda: self.env.now)
             obs.add_harvester(self._harvest_obs)
-        #: Online reference-machine checker (:mod:`repro.conformance`);
-        #: ``None`` when conformance is off for this run.
-        self.conformance: ConformanceMonitor | None = None
-        if wants_conformance:
             self.conformance = ConformanceMonitor(registry=obs.metrics)
             obs.add_sink(self.conformance)
         self._selection_baseline = SELECTION_STATS.as_dict()

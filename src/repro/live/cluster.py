@@ -66,7 +66,7 @@ from repro.common.params import TEST_PARAMS
 from repro.node.deployment import SimulationConfig, SubstrateConfig
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.network.wire import decode_block
-from repro.obs.sink import read_trace
+from repro.obs.sink import read_trace, trace_losses
 
 #: TEST_PARAMS with all protocol timeouts shrunk 4x: in live mode the
 #: lambdas are *wall-clock seconds*, and a smoke cluster on loopback
@@ -212,8 +212,7 @@ class LiveCluster:
             "chains_equal": self.all_chains_equal(),
             "tips": {i: r["tip"].hex()[:16]
                      for i, r in sorted(self.results.items())},
-            # A node run with conformance off reports ``None``.
-            "conformance_ok": all(r["conformance_ok"] is not False
+            "conformance_ok": all(r["conformance_ok"]
                                   for r in self.results.values()),
             "conformance_violations": sum(r["conformance_violations"]
                                           for r in self.results.values()),
@@ -610,10 +609,7 @@ class LiveCluster:
                 except (OSError, ValueError):
                     node_events, snapshot = [], None
                 events.extend(node_events)
-                if snapshot:
-                    dropped += int(snapshot.get("dropped_events", 0) or 0)
-                    gauges = snapshot.get("gauges", {})
-                    dropped += int(gauges.get("obs.sink_dropped", 0) or 0)
+                dropped += sum(trace_losses(snapshot))
                 if incarnation < len(kills):
                     events.extend(self._synthesize_crash_events(
                         index, node_events, kills[incarnation]))

@@ -237,13 +237,10 @@ class NodeProcess:
         self.sink = JsonlTraceSink(self.cfg["trace"], buffer_lines=1,
                                    durable=True)
         self.bus.add_sink(self.sink)
-        #: Online reference-machine checker; ``None`` when the config
-        #: switches conformance off (a live node always has a bus, so
-        #: ``"auto"`` means on).
-        self.monitor: ConformanceMonitor | None = None
-        if config.runtime.wants_conformance(traced=True):
-            self.monitor = ConformanceMonitor(registry=self.bus.metrics)
-            self.bus.add_sink(self.monitor)
+        #: Online reference-machine checker (a live node always has a
+        #: bus, and a traced run is a checked run).
+        self.monitor = ConformanceMonitor(registry=self.bus.metrics)
+        self.bus.add_sink(self.monitor)
 
         def harvest(bus: TraceBus) -> None:
             metrics = bus.metrics
@@ -253,8 +250,7 @@ class NodeProcess:
             metrics.set_gauge("simloop.events_processed",
                               self.clock.events_processed)
             metrics.set_gauge("simloop.now", self.clock.now)
-            if self.monitor is not None:
-                self.monitor.harvest(metrics)
+            self.monitor.harvest(metrics)
 
         self.bus.add_harvester(harvest)
         node = build_node(
@@ -395,10 +391,9 @@ class NodeProcess:
             # cannot have witnessed (the coordinator synthesizes the
             # real node_crashed into the merged trace at kill time);
             # without this, node_restarted from IDLE would be flagged.
-            if self.monitor is not None:
-                self.monitor.write_event({
-                    "kind": "node_crashed", "node": self.index,
-                    "round": node.chain.next_round, "t": self.clock.now})
+            self.monitor.write_event({
+                "kind": "node_crashed", "node": self.index,
+                "round": node.chain.next_round, "t": self.clock.now})
             node.obs.emit("node_restarted", node=self.index,
                           round=node.chain.next_round)
             # Ask the network for the history we missed and give the
@@ -427,8 +422,7 @@ class NodeProcess:
         chain = node.chain
         blocks = [encode_block(chain.block_at(r))
                   for r in range(1, chain.height + 1)]
-        verdict = (self.monitor.verdict() if self.monitor is not None
-                   else None)
+        verdict = self.monitor.verdict()
         await send_message(writer, {
             "type": "result",
             "index": self.index,
@@ -438,10 +432,8 @@ class NodeProcess:
             "blocks": blocks,
             "halted": node.halted,
             "trace": cfg["trace"],
-            # ``None``: this node ran with conformance switched off.
-            "conformance_ok": verdict.ok if verdict is not None else None,
-            "conformance_violations": (len(verdict.violations)
-                                       if verdict is not None else 0),
+            "conformance_ok": verdict.ok,
+            "conformance_violations": len(verdict.violations),
             "dropped_events": (self.bus.dropped_events
                                + self.sink.dropped),
             "stats": {key: int(value) for key, value

@@ -429,39 +429,27 @@ class GossipNetwork:
     def reshuffle_peers(self) -> None:
         """(Re)build the random peer graph (paper: new peers each round).
 
-        Quarantined nodes are excluded from both directions of the new
-        neighbor map: they neither draw peers nor get drawn. With no
-        quarantine in force the RNG consumption is exactly the original
-        path, so enabling the quarantine machinery never perturbs an
-        honest deployment's random choices.
+        Dormant and quarantined nodes are excluded from both directions
+        of the new neighbor map: they neither draw peers nor get drawn.
+        Each eligible node draws once, in index order, from the others —
+        so an honest deployment's random choices do not depend on
+        whether the quarantine machinery is installed.
         """
         n = self.num_nodes
         adjacency: list[set[int]] = [set() for _ in range(n)]
-        if self.active is None and not self.quarantined:
-            k = min(self.peers_per_node, n - 1)
-            for node in range(n):
-                peers = self.rng.choice(n - 1, size=k, replace=False)
+        pool = range(n) if self.active is None else sorted(self.active)
+        eligible = [i for i in pool if i not in self.quarantined]
+        m = len(eligible)
+        k = min(self.peers_per_node, m - 1)
+        if k >= 1:
+            for position, node in enumerate(eligible):
+                peers = self.rng.choice(m - 1, size=k, replace=False)
                 for peer in peers:
-                    # Map [0, n-2] onto all indices except `node`.
-                    target = int(peer) + (1 if peer >= node else 0)
+                    # Map [0, m-2] onto eligible positions != position.
+                    target = eligible[int(peer) + (1 if peer >= position
+                                                   else 0)]
                     adjacency[node].add(target)
                     adjacency[target].add(node)
-        else:
-            pool = (range(n) if self.active is None
-                    else sorted(self.active))
-            eligible = [i for i in pool if i not in self.quarantined]
-            m = len(eligible)
-            k = min(self.peers_per_node, m - 1)
-            if k >= 1:
-                for position, node in enumerate(eligible):
-                    peers = self.rng.choice(m - 1, size=k, replace=False)
-                    for peer in peers:
-                        # Map [0, m-2] onto eligible positions != position.
-                        target_position = int(peer) + (1 if peer >= position
-                                                       else 0)
-                        target = eligible[target_position]
-                        adjacency[node].add(target)
-                        adjacency[target].add(node)
         for node in range(n):
             self.interfaces[node].neighbors = sorted(adjacency[node])
 

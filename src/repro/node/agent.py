@@ -65,8 +65,32 @@ from repro.node.registry import BlockRegistry
 from repro.runtime.router import MessageRouter
 from repro.sim.loop import Environment, Process
 from repro.sortition.roles import FINAL_STEP, proposer_role
-from repro.sortition.seed import fallback_seed, propose_seed, verify_seed
+from repro.sortition.seed import accepted_seed, propose_seed, verify_seed
 from repro.sortition.selection import sortition
+
+
+def sortition_weights(chain: Blockchain, params: ProtocolParams,
+                      round_number: int) -> Mapping[bytes, int]:
+    """Weight table for sortition at ``round_number`` (section 5.3).
+
+    With ``weight_lookback_rounds == 0`` this is the current table;
+    otherwise the snapshot from ``lookback`` rounds ago, optionally
+    floored by current balances (``lookback_take_min``, the paper's
+    nothing-at-stake mitigation). Nodes memoize it per round, the
+    aggregated pool converts it to its slot array — one table, so pool
+    selection and the materialized agents' own sortition calls agree.
+    """
+    lookback = params.weight_lookback_rounds
+    if lookback == 0:
+        return chain.state.weights()
+    weights = chain.weights_at(max(0, round_number - 1 - lookback))
+    if params.lookback_take_min:
+        current = chain.state.weights()
+        floored = ((public, min(balance, current.get(public, 0)))
+                   for public, balance in weights.items())
+        weights = {public: balance for public, balance in floored
+                   if balance}
+    return weights
 
 
 class Node:
@@ -349,35 +373,15 @@ class Node:
         return ctx
 
     def _sortition_weights(self, round_number: int) -> Mapping[bytes, int]:
-        """Weight table for sortition at ``round_number`` (section 5.3).
-
-        With ``weight_lookback_rounds == 0`` this is the current table;
-        otherwise the snapshot from ``lookback`` rounds ago, optionally
-        floored by current balances (``lookback_take_min``, the paper's
-        nothing-at-stake mitigation). Memoized per (round, lookback)
-        until the next commit — admission asks for the same round's
-        table once per delivered envelope.
-        """
-        lookback = self.params.weight_lookback_rounds
-        memo_key = (round_number, lookback)
+        """:func:`sortition_weights` of this node's chain, memoized per
+        (round, lookback) until the next commit — admission asks for the
+        same round's table once per delivered envelope."""
+        memo_key = (round_number, self.params.weight_lookback_rounds)
         cached = self._weights_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        if lookback == 0:
-            weights: Mapping[bytes, int] = self.chain.state.weights()
-        else:
-            reference = max(0, round_number - 1 - lookback)
-            weights = self.chain.weights_at(reference)
-            if self.params.lookback_take_min:
-                current = self.chain.state.weights()
-                weights = {
-                    public: min(balance, current.get(public, 0))
-                    for public, balance in weights.items()
-                }
-                weights = {public: balance
-                           for public, balance in weights.items() if balance}
-        self._weights_memo[memo_key] = weights
-        return weights
+        if cached is None:
+            cached = self._weights_memo[memo_key] = sortition_weights(
+                self.chain, self.params, round_number)
+        return cached
 
     def _round_loop(self, target_height: int):
         while self.chain.height < target_height and not self.halted:
@@ -679,16 +683,9 @@ class Node:
 
     def _commit(self, round_number: int, ctx: BAContext, block: Block,
                 certificate: Certificate | None) -> None:
-        seed_override = None
-        if block.is_empty:
-            seed_override = fallback_seed(
-                self.chain.seed_of_round(round_number - 1), round_number)
-        elif not verify_seed(
-                self.backend, block.proposer, block.seed, block.seed_proof,
-                self.chain.seed_of_round(round_number - 1), round_number):
-            seed_override = fallback_seed(
-                self.chain.seed_of_round(round_number - 1), round_number)
-        self.chain.append(block, certificate, seed_override=seed_override)
+        self.chain.append(block, certificate, seed_override=accepted_seed(
+            self.backend, block,
+            self.chain.seed_of_round(round_number - 1), round_number))
         self._weights_memo.clear()
         self.mempool.prune_committed(block.transactions, self.chain.state)
         if self.on_commit is not None:

@@ -50,8 +50,8 @@ from repro.crypto.backend import CryptoBackend
 from repro.ledger.block import Block
 from repro.ledger.blockchain import Blockchain
 from repro.network.message import Envelope
-from repro.node.recovery import RECOVERY_ROUND_BASE
-from repro.sortition.seed import fallback_seed, verify_seed
+from repro.sortition.roles import RECOVERY_ROUND_BASE
+from repro.sortition.seed import accepted_seed
 
 if TYPE_CHECKING:
     from repro.node.agent import Node
@@ -98,22 +98,10 @@ def replay_chain(blocks: Iterable[Block],
             chain.state.weights(), chain.tip_hash,
         )
         verify_certificate(certificate, ctx, backend, params)
-        chain.append(block, certificate,
-                     seed_override=_round_seed(backend, chain, block,
-                                               round_number))
+        chain.append(block, certificate, seed_override=accepted_seed(
+            backend, block, chain.seed_of_round(round_number - 1),
+            round_number))
     return chain
-
-
-def _round_seed(backend: CryptoBackend, chain: Blockchain, block: Block,
-                round_number: int) -> bytes | None:
-    """Seed for the appended round, re-deriving the fallback when needed."""
-    previous_seed = chain.seed_of_round(round_number - 1)
-    if block.is_empty:
-        return fallback_seed(previous_seed, round_number)
-    if not verify_seed(backend, block.proposer, block.seed,
-                       block.seed_proof, previous_seed, round_number):
-        return fallback_seed(previous_seed, round_number)
-    return None  # block.seed is valid; Blockchain.append uses it
 
 
 def verify_final_safety(chain: Blockchain, *, backend: CryptoBackend,

@@ -7,8 +7,8 @@ configure and wire the *same* node instead of three look-alikes:
 * :class:`SimulationConfig` — seven scalars plus one frozen group per
   consuming layer: :class:`NetworkConfig` (gossip fabric),
   :class:`RuntimeConfig` (verification cache, admission gate, relay
-  damping, conformance), :class:`PopulationConfig` (full agents vs the
-  aggregated stake pool) and :class:`SubstrateConfig` (virtual time in
+  damping), :class:`PopulationConfig` (full agents vs the aggregated
+  stake pool) and :class:`SubstrateConfig` (virtual time in
   one process, or OS processes over sockets). Each group owns its
   ``validate()``; :meth:`SimulationConfig.validate` adds the cross-field
   checks. :meth:`SimulationConfig.to_json` / ``from_json`` are what
@@ -124,31 +124,16 @@ class RuntimeConfig:
     #: local tally crosses the step threshold. The agreed blocks,
     #: proposers, and seeds are identical with this on or off.
     relay_damping: bool = True
-    #: Online conformance checking (:mod:`repro.conformance`). ``"auto"``
-    #: (default) enables it exactly when a trace bus is supplied;
-    #: ``True`` forces it; ``False`` disables it. Pure observer either
-    #: way — committed chains are byte-identical.
-    conformance: bool | str = "auto"
 
     def validate(self) -> None:
         if self.admission is not None:
             self.admission.validate()
-        if self.conformance not in (True, False, "auto"):
-            raise ConfigError(
-                f"conformance must be True, False, or 'auto', "
-                f"got {self.conformance!r}")
 
     def admission_budgets(self) -> AdmissionConfig | None:
         """The admission budgets in force; ``None`` with the gate off."""
         if not self.use_admission:
             return None
         return self.admission or AdmissionConfig()
-
-    def wants_conformance(self, traced: bool) -> bool:
-        """Resolve ``conformance`` for a run that has (or lacks) a bus."""
-        if isinstance(self.conformance, bool):
-            return self.conformance
-        return traced
 
 
 @dataclass(frozen=True)

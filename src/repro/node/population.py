@@ -56,7 +56,7 @@ from repro.crypto.backend import CryptoBackend
 from repro.ledger.arraystate import AccountIndex, ArrayState, ArrayWeights
 from repro.ledger.blockchain import Blockchain
 from repro.network.gossip import GossipNetwork
-from repro.node.agent import Node
+from repro.node.agent import Node, sortition_weights
 from repro.node.deployment import Genesis, SimulationConfig, build_node
 from repro.node.registry import BlockRegistry
 from repro.runtime.admission import QuarantineDirectory
@@ -289,23 +289,9 @@ class Population:
 
     def _slot_weights(self, reference: Blockchain,
                       round_number: int) -> tuple[np.ndarray, int]:
-        """Weight array over pool slots for sortition at ``round_number``.
-
-        Mirrors :meth:`Node._sortition_weights` (section 5.3 look-back
-        included) so pool selection and the materialized agents' own
-        sortition calls answer from the same table.
-        """
-        params = self.params
-        lookback = params.weight_lookback_rounds
-        if lookback == 0:
-            weights: Mapping[bytes, int] = reference.state.weights()
-        else:
-            cutoff = max(0, round_number - 1 - lookback)
-            weights = reference.weights_at(cutoff)
-            if params.lookback_take_min:
-                current = reference.state.weights()
-                weights = {public: min(balance, current.get(public, 0))
-                           for public, balance in weights.items()}
+        """The section 5.3 table (:func:`sortition_weights`, the one the
+        materialized agents answer from) as an array over pool slots."""
+        weights = sortition_weights(reference, self.params, round_number)
         n = self.num_accounts
         if (isinstance(weights, ArrayWeights)
                 and weights.index is self.index

@@ -37,12 +37,8 @@ from repro.ledger.block import Block, empty_block_hash
 from repro.network.message import Envelope
 from repro.node.agent import Node
 from repro.node.proposal import block_priority
-from repro.sortition.roles import fork_proposer_role
+from repro.sortition.roles import RECOVERY_ROUND_BASE, fork_proposer_role
 from repro.sortition.selection import sortition, verify_sort
-
-#: Recovery BA* executions use round numbers far above any real round so
-#: their votes can never collide with in-band consensus votes.
-RECOVERY_ROUND_BASE = 1_000_000_000
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from repro.obs.events import (
     EVENT_KINDS,
     EventKind,
     EventSchemaError,
-    register_event_kind,
     validate_record,
 )
 from repro.obs.metrics import HistogramSummary, MetricsRegistry
@@ -34,6 +33,5 @@ __all__ = [
     "EVENT_KINDS",
     "EventKind",
     "EventSchemaError",
-    "register_event_kind",
     "validate_record",
 ]

@@ -104,11 +104,6 @@ EVENT_KINDS: dict[str, EventKind] = {k.name: k for k in [
 ]}
 
 
-def register_event_kind(kind: EventKind) -> None:
-    """Add (or replace) a kind at runtime — for downstream extensions."""
-    EVENT_KINDS[kind.name] = kind
-
-
 def validation_default() -> bool:
     """Resolve the default for ``TraceBus(validate=None)`` from the env."""
     return os.environ.get("REPRO_OBS_VALIDATE", "") not in ("", "0")

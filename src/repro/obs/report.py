@@ -29,7 +29,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-from repro.obs.sink import read_trace
+from repro.obs.sink import read_trace, trace_losses
 
 #: Canonical display order for BA⋆ steps (numeric steps sort between).
 _STEP_ORDER = {"reduction_one": -2, "reduction_two": -1, "final": 1000}
@@ -127,14 +127,6 @@ def traffic_by_kind(counters: dict[str, int | float]) -> list[dict]:
             "relayed": counters.get(f"gossip.relayed.{kind}", 0),
         })
     return rows
-
-
-def trace_losses(snapshot: dict | None) -> tuple[int, int]:
-    """(ring-buffer drops, sink drops) recorded in the trace snapshot."""
-    if snapshot is None:
-        return (0, 0)
-    return (snapshot.get("dropped_events", 0),
-            int(snapshot.get("gauges", {}).get("obs.sink_dropped", 0)))
 
 
 def render_report(events: list[dict], snapshot: dict | None) -> str:

@@ -132,3 +132,12 @@ def read_trace(path: str | Path, *,
         elif kind == "snapshot":
             snapshot = record.get("metrics")
     return events, snapshot
+
+
+def trace_losses(snapshot: dict | None) -> tuple[int, int]:
+    """(ring-buffer drops, sink drops): events the recorded trace is
+    known to be missing, read from its snapshot."""
+    if not snapshot:
+        return (0, 0)
+    return (int(snapshot.get("dropped_events", 0) or 0),
+            int(snapshot.get("gauges", {}).get("obs.sink_dropped", 0) or 0))

@@ -62,17 +62,12 @@ from repro.baplus.accountability import DoubleVoteEvidence, EquivocationEvidence
 from repro.baplus.messages import VoteMessage
 from repro.common.errors import ConfigError
 from repro.network.message import Envelope
-from repro.sortition.roles import FINAL_STEP
+from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 
 if TYPE_CHECKING:
     from repro.baplus.context import BAContext  # pragma: no cover - typing only
     from repro.network.gossip import GossipNetwork
     from repro.node.agent import Node
-
-#: Votes at or above this round belong to fork-recovery BA* executions
-#: (:data:`repro.node.recovery.RECOVERY_ROUND_BASE`); they use a context
-#: ingress cannot reconstruct, so they are admitted signature-checked only.
-RECOVERY_ROUND_BASE = 1_000_000_000
 
 #: Offense kinds recognized by :class:`PeerHealth`.
 OFFENSES = ("invalid_signature", "failed_sortition", "duplicate",

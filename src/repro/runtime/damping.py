@@ -51,14 +51,10 @@ from typing import TYPE_CHECKING
 
 from repro.baplus.messages import COIN_HASH_CEILING, VoteMessage
 from repro.runtime.admission import sortition_weight
-from repro.sortition.roles import FINAL_STEP
+from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.node.agent import Node
-
-#: Mirrors :data:`repro.node.recovery.RECOVERY_ROUND_BASE` by value
-#: (recovery sits above this module in the import graph).
-RECOVERY_ROUND_BASE = 1_000_000_000
 
 
 class DampingTally:

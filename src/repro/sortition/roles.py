@@ -19,6 +19,13 @@ FINAL_STEP = "final"
 REDUCTION_ONE = "reduction_one"
 REDUCTION_TWO = "reduction_two"
 
+#: Fork-recovery BA* executions (section 8.2) use round numbers at or
+#: above this base, far above any real round, so their votes can never
+#: collide with in-band consensus votes. Ingress cannot reconstruct
+#: their context, relay damping does not tally them, and a fail-stop
+#: crash does not kill them — each of those layers reads this constant.
+RECOVERY_ROUND_BASE = 1_000_000_000
+
 
 @lru_cache(maxsize=4096)
 def proposer_role(round_number: int) -> bytes:

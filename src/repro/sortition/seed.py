@@ -47,6 +47,22 @@ def fallback_seed(previous_seed: bytes, round_number: int) -> bytes:
     return H(seed_input(previous_seed, round_number))
 
 
+def accepted_seed(backend: CryptoBackend, block, previous_seed: bytes,
+                  round_number: int) -> bytes:
+    """The seed round ``round_number`` publishes, given its agreed block.
+
+    Section 5.2's acceptance rule: an empty block, or one whose embedded
+    seed fails its proposer's VRF proof, publishes the fallback hash;
+    otherwise the block's own seed stands. ``block`` is a
+    :class:`repro.ledger.block.Block`.
+    """
+    if block.is_empty or not verify_seed(
+            backend, block.proposer, block.seed, block.seed_proof,
+            previous_seed, round_number):
+        return fallback_seed(previous_seed, round_number)
+    return block.seed
+
+
 def selection_round(round_number: int, refresh_interval: int) -> int:
     """The round whose seed governs sortition at ``round_number``.
 

@@ -274,11 +274,6 @@ def verify_sort(backend: CryptoBackend, public: bytes, vrf_hash: bytes,
     return j
 
 
-def expected_committee_votes(tau: float) -> float:
-    """Expected total sub-user selections across all users (== tau)."""
-    return float(tau)
-
-
 def selection_probability(weight: int, tau: float, total_weight: int) -> float:
     """Probability that a user of ``weight`` is selected at least once."""
     if weight == 0:

@@ -56,6 +56,13 @@ def run_traced(rounds: int, payments: int = 0,
     return run_sim(rounds, payments, obs=bus, **config), bus
 
 
+def forged_commit(node: int, round_number: int, block_hash: str,
+                  t: float) -> dict:
+    """A bare ``round_commit`` record, for feeding checkers forgeries."""
+    return {"t": t, "kind": "round_commit", "node": node,
+            "round": round_number, "block_hash": block_hash}
+
+
 def chain_fingerprint(sim: Simulation) -> list[list[tuple]]:
     """Every committed byte, per node: block dataclasses + round records.
 

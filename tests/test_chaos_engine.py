@@ -1,8 +1,9 @@
-"""Chaos engine unit tests: scripts, shapers, the monitor, and the CLI.
+"""Chaos engine unit tests: scripts, shapers, verdict rows, and the CLI.
 
-The negative monitor tests are the load-bearing ones: a checker that
-never fires is indistinguishable from a checker that works, so we feed
-it forged conflicting certificates and a stalled clock and require red.
+The rules a trace can break are the reference machines' and their
+negatives live in ``tests/test_conformance.py``; here we require that a
+forged fork, rollback and stall still read, in a verdict, exactly as
+they always did.
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ import json
 import numpy as np
 import pytest
 
-from repro.chaos import (FaultAction, InvariantMonitor, ScenarioError,
-                         ScenarioScript, ShaperChain,
-                         flood_recovery_scenario, generate_scenario,
-                         partition_heal_scenario, run_scenario)
+from repro.chaos import (FaultAction, ScenarioError, ScenarioScript,
+                         ShaperChain, Violation, flood_recovery_scenario,
+                         generate_scenario, partition_heal_scenario,
+                         run_scenario)
 from repro.chaos.__main__ import main as chaos_main
 from repro.chaos.faults import _WindowedLinkEffect
+from repro.chaos.runner import render_verdict
+from repro.conformance import ConformanceMonitor
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.network.message import Envelope
+
+from tests.fixtures import forged_commit
 
 
 def _envelope() -> Envelope:
@@ -186,62 +191,47 @@ class TestSimVerdictsPinned:
             verdict.to_json().encode()).hexdigest() == golden
 
 
-def _commit(node: int, round_number: int, block_hash: str,
-            t: float) -> dict:
-    return {"t": t, "kind": "round_commit", "node": node,
-            "round": round_number, "block_hash": block_hash}
+class TestVerdictRows:
+    """Machine breaches keep the names chaos verdicts always gave them."""
 
+    def test_outcome_rules_bare_and_first_other_rules_prefixed(self):
+        # Forged: node 1 forks round 1, node 0 rolls back to it, and
+        # (bare commits) every one of them is out of phase for its node
+        # — node 0's two round-1 commits word that identically, and a
+        # verdict lists a (rule, detail) pair once.
+        monitor = ConformanceMonitor()
+        monitor.feed([forged_commit(0, 1, "aa" * 16, 1.0),
+                      forged_commit(1, 1, "bb" * 16, 1.2),
+                      forged_commit(0, 2, "cc" * 16, 2.0),
+                      forged_commit(0, 1, "aa" * 16, 3.0),
+                      {"t": 3.5, "kind": "gossip_sent", "node": 0}])
+        script = ScenarioScript(name="forged", seed=1, num_users=2,
+                                rounds=2, liveness_bound=100.0)
+        audit = Violation(invariant="prefix-consistency", t=4.0,
+                          detail="forged")
+        verdict = render_verdict(script, monitor, [audit],
+                                 heights=[2, 1], laggards=[1], now=4.0)
+        assert not verdict.ok
+        assert [row["invariant"] for row in verdict.violations] == [
+            "unique-certificate", "monotonic-rounds",
+            "prefix-consistency"] + ["conformance:commit-phase"] * 3 + [
+            "convergence"]
+        assert verdict.violations[0]["detail"].startswith(
+            "round 1: node 1 committed bbbbbbbbbbbbbbbb at t=1.20 but "
+            "node 0 committed aaaaaaaaaaaaaaaa")
+        assert verdict.events_seen == 5
+        assert verdict.conformance == {"ok": False, "events_checked": 4,
+                                       "nodes": 2, "violations": 6}
 
-class TestInvariantMonitorNegative:
-    """Forged violations MUST go red — no false green."""
-
-    def test_conflicting_certificates_flagged(self):
-        monitor = InvariantMonitor(liveness_bound=100.0)
-        monitor.feed([_commit(0, 1, "aa" * 16, 1.0),
-                      _commit(1, 1, "bb" * 16, 1.2)])
-        violations = monitor.finish(now=2.0)
-        assert [v.invariant for v in violations] == ["unique-certificate"]
-        assert "round 1" in violations[0].detail
-
-    def test_rollback_commit_flagged(self):
-        monitor = InvariantMonitor(liveness_bound=100.0)
-        monitor.feed([_commit(0, 1, "aa" * 16, 1.0),
-                      _commit(0, 2, "bb" * 16, 2.0),
-                      _commit(0, 1, "aa" * 16, 3.0)])
-        violations = monitor.finish(now=4.0)
-        assert [v.invariant for v in violations] == ["monotonic-rounds"]
-
-    def test_stalled_clock_after_heal_flagged(self):
-        monitor = InvariantMonitor(liveness_bound=100.0, heal_time=50.0)
-        # The only commit happened before the heal; the post-heal window
-        # is empty and the clock ran past the deadline.
-        monitor.feed([_commit(0, 1, "aa" * 16, 40.0)])
-        violations = monitor.finish(now=300.0)
-        assert [v.invariant for v in violations] == ["liveness"]
-        assert "heal" in violations[0].detail
-
-    def test_fault_free_stall_flagged(self):
-        monitor = InvariantMonitor(liveness_bound=100.0)
-        violations = monitor.finish(now=200.0)
-        assert [v.invariant for v in violations] == ["liveness"]
-
-    def test_clean_trace_stays_green(self):
-        monitor = InvariantMonitor(liveness_bound=100.0, heal_time=50.0)
-        monitor.feed([_commit(node, 1, "aa" * 16, 60.0 + node * 0.1)
-                      for node in range(4)])
-        assert monitor.finish(now=400.0) == []
-
-    def test_commit_before_deadline_not_penalized_early(self):
-        # The run ended before the liveness deadline: no verdict either
-        # way yet, so no violation.
-        monitor = InvariantMonitor(liveness_bound=100.0, heal_time=50.0)
-        assert monitor.finish(now=80.0) == []
-
-    def test_non_commit_events_ignored(self):
-        monitor = InvariantMonitor(liveness_bound=100.0)
-        monitor.feed([{"t": 1.0, "kind": "gossip_sent", "node": 0}])
-        assert monitor.events_seen == 1
-        assert monitor.violations == []
+    def test_stalled_run_reads_liveness(self):
+        script = ScenarioScript(name="stalled", seed=1, num_users=2,
+                                rounds=1, liveness_bound=100.0)
+        verdict = render_verdict(script, ConformanceMonitor(), [],
+                                 heights=[0, 0], laggards=[], now=200.0)
+        assert [row["invariant"] for row in verdict.violations] == [
+            "liveness"]
+        assert verdict.violations[0]["t"] == 200.0
+        assert "no commit at all" in verdict.violations[0]["detail"]
 
 
 class TestChaosCli:

@@ -98,7 +98,7 @@ class TestJsonRoundTrip:
                                   latency_model="uniform",
                                   seen_horizon_rounds=None),
             runtime=RuntimeConfig(use_verification_cache=False,
-                                  relay_damping=False, conformance=True)),
+                                  relay_damping=False)),
         SimulationConfig(
             num_users=3, balances=[5, 0, 2],
             runtime=RuntimeConfig(admission=AdmissionConfig(

@@ -1,11 +1,15 @@
 """Conformance harness tests: clean runs conform, mutations are caught.
 
-Four angles on :mod:`repro.conformance`:
+Five angles on :mod:`repro.conformance`:
 
 * clean seeded deployments (full and aggregated populations) produce
   zero violations, online and through the offline CLI round-trip;
 * hand-mutated traces trip exactly the named rule the mutation breaks
   (skipped step, commit without quorum, vote after halt);
+* forged outcomes MUST go red: a fork across nodes, a rolled-back
+  commit and a stalled clock trip ``unique-certificate``,
+  ``monotonic-rounds`` and ``liveness`` — online, and through the
+  offline CLI, which reads the same machines;
 * the crash path closes every open step interval with an explicit
   ``interrupted`` step_exit (the stalling-committee regression);
 * the event catalogue is authoritative: every literal emit site in
@@ -16,6 +20,7 @@ Four angles on :mod:`repro.conformance`:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -23,7 +28,13 @@ from pathlib import Path
 import pytest
 
 from repro.chaos import generate_scenario, run_scenario
-from repro.conformance import ConformanceMonitor, NodeMachine
+from repro.conformance import (
+    OUTCOME_RULES,
+    ClusterMachine,
+    ConformanceMonitor,
+    NodeMachine,
+)
+from repro.conformance import machine as specification
 from repro.conformance.__main__ import main as conformance_main
 from repro.experiments.harness import (
     PopulationConfig,
@@ -40,7 +51,9 @@ from repro.obs import (
 )
 from repro.obs.report import render_report, step_timings, trace_losses
 
-from tests.fixtures import run_sim, run_traced
+from repro.sortition import roles
+
+from tests.fixtures import forged_commit, run_sim, run_traced
 
 USERS = 10
 ROUNDS = 3
@@ -66,6 +79,15 @@ def _check(events) -> ConformanceMonitor:
 
 def _rules(monitor: ConformanceMonitor) -> set[str]:
     return {violation.rule for violation in monitor.violations}
+
+
+def _write_trace(path: Path, events) -> Path:
+    sink = JsonlTraceSink(path)
+    for event in events:
+        sink.write_event(event)
+    sink.write_snapshot({"counters": {}, "gauges": {}})
+    sink.close()
+    return path
 
 
 class TestCleanTraces:
@@ -103,12 +125,7 @@ class TestCleanTraces:
         assert bus.events_of_kind("agent_retired")
 
     def test_offline_cli_round_trip(self, clean_events, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        sink = JsonlTraceSink(trace)
-        for event in clean_events:
-            sink.write_event(event)
-        sink.write_snapshot({"counters": {}, "gauges": {}})
-        sink.close()
+        trace = _write_trace(tmp_path / "trace.jsonl", clean_events)
         verdict_path = tmp_path / "verdict.json"
         code = conformance_main([str(trace), "--verdict",
                                  str(verdict_path), "--require-complete"])
@@ -124,33 +141,27 @@ class TestCleanTraces:
         assert conformance_main([str(tmp_path / "absent.jsonl")]) == 2
 
     def test_monitor_is_pure_observer(self):
-        def chain(conformance):
-            sim = Simulation(SimulationConfig(
-                num_users=8, seed=3,
-                runtime=RuntimeConfig(conformance=conformance)))
-            sim.submit_payments(8)
-            sim.run_rounds(2)
-            return [sim.nodes[0].chain.block_at(r).block_hash
-                    for r in range(1, 3)]
+        # A traced run is a checked run; a bus that stores nothing
+        # checks without keeping the events.
+        def chain(obs):
+            sim = run_sim(2, payments=8, obs=obs, num_users=8, seed=3)
+            return sim, [sim.nodes[0].chain.block_at(r).block_hash
+                         for r in range(1, 3)]
 
-        assert chain(True) == chain(False)
+        bus = TraceBus(max_events=0)
+        checked, checked_chain = chain(bus)
+        unchecked, unchecked_chain = chain(None)
+        assert checked_chain == unchecked_chain
+        verdict = checked.conformance.verdict()
+        assert verdict.ok and verdict.events_checked > 0
+        assert bus.events == []
+        assert unchecked.conformance is None
+        assert "conformance" not in unchecked.summary()
 
-    def test_conformance_knob_validation(self):
-        with pytest.raises(Exception):
-            SimulationConfig(num_users=8, runtime=RuntimeConfig(
-                conformance="yes")).validate()
-
-    def test_forced_conformance_without_bus(self):
-        sim = run_sim(1, num_users=8, seed=3,
-                      runtime=RuntimeConfig(conformance=True))
-        assert sim.conformance is not None
-        assert sim.conformance.verdict().ok
-
-    def test_conformance_off(self):
-        sim = run_sim(1, obs=TraceBus(), num_users=8, seed=3,
-                      runtime=RuntimeConfig(conformance=False))
-        assert sim.conformance is None
-        assert "conformance" not in sim.summary()
+    def test_conformance_is_not_a_knob(self):
+        with pytest.raises(TypeError):
+            RuntimeConfig(conformance=False)
+        assert len(dataclasses.fields(RuntimeConfig)) == 4
 
 
 class TestNegativeTraces:
@@ -239,6 +250,121 @@ class TestNegativeTraces:
         verdict = monitor.verdict()
         assert not verdict.ok
         assert verdict.violations[-1]["rule"] == "violations-truncated"
+
+
+def _legal_round(node: int, round_number: int, t: float,
+                 block_hash: str = "aa" * 16) -> list[dict]:
+    """The shortest legal round: reduction, one binary step, commit."""
+    events = [{"kind": "round_start"},
+              {"kind": "proposal_resolved", "empty": False}]
+    for step in ("reduction_one", "reduction_two", "1"):
+        events += [{"kind": "step_enter", "step": step},
+                   {"kind": "step_exit", "step": step, "timed_out": False}]
+    events.append({"kind": "round_commit", "consensus": "tentative",
+                   "binary_steps": 1, "block_hash": block_hash})
+    return [{"t": t + 0.1 * i, "node": node, "round": round_number,
+             **event} for i, event in enumerate(events)]
+
+
+class TestOutcomeRulesNegative:
+    """Forged violations MUST go red — no false green.
+
+    A checker that never fires is indistinguishable from one that
+    works, so the machines are fed forged conflicting certificates, a
+    rollback and a stalled clock and must name the rule each breaks.
+    """
+
+    def test_conflicting_certificates_flagged(self):
+        cluster = ClusterMachine()
+        violations = (cluster.feed(forged_commit(0, 1, "aa" * 16, 1.0))
+                      + cluster.feed(forged_commit(1, 1, "bb" * 16, 1.2))
+                      + cluster.liveness(2.0, 0.0, 100.0))
+        assert [v.rule for v in violations] == ["unique-certificate"]
+        assert "round 1" in violations[0].detail
+        assert (violations[0].node, violations[0].t) == (1, 1.2)
+
+    def test_rollback_commit_flagged(self):
+        # Bare commits are out of phase for the node machine as well
+        # (test_rollback_behind_catchup_flagged is the all-legal twin);
+        # of the outcome rules, exactly the rollback is named.
+        monitor = _check([forged_commit(0, 1, "aa" * 16, 1.0),
+                          forged_commit(0, 2, "bb" * 16, 2.0),
+                          forged_commit(0, 1, "aa" * 16, 3.0)])
+        monitor.check_liveness(4.0, heal_time=0.0, bound=100.0)
+        assert [v.rule for v in monitor.violations
+                if v.rule in OUTCOME_RULES] == ["monotonic-rounds"]
+        assert _rules(monitor) == {"monotonic-rounds", "commit-phase"}
+
+    def test_rollback_behind_catchup_flagged(self):
+        # Every event legal for its phase, and catchup_adopted lifts the
+        # round-sequence expectation: only the outcome rule can see that
+        # round 3 was committed after round 5.
+        machine = NodeMachine(0)
+        violations = []
+        for event in (_legal_round(0, 5, 1.0)
+                      + [{"t": 2.0, "kind": "catchup_adopted", "node": 0,
+                          "round": 3, "from_height": 5, "to_height": 6}]
+                      + _legal_round(0, 3, 3.0)):
+            violations.extend(machine.feed(event))
+        assert [v.rule for v in violations] == ["monotonic-rounds"]
+        assert "round 3 after already committing round 5" in \
+            violations[0].detail
+
+    def test_stalled_clock_after_heal_flagged(self):
+        cluster = ClusterMachine()
+        # The only commit happened before the heal; the post-heal window
+        # is empty and the clock ran past the deadline.
+        assert cluster.feed(forged_commit(0, 1, "aa" * 16, 40.0)) == []
+        violations = cluster.liveness(300.0, 50.0, 100.0)
+        assert [v.rule for v in violations] == ["liveness"]
+        assert "heal" in violations[0].detail
+
+    def test_fault_free_stall_flagged(self):
+        violations = ClusterMachine().liveness(200.0, 0.0, 100.0)
+        assert [v.rule for v in violations] == ["liveness"]
+
+    def test_clean_trace_stays_green(self):
+        cluster = ClusterMachine()
+        for node in range(4):
+            assert cluster.feed(
+                forged_commit(node, 1, "aa" * 16, 60.0 + node * 0.1)) == []
+        assert cluster.liveness(400.0, 50.0, 100.0) == []
+
+    def test_commit_before_deadline_not_penalized_early(self):
+        # The run ended before the liveness deadline: no verdict either
+        # way yet, so no violation.
+        assert ClusterMachine().liveness(80.0, 50.0, 100.0) == []
+
+    def test_non_commit_events_ignored(self):
+        monitor = _check([{"t": 1.0, "kind": "gossip_sent", "node": 0}])
+        assert monitor.events_seen == 1
+        assert monitor.events_checked == 0
+        assert monitor.violations == []
+
+    def test_forked_trace_fails_the_offline_checker(self, clean_events,
+                                                    tmp_path, capsys):
+        # One node's round-1 commit rewritten to another block: every
+        # per-node stream is still legal, only the cluster rule sees it.
+        forked = [dict(e, block_hash="f0" * 32)
+                  if (e["kind"] == "round_commit" and e["node"] == 4
+                      and e["round"] == 1) else e
+                  for e in clean_events]
+        assert forked != clean_events
+        trace = _write_trace(tmp_path / "forked.jsonl", forked)
+        code = conformance_main([str(trace), "--require-complete",
+                                 "--quiet"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "VIOLATIONS" in out and "unique-certificate" in out
+        assert _rules(_check(forked)) == {"unique-certificate"}
+
+    def test_specification_constants_equal_the_implementation(self):
+        # machine.py may not import the tree it specifies, so its copies
+        # are by value; nothing else would notice one side moving.
+        for name in ("REDUCTION_ONE", "REDUCTION_TWO", "FINAL_STEP",
+                     "RECOVERY_ROUND_BASE"):
+            assert (getattr(specification, name)
+                    == getattr(roles, name)), name
 
 
 class TestCrashClosesSteps:

@@ -13,7 +13,9 @@ at >= 200 examples per property, that
   legally optional and excluded);
 * pulling a later round's start inside an unfinished round is rejected;
 * interleaving two nodes' legal traces arbitrarily is accepted (the
-  machine is strictly per-node).
+  node rules are strictly per-node) as long as the nodes agree on every
+  round's block — and when they do not, exactly the cluster rule
+  ``unique-certificate`` fires, no node rule.
 """
 
 from __future__ import annotations
@@ -159,7 +161,8 @@ class TestLegalLanguage:
     @given(st.data(), legal_trace(node=0), legal_trace(node=1))
     def test_interleaved_nodes_are_accepted(self, data, left, right):
         # Any shuffle-merge preserving per-node order must be accepted:
-        # conformance is strictly per-node.
+        # the node rules are strictly per-node, and the two nodes agree
+        # on every round's block (the generator's one block_hash).
         merged: list[dict] = []
         i = j = 0
         while i < len(left) or j < len(right):
@@ -175,3 +178,18 @@ class TestLegalLanguage:
         monitor.feed(merged)
         assert monitor.ok, [v.to_dict() for v in monitor.violations]
         assert len(monitor.machines) == 2
+
+        # Fork one round both nodes committed: each stream is as legal
+        # as before, so exactly the cross-node rule must fire — once,
+        # at whichever of the two commits comes second.
+        shared = min(left[-1]["round"], right[-1]["round"])
+        forked_round = data.draw(st.integers(min_value=1,
+                                             max_value=shared))
+        forked = [dict(e, block_hash="ff")
+                  if (e["kind"] == "round_commit" and e["node"] == 1
+                      and e["round"] == forked_round) else e
+                  for e in merged]
+        monitor = ConformanceMonitor()
+        monitor.feed(forked)
+        assert [(v.rule, v.round) for v in monitor.violations] == [
+            ("unique-certificate", forked_round)]

@@ -55,14 +55,13 @@ class TestLiveHonoursItsConfig:
             num_users=4, initial_balance=50,
             runtime=RuntimeConfig(
                 admission=AdmissionConfig(vote_buffer_budget=7),
-                use_verification_cache=False, conformance=False)),
+                use_verification_cache=False)),
             tmp_path)
         node = process.node
         assert node.buffer.budget_messages == 7
         assert node.admission.config.vote_buffer_budget == 7
         assert isinstance(node.backend, FastBackend)  # bare: no cache
         assert process.verification_cache is None
-        assert process.monitor is None
         process.bus.close()
 
     def test_defaults_match_the_sim_stack(self, tmp_path):
@@ -73,7 +72,7 @@ class TestLiveHonoursItsConfig:
         assert node.admission is not None and node.damper is not None
         assert (node.buffer.budget_messages
                 == AdmissionConfig().vote_buffer_budget)
-        assert process.monitor is not None  # "auto": a node has a bus
+        assert process.monitor in process.bus._sinks  # traced => checked
         process.bus.close()
 
     def test_layers_switch_off(self, tmp_path):
