@@ -119,7 +119,6 @@ class Simulation:
                 self.network, budgets, obs=obs)
 
         def on_commit(round_number: int) -> None:
-            self.network.end_round()
             if self.quarantine_directory is not None:
                 self.quarantine_directory.end_round(round_number)
             if network_cfg.reshuffle_peers_each_round:

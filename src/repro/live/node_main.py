@@ -116,12 +116,15 @@ class NodeProcess:
         # it, so its trace timestamps merge monotonically with everyone
         # else's and scripted fault windows stay aligned.
         self.clock.now = float(cfg.get("clock_offset", 0.0))
+        self.bus = TraceBus()
+        self.bus.bind_clock(lambda: self.clock.now)
         substrate = self.config.substrate
         self.transport = LiveTransport(
             self.index, self.clock,
             drain_budget=substrate.drain_budget,
             rx_queue_limit=substrate.rx_queue_limit,
-            incarnation=self.incarnation)
+            seen_horizon_rounds=self.config.network.seen_horizon_rounds,
+            incarnation=self.incarnation, obs=self.bus)
         self.transport.on_link_down = self._ensure_redial
         self._links_complete = asyncio.Event()
         self._server: asyncio.base_events.Server | None = None
@@ -228,9 +231,6 @@ class NodeProcess:
         config = self.config
         backend, self.verification_cache = make_backend(config)
         self.genesis = derive_genesis(config, backend)
-        self.bus = TraceBus()
-        self.bus.bind_clock(lambda: self.clock.now)
-        self.transport.obs = self.bus
         # durable + line-buffered: a SIGKILL mid-run loses at most the
         # line being written, so the chaos coordinator can read a
         # victim's trace back after the kill.
@@ -268,9 +268,6 @@ class NodeProcess:
             stall_after=self.params.round_budget)
         node.resync_patience = max(0.25, self.params.lambda_step / 2)
         node.resync_retries = RESYNC_RETRIES
-        horizon = config.network.seen_horizon_rounds
-        node.on_commit = lambda round_number: self.transport.end_round(
-            horizon)
         return node
 
     def _stats(self) -> dict:

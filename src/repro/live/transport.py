@@ -1,24 +1,20 @@
 """Socket-backed gossip transport for live node processes.
 
-:class:`LiveTransport` exposes the exact
-:class:`repro.network.gossip.NetworkInterface` surface the node agent
-and admission gate assign into (``broadcast``, ``relay_policy``,
-``ingress``, ``disconnected``, the metric counters), but moves bytes
-over real stream connections: one :class:`PeerLink` per peer, each with
-a framed reader task and a queued writer task.
-
-Delivery semantics mirror the sim interface deliberately —
-validate-before-relay (§8.4), dedup by ``msg_id`` *after* the ingress
-gate (a rejected copy does not poison a later clean one), synchronous
-dispatch through ``relay_policy``. Ingress pays once per message, like
-the sim: a frame's fixed-offset header is read first (one
-``unpack_from``), and a frame whose ``msg_id`` is already in the
-seen-set is counted and dropped without its body ever being sliced out,
-let alone decoded. Two live-only concerns are added:
+:class:`LiveTransport` is the live byte-mover under the relay core:
+what a node decides about a message — dedup, the §8.4 receive order,
+what to forward, the ``gossip.*`` counters — is the
+:class:`repro.network.gossip.RelayCore` it inherits, shared with the
+sim interface. What is left here is bytes: one :class:`PeerLink` per
+peer (a framed reader task and a queued writer task) and how little of
+a frame is touched. Ingress pays once per message: a frame's
+fixed-offset header is read first (one ``unpack_from``), a frame whose
+``msg_id`` the core already holds is counted and dropped without its
+body ever being sliced out, let alone decoded, and a relay forwards the
+bytes it arrived as. Two live-only concerns are added:
 
 * **Global msg_id uniqueness** — every process counts envelopes from
   zero, so locally-originated envelopes are re-stamped with an
-  index-namespaced id (``(index << 40) | local_seq``) at broadcast;
+  index-namespaced id (``(index << 40) | local_seq``) when sent;
   relayed envelopes keep their origin's id (that is what dedup keys on).
   The sequence space is further partitioned by process *incarnation*,
   so a respawned node never reuses ids its previous life already
@@ -53,7 +49,7 @@ from collections import deque
 from typing import Callable
 
 from repro.live.clock import LiveClock
-from repro.network.gossip import DropFilter, LinkShaper
+from repro.network.gossip import DropFilter, LinkShaper, RelayCore
 from repro.network.message import Envelope
 from repro.network.wire import (
     EnvelopeHeader,
@@ -150,37 +146,28 @@ class PeerLink:
             pass
 
 
-class LiveTransport:
-    """A node's gossip attachment over real sockets.
+class LiveTransport(RelayCore):
+    """The live byte-mover: a node's gossip attachment over real sockets.
 
-    Satisfies :class:`repro.substrate.Transport`; the node wires in via
-    ``relay_policy`` and the admission gate via ``ingress``, exactly as
-    with the sim interface.
+    Satisfies :class:`repro.substrate.Transport` through the
+    :class:`~repro.network.gossip.RelayCore` it shares with the sim.
     """
 
     def __init__(self, index: int, clock: LiveClock, *,
                  drain_budget: int, rx_queue_limit: int,
+                 seen_horizon_rounds: int,
                  incarnation: int = 0, obs=None) -> None:
-        self.index = index
+        super().__init__(index, seen_horizon_rounds, obs)
         self.clock = clock
-        self.obs = obs
-        self.neighbors: list[int] = []
-        self.relay_policy: Callable[[Envelope], bool] = lambda envelope: True
-        self.ingress: Callable[[Envelope, int], bool] | None = None
-        self.disconnected = False
-        #: Logical bytes (the calibrated envelope sizes the sim charges),
-        #: counted per peer transmission — same accounting as the sim
-        #: interface, so cost experiments read either substrate alike.
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        #: Actual frame bytes handed to the sockets (wire truth).
+        #: Actual frame bytes handed to the sockets (wire truth; the
+        #: core's ``bytes_sent`` is the logical size the sim charges).
         self.wire_bytes_sent = 0
         self.drain_budget = drain_budget
         self.rx_queue_limit = rx_queue_limit
         self.rx_dropped = 0
         self.garbage_frames = 0
         self.garbage_streams = 0
-        #: The fault hooks, asked once per peer copy in ``_send_frames``
+        #: The fault hooks, asked once per peer copy in ``_send``
         #: with this node as ``src`` (see :class:`Fabric`).
         self.drop_filter: DropFilter | None = None
         self.link_shaper: LinkShaper | None = None
@@ -196,11 +183,7 @@ class LiveTransport:
         #: with the rest of the transport stats).
         self.reconnect_attempts = 0
         self.reconnects = 0
-        self._links: dict[int, PeerLink] = {}
-        #: Dedup state, one generation of msg_ids per round: the current
-        #: one, and the ``horizon_rounds`` before it (:meth:`end_round`).
-        self._seen: set[int] = set()
-        self._seen_before: deque[set[int]] = deque()
+        self.links: dict[int, PeerLink] = {}
         #: ``(peer, validated header, frame payload)`` awaiting a drain.
         self._rx: deque[tuple[int, EnvelopeHeader, bytes]] = deque()
         self._drain_scheduled = False
@@ -228,69 +211,59 @@ class LiveTransport:
             coro.close()
 
     def add_link(self, link: PeerLink) -> None:
-        stale = self._links.get(link.peer)
+        stale = self.links.get(link.peer)
         if stale is not None and stale is not link:
             # Reconnect replaced a dead (or half-dead) link: retire the
             # old tasks so their teardown cannot clobber the new link.
             self._close_soon(stale)
-        self._links[link.peer] = link
-        self.neighbors = sorted(self._links)
+        self.links[link.peer] = link
+        self.neighbors = sorted(self.links)
 
     def _link_lost(self, link: PeerLink) -> None:
         if link._down_notified:
             return
         link._down_notified = True
-        if (self._links.get(link.peer) is link
+        if (self.links.get(link.peer) is link
                 and self.on_link_down is not None):
             self.on_link_down(link.peer)
-
-    @property
-    def links(self) -> dict[int, PeerLink]:
-        return self._links
 
     async def close(self) -> None:
         self.disconnected = True
         self.on_link_down = None
-        for link in self._links.values():
+        for link in self.links.values():
             await link.close()
 
     # -- sending --------------------------------------------------------
 
-    def broadcast(self, envelope: Envelope) -> None:
-        """Originate ``envelope``: re-stamp its id, frame, send to all."""
-        if self.disconnected:
-            return
+    def send_to(self, envelope: Envelope, targets: list[int]) -> None:
+        """Originate ``envelope`` under an id from this process's namespace."""
         stamped = dataclasses.replace(
             envelope,
             msg_id=(self.index << MSG_ID_SEQ_BITS) | self._local_seq)
         self._local_seq += 1
-        self._seen.add(stamped.msg_id)
-        self._send_frames(encode_frame(encode_envelope(stamped)),
-                          stamped, exclude=None)
+        super().send_to(stamped, targets)
 
-    def _send_frames(self, frame: bytes, envelope: Envelope,
-                     exclude: int | None) -> None:
+    def _send(self, envelope: Envelope, targets: list[int],
+              raw: bytes | None = None) -> None:
+        """Frame once — a relay's ``raw`` bytes as they arrived, no
+        re-encode — and queue the frame on each target's open link."""
+        frame = encode_frame(raw if raw is not None
+                             else encode_envelope(envelope))
         shaped = (self.drop_filter is not None
                   or self.link_shaper is not None)
         sent = 0
-        for peer, link in list(self._links.items()):
-            if peer == exclude or link.closed:
+        for peer in targets:
+            link = self.links.get(peer)
+            if link is None or link.closed:
                 continue
             if shaped:
                 sent += self._send_shaped(link, frame, envelope)
             else:
                 link.send(frame)
                 sent += 1
-        if not sent:
-            return
-        self.bytes_sent += sent * envelope.size
-        self.messages_sent += sent
-        self.wire_bytes_sent += sent * len(frame)
-        if self.obs is not None:
-            metrics = self.obs.metrics
-            metrics.inc("gossip.sent." + envelope.kind, sent)
-            metrics.inc("gossip.sent_bytes." + envelope.kind,
-                        sent * envelope.size)
+        if sent:
+            self.wire_bytes_sent += sent * len(frame)
+            self._count_sent(envelope, sent)
 
     def _send_shaped(self, link: PeerLink, frame: bytes,
                      envelope: Envelope) -> int:
@@ -310,8 +283,8 @@ class LiveTransport:
             delays = self.link_shaper(src, dst, envelope, 0.0)
         if not delays:
             self.fault_dropped_frames += 1
-            if self.obs is not None:
-                self.obs.metrics.inc("gossip.filtered")
+            if self._metrics is not None:
+                self._metrics.inc("gossip.filtered")
         for delay in delays:
             if delay > 0.0:
                 self.fault_delayed_frames += 1
@@ -329,16 +302,15 @@ class LiveTransport:
         protocol code only ever sees envelopes from :meth:`_drain`,
         which the clock fires like any other event. Only the
         fixed-offset header is read here; a copy of a message this node
-        already holds stops at the seen-set and costs neither a queue
-        slot nor a look at its body.
+        already holds stops at the dedup store and costs neither a
+        queue slot nor a look at its body.
         """
         try:
             header = decode_envelope_header(payload)
         except WireError:
             self.garbage_frames += 1
             return
-        if self._holds(header[0]):
-            self._count_duplicate()
+        if self._drop_duplicate(header[0]):
             return
         if len(self._rx) >= self.rx_queue_limit:
             self._rx.popleft()
@@ -359,68 +331,18 @@ class LiveTransport:
             self._drain_scheduled = True
             self.clock.schedule_now(self._drain)
 
-    def _holds(self, msg_id: int) -> bool:
-        """Is ``msg_id`` in any dedup generation still kept?"""
-        if msg_id in self._seen:
-            return True
-        for generation in self._seen_before:
-            if msg_id in generation:
-                return True
-        return False
-
-    def end_round(self, horizon_rounds: int | None) -> None:
-        """Round boundary: start a fresh dedup generation.
-
-        Live ids are not monotone across origins, so the sim's
-        watermark pruning does not apply; instead the ids of each round
-        form one generation and the ``horizon_rounds`` latest finished
-        ones are kept beside the current. As in the sim, a copy that
-        straggles in after its generation is gone is accepted once more
-        (the protocol layer's stale-round checks discard it unrelayed),
-        and ``None`` keeps everything.
-        """
-        if horizon_rounds is None:
-            return
-        self._seen_before.appendleft(self._seen)
-        while len(self._seen_before) > horizon_rounds:
-            self._seen_before.pop()
-        self._seen = set()
-
-    def _count_duplicate(self) -> None:
-        if self.obs is not None and not self.disconnected:
-            self.obs.metrics.inc("gossip.dup_dropped")
-
     def _deliver(self, from_peer: int, header: EnvelopeHeader,
                  payload: bytes) -> None:
-        """Mirror of ``NetworkInterface._deliver``, relay over sockets."""
-        if self.disconnected or self._holds(header[0]):
+        """Decode one queued frame's body and hand it to the core."""
+        if self._drop_duplicate(header[0]):
             # Two copies can sit in one drain: the second is caught here.
-            self._count_duplicate()
             return
         try:
             envelope = decode_envelope_body(header, payload)
         except WireError:
             self.garbage_frames += 1
             return
-        metrics = self.obs.metrics if self.obs is not None else None
-        ingress = self.ingress
-        if ingress is not None and not ingress(envelope, from_peer):
-            # Rejected before joining the seen-set: a later clean copy
-            # of the same message can still be accepted.
-            if metrics is not None:
-                metrics.inc("gossip.ingress_rejected")
-            return
-        self._seen.add(envelope.msg_id)
-        if metrics is not None:
-            metrics.inc("gossip.recv." + envelope.kind)
-            metrics.inc("gossip.recv_bytes." + envelope.kind, envelope.size)
-        if self.relay_policy(envelope):
-            # Forward the original payload bytes (identity relay, no
-            # re-encode); the origin's msg_id rides along for dedup.
-            self._send_frames(encode_frame(payload), envelope,
-                              exclude=from_peer)
-            if metrics is not None:
-                metrics.inc("gossip.relayed." + envelope.kind)
+        self.receive(envelope, from_peer, raw=payload)
 
     def stats(self) -> dict:
         return {
@@ -430,7 +352,7 @@ class LiveTransport:
             "rx_dropped": self.rx_dropped,
             "garbage_frames": self.garbage_frames,
             "garbage_streams": self.garbage_streams,
-            "links": len(self._links),
+            "links": len(self.links),
             "reconnect_attempts": self.reconnect_attempts,
             "reconnects": self.reconnects,
             "fault_dropped_frames": self.fault_dropped_frames,

@@ -1,12 +1,17 @@
-"""Simulated gossip network (section 4 "Gossip protocol", section 8.4).
+"""Gossip: the relay core, and the simulated network that carries it.
 
-Topology: every node selects ``peers_per_node`` random outgoing peers;
-links are bidirectional, so nodes end up with ~``2 * peers_per_node``
-neighbors (the paper: 4 selected, 8 on average). Messages propagate by
-store-and-forward flooding with duplicate suppression; nodes validate
-messages before relaying them (the relay decision is a callback supplied
-by the protocol layer, which implements the one-message-per-key-per-step
-rule of section 8.4).
+:class:`RelayCore` (section 4 "Gossip protocol", section 8.4) is what
+one node *decides* about a message on either substrate — dedup, the
+order an arriving copy goes through, what is forwarded, the
+``gossip.*`` counters. How bytes travel is left to its two subclasses:
+the sim's :class:`NetworkInterface` below, the live
+:class:`repro.live.transport.LiveTransport`.
+
+**The simulated network.** Topology: every node selects
+``peers_per_node`` random outgoing peers; links are bidirectional, so
+nodes end up with ~``2 * peers_per_node`` neighbors (the paper: 4
+selected, 8 on average). Messages propagate by store-and-forward
+flooding.
 
 Costs: each node has an egress bandwidth cap; sending an ``s``-byte
 message to one neighbor occupies the sender's uplink for ``8 s / bw``
@@ -31,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 import numpy as np
 
 from repro.common.errors import NetworkError
-from repro.network.message import Envelope, next_msg_id
+from repro.network.message import Envelope
 from repro.sim.loop import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,8 +64,167 @@ IngressPolicy = Callable[[Envelope, int], bool]
 URGENT_MESSAGE_BYTES = 1500
 
 
-class NetworkInterface:
-    """One node's attachment point to the gossip network.
+class RelayCore:
+    """What one node decides about a gossiped message, sim or live.
+
+    An arriving copy (:meth:`receive`) goes through one fixed order:
+    duplicate check, admission gate (``ingress``, assigned by the
+    admission layer), mark held, ``relay_policy`` (assigned by the node:
+    the protocol layer's validation and its one-message-per-key-per-step
+    rule), forward to every neighbor but the deliverer. A byte-mover
+    subclasses this, supplies :meth:`_send`, hands every arriving copy
+    to :meth:`receive` and reports what it put on links to
+    :meth:`_count_sent`.
+
+    Dedup memory is one generation of message ids per round: the
+    current one, where originated and accepted ids are marked, and the
+    ``seen_horizon_rounds`` before it; the node starts a fresh one at
+    each of its own round boundaries (:meth:`end_round`). A copy that
+    straggles in after its generation was forgotten is accepted once
+    more, and the protocol layer's stale-round checks discard it
+    unrelayed. Ids need only be unique, not ordered.
+    """
+
+    def __init__(self, index: int, seen_horizon_rounds: int,
+                 obs: "TraceBus | None") -> None:
+        self.index = index
+        self.neighbors: list[int] = []
+        #: Protocol-layer validation: called before relaying a received
+        #: message; return False to accept locally but not forward.
+        self.relay_policy: RelayPolicy = lambda envelope: True
+        #: Optional admission gate (:mod:`repro.runtime.admission`):
+        #: called with ``(envelope, from_index)`` after duplicate
+        #: suppression; returning False drops the message before the
+        #: relay policy and any forwarding.
+        self.ingress: IngressPolicy | None = None
+        self.disconnected = False
+        #: Logical bytes (the calibrated envelope sizes) and copies put
+        #: on links, one per peer transmission on either substrate.
+        self.bytes_sent = 0
+        self.messages_sent = 0
+        self.seen_horizon_rounds = seen_horizon_rounds
+        # Tracing is fixed at construction; cache the registry handle so
+        # per-delivery guards are one attribute load.
+        self._metrics = obs.metrics if obs is not None else None
+        self._seen: set[int] = set()
+        self._seen_before: deque[set[int]] = deque()
+
+    # --- Dedup store ------------------------------------------------------
+
+    def holds(self, msg_id: int) -> bool:
+        """Is ``msg_id`` in any dedup generation still kept?"""
+        if msg_id in self._seen:
+            return True
+        for generation in self._seen_before:
+            if msg_id in generation:
+                return True
+        return False
+
+    def end_round(self) -> None:
+        """Round boundary: start a fresh dedup generation.
+
+        The one that falls off the horizon is forgotten; without that
+        the store grows with every message ever gossiped.
+        """
+        kept = self._seen_before
+        kept.appendleft(self._seen)
+        self._seen = set()
+        if len(kept) > self.seen_horizon_rounds:
+            forgotten = kept.pop()
+            if self._metrics is not None:
+                self._metrics.inc("gossip.pruned_ids", len(forgotten))
+                self._metrics.inc("gossip.prune_passes")
+
+    def _count_duplicate(self) -> None:
+        if self._metrics is not None:
+            self._metrics.inc("gossip.dup_dropped")
+
+    def _drop_duplicate(self, msg_id: int) -> bool:
+        """First step of :meth:`receive`: is this copy dropped unread?
+
+        While ``disconnected`` every copy is, uncounted; otherwise one
+        whose id is held, counted. (A byte-mover may ask ahead of time.)
+        """
+        if self.disconnected:
+            return True
+        if self.holds(msg_id):
+            self._count_duplicate()
+            return True
+        return False
+
+    # --- Originating and receiving ----------------------------------------
+
+    def broadcast(self, envelope: Envelope) -> None:
+        """Originate a message: mark it held, send to all neighbors."""
+        self.send_to(envelope, self.neighbors)
+
+    def send_to(self, envelope: Envelope, targets: list[int]) -> None:
+        """Originate a message to a *subset* of neighbors.
+
+        Honest nodes never need this; adversarial strategies use it to
+        show different messages to different peers (e.g. the equivocating
+        proposer of section 10.4).
+        """
+        for target in targets:
+            if target not in self.neighbors:
+                raise NetworkError(f"{target} is not a neighbor of "
+                                   f"{self.index}")
+        self._seen.add(envelope.msg_id)
+        if not self.disconnected:
+            self._send(envelope, targets)
+
+    def receive(self, envelope: Envelope, from_index: int,
+                raw: bytes | None = None) -> None:
+        """One copy arrives from neighbor ``from_index``: the §8.4 order.
+
+        ``raw`` is the encoded form the copy arrived as, where the
+        byte-mover has one; a relay forwards those bytes.
+        """
+        if self._drop_duplicate(envelope.msg_id):
+            return
+        metrics = self._metrics
+        ingress = self.ingress
+        if ingress is not None and not ingress(envelope, from_index):
+            # Rejected at admission: never buffered, routed, or relayed.
+            # The msg_id deliberately is NOT marked held: a vote whose
+            # first copy arrives via a quarantined relayer must stay
+            # eligible on its other gossip paths, or blocking one bad
+            # neighbor would suppress honest traffic it happened to
+            # deliver first (verification stays cheap — the crypto cache
+            # memoizes the repeated checks).
+            if metrics is not None:
+                metrics.inc("gossip.ingress_rejected")
+            return
+        self._seen.add(envelope.msg_id)
+        if metrics is not None:
+            metrics.inc("gossip.recv." + envelope.kind)
+            metrics.inc("gossip.recv_bytes." + envelope.kind,
+                        envelope.size)
+        if self.relay_policy(envelope):
+            if metrics is not None:
+                metrics.inc("gossip.relayed." + envelope.kind)
+            self._send(envelope, [neighbor for neighbor in self.neighbors
+                                  if neighbor != from_index], raw)
+
+    # --- The byte-mover's side --------------------------------------------
+
+    def _send(self, envelope: Envelope, targets: list[int],
+              raw: bytes | None = None) -> None:
+        """Carry one copy of ``envelope`` toward each of ``targets``."""
+        raise NotImplementedError
+
+    def _count_sent(self, envelope: Envelope, copies: int) -> None:
+        """``copies`` of ``envelope`` went onto links."""
+        size = copies * envelope.size
+        self.bytes_sent += size
+        self.messages_sent += copies
+        if self._metrics is not None:
+            self._metrics.inc("gossip.sent." + envelope.kind, copies)
+            self._metrics.inc("gossip.sent_bytes." + envelope.kind, size)
+
+
+class NetworkInterface(RelayCore):
+    """The sim byte-mover: one node's attachment to the gossip network.
 
     Interfaces exist for every population slot, but only *activated*
     ones own an egress process. In the classic full-agent deployment
@@ -73,31 +237,8 @@ class NetworkInterface:
 
     def __init__(self, network: "GossipNetwork", index: int,
                  start_egress: bool = True) -> None:
+        super().__init__(index, network.seen_horizon_rounds, network.obs)
         self._network = network
-        # Tracing is fixed at network construction; cache the registry
-        # handle so per-delivery guards are one attribute load, not a
-        # network.obs.metrics chain.
-        self._metrics = (network.obs.metrics
-                         if network.obs is not None else None)
-        self.index = index
-        self.neighbors: list[int] = []
-        self._seen: set[int] = set()
-        #: Round-boundary msg-id watermarks driving :meth:`prune_seen`.
-        self._seen_watermarks: deque[int] = deque()
-        #: The newest of them: an id in ``_seen`` at or above it outlives
-        #: the next ``seen_horizon_rounds`` boundaries (see :meth:`_elide`).
-        self._seen_floor = 0
-        #: Protocol-layer validation: called before relaying a received
-        #: message; return False to accept locally but not forward.
-        self.relay_policy: RelayPolicy = lambda envelope: True
-        #: Optional admission gate (:mod:`repro.runtime.admission`):
-        #: called with ``(envelope, from_index)`` after duplicate
-        #: suppression; returning False drops the message before the
-        #: relay policy and any forwarding.
-        self.ingress: IngressPolicy | None = None
-        self.disconnected = False
-        self.bytes_sent = 0
-        self.messages_sent = 0
         #: Per-lane egress budget in messages (tail-drop past it);
         #: ``None`` is unbounded (the pre-admission behavior).
         self.lane_budget: int | None = network.lane_budget_msgs
@@ -130,71 +271,39 @@ class NetworkInterface:
 
         The egress process (if ever started) stays blocked on its
         signal — a parked process costs nothing in the event loop.
+        Parking is a round boundary for the dedup store: a retired agent
+        is usually interrupted before its own ``_prune`` would roll it.
         """
         self.disconnected = True
         self.neighbors = []
         self._egress_urgent.clear()
         self._egress_bulk.clear()
+        self.end_round()
 
-    # --- Sending ----------------------------------------------------------
+    # --- Egress -----------------------------------------------------------
 
-    def broadcast(self, envelope: Envelope) -> None:
-        """Originate a message: mark as seen and send to all neighbors."""
-        self._seen.add(envelope.msg_id)
-        self._send_to_neighbors(envelope, exclude=None)
+    def _send(self, envelope: Envelope, targets: list[int],
+              raw: bytes | None = None) -> None:
+        """Queue one copy per target on the envelope's egress lane.
 
-    def send_to(self, envelope: Envelope, targets: list[int]) -> None:
-        """Originate a message to a *subset* of neighbors.
-
-        Honest nodes never need this; adversarial strategies use it to
-        show different messages to different peers (e.g. the equivocating
-        proposer of section 10.4).
+        Tail-drops past the lane budget — backpressure for the gossip
+        fabric: a node whose uplink cannot keep up (e.g. one being used
+        as a flood amplifier) sheds the *newest* traffic instead of
+        growing the queue without bound. High-water marks are per-lane
+        and audited by the chaos engine's ingress-bounds invariant.
         """
-        self._seen.add(envelope.msg_id)
-        if self.disconnected:
-            return
-        lane = self._lane_for(envelope)
-        for target in targets:
-            if target not in self.neighbors:
-                raise NetworkError(f"{target} is not a neighbor of "
-                                   f"{self.index}")
-            self._enqueue(lane, envelope, target)
-        self._egress_signal.pulse()
-
-    def _lane_for(self, envelope: Envelope) -> deque[tuple[Envelope, int]]:
-        if envelope.size <= URGENT_MESSAGE_BYTES:
-            return self._egress_urgent
-        return self._egress_bulk
-
-    def _enqueue(self, lane: deque[tuple[Envelope, int]],
-                 envelope: Envelope, target: int) -> None:
-        """Queue one egress item, tail-dropping past the lane budget.
-
-        Backpressure for the gossip fabric: a node whose uplink cannot
-        keep up (e.g. one being used as a flood amplifier) sheds the
-        *newest* traffic instead of growing the queue without bound.
-        High-water marks are per-lane and audited by the chaos engine's
-        ingress-bounds invariant.
-        """
+        lane = (self._egress_urgent if envelope.size <= URGENT_MESSAGE_BYTES
+                else self._egress_bulk)
         budget = self.lane_budget
-        if budget is not None and len(lane) >= budget:
-            self.egress_dropped += 1
-            if self._metrics is not None:
-                self._metrics.inc("gossip.egress_dropped")
-            return
-        lane.append((envelope, target))
-        depth = len(lane)
-        if depth > self.egress_high_water:
-            self.egress_high_water = depth
-
-    def _send_to_neighbors(self, envelope: Envelope,
-                           exclude: int | None) -> None:
-        if self.disconnected:
-            return
-        lane = self._lane_for(envelope)
-        for neighbor in self.neighbors:
-            if neighbor != exclude:
-                self._enqueue(lane, envelope, neighbor)
+        for target in targets:
+            if budget is not None and len(lane) >= budget:
+                self.egress_dropped += 1
+                if self._metrics is not None:
+                    self._metrics.inc("gossip.egress_dropped")
+            else:
+                lane.append((envelope, target))
+        if len(lane) > self.egress_high_water:
+            self.egress_high_water = len(lane)
         self._egress_signal.pulse()
 
     def _egress_loop(self):
@@ -203,7 +312,6 @@ class NetworkInterface:
         bandwidth = network.bandwidth_bps
         urgent = self._egress_urgent
         bulk = self._egress_bulk
-        metrics = self._metrics
         while True:
             while urgent or bulk:
                 if urgent:
@@ -219,15 +327,11 @@ class NetworkInterface:
                     for envelope, _ in batch:
                         if bandwidth is not None:
                             offset += envelope.size * 8.0 / bandwidth
-                        self.bytes_sent += envelope.size
-                        self.messages_sent += 1
                         offsets.append(offset)
-                        if metrics is not None:
-                            metrics.inc("gossip.sent." + envelope.kind)
-                            metrics.inc("gossip.sent_bytes." + envelope.kind,
-                                        envelope.size)
-                    if metrics is not None:
-                        metrics.observe("gossip.egress_batch", len(batch))
+                        self._count_sent(envelope, 1)
+                    if self._metrics is not None:
+                        self._metrics.observe("gossip.egress_batch",
+                                              len(batch))
                     network._transmit_batch(self, batch, offsets)
                     if offset > 0.0:
                         # Uplink busy until the batch finishes; newly
@@ -240,12 +344,7 @@ class NetworkInterface:
                     envelope = item[0]
                     if bandwidth is not None:
                         yield env.timeout(envelope.size * 8.0 / bandwidth)
-                    self.bytes_sent += envelope.size
-                    self.messages_sent += 1
-                    if metrics is not None:
-                        metrics.inc("gossip.sent." + envelope.kind)
-                        metrics.inc("gossip.sent_bytes." + envelope.kind,
-                                    envelope.size)
+                    self._count_sent(envelope, 1)
                     network._transmit(self, item)
             yield self._egress_signal.next_event()
 
@@ -254,7 +353,7 @@ class NetworkInterface:
 
         Called when ``target`` is severed mid-round (peer quarantine): a
         message already queued for it would otherwise still transmit on
-        the dead link — ``_deliver`` only checks the *receiver's* state,
+        the dead link — ``receive`` only checks the *receiver's* state,
         and a quarantined receiver is not ``disconnected``. Worse than
         wasted bytes, the stray delivery mutates the quarantined peer's
         dedup set while it is cut off, desyncing what it believes it has
@@ -272,7 +371,7 @@ class NetworkInterface:
             self._metrics.inc("gossip.egress_purged", dropped)
         return dropped
 
-    # --- Receiving --------------------------------------------------------
+    # --- Arrival ----------------------------------------------------------
 
     def _land(self, item: tuple[Envelope, int]) -> None:
         """One of *this* node's transmissions reaches its destination.
@@ -283,86 +382,32 @@ class NetworkInterface:
         """
         network = self._network
         network.messages_delivered += 1
-        network.interfaces[item[1]]._deliver(item[0], self.index)
+        network.interfaces[item[1]].receive(item[0], self.index)
 
     def _elide(self, item: tuple[Envelope, int]) -> bool:
         """Would this transmission reach a receiver that already holds it?
 
         A copy is an event only if it can change state. One whose
-        ``msg_id`` is in the destination's ``_seen`` can only be counted
-        and dropped when it lands, so it is counted *now* and never
-        scheduled: asked when a transmission is put on the wire and, as
-        the :class:`~repro.sim.loop.BatchSchedule` skip predicate, each
-        time an in-flight batch advances to its next arrival. Ids below
-        the receiver's newest prune watermark are left alone — the next
-        round boundary may forget them, and a forgotten id is accepted
-        again — while an id at or above it stays in ``_seen`` for
-        ``seen_horizon_rounds`` more boundaries. The sender has already
-        paid for the copy (uplink time, ``bytes_sent``, latency draw).
+        ``msg_id`` is in the destination's current dedup generation can
+        only be counted and dropped when it lands, so it is counted
+        *now* and never scheduled: asked when a transmission is put on
+        the wire and, as the :class:`~repro.sim.loop.BatchSchedule` skip
+        predicate, each time an in-flight batch advances to its next
+        arrival. An id only an older generation holds is left alone —
+        the receiver's next round boundary may forget it, and a
+        forgotten id is accepted again — while one in the current
+        generation stays held for ``seen_horizon_rounds`` more
+        boundaries. The sender has already paid for the copy (uplink
+        time, ``bytes_sent``, latency draw).
         """
         network = self._network
         receiver = network.interfaces[item[1]]
-        msg_id = item[0].msg_id
-        if msg_id not in receiver._seen or msg_id < receiver._seen_floor:
+        if item[0].msg_id not in receiver._seen:
             return False
         network.messages_delivered += 1
         network.dup_elided += 1
-        if self._metrics is not None:
-            self._metrics.inc("gossip.dup_dropped")
+        receiver._count_duplicate()
         return True
-
-    def _deliver(self, envelope: Envelope, from_index: int) -> None:
-        metrics = self._metrics
-        if self.disconnected or envelope.msg_id in self._seen:
-            if metrics is not None and not self.disconnected:
-                metrics.inc("gossip.dup_dropped")
-            return
-        ingress = self.ingress
-        if ingress is not None and not ingress(envelope, from_index):
-            # Rejected at admission: never buffered, routed, or relayed.
-            # The msg_id deliberately does NOT enter ``_seen``: a vote
-            # whose first copy arrives via a quarantined relayer must
-            # stay eligible on its other gossip paths, or blocking one
-            # bad neighbor would suppress honest traffic it happened to
-            # deliver first (verification stays cheap — the crypto cache
-            # memoizes the repeated checks).
-            if metrics is not None:
-                metrics.inc("gossip.ingress_rejected")
-            return
-        self._seen.add(envelope.msg_id)
-        if metrics is not None:
-            metrics.inc("gossip.recv." + envelope.kind)
-            metrics.inc("gossip.recv_bytes." + envelope.kind,
-                        envelope.size)
-        if self.relay_policy(envelope):
-            if metrics is not None:
-                metrics.inc("gossip.relayed." + envelope.kind)
-            self._send_to_neighbors(envelope, exclude=from_index)
-
-    # --- Duplicate-suppression hygiene ------------------------------------
-
-    def prune_seen(self, watermark: int, horizon_rounds: int) -> None:
-        """Forget msg_ids more than ``horizon_rounds`` boundaries old.
-
-        ``watermark`` is the process-wide next message id at this round
-        boundary; ids below the watermark recorded ``horizon_rounds``
-        boundaries ago belong to messages created that many rounds back.
-        Dropping them bounds long soak runs: without pruning, ``_seen``
-        grows with every message the simulation ever gossiped. A pruned
-        duplicate that straggles in later is re-accepted once, and the
-        protocol layer's stale-round checks discard it without relaying.
-        """
-        self._seen_watermarks.append(watermark)
-        self._seen_floor = watermark
-        while len(self._seen_watermarks) > horizon_rounds:
-            cutoff = self._seen_watermarks.popleft()
-            before = len(self._seen)
-            self._seen = {msg_id for msg_id in self._seen
-                          if msg_id >= cutoff}
-            if self._metrics is not None:
-                self._metrics.inc("gossip.pruned_ids",
-                                  before - len(self._seen))
-                self._metrics.inc("gossip.prune_passes")
 
 
 class GossipNetwork:
@@ -372,7 +417,7 @@ class GossipNetwork:
                  rng: np.random.Generator, latency_model: SupportsLatency,
                  peers_per_node: int = 4,
                  bandwidth_bps: float | None = 20e6,
-                 seen_horizon_rounds: int | None = 2,
+                 seen_horizon_rounds: int = 2,
                  lane_budget_msgs: int | None = None,
                  obs: "TraceBus | None" = None,
                  active_indices: "list[int] | None" = None) -> None:
@@ -380,8 +425,8 @@ class GossipNetwork:
             raise NetworkError("gossip network needs at least 2 nodes")
         if peers_per_node < 1:
             raise NetworkError("peers_per_node must be >= 1")
-        if seen_horizon_rounds is not None and seen_horizon_rounds < 1:
-            raise NetworkError("seen_horizon_rounds must be >= 1 or None")
+        if seen_horizon_rounds < 1:
+            raise NetworkError("seen_horizon_rounds must be >= 1")
         self.env = env
         #: Optional :class:`repro.obs.TraceBus`; when ``None`` (the
         #: default) every instrumentation site below reduces to one
@@ -392,8 +437,7 @@ class GossipNetwork:
         self.latency_model = latency_model
         self.peers_per_node = peers_per_node
         self.bandwidth_bps = bandwidth_bps
-        #: Rounds of duplicate-suppression memory each node keeps; ``None``
-        #: disables pruning (the pre-refactor unbounded behavior).
+        #: Rounds of duplicate-suppression memory each node keeps.
         self.seen_horizon_rounds = seen_horizon_rounds
         #: Per-lane egress budget copied onto each interface at creation.
         self.lane_budget_msgs = lane_budget_msgs
@@ -565,20 +609,6 @@ class GossipNetwork:
             return [delay]
         return [max(0.0, shaped)
                 for shaped in self.link_shaper(src, dst, envelope, delay)]
-
-    def end_round(self) -> None:
-        """Round boundary: prune every node's duplicate-suppression set."""
-        if self.seen_horizon_rounds is None:
-            return
-        watermark = next_msg_id()
-        if self.active is None:
-            interfaces = self.interfaces
-        else:
-            # Dormant slots receive nothing, so their _seen sets never
-            # grow; skip the (possibly 10k+-slot) walk over them.
-            interfaces = [self.interfaces[i] for i in sorted(self.active)]
-        for interface in interfaces:
-            interface.prune_seen(watermark, self.seen_horizon_rounds)
 
     # --- Cost accounting ----------------------------------------------
 

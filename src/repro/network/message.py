@@ -1,13 +1,15 @@
 """Gossip message envelopes.
 
 The network layer treats protocol payloads as opaque; an envelope carries
-the routing metadata it needs: a unique id (for duplicate suppression), the
-originator's public key, a message kind (so relay policies can rate-limit
-per kind), and the wire size in bytes (driving bandwidth costs).
+the routing metadata it needs: an id (for duplicate suppression — unique,
+in no particular order), the originator's public key, a message kind (so
+relay policies can rate-limit per kind), and the wire size in bytes
+(driving bandwidth costs).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -17,35 +19,10 @@ PRIORITY_MESSAGE_BYTES = 200
 VOTE_MESSAGE_BYTES = 250
 
 
-class _MessageIdCounter:
-    """Monotone id source; peekable so seen-sets can prune by age.
-
-    Message ids increase in creation order across the whole process, so
-    ``next_msg_id()`` doubles as a watermark: every envelope created
-    before the peek has a strictly smaller id (the basis of
-    :meth:`repro.network.gossip.NetworkInterface.prune_seen`).
-    """
-
-    __slots__ = ("_next",)
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def take(self) -> int:
-        value = self._next
-        self._next = value + 1
-        return value
-
-    def peek(self) -> int:
-        return self._next
-
-
-_id_counter = _MessageIdCounter()
-
-
-def next_msg_id() -> int:
-    """The id the *next* created envelope will get (a pruning watermark)."""
-    return _id_counter.peek()
+#: Process-wide id source. Ids are unique, not ordered: dedup keeps them
+#: by round generation (:class:`repro.network.gossip.RelayCore`), and a
+#: live process re-stamps its own into a per-process namespace.
+_fresh_msg_id = itertools.count().__next__
 
 
 @dataclass(frozen=True)
@@ -56,7 +33,7 @@ class Envelope:
     kind: str
     payload: Any
     size: int
-    msg_id: int = field(default_factory=_id_counter.take)
+    msg_id: int = field(default_factory=_fresh_msg_id)
 
     def __post_init__(self) -> None:
         if self.size <= 0:

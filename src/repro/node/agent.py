@@ -705,6 +705,7 @@ class Node:
                             if key[1] >= horizon}
         self._seen_priorities = {key for key in self._seen_priorities
                                  if key[1] >= horizon}
+        self.interface.end_round()
         if self.admission is not None:
             self.admission.end_round(completed_round)
         if self.damper is not None:

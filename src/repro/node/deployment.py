@@ -76,8 +76,8 @@ class NetworkConfig:
     #: recover from being possibly disconnected").
     reshuffle_peers_each_round: bool = False
     #: Rounds of gossip duplicate-suppression memory per node, on both
-    #: substrates; ``None`` keeps every msg_id forever (unbounded).
-    seen_horizon_rounds: int | None = 2
+    #: substrates (:class:`repro.network.gossip.RelayCore`).
+    seen_horizon_rounds: int = 2
 
     def validate(self) -> None:
         if self.bandwidth_bps is not None and self.bandwidth_bps <= 0:
@@ -94,11 +94,11 @@ class NetworkConfig:
         if self.peers_per_node < 1:
             raise ConfigError(
                 f"peers_per_node must be >= 1, got {self.peers_per_node}")
-        if (self.seen_horizon_rounds is not None
-                and self.seen_horizon_rounds < 1):
+        if (not isinstance(self.seen_horizon_rounds, int)
+                or self.seen_horizon_rounds < 1):
             raise ConfigError(
-                f"seen_horizon_rounds must be >= 1 or None, "
-                f"got {self.seen_horizon_rounds}")
+                f"seen_horizon_rounds must be an integer >= 1, "
+                f"got {self.seen_horizon_rounds!r}")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ heap or a socket — they only ever used two object shapes:
   API (``now``, ``process``, ``timeout``, ``event``, ``signal``,
   ``any_of``, ``schedule``, ``schedule_now``), and
 * a **transport** exposing the
-  :class:`repro.network.gossip.NetworkInterface` surface (``broadcast``
-  plus the ``relay_policy``/``ingress``/``disconnected`` attachment
-  points the node and admission gate assign into).
+  :class:`repro.network.gossip.RelayCore` surface (``broadcast``,
+  ``end_round``, plus the ``relay_policy``/``ingress``/``disconnected``
+  attachment points the node and admission gate assign into).
 
 This module names that implicit seam as explicit
 :class:`typing.Protocol` types — :class:`Clock` and :class:`Transport`,
@@ -26,7 +26,9 @@ substrate  clock                          transport
            (wall clock, asyncio)          ``.LiveTransport``
 ========== ============================== ===========================
 
-Both are checked against these protocols in ``tests/test_substrate.py``.
+Both rows are checked against these protocols in
+``tests/test_substrate.py``; the two transports share one relay core
+(``RelayCore``: dedup, receive order, counters) and are byte-movers.
 """
 
 from repro.substrate.api import Clock, Fabric, Transport

@@ -59,17 +59,19 @@ class Clock(Protocol):
 class Transport(Protocol):
     """The per-node message-passing surface.
 
-    ``broadcast`` pushes an envelope toward every peer; the node wires
-    itself in by *assigning* ``relay_policy`` (synchronous dispatch of
-    arriving envelopes, return value = relay decision) and the
-    admission gate by assigning ``ingress`` (accept/reject, asked after
-    duplicate suppression and before the relay policy, with the index
-    of the peer that handed the copy over).
+    ``broadcast`` pushes an envelope toward every peer in ``neighbors``;
+    the node wires itself in by *assigning* ``relay_policy``
+    (synchronous dispatch of arriving envelopes, return value = relay
+    decision), the admission gate by assigning ``ingress``
+    (accept/reject, asked after duplicate suppression and before the
+    relay policy, with the index of the peer that handed the copy
+    over), and calls ``end_round`` at each round boundary (bounded dedup).
     Gossip metrics (``bytes_sent``/``messages_sent``) and liveness
     (``disconnected``) round out the surface the runtime layers read.
     """
 
     index: int
+    neighbors: list[int]
     disconnected: bool
     bytes_sent: int
     messages_sent: int
@@ -80,6 +82,8 @@ class Transport(Protocol):
     ingress: IngressPolicy | None
 
     def broadcast(self, envelope: Envelope) -> None: ...
+
+    def end_round(self) -> None: ...
 
 
 @runtime_checkable

@@ -28,6 +28,7 @@ from repro.baplus.messages import VoteMessage, make_vote
 from repro.common.encoding import encode
 from repro.crypto.hashing import H
 from repro.experiments.harness import (
+    NetworkConfig,
     Simulation,
     SimulationConfig,
     SubstrateConfig,
@@ -154,11 +155,13 @@ def live_transport(index: int = 0, clock: LiveClock | None = None,
                    **overrides) -> LiveTransport:
     """A :class:`LiveTransport` with no sockets behind it.
 
-    The queue bounds have one default, on :class:`SubstrateConfig`;
-    ``overrides`` replaces them (or passes ``obs``/``incarnation``).
+    The queue bounds and the dedup horizon have one default, on
+    :class:`SubstrateConfig` and :class:`NetworkConfig`; ``overrides``
+    replaces them (or passes ``obs``/``incarnation``).
     """
     bounds = {"drain_budget": SubstrateConfig.drain_budget,
-              "rx_queue_limit": SubstrateConfig.rx_queue_limit}
+              "rx_queue_limit": SubstrateConfig.rx_queue_limit,
+              "seen_horizon_rounds": NetworkConfig.seen_horizon_rounds}
     return LiveTransport(index, clock if clock is not None else LiveClock(),
                          **{**bounds, **overrides})
 

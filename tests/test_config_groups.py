@@ -96,7 +96,7 @@ class TestJsonRoundTrip:
             num_observers=1, params=TEST_PARAMS.scaled(0.25),
             network=NetworkConfig(bandwidth_bps=None, peers_per_node=3,
                                   latency_model="uniform",
-                                  seen_horizon_rounds=None),
+                                  seen_horizon_rounds=5),
             runtime=RuntimeConfig(use_verification_cache=False,
                                   relay_damping=False)),
         SimulationConfig(

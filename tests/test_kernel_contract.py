@@ -31,7 +31,7 @@ import repro.experiments.harness as harness
 from repro.node.deployment import NetworkConfig, PopulationConfig
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
-from repro.network.message import Envelope, next_msg_id
+from repro.network.message import Envelope
 from repro.sim.loop import Environment
 from tests.fixtures import (
     chain_fingerprint,
@@ -53,12 +53,20 @@ GOLDEN_20_USERS_2_ROUNDS = {
 #: What the same runs cost, exactly: kernel events, copies delivered,
 #: copies elided, verification-cache lookups. Deterministic on any host,
 #: so a hot-path regression (an extra event per message, a lost cache
-#: hit) fails here without a timing.
+#: hit) fails here without a timing. The first three are read when the
+#: run *stops*, with copies still in flight, and were re-recorded once
+#: when the dedup store became per-node generations rolled at each
+#: node's own round boundary (was: id watermarks, every node pruned at
+#: node 0's commit) — 21,829/24,103/11,515 and 21,111/24,265/12,402
+#: before. That moves *when* a held copy is counted (elided at transmit
+#: or dropped on landing), not what is decided about it: the drained
+#: totals (``DRAINED_16_USERS_4_ROUNDS``), the chains and the cache
+#: lookups did not move.
 GOLDEN_WORK_20_USERS_2_ROUNDS = {
-    1: {"events_processed": 21_829, "messages_delivered": 24_103,
-        "dup_elided": 11_515, "cache_lookups": 1_403},
-    2: {"events_processed": 21_111, "messages_delivered": 24_265,
-        "dup_elided": 12_402, "cache_lookups": 1_482},
+    1: {"events_processed": 20_573, "messages_delivered": 24_390,
+        "dup_elided": 13_058, "cache_lookups": 1_403},
+    2: {"events_processed": 21_226, "messages_delivered": 23_984,
+        "dup_elided": 12_006, "cache_lookups": 1_482},
 }
 
 
@@ -99,7 +107,7 @@ def test_golden_chain_hash(seed, population):
 # ---------------------------------------------------------------------------
 
 #: ``env.events_processed`` per round of the golden 20-user run may not
-#: exceed this. Recorded: 10,914.5 (seed 1) / 10,555.5 (seed 2) with
+#: exceed this. Recorded: 10,286.5 (seed 1) / 10,613 (seed 2) with
 #: duplicate copies elided; 16,490.5 / 15,902.5 when every copy is an
 #: event.
 EVENTS_PER_ROUND_CEILING = 12_500
@@ -129,6 +137,36 @@ def _gossip_counters(bus) -> dict:
     return {name: value for name, value in counters.items()
             if name.startswith(("gossip.recv.", "gossip.relayed.",
                                 "gossip.dup_dropped"))}
+
+
+#: What a *drained* 16-user, 4-round run decided about every copy it
+#: carried, recorded at the commit before the dedup store moved from id
+#: watermarks to per-node generations: who prunes what, and when, may
+#: move the instant a copy is counted (and so the stop-time numbers in
+#: ``GOLDEN_WORK_20_USERS_2_ROUNDS``), never what is decided about it.
+DRAINED_16_USERS_4_ROUNDS = {
+    "messages_delivered": 34_101,
+    "gossip.dup_dropped": 24_756,
+    "gossip.ingress_rejected": 2_951,
+    "gossip.sent.block": 564, "gossip.sent.priority": 1_425,
+    "gossip.sent.tx": 1_140, "gossip.sent.vote": 30_972,
+    "gossip.recv.block": 184, "gossip.recv.priority": 225,
+    "gossip.recv.tx": 180, "gossip.recv.vote": 5_805,
+    "gossip.relayed.block": 78, "gossip.relayed.priority": 225,
+    "gossip.relayed.tx": 180, "gossip.relayed.vote": 4_744,
+}
+
+
+def test_drained_run_decides_the_same_about_every_copy():
+    sim, bus = run_traced(4, payments=12, num_users=16, seed=5)
+    sim.env.run()
+    counters = bus.metrics.snapshot()["counters"]
+    drained = {name: value for name, value in counters.items()
+               if name.startswith(("gossip.sent.", "gossip.recv.",
+                                   "gossip.relayed.", "gossip.dup_dropped",
+                                   "gossip.ingress_rejected"))}
+    drained["messages_delivered"] = sim.network.messages_delivered
+    assert drained == DRAINED_16_USERS_4_ROUNDS
 
 
 @pytest.mark.parametrize("network", [
@@ -238,7 +276,7 @@ class TestElisionEdgeCases:
         assert elided == oracle
         assert _flood(GossipNetwork, scenario) == elided
 
-    def test_id_below_newest_watermark_is_not_elided(self):
+    def test_id_held_only_by_an_older_generation_is_not_elided(self):
         env, net = _bare(GossipNetwork, latency_model=UniformLatencyModel(0.01))
         sender, receiver = net.interfaces[0], net.interfaces[
             net.interfaces[0].neighbors[0]]
@@ -246,31 +284,31 @@ class TestElisionEdgeCases:
         receiver._seen.add(old.msg_id)
         item = (old, receiver.index)
         assert sender._elide(item)
-        # One boundary later the id is still held, but the next prune
+        # One boundary later the id is still held, but a coming boundary
         # may forget it: the copy must be simulated, not decided early.
-        net.end_round()
-        assert old.msg_id in receiver._seen
-        assert old.msg_id < receiver._seen_floor
+        receiver.end_round()
+        assert receiver.holds(old.msg_id)
+        assert old.msg_id not in receiver._seen
         assert not sender._elide(item)
         fresh = _envelope()
         receiver._seen.add(fresh.msg_id)
         assert sender._elide((fresh, receiver.index))
         # ... and it outlives ``seen_horizon_rounds`` more boundaries.
         for _ in range(net.seen_horizon_rounds):
-            next_msg_id()
-            net.end_round()
-            assert fresh.msg_id in receiver._seen
-        assert old.msg_id not in receiver._seen
+            receiver.end_round()
+            assert receiver.holds(fresh.msg_id)
+        assert not receiver.holds(old.msg_id)
 
     def test_pruned_id_is_accepted_again_like_the_oracle(self):
         def scenario(env, net):
             first = _envelope("first")
             net.interfaces[0].broadcast(first)
             for boundary in range(4):
-                env.schedule(1.0 + boundary, net.end_round)
+                for interface in net.interfaces:
+                    env.schedule(1.0 + boundary, interface.end_round)
             # A straggling copy of the long-forgotten message.
-            env.schedule(6.0, lambda: net.interfaces[1]._send_to_neighbors(
-                first, exclude=None))
+            env.schedule(6.0, lambda: net.interfaces[1]._send(
+                first, net.interfaces[1].neighbors))
 
         elided, oracle = _both(scenario)
         assert elided == oracle

@@ -8,10 +8,15 @@ state machine accepts with zero violations.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.conformance.monitor import ConformanceMonitor
+from repro.experiments.harness import Simulation
 from repro.live.cluster import LiveCluster, default_live_config
+from repro.node.deployment import SubstrateConfig
+from repro.obs import TraceBus
 from repro.obs.sink import read_trace
 
 pytestmark = pytest.mark.slow
@@ -74,6 +79,24 @@ class TestLiveCluster:
         assert summary["garbage_frames"] == 0
         assert summary["conformance_ok"]
         assert summary["conformance_violations"] == 0
+
+    def test_node_snapshot_carries_the_relay_cores_counter_families(
+            self, cluster):
+        """Same names from either substrate: the core emits them."""
+        _, live = read_trace(cluster.results[0]["trace"])
+        bus = TraceBus()
+        sim = Simulation(dataclasses.replace(
+            cluster.config, substrate=SubstrateConfig()), obs=bus)
+        sim.submit_payments(20)
+        sim.run_rounds(ROUNDS)
+        families = ("sent.", "sent_bytes.", "recv.", "recv_bytes.",
+                    "relayed.", "dup_dropped", "pruned_ids", "prune_passes")
+        for snapshot in (live, bus.metrics.snapshot()):
+            names = [name for name in snapshot["counters"]
+                     if name.startswith("gossip.")]
+            for family in families:
+                assert any(name.startswith("gossip." + family)
+                           for name in names), (family, names)
 
     def test_summary_reports_each_nodes_startup(self, cluster):
         """"Why did setup take that long" is answerable from summary()."""

@@ -206,32 +206,28 @@ class TestEnvelope:
             Envelope(origin=b"o", kind="t", payload=None, size=0)
 
 
+def _end_round(net) -> None:
+    """A round boundary at every node (each rolls its own dedup store)."""
+    for iface in net.interfaces:
+        iface.end_round()
+
+
 class TestSeenPruning:
     def test_seen_bounded_by_horizon(self):
         env, net = _network(10)
+        rounds = []
         for _ in range(4):
-            for k in range(3):
-                net.interfaces[0].broadcast(
-                    Envelope(origin=b"o", kind="t", payload=None, size=50))
+            rounds.append([Envelope(origin=b"o", kind="t", payload=None,
+                                    size=50) for _ in range(3)])
+            for envelope in rounds[-1]:
+                net.interfaces[0].broadcast(envelope)
             env.run()
-            net.end_round()
+            _end_round(net)
         # With a 2-round horizon only the last two rounds' ids survive.
         for iface in net.interfaces:
-            assert len(iface._seen) <= 2 * 3
-
-    def test_disabled_horizon_keeps_everything(self):
-        env = Environment()
-        rng = np.random.default_rng(0)
-        net = GossipNetwork(env, 10, rng, UniformLatencyModel(0.01),
-                            seen_horizon_rounds=None)
-        total = 0
-        for _ in range(4):
-            net.interfaces[0].broadcast(
-                Envelope(origin=b"o", kind="t", payload=None, size=50))
-            total += 1
-            env.run()
-            net.end_round()
-        assert len(net.interfaces[0]._seen) == total
+            held = [[iface.holds(envelope.msg_id) for envelope in batch]
+                    for batch in rounds]
+            assert held == [[False] * 3] * 2 + [[True] * 3] * 2
 
     def test_invalid_horizon_rejected(self):
         env = Environment()
@@ -245,12 +241,12 @@ class TestSeenPruning:
         envelope = Envelope(origin=b"o", kind="t", payload=None, size=50)
         net.interfaces[0].broadcast(envelope)
         env.run()
-        net.end_round()
-        net.end_round()  # envelope now beyond the 2-round horizon
-        net.end_round()
+        _end_round(net)
+        _end_round(net)
+        _end_round(net)  # envelope now beyond the 2-round horizon
         for iface in net.interfaces:
-            assert envelope.msg_id not in iface._seen
+            assert not iface.holds(envelope.msg_id)
         # A pruned duplicate is re-accepted once instead of crashing.
         net.interfaces[0].broadcast(envelope)
         env.run()
-        assert envelope.msg_id in net.interfaces[1]._seen
+        assert net.interfaces[1].holds(envelope.msg_id)

@@ -256,10 +256,10 @@ class TestLiveTransport:
                 self.inner.inc(name, value)
 
         bus = TraceBus()
+        counting = CountingMetrics(bus.metrics)
+        bus.metrics = counting  # the handle is fixed at construction
         transport = self._transport(obs=bus)
         transport.add_link(_FakeLink(3))
-        counting = CountingMetrics(bus.metrics)
-        bus.metrics = counting
         transport.broadcast(_envelope(b"o" * 32, msg_id=1))
         assert counting.calls == 2  # not two per peer
         counters = counting.inner.snapshot()["counters"]
@@ -311,14 +311,14 @@ class TestLiveTransport:
 
     def test_end_round_bounds_the_dedup_state(self):
         horizon, per_round = 2, 100
-        transport = self._transport()
+        transport = self._transport(seen_horizon_rounds=horizon)
         for boundary in range(50):
             for k in range(per_round):
                 transport._on_payload(1, encode_envelope(_envelope(
                     b"o" * 32, msg_id=boundary * per_round + k)))
             transport._drain()
             transport._drain()  # second budgeted pass empties the queue
-            transport.end_round(horizon)
+            transport.end_round()
         assert len(self.received) == 50 * per_round
         held = len(transport._seen) + sum(map(len, transport._seen_before))
         assert held <= (horizon + 1) * per_round
@@ -328,30 +328,20 @@ class TestLiveTransport:
         payload = encode_envelope(_envelope(b"o" * 32, msg_id=5))
         transport._on_payload(1, payload)
         transport._drain()
-        transport.end_round(2)
+        transport.end_round()
         # The previous round's id still drops as a duplicate ...
         transport._on_payload(2, payload)
         assert not transport._rx
-        transport.end_round(2)
+        transport.end_round()
         transport._on_payload(2, payload)
         assert not transport._rx
         # ... and one older than the horizon is accepted once more (the
         # sim's documented behaviour), then held again.
-        transport.end_round(2)
+        transport.end_round()
         transport._on_payload(2, payload)
         transport._on_payload(1, payload)
         transport._drain()
         assert len(self.received) == 2
-
-    def test_end_round_none_keeps_everything(self):
-        transport = self._transport()
-        payload = encode_envelope(_envelope(b"o" * 32, msg_id=5))
-        transport._on_payload(1, payload)
-        transport._drain()
-        for _ in range(10):
-            transport.end_round(None)
-        transport._on_payload(2, payload)
-        assert not transport._rx and len(self.received) == 1
 
     # -- the two fault hooks --------------------------------------------
 

@@ -172,8 +172,8 @@ class TestUndecidableVotesCarryNoWeight:
     def _deliver(self, sim: Simulation, vote: VoteMessage) -> bool:
         node = sim.nodes[0]
         before = node.admission.admitted
-        node.interface._deliver(vote_envelope(vote.voter, vote),
-                                node.interface.neighbors[0])
+        node.interface.receive(vote_envelope(vote.voter, vote),
+                               node.interface.neighbors[0])
         return node.admission.admitted == before + 1
 
     def test_future_foreign_and_recovery_votes(self):
