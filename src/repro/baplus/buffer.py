@@ -2,9 +2,11 @@
 
 A background handler stores every received vote indexed by
 ``(round, step)``; :func:`repro.baplus.voting.count_votes` iterates a
-bucket while concurrently waiting for more messages via the bucket's
-signal. Buckets are kept until explicitly pruned so that certificates can
-be assembled from past steps and passive observers can recount votes.
+bucket and *parks* on its key while it waits for more: :meth:`VoteBuffer.add`
+puts one wake-up on the event loop per parked waiter. Buckets are kept
+until explicitly pruned so that certificates can be assembled from past
+steps and passive observers can recount votes; pruning one drops whoever
+parked on it (a count left behind still ends at its own deadline).
 
 The buffer can be bounded (``budget_messages``): past the budget an
 incoming vote must displace a buffered one or be rejected. Eviction is
@@ -20,21 +22,23 @@ strictly-future bucket and never deletes bucket dict entries.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Any, Callable
 
 from repro.baplus.messages import VoteMessage
-from repro.sim.loop import Environment, Signal
+from repro.sim.loop import Environment
 
 _Key = tuple[int, str]
 
 
 class VoteBuffer:
-    """Votes indexed by ``(round, step)`` plus arrival signals."""
+    """Votes indexed by ``(round, step)``, and who waits for the next."""
 
     def __init__(self, env: Environment,
                  budget_messages: int | None = None) -> None:
         self._env = env
         self._buckets: dict[_Key, list[VoteMessage]] = defaultdict(list)
-        self._signals: dict[_Key, Signal] = {}
+        #: ``(callback, arg)`` waiters per key, in the order they parked.
+        self._parked: dict[_Key, list[tuple]] = {}
         #: Maximum buffered votes across all buckets (None = unbounded).
         self.budget_messages = budget_messages
         #: Rounds at or below this are protected from eviction (the
@@ -60,9 +64,12 @@ class VoteBuffer:
         self._size += 1
         if self._size > self.high_water:
             self.high_water = self._size
-        signal = self._signals.get(key)
-        if signal is not None:
-            signal.pulse()
+        parked = self._parked.get(key)
+        if parked:
+            schedule_now = self._env.schedule_now
+            for callback, arg in parked:
+                schedule_now(callback, arg)
+            parked.clear()
         return True
 
     def _evict_for(self, incoming_key: _Key) -> bool:
@@ -89,33 +96,35 @@ class VoteBuffer:
         """The current bucket (live list — callers index, don't mutate)."""
         return self._buckets[(round_number, step)]
 
-    def signal(self, round_number: int, step: str) -> Signal:
-        key = (round_number, step)
-        if key not in self._signals:
-            self._signals[key] = Signal(self._env)
-        return self._signals[key]
+    def park(self, key: _Key, callback: Callable, arg: Any) -> None:
+        """One-shot: the next :meth:`add` for ``key`` schedules
+        ``callback(arg)`` on the event loop, waiters in parking order."""
+        self._parked.setdefault(key, []).append((callback, arg))
+
+    def unpark(self, key: _Key, callback: Callable, arg: Any) -> None:
+        """Withdraw a :meth:`park`, unless :meth:`add` or a prune did."""
+        parked = self._parked.get(key, ())
+        if (callback, arg) in parked:
+            parked.remove((callback, arg))
 
     def rounds_buffered(self) -> set[int]:
         return {round_number for round_number, _ in self._buckets}
 
     def clear(self) -> None:
-        """Drop every bucket and signal (a crashed node's volatile state)."""
+        """Drop every bucket and waiter (a crashed node's volatile state)."""
         self._buckets.clear()
-        self._signals.clear()
+        self._parked.clear()
         self._size = 0
 
     def prune_before(self, round_number: int) -> None:
         """Drop buckets for rounds strictly below ``round_number``."""
-        stale = [key for key in self._buckets if key[0] < round_number]
-        for key in stale:
-            self._size -= len(self._buckets[key])
-            del self._buckets[key]
-            self._signals.pop(key, None)
+        self._drop([key for key in self._buckets if key[0] < round_number])
 
     def prune_at_or_above(self, round_number: int) -> None:
         """Drop buckets for rounds >= ``round_number`` (recovery cleanup)."""
-        stale = [key for key in self._buckets if key[0] >= round_number]
+        self._drop([key for key in self._buckets if key[0] >= round_number])
+
+    def _drop(self, stale: list[_Key]) -> None:
         for key in stale:
-            self._size -= len(self._buckets[key])
-            del self._buckets[key]
-            self._signals.pop(key, None)
+            self._size -= len(self._buckets.pop(key))
+            self._parked.pop(key, None)

@@ -2,7 +2,9 @@
 
 These are written as plain functions plus one generator
 (:func:`count_votes`) that runs inside a node's simulation process:
-``value = yield from count_votes(...)``.
+``value = yield from count_votes(...)``. It is resumed once, with the
+outcome: while it waits, kernel callbacks advance the tally
+(:class:`_VoteCount`) — when votes arrive, and when λ runs out.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.baplus.messages import (
 )
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend, KeyPair
-from repro.sim.loop import Environment
+from repro.sim.loop import Environment, Timer, Waitable
 from repro.sortition.roles import RECOVERY_ROUND_BASE, committee_role
 from repro.sortition.selection import SortitionProof, sortition
 
@@ -111,6 +113,85 @@ def process_msg(backend: CryptoBackend, ctx: BAContext, tau: float,
     return votes, vote.value, vote.sorthash
 
 
+class _VoteCount(Waitable):
+    """Algorithm 5's tally and λ deadline, as the thing a step waits on:
+    parked on the buffer's ``(round, step)`` key, with one deadline timer.
+    A wake-up from either counts what arrived since, then resumes the
+    process with the outcome or parks again."""
+
+    __slots__ = ("part", "ctx", "key", "threshold", "tau", "deadline",
+                 "counts", "voters", "bucket", "cursor", "_waiter", "_timer")
+
+    def __init__(self, part: BAParticipant, ctx: BAContext,
+                 key: tuple[int, str], threshold: float, tau: float,
+                 deadline: float) -> None:
+        self.part, self.ctx, self.key = part, ctx, key
+        self.threshold, self.tau, self.deadline = threshold, tau, deadline
+        self.counts: dict[bytes, int] = {}
+        self.voters: set[bytes] = set()
+        self.bucket = part.buffer.messages(*key)
+        self.cursor = 0
+        self._waiter = None
+        #: The live deadline timer. It also names the current park: a
+        #: wake-up the buffer scheduled under an earlier one is stale.
+        self._timer: Timer | None = None
+
+    def tally(self):
+        """Count the bucket past the cursor: the value that crossed the
+        threshold, :data:`TIMEOUT` past the deadline, else ``None``."""
+        backend, ctx, tau = self.part.backend, self.ctx, self.tau
+        bucket, counts, voters = self.bucket, self.counts, self.voters
+        for cursor in range(self.cursor, len(bucket)):
+            vote = bucket[cursor]
+            votes, value, _ = process_msg(backend, ctx, tau, vote)
+            if vote.voter in voters or votes == 0:
+                continue
+            voters.add(vote.voter)
+            counts[value] = counts.get(value, 0) + votes
+            if counts[value] > self.threshold:
+                self.cursor = cursor + 1
+                return value
+        self.cursor = len(bucket)
+        return TIMEOUT if self.deadline - self.part.env.now <= 0 else None
+
+    def _arm(self, env: Environment, waiter) -> "_VoteCount":
+        self._waiter = waiter
+        self._park()
+        return self
+
+    def _park(self) -> None:
+        env = self.part.env
+        # ``deadline - now`` afresh at every park: nodes that time out in
+        # one instant fire in the order of these floats and their seqs.
+        advance = self._advance
+        self._timer = timer = env.schedule(self.deadline - env.now, advance)
+        self.part.buffer.park(self.key, advance, timer)
+
+    def _advance(self, park: Timer | None = None) -> None:
+        """Votes arrived during ``park``, or (``None``) the deadline fired:
+        it counts first too, and an ulp early it re-arms for the rest."""
+        timer = self._timer
+        if park is None:
+            self.part.buffer.unpark(self.key, self._advance, timer)
+        elif park is timer:
+            timer.cancel()
+        else:
+            return  # stale: a deadline wake overtook it, or cancel() did
+        result = self.tally()
+        if result is None:
+            self._park()
+        else:
+            waiter, self._waiter, self._timer = self._waiter, None, None
+            waiter._wake(result)
+
+    def cancel(self) -> None:
+        """Disarm (``Process.interrupt``); a no-op once resolved."""
+        if self._timer is not None:
+            self.part.buffer.unpark(self.key, self._advance, self._timer)
+            self._timer.cancel()
+            self._waiter = self._timer = None
+
+
 def count_votes(part: BAParticipant, ctx: BAContext, round_number: int,
                 step: str, threshold_fraction: float, tau: float,
                 lam: float):
@@ -122,48 +203,25 @@ def count_votes(part: BAParticipant, ctx: BAContext, round_number: int,
     """
     env = part.env
     start = env.now
-    deadline = start + lam
-    counts: dict[bytes, int] = {}
-    voters: set[bytes] = set()
-    bucket = part.buffer.messages(round_number, step)
-    cursor = 0
     obs = part.obs
     if obs is not None:
         obs.emit("step_enter", node=part.node_id, round=round_number,
                  step=step, deadline_s=lam)
         part.open_steps[(round_number, step)] = start
-
-    def _done(result):
-        timed_out = result is TIMEOUT
-        if obs is not None:
-            part.open_steps.pop((round_number, step), None)
-            obs.emit("step_exit", node=part.node_id, round=round_number,
-                     step=step, seconds=env.now - start,
-                     timed_out=timed_out,
-                     votes_counted=sum(counts.values()))
-        if part.step_observer is not None:
-            part.step_observer(round_number, step, env.now - start,
-                               timed_out)
-        return result
-
-    while True:
-        while cursor < len(bucket):
-            vote = bucket[cursor]
-            cursor += 1
-            votes, value, _ = process_msg(part.backend, ctx, tau, vote)
-            if vote.voter in voters or votes == 0:
-                continue
-            voters.add(vote.voter)
-            counts[value] = counts.get(value, 0) + votes
-            if counts[value] > threshold_fraction * tau:
-                return _done(value)
-        remaining = deadline - env.now
-        if remaining <= 0:
-            return _done(TIMEOUT)
-        yield env.any_of([
-            part.buffer.signal(round_number, step).next_event(),
-            env.timeout(remaining),
-        ])
+    count = _VoteCount(part, ctx, (round_number, step),
+                       threshold_fraction * tau, tau, start + lam)
+    result = count.tally()
+    if result is None:
+        result = yield count
+    timed_out = result is TIMEOUT
+    if obs is not None:
+        part.open_steps.pop((round_number, step), None)
+        obs.emit("step_exit", node=part.node_id, round=round_number,
+                 step=step, seconds=env.now - start, timed_out=timed_out,
+                 votes_counted=sum(count.counts.values()))
+    if part.step_observer is not None:
+        part.step_observer(round_number, step, env.now - start, timed_out)
+    return result
 
 
 def interrupt_open_steps(part: BAParticipant) -> None:

@@ -18,6 +18,8 @@ message to one neighbor occupies the sender's uplink for ``8 s / bw``
 seconds, then the message arrives after the pairwise one-way latency from
 the latency model. This reproduces both terms the paper's evaluation is
 sensitive to: per-hop latency and size-proportional block propagation.
+The uplink is a kernel callback (:meth:`NetworkInterface._drain`), not
+a process: queuing or relaying a message resumes no generator.
 
 Adversarial control: a ``drop_filter`` hook inspects every (src, dst,
 envelope) and may drop it — partitions and targeted DoS are built from
@@ -227,16 +229,18 @@ class NetworkInterface(RelayCore):
     """The sim byte-mover: one node's attachment to the gossip network.
 
     Interfaces exist for every population slot, but only *activated*
-    ones own an egress process. In the classic full-agent deployment
-    every interface activates at network construction (same process
-    creation order as ever); the aggregated population activates an
-    interface the first time its account is materialized as an agent,
-    and parks it again (dormant: disconnected, no neighbors, queues
-    cleared) when the agent retires.
+    ones drain their egress lanes. In the classic full-agent deployment
+    every interface activates at network construction, in index order;
+    the aggregated population activates an interface the first time its
+    account is materialized as an agent, and parks it again (dormant:
+    disconnected, no neighbors, queues cleared) when the agent retires.
+    The uplink is a callback, not a process: queuing a message on an
+    idle uplink arms one immediate :meth:`_drain`; a drain re-arms
+    itself for the moment the uplink frees up, or goes idle when both
+    lanes are empty.
     """
 
-    def __init__(self, network: "GossipNetwork", index: int,
-                 start_egress: bool = True) -> None:
+    def __init__(self, network: "GossipNetwork", index: int) -> None:
         super().__init__(index, network.seen_horizon_rounds, network.obs)
         self._network = network
         #: Per-lane egress budget in messages (tail-drop past it);
@@ -249,30 +253,28 @@ class NetworkInterface(RelayCore):
         # TCP connections in the paper's prototype.
         self._egress_urgent: deque[tuple[Envelope, int]] = deque()
         self._egress_bulk: deque[tuple[Envelope, int]] = deque()
-        self._egress_signal = network.env.signal()
-        self._egress_started = False
-        if start_egress:
-            self.activate()
+        #: No :meth:`_drain` is on the event loop: the next :meth:`_send`
+        #: arms one. ``None`` until the first :meth:`activate`.
+        self._uplink_idle: bool | None = None
 
     def activate(self) -> None:
         """Bring the interface online (idempotent).
 
-        Spawns the egress process on first activation; re-activation
-        after :meth:`deactivate` just reconnects.
+        The first activation arms one drain (it transmits what was
+        queued before the event loop first ran); later ones reconnect.
         """
         self.disconnected = False
-        if not self._egress_started:
-            self._egress_started = True
-            self._network.env.process(self._egress_loop(),
-                                      f"egress-{self.index}")
+        if self._uplink_idle is None:
+            self._uplink_idle = False
+            self._network.env.schedule_now(self._drain)
 
     def deactivate(self) -> None:
         """Park the interface: silent, unreachable, queues dropped.
 
-        The egress process (if ever started) stays blocked on its
-        signal — a parked process costs nothing in the event loop.
-        Parking is a round boundary for the dedup store: a retired agent
-        is usually interrupted before its own ``_prune`` would roll it.
+        A drain still on the event loop finds the lanes empty and goes
+        idle. Parking is a round boundary for the dedup store: a retired
+        agent is usually interrupted before its own ``_prune`` would
+        roll it.
         """
         self.disconnected = True
         self.neighbors = []
@@ -304,49 +306,62 @@ class NetworkInterface(RelayCore):
                 lane.append((envelope, target))
         if len(lane) > self.egress_high_water:
             self.egress_high_water = len(lane)
-        self._egress_signal.pulse()
+        if self._uplink_idle:
+            self._uplink_idle = False
+            self._network.env.schedule_now(self._drain)
 
-    def _egress_loop(self):
-        env = self._network.env
+    def _drain(self) -> None:
+        """Put what the lanes hold on the wire, until the uplink is busy."""
         network = self._network
         bandwidth = network.bandwidth_bps
-        urgent = self._egress_urgent
-        bulk = self._egress_bulk
-        while True:
-            while urgent or bulk:
-                if urgent:
-                    # Drain the urgent lane as one serialized batch: each
-                    # message still occupies the uplink for its own
-                    # 8*size/bw seconds (arrivals carry the cumulative
-                    # offset), but the batch costs one egress wake-up and
-                    # one live heap entry instead of one per neighbor.
-                    batch = list(urgent)
-                    urgent.clear()
-                    offset = 0.0
-                    offsets = []
-                    for envelope, _ in batch:
-                        if bandwidth is not None:
-                            offset += envelope.size * 8.0 / bandwidth
-                        offsets.append(offset)
-                        self._count_sent(envelope, 1)
-                    if self._metrics is not None:
-                        self._metrics.observe("gossip.egress_batch",
-                                              len(batch))
-                    network._transmit_batch(self, batch, offsets)
-                    if offset > 0.0:
-                        # Uplink busy until the batch finishes; newly
-                        # queued messages serialize after it, as before.
-                        yield env.timeout(offset)
-                else:
-                    # Bulk transfers stay one-at-a-time so a vote arriving
-                    # mid-block still preempts after the current message.
-                    item = bulk.popleft()
-                    envelope = item[0]
+        urgent, bulk = self._egress_urgent, self._egress_bulk
+        while urgent or bulk:
+            if urgent:
+                # Drain the urgent lane as one serialized batch: each
+                # message still occupies the uplink for its own 8*size/bw
+                # seconds (arrivals carry the cumulative offset), but the
+                # batch costs one drain and one live heap entry.
+                batch = list(urgent)
+                urgent.clear()
+                offset = 0.0
+                offsets = []
+                # A relay's copies sit side by side in the lane: count
+                # each run of one envelope once, not once per copy.
+                counted, run = batch[0][0], 0
+                for envelope, _ in batch:
+                    if envelope is not counted:
+                        self._count_sent(counted, run)
+                        counted, run = envelope, 0
+                    run += 1
                     if bandwidth is not None:
-                        yield env.timeout(envelope.size * 8.0 / bandwidth)
-                    self._count_sent(envelope, 1)
-                    network._transmit(self, item)
-            yield self._egress_signal.next_event()
+                        offset += envelope.size * 8.0 / bandwidth
+                    offsets.append(offset)
+                self._count_sent(counted, run)
+                if self._metrics is not None:
+                    self._metrics.observe("gossip.egress_batch", len(batch))
+                network._transmit_batch(self, batch, offsets)
+                if offset > 0.0:
+                    # Uplink busy until the batch finishes; newly queued
+                    # messages serialize after it.
+                    network.env.schedule(offset, self._drain)
+                    return
+            else:
+                # Bulk transfers stay one-at-a-time so a vote arriving
+                # mid-block still preempts after the current message.
+                item = bulk.popleft()
+                if bandwidth is not None:
+                    network.env.schedule(item[0].size * 8.0 / bandwidth,
+                                         self._finish_bulk, item)
+                    return
+                self._count_sent(item[0], 1)
+                network._transmit(self, item)
+        self._uplink_idle = True
+
+    def _finish_bulk(self, item: tuple[Envelope, int]) -> None:
+        """The uplink finished serializing bulk ``item``: it departs."""
+        self._count_sent(item[0], 1)
+        self._network._transmit(self, item)
+        self._drain()
 
     def discard_egress_to(self, target: int) -> int:
         """Purge queued-but-unsent items addressed to ``target``.
@@ -431,7 +446,7 @@ class GossipNetwork:
         #: Optional :class:`repro.obs.TraceBus`; when ``None`` (the
         #: default) every instrumentation site below reduces to one
         #: attribute load and an ``is not None`` check. Fixed at
-        #: construction — egress loops capture it once.
+        #: construction — interfaces capture its registry once.
         self.obs = obs
         self.rng = rng
         self.latency_model = latency_model
@@ -453,17 +468,14 @@ class GossipNetwork:
         #: Aggregated-population mode: only these slots participate in
         #: the gossip fabric. ``None`` (classic mode) means every slot
         #: is live — and follows the original construction path exactly
-        #: (same egress process creation order, same topology RNG
-        #: consumption).
+        #: (same first-drain order, same topology RNG consumption).
         self.active: frozenset[int] | None = (
             frozenset(active_indices) if active_indices is not None
             else None)
-        defer = self.active is not None
-        self.interfaces = [NetworkInterface(self, i, start_egress=not defer)
-                           for i in range(num_nodes)]
-        if defer:
-            for i in sorted(self.active):
-                self.interfaces[i].activate()
+        self.interfaces = [NetworkInterface(self, i) for i in range(num_nodes)]
+        for i in (range(num_nodes) if self.active is None
+                  else sorted(self.active)):
+            self.interfaces[i].activate()
         self.reshuffle_peers()
 
     @property
@@ -500,7 +512,7 @@ class GossipNetwork:
     def set_active(self, indices) -> None:
         """Aggregated-population round boundary: swap the live slot set.
 
-        Newly active slots are brought online (egress process spawned on
+        Newly active slots are brought online (first drain armed on
         first activation), dropped slots are parked, and the peer graph
         is rebuilt over the new active set. No-op when the set is
         unchanged — in particular, an aggregated deployment whose core

@@ -87,8 +87,10 @@ class LatencyModel:
             raise ValueError("num_users must be >= 1")
         if not 0 <= jitter_fraction < 1:
             raise ValueError("jitter_fraction must be in [0, 1)")
-        self._matrix = base_latency_matrix()
-        self._city_of = rng.integers(0, len(CITIES), size=num_users)
+        # Lists: Python floats beat numpy on ~10-element egress batches.
+        self._rows: list[list[float]] = base_latency_matrix().tolist()
+        self._city_of: list[int] = rng.integers(
+            0, len(CITIES), size=num_users).tolist()
         self._rng = rng
         self._jitter = jitter_fraction
 
@@ -97,25 +99,22 @@ class LatencyModel:
 
     def latency(self, src: int, dst: int) -> float:
         """One-way latency sample between two users (with jitter)."""
-        base = self._matrix[self._city_of[src], self._city_of[dst]]
-        if self._jitter == 0:
-            return float(base)
-        factor = 1.0 + self._jitter * float(self._rng.standard_normal())
-        return float(base * max(0.25, factor))
+        return self.latencies(src, [dst])[0]
 
     def latencies(self, src: int, dsts: list[int]) -> list[float]:
         """One :meth:`latency` sample per destination, in one draw.
 
-        Bit-identical to calling :meth:`latency` for each destination in
-        order, RNG state included: ``standard_normal(n)`` consumes the
-        stream exactly like ``n`` scalar draws, and every arithmetic
-        step is the same IEEE operation applied elementwise.
+        Bit-identical to one call per destination, in order, RNG state
+        included: ``standard_normal(n)`` consumes the stream exactly
+        like ``n`` scalar draws.
         """
-        base = self._matrix[self._city_of[src]][self._city_of[dsts]]
-        if self._jitter == 0:
-            return base.tolist()
-        factor = 1.0 + self._jitter * self._rng.standard_normal(len(dsts))
-        return (base * np.maximum(0.25, factor)).tolist()
+        city_of, jitter = self._city_of, self._jitter
+        row = self._rows[city_of[src]]
+        if jitter == 0:
+            return [row[city_of[dst]] for dst in dsts]
+        draws = self._rng.standard_normal(len(dsts)).tolist()
+        return [row[city_of[dst]] * max(0.25, 1.0 + jitter * z)
+                for dst, z in zip(dsts, draws)]
 
 
 class UniformLatencyModel:

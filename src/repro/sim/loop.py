@@ -609,7 +609,7 @@ class Environment:
 
         ``stop_when`` is evaluated after each event; returning True ends
         the run early (used to stop once every node process finished,
-        without waiting out background egress loops).
+        without waiting out what is still on the wire).
 
         Raises the first process failure encountered on *every* exit path
         — including early returns via ``until`` and ``stop_when`` —

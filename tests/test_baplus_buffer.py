@@ -26,24 +26,67 @@ class TestVoteBuffer:
         assert len(buffer.messages(2, "1")) == 1
         assert buffer.messages(3, "1") == []
 
-    def test_signal_pulses_waiters(self):
+    def test_add_wakes_parked_waiters_once_in_park_order(self):
         env = Environment()
         buffer = VoteBuffer(env)
-        got = []
+        woken = []
 
-        def waiter():
-            yield buffer.signal(1, "1").next_event()
-            got.append(env.now)
+        def wake(tag):
+            woken.append((env.now, tag))
 
-        env.process(waiter())
-        env.schedule(2, lambda: buffer.add(_vote(1, "1")))
+        buffer.park((1, "1"), wake, "first")
+        buffer.park((1, "1"), wake, "second")
+        buffer.park((1, "2"), wake, "other step")
+
+        def two_votes():
+            buffer.add(_vote(1, "1", b"a"))
+            # Wake-ups go through the event loop, and a park is one-shot:
+            # the second vote of the instant finds nobody left to wake.
+            assert woken == [] and not buffer._parked[(1, "1")]
+            buffer.add(_vote(1, "1", b"b"))
+
+        env.schedule(2, two_votes)
         env.run()
-        assert got == [2.0]
+        assert woken == [(2.0, "first"), (2.0, "second")]
+        assert env.events_processed == 3
+        assert buffer._parked[(1, "2")] == [(wake, "other step")]
+
+    def test_unpark_withdraws_only_an_unscheduled_wake(self):
+        env = Environment()
+        buffer = VoteBuffer(env)
+        woken = []
+        buffer.park((1, "1"), woken.append, "withdrawn")
+        buffer.park((1, "1"), woken.append, "kept")
+        buffer.unpark((1, "1"), woken.append, "withdrawn")
+        buffer.unpark((1, "1"), woken.append, "never parked")
+        buffer.unpark((9, "9"), woken.append, "no such key")
+        buffer.add(_vote(1, "1"))
+        buffer.unpark((1, "1"), woken.append, "kept")  # already scheduled
+        env.run()
+        assert woken == ["kept"]
+
+    def test_pruning_a_key_drops_whoever_parked_on_it(self):
+        for prune, survivor in [
+                (lambda buffer: buffer.prune_before(2), (2, "1")),
+                (lambda buffer: buffer.prune_at_or_above(2), (1, "1")),
+                (lambda buffer: buffer.clear(), None)]:
+            env = Environment()
+            buffer = VoteBuffer(env)
+            woken = []
+            for key in [(1, "1"), (2, "1")]:
+                buffer.messages(*key)  # a count reads its bucket first
+                buffer.park(key, woken.append, key)
+            prune(buffer)
+            assert set(buffer._parked) == ({survivor} if survivor else set())
+            buffer.add(_vote(1, "1"))
+            buffer.add(_vote(2, "1"))
+            env.run()
+            assert woken == ([survivor] if survivor else [])
 
     def test_add_without_signal_waiters_is_fine(self):
         env = Environment()
         buffer = VoteBuffer(env)
-        buffer.add(_vote(1, "1"))  # no signal ever requested
+        buffer.add(_vote(1, "1"))  # nobody ever parked
 
     def test_prune_before(self):
         env = Environment()

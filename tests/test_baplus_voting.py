@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baplus.buffer import VoteBuffer
@@ -10,6 +12,7 @@ from repro.baplus.messages import VoteMessage, make_vote
 from repro.baplus.voting import (
     BAParticipant,
     TIMEOUT,
+    _VoteCount,
     committee_vote,
     common_coin,
     count_votes,
@@ -18,7 +21,11 @@ from repro.baplus.voting import (
 from repro.common.params import TEST_PARAMS
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
-from repro.sim.loop import Environment
+from repro.node.deployment import PopulationConfig
+from repro.node.population import Population
+from repro.node.recovery import RECOVERY_ROUND_BASE, run_recovery
+from repro.sim.loop import Environment, Timer
+from tests.fixtures import run_sim, run_traced
 
 
 class Cluster:
@@ -212,6 +219,158 @@ class TestCountVotes:
             cluster.params.tau_step, 5.0))
         assert result == H(b"late")
         assert 1.0 <= cluster.env.now < 1.5
+
+
+def _vote_everyone(cluster, value):
+    for participant in cluster.participants:
+        committee_vote(participant, cluster.ctx, 1, "1",
+                       cluster.params.tau_step, value)
+
+
+def _deadline_timers(env, participant=None) -> list[Timer]:
+    """Live CountVotes deadline timers in ``env``'s heap."""
+    owners = [(handle, getattr(handle.callback, "__self__", None))
+              for _, _, handle in env._heap
+              if isinstance(handle, Timer) and not handle.cancelled]
+    return [handle for handle, owner in owners
+            if isinstance(owner, _VoteCount)
+            and (participant is None or owner.part is participant)]
+
+
+def _parked(buffer) -> list:
+    return [waiter for waiters in buffer._parked.values()
+            for waiter in waiters]
+
+
+class TestParkedCount:
+    """CountVotes parks once: callbacks advance it, one resume ends it."""
+
+    def _count(self, cluster, results, lam):
+        def runner():
+            results.append((yield from count_votes(
+                cluster.participants[0], cluster.ctx, 1, "1",
+                cluster.params.t_step, cluster.params.tau_step, lam)))
+        return cluster.env.process(runner())
+
+    def test_two_counts_on_one_key_both_advance(self, cluster):
+        """A pipelined final count and a recount share one bucket."""
+        results = []
+        self._count(cluster, results, 5.0)
+        self._count(cluster, results, 4.0)
+        cluster.env.schedule(1.0, lambda: _vote_everyone(cluster, H(b"late")))
+        cluster.env.run(until=1.5)
+        assert results == [H(b"late")] * 2
+        assert not _parked(cluster.participants[0].buffer)
+        assert not _deadline_timers(cluster.env)
+
+    def test_vote_in_the_deadline_instant_is_counted(self, cluster):
+        # Scheduled before the count parks, so at t = 2 the votes land
+        # first, then the deadline fires — ahead of the wake-up the
+        # votes queued, which then finds the count resolved.
+        cluster.env.schedule(2.0, lambda: _vote_everyone(cluster, H(b"val")))
+        results = []
+        self._count(cluster, results, 2.0)
+        cluster.env.run()
+        assert results == [H(b"val")]
+        assert cluster.env.now == 2.0
+
+    def test_wake_overtaken_by_a_deadline_wake_is_stale(self, cluster):
+        target = cluster.participants[0]
+        woken = []
+        count = _VoteCount(target, cluster.ctx, (1, "1"), 1e9,
+                           cluster.params.tau_step, deadline=5.0)
+        count._arm(cluster.env, SimpleNamespace(_wake=woken.append))
+        overtaken = count._timer
+        _vote_everyone(cluster, H(b"val"))  # queues a wake for this park
+        assert not _parked(target.buffer)
+        # A deadline timer that lands early counts, then parks afresh.
+        overtaken.cancel()
+        count._advance()
+        assert count.cursor == len(target.buffer.messages(1, "1")) > 0
+        fresh = count._timer
+        assert fresh is not overtaken and len(_parked(target.buffer)) == 1
+        cluster.env.run(until=1.0)
+        # The overtaken wake fired and touched nothing.
+        assert count._timer is fresh and not fresh.cancelled
+        assert len(_parked(target.buffer)) == 1 and woken == []
+        cluster.env.run()
+        assert woken == [TIMEOUT] and cluster.env.now == 5.0
+        assert count._timer is None and count._waiter is None
+
+    def test_pruned_bucket_leaves_the_count_to_its_deadline(self, cluster):
+        target = cluster.participants[0]
+        results = []
+        self._count(cluster, results, 2.0)
+        cluster.env.schedule(1.0, target.buffer.prune_before, 2)
+        cluster.env.schedule(1.5, lambda: _vote_everyone(cluster, H(b"blind")))
+        cluster.env.run(until=1.75)
+        assert not _parked(target.buffer) and results == []
+        cluster.env.run()
+        assert results == [TIMEOUT] and cluster.env.now == 2.0
+
+    def test_interrupt_unparks_and_cancels_the_deadline(self, cluster):
+        results = []
+        process = self._count(cluster, results, 5.0)
+        cluster.env.run(until=1.0)
+        buffer = cluster.participants[0].buffer
+        assert len(_parked(buffer)) == len(_deadline_timers(cluster.env)) == 1
+        process.interrupt()
+        assert not _parked(buffer) and not _deadline_timers(cluster.env)
+        _vote_everyone(cluster, H(b"late"))
+        cluster.env.run()
+        assert results == [] and cluster.env.now == 1.0
+
+
+class TestParkedCountLifetime:
+    """Nothing that kills a step leaves its count behind."""
+
+    def test_crash_mid_step(self):
+        sim, bus = run_traced(0, payments=5, num_users=10, seed=1)
+        victim = sim.nodes[3]
+        for node in sim.nodes:
+            node.start(2)
+        sim.env.run(until=60, stop_when=lambda: bool(_parked(victim.buffer)))
+        assert _deadline_timers(sim.env, victim.participant)
+        (open_step,) = victim.participant.open_steps
+        victim.crash()
+        assert not _parked(victim.buffer)
+        assert not _deadline_timers(sim.env, victim.participant)
+        assert not victim.participant.open_steps
+        exits = [event for event in bus.events_of_kind("step_exit")
+                 if event["node"] == victim.index
+                 and event.get("interrupted")]
+        assert [(e["round"], e["step"]) for e in exits] == [open_step]
+
+    def test_transient_retirement(self, monkeypatch):
+        retire = Population._retire
+        mid_step = []
+
+        def checked(population, slot):
+            node = population.live[slot]
+            mid_step.append(bool(_parked(node.buffer)))
+            retire(population, slot)
+            assert not _parked(node.buffer)
+            assert not _deadline_timers(population.env, node.participant)
+
+        monkeypatch.setattr(Population, "_retire", checked)
+        run_sim(2, num_users=150, initial_balance=1, seed=2,
+                params=TEST_PARAMS.scaled(0.1),
+                population=PopulationConfig(
+                    mode="aggregated", always_on_core=8, steps_ahead=6))
+        assert any(mid_step)
+
+    def test_recovery_close(self):
+        sim = run_sim(1, num_users=12, seed=8)
+        sessions = run_recovery(sim.nodes, pre_fork_round=1)
+        sim.env.run(until=sim.env.now + 600)
+        for session in sessions:
+            buffer = session.node.buffer
+            assert any(key[0] >= RECOVERY_ROUND_BASE
+                       for key in buffer._parked)
+            session.close()
+            assert all(key[0] < RECOVERY_ROUND_BASE
+                       for key in buffer._parked)
+        assert not _deadline_timers(sim.env)
 
 
 class TestCommonCoin:

@@ -22,17 +22,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro.experiments.harness as harness
+from repro.common.params import TEST_PARAMS
 from repro.node.deployment import NetworkConfig, PopulationConfig
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
 from repro.network.message import Envelope
-from repro.sim.loop import Environment
+from repro.sim.loop import AnyOf, Environment, Process
 from tests.fixtures import (
     chain_fingerprint,
     chain_hash,
@@ -70,6 +73,40 @@ GOLDEN_WORK_20_USERS_2_ROUNDS = {
 }
 
 
+#: Two schedules a cheaper event must not move, ``(chain_hash,
+#: events_processed)`` recorded at the commit before the uplink and
+#: CountVotes stopped resuming a generator per message. *Lattice
+#: time:* uniform latency plus bandwidth puts arrivals on a lattice, so
+#: a vote that crosses a threshold ties with earlier arrivals and with
+#: the node's own egress drain — dropping the per-arrival wake-up moves
+#: the step relative to that drain and commits other round records.
+LATTICE_TIME_16_USERS_3_ROUNDS = {
+    5: ("d858e4ac94bcc5cf82b49f0c59b6a77a6012585597d1c887313199c83a2b85f8",
+        15_243),
+    7: ("a3330d0c84f8dcdc38164890478577d03185f767a17af450022d2b853f9d7f8f",
+        15_609),
+}
+#: *Together-timeout:* λ_step = 0.12 s makes most steps time out, on
+#: many nodes at instants an ulp apart (49 / 39 / 53 non-final
+#: ``(node, round)``s). A deadline that stops re-arming after each
+#: vote, or re-arms with another float than ``deadline - now``, changes
+#: which of them fires first.
+TOGETHER_TIMEOUT_24_USERS_3_ROUNDS = {
+    1: ("aa7283bca863ab81432582b36b8f1813a8e2ed3384f12eee98ecf29d96ba85f3",
+        80_083),
+    5: ("00ba10d1f09096e81c13d5ab92a70244ec793e4b6569089ce85975ff58645b7b",
+        50_209),
+    7: ("df4807c630dbe1d5bf841546930288295c56f35736a91ede7578c268d3fa435d",
+        51_833),
+}
+
+#: Generator resumes (``Process._wake`` entries) the golden 20-user,
+#: 2-round run may spend per ``(node, round)``. A round is a dozen
+#: waits; resuming per relayed message or counted vote cost 231 (9,241 /
+#: 9,248 in total), resuming per wait costs 5.5.
+RESUMES_PER_NODE_ROUND_CEILING = 12
+
+
 def test_simulated_rounds_leave_no_cyclic_garbage():
     sim = run_sim(0, payments=5, num_users=10, seed=1)
     gc.collect()
@@ -100,6 +137,46 @@ def test_golden_chain_hash(seed, population):
         "dup_elided": summary["dup_elided"],
         "cache_lookups": cache["hits"] + cache["misses"],
     } == GOLDEN_WORK_20_USERS_2_ROUNDS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(LATTICE_TIME_16_USERS_3_ROUNDS))
+def test_lattice_time_schedule(seed):
+    sim = run_sim(3, payments=8, num_users=16, seed=seed,
+                  network=NetworkConfig(latency_model="uniform"))
+    assert ((chain_hash(sim), sim.env.events_processed)
+            == LATTICE_TIME_16_USERS_3_ROUNDS[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(TOGETHER_TIMEOUT_24_USERS_3_ROUNDS))
+def test_together_timeout_schedule(seed):
+    sim = run_sim(3, payments=8, num_users=24, seed=seed,
+                  params=dataclasses.replace(TEST_PARAMS, lambda_step=0.12))
+    assert ((chain_hash(sim), sim.env.events_processed)
+            == TOGETHER_TIMEOUT_24_USERS_3_ROUNDS[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_20_USERS_2_ROUNDS))
+def test_a_message_resumes_no_generator(monkeypatch, seed):
+    entries: Counter = Counter()
+
+    def count_entries(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            entries[cls.__name__ + name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+
+    count_entries(Process, "_wake")
+    count_entries(AnyOf, "_arm")
+    users, rounds = 20, 2
+    sim = run_sim(rounds, payments=10, num_users=users, seed=seed)
+    assert chain_hash(sim) == GOLDEN_20_USERS_2_ROUNDS[seed]
+    assert (0 < entries["Process_wake"]
+            <= RESUMES_PER_NODE_ROUND_CEILING * users * rounds)
+    # CountVotes parks once; nothing arms a first-of-many per vote (the
+    # golden run's proposal waits resolve before they need one either).
+    assert entries["AnyOf_arm"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -68,21 +68,32 @@ class TestLatencyModel:
         """``latencies`` is the egress batch's one-draw form of
         ``latency``: same floats to the last bit (compared as hex, so
         -0.0/NaN tricks cannot hide a slip) and the same RNG state
-        afterwards, so mixing the two never forks a seeded run."""
+        afterwards, so mixing the two never forks a seeded run. Both
+        work on Python floats; the elementwise numpy expression they
+        replaced is the reference, at every batch size egress uses."""
         scalar = LatencyModel(60, np.random.default_rng(7), jitter)
         vector = LatencyModel(60, np.random.default_rng(7), jitter)
+        reference_rng = np.random.default_rng(7)
+        cities = reference_rng.integers(0, len(CITIES), size=60)
+        matrix = base_latency_matrix()
         picker = np.random.default_rng(99)
-        for _ in range(200):
+        for size in list(range(1, 31)) * 10:
             src = int(picker.integers(60))
-            dsts = picker.integers(60, size=int(picker.integers(1, 40)))
-            dsts = [int(d) for d in dsts]
+            dsts = [int(d) for d in picker.integers(60, size=size)]
             one_by_one = [scalar.latency(src, dst) for dst in dsts]
             at_once = vector.latencies(src, dsts)
+            reference = matrix[cities[src]][cities[dsts]]
+            if jitter:
+                reference = reference * np.maximum(
+                    0.25, 1.0 + jitter * reference_rng.standard_normal(size))
             assert all(type(value) is float for value in at_once)
+            assert all(type(value) is float for value in one_by_one)
             assert ([value.hex() for value in at_once]
-                    == [value.hex() for value in one_by_one])
+                    == [value.hex() for value in one_by_one]
+                    == [value.hex() for value in reference.tolist()])
         assert (scalar._rng.bit_generator.state
-                == vector._rng.bit_generator.state)
+                == vector._rng.bit_generator.state
+                == reference_rng.bit_generator.state)
 
 
 class TestTopology:
