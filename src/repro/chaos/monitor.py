@@ -132,7 +132,7 @@ def audit_ingress(nodes, network, *, now: float,
                 getattr(node.buffer, "high_water", 0),
                 getattr(node.buffer, "budget_messages", None), now)
     for index, interface in enumerate(network.interfaces):
-        if index not in skip:
+        if interface is not None and index not in skip:
             violations += ingress_breach(
                 index, "egress-lane",
                 getattr(interface, "egress_high_water", 0),

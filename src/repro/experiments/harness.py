@@ -300,7 +300,7 @@ class Simulation:
             for admission in admissions:
                 for reason, count in admission.rejected.items():
                     rejected[reason] = rejected.get(reason, 0) + count
-            interfaces = self.network.interfaces
+            interfaces = list(filter(None, self.network.interfaces))
             counters["admission"] = {
                 "admitted": sum(a.admitted for a in admissions),
                 "rejected": rejected,

@@ -17,14 +17,17 @@ Three properties matter for the aggregated-population refactor:
   :mod:`repro.sortition.pool` can evaluate "one array" instead of one
   dict per chain. Append-only means forks can never disagree about a
   slot: a key present on any chain owns its slot everywhere.
-* **O(accounts) copies.** ``copy()`` (used by transaction dry-runs and
-  agent materialization) is one ``numpy`` array copy plus a sparse
-  nonce-dict copy — no per-key dict churn.
-* **Shared immutable snapshots.** ``weights()`` returns a *cached
-  frozen* :class:`ArrayWeights`; the cache is invalidated on mutation,
-  so rounds that commit no balance change share one snapshot object
-  across the whole weight history (and across every consumer of
-  ``chain.weights_at``).
+* **Share until written.** ``copy()`` (block assembly, agent
+  materialization) allocates no array: source and clone read one
+  balance buffer, and whichever writes first copies it, once.
+* **A snapshot is a frozen buffer, never a copy.** ``weights()``
+  freezes the current buffer as a cached :class:`ArrayWeights` (the
+  state's next write moves *it* to a fresh buffer), so rounds that
+  commit no balance change allocate nothing and share one snapshot
+  object across the weight history and every replica of the chain.
+  Shared buffers are read-only on the array itself — the only ownership
+  record: a write that missed its copy raises ``ValueError`` instead of
+  drifting a snapshot a round context already holds.
 
 Equivalence with ``AccountState`` is exact: same accepted/rejected
 transactions, same balances/nonces, and ``weights()`` exposes exactly
@@ -89,9 +92,9 @@ class ArrayWeights(Mapping[bytes, int]):
 
     Implements the full ``Mapping`` protocol over exactly the accounts
     with positive balance, without materializing a dict: lookups are one
-    slot resolution plus one array read. Instances are immutable (they
-    own a private array copy) and are shared freely across weight
-    history entries, BA contexts, and the stake pool.
+    slot resolution plus one array read. Instances are immutable (the
+    array handed in is frozen, not copied) and shared freely across
+    weight histories, chain replicas, BA contexts, and the stake pool.
     """
 
     __slots__ = ("_index", "_balances", "total", "_nonzero")
@@ -170,19 +173,25 @@ class ArrayState:
 
     def _set(self, public: bytes, balance: int) -> None:
         slot = self._index.slot_of(public)
-        if slot >= len(self._balances):
-            grown = np.zeros(max(slot + 1, 2 * len(self._balances)),
+        balances = self._balances
+        if slot >= len(balances):
+            grown = np.zeros(max(slot + 1, 2 * len(balances)),
                              dtype=np.int64)
-            grown[:len(self._balances)] = self._balances
-            self._balances = grown
-        self._balances[slot] = balance
+            grown[:len(balances)] = balances
+            self._balances = balances = grown
+        elif not balances.flags.writeable:
+            # Frozen by copy() or weights(): somebody else reads it.
+            self._balances = balances = balances.copy()
+        balances[slot] = balance
 
     def copy(self) -> "ArrayState":
+        """Clone sharing the balance buffer until either side writes."""
+        self._balances.setflags(write=False)
         clone = ArrayState.__new__(ArrayState)
         clone._index = self._index
-        clone._balances = self._balances.copy()
+        clone._balances = self._balances
         clone._nonces = dict(self._nonces)
-        clone._weights_cache = None
+        clone._weights_cache = self._weights_cache
         return clone
 
     def balance(self, public: bytes) -> int:
@@ -201,12 +210,11 @@ class ArrayState:
     def weights(self) -> ArrayWeights:
         """Shared immutable snapshot of the weight table.
 
-        Cached until the next mutation: consecutive calls (and rounds
-        that commit no balance change) return the *same* object.
+        The current buffer, frozen (the next write copies it); cached
+        until then, so rounds without a balance change share one object.
         """
         if self._weights_cache is None:
-            self._weights_cache = ArrayWeights(self._index,
-                                               self._balances.copy())
+            self._weights_cache = ArrayWeights(self._index, self._balances)
         return self._weights_cache
 
     def check(self, tx: Transaction) -> None:
@@ -232,9 +240,20 @@ class ArrayState:
             self.apply(tx)
 
     def would_accept(self, transactions: Iterable[Transaction]) -> bool:
-        trial = self.copy()
-        try:
-            trial.apply_all(transactions)
-        except InvalidTransaction:
-            return False
+        """Dry-run on sparse deltas over the arrays: O(txs), no copy."""
+        deltas: dict[bytes, int] = {}
+        nonces: dict[bytes, int] = {}
+        for tx in transactions:
+            try:
+                tx.check_shape()
+            except InvalidTransaction:
+                return False
+            sender = tx.sender
+            if (tx.nonce != nonces.get(sender, self.next_nonce(sender))
+                    or self.balance(sender) + deltas.get(sender, 0)
+                    < tx.amount):
+                return False
+            deltas[sender] = deltas.get(sender, 0) - tx.amount
+            deltas[tx.recipient] = deltas.get(tx.recipient, 0) + tx.amount
+            nonces[sender] = tx.nonce + 1
         return True

@@ -39,7 +39,8 @@ class Blockchain:
                                          AccountState] = AccountState) -> None:
         if not initial_balances:
             raise LedgerError("initial balances must be non-empty")
-        self._initial_balances = dict(initial_balances)
+        # Read-only here: a deployment's chains share one genesis table.
+        self._initial_balances = initial_balances
         self._genesis_seed = genesis_seed
         #: Builds the state representation: :class:`AccountState` (dict)
         #: by default, or an aggregated-population
@@ -208,10 +209,11 @@ class Blockchain:
         Where :meth:`fork_from` replays every block from genesis (O(r)
         transaction re-application), a replica copies the derived views
         directly: block/seed lists are shared-ref copies, weight-history
-        entries are the same frozen snapshots, and the account state is
-        one ``state.copy()``. The clone is independent — appends to
-        either chain never touch the other — and byte-identical to what
-        a genesis replay would produce.
+        entries are the same frozen snapshots, and ``state.copy()``
+        shares the balance buffer until one side commits a payment:
+        O(rounds), nothing O(accounts). The clone is independent —
+        appends to either chain never touch the other — and
+        byte-identical to what a genesis replay would produce.
         """
         clone = Blockchain.__new__(Blockchain)
         clone._initial_balances = self._initial_balances

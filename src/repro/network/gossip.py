@@ -66,6 +66,11 @@ IngressPolicy = Callable[[Envelope, int], bool]
 URGENT_MESSAGE_BYTES = 1500
 
 
+def _relay_everything(envelope: Envelope) -> bool:
+    """The :attr:`RelayCore.relay_policy` of a core no node is wired to."""
+    return True
+
+
 class RelayCore:
     """What one node decides about a gossiped message, sim or live.
 
@@ -93,7 +98,7 @@ class RelayCore:
         self.neighbors: list[int] = []
         #: Protocol-layer validation: called before relaying a received
         #: message; return False to accept locally but not forward.
-        self.relay_policy: RelayPolicy = lambda envelope: True
+        self.relay_policy: RelayPolicy = _relay_everything
         #: Optional admission gate (:mod:`repro.runtime.admission`):
         #: called with ``(envelope, from_index)`` after duplicate
         #: suppression; returning False drops the message before the
@@ -228,12 +233,12 @@ class RelayCore:
 class NetworkInterface(RelayCore):
     """The sim byte-mover: one node's attachment to the gossip network.
 
-    Interfaces exist for every population slot, but only *activated*
-    ones drain their egress lanes. In the classic full-agent deployment
-    every interface activates at network construction, in index order;
-    the aggregated population activates an interface the first time its
-    account is materialized as an agent, and parks it again (dormant:
-    disconnected, no neighbors, queues cleared) when the agent retires.
+    Only *activated* interfaces drain their egress lanes. The classic
+    full-agent deployment builds and activates every interface at
+    construction, in index order; the aggregated population builds one
+    when its account first becomes an agent (a never-selected account
+    owns no relay state) and parks it when the agent retires: cut off,
+    lanes empty, agent let go, counters and dedup generations kept.
     The uplink is a callback, not a process: queuing a message on an
     idle uplink arms one immediate :meth:`_drain`; a drain re-arms
     itself for the moment the uplink frees up, or goes idle when both
@@ -269,18 +274,21 @@ class NetworkInterface(RelayCore):
             self._network.env.schedule_now(self._drain)
 
     def deactivate(self) -> None:
-        """Park the interface: silent, unreachable, queues dropped.
+        """Park the interface: silent, unreachable, its agent let go.
 
-        A drain still on the event loop finds the lanes empty and goes
-        idle. Parking is a round boundary for the dedup store: a retired
-        agent is usually interrupted before its own ``_prune`` would
-        roll it.
+        Queued copies are dropped (a drain still on the event loop goes
+        idle) and both policy hooks return to their defaults: nothing
+        here keeps the retired node reachable. Parking is a round
+        boundary for the dedup store: a retired agent is usually
+        interrupted before its own ``_prune`` would roll it.
         """
         self.disconnected = True
         self.neighbors = []
         self._egress_urgent.clear()
         self._egress_bulk.clear()
         self.end_round()
+        self.ingress = None
+        self.relay_policy = _relay_everything
 
     # --- Egress -----------------------------------------------------------
 
@@ -472,15 +480,24 @@ class GossipNetwork:
         self.active: frozenset[int] | None = (
             frozenset(active_indices) if active_indices is not None
             else None)
-        self.interfaces = [NetworkInterface(self, i) for i in range(num_nodes)]
+        #: One entry per slot, ``None`` until the slot is first active:
+        #: an account that was never an agent owns no relay state.
+        self.interfaces: list[NetworkInterface | None] = [None] * num_nodes
         for i in (range(num_nodes) if self.active is None
                   else sorted(self.active)):
-            self.interfaces[i].activate()
+            self.interface(i).activate()
         self.reshuffle_peers()
 
     @property
     def num_nodes(self) -> int:
         return len(self.interfaces)
+
+    def interface(self, index: int) -> NetworkInterface:
+        """Slot ``index``'s interface, built on first request."""
+        interface = self.interfaces[index]
+        if interface is None:
+            interface = self.interfaces[index] = NetworkInterface(self, index)
+        return interface
 
     def reshuffle_peers(self) -> None:
         """(Re)build the random peer graph (paper: new peers each round).
@@ -491,10 +508,10 @@ class GossipNetwork:
         so an honest deployment's random choices do not depend on
         whether the quarantine machinery is installed.
         """
-        n = self.num_nodes
-        adjacency: list[set[int]] = [set() for _ in range(n)]
-        pool = range(n) if self.active is None else sorted(self.active)
+        pool = (range(self.num_nodes) if self.active is None
+                else sorted(self.active))
         eligible = [i for i in pool if i not in self.quarantined]
+        adjacency: dict[int, set[int]] = {node: set() for node in eligible}
         m = len(eligible)
         k = min(self.peers_per_node, m - 1)
         if k >= 1:
@@ -506,8 +523,8 @@ class GossipNetwork:
                                                    else 0)]
                     adjacency[node].add(target)
                     adjacency[target].add(node)
-        for node in range(n):
-            self.interfaces[node].neighbors = sorted(adjacency[node])
+        for interface in filter(None, self.interfaces):
+            interface.neighbors = sorted(adjacency.get(interface.index, ()))
 
     def set_active(self, indices) -> None:
         """Aggregated-population round boundary: swap the live slot set.
@@ -527,7 +544,7 @@ class GossipNetwork:
         for index in sorted(previous - active):
             self.interfaces[index].deactivate()
         for index in sorted(active - previous):
-            self.interfaces[index].activate()
+            self.interface(index).activate()
         self.reshuffle_peers()
 
     def set_quarantined(self, indices) -> None:
@@ -626,7 +643,9 @@ class GossipNetwork:
 
     @property
     def total_bytes_sent(self) -> int:
-        return sum(iface.bytes_sent for iface in self.interfaces)
+        return sum(i.bytes_sent for i in filter(None, self.interfaces))
 
     def bytes_sent_per_node(self) -> list[int]:
-        return [iface.bytes_sent for iface in self.interfaces]
+        """One entry per slot; a slot that was never active sent 0."""
+        return [iface.bytes_sent if iface is not None else 0
+                for iface in self.interfaces]

@@ -19,7 +19,8 @@ population. :class:`Population` replaces "build N nodes" with:
   via :meth:`~repro.ledger.blockchain.Blockchain.replica`, fresh node,
   activated gossip interface) just in time to propose and vote;
 * **retirement after their round** — transient agents are torn down at
-  the next boundary unless re-selected.
+  the next boundary unless re-selected; only ``live`` ever referred to
+  one, so its chain replica, buffers and admission state are garbage.
 
 Role coverage: winners are computed for the proposer role, both
 reduction steps, BinaryBA* steps ``1..steps_ahead``, and the final
@@ -108,7 +109,6 @@ class Population:
         #: Live agents by slot (core + current transients).
         self.live: dict[int, Node] = {}
         self._targets: dict[int, int] = {}
-        self._retired: set[int] = set()
         #: Boundary bookkeeping: rounds whose winners are materialized.
         self._materialized_through = 0
         self._rounds_target = 0
@@ -117,8 +117,10 @@ class Population:
         self.retired_total = 0
         self.live_high_water = 0
 
-        for slot in self.core:
-            self._create_agent(slot)
+        # One genesis state, however large the core: the rest replicate.
+        genesis_chain = self._create_agent(self.core[0]).chain
+        for slot in self.core[1:]:
+            self._create_agent(slot, source=genesis_chain)
 
     # ------------------------------------------------------------------
     # Agent lifecycle
@@ -131,8 +133,8 @@ class Population:
                       ) -> Node:
         """Materialize one account as a full agent.
 
-        ``source`` is the boundary chain to replicate; ``None`` builds
-        a genesis chain (construction-time core agents).
+        ``source`` is the chain to replicate: the boundary chain, or at
+        construction the first core agent's. ``None`` builds genesis.
         """
         if source is None:
             chain = Blockchain(self.genesis.initial_balances,
@@ -143,7 +145,7 @@ class Population:
             chain = source.replica()
         node = build_node(
             self.config, self.genesis, slot, clock=self.env,
-            transport=self.network.interfaces[slot], backend=self.backend,
+            transport=self.network.interface(slot), backend=self.backend,
             registry=self.registry, obs=self.obs,
             node_class=self.node_class, directory=self._directory,
             chain=chain)
@@ -159,7 +161,6 @@ class Population:
     def _retire(self, slot: int) -> None:
         node = self.live.pop(slot)
         self._targets.pop(slot, None)
-        self._retired.add(slot)
         self.retired_total += 1
         process = node._round_process
         if process is not None and not process.done and not process.running:
@@ -172,6 +173,7 @@ class Population:
                 background.interrupt()
         node._background.clear()
         node.buffer.clear()
+        node.on_commit = None
         if self.obs is not None:
             # Close whatever step intervals the interrupted processes
             # held before announcing the retirement (conformance and

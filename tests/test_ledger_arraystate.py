@@ -18,7 +18,7 @@ from repro.crypto.hashing import H
 from repro.ledger.account import AccountState
 from repro.ledger.arraystate import AccountIndex, ArrayState, ArrayWeights
 from repro.ledger.blockchain import Blockchain
-from repro.ledger.transaction import make_transaction
+from repro.ledger.transaction import Transaction, make_transaction
 
 
 @pytest.fixture
@@ -84,6 +84,39 @@ class TestEquivalence:
             assert (array.next_nonce(kp.public)
                     == reference.next_nonce(kp.public))
 
+    def test_would_accept_decides_like_the_reference(self, fast_backend,
+                                                     users):
+        # Same oracle as the stream test, asked about whole batches:
+        # chained nonces, overspends that only the batch's earlier
+        # payments cause (or cure), stale nonces, self-payments.
+        keypairs, balances = users
+        rng = np.random.default_rng(1)
+        reference = AccountState(balances)
+        array = ArrayState(balances)
+        verdicts = set()
+        for _ in range(80):
+            nonces: dict[bytes, int] = {}
+            batch = []
+            for _ in range(int(rng.integers(1, 5))):
+                s, r = rng.integers(len(keypairs), size=2)
+                sender = keypairs[s].public
+                nonce = nonces.get(sender, reference.next_nonce(sender))
+                nonces[sender] = nonce + 1
+                batch.append(Transaction(
+                    sender=sender, recipient=keypairs[r].public,
+                    amount=int(rng.integers(1, 9)),
+                    nonce=nonce + int(rng.integers(8) == 0)))
+            buffer = array._balances
+            verdict = reference.would_accept(batch)
+            assert array.would_accept(batch) == verdict
+            assert array._balances is buffer and buffer.flags.writeable
+            verdicts.add(verdict)
+            if verdict:
+                reference.apply_all(batch)
+                array.apply_all(batch)
+        assert verdicts == {True, False}
+        assert dict(array.weights()) == dict(reference.weights())
+
     def test_drained_accounts_leave_the_mapping(self, fast_backend, users):
         keypairs, _ = users
         a, b = keypairs[0], keypairs[1]
@@ -108,6 +141,20 @@ class TestEquivalence:
         # both resolve through the same shared index
         assert clone.weights().index is array.weights().index
 
+    def test_a_copy_shares_the_buffer_until_one_side_writes(
+            self, fast_backend, users):
+        keypairs, balances = users
+        array = ArrayState(balances)
+        clone = array.copy()
+        assert clone._balances is array._balances
+        shared = array._balances
+        clone.apply(make_tx(fast_backend, keypairs[0], keypairs[1], 4, 0))
+        assert array._balances is shared  # the writer moved, not the rest
+        assert not np.shares_memory(clone._balances, shared)
+        array.apply(make_tx(fast_backend, keypairs[2], keypairs[3], 1, 0))
+        assert not np.shares_memory(array._balances, shared)
+        assert [int(b) for b in shared[:4]] == [10, 10, 10, 10]
+
 
 class TestSnapshots:
     def test_weights_cached_until_mutation(self, fast_backend, users):
@@ -131,6 +178,21 @@ class TestSnapshots:
         frozen = ArrayState(balances).weights().array
         with pytest.raises(ValueError):
             frozen[0] = 99
+
+    def test_a_snapshot_is_the_frozen_buffer_not_a_copy(self, fast_backend,
+                                                        users):
+        keypairs, balances = users
+        state = ArrayState(balances)
+        snapshot = state.weights()
+        assert snapshot.array is state._balances
+        clone = state.copy()
+        assert clone.weights() is snapshot  # the cache is inherited
+        state.apply(make_tx(fast_backend, keypairs[0], keypairs[1], 1, 0))
+        # one buffer copy for the write; the next snapshot freezes it
+        assert not np.shares_memory(state._balances, snapshot.array)
+        assert state.weights().array is state._balances
+        assert clone.weights() is snapshot
+        assert snapshot[keypairs[0].public] == 10
 
     def test_chain_weight_history_shares_snapshots(self, users):
         _, balances = users

@@ -16,15 +16,28 @@ Two bars, matching the representation's two levers:
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.common.errors import PopulationError
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import PopulationConfig, SimulationConfig
+from repro.experiments.harness import (
+    PopulationConfig,
+    Simulation,
+    SimulationConfig,
+)
+from repro.ledger.account import AccountState
+from repro.ledger.block import Block
+from repro.ledger.transaction import make_transaction
+from repro.node.agent import Node
 
 from tests.fixtures import (
     assert_chains_byte_identical as assert_byte_identical,
     run_sim,
+    run_traced,
 )
 
 
@@ -139,3 +152,137 @@ class TestValidation:
             SimulationConfig(
                 population=aggregated(steps_ahead=0)).validate()
 
+
+PAYING_CFG = dict(num_users=200, seed=2, params=TEST_PARAMS.scaled(0.1))
+
+
+class TestPaymentsUnderSharing:
+    """What the bench workload never runs: shared buffers, then payments."""
+
+    def test_full_core_stays_byte_identical(self):
+        full = run_sim(3, payments=40, **PAYING_CFG)
+        agg = run_sim(3, payments=40,
+                      population=aggregated(always_on_core=200),
+                      **PAYING_CFG)
+        assert full.nodes[0].chain.block_at(2).transactions
+        assert_byte_identical(full, agg, 3)
+
+    def test_replicas_cloned_after_a_paying_block(self):
+        agg, bus = run_traced(
+            3, payments=40, population=aggregated(always_on_core=16,
+                                                  steps_ahead=8),
+            **PAYING_CFG)
+        assert agg.all_chains_equal()
+        core = agg.nodes[0].chain
+        # Blocks 2 and 3 pay: round 3's fresh transients were cloned
+        # after the first and then committed the second themselves.
+        assert core.block_at(2).transactions
+        assert core.block_at(3).transactions
+        assert any(event["round"] == 3 and event["fresh"] > 0
+                   for event in bus.events_of_kind("population_boundary"))
+        oracle = AccountState(core.initial_balances)
+        expected = [dict(oracle.weights())]
+        for r in (1, 2, 3):
+            oracle.apply_all(core.block_at(r).transactions)
+            expected.append(dict(oracle.weights()))
+        assert expected[1] != expected[2] != expected[3]
+        transient_heights = set()
+        for slot, node in agg.population.live.items():
+            # (a transient may still be mid-round when the core is done)
+            if slot >= len(agg.population.core):
+                transient_heights.add(node.chain.height)
+            for r in range(node.chain.height + 1):
+                assert dict(node.chain.weights_at(r)) == expected[r]
+        assert 3 in transient_heights
+
+        # A replica answers from the very same snapshots; what it
+        # commits afterwards moves only itself.
+        replica = core.replica()
+        for r in range(4):
+            assert replica.weights_at(r) is core.weights_at(r)
+        payer, payee = agg.nodes[0].keypair, agg.nodes[1].keypair
+        tx = make_transaction(
+            agg.backend, payer.secret, payer.public, payee.public, 1,
+            replica.state.next_nonce(payer.public))
+        replica.append(Block(round_number=4, prev_hash=replica.tip_hash,
+                             timestamp=99.0, transactions=(tx,)))
+        assert (replica.weights_at(4)[payee.public]
+                == expected[3][payee.public] + 1)
+        assert core.state.balance(payee.public) == expected[3][payee.public]
+        for r, table in enumerate(expected):
+            assert dict(core.weights_at(r)) == table
+            assert replica.weights_at(r) is core.weights_at(r)
+
+
+def _distinct_buffers(arrays) -> int:
+    """How many separate memory blocks ``arrays`` occupy."""
+    blocks: list = []
+    for array in arrays:
+        if not any(np.shares_memory(array, block) for block in blocks):
+            blocks.append(array)
+    return len(blocks)
+
+
+class TestFootprint:
+    """Memory follows the committee: what retirement and dormancy free."""
+
+    @pytest.fixture(scope="class")
+    def sim(self):
+        return run_sim(2, num_users=2000, seed=20,
+                       params=TEST_PARAMS.scaled(0.25),
+                       population=aggregated(always_on_core=16,
+                                             steps_ahead=8))
+
+    def test_a_retired_agent_is_garbage(self, sim):
+        population = sim.population
+        assert population.stats()["retired_total"] > 0
+        gc.collect()
+        alive = [o for o in gc.get_objects()
+                 if isinstance(o, Node) and o.env is sim.env]
+        assert len(alive) == len(population.live)
+        assert {id(node) for node in alive} == {
+            id(node) for node in population.live.values()}
+        retired = [iface for iface in sim.network.interfaces
+                   if iface is not None
+                   and iface.index not in population.live]
+        assert len(retired) > 0
+        for iface in retired:
+            assert iface.ingress is None
+            assert not hasattr(iface.relay_policy, "__self__")
+
+    def test_a_dormant_account_has_no_interface(self, sim):
+        built = [iface for iface in sim.network.interfaces
+                 if iface is not None]
+        assert len(built) <= sim.population.stats()["materialized_total"]
+        per_node = sim.network.bytes_sent_per_node()
+        assert len(per_node) == 2000
+        assert sum(per_node) == sim.network.total_bytes_sent > 0
+
+    def test_live_chains_share_one_balance_buffer(self, sim):
+        # No payment was committed: every state and every snapshot of
+        # every live chain reads the genesis buffer.
+        arrays = []
+        for node in sim.population.live.values():
+            chain = node.chain
+            assert not any(chain.block_at(r).transactions
+                           for r in range(1, chain.height + 1))
+            arrays.append(chain.state.weights().array)
+            arrays.extend(chain.weights_at(r).array
+                          for r in range(chain.height + 1))
+        assert _distinct_buffers(arrays) <= 2
+
+    def test_dormant_accounts_cost_the_network_bytes_not_kilobytes(self):
+        config = SimulationConfig(
+            num_users=10_000, seed=20, params=TEST_PARAMS.scaled(0.25),
+            population=aggregated(always_on_core=16, steps_ahead=8))
+        tracemalloc.start()
+        try:
+            sim = Simulation(config)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        gossip = snapshot.filter_traces(
+            [tracemalloc.Filter(True, "*/network/gossip.py")])
+        held = sum(stat.size for stat in gossip.statistics("filename"))
+        dormant = 10_000 - len(sim.population.live)
+        assert held / dormant <= 400
