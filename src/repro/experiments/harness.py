@@ -1,7 +1,8 @@
 """Simulation harness: build and run whole Algorand deployments.
 
-One :class:`Simulation` owns an event loop, a gossip network, and ``n``
-nodes sharing a genesis; experiments configure it through
+One :class:`Simulation` owns an event loop, a gossip network, and a
+:class:`~repro.node.population.Population` of nodes sharing a genesis;
+experiments configure it through
 :class:`SimulationConfig` (see :mod:`repro.node.deployment` for the
 nested groups and the node builder) and read results from node metrics
 and the network's cost counters. Everything is deterministic in
@@ -29,7 +30,6 @@ from repro.node.deployment import (  # noqa: F401  (re-exported API)
     RuntimeConfig,
     SimulationConfig,
     SubstrateConfig,
-    build_node,
     deploy,
     derive_genesis,
     make_backend,
@@ -90,13 +90,7 @@ class Simulation:
         else:
             latency = UniformLatencyModel(network_cfg.uniform_latency)
         budgets = config.runtime.admission_budgets()
-        aggregated = config.population.mode == "aggregated"
-        core_size = min(config.population.always_on_core, config.num_users)
-        # When the core covers everyone there is no dormant stake; the
-        # classic (active=None) construction path keeps the aggregated
-        # deployment on the exact same RNG/event sequence as "full" —
-        # the basis of the byte-identical equivalence suite.
-        dormant = aggregated and core_size < config.num_users
+        core_size = config.population.core_size(total_nodes)
         self.network = GossipNetwork(
             self.env, total_nodes, self.rng, latency,
             peers_per_node=network_cfg.peers_per_node,
@@ -105,12 +99,15 @@ class Simulation:
             lane_budget_msgs=(budgets.egress_lane_budget
                               if budgets is not None else None),
             obs=obs,
-            active_indices=list(range(core_size)) if dormant else None,
+            # No dormant stake, no active set: a core that covers
+            # everyone builds every interface up front and draws peers
+            # on the RNG sequence the pinned goldens were recorded on.
+            active_indices=(list(range(core_size))
+                            if core_size < total_nodes else None),
         )
         if config.num_malicious and malicious_class is None:
             raise ConfigError(
                 "num_malicious > 0 requires a malicious_class")
-        first_malicious = config.num_users - config.num_malicious
 
         #: Network-wide quarantine state (None when admission is off).
         self.quarantine_directory: QuarantineDirectory | None = None
@@ -124,31 +121,18 @@ class Simulation:
             if network_cfg.reshuffle_peers_each_round:
                 self.network.reshuffle_peers()
 
-        #: Aggregated stake pool (None in classic full-agent mode).
-        self.population: Population | None = None
-        if aggregated:
-            self.population = Population(
-                config, genesis, env=self.env, backend=self.backend,
-                network=self.network, registry=self.registry,
-                node_class=node_class, obs=obs,
-                directory=self.quarantine_directory, round_hook=on_commit,
-            )
-            #: In aggregated mode ``nodes`` is the always-on core; the
-            #: per-round transients live in ``population.live``.
-            self.nodes: list[Node] = list(self.population.core_nodes)
-        else:
-            self.nodes = [
-                build_node(
-                    config, genesis, i, clock=self.env,
-                    transport=self.network.interfaces[i],
-                    backend=self.backend, registry=self.registry, obs=obs,
-                    node_class=(malicious_class
-                                if first_malicious <= i < config.num_users
-                                else node_class),
-                    directory=self.quarantine_directory)
-                for i in range(total_nodes)
-            ]
-            self.nodes[0].on_commit = on_commit
+        #: Builds every agent: the always-on core now, each round's
+        #: sortition winners among the dormant stake as they are drawn.
+        self.population = Population(
+            config, genesis, env=self.env, backend=self.backend,
+            network=self.network, registry=self.registry,
+            node_class=node_class, malicious_class=malicious_class,
+            obs=obs, directory=self.quarantine_directory,
+            round_hook=on_commit,
+        )
+        #: The always-on core — everyone, under ``mode="full"``; the
+        #: per-round transients live in ``population.live``.
+        self.nodes: list[Node] = self.population.core_nodes
 
     @property
     def observers(self) -> list[Node]:
@@ -165,12 +149,11 @@ class Simulation:
         Senders are drawn round-robin so nonces stay sequential; each
         payment is gossiped from its sender's node.
         """
-        # Observers neither pay nor earn; in aggregated mode payments
-        # circulate among the always-on core (the only agents guaranteed
-        # live to sign and gossip at injection time — dormant stake
-        # still votes with its balance, it just doesn't transact).
-        weighted = (len(self.nodes) if self.population is not None
-                    else self.config.num_users)
+        # Observers neither pay nor earn, and payments circulate among
+        # the always-on core (the only agents guaranteed live to sign
+        # and gossip at injection time — dormant stake still votes with
+        # its balance, it just doesn't transact).
+        weighted = min(len(self.nodes), self.config.num_users)
 
         def can_pay(index: int) -> bool:
             sender = self.nodes[index]
@@ -194,16 +177,11 @@ class Simulation:
 
     def run_rounds(self, rounds: int, time_limit: float | None = None,
                    max_events: int | None = None) -> None:
-        """Start every node and run until all reach ``rounds`` blocks.
-
-        Aggregated mode starts (and awaits) the always-on core; the
-        population materializes and retires transient winners on its
-        own at round boundaries.
+        """Start the always-on core and run until it reaches ``rounds``
+        blocks; the population materializes and retires transient
+        winners on its own at round boundaries.
         """
-        if self.population is not None:
-            processes = self.population.start(rounds)
-        else:
-            processes = [node.start(rounds) for node in self.nodes]
+        processes = self.population.start(rounds)
         # O(1) stop check: scanning every process per event dominated the
         # loop at hundreds of nodes. Done-callbacks fire synchronously
         # inside the finishing event, so the counter is always current.
@@ -224,12 +202,13 @@ class Simulation:
                      stop_when=lambda: pending == 0)
         self._selection_delta = SELECTION_STATS.delta_since(
             self._selection_baseline)
-        if self.population is not None:
+        if len(self.nodes) < self.population.num_accounts:
             # A round that runs deeper than steps_ahead has dormant
             # later-step committees; the core then exhausts MaxSteps and
             # halts. Surface that loudly instead of returning a short
-            # chain (full mode keeps its silent-halt semantics — the
-            # weak-synchrony and recovery suites depend on them).
+            # chain (with everyone on, a halt is the protocol's own and
+            # stays silent — the weak-synchrony and recovery suites
+            # depend on that).
             stalled = [node.index for node in self.nodes
                        if node.halted and node.chain.height < rounds]
             if stalled:
@@ -357,9 +336,8 @@ class Simulation:
             for name in ("hits", "misses", "negative_hits"):
                 metrics.set_counter("cache." + name, cache[name])
             metrics.set_gauge("cache.entries", cache["entries"])
-        if self.population is not None:
-            for name, value in self.population.stats().items():
-                metrics.set_gauge("population." + name, value)
+        for name, value in self.population.stats().items():
+            metrics.set_gauge("population." + name, value)
         if self.conformance is not None:
             self.conformance.harvest(metrics)
         metrics.set_counter("router.unknown_kind", sum(
@@ -402,9 +380,8 @@ class Simulation:
                                         for node in self.nodes),
             "sortition": dict(self._selection_delta),
             **self._runtime_counters(),
+            "population": self.population.stats(),
         }
-        if self.population is not None:
-            result["population"] = self.population.stats()
         if self.conformance is not None:
             verdict = self.conformance.verdict()
             result["conformance"] = {

@@ -1,6 +1,6 @@
 """Ledger substrate: transactions, accounts, blocks, chains, storage."""
 
-from repro.ledger.account import AccountState
+from repro.ledger.arraystate import AccountIndex, ArrayState, ArrayWeights
 from repro.ledger.block import (
     Block,
     empty_block,
@@ -24,7 +24,9 @@ from repro.ledger.storage import (
 from repro.ledger.transaction import Transaction, make_transaction
 
 __all__ = [
-    "AccountState",
+    "AccountIndex",
+    "ArrayState",
+    "ArrayWeights",
     "Block",
     "empty_block",
     "empty_block_hash",

@@ -1,19 +1,20 @@
-"""Array-backed account state for large populations.
+"""Account state: balances and nonces derived from the transaction log.
 
-The paper's evaluation reaches 500,000 users; holding every user's
-balance in a per-chain python dict (and copying that dict into a fresh
-snapshot at every round boundary, on every node) is what made large
-populations unaffordable. :class:`ArrayState` keeps balances in one
-numpy ``int64`` array keyed by a *stable account index* and exposes the
-same API as :class:`repro.ledger.account.AccountState`, including a
-dict-like :class:`ArrayWeights` view so every existing caller of
-``state.weights()`` keeps working unchanged.
+The list of transactions in the chain "logically translates to a set of
+weights for each user's public key" (section 8.1). :class:`ArrayState`
+is that translation — the only one: it applies blocks in order and
+exposes the weight table sortition reads. The paper's evaluation
+reaches 500,000 users, so balances live in one numpy ``int64`` array
+keyed by a *stable account index*, and the weight table is a dict-like
+:class:`ArrayWeights` view over a frozen buffer rather than a per-chain,
+per-round python dict.
 
-Three properties matter for the aggregated-population refactor:
+Three properties the rest of the stack builds on:
 
 * **Stable indices.** Public keys map to array slots through a shared,
   append-only :class:`AccountIndex`. All chain replicas of one
-  simulation share the registry, so the stake-pool sortition pass in
+  deployment share the registry (forks, catch-up replays and reloaded
+  chains included), so the stake-pool sortition pass in
   :mod:`repro.sortition.pool` can evaluate "one array" instead of one
   dict per chain. Append-only means forks can never disagree about a
   slot: a key present on any chain owns its slot everywhere.
@@ -29,10 +30,11 @@ Three properties matter for the aggregated-population refactor:
   record: a write that missed its copy raises ``ValueError`` instead of
   drifting a snapshot a round context already holds.
 
-Equivalence with ``AccountState`` is exact: same accepted/rejected
-transactions, same balances/nonces, and ``weights()`` exposes exactly
-the keys with positive balance (zero-balance accounts vanish from the
-view just as ``AccountState`` deletes their dict entries).
+``weights()`` exposes exactly the keys with positive balance
+(zero-balance accounts vanish from the view). The dict-backed
+implementation this replaced lives on as the test suites' oracle
+(``tests/reference_ledger.py``): same accepted/rejected transactions,
+same balances and nonces, same weight tables.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ from repro.ledger.transaction import Transaction
 class AccountIndex:
     """Shared append-only mapping public key -> stable array slot.
 
-    One instance per simulation; every :class:`ArrayState` of every
-    chain replica resolves keys through it. Growing the registry never
+    One instance per deployment (slot == node index for its key pairs,
+    see :func:`repro.node.deployment.derive_genesis`); every
+    :class:`ArrayState` of every chain replica resolves keys through
+    it. Growing the registry never
     invalidates existing states — their arrays simply read as zero for
     slots allocated after their last write.
     """
@@ -80,11 +84,6 @@ class AccountIndex:
 
     def key_of(self, slot: int) -> bytes:
         return self._keys[slot]
-
-    @property
-    def keys(self) -> list[bytes]:
-        """All registered keys, slot order (live list — do not mutate)."""
-        return self._keys
 
 
 class ArrayWeights(Mapping[bytes, int]):
@@ -125,8 +124,7 @@ class ArrayWeights(Mapping[bytes, int]):
         slot = self._index.get(public)
         if slot is None or slot >= len(self._balances):
             return default
-        balance = int(self._balances[slot])
-        return balance if balance else default
+        return self._balances.item(slot) or default
 
     def __iter__(self) -> Iterator[bytes]:
         balances = self._balances
@@ -153,9 +151,20 @@ class ArrayWeights(Mapping[bytes, int]):
     def index(self) -> AccountIndex:
         return self._index
 
+    def floored_by(self, other: "ArrayWeights") -> "ArrayWeights":
+        """Per-account minimum with ``other``, a snapshot on the same index.
+
+        Slots past the shorter buffer's end read as zero there, so the
+        floor past it is zero: truncating to the common length *is* the
+        zero-padded minimum.
+        """
+        n = min(len(self._balances), len(other._balances))
+        return ArrayWeights(self._index, np.minimum(self._balances[:n],
+                                                    other._balances[:n]))
+
 
 class ArrayState:
-    """Drop-in :class:`AccountState` replacement backed by one array."""
+    """Mutable balances/nonces; one instance per chain tip per node."""
 
     __slots__ = ("_index", "_balances", "_nonces", "_weights_cache")
 
@@ -194,6 +203,10 @@ class ArrayState:
         clone._weights_cache = self._weights_cache
         return clone
 
+    @property
+    def index(self) -> AccountIndex:
+        return self._index
+
     def balance(self, public: bytes) -> int:
         slot = self._index.get(public)
         if slot is None or slot >= len(self._balances):
@@ -205,6 +218,7 @@ class ArrayState:
 
     @property
     def total_weight(self) -> int:
+        """Total currency ``W`` — the sortition denominator."""
         return int(self._balances.sum())
 
     def weights(self) -> ArrayWeights:
@@ -218,6 +232,11 @@ class ArrayState:
         return self._weights_cache
 
     def check(self, tx: Transaction) -> None:
+        """Validate ``tx`` against current state (no signature check here).
+
+        Raises:
+            InvalidTransaction: on overspend or nonce mismatch.
+        """
         tx.check_shape()
         if tx.nonce != self.next_nonce(tx.sender):
             raise InvalidTransaction(
@@ -229,6 +248,7 @@ class ArrayState:
             )
 
     def apply(self, tx: Transaction) -> None:
+        """Apply a validated transaction; raises if it does not validate."""
         self.check(tx)
         self._weights_cache = None
         self._set(tx.sender, self.balance(tx.sender) - tx.amount)
@@ -240,7 +260,8 @@ class ArrayState:
             self.apply(tx)
 
     def would_accept(self, transactions: Iterable[Transaction]) -> bool:
-        """Dry-run on sparse deltas over the arrays: O(txs), no copy."""
+        """Dry-run validity of a transaction sequence (used by validators):
+        sparse deltas over the arrays, O(txs), no copy."""
         deltas: dict[bytes, int] = {}
         nonces: dict[bytes, int] = {}
         for tx in transactions:

@@ -21,7 +21,7 @@ from repro.ledger.transaction import Transaction
 
 if TYPE_CHECKING:
     from repro.crypto.backend import CryptoBackend
-    from repro.ledger.account import AccountState
+    from repro.ledger.arraystate import ArrayState
 
 #: Serialized overhead per block besides transactions (metadata, proofs).
 BLOCK_HEADER_OVERHEAD = 360
@@ -101,7 +101,7 @@ def empty_block_hash(round_number: int, prev_hash: bytes) -> bytes:
 
 
 def validate_block(block: Block, *, backend: "CryptoBackend",
-                   state: "AccountState", prev_hash: bytes,
+                   state: "ArrayState", prev_hash: bytes,
                    round_number: int, prev_timestamp: float,
                    now: float, max_clock_skew: float = 3600.0,
                    check_signatures: bool = True) -> None:

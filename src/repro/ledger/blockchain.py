@@ -14,10 +14,10 @@ alternative block sequence sharing the same genesis.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.common.errors import LedgerError
-from repro.ledger.account import AccountState
+from repro.ledger.arraystate import AccountIndex, ArrayState, ArrayWeights
 from repro.ledger.block import Block
 from repro.sortition.seed import SeedChain, fallback_seed
 
@@ -35,33 +35,25 @@ class Blockchain:
 
     def __init__(self, initial_balances: Mapping[bytes, int],
                  genesis_seed: bytes, seed_refresh_interval: int,
-                 state_factory: Callable[[Mapping[bytes, int]],
-                                         AccountState] = AccountState) -> None:
+                 index: AccountIndex | None = None) -> None:
+        """``index`` is the deployment's key -> slot registry; replicas,
+        forks and catch-up replays inherit it. Omitted: a private one."""
         if not initial_balances:
             raise LedgerError("initial balances must be non-empty")
-        # Read-only here: a deployment's chains share one genesis table.
-        self._initial_balances = initial_balances
         self._genesis_seed = genesis_seed
-        #: Builds the state representation: :class:`AccountState` (dict)
-        #: by default, or an aggregated-population
-        #: :class:`repro.ledger.arraystate.ArrayState` bound to a shared
-        #: account index. Both expose the same API; replicas and forks
-        #: inherit the factory.
-        self._state_factory = state_factory
         self._blocks: list[Block] = [make_genesis(genesis_seed)]
         self._certificates: dict[int, object] = {}
         # Final-step certificates (section 8.3): proof that a round's
         # block was designated final — one suffices to establish safety
         # of the whole prefix.
         self._final_certificates: dict[int, object] = {}
-        self._state = state_factory(initial_balances)
+        self._state = ArrayState(initial_balances, index=index)
         self._seeds = SeedChain(genesis_seed, seed_refresh_interval)
         # Per-round weight snapshots (index == round number), supporting
         # the section 5.3 weight look-back. Entries are the *shared*
         # frozen mappings state.weights() caches — rounds without
         # balance changes alias one snapshot object.
-        self._weight_history: list[Mapping[bytes, int]] = [
-            self._state.weights()]
+        self._weight_history: list[ArrayWeights] = [self._state.weights()]
 
     # --- Read API ---------------------------------------------------------
 
@@ -70,9 +62,15 @@ class Blockchain:
         return tuple(self._blocks)
 
     @property
-    def initial_balances(self) -> dict[bytes, int]:
-        """Genesis balances (copy) — what a bootstrapping user starts from."""
-        return dict(self._initial_balances)
+    def initial_balances(self) -> ArrayWeights:
+        """Genesis balances — what a bootstrapping user starts from: the
+        round-0 snapshot itself, frozen and shared, never a copy."""
+        return self._weight_history[0]
+
+    @property
+    def index(self) -> AccountIndex:
+        """The key -> slot registry this chain's state resolves through."""
+        return self._state.index
 
     @property
     def genesis_seed(self) -> bytes:
@@ -96,7 +94,7 @@ class Blockchain:
         return self.last_block.block_hash
 
     @property
-    def state(self) -> AccountState:
+    def state(self) -> ArrayState:
         return self._state
 
     def block_at(self, round_number: int) -> Block:
@@ -132,7 +130,7 @@ class Blockchain:
     def seed_of_round(self, round_number: int) -> bytes:
         return self._seeds.seed_of_round(round_number)
 
-    def weights_at(self, round_number: int) -> Mapping[bytes, int]:
+    def weights_at(self, round_number: int) -> ArrayWeights:
         """Weight table as of the end of ``round_number`` (0 == genesis).
 
         Backs the section 5.3 look-back: sortition may be evaluated
@@ -196,9 +194,8 @@ class Blockchain:
         Used when recovery decides a different fork wins: state and seeds
         are recomputed from scratch, validating linkage along the way.
         """
-        clone = Blockchain(self._initial_balances, self._genesis_seed,
-                           self._seeds.refresh_interval,
-                           state_factory=self._state_factory)
+        clone = Blockchain(self.initial_balances, self._genesis_seed,
+                           self._seeds.refresh_interval, index=self.index)
         for block in blocks:
             clone.append(block)
         return clone
@@ -216,9 +213,7 @@ class Blockchain:
         byte-identical to what a genesis replay would produce.
         """
         clone = Blockchain.__new__(Blockchain)
-        clone._initial_balances = self._initial_balances
         clone._genesis_seed = self._genesis_seed
-        clone._state_factory = self._state_factory
         clone._blocks = list(self._blocks)
         clone._certificates = dict(self._certificates)
         clone._final_certificates = dict(self._final_certificates)

@@ -13,7 +13,7 @@ from collections import OrderedDict
 from typing import Iterable
 
 from repro.common.errors import InvalidTransaction
-from repro.ledger.account import AccountState
+from repro.ledger.arraystate import ArrayState
 from repro.ledger.transaction import Transaction
 
 
@@ -53,7 +53,7 @@ class Mempool:
             if tx is not None:
                 self._bytes -= tx.size
 
-    def next_nonce_for(self, state: AccountState, sender: bytes) -> int:
+    def next_nonce_for(self, state: ArrayState, sender: bytes) -> int:
         """First nonce ``sender`` can safely use: past both committed
         state and this pool's pending transactions."""
         nonce = state.next_nonce(sender)
@@ -62,7 +62,7 @@ class Mempool:
                 nonce = tx.nonce + 1
         return nonce
 
-    def assemble(self, state: AccountState, max_block_bytes: int
+    def assemble(self, state: ArrayState, max_block_bytes: int
                  ) -> list[Transaction]:
         """Greedily pick valid transactions up to ``max_block_bytes``.
 
@@ -86,7 +86,7 @@ class Mempool:
         return chosen
 
     def prune_committed(self, block_transactions: Iterable[Transaction],
-                        state: AccountState) -> None:
+                        state: ArrayState) -> None:
         """Drop committed transactions and any now-invalid leftovers."""
         self.remove(tx.txid for tx in block_transactions)
         stale = []

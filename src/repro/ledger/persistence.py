@@ -17,6 +17,7 @@ from repro.common.encoding import decode, encode
 from repro.common.errors import LedgerError
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend
+from repro.ledger.arraystate import AccountIndex
 from repro.ledger.blockchain import Blockchain
 
 #: Format marker + version for forward compatibility.
@@ -41,8 +42,10 @@ def chain_to_bytes(chain: Blockchain) -> bytes:
 def chain_from_bytes(data: bytes, *,
                      initial_balances: Mapping[bytes, int],
                      genesis_seed: bytes, params: ProtocolParams,
-                     backend: CryptoBackend) -> Blockchain:
-    """Rebuild and revalidate a chain from :func:`chain_to_bytes` output.
+                     backend: CryptoBackend,
+                     index: AccountIndex | None = None) -> Blockchain:
+    """Rebuild and revalidate a chain from :func:`chain_to_bytes` output,
+    onto ``index`` (the caller's deployment's; a private one if omitted).
 
     Raises:
         LedgerError / InvalidCertificate: if the payload is malformed or
@@ -71,6 +74,7 @@ def chain_from_bytes(data: bytes, *,
     return replay_chain(
         blocks, certificates, initial_balances=initial_balances,
         genesis_seed=genesis_seed, params=params, backend=backend,
+        index=index,
     )
 
 
@@ -83,10 +87,11 @@ def save_chain(chain: Blockchain, path: str | Path) -> int:
 
 def load_chain(path: str | Path, *,
                initial_balances: Mapping[bytes, int], genesis_seed: bytes,
-               params: ProtocolParams,
-               backend: CryptoBackend) -> Blockchain:
+               params: ProtocolParams, backend: CryptoBackend,
+               index: AccountIndex | None = None) -> Blockchain:
     """Read and revalidate a chain previously written by :func:`save_chain`."""
     return chain_from_bytes(
         Path(path).read_bytes(), initial_balances=initial_balances,
         genesis_seed=genesis_seed, params=params, backend=backend,
+        index=index,
     )

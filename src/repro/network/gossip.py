@@ -233,9 +233,9 @@ class RelayCore:
 class NetworkInterface(RelayCore):
     """The sim byte-mover: one node's attachment to the gossip network.
 
-    Only *activated* interfaces drain their egress lanes. The classic
-    full-agent deployment builds and activates every interface at
-    construction, in index order; the aggregated population builds one
+    Only *activated* interfaces drain their egress lanes. A deployment
+    whose core is everyone builds and activates every interface at
+    construction, in index order; one with dormant stake builds one
     when its account first becomes an agent (a never-selected account
     owns no relay state) and parks it when the agent retires: cut off,
     lanes empty, agent let go, counters and dedup generations kept.
@@ -474,9 +474,10 @@ class GossipNetwork:
         #: maintained by :meth:`set_quarantined`.
         self.quarantined: frozenset[int] = frozenset()
         #: Aggregated-population mode: only these slots participate in
-        #: the gossip fabric. ``None`` (classic mode) means every slot
-        #: is live — and follows the original construction path exactly
-        #: (same first-drain order, same topology RNG consumption).
+        #: the gossip fabric. ``None`` (everyone always on) means every
+        #: slot is live — and follows the original construction path
+        #: exactly (same first-drain order, same topology RNG
+        #: consumption).
         self.active: frozenset[int] | None = (
             frozenset(active_indices) if active_indices is not None
             else None)
@@ -534,7 +535,7 @@ class GossipNetwork:
         is rebuilt over the new active set. No-op when the set is
         unchanged — in particular, an aggregated deployment whose core
         covers the whole population never reshuffles here, keeping its
-        RNG stream identical to the classic construction.
+        RNG stream identical to the ``active_indices=None`` construction.
         """
         active = frozenset(indices)
         if active == self.active:

@@ -20,7 +20,7 @@ All incoming gossip is handled synchronously in the relay-policy callback
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.baplus.buffer import VoteBuffer
 from repro.baplus.certificate import Certificate, build_certificate
@@ -42,6 +42,7 @@ from repro.common.errors import (ConsensusHalted, InvalidBlock, LedgerError,
                                  SimulationError)
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend, KeyPair
+from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block, empty_block, empty_block_hash, validate_block
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.mempool import Mempool
@@ -70,26 +71,23 @@ from repro.sortition.selection import sortition
 
 
 def sortition_weights(chain: Blockchain, params: ProtocolParams,
-                      round_number: int) -> Mapping[bytes, int]:
+                      round_number: int) -> ArrayWeights:
     """Weight table for sortition at ``round_number`` (section 5.3).
 
     With ``weight_lookback_rounds == 0`` this is the current table;
     otherwise the snapshot from ``lookback`` rounds ago, optionally
     floored by current balances (``lookback_take_min``, the paper's
-    nothing-at-stake mitigation). Nodes memoize it per round, the
-    aggregated pool converts it to its slot array — one table, so pool
-    selection and the materialized agents' own sortition calls agree.
+    nothing-at-stake mitigation) — one array minimum over the two
+    snapshot buffers. A node's round context holds it, the stake pool
+    reads its array — one table, so pool selection and the materialized
+    agents' own sortition calls agree.
     """
     lookback = params.weight_lookback_rounds
     if lookback == 0:
         return chain.state.weights()
     weights = chain.weights_at(max(0, round_number - 1 - lookback))
     if params.lookback_take_min:
-        current = chain.state.weights()
-        floored = ((public, min(balance, current.get(public, 0)))
-                   for public, balance in weights.items())
-        weights = {public: balance for public, balance in floored
-                   if balance}
+        weights = weights.floored_by(chain.state.weights())
     return weights
 
 
@@ -148,11 +146,6 @@ class Node:
         # the same round's context once per delivered envelope, and the
         # weight-table rebuild dominates that path.
         self._ctx_memo: tuple[tuple[int, int, bytes], BAContext] | None = None
-        # Memo for _sortition_weights keyed (round, lookback): the
-        # look-back min-merge rebuilds an N-entry dict per call
-        # otherwise. Commit invalidates it (the table may shift with the
-        # new block), as do resync/crash (the whole chain may).
-        self._weights_memo: dict[tuple[int, int], Mapping[bytes, int]] = {}
         self.participant = BAParticipant(
             env=env, params=params, backend=backend, buffer=self.buffer,
             keypair=keypair, gossip_vote=self._gossip_vote,
@@ -315,7 +308,6 @@ class Node:
         self._seen_priorities.clear()
         self.fork_monitor.clear()
         self._ctx_memo = None
-        self._weights_memo.clear()
         if self.admission is not None:
             self.admission.reset()
         if self.damper is not None:
@@ -366,22 +358,12 @@ class Node:
             return self._ctx_memo[1]
         ctx = BAContext.from_weights(
             seed=self.chain.selection_seed(round_number),
-            weights=self._sortition_weights(round_number),
+            weights=sortition_weights(self.chain, self.params,
+                                      round_number),
             last_block_hash=self.chain.tip_hash,
         )
         self._ctx_memo = (memo_key, ctx)
         return ctx
-
-    def _sortition_weights(self, round_number: int) -> Mapping[bytes, int]:
-        """:func:`sortition_weights` of this node's chain, memoized per
-        (round, lookback) until the next commit — admission asks for the
-        same round's table once per delivered envelope."""
-        memo_key = (round_number, self.params.weight_lookback_rounds)
-        cached = self._weights_memo.get(memo_key)
-        if cached is None:
-            cached = self._weights_memo[memo_key] = sortition_weights(
-                self.chain, self.params, round_number)
-        return cached
 
     def _round_loop(self, target_height: int):
         while self.chain.height < target_height and not self.halted:
@@ -432,7 +414,6 @@ class Node:
         from_height = self.chain.height
         self.chain = adopted
         self._ctx_memo = None
-        self._weights_memo.clear()
         if self.obs is not None:
             self.obs.emit("catchup_adopted", node=self.index,
                           round=self.chain.next_round,
@@ -686,7 +667,6 @@ class Node:
         self.chain.append(block, certificate, seed_override=accepted_seed(
             self.backend, block,
             self.chain.seed_of_round(round_number - 1), round_number))
-        self._weights_memo.clear()
         self.mempool.prune_committed(block.transactions, self.chain.state)
         if self.on_commit is not None:
             self.on_commit(round_number)

@@ -47,6 +47,7 @@ from repro.baplus.context import BAContext
 from repro.common.errors import InvalidCertificate, LedgerError
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend
+from repro.ledger.arraystate import AccountIndex
 from repro.ledger.block import Block
 from repro.ledger.blockchain import Blockchain
 from repro.network.message import Envelope
@@ -62,13 +63,16 @@ def replay_chain(blocks: Iterable[Block],
                  certificates: Mapping[int, Certificate],
                  *, initial_balances: Mapping[bytes, int],
                  genesis_seed: bytes, params: ProtocolParams,
-                 backend: CryptoBackend) -> Blockchain:
+                 backend: CryptoBackend,
+                 index: AccountIndex | None = None) -> Blockchain:
     """Validate a downloaded history and return the reconstructed chain.
 
     Args:
         blocks: the chain's blocks for rounds ``1..n``, in order.
         certificates: one certificate per round (at minimum for every
             round being trusted; a missing certificate fails validation).
+        index: the account index to replay onto — the caller's own
+            chain's, when the result may replace it.
 
     Raises:
         InvalidCertificate: if any round's certificate does not verify
@@ -76,7 +80,7 @@ def replay_chain(blocks: Iterable[Block],
         LedgerError: if blocks do not link or transactions do not apply.
     """
     chain = Blockchain(initial_balances, genesis_seed,
-                       params.seed_refresh_interval)
+                       params.seed_refresh_interval, index=index)
     for block in blocks:
         round_number = chain.next_round
         if block.round_number != round_number:
@@ -309,6 +313,7 @@ class ChainSync:
                 initial_balances=node.chain.initial_balances,
                 genesis_seed=node.chain.genesis_seed,
                 params=node.params, backend=node.backend,
+                index=node.chain.index,
             )
         except (InvalidCertificate, LedgerError):
             self.rejected += 1
@@ -352,7 +357,7 @@ def resync_from_peers(node: "Node",
         return catch_up_from(
             best, params=node.params, backend=node.backend,
             initial_balances=node.chain.initial_balances,
-            genesis_seed=node.chain.genesis_seed,
+            genesis_seed=node.chain.genesis_seed, index=node.chain.index,
         )
     except (InvalidCertificate, LedgerError):
         return None
@@ -361,7 +366,8 @@ def resync_from_peers(node: "Node",
 def catch_up_from(node_chain: Blockchain, *, params: ProtocolParams,
                   backend: CryptoBackend,
                   initial_balances: Mapping[bytes, int],
-                  genesis_seed: bytes) -> Blockchain:
+                  genesis_seed: bytes,
+                  index: AccountIndex | None = None) -> Blockchain:
     """Bootstrap a fresh replica from another node's chain + certificates.
 
     Convenience wrapper used in tests and examples: extracts blocks and
@@ -372,5 +378,5 @@ def catch_up_from(node_chain: Blockchain, *, params: ProtocolParams,
     return replay_chain(
         announcement.blocks, announcement.certificates,
         initial_balances=initial_balances, genesis_seed=genesis_seed,
-        params=params, backend=backend,
+        params=params, backend=backend, index=index,
     )

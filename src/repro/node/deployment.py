@@ -7,16 +7,17 @@ configure and wire the *same* node instead of three look-alikes:
 * :class:`SimulationConfig` — seven scalars plus one frozen group per
   consuming layer: :class:`NetworkConfig` (gossip fabric),
   :class:`RuntimeConfig` (verification cache, admission gate, relay
-  damping), :class:`PopulationConfig` (full agents vs the aggregated
-  stake pool) and :class:`SubstrateConfig` (virtual time in
+  damping), :class:`PopulationConfig` (who is an always-on agent, who
+  dormant pool stake) and :class:`SubstrateConfig` (virtual time in
   one process, or OS processes over sockets). Each group owns its
   ``validate()``; :meth:`SimulationConfig.validate` adds the cross-field
   checks. :meth:`SimulationConfig.to_json` / ``from_json`` are what
   crosses a process boundary: a live node runs on the coordinator's
   config, not on defaults of its own.
-* :func:`derive_genesis` — key pairs, balances and the genesis seed,
-  all functions of ``config.seed``, so every process of a deployment
-  derives the same :class:`Genesis` without exchanging it.
+* :func:`derive_genesis` — key pairs, balances, the key -> slot index
+  and the genesis seed, all functions of ``config.seed``, so every
+  process of a deployment derives the same :class:`Genesis` without
+  exchanging it.
 * :func:`build_node` — the only place a node stack is wired: chain,
   agent, admission gate, relay damper. The clock and the transport are
   injected, which is all that distinguishes the substrates here.
@@ -46,6 +47,7 @@ from repro.crypto.backend import (
     KeyPair,
 )
 from repro.crypto.hashing import H
+from repro.ledger.arraystate import AccountIndex
 from repro.ledger.blockchain import Blockchain
 from repro.node.agent import Node
 from repro.node.registry import BlockRegistry
@@ -138,15 +140,14 @@ class RuntimeConfig:
 
 @dataclass(frozen=True)
 class PopulationConfig:
-    """How users are represented during a run."""
+    """Who is an always-on agent of the deployment's
+    :class:`repro.node.population.Population`, and who dormant stake."""
 
-    #: ``"full"`` (classic) builds every user as a live agent for the
-    #: whole run. ``"aggregated"`` holds non-participants as a weighted
-    #: stake pool (:class:`repro.node.population.Population`):
-    #: array-backed balances, full agents only for the always-on core
-    #: plus each round's sortition winners. Honest-only. With
-    #: ``always_on_core >= num_users`` the aggregated run commits chains
-    #: byte-identical to ``"full"``.
+    #: ``"full"``: every user (and observer) is a live agent for the
+    #: whole run. ``"aggregated"``: only the first ``always_on_core``
+    #: users are; the rest are weighted pool stake, materialized as full
+    #: agents for the rounds sortition selects them. Honest-only. With
+    #: ``always_on_core >= num_users`` that *is* ``"full"``.
     mode: str = "full"
     #: Aggregated mode: how many always-on full agents (lowest indices).
     always_on_core: int = 16
@@ -167,6 +168,12 @@ class PopulationConfig:
             if self.steps_ahead < 1:
                 raise PopulationError(
                     f"steps_ahead must be >= 1, got {self.steps_ahead}")
+
+    def core_size(self, accounts: int) -> int:
+        """How many of ``accounts`` (lowest indices) are always on."""
+        if self.mode == "full":
+            return accounts
+        return min(self.always_on_core, accounts)
 
 
 @dataclass(frozen=True)
@@ -384,8 +391,10 @@ class Genesis:
     #: exist as keys only — on every substrate.
     initial_balances: dict[bytes, int]
     seed: bytes
-    #: Public key -> node index (admission's origin-blame lookups).
-    index_of: dict[bytes, int]
+    #: The deployment's one public key -> slot map, slot == node index
+    #: for every key pair: every chain's array state resolves through it
+    #: and admission's origin-blame lookups read it.
+    index_of: AccountIndex
 
 
 def derive_genesis(config: SimulationConfig,
@@ -400,7 +409,7 @@ def derive_genesis(config: SimulationConfig,
                           for kp, balance in zip(keypairs, balances)
                           if balance > 0},
         seed=H(b"genesis", encode(config.seed)),
-        index_of={kp.public: i for i, kp in enumerate(keypairs)},
+        index_of=AccountIndex(kp.public for kp in keypairs),
     )
 
 
@@ -412,14 +421,15 @@ def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
                chain: Blockchain | None = None) -> Node:
     """Wire one node stack onto an injected clock and transport.
 
-    ``chain`` defaults to a fresh genesis chain; the aggregated
-    population passes an array-backed genesis or a boundary replica.
+    ``chain`` defaults to a fresh genesis chain on the deployment's
+    account index; the population passes replicas of one.
     ``directory`` is the network-wide quarantine state (sim only: a live
     node scores its peers locally and severs nobody else's links).
     """
     if chain is None:
         chain = Blockchain(genesis.initial_balances, genesis.seed,
-                           config.params.seed_refresh_interval)
+                           config.params.seed_refresh_interval,
+                           index=genesis.index_of)
     node = node_class(
         index=index, env=clock, keypair=genesis.keypairs[index],
         backend=backend, params=config.params, chain=chain,

@@ -1,17 +1,20 @@
-"""Aggregated population: a stake pool plus lazily materialized agents.
+"""The population: a stake pool plus the agents that are live right now.
 
-The classic harness builds one live :class:`~repro.node.agent.Node` per
-user — N chains, N vote buffers, N gossip interfaces — even though a
-round's behaviour is determined by its committee-sized fraction of the
-population. :class:`Population` replaces "build N nodes" with:
+Every sim deployment is built here, through one call per agent
+(:func:`repro.node.deployment.build_node`). A round's behaviour is
+determined by its committee-sized fraction of the users, so a
+:class:`Population` holds:
 
 * an **aggregated stake pool** — every account's key pair and balance,
-  held as arrays keyed by the stable slot index of
-  :class:`repro.ledger.arraystate.AccountIndex` (slot == simulation
+  held as arrays keyed by the deployment's stable slot index
+  (:class:`repro.ledger.arraystate.AccountIndex`, slot == simulation
   node index);
 * an **always-on core** — the first ``core_size`` accounts stay full
   agents for the whole run (they anchor liveness measurements, carry
-  transaction injection, and drive round completion);
+  transaction injection, and drive round completion).
+  ``PopulationConfig(mode="full")`` is the core that is everyone:
+  users, Byzantine users (``malicious_class`` on the highest user
+  slots) and zero-stake observers;
 * **materialization on selection** — at each round boundary one
   vectorized pool-sortition pass (:func:`repro.sortition.pool
   .pool_select`) finds every account selected for the coming round's
@@ -29,32 +32,28 @@ binary step 1 and its deciders then vote steps 2-4 (Algorithm 8's
 "next three steps" steering), so 4 covers the clean-path traffic
 exactly; pathological rounds that run deeper than ``steps_ahead``
 simply lose those later committees' (dormant) votes — acceptable for
-the honest large-scale deployments this mode targets, and configurable
-upward. Adversarial experiments keep the full-agent mode.
+the honest large-scale deployments a small core targets, and
+configurable upward. Adversarial experiments keep everyone always-on.
 
 The boundary trigger is the *first* commit of each round across the
 live agents: no agent has started the next round at that instant, so a
 freshly materialized winner never misses next-round gossip.
 
-Equivalence: when the core covers the whole population there is no
-dormant stake — no pool pass runs, no topology changes happen, and the
-deployment must commit byte-identical chains to the classic full-agent
-harness (asserted by the representation-equivalence suite). With a
-small core, committed *content* diverges only through block timestamps
-(commit times shift with the thinner relay fabric), while the
-protocol-outcome trajectory — proposer sequence and seed chain, which
-depend solely on VRFs — stays identical to the full run.
+When the core covers the whole population there is no dormant stake —
+no pool pass runs, no topology changes happen, no RNG draw or event is
+spent on the pool. With a small core, committed *content* diverges from
+the everyone-on run only through block timestamps (commit times shift
+with the thinner relay fabric), while the protocol-outcome trajectory —
+proposer sequence and seed chain, which depend solely on VRFs — stays
+identical to it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import Callable
 
 from repro.baplus.voting import interrupt_open_steps
 from repro.crypto.backend import CryptoBackend
-from repro.ledger.arraystate import AccountIndex, ArrayState, ArrayWeights
 from repro.ledger.blockchain import Blockchain
 from repro.network.gossip import GossipNetwork
 from repro.node.agent import Node, sortition_weights
@@ -78,7 +77,8 @@ class Population:
     def __init__(self, config: SimulationConfig, genesis: Genesis, *,
                  env: Environment, backend: CryptoBackend,
                  network: GossipNetwork, registry: BlockRegistry,
-                 node_class: type[Node] = Node, obs=None,
+                 node_class: type[Node] = Node,
+                 malicious_class: type[Node] | None = None, obs=None,
                  directory: QuarantineDirectory | None = None,
                  round_hook: Callable[[int], None] | None = None) -> None:
         self.config = config
@@ -90,20 +90,21 @@ class Population:
         self.registry = registry
         self.steps_ahead = config.population.steps_ahead
         self.node_class = node_class
+        self.malicious_class = malicious_class
         self.obs = obs
         self._directory = directory
         #: Harness round hook (seen-set pruning, quarantine round end,
         #: optional reshuffle) — invoked on the designated core agent's
-        #: commits, exactly as the classic harness does via node 0.
+        #: (node 0's) commits.
         self._round_hook = round_hook
 
         keypairs = genesis.keypairs
         self.num_accounts = len(keypairs)
-        self.core = list(range(min(config.population.always_on_core,
-                                   self.num_accounts)))
+        self.core = list(range(
+            config.population.core_size(self.num_accounts)))
         self._all_core = len(self.core) == self.num_accounts
         #: Stable account index: slot i == simulation node index i.
-        self.index = AccountIndex(kp.public for kp in keypairs)
+        self.index = genesis.index_of
         self._secrets = [kp.secret for kp in keypairs]
 
         #: Live agents by slot (core + current transients).
@@ -126,9 +127,6 @@ class Population:
     # Agent lifecycle
     # ------------------------------------------------------------------
 
-    def _state_factory(self, initial: Mapping[bytes, int]) -> ArrayState:
-        return ArrayState(initial, index=self.index)
-
     def _create_agent(self, slot: int, source: Blockchain | None = None
                       ) -> Node:
         """Materialize one account as a full agent.
@@ -136,19 +134,18 @@ class Population:
         ``source`` is the chain to replicate: the boundary chain, or at
         construction the first core agent's. ``None`` builds genesis.
         """
-        if source is None:
-            chain = Blockchain(self.genesis.initial_balances,
-                               self.genesis.seed,
-                               self.params.seed_refresh_interval,
-                               state_factory=self._state_factory)
-        else:
-            chain = source.replica()
+        # Byzantine users occupy the highest *user* slots (observers
+        # follow them), so slot 0 is always an honest agent.
+        users = self.config.num_users
+        malicious = users - self.config.num_malicious <= slot < users
         node = build_node(
             self.config, self.genesis, slot, clock=self.env,
             transport=self.network.interface(slot), backend=self.backend,
             registry=self.registry, obs=self.obs,
-            node_class=self.node_class, directory=self._directory,
-            chain=chain)
+            node_class=(self.malicious_class if malicious
+                        else self.node_class),
+            directory=self._directory,
+            chain=source.replica() if source is not None else None)
         node.on_commit = (
             lambda round_number, _node=node: self.note_commit(
                 _node, round_number))
@@ -234,7 +231,7 @@ class Population:
         pass for round ``r + 1`` — at that instant nobody has begun
         round ``r + 1``, so winners materialize before any of its
         gossip exists. The designated core agent's commit additionally
-        runs the harness round hook (matching classic node-0 wiring).
+        runs the harness round hook.
         """
         if round_number > self._materialized_through:
             next_round = round_number + 1
@@ -248,9 +245,8 @@ class Population:
                            reference: Blockchain) -> None:
         if self._all_core:
             # No dormant stake: nothing to select, retire, or rewire —
-            # and critically no extra RNG/event consumption, which is
-            # what keeps this configuration byte-identical to the
-            # classic full-agent harness.
+            # and critically no RNG/event consumption (the pinned
+            # goldens of every-user-on runs predate the pool).
             return
         winners = self.select_round(round_number, reference)
         for slot in sorted(set(self.live) - set(self.core) - winners):
@@ -289,32 +285,20 @@ class Population:
                       params.tau_final))
         return roles
 
-    def _slot_weights(self, reference: Blockchain,
-                      round_number: int) -> tuple[np.ndarray, int]:
-        """The section 5.3 table (:func:`sortition_weights`, the one the
-        materialized agents answer from) as an array over pool slots."""
-        weights = sortition_weights(reference, self.params, round_number)
-        n = self.num_accounts
-        if (isinstance(weights, ArrayWeights)
-                and weights.index is self.index
-                and len(weights.array) >= n):
-            return weights.array[:n], weights.total
-        array = np.zeros(n, dtype=np.int64)
-        for public, balance in weights.items():
-            slot = self.index.get(public)
-            if slot is not None and slot < n:
-                array[slot] = balance
-        return array, int(array.sum())
-
     def select_round(self, round_number: int,
                      reference: Blockchain) -> set[int]:
-        """Slots selected for any of ``round_number``'s covered roles."""
-        weights, total_weight = self._slot_weights(reference, round_number)
+        """Slots selected for any of ``round_number``'s covered roles.
+
+        Reads the section 5.3 table the materialized agents answer from
+        (:func:`sortition_weights`), so pool and agents agree.
+        """
+        table = sortition_weights(reference, self.params, round_number)
+        weights = table.array[:self.num_accounts]
         seed = reference.selection_seed(round_number)
         winners: set[int] = set()
         for role, tau in self._round_roles(round_number):
             selection = pool_select(self.backend, self._secrets, weights,
-                                    tau, total_weight, seed, role)
+                                    tau, table.total, seed, role)
             winners.update(selection.winners)
         return winners
 

@@ -66,6 +66,7 @@ from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 
 if TYPE_CHECKING:
     from repro.baplus.context import BAContext  # pragma: no cover - typing only
+    from repro.ledger.arraystate import AccountIndex
     from repro.network.gossip import GossipNetwork
     from repro.node.agent import Node
 
@@ -308,11 +309,13 @@ class AdmissionControl:
 
     def __init__(self, node: "Node", config: AdmissionConfig,
                  directory: QuarantineDirectory | None = None,
-                 index_of: dict[bytes, int] | None = None) -> None:
+                 index_of: "AccountIndex | None" = None) -> None:
         self.node = node
         self.config = config
         self.directory = directory
-        #: Origin public key -> node index (for origin-blame offenses).
+        #: Origin public key -> node index (for origin-blame offenses):
+        #: the deployment's account index; without one nobody is blamed
+        #: by origin.
         self.index_of = index_of if index_of is not None else {}
         self.health = PeerHealth(config)
         self.admitted = 0
@@ -531,7 +534,7 @@ class AdmissionControl:
 
 def attach_admission(node: "Node", config: AdmissionConfig | None = None,
                      directory: QuarantineDirectory | None = None,
-                     index_of: dict[bytes, int] | None = None
+                     index_of: "AccountIndex | None" = None
                      ) -> AdmissionControl:
     """Wire an :class:`AdmissionControl` onto ``node``'s interface."""
     if config is None:

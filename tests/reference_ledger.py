@@ -1,9 +1,14 @@
-"""Account state: balances and nonces derived from the transaction log.
+"""The dict-backed account state — the ledger suites' reference oracle.
 
 The list of transactions in the chain "logically translates to a set of
-weights for each user's public key" (section 8.1). :class:`AccountState`
-is that translation: it applies blocks in order and exposes the weight
-table that sortition verification reads.
+weights for each user's public key" (section 8.1). This is that
+translation written the obvious way, one python dict per chain: it was
+``repro.ledger.account.AccountState`` until the array-backed
+:class:`repro.ledger.arraystate.ArrayState` became the only account
+state in ``src/``. The suites that compare against it
+(``test_ledger_arraystate``, ``test_ledger_stateful``,
+``test_population``, ``test_weight_lookback``) require the same
+accepted/rejected transactions, balances, nonces and weight tables.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from repro.ledger.transaction import Transaction
 
 
 class AccountState:
-    """Mutable balances/nonces; one instance per chain tip per node."""
+    """Mutable balances/nonces in two dicts."""
 
     def __init__(self, balances: Mapping[bytes, int] | None = None) -> None:
         self._balances: dict[bytes, int] = dict(balances or {})

@@ -121,7 +121,7 @@ class TestOneGenesis:
                                  FastBackend())
         broke = genesis.keypairs[1].public
         assert broke not in genesis.initial_balances
-        assert genesis.index_of[broke] == 1
+        assert genesis.index_of.get(broke) == 1
         assert sorted(genesis.initial_balances.values()) == [60, 70, 70]
 
     def test_observers_are_appended_with_zero_stake(self):

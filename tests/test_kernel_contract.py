@@ -30,6 +30,8 @@ import numpy as np
 import pytest
 
 import repro.experiments.harness as harness
+from repro.adversary import MaliciousNode
+from repro.chaos import FaultAction, ScenarioScript, run_scenario
 from repro.common.params import TEST_PARAMS
 from repro.node.deployment import NetworkConfig, PopulationConfig
 from repro.network.gossip import GossipNetwork
@@ -100,6 +102,35 @@ TOGETHER_TIMEOUT_24_USERS_3_ROUNDS = {
         51_833),
 }
 
+#: Three deployments the pool-backed builder had never stood up when
+#: ``Population`` became the only way to build a sim node, ``(chain_hash,
+#: events_processed)`` recorded at the commit before it did (dict-backed
+#: ledger, nodes built by the harness's own loop). *Observers:* two
+#: zero-stake slots past the users.
+OBSERVERS_20_USERS_2_ROUNDS = {
+    1: ("98415f95edf073480e1b6b86805742db990bbc8aad779a50b15be73d1f508462",
+        23_146),
+    2: ("17cfdf49ed20ef032b091940f1921aacfacaa249fe821664620b74375b4c5105",
+        23_936),
+}
+#: *Byzantine stake:* ``MaliciousNode`` on the four highest user slots —
+#: the Figure 8 point at 20 %.
+MALICIOUS_4_OF_20_USERS_2_ROUNDS = {
+    1: ("dc9d6c11cbd94fbe133b97245e8df9316da2e892c4c951b653a99b872502a8b2",
+        57_922),
+    2: ("637ec857be74a5281e0336ab8f721e1da3ff0e78c177f61eaef4f997021677dd",
+        24_036),
+}
+#: *Crash, restart, resync:* node 2 is down from t = 1 s to t = 8 s and
+#: can only converge by adopting its peers' replayed history twice
+#: (``node.resync`` → ``resync_from_peers``), payments in the blocks.
+CRASH_RESYNC_8_USERS_2_ROUNDS = {
+    5: ("6ba7a423514dadde0ea87923a54a0fc312aafc32195d46c6b127cfa9817930f9",
+        3_713),
+    6: ("e24b22e86f842dbc0e99b1c4246d7207f8caa1f99df57a256c7f499ff646ddfa",
+        3_781),
+}
+
 #: Generator resumes (``Process._wake`` entries) the golden 20-user,
 #: 2-round run may spend per ``(node, round)``. A round is a dozen
 #: waits; resuming per relayed message or counted vote cost 231 (9,241 /
@@ -153,6 +184,41 @@ def test_together_timeout_schedule(seed):
                   params=dataclasses.replace(TEST_PARAMS, lambda_step=0.12))
     assert ((chain_hash(sim), sim.env.events_processed)
             == TOGETHER_TIMEOUT_24_USERS_3_ROUNDS[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(OBSERVERS_20_USERS_2_ROUNDS))
+def test_observers_schedule(seed):
+    sim = run_sim(2, payments=10, num_users=20, seed=seed, num_observers=2)
+    assert [node.chain.height for node in sim.observers] == [2, 2]
+    assert ((chain_hash(sim), sim.env.events_processed)
+            == OBSERVERS_20_USERS_2_ROUNDS[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(MALICIOUS_4_OF_20_USERS_2_ROUNDS))
+def test_malicious_stake_schedule(seed):
+    sim = harness.Simulation(
+        harness.SimulationConfig(num_users=20, seed=seed, num_malicious=4),
+        malicious_class=MaliciousNode)
+    sim.submit_payments(20, note_bytes=20)
+    sim.run_rounds(2)
+    assert [type(node) is MaliciousNode for node in sim.nodes] \
+        == [False] * 16 + [True] * 4
+    assert ((chain_hash(sim), sim.env.events_processed)
+            == MALICIOUS_4_OF_20_USERS_2_ROUNDS[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(CRASH_RESYNC_8_USERS_2_ROUNDS))
+def test_crash_resync_schedule(seed):
+    verdict = run_scenario(ScenarioScript(
+        name="crash-mid-step", seed=seed, num_users=8, rounds=2, payments=8,
+        actions=(FaultAction(kind="crash", start=1.0, end=8.0, nodes=(2,)),)))
+    assert verdict.ok, verdict.violations
+    sim = verdict.sim
+    assert [(event["node"], event["to_height"])
+            for event in sim.obs.events_of_kind("catchup_adopted")] \
+        == [(2, 1), (2, 2)]
+    assert ((chain_hash(sim), sim.env.events_processed)
+            == CRASH_RESYNC_8_USERS_2_ROUNDS[seed])
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_20_USERS_2_ROUNDS))

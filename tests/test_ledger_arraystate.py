@@ -1,9 +1,11 @@
 """Array-backed ledger state vs. the dict-backed reference.
 
-``ArrayState`` must be observationally identical to ``AccountState``
-for every caller — same accept/reject decisions, same balances, same
-``weights()`` mapping contents — while adding the pool-facing array
-view and shared immutable snapshots.
+``ArrayState`` — the ledger's only account state — must be
+observationally identical to the dict oracle it replaced
+(``tests/reference_ledger.AccountState``) for every caller: same
+accept/reject decisions, same balances, same ``weights()`` mapping
+contents — while adding the pool-facing array view and shared immutable
+snapshots.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from repro.baplus.context import BAContext
 from repro.common.encoding import encode
 from repro.common.errors import LedgerError
 from repro.crypto.hashing import H
-from repro.ledger.account import AccountState
 from repro.ledger.arraystate import AccountIndex, ArrayState, ArrayWeights
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.transaction import Transaction, make_transaction
+from tests.reference_ledger import AccountState
 
 
 @pytest.fixture
@@ -228,8 +230,7 @@ class TestArrayWeights:
 class TestReplica:
     def test_replica_is_cheap_and_independent(self, users):
         _, balances = users
-        chain = Blockchain(balances, H(b"genesis"), 1000,
-                           state_factory=ArrayState)
+        chain = Blockchain(balances, H(b"genesis"), 1000)
         replica = chain.replica()
         assert replica.height == chain.height
         assert replica.tip_hash == chain.tip_hash

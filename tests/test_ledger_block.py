@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import InvalidBlock, LedgerError
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
-from repro.ledger.account import AccountState
+from repro.ledger.arraystate import ArrayState
 from repro.ledger.block import (
     Block,
     empty_block,
@@ -66,7 +66,7 @@ class TestEmptyBlock:
 
 class TestValidateBlock:
     def _state(self, alice):
-        return AccountState({alice.public: 100})
+        return ArrayState({alice.public: 100})
 
     def test_valid_block_passes(self, backend, alice, bob):
         state = self._state(alice)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
-from repro.ledger.account import AccountState
+from repro.ledger.arraystate import ArrayState
 from repro.ledger.mempool import Mempool
 from repro.ledger.transaction import make_transaction
 
@@ -50,7 +50,7 @@ class TestMempool:
 
     def test_assemble_respects_block_size(self, backend, users):
         pool = Mempool()
-        state = AccountState({users[0].public: 100})
+        state = ArrayState({users[0].public: 100})
         txs = [_tx(backend, users[0], users[1], 1, n, note=b"\x00" * 50)
                for n in range(10)]
         for tx in txs:
@@ -61,7 +61,7 @@ class TestMempool:
 
     def test_assemble_produces_valid_sequence(self, backend, users):
         pool = Mempool()
-        state = AccountState({users[0].public: 5})
+        state = ArrayState({users[0].public: 5})
         # Only the first few fit the balance.
         for n in range(10):
             pool.add(_tx(backend, users[0], users[1], 1, n))
@@ -71,13 +71,13 @@ class TestMempool:
 
     def test_assemble_skips_nonce_gaps(self, backend, users):
         pool = Mempool()
-        state = AccountState({users[0].public: 100})
+        state = ArrayState({users[0].public: 100})
         pool.add(_tx(backend, users[0], users[1], 1, 3))  # future nonce
         assert pool.assemble(state, 10**6) == []
 
     def test_prune_committed(self, backend, users):
         pool = Mempool()
-        state = AccountState({users[0].public: 100})
+        state = ArrayState({users[0].public: 100})
         committed = _tx(backend, users[0], users[1], 1, 0)
         pending = _tx(backend, users[0], users[1], 1, 1)
         pool.add(committed)
@@ -89,7 +89,7 @@ class TestMempool:
 
     def test_prune_drops_replayed_nonces(self, backend, users):
         pool = Mempool()
-        state = AccountState({users[0].public: 100})
+        state = ArrayState({users[0].public: 100})
         # A conflicting tx with the same nonce got committed instead.
         loser = _tx(backend, users[0], users[2], 1, 0)
         winner = _tx(backend, users[0], users[1], 1, 0)

@@ -31,12 +31,12 @@ from hypothesis import strategies as st
 from repro.common.errors import InvalidTransaction
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
-from repro.ledger.account import AccountState
 from repro.ledger.arraystate import AccountIndex, ArrayState
 from repro.ledger.block import Block
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.transaction import make_transaction
 from repro.sortition.seed import propose_seed
+from tests.reference_ledger import AccountState
 
 NUM_USERS = 4
 INITIAL_BALANCE = 25

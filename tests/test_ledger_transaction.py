@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import InvalidTransaction
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
-from repro.ledger.account import AccountState
+from repro.ledger.arraystate import ArrayState
 from repro.ledger.transaction import Transaction, make_transaction
 
 
@@ -76,17 +76,17 @@ class TestTransaction:
 
 class TestAccountState:
     def test_initial_balances(self, alice, bob):
-        state = AccountState({alice.public: 10, bob.public: 5})
+        state = ArrayState({alice.public: 10, bob.public: 5})
         assert state.balance(alice.public) == 10
         assert state.balance(b"unknown") == 0
         assert state.total_weight == 15
 
     def test_negative_initial_balance_rejected(self, alice):
         with pytest.raises(ValueError):
-            AccountState({alice.public: -1})
+            ArrayState({alice.public: -1})
 
     def test_apply_moves_money(self, backend, alice, bob):
-        state = AccountState({alice.public: 10})
+        state = ArrayState({alice.public: 10})
         tx = make_transaction(backend, alice.secret, alice.public,
                               bob.public, 4, 0)
         state.apply(tx)
@@ -95,14 +95,14 @@ class TestAccountState:
         assert state.total_weight == 10  # conservation
 
     def test_overspend_rejected(self, backend, alice, bob):
-        state = AccountState({alice.public: 3})
+        state = ArrayState({alice.public: 3})
         tx = make_transaction(backend, alice.secret, alice.public,
                               bob.public, 4, 0)
         with pytest.raises(InvalidTransaction):
             state.apply(tx)
 
     def test_nonce_replay_rejected(self, backend, alice, bob):
-        state = AccountState({alice.public: 10})
+        state = ArrayState({alice.public: 10})
         tx = make_transaction(backend, alice.secret, alice.public,
                               bob.public, 1, 0)
         state.apply(tx)
@@ -110,7 +110,7 @@ class TestAccountState:
             state.apply(tx)  # same nonce again
 
     def test_nonce_gap_rejected(self, backend, alice, bob):
-        state = AccountState({alice.public: 10})
+        state = ArrayState({alice.public: 10})
         tx = make_transaction(backend, alice.secret, alice.public,
                               bob.public, 1, 5)
         with pytest.raises(InvalidTransaction):
@@ -118,14 +118,14 @@ class TestAccountState:
 
     def test_zero_balance_account_removed_from_weights(self, backend,
                                                        alice, bob):
-        state = AccountState({alice.public: 4})
+        state = ArrayState({alice.public: 4})
         tx = make_transaction(backend, alice.secret, alice.public,
                               bob.public, 4, 0)
         state.apply(tx)
         assert alice.public not in state.weights()
 
     def test_copy_is_independent(self, backend, alice, bob):
-        state = AccountState({alice.public: 10})
+        state = ArrayState({alice.public: 10})
         clone = state.copy()
         tx = make_transaction(backend, alice.secret, alice.public,
                               bob.public, 4, 0)
@@ -133,7 +133,7 @@ class TestAccountState:
         assert state.balance(alice.public) == 10
 
     def test_would_accept(self, backend, alice, bob):
-        state = AccountState({alice.public: 10})
+        state = ArrayState({alice.public: 10})
         good = [
             make_transaction(backend, alice.secret, alice.public,
                              bob.public, 4, 0),
@@ -155,7 +155,7 @@ def test_total_weight_conserved_property(amounts):
     backend = FastBackend()
     alice = backend.keypair(H(b"p-alice"))
     bob = backend.keypair(H(b"p-bob"))
-    state = AccountState({alice.public: 100, bob.public: 100})
+    state = ArrayState({alice.public: 100, bob.public: 100})
     nonce = 0
     for amount in amounts:
         if state.balance(alice.public) < amount:

@@ -1,17 +1,19 @@
-"""Aggregated population vs. the classic full-agent harness.
+"""The population: an everyone-on core, and a small one with dormancy.
 
-Two bars, matching the representation's two levers:
+Two bars, matching the two things a core size can change:
 
 * **Byte-identical** — with the always-on core covering the whole
-  population there is no dormant stake, and the aggregated run must
-  commit exactly the chains the full harness commits: same block
-  dataclasses (timestamps included), same round records. This pins the
-  representation changes (ArrayState, shared snapshots, batch verify
-  priming) as semantics-free.
+  population there is no dormant stake, and the run must commit exactly
+  the chains the per-user harness loop with its dict ledger committed
+  before ``Population`` built every deployment: the ``(chain_hash,
+  events_processed)`` goldens below were recorded there, under
+  ``mode="full"``. They pin the representation (ArrayState, shared
+  snapshots, batch verify priming) as semantics-free.
 * **Protocol-outcome identical** — with a small core and real dormancy
   (materialize-on-selection, retire-after-round), commit *times* may
   shift with the thinner relay fabric, but the proposer sequence and
-  seed chain are VRF-determined and must match the full run exactly.
+  seed chain are VRF-determined and must match the everyone-on run
+  exactly.
 """
 
 from __future__ import annotations
@@ -29,20 +31,53 @@ from repro.experiments.harness import (
     Simulation,
     SimulationConfig,
 )
-from repro.ledger.account import AccountState
+from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block
+from repro.ledger.persistence import load_chain, save_chain
 from repro.ledger.transaction import make_transaction
 from repro.node.agent import Node
+from repro.node.catchup import (
+    ChainSync,
+    build_announcement,
+    resync_from_peers,
+)
 
 from tests.fixtures import (
-    assert_chains_byte_identical as assert_byte_identical,
+    chain_hash,
     run_sim,
     run_traced,
 )
+from tests.reference_ledger import AccountState
 
 
 def aggregated(**knobs) -> PopulationConfig:
     return PopulationConfig(mode="aggregated", **knobs)
+
+
+#: ``(num_users, rounds) -> (payments, (chain_hash, events_processed))``
+#: at seed 11, recorded under ``mode="full"`` at the last commit that
+#: had a second way to build it.
+COVERING_CORE_GOLDEN = {
+    (20, 3): (20, (
+        "fc0d971c67b0a19e64aa024cc043d7cb5fb212073c31e85e02f0bbdde84ccf22",
+        34_554)),
+    (50, 2): (50, (
+        "37e22c81675a0ab839e05f5c797f67fd4f48651ef199e3fbd93a998f195748f2",
+        107_491)),
+    (100, 2): (50, (
+        "15cc32d590f11bc573b4d32c62e1579b702c258a0938e7a2de2cd1e72d2f3adb",
+        267_056)),
+}
+
+
+def assert_covering_core(sim: Simulation, golden: tuple[str, int]) -> None:
+    """``sim`` (core == population) committed the recorded run."""
+    assert (chain_hash(sim), sim.env.events_processed) == golden
+    # no dormant stake -> the pool pass never ran, nobody came or went
+    assert sim.summary()["sortition"]["pool_evaluations"] == 0
+    stats = sim.population.stats()
+    assert stats["retired_total"] == 0
+    assert stats["materialized_total"] == sim.config.num_users
 
 
 class TestRepresentationEquivalence:
@@ -50,20 +85,17 @@ class TestRepresentationEquivalence:
 
     @pytest.mark.parametrize("n,rounds", [(20, 3), (50, 2)])
     def test_chains_and_round_records_identical(self, n, rounds):
-        full = run_sim(rounds, payments=n, num_users=n, seed=11)
-        agg = run_sim(rounds, payments=n, num_users=n, seed=11,
+        payments, golden = COVERING_CORE_GOLDEN[n, rounds]
+        agg = run_sim(rounds, payments=payments, num_users=n, seed=11,
                       population=aggregated(always_on_core=n))
-        assert_byte_identical(full, agg, rounds)
-        # no dormant stake -> the pool pass never ran
-        assert agg.summary()["sortition"]["pool_evaluations"] == 0
-        assert agg.population.stats()["retired_total"] == 0
+        assert_covering_core(agg, golden)
 
     @pytest.mark.slow
     def test_chains_identical_at_100_users(self):
-        full = run_sim(2, payments=50, num_users=100, seed=11)
-        agg = run_sim(2, payments=50, num_users=100, seed=11,
+        payments, golden = COVERING_CORE_GOLDEN[100, 2]
+        agg = run_sim(2, payments=payments, num_users=100, seed=11,
                       population=aggregated(always_on_core=100))
-        assert_byte_identical(full, agg, 2)
+        assert_covering_core(agg, golden)
 
 
 DORMANCY_CFG = dict(num_users=150, initial_balance=1,
@@ -154,18 +186,21 @@ class TestValidation:
 
 
 PAYING_CFG = dict(num_users=200, seed=2, params=TEST_PARAMS.scaled(0.1))
+#: 3 rounds, 40 payments, ``mode="full"`` — recorded like the above.
+PAYING_FULL_GOLDEN = (
+    "2140797703d3e449c64d422312119f4e2a6cdbc0815d321e17365e0fb86066f7",
+    174_653)
 
 
 class TestPaymentsUnderSharing:
     """What the bench workload never runs: shared buffers, then payments."""
 
     def test_full_core_stays_byte_identical(self):
-        full = run_sim(3, payments=40, **PAYING_CFG)
         agg = run_sim(3, payments=40,
                       population=aggregated(always_on_core=200),
                       **PAYING_CFG)
-        assert full.nodes[0].chain.block_at(2).transactions
-        assert_byte_identical(full, agg, 3)
+        assert agg.nodes[0].chain.block_at(2).transactions
+        assert_covering_core(agg, PAYING_FULL_GOLDEN)
 
     def test_replicas_cloned_after_a_paying_block(self):
         agg, bus = run_traced(
@@ -212,6 +247,61 @@ class TestPaymentsUnderSharing:
         for r, table in enumerate(expected):
             assert dict(core.weights_at(r)) == table
             assert replica.weights_at(r) is core.weights_at(r)
+
+
+class TestCatchUpKeepsTheIndex:
+    """A chain adopted by catch-up is array-backed on the deployment's
+    index, so the pool reads it like any replica."""
+
+    @pytest.fixture(scope="class")
+    def sim(self):
+        return run_sim(3, payments=40, population=aggregated(
+            always_on_core=16, steps_ahead=8), **PAYING_CFG)
+
+    def _lagging(self, sim: Simulation) -> Node:
+        """Core node 1, rolled back to height 1."""
+        node = sim.nodes[1]
+        node.chain = node.chain.fork_from(node.chain.blocks[1:2])
+        return node
+
+    @pytest.mark.parametrize("path", ["announcement", "peers", "file"])
+    def test_adopted_chain_answers_the_pool(self, sim, path, tmp_path):
+        population = sim.population
+        helper = sim.nodes[0].chain
+        untouched = helper.replica()
+        assert helper.block_at(2).transactions
+        node = self._lagging(sim)
+        try:
+            if path == "announcement":
+                sync = ChainSync(node, sim.env, node.interface)
+                assert sync._on_announcement(build_announcement(helper))
+                sync.close()
+                node.resync = sync.take_pending
+            elif path == "peers":
+                node.resync = lambda: resync_from_peers(node, sim.nodes)
+            else:
+                save_chain(helper, tmp_path / "chain.bin")
+                node.resync = lambda: load_chain(
+                    tmp_path / "chain.bin",
+                    initial_balances=node.chain.initial_balances,
+                    genesis_seed=node.chain.genesis_seed,
+                    params=node.params, backend=node.backend,
+                    index=node.chain.index)
+            assert node._try_resync()
+        finally:
+            node.resync = None
+        adopted = node.chain
+        assert adopted.height == 3 and adopted.tip_hash == helper.tip_hash
+        assert adopted.index is population.index
+        assert adopted.initial_balances == helper.initial_balances
+        for r in range(4):
+            weights = adopted.weights_at(r)
+            assert isinstance(weights, ArrayWeights)
+            assert weights.index is population.index
+            assert np.array_equal(weights.array[:200],
+                                  helper.weights_at(r).array[:200])
+        assert (population.select_round(4, adopted)
+                == population.select_round(4, untouched))
 
 
 def _distinct_buffers(arrays) -> int:

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.common.params import TEST_PARAMS, ProtocolParams
 from repro.crypto.hashing import H
 from repro.experiments.harness import Simulation, SimulationConfig
+from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.blockchain import Blockchain
-from repro.ledger.block import empty_block
+from repro.ledger.block import Block, empty_block
+from repro.ledger.transaction import Transaction
 from repro.common.errors import LedgerError
+from repro.node.agent import sortition_weights
+from tests.reference_ledger import AccountState
 
 
 class TestWeightHistory:
@@ -75,7 +80,7 @@ class TestLookbackConsensus:
         # Context for round 4 must be the snapshot from round
         # 4 - 1 - 2 = 1, not current state.
         expected = node.chain.weights_at(1)
-        assert node._sortition_weights(4) == expected
+        assert sortition_weights(node.chain, node.params, 4) == expected
         # And current state has actually drifted (payments committed).
         assert node.chain.state.weights() != expected
 
@@ -85,12 +90,59 @@ class TestLookbackConsensus:
         sim.submit_payments(40)
         sim.run_rounds(3)
         node = sim.nodes[0]
-        weights = node._sortition_weights(4)
+        weights = sortition_weights(node.chain, node.params, 4)
         snapshot = node.chain.weights_at(1)
         current = node.chain.state.weights()
         for public, value in weights.items():
             assert value == min(snapshot[public], current.get(public, 0))
             assert value > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_take_min_matches_the_dict_oracle(self, seed):
+        """The floor is one array minimum; the oracle is the per-key
+        dict merge it replaced, over the dict ledger's own tables."""
+        rng = np.random.default_rng(seed)
+        keys = [H(b"lookback-key", bytes([i])) for i in range(14)]
+        genesis = {key: int(rng.integers(1, 9)) for key in keys[:6]}
+        chain = Blockchain(genesis, H(b"g"), 10)
+        oracle = AccountState(genesis)
+        tables = [dict(oracle.weights())]
+        params = _lookback_params(take_min=True)
+        for round_number in range(1, 9):
+            # Rounds 4+ may pay keys 6..13: accounts the older snapshot
+            # has never heard of, on slots past its (8-slot) buffer.
+            reach = 6 if round_number < 4 else len(keys)
+            txs = []
+            for _ in range(int(rng.integers(0, 5))):
+                funded = [key for key in keys if oracle.balance(key)]
+                sender = funded[int(rng.integers(len(funded)))]
+                recipient = keys[int(rng.integers(reach))]
+                if recipient == sender:
+                    continue
+                tx = Transaction(
+                    sender=sender, recipient=recipient,
+                    amount=int(rng.integers(1, oracle.balance(sender) + 1)),
+                    nonce=oracle.next_nonce(sender))
+                oracle.apply(tx)
+                txs.append(tx)
+            chain.append(Block(round_number=round_number,
+                               prev_hash=chain.tip_hash,
+                               timestamp=float(round_number),
+                               transactions=tuple(txs)))
+            tables.append(dict(oracle.weights()))
+            older = tables[max(0, round_number - 2)]
+            floored = {key: min(balance, tables[-1].get(key, 0))
+                       for key, balance in older.items()}
+            expected = {key: b for key, b in floored.items() if b}
+            weights = sortition_weights(chain, params, round_number + 1)
+            assert isinstance(weights, ArrayWeights) and weights.frozen
+            assert weights.index is chain.index
+            assert dict(weights) == expected
+            assert weights.total == sum(expected.values())
+            assert len(weights) == len(expected)
+        grown = [key for key in keys[6:] if key in tables[-1]]
+        assert grown and len(chain.weights_at(1).array) \
+            < len(chain.state.weights().array)
 
     def test_validation_of_negative_lookback(self):
         with pytest.raises(ValueError):
