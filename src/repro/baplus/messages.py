@@ -11,13 +11,16 @@ value is the block hash being voted for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.common.encoding import encode
 from repro.crypto.backend import CryptoBackend
 from repro.crypto.hashing import H, HASHLEN_BITS
 from repro.sortition.roles import committee_role
 from repro.sortition.selection import verify_sort
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.baplus.context import BAContext
 
 #: One past the largest possible coin hash (Algorithm 9 sentinel).
 COIN_HASH_CEILING = 1 << HASHLEN_BITS
@@ -46,12 +49,19 @@ class VoteMessage:
     common coin, certificate building — asks the same three questions
     of it, so the instance carries its *receipts*: the canonical signing
     payload, the signature verdict, and the committee weight ``j`` with
-    the Algorithm 9 coin minimum for that ``j``. A verdict is computed
-    once per context: the signature verdict depends on the bytes alone;
-    the weight receipt is one slot keyed by the full sortition context
-    ``(seed, tau, weight, total_weight)`` (the role is fixed by the
-    vote's own ``(round, step)``), so a node on another seed or weight
-    table recomputes instead of inheriting. Receipts live on the
+    the Algorithm 9 coin minimum for that ``j``. The signature verdict
+    depends on the bytes alone. The weight is asked under a round
+    context, and a deployment holds one context object per tip (see
+    :meth:`repro.node.agent.Node._current_context`), so :meth:`weigh`
+    first reads a receipt keyed by that *object* — no weight-table
+    lookup, no comparison of seeds — and only on a miss the one keyed
+    by the full sortition context ``(seed, tau, weight, total_weight)``
+    (the role is fixed by the vote's own ``(round, step)``): a node on
+    another tip gets another context object, and a context with another
+    seed or weight table recomputes instead of inheriting. Admission
+    weighs an arriving copy once and hands its verdict to the handler
+    and the damper; every node's counts then read the receipt, so a
+    vote is weighed once per tip per deployment. Receipts live on the
     instance, outside the dataclass fields: a forged copy, a decoded
     copy and ``dataclasses.replace(vote, ...)`` all start with none, and
     a vote nobody could weigh (future round, foreign tip, recovery
@@ -67,12 +77,20 @@ class VoteMessage:
     value: bytes
     signature: bytes = field(default=b"", compare=False)
 
+    # No receipt yet: class-level defaults (not dataclass fields) that an
+    # instance's own receipts shadow.
+    _signing_payload = None
+    _signature_valid = None
+    _weight_receipt = None
+    _context_receipt = None
+    _coin_receipt = None
+
     def _remember(self, slot: str, receipt: Any) -> None:
         # Frozen dataclass: bypass __setattr__.
         object.__setattr__(self, slot, receipt)
 
     def signing_payload(self) -> bytes:
-        cached = getattr(self, "_signing_payload", None)
+        cached = self._signing_payload
         if cached is None:
             cached = encode([
                 "vote", self.round_number, self.step, self.sorthash,
@@ -82,7 +100,7 @@ class VoteMessage:
         return cached
 
     def verify_signature(self, backend: CryptoBackend) -> bool:
-        valid = getattr(self, "_signature_valid", None)
+        valid = self._signature_valid
         if valid is None:
             valid = backend.is_valid_signature(
                 self.voter, self.signing_payload(), self.signature)
@@ -99,7 +117,7 @@ class VoteMessage:
         VerificationCache` when ``backend`` carries one, else straight
         to :func:`~repro.sortition.selection.verify_sort`.
         """
-        receipt = getattr(self, "_weight_receipt", None)
+        receipt = self._weight_receipt
         if (receipt is not None and receipt[0] == seed
                 and receipt[1] == tau and receipt[2] == weight
                 and receipt[3] == total_weight):
@@ -121,11 +139,28 @@ class VoteMessage:
                        (seed, tau, weight, total_weight, j))
         return j
 
+    def weigh(self, backend: CryptoBackend, ctx: "BAContext",
+              tau: float) -> int:
+        """:meth:`committee_votes` under round context ``ctx``.
+
+        Read from the receipt this vote holds for the ``ctx`` *object*
+        when there is one, else computed — the voter's weight looked up
+        in ``ctx`` — through the content-keyed receipt, and remembered
+        for ``ctx``.
+        """
+        receipt = self._context_receipt
+        if receipt is not None and receipt[0] is ctx and receipt[1] == tau:
+            return receipt[2]
+        j = self.committee_votes(backend, ctx.seed, tau,
+                                 ctx.weight_of(self.voter), ctx.total_weight)
+        self._remember("_context_receipt", (ctx, tau, j))
+        return j
+
     def coin_hash(self, votes: int) -> int:
         """Algorithm 9 minimum over this vote's ``votes`` sub-users."""
         if votes <= 0:  # unweighed: contributes nothing, remembers nothing
             return COIN_HASH_CEILING
-        receipt = getattr(self, "_coin_receipt", None)
+        receipt = self._coin_receipt
         if receipt is None or receipt[0] != votes:
             receipt = (votes, coin_min_hash(self.sorthash, votes))
             self._remember("_coin_receipt", receipt)

@@ -96,9 +96,10 @@ def process_msg(backend: CryptoBackend, ctx: BAContext, tau: float,
 
     ``votes == 0`` means the message must be ignored (bad signature, wrong
     chain, or failed sortition). Both verdicts are the vote's own
-    receipts: each is computed on first sight (or when ``ctx`` differs
-    from the one it was weighed under) and read back by every later
-    ``CountVotes``/coin/certificate pass.
+    receipts: each is computed on first sight (or when ``ctx`` is
+    another context than the one it was weighed under) and read back by
+    every later ``CountVotes``/coin/certificate pass, on every node that
+    shares ``ctx``.
     """
     if not vote.verify_signature(backend):
         return 0, None, None
@@ -106,8 +107,7 @@ def process_msg(backend: CryptoBackend, ctx: BAContext, tau: float,
         # Vote extends a different chain (possibly a fork); ignore here —
         # the fork monitor tracks these separately (section 8.2).
         return 0, None, None
-    votes = vote.committee_votes(backend, ctx.seed, tau,
-                                 ctx.weight_of(vote.voter), ctx.total_weight)
+    votes = vote.weigh(backend, ctx, tau)
     if votes == 0:
         return 0, None, None
     return votes, vote.value, vote.sorthash

@@ -19,6 +19,7 @@ interface, so every experiment can run under either backend.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -82,15 +83,16 @@ class CryptoBackend(ABC):
             return False
         return True
 
-    def vrf_output(self, secret: bytes, alpha: bytes) -> bytes:
-        """The VRF hash alone, without the proof.
+    def vrf_outputs(self, secrets: list[bytes], alpha: bytes) -> list[bytes]:
+        """The VRF hash alone, without the proof, for each of ``secrets``.
 
         The stake pool's selection screen only needs the pseudorandom
-        output for every candidate; proofs are produced (via
-        :meth:`vrf_prove`) only for the few accounts that win. Backends
-        whose proof costs extra work override this.
+        output of every staked account on one ``alpha``; proofs are
+        produced (via :meth:`vrf_prove`) only for the few accounts that
+        win. Backends that can compute the outputs for less than a proof
+        each override this.
         """
-        return self.vrf_prove(secret, alpha)[0]
+        return [self.vrf_prove(secret, alpha)[0] for secret in secrets]
 
 
 class Ed25519Backend(CryptoBackend):
@@ -166,8 +168,11 @@ class FastBackend(CryptoBackend):
         proof = sha512(b"fast-vrf-proof", secret, alpha)
         return beta, proof
 
-    def vrf_output(self, secret: bytes, alpha: bytes) -> bytes:
-        return sha512(b"fast-vrf", secret, alpha)
+    def vrf_outputs(self, secrets: list[bytes], alpha: bytes) -> list[bytes]:
+        # vrf_prove's beta, in one sweep: no proof, no call per account.
+        digest = hashlib.sha512
+        return [digest(b"fast-vrf" + secret + alpha).digest()
+                for secret in secrets]
 
     def vrf_verify(self, public: bytes, proof: bytes, alpha: bytes) -> bytes:
         secret = self._secret_for(public, VRFError)
@@ -208,8 +213,8 @@ class CachedBackend(CryptoBackend):
     def vrf_prove(self, secret: bytes, alpha: bytes) -> tuple[bytes, bytes]:
         return self.inner.vrf_prove(secret, alpha)
 
-    def vrf_output(self, secret: bytes, alpha: bytes) -> bytes:
-        return self.inner.vrf_output(secret, alpha)
+    def vrf_outputs(self, secrets: list[bytes], alpha: bytes) -> list[bytes]:
+        return self.inner.vrf_outputs(secrets, alpha)
 
     def vrf_verify(self, public: bytes, proof: bytes, alpha: bytes) -> bytes:
         return self.cache.vrf_verify(self.inner, public, proof, alpha)

@@ -263,32 +263,27 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _runtime_counters(self) -> dict:
-        """Cache, admission and damping counters summed over the nodes.
+        """Cache, router, admission and damping counters.
 
         The one aggregate both :meth:`summary` (as is) and the obs
-        harvester (under the registry's metric names) report. Sections
-        of layers that are switched off are absent.
+        harvester (under the registry's metric names) report. Agent
+        counters cover every agent the population ever built, retired
+        transients included. Sections of layers that are switched off
+        are absent.
         """
-        counters: dict = {}
+        agents = self.population.agent_counters()
+        counters: dict = {"router_unknown_kinds":
+                          agents["router_unknown_kinds"]}
         if self.verification_cache is not None:
             counters["verification_cache"] = self.verification_cache.stats()
         if self.quarantine_directory is not None:
-            admissions = [node.admission for node in self.nodes
-                          if node.admission is not None]
-            rejected: dict[str, int] = {}
-            for admission in admissions:
-                for reason, count in admission.rejected.items():
-                    rejected[reason] = rejected.get(reason, 0) + count
             interfaces = list(filter(None, self.network.interfaces))
             counters["admission"] = {
-                "admitted": sum(a.admitted for a in admissions),
-                "rejected": rejected,
-                "buffer_high_water": max(node.buffer.high_water
-                                         for node in self.nodes),
-                "buffer_evicted": sum(node.buffer.evicted
-                                      for node in self.nodes),
-                "buffer_rejected": sum(node.buffer.rejected
-                                       for node in self.nodes),
+                "admitted": agents.get("admitted", 0),
+                "rejected": agents["rejected"],
+                "buffer_high_water": agents["buffer_high_water"],
+                "buffer_evicted": agents["buffer_evicted"],
+                "buffer_rejected": agents["buffer_rejected"],
                 "egress_dropped": sum(i.egress_dropped for i in interfaces),
                 "egress_high_water": max(i.egress_high_water
                                          for i in interfaces),
@@ -297,16 +292,9 @@ class Simulation:
                 "banned": sorted(self.quarantine_directory.banned),
                 "quarantines": self.quarantine_directory.quarantines,
             }
-        dampers = [node.damper for node in self.nodes
-                   if node.damper is not None]
-        if dampers:
-            # Core/live agents only — the authoritative network-wide
-            # count (transients included) is the live "gossip.damped.
-            # vote" counter the dampers increment themselves.
-            counters["damping"] = {
-                "suppressed": sum(d.suppressed for d in dampers),
-                "observed": sum(d.observed for d in dampers),
-            }
+        if "observed" in agents:
+            counters["damping"] = {"suppressed": agents["suppressed"],
+                                   "observed": agents["observed"]}
         return counters
 
     def _harvest_obs(self, bus: TraceBus) -> None:
@@ -340,8 +328,8 @@ class Simulation:
             metrics.set_gauge("population." + name, value)
         if self.conformance is not None:
             self.conformance.harvest(metrics)
-        metrics.set_counter("router.unknown_kind", sum(
-            node.router.unknown_kinds for node in self.nodes))
+        metrics.set_counter("router.unknown_kind",
+                            counters["router_unknown_kinds"])
         for name, value in self._selection_delta.items():
             metrics.set_counter("sortition." + name, value)
         for name, value in counters.get("damping", {}).items():
@@ -376,8 +364,6 @@ class Simulation:
             "messages_delivered": self.network.messages_delivered,
             "dup_elided": self.network.dup_elided,
             "total_bytes_sent": self.network.total_bytes_sent,
-            "router_unknown_kinds": sum(node.router.unknown_kinds
-                                        for node in self.nodes),
             "sortition": dict(self._selection_delta),
             **self._runtime_counters(),
             "population": self.population.stats(),

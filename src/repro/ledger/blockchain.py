@@ -91,7 +91,7 @@ class Blockchain:
 
     @property
     def tip_hash(self) -> bytes:
-        return self.last_block.block_hash
+        return self._blocks[-1].block_hash
 
     @property
     def state(self) -> ArrayState:

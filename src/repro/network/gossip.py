@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 import numpy as np
 
 from repro.common.errors import NetworkError
+from repro.network.latency import BatchTerms
 from repro.network.message import Envelope
 from repro.sim.loop import Environment
 
@@ -48,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SupportsLatency(Protocol):
     def latency(self, src: int, dst: int) -> float: ...
     def latencies(self, src: int, dsts: list[int]) -> list[float]: ...
+    def batch_terms(self, src: int, n: int) -> BatchTerms: ...
     def city_of(self, user_index: int) -> str: ...
 
 
@@ -120,8 +122,10 @@ class RelayCore:
 
     def holds(self, msg_id: int) -> bool:
         """Is ``msg_id`` in any dedup generation still kept?"""
-        if msg_id in self._seen:
-            return True
+        return msg_id in self._seen or self._held_before(msg_id)
+
+    def _held_before(self, msg_id: int) -> bool:
+        """Is ``msg_id`` in a generation older than the current one?"""
         for generation in self._seen_before:
             if msg_id in generation:
                 return True
@@ -187,7 +191,13 @@ class RelayCore:
         ``raw`` is the encoded form the copy arrived as, where the
         byte-mover has one; a relay forwards those bytes.
         """
-        if self._drop_duplicate(envelope.msg_id):
+        if self.disconnected:
+            return
+        # :meth:`_drop_duplicate`, with the current generation — where
+        # nearly every duplicate is found — checked inline.
+        msg_id = envelope.msg_id
+        if msg_id in self._seen or self._held_before(msg_id):
+            self._count_duplicate()
             return
         metrics = self._metrics
         ingress = self.ingress
@@ -202,7 +212,7 @@ class RelayCore:
             if metrics is not None:
                 metrics.inc("gossip.ingress_rejected")
             return
-        self._seen.add(envelope.msg_id)
+        self._seen.add(msg_id)
         if metrics is not None:
             metrics.inc("gossip.recv." + envelope.kind)
             metrics.inc("gossip.recv_bytes." + envelope.kind,
@@ -305,13 +315,16 @@ class NetworkInterface(RelayCore):
         lane = (self._egress_urgent if envelope.size <= URGENT_MESSAGE_BYTES
                 else self._egress_bulk)
         budget = self.lane_budget
-        for target in targets:
-            if budget is not None and len(lane) >= budget:
-                self.egress_dropped += 1
-                if self._metrics is not None:
-                    self._metrics.inc("gossip.egress_dropped")
-            else:
-                lane.append((envelope, target))
+        if budget is None or len(lane) + len(targets) <= budget:
+            lane.extend([(envelope, target) for target in targets])
+        else:
+            for target in targets:
+                if len(lane) >= budget:
+                    self.egress_dropped += 1
+                    if self._metrics is not None:
+                        self._metrics.inc("gossip.egress_dropped")
+                else:
+                    lane.append((envelope, target))
         if len(lane) > self.egress_high_water:
             self.egress_high_water = len(lane)
         if self._uplink_idle:
@@ -331,27 +344,13 @@ class NetworkInterface(RelayCore):
                 # batch costs one drain and one live heap entry.
                 batch = list(urgent)
                 urgent.clear()
-                offset = 0.0
-                offsets = []
-                # A relay's copies sit side by side in the lane: count
-                # each run of one envelope once, not once per copy.
-                counted, run = batch[0][0], 0
-                for envelope, _ in batch:
-                    if envelope is not counted:
-                        self._count_sent(counted, run)
-                        counted, run = envelope, 0
-                    run += 1
-                    if bandwidth is not None:
-                        offset += envelope.size * 8.0 / bandwidth
-                    offsets.append(offset)
-                self._count_sent(counted, run)
                 if self._metrics is not None:
                     self._metrics.observe("gossip.egress_batch", len(batch))
-                network._transmit_batch(self, batch, offsets)
-                if offset > 0.0:
+                busy = network._transmit_batch(self, batch)
+                if busy > 0.0:
                     # Uplink busy until the batch finishes; newly queued
                     # messages serialize after it.
-                    network.env.schedule(offset, self._drain)
+                    network.env.schedule(busy, self._drain)
                     return
             else:
                 # Bulk transfers stay one-at-a-time so a vote arriving
@@ -587,39 +586,68 @@ class GossipNetwork:
                 self.env.schedule(delay, sender._land, item)
 
     def _transmit_batch(self, sender: NetworkInterface,
-                        batch: list[tuple[Envelope, int]],
-                        offsets: list[float]) -> None:
-        """Batched-arrival path: one schedule for a whole egress batch.
+                        batch: list[tuple[Envelope, int]]) -> float:
+        """Put one drained urgent-lane batch on the wire, in one pass.
 
         ``batch`` holds the egress lane's own ``(envelope, dst)``
-        records and ``offsets`` their cumulative serialization offsets;
-        each message arrives at ``now + (offset + latency(src, dst))`` —
-        in exactly that float association — as the per-neighbor path
-        would deliver it, but the whole batch shares one
+        records; the return value is how long they occupy the uplink.
+        Each copy is counted as sent (one :meth:`RelayCore._count_sent`
+        per run of one envelope — a relay's copies sit side by side),
+        adds its ``8 * size / bandwidth`` to the serialization offset,
+        and arrives at ``now + (offset + latency(src, dst))`` — in
+        exactly that float association — as the per-neighbor path would
+        deliver it. The whole batch shares one
         :class:`repro.sim.loop.BatchSchedule` (arrivals landing at the
         same instant — e.g. under the uniform latency model — share a
         single event) and the lane records are reused as its payloads.
         Latencies are drawn for the whole batch before any copy is
         elided (:meth:`NetworkInterface._elide`), so the RNG stream does
-        not depend on who already holds what; a batch whose every copy
-        is elided schedules nothing.
+        not depend on who already holds what; only a surviving copy's
+        arrival is computed, and a batch whose every copy is elided
+        schedules nothing.
         """
         src = sender.index
-        elide = sender._elide
-        if self.drop_filter is None and self.link_shaper is None:
-            latencies = self.latency_model.latencies(
-                src, [dst for _, dst in batch])
-            arrivals = [(offset + latency, item) for offset, latency, item
-                        in zip(offsets, latencies, batch) if not elide(item)]
-        else:
-            # Fault hooks may draw from one shared RNG, so they keep the
-            # per-message filter -> latency -> shaper call order.
-            arrivals = [(offset + delay, item)
-                        for offset, item in zip(offsets, batch)
-                        for delay in self._shaped_delays(src, item)
-                        if not elide(item)]
+        bandwidth = self.bandwidth_bps
+        now = self.env.now
+        interfaces = self.interfaces
+        # Fault hooks may draw from one shared RNG, so they keep the
+        # per-message filter -> latency -> shaper call order.
+        faulted = self.drop_filter is not None or self.link_shaper is not None
+        if not faulted:
+            row, cities, factors = self.latency_model.batch_terms(src,
+                                                                  len(batch))
+        arrivals = []
+        offset = 0.0
+        elided = 0
+        counted, run = batch[0][0], 0
+        for position, item in enumerate(batch):
+            envelope, dst = item
+            if envelope is not counted:
+                sender._count_sent(counted, run)
+                counted, run = envelope, 0
+            run += 1
+            if bandwidth is not None:
+                offset += envelope.size * 8.0 / bandwidth
+            if faulted:
+                for delay in self._shaped_delays(src, item):
+                    if not sender._elide(item):
+                        arrivals.append((now + (offset + delay), item))
+            elif envelope.msg_id in interfaces[dst]._seen:
+                elided += 1  # _elide, inline
+            elif factors is None:
+                arrivals.append((now + (offset + row[cities[dst]]), item))
+            else:
+                arrivals.append((now + (offset + row[cities[dst]]
+                                        * factors[position]), item))
+        sender._count_sent(counted, run)
+        if elided:
+            self.messages_delivered += elided
+            self.dup_elided += elided
+            if self.obs is not None:
+                self.obs.metrics.inc("gossip.dup_dropped", elided)
         if arrivals:
-            self.env.schedule_batch(arrivals, sender._land, skip=elide)
+            self.env.push_batch(arrivals, sender._land, sender._elide)
+        return offset
 
     def _shaped_delays(self, src: int,
                        item: tuple[Envelope, int]) -> list[float]:

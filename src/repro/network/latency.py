@@ -14,6 +14,7 @@ the fidelity this reproduction needs.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -78,6 +79,11 @@ def base_latency_matrix() -> np.ndarray:
     return matrix
 
 
+#: ``(row, cities, factors)``: what one egress batch's latency samples
+#: are made of (:meth:`LatencyModel.batch_terms`).
+BatchTerms = tuple[list[float], Sequence[int], "list[float] | None"]
+
+
 class LatencyModel:
     """Assigns users to cities and answers per-pair latency queries."""
 
@@ -102,19 +108,39 @@ class LatencyModel:
         return self.latencies(src, [dst])[0]
 
     def latencies(self, src: int, dsts: list[int]) -> list[float]:
-        """One :meth:`latency` sample per destination, in one draw.
+        """One :meth:`latency` sample per destination, in one draw."""
+        row, cities, factors = self.batch_terms(src, len(dsts))
+        if factors is None:
+            return [row[cities[dst]] for dst in dsts]
+        return [row[cities[dst]] * factor
+                for dst, factor in zip(dsts, factors)]
 
-        Bit-identical to one call per destination, in order, RNG state
-        included: ``standard_normal(n)`` consumes the stream exactly
-        like ``n`` scalar draws.
+    def batch_terms(self, src: int, n: int) -> BatchTerms:
+        """The parts of ``n`` samples from ``src``, drawn at once.
+
+        The base latency from ``src``'s city to each city, every user's
+        city, and one jitter factor per sample (``None`` without
+        jitter): sample ``i`` towards ``dst`` is ``row[cities[dst]] *
+        factors[i]``. ``standard_normal(n)`` consumes the stream exactly
+        like ``n`` scalar draws, so a batch is bit-identical to one
+        :meth:`latency` call per destination, in order, RNG state
+        included.
         """
-        city_of, jitter = self._city_of, self._jitter
-        row = self._rows[city_of[src]]
+        row = self._rows[self._city_of[src]]
+        jitter = self._jitter
         if jitter == 0:
-            return [row[city_of[dst]] for dst in dsts]
-        draws = self._rng.standard_normal(len(dsts)).tolist()
-        return [row[city_of[dst]] * max(0.25, 1.0 + jitter * z)
-                for dst, z in zip(dsts, draws)]
+            return row, self._city_of, None
+        # max(0.25, 1 + jitter * z) without a call per sample.
+        return row, self._city_of, [
+            factor if (factor := 1.0 + jitter * z) > 0.25 else 0.25
+            for z in self._rng.standard_normal(n).tolist()]
+
+
+class _OneCity:
+    """Every user's city index in a model with a single city."""
+
+    def __getitem__(self, user_index: int) -> int:
+        return 0
 
 
 class UniformLatencyModel:
@@ -124,6 +150,7 @@ class UniformLatencyModel:
         if latency < 0:
             raise ValueError("latency must be >= 0")
         self._latency = latency
+        self._terms: BatchTerms = ([latency], _OneCity(), None)
 
     def city_of(self, user_index: int) -> str:
         return "uniform"
@@ -133,3 +160,6 @@ class UniformLatencyModel:
 
     def latencies(self, src: int, dsts: list[int]) -> list[float]:
         return [self._latency] * len(dsts)
+
+    def batch_terms(self, src: int, n: int) -> BatchTerms:
+        return self._terms

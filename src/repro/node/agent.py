@@ -38,10 +38,12 @@ from repro.baplus.voting import (
     count_votes,
     interrupt_open_steps,
 )
+from repro.common.encoding import encode
 from repro.common.errors import (ConsensusHalted, InvalidBlock, LedgerError,
                                  SimulationError)
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend, KeyPair
+from repro.crypto.hashing import H
 from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block, empty_block, empty_block_hash, validate_block
 from repro.ledger.blockchain import Blockchain
@@ -62,7 +64,7 @@ from repro.node.proposal import (
     block_priority,
     make_priority_message,
 )
-from repro.node.registry import BlockRegistry
+from repro.node.registry import BlockRegistry, ContextKey
 from repro.runtime.router import MessageRouter
 from repro.sim.loop import Environment, Process
 from repro.sortition.roles import FINAL_STEP, proposer_role
@@ -89,6 +91,38 @@ def sortition_weights(chain: Blockchain, params: ProtocolParams,
     if params.lookback_take_min:
         weights = weights.floored_by(chain.state.weights())
     return weights
+
+
+# The BA⋆ contexts (Algorithms 3-9's ``ctx``) a chain yields. Every one
+# is built here: a node's live round context (interned per tip by
+# :meth:`Node._current_context`), the context a certified round ran
+# under (catch-up, section 8.3) and fork recovery's (section 8.2).
+
+def history_context(chain: Blockchain, round_number: int) -> BAContext:
+    """The context round ``round_number`` ran under, rebuilt from
+    ``chain``: its selection seed, the weights after round
+    ``round_number - 1`` and that round's block hash (section 8.3). What
+    catch-up checks a certificate against; never interned — a
+    downloaded history is checked on its own terms.
+    """
+    return BAContext.from_weights(
+        seed=chain.selection_seed(round_number),
+        weights=chain.weights_at(round_number - 1),
+        last_block_hash=chain.block_at(round_number - 1).block_hash,
+    )
+
+
+def recovery_context(chain: Blockchain, pre_fork_round: int,
+                     attempt: int) -> BAContext:
+    """Fork recovery's shared context: seed and weights from before any
+    possible fork (section 8.2), bound to the attempt number."""
+    cut = min(pre_fork_round, chain.height)
+    seed = H(chain.seed_of_round(cut), encode(attempt))
+    # Weights must come from the shared pre-fork prefix: replay it so
+    # stake moved by post-fork blocks cannot diverge the contexts.
+    weights = chain.fork_from(chain.blocks[1:cut + 1]).state.weights()
+    return BAContext.from_weights(seed, weights,
+                                  H(b"recovery", encode(attempt)))
 
 
 class Node:
@@ -142,10 +176,10 @@ class Node:
         #: every accepted vote to skip forwarding once the local tally
         #: for its (round, step, value) has crossed the step threshold.
         self.damper = None
-        # Single-slot memo for _current_context: vote admission asks for
-        # the same round's context once per delivered envelope, and the
-        # weight-table rebuild dominates that path.
-        self._ctx_memo: tuple[tuple[int, int, bytes], BAContext] | None = None
+        # Single-slot memo in front of the registry's interned contexts:
+        # vote admission asks for the same round's context once per
+        # delivered envelope.
+        self._ctx_memo: tuple[ContextKey, BAContext] | None = None
         self.participant = BAParticipant(
             env=env, params=params, backend=backend, buffer=self.buffer,
             keypair=keypair, gossip_vote=self._gossip_vote,
@@ -193,15 +227,22 @@ class Node:
         if key in self._seen_votes:
             # At most one relayed message per key per (round, step), §8.4.
             return False
-        # With pipelining, the previous round's final-vote count is still
-        # live after commit; keep accepting its votes (one-round grace).
-        stale_horizon = self.chain.next_round
-        if self.params.pipeline_final_step:
-            stale_horizon -= 1
-        if vote.round_number < stale_horizon:
-            return False  # stale round
-        if not vote.verify_signature(self.backend):
-            return False
+        verdict = None
+        if self.admission is not None:
+            # Admission just passed this copy (stale round, signature)
+            # and, where it could, weighed it: take its verdict once.
+            verdict = self.admission.take_verdict(vote)
+        if verdict is None:
+            # With pipelining, the previous round's final-vote count is
+            # still live after commit; keep accepting its votes
+            # (one-round grace).
+            stale_horizon = self.chain.next_round
+            if self.params.pipeline_final_step:
+                stale_horizon -= 1
+            if vote.round_number < stale_horizon:
+                return False  # stale round
+            if not vote.verify_signature(self.backend):
+                return False
         if (vote.prev_hash != self.chain.tip_hash
                 and vote.round_number == self.chain.next_round):
             # A current-round vote extending a chain we don't hold:
@@ -214,7 +255,7 @@ class Node:
             # Quorum-trimmed relay: the vote is buffered and counted
             # locally either way; only the forward is skipped once this
             # key's tally has crossed its threshold.
-            return self.damper.should_relay(vote)
+            return self.damper.should_relay(vote, verdict)
         return True
 
     def _handle_priority(self, message: PriorityMessage) -> bool:
@@ -353,16 +394,28 @@ class Node:
         return self._trackers[round_number]
 
     def _current_context(self, round_number: int) -> BAContext:
-        memo_key = (round_number, self.chain.height, self.chain.tip_hash)
-        if self._ctx_memo is not None and self._ctx_memo[0] == memo_key:
-            return self._ctx_memo[1]
-        ctx = BAContext.from_weights(
-            seed=self.chain.selection_seed(round_number),
-            weights=sortition_weights(self.chain, self.params,
-                                      round_number),
-            last_block_hash=self.chain.tip_hash,
-        )
-        self._ctx_memo = (memo_key, ctx)
+        """The context of ``round_number`` on this node's tip.
+
+        One object per ``(round, height, tip)`` per deployment: the
+        first node to ask builds it and interns it in the shared
+        :class:`~repro.node.registry.BlockRegistry`, every other node on
+        that tip gets the same object — and with it the weight receipts
+        its votes already carry for it.
+        """
+        chain = self.chain
+        key = (round_number, chain.height, chain.tip_hash)
+        memo = self._ctx_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        ctx = self.registry.context(key)
+        if ctx is None:
+            ctx = BAContext.from_weights(
+                seed=chain.selection_seed(round_number),
+                weights=sortition_weights(chain, self.params, round_number),
+                last_block_hash=chain.tip_hash,
+            )
+            self.registry.intern_context(key, ctx)
+        self._ctx_memo = (key, ctx)
         return ctx
 
     def _round_loop(self, target_height: int):
@@ -679,6 +732,7 @@ class Node:
         if self.params.pipeline_final_step:
             horizon -= 1
         self.buffer.prune_before(horizon)
+        self.registry.drop_contexts_before(horizon)
         for round_number in [r for r in self._trackers if r < horizon]:
             del self._trackers[round_number]
         self._seen_votes = {key for key in self._seen_votes

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.baplus.certificate import Certificate, verify_certificate
-from repro.baplus.context import BAContext
 from repro.common.errors import InvalidCertificate, LedgerError
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend
@@ -51,6 +50,7 @@ from repro.ledger.arraystate import AccountIndex
 from repro.ledger.block import Block
 from repro.ledger.blockchain import Blockchain
 from repro.network.message import Envelope
+from repro.node.agent import history_context
 from repro.sortition.roles import RECOVERY_ROUND_BASE
 from repro.sortition.seed import accepted_seed
 
@@ -97,11 +97,8 @@ def replay_chain(blocks: Iterable[Block],
                 f"round {round_number}: certificate certifies a different "
                 f"block"
             )
-        ctx = BAContext.from_weights(
-            chain.selection_seed(round_number),
-            chain.state.weights(), chain.tip_hash,
-        )
-        verify_certificate(certificate, ctx, backend, params)
+        verify_certificate(certificate, history_context(chain, round_number),
+                           backend, params)
         chain.append(block, certificate, seed_override=accepted_seed(
             backend, block, chain.seed_of_round(round_number - 1),
             round_number))
@@ -133,12 +130,8 @@ def verify_final_safety(chain: Blockchain, *, backend: CryptoBackend,
     if certificate.value != chain.block_at(round_number).block_hash:
         raise InvalidCertificate(
             "final certificate certifies a different block")
-    ctx = BAContext.from_weights(
-        chain.selection_seed(round_number),
-        chain.weights_at(round_number - 1),
-        chain.block_at(round_number - 1).block_hash,
-    )
-    verify_certificate(certificate, ctx, backend, params)
+    verify_certificate(certificate, history_context(chain, round_number),
+                       backend, params)
     return round_number
 
 

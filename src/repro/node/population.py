@@ -23,7 +23,9 @@ determined by its committee-sized fraction of the users, so a
   activated gossip interface) just in time to propose and vote;
 * **retirement after their round** — transient agents are torn down at
   the next boundary unless re-selected; only ``live`` ever referred to
-  one, so its chain replica, buffers and admission state are garbage.
+  one, so its chain replica, buffers and admission state are garbage —
+  its counters are folded into running totals first, so
+  :meth:`Population.agent_counters` covers every agent ever built.
 
 Role coverage: winners are computed for the proposer role, both
 reduction steps, BinaryBA* steps ``1..steps_ahead``, and the final
@@ -117,6 +119,8 @@ class Population:
         self.materialized_total = 0
         self.retired_total = 0
         self.live_high_water = 0
+        #: What the retired agents counted (see :meth:`agent_counters`).
+        self._folded_counters = _no_counters()
 
         # One genesis state, however large the core: the rest replicate.
         genesis_chain = self._create_agent(self.core[0]).chain
@@ -159,6 +163,7 @@ class Population:
         node = self.live.pop(slot)
         self._targets.pop(slot, None)
         self.retired_total += 1
+        _add_counters(self._folded_counters, node)
         process = node._round_process
         if process is not None and not process.done and not process.running:
             # A running process here is the committing agent retiring
@@ -310,6 +315,20 @@ class Population:
     def core_nodes(self) -> list[Node]:
         return [self.live[slot] for slot in self.core]
 
+    def agent_counters(self) -> dict:
+        """Runtime counters summed over every agent ever built.
+
+        The live agents as they stand plus each retired one as it was
+        when it retired: vote-buffer, router, admission and damping
+        counts (``buffer_high_water`` is the maximum). The admission
+        and damping entries are present once some agent had the layer.
+        """
+        totals = dict(self._folded_counters)
+        totals["rejected"] = dict(totals["rejected"])
+        for node in self.live.values():
+            _add_counters(totals, node)
+        return totals
+
     def stats(self) -> dict[str, int]:
         return {
             "accounts": self.num_accounts,
@@ -319,3 +338,30 @@ class Population:
             "materialized_total": self.materialized_total,
             "retired_total": self.retired_total,
         }
+
+
+def _no_counters() -> dict:
+    return {"buffer_high_water": 0, "buffer_evicted": 0,
+            "buffer_rejected": 0, "router_unknown_kinds": 0,
+            "rejected": {}}
+
+
+def _add_counters(totals: dict, node: Node) -> None:
+    """Add one agent's counters into ``totals`` (see
+    :meth:`Population.agent_counters`)."""
+    buffer = node.buffer
+    totals["buffer_high_water"] = max(totals["buffer_high_water"],
+                                      buffer.high_water)
+    totals["buffer_evicted"] += buffer.evicted
+    totals["buffer_rejected"] += buffer.rejected
+    totals["router_unknown_kinds"] += node.router.unknown_kinds
+    admission = node.admission
+    if admission is not None:
+        totals["admitted"] = totals.get("admitted", 0) + admission.admitted
+        rejected = totals["rejected"]
+        for reason, count in admission.rejected.items():
+            rejected[reason] = rejected.get(reason, 0) + count
+    damper = node.damper
+    if damper is not None:
+        totals["suppressed"] = totals.get("suppressed", 0) + damper.suppressed
+        totals["observed"] = totals.get("observed", 0) + damper.observed

@@ -30,12 +30,10 @@ from dataclasses import dataclass
 
 from repro.baplus.context import BAContext
 from repro.baplus.protocol import ba_star
-from repro.common.encoding import encode
 from repro.common.errors import ConsensusHalted
-from repro.crypto.hashing import H
 from repro.ledger.block import Block, empty_block_hash
 from repro.network.message import Envelope
-from repro.node.agent import Node
+from repro.node.agent import Node, recovery_context
 from repro.node.proposal import block_priority
 from repro.sortition.roles import RECOVERY_ROUND_BASE, fork_proposer_role
 from repro.sortition.selection import sortition, verify_sort
@@ -87,15 +85,8 @@ class RecoverySession:
 
     def _recovery_ctx(self, attempt: int) -> BAContext:
         """Shared context: seed/weights from before any possible fork."""
-        chain = self.node.chain
-        cut = min(self.pre_fork_round, chain.height)
-        seed = H(chain.seed_of_round(cut), encode(attempt))
-        # Weights must come from the shared pre-fork prefix (section 8.2):
-        # replay it so stake moved by post-fork blocks cannot diverge the
-        # contexts.
-        weights = chain.fork_from(chain.blocks[1:cut + 1]).state.weights()
-        return BAContext.from_weights(
-            seed, weights, H(b"recovery", encode(attempt)))
+        return recovery_context(self.node.chain, self.pre_fork_round,
+                                attempt)
 
     # -- gossip ----------------------------------------------------------
 

@@ -70,6 +70,11 @@ if TYPE_CHECKING:
     from repro.network.gossip import GossipNetwork
     from repro.node.agent import Node
 
+#: What admission found about one vote copy it let through:
+#: ``(vote, ctx, weight)``, ``ctx`` ``None`` (weight 0) when the vote could
+#: not be weighed here (future round, recovery round, foreign tip).
+VoteVerdict = tuple[VoteMessage, "BAContext | None", int]
+
 #: Offense kinds recognized by :class:`PeerHealth`.
 OFFENSES = ("invalid_signature", "failed_sortition", "duplicate",
             "equivocation", "flood")
@@ -274,29 +279,27 @@ class QuarantineDirectory:
 
 
 def sortition_weight(node: "Node", vote: VoteMessage,
-                     ctx: "BAContext | None" = None) -> int:
-    """Committee weight of ``vote`` in ``node``'s current context.
+                     ctx: "BAContext") -> int:
+    """Committee weight of ``vote`` under ``ctx``, one of ``node``'s
+    round contexts.
 
     Section 5.2's ``VerifySort`` against the committee for the vote's
-    ``(round, step)``, read from the vote's own weight receipt
-    (:meth:`~repro.baplus.messages.VoteMessage.committee_votes`) after
-    its first computation. The single weighing every consumer shares:
-    sortition-gated admission, the relay damper
+    ``(round, step)``, read from the vote's own receipts
+    (:meth:`~repro.baplus.messages.VoteMessage.weigh`) after its first
+    computation in that context. The single weighing every consumer
+    shares: sortition-gated admission, the relay damper
     (:mod:`repro.runtime.damping`) and ``process_msg`` must agree on a
     vote's weight or their decisions could diverge from the vote count
     itself.
 
-    Callers are responsible for decidability (same round, same tip) —
-    this helper weighs against ``node``'s context for the vote's round,
-    or against an explicit ``ctx`` (the damper passes the round's
-    in-round context when weighing votes that trail a commit).
+    Callers are responsible for decidability (same round, same tip):
+    admission passes the context of the vote's round, the damper also
+    the in-round context of a round it already committed, for votes
+    that trail the commit.
     """
-    if ctx is None:
-        ctx = node._current_context(vote.round_number)
     tau = (node.params.tau_final if vote.step == FINAL_STEP
            else node.params.tau_step)
-    return vote.committee_votes(node.backend, ctx.seed, tau,
-                                ctx.weight_of(vote.voter), ctx.total_weight)
+    return vote.weigh(node.backend, ctx, tau)
 
 
 class AdmissionControl:
@@ -305,6 +308,12 @@ class AdmissionControl:
     ``admit(envelope, from_index)`` runs *after* duplicate suppression
     and *before* the router and any relay — a rejected
     message costs the node one verification and is never amplified.
+
+    An admitted vote copy leaves its verdict behind —
+    ``(vote, ctx, weight)``, ``ctx`` ``None`` when the vote was not
+    decidable here — for the vote handler the same delivery reaches
+    next (:meth:`take_verdict`): it skips the checks made here, and the
+    relay damper reads the weight instead of weighing again.
     """
 
     def __init__(self, node: "Node", config: AdmissionConfig,
@@ -332,6 +341,8 @@ class AdmissionControl:
         self._equivocators: set[tuple[bytes, int]] = set()
         #: Origin index -> admitted signature-valid votes this round.
         self._vote_counts: dict[int, int] = {}
+        #: The last admitted vote copy's verdict, until the handler takes it.
+        self._verdict: "VoteVerdict | None" = None
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -411,12 +422,15 @@ class AdmissionControl:
             self._penalize(origin_index, "equivocation")
             return self._reject("equivocation")
         chain = self.node.chain
+        ctx, weight = None, 0
         if (vote.round_number == chain.next_round
                 and vote.round_number < RECOVERY_ROUND_BASE
                 and vote.prev_hash == chain.tip_hash):
             # Fully decidable: same round, same tip -> same seed and
             # weight table. Gate on the sortition proof (section 5.2).
-            if self._committee_sort(vote) == 0:
+            ctx = self.node._current_context(vote.round_number)
+            weight = sortition_weight(self.node, vote, ctx)
+            if weight == 0:
                 self._penalize(from_index, "failed_sortition")
                 return self._reject("failed_sortition")
         # Future-round, recovery, and foreign-tip votes are undecidable
@@ -430,10 +444,19 @@ class AdmissionControl:
                 return self._reject("flood")
         self._first_vote[key] = vote
         self.admitted += 1
+        self._verdict = (vote, ctx, weight)
         return True
 
-    def _committee_sort(self, vote: VoteMessage) -> int:
-        return sortition_weight(self.node, vote)
+    def take_verdict(self, vote: VoteMessage) -> "VoteVerdict | None":
+        """The verdict on the copy of ``vote`` just admitted, once.
+
+        ``None`` when the last admitted copy was of another vote object
+        — the handler was reached some other way and checks for itself.
+        """
+        verdict, self._verdict = self._verdict, None
+        if verdict is not None and verdict[0] is vote:
+            return verdict
+        return None
 
     def _admit_priority(self, envelope: Envelope, from_index: int) -> bool:
         message = envelope.payload

@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.baplus.messages import COIN_HASH_CEILING, VoteMessage
-from repro.runtime.admission import sortition_weight
+from repro.runtime.admission import VoteVerdict, sortition_weight
 from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -182,7 +182,8 @@ class RelayDamper:
 
     # -- the decision --------------------------------------------------
 
-    def _weight(self, vote: VoteMessage) -> int:
+    def _weight(self, vote: VoteMessage,
+                verdict: VoteVerdict | None = None) -> int:
         """Committee weight if fully decidable here, else 0 (uncounted).
 
         Decidable means one of:
@@ -197,10 +198,14 @@ class RelayDamper:
 
         Anything else gets weight 0, which :meth:`DampingTally.observe`
         treats as "do not count" — and an uncounted vote is never
-        suppressed.
+        suppressed. Admission's test is admission's to make: a
+        ``verdict`` that weighed the vote is read, not repeated.
         """
-        chain = self.node.chain
         round_number = vote.round_number
+        if verdict is not None and verdict[1] is not None:
+            self._ctx_cache[round_number] = verdict[1]
+            return verdict[2]
+        chain = self.node.chain
         if round_number >= RECOVERY_ROUND_BASE:
             return 0
         if (round_number == chain.next_round
@@ -216,9 +221,13 @@ class RelayDamper:
             return sortition_weight(self.node, vote, ctx)
         return 0
 
-    def should_relay(self, vote: VoteMessage) -> bool:
-        """Weigh one accepted vote; False skips the forward."""
-        weight = self._weight(vote)
+    def should_relay(self, vote: VoteMessage,
+                     verdict: VoteVerdict | None = None) -> bool:
+        """Weigh one accepted vote; False skips the forward.
+
+        ``verdict`` is admission's on this copy, when it has one.
+        """
+        weight = self._weight(vote, verdict)
         suppress = self.tally.observe(
             vote.round_number, vote.step, vote.value, vote.voter,
             weight, vote.coin_hash(weight))

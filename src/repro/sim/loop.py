@@ -509,6 +509,19 @@ class Environment:
             records.append((now + delay, payload))
         if not records:
             raise SimulationError("schedule_batch requires at least one item")
+        return self.push_batch(records, deliver, skip)
+
+    def push_batch(self, records: list[tuple[float, Any]],
+                   deliver: Callable[[Any], None],
+                   skip: Callable[[Any], bool] | None = None,
+                   ) -> BatchSchedule:
+        """:meth:`schedule_batch` for a caller that built the records.
+
+        ``records`` are ``(absolute_time, payload)`` pairs, at least one,
+        none earlier than :attr:`now` — the caller's guarantee, not
+        checked again here (gossip egress adds non-negative offsets and
+        latencies to ``now``). The batch takes the list over.
+        """
         seq = self._seq
         self._seq = seq + 1
         batch = BatchSchedule(self, seq, records, deliver, skip)

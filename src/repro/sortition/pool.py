@@ -69,24 +69,22 @@ def pool_fractions(backend: CryptoBackend, secrets: list[bytes],
     """VRF hash fraction per account (NaN for zero-weight slots).
 
     One hash per staked account — the unavoidable per-user part of
-    sortition — but batched into a single pass that feeds the
-    vectorized screen, instead of being interleaved with N python-level
-    CDF walks.
+    sortition — but asked of the backend in one sweep
+    (:meth:`~repro.crypto.backend.CryptoBackend.vrf_outputs`) that feeds
+    the vectorized screen, instead of being interleaved with N
+    python-level CDF walks.
     """
     if len(secrets) != len(weights):
         raise SortitionError(
             f"pool has {len(secrets)} secrets but {len(weights)} weights")
-    vrf_output = backend.vrf_output
-    prefixes = bytearray(8 * len(secrets))
-    staked = np.flatnonzero(weights)
-    for slot in staked:
-        slot = int(slot)
-        prefixes[8 * slot:8 * slot + 8] = (
-            vrf_output(secrets[slot], alpha)[:8])
+    staked = np.flatnonzero(weights > 0)
+    outputs = backend.vrf_outputs([secrets[slot] for slot in staked.tolist()],
+                                  alpha)
     # Same top-53-bits mapping as hash_to_fraction, vectorized.
-    tops = np.frombuffer(bytes(prefixes), dtype=">u8") >> np.uint64(11)
-    fractions = tops.astype(np.float64) / float(1 << 53)
-    fractions = np.where(weights > 0, fractions, np.nan)
+    tops = np.frombuffer(b"".join([output[:8] for output in outputs]),
+                         dtype=">u8") >> np.uint64(11)
+    fractions = np.full(len(secrets), np.nan)
+    fractions[staked] = tops.astype(np.float64) / float(1 << 53)
     return fractions
 
 

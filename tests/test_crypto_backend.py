@@ -77,9 +77,16 @@ class TestBackendContract:
 
     def test_vrf_output_differs_per_alpha(self, backend):
         kp = backend.keypair(H(b"vrf-user"))
+        other = backend.keypair(H(b"vrf-other"))
         h1, _ = backend.vrf_prove(kp.secret, b"a")
         h2, _ = backend.vrf_prove(kp.secret, b"b")
         assert h1 != h2
+        # The proof-less sweep the stake pool screens with: one output
+        # per secret, in order, each the hash vrf_prove returns.
+        assert backend.vrf_outputs([kp.secret, other.secret], b"a") == [
+            h1, backend.vrf_prove(other.secret, b"a")[0]]
+        assert backend.vrf_outputs([kp.secret], b"b") == [h2]
+        assert backend.vrf_outputs([], b"a") == []
 
 
 class TestFastBackendSpecifics:

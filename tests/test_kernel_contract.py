@@ -31,8 +31,11 @@ import pytest
 
 import repro.experiments.harness as harness
 from repro.adversary import MaliciousNode
+from repro.baplus.context import BAContext
+from repro.baplus.messages import VoteMessage
 from repro.chaos import FaultAction, ScenarioScript, run_scenario
 from repro.common.params import TEST_PARAMS
+from repro.ledger.arraystate import ArrayWeights
 from repro.node.deployment import NetworkConfig, PopulationConfig
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
@@ -72,6 +75,22 @@ GOLDEN_WORK_20_USERS_2_ROUNDS = {
         "dup_elided": 13_058, "cache_lookups": 1_403},
     2: {"events_processed": 21_226, "messages_delivered": 23_984,
         "dup_elided": 12_006, "cache_lookups": 1_482},
+}
+
+#: What the same runs ask of the hot path per copy: BA* contexts built,
+#: weight-table lookups, and content-keyed sortition-receipt questions.
+#: One context per tip per deployment, and a vote weighed once per
+#: context (admission hands its verdict to the handler and the damper;
+#: CountVotes reads the receipt the shared context keys). At the commit
+#: before, every node built its own context each round and each vote was
+#: weighed by admission, again by the damper and again on every
+#: CountVotes pass: 40 / 12,637 / 11,935 (seed 1) and 40 / 13,448 /
+#: 12,670 (seed 2).
+GOLDEN_CALLS_20_USERS_2_ROUNDS = {
+    1: {"BAContext.from_weights": 2, "ArrayWeights.get": 980,
+        "VoteMessage.committee_votes": 278},
+    2: {"BAContext.from_weights": 2, "ArrayWeights.get": 1_055,
+        "VoteMessage.committee_votes": 277},
 }
 
 
@@ -170,6 +189,27 @@ def test_golden_chain_hash(seed, population):
     } == GOLDEN_WORK_20_USERS_2_ROUNDS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(GOLDEN_20_USERS_2_ROUNDS))
+def test_golden_run_pays_once_per_copy(monkeypatch, seed):
+    calls: Counter = Counter()
+
+    def count(cls, name, bind=lambda function: function):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, bind(counted))
+
+    # from_weights is a classmethod: its bound original takes no cls.
+    count(BAContext, "from_weights", bind=staticmethod)
+    count(ArrayWeights, "get")
+    count(VoteMessage, "committee_votes")
+    sim = run_sim(2, payments=10, num_users=20, seed=seed)
+    assert chain_hash(sim) == GOLDEN_20_USERS_2_ROUNDS[seed]
+    assert dict(calls) == GOLDEN_CALLS_20_USERS_2_ROUNDS[seed]
+
+
 @pytest.mark.parametrize("seed", sorted(LATTICE_TIME_16_USERS_3_ROUNDS))
 def test_lattice_time_schedule(seed):
     sim = run_sim(3, payments=8, num_users=16, seed=seed,
@@ -257,13 +297,24 @@ EVENTS_PER_ROUND_CEILING = 12_500
 
 
 class PerCopyNetwork(GossipNetwork):
-    """The oracle: one ``env.schedule()`` per copy, nothing elided."""
+    """The oracle: one ``env.schedule()`` per copy, nothing elided.
+
+    It overrides the one egress pass an urgent-lane batch goes through
+    with the plainest multi-pass version of it: count, serialize, draw,
+    schedule each copy.
+    """
 
     def _transmit(self, sender, item):
         for delay in self._shaped_delays(sender.index, item):
             self.env.schedule(delay, sender._land, item)
 
-    def _transmit_batch(self, sender, batch, offsets):
+    def _transmit_batch(self, sender, batch):
+        offset, offsets = 0.0, []
+        for envelope, _ in batch:
+            sender._count_sent(envelope, 1)
+            if self.bandwidth_bps is not None:
+                offset += envelope.size * 8.0 / self.bandwidth_bps
+            offsets.append(offset)
         src = sender.index
         if self.drop_filter is None and self.link_shaper is None:
             delays = [[latency] for latency in self.latency_model.latencies(
@@ -273,6 +324,7 @@ class PerCopyNetwork(GossipNetwork):
         for offset, item, shaped in zip(offsets, batch, delays):
             for delay in shaped:
                 self.env.schedule(offset + delay, sender._land, item)
+        return offsets[-1]
 
 
 def _gossip_counters(bus) -> dict:
@@ -379,6 +431,17 @@ def _both(scenario):
 
 def _envelope(kind="vote", size=200):
     return Envelope(origin=b"o", kind=kind, payload=None, size=size)
+
+
+def test_the_oracle_replaces_the_one_egress_pass():
+    """Every urgent-lane copy leaves through ``_transmit_batch``: with
+    the oracle's override in place nothing is ever batched."""
+    env, net = _bare(PerCopyNetwork)
+    for k in range(5):
+        net.interfaces[k].broadcast(_envelope(f"m{k}"))
+    env.run()
+    assert net.messages_delivered > 0
+    assert env.batch_walks == env.batch_deliveries == 0
 
 
 class TestElisionEdgeCases:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ from repro.node.catchup import (
     build_announcement,
     resync_from_peers,
 )
+from repro.runtime.admission import AdmissionControl
+from repro.runtime.damping import RelayDamper
 
 from tests.fixtures import (
     chain_hash,
@@ -160,6 +163,39 @@ class TestDormancy:
         deep = run_sim(3, population=aggregated(always_on_core=8,
                                                 steps_ahead=12), **cfg)
         assert deep.nodes[0].chain.height == 3
+
+
+class TestCountersOutliveAgents:
+    """A retired agent is garbage, but what it counted is not lost: the
+    harness's totals cover every agent the population ever built."""
+
+    def test_totals_cover_every_agent_ever_built(self, monkeypatch):
+        built: dict[type, list] = {AdmissionControl: [], RelayDamper: []}
+        for cls, instances in built.items():
+            def record(self, *args, _init=cls.__init__, _into=instances,
+                       **kwargs):
+                _init(self, *args, **kwargs)
+                _into.append(self)
+            monkeypatch.setattr(cls, "__init__", record)
+        sim = run_sim(2, population=aggregated(always_on_core=8,
+                                               steps_ahead=6),
+                      **DORMANCY_CFG)
+        admissions, dampers = built[AdmissionControl], built[RelayDamper]
+        stats = sim.population.stats()
+        assert stats["retired_total"] > 0
+        assert len(admissions) == len(dampers) == stats["materialized_total"]
+        summary = sim.summary()
+        admitted = sum(admission.admitted for admission in admissions)
+        rejected: Counter = Counter()
+        for admission in admissions:
+            rejected.update(admission.rejected)
+        assert summary["admission"]["admitted"] == admitted
+        assert summary["admission"]["rejected"] == dict(rejected)
+        assert summary["damping"] == {
+            "suppressed": sum(damper.suppressed for damper in dampers),
+            "observed": sum(damper.observed for damper in dampers)}
+        # The always-on core alone undercounts.
+        assert admitted > sum(node.admission.admitted for node in sim.nodes)
 
 
 class TestValidation:

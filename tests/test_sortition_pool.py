@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SortitionError
-from repro.crypto.backend import FastBackend
+from repro.crypto.backend import CachedBackend, Ed25519Backend, FastBackend
+from repro.crypto.counting import CountingBackend
 from repro.crypto.hashing import H
 from repro.common.encoding import encode
+from repro.runtime.cache import VerificationCache
 from repro.sortition.pool import pool_fractions, pool_select
 from repro.sortition.selection import (
     SELECTION_STATS,
@@ -43,6 +45,19 @@ def oracle_winners(backend, secrets, weights, tau, total, seed, role):
         if proof.j > 0:
             winners[slot] = proof
     return winners
+
+
+def per_slot_fractions(backend, secrets, weights, alpha):
+    """The screen's input the way it was computed before the backend
+    answered a whole role in one sweep: one VRF hash per staked slot."""
+    prefixes = bytearray(8 * len(secrets))
+    for slot in np.flatnonzero(weights):
+        slot = int(slot)
+        prefixes[8 * slot:8 * slot + 8] = backend.vrf_prove(secrets[slot],
+                                                            alpha)[0][:8]
+    tops = np.frombuffer(bytes(prefixes), dtype=">u8") >> np.uint64(11)
+    fractions = tops.astype(np.float64) / float(1 << 53)
+    return np.where(weights > 0, fractions, np.nan)
 
 
 class TestOracleEquivalence:
@@ -106,6 +121,24 @@ class TestFractions:
             else:
                 vrf_hash, _ = backend.vrf_prove(secret, alpha)
                 assert fractions[slot] == hash_to_fraction(vrf_hash)
+
+    @pytest.mark.parametrize("wrap", ["fast", "cached", "counting",
+                                      "ed25519"])
+    def test_one_sweep_is_bit_identical_to_the_per_slot_path(self, wrap):
+        inner = Ed25519Backend() if wrap == "ed25519" else FastBackend()
+        backend = {"cached": lambda: CachedBackend(inner,
+                                                   VerificationCache()),
+                   "counting": lambda: CountingBackend(inner)}.get(
+            wrap, lambda: inner)()
+        secrets, weights = make_pool(backend, 6 if wrap == "ed25519" else 40,
+                                     np.random.default_rng(17))
+        weights[1] = weights[-1] = 0
+        assert (weights == 0).sum() >= 2
+        alpha = H(b"alpha")
+        fractions = pool_fractions(backend, secrets, weights, alpha)
+        assert (fractions.tobytes()
+                == per_slot_fractions(backend, secrets, weights,
+                                      alpha).tobytes())
 
     def test_length_mismatch_rejected(self):
         backend = FastBackend()

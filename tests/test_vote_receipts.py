@@ -10,7 +10,10 @@ instance. These tests pin what makes that safe:
   in ``tests/test_runtime.py`` covers the equality trap — ``signature``
   is ``compare=False``, so a forgery can compare equal to the original);
 * the weight receipt is keyed by the full sortition context and
-  recomputes when any of seed / tau / weight / total changes;
+  recomputes when any of seed / tau / weight / total changes; the one in
+  front of it is keyed by the round context *object*, which every node
+  on one tip shares (one per ``(round, height, tip)`` per deployment)
+  and nobody else holds;
 * a vote nobody can weigh here — future round, foreign tip, recovery
   round (the *undecidable* messages of Conti et al., PAPERS.md) — is
   admitted without ever being given a weight;
@@ -27,11 +30,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baplus.certificate import build_certificate
+from repro.baplus.context import BAContext
 from repro.baplus.messages import VoteMessage, coin_min_hash, make_vote
 from repro.baplus.voting import common_coin, process_msg
 from repro.crypto.hashing import H
 from repro.experiments.harness import Simulation, SimulationConfig
+from repro.ledger.block import empty_block
 from repro.network.message import vote_envelope
+from repro.node import catchup
+from repro.node.agent import history_context
 from repro.runtime.admission import RECOVERY_ROUND_BASE
 from repro.sortition.roles import FINAL_STEP, committee_role
 from repro.sortition.selection import SELECTION_STATS, sortition
@@ -209,6 +216,92 @@ class TestUndecidableVotesCarryNoWeight:
         assert not self._deliver(sim, junk)
         assert junk.__dict__["_weight_receipt"][-1] == 0
         assert sim.nodes[0].admission.rejected == {"failed_sortition": 1}
+
+
+class TestOneContextPerTip:
+    """Nodes on one tip share one context object — and so the receipts
+    their votes carry for it; nobody else reads those receipts."""
+
+    @staticmethod
+    def _after_round_one() -> Simulation:
+        sim = _sim()
+        sim.submit_payments(USERS)
+        sim.run_rounds(1)
+        assert sim.all_chains_equal()
+        assert not sim.nodes[0].chain.block_at(1).is_empty
+        return sim
+
+    def test_nodes_on_one_tip_share_the_context(self):
+        sim = self._after_round_one()
+        contexts = {id(node._current_context(2)) for node in sim.nodes}
+        assert len(contexts) == 1
+        ctx = sim.nodes[0]._current_context(2)
+        key = (2, 1, sim.nodes[0].chain.tip_hash)
+        assert sim.registry.context(key) is ctx
+        # Dropped with its round: a later ask builds an equal, new one.
+        sim.registry.drop_contexts_before(3)
+        assert sim.registry.context(key) is None
+        node = sim.nodes[1]
+        node._ctx_memo = None
+        rebuilt = node._current_context(2)
+        assert rebuilt is not ctx
+        assert (rebuilt.seed, rebuilt.total_weight, rebuilt.last_block_hash) \
+            == (ctx.seed, ctx.total_weight, ctx.last_block_hash)
+
+    def test_a_foreign_tip_gets_its_own(self):
+        sim = self._after_round_one()
+        node, peer = sim.nodes[1], sim.nodes[0]
+        genesis_hash = node.chain.block_at(0).block_hash
+        node.chain = node.chain.fork_from([empty_block(1, genesis_hash)])
+        assert (node.chain.height == peer.chain.height
+                and node.chain.tip_hash != peer.chain.tip_hash)
+        foreign = node._current_context(2)
+        assert foreign is not peer._current_context(2)
+        assert foreign.last_block_hash == node.chain.tip_hash
+
+    def test_a_replayed_chain_is_checked_under_its_own(self, monkeypatch):
+        sim = self._after_round_one()
+        node = sim.nodes[0]
+        interned = node._current_context(2)
+        replayed = []
+
+        def record(chain, round_number):
+            ctx = history_context(chain, round_number)
+            replayed.append(ctx)
+            return ctx
+        monkeypatch.setattr(catchup, "history_context", record)
+        chain = catchup.catch_up_from(
+            node.chain, params=node.params, backend=node.backend,
+            initial_balances=node.chain.initial_balances,
+            genesis_seed=node.chain.genesis_seed, index=node.chain.index)
+        assert chain.tip_hash == node.chain.tip_hash and len(replayed) == 1
+        # Round 1's certificate was checked under a context built for the
+        # replay (equal in content), never the one the live nodes shared.
+        live = sim.registry.context((1, 0, chain.block_at(0).block_hash))
+        assert live is not None and live is not replayed[0]
+        assert (replayed[0].seed, replayed[0].last_block_hash) \
+            == (live.seed, live.last_block_hash)
+        assert interned is node._current_context(2)
+
+    def test_a_receipt_is_read_only_under_its_own_context(self):
+        sim = _sim()
+        vote, j = _selected_vote(sim)
+        ctx = sim.nodes[0]._current_context(1)
+        tau = _tau(sim, "1")
+        other = BAContext.from_weights(H(b"other-seed"), ctx.weights,
+                                       ctx.last_block_hash)
+        assert vote.weigh(sim.backend, ctx, tau) == j > 0
+        assert vote.weigh(sim.backend, other, tau) == 0
+        assert vote.__dict__["_context_receipt"] == (other, tau, 0)
+        assert vote.weigh(sim.backend, ctx, tau) == j
+        # An equal context that is another object computes (through the
+        # content-keyed receipt), it does not read ctx's.
+        twin = BAContext.from_weights(ctx.seed, ctx.weights,
+                                      ctx.last_block_hash)
+        before = vote.__dict__["_weight_receipt"]
+        assert vote.weigh(sim.backend, twin, tau) == j
+        assert vote.__dict__["_context_receipt"][0] is twin
+        assert vote.__dict__["_weight_receipt"] is before
 
 
 # -- Hypothesis: receipts are invisible ------------------------------------
