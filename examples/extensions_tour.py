@@ -95,9 +95,10 @@ def accountability_demo() -> None:
     sim = Simulation(
         SimulationConfig(num_users=16, seed=103, num_malicious=3),
         malicious_class=MaliciousNode)
-    processes = [node.start(1) for node in sim.nodes]
+    for node in sim.nodes:
+        node.start(1)
     sim.env.run(until=300.0,
-                stop_when=lambda: all(p.done for p in processes))
+                stop_when=lambda: not any(node.running for node in sim.nodes))
     steps = ["reduction_one", "reduction_two", "1", "2", "3", "final"]
     pooled = [vote
               for node in sim.nodes[:13]

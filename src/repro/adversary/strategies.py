@@ -114,12 +114,10 @@ class _JunkVoter(Node):
     junk_batch = 0
     junk_interval = 0.5
 
-    def start(self, target_height: int):
-        self.env.process(
-            junk_vote_loop(self, self.junk_kind, self.junk_batch,
-                           self.junk_interval, delay=self.junk_interval),
-            f"{self.junk_kind}-{self.index}")
-        return super().start(target_height)
+    def start(self, target_height: int) -> None:
+        junk_vote_loop(self, self.junk_kind, self.junk_batch,
+                       self.junk_interval, delay=self.junk_interval)
+        super().start(target_height)
 
 
 class FloodingNode(_JunkVoter):

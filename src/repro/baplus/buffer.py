@@ -14,7 +14,7 @@ by *round proximity* — the paper's "undecidable messages" (future-round
 and recovery votes that cannot be validated yet, the buffering DoS
 vector of PAPERS.md) are the first to go, and votes at or below the
 ``anchor_round`` being decided right now are never evicted. Because
-:meth:`messages` hands out live list references that step processes
+:meth:`messages` hands out live list references that parked counts
 iterate by index, eviction only ever pops from the *tail* of a
 strictly-future bucket and never deletes bucket dict entries.
 """

@@ -1,10 +1,9 @@
 """Voting primitives of BA* (Algorithms 4, 5, 6 and 9).
 
-These are written as plain functions plus one generator
-(:func:`count_votes`) that runs inside a node's simulation process:
-``value = yield from count_votes(...)``. It is resumed once, with the
-outcome: while it waits, kernel callbacks advance the tally
-(:class:`_VoteCount`) — when votes arrive, and when λ runs out.
+All plain functions. :func:`count_votes` either returns the outcome of
+a step at once or parks: kernel callbacks then advance the tally
+(:class:`_VoteCount`) — when votes arrive, and when λ runs out — and
+hand the outcome to the caller's continuation.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.baplus.messages import (
 )
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend, KeyPair
-from repro.sim.loop import Environment, Timer, Waitable
+from repro.sim.loop import Environment, Timer
 from repro.sortition.roles import RECOVERY_ROUND_BASE, committee_role
 from repro.sortition.selection import SortitionProof, sortition
 
@@ -56,12 +55,10 @@ class BAParticipant:
     #: events tagged with ``node_id`` and update sortition counters.
     obs: "object | None" = None
     node_id: int | None = None
-    #: Open CountVotes intervals: ``(round, step) -> start time``.
-    #: Maintained only while ``obs`` is set; :func:`interrupt_open_steps`
-    #: closes them with an ``interrupted`` exit when the generators
-    #: holding them are killed (fail-stop crash, transient retirement),
-    #: so every step-termination path emits a matching ``step_exit``.
-    open_steps: dict[tuple[int, str], float] = field(default_factory=dict)
+    #: Parked CountVotes, in parking order: what :func:`interrupt_counts`
+    #: cancels when a crash or a retirement drops the round that waits
+    #: on them.
+    counts: list["_VoteCount"] = field(default_factory=list)
 
 
 def committee_vote(part: BAParticipant, ctx: BAContext, round_number: int,
@@ -113,25 +110,27 @@ def process_msg(backend: CryptoBackend, ctx: BAContext, tau: float,
     return votes, vote.value, vote.sorthash
 
 
-class _VoteCount(Waitable):
-    """Algorithm 5's tally and λ deadline, as the thing a step waits on:
-    parked on the buffer's ``(round, step)`` key, with one deadline timer.
-    A wake-up from either counts what arrived since, then resumes the
-    process with the outcome or parks again."""
+class _VoteCount:
+    """Algorithm 5's tally and λ deadline, as the state of one parked
+    step: parked on the buffer's ``(round, step)`` key, with one deadline
+    timer. A wake-up from either counts what arrived since, then hands
+    the outcome to ``then`` or parks again."""
 
-    __slots__ = ("part", "ctx", "key", "threshold", "tau", "deadline",
-                 "counts", "voters", "bucket", "cursor", "_waiter", "_timer")
+    __slots__ = ("part", "ctx", "key", "threshold", "tau", "start",
+                 "deadline", "counts", "voters", "bucket", "cursor", "then",
+                 "_timer")
 
     def __init__(self, part: BAParticipant, ctx: BAContext,
                  key: tuple[int, str], threshold: float, tau: float,
-                 deadline: float) -> None:
+                 start: float, deadline: float,
+                 then: Callable[[object], None]) -> None:
         self.part, self.ctx, self.key = part, ctx, key
-        self.threshold, self.tau, self.deadline = threshold, tau, deadline
+        self.threshold, self.tau = threshold, tau
+        self.start, self.deadline, self.then = start, deadline, then
         self.counts: dict[bytes, int] = {}
         self.voters: set[bytes] = set()
         self.bucket = part.buffer.messages(*key)
         self.cursor = 0
-        self._waiter = None
         #: The live deadline timer. It also names the current park: a
         #: wake-up the buffer scheduled under an earlier one is stale.
         self._timer: Timer | None = None
@@ -154,11 +153,6 @@ class _VoteCount(Waitable):
         self.cursor = len(bucket)
         return TIMEOUT if self.deadline - self.part.env.now <= 0 else None
 
-    def _arm(self, env: Environment, waiter) -> "_VoteCount":
-        self._waiter = waiter
-        self._park()
-        return self
-
     def _park(self) -> None:
         env = self.part.env
         # ``deadline - now`` afresh at every park: nodes that time out in
@@ -180,76 +174,94 @@ class _VoteCount(Waitable):
         result = self.tally()
         if result is None:
             self._park()
-        else:
-            waiter, self._waiter, self._timer = self._waiter, None, None
-            waiter._wake(result)
+            return
+        self._timer = None
+        self.part.counts.remove(self)
+        self._close(result)
+        then, self.then = self.then, None
+        then(result)
+
+    def _close(self, result) -> None:
+        """The step is over: ``step_exit`` and the step observer."""
+        part, env = self.part, self.part.env
+        round_number, step = self.key
+        timed_out = result is TIMEOUT
+        if part.obs is not None:
+            part.obs.emit("step_exit", node=part.node_id, round=round_number,
+                          step=step, seconds=env.now - self.start,
+                          timed_out=timed_out,
+                          votes_counted=sum(self.counts.values()))
+        if part.step_observer is not None:
+            part.step_observer(round_number, step, env.now - self.start,
+                               timed_out)
 
     def cancel(self) -> None:
-        """Disarm (``Process.interrupt``); a no-op once resolved."""
-        if self._timer is not None:
-            self.part.buffer.unpark(self.key, self._advance, self._timer)
-            self._timer.cancel()
-            self._waiter = self._timer = None
+        """Withdraw the park and the deadline; the step never ends."""
+        self.part.buffer.unpark(self.key, self._advance, self._timer)
+        self._timer.cancel()
+        self._timer = self.then = None
 
 
 def count_votes(part: BAParticipant, ctx: BAContext, round_number: int,
                 step: str, threshold_fraction: float, tau: float,
-                lam: float):
-    """Algorithm 5 as a simulation generator.
+                lam: float, then: Callable[[object], None]):
+    """Algorithm 5: the first value whose accumulated (deduplicated)
+    votes for ``(round, step)`` exceed ``threshold_fraction * tau``, or
+    :data:`TIMEOUT` after ``lam`` seconds.
 
-    Processes buffered votes for ``(round, step)`` as they arrive; returns
-    the first value whose accumulated (deduplicated) votes exceed
-    ``threshold_fraction * tau``, or :data:`TIMEOUT` after ``lam`` seconds.
+    Returns that outcome when the votes already buffered decide it.
+    Otherwise the count parks — on the buffer and on its deadline — and
+    returns ``None``; ``then(outcome)`` runs once, from the kernel
+    callback that decides it.
     """
-    env = part.env
-    start = env.now
-    obs = part.obs
-    if obs is not None:
-        obs.emit("step_enter", node=part.node_id, round=round_number,
-                 step=step, deadline_s=lam)
-        part.open_steps[(round_number, step)] = start
+    start = part.env.now
+    if part.obs is not None:
+        part.obs.emit("step_enter", node=part.node_id, round=round_number,
+                      step=step, deadline_s=lam)
     count = _VoteCount(part, ctx, (round_number, step),
-                       threshold_fraction * tau, tau, start + lam)
+                       threshold_fraction * tau, tau, start, start + lam,
+                       then)
     result = count.tally()
     if result is None:
-        result = yield count
-    timed_out = result is TIMEOUT
-    if obs is not None:
-        part.open_steps.pop((round_number, step), None)
-        obs.emit("step_exit", node=part.node_id, round=round_number,
-                 step=step, seconds=env.now - start, timed_out=timed_out,
-                 votes_counted=sum(count.counts.values()))
-    if part.step_observer is not None:
-        part.step_observer(round_number, step, env.now - start, timed_out)
+        part.counts.append(count)
+        count._park()
+        return None
+    count._close(result)
     return result
 
 
-def interrupt_open_steps(part: BAParticipant) -> None:
-    """Close interrupted CountVotes intervals with a ``step_exit``.
+def count_votes_then(part: BAParticipant, ctx: BAContext, round_number: int,
+                     step: str, threshold_fraction: float, tau: float,
+                     lam: float, then: Callable[[object], None]) -> None:
+    """:func:`count_votes`, its outcome handed to ``then`` either way."""
+    outcome = count_votes(part, ctx, round_number, step, threshold_fraction,
+                          tau, lam, then)
+    if outcome is not None:
+        then(outcome)
 
-    A generator killed at its wait point (``Process.interrupt()`` on a
-    crash or retirement) never reaches :func:`count_votes`'s own exit
-    emission; the killer calls this right after interrupting, so
+
+def interrupt_counts(part: BAParticipant) -> None:
+    """Cancel every parked count of a normal round, each closed with an
+    ``interrupted`` ``step_exit``.
+
+    What a fail-stop crash or a transient's retirement does to the
+    counts its round (and its pipelined final counts) still hold, so
     per-step timings and the conformance machine always see closed
-    intervals. The exits carry ``interrupted=True`` and count as
-    neither a threshold success nor a timeout. Emission is explicit —
-    never from a generator ``finally`` — because GC-time generator
-    close is nondeterministic and would break trace reproducibility.
-
-    Recovery-lane intervals are left open: recovery sessions are not
-    killed by a fail-stop crash and later finish their own counts.
+    intervals. The exits count as neither a threshold success nor a
+    timeout. Recovery-lane counts are left parked: recovery sessions
+    outlive a crash and later finish their own counts.
     """
-    obs = part.obs
-    if obs is None or not part.open_steps:
-        return
-    env = part.env
-    for round_number, step in sorted(part.open_steps):
+    obs, now = part.obs, part.env.now
+    for count in sorted(part.counts, key=lambda count: count.key):
+        round_number, step = count.key
         if round_number >= RECOVERY_ROUND_BASE:
             continue
-        start = part.open_steps.pop((round_number, step))
-        obs.emit("step_exit", node=part.node_id, round=round_number,
-                 step=step, seconds=env.now - start, timed_out=False,
-                 interrupted=True)
+        part.counts.remove(count)
+        count.cancel()
+        if obs is not None:
+            obs.emit("step_exit", node=part.node_id, round=round_number,
+                     step=step, seconds=now - count.start, timed_out=False,
+                     interrupted=True)
 
 
 def common_coin(part: BAParticipant, ctx: BAContext, round_number: int,

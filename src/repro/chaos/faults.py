@@ -223,24 +223,34 @@ def junk_vote(node: "Node", kind: str, counter: int) -> VoteMessage:
 
 
 def junk_vote_loop(node: "Node", kind: str, batch: int, interval: float,
-                   *, delay: float = 0.0, until: float | None = None):
-    """Process body: every ``interval``, broadcast ``batch`` junk votes.
+                   *, delay: float = 0.0, until: float | None = None) -> None:
+    """Every ``interval``, broadcast ``batch`` junk votes.
 
-    Starts after ``delay`` and runs until the clock reaches ``until``
-    (forever when ``None``); silent while the node is crashed or
-    disconnected.
+    Begins at the next event of this instant, first fires after
+    ``delay`` and runs until the clock reaches ``until`` (forever when
+    ``None``); silent while the node is crashed or disconnected.
     """
     clock = node.env
-    if delay > 0:
-        yield clock.timeout(delay)
     counter = 0
-    while until is None or clock.now < until:
+
+    def tick() -> None:
+        nonlocal counter
+        if until is not None and clock.now >= until:
+            return
         if not node.crashed and not node.interface.disconnected:
             for _ in range(batch):
                 counter += 1
                 node.interface.broadcast(vote_envelope(
                     node.keypair.public, junk_vote(node, kind, counter)))
-        yield clock.timeout(interval)
+        clock.schedule(interval, tick)
+
+    def begin() -> None:
+        if delay > 0:
+            clock.schedule(delay, tick)
+        else:
+            tick()
+
+    clock.schedule_now(begin)
 
 
 class FaultInjector:
@@ -322,11 +332,9 @@ class FaultInjector:
         elif kind in ATTACKER_FAULTS:
             self._arm(action)
             for node in hosted:
-                self.clock.process(
-                    junk_vote_loop(node, kind, max(1, int(action.rate)),
-                                   1.0, delay=action.start - self.clock.now,
-                                   until=action.end),
-                    f"{kind}-{node.index}")
+                junk_vote_loop(node, kind, max(1, int(action.rate)), 1.0,
+                               delay=action.start - self.clock.now,
+                               until=action.end)
         else:  # crash
             def crash() -> None:
                 for node in hosted:

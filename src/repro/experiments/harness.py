@@ -181,25 +181,21 @@ class Simulation:
         blocks; the population materializes and retires transient
         winners on its own at round boundaries.
         """
-        processes = self.population.start(rounds)
-        # O(1) stop check: scanning every process per event dominated the
-        # loop at hundreds of nodes. Done-callbacks fire synchronously
-        # inside the finishing event, so the counter is always current.
-        pending = len(processes)
-
-        def note_done(_process: object) -> None:
-            nonlocal pending
-            pending -= 1
-
-        for process in processes:
-            process.add_done_callback(note_done)
+        nodes = self.population.start(rounds)
+        # O(1) stop check: scanning every node per event dominated the
+        # loop at hundreds of nodes. ``on_done`` fires inside the event
+        # that ends a node's run, so the set is always current; a node
+        # leaves it once, whether its run finished or crashed.
+        pending = {node.index for node in nodes}
+        for node in nodes:
+            node.on_done = lambda done: pending.discard(done.index)
         limit = time_limit
         if limit is None:
             # Generous per-round ceiling; hitting it is a test failure,
             # not silent truncation.
             limit = self.config.params.round_budget * (rounds + 1)
         self.env.run(until=limit, max_events=max_events,
-                     stop_when=lambda: pending == 0)
+                     stop_when=lambda: not pending)
         self._selection_delta = SELECTION_STATS.delta_since(
             self._selection_baseline)
         if len(self.nodes) < self.population.num_accounts:
@@ -219,9 +215,7 @@ class Simulation:
                     f"{self.config.population.steps_ahead}, whose "
                     f"later committees are dormant; raise steps_ahead "
                     f"(or the committee sizes) and rerun")
-        unfinished = [node.index for node, process in zip(self.nodes,
-                                                          processes)
-                      if not process.done]
+        unfinished = sorted(pending)
         if unfinished:
             ellipsis = "..." if len(unfinished) > 5 else ""
             raise TimeoutError(

@@ -1,11 +1,11 @@
 """Wall-clock pacing for the discrete-event kernel.
 
-:class:`LiveClock` subclasses :class:`repro.sim.loop.Environment` so
-every waitable the protocol layers use — ``timeout``, ``event``,
-``signal``, ``any_of``, ``process`` — keeps its exact semantics and
-``(time, seq)`` ordering. The only change is *when* timers fire:
-:meth:`run_async` pops the same merged heap/immediate streams (through
-the kernel's own ``_pop_due`` step), but a timer due in the future makes
+:class:`LiveClock` subclasses :class:`repro.sim.loop.Environment`, so
+the protocol layers' callbacks on its timer heap — ``schedule``,
+``schedule_now`` — keep their exact ``(time, seq)`` ordering. The only
+change is *when* timers fire: :meth:`run_async` pops the same merged
+heap/immediate streams (through the kernel's own ``_pop_due`` step),
+but a timer due in the future makes
 the coroutine actually sleep (interrupted early by :meth:`kick` when a
 socket delivers work) instead of jumping the clock forward. ``now`` is
 wall-clock seconds since the run started, so ``lambda_priority = 0.25``
@@ -61,8 +61,8 @@ class LiveClock(Environment):
         """Drive the timer queues in real time until ``stop_when``.
 
         Mirrors :meth:`Environment.run`: it pops through the same
-        ``_pop_due`` step, with the same failure propagation on every
-        exit path.
+        ``_pop_due`` step, and a callback's exception propagates out of
+        the event that raised it.
         ``deadline`` is in clock seconds (``now``); exceeding it raises
         :class:`TimeoutError` — a live run that overruns its budget is
         a failure, not a longer wait. Unlike the sim loop, empty queues
@@ -77,7 +77,6 @@ class LiveClock(Environment):
         origin = loop.time() - self.now
         try:
             while True:
-                self._raise_if_failed()
                 if stop_when():
                     return
                 wall = loop.time() - origin

@@ -555,8 +555,8 @@ class LiveCluster:
         """What a SIGKILLed incarnation could not write for itself.
 
         Closes every step it left open (``interrupted`` exits, the same
-        shape :func:`repro.baplus.voting.interrupt_open_steps`
-        emits) and then records the crash — exactly the order the
+        shape :func:`repro.baplus.voting.interrupt_counts` emits)
+        and then records the crash — exactly the order the
         conformance machine requires so open intervals are not flagged
         as unclosed.
         """

@@ -413,8 +413,8 @@ class NodeProcess:
                 deadline=deadline)
         if start["payments"]:
             self._submit_payments(node, start["payments"])
-        process = node.start(rounds)
-        await self.clock.run_async(stop_when=lambda: process.done,
+        node.start(rounds)
+        await self.clock.run_async(stop_when=lambda: not node.running,
                                    deadline=deadline)
         chain = node.chain
         blocks = [encode_block(chain.block_at(r))

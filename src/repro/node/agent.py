@@ -1,7 +1,7 @@
 """The Algorand user agent (sections 4, 6 and 8).
 
 A :class:`Node` owns one user's key pair, chain replica, mempool, and
-gossip attachment, and runs the round loop:
+gossip attachment, and runs rounds:
 
 1. **Proposal** — run proposer sortition; if selected, assemble a block
    from the mempool and gossip the priority announcement plus the block.
@@ -13,6 +13,12 @@ gossip attachment, and runs the round loop:
 4. **Commit** — resolve the agreed hash to a block, build a certificate,
    append to the chain, prune the mempool.
 
+A round is a transition system, not a suspended frame: explicit state
+(:attr:`Node.phase` through the reference machine's IDLE → PROPOSAL →
+BA → IDLE, and the :class:`_Round` in flight) that kernel callbacks
+advance — a timer, a tracker wake-up, a decided count. A crash or a
+retirement cancels what the round owns and drops it.
+
 All incoming gossip is handled synchronously in the relay-policy callback
 (validate-before-relay, section 8.4); BA* consumes votes from the node's
 :class:`~repro.baplus.buffer.VoteBuffer`.
@@ -20,6 +26,7 @@ All incoming gossip is handled synchronously in the relay-policy callback
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.baplus.buffer import VoteBuffer
@@ -29,18 +36,18 @@ from repro.baplus.messages import VoteMessage
 from repro.baplus.protocol import (
     FINAL,
     TENTATIVE,
+    BinaryResult,
     binary_ba_star,
     reduction,
 )
 from repro.baplus.voting import (
     BAParticipant,
     TIMEOUT,
-    count_votes,
-    interrupt_open_steps,
+    count_votes_then,
+    interrupt_counts,
 )
 from repro.common.encoding import encode
-from repro.common.errors import (ConsensusHalted, InvalidBlock, LedgerError,
-                                 SimulationError)
+from repro.common.errors import InvalidBlock, LedgerError, SimulationError
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend, KeyPair
 from repro.crypto.hashing import H
@@ -66,7 +73,7 @@ from repro.node.proposal import (
 )
 from repro.node.registry import BlockRegistry, ContextKey
 from repro.runtime.router import MessageRouter
-from repro.sim.loop import Environment, Process
+from repro.sim.loop import Environment, Timer
 from repro.sortition.roles import FINAL_STEP, proposer_role
 from repro.sortition.seed import accepted_seed, propose_seed, verify_seed
 from repro.sortition.selection import sortition
@@ -125,6 +132,27 @@ def recovery_context(chain: Blockchain, pre_fork_round: int,
                                   H(b"recovery", encode(attempt)))
 
 
+#: A node's phases — the reference machine's (``repro.conformance``):
+#: IDLE -> PROPOSAL -> BA -> IDLE per round, and the three ways out.
+IDLE, PROPOSAL, BA = "IDLE", "PROPOSAL", "BA"
+HALTED, CRASHED, RETIRED = "HALTED", "CRASHED", "RETIRED"
+
+
+class _Round:
+    """One round in flight: what its next transition reads, and the
+    instants its :class:`RoundRecord` reports."""
+
+    __slots__ = ("number", "ctx", "tracker", "epoch", "start", "deadline",
+                 "proposal_done", "binary", "ba_done")
+
+    def __init__(self, number: int, ctx: BAContext,
+                 tracker: ProposalTracker, epoch: int, start: float) -> None:
+        self.number, self.ctx, self.tracker = number, ctx, tracker
+        self.epoch, self.start = epoch, start
+        self.deadline = self.proposal_done = self.ba_done = start
+        self.binary: BinaryResult | None = None
+
+
 class Node:
     """One Algorand user: chain replica + gossip peer + BA* participant."""
 
@@ -143,11 +171,10 @@ class Node:
         self.buffer = VoteBuffer(env)
         self.mempool = Mempool()
         self.metrics = NodeMetrics()
-        self.halted = False
-        #: Fail-stop state (see :meth:`crash` / :meth:`restart`). A
-        #: crashed node keeps its chain (persistent storage) but loses
-        #: every volatile structure and stops speaking on the network.
-        self.crashed = False
+        #: Where this node stands: IDLE, PROPOSAL or BA within a round,
+        #: or HALTED (no consensus and no catch-up), CRASHED (fail-stop,
+        #: see :meth:`crash`) or RETIRED (see :meth:`retire`).
+        self.phase = IDLE
         #: Optional catch-up hook consulted at each round boundary and
         #: after a ConsensusHalted: return a strictly longer validated
         #: :class:`~repro.ledger.blockchain.Blockchain` to adopt (built
@@ -189,10 +216,19 @@ class Node:
         self._trackers: dict[int, ProposalTracker] = {}
         self._seen_votes: set[tuple[bytes, int, str]] = set()
         self._seen_priorities: set[tuple[bytes, int]] = set()
-        self._round_process: Process | None = None
-        #: Background processes spawned by the round loop (pipelined
-        #: final-vote counts); tracked so :meth:`crash` can kill them.
-        self._background: list[Process] = []
+        #: The run: rounds toward ``_target`` height (``None``: no run),
+        #: then perhaps toward ``_extend_to``. The round in flight owns at
+        #: most one live timer, plus the counts it parked
+        #: (``participant.counts``). A crash or a retirement bumps
+        #: ``_epoch``, which makes a start queued before it stale.
+        self._target: int | None = None
+        self._extend_to: int | None = None
+        self._round: _Round | None = None
+        self._timer: Timer | None = None
+        self._epoch = 0
+        #: Optional hook called with the node when its run ends (target
+        #: reached, halted, or crashed).
+        self.on_done: Callable[[Node], None] | None = None
         #: Declarative gossip dispatch. Core kinds are registered below;
         #: protocol extensions (fork recovery, chain sync) register their
         #: own kinds instead of monkey-patching the dispatch chain.
@@ -264,17 +300,22 @@ class Node:
         key = (message.proposer, message.round_number)
         if key in self._seen_priorities:
             return False
-        if message.round_number == self.chain.next_round:
-            # We can fully validate against the current context.
-            ctx = self._current_context(message.round_number)
-            if not message.verify(
-                    self.backend, ctx.seed, self.params.tau_proposer,
-                    ctx.weight_of(message.proposer), ctx.total_weight):
-                return False
+        # The current round's context can fully validate it; a later
+        # round's is checked when that round begins.
+        checked = message.round_number == self.chain.next_round
+        if checked and not self._priority_valid(
+                message, self._current_context(message.round_number)):
+            return False
         self._seen_priorities.add(key)
         tracker = self._tracker(message.round_number)
-        tracker.observe_priority(message, self.env)
+        tracker.observe_priority(message, self.env, checked)
         return True
+
+    def _priority_valid(self, message: PriorityMessage,
+                        ctx: BAContext) -> bool:
+        return message.verify(
+            self.backend, ctx.seed, self.params.tau_proposer,
+            ctx.weight_of(message.proposer), ctx.total_weight)
 
     def _handle_block(self, block: Block) -> bool:
         if block.round_number < self.chain.next_round:
@@ -312,35 +353,48 @@ class Node:
             self.interface.broadcast(
                 transaction_envelope(self.keypair.public, tx, tx.size))
 
-    def start(self, target_height: int) -> Process:
-        """Run rounds until the chain reaches ``target_height`` blocks."""
-        self._round_process = self.env.process(
-            self._round_loop(target_height), f"node-{self.index}")
-        return self._round_process
+    def start(self, target_height: int) -> None:
+        """Run rounds until the chain reaches ``target_height`` blocks.
+
+        The run begins at the next event of this instant. Asked while a
+        run is under way, the new target waits for that run to end and
+        then begins a run of its own.
+        """
+        if self.running:
+            self._extend_to = target_height
+        else:
+            self._launch(target_height)
+
+    @property
+    def running(self) -> bool:
+        """True from :meth:`start` until the run ends."""
+        return self._target is not None
+
+    @property
+    def halted(self) -> bool:
+        """No consensus, and no catch-up answered (HangForever)."""
+        return self.phase == HALTED
+
+    @property
+    def crashed(self) -> bool:
+        return self.phase == CRASHED
 
     # ------------------------------------------------------------------
-    # Fail-stop crash and rejoin (the chaos engine's fault model)
+    # Fail-stop crash, rejoin and retirement
     # ------------------------------------------------------------------
 
     def crash(self) -> None:
         """Fail-stop this node mid-whatever-it-was-doing.
 
-        The round loop and any pipelined final-vote counts are killed at
-        their current wait points, the gossip attachment goes silent,
-        and every volatile structure (vote buffer, proposal trackers,
+        The round and any pipelined final-vote counts stop where they
+        wait (:meth:`_stop`), the gossip attachment goes silent, and
+        every volatile structure (vote buffer, proposal trackers,
         mempool, dedup sets) is lost. The chain itself survives — it
         models persistent storage, which is exactly what a restarted
         node replays its peers' history on top of (section 8.3).
         """
         if self.crashed:
             return
-        self.crashed = True
-        if self._round_process is not None and not self._round_process.done:
-            self._round_process.interrupt()
-        for process in self._background:
-            if not process.done:
-                process.interrupt()
-        self._background.clear()
         self.interface.disconnected = True
         self.buffer.clear()
         self.mempool = Mempool()
@@ -353,39 +407,57 @@ class Node:
             self.admission.reset()
         if self.damper is not None:
             self.damper.reset()
+        self._stop(CRASHED)
         if self.obs is not None:
-            # Close the intervals the killed generators held (recovery
-            # lanes excepted — their sessions outlive a crash) before
-            # announcing the crash, so the trace shows every step
-            # closed at the instant its process died.
-            interrupt_open_steps(self.participant)
             self.obs.emit("node_crashed", node=self.index,
                           round=self.chain.next_round)
 
-    def restart(self, target_height: int) -> Process:
-        """Rejoin after a :meth:`crash`: reconnect and resume the loop.
+    def restart(self, target_height: int) -> None:
+        """Rejoin after a :meth:`crash`: reconnect and run again.
 
         The restarted node first consults its :attr:`resync` hook (at
-        the loop top), replaying any longer peer history certificate by
-        certificate via :mod:`repro.node.catchup`, then participates in
-        the current round like a bootstrapping user.
+        the top of each round), replaying any longer peer history
+        certificate by certificate via :mod:`repro.node.catchup`, then
+        participates in the current round like a bootstrapping user.
         """
         if not self.crashed:
             raise SimulationError(
                 f"node {self.index} is not crashed; cannot restart")
-        self.crashed = False
-        self.halted = False
+        self.phase = IDLE
         self.interface.disconnected = False
         if self.obs is not None:
             self.obs.emit("node_restarted", node=self.index,
                           round=self.chain.next_round)
-        self._round_process = self.env.process(
-            self._round_loop(target_height),
-            f"node-{self.index}-restart")
-        return self._round_process
+        self._launch(target_height)
+
+    def retire(self) -> None:
+        """A transient agent's teardown: stop like a crash and drop the
+        vote buffer; forgetting the agent is the population's job."""
+        self.on_commit = self.on_done = None
+        self._stop(RETIRED)
+        self.buffer.clear()
+
+    def _stop(self, phase: str) -> None:
+        """Cancel what the round owns — its timer and what it parked on
+        the tracker, and its counts, pipelined final counts included,
+        each closed with an interrupted ``step_exit`` — and drop it with
+        the run."""
+        running = self.running
+        self.phase = phase
+        self._epoch += 1
+        timer, self._timer = self._timer, None
+        if timer is not None:
+            timer.cancel()
+            if self._round is not None:
+                self._round.tracker.unpark(self._proposal_wake, timer)
+        self._round = None
+        interrupt_counts(self.participant)
+        self._target = self._extend_to = None
+        if running and self.on_done is not None:
+            self.on_done(self)
 
     # ------------------------------------------------------------------
-    # Round loop
+    # The run
     # ------------------------------------------------------------------
 
     def _tracker(self, round_number: int) -> ProposalTracker:
@@ -418,44 +490,68 @@ class Node:
         self._ctx_memo = (key, ctx)
         return ctx
 
-    def _round_loop(self, target_height: int):
-        while self.chain.height < target_height and not self.halted:
-            if self._try_resync():
-                continue
-            try:
-                yield from self.run_one_round()
-            except ConsensusHalted:
-                # Exhausting MaxSteps usually means the rest of the
-                # network moved on without us (we were crashed, late, or
-                # partitioned); catching up from peers is the section
-                # 8.3 answer before giving up for good.
-                if self._try_resync():
-                    continue
-                recovered = yield from self._resync_wait()
-                if recovered:
-                    continue
-                self.halted = True
-                if self.obs is not None:
-                    self.obs.emit("consensus_halted", node=self.index,
-                                  round=self.chain.next_round)
+    def _launch(self, target_height: int) -> None:
+        self._target = target_height
+        self.env.schedule_now(self._begin_run, self._epoch)
 
-    def _resync_wait(self):
-        """Poll the resync hook with patience; True once a chain adopts.
+    def _begin_run(self, epoch: int) -> None:
+        if epoch == self._epoch:  # else a crash or retirement came first
+            self._next_round()
+
+    def _next_round(self) -> None:
+        """The run's loop head: catch up, begin a round, or end."""
+        if self._target is None:
+            return  # retired by its own commit hook: the run is over
+        while self.chain.height < self._target and not self.halted:
+            if not self._try_resync():
+                self._begin_round()
+                return
+        self._end_run()
+
+    def _end_run(self) -> None:
+        self._target = None
+        extend, self._extend_to = self._extend_to, None
+        if self.on_done is not None:
+            self.on_done(self)
+        if extend is not None and self.chain.height < extend:
+            self._launch(extend)
+
+    def _round_halted(self) -> None:
+        """No consensus this round: MaxSteps exhausted, or the decided
+        block never arrived. Usually the rest of the network moved on
+        without us (we were crashed, late, or partitioned); catching up
+        from peers is the section 8.3 answer before giving up for good.
+        """
+        if self._try_resync():
+            self._next_round()
+        else:
+            self._resync_wait(self.resync_retries)
+
+    def _resync_wait(self, retries: int) -> None:
+        """Poll the resync hook every ``resync_patience`` seconds,
+        ``retries`` more times, then halt.
 
         Between retries the node stays silent (the reference machine
         remains in BA, where ``catchup_adopted`` is legal after a
         ConsensusHalted closed every step), so a successful late answer
-        resumes the loop without ever declaring the halt.
+        resumes the run without ever declaring the halt.
         """
-        if self.resync_patience is None:
-            return False
-        for _ in range(self.resync_retries):
-            yield self.env.timeout(self.resync_patience)
-            if self.halted or self.crashed:
-                return False
-            if self._try_resync():
-                return True
-        return False
+        if self.resync_patience is None or retries <= 0:
+            self.phase = HALTED
+            if self.obs is not None:
+                self.obs.emit("consensus_halted", node=self.index,
+                              round=self.chain.next_round)
+            self._end_run()
+        else:
+            self._timer = self.env.schedule(self.resync_patience,
+                                            self._resync_poll, retries)
+
+    def _resync_poll(self, retries: int) -> None:
+        self._timer = None
+        if self._try_resync():
+            self._next_round()
+        else:
+            self._resync_wait(retries - 1)
 
     def _try_resync(self) -> bool:
         """Adopt a strictly longer validated chain from the resync hook."""
@@ -474,16 +570,22 @@ class Node:
                           to_height=self.chain.height)
         return True
 
-    def run_one_round(self):
-        """Execute one full round; generator driven by the event loop."""
+    # --- One round ----------------------------------------------------
+
+    def _begin_round(self) -> None:
+        """Propose if selected, then sleep ``lambda_stepvar +
+        lambda_priority`` to hear the priorities (section 6)."""
         round_number = self.chain.next_round
         self.buffer.anchor_round = round_number
-        start = self.env.now
         obs = self.obs
         if obs is not None:
             obs.emit("round_start", node=self.index, round=round_number)
         ctx = self._current_context(round_number)
         tracker = self._tracker(round_number)
+        tracker.settle(partial(self._priority_valid, ctx=ctx))
+        self.phase = PROPOSAL
+        self._round = _Round(round_number, ctx, tracker, self._epoch,
+                             self.env.now)
 
         proof = sortition(
             self.backend, self.keypair.secret, ctx.seed,
@@ -496,59 +598,123 @@ class Node:
                          round=round_number, j=proof.j,
                          weight=ctx.weight_of(self.keypair.public))
             self.propose_block(round_number, ctx, proof, tracker)
+        params = self.params
+        self._timer = self.env.schedule(
+            params.lambda_stepvar + params.lambda_priority,
+            self._proposal_window)
 
-        hblock = yield from self._wait_for_proposal(round_number, ctx,
-                                                    tracker)
-        proposal_done = self.env.now
-        if obs is not None:
-            obs.emit("proposal_resolved", node=self.index,
-                     round=round_number,
-                     empty=hblock == empty_block_hash(
-                         round_number, ctx.last_block_hash),
-                     waited_s=proposal_done - start)
+    def _proposal_window(self) -> None:
+        """The priorities are in: wait up to ``lambda_block`` for the
+        winning block."""
+        self._timer = None
+        rnd = self._round
+        rnd.deadline = self.env.now + self.params.lambda_block
+        self._await_proposal()
 
-        reduced = yield from reduction(self.participant, ctx, round_number,
-                                       hblock)
-        binary = yield from binary_ba_star(self.participant, ctx,
-                                           round_number, reduced)
-        ba_done = self.env.now
+    def _await_proposal(self) -> None:
+        """Section 6: BA* starts from the highest-priority valid block
+        once it is here, from the empty block at the deadline; until
+        then, wait for the next new best priority or block."""
+        rnd = self._round
+        tracker = rnd.tracker
+        best = tracker.best_priority
+        if best is not None:
+            block = tracker.best_block()
+            if block is not None:
+                # An invalid block from the winning proposer makes the
+                # round's proposal empty (section 8.1).
+                if self._validate_proposal(rnd.number, rnd.ctx, best, block):
+                    self._proposal_resolved(block.block_hash)
+                else:
+                    self._proposal_resolved(None)
+                return
+        remaining = rnd.deadline - self.env.now
+        if remaining <= 0:
+            self._proposal_resolved(None)
+            return
+        self._timer = timer = self.env.schedule(remaining,
+                                                self._proposal_wake)
+        tracker.park(self._proposal_wake, timer)
+
+    def _proposal_wake(self, park: Timer | None = None) -> None:
+        """The tracker woke ``park``, or (``None``) the deadline fired."""
+        timer = self._timer
+        if park is not None:
+            if park is not timer:
+                return  # stale: the other wake-up or the deadline won
+            timer.cancel()
+        self._timer = None
+        self._round.tracker.unpark(self._proposal_wake, timer)
+        self._await_proposal()
+
+    def _proposal_resolved(self, block_hash: bytes | None) -> None:
+        """Agree on ``block_hash`` (``None``: the empty block)."""
+        rnd = self._round
+        rnd.proposal_done = self.env.now
+        self.phase = BA
+        empty = empty_block_hash(rnd.number, rnd.ctx.last_block_hash)
+        hblock = empty if block_hash is None else block_hash
+        if self.obs is not None:
+            self.obs.emit("proposal_resolved", node=self.index,
+                          round=rnd.number, empty=hblock == empty,
+                          waited_s=rnd.proposal_done - rnd.start)
+        reduction(self.participant, rnd.ctx, rnd.number, hblock,
+                  self._reduced)
+
+    def _reduced(self, reduced: bytes) -> None:
+        rnd = self._round
+        binary_ba_star(self.participant, rnd.ctx, rnd.number, reduced,
+                       self._agreed)
+
+    def _agreed(self, binary: BinaryResult | None) -> None:
+        """BinaryBA* decided (``None``: it halted); count the final
+        step, or commit and leave it counting."""
+        if binary is None:
+            self._round_halted()
+            return
+        rnd = self._round
+        rnd.binary = binary
+        rnd.ba_done = self.env.now
         if self.params.pipeline_final_step:
             # Section 10.2 optimization: commit now, count final votes
             # concurrently with the next round; the kind is patched into
             # the metrics record when the count lands.
-            self._background = [p for p in self._background if not p.done]
-            self._background.append(self.env.process(
-                self._pipelined_final(ctx, round_number, binary.value),
-                f"final-{self.index}-{round_number}"))
-            kind = TENTATIVE
-        else:
-            final_vote = yield from count_votes(
-                self.participant, ctx, round_number, FINAL_STEP,
-                self.params.t_final, self.params.tau_final,
-                self.params.lambda_step,
-            )
-            kind = (FINAL if final_vote is not TIMEOUT
-                    and final_vote == binary.value else TENTATIVE)
-        end = self.env.now
+            self.env.schedule_now(self._count_final, rnd)
+            self._commit_round(TENTATIVE)
+            return
+        params = self.params
+        count_votes_then(self.participant, rnd.ctx, rnd.number, FINAL_STEP,
+                         params.t_final, params.tau_final,
+                         params.lambda_step, self._final_counted)
 
+    def _final_counted(self, final_vote) -> None:
+        rnd = self._round
+        self._commit_round(FINAL if final_vote is not TIMEOUT
+                           and final_vote == rnd.binary.value
+                           else TENTATIVE)
+
+    def _commit_round(self, kind: str) -> None:
+        rnd = self._round
+        round_number, ctx, binary = rnd.number, rnd.ctx, rnd.binary
+        end = self.env.now
         try:
             block = self._resolve_block(round_number, ctx, binary.value,
-                                        tracker)
-        except LedgerError as exc:
+                                        rnd.tracker)
+        except LedgerError:
             # Consensus concluded on a block whose body never reached us
             # — possible when this node joined the round mid-flight (a
             # chaos respawn, a healed partition) and the proposal was
             # gossiped before its links came up. The network holds the
             # block and its certificate, so recovering it over catch-up
             # (section 8.3) is the same answer as a halted round.
-            raise ConsensusHalted(
-                f"round {round_number} decided block "
-                f"{binary.value.hex()[:16]} but its body never arrived"
-            ) from exc
+            self._round_halted()
+            return
         certificate = build_certificate(
             self.buffer, ctx, self.backend, self.params, round_number,
             str(binary.deciding_step), binary.value,
         )
+        self.phase = IDLE
+        self._round = None
         self._commit(round_number, ctx, block, certificate)
         if kind == FINAL:
             # Safety certificate (section 8.3): the final-step votes
@@ -562,9 +728,9 @@ class Node:
                                                  final_certificate)
         self.metrics.record_round(RoundRecord(
             round_number=round_number,
-            start_time=start,
-            proposal_done_time=proposal_done,
-            ba_done_time=ba_done,
+            start_time=rnd.start,
+            proposal_done_time=rnd.proposal_done,
+            ba_done_time=rnd.ba_done,
             end_time=end,
             kind=kind,
             block_hash=block.block_hash,
@@ -572,40 +738,45 @@ class Node:
             payload_bytes=block.payload_size,
             binary_steps=binary.deciding_step,
         ))
-        if obs is not None:
+        if self.obs is not None:
             # The report CLI's per-round segment table (Figure 7 shape)
             # is built from exactly these fields.
-            obs.emit("round_commit", node=self.index, round=round_number,
-                     consensus=kind, empty=block.is_empty,
-                     block_hash=block.block_hash.hex(),
-                     payload_bytes=block.payload_size,
-                     binary_steps=binary.deciding_step,
-                     proposal_s=proposal_done - start,
-                     ba_s=ba_done - proposal_done,
-                     final_s=end - ba_done,
-                     total_s=end - start)
+            self.obs.emit("round_commit", node=self.index,
+                          round=round_number, consensus=kind,
+                          empty=block.is_empty,
+                          block_hash=block.block_hash.hex(),
+                          payload_bytes=block.payload_size,
+                          binary_steps=binary.deciding_step,
+                          proposal_s=rnd.proposal_done - rnd.start,
+                          ba_s=rnd.ba_done - rnd.proposal_done,
+                          final_s=end - rnd.ba_done,
+                          total_s=end - rnd.start)
         self._prune(round_number)
+        self._next_round()
 
-    def _pipelined_final(self, ctx: BAContext, round_number: int,
-                         agreed_value: bytes):
+    def _count_final(self, rnd: _Round) -> None:
         """Background final-vote count for a pipelined round."""
-        final_vote = yield from count_votes(
-            self.participant, ctx, round_number, FINAL_STEP,
-            self.params.t_final, self.params.tau_final,
-            self.params.lambda_step,
+        if rnd.epoch != self._epoch:
+            return  # crashed or retired before it began
+        params = self.params
+        count_votes_then(self.participant, rnd.ctx, rnd.number, FINAL_STEP,
+                         params.t_final, params.tau_final,
+                         params.lambda_step, partial(self._final_landed, rnd))
+
+    def _final_landed(self, rnd: _Round, final_vote) -> None:
+        agreed_value = rnd.binary.value
+        if final_vote is TIMEOUT or final_vote != agreed_value:
+            return
+        self.metrics.finalize_kind(rnd.number, FINAL)
+        if self.obs is not None:
+            self.obs.emit("final_certified", node=self.index,
+                          round=rnd.number, pipelined=True)
+        final_certificate = build_certificate(
+            self.buffer, rnd.ctx, self.backend, self.params, rnd.number,
+            FINAL_STEP, agreed_value,
         )
-        if final_vote is not TIMEOUT and final_vote == agreed_value:
-            self.metrics.finalize_kind(round_number, FINAL)
-            if self.obs is not None:
-                self.obs.emit("final_certified", node=self.index,
-                              round=round_number, pipelined=True)
-            final_certificate = build_certificate(
-                self.buffer, ctx, self.backend, self.params, round_number,
-                FINAL_STEP, agreed_value,
-            )
-            if final_certificate is not None:
-                self.chain.set_final_certificate(round_number,
-                                                 final_certificate)
+        if final_certificate is not None:
+            self.chain.set_final_certificate(rnd.number, final_certificate)
 
     # --- Proposal ----------------------------------------------------
 
@@ -647,46 +818,10 @@ class Node:
             transactions=transactions,
         )
 
-    def _wait_for_proposal(self, round_number: int, ctx: BAContext,
-                           tracker: ProposalTracker):
-        """Sections 6: wait for priorities, then for the winning block.
-
-        Returns the hash BA* should start from: the highest-priority valid
-        block if it arrives in time, else the empty-block hash.
-        """
-        params = self.params
-        yield self.env.timeout(params.lambda_stepvar + params.lambda_priority)
-        empty_hash = empty_block_hash(round_number, ctx.last_block_hash)
-        deadline = self.env.now + params.lambda_block
-        priority_signal, block_signal = tracker.signals(self.env)
-        while True:
-            best = tracker.best_priority
-            if best is not None:
-                block = tracker.best_block()
-                if block is not None:
-                    if self._validate_proposal(round_number, ctx, best,
-                                               block):
-                        return block.block_hash
-                    #
-
-                    # Invalid block from the winning proposer: treat the
-                    # round's proposal as empty (section 8.1).
-                    return empty_hash
-            remaining = deadline - self.env.now
-            if remaining <= 0:
-                return empty_hash
-            yield self.env.any_of([
-                priority_signal.next_event(),
-                block_signal.next_event(),
-                self.env.timeout(remaining),
-            ])
-
     def _validate_proposal(self, round_number: int, ctx: BAContext,
                            announcement: PriorityMessage,
                            block: Block) -> bool:
-        if not announcement.verify(
-                self.backend, ctx.seed, self.params.tau_proposer,
-                ctx.weight_of(announcement.proposer), ctx.total_weight):
+        if not self._priority_valid(announcement, ctx):
             return False
         try:
             validate_block(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.common.encoding import encode
 from repro.common.errors import (
@@ -445,7 +445,7 @@ def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
 
 def payment_plan(rng, senders: int, count: int,
                  can_pay: Callable[[int], bool] | None = None
-                 ) -> Iterator[tuple[int, int]]:
+                 ) -> list[tuple[int, int]]:
     """``(sender, recipient)`` index pairs of ``count`` payments.
 
     Payment ``k`` is sent by ``k % senders`` (round-robin keeps each
@@ -454,13 +454,13 @@ def payment_plan(rng, senders: int, count: int,
     draw (the sim shares ``rng`` with its network model, so the stream
     must not move). A lone user has nobody to pay: the plan is empty.
     """
-    if senders < 2:
-        return
-    for k in range(count):
+    plan: list[tuple[int, int]] = []
+    for k in range(count if senders >= 2 else 0):
         sender = k % senders
         if can_pay is not None and not can_pay(sender):
             continue
         recipient = int(rng.integers(senders - 1))
         if recipient >= sender:
             recipient += 1
-        yield sender, recipient
+        plan.append((sender, recipient))
+    return plan

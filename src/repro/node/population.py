@@ -54,7 +54,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.baplus.voting import interrupt_open_steps
 from repro.crypto.backend import CryptoBackend
 from repro.ledger.blockchain import Blockchain
 from repro.network.gossip import GossipNetwork
@@ -62,7 +61,7 @@ from repro.node.agent import Node, sortition_weights
 from repro.node.deployment import Genesis, SimulationConfig, build_node
 from repro.node.registry import BlockRegistry
 from repro.runtime.admission import QuarantineDirectory
-from repro.sim.loop import Environment, Process
+from repro.sim.loop import Environment
 from repro.sortition.pool import pool_select
 from repro.sortition.roles import (
     FINAL_STEP,
@@ -164,58 +163,29 @@ class Population:
         self._targets.pop(slot, None)
         self.retired_total += 1
         _add_counters(self._folded_counters, node)
-        process = node._round_process
-        if process is not None and not process.done and not process.running:
-            # A running process here is the committing agent retiring
-            # itself at its own boundary hook; its round loop exits on
-            # its own once the hook unwinds (height reached its target).
-            process.interrupt()
-        for background in node._background:
-            if not background.done:
-                background.interrupt()
-        node._background.clear()
-        node.buffer.clear()
-        node.on_commit = None
+        # The committing agent may be retiring itself at its own boundary
+        # hook: its commit then finishes, and its run ends with it.
+        node.retire()
         if self.obs is not None:
-            # Close whatever step intervals the interrupted processes
-            # held before announcing the retirement (conformance and
-            # per-step timings require closed intervals).
-            interrupt_open_steps(node.participant)
             self.obs.emit("agent_retired", node=slot,
                           height=node.chain.height)
 
     def _run_until(self, slot: int, target: int) -> None:
         """Ensure ``slot``'s agent runs (at least) through ``target``.
 
-        If its round process already completed, restart it; if it is
-        still mid-round, chain the restart onto process completion (the
-        done callback fires synchronously at the commit that ends its
-        current target).
+        An agent still mid-run starts the new run when the current one
+        ends — at the commit that reaches its current target.
         """
-        node = self.live[slot]
-        current = self._targets.get(slot, 0)
-        if target <= current:
-            return
-        self._targets[slot] = target
-        process = node._round_process
-        if process is None or process.done:
-            node.start(target)
-        else:
-            def extend(_process, slot=slot, target=target) -> None:
-                live = self.live.get(slot)
-                if (live is not None
-                        and self._targets.get(slot, 0) == target
-                        and live.chain.height < target):
-                    live.start(target)
-
-            process.add_done_callback(extend)
+        if target > self._targets.get(slot, 0):
+            self._targets[slot] = target
+            self.live[slot].start(target)
 
     # ------------------------------------------------------------------
     # Round boundaries
     # ------------------------------------------------------------------
 
-    def start(self, rounds: int) -> list[Process]:
-        """Start the core for a ``rounds``-round run; returns processes.
+    def start(self, rounds: int) -> list[Node]:
+        """Start the core for a ``rounds``-round run; returns its agents.
 
         Also materializes round 1's winners from the genesis state (the
         construction-time analogue of the per-round boundary pass).
@@ -223,11 +193,10 @@ class Population:
         self._rounds_target = rounds
         reference = self.live[self.core[0]].chain
         self._materialize_round(1, reference)
-        processes = []
         for slot in self.core:
             self._targets[slot] = rounds
-            processes.append(self.live[slot].start(rounds))
-        return processes
+            self.live[slot].start(rounds)
+        return self.core_nodes
 
     def note_commit(self, node: Node, round_number: int) -> None:
         """Per-agent commit hook: drive boundaries off the first commit.

@@ -11,12 +11,13 @@ discard lower-priority blocks, and time out to the empty block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.common.encoding import encode
 from repro.crypto.backend import CryptoBackend
 from repro.crypto.hashing import H
 from repro.ledger.block import Block
-from repro.sim.loop import Environment, Signal
+from repro.sim.loop import Environment
 from repro.sortition.roles import proposer_role
 from repro.sortition.selection import SortitionProof, verify_sort
 
@@ -81,28 +82,60 @@ class ProposalTracker:
     equivocators: set[bytes] = field(default_factory=set)
     #: Block hash announced by each proposer (equivocation detection).
     announced: dict[bytes, bytes] = field(default_factory=dict)
-    block_signal: Signal | None = None
-    priority_signal: Signal | None = None
+    #: Every announcement recorded before the node began this round, in
+    #: arrival order, each with whether it could be verified on arrival
+    #: (a later round's context does not exist yet); ``None`` once
+    #: :meth:`settle` ran.
+    heard: list[tuple[PriorityMessage, bool]] | None = field(
+        default_factory=list)
+    #: ``(callback, arg)`` woken (on the event loop) by the next new best
+    #: priority, and by the next block: the proposal wait parks on both.
+    on_priority: list[tuple] = field(default_factory=list)
+    on_block: list[tuple] = field(default_factory=list)
 
-    def signals(self, env: Environment) -> tuple[Signal, Signal]:
-        if self.block_signal is None:
-            self.block_signal = env.signal()
-        if self.priority_signal is None:
-            self.priority_signal = env.signal()
-        return self.priority_signal, self.block_signal
+    def observe_priority(self, message: PriorityMessage, env: Environment,
+                         checked: bool = True) -> bool:
+        """Record an announcement; True if it is the new best priority.
 
-    def observe_priority(self, message: PriorityMessage,
-                         env: Environment) -> bool:
-        """Record an announcement; True if it is the new best priority."""
+        ``checked=False``: nobody could verify it yet. It may lead (and
+        so steer block relay) until the round begins and :meth:`settle`
+        checks it.
+        """
         if message.proposer in self.equivocators:
             return False
+        if self.heard is not None:
+            self.heard.append((message, checked))
         if (self.best_priority is None
                 or message.priority > self.best_priority.priority):
             self.best_priority = message
-            priority_signal, _ = self.signals(env)
-            priority_signal.pulse()
+            _wake(self.on_priority, env)
             return True
         return False
+
+    def settle(self, valid: Callable[[PriorityMessage], bool]) -> None:
+        """Begin the round: verify each announcement heard unchecked,
+        once and in arrival order, and let the best valid one lead —
+        one forged future-round priority must not empty the round."""
+        heard, self.heard = self.heard, None
+        if not heard or all(checked for _, checked in heard):
+            return
+        best = None
+        for message, checked in heard:
+            if (checked or valid(message)) and (
+                    best is None or message.priority > best.priority):
+                best = message
+        self.best_priority = best
+
+    def park(self, callback: Callable, arg) -> None:
+        """Wake ``callback(arg)`` at the next new best priority or block."""
+        self.on_priority.append((callback, arg))
+        self.on_block.append((callback, arg))
+
+    def unpark(self, callback: Callable, arg) -> None:
+        """Withdraw a :meth:`park`, wherever a wake-up has not taken it."""
+        for parked in (self.on_priority, self.on_block):
+            if (callback, arg) in parked:
+                parked.remove((callback, arg))
 
     def observe_block(self, block: Block, env: Environment) -> bool:
         """Record a proposed block; True if it should be relayed.
@@ -122,8 +155,7 @@ class ProposalTracker:
             return False
         self.announced[proposer] = block.block_hash
         self.blocks[block.block_hash] = block
-        _, block_signal = self.signals(env)
-        block_signal.pulse()
+        _wake(self.on_block, env)
         # Relay only blocks from the best-priority proposer seen so far.
         return (self.best_priority is None
                 or proposer == self.best_priority.proposer)
@@ -136,3 +168,10 @@ class ProposalTracker:
             if block.proposer == self.best_priority.proposer:
                 return block
         return None
+
+
+def _wake(parked: list[tuple], env: Environment) -> None:
+    """One event-loop wake-up per parked waiter, in parking order."""
+    for callback, arg in parked:
+        env.schedule_now(callback, arg)
+    parked.clear()

@@ -27,13 +27,13 @@ block-timestamp quantization described in section 8.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.baplus.context import BAContext
-from repro.baplus.protocol import ba_star
-from repro.common.errors import ConsensusHalted
+from repro.baplus.protocol import AgreementResult, ba_star
 from repro.ledger.block import Block, empty_block_hash
 from repro.network.message import Envelope
-from repro.node.agent import Node, recovery_context
+from repro.node.agent import IDLE, Node, recovery_context
 from repro.node.proposal import block_priority
 from repro.sortition.roles import RECOVERY_ROUND_BASE, fork_proposer_role
 from repro.sortition.selection import sortition, verify_sort
@@ -76,7 +76,10 @@ class RecoverySession:
         self.node = node
         self.pre_fork_round = pre_fork_round
         self.proposals: dict[bytes, ForkProposal] = {}
-        self._signal = node.env.signal()
+        self.attempt = 0
+        self._max_attempts = 0
+        self._ctx: BAContext | None = None
+        self._then: Callable[[bool], None] | None = None
         # Replace any previous session's handler: recovery retries create
         # a fresh session per attempt window on the same node.
         node.router.register("fork", self._handle_proposal, replace=True)
@@ -94,7 +97,6 @@ class RecoverySession:
         if proposal.proposer in self.proposals:
             return False
         self.proposals[proposal.proposer] = proposal
-        self._signal.pulse()
         return True
 
     def _propose_if_selected(self, attempt: int, ctx: BAContext) -> None:
@@ -144,41 +146,60 @@ class RecoverySession:
 
     # -- the protocol ------------------------------------------------------
 
-    def run(self, max_attempts: int = 3):
-        """Generator: participate in recovery until a fork is adopted.
+    def run(self, max_attempts: int = 3,
+            then: Callable[[bool], None] | None = None) -> None:
+        """Participate in recovery until a fork is adopted.
 
-        Returns True if this node adopted (or confirmed) a winning fork.
+        ``then`` receives True once this node adopted (or confirmed) a
+        winning fork, False after ``max_attempts`` attempts without one.
         """
+        self._max_attempts, self._then = max_attempts, then
+        self._begin_attempt(0)
+
+    def _begin_attempt(self, attempt: int) -> None:
+        if attempt == self._max_attempts:
+            self._finish(False)
+            return
         node = self.node
-        for attempt in range(max_attempts):
-            ctx = self._recovery_ctx(attempt)
-            recovery_round = RECOVERY_ROUND_BASE + attempt
-            # Regular block processing is stopped during recovery
-            # (section 8.2): protect the active recovery round's votes
-            # from the bounded buffer's future-first eviction.
-            node.buffer.anchor_round = recovery_round
-            self._propose_if_selected(attempt, ctx)
-            # Wait for fork proposals to spread (blocks are bulky).
-            yield node.env.timeout(node.params.lambda_priority
-                                   + node.params.lambda_block)
-            best = self._best_proposal(attempt, ctx)
-            empty = empty_block_hash(recovery_round, ctx.last_block_hash)
-            start_value = best.tip_hash if best is not None else empty
-            try:
-                result = yield from ba_star(
-                    node.participant, ctx, recovery_round, start_value)
-            except ConsensusHalted:
-                continue
-            if result.block_hash == empty:
-                continue  # no winning fork this attempt; retry
+        self.attempt = attempt
+        self._ctx = ctx = self._recovery_ctx(attempt)
+        # Regular block processing is stopped during recovery (section
+        # 8.2): protect the active recovery round's votes from the
+        # bounded buffer's future-first eviction.
+        node.buffer.anchor_round = RECOVERY_ROUND_BASE + attempt
+        self._propose_if_selected(attempt, ctx)
+        # Wait for fork proposals to spread (blocks are bulky).
+        node.env.schedule(node.params.lambda_priority
+                          + node.params.lambda_block, self._agree)
+
+    def _empty(self) -> bytes:
+        return empty_block_hash(RECOVERY_ROUND_BASE + self.attempt,
+                                self._ctx.last_block_hash)
+
+    def _agree(self) -> None:
+        best = self._best_proposal(self.attempt, self._ctx)
+        ba_star(self.node.participant, self._ctx,
+                RECOVERY_ROUND_BASE + self.attempt,
+                best.tip_hash if best is not None else self._empty(),
+                self._agreed)
+
+    def _agreed(self, result: AgreementResult | None) -> None:
+        """Adopt the agreed fork; retry on a halt, on the empty outcome
+        or on a fork we never received."""
+        if result is not None and result.block_hash != self._empty():
             winner = next(
                 (proposal for proposal in self.proposals.values()
                  if proposal.tip_hash == result.block_hash), None)
-            if winner is None:
-                continue  # agreed on a fork we never received; retry
-            self._adopt(winner)
-            return True
-        return False
+            if winner is not None:
+                self._adopt(winner)
+                self._finish(True)
+                return
+        self._begin_attempt(self.attempt + 1)
+
+    def _finish(self, recovered: bool) -> None:
+        then, self._then = self._then, None
+        if then is not None:
+            then(recovered)
 
     def _adopt(self, proposal: ForkProposal) -> None:
         node = self.node
@@ -191,11 +212,10 @@ class RecoverySession:
             # Likewise: stale threshold crossings from the abandoned
             # view could suppress votes the re-run rounds need.
             node.damper.on_chain_adopted()
-        if proposal.tip_hash == node.chain.tip_hash:
-            node.halted = False
-            return
-        node.chain = node.chain.fork_from(proposal.blocks)
-        node.halted = False
+        if node.halted:
+            node.phase = IDLE
+        if proposal.tip_hash != node.chain.tip_hash:
+            node.chain = node.chain.fork_from(proposal.blocks)
 
     def close(self) -> None:
         self.node.router.unregister("fork")
@@ -219,8 +239,7 @@ def run_recovery(nodes: list[Node], pre_fork_round: int,
     """
     sessions = [RecoverySession(node, pre_fork_round) for node in nodes]
     for session in sessions:
-        session.node.env.process(session.run(max_attempts),
-                                 f"recovery-{session.node.index}")
+        session.node.env.schedule_now(session.run, max_attempts)
     return sessions
 
 
@@ -257,27 +276,38 @@ class RecoveryDaemon:
         #: after a successful recovery (liveness restoration).
         self.resume_target = resume_target
         self.recoveries = 0
-        node.env.process(self._loop(), f"recovery-daemon-{node.index}")
+        self._session: RecoverySession | None = None
+        node.env.schedule_now(self._sleep, clock_skew)
 
     def _pre_fork_round(self) -> int:
         return max(0, self.node.chain.height - self.safety_margin)
 
-    def _loop(self):
+    def _sleep(self, skew: float = 0.0) -> None:
+        """Wait for the next tick (after this node's clock skew)."""
+        if skew:
+            self.node.env.schedule(skew, self._sleep)
+        else:
+            self.node.env.schedule(self.node.params.recovery_interval,
+                                   self._tick)
+
+    def _tick(self) -> None:
         node = self.node
-        if self.clock_skew:
-            yield node.env.timeout(self.clock_skew)
-        while True:
-            yield node.env.timeout(node.params.recovery_interval)
-            if not node.halted:
-                continue
-            session = RecoverySession(node, self._pre_fork_round())
-            recovered = yield from session.run(self.max_attempts)
-            session.close()
-            if recovered:
-                self.recoveries += 1
-                if (self.resume_target is not None
-                        and node.chain.height < self.resume_target):
-                    node.start(self.resume_target)
+        if not node.halted:
+            self._sleep()
+            return
+        self._session = RecoverySession(node, self._pre_fork_round())
+        self._session.run(self.max_attempts, self._recovered)
+
+    def _recovered(self, recovered: bool) -> None:
+        node = self.node
+        self._session.close()
+        self._session = None
+        if recovered:
+            self.recoveries += 1
+            if (self.resume_target is not None
+                    and node.chain.height < self.resume_target):
+                node.start(self.resume_target)
+        self._sleep()
 
 
 def attach_recovery_daemons(nodes: list[Node], safety_margin: int = 1,

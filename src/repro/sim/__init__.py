@@ -1,23 +1,9 @@
-"""Discrete-event simulation kernel (virtual clock, processes, events)."""
+"""Discrete-event simulation kernel (virtual clock, callbacks, timers)."""
 
-from repro.sim.loop import (
-    AnyOf,
-    BatchSchedule,
-    Environment,
-    Event,
-    Process,
-    Signal,
-    Timeout,
-    Waitable,
-)
+from repro.sim.loop import BatchSchedule, Environment, Timer
 
 __all__ = [
     "Environment",
-    "Event",
-    "Signal",
-    "Timeout",
-    "AnyOf",
     "BatchSchedule",
-    "Process",
-    "Waitable",
+    "Timer",
 ]

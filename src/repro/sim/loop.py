@@ -1,17 +1,17 @@
-"""Deterministic discrete-event simulation kernel.
+"""Deterministic discrete-event simulation kernel: callbacks on a timer heap.
 
-All Algorand nodes in this reproduction run as generator-based processes
-over a virtual clock. The kernel is intentionally small (a la SimPy):
-
-* :class:`Environment` owns the clock and the event heap.
-* A *process* is a generator that yields *waitables*:
-  :class:`Timeout`, :class:`Event`, another :class:`Process` (join), or
-  :class:`AnyOf` (first-of-many). The yield expression evaluates to the
-  waitable's value; ``AnyOf`` yields ``(index, value)``.
+All Algorand nodes in this reproduction run over one virtual clock, and
+everything they do is a callback the clock fires. :class:`Environment`
+owns the clock, the timer heap and a FIFO of same-instant callbacks. A
+protocol wait is ``env.schedule(delay, continuation)`` — a node's round
+is explicit state that its callbacks advance (``repro.node.agent``), and
+a vote count parks on the buffer and on its deadline timer
+(``repro.baplus.voting``). Nothing in the kernel suspends a frame.
 
 Determinism: events at equal times fire in scheduling order (a
 monotonically increasing sequence number breaks ties), so a given seed
-always reproduces the same run.
+always reproduces the same run. An exception raised by a callback
+leaves :meth:`Environment.run` at once, and no later event fires.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import heapq
 import math
 import operator
 from collections import deque
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable
 
 from repro.common.errors import SimulationError
 
@@ -72,274 +72,6 @@ class Timer:
         self.callback = self.arg = None
         if self._env is not None:
             self._env._heap_entry_died()
-
-
-class Waitable:
-    """Base class for things a process can yield.
-
-    A *waiter* is any object with a ``_wake(value)`` method (a
-    :class:`Process`, or one branch of an :class:`AnyOf`).
-    """
-
-    __slots__ = ()
-
-    def _arm(self, env: "Environment", waiter: Any) -> Any:
-        """Arrange one ``waiter._wake(value)``; return a handle.
-
-        The handle's ``cancel()`` withdraws the wake-up if it has not
-        been delivered to the event loop yet, and is a no-op afterwards.
-        """
-        raise NotImplementedError
-
-
-class Timeout(Waitable):
-    """Fires after ``delay`` simulated seconds with value ``value``."""
-
-    __slots__ = ("delay", "value")
-
-    def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        self.delay = delay
-        self.value = value
-
-    def _arm(self, env: "Environment", waiter: Any) -> Timer:
-        if self.delay == 0.0:
-            return env.schedule_now(waiter._wake, self.value)
-        return env.schedule(self.delay, waiter._wake, self.value)
-
-
-class _EventWait:
-    """Handle for one waiter parked on an untriggered :class:`Event`."""
-
-    __slots__ = ("event", "waiter")
-
-    def __init__(self, event: "Event", waiter: Any) -> None:
-        self.event = event
-        self.waiter = waiter
-
-    def cancel(self) -> None:
-        event = self.event
-        if event is None:
-            return
-        # Once the event has triggered, the wake-up is already on the
-        # event loop and the waiter itself decides whether it is stale.
-        if not event.triggered:
-            event._waiters.remove(self.waiter)
-        self.event = self.waiter = None
-
-
-class Event(Waitable):
-    """One-shot event carrying a value; may have many waiters."""
-
-    __slots__ = ("_env", "_waiters", "triggered", "value")
-
-    def __init__(self, env: "Environment") -> None:
-        self._env = env
-        #: Parked waiters; ``None`` once triggered (nobody parks again).
-        self._waiters: list[Any] | None = []
-        self.triggered = False
-        self.value: Any = None
-
-    def trigger(self, value: Any = None) -> None:
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        self.triggered = True
-        self.value = value
-        waiters, self._waiters = self._waiters, None
-        schedule_now = self._env.schedule_now
-        for waiter in waiters:
-            # Deliver on the event loop to keep callback ordering sane.
-            schedule_now(waiter._wake, value)
-
-    def _arm(self, env: "Environment", waiter: Any) -> "Timer | _EventWait":
-        if self.triggered:
-            return env.schedule_now(waiter._wake, self.value)
-        self._waiters.append(waiter)
-        return _EventWait(self, waiter)
-
-
-class Signal:
-    """Reusable broadcast: each :meth:`next_event` fires on next pulse."""
-
-    __slots__ = ("_env", "_pending")
-
-    def __init__(self, env: "Environment") -> None:
-        self._env = env
-        self._pending: Event | None = None
-
-    def next_event(self) -> Event:
-        """An event that fires at the next :meth:`pulse`."""
-        if self._pending is None or self._pending.triggered:
-            self._pending = Event(self._env)
-        return self._pending
-
-    def pulse(self, value: Any = None) -> None:
-        if self._pending is not None and not self._pending.triggered:
-            self._pending.trigger(value)
-
-
-class _Branch:
-    """The waiter an armed :class:`AnyOf` parks on one of its children."""
-
-    __slots__ = ("wait", "index", "handle")
-
-    def __init__(self, wait: "AnyOf", index: int) -> None:
-        self.wait = wait
-        self.index = index
-        self.handle: Any = None
-
-    def _wake(self, value: Any) -> None:
-        wait = self.wait
-        # ``None``: the wait already resolved (another child won, or it
-        # was disarmed) — a late fire from a loser is ignored.
-        if wait is not None:
-            wait._resolve(self.index, value)
-
-
-class AnyOf(Waitable):
-    """Fires when the first of ``children`` fires; value ``(index, value)``.
-
-    Arming parks one :class:`_Branch` on each child. The wait and its
-    branches reference each other only while armed: the first child to
-    fire — or :meth:`cancel` — unlinks every branch and cancels the
-    other children's handles, so reference counting frees the whole
-    wait the moment it resolves.
-    """
-
-    __slots__ = ("children", "_waiter", "_branches")
-
-    def __init__(self, children: Iterable[Waitable]) -> None:
-        self.children = list(children)
-        if not self.children:
-            raise SimulationError("AnyOf requires at least one waitable")
-        self._waiter: Any = None
-        self._branches: list[_Branch] | None = None
-
-    def _arm(self, env: "Environment", waiter: Any) -> "AnyOf":
-        if self._branches is not None:
-            raise SimulationError("AnyOf is already armed")
-        self._waiter = waiter
-        self._branches = branches = []
-        for index, child in enumerate(self.children):
-            branch = _Branch(self, index)
-            branches.append(branch)
-            branch.handle = child._arm(env, branch)
-        return self
-
-    def _release(self, winner: int | None) -> None:
-        """Unlink every branch; cancel all children but ``winner``."""
-        branches = self._branches
-        self._waiter = self._branches = None
-        for branch in branches:
-            handle = branch.handle
-            branch.wait = branch.handle = None
-            if branch.index != winner:
-                handle.cancel()
-
-    def _resolve(self, index: int, value: Any) -> None:
-        waiter = self._waiter
-        self._release(index)
-        waiter._wake((index, value))
-
-    def cancel(self) -> None:
-        """Disarm: idempotent, and a no-op once the wait has fired."""
-        if self._branches is not None:
-            self._release(None)
-
-
-ProcessGenerator = Generator[Waitable, Any, Any]
-
-
-class Process(Waitable):
-    """Drives a generator; itself waitable (join yields the return value)."""
-
-    __slots__ = ("_env", "_generator", "name", "done", "result", "error",
-                 "_done_event", "_finish_callbacks", "_wait")
-
-    def __init__(self, env: "Environment", generator: ProcessGenerator,
-                 name: str = "") -> None:
-        self._env = env
-        self._generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        self.done = False
-        self.result: Any = None
-        self.error: BaseException | None = None
-        self._done_event = Event(env)
-        self._finish_callbacks: list[Callable[["Process"], None]] = []
-        #: Handle of the waitable the generator is blocked on.
-        self._wait: Any = None
-        env.schedule_now(self._wake, None)
-
-    def _wake(self, value: Any) -> None:
-        if self.done:
-            return
-        self._wait = None
-        try:
-            target = self._generator.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value, None)
-            return
-        except BaseException as exc:  # propagate at env.run()
-            self._finish(None, exc)
-            return
-        if target is None:
-            target = Timeout(0.0)
-        if not isinstance(target, Waitable):
-            self._finish(None, SimulationError(
-                f"process {self.name} yielded non-waitable "
-                f"{type(target).__name__}"
-            ))
-            return
-        self._wait = target._arm(self._env, self)
-
-    def _finish(self, result: Any, error: BaseException | None) -> None:
-        self.done = True
-        self.result = result
-        self.error = error
-        if error is not None:
-            self._env._record_failure(self, error)
-        for callback in self._finish_callbacks:
-            callback(self)
-        self._done_event.trigger(result)
-
-    def add_done_callback(self,
-                          callback: Callable[["Process"], None]) -> None:
-        """Call ``callback(process)`` synchronously when the process ends.
-
-        Unlike joining the process (which resumes the waiter via the event
-        loop), the callback runs inside the very event that finished the
-        process — completion trackers see it before the next event fires.
-        """
-        if self.done:
-            callback(self)
-        else:
-            self._finish_callbacks.append(callback)
-
-    @property
-    def running(self) -> bool:
-        """True while the generator frame is actually executing.
-
-        A process can observe this about *itself* through a callback
-        chain (e.g. a commit hook retiring the committing agent); such
-        a process cannot be interrupted — ``generator.close()`` on an
-        executing frame raises — and does not need to be, since control
-        returns to its own frame when the callback unwinds.
-        """
-        return self._generator.gi_running
-
-    def interrupt(self) -> None:
-        """Stop the process at its current wait point."""
-        if self.done:
-            return
-        wait, self._wait = self._wait, None
-        if wait is not None:
-            wait.cancel()
-        self._generator.close()
-        self._finish(None, None)
-
-    def _arm(self, env: "Environment", waiter: Any) -> Any:
-        return self._done_event._arm(env, waiter)
 
 
 class BatchSchedule:
@@ -427,7 +159,7 @@ class Environment:
     """The event loop: virtual clock plus a timer heap.
 
     Two fast paths keep the hot loop cheap: delay-0 callbacks go onto a
-    FIFO *immediate* queue (no heap traffic), and :meth:`schedule_batch`
+    FIFO *immediate* queue (no heap traffic), and :meth:`push_batch`
     shares one heap entry across a whole batch of timed deliveries.
     Ordering is unchanged in both cases — every entry still carries a
     ``(time, seq)`` pair and fires in exactly the order a heap-only loop
@@ -451,7 +183,6 @@ class Environment:
         self._seq = 0
         #: Cancelled entries still sitting in :attr:`_heap`.
         self._dead = 0
-        self._failures: list[tuple[Process, BaseException]] = []
         #: Total events fired across all :meth:`run` calls (perf metric).
         self.events_processed = 0
         #: Fast-path tallies (observability): how many events took the
@@ -488,39 +219,20 @@ class Environment:
         self._immediate.append(timer)
         return timer
 
-    def schedule_batch(self, items: Iterable[tuple[float, Any]],
-                       deliver: Callable[[Any], None],
-                       skip: Callable[[Any], bool] | None = None,
-                       ) -> BatchSchedule:
-        """Schedule ``deliver(payload)`` for each ``(delay, payload)``.
-
-        One :class:`BatchSchedule` walks the whole batch with a single
-        live heap entry; same-time payloads are delivered by one event.
-        Delays are relative to :attr:`now` and must be non-negative.
-        ``skip(payload)``, when given, is consulted each time the walker
-        advances past its first arrival; ``True`` drops that payload.
-        """
-        now = self.now
-        records = []
-        for delay, payload in items:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule in the past ({delay})")
-            records.append((now + delay, payload))
-        if not records:
-            raise SimulationError("schedule_batch requires at least one item")
-        return self.push_batch(records, deliver, skip)
-
     def push_batch(self, records: list[tuple[float, Any]],
                    deliver: Callable[[Any], None],
                    skip: Callable[[Any], bool] | None = None,
                    ) -> BatchSchedule:
-        """:meth:`schedule_batch` for a caller that built the records.
+        """Schedule ``deliver(payload)`` for each ``(time, payload)``.
 
+        One :class:`BatchSchedule` walks the whole batch with a single
+        live heap entry; same-time payloads are delivered by one event.
         ``records`` are ``(absolute_time, payload)`` pairs, at least one,
         none earlier than :attr:`now` — the caller's guarantee, not
-        checked again here (gossip egress adds non-negative offsets and
+        checked here (gossip egress adds non-negative offsets and
         latencies to ``now``). The batch takes the list over.
+        ``skip(payload)``, when given, is consulted each time the walker
+        advances past its first arrival; ``True`` drops that payload.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -537,33 +249,6 @@ class Environment:
             heap[:] = [entry for entry in heap if not entry[2].cancelled]
             heapq.heapify(heap)
             self._dead = 0
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(delay, value)
-
-    def event(self) -> Event:
-        return Event(self)
-
-    def signal(self) -> Signal:
-        return Signal(self)
-
-    def any_of(self, children: Iterable[Waitable]) -> AnyOf:
-        return AnyOf(children)
-
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        return Process(self, generator, name)
-
-    def _record_failure(self, process: Process,
-                        error: BaseException) -> None:
-        self._failures.append((process, error))
-
-    def _raise_if_failed(self) -> None:
-        """Surface the first recorded process failure, if any."""
-        if self._failures:
-            process, error = self._failures[0]
-            raise SimulationError(
-                f"process {process.name!r} failed at t={self.now:.3f}"
-            ) from error
 
     def _pop_due(self, limit: float) -> "Timer | BatchSchedule | None":
         """Pop the next live entry in ``(time, seq)`` order, if due.
@@ -621,20 +306,14 @@ class Environment:
         """Run until the queues drain, ``until`` is reached, or cap hit.
 
         ``stop_when`` is evaluated after each event; returning True ends
-        the run early (used to stop once every node process finished,
-        without waiting out what is still on the wire).
-
-        Raises the first process failure encountered on *every* exit path
-        — including early returns via ``until`` and ``stop_when`` —
-        so simulations never silently swallow node crashes.
+        the run early (used to stop once every node's run ended, without
+        waiting out what is still on the wire). A callback's exception
+        propagates out of the event that raised it.
         """
         events = 0
         limit = math.inf if until is None else until
-        failures = self._failures
         pop_due = self._pop_due
         while True:
-            if failures:
-                self._raise_if_failed()
             handle = pop_due(limit)
             if handle is None:
                 break
@@ -643,7 +322,6 @@ class Environment:
             events += 1
             self.events_processed += 1
             if stop_when is not None and stop_when():
-                self._raise_if_failed()
                 return
             if max_events is not None and events >= max_events:
                 raise SimulationError(

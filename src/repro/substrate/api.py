@@ -15,7 +15,7 @@ is why one copy of each serves both substrates.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.network.gossip import (
     DropFilter,
@@ -34,25 +34,18 @@ class Clock(Protocol):
     :class:`~repro.sim.loop.Environment` (virtual time, deterministic
     ``(time, seq)`` ordering); in the live substrate it is
     :class:`~repro.live.clock.LiveClock`, which fires the same timer
-    queue paced against ``time.time()`` inside an asyncio loop. Node
-    code cannot tell the difference — that is the point.
+    queue paced against ``time.time()`` inside an asyncio loop. Every
+    protocol wait is a callback on that queue — node code cannot tell
+    the difference, and that is the point.
     """
 
     now: float
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Any: ...
+    def schedule(self, delay: float, callback: Callable[..., None],
+                 arg: Any = ...) -> Any: ...
 
-    def schedule_now(self, callback: Callable[[], None]) -> Any: ...
-
-    def timeout(self, delay: float, value: Any = None) -> Any: ...
-
-    def event(self) -> Any: ...
-
-    def signal(self) -> Any: ...
-
-    def any_of(self, children: Iterable[Any]) -> Any: ...
-
-    def process(self, generator: Any, name: str = "") -> Any: ...
+    def schedule_now(self, callback: Callable[..., None],
+                     arg: Any = ...) -> Any: ...
 
 
 @runtime_checkable

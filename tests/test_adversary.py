@@ -99,12 +99,13 @@ class TestPartitioner:
         chain = FilterChain(sim.network)
         partition = Partitioner(chain, [set(range(8)), set(range(8, 16))])
         partition.schedule(sim.env, start=0.0, end=50.0)
-        processes = [node.start(1) for node in sim.nodes]
+        for node in sim.nodes:
+            node.start(1)
         sim.env.run(until=40.0)
         # Mid-partition: nobody committed round 1.
         assert all(node.chain.height == 0 for node in sim.nodes)
-        sim.env.run(until=600.0,
-                    stop_when=lambda: all(p.done for p in processes))
+        sim.env.run(until=600.0, stop_when=lambda: not any(
+            node.running for node in sim.nodes))
         assert all(node.chain.height == 1 for node in sim.nodes)
         assert len(sim.agreed_hashes(1)) == 1
 
@@ -155,9 +156,10 @@ class TestIsolate:
     def test_isolated_minority_stalls_but_majority_progresses(self):
         sim = Simulation(SimulationConfig(num_users=20, seed=41))
         isolate(sim.network, [18, 19])
-        processes = [node.start(1) for node in sim.nodes[:18]]
-        sim.env.run(until=600,
-                    stop_when=lambda: all(p.done for p in processes))
         online = sim.nodes[:18]
+        for node in online:
+            node.start(1)
+        sim.env.run(until=600, stop_when=lambda: not any(
+            node.running for node in online))
         assert all(node.chain.height == 1 for node in online)
         assert len({node.chain.tip_hash for node in online}) == 1

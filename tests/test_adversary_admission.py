@@ -28,10 +28,13 @@ def _run_attack(malicious_class, *, num_users=10, num_malicious=2, seed=61,
                          num_malicious=num_malicious,
                          runtime=RuntimeConfig(admission=admission)),
         malicious_class=malicious_class)
-    processes = [node.start(ROUNDS) for node in sim.nodes]
-    honest = processes[:num_users - num_malicious]
-    sim.env.run(until=900.0, stop_when=lambda: all(p.done for p in honest))
-    assert all(p.done for p in honest), "honest nodes failed to commit"
+    for node in sim.nodes:
+        node.start(ROUNDS)
+    honest = sim.nodes[:num_users - num_malicious]
+    sim.env.run(until=900.0, stop_when=lambda: not any(
+        node.running for node in honest))
+    assert not any(node.running for node in honest), \
+        "honest nodes failed to commit"
     return sim
 
 

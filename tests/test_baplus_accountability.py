@@ -110,10 +110,11 @@ class TestLiveAttackForensics:
         sim = Simulation(
             SimulationConfig(num_users=16, seed=97, num_malicious=3),
             malicious_class=MaliciousNode)
-        processes = [node.start(1) for node in sim.nodes]
+        for node in sim.nodes:
+            node.start(1)
         # Stop before the round completes so buffers are unpruned.
-        sim.env.run(until=300.0,
-                    stop_when=lambda: all(p.done for p in processes))
+        sim.env.run(until=300.0, stop_when=lambda: not any(
+            node.running for node in sim.nodes))
 
         malicious_keys = {node.keypair.public for node in sim.nodes[13:]}
         steps = ["reduction_one", "reduction_two"] + [

@@ -1,6 +1,6 @@
 """Tests for Reduction, BinaryBA*, BA* and certificates.
 
-These run many participants as concurrent simulation processes over an
+These run many participants concurrently on one event loop over an
 instant broadcast channel, isolating the protocol logic from gossip.
 """
 
@@ -24,7 +24,7 @@ from repro.baplus.protocol import (
     reduction,
 )
 from repro.baplus.voting import BAParticipant
-from repro.common.errors import ConsensusHalted, InvalidCertificate
+from repro.common.errors import InvalidCertificate
 from repro.common.params import TEST_PARAMS, ProtocolParams
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
@@ -55,16 +55,13 @@ class ProtocolCluster:
         for participant in self.participants:
             participant.buffer.add(vote)
 
-    def run_all(self, make_generator):
-        """Run ``make_generator(participant)`` on every participant and
-        collect return values."""
+    def run_all(self, start):
+        """Run ``start(participant, then)`` on every participant and
+        collect what each hands its ``then``."""
         results = {}
-
-        def runner(index, participant):
-            results[index] = yield from make_generator(participant)
-
         for index, participant in enumerate(self.participants):
-            self.env.process(runner(index, participant))
+            start(participant, lambda result, index=index:
+                  results.__setitem__(index, result))
         self.env.run()
         return [results[i] for i in range(len(self.participants))]
 
@@ -74,7 +71,7 @@ class TestReduction:
         cluster = ProtocolCluster()
         block_hash = H(b"the-block")
         results = cluster.run_all(
-            lambda p: reduction(p, cluster.ctx, 1, block_hash))
+            lambda p, then: reduction(p, cluster.ctx, 1, block_hash, then))
         assert set(results) == {block_hash}
 
     def test_split_inputs_reduce_to_empty(self):
@@ -83,12 +80,12 @@ class TestReduction:
         cluster = ProtocolCluster()
         empty = empty_block_hash(1, cluster.ctx.last_block_hash)
 
-        def generator(participant):
+        def start(participant, then):
             index = cluster.participants.index(participant)
-            start = H(b"a") if index % 2 == 0 else H(b"b")
-            return reduction(participant, cluster.ctx, 1, start)
+            value = H(b"a") if index % 2 == 0 else H(b"b")
+            reduction(participant, cluster.ctx, 1, value, then)
 
-        results = cluster.run_all(generator)
+        results = cluster.run_all(start)
         assert set(results) == {empty}
 
     def test_at_most_one_nonempty_output(self):
@@ -98,12 +95,12 @@ class TestReduction:
             empty = empty_block_hash(1, cluster.ctx.last_block_hash)
             cut = int(len(cluster.participants) * split)
 
-            def generator(participant, cut=cut, cluster=cluster):
+            def start(participant, then, cut=cut, cluster=cluster):
                 index = cluster.participants.index(participant)
-                start = H(b"major") if index < cut else H(b"minor")
-                return reduction(participant, cluster.ctx, 1, start)
+                value = H(b"major") if index < cut else H(b"minor")
+                reduction(participant, cluster.ctx, 1, value, then)
 
-            results = cluster.run_all(generator)
+            results = cluster.run_all(start)
             non_empty = {r for r in results if r != empty}
             assert len(non_empty) <= 1
 
@@ -113,7 +110,7 @@ class TestBinaryBAStar:
         cluster = ProtocolCluster()
         block_hash = H(b"blk")
         results = cluster.run_all(
-            lambda p: binary_ba_star(p, cluster.ctx, 1, block_hash))
+            lambda p, then: binary_ba_star(p, cluster.ctx, 1, block_hash, then))
         assert all(r.value == block_hash for r in results)
         assert all(r.deciding_step == 1 for r in results)
         assert all(r.voted_final for r in results)
@@ -122,7 +119,7 @@ class TestBinaryBAStar:
         cluster = ProtocolCluster()
         empty = empty_block_hash(1, cluster.ctx.last_block_hash)
         results = cluster.run_all(
-            lambda p: binary_ba_star(p, cluster.ctx, 1, empty))
+            lambda p, then: binary_ba_star(p, cluster.ctx, 1, empty, then))
         assert all(r.value == empty for r in results)
         assert all(r.deciding_step == 2 for r in results)
         assert not any(r.voted_final for r in results)
@@ -133,19 +130,19 @@ class TestBinaryBAStar:
         empty = empty_block_hash(1, cluster.ctx.last_block_hash)
         block_hash = H(b"blk")
 
-        def generator(participant):
+        def start(participant, then):
             index = cluster.participants.index(participant)
-            start = block_hash if index % 2 == 0 else empty
-            return binary_ba_star(participant, cluster.ctx, 1, start)
+            value = block_hash if index % 2 == 0 else empty
+            binary_ba_star(participant, cluster.ctx, 1, value, then)
 
-        results = cluster.run_all(generator)
+        results = cluster.run_all(start)
         values = {r.value for r in results}
         assert len(values) == 1
         assert values <= {block_hash, empty}
 
     def test_max_steps_halts(self):
         """With no committee ever reaching quorum (zero weight users vs a
-        huge total), BinaryBA* must raise ConsensusHalted, not loop."""
+        huge total), BinaryBA* must hand ``None`` on, not loop."""
         params = ProtocolParams(
             tau_proposer=5, tau_step=80, tau_final=100,
             lambda_priority=0.1, lambda_block=0.2, lambda_step=0.1,
@@ -153,19 +150,11 @@ class TestBinaryBAStar:
         )
         cluster = ProtocolCluster(n=3, weight=1, params=params)
         # 3 users of weight 1 can never reach 0.685*80 votes.
-        failures = []
-
-        def runner(participant):
-            try:
-                yield from binary_ba_star(participant, cluster.ctx, 1,
-                                          H(b"blk"))
-            except ConsensusHalted:
-                failures.append(participant.keypair.public)
-
-        for participant in cluster.participants:
-            cluster.env.process(runner(participant))
-        cluster.env.run()
-        assert len(failures) == 3
+        results = cluster.run_all(
+            lambda p, then: binary_ba_star(p, cluster.ctx, 1, H(b"blk"), then))
+        assert results == [None] * 3
+        # MaxSteps is checked before each step A: 6 steps ran, no more.
+        assert cluster.env.now == pytest.approx(6 * params.lambda_step)
 
 
 class TestBAStar:
@@ -173,7 +162,7 @@ class TestBAStar:
         cluster = ProtocolCluster()
         block_hash = H(b"blk")
         results = cluster.run_all(
-            lambda p: ba_star(p, cluster.ctx, 1, block_hash))
+            lambda p, then: ba_star(p, cluster.ctx, 1, block_hash, then))
         assert all(r.kind == FINAL for r in results)
         assert all(r.block_hash == block_hash for r in results)
 
@@ -181,7 +170,7 @@ class TestBAStar:
         cluster = ProtocolCluster()
         empty = empty_block_hash(1, cluster.ctx.last_block_hash)
         results = cluster.run_all(
-            lambda p: ba_star(p, cluster.ctx, 1, empty))
+            lambda p, then: ba_star(p, cluster.ctx, 1, empty, then))
         assert all(r.kind == TENTATIVE for r in results)
         assert all(r.block_hash == empty for r in results)
 
@@ -189,12 +178,12 @@ class TestBAStar:
         cluster = ProtocolCluster()
         empty = empty_block_hash(1, cluster.ctx.last_block_hash)
 
-        def generator(participant):
+        def start(participant, then):
             index = cluster.participants.index(participant)
-            start = H(b"a") if index < 7 else H(b"b")
-            return ba_star(participant, cluster.ctx, 1, start)
+            value = H(b"a") if index < 7 else H(b"b")
+            ba_star(participant, cluster.ctx, 1, value, then)
 
-        results = cluster.run_all(generator)
+        results = cluster.run_all(start)
         assert {r.block_hash for r in results} == {empty}
 
 
@@ -202,7 +191,7 @@ class TestCertificates:
     def _agreed_cluster(self):
         cluster = ProtocolCluster()
         block_hash = H(b"certified")
-        cluster.run_all(lambda p: ba_star(p, cluster.ctx, 1, block_hash))
+        cluster.run_all(lambda p, then: ba_star(p, cluster.ctx, 1, block_hash, then))
         return cluster, block_hash
 
     def test_build_and_verify(self):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.baplus.buffer import VoteBuffer
@@ -16,6 +14,7 @@ from repro.baplus.voting import (
     committee_vote,
     common_coin,
     count_votes,
+    interrupt_counts,
     process_msg,
 )
 from repro.common.params import TEST_PARAMS
@@ -139,30 +138,33 @@ class TestProcessMsg:
                            cluster.params.tau_step, vote)[0] == 0
 
 
-class TestCountVotes:
-    def _run(self, cluster, generator):
-        holder = {}
+def _count(cluster, results, lam, participant=None, threshold=None):
+    """Start CountVotes on step ``(1, "1")``; its outcome joins
+    ``results``, now or from the kernel callback that decides it."""
+    outcome = count_votes(
+        participant or cluster.participants[0], cluster.ctx, 1, "1",
+        threshold or cluster.params.t_step, cluster.params.tau_step, lam,
+        results.append)
+    if outcome is not None:
+        results.append(outcome)
 
-        def wrapper():
-            holder["result"] = yield from generator
-        cluster.env.process(wrapper())
+
+class TestCountVotes:
+    def _run(self, cluster, lam, **kwargs):
+        results = []
+        _count(cluster, results, lam, **kwargs)
         cluster.env.run()
-        return holder["result"]
+        (result,) = results
+        return result
 
     def test_unanimous_vote_crosses_threshold(self, cluster):
         for participant in cluster.participants:
             committee_vote(participant, cluster.ctx, 1, "1",
                            cluster.params.tau_step, H(b"val"))
-        result = self._run(cluster, count_votes(
-            cluster.participants[0], cluster.ctx, 1, "1",
-            cluster.params.t_step, cluster.params.tau_step, 5.0))
-        assert result == H(b"val")
+        assert self._run(cluster, 5.0) == H(b"val")
 
     def test_no_votes_times_out(self, cluster):
-        result = self._run(cluster, count_votes(
-            cluster.participants[0], cluster.ctx, 1, "1",
-            cluster.params.t_step, cluster.params.tau_step, 2.0))
-        assert result is TIMEOUT
+        assert self._run(cluster, 2.0) is TIMEOUT
         assert cluster.env.now == pytest.approx(2.0)
 
     def test_split_vote_times_out(self, cluster):
@@ -170,10 +172,7 @@ class TestCountVotes:
             value = H(b"a") if i % 2 == 0 else H(b"b")
             committee_vote(participant, cluster.ctx, 1, "1",
                            cluster.params.tau_step, value)
-        result = self._run(cluster, count_votes(
-            cluster.participants[0], cluster.ctx, 1, "1",
-            cluster.params.t_step, cluster.params.tau_step, 2.0))
-        assert result is TIMEOUT
+        assert self._run(cluster, 2.0) is TIMEOUT
 
     def test_duplicate_voter_counted_once(self, cluster):
         """An equivocating committee member cannot double its weight:
@@ -199,25 +198,12 @@ class TestCountVotes:
         target.buffer.add(second)
         # Count with an absurdly low threshold measured against the first
         # voter's weight alone: value 'b' must never be returned.
-        result = self._run(cluster, count_votes(
-            target, cluster.ctx, 1, "1", 0.0001, cluster.params.tau_step,
-            1.0))
-        assert result == H(b"a")
+        assert self._run(cluster, 1.0, participant=target,
+                         threshold=0.0001) == H(b"a")
 
     def test_late_votes_picked_up_while_waiting(self, cluster):
-        target = cluster.participants[0]
-
-        def vote_later():
-            yield cluster.env.timeout(1.0)
-            for participant in cluster.participants:
-                committee_vote(participant, cluster.ctx, 1, "1",
-                               cluster.params.tau_step, H(b"late"))
-
-        cluster.env.process(vote_later())
-        result = self._run(cluster, count_votes(
-            target, cluster.ctx, 1, "1", cluster.params.t_step,
-            cluster.params.tau_step, 5.0))
-        assert result == H(b"late")
+        cluster.env.schedule(1.0, lambda: _vote_everyone(cluster, H(b"late")))
+        assert self._run(cluster, 5.0) == H(b"late")
         assert 1.0 <= cluster.env.now < 1.5
 
 
@@ -243,20 +229,13 @@ def _parked(buffer) -> list:
 
 
 class TestParkedCount:
-    """CountVotes parks once: callbacks advance it, one resume ends it."""
-
-    def _count(self, cluster, results, lam):
-        def runner():
-            results.append((yield from count_votes(
-                cluster.participants[0], cluster.ctx, 1, "1",
-                cluster.params.t_step, cluster.params.tau_step, lam)))
-        return cluster.env.process(runner())
+    """CountVotes parks once: callbacks advance it, one ``then`` ends it."""
 
     def test_two_counts_on_one_key_both_advance(self, cluster):
         """A pipelined final count and a recount share one bucket."""
         results = []
-        self._count(cluster, results, 5.0)
-        self._count(cluster, results, 4.0)
+        _count(cluster, results, 5.0)
+        _count(cluster, results, 4.0)
         cluster.env.schedule(1.0, lambda: _vote_everyone(cluster, H(b"late")))
         cluster.env.run(until=1.5)
         assert results == [H(b"late")] * 2
@@ -269,7 +248,7 @@ class TestParkedCount:
         # votes queued, which then finds the count resolved.
         cluster.env.schedule(2.0, lambda: _vote_everyone(cluster, H(b"val")))
         results = []
-        self._count(cluster, results, 2.0)
+        _count(cluster, results, 2.0)
         cluster.env.run()
         assert results == [H(b"val")]
         assert cluster.env.now == 2.0
@@ -277,9 +256,8 @@ class TestParkedCount:
     def test_wake_overtaken_by_a_deadline_wake_is_stale(self, cluster):
         target = cluster.participants[0]
         woken = []
-        count = _VoteCount(target, cluster.ctx, (1, "1"), 1e9,
-                           cluster.params.tau_step, deadline=5.0)
-        count._arm(cluster.env, SimpleNamespace(_wake=woken.append))
+        _count(cluster, woken, 5.0, threshold=1e9)
+        (count,) = target.counts
         overtaken = count._timer
         _vote_everyone(cluster, H(b"val"))  # queues a wake for this park
         assert not _parked(target.buffer)
@@ -295,12 +273,13 @@ class TestParkedCount:
         assert len(_parked(target.buffer)) == 1 and woken == []
         cluster.env.run()
         assert woken == [TIMEOUT] and cluster.env.now == 5.0
-        assert count._timer is None and count._waiter is None
+        assert count._timer is None and count.then is None
+        assert not target.counts
 
     def test_pruned_bucket_leaves_the_count_to_its_deadline(self, cluster):
         target = cluster.participants[0]
         results = []
-        self._count(cluster, results, 2.0)
+        _count(cluster, results, 2.0)
         cluster.env.schedule(1.0, target.buffer.prune_before, 2)
         cluster.env.schedule(1.5, lambda: _vote_everyone(cluster, H(b"blind")))
         cluster.env.run(until=1.75)
@@ -310,12 +289,14 @@ class TestParkedCount:
 
     def test_interrupt_unparks_and_cancels_the_deadline(self, cluster):
         results = []
-        process = self._count(cluster, results, 5.0)
+        _count(cluster, results, 5.0)
         cluster.env.run(until=1.0)
-        buffer = cluster.participants[0].buffer
+        participant = cluster.participants[0]
+        buffer = participant.buffer
         assert len(_parked(buffer)) == len(_deadline_timers(cluster.env)) == 1
-        process.interrupt()
+        interrupt_counts(participant)
         assert not _parked(buffer) and not _deadline_timers(cluster.env)
+        assert not participant.counts
         _vote_everyone(cluster, H(b"late"))
         cluster.env.run()
         assert results == [] and cluster.env.now == 1.0
@@ -331,11 +312,11 @@ class TestParkedCountLifetime:
             node.start(2)
         sim.env.run(until=60, stop_when=lambda: bool(_parked(victim.buffer)))
         assert _deadline_timers(sim.env, victim.participant)
-        (open_step,) = victim.participant.open_steps
+        (open_step,) = [count.key for count in victim.participant.counts]
         victim.crash()
         assert not _parked(victim.buffer)
         assert not _deadline_timers(sim.env, victim.participant)
-        assert not victim.participant.open_steps
+        assert not victim.participant.counts
         exits = [event for event in bus.events_of_kind("step_exit")
                  if event["node"] == victim.index
                  and event.get("interrupted")]

@@ -14,6 +14,7 @@ import pytest
 from repro.chaos import FaultAction, ScenarioScript, run_scenario
 from repro.common.errors import SimulationError
 from repro.experiments.harness import Simulation, SimulationConfig
+from tests.fixtures import run_traced
 
 
 class TestCrashRestartUnit:
@@ -48,6 +49,21 @@ class TestCrashRestartUnit:
         sim = Simulation(SimulationConfig(num_users=4, seed=9))
         with pytest.raises(SimulationError, match="not crashed"):
             sim.nodes[1].restart(2)
+
+    def test_restart_in_the_instant_of_the_crash_runs_once(self):
+        """The run start queued before the crash is stale: only the
+        restart's begins a round."""
+        sim, bus = run_traced(0, num_users=8, seed=9)
+        node = sim.nodes[1]
+        for each in sim.nodes:
+            each.start(1)
+        node.crash()
+        node.restart(1)
+        sim.env.run(until=60.0, stop_when=lambda: not any(
+            each.running for each in sim.nodes))
+        assert node.chain.height == 1
+        assert [event["round"] for event in bus.events_of_kind("round_start")
+                if event["node"] == node.index] == [1]
 
     def test_restart_reconnects(self):
         sim = Simulation(SimulationConfig(num_users=4, seed=9))

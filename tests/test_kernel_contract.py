@@ -18,6 +18,9 @@
   be identical, jittered or with every arrival tied; and the golden
   run's event count stays under a recorded ceiling, so per-copy events
   cannot creep back in.
+* **Lifetime:** a node's round is state that kernel callbacks advance;
+  a crash or a retirement at any of its waits leaves no timer, no parked
+  waiter and no open step behind.
 """
 
 from __future__ import annotations
@@ -30,17 +33,27 @@ import numpy as np
 import pytest
 
 import repro.experiments.harness as harness
-from repro.adversary import MaliciousNode
+from repro.adversary import (
+    FilterChain,
+    FloodingNode,
+    MaliciousNode,
+    Partitioner,
+    SpamVoteNode,
+)
 from repro.baplus.context import BAContext
 from repro.baplus.messages import VoteMessage
 from repro.chaos import FaultAction, ScenarioScript, run_scenario
 from repro.common.params import TEST_PARAMS
 from repro.ledger.arraystate import ArrayWeights
+from repro.ledger.block import Block
 from repro.node.deployment import NetworkConfig, PopulationConfig
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
 from repro.network.message import Envelope
-from repro.sim.loop import AnyOf, Environment, Process
+from repro.node.proposal import PriorityMessage
+from repro.node.recovery import attach_recovery_daemons
+from repro.sim.loop import Environment, Timer
+from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 from tests.fixtures import (
     chain_fingerprint,
     chain_hash,
@@ -150,11 +163,50 @@ CRASH_RESYNC_8_USERS_2_ROUNDS = {
         3_781),
 }
 
-#: Generator resumes (``Process._wake`` entries) the golden 20-user,
-#: 2-round run may spend per ``(node, round)``. A round is a dozen
-#: waits; resuming per relayed message or counted vote cost 231 (9,241 /
-#: 9,248 in total), resuming per wait costs 5.5.
-RESUMES_PER_NODE_ROUND_CEILING = 12
+#: Four deployments whose waits no pin above reaches, ``(chain_hash,
+#: events_processed)`` recorded at the commit before every protocol wait
+#: became a kernel callback. *Pipelined:* the final-vote counts that run
+#: on in the background while the next round starts.
+PIPELINED_20_USERS_3_ROUNDS = {
+    1: ("27d57adf977f8cbb03213ca9bf3de14259f8bb8e964b5424050d64e1c7f9cdfe",
+        26_614),
+    2: ("f5769390be992593fe5d0228bc71dc210452fc069e2d8d7662dc07de1c2e11bf",
+        26_143),
+}
+#: *Churning population:* 150 accounts on a 16-agent core — transients
+#: whose target is raised while mid-round restart when their run ends,
+#: and those retired mid-round are cut off at their current wait.
+AGGREGATED_150_ACCOUNTS_3_ROUNDS = {
+    1: ("e34f918d774f2f22312cad45f009e5dc7562c904392f975207f5fc7b94b8341a",
+        180_767),
+    2: ("2e41fe7e2b4c93a6901ba4210a4da4a4c5ad9e522098978ed12d8a5b03d21791",
+        150_104),
+}
+#: *Recovery:* a partition exhausts MaxSteps on both sides, every node
+#: halts, and the clock-driven daemons' sessions (section 8.2) agree on a
+#: fork and resume the round.
+RECOVERY_DAEMONS_12_USERS = {
+    91: ("7aaa943fd8ae8519987f6c75c88deb703db5327bf48d60eb8ad59eb222374756",
+        15_408),
+    92: ("c93c072c75a4ebb175dfd7a3db6e09f00f1c43399c16cfd98d5a1681ddca7c62",
+        19_495),
+}
+#: *Junk voters:* two of ten users run the ``flood`` or ``spam`` loop
+#: beside their honest round.
+JUNK_VOTERS_2_OF_10_USERS_2_ROUNDS = {
+    ("flood", 1): (
+        "6341d5dba5f46774866ef5bff976228776637b670b80a7f4f8537f243f3a508e",
+        9_004),
+    ("flood", 2): (
+        "84de1121a1f1aa3b708a5a1caeb532d139ff809088527d76d430d4f424905c6c",
+        8_571),
+    ("spam", 1): (
+        "42de4726f814c5b24fd11d7813e1d7dba2d153f87572fe205298abcd082d5ed5",
+        15_121),
+    ("spam", 2): (
+        "4393236c6dc5bf836606a880355e372ced1d7635e64f37b55bac3d99e44bb9e5",
+        15_590),
+}
 
 
 def test_simulated_rounds_leave_no_cyclic_garbage():
@@ -261,28 +313,169 @@ def test_crash_resync_schedule(seed):
             == CRASH_RESYNC_8_USERS_2_ROUNDS[seed])
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_20_USERS_2_ROUNDS))
-def test_a_message_resumes_no_generator(monkeypatch, seed):
-    entries: Counter = Counter()
+@pytest.mark.parametrize("seed", sorted(PIPELINED_20_USERS_3_ROUNDS))
+def test_pipelined_final_schedule(seed):
+    sim = run_sim(3, payments=10, num_users=20, seed=seed,
+                  params=dataclasses.replace(TEST_PARAMS,
+                                             pipeline_final_step=True))
+    assert ((chain_hash(sim), sim.env.events_processed)
+            == PIPELINED_20_USERS_3_ROUNDS[seed])
 
-    def count_entries(cls, name):
-        original = getattr(cls, name)
 
-        def counted(self, *args):
-            entries[cls.__name__ + name] += 1
-            return original(self, *args)
-        monkeypatch.setattr(cls, name, counted)
+@pytest.mark.parametrize("seed", sorted(AGGREGATED_150_ACCOUNTS_3_ROUNDS))
+def test_churning_population_schedule(seed):
+    sim = run_sim(3, num_users=150, seed=seed,
+                  params=TEST_PARAMS.scaled(0.25),
+                  population=PopulationConfig(mode="aggregated",
+                                              always_on_core=16))
+    assert sim.population.stats()["retired_total"] > 0
+    assert ((chain_hash(sim), sim.env.events_processed)
+            == AGGREGATED_150_ACCOUNTS_3_ROUNDS[seed])
 
-    count_entries(Process, "_wake")
-    count_entries(AnyOf, "_arm")
-    users, rounds = 20, 2
-    sim = run_sim(rounds, payments=10, num_users=users, seed=seed)
-    assert chain_hash(sim) == GOLDEN_20_USERS_2_ROUNDS[seed]
-    assert (0 < entries["Process_wake"]
-            <= RESUMES_PER_NODE_ROUND_CEILING * users * rounds)
-    # CountVotes parks once; nothing arms a first-of-many per vote (the
-    # golden run's proposal waits resolve before they need one either).
-    assert entries["AnyOf_arm"] == 0
+
+@pytest.mark.parametrize("seed", sorted(RECOVERY_DAEMONS_12_USERS))
+def test_recovery_daemon_schedule(seed):
+    params = dataclasses.replace(
+        TEST_PARAMS, max_steps=9, lambda_step=1.0, lambda_block=2.0,
+        lambda_priority=0.5, lambda_stepvar=0.5, recovery_interval=30.0)
+    sim = harness.Simulation(harness.SimulationConfig(
+        num_users=12, seed=seed, params=params))
+    Partitioner(FilterChain(sim.network), [set(range(6)), set(range(6, 12))]
+                ).schedule(sim.env, start=0.0, end=40.0)
+    daemons = attach_recovery_daemons(sim.nodes, skew_per_node=0.01,
+                                      resume_target=1)
+    for node in sim.nodes:
+        node.start(1)
+    sim.env.run(until=25.0)
+    assert all(node.halted for node in sim.nodes)
+    sim.env.run(until=200.0)
+    assert [daemon.recoveries for daemon in daemons] == [1] * 12
+    assert ((chain_hash(sim), sim.env.events_processed)
+            == RECOVERY_DAEMONS_12_USERS[seed])
+
+
+@pytest.mark.parametrize("kind,seed", sorted(JUNK_VOTERS_2_OF_10_USERS_2_ROUNDS))
+def test_junk_voter_schedule(kind, seed):
+    sim = harness.Simulation(
+        harness.SimulationConfig(num_users=10, seed=seed, num_malicious=2),
+        malicious_class=FloodingNode if kind == "flood" else SpamVoteNode)
+    sim.submit_payments(5)
+    sim.run_rounds(2)
+    assert ((chain_hash(sim), sim.env.events_processed)
+            == JUNK_VOTERS_2_OF_10_USERS_2_ROUNDS[kind, seed])
+
+
+# ---------------------------------------------------------------------------
+# Lifetime: a stopped round leaves nothing behind
+# ---------------------------------------------------------------------------
+
+def _proposal_wait(node) -> bool:
+    return (node._timer is not None
+            and node._timer.callback == node._proposal_wake)
+
+
+def _queued(node, callback) -> bool:
+    return any(timer.callback == callback for timer in node.env._immediate)
+
+
+#: Each wait a node's round can stand in, as "the victim waits there now";
+#: ``proposal_pulsed`` is the proposal wait with both of its wake-ups
+#: already queued, ``*_queued`` a start that has not fired yet.
+WAITS = {
+    "run_queued": lambda node: _queued(node, node._begin_run),
+    "final_queued": lambda node: _queued(node, node._count_final),
+    "proposal_sleep": lambda node: (node._timer is not None and
+                                    node._timer.callback
+                                    == node._proposal_window),
+    "proposal_wait": _proposal_wait,
+    "proposal_pulsed": _proposal_wait,
+    "step_count": lambda node: any(count.key[1] != FINAL_STEP
+                                   for count in node.participant.counts),
+    "pipelined_final": lambda node: any(count.key[1] == FINAL_STEP
+                                        for count in node.participant.counts),
+    "resync_patience": lambda node: (node._timer is not None and
+                                     node._timer.callback
+                                     == node._resync_poll),
+}
+
+
+def _owned_timers(env: Environment, node) -> list[Timer]:
+    """Live timers that would call back into ``node`` or its counts."""
+    handles = [entry[2] for entry in env._heap] + list(env._immediate)
+    owners = [(handle, getattr(handle.callback, "__self__", None))
+              for handle in handles
+              if isinstance(handle, Timer) and not handle.cancelled]
+    return [handle for handle, owner in owners
+            if owner is node or getattr(owner, "part", None)
+            is node.participant]
+
+
+def _parked_waiters(node) -> list:
+    return ([waiter for waiters in node.buffer._parked.values()
+             for waiter in waiters]
+            + [waiter for tracker in node._trackers.values()
+               for waiter in tracker.on_priority + tracker.on_block])
+
+
+@pytest.mark.parametrize("stop", ["crash", "retire"])
+@pytest.mark.parametrize("wait", sorted(WAITS))
+def test_a_stopped_round_leaves_nothing_behind(wait, stop):
+    """Crash or retire a node at each wait kind: no timer, no parked
+    waiter survives, every open step exits ``interrupted``, and the node
+    never moves again."""
+    params = dataclasses.replace(
+        TEST_PARAMS, max_steps=4,
+        pipeline_final_step=wait in ("pipelined_final", "final_queued"))
+    sim, bus = run_traced(0, payments=5, num_users=10, seed=1, params=params)
+    victim = sim.nodes[3]
+    if wait in ("proposal_wait", "proposal_pulsed", "resync_patience"):
+        # Cut off, it waits out the proposal (unless it holds its own)
+        # and then every step.
+        victim.interface.disconnected = True
+        victim.resync = lambda: None
+        victim.resync_patience, victim.resync_retries = 5.0, 3
+    if wait.startswith("proposal_"):
+        victim.propose_block = lambda *args: None
+    for node in sim.nodes:
+        node.start(3)
+    sim.env.run(until=200.0, stop_when=lambda: WAITS[wait](victim))
+    assert WAITS[wait](victim)
+    if wait == "proposal_pulsed":
+        # A new best priority and a new block in one instant: two
+        # wake-ups queued, of which at most one may act.
+        tracker, now = victim._round.tracker, sim.env.now
+        tracker.observe_priority(PriorityMessage(
+            proposer=b"p" * 32, round_number=tracker.round_number,
+            vrf_hash=bytes(32), vrf_proof=bytes(80), sub_users=1,
+            priority=b"\xff" * 32), sim.env)
+        tracker.observe_block(Block(
+            round_number=tracker.round_number,
+            prev_hash=victim.chain.tip_hash, timestamp=now,
+            proposer=b"q" * 32), sim.env)
+        assert [timer.callback for timer in sim.env._immediate][-2:] \
+            == [victim._proposal_wake] * 2
+    open_steps = sorted(count.key for count in victim.participant.counts
+                        if count.key[0] < RECOVERY_ROUND_BASE)
+    assert bool(open_steps) == (wait in ("step_count", "pipelined_final"))
+
+    getattr(victim, stop)()
+    assert victim.phase == {"crash": "CRASHED", "retire": "RETIRED"}[stop]
+    assert not victim.running and not victim.participant.counts
+    sim.env.run(until=sim.env.now)  # what this instant still had queued
+    assert not _owned_timers(sim.env, victim)
+    assert not _parked_waiters(victim)
+    assert [(event["round"], event["step"])
+            for event in bus.events_of_kind("step_exit")
+            if event["node"] == victim.index
+            and event.get("interrupted")] == open_steps
+
+    stopped_at = len(bus.events)
+    sim.env.run(until=sim.env.now + 30.0)
+    assert not [event for event in bus.events[stopped_at:]
+                if event.get("node") == victim.index
+                and event["kind"] in ("round_start", "step_enter",
+                                      "vote_cast")]
+    assert not _owned_timers(sim.env, victim)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
+from repro.experiments.harness import Simulation, SimulationConfig
 from repro.ledger.block import Block
+from repro.network.message import priority_envelope
 from repro.node.proposal import (
     PriorityMessage,
     ProposalTracker,
@@ -157,21 +159,73 @@ class TestProposalTracker:
     def test_signals_pulse_on_new_information(self):
         env = Environment()
         tracker = ProposalTracker(1)
-        priority_signal, block_signal = tracker.signals(env)
-        got = []
+        woken = []
 
-        def wait_priority():
-            yield priority_signal.next_event()
-            got.append("priority")
+        def wake(arg):
+            woken.append((env.now, arg))
 
-        def wait_block():
-            yield block_signal.next_event()
-            got.append("block")
-
-        env.process(wait_priority())
-        env.process(wait_block())
+        tracker.park(wake, "first")
         env.schedule(1, lambda: tracker.observe_priority(
             self._message(b"A", b"\x80" * 32), env))
-        env.schedule(2, lambda: tracker.observe_block(_block(b"A"), env))
+        # Not a new best: wakes nobody.
+        env.schedule(1.5, lambda: tracker.observe_priority(
+            self._message(b"B", b"\x10" * 32), env))
         env.run()
-        assert got == ["priority", "block"]
+        # On the event loop, once; the block side waits to be unparked.
+        assert woken == [(1, "first")]
+        assert tracker.on_block == [(wake, "first")]
+        tracker.unpark(wake, "first")
+        tracker.park(wake, "second")
+        env.schedule(1, lambda: tracker.observe_block(_block(b"A"), env))
+        env.run()
+        assert woken == [(1, "first"), (2.5, "second")]
+        assert tracker.on_priority == [(wake, "second")]
+
+    def test_settle_lets_the_best_valid_announcement_lead(self):
+        env = Environment()
+        tracker = ProposalTracker(1)
+        honest = self._message(b"A", b"\x80" * 32)
+        forged = self._message(b"F", b"\xff" * 32)
+        tracker.observe_priority(honest, env, checked=False)
+        tracker.observe_priority(forged, env, checked=False)
+        # Before the round, the unchecked best steers block relay.
+        assert tracker.best_priority is forged
+        assert not tracker.observe_block(_block(b"A"), env)
+        asked = []
+
+        def valid(message):
+            asked.append(message.proposer)
+            return message is not forged
+
+        tracker.settle(valid)
+        assert asked == [b"A", b"F"]  # once each, in arrival order
+        assert tracker.best_priority is honest
+        assert tracker.best_block().proposer == b"A"
+        tracker.settle(valid)
+        assert asked == [b"A", b"F"] and tracker.heard is None
+
+    def test_settle_trusts_what_was_checked_on_arrival(self):
+        env = Environment()
+        tracker = ProposalTracker(1)
+        best = self._message(b"A", b"\x80" * 32)
+        tracker.observe_priority(best, env)
+        tracker.settle(lambda message: pytest.fail("checked twice"))
+        assert tracker.best_priority is best
+
+
+class TestForgedFuturePriority:
+    """One forged announcement for a later round used to become that
+    round's best priority on every node, unverified, and empty it."""
+
+    def test_one_forged_priority_does_not_empty_the_round(self):
+        sim = Simulation(SimulationConfig(num_users=20, seed=1))
+        sender = sim.nodes[19]
+        sender.interface.broadcast(priority_envelope(
+            sender.keypair.public, PriorityMessage(
+                proposer=sender.keypair.public, round_number=2,
+                vrf_hash=bytes(32), vrf_proof=bytes(80), sub_users=1,
+                priority=b"\xff" * 32)))
+        sim.run_rounds(2)
+        assert sim.all_chains_equal()
+        assert not any(node.chain.block_at(2).is_empty
+                       for node in sim.nodes)

@@ -22,26 +22,27 @@ def soak_sim():
     sim = Simulation(SimulationConfig(num_users=16, seed=121,
                                       initial_balance=50))
 
-    def submitter():
-        nonces = {}
-        for burst in range(ROUNDS * 2):
-            yield sim.env.timeout(1.3)
-            for offset in range(4):
-                index = (burst * 4 + offset) % 16
-                node = sim.nodes[index]
-                public = node.keypair.public
-                if node.chain.state.balance(public) < 1:
-                    continue
-                nonce = nonces.get(
-                    index, node.mempool.next_nonce_for(node.chain.state,
-                                                       public))
-                recipient = sim.nodes[(index + 7) % 16].keypair.public
-                tx = make_transaction(sim.backend, node.keypair.secret,
-                                      public, recipient, 1, nonce)
-                nonces[index] = nonce + 1
-                node.submit_transaction(tx)
+    nonces = {}
 
-    sim.env.process(submitter(), "tx-stream")
+    def submit(burst: int) -> None:
+        for offset in range(4):
+            index = (burst * 4 + offset) % 16
+            node = sim.nodes[index]
+            public = node.keypair.public
+            if node.chain.state.balance(public) < 1:
+                continue
+            nonce = nonces.get(
+                index, node.mempool.next_nonce_for(node.chain.state,
+                                                   public))
+            recipient = sim.nodes[(index + 7) % 16].keypair.public
+            tx = make_transaction(sim.backend, node.keypair.secret,
+                                  public, recipient, 1, nonce)
+            nonces[index] = nonce + 1
+            node.submit_transaction(tx)
+        if burst + 1 < ROUNDS * 2:
+            sim.env.schedule(1.3, submit, burst + 1)
+
+    sim.env.schedule(1.3, submit, 0)
     sim.run_rounds(ROUNDS)
     return sim
 

@@ -27,7 +27,6 @@ from repro.baplus.context import BAContext
 from repro.baplus.protocol import binary_ba_star
 from repro.baplus.voting import BAParticipant
 from repro.baplus.buffer import VoteBuffer
-from repro.common.errors import ConsensusHalted
 from repro.common.params import TEST_PARAMS
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
@@ -85,17 +84,11 @@ def diverged():
     cluster = AdversarialCluster(seed=b"weak-sync-3")
     block_hash = H(b"the-block")
     results = {}
-
-    def runner(index, participant):
-        try:
-            result = yield from binary_ba_star(participant, cluster.ctx,
-                                               1, block_hash)
-            results[index] = result
-        except ConsensusHalted:
-            results[index] = None
-
     for index, participant in enumerate(cluster.participants):
-        cluster.env.process(runner(index, participant))
+        # ``None``: the participant halted after MaxSteps.
+        binary_ba_star(participant, cluster.ctx, 1, block_hash,
+                       lambda result, index=index:
+                       results.__setitem__(index, result))
     cluster.env.run()
     return cluster, block_hash, results
 
