@@ -5,7 +5,8 @@ Two attacks from the paper, against one deployment each:
 
 1. **Equivocation + double voting** (Figure 8's strategy): 20% of the
    stake proposes conflicting blocks and votes for both sides in every
-   BA* step. Expected outcome: honest chains never diverge; latency
+   BA* step — the ``equivocate`` and ``double-vote`` fault kinds on the
+   four highest user slots, for the whole run. Expected outcome: honest chains never diverge; latency
    barely moves.
 2. **Targeted DoS on proposers** (section 8.4): the adversary watches for
    priority announcements and knocks each proposer offline moments after
@@ -19,16 +20,16 @@ Run:  python examples/adversarial_round.py
 from __future__ import annotations
 
 from repro import Simulation, SimulationConfig
-from repro.adversary import FilterChain, MaliciousNode, TargetedDoS
+from repro.adversary import FilterChain, TargetedDoS
+from repro.chaos import figure8_adversary
 
 
 def equivocation_attack() -> None:
     print("=" * 60)
     print("Attack 1: equivocating proposers + double-voting committee")
     print("=" * 60)
-    sim = Simulation(
-        SimulationConfig(num_users=20, seed=5, num_malicious=4),
-        malicious_class=MaliciousNode)
+    sim = Simulation(SimulationConfig(num_users=20, seed=5),
+                     faults=figure8_adversary(range(16, 20)))
     sim.submit_payments(40, note_bytes=16)
     sim.run_rounds(3)
 

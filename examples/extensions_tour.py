@@ -21,8 +21,8 @@ import tempfile
 from pathlib import Path
 
 from repro import Simulation, SimulationConfig, TEST_PARAMS
-from repro.adversary import MaliciousNode
 from repro.baplus.accountability import find_double_votes
+from repro.chaos import figure8_adversary
 from repro.crypto.ephemeral import EphemeralKeyChain, verify_ephemeral_key
 from repro.crypto.hashing import H
 from repro.ledger.persistence import load_chain, save_chain
@@ -92,9 +92,8 @@ def accountability_demo() -> None:
     print("=" * 60)
     print("4. Detect-and-punish: forensic evidence from an attack")
     print("=" * 60)
-    sim = Simulation(
-        SimulationConfig(num_users=16, seed=103, num_malicious=3),
-        malicious_class=MaliciousNode)
+    sim = Simulation(SimulationConfig(num_users=16, seed=103),
+                     faults=figure8_adversary((13, 14, 15)))
     for node in sim.nodes:
         node.start(1)
     sim.env.run(until=300.0,

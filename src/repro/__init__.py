@@ -12,7 +12,8 @@ The package implements the paper's full stack:
 * :mod:`repro.network` / :mod:`repro.sim` — the simulated WAN substrate;
 * :mod:`repro.live` — the live substrate: real OS processes speaking the
   wire format over TCP or Unix domain sockets;
-* :mod:`repro.adversary` — Byzantine strategies and network control;
+* :mod:`repro.adversary` — adversarial network control (Byzantine
+  node behaviour is fault data, :mod:`repro.chaos`);
 * :mod:`repro.baselines` — the Bitcoin/Nakamoto comparison baseline;
 * :mod:`repro.analysis` — committee sizing (Figure 3, Appendix B);
 * :mod:`repro.experiments` — runners for every figure/table in section 10;

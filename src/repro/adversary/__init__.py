@@ -1,4 +1,10 @@
-"""Adversary models: Byzantine node strategies and network control."""
+"""Adversarial network control: partitions, targeted DoS, isolation.
+
+Byzantine *node* behaviour (equivocation, double votes, silence, junk
+votes) is not here: it is fault data, the attacker kinds of
+:mod:`repro.chaos.scenario`, compiled by
+:class:`repro.chaos.faults.FaultInjector` on either substrate.
+"""
 
 from repro.adversary.network_control import (
     FilterChain,
@@ -6,22 +12,8 @@ from repro.adversary.network_control import (
     TargetedDoS,
     isolate,
 )
-from repro.adversary.strategies import (
-    DoubleVotingNode,
-    EquivocatingProposerNode,
-    FloodingNode,
-    MaliciousNode,
-    SilentNode,
-    SpamVoteNode,
-)
 
 __all__ = [
-    "EquivocatingProposerNode",
-    "DoubleVotingNode",
-    "FloodingNode",
-    "MaliciousNode",
-    "SilentNode",
-    "SpamVoteNode",
     "FilterChain",
     "Partitioner",
     "TargetedDoS",

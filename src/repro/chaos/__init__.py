@@ -22,8 +22,8 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
     from repro.chaos.runner import ChaosVerdict, run_scenario
     from repro.chaos.scenario import (
         FAULT_KINDS, FaultAction, ScenarioError, ScenarioScript,
-        flood_recovery_scenario, kill_partition_scenario,
-        partition_heal_scenario,
+        byzantine_scenario, figure8_adversary, flood_recovery_scenario,
+        kill_partition_scenario, partition_heal_scenario,
     )
 
 # repro.chaos.live (the live-cluster runner) is not part of this
@@ -36,8 +36,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.chaos.runner": ("ChaosVerdict", "run_scenario"),
     "repro.chaos.scenario": (
         "FAULT_KINDS", "FaultAction", "ScenarioError", "ScenarioScript",
-        "flood_recovery_scenario", "kill_partition_scenario",
-        "partition_heal_scenario",
+        "byzantine_scenario", "figure8_adversary", "flood_recovery_scenario",
+        "kill_partition_scenario", "partition_heal_scenario",
     ),
 })
 
@@ -52,6 +52,8 @@ __all__ = [
     "Violation",
     "audit_chains",
     "audit_ingress",
+    "byzantine_scenario",
+    "figure8_adversary",
     "flood_recovery_scenario",
     "generate_scenario",
     "kill_partition_scenario",

@@ -10,6 +10,9 @@ Examples::
     python -m repro.chaos --builtin kill-partition --substrate live \
         --runtime-dir out/live-chaos --verdict out/verdict.json
 
+    # Figure 8's adversary: 20 % of users equivocate and double-vote.
+    python -m repro.chaos --builtin byzantine
+
     # A scenario file (see docs/CHAOS.md for the format).
     python -m repro.chaos my_scenario.json --verdict out/verdict.json
 
@@ -34,12 +37,13 @@ from repro.chaos.generate import generate_scenario
 from repro.chaos.runner import ChaosVerdict, run_scenario
 from repro.chaos.scenario import (
     ScenarioScript,
+    byzantine_scenario,
     flood_recovery_scenario,
     kill_partition_scenario,
     partition_heal_scenario,
 )
 
-_BUILTINS = ("partition-heal", "flood", "kill-partition")
+_BUILTINS = ("partition-heal", "flood", "byzantine", "kill-partition")
 
 
 def _load_builtin(name: str, args: argparse.Namespace) -> ScenarioScript:
@@ -49,6 +53,9 @@ def _load_builtin(name: str, args: argparse.Namespace) -> ScenarioScript:
     if name == "flood":
         return flood_recovery_scenario(num_users=args.users or 15,
                                        seed=args.base_seed)
+    if name == "byzantine":
+        return byzantine_scenario(num_users=args.users or 20,
+                                  seed=args.base_seed)
     if name == "kill-partition":
         return kill_partition_scenario(num_users=args.users or 5,
                                        seed=args.base_seed)

@@ -9,9 +9,11 @@ bounded period): message *dropping* goes through the fabric's
 already installed), message *timing* through its ``link_shaper``
 (:class:`ShaperChain`: delay spikes, duplication, reordering), and
 node-level faults act on the node objects — ``interface.disconnected``
-for a targeted DoS, :func:`junk_vote_loop` for ``flood``/``spam``, the
-agent's fail-stop :meth:`~repro.node.agent.Node.crash` /
-:meth:`~repro.node.agent.Node.restart`.
+for a targeted DoS, the agent's fail-stop
+:meth:`~repro.node.agent.Node.crash` /
+:meth:`~repro.node.agent.Node.restart`, :func:`junk_vote_loop` for
+``flood``/``spam``, and :data:`BYZANTINE_SEAMS` for the attackers that
+take over an otherwise honest node's proposal or vote gossip.
 
 The fabric is any :class:`~repro.substrate.api.Fabric`: the sim's
 :class:`~repro.network.gossip.GossipNetwork`, where one injector hosts
@@ -26,22 +28,34 @@ All randomness (loss and duplicate coins, reorder jitter) comes from the
 ``rng`` the caller seeds from the scenario seed, independent of the
 deployment's own RNG: adding a fault never perturbs the underlying
 deployment's random choices. A node process loads this module, so it
-must not import :mod:`repro.adversary` (which imports from here).
+must not import :mod:`repro.adversary` (which re-exports
+:class:`FilterChain` and :class:`Partitioner` from here).
 """
 
 from __future__ import annotations
 
+import dataclasses
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.baplus.messages import VoteMessage, make_vote
-from repro.chaos.scenario import ATTACKER_FAULTS, LINK_FAULTS, FaultAction
+from repro.chaos.scenario import JUNK_FAULTS, LINK_FAULTS, FaultAction
 from repro.crypto.hashing import H
-from repro.network.message import Envelope, vote_envelope
+from repro.ledger.block import empty_block_hash
+from repro.network.message import (
+    Envelope,
+    block_envelope,
+    priority_envelope,
+    vote_envelope,
+)
+from repro.node.proposal import make_priority_message
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.baplus.context import BAContext
     from repro.node.agent import Node
+    from repro.node.proposal import ProposalTracker
     from repro.substrate.api import Clock, Fabric
 
 
@@ -222,9 +236,9 @@ def junk_vote(node: "Node", kind: str, counter: int) -> VoteMessage:
         junk, junk, node.chain.tip_hash, junk)
 
 
-def junk_vote_loop(node: "Node", kind: str, batch: int, interval: float,
-                   *, delay: float = 0.0, until: float | None = None) -> None:
-    """Every ``interval``, broadcast ``batch`` junk votes.
+def junk_vote_loop(node: "Node", kind: str, batch: int, *,
+                   delay: float = 0.0, until: float | None = None) -> None:
+    """Every second, broadcast ``batch`` junk votes.
 
     Begins at the next event of this instant, first fires after
     ``delay`` and runs until the clock reaches ``until`` (forever when
@@ -242,7 +256,7 @@ def junk_vote_loop(node: "Node", kind: str, batch: int, interval: float,
                 counter += 1
                 node.interface.broadcast(vote_envelope(
                     node.keypair.public, junk_vote(node, kind, counter)))
-        clock.schedule(interval, tick)
+        clock.schedule(1.0, tick)
 
     def begin() -> None:
         if delay > 0:
@@ -253,6 +267,65 @@ def junk_vote_loop(node: "Node", kind: str, batch: int, interval: float,
     clock.schedule_now(begin)
 
 
+def _halves(node: "Node") -> tuple[list[int], list[int]]:
+    neighbors = node.interface.neighbors
+    half = len(neighbors) // 2
+    return neighbors[:half], neighbors[half:]
+
+
+def propose_equivocation(node: "Node", round_number: int, ctx: "BAContext",
+                         proof, tracker: "ProposalTracker") -> None:
+    """``equivocate``'s ``propose_block``: one version of the block to
+    each neighbour half. The second drops the last transaction and moves
+    the timestamp, so both validate; the attacker keeps the first."""
+    base = node.assemble_block(round_number, proof)
+    variant = dataclasses.replace(base, timestamp=base.timestamp + 1e-6,
+                                  transactions=base.transactions[:-1])
+    node.registry.register(base)
+    node.registry.register(variant)
+    public = node.keypair.public
+    announcement = make_priority_message(public, round_number, proof)
+    node._seen_priorities.add((public, round_number))
+    tracker.observe_priority(announcement, node.env)
+    tracker.observe_block(base, node.env)
+    node.interface.broadcast(priority_envelope(public, announcement))
+    for block, half in zip((base, variant), _halves(node)):
+        node.interface.send_to(block_envelope(public, block, block.size),
+                               half)
+
+
+def gossip_double_vote(node: "Node", vote: VoteMessage) -> None:
+    """``double-vote``'s ``gossip_vote``: the vote to one neighbour half,
+    a conflicting one with the same sortition proof to the other. Honest
+    nodes count the first vote per voter they see, so the honest count
+    splits between the two values."""
+    empty = empty_block_hash(vote.round_number, vote.prev_hash)
+    other = (empty if vote.value != empty
+             else H(b"equivocation", vote.prev_hash))
+    public = node.keypair.public
+    second = make_vote(node.backend, node.keypair.secret, public,
+                       vote.round_number, vote.step, vote.sorthash,
+                       vote.sortproof, vote.prev_hash, other)
+    node._seen_votes.add((vote.voter, vote.round_number, vote.step))
+    node.buffer.add(vote)
+    for sent, half in zip((vote, second), _halves(node)):
+        node.interface.send_to(vote_envelope(public, sent), half)
+
+
+def stay_silent(node: "Node", *args) -> None:
+    """``silent``'s proposal and vote: nothing (offline stake)."""
+
+
+#: What ``equivocate``, ``double-vote`` and ``silent`` put in place of a
+#: node's ``propose_block`` and ``participant.gossip_vote`` for their
+#: window; each behaviour takes the node first.
+BYZANTINE_SEAMS = {
+    "equivocate": {"propose_block": propose_equivocation},
+    "double-vote": {"gossip_vote": gossip_double_vote},
+    "silent": {"propose_block": stay_silent, "gossip_vote": stay_silent},
+}
+
+
 class FaultInjector:
     """Arms every action of a scenario on one clock, fabric and node set.
 
@@ -260,21 +333,20 @@ class FaultInjector:
     nodes *this process hosts*. ``obs`` receives the
     ``fault_applied``/``fault_cleared`` pair of each window (a live
     node passes ``None``: its coordinator writes the pair once for the
-    cluster); ``rounds`` is the target height a restarted node resumes
-    toward.
+    cluster). A sim runner sets ``rounds``, the target height a
+    restarted node resumes toward, before it runs.
     """
 
     def __init__(self, clock: "Clock", fabric: "Fabric",
                  nodes: Mapping[int, "Node"],
                  actions: Iterable[FaultAction], *,
-                 rng: "np.random.Generator", obs=None,
-                 rounds: int | None = None) -> None:
+                 rng: "np.random.Generator", obs=None) -> None:
         self.clock = clock
         self.nodes = nodes
         self.actions = tuple(actions)
         self.rng = rng
         self.obs = obs
-        self.rounds = rounds
+        self.rounds: int | None = None
         self.chain = FilterChain(fabric)
         self.shaper = ShaperChain(fabric)
 
@@ -286,9 +358,10 @@ class FaultInjector:
     def _arm(self, action: FaultAction, apply=None, clear=None) -> None:
         """Schedule one window's two edges relative to ``clock.now``.
 
-        A window entered mid-way (a respawned live node resumes its
-        clock at the kill offset) is applied at once and clipped; the
-        caller has already skipped windows that fully passed.
+        A window already open — it starts now, or a respawned live node
+        resumes its clock inside it — is applied inline, before anything
+        else happens at this instant, and clipped; the caller has
+        already skipped windows that fully passed.
         """
         def edge(event: str, act) -> None:
             if act is not None:
@@ -299,8 +372,11 @@ class FaultInjector:
                               window=[action.start, action.end])
 
         now = self.clock.now
-        self.clock.schedule(max(0.0, action.start - now),
-                            lambda: edge("fault_applied", apply))
+        if action.start <= now:
+            edge("fault_applied", apply)
+        else:
+            self.clock.schedule(action.start - now,
+                                lambda: edge("fault_applied", apply))
         if action.end is not None:
             self.clock.schedule(action.end - now,
                                 lambda: edge("fault_cleared", clear))
@@ -329,12 +405,36 @@ class FaultInjector:
 
             self._arm(action, lambda: disconnect(True),
                       lambda: disconnect(False))
-        elif kind in ATTACKER_FAULTS:
+        elif kind in JUNK_FAULTS:
             self._arm(action)
             for node in hosted:
-                junk_vote_loop(node, kind, max(1, int(action.rate)), 1.0,
+                junk_vote_loop(node, kind, max(1, int(action.rate)),
                                delay=action.start - self.clock.now,
                                until=action.end)
+        elif kind in BYZANTINE_SEAMS:
+            behaviours = BYZANTINE_SEAMS[kind]
+            # (holder, attribute, what the holder itself had there):
+            # ``None`` means the class's method, restored by deleting.
+            taken: list[tuple[object, str, object]] = []
+
+            def take_over() -> None:
+                for node in hosted:
+                    for attribute, behaviour in behaviours.items():
+                        holder = (node if attribute == "propose_block"
+                                  else node.participant)
+                        taken.append((holder, attribute,
+                                      vars(holder).get(attribute)))
+                        setattr(holder, attribute, partial(behaviour, node))
+
+            def give_back() -> None:
+                while taken:
+                    holder, attribute, own = taken.pop()
+                    if own is None:
+                        delattr(holder, attribute)
+                    else:
+                        setattr(holder, attribute, own)
+
+            self._arm(action, take_over, give_back)
         else:  # crash
             def crash() -> None:
                 for node in hosted:

@@ -1,15 +1,15 @@
 """Execute one chaos scenario end to end and render a verdict.
 
 :func:`run_scenario` wires the whole stack: a :class:`~repro.obs.TraceBus`
-(plus an optional JSONL trace file), a deterministic
-:class:`~repro.experiments.harness.Simulation` — which, given a bus,
-checks every event online against the reference machines
-(:mod:`repro.conformance`) — and a
-:class:`~repro.chaos.faults.FaultInjector` compiling the script onto the
-sim clock. The run stops when every node that is not permanently crashed
-has committed the scenario's target rounds — or when the derived time
-limit expires, which the verdict then explains as a liveness or
-convergence violation rather than a silent timeout.
+(plus an optional JSONL trace file) and a deterministic
+:class:`~repro.experiments.harness.Simulation`, which checks every event
+online against the reference machines (:mod:`repro.conformance`) and
+compiles the script's actions onto the sim clock with its
+:class:`~repro.chaos.faults.FaultInjector`. The run stops when every
+node that is not permanently crashed has committed the scenario's target
+rounds — or when the derived time limit expires, which the verdict then
+explains as a liveness or convergence violation rather than a silent
+timeout.
 
 Verdicts are deterministic: the simulation is seeded, the fault RNG is
 seeded, and :meth:`ChaosVerdict.to_json` serializes with sorted keys —
@@ -23,11 +23,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from numpy.random import default_rng
-
-from repro.chaos.faults import FaultInjector
 from repro.chaos.monitor import Violation, audit_chains, audit_ingress
-from repro.chaos.scenario import FAULT_RNG_TAG, ScenarioScript
+from repro.chaos.scenario import ScenarioScript
 from repro.common.params import ProtocolParams
 from repro.conformance.machine import OUTCOME_RULES
 from repro.conformance.monitor import ConformanceMonitor
@@ -177,15 +174,13 @@ def run_scenario(script: ScenarioScript, *,
                               seed=script.seed)
     if sim_overrides:
         config = dataclasses.replace(config, **sim_overrides)
-    sim = Simulation(config, obs=bus)
+    sim = Simulation(config, faults=script.actions, obs=bus)
+    if sim.injector is not None:
+        sim.injector.rounds = script.rounds  # a restart's target
     for node in sim.nodes:
         # Crash-rejoin catch-up (and late-round resync for everyone):
         # adopt the longest valid peer chain at round boundaries.
         node.resync = lambda n=node: resync_from_peers(n, sim.nodes)
-    FaultInjector(
-        sim.env, sim.network, {node.index: node for node in sim.nodes},
-        script.actions, rng=default_rng([script.seed, FAULT_RNG_TAG]),
-        obs=bus, rounds=script.rounds).install()
     if script.payments:
         sim.submit_payments(script.payments)
 

@@ -31,6 +31,19 @@ Fault vocabulary (the ``kind`` field):
     ``end=None`` crashes them for good.
 ``dos``
     Disconnect ``nodes`` (targeted denial of service) until ``end``.
+
+The attacker kinds make ``nodes`` misbehave, for a window or (``end=None``)
+the whole run; otherwise they stay honest nodes that keep the chain:
+
+``equivocate``
+    A selected proposer sends one block version to half of its
+    neighbours, a conflicting one to the rest (section 10.4, Figure 8;
+    Wang's "Another Look at ALGORAND" in PAPERS.md).
+``double-vote``
+    Every committee vote goes to half of the neighbours, a conflicting
+    one with the same sortition proof to the rest (Figure 8).
+``silent``
+    Never propose nor vote; still relay (offline stake).
 ``flood``
     ``nodes`` broadcast ``rate`` invalid-signature votes per simulated
     second until ``end`` (link-level junk; admission control rejects it
@@ -53,17 +66,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError
 
 #: Every fault kind the injector knows how to compile.
 FAULT_KINDS = ("partition", "delay", "loss", "duplicate", "reorder",
-               "crash", "dos", "flood", "spam")
+               "crash", "dos", "flood", "spam", "equivocate", "double-vote",
+               "silent")
 
-#: Kinds where the target nodes are attackers, not victims: the runner
-#: excludes them from liveness/convergence accounting and from the
-#: ingress-bounds audit.
-ATTACKER_FAULTS = frozenset({"flood", "spam"})
+#: Kinds that run a junk-vote loop at ``rate`` votes per second.
+JUNK_FAULTS = frozenset({"flood", "spam"})
+
+#: Kinds where the target nodes are attackers, not victims: the runners
+#: exclude them from the ingress-bounds audit.
+ATTACKER_FAULTS = JUNK_FAULTS | {"equivocate", "double-vote", "silent"}
+
+#: Kinds that act on the named nodes themselves, so whoever runs them
+#: must host those nodes.
+NODE_FAULTS = ATTACKER_FAULTS | {"crash", "dos"}
 
 #: Kinds that mutate single deliveries on matching links.
 LINK_FAULTS = frozenset({"delay", "loss", "duplicate", "reorder"})
@@ -73,8 +94,8 @@ LINK_FAULTS = frozenset({"delay", "loss", "duplicate", "reorder"})
 FAULT_RNG_TAG = 0xC4A05
 
 
-class ScenarioError(ReproError):
-    """A scenario script failed validation."""
+class ScenarioError(ConfigError):
+    """A scenario script or fault action failed validation."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +104,15 @@ class FaultAction:
 
     kind: str
     start: float
-    #: End of the window; ``None`` only for permanent crashes.
+    #: End of the window; ``None`` (the whole run) for crashes and
+    #: attacker kinds only.
     end: float | None = None
     #: Partition groups (``partition`` only).
     groups: tuple[tuple[int, ...], ...] = ()
-    #: Target nodes (``crash``/``dos``; optional link filter otherwise).
+    #: Target nodes (victims, attackers, or a link filter).
     nodes: tuple[int, ...] = ()
-    #: Probability per delivery (``loss``/``duplicate``).
+    #: Probability per delivery (``loss``/``duplicate``); votes per
+    #: second (``flood``/``spam``).
     rate: float = 0.0
     #: Added seconds per delivery (``delay``).
     extra_delay: float = 0.0
@@ -102,10 +125,10 @@ class FaultAction:
         if self.start < 0:
             raise ScenarioError(f"{self.kind}: start must be >= 0")
         if self.end is None:
-            if self.kind != "crash":
+            if self.kind != "crash" and self.kind not in ATTACKER_FAULTS:
                 raise ScenarioError(
-                    f"{self.kind}: only crashes may be permanent "
-                    f"(end=None)")
+                    f"{self.kind}: only crashes and attacker kinds may "
+                    f"be permanent (end=None, the whole run)")
         elif self.end <= self.start:
             raise ScenarioError(
                 f"{self.kind}: window must end after it starts "
@@ -127,14 +150,11 @@ class FaultAction:
                         raise ScenarioError(
                             f"partition: node {node} in two groups")
                     seen.add(node)
-        if self.kind in ("crash", "dos") and not self.nodes:
+        if self.kind in NODE_FAULTS and not self.nodes:
             raise ScenarioError(f"{self.kind}: needs at least one node")
-        if self.kind in ("flood", "spam"):
-            if not self.nodes:
-                raise ScenarioError(f"{self.kind}: needs at least one node")
-            if self.rate <= 0:
-                raise ScenarioError(
-                    f"{self.kind}: rate (votes per second) must be positive")
+        if self.kind in JUNK_FAULTS and self.rate <= 0:
+            raise ScenarioError(
+                f"{self.kind}: rate (votes per second) must be positive")
         if self.kind in ("loss", "duplicate") and not 0 < self.rate <= 1:
             raise ScenarioError(f"{self.kind}: rate must be in (0, 1]")
         if self.kind == "delay" and self.extra_delay <= 0:
@@ -221,7 +241,7 @@ class ScenarioScript:
         return frozenset(gone)
 
     def attacker_nodes(self) -> frozenset[int]:
-        """Nodes that run flood/spam attacks (excluded from audits)."""
+        """Nodes that run an attacker kind (excluded from audits)."""
         attackers: set[int] = set()
         for action in self.actions:
             if action.kind in ATTACKER_FAULTS:
@@ -329,6 +349,25 @@ def flood_recovery_scenario(*, num_users: int = 15, seed: int = 47,
         rounds=3,
         actions=tuple(actions),
     )
+
+
+def figure8_adversary(nodes: Iterable[int]) -> tuple[FaultAction, ...]:
+    """Section 10.4's adversary (``equivocate`` + ``double-vote``) on
+    ``nodes`` for the whole run; no nodes, no actions."""
+    nodes = tuple(nodes)
+    return tuple(FaultAction(kind=kind, start=0.0, nodes=nodes)
+                 for kind in ("equivocate", "double-vote") if nodes)
+
+
+def byzantine_scenario(*, num_users: int = 20, seed: int = 5,
+                       rounds: int = 2) -> ScenarioScript:
+    """Figure 8's 20 % point: the highest fifth of the users equivocate
+    and double-vote for the whole run, and the verdict must still show
+    one chain, every round committed, and a conforming trace."""
+    return ScenarioScript(
+        name="byzantine", seed=seed, num_users=num_users, rounds=rounds,
+        payments=num_users, actions=figure8_adversary(
+            range(num_users - num_users // 5, num_users)))
 
 
 def kill_partition_scenario(*, num_users: int = 5, seed: int = 11,

@@ -5,13 +5,17 @@ version to half its peers, another to the rest) while malicious committee
 members vote for both versions, then sweeps the malicious stake fraction
 from 0 to 20% and plots round latency. The result: "at least empirically
 for this particular attack, Algorand is not significantly affected."
+
+Here that adversary is fault data
+(:func:`repro.chaos.scenario.figure8_adversary`): the highest user slots
+run the ``equivocate`` and ``double-vote`` kinds for the whole run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.adversary.strategies import MaliciousNode
+from repro.chaos.scenario import figure8_adversary
 from repro.common.errors import NoSamplesError
 from repro.common.params import TEST_PARAMS
 from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
@@ -27,7 +31,7 @@ class AdversarialPoint:
     """One x-axis point of Figure 8."""
 
     malicious_fraction: float
-    num_malicious: int
+    malicious_users: int
     summary: LatencySummary
     agreed: bool          # safety: one hash per round among honest nodes
     empty_rounds: int     # attack cost: rounds forced to the empty block
@@ -38,16 +42,16 @@ def run_spec(spec: AdversarialSpec) -> AdversarialPoint:
     """Deploy ``spec.fraction`` malicious stake; measure honest latency."""
     params = spec.params if spec.params is not None else TEST_PARAMS
     num_users, rounds = spec.num_users, spec.rounds
-    num_malicious = round(spec.fraction * num_users)
+    malicious_users = round(spec.fraction * num_users)
+    honest_users = num_users - malicious_users
     sim = Simulation(
-        SimulationConfig(num_users=num_users, params=params,
-                         seed=spec.seed, num_malicious=num_malicious,
+        SimulationConfig(num_users=num_users, params=params, seed=spec.seed,
                          network=NetworkConfig(latency_model="city")),
-        malicious_class=MaliciousNode if num_malicious else None,
+        faults=figure8_adversary(range(honest_users, num_users)),
     )
     sim.submit_payments(num_users, note_bytes=20)
     sim.run_rounds(rounds)
-    honest = sim.nodes[:num_users - num_malicious]
+    honest = sim.nodes[:honest_users]
     samples = []
     agreed = True
     empty_rounds = 0
@@ -67,7 +71,7 @@ def run_spec(spec: AdversarialSpec) -> AdversarialPoint:
         summary = LatencySummary.empty()
     return AdversarialPoint(
         malicious_fraction=spec.fraction,
-        num_malicious=num_malicious,
+        malicious_users=malicious_users,
         summary=summary,
         agreed=agreed,
         empty_rounds=empty_rounds,

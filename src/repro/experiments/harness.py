@@ -5,8 +5,9 @@ One :class:`Simulation` owns an event loop, a gossip network, and a
 experiments configure it through
 :class:`SimulationConfig` (see :mod:`repro.node.deployment` for the
 nested groups and the node builder) and read results from node metrics
-and the network's cost counters. Everything is deterministic in
-``config.seed``.
+and the network's cost counters. Its ``faults`` — Byzantine users
+included — are :class:`~repro.chaos.scenario.FaultAction` windows.
+Everything is deterministic in ``config.seed``.
 
 The harness is the *sim-substrate* runner: one process, virtual time.
 Its live-substrate twin is :class:`repro.live.cluster.LiveCluster`;
@@ -15,9 +16,17 @@ Its live-substrate twin is :class:`repro.live.cluster.LiveCluster`;
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from repro.common.errors import ConfigError
+from repro.chaos.faults import FaultInjector
+from repro.chaos.scenario import (
+    FAULT_RNG_TAG,
+    NODE_FAULTS,
+    FaultAction,
+    ScenarioError,
+)
 from repro.conformance.monitor import ConformanceMonitor
 from repro.crypto.backend import CryptoBackend
 from repro.ledger.transaction import make_transaction
@@ -43,15 +52,33 @@ from repro.sim.loop import Environment
 from repro.sortition.selection import SELECTION_STATS
 
 
+def _check_faults(config: SimulationConfig,
+                  faults: Iterable[FaultAction]) -> None:
+    """Raise a ``ConfigError`` unless this deployment can run every
+    action: a crash, dos or attacker must name always-on agents, for
+    dormant pool stake has no node to act on."""
+    accounts = config.num_users + config.num_observers
+    core = config.population.core_size(accounts)
+    for action in faults:
+        action.validate(accounts)
+        dormant = [node for node in action.nodes if node >= core]
+        if action.kind in NODE_FAULTS and dormant:
+            raise ScenarioError(
+                f"{action.kind}: nodes {dormant} are dormant pool stake "
+                f"(the always-on core is slots 0..{core - 1}); a "
+                f"node-local fault needs always-on agents")
+
+
 class Simulation:
     """A fully wired deployment: env + network + nodes."""
 
     def __init__(self, config: SimulationConfig,
                  backend: CryptoBackend | None = None,
-                 node_class: type[Node] = Node,
-                 malicious_class: type[Node] | None = None,
+                 faults: Iterable[FaultAction] = (),
                  obs: TraceBus | None = None) -> None:
         config.validate()
+        faults = tuple(faults)
+        _check_faults(config, faults)
         self.config = config
         self.env = Environment()
         #: Optional trace bus (see :mod:`repro.obs`). When supplied, its
@@ -105,9 +132,6 @@ class Simulation:
             active_indices=(list(range(core_size))
                             if core_size < total_nodes else None),
         )
-        if config.num_malicious and malicious_class is None:
-            raise ConfigError(
-                "num_malicious > 0 requires a malicious_class")
 
         #: Network-wide quarantine state (None when admission is off).
         self.quarantine_directory: QuarantineDirectory | None = None
@@ -126,13 +150,22 @@ class Simulation:
         self.population = Population(
             config, genesis, env=self.env, backend=self.backend,
             network=self.network, registry=self.registry,
-            node_class=node_class, malicious_class=malicious_class,
             obs=obs, directory=self.quarantine_directory,
             round_hook=on_commit,
         )
         #: The always-on core — everyone, under ``mode="full"``; the
         #: per-round transients live in ``population.live``.
         self.nodes: list[Node] = self.population.core_nodes
+        #: Compiles ``faults`` onto this deployment; ``None`` when there
+        #: are none, and then no hook is installed on the network.
+        self.injector: FaultInjector | None = None
+        if faults:
+            self.injector = FaultInjector(
+                self.env, self.network,
+                {node.index: node for node in self.nodes}, faults,
+                rng=np.random.default_rng([config.seed, FAULT_RNG_TAG]),
+                obs=obs)
+            self.injector.install()
 
     @property
     def observers(self) -> list[Node]:
@@ -181,12 +214,15 @@ class Simulation:
         blocks; the population materializes and retires transient
         winners on its own at round boundaries.
         """
+        if self.injector is not None:
+            self.injector.rounds = rounds  # a restart's target
         nodes = self.population.start(rounds)
         # O(1) stop check: scanning every node per event dominated the
         # loop at hundreds of nodes. ``on_done`` fires inside the event
         # that ends a node's run, so the set is always current; a node
-        # leaves it once, whether its run finished or crashed.
-        pending = {node.index for node in nodes}
+        # leaves it once, whether its run finished or crashed (before
+        # it started, too: then it never joins).
+        pending = {node.index for node in nodes if node.running}
         for node in nodes:
             node.on_done = lambda done: pending.discard(done.index)
         limit = time_limit

@@ -23,8 +23,8 @@ Chaos extensions (all inert when ``faults`` is empty):
   each node arms the shared schedule with its own
   :class:`~repro.chaos.faults.FaultInjector` (the sim's, over its
   transport's two link hooks), so both ends of a cut link drop their
-  frames at the same offsets and an attacker floods from its own
-  process.
+  frames at the same offsets and an attacker (flood, spam, equivocate,
+  double-vote, silent) misbehaves from its own process.
 * ``crash`` faults are realized here: the coordinator SIGKILLs the
   victim's process at the window start and — if the window has an end —
   respawns it as a fresh ``node_main`` with ``rejoin=True`` and a
@@ -138,10 +138,10 @@ class LiveCluster:
                 f"(got {config.substrate.kind!r}); use Simulation for "
                 "the sim substrate")
         config.validate()
-        if config.num_malicious or config.num_observers:
+        if config.num_observers:
             raise ConfigError(
-                "the live substrate runs honest full nodes only "
-                "(num_malicious and num_observers must be 0)")
+                "the live substrate runs one staked process per user "
+                "(num_observers must be 0)")
         if config.population.mode != "full":
             raise ConfigError(
                 "the live substrate requires population mode 'full' "

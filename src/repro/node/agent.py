@@ -358,8 +358,11 @@ class Node:
 
         The run begins at the next event of this instant. Asked while a
         run is under way, the new target waits for that run to end and
-        then begins a run of its own.
+        then begins a run of its own. A crashed node runs again only
+        through :meth:`restart`.
         """
+        if self.crashed:
+            return
         if self.running:
             self._extend_to = target_height
         else:
@@ -784,7 +787,8 @@ class Node:
                       tracker: ProposalTracker) -> None:
         """Assemble, register, and gossip this node's proposal.
 
-        Overridden by adversarial nodes (e.g. equivocating proposers).
+        A seam: the ``equivocate`` and ``silent`` faults replace it for
+        their window (:data:`repro.chaos.faults.BYZANTINE_SEAMS`).
         """
         block = self.assemble_block(round_number, proof)
         self.registry.register(block)

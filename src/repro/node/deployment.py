@@ -4,7 +4,7 @@ Everything a substrate needs to stand up the protocol stack lives here,
 so the sim harness, the aggregated population and a live node process
 configure and wire the *same* node instead of three look-alikes:
 
-* :class:`SimulationConfig` — seven scalars plus one frozen group per
+* :class:`SimulationConfig` — six scalars plus one frozen group per
   consuming layer: :class:`NetworkConfig` (gossip fabric),
   :class:`RuntimeConfig` (verification cache, admission gate, relay
   damping), :class:`PopulationConfig` (who is an always-on agent, who
@@ -146,7 +146,7 @@ class PopulationConfig:
     #: ``"full"``: every user (and observer) is a live agent for the
     #: whole run. ``"aggregated"``: only the first ``always_on_core``
     #: users are; the rest are weighted pool stake, materialized as full
-    #: agents for the rounds sortition selects them. Honest-only. With
+    #: agents for the rounds sortition selects them. With
     #: ``always_on_core >= num_users`` that *is* ``"full"``.
     mode: str = "full"
     #: Aggregated mode: how many always-on full agents (lowest indices).
@@ -237,7 +237,7 @@ class SubstrateConfig:
 class SimulationConfig:
     """Parameters of one deployment (simulated or live).
 
-    Seven scalars plus one frozen group per consuming layer::
+    Six scalars plus one frozen group per consuming layer::
 
         SimulationConfig(num_users=50, seed=11,
                          network=NetworkConfig(bandwidth_bps=None),
@@ -253,10 +253,6 @@ class SimulationConfig:
     initial_balance: int = 10
     #: Optional weight list overriding the equal distribution.
     balances: list[int] | None = None
-    #: Number of Byzantine users (instantiated from the ``malicious_class``
-    #: passed to :class:`~repro.experiments.harness.Simulation`); they
-    #: occupy the highest indices so index 0 is always an honest observer.
-    num_malicious: int = 0
     #: Extra zero-stake nodes appended after the weighted users. They
     #: exercise the paper's "passive participation" property (section 7).
     num_observers: int = 0
@@ -298,18 +294,9 @@ class SimulationConfig:
         if self.num_users < 1:
             raise PopulationError(
                 f"num_users must be >= 1, got {self.num_users}")
-        if self.num_malicious < 0:
-            raise PopulationError(
-                f"num_malicious must be >= 0, got {self.num_malicious}")
         if self.num_observers < 0:
             raise PopulationError(
                 f"num_observers must be >= 0, got {self.num_observers}")
-        if self.num_malicious > self.num_users:
-            # Malicious users occupy the highest user indices; they
-            # cannot outnumber the weighted population itself.
-            raise PopulationError(
-                f"num_malicious ({self.num_malicious}) exceeds "
-                f"num_users ({self.num_users})")
         if self.initial_balance < 0:
             raise BalancesError(
                 f"initial_balance must be >= 0, got {self.initial_balance}")
@@ -324,15 +311,10 @@ class SimulationConfig:
         self.runtime.validate()
         self.population.validate()
         self.substrate.validate()
-        if self.population.mode == "aggregated":
-            if self.num_malicious:
-                raise PopulationError(
-                    "aggregated population is honest-only: dormant stake "
-                    "cannot model Byzantine agents (use mode='full')")
-            if self.num_observers:
-                raise PopulationError(
-                    "aggregated population does not support observers "
-                    "(use mode='full')")
+        if self.population.mode == "aggregated" and self.num_observers:
+            raise PopulationError(
+                "aggregated population does not support observers "
+                "(use mode='full')")
 
     def make_balances(self) -> list[int]:
         if self.balances is not None:
@@ -350,7 +332,9 @@ def deploy(config: SimulationConfig, **kwargs):
     Returns a :class:`~repro.experiments.harness.Simulation` for
     ``kind="sim"`` (the default) or a
     :class:`~repro.live.cluster.LiveCluster` for ``kind="live"``; both
-    expose ``submit_payments`` / ``run_rounds`` / ``all_chains_equal``.
+    expose ``submit_payments`` / ``run_rounds`` / ``all_chains_equal``,
+    and both take ``faults=`` — so ``deploy(config, faults=[...])``
+    stands up a Byzantine deployment on either substrate.
     """
     if config.substrate.kind == "live":
         from repro.live.cluster import LiveCluster
@@ -416,8 +400,7 @@ def derive_genesis(config: SimulationConfig,
 def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
                clock: Clock, transport: Transport,
                backend: CryptoBackend, registry: BlockRegistry,
-               obs=None, node_class: type[Node] = Node,
-               directory: QuarantineDirectory | None = None,
+               obs=None, directory: QuarantineDirectory | None = None,
                chain: Blockchain | None = None) -> Node:
     """Wire one node stack onto an injected clock and transport.
 
@@ -430,7 +413,7 @@ def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
         chain = Blockchain(genesis.initial_balances, genesis.seed,
                            config.params.seed_refresh_interval,
                            index=genesis.index_of)
-    node = node_class(
+    node = Node(
         index=index, env=clock, keypair=genesis.keypairs[index],
         backend=backend, params=config.params, chain=chain,
         interface=transport, registry=registry, obs=obs)

@@ -13,8 +13,7 @@ determined by its committee-sized fraction of the users, so a
   agents for the whole run (they anchor liveness measurements, carry
   transaction injection, and drive round completion).
   ``PopulationConfig(mode="full")`` is the core that is everyone:
-  users, Byzantine users (``malicious_class`` on the highest user
-  slots) and zero-stake observers;
+  users and zero-stake observers;
 * **materialization on selection** — at each round boundary one
   vectorized pool-sortition pass (:func:`repro.sortition.pool
   .pool_select`) finds every account selected for the coming round's
@@ -35,7 +34,8 @@ binary step 1 and its deciders then vote steps 2-4 (Algorithm 8's
 exactly; pathological rounds that run deeper than ``steps_ahead``
 simply lose those later committees' (dormant) votes — acceptable for
 the honest large-scale deployments a small core targets, and
-configurable upward. Adversarial experiments keep everyone always-on.
+configurable upward. A fault that acts on a node — an attacker, a crash
+— must name an always-on agent (the harness checks).
 
 The boundary trigger is the *first* commit of each round across the
 live agents: no agent has started the next round at that instant, so a
@@ -77,9 +77,7 @@ class Population:
 
     def __init__(self, config: SimulationConfig, genesis: Genesis, *,
                  env: Environment, backend: CryptoBackend,
-                 network: GossipNetwork, registry: BlockRegistry,
-                 node_class: type[Node] = Node,
-                 malicious_class: type[Node] | None = None, obs=None,
+                 network: GossipNetwork, registry: BlockRegistry, obs=None,
                  directory: QuarantineDirectory | None = None,
                  round_hook: Callable[[int], None] | None = None) -> None:
         self.config = config
@@ -90,8 +88,6 @@ class Population:
         self.network = network
         self.registry = registry
         self.steps_ahead = config.population.steps_ahead
-        self.node_class = node_class
-        self.malicious_class = malicious_class
         self.obs = obs
         self._directory = directory
         #: Harness round hook (seen-set pruning, quarantine round end,
@@ -137,16 +133,10 @@ class Population:
         ``source`` is the chain to replicate: the boundary chain, or at
         construction the first core agent's. ``None`` builds genesis.
         """
-        # Byzantine users occupy the highest *user* slots (observers
-        # follow them), so slot 0 is always an honest agent.
-        users = self.config.num_users
-        malicious = users - self.config.num_malicious <= slot < users
         node = build_node(
             self.config, self.genesis, slot, clock=self.env,
             transport=self.network.interface(slot), backend=self.backend,
             registry=self.registry, obs=self.obs,
-            node_class=(self.malicious_class if malicious
-                        else self.node_class),
             directory=self._directory,
             chain=source.replica() if source is not None else None)
         node.on_commit = (

@@ -1,7 +1,8 @@
-"""Tests for Byzantine strategies and adversarial network control.
+"""Tests for Byzantine behaviour and adversarial network control.
 
 The paper's safety claim is that no attack by < 1/3 of the stake can fork
-the chain; these tests run the implemented attacks and assert honest
+the chain; these tests run the implemented attacks — the attacker fault
+kinds, on the highest user slots for the whole run — and assert honest
 nodes never diverge, while liveness degrades only gracefully.
 """
 
@@ -9,29 +10,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary import (
-    DoubleVotingNode,
-    EquivocatingProposerNode,
-    FilterChain,
-    MaliciousNode,
-    Partitioner,
-    SilentNode,
-    TargetedDoS,
-    isolate,
-)
+from repro.adversary import FilterChain, Partitioner, TargetedDoS, isolate
+from repro.chaos import FaultAction, figure8_adversary
 from repro.experiments.harness import Simulation, SimulationConfig
 
 
-def _honest(sim):
-    count = sim.config.num_users - sim.config.num_malicious
-    return sim.nodes[:count]
+def _attacked(num_users: int, seed: int, attackers: int,
+              *kinds: str) -> Simulation:
+    """A deployment whose ``attackers`` highest users run ``kinds``."""
+    nodes = tuple(range(num_users - attackers, num_users))
+    return Simulation(
+        SimulationConfig(num_users=num_users, seed=seed),
+        faults=[FaultAction(kind=kind, start=0.0, nodes=nodes)
+                for kind in kinds])
 
 
 class TestEquivocatingProposer:
     def test_safety_with_equivocators(self):
-        sim = Simulation(
-            SimulationConfig(num_users=16, seed=13, num_malicious=3),
-            malicious_class=EquivocatingProposerNode)
+        sim = _attacked(16, 13, 3, "equivocate")
         sim.submit_payments(20)
         sim.run_rounds(2)
         for round_number in (1, 2):
@@ -41,21 +37,17 @@ class TestEquivocatingProposer:
         """When an equivocator holds the round's highest priority, honest
         users detect the two versions and fall back; the committed block
         is then either honest or empty, never one of the equivocator's."""
-        sim = Simulation(
-            SimulationConfig(num_users=16, seed=13, num_malicious=3),
-            malicious_class=EquivocatingProposerNode)
+        sim = _attacked(16, 13, 3, "equivocate")
         sim.run_rounds(3)
         malicious_keys = {node.keypair.public for node in sim.nodes[13:]}
-        for node in _honest(sim):
+        for node in sim.nodes[:13]:
             for block in node.chain.blocks[1:]:
                 assert block.proposer not in malicious_keys
 
 
 class TestDoubleVoting:
     def test_safety_with_double_voters(self):
-        sim = Simulation(
-            SimulationConfig(num_users=16, seed=17, num_malicious=3),
-            malicious_class=DoubleVotingNode)
+        sim = _attacked(16, 17, 3, "double-vote")
         sim.run_rounds(2)
         for round_number in (1, 2):
             assert len(sim.agreed_hashes(round_number)) == 1
@@ -65,9 +57,8 @@ class TestDoubleVoting:
         malicious fraction but agreement and progress persist."""
         latencies = {}
         for bad in (0, 3):
-            sim = Simulation(
-                SimulationConfig(num_users=16, seed=23, num_malicious=bad),
-                malicious_class=MaliciousNode)
+            sim = Simulation(SimulationConfig(num_users=16, seed=23),
+                             faults=figure8_adversary(range(16 - bad, 16)))
             sim.run_rounds(2)
             assert len(sim.agreed_hashes(1)) == 1
             assert len(sim.agreed_hashes(2)) == 1
@@ -79,12 +70,10 @@ class TestDoubleVoting:
 class TestSilentStake:
     def test_progress_with_silent_minority(self):
         """Offline stake below the threshold margin: liveness holds."""
-        sim = Simulation(
-            SimulationConfig(num_users=20, seed=29, num_malicious=2),
-            malicious_class=SilentNode)
+        sim = _attacked(20, 29, 2, "silent")
         sim.run_rounds(2)
         assert len(sim.agreed_hashes(1)) == 1
-        for node in _honest(sim):
+        for node in sim.nodes[:18]:
             assert node.chain.height == 2
 
 

@@ -9,7 +9,7 @@ identifies exactly the attackers, never an honest peer.
 
 from __future__ import annotations
 
-from repro.adversary import FloodingNode, MaliciousNode, SpamVoteNode
+from repro.chaos import FaultAction, figure8_adversary
 from repro.experiments.harness import (
     RuntimeConfig,
     Simulation,
@@ -19,18 +19,30 @@ from repro.runtime.admission import AdmissionConfig
 
 ROUNDS = 2
 
+#: Junk-vote attackers at the volume of the loops they were first built
+#: with: 48 invalid-signature or 16 far-future votes every 0.5 s.
+FLOOD = FaultAction(kind="flood", start=0.5, nodes=(8, 9), rate=96.0)
+SPAM = FaultAction(kind="spam", start=0.5, nodes=(8, 9), rate=32.0)
 
-def _run_attack(malicious_class, *, num_users=10, num_malicious=2, seed=61,
-                admission=None):
+
+def _attackers(sim) -> set[int]:
+    return {index for action in sim.injector.actions
+            for index in action.nodes}
+
+
+def _honest(sim) -> list:
+    return [node for node in sim.nodes if node.index not in _attackers(sim)]
+
+
+def _run_attack(faults, *, num_users=10, seed=61, admission=None):
     """Run a Byzantine sim until every honest node commits ROUNDS."""
     sim = Simulation(
         SimulationConfig(num_users=num_users, seed=seed,
-                         num_malicious=num_malicious,
                          runtime=RuntimeConfig(admission=admission)),
-        malicious_class=malicious_class)
+        faults=faults)
     for node in sim.nodes:
         node.start(ROUNDS)
-    honest = sim.nodes[:num_users - num_malicious]
+    honest = _honest(sim)
     sim.env.run(until=900.0, stop_when=lambda: not any(
         node.running for node in honest))
     assert not any(node.running for node in honest), \
@@ -39,7 +51,7 @@ def _run_attack(malicious_class, *, num_users=10, num_malicious=2, seed=61,
 
 
 def _assert_honest_progress(sim):
-    honest = sim.nodes[:sim.config.num_users - sim.config.num_malicious]
+    honest = _honest(sim)
     for node in honest:
         assert node.chain.height >= ROUNDS
     for round_number in range(1, ROUNDS + 1):
@@ -54,12 +66,11 @@ def _assert_honest_progress(sim):
 
 
 def _assert_only_attackers_blamed(sim):
-    num_honest = sim.config.num_users - sim.config.num_malicious
-    attackers = set(range(num_honest, sim.config.num_users))
+    attackers = _attackers(sim)
     served = set(sim.quarantine_directory._served)
     assert served, "no attacker was ever network-quarantined"
     assert served <= attackers, f"honest nodes quarantined: {served}"
-    for node in sim.nodes[:num_honest]:
+    for node in _honest(sim):
         locally_blocked = set(node.admission.health.quarantined_until)
         assert locally_blocked <= attackers, (
             f"node {node.index} blocked honest peers: "
@@ -70,7 +81,7 @@ class TestFloodingQuarantine:
     def test_flooders_quarantined_network_commits(self):
         """Invalid-signature flooders (20% of peers) are cut off and the
         honest majority keeps committing."""
-        sim = _run_attack(FloodingNode)
+        sim = _run_attack([FLOOD])
         _assert_honest_progress(sim)
         _assert_only_attackers_blamed(sim)
         # Both flooders were caught, not just one.
@@ -84,7 +95,7 @@ class TestFloodingQuarantine:
 
     def test_flood_run_is_deterministic(self):
         def fingerprint():
-            sim = _run_attack(FloodingNode)
+            sim = _run_attack([FLOOD])
             return ([node.chain.tip_hash for node in sim.nodes[:8]],
                     sorted(sim.quarantine_directory._served.items()))
 
@@ -96,7 +107,7 @@ class TestSpamQuarantine:
         """Validly signed far-future votes pass every signature check;
         the per-origin flood budget is what catches the sender."""
         sim = _run_attack(
-            SpamVoteNode,
+            [SPAM],
             admission=AdmissionConfig(flood_budget_per_round=32))
         _assert_honest_progress(sim)
         _assert_only_attackers_blamed(sim)
@@ -112,7 +123,7 @@ class TestMaliciousQuarantine:
         """The section 10.4 adversary's conflicting votes are
         self-certifying evidence: the origin is scored, quarantined, and
         the chain never forks."""
-        sim = _run_attack(MaliciousNode, num_users=15, num_malicious=3,
+        sim = _run_attack(figure8_adversary((12, 13, 14)), num_users=15,
                           seed=67)
         honest = sim.nodes[:12]
         for node in honest:

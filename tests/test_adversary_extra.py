@@ -1,15 +1,11 @@
-"""Additional adversary-layer unit tests: filter chains, strategies."""
+"""Additional adversary-layer unit tests: filter chains, attacker seams."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.adversary import (
-    DoubleVotingNode,
-    EquivocatingProposerNode,
-    FilterChain,
-    Partitioner,
-)
+from repro.adversary import FilterChain, Partitioner
+from repro.chaos import FaultAction
 from repro.experiments.harness import (
     RuntimeConfig,
     Simulation,
@@ -96,8 +92,9 @@ class TestStrategyMechanics:
         """Both block versions must be fetchable, or honest nodes that
         agree on one of them could not resolve the hash."""
         sim = Simulation(
-            SimulationConfig(num_users=12, seed=2, num_malicious=12),
-            malicious_class=EquivocatingProposerNode)
+            SimulationConfig(num_users=12, seed=2),
+            faults=[FaultAction(kind="equivocate", start=0.0,
+                                nodes=tuple(range(12)))])
         node = sim.nodes[0]
         ctx = node._current_context(1)
         from repro.sortition.roles import proposer_role
@@ -117,16 +114,17 @@ class TestStrategyMechanics:
         # exercise the strategy mechanics; admission would (correctly)
         # reject it at ingress, so run the pre-admission wiring.
         sim = Simulation(
-            SimulationConfig(num_users=12, seed=14, num_malicious=12,
+            SimulationConfig(num_users=12, seed=14,
                              runtime=RuntimeConfig(use_admission=False)),
-            malicious_class=DoubleVotingNode)
+            faults=[FaultAction(kind="double-vote", start=0.0,
+                                nodes=tuple(range(12)))])
         node = sim.nodes[0]
         from repro.baplus.messages import make_vote
         from repro.crypto.hashing import H
         vote = make_vote(sim.backend, node.keypair.secret,
                          node.keypair.public, 1, "1", H(b"s"), b"p",
                          node.chain.tip_hash, H(b"value"))
-        node._gossip_vote(vote)
+        node.participant.gossip_vote(vote)
         sim.env.run(until=5.0)
         # Some neighbor received the conflicting second vote.
         received = [
@@ -141,3 +139,22 @@ class TestStrategyMechanics:
         all_values = {v.value for other in sim.nodes
                       for v in other.buffer.messages(1, "1")}
         assert len(all_values) == 2
+
+    def test_window_takes_the_seams_and_gives_them_back(self):
+        """An attacker is an honest node with a seam taken over: inside
+        its window, ``silent`` holds both seams; after it, the node's
+        own proposal and vote gossip are back."""
+        sim = Simulation(
+            SimulationConfig(num_users=6, seed=3),
+            faults=[FaultAction(kind="silent", start=1.0, end=2.0,
+                                nodes=(5,))])
+        node = sim.nodes[5]
+        honest_vote = node.participant.gossip_vote
+        assert "propose_block" not in vars(node)
+        sim.env.run(until=1.5)
+        assert "propose_block" in vars(node)
+        assert node.participant.gossip_vote != honest_vote
+        node.participant.gossip_vote(None)  # silent: ignores anything
+        sim.env.run(until=2.5)
+        assert "propose_block" not in vars(node)
+        assert node.participant.gossip_vote == honest_vote

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary import MaliciousNode
+from repro.chaos import figure8_adversary
 from repro.baplus.accountability import (
     DoubleVoteEvidence,
     find_double_votes,
@@ -107,9 +107,8 @@ class TestLiveAttackForensics:
         exactly why the paper calls detect-and-punish a straightforward
         extension.
         """
-        sim = Simulation(
-            SimulationConfig(num_users=16, seed=97, num_malicious=3),
-            malicious_class=MaliciousNode)
+        sim = Simulation(SimulationConfig(num_users=16, seed=97),
+                         faults=figure8_adversary((13, 14, 15)))
         for node in sim.nodes:
             node.start(1)
         # Stop before the round completes so buffers are unpruned.

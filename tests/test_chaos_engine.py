@@ -21,9 +21,15 @@ from repro.chaos import (FaultAction, ScenarioError, ScenarioScript,
 from repro.chaos.__main__ import main as chaos_main
 from repro.chaos.faults import _WindowedLinkEffect
 from repro.chaos.runner import render_verdict
+from repro.common.errors import ConfigError
 from repro.conformance import ConformanceMonitor
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.harness import (
+    PopulationConfig,
+    Simulation,
+    SimulationConfig,
+)
 from repro.network.message import Envelope
+from repro.obs.bus import TraceBus
 
 from tests.fixtures import forged_commit
 
@@ -62,6 +68,14 @@ class TestScenarioScript:
         with pytest.raises(ScenarioError, match="permanent"):
             FaultAction(kind="dos", start=0.0, end=None,
                         nodes=(1,)).validate(8)
+
+    @pytest.mark.parametrize("kind", ["flood", "spam", "equivocate",
+                                      "double-vote", "silent"])
+    def test_attackers_may_last_the_whole_run(self, kind):
+        FaultAction(kind=kind, start=0.0, end=None, nodes=(7,),
+                    rate=10.0).validate(8)
+        with pytest.raises(ScenarioError, match="at least one node"):
+            FaultAction(kind=kind, start=0.0, rate=10.0).validate(8)
 
     def test_partition_needs_disjoint_groups(self):
         with pytest.raises(ScenarioError, match="two groups"):
@@ -148,16 +162,28 @@ class TestLinkEffects:
         assert chain._shape(0, 1, _envelope(), 0.5) == []
 
 
+def _byzantine_mix() -> ScenarioScript:
+    """Every seam-replacing kind: whole-run and windowed, one seam and
+    both."""
+    return ScenarioScript(
+        name="byzantine-mix", seed=5, num_users=10, rounds=2, payments=10,
+        actions=(FaultAction(kind="equivocate", start=0.0, nodes=(8,)),
+                 FaultAction(kind="double-vote", start=0.0, nodes=(8, 9)),
+                 FaultAction(kind="silent", start=1.0, end=6.0,
+                             nodes=(7,))))
+
+
 class TestSimVerdictsPinned:
     """The sim must not move under injector refactors.
 
     ``sha256(run_scenario(script).to_json())`` — violations, heights,
     ``sim_seconds``, ``events_seen`` and the conformance summary, byte
     for byte — recorded before the sim and live injectors were merged
-    (PR 18's parent) and stable across ``PYTHONHASHSEED``. Together the
-    five scripts arm all nine fault kinds, so hook order, the loss
-    coins' place in the filter chain and the shared fault RNG stream
-    are all under the hash.
+    (PR 18's parent) and stable across ``PYTHONHASHSEED``; the sixth,
+    for the kinds that replace a node's seams, when those kinds joined
+    the vocabulary. Together the scripts arm every fault kind, so hook
+    order, the loss coins' place in the filter chain and the shared
+    fault RNG stream are all under the hash.
     """
 
     GOLDEN = [
@@ -172,6 +198,8 @@ class TestSimVerdictsPinned:
          "89aa02454202ba75ec4fa10f56d04a9cfda5033811fb3a94b9f90e71f495b7bc"),
         (lambda: generate_scenario(111), {"delay", "dos", "reorder"},
          "b2364b433db584c0091aa5ae1dddce8877a44f17d20e60ef372f1989c6b0a8fd"),
+        (_byzantine_mix, {"equivocate", "double-vote", "silent"},
+         "5eaec0c89fca612c6ccad5f9a97dcdfe197acf26dc7648f5902c0d3932dafacb"),
     ]
 
     def test_the_five_scripts_cover_every_fault_kind(self):
@@ -181,7 +209,8 @@ class TestSimVerdictsPinned:
 
     @pytest.mark.parametrize("make_script,kinds,golden", GOLDEN,
                              ids=["partition-heal", "flood-recovery",
-                                  "seed-101", "seed-105", "seed-111"])
+                                  "seed-101", "seed-105", "seed-111",
+                                  "byzantine-mix"])
     def test_verdict_bytes_unchanged(self, make_script, kinds, golden):
         script = make_script()
         assert {action.kind for action in script.actions} == kinds
@@ -189,6 +218,60 @@ class TestSimVerdictsPinned:
         assert verdict.ok, verdict.violations
         assert hashlib.sha256(
             verdict.to_json().encode()).hexdigest() == golden
+
+
+class TestSimulationFaults:
+    """``Simulation(config, faults=...)``: the one injector, or none."""
+
+    def test_no_faults_no_injector_no_hooks(self):
+        sim = Simulation(SimulationConfig(num_users=4, seed=1))
+        assert sim.injector is None
+        assert sim.network.drop_filter is None
+        assert sim.network.link_shaper is None
+
+    @pytest.mark.parametrize("kind", ["crash", "dos", "flood", "spam",
+                                      "equivocate", "double-vote",
+                                      "silent"])
+    def test_node_fault_on_dormant_stake_is_a_config_error(self, kind):
+        """Slot 10 is pool stake behind a 4-agent core: there is no node
+        to act on, and the fault must not pass as a silent no-op."""
+        script = ScenarioScript(
+            name="dormant-attacker", seed=3, num_users=12, rounds=1,
+            actions=(FaultAction(kind=kind, start=0.0, end=5.0, nodes=(10,),
+                                 rate=50.0),))
+        with pytest.raises(ConfigError, match="dormant"):
+            run_scenario(script, sim_overrides={
+                "population": PopulationConfig(mode="aggregated",
+                                               always_on_core=4)})
+
+    def test_link_fault_may_name_dormant_stake(self):
+        sim = Simulation(
+            SimulationConfig(num_users=12, seed=3, population=PopulationConfig(
+                mode="aggregated", always_on_core=4)),
+            faults=[FaultAction(kind="delay", start=0.0, end=1.0,
+                                nodes=(10,), extra_delay=0.5)])
+        assert sim.network.link_shaper is not None
+
+    def test_crash_open_at_construction_holds_until_restart(self):
+        """A window open when the injector installs is applied before
+        the first event: the victim never starts, and runs from its
+        restart on."""
+        bus = TraceBus()
+        sim = Simulation(SimulationConfig(num_users=8, seed=2),
+                         faults=[FaultAction(kind="crash", start=0.0,
+                                             end=1.0, nodes=(3,))],
+                         obs=bus)
+        assert sim.nodes[3].crashed
+        sim.run_rounds(1)
+        starts = [event["t"] for event in bus.events_of_kind("round_start")
+                  if event["node"] == 3]
+        assert starts and min(starts) == 1.0
+
+    def test_fault_outside_the_deployment_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="out of range"):
+            Simulation(SimulationConfig(num_users=4, seed=1),
+                       faults=[FaultAction(kind="silent", start=0.0,
+                                           nodes=(4,))])
 
 
 class TestVerdictRows:

@@ -92,7 +92,7 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("config", [
         SimulationConfig(),
         SimulationConfig(
-            num_users=7, seed=3, initial_balance=4, num_malicious=2,
+            num_users=7, seed=3, initial_balance=4,
             num_observers=1, params=TEST_PARAMS.scaled(0.25),
             network=NetworkConfig(bandwidth_bps=None, peers_per_node=3,
                                   latency_model="uniform",

@@ -77,10 +77,6 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             config.make_balances()
 
-    def test_malicious_requires_class(self):
-        with pytest.raises(ValueError):
-            Simulation(SimulationConfig(num_users=4, num_malicious=1))
-
     def test_unknown_latency_model(self):
         with pytest.raises(ValueError):
             Simulation(SimulationConfig(
@@ -127,7 +123,7 @@ class TestRunners:
     def test_adversarial_point_bounds(self):
         point = run_point(AdversarialSpec(fraction=0.2, num_users=10,
                                           rounds=1, seed=3)).point
-        assert point.num_malicious == 2
+        assert point.malicious_users == 2
         assert point.agreed
         with pytest.raises(ValueError):
             run_point(AdversarialSpec(fraction=0.5))

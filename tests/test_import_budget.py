@@ -32,8 +32,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 #: with a reason a node process can state.
 NODE_MAIN_REPRO_MODULES_CEILING = 75
 
-#: What a node process must not load: figure runners, Byzantine
-#: strategies, the Nakamoto baseline, the committee analysis.
+#: What a node process must not load: figure runners, network
+#: adversaries, the Nakamoto baseline, the committee analysis.
 NODE_MAIN_FORBIDDEN = ("repro.experiments", "repro.adversary",
                        "repro.baselines", "repro.analysis")
 

@@ -33,16 +33,15 @@ import numpy as np
 import pytest
 
 import repro.experiments.harness as harness
-from repro.adversary import (
-    FilterChain,
-    FloodingNode,
-    MaliciousNode,
-    Partitioner,
-    SpamVoteNode,
-)
+from repro.adversary import FilterChain, Partitioner
 from repro.baplus.context import BAContext
 from repro.baplus.messages import VoteMessage
-from repro.chaos import FaultAction, ScenarioScript, run_scenario
+from repro.chaos import (
+    FaultAction,
+    ScenarioScript,
+    figure8_adversary,
+    run_scenario,
+)
 from repro.common.params import TEST_PARAMS
 from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block
@@ -145,8 +144,10 @@ OBSERVERS_20_USERS_2_ROUNDS = {
     2: ("17cfdf49ed20ef032b091940f1921aacfacaa249fe821664620b74375b4c5105",
         23_936),
 }
-#: *Byzantine stake:* ``MaliciousNode`` on the four highest user slots —
-#: the Figure 8 point at 20 %.
+#: *Byzantine stake:* the Figure 8 adversary on the four highest user
+#: slots — the point at 20 %. Recorded when it was a ``Node`` subclass;
+#: as whole-run ``equivocate`` + ``double-vote`` actions, applied before
+#: the first event, it commits the same chains on the same schedule.
 MALICIOUS_4_OF_20_USERS_2_ROUNDS = {
     1: ("dc9d6c11cbd94fbe133b97245e8df9316da2e892c4c951b653a99b872502a8b2",
         57_922),
@@ -191,21 +192,24 @@ RECOVERY_DAEMONS_12_USERS = {
     92: ("c93c072c75a4ebb175dfd7a3db6e09f00f1c43399c16cfd98d5a1681ddca7c62",
         19_495),
 }
-#: *Junk voters:* two of ten users run the ``flood`` or ``spam`` loop
-#: beside their honest round.
+#: *Junk voters:* two of ten users run the ``flood`` (96 votes/s) or
+#: ``spam`` (32 votes/s) loop from t = 0.5 s to the end of the run beside
+#: their honest round. Recorded through the ``FaultInjector`` of the
+#: commit before the attacker kinds could last the whole run.
+JUNK_RATES = {"flood": 96.0, "spam": 32.0}
 JUNK_VOTERS_2_OF_10_USERS_2_ROUNDS = {
     ("flood", 1): (
-        "6341d5dba5f46774866ef5bff976228776637b670b80a7f4f8537f243f3a508e",
-        9_004),
+        "0521f9b5141fef082ea2f34ff93027854b9f2a9414d1c61c17bc65ae94090cde",
+        9_237),
     ("flood", 2): (
-        "84de1121a1f1aa3b708a5a1caeb532d139ff809088527d76d430d4f424905c6c",
-        8_571),
+        "02807f0088367f2b65edec7bd39bcbf73fd86d0a18d39d0d56d050615d942014",
+        7_483),
     ("spam", 1): (
-        "42de4726f814c5b24fd11d7813e1d7dba2d153f87572fe205298abcd082d5ed5",
-        15_121),
+        "3414d60ec75bb1cb8a58e3e44ef5fa7599fd2839ccedc71d2c59d508d4cbad5c",
+        14_817),
     ("spam", 2): (
-        "4393236c6dc5bf836606a880355e372ced1d7635e64f37b55bac3d99e44bb9e5",
-        15_590),
+        "f1a0f5fee31bcc1ca06687616219714aa471ee7027cab6ab226dd9dc28d74815",
+        15_113),
 }
 
 
@@ -289,11 +293,11 @@ def test_observers_schedule(seed):
 @pytest.mark.parametrize("seed", sorted(MALICIOUS_4_OF_20_USERS_2_ROUNDS))
 def test_malicious_stake_schedule(seed):
     sim = harness.Simulation(
-        harness.SimulationConfig(num_users=20, seed=seed, num_malicious=4),
-        malicious_class=MaliciousNode)
+        harness.SimulationConfig(num_users=20, seed=seed),
+        faults=figure8_adversary(range(16, 20)))
     sim.submit_payments(20, note_bytes=20)
     sim.run_rounds(2)
-    assert [type(node) is MaliciousNode for node in sim.nodes] \
+    assert ["propose_block" in vars(node) for node in sim.nodes] \
         == [False] * 16 + [True] * 4
     assert ((chain_hash(sim), sim.env.events_processed)
             == MALICIOUS_4_OF_20_USERS_2_ROUNDS[seed])
@@ -357,8 +361,9 @@ def test_recovery_daemon_schedule(seed):
 @pytest.mark.parametrize("kind,seed", sorted(JUNK_VOTERS_2_OF_10_USERS_2_ROUNDS))
 def test_junk_voter_schedule(kind, seed):
     sim = harness.Simulation(
-        harness.SimulationConfig(num_users=10, seed=seed, num_malicious=2),
-        malicious_class=FloodingNode if kind == "flood" else SpamVoteNode)
+        harness.SimulationConfig(num_users=10, seed=seed),
+        faults=[FaultAction(kind=kind, start=0.5, nodes=(8, 9),
+                            rate=JUNK_RATES[kind])])
     sim.submit_payments(5)
     sim.run_rounds(2)
     assert ((chain_hash(sim), sim.env.events_processed)

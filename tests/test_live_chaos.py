@@ -12,7 +12,8 @@ catches up via certificate-verified replay, chains end byte-identical,
 and the merged trace satisfies the reference state machine.
 
 The 5-process scripted scenario sweep (the ``kill-partition`` builtin
-via :func:`run_live_scenario`) is marked ``slow``; run with
+via :func:`run_live_scenario`) and the 5-process cluster with a
+dishonest process (Figure 8's adversary) are marked ``slow``; run with
 ``-m slow``.
 """
 
@@ -26,6 +27,7 @@ import pytest
 from repro.chaos.scenario import (
     FAULT_KINDS,
     FaultAction,
+    figure8_adversary,
     kill_partition_scenario,
 )
 from repro.conformance.monitor import ConformanceMonitor
@@ -34,7 +36,7 @@ from repro.node.deployment import (
     SimulationConfig,
     SubstrateConfig,
 )
-from repro.live.cluster import LiveCluster
+from repro.live.cluster import LiveCluster, default_live_config
 from repro.obs.sink import read_trace
 from repro.runtime.admission import AdmissionConfig
 
@@ -265,7 +267,9 @@ class TestOneVocabulary:
                  "reorder": {"jitter": 0.1},
                  "crash": {"nodes": (2,)}, "dos": {"nodes": (2,)},
                  "flood": {"nodes": (2,), "rate": 10.0},
-                 "spam": {"nodes": (2,), "rate": 10.0}}
+                 "spam": {"nodes": (2,), "rate": 10.0},
+                 "equivocate": {"nodes": (2,)},
+                 "double-vote": {"nodes": (2,)}, "silent": {"nodes": (2,)}}
         assert set(extra) == set(FAULT_KINDS)
         for kind in FAULT_KINDS:
             LiveCluster(_config(tmp_path), faults=[
@@ -343,3 +347,31 @@ class TestKillPartitionScenarioSweep:
         assert "node_crashed" in kinds
         assert "node_restarted" in kinds
         assert "catchup_adopted" in kinds
+
+
+@pytest.mark.slow
+class TestByzantineProcess:
+    """A dishonest process on real sockets: node 4 of 5 equivocates and
+    double-votes for the whole run, applied by its own injector."""
+
+    def test_honest_processes_commit_equal_chains(self, tmp_path):
+        cluster = LiveCluster(
+            default_live_config(5, runtime_dir=str(tmp_path)),
+            faults=figure8_adversary([4]))
+        cluster.submit_payments(10)
+        cluster.run_rounds(3)
+        honest = [cluster.results[index] for index in range(4)]
+        assert [result["height"] for result in honest] == [3] * 4
+        assert all(result["blocks"] == honest[0]["blocks"]
+                   for result in honest)
+        events = _merged_events(cluster)
+        # The attack was real: honest peers caught the conflicting votes
+        # and cut the attacker off, and nobody else.
+        blamed = {(event["peer"], event["offense"]) for event in events
+                  if event["kind"] == "peer_quarantined"}
+        assert (4, "equivocation") in blamed
+        assert {peer for peer, _ in blamed} == {4}
+        monitor = ConformanceMonitor()
+        monitor.feed(events)
+        verdict = monitor.verdict()
+        assert verdict.ok, verdict.violations

@@ -204,10 +204,7 @@ class TestValidation:
             SimulationConfig(
                 population=PopulationConfig(mode="sharded")).validate()
 
-    def test_aggregated_is_honest_only(self):
-        with pytest.raises(PopulationError):
-            SimulationConfig(population=aggregated(),
-                             num_malicious=1).validate()
+    def test_aggregated_has_no_observers(self):
         with pytest.raises(PopulationError):
             SimulationConfig(population=aggregated(),
                              num_observers=1).validate()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary import EquivocatingProposerNode
+from repro.chaos import FaultAction
 from repro.common.errors import NetworkError, SignatureError, VRFError
 from repro.crypto.backend import CachedBackend, FastBackend
 from repro.crypto.counting import CountingBackend, CryptoOpCounts
@@ -187,14 +187,12 @@ class TestCachedBackend:
 
 
 def _run(cache_on: bool, *, seed: int = 7, rounds: int = 2,
-         num_users: int = 10, backend=None, malicious_class=None,
-         num_malicious: int = 0) -> Simulation:
+         num_users: int = 10, backend=None, faults=()) -> Simulation:
     sim = Simulation(
         SimulationConfig(num_users=num_users, seed=seed,
-                         num_malicious=num_malicious,
                          runtime=RuntimeConfig(
                              use_verification_cache=cache_on)),
-        backend=backend, malicious_class=malicious_class,
+        backend=backend, faults=faults,
     )
     sim.submit_payments(10)
     sim.run_rounds(rounds)
@@ -291,7 +289,8 @@ class TestEquivocationNotLaundered:
         win and safety holds — cached *crypto* verdicts do not bypass the
         per-node equivocation tracking (context-dependent, uncached)."""
         sim = _run(cache_on=True, seed=13, rounds=2, num_users=16,
-                   num_malicious=3, malicious_class=EquivocatingProposerNode)
+                   faults=[FaultAction(kind="equivocate", start=0.0,
+                                       nodes=(13, 14, 15))])
         malicious_keys = {node.keypair.public for node in sim.nodes[13:16]}
         for round_number in (1, 2):
             assert len(sim.agreed_hashes(round_number)) == 1

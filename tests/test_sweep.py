@@ -307,14 +307,6 @@ class TestCrashAndTimeout:
 
 
 class TestConfigValidation:
-    def test_negative_num_malicious(self):
-        with pytest.raises(PopulationError):
-            SimulationConfig(num_users=8, num_malicious=-1).validate()
-
-    def test_malicious_exceeding_users(self):
-        with pytest.raises(PopulationError):
-            SimulationConfig(num_users=4, num_malicious=5).validate()
-
     def test_empty_population(self):
         with pytest.raises(PopulationError):
             SimulationConfig(num_users=0).validate()
@@ -362,8 +354,7 @@ class TestConfigValidation:
             assert issubclass(cls, ValueError)
 
     def test_valid_config_passes(self):
-        SimulationConfig(num_users=8, num_malicious=2,
-                         num_observers=1).validate()
+        SimulationConfig(num_users=8, num_observers=1).validate()
 
 
 class TestCleanupOfTestKinds:
