@@ -110,6 +110,12 @@ class VoteBuffer:
     def rounds_buffered(self) -> set[int]:
         return {round_number for round_number, _ in self._buckets}
 
+    def buckets_between(self, low: int, high: int
+                        ) -> list[tuple[_Key, list[VoteMessage]]]:
+        """``((round, step), votes)`` for the rounds ``low <= r < high``."""
+        return [(key, bucket) for key, bucket in self._buckets.items()
+                if low <= key[0] < high]
+
     def clear(self) -> None:
         """Drop every bucket and waiter (a crashed node's volatile state)."""
         self._buckets.clear()

@@ -36,6 +36,7 @@ from pathlib import Path
 from repro.chaos.generate import generate_scenario
 from repro.chaos.runner import ChaosVerdict, run_scenario
 from repro.chaos.scenario import (
+    KILL_PARTITION_SIM_OVERRIDES,
     ScenarioScript,
     byzantine_scenario,
     flood_recovery_scenario,
@@ -43,23 +44,14 @@ from repro.chaos.scenario import (
     partition_heal_scenario,
 )
 
-_BUILTINS = ("partition-heal", "flood", "byzantine", "kill-partition")
-
-
-def _load_builtin(name: str, args: argparse.Namespace) -> ScenarioScript:
-    if name == "partition-heal":
-        return partition_heal_scenario(num_users=args.users or 16,
-                                       seed=args.base_seed)
-    if name == "flood":
-        return flood_recovery_scenario(num_users=args.users or 15,
-                                       seed=args.base_seed)
-    if name == "byzantine":
-        return byzantine_scenario(num_users=args.users or 20,
-                                  seed=args.base_seed)
-    if name == "kill-partition":
-        return kill_partition_scenario(num_users=args.users or 5,
-                                       seed=args.base_seed)
-    raise SystemExit(f"unknown builtin {name!r} (have: {_BUILTINS})")
+#: name -> (scenario builder, default users, overrides on the sim).
+_BUILTINS = {
+    "partition-heal": (partition_heal_scenario, 16, None),
+    "flood": (flood_recovery_scenario, 15, None),
+    "byzantine": (byzantine_scenario, 20, None),
+    "kill-partition": (kill_partition_scenario, 5,
+                       KILL_PARTITION_SIM_OVERRIDES),
+}
 
 
 def _report(verdict: ChaosVerdict) -> None:
@@ -122,11 +114,14 @@ def main(argv: list[str] | None = None) -> int:
                      "--seed, or --sweep")
 
     scripts: list[ScenarioScript] = []
+    overrides = None
     if args.scenario:
         scripts.append(ScenarioScript.from_json(
             Path(args.scenario).read_text(encoding="utf-8")))
     elif args.builtin:
-        scripts.append(_load_builtin(args.builtin, args))
+        build, users, overrides = _BUILTINS[args.builtin]
+        scripts.append(build(num_users=args.users or users,
+                             seed=args.base_seed))
     elif args.seed is not None:
         scripts.append(generate_scenario(args.seed,
                                          num_users=args.users or 10,
@@ -157,7 +152,8 @@ def main(argv: list[str] | None = None) -> int:
                 Path(trace_path).write_bytes(Path(merged).read_bytes())
         else:
             merged = None
-            verdict = run_scenario(script, trace_path=trace_path)
+            verdict = run_scenario(script, trace_path=trace_path,
+                                   sim_overrides=overrides)
         _report(verdict)
         if merged is not None:
             print(f"  merged trace: {merged}")

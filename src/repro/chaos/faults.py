@@ -347,6 +347,8 @@ class FaultInjector:
         self.rng = rng
         self.obs = obs
         self.rounds: int | None = None
+        #: Hosted nodes a crash holds down until its scheduled restart.
+        self.restarting: set[int] = set()
         self.chain = FilterChain(fabric)
         self.shaper = ShaperChain(fabric)
 
@@ -437,11 +439,14 @@ class FaultInjector:
             self._arm(action, take_over, give_back)
         else:  # crash
             def crash() -> None:
+                if action.end is not None:
+                    self.restarting.update(node.index for node in hosted)
                 for node in hosted:
                     node.crash()
 
             def restart() -> None:
                 for node in hosted:
+                    self.restarting.discard(node.index)
                     node.restart(self.rounds)
 
             self._arm(action, crash, restart)

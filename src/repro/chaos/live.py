@@ -31,7 +31,7 @@ import dataclasses
 
 from repro.chaos.monitor import Violation, ingress_breach
 from repro.chaos.runner import ChaosVerdict, derive_time_limit, render_verdict
-from repro.chaos.scenario import ScenarioScript
+from repro.chaos.scenario import LIVE_INITIAL_BALANCE, ScenarioScript
 from repro.conformance.monitor import ConformanceMonitor
 from repro.node.deployment import SimulationConfig, SubstrateConfig
 from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
@@ -40,7 +40,7 @@ from repro.obs.sink import read_trace
 #: The live smoke parameters with the step budget tightened: a node
 #: stuck in a quorum-less round (its peers crashed or severed) burns
 #: through its steps in ~9 wall seconds and reaches the
-#: ConsensusHalted -> patient-resync path instead of spinning for the
+#: ConsensusHalted -> catch-up wait instead of spinning for the
 #: sim-scale 30 steps. Committee sizes are untouched (W = 200 with the
 #: 5 x 40 design point).
 LIVE_CHAOS_PARAMS = dataclasses.replace(LIVE_SMOKE_PARAMS, max_steps=12)
@@ -98,7 +98,7 @@ def run_live_scenario(script: ScenarioScript, *,
     config = SimulationConfig(
         num_users=script.num_users,
         seed=script.seed,
-        initial_balance=40,
+        initial_balance=LIVE_INITIAL_BALANCE,
         params=LIVE_CHAOS_PARAMS,
         substrate=SubstrateConfig(kind="live", transport=transport,
                                   runtime_dir=runtime_dir),

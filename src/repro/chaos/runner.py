@@ -5,11 +5,10 @@
 :class:`~repro.experiments.harness.Simulation`, which checks every event
 online against the reference machines (:mod:`repro.conformance`) and
 compiles the script's actions onto the sim clock with its
-:class:`~repro.chaos.faults.FaultInjector`. The run stops when every
-node that is not permanently crashed has committed the scenario's target
-rounds — or when the derived time limit expires, which the verdict then
-explains as a liveness or convergence violation rather than a silent
-timeout.
+:class:`~repro.chaos.faults.FaultInjector`, and runs it with
+:meth:`~repro.experiments.harness.Simulation.run_rounds` — until every
+node's run has ended, or the derived time limit, which the verdict then
+explains as a liveness or convergence violation.
 
 Verdicts are deterministic: the simulation is seeded, the fault RNG is
 seeded, and :meth:`ChaosVerdict.to_json` serializes with sorted keys —
@@ -29,7 +28,6 @@ from repro.common.params import ProtocolParams
 from repro.conformance.machine import OUTCOME_RULES
 from repro.conformance.monitor import ConformanceMonitor
 from repro.experiments.harness import Simulation, SimulationConfig
-from repro.node.catchup import resync_from_peers
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
 
@@ -175,33 +173,22 @@ def run_scenario(script: ScenarioScript, *,
     if sim_overrides:
         config = dataclasses.replace(config, **sim_overrides)
     sim = Simulation(config, faults=script.actions, obs=bus)
-    if sim.injector is not None:
-        sim.injector.rounds = script.rounds  # a restart's target
-    for node in sim.nodes:
-        # Crash-rejoin catch-up (and late-round resync for everyone):
-        # adopt the longest valid peer chain at round boundaries.
-        node.resync = lambda n=node: resync_from_peers(n, sim.nodes)
     if script.payments:
         sim.submit_payments(script.payments)
-
-    for node in sim.nodes:
-        node.start(script.rounds)
+    limit = (script.time_limit if script.time_limit is not None
+             else derive_time_limit(script, config.params))
+    try:
+        sim.run_rounds(script.rounds, time_limit=limit)
+    except TimeoutError:
+        pass  # the verdict names who fell short, and why
+    now = sim.env.now
     # Crashed with no scheduled restart: excluded from convergence and
     # liveness accounting.
     skip = script.permanently_crashed()
-    survivors = [node for node in sim.nodes if node.index not in skip]
-
-    def finished() -> bool:
-        return all(node.chain.height >= script.rounds
-                   for node in survivors)
-
-    limit = (script.time_limit if script.time_limit is not None
-             else derive_time_limit(script, config.params))
-    sim.env.run(until=limit, stop_when=finished)
-    now = sim.env.now
 
     audits = audit_chains(sim.nodes, backend=sim.backend, now=now,
                           skip=skip)
+    unjudged = skip
     if sim.quarantine_directory is not None:
         # Bounded-buffer invariant: honest high-water marks must have
         # stayed inside their budgets (attackers audit nothing — their
@@ -209,11 +196,15 @@ def run_scenario(script: ScenarioScript, *,
         audits.extend(audit_ingress(
             sim.nodes, sim.network, now=now,
             skip=skip | script.attacker_nodes()))
+        # Still severed by the network-wide quarantine: catch-up runs
+        # over gossip, so it cannot have learned what it missed.
+        unjudged = skip | sim.quarantine_directory.quarantined
     verdict = render_verdict(
         script, sim.conformance, audits,
         heights=[node.chain.height for node in sim.nodes],
-        laggards=[node.index for node in survivors
-                  if node.chain.height < script.rounds],
+        laggards=[node.index for node in sim.nodes
+                  if node.index not in unjudged
+                  and node.chain.height < script.rounds],
         now=now, sim=sim)
     bus.close()
     return verdict

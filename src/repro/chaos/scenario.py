@@ -370,6 +370,13 @@ def byzantine_scenario(*, num_users: int = 20, seed: int = 5,
             range(num_users - num_users // 5, num_users)))
 
 
+#: Stake units per user on the live chaos runner.
+LIVE_INITIAL_BALANCE = 40
+#: A simulated :func:`kill_partition_scenario` runs at the live stake it
+#: is sized for: at the sim's 10 units a user, W = 50 < T·τ_step.
+KILL_PARTITION_SIM_OVERRIDES = {"initial_balance": LIVE_INITIAL_BALANCE}
+
+
 def kill_partition_scenario(*, num_users: int = 5, seed: int = 11,
                             rounds: int = 12) -> ScenarioScript:
     """The live-substrate smoke scenario: SIGKILL, rejoin, isolate, heal.

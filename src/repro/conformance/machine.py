@@ -72,7 +72,7 @@ agent_retired       any but CRASHED            RETIRED [6]
     ``round_commit``, whatever the phase.
 [4] ``final_certified`` needs the round committed and a non-timeout
     ``final`` exit for it (the pipelined count landed a quorum).
-[5] From BA only via the ConsensusHalted -> resync path, which leaves
+[5] From BA only via the ConsensusHalted -> catch-up path, which leaves
     no open steps.
 [6] In the aggregated population a transient committing its own
     boundary retires *during* its commit hook, so the machine grants a

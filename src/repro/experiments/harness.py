@@ -33,6 +33,7 @@ from repro.ledger.transaction import make_transaction
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
 from repro.node.agent import Node
+from repro.node.catchup import ChainSync
 from repro.node.deployment import (  # noqa: F401  (re-exported API)
     NetworkConfig,
     PopulationConfig,
@@ -157,9 +158,13 @@ class Simulation:
         #: per-round transients live in ``population.live``.
         self.nodes: list[Node] = self.population.core_nodes
         #: Compiles ``faults`` onto this deployment; ``None`` when there
-        #: are none, and then no hook is installed on the network.
+        #: are none, and then no hook is installed on the network. A
+        #: faulted core catches up the way a live process does, over
+        #: gossip (:class:`~repro.node.catchup.ChainSync`).
         self.injector: FaultInjector | None = None
         if faults:
+            for node in self.nodes:
+                ChainSync(node)
             self.injector = FaultInjector(
                 self.env, self.network,
                 {node.index: node for node in self.nodes}, faults,
@@ -220,11 +225,18 @@ class Simulation:
         # O(1) stop check: scanning every node per event dominated the
         # loop at hundreds of nodes. ``on_done`` fires inside the event
         # that ends a node's run, so the set is always current; a node
-        # leaves it once, whether its run finished or crashed (before
-        # it started, too: then it never joins).
-        pending = {node.index for node in nodes if node.running}
+        # leaves it once its run finished or halted, or it crashed with
+        # no restart scheduled.
+        down = self.injector.restarting if self.injector else set()
+        pending = {node.index for node in nodes
+                   if node.running or node.index in down}
+
+        def done(node: Node) -> None:
+            if node.index not in down:
+                pending.discard(node.index)
+
         for node in nodes:
-            node.on_done = lambda done: pending.discard(done.index)
+            node.on_done = done
         limit = time_limit
         if limit is None:
             # Generous per-round ceiling; hitting it is a test failure,

@@ -53,7 +53,7 @@ from repro.live.clock import LiveClock
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.live.transport import LiveTransport, PeerLink
 from repro.network.wire import FrameDecoder, encode_block, encode_frame
-from repro.node.agent import Node
+from repro.node.agent import IDLE, Node
 from repro.node.catchup import ChainSync
 from repro.node.deployment import (
     SimulationConfig,
@@ -72,10 +72,6 @@ _IMPORTED_AT = time.time()
 #: Reconnect backoff: first retry delay and cap (seconds).
 RECONNECT_BACKOFF_BASE = 0.25
 RECONNECT_BACKOFF_CAP = 3.0
-
-#: ``resync`` polls after a ConsensusHalted before halting for good: a
-#: catch-up answer takes wall time (see ``Node.resync_retries``).
-RESYNC_RETRIES = 60
 
 
 async def _read_hello(reader: asyncio.StreamReader
@@ -257,17 +253,9 @@ class NodeProcess:
             config, self.genesis, self.index, clock=self.clock,
             transport=self.transport, backend=backend,
             registry=BlockRegistry(), obs=self.bus)
-        # Live catch-up: chainreq/chain handlers + the resync hook, and
-        # patience after a ConsensusHalted — answers take wall time.
-        self.chain_sync = ChainSync(
-            node, self.clock, self.transport,
-            check_interval=max(0.25, self.params.lambda_step / 2),
-            serve_cooldown=self.params.lambda_step,
-            request_cooldown=self.params.lambda_step,
-            # One whole worst-case round without a commit == stalled.
-            stall_after=self.params.round_budget)
-        node.resync_patience = max(0.25, self.params.lambda_step / 2)
-        node.resync_retries = RESYNC_RETRIES
+        # Catch-up: chainreq/chain handlers, the lag probe, and the waits
+        # for an answer after a restart or a ConsensusHalted.
+        self.chain_sync = ChainSync(node)
         return node
 
     def _stats(self) -> dict:
@@ -393,27 +381,19 @@ class NodeProcess:
                 "round": node.chain.next_round, "t": self.clock.now})
             node.obs.emit("node_restarted", node=self.index,
                           round=node.chain.next_round)
-            # Ask the network for the history we missed and give the
-            # answer a moment to land before burning protocol timeouts
-            # re-running an ancient round. The request repeats while we
-            # wait: the first broadcast can race the redial tasks and
-            # go out over zero established links.
-            wait_until = self.clock.now + 6 * self.params.lambda_step
-
-            def nag() -> None:
-                if (self.chain_sync.pending is None
-                        and self.clock.now < wait_until):
-                    self.chain_sync.request()
-                    self.clock.schedule(self.params.lambda_step, nag)
-
-            nag()
+            # The catch-up asks for the history we missed before the
+            # first round, and repeats the request while it waits: the
+            # first broadcast can race the redial tasks and go out over
+            # zero established links. Our payments, gossiped once, wait
+            # for the wait to end.
+            node.rejoin(rounds)
             await self.clock.run_async(
-                stop_when=lambda: (self.chain_sync.pending is not None
-                                   or self.clock.now >= wait_until),
+                stop_when=lambda: node.phase != IDLE or not node.running,
                 deadline=deadline)
         if start["payments"]:
             self._submit_payments(node, start["payments"])
-        node.start(rounds)
+        if not self.rejoin:
+            node.start(rounds)
         await self.clock.run_async(stop_when=lambda: not node.running,
                                    deadline=deadline)
         chain = node.chain

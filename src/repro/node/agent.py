@@ -175,21 +175,11 @@ class Node:
         #: or HALTED (no consensus and no catch-up), CRASHED (fail-stop,
         #: see :meth:`crash`) or RETIRED (see :meth:`retire`).
         self.phase = IDLE
-        #: Optional catch-up hook consulted at each round boundary and
-        #: after a ConsensusHalted: return a strictly longer validated
-        #: :class:`~repro.ledger.blockchain.Blockchain` to adopt (built
-        #: e.g. by :func:`repro.node.catchup.resync_from_peers`), or
-        #: ``None`` to keep the current chain.
-        self.resync: Callable[[], Blockchain | None] | None = None
-        #: Live-mode patience: after a ConsensusHalted, poll the
-        #: :attr:`resync` hook every ``resync_patience`` seconds up to
-        #: ``resync_retries`` times before halting for good. A killed or
-        #: partitioned process asks the network for history and the
-        #: answer takes real wall-clock time to arrive; the sim's
-        #: defaults (``None``/``0``) keep its immediate-halt behavior
-        #: bit-for-bit.
-        self.resync_patience: float | None = None
-        self.resync_retries: int = 0
+        #: Optional :class:`~repro.node.catchup.ChainSync` (it installs
+        #: itself): what the run adopts at each round boundary, and waits
+        #: for before a restarted node's first round (:meth:`rejoin`) and
+        #: after a round without consensus. ``None``: no waits.
+        self.catchup = None
         #: Optional :class:`repro.obs.TraceBus`; ``None`` keeps every
         #: instrumentation site at a single attribute check.
         self.obs = obs
@@ -416,13 +406,9 @@ class Node:
                           round=self.chain.next_round)
 
     def restart(self, target_height: int) -> None:
-        """Rejoin after a :meth:`crash`: reconnect and run again.
-
-        The restarted node first consults its :attr:`resync` hook (at
-        the top of each round), replaying any longer peer history
-        certificate by certificate via :mod:`repro.node.catchup`, then
-        participates in the current round like a bootstrapping user.
-        """
+        """Rejoin after a :meth:`crash`: reconnect, catch up on what the
+        peers committed meanwhile (:meth:`rejoin`, section 8.3), and run
+        the current round like a bootstrapping user."""
         if not self.crashed:
             raise SimulationError(
                 f"node {self.index} is not crashed; cannot restart")
@@ -431,7 +417,18 @@ class Node:
         if self.obs is not None:
             self.obs.emit("node_restarted", node=self.index,
                           round=self.chain.next_round)
-        self._launch(target_height)
+        self.rejoin(target_height)
+
+    def rejoin(self, target_height: int) -> None:
+        """Run toward ``target_height`` once caught up: a node with a
+        catch-up first asks for what it missed and waits for an answer
+        (``catchup.rejoin_polls`` polls), rather than burn timeouts on a
+        round its peers finished long ago."""
+        if self.catchup is None:
+            self._launch(target_height)
+        else:
+            self._target = target_height
+            self._ask_catchup(self.catchup.rejoin_polls)
 
     def retire(self) -> None:
         """A transient agent's teardown: stop like a crash and drop the
@@ -506,7 +503,7 @@ class Node:
         if self._target is None:
             return  # retired by its own commit hook: the run is over
         while self.chain.height < self._target and not self.halted:
-            if not self._try_resync():
+            if not self._try_catch_up():
                 self._begin_round()
                 return
         self._end_run()
@@ -525,42 +522,47 @@ class Node:
         without us (we were crashed, late, or partitioned); catching up
         from peers is the section 8.3 answer before giving up for good.
         """
-        if self._try_resync():
-            self._next_round()
+        if self.catchup is None:
+            self._halt()
         else:
-            self._resync_wait(self.resync_retries)
+            self._ask_catchup(self.catchup.halt_polls)
 
-    def _resync_wait(self, retries: int) -> None:
-        """Poll the resync hook every ``resync_patience`` seconds,
-        ``retries`` more times, then halt.
+    def _ask_catchup(self, polls: int) -> None:
+        """Ask the catch-up for history, then poll it for a longer chain
+        ``polls`` times, every ``catchup.poll_interval``.
 
-        Between retries the node stays silent (the reference machine
-        remains in BA, where ``catchup_adopted`` is legal after a
-        ConsensusHalted closed every step), so a successful late answer
-        resumes the run without ever declaring the halt.
+        A restarted node waits in IDLE and, out of polls, begins its
+        round. A round without consensus waits in BA — where the
+        reference machine allows ``catchup_adopted`` once a
+        ConsensusHalted closed every step — and, out of polls, halts.
         """
-        if self.resync_patience is None or retries <= 0:
-            self.phase = HALTED
-            if self.obs is not None:
-                self.obs.emit("consensus_halted", node=self.index,
-                              round=self.chain.next_round)
-            self._end_run()
-        else:
-            self._timer = self.env.schedule(self.resync_patience,
-                                            self._resync_poll, retries)
+        self.catchup.request()
+        self._timer = self.env.schedule(self.catchup.poll_interval,
+                                        self._await_catchup, polls)
 
-    def _resync_poll(self, retries: int) -> None:
+    def _await_catchup(self, polls: int) -> None:
         self._timer = None
-        if self._try_resync():
+        if self._try_catch_up():
+            self._next_round()
+        elif polls > 1:
+            self._ask_catchup(polls - 1)
+        elif self.phase == IDLE:
             self._next_round()
         else:
-            self._resync_wait(retries - 1)
+            self._halt()
 
-    def _try_resync(self) -> bool:
-        """Adopt a strictly longer validated chain from the resync hook."""
-        if self.resync is None:
+    def _halt(self) -> None:
+        self.phase = HALTED
+        if self.obs is not None:
+            self.obs.emit("consensus_halted", node=self.index,
+                          round=self.chain.next_round)
+        self._end_run()
+
+    def _try_catch_up(self) -> bool:
+        """Adopt a strictly longer validated chain from the catch-up."""
+        if self.catchup is None:
             return False
-        adopted = self.resync()
+        adopted = self.catchup.take_pending()
         if adopted is None or adopted.height <= self.chain.height:
             return False
         from_height = self.chain.height

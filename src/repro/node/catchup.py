@@ -9,9 +9,9 @@ ordered, so checking safety needs only the most recent final certificate
 (:func:`verify_final_safety`).
 
 :class:`ChainSync` runs that replay as a request/response pair of gossip
-kinds, written against the substrate API (``clock.now``/``schedule``,
-``transport.broadcast``/``disconnected``) so the same object serves a
-live process and a virtual-time test:
+kinds, written against the substrate API — the node's clock
+(``now``/``schedule``) and transport (``broadcast``/``disconnected``) —
+so the same object serves a live process and a simulation:
 
 * ``"chainreq"`` (:class:`ChainRequest`) — a node that believes it has
   fallen behind floods its height; requests relay, so a helper beyond
@@ -19,30 +19,34 @@ live process and a virtual-time test:
 * ``"chain"`` (:class:`ChainAnnouncement`) — any peer strictly ahead
   answers with its full history + certificates (throttled). The
   receiver replays it from genesis, every certificate checked, and
-  **stashes** the validated replica; the round loop adopts it at the
-  next boundary or ConsensusHalted via the standard ``node.resync``
-  hook, so the reference machine sees a legal ``catchup_adopted``.
+  **stashes** the validated replica; the round loop adopts it from
+  ``node.catchup`` at the next boundary or after a ConsensusHalted, so
+  the reference machine sees a legal ``catchup_adopted``.
 
-Falling behind is detected three ways: an explicit
-:meth:`ChainSync.request` at rejoin, a periodic lag probe watching the
-vote buffer for rounds two or more ahead of our own (pipelining
-legitimately runs one round ahead), and a stall detector in the same
-probe — a node whose height has not moved for ``stall_after`` seconds
-starts requesting outright, which covers the case where every peer is
-already done (no fresh votes to betray the lag) and the ConsensusHalted
-patience loop is polling an empty stash.
-
-The sim chaos runner still rejoins crashed nodes through
-:func:`resync_from_peers`, which reads peer ``Node`` objects directly —
-a luxury a real process does not have.
+It is the only catch-up, on either substrate: a live process builds
+one always, a simulation one per core node whenever it injects faults.
+A node asks in the two waits it runs for it (before a restarted node's
+first round, and after a round without consensus) and, while its run is
+in progress and nothing is stashed, when a periodic probe says it lags:
+some step two or more rounds ahead holds a quorum of committee votes,
+weighed by sortition under the seed the node already holds (pipelining
+runs one ahead; a spammer's undecidable far-future votes never weigh
+in, Conti et al. in PAPERS.md), or its height stood still for a whole
+worst-case round.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.baplus.certificate import Certificate, verify_certificate
+from repro.baplus.certificate import (
+    Certificate,
+    step_parameters,
+    verify_certificate,
+    votes_needed,
+)
 from repro.common.errors import InvalidCertificate, LedgerError
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend
@@ -50,9 +54,9 @@ from repro.ledger.arraystate import AccountIndex
 from repro.ledger.block import Block
 from repro.ledger.blockchain import Blockchain
 from repro.network.message import Envelope
-from repro.node.agent import history_context
+from repro.node.agent import history_context, sortition_weights
 from repro.sortition.roles import RECOVERY_ROUND_BASE
-from repro.sortition.seed import accepted_seed
+from repro.sortition.seed import accepted_seed, selection_round
 
 if TYPE_CHECKING:
     from repro.node.agent import Node
@@ -153,15 +157,7 @@ class ChainAnnouncement:
 
 @dataclass(frozen=True)
 class ChainRequest:
-    """A lagging peer's plea: anyone strictly ahead of ``height``, announce.
-
-    The request/response half of live catch-up: a node that detects it
-    has fallen behind (buffered future-round votes, a healed partition,
-    a fresh rejoin) floods a ``"chainreq"``; any peer whose chain is
-    longer answers with a ``"chain"`` announcement. Requests relay, so
-    they reach helpers beyond the requester's direct neighbors on a
-    partial mesh.
-    """
+    """A lagging peer's plea: anyone strictly ahead of ``height``, announce."""
 
     height: int
 
@@ -182,25 +178,30 @@ def build_announcement(chain: Blockchain) -> ChainAnnouncement:
 
 
 class ChainSync:
-    """Request/response catch-up bound to one node."""
+    """Request/response catch-up bound to one node, as ``node.catchup``.
 
-    def __init__(self, node: "Node", clock: "Clock",
-                 transport: "Transport", *,
-                 check_interval: float = 0.5,
-                 serve_cooldown: float = 1.0,
-                 request_cooldown: float = 1.0,
-                 stall_after: float = 10.0) -> None:
+    Timings derive from ``node.params``: probe and polls every
+    ``max(0.25, λ_step / 2)``, one request and one answer per ``λ_step``,
+    a stall after ``round_budget``, a rejoin wait of ``6 λ_step``.
+    """
+
+    #: Polls of the stash after a ConsensusHalted before the halt stands.
+    halt_polls = 60
+
+    def __init__(self, node: "Node") -> None:
+        params = node.params
         self.node = node
-        self.clock = clock
-        self.transport = transport
-        self.check_interval = check_interval
-        self.serve_cooldown = serve_cooldown
-        self.request_cooldown = request_cooldown
-        self.stall_after = stall_after
+        self.clock: "Clock" = node.env
+        self.transport: "Transport" = node.interface
+        self.poll_interval = max(0.25, params.lambda_step / 2)
+        self.cooldown = params.lambda_step
+        self.stall_after = params.round_budget
+        self.rejoin_polls = math.ceil(6 * params.lambda_step
+                                      / self.poll_interval)
         self._last_height = node.chain.height
-        self._last_progress = clock.now
+        self._last_progress = self.clock.now
         #: Validated, strictly-longer replica awaiting adoption at the
-        #: next round boundary (or ConsensusHalted retry).
+        #: next round boundary (or a poll of one of the node's waits).
         self.pending: Blockchain | None = None
         self.served = 0
         self.adopted = 0
@@ -210,14 +211,15 @@ class ChainSync:
         self._last_request = float("-inf")
         node.router.register("chain", self._on_announcement)
         node.router.register("chainreq", self._on_request)
-        node.resync = self.take_pending
-        self._probe = clock.schedule(check_interval, self._lag_probe)
+        node.catchup = self
+        self._probe = self.clock.schedule(self.poll_interval,
+                                          self._lag_probe)
 
     def close(self) -> None:
-        """Detach from the node: no handlers, no hook, no probe."""
+        """Detach from the node: no handlers, no catch-up, no probe."""
         self.node.router.unregister("chain")
         self.node.router.unregister("chainreq")
-        self.node.resync = None
+        self.node.catchup = None
         self._probe.cancel()
 
     def stats(self) -> dict[str, int]:
@@ -230,46 +232,73 @@ class ChainSync:
     def request(self) -> None:
         """Flood a catch-up request (throttled)."""
         now = self.clock.now
-        if now - self._last_request < self.request_cooldown:
+        if now - self._last_request < self.cooldown:
             return
         self._last_request = now
-        request = ChainRequest(height=self.node.chain.height)
+        # Only peers ahead of what we hold, the stash included, answer.
+        height = self.node.chain.height
+        if self.pending is not None:
+            height = max(height, self.pending.height)
+        request = ChainRequest(height=height)
         self.transport.broadcast(Envelope(
             origin=self.node.keypair.public, kind="chainreq",
             payload=request, size=request.size))
         self.requests_sent += 1
 
     def _lag_probe(self) -> None:
-        """Request when the vote buffer or a flat height says we lag.
+        """Request when a quorum ahead or a flat height says we lag.
 
-        Peers at the same height simply ignore the request, so a
-        fully-caught-up cluster only pays a trickle of control traffic.
-        A disconnected node (crashed, or inside a ``dos`` window) skips
-        the request but keeps probing: only :meth:`close` ends the probe.
+        Only a run in progress lags (otherwise the stall clock resets),
+        and a stashed replica is adopted, not asked for again. Peers at
+        the same height ignore the request, so a caught-up cluster pays
+        a trickle of control traffic. A disconnected node (crashed, or
+        in a ``dos`` window) skips the request but keeps probing: only
+        :meth:`close` ends the probe.
         """
-        if not self.transport.disconnected:
-            height = self.node.chain.height
-            if height != self._last_height:
-                self._last_height = height
-                self._last_progress = self.clock.now
-            ahead = max(
-                (round_number
-                 for round_number in self.node.buffer.rounds_buffered()
-                 if round_number < RECOVERY_ROUND_BASE),
-                default=0)
-            stalled = (self.clock.now - self._last_progress
-                       >= self.stall_after)
-            if ahead >= self.node.chain.next_round + 2 or stalled:
-                self.request()
-        self._probe = self.clock.schedule(self.check_interval,
+        node, now = self.node, self.clock.now
+        if node.chain.height != self._last_height or not node.running:
+            self._last_height = node.chain.height
+            self._last_progress = now
+        elif self.pending is None and not self.transport.disconnected and (
+                now - self._last_progress >= self.stall_after
+                or self._quorum_from(node.chain.next_round + 2)):
+            self.request()
+        self._probe = self.clock.schedule(self.poll_interval,
                                           self._lag_probe)
+
+    def _quorum_from(self, round_number: int) -> bool:
+        """A step of ``round_number`` or later holds ``T·τ`` committee
+        votes from distinct voters, weighed by sortition under the seed
+        this node holds (section 5.2's look-back) and its own weights: a
+        committee's bar at any deployment size, which junk or minority
+        sortition never clears. A seed past the tip (just after a refresh
+        boundary) leaves the round to the stall detector; ``j`` never
+        exceeds the voter's weight, so a bucket short of a quorum's stake
+        goes unweighed."""
+        node = self.node
+        chain, params = node.chain, node.params
+        weights = sortition_weights(chain, params, chain.next_round)
+        for (ahead, step), bucket in node.buffer.buckets_between(
+                round_number, RECOVERY_ROUND_BASE):
+            needed = votes_needed(step, params)
+            voters = {vote.voter: vote for vote in bucket}
+            if (selection_round(ahead, params.seed_refresh_interval)
+                    > chain.height or sum(map(weights.get, voters)) < needed):
+                continue
+            seed = chain.selection_seed(ahead)
+            tau, _ = step_parameters(step, params)
+            if sum(vote.committee_votes(node.backend, seed, tau,
+                                        weights.get(voter), weights.total)
+                   for voter, vote in voters.items()) >= needed:
+                return True
+        return False
 
     # -- serving ---------------------------------------------------------
 
     def _on_request(self, request: ChainRequest) -> bool:
         if self.node.chain.height > request.height:
             now = self.clock.now
-            if now - self._last_serve >= self.serve_cooldown:
+            if now - self._last_serve >= self.cooldown:
                 self._last_serve = now
                 self.announce()
         return True  # relay: helpers beyond our neighbors may be longer
@@ -315,44 +344,12 @@ class ChainSync:
         return True
 
     def take_pending(self) -> Blockchain | None:
-        """``node.resync`` hook: hand over the stashed replica, if longer."""
+        """What the node adopts: the stashed replica, if longer."""
         replica = self.pending
         self.pending = None
         if replica is not None and replica.height > self.node.chain.height:
             self.adopted += 1
             return replica
-        return None
-
-
-def resync_from_peers(node: "Node",
-                      peers: Iterable["Node"]) -> Blockchain | None:
-    """Crash-rejoin catch-up: replay the longest valid peer chain.
-
-    Scans ``peers`` for the longest chain strictly ahead of ``node``'s,
-    then replays it from genesis with full certificate verification
-    (:func:`replay_chain` via :func:`catch_up_from`) — a rejoining user
-    trusts nothing it did not check. Returns the validated replica, or
-    ``None`` when no peer is ahead or the best candidate fails
-    validation. Designed to be bound as ``node.resync`` (consulted by
-    the round loop at round boundaries and after a stalled round).
-    """
-    best: Blockchain | None = None
-    for peer in peers:
-        if peer is node or getattr(peer, "crashed", False):
-            continue
-        chain = peer.chain
-        if chain.height > node.chain.height and (
-                best is None or chain.height > best.height):
-            best = chain
-    if best is None:
-        return None
-    try:
-        return catch_up_from(
-            best, params=node.params, backend=node.backend,
-            initial_balances=node.chain.initial_balances,
-            genesis_seed=node.chain.genesis_seed, index=node.chain.index,
-        )
-    except (InvalidCertificate, LedgerError):
         return None
 
 

@@ -84,7 +84,7 @@ EVENT_KINDS: dict[str, EventKind] = {k.name: k for k in [
           ("node", "round")),
     _kind("node_restarted", "node agent (chaos rejoin)",
           ("node", "round")),
-    _kind("catchup_adopted", "node agent (resync hook)",
+    _kind("catchup_adopted", "node agent (adopting ChainSync's stash)",
           ("node", "round", "from_height", "to_height")),
     # -- aggregated population -----------------------------------------
     _kind("agent_retired", "aggregated population",

@@ -25,8 +25,8 @@ with an explicit ingress layer in front of the router:
   :mod:`repro.baplus.accountability` evidence), and flooding, with decay,
   local quarantine, and a network-wide :class:`QuarantineDirectory` that
   severs gossip links once enough independent nodes report the same
-  offender. Quarantined users rejoin via the existing
-  certificate-verified catch-up path (``resync_from_peers``, section
+  offender. Released users rejoin via the certificate-verified
+  catch-up over gossip (:class:`~repro.node.catchup.ChainSync`, section
   8.3) — being severed never forfeits the chain, only the right to speak.
 
 Blame assignment is framing-proof by construction:
@@ -214,7 +214,7 @@ class QuarantineDirectory:
     ``quarantine_rounds * times_served`` rounds — escalating, and a
     permanent ban after ``ban_after_quarantines`` strikes. Releases
     happen at round boundaries; the freed peer re-enters the topology at
-    the next reshuffle and catches up via certificate-verified resync.
+    the next reshuffle and catches up over gossip (section 8.3).
 
     All state lives in insertion-ordered dicts over ints and every
     decision happens at a commit boundary, so the directory is fully

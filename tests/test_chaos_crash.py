@@ -1,17 +1,19 @@
 """Crash/restart faults: fail-stop mid-round, certificate-verified rejoin.
 
 The headline test kills a node in the middle of a BA* round, restarts
-it after its peers have moved on, and requires it to converge by
-replaying their history through :func:`repro.node.catchup.resync_from_peers`
-(full certificate verification — section 8.3), with the whole run
-staying invariant-green.
+it after its peers have moved on, and requires it to converge by asking
+them for their history over gossip and replaying it
+(:class:`repro.node.catchup.ChainSync`, full certificate verification —
+section 8.3), with the whole run staying invariant-green.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chaos import FaultAction, ScenarioScript, run_scenario
+from repro.chaos import (FaultAction, ScenarioScript,
+                         kill_partition_scenario, run_scenario)
+from repro.chaos.scenario import KILL_PARTITION_SIM_OVERRIDES
 from repro.common.errors import SimulationError
 from repro.experiments.harness import Simulation, SimulationConfig
 from tests.fixtures import run_traced
@@ -92,6 +94,10 @@ class TestCrashScenarios:
         adopted = obs.events_of_kind("catchup_adopted")
         assert any(e["node"] == 2 and e["to_height"] == 2
                    for e in adopted)
+        # Over gossip: the victim asked, and peers answered.
+        nodes = verdict.sim.nodes
+        assert nodes[2].catchup.requests_sent >= 1
+        assert sum(node.catchup.served for node in nodes) >= 1
 
     def test_permanent_crash_excluded_from_convergence(self):
         script = ScenarioScript(
@@ -120,3 +126,40 @@ class TestCrashScenarios:
         verdict = run_scenario(script)
         assert verdict.ok, verdict.violations
         assert verdict.heights == [2] * 10
+
+    def test_kill_partition_rejoins_through_a_served_request(self):
+        """The live smoke scenario at the live runner's stake: the
+        crashed node adopts what a peer served it before its first round
+        after the restart, never by reading a peer's memory."""
+        verdict = run_scenario(kill_partition_scenario(),
+                               sim_overrides=KILL_PARTITION_SIM_OVERRIDES)
+        assert verdict.ok, verdict.violations
+        assert verdict.converged
+        sim = verdict.sim
+        obs = sim.obs
+
+        def times(kind: str) -> list[float]:
+            return [event["t"] for event in obs.events_of_kind(kind)
+                    if event["node"] == 3]
+
+        (restarted,) = times("node_restarted")
+        adopted = [t for t in times("catchup_adopted") if t >= restarted]
+        first_round = min(t for t in times("round_start") if t >= restarted)
+        assert adopted and adopted[0] <= first_round
+        assert sim.nodes[3].catchup.requests_sent >= 1
+        assert sum(node.catchup.served for node in sim.nodes) >= 1
+
+
+class TestRunRoundsWaitsForARestart:
+    def test_a_node_down_until_its_restart_is_still_pending(self):
+        """The crash ends node 2's run, but a restart is scheduled:
+        ``run_rounds`` returns once the restarted node is caught up, not
+        while it is still behind."""
+        sim = Simulation(SimulationConfig(num_users=8, seed=5),
+                         faults=[FaultAction("crash", start=1.0, end=3.0,
+                                             nodes=(2,))])
+        sim.submit_payments(8)
+        sim.run_rounds(2)
+        assert [node.chain.height for node in sim.nodes] == [2] * 8
+        assert not sim.nodes[2].running
+        assert sim.all_chains_equal()

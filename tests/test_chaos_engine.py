@@ -183,23 +183,28 @@ class TestSimVerdictsPinned:
     for the kinds that replace a node's seams, when those kinds joined
     the vocabulary. Together the scripts arm every fault kind, so hook
     order, the loss coins' place in the filter chain and the shared
-    fault RNG stream are all under the hash.
+    fault RNG stream are all under the hash. Four were re-recorded when
+    the faulted sim began catching up over gossip instead of reading
+    its peers' chains: those whose nodes then sent a ``chainreq``
+    (byzantine-mix: the attackers, still severed by the network-wide
+    quarantine when the run ends, which the verdict does not hold to
+    the target).
     """
 
     GOLDEN = [
         (partition_heal_scenario, {"partition"},
          "4e2ed7cd2ca173e3b625379d4519ab14985a0e7a6f7740887a9bfa876f87bc81"),
         (flood_recovery_scenario, {"flood", "spam"},
-         "725381e85f9b6ecf57701c530e8d0b71651b586945c012fa2b9da9845ca2a365"),
+         "ab0a479ef4a3eb8701a279f3afaebec642a8fb70865dff61f7961e400b3fff1c"),
         (lambda: generate_scenario(101), {"crash", "delay", "loss"},
-         "24d8eb821ff82e85bd280dc51f8e20f0b2467eb3a04731717e34a01b4ef56a30"),
+         "2ab2ddf72d40c73af852560572b6009c1cea603b7f34d1bce24b9a07005fa8aa"),
         (lambda: generate_scenario(105),
          {"duplicate", "partition", "reorder"},
          "89aa02454202ba75ec4fa10f56d04a9cfda5033811fb3a94b9f90e71f495b7bc"),
         (lambda: generate_scenario(111), {"delay", "dos", "reorder"},
-         "b2364b433db584c0091aa5ae1dddce8877a44f17d20e60ef372f1989c6b0a8fd"),
+         "d57789164796b3820aeb5bc79c6f25b961939cc2047e24fde22bb9dffe9c6ec4"),
         (_byzantine_mix, {"equivocate", "double-vote", "silent"},
-         "5eaec0c89fca612c6ccad5f9a97dcdfe197acf26dc7648f5902c0d3932dafacb"),
+         "d1bd7b8f25934217fa8f560ecd1f51206151678ad7ad441a2dfe8e1fdf503844"),
     ]
 
     def test_the_five_scripts_cover_every_fault_kind(self):
@@ -255,7 +260,7 @@ class TestSimulationFaults:
     def test_crash_open_at_construction_holds_until_restart(self):
         """A window open when the injector installs is applied before
         the first event: the victim never starts, and runs from its
-        restart on."""
+        restart on — asking first for what its peers committed."""
         bus = TraceBus()
         sim = Simulation(SimulationConfig(num_users=8, seed=2),
                          faults=[FaultAction(kind="crash", start=0.0,
@@ -263,9 +268,13 @@ class TestSimulationFaults:
                          obs=bus)
         assert sim.nodes[3].crashed
         sim.run_rounds(1)
-        starts = [event["t"] for event in bus.events_of_kind("round_start")
-                  if event["node"] == 3]
-        assert starts and min(starts) == 1.0
+        assert [event["t"] for event in bus.events_of_kind("node_restarted")
+                if event["node"] == 3] == [1.0]
+        assert all(event["t"] >= 1.0
+                   for event in bus.events_of_kind("round_start")
+                   if event["node"] == 3)
+        assert sim.nodes[3].chain.height == 1
+        assert sim.nodes[3].catchup.requests_sent >= 1
 
     def test_fault_outside_the_deployment_is_a_config_error(self):
         with pytest.raises(ConfigError, match="out of range"):
@@ -306,6 +315,27 @@ class TestVerdictRows:
         assert verdict.conformance == {"ok": False, "events_checked": 4,
                                        "nodes": 2, "violations": 6}
 
+    def test_a_windowed_attacker_left_behind_does_not_converge(self):
+        """Only the network-wide quarantine excuses a laggard: a flooder
+        whose window closed and whose quarantine ran out, but which
+        stayed behind (a ``dos`` holds it off past the run), fails
+        convergence."""
+        script = ScenarioScript(
+            name="flood-then-cut", seed=3, num_users=10, rounds=3,
+            actions=(FaultAction(kind="flood", start=0.5, end=1.0,
+                                 nodes=(9,), rate=5.0),
+                     FaultAction(kind="dos", start=1.0, end=1000.0,
+                                 nodes=(9,))))
+        verdict = run_scenario(script)
+        directory = verdict.sim.quarantine_directory
+        assert directory.quarantines == 1 and not directory.quarantined
+        assert verdict.heights == [3] * 9 + [0]
+        assert not verdict.converged
+        assert [row["detail"] for row in verdict.violations
+                if row["invariant"] == "convergence"] == [
+            f"nodes [9] below target height 3 when the run ended at "
+            f"t={verdict.sim_seconds:.2f}"]
+
     def test_stalled_run_reads_liveness(self):
         script = ScenarioScript(name="stalled", seed=1, num_users=2,
                                 rounds=1, liveness_bound=100.0)
@@ -334,6 +364,16 @@ class TestChaosCli:
         assert verdict["scenario"]["name"] == "tiny"
         assert trace_path.exists()
         assert trace_path.read_text(encoding="utf-8").count("\n") > 10
+
+    def test_builtin_kill_partition_is_green_on_the_sim(self, tmp_path):
+        """The CLI runs it at the live runner's stake: at the sim's
+        default 10 units a user no step of the 5-user deployment could
+        reach quorum."""
+        verdict_path = tmp_path / "verdict.json"
+        assert chaos_main(["--builtin", "kill-partition",
+                           "--verdict", str(verdict_path)]) == 0
+        verdict = json.loads(verdict_path.read_text(encoding="utf-8"))
+        assert verdict["ok"] and verdict["converged"]
 
     def test_exactly_one_source_required(self):
         with pytest.raises(SystemExit):

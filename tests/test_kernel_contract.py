@@ -145,23 +145,26 @@ OBSERVERS_20_USERS_2_ROUNDS = {
         23_936),
 }
 #: *Byzantine stake:* the Figure 8 adversary on the four highest user
-#: slots — the point at 20 %. Recorded when it was a ``Node`` subclass;
-#: as whole-run ``equivocate`` + ``double-vote`` actions, applied before
-#: the first event, it commits the same chains on the same schedule.
+#: slots — the point at 20 %, as whole-run ``equivocate`` +
+#: ``double-vote`` actions. A faulted core catches up over gossip: on
+#: seed 1 only node 18 commits round 2 itself, and the 19 others halt and
+#: adopt its chain through served requests (with no catch-up they ended
+#: at heights 0 and 1). Seed 2 sends requests nobody needs to answer and
+#: keeps its chain; the probes and polls add events.
 MALICIOUS_4_OF_20_USERS_2_ROUNDS = {
-    1: ("dc9d6c11cbd94fbe133b97245e8df9316da2e892c4c951b653a99b872502a8b2",
-        57_922),
+    1: ("958057876ead195016e9d0822f0df9c174bc5e1de335c4cca0bebc127c53fb5f",
+        63_953),
     2: ("637ec857be74a5281e0336ab8f721e1da3ff0e78c177f61eaef4f997021677dd",
-        24_036),
+        27_008),
 }
 #: *Crash, restart, resync:* node 2 is down from t = 1 s to t = 8 s and
-#: can only converge by adopting its peers' replayed history twice
-#: (``node.resync`` → ``resync_from_peers``), payments in the blocks.
+#: can only converge by adopting its peers' replayed history twice, each
+#: time as the answer to its own ``chainreq``, payments in the blocks.
 CRASH_RESYNC_8_USERS_2_ROUNDS = {
     5: ("6ba7a423514dadde0ea87923a54a0fc312aafc32195d46c6b127cfa9817930f9",
-        3_713),
+        5_011),
     6: ("e24b22e86f842dbc0e99b1c4246d7207f8caa1f99df57a256c7f499ff646ddfa",
-        3_781),
+        5_145),
 }
 
 #: Four deployments whose waits no pin above reaches, ``(chain_hash,
@@ -195,21 +198,24 @@ RECOVERY_DAEMONS_12_USERS = {
 #: *Junk voters:* two of ten users run the ``flood`` (96 votes/s) or
 #: ``spam`` (32 votes/s) loop from t = 0.5 s to the end of the run beside
 #: their honest round. Recorded through the ``FaultInjector`` of the
-#: commit before the attacker kinds could last the whole run.
+#: commit before the attacker kinds could last the whole run; no honest
+#: node asks for a chain, so the chains stand. The events the catch-up
+#: adds are its probes, and under ``flood`` the quarantined attackers'
+#: 90 s of polls before their halt stands.
 JUNK_RATES = {"flood": 96.0, "spam": 32.0}
 JUNK_VOTERS_2_OF_10_USERS_2_ROUNDS = {
     ("flood", 1): (
         "0521f9b5141fef082ea2f34ff93027854b9f2a9414d1c61c17bc65ae94090cde",
-        9_237),
+        11_093),
     ("flood", 2): (
         "02807f0088367f2b65edec7bd39bcbf73fd86d0a18d39d0d56d050615d942014",
-        7_483),
+        9_329),
     ("spam", 1): (
         "3414d60ec75bb1cb8a58e3e44ef5fa7599fd2839ccedc71d2c59d508d4cbad5c",
-        14_817),
+        14_847),
     ("spam", 2): (
         "f1a0f5fee31bcc1ca06687616219714aa471ee7027cab6ab226dd9dc28d74815",
-        15_113),
+        15_143),
 }
 
 
@@ -366,6 +372,7 @@ def test_junk_voter_schedule(kind, seed):
                             rate=JUNK_RATES[kind])])
     sim.submit_payments(5)
     sim.run_rounds(2)
+    assert [node.catchup.requests_sent for node in sim.nodes[:8]] == [0] * 8
     assert ((chain_hash(sim), sim.env.events_processed)
             == JUNK_VOTERS_2_OF_10_USERS_2_ROUNDS[kind, seed])
 
@@ -398,10 +405,28 @@ WAITS = {
                                    for count in node.participant.counts),
     "pipelined_final": lambda node: any(count.key[1] == FINAL_STEP
                                         for count in node.participant.counts),
-    "resync_patience": lambda node: (node._timer is not None and
-                                     node._timer.callback
-                                     == node._resync_poll),
+    "resync_patience": lambda node: _catchup_wait(node, "BA"),
+    "rejoin_wait": lambda node: _catchup_wait(node, "IDLE"),
 }
+
+
+def _catchup_wait(node, phase: str) -> bool:
+    """Polling the catch-up: after a round without consensus (BA), or
+    before a restarted node's first round (IDLE)."""
+    return (node._timer is not None and node.phase == phase
+            and node._timer.callback == node._await_catchup)
+
+
+class _SilentCatchUp:
+    """A catch-up that never holds anything: a wait polls to its end."""
+
+    poll_interval, halt_polls, rejoin_polls = 5.0, 3, 3
+
+    def take_pending(self):
+        return None
+
+    def request(self) -> None:
+        pass
 
 
 def _owned_timers(env: Environment, node) -> list[Timer]:
@@ -433,16 +458,19 @@ def test_a_stopped_round_leaves_nothing_behind(wait, stop):
         pipeline_final_step=wait in ("pipelined_final", "final_queued"))
     sim, bus = run_traced(0, payments=5, num_users=10, seed=1, params=params)
     victim = sim.nodes[3]
-    if wait in ("proposal_wait", "proposal_pulsed", "resync_patience"):
+    if wait in ("proposal_wait", "proposal_pulsed", "resync_patience",
+                "rejoin_wait"):
         # Cut off, it waits out the proposal (unless it holds its own)
         # and then every step.
         victim.interface.disconnected = True
-        victim.resync = lambda: None
-        victim.resync_patience, victim.resync_retries = 5.0, 3
+        victim.catchup = _SilentCatchUp()
     if wait.startswith("proposal_"):
         victim.propose_block = lambda *args: None
     for node in sim.nodes:
         node.start(3)
+    if wait == "rejoin_wait":
+        victim.crash()
+        sim.env.schedule(1.0, victim.restart, 3)
     sim.env.run(until=200.0, stop_when=lambda: WAITS[wait](victim))
     assert WAITS[wait](victim)
     if wait == "proposal_pulsed":

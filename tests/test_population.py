@@ -21,6 +21,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,11 +38,7 @@ from repro.ledger.block import Block
 from repro.ledger.persistence import load_chain, save_chain
 from repro.ledger.transaction import make_transaction
 from repro.node.agent import Node
-from repro.node.catchup import (
-    ChainSync,
-    build_announcement,
-    resync_from_peers,
-)
+from repro.node.catchup import ChainSync, build_announcement
 from repro.runtime.admission import AdmissionControl
 from repro.runtime.damping import RelayDamper
 
@@ -304,25 +301,28 @@ class TestCatchUpKeepsTheIndex:
         untouched = helper.replica()
         assert helper.block_at(2).transactions
         node = self._lagging(sim)
+        syncs: list[ChainSync] = []
         try:
             if path == "announcement":
-                sync = ChainSync(node, sim.env, node.interface)
-                assert sync._on_announcement(build_announcement(helper))
-                sync.close()
-                node.resync = sync.take_pending
+                syncs.append(ChainSync(node))
+                assert syncs[0]._on_announcement(build_announcement(helper))
             elif path == "peers":
-                node.resync = lambda: resync_from_peers(node, sim.nodes)
+                syncs = [ChainSync(each) for each in sim.nodes]
+                node.catchup.request()
+                sim.env.run(until=sim.env.now + 5.0)
             else:
                 save_chain(helper, tmp_path / "chain.bin")
-                node.resync = lambda: load_chain(
+                node.catchup = SimpleNamespace(take_pending=lambda: load_chain(
                     tmp_path / "chain.bin",
                     initial_balances=node.chain.initial_balances,
                     genesis_seed=node.chain.genesis_seed,
                     params=node.params, backend=node.backend,
-                    index=node.chain.index)
-            assert node._try_resync()
+                    index=node.chain.index))
+            assert node._try_catch_up()
         finally:
-            node.resync = None
+            for sync in syncs:
+                sync.close()
+            node.catchup = None
         adopted = node.chain
         assert adopted.height == 3 and adopted.tip_hash == helper.tip_hash
         assert adopted.index is population.index

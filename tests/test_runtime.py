@@ -20,6 +20,7 @@ from repro.common.errors import NetworkError, SignatureError, VRFError
 from repro.crypto.backend import CachedBackend, FastBackend
 from repro.crypto.counting import CountingBackend, CryptoOpCounts
 from repro.experiments.harness import (
+    PopulationConfig,
     RuntimeConfig,
     Simulation,
     SimulationConfig,
@@ -308,14 +309,55 @@ def _genesis_chain(sim: Simulation, node):
                       sim.config.params.seed_refresh_interval)
 
 
-def _sync(sim: Simulation, node, **timing):
+def _sync(sim: Simulation, node):
     """A :class:`ChainSync` on the sim substrate: virtual clock, gossip
     interface — the object a live process runs, made deterministic."""
     from repro.node import ChainSync
-    return ChainSync(node, sim.env, node.interface, **timing)
+    return ChainSync(node)
+
+
+def _committee(sim: Simulation, node, rounds_ahead: int,
+               step: str = "1") -> list:
+    """``(vote, j)`` for every user sortition puts on the committee of
+    ``step``, ``rounds_ahead`` rounds past the round ``node`` is deciding
+    (under its seed and weights): what an honest committee sends a node
+    that lags."""
+    from repro.sortition.roles import committee_role
+    from repro.sortition.selection import sortition
+    chain = node.chain
+    round_number = chain.next_round + rounds_ahead
+    weights = chain.state.weights()
+    committee = []
+    for voter, keypair in enumerate(sim.keypairs):
+        proof = sortition(sim.backend, keypair.secret,
+                          chain.selection_seed(round_number),
+                          sim.config.params.tau_step,
+                          committee_role(round_number, step),
+                          weights.get(keypair.public), weights.total)
+        if proof.j:
+            committee.append((signed_vote(
+                sim, voter, round_number, step, sorthash=proof.vrf_hash,
+                sortproof=proof.vrf_proof), proof.j))
+    return committee
+
+
+def _buffer(node, committee) -> None:
+    for vote, _ in committee:
+        node.buffer.add(vote)
 
 
 class TestChainSync:
+    def test_timings_come_from_params(self):
+        sim = _run(cache_on=True, seed=5, rounds=1, num_users=10)
+        sync = _sync(sim, sim.nodes[0])
+        params = sim.config.params
+        assert sync.poll_interval == max(0.25, params.lambda_step / 2)
+        assert sync.cooldown == params.lambda_step
+        assert sync.stall_after == params.round_budget
+        assert sync.rejoin_polls * sync.poll_interval \
+            == pytest.approx(6 * params.lambda_step)
+        assert sync.halt_polls == 60
+
     def test_laggard_bootstraps_beyond_announcer_neighborhood(self):
         """Up-to-date nodes relay a matching announcement, so the flood
         reaches laggards that are not direct neighbors of the announcer."""
@@ -325,14 +367,14 @@ class TestChainSync:
         syncs = [_sync(sim, node) for node in sim.nodes]
         syncs[0].announce()
         sim.env.run(until=sim.env.now + 5.0)
-        # Validated and stashed; the round loop adopts it through the
-        # node's resync hook at its next boundary.
+        # Validated and stashed; the round loop adopts it from the
+        # node's catch-up at its next boundary.
         assert laggard.chain.height == 0
-        replica = laggard.resync()
+        replica = laggard.catchup.take_pending()
         assert replica.height == 2
         assert replica.tip_hash == sim.nodes[0].chain.tip_hash
         assert syncs[3].adopted == 1
-        assert laggard.resync() is None  # handed over exactly once
+        assert laggard.catchup.take_pending() is None  # handed over once
 
     def test_invalid_announcement_rejected_not_relayed(self):
         from repro.node.catchup import ChainAnnouncement
@@ -357,12 +399,13 @@ class TestChainSync:
         sim = _run(cache_on=True, seed=5, rounds=1, num_users=10)
         node = sim.nodes[0]
         sync = _sync(sim, node)
+        assert node.catchup is sync
         assert node.router.is_registered("chain")
         assert node.router.is_registered("chainreq")
         sync.close()
         assert not node.router.is_registered("chain")
         assert not node.router.is_registered("chainreq")
-        assert node.resync is None
+        assert node.catchup is None
         sim.env.run()  # returns: the lag probe no longer re-arms
 
     def test_request_is_answered_by_peers_ahead(self):
@@ -389,7 +432,7 @@ class TestChainSync:
 
         sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
         node = sim.nodes[0]
-        sync = _sync(sim, node, request_cooldown=2.0, serve_cooldown=2.0)
+        sync = _sync(sim, node)
         plea = ChainRequest(height=0)
 
         def hear() -> bool:
@@ -401,12 +444,12 @@ class TestChainSync:
         sync.request()
         assert hear() and hear()  # requests always relay
         assert (sync.requests_sent, sync.served) == (1, 1)
-        sim.env.run(until=sim.env.now + 2.0)
+        sim.env.run(until=sim.env.now + sync.cooldown)
         sync.request()
         assert hear()
         assert (sync.requests_sent, sync.served) == (2, 2)
         # A requester at our height (or above) is not ours to answer.
-        sim.env.run(until=sim.env.now + 2.0)
+        sim.env.run(until=sim.env.now + sync.cooldown)
         node.handle_envelope(Envelope(
             origin=b"peer", kind="chainreq",
             payload=ChainRequest(height=2), size=plea.size))
@@ -414,44 +457,89 @@ class TestChainSync:
 
     def test_stall_detector_requests_without_vote_evidence(self):
         """Every peer has finished: no votes betray the lag, only the
-        flat height does."""
+        flat height of the one node still running does."""
         sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
         laggard = sim.nodes[3]
         laggard.chain = _genesis_chain(sim, laggard)
-        syncs = [_sync(sim, node, check_interval=0.5, stall_after=3.0,
-                       request_cooldown=10.0)
-                 for node in sim.nodes]
+        syncs = [_sync(sim, node) for node in sim.nodes]
+        laggard.start(2)
+        stall = syncs[3].stall_after
         started = sim.env.now
-        sim.env.run(until=started + 2.9)
+        sim.env.run(until=started + stall - syncs[3].poll_interval)
         assert all(sync.requests_sent == 0 for sync in syncs)
-        sim.env.run(until=started + 8.0)
-        # Flat height is all a finished cluster shows: everyone asks,
-        # but only the laggard has anyone ahead of it to answer.
-        assert syncs[3].requests_sent == 1
+        sim.env.run(until=started + stall + syncs[3].poll_interval)
+        # Only a run in progress can stall: the finished peers never
+        # ask, and they answer the laggard.
+        assert [sync.requests_sent for sync in syncs] \
+            == [1 if sync is syncs[3] else 0 for sync in syncs]
         assert syncs[3].served == 0
         assert syncs[3].pending is not None
         assert syncs[3].pending.height == 2
 
     def test_buffered_future_votes_trigger_a_request(self):
+        """Lag is a step two or more rounds ahead of a run in progress
+        holding a quorum, ``T·τ`` committee votes: what only the honest
+        majority sends. Signed votes with junk sortition (the spammer's
+        undecidable far-future votes) never weigh in, whoever signs."""
+        from repro.baplus.certificate import votes_needed
+
         sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
         node = sim.nodes[0]
-        sync = _sync(sim, node, check_interval=0.5)
-        ahead = node.chain.next_round + 2
-        # One round ahead is pipelining, not lag.
-        node.buffer.add(signed_vote(sim, 1, ahead - 1, "1"))
-        sim.env.run(until=sim.env.now + 0.6)
+        sync = _sync(sim, node)
+        probe = sync.poll_interval
+        committee = _committee(sim, node, 2)
+        needed = votes_needed("1", sim.config.params)
+        assert sum(j for _, j in committee) >= needed
+        # No run in progress: nothing can lag, whatever is buffered.
+        _buffer(node, committee)
+        sim.env.run(until=sim.env.now + 2 * probe)
         assert sync.requests_sent == 0
-        node.buffer.add(signed_vote(sim, 1, ahead, "1"))
-        sim.env.run(until=sim.env.now + 0.5)
+        node.buffer.clear()
+        node.start(node.chain.height + 1)
+        # One round ahead is pipelining, not lag; junk is no evidence.
+        _buffer(node, _committee(sim, node, 1))
+        for voter in range(12):
+            node.buffer.add(signed_vote(
+                sim, voter, node.chain.next_round + 2, "2"))
+        # Nor is a committee short of its quorum.
+        cut, count = 0, 0
+        while count + committee[cut][1] < needed:
+            count += committee[cut][1]
+            cut += 1
+        _buffer(node, committee[:cut])
+        sim.env.run(until=sim.env.now + 2 * probe)
+        assert sync.requests_sent == 0
+        _buffer(node, committee[cut:])
+        sim.env.run(until=sim.env.now + probe)
+        assert sync.requests_sent == 1
+
+    def test_a_quorum_ahead_is_lag_at_any_scale(self):
+        """2,000 users, aggregated: one step's committee holds a few
+        percent of the stake, and a node two rounds behind still asks
+        within one probe of its votes."""
+        sim = Simulation(SimulationConfig(
+            num_users=2000, seed=3,
+            population=PopulationConfig(mode="aggregated")))
+        node = sim.nodes[0]
+        sync = _sync(sim, node)
+        node.start(1)
+        committee = _committee(sim, node, 2)
+        weights = node.chain.state.weights()
+        stake = sum(weights.get(vote.voter) for vote, _ in committee)
+        assert 10 * stake < weights.total
+        _buffer(node, committee)
+        sim.env.run(until=sim.env.now + sync.poll_interval)
         assert sync.requests_sent == 1
 
     def test_lag_probe_stops_while_disconnected(self):
         sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
         node = sim.nodes[0]
-        sync = _sync(sim, node, check_interval=0.5, stall_after=1.0)
+        sync = _sync(sim, node)
+        node.start(node.chain.height + 1)
+        _buffer(node, _committee(sim, node, 2))
         node.interface.disconnected = True
         sim.env.run(until=sim.env.now + 5.0)
-        assert sync.requests_sent == 0  # stalled, but nobody to ask
+        assert sync.requests_sent == 0  # lagging, but nobody to ask
         sync.close()
         sim.env.run()  # returns: close() is what ends the probe
 
@@ -461,16 +549,18 @@ class TestChainSync:
         sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
         laggard = sim.nodes[3]
         laggard.chain = _genesis_chain(sim, laggard)
-        sync = _sync(sim, laggard, check_interval=0.5, stall_after=1.0)
+        sync = _sync(sim, laggard)
         heard: list = []
         for peer in sim.nodes:
             if peer is not laggard:
                 peer.router.register(
                     "chainreq", lambda request: heard.append(request) or True)
+        laggard.start(2)
+        _buffer(laggard, _committee(sim, laggard, 2))
         laggard.interface.disconnected = True
-        sim.env.run(until=sim.env.now + 1.5)  # three probe intervals
+        sim.env.run(until=sim.env.now + 3 * sync.poll_interval)
         assert sync.requests_sent == 0
         laggard.interface.disconnected = False
-        sim.env.run(until=sim.env.now + 2.0)
+        sim.env.run(until=sim.env.now + 2 * sync.poll_interval)
         assert sync.requests_sent >= 1
         assert heard and heard[0].height == 0
