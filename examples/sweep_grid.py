@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep a latency grid in parallel and prove it matches the serial run.
 
-Builds a 3 populations x 2 seeds grid of `LatencySpec`s, runs it twice
+Builds a 3 populations x 2 seeds grid of latency points, runs it twice
 through `repro.experiments.sweep.run_sweep` — once serially in-process,
 once fanned over worker processes — and shows the engine's contract:
 the merged artifacts are byte-identical, so `--jobs` is purely a
@@ -18,23 +18,25 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments import LatencySpec, run_sweep
+from repro.experiments import ExperimentSpec, SimulationConfig, run_sweep
 
 
-def build_grid() -> list[LatencySpec]:
+def build_grid() -> list[ExperimentSpec]:
     # A spec is the complete reproducibility token for one measured
-    # point: population, seed, and protocol knobs. Equal specs always
-    # produce byte-identical results, which is what makes parallel and
-    # resumed runs safely mergeable.
-    return [LatencySpec(num_users=users, seed=seed, rounds=1,
-                        measure_round=1)
+    # point: the deployment's config (population, seed, protocol knobs),
+    # its rounds, and the measure to take. Equal specs always produce
+    # byte-identical results, which is what makes parallel and resumed
+    # runs safely mergeable.
+    return [ExperimentSpec("latency",
+                           SimulationConfig(num_users=users, seed=seed),
+                           rounds=1)
             for users in (8, 10, 12) for seed in (0, 1)]
 
 
 def main() -> None:
     specs = build_grid()
     print(f"grid: {len(specs)} points "
-          f"({sorted({s.num_users for s in specs})} users x 2 seeds)")
+          f"({sorted({s.config.num_users for s in specs})} users x 2 seeds)")
 
     start = time.perf_counter()
     serial = run_sweep(specs, jobs=1)
@@ -66,7 +68,8 @@ def main() -> None:
 
     for outcome in serial.outcomes[:3]:
         median = outcome.result["summary"]["median"]
-        print(f"  users={outcome.spec.num_users:<3} seed={outcome.spec.seed} "
+        config = outcome.spec.config
+        print(f"  users={config.num_users:<3} seed={config.seed} "
               f"median latency {median:.2f} s")
     print("sweep contract holds: order-deterministic, restartable, "
           "parallel-safe")

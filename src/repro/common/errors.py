@@ -73,8 +73,9 @@ class LatencyModelError(ConfigError):
 
 
 class SpecError(ConfigError):
-    """An :class:`~repro.experiments.spec.ExperimentSpec` carries
-    out-of-range values (bad sweep fraction, non-positive wait, ...)."""
+    """An :class:`~repro.experiments.spec.ExperimentSpec` or a grid axis
+    is out of range (rounds < 1, malicious fraction >= 1/3, unknown
+    measure, malformed spec record, ...)."""
 
 
 class MissingExtraError(ReproError, ImportError):

@@ -78,7 +78,7 @@ class ProtocolParams:
         if not 2 / 3 < self.t_final < 1.0:
             raise ValueError(f"t_final must be in (2/3, 1), got {self.t_final}")
         for name in ("tau_proposer", "tau_step", "tau_final", "max_steps",
-                     "seed_refresh_interval"):
+                     "seed_refresh_interval", "block_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("lambda_priority", "lambda_block", "lambda_step",

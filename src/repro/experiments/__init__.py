@@ -1,10 +1,11 @@
 """Experiment harness and per-figure/table runners for the evaluation.
 
-The unified experiment-point API lives in :mod:`repro.experiments.spec`
-(frozen :class:`ExperimentSpec` dataclasses + one ``run_point``
-dispatcher) and the process-parallel grid engine in
-:mod:`repro.experiments.sweep`; the per-figure modules contribute the
-measurement logic and sweep-ready grid builders.
+An experiment point is one :class:`ExperimentSpec`
+(:mod:`repro.experiments.spec`): a ``SimulationConfig`` plus rounds,
+payment batches, faults and the name of a measure. The per-figure
+modules contribute the measures and the grid builders that turn axis
+values into specs; :mod:`repro.experiments.sweep` runs one point
+(``run_point``) or a grid over worker processes (``run_sweep``).
 """
 
 from typing import TYPE_CHECKING
@@ -22,11 +23,10 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
     )
     from repro.experiments.metrics import LatencySummary, format_table
     from repro.experiments.spec import (
-        SPEC_KINDS, AdversarialSpec, BlockSizeSpec, ExperimentSpec,
-        LatencySpec, PointResult, WaitingSpec, run_point, spec_from_json,
+        ExperimentSpec, PointResult, spec_from_json,
     )
     from repro.experiments.sweep import (
-        PointOutcome, SweepReport, load_checkpoint, run_sweep,
+        PointOutcome, SweepReport, load_checkpoint, run_point, run_sweep,
     )
     from repro.experiments.throughput import (
         BlockSizePoint, ThroughputRow, figure7_specs,
@@ -48,12 +48,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.experiments.metrics": ("LatencySummary", "format_table"),
     "repro.experiments.spec": (
-        "SPEC_KINDS", "AdversarialSpec", "BlockSizeSpec", "ExperimentSpec",
-        "LatencySpec", "PointResult", "WaitingSpec", "run_point",
-        "spec_from_json",
+        "ExperimentSpec", "PointResult", "spec_from_json",
     ),
     "repro.experiments.sweep": (
-        "PointOutcome", "SweepReport", "load_checkpoint", "run_sweep",
+        "PointOutcome", "SweepReport", "load_checkpoint", "run_point",
+        "run_sweep",
     ),
     "repro.experiments.throughput": (
         "BlockSizePoint", "ThroughputRow", "figure7_specs",
@@ -69,11 +68,6 @@ __all__ = [
     "Simulation",
     "SimulationConfig",
     "ExperimentSpec",
-    "LatencySpec",
-    "AdversarialSpec",
-    "BlockSizeSpec",
-    "WaitingSpec",
-    "SPEC_KINDS",
     "PointResult",
     "run_point",
     "spec_from_json",

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments                  # everything (~10 min)
+    python -m repro.experiments                  # everything (~90 s)
     python -m repro.experiments fig5 tab_costs   # a subset
     python -m repro.experiments --jobs 4 fig5    # sweep artifacts in parallel
     python -m repro.experiments sweep --jobs 4   # raw grid -> merged JSON
@@ -31,27 +31,24 @@ from repro.analysis.committee import (
     final_step_safety,
 )
 from repro.baselines.nakamoto import NakamotoConfig, throughput_bytes_per_hour
+from repro.common.errors import SpecError
 from repro.common.params import PAPER_PARAMS
-from repro.experiments.adversarial import figure8_specs
+from repro.experiments.adversarial import adversarial_spec, figure8_specs
 from repro.experiments.costs import expected_certificate_bytes, measure_costs
-from repro.experiments.latency import figure5_specs, figure6_specs
+from repro.experiments.harness import PopulationConfig
+from repro.experiments.latency import figure5_specs, figure6_specs, latency_spec
 from repro.experiments.metrics import format_table
-from repro.experiments.spec import (
-    AdversarialSpec,
-    BlockSizeSpec,
-    ExperimentSpec,
-    LatencySpec,
-    WaitingSpec,
-)
+from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import PointOutcome, SweepReport, run_sweep
 from repro.experiments.throughput import (
     BlockSizePoint,
+    block_size_spec,
     figure7_specs,
     paper_scale_projection,
     throughput_table,
 )
 from repro.experiments.timeouts import measure_priority_gossip, measure_timeouts
-from repro.experiments.waiting import waiting_specs
+from repro.experiments.waiting import waiting_spec, waiting_specs
 
 
 def _banner(title: str) -> None:
@@ -132,11 +129,11 @@ def _render_tab_waiting(results: list[dict]) -> str:
 
 
 # ---------------------------------------------------------------------
-# Analytic / non-sweep artifacts (plain callables)
+# Analytic / non-sweep artifacts (callables of the parsed options)
 # ---------------------------------------------------------------------
 
 
-def run_fig3() -> None:
+def run_fig3(options: argparse.Namespace) -> None:
     points = figure3_curve([0.78, 0.80, 0.84, 0.88])
     print(format_table(
         ["h", "tau", "T"],
@@ -146,7 +143,7 @@ def run_fig3() -> None:
           f"(violation {check_paper_step_parameters():.1e})")
 
 
-def run_tab_costs() -> None:
+def run_tab_costs(options: argparse.Namespace) -> None:
     report = measure_costs(40, rounds=3, seed=500, payload_bytes=40_000)
     print(format_table(["metric", "measured"], [
         ["bandwidth / user",
@@ -162,7 +159,7 @@ def run_tab_costs() -> None:
           f"(paper: ~300 KB)")
 
 
-def run_tab_timeouts() -> None:
+def run_tab_timeouts(options: argparse.Namespace) -> None:
     report = measure_timeouts(40, rounds=3, seed=800)
     print(format_table(["quantity", "measured", "budget"], [
         ["BA* step p99", f"{report.step_p99:.2f} s",
@@ -177,7 +174,7 @@ def run_tab_timeouts() -> None:
           f"(budget 5 s; paper measures ~1 s)")
 
 
-def run_tab_params() -> None:
+def run_tab_params(options: argparse.Namespace) -> None:
     p = PAPER_PARAMS
     print(format_table(["parameter", "value"], [
         ["h", f"{p.honest_fraction:.0%}"],
@@ -194,7 +191,7 @@ def run_tab_params() -> None:
           f"certificate forgery: 2^{certificate_forgery_log2():.0f}")
 
 
-def run_tab_related() -> None:
+def run_tab_related(options: argparse.Namespace) -> None:
     from repro.baselines.doublespend import speedup_table
     from repro.baselines.related import comparison_rows
     print(format_table(
@@ -209,7 +206,7 @@ def run_tab_related() -> None:
          for p in comparison_rows()]))
 
 
-def run_tab_scalability() -> None:
+def run_tab_scalability(options: argparse.Namespace) -> None:
     from repro.analysis.graph import diameter_scaling
     from repro.analysis.steps import (
         COMMON_CASE_STEPS,
@@ -224,18 +221,14 @@ def run_tab_scalability() -> None:
           f"(paper: 4 and 13)")
 
 
-def run_traffic_artifact() -> None:
+def run_traffic_artifact(options: argparse.Namespace) -> None:
     """Census grid + 200-user scale point; writes BENCH_traffic.json."""
     from repro.experiments.traffic import run_traffic
     run_traffic()
 
 
-#: Set by ``--conformance`` in :func:`main`; makes the ``obs`` artifact
-#: print the reference-machine verdict after the trace report.
-_PRINT_CONFORMANCE = False
-
-
-def run_obs() -> None:
+def run_obs(options: argparse.Namespace) -> None:
+    """A traced 2-round run; ``--conformance`` adds the checker's verdict."""
     from repro.experiments.harness import Simulation, SimulationConfig
     from repro.obs import TraceBus
     from repro.obs.report import render_report
@@ -255,7 +248,7 @@ def run_obs() -> None:
           f"(hit rate {cache['hit_rate']:.3f}, "
           f"{cache['negative_hits']} negative); "
           f"router unknown-kind drops: {summary['router_unknown_kinds']}")
-    if _PRINT_CONFORMANCE:
+    if options.conformance:
         verdict = sim.conformance.verdict()
         status = "CONFORMS" if verdict.ok else "VIOLATIONS"
         print(f"\nconformance: {status} — {verdict.events_checked:,} "
@@ -277,26 +270,26 @@ class Artifact:
     """One regenerable paper artifact.
 
     Sweep artifacts define ``specs`` (the grid) + ``render`` (payloads ->
-    table) and route through the engine; analytic artifacts define only
-    ``runner``.
+    table) and route through the engine on ``--jobs`` workers; analytic
+    artifacts define only ``runner``, which gets the parsed options.
     """
 
     name: str
     title: str
     specs: Callable[[], list[ExperimentSpec]] | None = None
     render: Callable[[list[dict]], str] | None = None
-    runner: Callable[[], None] | None = None
+    runner: Callable[[argparse.Namespace], None] | None = None
 
-    def run(self, jobs: int = 1) -> None:
+    def run(self, options: argparse.Namespace) -> None:
         _banner(self.title)
         if self.specs is not None:
-            report = run_sweep(self.specs(), jobs=jobs)
+            report = run_sweep(self.specs(), jobs=options.jobs)
             for failure in report.failures:
                 print(f"point {failure.index} failed: {failure.error}")
             print(self.render(
                 [o.result for o in report.outcomes if o.ok]))
         else:
-            self.runner()
+            self.runner(options)
 
 
 _ARTIFACT_LIST = [
@@ -360,31 +353,36 @@ def _csv_floats(text: str) -> list[float]:
     return [float(item) for item in text.split(",") if item]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_grid(args: argparse.Namespace) -> list[ExperimentSpec]:
     """Materialize the requested grid (axis values x seeds)."""
     specs: list[ExperimentSpec] = []
     for seed in args.seeds:
         if args.grid == "latency":
-            rounds = args.rounds or 1
-            specs.extend(LatencySpec(
-                num_users=n, seed=seed, rounds=rounds,
-                payload_bytes=args.payload_bytes,
-                measure_round=rounds,
-                population=args.population,
-                always_on_core=args.core,
-                steps_ahead=args.steps_ahead) for n in args.users)
+            population = PopulationConfig(
+                mode=args.population, always_on_core=args.core,
+                steps_ahead=args.steps_ahead)
+            specs.extend(latency_spec(
+                n, seed, payload_bytes=args.payload_bytes,
+                rounds=args.rounds or 1, population=population)
+                for n in args.users)
         elif args.grid == "adversarial":
-            specs.extend(AdversarialSpec(
-                fraction=f, num_users=args.users[0], seed=seed,
-                rounds=args.rounds or 2) for f in args.fractions)
+            specs.extend(adversarial_spec(f, args.users[0], seed,
+                                          rounds=args.rounds or 2)
+                         for f in args.fractions)
         elif args.grid == "blocksize":
-            specs.extend(BlockSizeSpec(
-                block_size=b, num_users=args.users[0], seed=seed)
-                for b in args.sizes)
+            specs.extend(block_size_spec(b, args.users[0], seed)
+                         for b in args.sizes)
         elif args.grid == "waiting":
-            specs.extend(WaitingSpec(
-                wait_seconds=w, num_users=args.users[0], seed=seed,
-                rounds=args.rounds or 3) for w in args.waits)
+            specs.extend(waiting_spec(w, args.users[0], seed,
+                                      rounds=args.rounds or 3)
+                         for w in args.waits)
     return specs
 
 
@@ -396,9 +394,10 @@ def sweep_main(argv: list[str]) -> int:
     parser.add_argument("--grid", default="latency",
                         choices=["latency", "adversarial", "blocksize",
                                  "waiting"])
-    parser.add_argument("--users", type=_csv_ints, default=[8, 10, 12],
-                        help="population axis (latency) or the fixed "
-                             "population (other grids)")
+    parser.add_argument("--users", type=_csv_ints, default=None,
+                        help="population axis (latency; default 8,10,12) "
+                             "or the one fixed population (other grids; "
+                             "default 8)")
     parser.add_argument("--seeds", type=_csv_ints, default=[0, 1, 2, 3],
                         help="seed axis; the grid is axis x seeds")
     parser.add_argument("--fractions", type=_csv_floats,
@@ -423,7 +422,7 @@ def sweep_main(argv: list[str]) -> int:
                         help="aggregated population: BinaryBA* steps "
                              "covered by the per-round pool pass")
     parser.add_argument("--payload-bytes", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes (1 = in-process serial)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-point timeout in wall seconds")
@@ -438,8 +437,16 @@ def sweep_main(argv: list[str]) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-point progress lines")
     args = parser.parse_args(argv)
+    if args.users is None:
+        args.users = [8, 10, 12] if args.grid == "latency" else [8]
+    elif args.grid != "latency" and len(args.users) > 1:
+        parser.error(f"--grid {args.grid} runs one population; "
+                     f"got --users {','.join(map(str, args.users))}")
 
-    specs = build_grid(args)
+    try:
+        specs = build_grid(args)
+    except SpecError as error:
+        parser.error(str(error))
     if not specs:
         print("empty grid", file=sys.stderr)
         return 2
@@ -448,7 +455,7 @@ def sweep_main(argv: list[str]) -> int:
         status = "ok" if outcome.ok else f"FAILED ({outcome.error})"
         origin = " [checkpoint]" if outcome.resumed else ""
         print(f"[{outcome.index + 1:>3}/{total}] "
-              f"{outcome.spec.kind} seed={outcome.spec.seed} "
+              f"{outcome.spec.measure} seed={outcome.spec.config.seed} "
               f"{status} in {outcome.wall_time:.2f}s"
               f"{origin}", file=sys.stderr)
 
@@ -478,20 +485,20 @@ def sweep_main(argv: list[str]) -> int:
 def main(argv: list[str]) -> int:
     if argv and argv[0] == "sweep":
         return sweep_main(argv[1:])
-    jobs = 1
-    if "--jobs" in argv:
-        at = argv.index("--jobs")
-        try:
-            jobs = int(argv[at + 1])
-        except (IndexError, ValueError):
-            print("--jobs requires an integer argument")
-            return 2
-        argv = argv[:at] + argv[at + 2:]
-    if "--conformance" in argv:
-        global _PRINT_CONFORMANCE
-        _PRINT_CONFORMANCE = True
-        argv = [arg for arg in argv if arg != "--conformance"]
-    requested = argv or list(ARTIFACTS)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate reproduced figures and tables (all of "
+                    "them when none is named); 'sweep --help' for the "
+                    "raw grid engine.")
+    parser.add_argument("artifacts", nargs="*", metavar="artifact",
+                        help=f"one of: {', '.join(ARTIFACTS)}")
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes for sweep-backed artifacts")
+    parser.add_argument("--conformance", action="store_true",
+                        help="obs artifact: also print the trace "
+                             "checker's verdict")
+    args = parser.parse_args(argv)
+    requested = args.artifacts or list(ARTIFACTS)
     unknown = [name for name in requested if name not in ARTIFACTS]
     if unknown:
         print(f"unknown artifact(s): {', '.join(unknown)}")
@@ -500,7 +507,7 @@ def main(argv: list[str]) -> int:
               f"'python -m repro.experiments sweep --help')")
         return 2
     for name in requested:
-        ARTIFACTS[name].run(jobs=jobs)
+        ARTIFACTS[name].run(args)
     return 0
 
 

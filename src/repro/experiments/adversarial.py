@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chaos.scenario import figure8_adversary
-from repro.common.errors import NoSamplesError
-from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
+from repro.common.errors import NoSamplesError, SpecError
+from repro.experiments.harness import Simulation, SimulationConfig
 from repro.experiments.metrics import LatencySummary
-from repro.experiments.spec import AdversarialSpec, register_runner
+from repro.experiments.spec import ExperimentSpec
 
 #: Malicious-stake fractions swept by Figure 8.
 FIGURE8_FRACTIONS = [0.0, 0.05, 0.10, 0.15, 0.20]
@@ -37,25 +36,15 @@ class AdversarialPoint:
     empty_rounds: int     # attack cost: rounds forced to the empty block
 
 
-@register_runner(AdversarialSpec.kind)
-def run_spec(spec: AdversarialSpec) -> AdversarialPoint:
-    """Deploy ``spec.fraction`` malicious stake; measure honest latency."""
-    params = spec.params if spec.params is not None else TEST_PARAMS
-    num_users, rounds = spec.num_users, spec.rounds
-    malicious_users = round(spec.fraction * num_users)
-    honest_users = num_users - malicious_users
-    sim = Simulation(
-        SimulationConfig(num_users=num_users, params=params, seed=spec.seed,
-                         network=NetworkConfig(latency_model="city")),
-        faults=figure8_adversary(range(honest_users, num_users)),
-    )
-    sim.submit_payments(num_users, note_bytes=20)
-    sim.run_rounds(rounds)
-    honest = sim.nodes[:honest_users]
+def measure_adversarial(sim: Simulation,
+                        spec: ExperimentSpec) -> AdversarialPoint:
+    """Honest latency, agreement and empty rounds under ``spec.faults``."""
+    attackers = {node for action in spec.faults for node in action.nodes}
+    honest = [node for node in sim.nodes if node.index not in attackers]
     samples = []
     agreed = True
     empty_rounds = 0
-    for round_number in range(1, rounds + 1):
+    for round_number in range(1, spec.rounds + 1):
         hashes = {node.chain.block_at(round_number).block_hash
                   for node in honest}
         agreed = agreed and len(hashes) == 1
@@ -70,18 +59,32 @@ def run_spec(spec: AdversarialSpec) -> AdversarialPoint:
     except NoSamplesError:
         summary = LatencySummary.empty()
     return AdversarialPoint(
-        malicious_fraction=spec.fraction,
-        malicious_users=malicious_users,
+        malicious_fraction=len(attackers) / spec.config.num_users,
+        malicious_users=len(attackers),
         summary=summary,
         agreed=agreed,
         empty_rounds=empty_rounds,
     )
 
 
+def adversarial_spec(fraction: float, num_users: int, seed: int, *,
+                     rounds: int = 2) -> ExperimentSpec:
+    """One Figure 8 point: the highest ``fraction`` of the user slots run
+    :func:`~repro.chaos.scenario.figure8_adversary` for the whole run."""
+    if not 0 <= fraction < 1 / 3:
+        raise SpecError(
+            f"malicious fraction must be in [0, 1/3), got {fraction}")
+    honest_users = num_users - round(fraction * num_users)
+    return ExperimentSpec(
+        "adversarial", SimulationConfig(num_users=num_users, seed=seed),
+        rounds, payments=((num_users, 20),),
+        faults=figure8_adversary(range(honest_users, num_users)))
+
+
 def figure8_specs(fractions: list[float] | None = None, *,
                   num_users: int = 20,
-                  seed: int = 0) -> list[AdversarialSpec]:
+                  seed: int = 0) -> list[ExperimentSpec]:
     """The Figure 8 grid as sweep-ready specs."""
     sweep = fractions if fractions is not None else FIGURE8_FRACTIONS
-    return [AdversarialSpec(fraction=f, num_users=num_users, seed=seed + i)
+    return [adversarial_spec(f, num_users, seed + i)
             for i, f in enumerate(sweep)]

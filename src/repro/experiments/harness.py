@@ -53,7 +53,7 @@ from repro.sim.loop import Environment
 from repro.sortition.selection import SELECTION_STATS
 
 
-def _check_faults(config: SimulationConfig,
+def check_faults(config: SimulationConfig,
                   faults: Iterable[FaultAction]) -> None:
     """Raise a ``ConfigError`` unless this deployment can run every
     action: a crash, dos or attacker must name always-on agents, for
@@ -79,7 +79,7 @@ class Simulation:
                  obs: TraceBus | None = None) -> None:
         config.validate()
         faults = tuple(faults)
-        _check_faults(config, faults)
+        check_faults(config, faults)
         self.config = config
         self.env = Environment()
         #: Optional trace bus (see :mod:`repro.obs`). When supplied, its

@@ -25,7 +25,7 @@ from repro.common.errors import NoSamplesError
 from repro.common.params import ProtocolParams, TEST_PARAMS
 from repro.experiments.harness import NetworkConfig, PopulationConfig, Simulation, SimulationConfig
 from repro.experiments.metrics import LatencySummary
-from repro.experiments.spec import LatencySpec, register_runner
+from repro.experiments.spec import ExperimentSpec
 
 #: Scaled-down populations standing in for the paper's 5K..50K sweep.
 FIGURE5_USERS = [40, 80, 160, 320]
@@ -46,41 +46,21 @@ class LatencyPoint:
     rounds_measured: int
 
 
-def _scaling_params(base: ProtocolParams | None) -> ProtocolParams:
-    return base if base is not None else TEST_PARAMS
-
-
-@register_runner(LatencySpec.kind)
-def run_spec(spec: LatencySpec) -> LatencyPoint:
-    """Run one deployment and summarize its round-completion latency."""
-    params = _scaling_params(spec.params)
-    config = SimulationConfig(
-        num_users=spec.num_users, params=params, seed=spec.seed,
-        network=NetworkConfig(bandwidth_bps=spec.bandwidth_bps,
-                              latency_model="city"),
-        population=PopulationConfig(mode=spec.population,
-                                    always_on_core=spec.always_on_core,
-                                    steps_ahead=spec.steps_ahead),
-    )
-    sim = Simulation(config)
-    if spec.payload_bytes:
-        senders = min(spec.num_users, 200)
-        sim.submit_payments(senders,
-                            note_bytes=spec.payload_bytes // senders)
-    sim.run_rounds(spec.rounds)
-    samples = sim.round_latencies(spec.measure_round)
+def measure_latency(sim: Simulation, spec: ExperimentSpec) -> LatencyPoint:
+    """Summarize the completion latency of the run's last round."""
+    last = spec.rounds
     empties = sum(1 for node in sim.nodes
-                  if node.chain.block_at(spec.measure_round).is_empty)
+                  if node.chain.block_at(last).is_empty)
     finals = sum(
         1 for node in sim.nodes
-        if node.metrics.round_record(spec.measure_round) is not None
-        and node.metrics.round_record(spec.measure_round).kind == "final")
+        if node.metrics.round_record(last) is not None
+        and node.metrics.round_record(last).kind == "final")
     try:
-        summary = LatencySummary.from_samples(samples)
+        summary = LatencySummary.from_samples(sim.round_latencies(last))
     except NoSamplesError:
         summary = LatencySummary.empty()
     return LatencyPoint(
-        num_users=spec.num_users,
+        num_users=spec.config.num_users,
         summary=summary,
         empty_rounds=empties,
         final_rounds=finals,
@@ -88,27 +68,42 @@ def run_spec(spec: LatencySpec) -> LatencyPoint:
     )
 
 
+def latency_spec(num_users: int, seed: int, *,
+                 params: ProtocolParams = TEST_PARAMS,
+                 bandwidth_bps: float | None = 20e6,
+                 payload_bytes: int = 0, rounds: int = 2,
+                 population: PopulationConfig = PopulationConfig(),
+                 ) -> ExperimentSpec:
+    """One latency point; ``payload_bytes`` is split over up to 200
+    senders' payments."""
+    senders = min(num_users, 200)
+    payments = (((senders, payload_bytes // senders),)
+                if payload_bytes else ())
+    config = SimulationConfig(
+        num_users=num_users, params=params, seed=seed,
+        network=NetworkConfig(bandwidth_bps=bandwidth_bps),
+        population=population)
+    return ExperimentSpec("latency", config, rounds, payments)
+
+
 def figure5_specs(users: list[int] | None = None, *, seed: int = 0,
-                  params: ProtocolParams | None = None,
-                  payload_bytes: int = 50_000) -> list[LatencySpec]:
+                  params: ProtocolParams = TEST_PARAMS,
+                  payload_bytes: int = 50_000) -> list[ExperimentSpec]:
     """The Figure 5 grid as sweep-ready specs."""
     return [
-        LatencySpec(num_users=n, seed=seed + i, params=params,
-                    payload_bytes=payload_bytes)
+        latency_spec(n, seed + i, params=params, payload_bytes=payload_bytes)
         for i, n in enumerate(users if users is not None else FIGURE5_USERS)
     ]
 
 
 def figure6_specs(users: list[int] | None = None, *, seed: int = 0,
-                  params: ProtocolParams | None = None,
-                  packing: int = FIGURE6_PACKING) -> list[LatencySpec]:
+                  params: ProtocolParams = TEST_PARAMS,
+                  packing: int = FIGURE6_PACKING) -> list[ExperimentSpec]:
     """The Figure 6 contention grid as sweep-ready specs."""
-    base = _scaling_params(params)
-    contended = dataclasses.replace(
-        base, lambda_step=base.lambda_step * 3)
+    contended = dataclasses.replace(params, lambda_step=params.lambda_step * 3)
     return [
-        LatencySpec(num_users=n, seed=seed + i, params=contended,
-                    bandwidth_bps=20e6 / packing)
+        latency_spec(n, seed + i, params=contended,
+                     bandwidth_bps=20e6 / packing)
         for i, n in enumerate(users if users is not None else FIGURE6_USERS)
     ]
 

@@ -1,9 +1,13 @@
-"""Process-parallel sweep engine over :class:`ExperimentSpec` grids.
+"""Run experiment points: one at a time, or a grid over worker processes.
+
+:func:`run_point` is the one way a point runs: build the spec's
+deployment with its faults, submit its payment batches, run its rounds,
+and take the measurement :data:`MEASURES` names.
 
 The paper runs its evaluation grid on 1,000 VMs; our reproduction used to
 run every grid point serially in one Python process, which made the
 ``bench_*`` suite the slowest thing in the repo and capped how far up the
-user-count axis we could afford to measure. This engine fans a list of
+user-count axis we could afford to measure. :func:`run_sweep` fans a list of
 specs out over a ``multiprocessing`` worker pool and merges the results
 so that **parallel output is byte-identical to serial output**:
 
@@ -42,15 +46,50 @@ from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import SpecError
-from repro.experiments.spec import (
-    ExperimentSpec,
-    run_point,
-    spec_from_json,
-)
+from repro.experiments.adversarial import measure_adversarial
+from repro.experiments.harness import Simulation
+from repro.experiments.latency import measure_latency
+from repro.experiments.spec import ExperimentSpec, PointResult, spec_from_json
+from repro.experiments.throughput import measure_block_size
+from repro.experiments.traffic import measure_traffic
+from repro.experiments.waiting import measure_waiting
 from repro.obs.bus import TraceBus
+
+#: Measure name -> what it reads off a finished run: ``(sim, spec) ->``
+#: a typed point dataclass.
+MEASURES: dict[str, Callable] = {
+    "latency": measure_latency,
+    "adversarial": measure_adversarial,
+    "block_size": measure_block_size,
+    "waiting": measure_waiting,
+    "traffic": measure_traffic,
+}
 
 #: How long the scheduler sleeps waiting for worker messages (seconds).
 _POLL_SECONDS = 0.05
+
+
+def _checked(spec: ExperimentSpec) -> Callable:
+    """The measure of ``spec``, once the spec passed validation."""
+    if not isinstance(spec, ExperimentSpec):
+        raise SpecError(f"not an ExperimentSpec: {spec!r}")
+    if spec.measure not in MEASURES:
+        raise SpecError(f"unknown measure {spec.measure!r} "
+                        f"(known: {sorted(MEASURES)})")
+    spec.validate()
+    return MEASURES[spec.measure]
+
+
+def run_point(spec: ExperimentSpec) -> PointResult:
+    """Run one experiment point and take its measurement."""
+    measure = _checked(spec)
+    # The traffic census reads gossip counters off an event-less bus.
+    obs = TraceBus(max_events=0) if spec.measure == "traffic" else None
+    sim = Simulation(spec.config, faults=spec.faults, obs=obs)
+    for count, note_bytes in spec.payments:
+        sim.submit_payments(count, note_bytes=note_bytes)
+    sim.run_rounds(spec.rounds)
+    return PointResult(spec=spec, point=measure(sim, spec))
 
 
 @dataclass
@@ -245,9 +284,7 @@ def run_sweep(specs: Sequence[ExperimentSpec] | Iterable[ExperimentSpec],
     if retries < 0:
         raise SpecError(f"retries must be >= 0, got {retries}")
     for spec in spec_list:  # fail fast, before any process is forked
-        if not isinstance(spec, ExperimentSpec):
-            raise SpecError(f"not an ExperimentSpec: {spec!r}")
-        spec.validate()
+        _checked(spec)
 
     started = time.perf_counter()
     total = len(spec_list)
@@ -280,7 +317,7 @@ def run_sweep(specs: Sequence[ExperimentSpec] | Iterable[ExperimentSpec],
             else:
                 obs.metrics.inc("sweep.points_failed")
             obs.emit("sweep.point_done", index=outcome.index,
-                     spec_kind=outcome.spec.kind, ok=outcome.ok,
+                     measure=outcome.spec.measure, ok=outcome.ok,
                      attempts=outcome.attempts,
                      wall_time=round(outcome.wall_time, 6))
         if progress is not None:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.baselines.nakamoto import NakamotoConfig, throughput_bytes_per_hour
 from repro.common.params import TEST_PARAMS
 from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
-from repro.experiments.spec import BlockSizeSpec, register_runner
+from repro.experiments.spec import ExperimentSpec
 
 #: Scaled block-size sweep standing in for the paper's 1 KB..10 MB.
 FIGURE7_BLOCK_SIZES = [1_000, 10_000, 50_000, 100_000, 250_000]
@@ -44,33 +44,14 @@ class BlockSizePoint:
         return self.proposal_time + self.ba_time + self.final_step_time
 
 
-@register_runner(BlockSizeSpec.kind)
-def run_spec(spec: BlockSizeSpec) -> BlockSizePoint:
-    """One deployment at a given block size; segments from round 2."""
-    base = spec.params if spec.params is not None else TEST_PARAMS
-    block_size, num_users = spec.block_size, spec.num_users
-    # lambda_block must comfortably cover gossiping one block across the
-    # network's diameter (the paper fixes it at a minute for 1-10 MB
-    # blocks; we scale it with the per-hop transfer time).
-    per_hop = block_size * 8.0 / spec.bandwidth_bps
-    tuned = dataclasses.replace(
-        base, block_size=block_size,
-        lambda_block=max(base.lambda_block, 40.0 * per_hop))
-    sim = Simulation(SimulationConfig(
-        num_users=num_users, params=tuned, seed=spec.seed,
-        network=NetworkConfig(bandwidth_bps=spec.bandwidth_bps,
-                              latency_model="city"),
-    ))
-    # Enough payload to fill the target block size each round.
-    note = max(16, (2 * block_size) // max(1, num_users * 2))
-    for _ in range(2):
-        sim.submit_payments(num_users * 2, note_bytes=note)
-    sim.run_rounds(2)
-    records = [node.metrics.round_record(2) for node in sim.nodes]
+def measure_block_size(sim: Simulation,
+                       spec: ExperimentSpec) -> BlockSizePoint:
+    """Median round segments of the run's last round."""
+    records = [node.metrics.round_record(spec.rounds) for node in sim.nodes]
     records = [record for record in records if record is not None]
     payload = int(np.median([record.payload_bytes for record in records]))
     return BlockSizePoint(
-        block_size=block_size,
+        block_size=spec.config.params.block_size,
         payload_committed=payload,
         proposal_time=float(np.median(
             [record.proposal_duration for record in records])),
@@ -81,12 +62,30 @@ def run_spec(spec: BlockSizeSpec) -> BlockSizePoint:
     )
 
 
+def block_size_spec(block_size: int, num_users: int, seed: int, *,
+                    bandwidth_bps: float = 5e6) -> ExperimentSpec:
+    """One Figure 7 bar: two rounds with enough payload to fill blocks of
+    ``block_size`` bytes, segments from round 2."""
+    # lambda_block must comfortably cover gossiping one block across the
+    # network's diameter (the paper fixes it at a minute for 1-10 MB
+    # blocks; we scale it with the per-hop transfer time).
+    per_hop = block_size * 8.0 / bandwidth_bps
+    tuned = dataclasses.replace(
+        TEST_PARAMS, block_size=block_size,
+        lambda_block=max(TEST_PARAMS.lambda_block, 40.0 * per_hop))
+    config = SimulationConfig(
+        num_users=num_users, params=tuned, seed=seed,
+        network=NetworkConfig(bandwidth_bps=bandwidth_bps))
+    note = max(16, (2 * block_size) // max(1, num_users * 2))
+    return ExperimentSpec("block_size", config, 2,
+                          payments=((num_users * 2, note),) * 2)
+
+
 def figure7_specs(block_sizes: list[int] | None = None, *, seed: int = 0,
-                  num_users: int = 40) -> list[BlockSizeSpec]:
+                  num_users: int = 40) -> list[ExperimentSpec]:
     """The Figure 7 grid as sweep-ready specs."""
     sizes = block_sizes if block_sizes is not None else FIGURE7_BLOCK_SIZES
-    return [BlockSizeSpec(block_size=size, seed=seed + i,
-                          num_users=num_users)
+    return [block_size_spec(size, num_users, seed + i)
             for i, size in enumerate(sizes)]
 
 

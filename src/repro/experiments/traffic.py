@@ -33,10 +33,10 @@ one message), so the census sweeps three stake shapes: ``uniform``,
 ``midtier`` (middle 40% of accounts holds 60%).
 
 **The observed column** comes from :mod:`repro.obs` gossip counters
-(``gossip.sent.* / recv.* / relayed.* / damped.vote``) on an event-less
-:class:`~repro.obs.bus.TraceBus`, normalized per round. Runs submit no
-payments, so the stake vector the analytical model sees is exactly the
-one sortition draws from all run long.
+(``gossip.sent.* / recv.* / relayed.* / damped.vote``) on the event-less
+:class:`~repro.obs.bus.TraceBus` a traffic point runs with, normalized
+per round. Runs submit no payments, so the stake vector the analytical
+model sees is exactly the one sortition draws from all run long.
 
 CLI (the CI traffic-smoke job runs the quick form)::
 
@@ -56,8 +56,7 @@ from typing import Any
 from repro.common.params import TEST_PARAMS, ProtocolParams
 from repro.experiments.harness import RuntimeConfig, Simulation, SimulationConfig
 from repro.experiments.metrics import format_table
-from repro.experiments.spec import TrafficSpec, register_runner
-from repro.obs.bus import TraceBus
+from repro.experiments.spec import ExperimentSpec
 
 #: Stake shapes the census sweeps.
 STAKE_SHAPES = ("uniform", "whale", "midtier")
@@ -148,7 +147,6 @@ def analytical_census(balances: list[int],
 class TrafficPoint:
     """One measured deployment next to its analytical model."""
 
-    stake_shape: str
     num_users: int
     rounds: int
     relay_damping: bool
@@ -159,43 +157,51 @@ class TrafficPoint:
     damped_per_round: float
 
 
-@register_runner(TrafficSpec.kind)
-def run_spec(spec: TrafficSpec) -> TrafficPoint:
-    """Run one census deployment and read the gossip counters."""
-    params = spec.params if spec.params is not None else CENSUS_PARAMS
-    balances = stake_distribution(spec.stake_shape, spec.num_users)
-    bus = TraceBus(max_events=0)
-    sim = Simulation(SimulationConfig(
-        num_users=spec.num_users, params=params, seed=spec.seed,
-        balances=balances,
-        runtime=RuntimeConfig(relay_damping=spec.relay_damping)), obs=bus)
-    sim.run_rounds(spec.rounds)
-    metrics = bus.metrics
+def measure_traffic(sim: Simulation, spec: ExperimentSpec) -> TrafficPoint:
+    """Read the run's gossip counters next to the analytical model."""
+    config, rounds = spec.config, spec.rounds
+    metrics = sim.obs.metrics
     observed = {}
     for kind in ("priority", "block", "vote"):
         observed[kind] = {
             counter: round(
-                metrics.counter(f"gossip.{counter}.{kind}") / spec.rounds, 1)
+                metrics.counter(f"gossip.{counter}.{kind}") / rounds, 1)
             for counter in ("sent", "recv", "relayed")}
     return TrafficPoint(
-        stake_shape=spec.stake_shape,
-        num_users=spec.num_users,
-        rounds=spec.rounds,
-        relay_damping=spec.relay_damping,
-        analytic=analytical_census(balances, params),
+        num_users=config.num_users,
+        rounds=rounds,
+        relay_damping=config.runtime.relay_damping,
+        analytic=analytical_census(config.make_balances(), config.params),
         observed=observed,
         damped_per_round=round(
-            metrics.counter("gossip.damped.vote") / spec.rounds, 1),
+            metrics.counter("gossip.damped.vote") / rounds, 1),
     )
 
 
+def traffic_spec(stake_shape: str, num_users: int, seed: int, *,
+                 rounds: int = 2, relay_damping: bool = True,
+                 params: ProtocolParams = CENSUS_PARAMS) -> ExperimentSpec:
+    """One census deployment: a stake shape, damped or not."""
+    config = SimulationConfig(
+        num_users=num_users, params=params, seed=seed,
+        balances=stake_distribution(stake_shape, num_users),
+        runtime=RuntimeConfig(relay_damping=relay_damping))
+    return ExperimentSpec("traffic", config, rounds)
+
+
 def census_specs(*, seed: int = 0, num_users: int = CENSUS_USERS,
-                 rounds: int = 2) -> list[TrafficSpec]:
-    """The census grid: every stake shape, damped and undamped."""
-    return [TrafficSpec(stake_shape=shape, num_users=num_users,
-                        rounds=rounds, seed=seed, relay_damping=damping)
+                 rounds: int = 2) -> list[ExperimentSpec]:
+    """The census grid: every stake shape, damped then undamped."""
+    return [traffic_spec(shape, num_users, seed, rounds=rounds,
+                         relay_damping=damping)
             for shape in STAKE_SHAPES
             for damping in (True, False)]
+
+
+def _measured(specs: list[ExperimentSpec]) -> list[TrafficPoint]:
+    # Deferred: the sweep module's measure table imports this module.
+    from repro.experiments.sweep import run_point
+    return [run_point(spec).point for spec in specs]
 
 
 def _reduction(undamped: float, damped: float) -> float:
@@ -205,13 +211,11 @@ def _reduction(undamped: float, damped: float) -> float:
 def traffic_census(*, seed: int = 0, num_users: int = CENSUS_USERS,
                    rounds: int = 2) -> dict[str, Any]:
     """Run the census grid; per-shape damped/undamped/analytic record."""
-    points: dict[tuple[str, bool], TrafficPoint] = {}
-    for spec in census_specs(seed=seed, num_users=num_users, rounds=rounds):
-        points[(spec.stake_shape, spec.relay_damping)] = run_spec(spec)
+    points = _measured(census_specs(seed=seed, num_users=num_users,
+                                    rounds=rounds))
     report: dict[str, Any] = {}
-    for shape in STAKE_SHAPES:
-        damped = points[(shape, True)]
-        undamped = points[(shape, False)]
+    for shape, damped, undamped in zip(STAKE_SHAPES, points[::2],
+                                       points[1::2]):
         report[shape] = {
             "num_users": num_users,
             "rounds": rounds,
@@ -230,13 +234,10 @@ def traffic_census(*, seed: int = 0, num_users: int = CENSUS_USERS,
 def scale_point(*, seed: int = 11, num_users: int = 300,
                 rounds: int = 2) -> dict[str, Any]:
     """The headline claim: vote-relay reduction at 200+ users."""
-    outcomes = {}
-    for damping in (True, False):
-        spec = TrafficSpec(stake_shape="uniform", num_users=num_users,
-                           rounds=rounds, seed=seed, relay_damping=damping,
-                           params=SCALE_PARAMS)
-        outcomes[damping] = run_spec(spec)
-    damped, undamped = outcomes[True], outcomes[False]
+    damped, undamped = _measured([
+        traffic_spec("uniform", num_users, seed, rounds=rounds,
+                     relay_damping=damping, params=SCALE_PARAMS)
+        for damping in (True, False)])
     return {
         "num_users": num_users,
         "rounds": rounds,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
-from repro.experiments.spec import WaitingSpec, register_runner
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.spec import ExperimentSpec
 
 #: Wait-window values (seconds) swept by the benchmark, spanning "far too
 #: short" to "comfortably padded" for the scaled WAN.
@@ -40,42 +40,42 @@ class WaitingPoint:
     rounds: int
 
 
-@register_runner(WaitingSpec.kind)
-def run_spec(spec: WaitingSpec) -> WaitingPoint:
-    """Measure one wait-window setting over several rounds."""
-    base = spec.params if spec.params is not None else TEST_PARAMS
-    num_users, rounds = spec.num_users, spec.rounds
-    tuned = dataclasses.replace(
-        base,
-        lambda_stepvar=spec.wait_seconds / 2,
-        lambda_priority=spec.wait_seconds / 2,
-    )
-    sim = Simulation(SimulationConfig(
-        num_users=num_users, params=tuned, seed=spec.seed,
-        network=NetworkConfig(latency_model="city"),
-    ))
-    sim.submit_payments(num_users * 2, note_bytes=16)
-    sim.run_rounds(rounds)
-
+def measure_waiting(sim: Simulation, spec: ExperimentSpec) -> WaitingPoint:
+    """Empty-block share and median round latency over the run."""
     reference = sim.nodes[0].chain
-    empty = sum(1 for r in range(1, rounds + 1)
+    empty = sum(1 for r in range(1, spec.rounds + 1)
                 if reference.block_at(r).is_empty)
     latencies = [
         record.duration
         for node in sim.nodes
         for record in node.metrics.rounds
     ]
+    params = spec.config.params
     return WaitingPoint(
-        wait_seconds=spec.wait_seconds,
-        empty_fraction=empty / rounds,
+        wait_seconds=params.lambda_priority + params.lambda_stepvar,
+        empty_fraction=empty / spec.rounds,
         median_latency=float(np.median(latencies)),
-        rounds=rounds,
+        rounds=spec.rounds,
     )
 
 
+def waiting_spec(wait_seconds: float, num_users: int, seed: int, *,
+                 rounds: int = 3) -> ExperimentSpec:
+    """One point: the wait window split evenly between
+    ``lambda_priority`` and ``lambda_stepvar``."""
+    tuned = dataclasses.replace(
+        TEST_PARAMS,
+        lambda_stepvar=wait_seconds / 2,
+        lambda_priority=wait_seconds / 2,
+    )
+    config = SimulationConfig(num_users=num_users, params=tuned, seed=seed)
+    return ExperimentSpec("waiting", config, rounds,
+                          payments=((num_users * 2, 16),))
+
+
 def waiting_specs(waits: list[float] | None = None, *, seed: int = 0,
-                  num_users: int = 20) -> list[WaitingSpec]:
+                  num_users: int = 20) -> list[ExperimentSpec]:
     """The section 6 sweep as sweep-ready specs."""
     sweep = waits if waits is not None else WAIT_SWEEP
-    return [WaitingSpec(wait_seconds=w, num_users=num_users, seed=seed + i)
+    return [waiting_spec(w, num_users, seed + i)
             for i, w in enumerate(sweep)]

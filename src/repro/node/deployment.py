@@ -294,6 +294,8 @@ class SimulationConfig:
         if self.num_users < 1:
             raise PopulationError(
                 f"num_users must be >= 1, got {self.num_users}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_observers < 0:
             raise PopulationError(
                 f"num_observers must be >= 0, got {self.num_observers}")

@@ -100,7 +100,7 @@ EVENT_KINDS: dict[str, EventKind] = {k.name: k for k in [
           ("peer", "round", "scope"),
           ("node", "offense", "banned")),
     _kind("sweep.point_done", "sweep engine",
-          ("index", "spec_kind", "ok", "attempts", "wall_time")),
+          ("index", "measure", "ok", "attempts", "wall_time")),
 ]}
 
 

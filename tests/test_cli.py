@@ -51,8 +51,16 @@ class TestCLI:
         assert "sweep" in capsys.readouterr().out
 
     def test_bad_jobs_flag_rejected(self, capsys):
-        assert main(["--jobs"]) == 2
-        assert main(["--jobs", "many", "fig3"]) == 2
+        for argv in (["--jobs"], ["--jobs", "many", "fig3"],
+                     ["--jobs", "0", "fig8"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+
+    def test_conformance_flag_prints_the_verdict(self, capsys):
+        assert main(["--conformance", "obs"]) == 0
+        assert "conformance: CONFORMS" in capsys.readouterr().out
 
 
 class TestArtifactRegistry:
@@ -80,7 +88,8 @@ class TestSweepSubcommand:
         assert main(["sweep", *self.GRID, "--quiet"]) == 0
         merged = json.loads(capsys.readouterr().out)
         assert merged["engine"] == "repro.experiments.sweep"
-        assert [p["spec"]["num_users"] for p in merged["points"]] == [6, 8]
+        assert [p["spec"]["config"]["num_users"]
+                for p in merged["points"]] == [6, 8]
         assert all(p["error"] is None for p in merged["points"])
 
     def test_out_file_and_checkpoint(self, tmp_path, capsys):
@@ -99,3 +108,21 @@ class TestSweepSubcommand:
 
     def test_empty_grid_rejected(self, capsys):
         assert main(["sweep", "--seeds", "", "--quiet"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "waiting", "--users", "8,10", "--waits", "0.5"],
+        ["--grid", "adversarial", "--users", "10", "--fractions", "0.5"],
+        ["--jobs", "0"],
+    ])
+    def test_bad_grid_rejected_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", *argv, "--seeds", "0", "--quiet"])
+        assert exit_.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_adversarial_grid_carries_its_faults(self, capsys):
+        assert main(["sweep", "--grid", "adversarial", "--users", "10",
+                     "--seeds", "0", "--fractions", "0,0.2", "--quiet"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [len(p["spec"]["faults"]) for p in points] == [0, 2]
+        assert [p["result"]["malicious_users"] for p in points] == [0, 2]

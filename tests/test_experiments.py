@@ -18,15 +18,12 @@ from repro.experiments.harness import (
     Simulation,
     SimulationConfig,
 )
-from repro.experiments.latency import flatness
+from repro.experiments.adversarial import adversarial_spec
+from repro.experiments.latency import flatness, latency_spec
 from repro.experiments.metrics import LatencySummary, format_table
-from repro.experiments.spec import (
-    AdversarialSpec,
-    BlockSizeSpec,
-    LatencySpec,
-    run_point,
-)
+from repro.experiments.sweep import run_point
 from repro.experiments.throughput import (
+    block_size_spec,
     paper_scale_projection,
     throughput_table,
 )
@@ -85,28 +82,24 @@ class TestSimulationConfig:
 
 class TestRunners:
     def test_latency_point_shape(self):
-        point = run_point(LatencySpec(num_users=10, seed=1, rounds=1,
-                                      measure_round=1)).point
+        point = run_point(latency_spec(10, 1, rounds=1)).point
         assert point.num_users == 10
         assert point.summary.count == 10
         assert point.summary.minimum > 0
 
     def test_flatness_of_identical_points(self):
-        point = run_point(LatencySpec(num_users=10, seed=1, rounds=1,
-                                      measure_round=1)).point
+        point = run_point(latency_spec(10, 1, rounds=1)).point
         assert flatness([point, point]) == 1.0
 
     def test_block_size_point_segments_positive(self):
-        point = run_point(BlockSizeSpec(block_size=5_000, num_users=10,
-                                        seed=2)).point
+        point = run_point(block_size_spec(5_000, 10, 2)).point
         assert point.proposal_time > 0
         assert point.ba_time >= 0
         assert point.final_step_time >= 0
         assert point.total > 0
 
     def test_throughput_table_structure(self):
-        point = run_point(BlockSizeSpec(block_size=5_000, num_users=10,
-                                        seed=2)).point
+        point = run_point(block_size_spec(5_000, 10, 2)).point
         rows = throughput_table([point])
         assert rows[0].system == "bitcoin"
         assert rows[1].system == "algorand"
@@ -114,19 +107,18 @@ class TestRunners:
             rows[1].bytes_per_hour / rows[0].bytes_per_hour)
 
     def test_pipelining_final_step_increases_throughput(self):
-        point = run_point(BlockSizeSpec(block_size=5_000, num_users=10,
-                                        seed=2)).point
+        point = run_point(block_size_spec(5_000, 10, 2)).point
         plain = throughput_table([point])[1]
         pipelined = throughput_table([point], pipeline_final_step=True)[1]
         assert pipelined.bytes_per_hour >= plain.bytes_per_hour
 
     def test_adversarial_point_bounds(self):
-        point = run_point(AdversarialSpec(fraction=0.2, num_users=10,
-                                          rounds=1, seed=3)).point
+        point = run_point(adversarial_spec(0.2, 10, 3, rounds=1)).point
         assert point.malicious_users == 2
+        assert point.malicious_fraction == 0.2
         assert point.agreed
         with pytest.raises(ValueError):
-            run_point(AdversarialSpec(fraction=0.5))
+            adversarial_spec(0.5, 20, 0)
 
     def test_costs_report_consistency(self):
         report = measure_costs(10, rounds=1, seed=4, payload_bytes=2_000)

@@ -127,7 +127,7 @@ class TestLazySurfaces:
 
     def test_from_import_of_names_and_submodules(self):
         run_python("-c", "\n".join([
-            "from repro.experiments import LatencySpec, run_sweep",
+            "from repro.experiments import ExperimentSpec, run_sweep",
             "from repro.experiments import sweep as sweep_module",
             "assert sweep_module.run_sweep is run_sweep",
             "from repro.chaos import ScenarioScript, run_scenario",

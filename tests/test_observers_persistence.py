@@ -11,7 +11,8 @@ from repro.experiments.harness import (
     Simulation,
     SimulationConfig,
 )
-from repro.experiments.spec import WaitingSpec, run_point
+from repro.experiments.sweep import run_point
+from repro.experiments.waiting import waiting_spec
 from repro.ledger.persistence import (
     chain_from_bytes,
     chain_to_bytes,
@@ -143,10 +144,9 @@ class TestPersistence:
 class TestWaitingPoint:
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_point(WaitingSpec(wait_seconds=0.0))
+            run_point(waiting_spec(0.0, 12, 84))
 
     def test_generous_wait_no_empties(self):
-        point = run_point(WaitingSpec(wait_seconds=2.0, num_users=12,
-                                      rounds=1, seed=84)).point
+        point = run_point(waiting_spec(2.0, 12, 84, rounds=1)).point
         assert point.empty_fraction == 0.0
         assert point.median_latency > 2.0

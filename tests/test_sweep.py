@@ -1,23 +1,24 @@
 """Tests for the unified experiment-point API and the sweep engine.
 
-Covers the PR's contract: spec round-trips (pickle + JSON), serial vs.
-parallel byte-identical merged output, checkpoint resume skipping
-finished points, crash-retry and timeout handling, deprecation shims,
-and the typed ``SimulationConfig.validate()`` errors.
+Covers the contract: every grid builder's specs round-trip (pickle +
+JSON, faults and balances included), serial vs. parallel byte-identical
+merged output, checkpoint resume skipping finished points, crash-retry
+and timeout handling, and the typed ``SimulationConfig.validate()``
+errors.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import pickle
 import time
-from dataclasses import dataclass
-from typing import ClassVar
 
 import pytest
 
+from repro.chaos.scenario import FaultAction
 from repro.common.errors import (
     BalancesError,
     ConfigError,
@@ -26,102 +27,141 @@ from repro.common.errors import (
     ReproError,
     SpecError,
 )
-from repro.common.params import TEST_PARAMS
+from repro.common.params import TEST_PARAMS, ProtocolParams
 from repro.experiments import sweep as sweep_module
+from repro.experiments.adversarial import figure8_specs
 from repro.experiments.harness import (
     NetworkConfig,
+    PopulationConfig,
     Simulation,
     SimulationConfig,
 )
-from repro.experiments.latency import LatencyPoint
-from repro.experiments.spec import (
-    AdversarialSpec,
-    BlockSizeSpec,
-    ExperimentSpec,
-    LatencySpec,
-    SPEC_KINDS,
-    WaitingSpec,
-    register_runner,
-    register_spec,
-    run_point,
-    spec_from_json,
+from repro.experiments.latency import (
+    LatencyPoint,
+    figure5_specs,
+    figure6_specs,
+    latency_spec,
 )
-from repro.experiments.sweep import load_checkpoint, run_sweep
+from repro.experiments.spec import ExperimentSpec, spec_from_json
+from repro.experiments.sweep import (
+    MEASURES,
+    load_checkpoint,
+    run_point,
+    run_sweep,
+)
+from repro.experiments.throughput import figure7_specs
+from repro.experiments.traffic import census_specs
+from repro.experiments.waiting import waiting_specs
 from repro.obs.bus import TraceBus
 
 #: A grid tiny enough for the whole file to stay fast but large enough
 #: that parallel completion order differs from spec order.
-TINY_GRID = [LatencySpec(num_users=n, seed=s, rounds=1, measure_round=1)
-             for s in (0, 1) for n in (6, 8)]
+TINY_GRID = [latency_spec(n, s, rounds=1) for s in (0, 1) for n in (6, 8)]
+
+#: The smallest deployment a test-only measure runs on.
+TINY_CONFIG = SimulationConfig(
+    num_users=4, network=NetworkConfig(latency_model="uniform"))
+
+#: Every grid builder, at a size that builds instantly.
+GRID_SPECS = [
+    *figure5_specs([6], payload_bytes=4_000),
+    *figure6_specs([6]),
+    *figure7_specs([2_000], num_users=6),
+    *figure8_specs([0.0, 0.2], num_users=10),
+    *waiting_specs([0.5], num_users=6),
+    *census_specs(num_users=10, rounds=1),
+    latency_spec(30, 0, population=PopulationConfig(
+        mode="aggregated", always_on_core=8)),
+]
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="crash/timeout tests register spec kinds the child must inherit")
+    reason="crash/timeout tests register measures the child must inherit")
+
+
+def _json_round_trip(spec: ExperimentSpec) -> ExperimentSpec:
+    return spec_from_json(json.loads(json.dumps(spec.to_json())))
 
 
 class TestSpecRoundTrip:
-    @pytest.mark.parametrize("spec", [
-        LatencySpec(num_users=12, seed=3, payload_bytes=500),
-        AdversarialSpec(fraction=0.2, num_users=10, seed=1),
-        BlockSizeSpec(block_size=5_000, num_users=8, seed=2),
-        WaitingSpec(wait_seconds=0.5, num_users=8, seed=4),
-        LatencySpec(num_users=6, params=TEST_PARAMS),
-    ])
+    @pytest.mark.parametrize("spec", GRID_SPECS)
     def test_pickle_and_json(self, spec):
         assert pickle.loads(pickle.dumps(spec)) == spec
-        assert spec_from_json(spec.to_json()) == spec
+        assert _json_round_trip(spec) == spec
+        assert _json_round_trip(spec).fingerprint() == spec.fingerprint()
         # canonical JSON must be stable and strict
         assert (json.loads(spec.canonical_json())
                 == json.loads(spec.canonical_json()))
 
+    def test_faults_and_balances_travel(self):
+        adversarial = figure8_specs([0.2], num_users=10)[0]
+        assert {action.kind for action in adversarial.faults} == {
+            "equivocate", "double-vote"}
+        assert _json_round_trip(adversarial).faults == adversarial.faults
+        census = census_specs(num_users=10)[2]  # whale, damped
+        assert census.config.balances is not None
+        assert _json_round_trip(census).config.balances == (
+            census.config.balances)
+
     def test_fingerprint_distinguishes_specs(self):
-        a = LatencySpec(num_users=10, seed=0)
-        b = LatencySpec(num_users=10, seed=1)
+        a = latency_spec(10, 0)
+        b = latency_spec(10, 1)
         assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() == LatencySpec(num_users=10).fingerprint()
+        assert a.fingerprint() == latency_spec(10, 0).fingerprint()
 
     def test_params_survive_json(self):
-        spec = LatencySpec(num_users=6, params=TEST_PARAMS)
-        rebuilt = spec_from_json(json.loads(json.dumps(spec.to_json())))
-        assert rebuilt.params == TEST_PARAMS
+        spec = figure6_specs([6])[0]
+        assert spec.config.params != TEST_PARAMS  # contended lambda_step
+        assert _json_round_trip(spec).config.params == spec.config.params
 
-    def test_every_registered_kind_is_a_spec(self):
-        for kind, cls in SPEC_KINDS.items():
-            assert issubclass(cls, ExperimentSpec)
-            assert cls.kind == kind
+    def test_every_grid_names_a_known_measure(self):
+        assert {spec.measure for spec in GRID_SPECS} == set(MEASURES)
 
     def test_from_json_rejects_garbage(self):
-        with pytest.raises(SpecError):
-            spec_from_json({"num_users": 5})  # no kind
-        with pytest.raises(SpecError):
-            spec_from_json({"kind": "no-such-kind"})
-        with pytest.raises(SpecError):
-            spec_from_json({"kind": "latency", "bogus_field": 1})
+        record = latency_spec(5, 0).to_json()
+        for garbage in ({}, {"measure": "latency"},
+                        {**record, "bogus_field": 1},
+                        {**record, "config": {**record["config"],
+                                              "bogus_knob": 1}}):
+            with pytest.raises(SpecError):
+                spec_from_json(garbage)
 
 
 class TestSpecValidation:
     def test_bad_values_rejected(self):
-        for spec in (LatencySpec(num_users=0),
-                     LatencySpec(seed=-1),
-                     LatencySpec(rounds=2, measure_round=3),
-                     AdversarialSpec(fraction=0.5),
-                     BlockSizeSpec(block_size=0),
-                     WaitingSpec(wait_seconds=0.0)):
-            with pytest.raises(SpecError):
+        for spec in (latency_spec(5, 0, rounds=0),
+                     ExperimentSpec("latency", SimulationConfig(num_users=0),
+                                    1),
+                     ExperimentSpec("latency", SimulationConfig(seed=-1), 1),
+                     ExperimentSpec("waiting", SimulationConfig(), 1,
+                                    payments=((-1, 16),)),
+                     ExperimentSpec("adversarial", SimulationConfig(), 1,
+                                    faults=(FaultAction("silent", 0.0,
+                                                        nodes=(99,)),))):
+            with pytest.raises(ConfigError):
                 spec.validate()
-            # SpecError must stay catchable as the legacy ValueError
+            # ConfigError must stay catchable as the legacy ValueError
             with pytest.raises(ValueError):
                 spec.validate()
 
+    def test_grid_builders_reject_bad_axis_values(self):
+        with pytest.raises(SpecError):
+            figure8_specs([0.5])
+        for bad in (lambda: figure7_specs([0]),
+                    lambda: waiting_specs([0.0])):
+            with pytest.raises(ValueError):
+                bad()
+
     def test_run_point_validates_first(self):
         with pytest.raises(SpecError):
-            run_point(WaitingSpec(wait_seconds=-1.0))
+            run_point(latency_spec(5, 0, rounds=0))
+        with pytest.raises(SpecError, match="unknown measure"):
+            run_point(ExperimentSpec("no-such-measure", TINY_CONFIG, 1))
 
 
 class TestRunPoint:
     def test_returns_typed_point_and_json(self):
-        result = run_point(LatencySpec(num_users=8, seed=1, rounds=1,
-                                       measure_round=1))
+        result = run_point(latency_spec(8, 1, rounds=1))
         assert isinstance(result.point, LatencyPoint)
         assert result.point.summary.count == 8
         data = result.data()
@@ -192,11 +232,14 @@ class TestSweepEngine:
         with pytest.raises(SpecError):
             run_sweep([object()])
 
-    def test_invalid_spec_fails_before_running_anything(self):
-        specs = [LatencySpec(num_users=6, rounds=1, measure_round=1),
-                 WaitingSpec(wait_seconds=-1.0)]
-        with pytest.raises(SpecError):
-            run_sweep(specs, jobs=1)
+    def test_invalid_spec_fails_before_running_anything(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(sweep_module, "run_point", ran.append)
+        for bad in (latency_spec(6, 0, rounds=0),
+                    ExperimentSpec("no-such-measure", TINY_CONFIG, 1)):
+            with pytest.raises(SpecError):
+                run_sweep([TINY_GRID[0], bad], jobs=1)
+        assert ran == []
 
     def test_obs_counters(self):
         bus = TraceBus()
@@ -219,69 +262,59 @@ class TestSweepEngine:
 
 
 # ---------------------------------------------------------------------
-# Crash / timeout handling needs spec kinds the forked child inherits.
+# Crash / timeout handling: test-only measures in the one measure table,
+# which a forked worker inherits.
 # ---------------------------------------------------------------------
 
 
-@register_spec
-@dataclass(frozen=True)
-class _CrashSpec(ExperimentSpec):
-    """Test-only spec: crashes until ``survive_after`` attempts passed."""
-
-    kind: ClassVar[str] = "_test_crash"
-
-    marker_dir: str = ""
-    crash_times: int = 1
-
-
-@register_runner(_CrashSpec.kind)
-def _run_crash_spec(spec: _CrashSpec):
+def _crash_measure(marker_dir, crash_times, sim, spec):
+    """Crashes the worker until ``crash_times`` attempts have passed."""
     import os
-    attempts_file = os.path.join(spec.marker_dir, "attempts")
+    attempts_file = os.path.join(marker_dir, "attempts")
     attempts = 0
     if os.path.exists(attempts_file):
         with open(attempts_file) as handle:
             attempts = int(handle.read())
     with open(attempts_file, "w") as handle:
         handle.write(str(attempts + 1))
-    if attempts < spec.crash_times:
+    if attempts < crash_times:
         os._exit(17)  # hard crash: no exception, no worker message
     return {"attempts_needed": attempts + 1}
 
 
-@register_spec
-@dataclass(frozen=True)
-class _SleepSpec(ExperimentSpec):
-    """Test-only spec: sleeps (wall clock) longer than any timeout."""
-
-    kind: ClassVar[str] = "_test_sleep"
-
-    sleep_seconds: float = 30.0
+def _sleep_measure(sim, spec):
+    """Sleeps (wall clock) longer than any timeout."""
+    time.sleep(30.0)
+    return {"slept": 30.0}
 
 
-@register_runner(_SleepSpec.kind)
-def _run_sleep_spec(spec: _SleepSpec):
-    time.sleep(spec.sleep_seconds)
-    return {"slept": spec.sleep_seconds}
+CRASH = ExperimentSpec("_test_crash", TINY_CONFIG, 1)
 
 
 @needs_fork
 class TestCrashAndTimeout:
     FORK = multiprocessing.get_context("fork")
 
-    def test_retry_once_recovers_from_crash(self, tmp_path):
-        spec = _CrashSpec(marker_dir=str(tmp_path), crash_times=1)
-        report = run_sweep([spec], jobs=2, retries=1,
+    @pytest.fixture
+    def crashes(self, monkeypatch, tmp_path):
+        def register(times: int) -> None:
+            monkeypatch.setitem(MEASURES, "_test_crash", functools.partial(
+                _crash_measure, str(tmp_path), times))
+        return register
+
+    def test_retry_once_recovers_from_crash(self, crashes):
+        crashes(1)
+        report = run_sweep([CRASH], jobs=2, retries=1,
                            mp_context=self.FORK)
         outcome = report.outcomes[0]
         assert outcome.ok
         assert outcome.attempts == 2
         assert outcome.result == {"attempts_needed": 2}
 
-    def test_persistent_crash_is_recorded_not_raised(self, tmp_path):
-        spec = _CrashSpec(marker_dir=str(tmp_path), crash_times=99)
-        good = LatencySpec(num_users=6, seed=0, rounds=1, measure_round=1)
-        report = run_sweep([spec, good], jobs=2, retries=1,
+    def test_persistent_crash_is_recorded_not_raised(self, crashes):
+        crashes(99)
+        good = latency_spec(6, 0, rounds=1)
+        report = run_sweep([CRASH, good], jobs=2, retries=1,
                            mp_context=self.FORK)
         crash, latency = report.outcomes
         assert not crash.ok
@@ -289,19 +322,20 @@ class TestCrashAndTimeout:
         assert "worker" in crash.error or "exit" in crash.error
         assert latency.ok  # one bad point never sinks the sweep
 
-    def test_timeout_kills_and_records(self, tmp_path):
-        report = run_sweep([_SleepSpec(sleep_seconds=30.0)], jobs=1,
-                           timeout=0.5, retries=0,
+    def test_timeout_kills_and_records(self, monkeypatch):
+        monkeypatch.setitem(MEASURES, "_test_sleep", _sleep_measure)
+        report = run_sweep([ExperimentSpec("_test_sleep", TINY_CONFIG, 1)],
+                           jobs=1, timeout=0.5, retries=0,
                            mp_context=self.FORK)
         outcome = report.outcomes[0]
         assert not outcome.ok
         assert "timeout" in outcome.error
         assert outcome.wall_time < 10.0
 
-    def test_retry_metrics(self, tmp_path):
+    def test_retry_metrics(self, crashes):
+        crashes(1)
         bus = TraceBus()
-        spec = _CrashSpec(marker_dir=str(tmp_path), crash_times=1)
-        run_sweep([spec], jobs=1, retries=1, timeout=60.0, obs=bus,
+        run_sweep([CRASH], jobs=1, retries=1, timeout=60.0, obs=bus,
                   mp_context=self.FORK)
         assert bus.metrics.counter("sweep.retries") == 1
 
@@ -347,6 +381,17 @@ class TestConfigValidation:
         with pytest.raises(PopulationError):
             Simulation(SimulationConfig(num_users=0))
 
+    def test_negative_seed(self):
+        # numpy would reject it later, as a bare ValueError mid-build
+        with pytest.raises(ConfigError, match="seed"):
+            Simulation(SimulationConfig(num_users=6, seed=-1))
+
+    def test_block_size_must_hold_a_transaction(self):
+        with pytest.raises(ValueError, match="block_size"):
+            ProtocolParams(block_size=0)
+        with pytest.raises(ValueError, match="block_size"):
+            dataclasses.replace(TEST_PARAMS, block_size=-5)
+
     def test_typed_errors_are_repro_and_value_errors(self):
         for cls in (ConfigError, PopulationError, BalancesError,
                     LatencyModelError, SpecError):
@@ -359,31 +404,29 @@ class TestConfigValidation:
 
 class TestCleanupOfTestKinds:
     def test_registry_cleanup(self):
-        """The test-only kinds must not leak into production listings
-        used by spec_from_json error messages (sanity check only; the
-        registry is process-global by design)."""
-        assert "_test_crash" in SPEC_KINDS
-        assert "_test_sleep" in SPEC_KINDS
-        for kind in ("latency", "adversarial", "block_size", "waiting"):
-            assert kind in SPEC_KINDS
+        """The test-only measures are registered per test and gone after
+        it: the measure table holds the five production measures."""
+        assert set(MEASURES) == {"latency", "adversarial", "block_size",
+                                 "waiting", "traffic"}
 
 
 class TestSweepDataShapes:
     def test_every_kind_serializes(self):
-        # one cheap point per kind, end to end through the engine
+        # one cheap point per measure, end to end through the engine
         specs = [
-            LatencySpec(num_users=6, seed=0, rounds=1, measure_round=1),
-            AdversarialSpec(fraction=0.0, num_users=6, rounds=1, seed=3),
-            BlockSizeSpec(block_size=2_000, num_users=6, seed=2),
-            WaitingSpec(wait_seconds=1.0, num_users=6, rounds=1, seed=1),
+            latency_spec(6, 0, rounds=1),
+            *figure8_specs([0.0], num_users=6, seed=3),
+            *figure7_specs([2_000], num_users=6, seed=2),
+            *waiting_specs([1.0], num_users=6, seed=1),
+            census_specs(num_users=10, rounds=1)[0],
         ]
         report = run_sweep(specs, jobs=1)
         assert not report.failures
         for outcome in report.outcomes:
             json.dumps(outcome.result, allow_nan=False)
         merged = report.merged()
-        assert [p["spec"]["kind"] for p in merged["points"]] == [
-            "latency", "adversarial", "block_size", "waiting"]
+        assert [p["spec"]["measure"] for p in merged["points"]] == [
+            "latency", "adversarial", "block_size", "waiting", "traffic"]
 
 
 @dataclasses.dataclass(frozen=True)
