@@ -8,8 +8,11 @@ they always did.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +176,31 @@ def _byzantine_mix() -> ScenarioScript:
                              nodes=(7,))))
 
 
+#: The pinned sim runs by id; together they arm every fault kind.
+PINNED = {
+    "partition-heal": partition_heal_scenario,
+    "flood-recovery": flood_recovery_scenario,
+    "seed-101": lambda: generate_scenario(101),
+    "seed-105": lambda: generate_scenario(105),
+    "seed-111": lambda: generate_scenario(111),
+    "byzantine-mix": _byzantine_mix,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_verdict(name: str) -> str:
+    """The verdict JSON of pinned run ``name`` (each runs once)."""
+    return run_scenario(PINNED[name]()).to_json()
+
+
+def _cli_verdict(*argv: str) -> str:
+    """The verdict JSON ``python -m repro.chaos ... --verdict`` writes."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "verdict.json"
+        chaos_main([*argv, "--verdict", str(path)])
+        return path.read_text(encoding="utf-8")
+
+
 class TestSimVerdictsPinned:
     """The sim must not move under injector refactors.
 
@@ -192,18 +220,17 @@ class TestSimVerdictsPinned:
     """
 
     GOLDEN = [
-        (partition_heal_scenario, {"partition"},
+        ("partition-heal", {"partition"},
          "4e2ed7cd2ca173e3b625379d4519ab14985a0e7a6f7740887a9bfa876f87bc81"),
-        (flood_recovery_scenario, {"flood", "spam"},
+        ("flood-recovery", {"flood", "spam"},
          "ab0a479ef4a3eb8701a279f3afaebec642a8fb70865dff61f7961e400b3fff1c"),
-        (lambda: generate_scenario(101), {"crash", "delay", "loss"},
+        ("seed-101", {"crash", "delay", "loss"},
          "2ab2ddf72d40c73af852560572b6009c1cea603b7f34d1bce24b9a07005fa8aa"),
-        (lambda: generate_scenario(105),
-         {"duplicate", "partition", "reorder"},
+        ("seed-105", {"duplicate", "partition", "reorder"},
          "89aa02454202ba75ec4fa10f56d04a9cfda5033811fb3a94b9f90e71f495b7bc"),
-        (lambda: generate_scenario(111), {"delay", "dos", "reorder"},
+        ("seed-111", {"delay", "dos", "reorder"},
          "d57789164796b3820aeb5bc79c6f25b961939cc2047e24fde22bb9dffe9c6ec4"),
-        (_byzantine_mix, {"equivocate", "double-vote", "silent"},
+        ("byzantine-mix", {"equivocate", "double-vote", "silent"},
          "d1bd7b8f25934217fa8f560ecd1f51206151678ad7ad441a2dfe8e1fdf503844"),
     ]
 
@@ -212,17 +239,52 @@ class TestSimVerdictsPinned:
         assert set().union(*(kinds for _, kinds, _ in self.GOLDEN)) \
             == set(FAULT_KINDS)
 
-    @pytest.mark.parametrize("make_script,kinds,golden", GOLDEN,
-                             ids=["partition-heal", "flood-recovery",
-                                  "seed-101", "seed-105", "seed-111",
-                                  "byzantine-mix"])
-    def test_verdict_bytes_unchanged(self, make_script, kinds, golden):
-        script = make_script()
-        assert {action.kind for action in script.actions} == kinds
-        verdict = run_scenario(script)
-        assert verdict.ok, verdict.violations
-        assert hashlib.sha256(
-            verdict.to_json().encode()).hexdigest() == golden
+    @pytest.mark.parametrize("name,kinds,golden", GOLDEN,
+                             ids=[name for name, _, _ in GOLDEN])
+    def test_verdict_bytes_unchanged(self, name, kinds, golden):
+        assert {action.kind for action in PINNED[name]().actions} == kinds
+        verdict = _pinned_verdict(name)
+        assert json.loads(verdict)["ok"], verdict
+        assert hashlib.sha256(verdict.encode()).hexdigest() == golden
+
+
+class TestSimOutcomesPinned:
+    """What a run *found* does not depend on how its scenario is written.
+
+    ``sha256`` of the verdict without its ``"scenario"`` key: violations,
+    heights, ``sim_seconds``, ``events_seen`` and the conformance
+    summary. Recorded while a script still re-declared its seed and user
+    count, for the six pinned runs and the CLI's simulated
+    ``kill-partition`` at its builder's seed.
+    """
+
+    OUTCOMES = [
+        ("partition-heal", lambda: _pinned_verdict("partition-heal"),
+         "31afb0646bbecf3c7e00a854d0bc46d0cc201578d15db56e81a397208d1f2a4c"),
+        ("flood-recovery", lambda: _pinned_verdict("flood-recovery"),
+         "fb7640d14fe7926cb8327b6807e8bd17fcc816e69e9e14be352d3fad6aa7ffea"),
+        ("seed-101", lambda: _pinned_verdict("seed-101"),
+         "7dfec11a1d16f031665c008ba38580777cda9ad117cb31f6774112c507a58bec"),
+        ("seed-105", lambda: _pinned_verdict("seed-105"),
+         "42903fe663aa9e7ffd356c9200fa4c674f46b9c91964356be4fc42d13cf82281"),
+        ("seed-111", lambda: _pinned_verdict("seed-111"),
+         "7c954ed7ca70d97099e8b8563a4af021eb2204a5d54cfa55357c1d62ec54a2cd"),
+        ("byzantine-mix", lambda: _pinned_verdict("byzantine-mix"),
+         "47125755545322175dca5be8e8e57dbbacfd651f696a6d84d1d0b2a20beaa085"),
+        ("kill-partition", lambda: _cli_verdict(
+            "--builtin", "kill-partition", "--base-seed", "11"),
+         "b20dc2fc59e4d0d32241605c2f288fb315344ab14aaab860f1d089d2da36aee4"),
+    ]
+
+    @pytest.mark.parametrize("run,golden",
+                             [(run, golden) for _, run, golden in OUTCOMES],
+                             ids=[name for name, _, _ in OUTCOMES])
+    def test_outcome_unchanged(self, run, golden):
+        outcome = json.loads(run())
+        del outcome["scenario"]
+        assert hashlib.sha256(json.dumps(
+            outcome, indent=2, sort_keys=True).encode()).hexdigest() \
+            == golden
 
 
 class TestSimulationFaults:

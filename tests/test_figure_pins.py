@@ -10,7 +10,9 @@ leave these digests alone: the same deployment prints the same bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.experiments.adversarial import figure8_specs
 from repro.experiments.latency import figure5_specs, figure6_specs
 from repro.experiments.sweep import run_sweep
 from repro.experiments.throughput import figure7_specs
+from repro.experiments.timeouts import measure_timeouts
 from repro.experiments.traffic import build_report, render_census
 from repro.experiments.waiting import waiting_specs
 
@@ -60,3 +63,14 @@ def render(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_rendered_text_is_pinned(name):
     assert _digest(render(name)) == DIGESTS[name], render(name)
+
+
+#: sha256 of a tiny section 10.5 timeout report, as sorted-key JSON.
+TIMEOUTS_DIGEST = \
+    "362fb887dea10ca27a16ccac664599b8b8f6f6249d3812a1a55e86f656af4bab"
+
+
+def test_timeouts_report_is_pinned():
+    report = dataclasses.asdict(measure_timeouts(6, rounds=2, seed=800))
+    assert _digest(json.dumps(report, sort_keys=True)) == TIMEOUTS_DIGEST, \
+        report
