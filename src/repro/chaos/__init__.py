@@ -1,14 +1,14 @@
 """Chaos scenario engine with online invariant checking.
 
-Declarative fault timelines (:mod:`repro.chaos.scenario`) compiled onto
-the clock and link hooks of either substrate (:mod:`repro.chaos.faults`),
-checked as they run by the reference machines of
-:mod:`repro.conformance` and afterwards by the stored-state audits of
-:mod:`repro.chaos.monitor`, generated from seeds
-(:mod:`repro.chaos.generate`), and executed end to end with a
-deterministic verdict (:mod:`repro.chaos.runner`). ``python -m
-repro.chaos`` is the command-line entry point; docs/CHAOS.md is the
-manual.
+A scenario (:mod:`repro.chaos.scenario`) is a ``SimulationConfig`` plus
+a declarative fault timeline, compiled onto the clock and link hooks of
+either substrate (:mod:`repro.chaos.faults`), checked by the reference
+machines of :mod:`repro.conformance` and afterwards by the stored-state
+audits of :mod:`repro.chaos.monitor`, generated from seeds
+(:mod:`repro.chaos.generate`), and run end to end by one
+:func:`~repro.chaos.runner.run_scenario` on the substrate its config
+names. ``python -m repro.chaos`` is the command-line entry point;
+docs/CHAOS.md is the manual.
 """
 
 from typing import TYPE_CHECKING
@@ -25,9 +25,6 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
         byzantine_scenario, figure8_adversary, flood_recovery_scenario,
         kill_partition_scenario, partition_heal_scenario,
     )
-
-# repro.chaos.live (the live-cluster runner) is not part of this
-# surface: ``from repro.chaos.live import run_live_scenario``.
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.chaos.faults": ("FaultInjector", "ShaperChain"),

@@ -13,7 +13,8 @@ Examples::
     # Figure 8's adversary: 20 % of users equivocate and double-vote.
     python -m repro.chaos --builtin byzantine
 
-    # A scenario file (see docs/CHAOS.md for the format).
+    # A scenario file (see docs/CHAOS.md for the format); one whose
+    # config names the live substrate runs there without --substrate.
     python -m repro.chaos my_scenario.json --verdict out/verdict.json
 
     # One generated scenario for a seed.
@@ -23,7 +24,8 @@ Examples::
     python -m repro.chaos --sweep 20 --base-seed 100 --verdict out/sweep.json
 
 Exit status 0 means every invariant held in every run; 1 means at least
-one violation (details are printed and, with ``--verdict``, saved).
+one violation (details are printed and, with ``--verdict``, saved); 2 is
+a usage error.
 """
 
 from __future__ import annotations
@@ -31,27 +33,39 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.chaos.generate import generate_scenario
 from repro.chaos.runner import ChaosVerdict, run_scenario
 from repro.chaos.scenario import (
-    KILL_PARTITION_SIM_OVERRIDES,
+    LIVE_CHAOS_PARAMS,
     ScenarioScript,
     byzantine_scenario,
     flood_recovery_scenario,
     kill_partition_scenario,
     partition_heal_scenario,
 )
+from repro.node.deployment import SubstrateConfig
 
-#: name -> (scenario builder, default users, overrides on the sim).
 _BUILTINS = {
-    "partition-heal": (partition_heal_scenario, 16, None),
-    "flood": (flood_recovery_scenario, 15, None),
-    "byzantine": (byzantine_scenario, 20, None),
-    "kill-partition": (kill_partition_scenario, 5,
-                       KILL_PARTITION_SIM_OVERRIDES),
+    "partition-heal": partition_heal_scenario,
+    "flood": flood_recovery_scenario,
+    "byzantine": byzantine_scenario,
+    "kill-partition": kill_partition_scenario,
 }
+
+
+def _on_live(script: ScenarioScript,
+             args: argparse.Namespace) -> ScenarioScript:
+    """``script`` on real processes at the live chaos scale: wall-clock
+    lambdas, and 40 units a user — 5 x 40 is the W = 200 its committees
+    are sized for."""
+    return replace(script, config=replace(
+        script.config, params=LIVE_CHAOS_PARAMS, initial_balance=40,
+        substrate=SubstrateConfig(kind="live",
+                                  transport=args.transport or "uds",
+                                  runtime_dir=args.runtime_dir)))
 
 
 def _report(verdict: ChaosVerdict) -> None:
@@ -77,34 +91,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sweep", type=int, metavar="K",
                         help="generate and run K scenarios over "
                              "consecutive seeds")
-    parser.add_argument("--base-seed", type=int, default=31,
-                        help="first seed for --sweep / builtin seed "
-                             "(default 31)")
+    parser.add_argument("--base-seed", type=int, default=None,
+                        help="first seed for --sweep (default 31), or "
+                             "the seed of a builtin (default: its own)")
     parser.add_argument("--users", type=int, default=None,
                         help="users for generated/builtin scenarios")
-    parser.add_argument("--rounds", type=int, default=2,
-                        help="target rounds for generated scenarios")
+    parser.add_argument("--rounds", type=int, default=None,
+                        help="target rounds for generated scenarios "
+                             "(default 2)")
     parser.add_argument("--trace", metavar="PATH",
                         help="write the full JSONL event trace here "
-                             "(per-seed suffix in sweep mode; on the "
-                             "live substrate the merged trace is "
-                             "copied here)")
+                             "(per-seed suffix in sweep mode)")
     parser.add_argument("--verdict", metavar="PATH",
                         help="write the verdict JSON here")
     parser.add_argument("--substrate", choices=("sim", "live"),
                         default="sim",
-                        help="execution substrate: deterministic "
-                             "simulation (default) or real node "
-                             "processes with real SIGKILLs and severed "
-                             "sockets")
+                        help="live: run on real node processes with real "
+                             "SIGKILLs and severed sockets, at the live "
+                             "chaos scale (a scenario file whose config "
+                             "names the live substrate runs there anyway)")
     parser.add_argument("--runtime-dir", metavar="DIR",
-                        help="live substrate: directory for per-node "
-                             "artifacts (configs, logs, traces, merged "
-                             "trace); default is a fresh temp dir")
+                        help="with --substrate live: directory for "
+                             "per-node artifacts (configs, logs, traces, "
+                             "merged trace); default is a fresh temp dir")
     parser.add_argument("--transport", choices=("uds", "tcp"),
-                        default="uds",
-                        help="live substrate: gossip/control transport "
-                             "(default uds)")
+                        help="with --substrate live: gossip/control "
+                             "transport (default uds)")
     args = parser.parse_args(argv)
 
     chosen = [bool(args.scenario), args.builtin is not None,
@@ -112,25 +124,34 @@ def main(argv: list[str] | None = None) -> int:
     if sum(chosen) != 1:
         parser.error("pick exactly one of: a scenario file, --builtin, "
                      "--seed, or --sweep")
+    if args.scenario and (args.users is not None
+                          or args.rounds is not None):
+        parser.error("a scenario file carries its own config and rounds: "
+                     "--users and --rounds do not apply")
+    if args.builtin and args.rounds is not None:
+        parser.error("a builtin runs its own rounds: --rounds applies to "
+                     "generated scenarios")
+    if args.substrate != "live" and (args.transport or args.runtime_dir):
+        parser.error("--transport and --runtime-dir need --substrate live")
 
     scripts: list[ScenarioScript] = []
-    overrides = None
     if args.scenario:
         scripts.append(ScenarioScript.from_json(
             Path(args.scenario).read_text(encoding="utf-8")))
     elif args.builtin:
-        build, users, overrides = _BUILTINS[args.builtin]
-        scripts.append(build(num_users=args.users or users,
-                             seed=args.base_seed))
-    elif args.seed is not None:
-        scripts.append(generate_scenario(args.seed,
-                                         num_users=args.users or 10,
-                                         rounds=args.rounds))
+        given = {"num_users": args.users, "seed": args.base_seed}
+        scripts.append(_BUILTINS[args.builtin](
+            **{key: value for key, value in given.items()
+               if value is not None}))
     else:
-        for k in range(args.sweep):
-            scripts.append(generate_scenario(args.base_seed + k,
-                                             num_users=args.users or 10,
-                                             rounds=args.rounds))
+        base = 31 if args.base_seed is None else args.base_seed
+        seeds = ([args.seed] if args.seed is not None
+                 else range(base, base + args.sweep))
+        scripts.extend(generate_scenario(seed, num_users=args.users or 10,
+                                         rounds=args.rounds or 2)
+                       for seed in seeds)
+    if args.substrate == "live":
+        scripts = [_on_live(script, args) for script in scripts]
 
     verdicts: list[ChaosVerdict] = []
     for script in scripts:
@@ -140,23 +161,10 @@ def main(argv: list[str] | None = None) -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
             if len(scripts) > 1:
                 trace_path = str(path.with_name(
-                    f"{path.stem}-seed{script.seed}"
+                    f"{path.stem}-seed{script.config.seed}"
                     f"{path.suffix or '.jsonl'}"))
-        if args.substrate == "live":
-            from repro.chaos.live import run_live_scenario
-            verdict = run_live_scenario(script,
-                                        runtime_dir=args.runtime_dir,
-                                        transport=args.transport)
-            merged = verdict.cluster.merged_trace_path
-            if trace_path is not None:
-                Path(trace_path).write_bytes(Path(merged).read_bytes())
-        else:
-            merged = None
-            verdict = run_scenario(script, trace_path=trace_path,
-                                   sim_overrides=overrides)
+        verdict = run_scenario(script, trace_path=trace_path)
         _report(verdict)
-        if merged is not None:
-            print(f"  merged trace: {merged}")
         verdicts.append(verdict)
 
     all_ok = all(verdict.ok for verdict in verdicts)

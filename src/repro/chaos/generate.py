@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chaos.scenario import FaultAction, ScenarioScript
+from repro.node.deployment import SimulationConfig
 
 #: Seed-sequence spice for scenario generation (distinct from the
 #: injector's fault-RNG tag, so generation and injection draw from
@@ -49,7 +50,6 @@ def _window(rng: np.random.Generator, *, latest_end: float = 16.0
 def _pick_nodes(rng: np.random.Generator, num_users: int,
                 count: int) -> tuple[int, ...]:
     """Choose distinct victims from 1..n-1 (node 0 stays untouched: it
-
     hosts the harness's end-of-round housekeeping hook and serves as the
     always-honest observer every test reads results from)."""
     chosen = rng.choice(np.arange(1, num_users), size=count, replace=False)
@@ -117,8 +117,7 @@ def generate_scenario(seed: int, *, num_users: int = 10, rounds: int = 2,
             actions.append(_light_action(rng, kind, num_users))
     script = ScenarioScript(
         name=f"gen-{seed}",
-        seed=seed,
-        num_users=num_users,
+        config=SimulationConfig(num_users=num_users, seed=seed),
         rounds=rounds,
         liveness_bound=liveness_bound,
         actions=tuple(sorted(actions, key=lambda a: (a.start, a.kind))),

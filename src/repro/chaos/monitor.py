@@ -13,6 +13,11 @@ otherwise), and that stored certificates certify the blocks actually
 committed; :func:`audit_ingress` that every honest buffer stayed inside
 its budget. :class:`Violation` is the row either kind of finding takes
 in a :class:`~repro.chaos.runner.ChaosVerdict`.
+
+Reading what a run left behind is the one substrate-specific step of a
+chaos run: :func:`sim_findings` reads node objects, :func:`live_findings`
+the ``results`` each process reported (committed blocks as bytes, its
+vote-buffer marks). Both share :func:`ingress_breach`.
 """
 
 from __future__ import annotations
@@ -102,8 +107,8 @@ def ingress_breach(index: int, what: str, high_water: int,
     """The ``ingress-bounds`` rule: a high-water mark above its budget.
 
     One rule for both substrates: the sim audits node objects
-    (:func:`audit_ingress`), the live runner the ``stats`` each process
-    reported. No budget (``None``/0) means nothing to breach.
+    (:func:`audit_ingress`), :func:`live_findings` the ``stats`` each
+    process reported. No budget (``None``/0) means nothing to breach.
     """
     if not budget or high_water <= budget:
         return []
@@ -138,3 +143,77 @@ def audit_ingress(nodes, network, *, now: float,
                 getattr(interface, "egress_high_water", 0),
                 getattr(interface, "lane_budget", None), now)
     return violations
+
+
+def sim_findings(sim, script) -> dict:
+    """What a finished sim left behind, as ``render_verdict`` keywords.
+
+    A node crashed for good is held to no height; under admission
+    control, neither is one the network-wide quarantine still severs
+    (catch-up runs over gossip, so it cannot have learned what it
+    missed), and honest buffers are audited against their budgets.
+    """
+    now = sim.env.now
+    gone = script.permanently_crashed()
+    audits = audit_chains(sim.nodes, backend=sim.backend, now=now,
+                          skip=gone)
+    unjudged = gone
+    if sim.quarantine_directory is not None:
+        audits += audit_ingress(sim.nodes, sim.network, now=now,
+                                skip=gone | script.attacker_nodes())
+        unjudged = gone | sim.quarantine_directory.quarantined
+    return {
+        "audits": audits,
+        "heights": [node.chain.height for node in sim.nodes],
+        "laggards": [node.index for node in sim.nodes
+                     if node.index not in unjudged
+                     and node.chain.height < script.rounds],
+        "now": now,
+    }
+
+
+def live_findings(cluster, script) -> dict:
+    """What a finished live cluster left behind, as ``render_verdict``
+    keywords.
+
+    The clock at the end is the replayed trace's last record; the chain
+    audit compares the committed block *bytes* each process reported
+    (on this substrate "no fork" literally means identical bytes), and
+    a process that reported nothing without being crashed for good is
+    ``missing``.
+    """
+    results = cluster.results
+    now = max((float(record.get("t", 0.0)) for record in cluster.obs.events),
+              default=0.0)
+    longest = max(results, key=lambda index: results[index]["height"],
+                  default=None)
+    attackers = script.attacker_nodes()
+    audits: list[Violation] = []
+    for index, result in sorted(results.items()):
+        for round_number, (mine, theirs) in enumerate(
+                zip(result["blocks"], results[longest]["blocks"]),
+                start=1):
+            if mine != theirs:
+                audits.append(Violation(
+                    invariant="prefix-consistency", t=now,
+                    detail=(f"node {index} round {round_number}: "
+                            f"committed block bytes differ from node "
+                            f"{longest}'s")))
+                break
+        if index not in attackers:
+            stats = result["stats"]
+            audits += ingress_breach(
+                index, "vote-buffer", stats["vote_buffer_high_water"],
+                stats["vote_buffer_budget"], now)
+    users = range(script.config.num_users)
+    gone = script.permanently_crashed()
+    return {
+        "audits": audits,
+        "heights": [results[index]["height"] if index in results else None
+                    for index in users],
+        "laggards": [index for index, result in sorted(results.items())
+                     if result["height"] < script.rounds],
+        "missing": [index for index in users
+                    if index not in results and index not in gone],
+        "now": now,
+    }

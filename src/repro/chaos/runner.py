@@ -1,33 +1,36 @@
 """Execute one chaos scenario end to end and render a verdict.
 
-:func:`run_scenario` wires the whole stack: a :class:`~repro.obs.TraceBus`
-(plus an optional JSONL trace file) and a deterministic
+:func:`run_scenario` runs a script on whichever substrate its config
+names: a :class:`~repro.obs.TraceBus` (plus an optional JSONL trace
+file), the deployment :func:`~repro.node.deployment.deploy` builds with
+the script's faults and that bus — a deterministic
 :class:`~repro.experiments.harness.Simulation`, which checks every event
-online against the reference machines (:mod:`repro.conformance`) and
-compiles the script's actions onto the sim clock with its
-:class:`~repro.chaos.faults.FaultInjector`, and runs it with
-:meth:`~repro.experiments.harness.Simulation.run_rounds` — until every
-node's run has ended, or the derived time limit, which the verdict then
-explains as a liveness or convergence violation.
+online against the reference machines (:mod:`repro.conformance`), or a
+:class:`~repro.live.cluster.LiveCluster`, whose processes take real
+SIGKILLs and cut links and whose merged trace the same bus replays once
+they are done — then the script's payments and ``run_rounds`` until
+every node's run has ended, or the derived time limit, which the
+verdict then explains as a liveness or convergence violation.
 
-Verdicts are deterministic: the simulation is seeded, the fault RNG is
-seeded, and :meth:`ChaosVerdict.to_json` serializes with sorted keys —
-re-running the same script yields byte-identical JSON (tested).
+Sim verdicts are deterministic: the simulation is seeded, the fault RNG
+is seeded, and :meth:`ChaosVerdict.to_json` serializes with sorted keys
+— re-running the same script yields byte-identical JSON (tested). On a
+live cluster the wall-clock timings (``sim_seconds``, violation
+timestamps) vary run to run, but the *judgments* — which invariants
+held, whether chains matched — are stable for a healthy host.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.chaos.monitor import Violation, audit_chains, audit_ingress
+from repro.chaos.monitor import Violation, live_findings, sim_findings
 from repro.chaos.scenario import ScenarioScript
-from repro.common.params import ProtocolParams
 from repro.conformance.machine import OUTCOME_RULES
 from repro.conformance.monitor import ConformanceMonitor
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.deployment import deploy
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
 
@@ -49,11 +52,11 @@ class ChaosVerdict:
     #: under their own names, the rest prefixed ``conformance:``) and
     #: gate ``ok`` like any invariant.
     conformance: dict | None = None
-    #: The live simulation, for tests and post-mortems; never serialized.
-    sim: Simulation | None = field(default=None, repr=False, compare=False)
-    #: The :class:`repro.live.cluster.LiveCluster` behind a live-substrate
-    #: verdict (see :mod:`repro.chaos.live`); never serialized.
-    cluster: object | None = field(default=None, repr=False, compare=False)
+    #: The run's :class:`~repro.experiments.harness.Simulation` or
+    #: :class:`~repro.live.cluster.LiveCluster`, for tests and
+    #: post-mortems; never serialized.
+    deployment: object | None = field(default=None, repr=False,
+                                      compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -72,10 +75,12 @@ class ChaosVerdict:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def derive_time_limit(script: ScenarioScript,
-                      params: ProtocolParams) -> float:
-    """A generous ceiling: per-round worst case + fault tail + liveness."""
-    return (params.round_budget * (script.rounds + 1)
+def derive_time_limit(script: ScenarioScript) -> float:
+    """The script's ``time_limit``, or a generous ceiling: per-round
+    worst case + fault tail + liveness."""
+    if script.time_limit is not None:
+        return script.time_limit
+    return (script.config.params.round_budget * (script.rounds + 1)
             + script.last_heal_time() + script.liveness_bound)
 
 
@@ -83,8 +88,7 @@ def render_verdict(script: ScenarioScript, monitor: ConformanceMonitor,
                    audits: list[Violation], *,
                    heights: list, laggards: Sequence[int],
                    missing: Sequence[int] = (), now: float,
-                   sim: Simulation | None = None,
-                   cluster: object | None = None) -> ChaosVerdict:
+                   deployment: object | None = None) -> ChaosVerdict:
     """Fold a run's findings into its verdict — one rule, both substrates.
 
     ``monitor`` has seen the run's whole trace (online, or offline from
@@ -147,64 +151,35 @@ def render_verdict(script: ScenarioScript, monitor: ConformanceMonitor,
             "nodes": conformance.nodes,
             "violations": len(conformance.violations),
         },
-        sim=sim,
-        cluster=cluster,
+        deployment=deployment,
     )
 
 
 def run_scenario(script: ScenarioScript, *,
-                 trace_path: str | None = None,
-                 sim_overrides: dict | None = None) -> ChaosVerdict:
-    """Run ``script`` and return its verdict (never raises on red).
+                 trace_path: str | None = None) -> ChaosVerdict:
+    """Run ``script`` on the substrate its config names and return its
+    verdict (never raises on red).
 
-    ``sim_overrides`` replaces fields of the derived
-    :class:`SimulationConfig` (e.g. ``{"runtime":
-    RuntimeConfig(relay_damping=False)}``) — the damping-equivalence
-    suite runs the same scenario under several deployments this way.
-    Scenario fields (``num_users``, ``seed``) stay script-owned.
+    Orchestration failures on a live cluster (a node dying when not
+    scripted to, a control-protocol breach) *do* raise — a broken
+    harness is not a red verdict, it is no verdict.
     """
     script.validate()
     bus = TraceBus()
     if trace_path is not None:
         bus.add_sink(JsonlTraceSink(trace_path))
-
-    config = SimulationConfig(num_users=script.num_users,
-                              seed=script.seed)
-    if sim_overrides:
-        config = dataclasses.replace(config, **sim_overrides)
-    sim = Simulation(config, faults=script.actions, obs=bus)
+    deployment = deploy(script.config, faults=script.actions, obs=bus)
     if script.payments:
-        sim.submit_payments(script.payments)
-    limit = (script.time_limit if script.time_limit is not None
-             else derive_time_limit(script, config.params))
+        deployment.submit_payments(script.payments)
     try:
-        sim.run_rounds(script.rounds, time_limit=limit)
+        deployment.run_rounds(script.rounds,
+                              time_limit=derive_time_limit(script))
     except TimeoutError:
         pass  # the verdict names who fell short, and why
-    now = sim.env.now
-    # Crashed with no scheduled restart: excluded from convergence and
-    # liveness accounting.
-    skip = script.permanently_crashed()
-
-    audits = audit_chains(sim.nodes, backend=sim.backend, now=now,
-                          skip=skip)
-    unjudged = skip
-    if sim.quarantine_directory is not None:
-        # Bounded-buffer invariant: honest high-water marks must have
-        # stayed inside their budgets (attackers audit nothing — their
-        # buffers are not part of the robustness claim).
-        audits.extend(audit_ingress(
-            sim.nodes, sim.network, now=now,
-            skip=skip | script.attacker_nodes()))
-        # Still severed by the network-wide quarantine: catch-up runs
-        # over gossip, so it cannot have learned what it missed.
-        unjudged = skip | sim.quarantine_directory.quarantined
-    verdict = render_verdict(
-        script, sim.conformance, audits,
-        heights=[node.chain.height for node in sim.nodes],
-        laggards=[node.index for node in sim.nodes
-                  if node.index not in unjudged
-                  and node.chain.height < script.rounds],
-        now=now, sim=sim)
+    findings = (live_findings if script.config.substrate.kind == "live"
+                else sim_findings)
+    verdict = render_verdict(script, deployment.conformance,
+                             deployment=deployment,
+                             **findings(deployment, script))
     bus.close()
     return verdict

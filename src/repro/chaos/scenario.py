@@ -1,13 +1,14 @@
 """Declarative chaos scenarios: a seeded timeline of fault actions.
 
-A :class:`ScenarioScript` is pure data — one simulated deployment
-(users, rounds, seed) plus a list of :class:`FaultAction` entries, each
-a time window ``[start, end)`` on the run's clock (simulated seconds,
-or wall seconds on a live cluster) during which one fault is in force.
-The script never touches the network itself;
-:class:`repro.chaos.faults.FaultInjector` compiles it onto a
-:class:`~repro.experiments.harness.Simulation` or, per process, onto a
-live node.
+A :class:`ScenarioScript` is pure data — one deployment (a
+:class:`~repro.node.deployment.SimulationConfig`, seed and substrate
+included), how many rounds it runs and how many payments it carries,
+plus a list of :class:`FaultAction` entries, each a time window
+``[start, end)`` on the run's clock (simulated seconds, or wall seconds
+on a live cluster) during which one fault is in force. The script never
+touches the network itself; :class:`repro.chaos.faults.FaultInjector`
+compiles it onto a :class:`~repro.experiments.harness.Simulation` or,
+per process, onto a live node.
 
 Fault vocabulary (the ``kind`` field):
 
@@ -58,17 +59,21 @@ For link faults (``delay``/``loss``/``duplicate``/``reorder``), an empty
 ``nodes`` tuple means *all* links; otherwise only links whose source or
 destination is listed are affected.
 
-Scripts serialize to/from JSON with stable key order, so a scenario file
-is diffable and a verdict built from one is byte-reproducible.
+Scripts serialize to/from JSON with stable key order — the config's
+``to_json()`` plus each action's ``to_dict()`` — so a scenario file is
+diffable and a verdict built from one is byte-reproducible; a key the
+loader does not know is a :class:`ScenarioError`, never dropped.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.common.errors import ConfigError
+from repro.common.params import LIVE_SMOKE_PARAMS
+from repro.node.deployment import SimulationConfig
 
 #: Every fault kind the injector knows how to compile.
 FAULT_KINDS = ("partition", "delay", "loss", "duplicate", "reorder",
@@ -96,6 +101,13 @@ FAULT_RNG_TAG = 0xC4A05
 
 class ScenarioError(ConfigError):
     """A scenario script or fault action failed validation."""
+
+
+def _known_keys(what: str, record: dict, cls: type) -> None:
+    """Raise unless every key of ``record`` names a field of ``cls``."""
+    unknown = set(record) - cls.__dataclass_fields__.keys()
+    if unknown:
+        raise ScenarioError(f"{what}: unknown key(s) {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +191,7 @@ class FaultAction:
 
     @classmethod
     def from_dict(cls, record: dict) -> "FaultAction":
+        _known_keys("fault action", record, cls)
         return cls(
             kind=record["kind"],
             start=float(record["start"]),
@@ -194,37 +207,41 @@ class FaultAction:
 
 @dataclass(frozen=True)
 class ScenarioScript:
-    """One chaos run: deployment shape + fault timeline + liveness bound."""
+    """One chaos run: a deployment, its length and its fault timeline."""
 
     name: str
-    seed: int = 0
-    num_users: int = 12
+    config: SimulationConfig
     rounds: int = 2
     payments: int = 0
+    actions: tuple[FaultAction, ...] = ()
     #: Seconds after the last fault heals within which a new block must
     #: commit (the paper's weak-synchrony liveness promise, section 3).
     liveness_bound: float = 150.0
-    #: Optional hard cap on simulated time; ``None`` derives one from
+    #: Optional hard cap on the run's clock; ``None`` derives one from
     #: the protocol parameters, fault windows, and the liveness bound.
     time_limit: float | None = None
-    actions: tuple[FaultAction, ...] = field(default_factory=tuple)
 
     def validate(self) -> None:
-        if self.num_users < 4:
+        self.config.validate()
+        users = self.config.num_users
+        if users < 4:
             raise ScenarioError("scenario needs at least 4 users")
         if self.rounds < 1:
             raise ScenarioError("scenario needs at least 1 round")
         if self.liveness_bound <= 0:
             raise ScenarioError("liveness_bound must be positive")
-        permanent_crashes: set[int] = set()
         for action in self.actions:
-            action.validate(self.num_users)
-            if action.kind == "crash" and action.end is None:
-                permanent_crashes.update(action.nodes)
-        if len(permanent_crashes) * 3 >= self.num_users:
+            action.validate(users)
+        # Only crashes and attackers may last the whole run (end=None).
+        dishonest = {node for action in self.actions if action.end is None
+                     for node in action.nodes}
+        stake = self.config.make_balances()
+        if dishonest and 3 * sum(stake[node] for node in dishonest) \
+                >= sum(stake):
             raise ScenarioError(
-                "permanently crashing >= 1/3 of the users forfeits the "
-                "paper's honest-majority assumption")
+                "users crashed for good or attacking for the whole run "
+                "hold >= 1/3 of the stake, which forfeits the paper's "
+                "honest-majority assumption")
 
     def last_heal_time(self) -> float:
         """When the final transient fault clears (0.0 when fault-free)."""
@@ -253,13 +270,12 @@ class ScenarioScript:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "seed": self.seed,
-            "num_users": self.num_users,
+            "config": self.config.to_json(),
             "rounds": self.rounds,
             "payments": self.payments,
+            "actions": [action.to_dict() for action in self.actions],
             "liveness_bound": self.liveness_bound,
             "time_limit": self.time_limit,
-            "actions": [action.to_dict() for action in self.actions],
         }
 
     def to_json(self) -> str:
@@ -267,27 +283,28 @@ class ScenarioScript:
 
     @classmethod
     def from_dict(cls, record: dict) -> "ScenarioScript":
-        script = cls(
-            name=str(record["name"]),
-            seed=int(record.get("seed", 0)),
-            num_users=int(record.get("num_users", 12)),
-            rounds=int(record.get("rounds", 2)),
-            payments=int(record.get("payments", 0)),
-            liveness_bound=float(record.get("liveness_bound", 150.0)),
-            time_limit=(None if record.get("time_limit") is None
-                        else float(record["time_limit"])),
-            actions=tuple(FaultAction.from_dict(action)
-                          for action in record.get("actions", ())),
-        )
+        _known_keys("scenario", record, cls)
+        try:
+            script = cls(
+                name=str(record["name"]),
+                config=SimulationConfig.from_json(record["config"]),
+                rounds=int(record.get("rounds", 2)),
+                payments=int(record.get("payments", 0)),
+                actions=tuple(FaultAction.from_dict(action)
+                              for action in record.get("actions", ())),
+                liveness_bound=float(record.get("liveness_bound", 150.0)),
+                time_limit=(None if record.get("time_limit") is None
+                            else float(record["time_limit"])),
+            )
+        except (KeyError, TypeError) as error:
+            raise ScenarioError(
+                f"malformed scenario record: {error!r}") from None
         script.validate()
         return script
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioScript":
         return cls.from_dict(json.loads(text))
-
-    def with_seed(self, seed: int) -> "ScenarioScript":
-        return replace(self, seed=seed)
 
 
 def partition_heal_scenario(*, num_users: int = 16, seed: int = 31,
@@ -304,8 +321,7 @@ def partition_heal_scenario(*, num_users: int = 16, seed: int = 31,
     half = num_users // 2
     return ScenarioScript(
         name="partition-heal",
-        seed=seed,
-        num_users=num_users,
+        config=SimulationConfig(num_users=num_users, seed=seed),
         rounds=1,
         actions=(
             FaultAction(kind="partition", start=start, end=end,
@@ -344,8 +360,7 @@ def flood_recovery_scenario(*, num_users: int = 15, seed: int = 47,
                                nodes=(spammer,), rate=400.0))
     return ScenarioScript(
         name="flood-recovery",
-        seed=seed,
-        num_users=num_users,
+        config=SimulationConfig(num_users=num_users, seed=seed),
         rounds=3,
         actions=tuple(actions),
     )
@@ -365,16 +380,19 @@ def byzantine_scenario(*, num_users: int = 20, seed: int = 5,
     and double-vote for the whole run, and the verdict must still show
     one chain, every round committed, and a conforming trace."""
     return ScenarioScript(
-        name="byzantine", seed=seed, num_users=num_users, rounds=rounds,
-        payments=num_users, actions=figure8_adversary(
+        name="byzantine",
+        config=SimulationConfig(num_users=num_users, seed=seed),
+        rounds=rounds, payments=num_users, actions=figure8_adversary(
             range(num_users - num_users // 5, num_users)))
 
 
-#: Stake units per user on the live chaos runner.
-LIVE_INITIAL_BALANCE = 40
-#: A simulated :func:`kill_partition_scenario` runs at the live stake it
-#: is sized for: at the sim's 10 units a user, W = 50 < T·τ_step.
-KILL_PARTITION_SIM_OVERRIDES = {"initial_balance": LIVE_INITIAL_BALANCE}
+#: The live smoke parameters with the step budget tightened: a node
+#: stuck in a quorum-less round (its peers crashed or severed) burns
+#: through its steps in ~9 wall seconds and reaches the
+#: ConsensusHalted -> catch-up wait instead of spinning for the
+#: sim-scale 30 steps. Committee sizes are untouched: W = 200 at 5 users
+#: x 40 units, the stake :func:`kill_partition_scenario` carries.
+LIVE_CHAOS_PARAMS = replace(LIVE_SMOKE_PARAMS, max_steps=12)
 
 
 def kill_partition_scenario(*, num_users: int = 5, seed: int = 11,
@@ -387,10 +405,13 @@ def kill_partition_scenario(*, num_users: int = 5, seed: int = 11,
     certificate-verified catch-up (section 8.3) and the cluster must
     still converge on byte-identical chains — the full weak-synchrony
     recovery story on a deployment sized so that any single victim
-    leaves 80% of the stake online (BA* quorums keep forming).
+    leaves 80% of the stake online (BA* quorums keep forming). Its
+    config carries 40 units a user, the stake the live chaos scale is
+    sized for: at the sim's default 10 units, W = 50 < T·τ_step and no
+    step could reach quorum.
 
     Timing: at the live chaos parameter scale
-    (:data:`repro.chaos.live.LIVE_CHAOS_PARAMS`) the lambdas are
+    (:data:`LIVE_CHAOS_PARAMS`) the lambdas are
     timeout *ceilings* — a healthy loopback round commits in well under
     a second, so the windows here are tight: the crash covers roughly
     rounds 2-8 and the partition starts near where a fast host finishes
@@ -404,8 +425,8 @@ def kill_partition_scenario(*, num_users: int = 5, seed: int = 11,
     isolated = num_users - 1
     return ScenarioScript(
         name="kill-partition",
-        seed=seed,
-        num_users=num_users,
+        config=SimulationConfig(num_users=num_users, seed=seed,
+                                initial_balance=40),
         rounds=rounds,
         payments=10,
         liveness_bound=30.0,

@@ -145,3 +145,16 @@ TEST_PARAMS = ProtocolParams(
     block_size=10_000,
     max_steps=30,
 )
+
+#: TEST_PARAMS with all protocol timeouts shrunk 4x: on the live substrate
+#: the lambdas are *wall-clock seconds*, and a smoke cluster on loopback
+#: needs milliseconds, not the sim's calibrated WAN allowances. Committee
+#: sizes are untouched, so the 5-node x initial_balance=40 design point
+#: (W = 200) carries over from the sim test fixture.
+LIVE_SMOKE_PARAMS = dataclasses.replace(
+    TEST_PARAMS,
+    lambda_priority=0.25,
+    lambda_block=1.5,
+    lambda_step=0.75,
+    lambda_stepvar=0.25,
+)

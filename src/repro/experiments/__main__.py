@@ -8,7 +8,8 @@ Usage::
     python -m repro.experiments sweep --jobs 4   # raw grid -> merged JSON
 
 Artifacts are registered declaratively in :data:`ARTIFACTS`. Sweep-style
-artifacts (fig5, fig6, fig7, fig8, tab_throughput, tab_waiting) are
+artifacts (fig5, fig6, fig7, fig8, tab_throughput, tab_timeouts,
+tab_waiting) are
 expressed as a spec grid plus a renderer and route through the parallel
 sweep engine (:mod:`repro.experiments.sweep`); analytic artifacts are
 plain callables. The ``sweep`` subcommand exposes the engine directly:
@@ -47,7 +48,7 @@ from repro.experiments.throughput import (
     paper_scale_projection,
     throughput_table,
 )
-from repro.experiments.timeouts import measure_priority_gossip, measure_timeouts
+from repro.experiments.timeouts import measure_priority_gossip, timeouts_spec
 from repro.experiments.waiting import waiting_spec, waiting_specs
 
 
@@ -121,6 +122,21 @@ def _render_tab_throughput(results: list[dict]) -> str:
             f"Bitcoin (paper: ~750 MB/h, 125x)")
 
 
+def _render_tab_timeouts(results: list[dict]) -> str:
+    rows = []
+    for r in results:
+        rows += [["BA* step p99", f"{r['step_p99']:.2f} s",
+                  f"{r['lambda_step']:.0f} s"],
+                 ["BA* completion IQR", f"{r['ba_iqr']:.2f} s",
+                  f"{r['lambda_stepvar']:.0f} s"],
+                 ["block obtained p99", f"{r['proposal_p99']:.2f} s",
+                  f"{r['lambda_block_budget']:.0f} s"]]
+    return (f"{format_table(['quantity', 'measured', 'budget'], rows)}\n"
+            f"priority gossip to 60 users: "
+            f"{measure_priority_gossip(60, seed=801):.2f} s "
+            f"(budget 5 s; paper measures ~1 s)")
+
+
 def _render_tab_waiting(results: list[dict]) -> str:
     return format_table(
         ["wait", "empty rounds", "median latency"],
@@ -157,21 +173,6 @@ def run_tab_costs(options: argparse.Namespace) -> None:
     print(f"paper-scale certificate (tau=2000): "
           f"{expected_certificate_bytes(PAPER_PARAMS) / 1e3:.0f} KB "
           f"(paper: ~300 KB)")
-
-
-def run_tab_timeouts(options: argparse.Namespace) -> None:
-    report = measure_timeouts(40, rounds=3, seed=800)
-    print(format_table(["quantity", "measured", "budget"], [
-        ["BA* step p99", f"{report.step_p99:.2f} s",
-         f"{report.lambda_step:.0f} s"],
-        ["BA* completion IQR", f"{report.ba_iqr:.2f} s",
-         f"{report.lambda_stepvar:.0f} s"],
-        ["block obtained p99", f"{report.proposal_p99:.2f} s",
-         f"{report.lambda_block_budget:.0f} s"],
-    ]))
-    print(f"priority gossip to 60 users: "
-          f"{measure_priority_gossip(60, seed=801):.2f} s "
-          f"(budget 5 s; paper measures ~1 s)")
 
 
 def run_tab_params(options: argparse.Namespace) -> None:
@@ -318,7 +319,8 @@ _ARTIFACT_LIST = [
     Artifact("tab_costs", "Section 10.3: per-user costs",
              runner=run_tab_costs),
     Artifact("tab_timeouts", "Section 10.5: timeout validation",
-             runner=run_tab_timeouts),
+             specs=lambda: [timeouts_spec(40, seed=800)],
+             render=_render_tab_timeouts),
     Artifact("tab_params", "Figure 4: implementation parameters",
              runner=run_tab_params),
     Artifact("tab_related",

@@ -51,6 +51,7 @@ from repro.experiments.harness import Simulation
 from repro.experiments.latency import measure_latency
 from repro.experiments.spec import ExperimentSpec, PointResult, spec_from_json
 from repro.experiments.throughput import measure_block_size
+from repro.experiments.timeouts import measure_timeouts
 from repro.experiments.traffic import measure_traffic
 from repro.experiments.waiting import measure_waiting
 from repro.obs.bus import TraceBus
@@ -63,6 +64,7 @@ MEASURES: dict[str, Callable] = {
     "block_size": measure_block_size,
     "waiting": measure_waiting,
     "traffic": measure_traffic,
+    "timeouts": measure_timeouts,
 }
 
 #: How long the scheduler sleeps waiting for worker messages (seconds).

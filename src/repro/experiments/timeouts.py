@@ -9,7 +9,9 @@ The paper validates its Figure 4 timeouts empirically:
 * priority/proof messages propagate in ~1 s, well under
   ``lambda_priority`` (5 s).
 
-We re-measure all four from node metrics and gossip timestamps.
+We re-measure the first three from node metrics of one
+:func:`timeouts_spec` run (the ``timeouts`` measure), and the last from
+a bare gossip fabric, which is not a deployment.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.params import ProtocolParams, TEST_PARAMS
 from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
+from repro.experiments.spec import ExperimentSpec
 
 
 @dataclass(frozen=True)
@@ -35,20 +37,9 @@ class TimeoutReport:
     rounds: int
 
 
-def measure_timeouts(num_users: int = 40, *, rounds: int = 3, seed: int = 0,
-                     params: ProtocolParams | None = None,
-                     payload_bytes: int = 20_000) -> TimeoutReport:
-    """Run a deployment and compare measured timings to the budgets."""
-    params = params if params is not None else TEST_PARAMS
-    sim = Simulation(SimulationConfig(
-        num_users=num_users, params=params, seed=seed,
-        network=NetworkConfig(bandwidth_bps=20e6, latency_model="city"),
-    ))
-    for _ in range(rounds):
-        sim.submit_payments(min(100, num_users),
-                            note_bytes=payload_bytes // 100)
-    sim.run_rounds(rounds)
-
+def measure_timeouts(sim: Simulation, spec: ExperimentSpec) -> TimeoutReport:
+    """Compare the run's measured timings to its configured budgets."""
+    params = spec.config.params
     step_durations = [
         seconds
         for node in sim.nodes
@@ -73,8 +64,20 @@ def measure_timeouts(num_users: int = 40, *, rounds: int = 3, seed: int = 0,
         proposal_p99=float(np.percentile(proposal_durations, 99)),
         lambda_block_budget=(params.lambda_stepvar + params.lambda_priority
                              + params.lambda_block),
-        rounds=rounds,
+        rounds=spec.rounds,
     )
+
+
+def timeouts_spec(num_users: int, seed: int, *, rounds: int = 3,
+                  payload_bytes: int = 20_000) -> ExperimentSpec:
+    """One point: a 20 Mbit/s city-latency deployment, one batch of
+    payments per round carrying ``payload_bytes`` of notes."""
+    config = SimulationConfig(
+        num_users=num_users, seed=seed,
+        network=NetworkConfig(bandwidth_bps=20e6, latency_model="city"))
+    batch = (min(100, num_users), payload_bytes // 100)
+    return ExperimentSpec("timeouts", config, rounds,
+                          payments=(batch,) * rounds)
 
 
 def measure_priority_gossip(num_users: int = 60, *,

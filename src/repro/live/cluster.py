@@ -15,7 +15,8 @@ plus the gossip neighbor lists — a partial mesh when
 broadcast ``start``, then await ``result`` messages carrying each
 node's chain as encoded block bytes plus its trace path and transport
 stats. Per-node JSONL traces are merged into one time-sorted file
-suitable for ``python -m repro.conformance``.
+suitable for ``python -m repro.conformance`` and, given ``obs=``, replayed
+through that bus as a sim would have emitted them.
 
 Chaos extensions (all inert when ``faults`` is empty):
 
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -62,24 +62,13 @@ from typing import Sequence
 
 from repro.chaos.scenario import FaultAction
 from repro.common.errors import ConfigError
-from repro.common.params import TEST_PARAMS
+from repro.common.params import LIVE_SMOKE_PARAMS
+from repro.conformance.monitor import ConformanceMonitor
 from repro.node.deployment import SimulationConfig, SubstrateConfig
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.network.wire import decode_block
+from repro.obs.bus import TraceBus
 from repro.obs.sink import read_trace, trace_losses
-
-#: TEST_PARAMS with all protocol timeouts shrunk 4x: in live mode the
-#: lambdas are *wall-clock seconds*, and a smoke cluster on loopback
-#: needs milliseconds, not the sim's calibrated WAN allowances. Committee
-#: sizes are untouched, so the 5-node x initial_balance=40 design point
-#: (W = 200) carries over from the sim test fixture.
-LIVE_SMOKE_PARAMS = dataclasses.replace(
-    TEST_PARAMS,
-    lambda_priority=0.25,
-    lambda_block=1.5,
-    lambda_step=0.75,
-    lambda_stepvar=0.25,
-)
 
 _LOG_TAIL_LINES = 25
 
@@ -130,7 +119,8 @@ class LiveCluster:
 
     def __init__(self, config: SimulationConfig | None = None, *,
                  faults: Sequence[FaultAction] = (),
-                 node_overrides: dict[int, dict] | None = None) -> None:
+                 node_overrides: dict[int, dict] | None = None,
+                 obs: TraceBus | None = None) -> None:
         config = config if config is not None else default_live_config()
         if config.substrate.kind != "live":
             raise ConfigError(
@@ -154,6 +144,18 @@ class LiveCluster:
         #: Per-node config overrides merged into the generated node
         #: config files — test hooks (``exit_at_start``) and tuning.
         self.node_overrides = dict(node_overrides or {})
+        #: Optional trace bus, as :class:`Simulation` takes one: once the
+        #: run is over the merged trace is emitted through it, each record
+        #: at its own ``t``, so its sinks (a JSONL file, ``conformance``)
+        #: see what they would on the sim. ``None`` changes nothing.
+        self.obs = obs
+        #: The reference-machine checker of that replay; ``None`` untraced.
+        self.conformance: ConformanceMonitor | None = None
+        if obs is not None:
+            self.conformance = ConformanceMonitor(registry=obs.metrics)
+            obs.add_sink(self.conformance)
+            obs.add_harvester(
+                lambda bus: self.conformance.harvest(bus.metrics))
         self.runtime_dir: Path | None = None
         self.merged_trace_path: Path | None = None
         self.results: dict[int, dict] = {}
@@ -593,7 +595,8 @@ class LiveCluster:
         followed by their respawn's events; scripted faults contribute
         one ``fault_applied``/``fault_cleared`` pair each, mirroring
         the sim injector. The merged snapshot carries only the summed
-        loss counter, which is what completeness checks read.
+        loss counter, which is what completeness checks read; a bus, if
+        any, replays the same records and counts the same losses.
         """
         events: list[dict] = []
         dropped = 0
@@ -633,4 +636,12 @@ class LiveCluster:
                 {"type": "snapshot",
                  "metrics": {"dropped_events": dropped}},
                 separators=(",", ":")) + "\n")
+        if self.obs is not None:
+            stamp = 0.0
+            self.obs.bind_clock(lambda: stamp)
+            for record in events:
+                fields = dict(record)
+                stamp = float(fields.pop("t", 0.0))
+                self.obs.emit(fields.pop("kind"), **fields)
+            self.obs.dropped_events += dropped
         return out

@@ -13,7 +13,6 @@ import pytest
 
 from repro.chaos import (FaultAction, ScenarioScript,
                          kill_partition_scenario, run_scenario)
-from repro.chaos.scenario import KILL_PARTITION_SIM_OVERRIDES
 from repro.common.errors import SimulationError
 from repro.experiments.harness import Simulation, SimulationConfig
 from tests.fixtures import run_traced
@@ -82,26 +81,28 @@ class TestCrashScenarios:
         # t=8.0 restart the other seven nodes have finished both rounds,
         # so the victim can only converge by replaying their history.
         script = ScenarioScript(
-            name="crash-mid-step", seed=5, num_users=8, rounds=2,
+            name="crash-mid-step",
+            config=SimulationConfig(num_users=8, seed=5), rounds=2,
             actions=(FaultAction(kind="crash", start=1.0, end=8.0,
                                  nodes=(2,)),))
         verdict = run_scenario(script)
         assert verdict.ok, verdict.violations
         assert verdict.heights == [2] * 8
-        obs = verdict.sim.obs
+        obs = verdict.deployment.obs
         assert [e["node"] for e in obs.events_of_kind("node_crashed")] == [2]
         assert [e["node"] for e in obs.events_of_kind("node_restarted")] == [2]
         adopted = obs.events_of_kind("catchup_adopted")
         assert any(e["node"] == 2 and e["to_height"] == 2
                    for e in adopted)
         # Over gossip: the victim asked, and peers answered.
-        nodes = verdict.sim.nodes
+        nodes = verdict.deployment.nodes
         assert nodes[2].catchup.requests_sent >= 1
         assert sum(node.catchup.served for node in nodes) >= 1
 
     def test_permanent_crash_excluded_from_convergence(self):
         script = ScenarioScript(
-            name="crash-forever", seed=11, num_users=12, rounds=2,
+            name="crash-forever",
+            config=SimulationConfig(num_users=12, seed=11), rounds=2,
             actions=(FaultAction(kind="crash", start=1.0, end=None,
                                  nodes=(5,)),))
         assert script.permanently_crashed() == frozenset({5})
@@ -116,7 +117,8 @@ class TestCrashScenarios:
         # Compound fault: half-split while a node is down, then both
         # clear. Safety must hold throughout, liveness after the heal.
         script = ScenarioScript(
-            name="crash-in-partition", seed=13, num_users=10, rounds=2,
+            name="crash-in-partition",
+            config=SimulationConfig(num_users=10, seed=13), rounds=2,
             actions=(
                 FaultAction(kind="partition", start=0.5, end=10.0,
                             groups=((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))),
@@ -128,14 +130,14 @@ class TestCrashScenarios:
         assert verdict.heights == [2] * 10
 
     def test_kill_partition_rejoins_through_a_served_request(self):
-        """The live smoke scenario at the live runner's stake: the
-        crashed node adopts what a peer served it before its first round
-        after the restart, never by reading a peer's memory."""
-        verdict = run_scenario(kill_partition_scenario(),
-                               sim_overrides=KILL_PARTITION_SIM_OVERRIDES)
+        """The live smoke scenario, simulated at the stake its config
+        carries: the crashed node adopts what a peer served it before its
+        first round after the restart, never by reading a peer's
+        memory."""
+        verdict = run_scenario(kill_partition_scenario())
         assert verdict.ok, verdict.violations
         assert verdict.converged
-        sim = verdict.sim
+        sim = verdict.deployment
         obs = sim.obs
 
         def times(kind: str) -> list[float]:

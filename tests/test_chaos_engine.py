@@ -52,12 +52,6 @@ class TestScenarioScript:
         assert script.last_heal_time() == 50.0
         assert script.permanently_crashed() == frozenset()
 
-    def test_with_seed_changes_only_the_seed(self):
-        script = partition_heal_scenario()
-        reseeded = script.with_seed(99)
-        assert reseeded.seed == 99
-        assert reseeded.actions == script.actions
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError, match="unknown fault kind"):
             FaultAction(kind="meteor", start=0.0, end=1.0).validate(8)
@@ -87,11 +81,62 @@ class TestScenarioScript:
 
     def test_permanent_crash_quorum_guard(self):
         script = ScenarioScript(
-            name="too-many", num_users=6,
+            name="too-many", config=SimulationConfig(num_users=6),
             actions=(FaultAction(kind="crash", start=0.0, end=None,
                                  nodes=(1, 2)),))
         with pytest.raises(ScenarioError, match="1/3"):
             script.validate()
+
+    @pytest.mark.parametrize("kind", ["silent", "equivocate"])
+    def test_whole_run_attackers_count_against_the_honest_majority(
+            self, kind):
+        """Three of six users attacking for the whole run hold half the
+        stake; the same three for a window, or one of them, do not."""
+        config = SimulationConfig(num_users=6)
+        for end, nodes, fine in ((None, (3, 4, 5), False),
+                                 (5.0, (3, 4, 5), True),
+                                 (None, (5,), True)):
+            script = ScenarioScript(name="attackers", config=config,
+                                    actions=(FaultAction(kind, 0.0, end,
+                                                         nodes=nodes),))
+            if fine:
+                script.validate()
+            else:
+                with pytest.raises(ScenarioError, match="1/3"):
+                    script.validate()
+
+    def test_the_guard_weighs_stake_not_heads(self):
+        """One crashed user of six is a third of the stake when it holds
+        a third of the money."""
+        script = ScenarioScript(
+            name="whale-down",
+            config=SimulationConfig(num_users=6,
+                                    balances=[10, 10, 10, 10, 10, 25]),
+            actions=(FaultAction(kind="crash", start=0.0, nodes=(5,)),))
+        with pytest.raises(ScenarioError, match="1/3"):
+            script.validate()
+        ScenarioScript(name="minnow-down", config=script.config,
+                       actions=(FaultAction(kind="crash", start=0.0,
+                                            nodes=(0,)),)).validate()
+
+    def test_misspelled_scenario_key_is_rejected(self):
+        record = json.loads(partition_heal_scenario().to_json())
+        record["num_user"] = 5
+        with pytest.raises(ScenarioError, match="num_user"):
+            ScenarioScript.from_dict(record)
+
+    def test_misspelled_config_key_is_rejected(self):
+        record = json.loads(partition_heal_scenario().to_json())
+        record["config"]["num_user"] = 5
+        with pytest.raises(ScenarioError, match="num_user"):
+            ScenarioScript.from_dict(record)
+
+    def test_misspelled_fault_key_is_rejected(self):
+        """``node`` for ``nodes`` would leave the filter empty: loss on
+        every link instead of node 2's."""
+        with pytest.raises(ScenarioError, match="'node'"):
+            FaultAction.from_dict({"kind": "loss", "start": 0.0,
+                                   "end": 5.0, "rate": 0.3, "node": [2]})
 
     def test_generated_scenarios_are_seed_deterministic(self):
         assert generate_scenario(42) == generate_scenario(42)
@@ -169,7 +214,8 @@ def _byzantine_mix() -> ScenarioScript:
     """Every seam-replacing kind: whole-run and windowed, one seam and
     both."""
     return ScenarioScript(
-        name="byzantine-mix", seed=5, num_users=10, rounds=2, payments=10,
+        name="byzantine-mix", config=SimulationConfig(num_users=10, seed=5),
+        rounds=2, payments=10,
         actions=(FaultAction(kind="equivocate", start=0.0, nodes=(8,)),
                  FaultAction(kind="double-vote", start=0.0, nodes=(8, 9)),
                  FaultAction(kind="silent", start=1.0, end=6.0,
@@ -216,22 +262,24 @@ class TestSimVerdictsPinned:
     its peers' chains: those whose nodes then sent a ``chainreq``
     (byzantine-mix: the attackers, still severed by the network-wide
     quarantine when the run ends, which the verdict does not hold to
-    the target).
+    the target). All six were re-recorded once more when a script
+    became a ``SimulationConfig`` plus faults: only the ``scenario`` key
+    moved, which :class:`TestSimOutcomesPinned` checks.
     """
 
     GOLDEN = [
         ("partition-heal", {"partition"},
-         "4e2ed7cd2ca173e3b625379d4519ab14985a0e7a6f7740887a9bfa876f87bc81"),
+         "7e19810bb0018b8aabf65730147e2f1b6cb753671acea0bfe405f323f83a04a2"),
         ("flood-recovery", {"flood", "spam"},
-         "ab0a479ef4a3eb8701a279f3afaebec642a8fb70865dff61f7961e400b3fff1c"),
+         "7f4652a9ce26d074dc2d1a421bd1fef5f6180f36638ae0113e9b0386cb84fcf7"),
         ("seed-101", {"crash", "delay", "loss"},
-         "2ab2ddf72d40c73af852560572b6009c1cea603b7f34d1bce24b9a07005fa8aa"),
+         "c1d41c16107b415fa898cc6eca9e57891ba530c57233e0615505a52fb93fee03"),
         ("seed-105", {"duplicate", "partition", "reorder"},
-         "89aa02454202ba75ec4fa10f56d04a9cfda5033811fb3a94b9f90e71f495b7bc"),
+         "c71343127b0f1bbd4c344a4b3a18e52035b4933635f7b0750ce63fceafd1439a"),
         ("seed-111", {"delay", "dos", "reorder"},
-         "d57789164796b3820aeb5bc79c6f25b961939cc2047e24fde22bb9dffe9c6ec4"),
+         "c3b0e3aea487c57cc01d25fbbfec39c8450527142cbe9a537361ca154f401e59"),
         ("byzantine-mix", {"equivocate", "double-vote", "silent"},
-         "d1bd7b8f25934217fa8f560ecd1f51206151678ad7ad441a2dfe8e1fdf503844"),
+         "7fedf72638e5c0721f5394b0fa3f356ccec8c0a2a058fb5210a9a7b8ea2c7dd8"),
     ]
 
     def test_the_five_scripts_cover_every_fault_kind(self):
@@ -303,13 +351,16 @@ class TestSimulationFaults:
         """Slot 10 is pool stake behind a 4-agent core: there is no node
         to act on, and the fault must not pass as a silent no-op."""
         script = ScenarioScript(
-            name="dormant-attacker", seed=3, num_users=12, rounds=1,
+            name="dormant-attacker",
+            config=SimulationConfig(num_users=12, seed=3,
+                                    population=PopulationConfig(
+                                        mode="aggregated",
+                                        always_on_core=4)),
+            rounds=1,
             actions=(FaultAction(kind=kind, start=0.0, end=5.0, nodes=(10,),
                                  rate=50.0),))
         with pytest.raises(ConfigError, match="dormant"):
-            run_scenario(script, sim_overrides={
-                "population": PopulationConfig(mode="aggregated",
-                                               always_on_core=4)})
+            run_scenario(script)
 
     def test_link_fault_may_name_dormant_stake(self):
         sim = Simulation(
@@ -359,7 +410,8 @@ class TestVerdictRows:
                       forged_commit(0, 2, "cc" * 16, 2.0),
                       forged_commit(0, 1, "aa" * 16, 3.0),
                       {"t": 3.5, "kind": "gossip_sent", "node": 0}])
-        script = ScenarioScript(name="forged", seed=1, num_users=2,
+        script = ScenarioScript(name="forged",
+                                config=SimulationConfig(num_users=2, seed=1),
                                 rounds=2, liveness_bound=100.0)
         audit = Violation(invariant="prefix-consistency", t=4.0,
                           detail="forged")
@@ -383,13 +435,14 @@ class TestVerdictRows:
         stayed behind (a ``dos`` holds it off past the run), fails
         convergence."""
         script = ScenarioScript(
-            name="flood-then-cut", seed=3, num_users=10, rounds=3,
+            name="flood-then-cut",
+            config=SimulationConfig(num_users=10, seed=3), rounds=3,
             actions=(FaultAction(kind="flood", start=0.5, end=1.0,
                                  nodes=(9,), rate=5.0),
                      FaultAction(kind="dos", start=1.0, end=1000.0,
                                  nodes=(9,))))
         verdict = run_scenario(script)
-        directory = verdict.sim.quarantine_directory
+        directory = verdict.deployment.quarantine_directory
         assert directory.quarantines == 1 and not directory.quarantined
         assert verdict.heights == [3] * 9 + [0]
         assert not verdict.converged
@@ -399,7 +452,8 @@ class TestVerdictRows:
             f"t={verdict.sim_seconds:.2f}"]
 
     def test_stalled_run_reads_liveness(self):
-        script = ScenarioScript(name="stalled", seed=1, num_users=2,
+        script = ScenarioScript(name="stalled",
+                                config=SimulationConfig(num_users=2, seed=1),
                                 rounds=1, liveness_bound=100.0)
         verdict = render_verdict(script, ConformanceMonitor(), [],
                                  heights=[0, 0], laggards=[], now=200.0)
@@ -411,7 +465,8 @@ class TestVerdictRows:
 
 class TestChaosCli:
     def test_scenario_file_run_writes_artifacts(self, tmp_path):
-        script = ScenarioScript(name="tiny", seed=3, num_users=6,
+        script = ScenarioScript(name="tiny",
+                                config=SimulationConfig(num_users=6, seed=3),
                                 rounds=1)
         scenario_path = tmp_path / "tiny.json"
         scenario_path.write_text(script.to_json(), encoding="utf-8")
@@ -428,17 +483,48 @@ class TestChaosCli:
         assert trace_path.read_text(encoding="utf-8").count("\n") > 10
 
     def test_builtin_kill_partition_is_green_on_the_sim(self, tmp_path):
-        """The CLI runs it at the live runner's stake: at the sim's
-        default 10 units a user no step of the 5-user deployment could
-        reach quorum."""
+        """Its config carries the live stake: at the sim's default 10
+        units a user no step of the 5-user deployment could reach
+        quorum."""
         verdict_path = tmp_path / "verdict.json"
         assert chaos_main(["--builtin", "kill-partition",
                            "--verdict", str(verdict_path)]) == 0
         verdict = json.loads(verdict_path.read_text(encoding="utf-8"))
         assert verdict["ok"] and verdict["converged"]
+        assert verdict["scenario"]["config"]["initial_balance"] == 40
 
     def test_exactly_one_source_required(self):
         with pytest.raises(SystemExit):
             chaos_main([])
         with pytest.raises(SystemExit):
             chaos_main(["--seed", "1", "--sweep", "2"])
+
+    @pytest.mark.parametrize("argv,seed", [
+        (["--builtin", "byzantine", "--users", "10"], 5),
+        (["--builtin", "byzantine", "--users", "10", "--base-seed", "9"], 9),
+    ])
+    def test_a_builtin_runs_its_builders_seed(self, tmp_path, argv, seed):
+        verdict_path = tmp_path / "verdict.json"
+        assert chaos_main([*argv, "--verdict", str(verdict_path)]) == 0
+        verdict = json.loads(verdict_path.read_text(encoding="utf-8"))
+        assert verdict["scenario"]["config"]["seed"] == seed
+        assert verdict["scenario"]["config"]["num_users"] == 10
+
+    @pytest.mark.parametrize("argv", [
+        ["SCENARIO", "--users", "5"],
+        ["SCENARIO", "--rounds", "3"],
+        ["--builtin", "flood", "--rounds", "3"],
+        ["--builtin", "flood", "--transport", "tcp"],
+        ["--seed", "1", "--runtime-dir", "somewhere"],
+    ])
+    def test_options_that_would_do_nothing_are_usage_errors(
+            self, tmp_path, capsys, argv):
+        scenario_path = tmp_path / "tiny.json"
+        scenario_path.write_text(partition_heal_scenario().to_json(),
+                                 encoding="utf-8")
+        argv = [str(scenario_path) if arg == "SCENARIO" else arg
+                for arg in argv]
+        with pytest.raises(SystemExit) as exit_:
+            chaos_main(argv)
+        assert exit_.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -68,7 +68,8 @@ class TestArtifactRegistry:
         sweep_backed = {name: a for name, a in ARTIFACTS.items()
                         if a.specs is not None}
         assert set(sweep_backed) == {"fig5", "fig6", "fig7", "fig8",
-                                     "tab_throughput", "tab_waiting"}
+                                     "tab_throughput", "tab_timeouts",
+                                     "tab_waiting"}
         for artifact in sweep_backed.values():
             specs = artifact.specs()
             assert specs and all(isinstance(s, ExperimentSpec)

@@ -471,19 +471,12 @@ class TestEventCatalogue:
         assert bus.events
 
     def test_chaos_run_passes_validation(self):
-        from numpy.random import default_rng
-
-        from repro.chaos import FaultAction, ScenarioScript
-        from repro.chaos.faults import FaultInjector
+        from repro.chaos import FaultAction
         bus = TraceBus(validate=True)
-        script = ScenarioScript(
-            name="validate", seed=4, num_users=8, rounds=1,
-            actions=(FaultAction(kind="loss", start=0.5, end=2.0,
-                                 rate=0.1),))
-        sim = Simulation(SimulationConfig(num_users=8, seed=4), obs=bus)
-        FaultInjector(sim.env, sim.network, dict(enumerate(sim.nodes)),
-                      script.actions, rng=default_rng(4),
-                      obs=bus).install()
+        sim = Simulation(SimulationConfig(num_users=8, seed=4),
+                         faults=[FaultAction(kind="loss", start=0.5,
+                                             end=2.0, rate=0.1)],
+                         obs=bus)
         sim.run_rounds(1)
         kinds = {e["kind"] for e in bus.events}
         assert "fault_applied" in kinds

@@ -24,6 +24,8 @@ with ``pytest -m slow``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos.runner import run_scenario
@@ -32,7 +34,11 @@ from repro.chaos.scenario import (
     flood_recovery_scenario,
     partition_heal_scenario,
 )
-from repro.experiments.harness import NetworkConfig, RuntimeConfig
+from repro.experiments.harness import (
+    NetworkConfig,
+    RuntimeConfig,
+    SimulationConfig,
+)
 
 from tests.fixtures import assert_chains_byte_identical
 
@@ -42,7 +48,8 @@ IDENTITY_FABRIC = NetworkConfig(latency_model="uniform", bandwidth_bps=None)
 
 
 def _clean_scenario(seed: int) -> ScenarioScript:
-    return ScenarioScript(name="clean", seed=seed, num_users=12,
+    return ScenarioScript(name="clean",
+                          config=SimulationConfig(num_users=12, seed=seed),
                           rounds=2, payments=8)
 
 
@@ -60,23 +67,23 @@ def _family(seed: int, index: int) -> ScenarioScript:
 def _assert_equivalent(script: ScenarioScript) -> None:
     verdicts = {}
     for damping in (False, True):
-        verdict = run_scenario(script, sim_overrides={
-            "network": IDENTITY_FABRIC,
-            "runtime": RuntimeConfig(relay_damping=damping)})
+        verdict = run_scenario(replace(script, config=replace(
+            script.config, network=IDENTITY_FABRIC,
+            runtime=RuntimeConfig(relay_damping=damping))))
         assert verdict.ok, (script.name, damping, verdict.violations)
         assert verdict.conformance is not None
         assert verdict.conformance["ok"], (script.name, damping)
         verdicts[damping] = verdict
-    assert_chains_byte_identical(verdicts[False].sim, verdicts[True].sim,
-                                 script.rounds)
+    assert_chains_byte_identical(verdicts[False].deployment,
+                                 verdicts[True].deployment, script.rounds)
     # The equivalence must be a statement about damping *doing work*,
     # not about it sitting idle.
     suppressed = sum(node.damper.suppressed
-                     for node in verdicts[True].sim.nodes
+                     for node in verdicts[True].deployment.nodes
                      if node.damper is not None)
     assert suppressed > 0, script.name
     assert all(getattr(node, "damper", None) is None
-               for node in verdicts[False].sim.nodes)
+               for node in verdicts[False].deployment.nodes)
 
 
 class TestQuickEquivalence:

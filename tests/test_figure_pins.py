@@ -1,7 +1,7 @@
 """The printed figures and tables are pinned byte for byte.
 
 Tiny grids of every sweep-backed measure (latency, adversarial, block
-size, waiting, traffic) go through the grid builders, the sweep engine
+size, timeouts, waiting, traffic) go through the grid builders, the sweep engine
 and the renderers the ``python -m repro.experiments`` artifacts print
 with; the sha256 of each rendered text is compared to a recorded value.
 A change to how an experiment point is described, run or measured must
@@ -10,7 +10,6 @@ leave these digests alone: the same deployment prints the same bytes.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
@@ -19,9 +18,9 @@ import pytest
 from repro.experiments.__main__ import ARTIFACTS
 from repro.experiments.adversarial import figure8_specs
 from repro.experiments.latency import figure5_specs, figure6_specs
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import run_point, run_sweep
 from repro.experiments.throughput import figure7_specs
-from repro.experiments.timeouts import measure_timeouts
+from repro.experiments.timeouts import timeouts_spec
 from repro.experiments.traffic import build_report, render_census
 from repro.experiments.waiting import waiting_specs
 
@@ -32,6 +31,7 @@ GRIDS = {
     "fig7": lambda: figure7_specs([1_000, 5_000], seed=300, num_users=6),
     "fig8": lambda: figure8_specs([0.0, 0.2], num_users=10, seed=700),
     "tab_throughput": lambda: figure7_specs([2_000], seed=400, num_users=6),
+    "tab_timeouts": lambda: [timeouts_spec(6, seed=800, rounds=2)],
     "tab_waiting": lambda: waiting_specs([0.1, 2.0], seed=10, num_users=6),
 }
 
@@ -42,6 +42,7 @@ DIGESTS = {
     "fig7": "f4f528fc278f13080cffd268984ced258097242a6d022e9fceabc73980d2d665",
     "fig8": "a97dc719d956d6c17e2520920cc37816b44477a08a4cc86bb0dd1b181c48f2e6",
     "tab_throughput": "317502f7d2316083574bf2c541e832ffa9e85f01654d49f0459b23ad20c31ff0",
+    "tab_timeouts": "758c03a1b8ef3e7b5c3f04d8192f5ba8933abd13f01ae406da5543ce85fa4f24",
     "tab_waiting": "42b709a66288c13307bff185fbed8311b6a02974e707b1741d5438cc12255c3e",
     "census": "a3a7fd1e07434c1ac2144f9df8c87d51a894c206b1cabfb9749d2d22848775d6",
 }
@@ -65,12 +66,13 @@ def test_rendered_text_is_pinned(name):
     assert _digest(render(name)) == DIGESTS[name], render(name)
 
 
-#: sha256 of a tiny section 10.5 timeout report, as sorted-key JSON.
+#: sha256 of a tiny section 10.5 timeout report, as sorted-key JSON;
+#: recorded before ``measure_timeouts`` became a sweep measure.
 TIMEOUTS_DIGEST = \
     "362fb887dea10ca27a16ccac664599b8b8f6f6249d3812a1a55e86f656af4bab"
 
 
 def test_timeouts_report_is_pinned():
-    report = dataclasses.asdict(measure_timeouts(6, rounds=2, seed=800))
+    report = run_point(timeouts_spec(6, seed=800, rounds=2)).data()
     assert _digest(json.dumps(report, sort_keys=True)) == TIMEOUTS_DIGEST, \
         report

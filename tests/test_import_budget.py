@@ -97,7 +97,7 @@ class TestRuntimeStackIsNumpyOnly:
 
     @pytest.mark.parametrize("module", [
         "repro.live.cluster", "repro.live.__main__",
-        "repro.chaos.__main__", "repro.chaos.live",
+        "repro.chaos.__main__", "repro.chaos.runner",
         "repro.conformance.__main__", "repro.obs.record",
     ])
     def test_runtime_entry_points_need_no_scipy(self, module):

@@ -312,10 +312,12 @@ def test_malicious_stake_schedule(seed):
 @pytest.mark.parametrize("seed", sorted(CRASH_RESYNC_8_USERS_2_ROUNDS))
 def test_crash_resync_schedule(seed):
     verdict = run_scenario(ScenarioScript(
-        name="crash-mid-step", seed=seed, num_users=8, rounds=2, payments=8,
+        name="crash-mid-step",
+        config=harness.SimulationConfig(num_users=8, seed=seed),
+        rounds=2, payments=8,
         actions=(FaultAction(kind="crash", start=1.0, end=8.0, nodes=(2,)),)))
     assert verdict.ok, verdict.violations
-    sim = verdict.sim
+    sim = verdict.deployment
     assert [(event["node"], event["to_height"])
             for event in sim.obs.events_of_kind("catchup_adopted")] \
         == [(2, 1), (2, 2)]

@@ -11,8 +11,12 @@ substrate) and checks the full recovery story: the victim rejoins,
 catches up via certificate-verified replay, chains end byte-identical,
 and the merged trace satisfies the reference state machine.
 
+Each cluster carries a :class:`TraceBus`, as a traced sim does: the
+merged trace is replayed through it, so ``cluster.conformance`` is the
+reference machines' verdict over every process.
+
 The 5-process scripted scenario sweep (the ``kill-partition`` builtin
-via :func:`run_live_scenario`) and the 5-process cluster with a
+through :func:`run_scenario`) and the 5-process cluster with a
 dishonest process (Figure 8's adversary) are marked ``slow``; run with
 ``-m slow``.
 """
@@ -20,24 +24,30 @@ dishonest process (Figure 8's adversary) are marked ``slow``; run with
 from __future__ import annotations
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import pytest
 
+from repro.chaos.monitor import audit_ingress, live_findings
+from repro.chaos.runner import run_scenario
 from repro.chaos.scenario import (
     FAULT_KINDS,
+    LIVE_CHAOS_PARAMS,
     FaultAction,
+    ScenarioScript,
     figure8_adversary,
     kill_partition_scenario,
 )
-from repro.conformance.monitor import ConformanceMonitor
+from repro.conformance.__main__ import main as conformance_main
 from repro.node.deployment import (
     RuntimeConfig,
     SimulationConfig,
     SubstrateConfig,
 )
 from repro.live.cluster import LiveCluster, default_live_config
-from repro.obs.sink import read_trace
+from repro.obs.bus import TraceBus
+from repro.obs.sink import JsonlTraceSink, read_trace
 from repro.runtime.admission import AdmissionConfig
 
 NODES = 3
@@ -55,7 +65,6 @@ def _chaos_params():
     ConsensusHalted -> catch-up path fires, keeping these tests tier-1
     fast; healthy loopback rounds never need more than a few steps.
     """
-    from repro.chaos.live import LIVE_CHAOS_PARAMS
     return dataclasses.replace(LIVE_CHAOS_PARAMS, max_steps=6)
 
 
@@ -74,15 +83,11 @@ def _config(runtime_dir, seed: int = 7, **groups) -> SimulationConfig:
 def _run(runtime_dir, faults, *, seed: int = 7, node_overrides=None,
          rounds: int = ROUNDS, **groups) -> LiveCluster:
     cluster = LiveCluster(_config(runtime_dir, seed=seed, **groups),
-                          faults=faults, node_overrides=node_overrides)
+                          faults=faults, node_overrides=node_overrides,
+                          obs=TraceBus())
     cluster.submit_payments(6)
     cluster.run_rounds(rounds, time_limit=120.0)
     return cluster
-
-
-def _merged_events(cluster) -> list[dict]:
-    events, _ = read_trace(cluster.merged_trace_path)
-    return events
 
 
 def _counters(cluster, index: int) -> dict:
@@ -151,17 +156,20 @@ class TestKilledNodeCatchesUp:
         assert served >= 1
 
     def test_merged_trace_tells_the_crash_story(self, killed_cluster):
-        kinds = [e["kind"] for e in _merged_events(killed_cluster)]
+        kinds = [e["kind"] for e in killed_cluster.obs.events]
         for kind in ("node_crashed", "node_restarted", "catchup_adopted",
                      "fault_applied", "fault_cleared"):
             assert kind in kinds, f"missing {kind} in merged trace"
 
     def test_merged_trace_conforms(self, killed_cluster):
-        monitor = ConformanceMonitor()
-        monitor.feed(_merged_events(killed_cluster))
-        verdict = monitor.verdict()
+        verdict = killed_cluster.conformance.verdict()
         assert verdict.ok, verdict.violations
         assert verdict.nodes == NODES
+
+    def test_the_bus_replays_the_merged_file(self, killed_cluster):
+        events, _ = read_trace(killed_cluster.merged_trace_path)
+        assert killed_cluster.obs.events == events
+        assert killed_cluster.conformance.events_seen == len(events)
 
     def test_respawned_victim_redialed_its_links(self, killed_cluster):
         # The victim is the highest index, i.e. the dialer of both its
@@ -215,9 +223,7 @@ class TestPartitionedNodeCatchesUp:
         assert dups > received
 
     def test_merged_trace_conforms(self, partitioned_cluster):
-        monitor = ConformanceMonitor()
-        monitor.feed(_merged_events(partitioned_cluster))
-        verdict = monitor.verdict()
+        verdict = partitioned_cluster.conformance.verdict()
         assert verdict.ok, verdict.violations
 
 
@@ -238,24 +244,22 @@ class TestSpammingProcessIsContained:
             # past the per-origin budget scored as flooding.
             assert counters["gossip.recv.vote"] > SPAM_BUFFER_BUDGET
         kinds = [(event["kind"], event.get("peer"))
-                 for event in _merged_events(spammed_cluster)]
+                 for event in spammed_cluster.obs.events]
         assert ("peer_quarantined", VICTIM) in kinds
 
     def test_honest_vote_buffers_stayed_inside_budget(self,
                                                       spammed_cluster):
-        from repro.chaos.live import _audit_ingress
-
         for index in (0, 1):
             stats = spammed_cluster.results[index]["stats"]
             assert stats["vote_buffer_budget"] == SPAM_BUFFER_BUDGET
             assert 0 < stats["vote_buffer_high_water"] <= SPAM_BUFFER_BUDGET
-        assert _audit_ingress(spammed_cluster, now=0.0,
-                              skip=frozenset({VICTIM})) == []
+        script = ScenarioScript(name="spam", config=spammed_cluster.config,
+                                rounds=SPAM_ROUNDS,
+                                actions=spammed_cluster.faults)
+        assert live_findings(spammed_cluster, script)["audits"] == []
 
     def test_merged_trace_conforms(self, spammed_cluster):
-        monitor = ConformanceMonitor()
-        monitor.feed(_merged_events(spammed_cluster))
-        verdict = monitor.verdict()
+        verdict = spammed_cluster.conformance.verdict()
         assert verdict.ok, verdict.violations
 
 
@@ -276,16 +280,20 @@ class TestOneVocabulary:
                 FaultAction(kind=kind, start=0.0, end=1.0, **extra[kind])])
 
     def test_live_runner_raises_the_sims_ingress_bounds_violation(self):
-        from repro.chaos.live import _audit_ingress
-        from repro.chaos.monitor import audit_ingress
-
         def stats(high_water: int) -> dict:
-            return {"stats": {"vote_buffer_high_water": high_water,
+            return {"height": 1, "blocks": [b"block"],
+                    "stats": {"vote_buffer_high_water": high_water,
                               "vote_buffer_budget": 64}}
 
         cluster = SimpleNamespace(
-            results={0: stats(64), 1: stats(65), 2: stats(9000)})
-        (breach,) = _audit_ingress(cluster, now=3.0, skip=frozenset({2}))
+            results={0: stats(64), 1: stats(65), 2: stats(9000)},
+            obs=SimpleNamespace(events=[{"t": 3.0, "kind": "x"}]))
+        script = ScenarioScript(
+            name="spammer", config=SimulationConfig(num_users=NODES),
+            rounds=1, actions=(FaultAction(kind="spam", start=0.0,
+                                           end=1.0, nodes=(2,),
+                                           rate=10.0),))
+        (breach,) = live_findings(cluster, script)["audits"]
         # The sim's audit, over node objects with the same numbers.
         nodes = [SimpleNamespace(index=index, buffer=SimpleNamespace(
                      high_water=result["stats"]["vote_buffer_high_water"],
@@ -326,24 +334,64 @@ class TestFailFastOrchestration:
         assert cluster.summary()["missing_nodes"] == [VICTIM]
 
 
+class TestTracedCluster:
+    """``LiveCluster(obs=)``: the merged trace, replayed through a bus."""
+
+    def _merge(self, tmp_path, bus, dropped: int) -> LiveCluster:
+        node_trace = tmp_path / "trace-0.jsonl"
+        node_trace.write_text("\n".join(json.dumps(record) for record in [
+            {"type": "event", "t": 0.5, "kind": "round_start", "node": 0,
+             "round": 1},
+            {"type": "event", "t": 0.2, "kind": "gossip_sent", "node": 0},
+            {"type": "snapshot", "metrics": {"dropped_events": dropped}},
+        ]) + "\n", encoding="utf-8")
+        cluster = LiveCluster(_config(tmp_path), obs=bus)
+        cluster.runtime_dir = tmp_path
+        cluster._trace_paths = {0: [str(node_trace)]}
+        cluster._merge_traces()
+        return cluster
+
+    def test_records_keep_their_own_time(self, tmp_path):
+        bus = TraceBus()
+        cluster = self._merge(tmp_path, bus, dropped=0)
+        assert [(e["t"], e["kind"]) for e in bus.events] == [
+            (0.2, "gossip_sent"), (0.5, "round_start")]
+        assert cluster.conformance.events_seen == 2
+
+    @pytest.mark.parametrize("dropped,status", [(0, 0), (3, 1)])
+    def test_the_nodes_losses_reach_the_written_trace(self, tmp_path,
+                                                      dropped, status):
+        bus = TraceBus()
+        out = tmp_path / "replayed.jsonl"
+        bus.add_sink(JsonlTraceSink(out))
+        self._merge(tmp_path, bus, dropped=dropped)
+        bus.close()
+        assert conformance_main([str(out), "--require-complete",
+                                 "--quiet"]) == status
+
+    def test_no_bus_no_monitor(self, tmp_path):
+        cluster = LiveCluster(_config(tmp_path))
+        assert cluster.obs is None and cluster.conformance is None
+
+
 @pytest.mark.slow
 class TestKillPartitionScenarioSweep:
     """The full 5-process scripted scenario, swept over seeds."""
 
     @pytest.mark.parametrize("seed", [11, 29])
     def test_builtin_scenario_green(self, tmp_path, seed):
-        from repro.chaos.live import run_live_scenario
-
         script = kill_partition_scenario(seed=seed)
-        verdict = run_live_scenario(
-            script, runtime_dir=str(tmp_path / f"seed-{seed}"))
+        script = dataclasses.replace(script, config=dataclasses.replace(
+            script.config, params=LIVE_CHAOS_PARAMS,
+            substrate=SubstrateConfig(
+                kind="live", runtime_dir=str(tmp_path / f"seed-{seed}"))))
+        verdict = run_scenario(script)
         assert verdict.ok, verdict.violations
         assert verdict.converged
-        assert verdict.heights == [script.rounds] * script.num_users
+        assert verdict.heights == [script.rounds] * script.config.num_users
         assert verdict.conformance["ok"]
-        assert verdict.cluster.all_chains_equal()
-        events = [e for e in _merged_events(verdict.cluster)]
-        kinds = [e["kind"] for e in events]
+        assert verdict.deployment.all_chains_equal()
+        kinds = [e["kind"] for e in verdict.deployment.obs.events]
         assert "node_crashed" in kinds
         assert "node_restarted" in kinds
         assert "catchup_adopted" in kinds
@@ -357,21 +405,19 @@ class TestByzantineProcess:
     def test_honest_processes_commit_equal_chains(self, tmp_path):
         cluster = LiveCluster(
             default_live_config(5, runtime_dir=str(tmp_path)),
-            faults=figure8_adversary([4]))
+            faults=figure8_adversary([4]), obs=TraceBus())
         cluster.submit_payments(10)
         cluster.run_rounds(3)
         honest = [cluster.results[index] for index in range(4)]
         assert [result["height"] for result in honest] == [3] * 4
         assert all(result["blocks"] == honest[0]["blocks"]
                    for result in honest)
-        events = _merged_events(cluster)
         # The attack was real: honest peers caught the conflicting votes
         # and cut the attacker off, and nobody else.
-        blamed = {(event["peer"], event["offense"]) for event in events
+        blamed = {(event["peer"], event["offense"])
+                  for event in cluster.obs.events
                   if event["kind"] == "peer_quarantined"}
         assert (4, "equivocation") in blamed
         assert {peer for peer, _ in blamed} == {4}
-        monitor = ConformanceMonitor()
-        monitor.feed(events)
-        verdict = monitor.verdict()
+        verdict = cluster.conformance.verdict()
         assert verdict.ok, verdict.violations

@@ -50,6 +50,7 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.experiments.throughput import figure7_specs
+from repro.experiments.timeouts import timeouts_spec
 from repro.experiments.traffic import census_specs
 from repro.experiments.waiting import waiting_specs
 from repro.obs.bus import TraceBus
@@ -70,6 +71,7 @@ GRID_SPECS = [
     *figure8_specs([0.0, 0.2], num_users=10),
     *waiting_specs([0.5], num_users=6),
     *census_specs(num_users=10, rounds=1),
+    timeouts_spec(6, 0, rounds=1),
     latency_spec(30, 0, population=PopulationConfig(
         mode="aggregated", always_on_core=8)),
 ]
@@ -125,6 +127,14 @@ class TestSpecRoundTrip:
                                               "bogus_knob": 1}}):
             with pytest.raises(SpecError):
                 spec_from_json(garbage)
+
+    def test_from_json_rejects_a_misspelled_fault_key(self):
+        """``nodez`` must not load as ``nodes=()``: the adversary would
+        vanish from a fig8 point."""
+        record = figure8_specs([0.2], num_users=10)[0].to_json()
+        record["faults"][0]["nodez"] = record["faults"][0].pop("nodes")
+        with pytest.raises(ConfigError, match="nodez"):
+            spec_from_json(record)
 
 
 class TestSpecValidation:
@@ -405,9 +415,9 @@ class TestConfigValidation:
 class TestCleanupOfTestKinds:
     def test_registry_cleanup(self):
         """The test-only measures are registered per test and gone after
-        it: the measure table holds the five production measures."""
+        it: the measure table holds the six production measures."""
         assert set(MEASURES) == {"latency", "adversarial", "block_size",
-                                 "waiting", "traffic"}
+                                 "waiting", "traffic", "timeouts"}
 
 
 class TestSweepDataShapes:
@@ -419,6 +429,7 @@ class TestSweepDataShapes:
             *figure7_specs([2_000], num_users=6, seed=2),
             *waiting_specs([1.0], num_users=6, seed=1),
             census_specs(num_users=10, rounds=1)[0],
+            timeouts_spec(6, 0, rounds=1),
         ]
         report = run_sweep(specs, jobs=1)
         assert not report.failures
@@ -426,7 +437,8 @@ class TestSweepDataShapes:
             json.dumps(outcome.result, allow_nan=False)
         merged = report.merged()
         assert [p["spec"]["measure"] for p in merged["points"]] == [
-            "latency", "adversarial", "block_size", "waiting", "traffic"]
+            "latency", "adversarial", "block_size", "waiting", "traffic",
+            "timeouts"]
 
 
 @dataclasses.dataclass(frozen=True)
