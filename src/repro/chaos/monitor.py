@@ -17,13 +17,16 @@ in a :class:`~repro.chaos.runner.ChaosVerdict`.
 Reading what a run left behind is the one substrate-specific step of a
 chaos run: :func:`sim_findings` reads node objects, :func:`live_findings`
 the ``results`` each process reported (committed blocks as bytes, its
-vote-buffer marks). Both share :func:`ingress_breach`.
+harvested metrics). Both hold each node's
+``admission.buffer_high_water`` to the config's budget through
+:func:`audit_ingress`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.node.deployment import node_counters
 from repro.sortition.seed import fallback_seed, verify_seed
 
 
@@ -102,47 +105,39 @@ def audit_chains(nodes, *, backend, now: float,
     return violations
 
 
-def ingress_breach(index: int, what: str, high_water: int,
-                   budget: int | None, now: float) -> list[Violation]:
-    """The ``ingress-bounds`` rule: a high-water mark above its budget.
+def audit_ingress(counters: dict[int, dict], config, *, now: float,
+                  skip: frozenset[int] = frozenset(),
+                  network=None) -> list[Violation]:
+    """The ``ingress-bounds`` rule: post-run high-water marks within
+    their budgets.
 
-    One rule for both substrates: the sim audits node objects
-    (:func:`audit_ingress`), :func:`live_findings` the ``stats`` each
-    process reported. No budget (``None``/0) means nothing to breach.
+    Under admission control every honest node's vote buffer must have
+    stayed inside ``config``'s budget for the whole run — a high-water
+    mark above it means the bound was enforced too late (or not at all)
+    and a flood grew state without limit. ``counters`` maps a node to
+    its runtime numbers under registry names (its
+    ``admission.buffer_high_water``), read the same way on either
+    substrate. Given the sim's ``network``, every honest egress lane is
+    held to its budget too (only the sim has lanes). ``skip`` names the
+    attacker nodes (their own buffers are not part of the robustness
+    claim) plus permanently crashed ones.
     """
-    if not budget or high_water <= budget:
-        return []
+    budgets = config.runtime.admission_budgets()
+    marks = [(index, "vote-buffer",
+              numbers.get("admission.buffer_high_water", 0),
+              budgets.vote_buffer_budget if budgets else None)
+             for index, numbers in sorted(counters.items())]
+    if network is not None:
+        marks += [(index, "egress-lane", interface.egress_high_water,
+                   interface.lane_budget)
+                  for index, interface in enumerate(network.interfaces)
+                  if interface is not None]
     return [Violation(
-        invariant="ingress-bounds", t=now,
-        detail=(f"node {index}: {what} high water {high_water} "
-                f"exceeded budget {budget}"))]
-
-
-def audit_ingress(nodes, network, *, now: float,
-                  skip: frozenset[int] = frozenset()) -> list[Violation]:
-    """Post-run bounded-buffer audit: high-water marks within budgets.
-
-    Under admission control every honest node's vote buffer and every
-    honest egress lane must have stayed inside its configured budget for
-    the whole run — a high-water mark above budget means the bound was
-    enforced too late (or not at all) and a flood grew state without
-    limit. ``skip`` names the attacker nodes (their own buffers are not
-    part of the robustness claim) plus permanently crashed ones.
-    """
-    violations: list[Violation] = []
-    for node in nodes:
-        if node.index not in skip:
-            violations += ingress_breach(
-                node.index, "vote-buffer",
-                getattr(node.buffer, "high_water", 0),
-                getattr(node.buffer, "budget_messages", None), now)
-    for index, interface in enumerate(network.interfaces):
-        if interface is not None and index not in skip:
-            violations += ingress_breach(
-                index, "egress-lane",
-                getattr(interface, "egress_high_water", 0),
-                getattr(interface, "lane_budget", None), now)
-    return violations
+                invariant="ingress-bounds", t=now,
+                detail=(f"node {index}: {what} high water {high_water} "
+                        f"exceeded budget {budget}"))
+            for index, what, high_water, budget in marks
+            if index not in skip and budget and high_water > budget]
 
 
 def sim_findings(sim, script) -> dict:
@@ -159,8 +154,10 @@ def sim_findings(sim, script) -> dict:
                           skip=gone)
     unjudged = gone
     if sim.quarantine_directory is not None:
-        audits += audit_ingress(sim.nodes, sim.network, now=now,
-                                skip=gone | script.attacker_nodes())
+        audits += audit_ingress(
+            {node.index: node_counters(node) for node in sim.nodes},
+            sim.config, now=now, skip=gone | script.attacker_nodes(),
+            network=sim.network)
         unjudged = gone | sim.quarantine_directory.quarantined
     return {
         "audits": audits,
@@ -187,7 +184,6 @@ def live_findings(cluster, script) -> dict:
               default=0.0)
     longest = max(results, key=lambda index: results[index]["height"],
                   default=None)
-    attackers = script.attacker_nodes()
     audits: list[Violation] = []
     for index, result in sorted(results.items()):
         for round_number, (mine, theirs) in enumerate(
@@ -200,11 +196,9 @@ def live_findings(cluster, script) -> dict:
                             f"committed block bytes differ from node "
                             f"{longest}'s")))
                 break
-        if index not in attackers:
-            stats = result["stats"]
-            audits += ingress_breach(
-                index, "vote-buffer", stats["vote_buffer_high_water"],
-                stats["vote_buffer_budget"], now)
+    audits += audit_ingress(
+        {index: result["metrics"] for index, result in results.items()},
+        script.config, now=now, skip=script.attacker_nodes())
     users = range(script.config.num_users)
     gone = script.permanently_crashed()
     return {

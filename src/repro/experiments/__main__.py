@@ -240,15 +240,10 @@ def run_obs(options: argparse.Namespace) -> None:
     sim.run_rounds(2)
     print(render_report(bus.events, bus.snapshot()))
     summary = sim.summary()
-    cache = summary["verification_cache"]
-    print(f"\nharness summary: {summary['events_processed']:,} events "
-          f"({summary['immediates_processed']:,} immediate), "
-          f"{summary['messages_delivered']:,} messages delivered")
-    print(f"verification cache: {cache['hits']:,} hits / "
-          f"{cache['misses']:,} misses "
-          f"(hit rate {cache['hit_rate']:.3f}, "
-          f"{cache['negative_hits']} negative); "
-          f"router unknown-kind drops: {summary['router_unknown_kinds']}")
+    print(f"\nharness summary: {summary['simloop.events_processed']:,} "
+          f"events ({summary['simloop.immediates_processed']:,} "
+          f"immediate), {summary['network.messages_delivered']:,} "
+          f"messages delivered")
     if options.conformance:
         verdict = sim.conformance.verdict()
         status = "CONFORMS" if verdict.ok else "VIOLATIONS"

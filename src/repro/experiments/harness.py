@@ -42,12 +42,14 @@ from repro.node.deployment import (  # noqa: F401  (re-exported API)
     SubstrateConfig,
     deploy,
     derive_genesis,
+    harvest,
     make_backend,
     payment_plan,
 )
 from repro.node.population import Population
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.admission import QuarantineDirectory
 from repro.sim.loop import Environment
 from repro.sortition.selection import SELECTION_STATS
@@ -85,7 +87,7 @@ class Simulation:
         #: Optional trace bus (see :mod:`repro.obs`). When supplied, its
         #: clock is bound to this simulation's virtual time, every layer
         #: (network, nodes, BA*, router) records into it, and
-        #: :meth:`summary` embeds its registry snapshot. ``None`` (the
+        #: :meth:`summary` is its registry snapshot. ``None`` (the
         #: default) leaves all instrumentation as dormant no-op guards.
         self.obs = obs
         #: Online reference-machine checker (:mod:`repro.conformance`):
@@ -94,7 +96,7 @@ class Simulation:
         self.conformance: ConformanceMonitor | None = None
         if obs is not None:
             obs.bind_clock(lambda: self.env.now)
-            obs.add_harvester(self._harvest_obs)
+            obs.add_harvester(lambda bus: self._harvest(bus.metrics))
             self.conformance = ConformanceMonitor(registry=obs.metrics)
             obs.add_sink(self.conformance)
         self._selection_baseline = SELECTION_STATS.as_dict()
@@ -304,119 +306,52 @@ class Simulation:
     # Observability
     # ------------------------------------------------------------------
 
-    def _runtime_counters(self) -> dict:
-        """Cache, router, admission and damping counters.
-
-        The one aggregate both :meth:`summary` (as is) and the obs
-        harvester (under the registry's metric names) report. Agent
-        counters cover every agent the population ever built, retired
-        transients included. Sections of layers that are switched off
-        are absent.
-        """
-        agents = self.population.agent_counters()
-        counters: dict = {"router_unknown_kinds":
-                          agents["router_unknown_kinds"]}
-        if self.verification_cache is not None:
-            counters["verification_cache"] = self.verification_cache.stats()
-        if self.quarantine_directory is not None:
-            interfaces = list(filter(None, self.network.interfaces))
-            counters["admission"] = {
-                "admitted": agents.get("admitted", 0),
-                "rejected": agents["rejected"],
-                "buffer_high_water": agents["buffer_high_water"],
-                "buffer_evicted": agents["buffer_evicted"],
-                "buffer_rejected": agents["buffer_rejected"],
-                "egress_dropped": sum(i.egress_dropped for i in interfaces),
-                "egress_high_water": max(i.egress_high_water
-                                         for i in interfaces),
-                "quarantined": sorted(
-                    self.quarantine_directory.quarantined),
-                "banned": sorted(self.quarantine_directory.banned),
-                "quarantines": self.quarantine_directory.quarantines,
-            }
-        if "observed" in agents:
-            counters["damping"] = {"suppressed": agents["suppressed"],
-                                   "observed": agents["observed"]}
-        return counters
-
-    def _harvest_obs(self, bus: TraceBus) -> None:
-        """Pull the lazy runtime counters into the obs registry.
-
-        Hot components (event loop, verification cache, routers) keep
-        plain instance counters; this harvester copies them into the
-        bus's registry so snapshots/JSONL traces carry them without the
-        hot paths ever touching the registry.
-        """
-        metrics = bus.metrics
-        env = self.env
-        counters = self._runtime_counters()
-        metrics.set_gauge("simloop.events_processed", env.events_processed)
-        metrics.set_gauge("simloop.immediates_processed",
-                          env.immediates_processed)
-        metrics.set_gauge("simloop.batch_walks", env.batch_walks)
-        metrics.set_gauge("simloop.batch_deliveries", env.batch_deliveries)
-        metrics.set_gauge("simloop.now", env.now)
-        metrics.set_gauge("network.messages_delivered",
-                          self.network.messages_delivered)
-        metrics.set_gauge("gossip.dup_elided", self.network.dup_elided)
-        metrics.set_gauge("network.total_bytes_sent",
-                          self.network.total_bytes_sent)
-        cache = counters.get("verification_cache")
-        if cache is not None:
-            for name in ("hits", "misses", "negative_hits"):
-                metrics.set_counter("cache." + name, cache[name])
-            metrics.set_gauge("cache.entries", cache["entries"])
+    def _harvest(self, metrics: MetricsRegistry) -> None:
+        """:func:`~repro.node.deployment.harvest` for this deployment,
+        plus the sim's own numbers: the network's byte movers, the
+        egress lanes and quarantine directory, the population gauges."""
+        network = self.network
+        counters: dict = {}
+        gauges = {"network.messages_delivered": network.messages_delivered,
+                  "gossip.dup_elided": network.dup_elided,
+                  "network.total_bytes_sent": network.total_bytes_sent}
+        directory = self.quarantine_directory
+        if directory is not None:
+            interfaces = list(filter(None, network.interfaces))
+            counters["admission.egress_dropped"] = sum(
+                interface.egress_dropped for interface in interfaces)
+            counters["admission.quarantines"] = directory.quarantines
+            gauges["admission.egress_high_water"] = max(
+                interface.egress_high_water for interface in interfaces)
+            gauges["admission.quarantined_peers"] = len(
+                directory.quarantined)
         for name, value in self.population.stats().items():
-            metrics.set_gauge("population." + name, value)
-        if self.conformance is not None:
-            self.conformance.harvest(metrics)
-        metrics.set_counter("router.unknown_kind",
-                            counters["router_unknown_kinds"])
-        for name, value in self._selection_delta.items():
-            metrics.set_counter("sortition." + name, value)
-        for name, value in counters.get("damping", {}).items():
-            metrics.set_counter("damping." + name, value)
-        admission = counters.get("admission")
-        if admission is not None:
-            for reason, count in sorted(admission["rejected"].items()):
-                metrics.set_counter("admission.rejected." + reason, count)
-            for name in ("admitted", "buffer_evicted", "buffer_rejected",
-                         "egress_dropped", "quarantines"):
-                metrics.set_counter("admission." + name, admission[name])
-            for name in ("buffer_high_water", "egress_high_water"):
-                metrics.set_gauge("admission." + name, admission[name])
-            metrics.set_gauge("admission.quarantined_peers",
-                              len(admission["quarantined"]))
+            gauges["population." + name] = value
+        harvest(metrics, clock=self.env, cache=self.verification_cache,
+                sortition=self._selection_delta,
+                agents=self.population.agent_counters(),
+                conformance=self.conformance, counters=counters,
+                gauges=gauges)
 
     def summary(self) -> dict:
-        """One dict with every runtime counter an experiment may report.
-
-        This is where the shared :class:`VerificationCache` hit/miss
-        numbers and the routers' unknown-kind drop counts surface —
-        previously they were collected but never included in any result.
-        When a :class:`TraceBus` is attached, the full registry snapshot
-        rides along under ``"obs"``.
+        """The harvested snapshot, flat: every runtime number under its
+        registry name (``simloop.events_processed``, ``cache.hits``,
+        ``admission.quarantined_peers``, ...), the same names a live
+        node's snapshot carries. A traced run's is its bus snapshot, so
+        it has the event-time families too, and rides whole under
+        ``"obs"``. ``total_bytes_sent`` and ``conformance["ok"]`` are
+        the names the benchmark reads.
         """
-        result: dict = {
-            "events_processed": self.env.events_processed,
-            "immediates_processed": self.env.immediates_processed,
-            "batch_walks": self.env.batch_walks,
-            "batch_deliveries": self.env.batch_deliveries,
-            "simulated_seconds": self.env.now,
-            "messages_delivered": self.network.messages_delivered,
-            "dup_elided": self.network.dup_elided,
-            "total_bytes_sent": self.network.total_bytes_sent,
-            "sortition": dict(self._selection_delta),
-            **self._runtime_counters(),
-            "population": self.population.stats(),
-        }
-        if self.conformance is not None:
-            verdict = self.conformance.verdict()
-            result["conformance"] = {
-                "ok": verdict.ok,
-                "events_checked": verdict.events_checked,
-                "violations": len(verdict.violations),
-            }
         if self.obs is not None:
-            result["obs"] = self.obs.snapshot()
+            snapshot = self.obs.snapshot()
+        else:
+            metrics = MetricsRegistry()
+            self._harvest(metrics)
+            snapshot = metrics.snapshot()
+        result: dict = {**snapshot["counters"], **snapshot["gauges"]}
+        result["total_bytes_sent"] = result["network.total_bytes_sent"]
+        if self.conformance is not None:
+            result["conformance"] = {"ok": self.conformance.verdict().ok}
+        if self.obs is not None:
+            result["obs"] = snapshot
         return result

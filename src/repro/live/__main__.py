@@ -63,10 +63,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  tips:    {summary['tips']}")
         print(f"  chains equal: {summary['chains_equal']}   "
               f"conformance ok: {summary['conformance_ok']} "
-              f"({summary['conformance_violations']} violation(s))")
-        print(f"  wire bytes sent: {summary['wire_bytes_sent']}   "
-              f"messages: {summary['messages_sent']}   "
-              f"rx dropped: {summary['rx_dropped']}")
+              f"({summary['conformance.violations']} violation(s))")
+        print(f"  wire bytes sent: {summary['live.wire_bytes_sent']}   "
+              f"messages: {summary['live.messages_sent']}   "
+              f"rx dropped: {summary['live.rx_dropped']}")
         slowest = max(summary["startup"].values(),
                       key=lambda report: report["ready_s"])
         print(f"  start-up (slowest node): ready in "

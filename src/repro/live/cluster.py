@@ -64,7 +64,12 @@ from repro.chaos.scenario import FaultAction
 from repro.common.errors import ConfigError
 from repro.common.params import LIVE_SMOKE_PARAMS
 from repro.conformance.monitor import ConformanceMonitor
-from repro.node.deployment import SimulationConfig, SubstrateConfig
+from repro.node.deployment import (
+    SimulationConfig,
+    SubstrateConfig,
+    fold,
+    fold_snapshots,
+)
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.network.wire import decode_block
 from repro.obs.bus import TraceBus
@@ -159,6 +164,8 @@ class LiveCluster:
         self.runtime_dir: Path | None = None
         self.merged_trace_path: Path | None = None
         self.results: dict[int, dict] = {}
+        #: Every process's ``result`` metrics, folded.
+        self.metrics: dict = {}
         self.chains: dict[int, list] = {}
         self.rounds_run = 0
         #: Measured kills: ``{"node": i, "t": scenario_seconds}``.
@@ -196,10 +203,10 @@ class LiveCluster:
         return bool(blocks) and all(b == blocks[0] for b in blocks[1:])
 
     def summary(self) -> dict:
-        def total(stat: str) -> int:
-            return sum(r["stats"].get(stat, 0)
-                       for r in self.results.values())
-
+        """The run's facts plus its node snapshots folded by the one rule
+        (:func:`~repro.node.deployment.fold`), under the registry names
+        a sim's ``summary()`` uses; ``per_node`` keeps each process's
+        own. ``wire_bytes_sent`` is the name the benchmark reads."""
         heights = {i: r["height"] for i, r in sorted(self.results.items())}
         return {
             "substrate": "live",
@@ -216,20 +223,11 @@ class LiveCluster:
                      for i, r in sorted(self.results.items())},
             "conformance_ok": all(r["conformance_ok"]
                                   for r in self.results.values()),
-            "conformance_violations": sum(r["conformance_violations"]
-                                          for r in self.results.values()),
             "trace_events_dropped": sum(r["dropped_events"]
                                         for r in self.results.values()),
-            "wire_bytes_sent": total("wire_bytes_sent"),
-            "messages_sent": total("messages_sent"),
-            "rx_dropped": total("rx_dropped"),
-            "garbage_frames": total("garbage_frames"),
-            "reconnect_attempts": total("reconnect_attempts"),
-            "reconnects": total("reconnects"),
-            "fault_dropped_frames": total("fault_dropped_frames"),
-            "catchup_served": total("catchup_served"),
-            "catchup_adopted": total("catchup_adopted"),
-            "per_node": {i: dict(r["stats"])
+            **self.metrics,
+            "wire_bytes_sent": self.metrics.get("live.wire_bytes_sent", 0),
+            "per_node": {i: dict(r["metrics"])
                          for i, r in sorted(self.results.items())},
             "startup": {i: dict(report)
                         for i, report in sorted(self.startup.items())},
@@ -543,6 +541,9 @@ class LiveCluster:
                 log.close()
 
         self.results = results
+        self.metrics = {}
+        for result in results.values():
+            fold(self.metrics, result["metrics"])
         self.rounds_run = rounds
         self.chains = {
             index: [decode_block(raw) for raw in result["blocks"]]
@@ -594,12 +595,13 @@ class LiveCluster:
         with synthesized crash events at the measured kill times, and
         followed by their respawn's events; scripted faults contribute
         one ``fault_applied``/``fault_cleared`` pair each, mirroring
-        the sim injector. The merged snapshot carries only the summed
-        loss counter, which is what completeness checks read; a bus, if
-        any, replays the same records and counts the same losses.
+        the sim injector. The merged snapshot is every trace's own
+        folded by the one rule, losses included (what completeness
+        checks read); a bus, if any, replays the same records and
+        counts the same losses.
         """
         events: list[dict] = []
-        dropped = 0
+        snapshots: list[dict] = []
         kills_by_node: dict[int, list[float]] = {}
         for record in self.kill_log:
             kills_by_node.setdefault(record["node"], []).append(record["t"])
@@ -612,7 +614,7 @@ class LiveCluster:
                 except (OSError, ValueError):
                     node_events, snapshot = [], None
                 events.extend(node_events)
-                dropped += sum(trace_losses(snapshot))
+                snapshots.append(snapshot or {})
                 if incarnation < len(kills):
                     events.extend(self._synthesize_crash_events(
                         index, node_events, kills[incarnation]))
@@ -628,13 +630,13 @@ class LiveCluster:
                                "window": window})
         events.sort(key=lambda record: float(record.get("t", 0.0)))
         out = Path(self.runtime_dir) / "merged.jsonl"
+        snapshot = fold_snapshots(snapshots)
         with out.open("w", encoding="utf-8") as handle:
             for record in events:
                 handle.write(json.dumps({"type": "event", **record},
                                         separators=(",", ":")) + "\n")
             handle.write(json.dumps(
-                {"type": "snapshot",
-                 "metrics": {"dropped_events": dropped}},
+                {"type": "snapshot", "metrics": snapshot},
                 separators=(",", ":")) + "\n")
         if self.obs is not None:
             stamp = 0.0
@@ -643,5 +645,5 @@ class LiveCluster:
                 fields = dict(record)
                 stamp = float(fields.pop("t", 0.0))
                 self.obs.emit(fields.pop("kind"), **fields)
-            self.obs.dropped_events += dropped
+            self.obs.dropped_events += sum(trace_losses(snapshot))
         return out

@@ -59,12 +59,15 @@ from repro.node.deployment import (
     SimulationConfig,
     build_node,
     derive_genesis,
+    harvest,
     make_backend,
+    node_counters,
     payment_plan,
 )
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
+from repro.sortition.selection import SELECTION_STATS
 
 #: Wall time at which the imports above finished (start-up report).
 _IMPORTED_AT = time.time()
@@ -237,18 +240,7 @@ class NodeProcess:
         #: bus, and a traced run is a checked run).
         self.monitor = ConformanceMonitor(registry=self.bus.metrics)
         self.bus.add_sink(self.monitor)
-
-        def harvest(bus: TraceBus) -> None:
-            metrics = bus.metrics
-            for name, value in self._stats().items():
-                metrics.set_gauge("live." + name, value)
-            metrics.set_gauge("live.max_lag_s", self.clock.max_lag)
-            metrics.set_gauge("simloop.events_processed",
-                              self.clock.events_processed)
-            metrics.set_gauge("simloop.now", self.clock.now)
-            self.monitor.harvest(metrics)
-
-        self.bus.add_harvester(harvest)
+        self.bus.add_harvester(self._harvest)
         node = build_node(
             config, self.genesis, self.index, clock=self.clock,
             transport=self.transport, backend=backend,
@@ -258,12 +250,19 @@ class NodeProcess:
         self.chain_sync = ChainSync(node)
         return node
 
-    def _stats(self) -> dict:
-        buffer = self.chain_sync.node.buffer
-        return {**self.transport.stats(), **self.chain_sync.stats(),
-                "vote_buffer_high_water": buffer.high_water,
-                # 0: unbounded (admission off).
-                "vote_buffer_budget": buffer.budget_messages or 0}
+    def _harvest(self, bus: TraceBus) -> None:
+        """The sim's harvest of one node stack, plus the live byte
+        mover's, catch-up's and clock-lag gauges under ``live.*``."""
+        gauges = {"live." + name: value for name, value in
+                  {**self.transport.stats(),
+                   **self.chain_sync.stats()}.items()}
+        gauges["live.max_lag_s"] = self.clock.max_lag
+        harvest(bus.metrics, clock=self.clock,
+                cache=self.verification_cache,
+                # One stack per process: the process-wide tallies are its.
+                sortition=SELECTION_STATS.as_dict(),
+                agents=node_counters(self.chain_sync.node),
+                conformance=self.monitor, gauges=gauges)
 
     def _startup_report(self, build_began: float) -> dict:
         """Where this process's start-up went (the ``ready`` message).
@@ -400,6 +399,7 @@ class NodeProcess:
         blocks = [encode_block(chain.block_at(r))
                   for r in range(1, chain.height + 1)]
         verdict = self.monitor.verdict()
+        snapshot = self.bus.snapshot()
         await send_message(writer, {
             "type": "result",
             "index": self.index,
@@ -410,11 +410,9 @@ class NodeProcess:
             "halted": node.halted,
             "trace": cfg["trace"],
             "conformance_ok": verdict.ok,
-            "conformance_violations": len(verdict.violations),
             "dropped_events": (self.bus.dropped_events
                                + self.sink.dropped),
-            "stats": {key: int(value) for key, value
-                      in self._stats().items()},
+            "metrics": {**snapshot["counters"], **snapshot["gauges"]},
         })
         # Linger: keep the clock pumping — and with it gossip dispatch
         # and chain serving — until the coordinator's ``stop`` releases

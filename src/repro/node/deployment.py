@@ -21,6 +21,9 @@ configure and wire the *same* node instead of three look-alikes:
 * :func:`build_node` — the only place a node stack is wired: chain,
   agent, admission gate, relay damper. The clock and the transport are
   injected, which is all that distinguishes the substrates here.
+* :func:`harvest` — the one reader of a node stack's runtime counters
+  into its registry, on either substrate; :func:`node_counters` names
+  one agent's, and :func:`fold` is how copies combine.
 * :func:`payment_plan` — the one payment schedule both substrates'
   ``submit_payments`` draw from.
 * :func:`deploy` — the harness ``config.substrate`` selects.
@@ -426,6 +429,99 @@ def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
     if config.runtime.relay_damping:
         attach_damping(node)
     return node
+
+
+# ---------------------------------------------------------------------
+# The harvest: which counters a node stack keeps, their names, one fold
+# ---------------------------------------------------------------------
+
+#: Name endings of peaks: copies fold by max (and a peak is a gauge);
+#: every other number is a count, and copies sum.
+PEAKS = ("high_water", "max_lag_s", ".now")
+
+
+def node_counters(node: Node) -> dict[str, int]:
+    """One agent's runtime counters under their registry names.
+
+    The router's unknown-kind drops, and the admission gate's and relay
+    damper's tallies where the node has that layer (the vote buffer's
+    marks are the gate's: it sets the bound).
+    """
+    counters = {"router.unknown_kind": node.router.unknown_kinds}
+    admission = node.admission
+    if admission is not None:
+        buffer = node.buffer
+        counters["admission.admitted"] = admission.admitted
+        for reason, count in admission.rejected.items():
+            counters["admission.rejected." + reason] = count
+        counters["admission.buffer_high_water"] = buffer.high_water
+        counters["admission.buffer_evicted"] = buffer.evicted
+        counters["admission.buffer_rejected"] = buffer.rejected
+    damper = node.damper
+    if damper is not None:
+        counters["damping.suppressed"] = damper.suppressed
+        counters["damping.observed"] = damper.observed
+    return counters
+
+
+def fold(totals: dict, numbers: dict) -> None:
+    """Fold one copy's ``numbers`` into ``totals``: counts sum,
+    :data:`PEAKS` take the max. Agents of one population, node processes
+    of one cluster and their snapshots all fold by this rule."""
+    for name, value in numbers.items():
+        if name.endswith(PEAKS):
+            totals[name] = max(totals.get(name, value), value)
+        else:
+            totals[name] = totals.get(name, 0) + value
+
+
+def fold_snapshots(snapshots) -> dict:
+    """Registry snapshots of several node stacks, folded into one."""
+    folded: dict = {"counters": {}, "gauges": {}}
+    dropped = 0
+    for snapshot in snapshots:
+        fold(folded["counters"], snapshot.get("counters", {}))
+        fold(folded["gauges"], snapshot.get("gauges", {}))
+        dropped += snapshot.get("dropped_events", 0)
+    folded = {section: dict(sorted(numbers.items()))
+              for section, numbers in folded.items()}
+    if dropped:
+        folded["dropped_events"] = dropped
+    return folded
+
+
+def harvest(metrics, *, clock, cache: VerificationCache | None,
+            sortition: dict[str, int], agents: dict[str, int],
+            conformance=None, counters: dict | None = None,
+            gauges: dict | None = None) -> None:
+    """Write a node stack's runtime numbers into ``metrics``.
+
+    The one reader both substrates register on their bus: the kernel's
+    ``simloop.*`` (a live clock is the same kernel), the verification
+    cache, this run's sortition tallies, the folded ``agents``
+    (:func:`node_counters`) and the conformance monitor's — then the
+    substrate's own ``counters``/``gauges`` (byte movers, population).
+    """
+    for name in ("events_processed", "immediates_processed", "batch_walks",
+                 "batch_deliveries", "now"):
+        metrics.set_gauge("simloop." + name, getattr(clock, name))
+    if cache is not None:
+        for name in ("hits", "misses", "negative_hits"):
+            metrics.set_counter("cache." + name, getattr(cache, name))
+        metrics.set_gauge("cache.entries", len(cache))
+    for name, value in sortition.items():
+        metrics.set_counter("sortition." + name, value)
+    for name, value in agents.items():
+        if name.endswith(PEAKS):
+            metrics.set_gauge(name, value)
+        else:
+            metrics.set_counter(name, value)
+    if conformance is not None:
+        conformance.harvest(metrics)
+    for name, value in (counters or {}).items():
+        metrics.set_counter(name, value)
+    for name, value in (gauges or {}).items():
+        metrics.set_gauge(name, value)
 
 
 def payment_plan(rng, senders: int, count: int,

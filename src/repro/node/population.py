@@ -58,7 +58,13 @@ from repro.crypto.backend import CryptoBackend
 from repro.ledger.blockchain import Blockchain
 from repro.network.gossip import GossipNetwork
 from repro.node.agent import Node, sortition_weights
-from repro.node.deployment import Genesis, SimulationConfig, build_node
+from repro.node.deployment import (
+    Genesis,
+    SimulationConfig,
+    build_node,
+    fold,
+    node_counters,
+)
 from repro.node.registry import BlockRegistry
 from repro.runtime.admission import QuarantineDirectory
 from repro.sim.loop import Environment
@@ -115,7 +121,7 @@ class Population:
         self.retired_total = 0
         self.live_high_water = 0
         #: What the retired agents counted (see :meth:`agent_counters`).
-        self._folded_counters = _no_counters()
+        self._retired_counters: dict[str, int] = {}
 
         # One genesis state, however large the core: the rest replicate.
         genesis_chain = self._create_agent(self.core[0]).chain
@@ -152,7 +158,7 @@ class Population:
         node = self.live.pop(slot)
         self._targets.pop(slot, None)
         self.retired_total += 1
-        _add_counters(self._folded_counters, node)
+        fold(self._retired_counters, node_counters(node))
         # The committing agent may be retiring itself at its own boundary
         # hook: its commit then finishes, and its run ends with it.
         node.retire()
@@ -274,18 +280,13 @@ class Population:
     def core_nodes(self) -> list[Node]:
         return [self.live[slot] for slot in self.core]
 
-    def agent_counters(self) -> dict:
-        """Runtime counters summed over every agent ever built.
-
-        The live agents as they stand plus each retired one as it was
-        when it retired: vote-buffer, router, admission and damping
-        counts (``buffer_high_water`` is the maximum). The admission
-        and damping entries are present once some agent had the layer.
-        """
-        totals = dict(self._folded_counters)
-        totals["rejected"] = dict(totals["rejected"])
+    def agent_counters(self) -> dict[str, int]:
+        """:func:`~repro.node.deployment.node_counters` folded over every
+        agent ever built: the live agents as they stand plus each
+        retired one as it was when it retired."""
+        totals = dict(self._retired_counters)
         for node in self.live.values():
-            _add_counters(totals, node)
+            fold(totals, node_counters(node))
         return totals
 
     def stats(self) -> dict[str, int]:
@@ -298,29 +299,3 @@ class Population:
             "retired_total": self.retired_total,
         }
 
-
-def _no_counters() -> dict:
-    return {"buffer_high_water": 0, "buffer_evicted": 0,
-            "buffer_rejected": 0, "router_unknown_kinds": 0,
-            "rejected": {}}
-
-
-def _add_counters(totals: dict, node: Node) -> None:
-    """Add one agent's counters into ``totals`` (see
-    :meth:`Population.agent_counters`)."""
-    buffer = node.buffer
-    totals["buffer_high_water"] = max(totals["buffer_high_water"],
-                                      buffer.high_water)
-    totals["buffer_evicted"] += buffer.evicted
-    totals["buffer_rejected"] += buffer.rejected
-    totals["router_unknown_kinds"] += node.router.unknown_kinds
-    admission = node.admission
-    if admission is not None:
-        totals["admitted"] = totals.get("admitted", 0) + admission.admitted
-        rejected = totals["rejected"]
-        for reason, count in admission.rejected.items():
-            rejected[reason] = rejected.get(reason, 0) + count
-    damper = node.damper
-    if damper is not None:
-        totals["suppressed"] = totals.get("suppressed", 0) + damper.suppressed
-        totals["observed"] = totals.get("observed", 0) + damper.observed

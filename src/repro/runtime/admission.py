@@ -58,7 +58,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.baplus.accountability import DoubleVoteEvidence, EquivocationEvidence
 from repro.baplus.messages import VoteMessage
 from repro.common.errors import ConfigError
 from repro.network.message import Envelope
@@ -78,10 +77,6 @@ VoteVerdict = tuple[VoteMessage, "BAContext | None", int]
 #: Offense kinds recognized by :class:`PeerHealth`.
 OFFENSES = ("invalid_signature", "failed_sortition", "duplicate",
             "equivocation", "flood")
-
-#: Cap on retained misbehavior evidence per node (adversaries can commit
-#: offenses without bound; the receipts need not grow with them).
-_MAX_EVIDENCE = 64
 
 
 @dataclass
@@ -329,9 +324,7 @@ class AdmissionControl:
         self.health = PeerHealth(config)
         self.admitted = 0
         self.rejected: dict[str, int] = {}
-        #: Self-certifying misbehavior receipts (bounded).
-        self.evidence: list = []
-        #: (voter, round, step) -> first admitted vote (dedup + evidence).
+        #: (voter, round, step) -> first admitted vote (dedup + equivocation).
         self._first_vote: dict[tuple[bytes, int, str], VoteMessage] = {}
         #: (proposer, round) seen priority announcements.
         self._seen_priorities: set[tuple[bytes, int]] = set()
@@ -361,10 +354,6 @@ class AdmissionControl:
                 self.node.obs.emit("peer_quarantined", node=self.node.index,
                                    peer=index, scope="local",
                                    offense=offense, round=round_number)
-
-    def _record_evidence(self, item) -> None:
-        if len(self.evidence) < _MAX_EVIDENCE:
-            self.evidence.append(item)
 
     def _stale_horizon(self) -> int:
         horizon = self.node.chain.next_round
@@ -415,10 +404,6 @@ class AdmissionControl:
                 if from_index == origin_index:
                     self._penalize(from_index, "duplicate")
                 return self._reject("duplicate")
-            evidence = DoubleVoteEvidence(
-                offender=vote.voter, round_number=vote.round_number,
-                step=vote.step, first=first, second=vote)
-            self._record_evidence(evidence)
             self._penalize(origin_index, "equivocation")
             return self._reject("equivocation")
         chain = self.node.chain
@@ -498,9 +483,6 @@ class AdmissionControl:
             # both per section 10.4 — but it is scored here and every
             # further version is rejected at ingress.
             self._equivocators.add(key)
-            self._record_evidence(EquivocationEvidence(
-                offender=proposer, round_number=block.round_number,
-                first_hash=first_hash, second_hash=block.block_hash))
             if envelope.origin == proposer:
                 self._penalize(origin_index, "equivocation")
         elif from_index == origin_index:

@@ -15,6 +15,8 @@ from repro.experiments.harness import (
     Simulation,
     SimulationConfig,
 )
+from repro.node.deployment import node_counters
+from repro.obs import TraceBus
 from repro.runtime.admission import AdmissionConfig
 
 ROUNDS = 2
@@ -34,12 +36,13 @@ def _honest(sim) -> list:
     return [node for node in sim.nodes if node.index not in _attackers(sim)]
 
 
-def _run_attack(faults, *, num_users=10, seed=61, admission=None):
+def _run_attack(faults, *, num_users=10, seed=61, admission=None,
+                obs=None):
     """Run a Byzantine sim until every honest node commits ROUNDS."""
     sim = Simulation(
         SimulationConfig(num_users=num_users, seed=seed,
                          runtime=RuntimeConfig(admission=admission)),
-        faults=faults)
+        faults=faults, obs=obs)
     for node in sim.nodes:
         node.start(ROUNDS)
     honest = _honest(sim)
@@ -123,21 +126,24 @@ class TestMaliciousQuarantine:
         """The section 10.4 adversary's conflicting votes are
         self-certifying evidence: the origin is scored, quarantined, and
         the chain never forks."""
+        bus = TraceBus()
         sim = _run_attack(figure8_adversary((12, 13, 14)), num_users=15,
-                          seed=67)
+                          seed=67, obs=bus)
         honest = sim.nodes[:12]
         for node in honest:
             assert node.chain.height >= ROUNDS
         for round_number in range(1, ROUNDS + 1):
             assert len(sim.agreed_hashes(round_number)) == 1
         attackers = {12, 13, 14}
-        attacker_keys = {sim.keypairs[index].public for index in attackers}
-        evidence = [item
-                    for node in honest
-                    for item in node.admission.evidence]
-        assert evidence, "no double-vote evidence was recorded"
-        # Every receipt is self-certifying and names an actual attacker.
-        assert {item.offender for item in evidence} <= attacker_keys
+        caught = sum(
+            node_counters(node).get("admission.rejected.equivocation", 0)
+            for node in honest)
+        assert caught, "no conflicting vote was rejected as equivocation"
+        # Every quarantine for equivocation names an actual attacker.
+        blamed = {event["peer"]
+                  for event in bus.events_of_kind("peer_quarantined")
+                  if event.get("offense") == "equivocation"}
+        assert blamed and blamed <= attackers
         # Local blocks (if any) must only ever name the attackers.
         for node in honest:
             assert set(node.admission.health.quarantined_until) <= attackers

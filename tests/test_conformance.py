@@ -99,7 +99,7 @@ class TestCleanTraces:
         assert verdict.nodes == USERS
         summary = sim.summary()
         assert summary["conformance"]["ok"]
-        assert summary["conformance"]["violations"] == 0
+        assert summary["conformance.violations"] == 0
 
     def test_conformance_counters_in_snapshot(self, clean_run):
         _, bus = clean_run

@@ -205,10 +205,10 @@ class TestRelayDamperWiring:
 
     def test_summary_reports_damping(self):
         sim = run_sim(1, num_users=10, seed=5, network=TIES)
-        damping = sim.summary()["damping"]
-        assert damping["suppressed"] == sum(
+        summary = sim.summary()
+        assert summary["damping.suppressed"] == sum(
             node.damper.suppressed for node in sim.nodes)
-        assert damping["observed"] > 0
+        assert summary["damping.observed"] > 0
 
 
 def _network(num_nodes=20, seed=0, bandwidth=None, latency=0.01, peers=4):

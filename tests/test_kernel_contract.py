@@ -242,12 +242,11 @@ def test_golden_chain_hash(seed, population):
                   population=population)
     assert chain_hash(sim) == GOLDEN_20_USERS_2_ROUNDS[seed]
     summary = sim.summary()
-    cache = summary["verification_cache"]
     assert {
-        "events_processed": summary["events_processed"],
-        "messages_delivered": summary["messages_delivered"],
-        "dup_elided": summary["dup_elided"],
-        "cache_lookups": cache["hits"] + cache["misses"],
+        "events_processed": summary["simloop.events_processed"],
+        "messages_delivered": summary["network.messages_delivered"],
+        "dup_elided": summary["gossip.dup_elided"],
+        "cache_lookups": summary["cache.hits"] + summary["cache.misses"],
     } == GOLDEN_WORK_20_USERS_2_ROUNDS[seed]
 
 

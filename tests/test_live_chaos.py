@@ -149,10 +149,11 @@ class TestKilledNodeCatchesUp:
         assert killed_cluster.results[VICTIM]["incarnation"] == 1
 
     def test_victim_rebuilt_chain_via_catchup(self, killed_cluster):
-        stats = killed_cluster.results[VICTIM]["stats"]
-        assert stats["catchup_adopted"] >= 1
-        served = sum(killed_cluster.results[i]["stats"]["catchup_served"]
-                     for i in range(NODES) if i != VICTIM)
+        metrics = killed_cluster.results[VICTIM]["metrics"]
+        assert metrics["live.catchup_adopted"] >= 1
+        served = sum(
+            killed_cluster.results[i]["metrics"]["live.catchup_served"]
+            for i in range(NODES) if i != VICTIM)
         assert served >= 1
 
     def test_merged_trace_tells_the_crash_story(self, killed_cluster):
@@ -174,20 +175,20 @@ class TestKilledNodeCatchesUp:
     def test_respawned_victim_redialed_its_links(self, killed_cluster):
         # The victim is the highest index, i.e. the dialer of both its
         # links: its respawn goes through the backoff redial path.
-        stats = killed_cluster.results[VICTIM]["stats"]
-        assert stats["reconnects"] >= 1
-        assert killed_cluster.summary()["reconnects"] >= 1
+        metrics = killed_cluster.results[VICTIM]["metrics"]
+        assert metrics["live.reconnects"] >= 1
+        assert killed_cluster.summary()["live.reconnects"] >= 1
 
     def test_summary_carries_fault_plane_stats(self, killed_cluster):
         summary = killed_cluster.summary()
         assert summary["kills"] and summary["kills"][0]["node"] == VICTIM
-        assert summary["catchup_adopted"] >= 1
-        assert summary["catchup_served"] >= 1
+        assert summary["live.catchup_adopted"] >= 1
+        assert summary["live.catchup_served"] >= 1
         assert summary["chains_equal"]
         assert set(summary["per_node"]) == set(range(NODES))
-        for stats in summary["per_node"].values():
-            assert "reconnect_attempts" in stats
-            assert "fault_dropped_frames" in stats
+        for metrics in summary["per_node"].values():
+            assert "live.reconnect_attempts" in metrics
+            assert "live.fault_dropped_frames" in metrics
 
 
 class TestPartitionedNodeCatchesUp:
@@ -201,18 +202,18 @@ class TestPartitionedNodeCatchesUp:
 
     def test_partition_actually_dropped_frames(self, partitioned_cluster):
         summary = partitioned_cluster.summary()
-        assert summary["fault_dropped_frames"] >= 1
+        assert summary["live.fault_dropped_frames"] >= 1
 
     def test_the_cut_left_the_sockets_open(self, partitioned_cluster):
         # A partition is frames vanishing at both senders; nobody gets a
         # FIN, so there is nothing to redial when it heals.
-        assert partitioned_cluster.summary()["reconnects"] == 0
+        assert partitioned_cluster.summary()["live.reconnects"] == 0
 
     def test_duplicate_window_doubled_deliveries(self, partitioned_cluster):
         sent_late = dups = received = 0
         for index in range(NODES):
-            stats = partitioned_cluster.results[index]["stats"]
-            sent_late += stats["fault_delayed_frames"]
+            metrics = partitioned_cluster.results[index]["metrics"]
+            sent_late += metrics["live.fault_delayed_frames"]
             counters = _counters(partitioned_cluster, index)
             dups += counters["gossip.dup_dropped"]
             received += sum(count for name, count in counters.items()
@@ -249,10 +250,12 @@ class TestSpammingProcessIsContained:
 
     def test_honest_vote_buffers_stayed_inside_budget(self,
                                                       spammed_cluster):
+        budgets = spammed_cluster.config.runtime.admission_budgets()
+        assert budgets.vote_buffer_budget == SPAM_BUFFER_BUDGET
         for index in (0, 1):
-            stats = spammed_cluster.results[index]["stats"]
-            assert stats["vote_buffer_budget"] == SPAM_BUFFER_BUDGET
-            assert 0 < stats["vote_buffer_high_water"] <= SPAM_BUFFER_BUDGET
+            metrics = spammed_cluster.results[index]["metrics"]
+            assert (0 < metrics["admission.buffer_high_water"]
+                    <= SPAM_BUFFER_BUDGET)
         script = ScenarioScript(name="spam", config=spammed_cluster.config,
                                 rounds=SPAM_ROUNDS,
                                 actions=spammed_cluster.faults)
@@ -280,28 +283,27 @@ class TestOneVocabulary:
                 FaultAction(kind=kind, start=0.0, end=1.0, **extra[kind])])
 
     def test_live_runner_raises_the_sims_ingress_bounds_violation(self):
-        def stats(high_water: int) -> dict:
+        def result(high_water: int) -> dict:
             return {"height": 1, "blocks": [b"block"],
-                    "stats": {"vote_buffer_high_water": high_water,
-                              "vote_buffer_budget": 64}}
+                    "metrics": {"admission.buffer_high_water": high_water}}
 
         cluster = SimpleNamespace(
-            results={0: stats(64), 1: stats(65), 2: stats(9000)},
+            results={0: result(64), 1: result(65), 2: result(9000)},
             obs=SimpleNamespace(events=[{"t": 3.0, "kind": "x"}]))
+        config = SimulationConfig(num_users=NODES, runtime=RuntimeConfig(
+            admission=AdmissionConfig(vote_buffer_budget=64)))
         script = ScenarioScript(
-            name="spammer", config=SimulationConfig(num_users=NODES),
+            name="spammer", config=config,
             rounds=1, actions=(FaultAction(kind="spam", start=0.0,
                                            end=1.0, nodes=(2,),
                                            rate=10.0),))
         (breach,) = live_findings(cluster, script)["audits"]
-        # The sim's audit, over node objects with the same numbers.
-        nodes = [SimpleNamespace(index=index, buffer=SimpleNamespace(
-                     high_water=result["stats"]["vote_buffer_high_water"],
-                     budget_messages=64))
-                 for index, result in cluster.results.items()]
+        # The sim's audit, over its nodes' marks under the same names.
         (sim_breach,) = audit_ingress(
-            nodes, SimpleNamespace(interfaces=[]), now=3.0,
-            skip=frozenset({2}))
+            {index: {"admission.buffer_high_water": high_water}
+             for index, high_water in enumerate((64, 65, 9000))},
+            config, now=3.0, skip=frozenset({2}),
+            network=SimpleNamespace(interfaces=[]))
         assert breach == sim_breach
         assert breach.invariant == "ingress-bounds"
         assert "node 1" in breach.detail and "65" in breach.detail

@@ -17,12 +17,23 @@ from repro.experiments.harness import Simulation
 from repro.live.cluster import LiveCluster, default_live_config
 from repro.node.deployment import SubstrateConfig
 from repro.obs import TraceBus
+from repro.obs.report import render_report
 from repro.obs.sink import read_trace
 
 pytestmark = pytest.mark.slow
 
 NODES = 5
 ROUNDS = 3
+
+
+#: Registry names only the sim has: its population, its network's
+#: delivery and elision tallies, egress lanes and the network-wide
+#: quarantine directory.
+SIM_ONLY = ("population.", "network.", "gossip.dup_elided",
+            "admission.egress_", "admission.quarantine")
+#: The runtime families a node stack carries on either substrate.
+SHARED = ("cache.", "sortition.", "router.unknown_kind", "admission.",
+          "damping.", "simloop.")
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +45,22 @@ def cluster(tmp_path_factory):
     cluster.submit_payments(20)
     cluster.run_rounds(ROUNDS)
     return cluster
+
+
+@pytest.fixture(scope="module")
+def sim_snapshot(cluster):
+    """The same config's run on the sim substrate, traced."""
+    bus = TraceBus()
+    sim = Simulation(dataclasses.replace(
+        cluster.config, substrate=SubstrateConfig()), obs=bus)
+    sim.submit_payments(20)
+    sim.run_rounds(ROUNDS)
+    return bus.snapshot()
+
+
+def _names(snapshot: dict, prefixes: tuple[str, ...]) -> set[str]:
+    return {name for section in ("counters", "gauges")
+            for name in snapshot[section] if name.startswith(prefixes)}
 
 
 class TestLiveCluster:
@@ -75,28 +102,54 @@ class TestLiveCluster:
 
     def test_no_transport_loss_on_loopback(self, cluster):
         summary = cluster.summary()
-        assert summary["rx_dropped"] == 0
-        assert summary["garbage_frames"] == 0
+        assert summary["live.rx_dropped"] == 0
+        assert summary["live.garbage_frames"] == 0
         assert summary["conformance_ok"]
-        assert summary["conformance_violations"] == 0
+        assert summary["conformance.violations"] == 0
 
     def test_node_snapshot_carries_the_relay_cores_counter_families(
-            self, cluster):
+            self, cluster, sim_snapshot):
         """Same names from either substrate: the core emits them."""
         _, live = read_trace(cluster.results[0]["trace"])
-        bus = TraceBus()
-        sim = Simulation(dataclasses.replace(
-            cluster.config, substrate=SubstrateConfig()), obs=bus)
-        sim.submit_payments(20)
-        sim.run_rounds(ROUNDS)
         families = ("sent.", "sent_bytes.", "recv.", "recv_bytes.",
                     "relayed.", "dup_dropped", "pruned_ids", "prune_passes")
-        for snapshot in (live, bus.metrics.snapshot()):
+        for snapshot in (live, sim_snapshot):
             names = [name for name in snapshot["counters"]
                      if name.startswith("gossip.")]
             for family in families:
                 assert any(name.startswith("gossip." + family)
                            for name in names), (family, names)
+
+    def test_node_snapshot_carries_the_sims_runtime_names(
+            self, cluster, sim_snapshot):
+        """One harvest: a node stack's runtime counters have the same
+        names on either substrate, bar the sim-only ones."""
+        rejected = ("admission.rejected.",)
+        sim = _names(sim_snapshot, SHARED) - _names(sim_snapshot, SIM_ONLY)
+        assert _names(sim_snapshot, SIM_ONLY)
+        for index in range(NODES):
+            _, live = read_trace(cluster.results[index]["trace"])
+            names = _names(live, SHARED)
+            assert not _names(live, SIM_ONLY)
+            assert (names - _names(live, rejected)
+                    == sim - _names(sim_snapshot, rejected))
+            assert live["counters"]["cache.hits"] > 0
+            assert live["gauges"]["admission.buffer_high_water"] > 0
+        assert cluster.metrics["damping.observed"] == sum(
+            result["metrics"]["damping.observed"]
+            for result in cluster.results.values())
+
+    def test_report_on_the_merged_trace_has_the_runtime_table(
+            self, cluster):
+        events, snapshot = read_trace(cluster.merged_trace_path)
+        report = render_report(events, snapshot)
+        table = report.split("== Runtime counters ==")[1]
+        for row in ("verification cache", "sortition", "admission",
+                    "ingress buffers"):
+            assert f"\n{row} " in table, (row, table)
+        assert snapshot["counters"]["cache.hits"] == sum(
+            read_trace(result["trace"])[1]["counters"]["cache.hits"]
+            for result in cluster.results.values())
 
     def test_summary_reports_each_nodes_startup(self, cluster):
         """"Why did setup take that long" is answerable from summary()."""

@@ -190,11 +190,10 @@ class TestTracedSimulation:
     def test_summary_surfaces_runtime_counters(self, traced):
         sim, _ = traced
         summary = sim.summary()
-        cache = summary["verification_cache"]
-        assert cache["hits"] > 0 and "negative_hits" in cache
-        assert summary["router_unknown_kinds"] == 0
+        assert summary["cache.hits"] > 0 and "cache.negative_hits" in summary
+        assert summary["router.unknown_kind"] == 0
         assert summary["obs"]["counters"]["router.dispatch.vote"] > 0
-        assert summary["sortition"]["verifies"] > 0
+        assert summary["sortition.verifies"] > 0
 
 
 class TestJsonlRoundTrip:

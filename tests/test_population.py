@@ -26,6 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.baplus.buffer import VoteBuffer
 from repro.common.errors import PopulationError
 from repro.common.params import TEST_PARAMS
 from repro.experiments.harness import (
@@ -39,6 +40,7 @@ from repro.ledger.persistence import load_chain, save_chain
 from repro.ledger.transaction import make_transaction
 from repro.node.agent import Node
 from repro.node.catchup import ChainSync, build_announcement
+from repro.node.deployment import fold_snapshots
 from repro.runtime.admission import AdmissionControl
 from repro.runtime.damping import RelayDamper
 
@@ -74,7 +76,7 @@ def assert_covering_core(sim: Simulation, golden: tuple[str, int]) -> None:
     """``sim`` (core == population) committed the recorded run."""
     assert (chain_hash(sim), sim.env.events_processed) == golden
     # no dormant stake -> the pool pass never ran, nobody came or went
-    assert sim.summary()["sortition"]["pool_evaluations"] == 0
+    assert sim.summary()["sortition.pool_evaluations"] == 0
     stats = sim.population.stats()
     assert stats["retired_total"] == 0
     assert stats["materialized_total"] == sim.config.num_users
@@ -119,7 +121,7 @@ class TestDormancy:
         assert stats["retired_total"] > 0
         assert stats["live"] < stats["accounts"]
         assert stats["materialized_total"] > stats["core"]
-        assert agg.summary()["sortition"]["pool_evaluations"] > 0
+        assert agg.summary()["sortition.pool_evaluations"] > 0
 
     def test_protocol_outcomes_match_full_run(self, pair):
         full, agg = pair
@@ -164,10 +166,12 @@ class TestDormancy:
 
 class TestCountersOutliveAgents:
     """A retired agent is garbage, but what it counted is not lost: the
-    harness's totals cover every agent the population ever built."""
+    harness's totals cover every agent the population ever built, folded
+    by the one rule (counts sum, peaks take the max)."""
 
     def test_totals_cover_every_agent_ever_built(self, monkeypatch):
-        built: dict[type, list] = {AdmissionControl: [], RelayDamper: []}
+        built: dict[type, list] = {AdmissionControl: [], RelayDamper: [],
+                                   VoteBuffer: []}
         for cls, instances in built.items():
             def record(self, *args, _init=cls.__init__, _into=instances,
                        **kwargs):
@@ -178,21 +182,48 @@ class TestCountersOutliveAgents:
                                                steps_ahead=6),
                       **DORMANCY_CFG)
         admissions, dampers = built[AdmissionControl], built[RelayDamper]
+        buffers = built[VoteBuffer]
         stats = sim.population.stats()
         assert stats["retired_total"] > 0
-        assert len(admissions) == len(dampers) == stats["materialized_total"]
+        assert (len(admissions) == len(dampers) == len(buffers)
+                == stats["materialized_total"])
         summary = sim.summary()
         admitted = sum(admission.admitted for admission in admissions)
         rejected: Counter = Counter()
         for admission in admissions:
             rejected.update(admission.rejected)
-        assert summary["admission"]["admitted"] == admitted
-        assert summary["admission"]["rejected"] == dict(rejected)
-        assert summary["damping"] == {
-            "suppressed": sum(damper.suppressed for damper in dampers),
-            "observed": sum(damper.observed for damper in dampers)}
+        assert summary["admission.admitted"] == admitted
+        assert {name[len("admission.rejected."):]: value
+                for name, value in summary.items()
+                if name.startswith("admission.rejected.")} == dict(rejected)
+        assert summary["admission.buffer_evicted"] == sum(
+            buffer.evicted for buffer in buffers)
+        assert summary["admission.buffer_high_water"] == max(
+            buffer.high_water for buffer in buffers)
+        assert summary["damping.suppressed"] == sum(
+            damper.suppressed for damper in dampers)
+        assert summary["damping.observed"] == sum(
+            damper.observed for damper in dampers)
         # The always-on core alone undercounts.
         assert admitted > sum(node.admission.admitted for node in sim.nodes)
+
+    def test_node_snapshots_fold_by_the_same_rule(self):
+        one = {"counters": {"cache.hits": 3, "admission.admitted": 5},
+               "gauges": {"admission.buffer_high_water": 7,
+                          "live.max_lag_s": 0.5, "simloop.now": 2.0,
+                          "live.wire_bytes_sent": 100}}
+        two = {"counters": {"cache.hits": 4, "router.unknown_kind": 1},
+               "gauges": {"admission.buffer_high_water": 4,
+                          "live.max_lag_s": 0.25, "simloop.now": 3.0,
+                          "live.wire_bytes_sent": 50},
+               "dropped_events": 2}
+        assert fold_snapshots([one, two]) == {
+            "counters": {"admission.admitted": 5, "cache.hits": 7,
+                         "router.unknown_kind": 1},
+            "gauges": {"admission.buffer_high_water": 7,
+                       "live.max_lag_s": 0.5,
+                       "live.wire_bytes_sent": 150, "simloop.now": 3.0},
+            "dropped_events": 2}
 
 
 class TestValidation:
