@@ -34,6 +34,7 @@ Robustness plumbing (all dormant in a clean run):
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import resource
 import sys
@@ -52,7 +53,12 @@ from repro.ledger.transaction import make_transaction
 from repro.live.clock import LiveClock
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.live.transport import LiveTransport, PeerLink
-from repro.network.wire import FrameDecoder, encode_block, encode_frame
+from repro.network.wire import (
+    FrameDecoder,
+    WireError,
+    encode_block,
+    encode_frame,
+)
 from repro.node.agent import IDLE, Node
 from repro.node.catchup import ChainSync
 from repro.node.deployment import (
@@ -77,26 +83,35 @@ RECONNECT_BACKOFF_BASE = 0.25
 RECONNECT_BACKOFF_CAP = 3.0
 
 
-async def _read_hello(reader: asyncio.StreamReader
-                      ) -> tuple[dict, list[bytes], bytes]:
-    """First frame on a gossip connection identifies the peer.
+class _Handshake(asyncio.Protocol):
+    """An accepted gossip connection until its ``peer-hello`` frame.
 
-    Returns ``(hello, extra_frames, residue)`` — any bytes the hello
-    read pulled in beyond the hello itself are handed back so no early
-    gossip frame is lost to the handshake.
+    It then becomes that peer's :class:`PeerLink`, taking whatever
+    arrived behind the hello; any other first frame drops it.
     """
-    decoder = FrameDecoder()
-    while True:
-        data = await reader.read(65536)
-        if not data:
-            raise ControlError("peer closed before hello")
-        frames = decoder.feed(data)
-        if frames:
+
+    def __init__(self, node: "NodeProcess") -> None:
+        self.node = node
+        self.decoder = FrameDecoder()
+        self.sock: asyncio.Transport | None = None
+
+    def connection_made(self, sock: asyncio.Transport) -> None:
+        self.sock = sock
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            frames = self.decoder.feed(data)
+            if not frames:
+                return
             hello = decode(frames[0])
-            if (not isinstance(hello, dict)
-                    or hello.get("type") != "peer-hello"):
-                raise ControlError(f"expected peer-hello, got {hello!r}")
-            return hello, frames[1:], decoder.residue()
+        except (WireError, ValueError):
+            hello = None
+        if (not isinstance(hello, dict)
+                or hello.get("type") != "peer-hello"):
+            self.sock.abort()
+            return
+        self.node._accept_link(hello["index"], self.sock, frames[1:],
+                               self.decoder.residue())
 
 
 class NodeProcess:
@@ -139,49 +154,47 @@ class NodeProcess:
         if len(self.transport.links) >= expected:
             self._links_complete.set()
 
-    async def _on_peer_connect(self, reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        hello, extra, residue = await _read_hello(reader)
-        peer = hello["index"]
-        link = PeerLink(self.transport, peer, reader, writer)
+    def _accept_link(self, peer: int, sock: asyncio.Transport,
+                     extra: list[bytes], residue: bytes) -> None:
+        link = PeerLink(self.transport, peer)
+        sock.set_protocol(link)
+        link.connection_made(sock)
         self.transport.add_link(link)
-        link.start()
         for payload in extra:
             self.transport._on_payload(peer, payload)
-        for payload in link.decoder.feed(residue):
-            self.transport._on_payload(peer, payload)
+        link.data_received(residue)
         self._check_links()
 
     async def _listen(self) -> str | list:
         cfg, substrate = self.cfg, self.config.substrate
+        loop = asyncio.get_running_loop()
+        accept = functools.partial(_Handshake, self)
         if substrate.transport == "uds":
             path = str(Path(cfg["runtime_dir"])
                        / f"node-{self.index}.sock")
             # A respawn after SIGKILL finds its own stale socket file.
             Path(path).unlink(missing_ok=True)
-            self._server = await asyncio.start_unix_server(
-                self._on_peer_connect, path=path)
+            self._server = await loop.create_unix_server(accept, path=path)
             return path
         port = cfg.get("rebind_port") or (
             (substrate.base_port + self.index) if substrate.base_port
             else 0)
-        self._server = await asyncio.start_server(
-            self._on_peer_connect, host=substrate.host, port=port)
+        self._server = await loop.create_server(
+            accept, host=substrate.host, port=port)
         bound_port = self._server.sockets[0].getsockname()[1]
         return [substrate.host, bound_port]
 
     async def _dial_peer(self, peer: int, address) -> None:
+        loop = asyncio.get_running_loop()
+        link = PeerLink(self.transport, peer)
         if self.config.substrate.transport == "uds":
-            reader, writer = await asyncio.open_unix_connection(address)
+            await loop.create_unix_connection(lambda: link, address)
         else:
-            reader, writer = await asyncio.open_connection(
-                address[0], address[1])
-        writer.write(encode_frame(encode({"type": "peer-hello",
-                                          "index": self.index})))
-        await writer.drain()
-        link = PeerLink(self.transport, peer, reader, writer)
+            await loop.create_connection(lambda: link, address[0],
+                                         address[1])
+        link.sock.write(encode_frame(encode({"type": "peer-hello",
+                                             "index": self.index})))
         self.transport.add_link(link)
-        link.start()
         self._check_links()
 
     def _ensure_redial(self, peer: int) -> None:

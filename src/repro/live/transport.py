@@ -5,8 +5,9 @@ what a node decides about a message — dedup, the §8.4 receive order,
 what to forward, the ``gossip.*`` counters — is the
 :class:`repro.network.gossip.RelayCore` it inherits, shared with the
 sim interface. What is left here is bytes: one :class:`PeerLink` per
-peer (a framed reader task and a queued writer task) and how little of
-a frame is touched. Ingress pays once per message: a frame's
+peer (an ``asyncio.Protocol``: frames are cut from the bytes as they
+arrive, and a clock turn's frames leave in one socket write) and how
+little of a frame is touched. Ingress pays once per message: a frame's
 fixed-offset header is read first (one ``unpack_from``), a frame whose
 ``msg_id`` the core already holds is counted and dropped without its
 body ever being sliced out, let alone decoded, and a relay forwards the
@@ -35,10 +36,10 @@ in a clean run:
   written, a delayed one is ``clock.schedule(delay, link.send, frame)``,
   a duplicated one is sent twice. The sockets themselves stay open — a
   partition is packets disappearing, nobody gets a FIN.
-* **Link-down notification** — when a link's reader or writer dies
-  (peer crashed, connection reset), :attr:`LiveTransport.on_link_down`
-  fires once with the peer index so the owner can schedule a reconnect
-  with capped exponential backoff.
+* **Link-down notification** — when a link's socket is lost or its
+  flush finds it closing (peer crashed, connection reset),
+  :attr:`LiveTransport.on_link_down` fires once with the peer index so
+  the owner can schedule a reconnect with capped exponential backoff.
 """
 
 from __future__ import annotations
@@ -67,83 +68,75 @@ from repro.network.wire import (
 MSG_ID_SEQ_BITS = 40
 
 
-class PeerLink:
-    """One live connection: framed reader + queued writer, both tasks."""
+class PeerLink(asyncio.Protocol):
+    """One live connection, read and written by loop callbacks.
 
-    def __init__(self, transport: "LiveTransport", peer: int,
-                 reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
+    The socket hands :meth:`data_received` whatever arrived, and every
+    whole frame goes straight to the transport's header check — no
+    reader task, no wake-up per chunk. :meth:`send` only appends to the
+    link's pending list; the first append of a clock turn schedules one
+    :meth:`_flush` with ``call_soon``, which runs when the turn yields
+    and hands every frame the turn queued to the socket in one
+    ``write``. Broadcast never blocks on a slow peer: the socket
+    transport buffers what the kernel has not taken yet.
+    """
+
+    def __init__(self, transport: "LiveTransport", peer: int) -> None:
         self.transport = transport
         self.peer = peer
-        self.reader = reader
-        self.writer = writer
+        self.sock: asyncio.Transport | None = None
         self.decoder = FrameDecoder()
         self.closed = False
         self._down_notified = False
-        self._tasks: list[asyncio.Task] = []
-        #: Per-peer outbound queue: broadcast never blocks on a slow
-        #: peer; its writer task drains the queue at the socket's pace.
-        self._outbound: asyncio.Queue[bytes | None] = asyncio.Queue()
+        #: Frames queued this turn, in send order.
+        self._pending: list[bytes] = []
 
-    def start(self) -> None:
-        self._tasks = [
-            asyncio.create_task(self._read_loop(),
-                                name=f"link-read-{self.peer}"),
-            asyncio.create_task(self._write_loop(),
-                                name=f"link-write-{self.peer}"),
-        ]
+    def connection_made(self, sock: asyncio.Transport) -> None:
+        self.sock = sock
 
-    def send(self, frame: bytes) -> None:
-        if not self.closed:
-            self._outbound.put_nowait(frame)
-
-    async def _write_loop(self) -> None:
+    def data_received(self, data: bytes) -> None:
+        if self.closed:
+            return
         try:
-            while True:
-                frame = await self._outbound.get()
-                if frame is None:
-                    break
-                self.writer.write(frame)
-                await self.writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self.closed = True
-            self.transport._link_lost(self)
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                data = await self.reader.read(65536)
-                if not data:
-                    break
-                for payload in self.decoder.feed(data):
-                    self.transport._on_payload(self.peer, payload)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+            payloads = self.decoder.feed(data)
         except WireError:
             # Desynced or malicious stream: the frame boundary is gone
             # for good, so the connection is dropped, not resynced.
             self.transport.garbage_streams += 1
-        finally:
+            self.closed = True
+            self.sock.abort()
+            return
+        for payload in payloads:
+            self.transport._on_payload(self.peer, payload)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed = True
+        self.transport._link_lost(self)
+
+    def send(self, frame: bytes) -> None:
+        if self.closed:
+            return
+        if not self._pending:
+            asyncio.get_running_loop().call_soon(self._flush)
+        self._pending.append(frame)
+
+    def _flush(self) -> None:
+        """Write the turn's frames in one call; a dead socket drops them."""
+        frames, self._pending = self._pending, []
+        if self.closed or not frames:
+            return
+        if self.sock.is_closing():
             self.closed = True
             self.transport._link_lost(self)
+            return
+        self.sock.write(b"".join(frames))
+        self.transport.socket_writes += 1
 
     async def close(self) -> None:
+        self._flush()  # what this turn queued still goes out
         self.closed = True
-        self._outbound.put_nowait(None)
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except Exception:
-            pass
+        if self.sock is not None:
+            self.sock.close()
 
 
 class LiveTransport(RelayCore):
@@ -162,6 +155,8 @@ class LiveTransport(RelayCore):
         #: Actual frame bytes handed to the sockets (wire truth; the
         #: core's ``bytes_sent`` is the logical size the sim charges).
         self.wire_bytes_sent = 0
+        #: Socket ``write`` calls: one per link per clock turn that sent.
+        self.socket_writes = 0
         self.drain_budget = drain_budget
         self.rx_queue_limit = rx_queue_limit
         self.rx_dropped = 0
@@ -174,9 +169,9 @@ class LiveTransport(RelayCore):
         #: Copies the hooks dropped / sent late.
         self.fault_dropped_frames = 0
         self.fault_delayed_frames = 0
-        #: Callback fired (once per link) when a link's reader or writer
-        #: dies — the owner decides whether to redial. :meth:`close`
-        #: detaches it: a link torn down on purpose is not a lost one.
+        #: Callback fired (once per link) when a link's socket is lost —
+        #: the owner decides whether to redial. :meth:`close` detaches
+        #: it: a link torn down on purpose is not a lost one.
         self.on_link_down: Callable[[int], None] | None = None
         #: Dial attempts and successes after a lost link (the owner's
         #: backoff loop increments these; counted here so they travel
@@ -213,8 +208,8 @@ class LiveTransport(RelayCore):
     def add_link(self, link: PeerLink) -> None:
         stale = self.links.get(link.peer)
         if stale is not None and stale is not link:
-            # Reconnect replaced a dead (or half-dead) link: retire the
-            # old tasks so their teardown cannot clobber the new link.
+            # Reconnect replaced a dead (or half-dead) link: close the
+            # old socket; its loss no longer reaches the owner.
             self._close_soon(stale)
         self.links[link.peer] = link
         self.neighbors = sorted(self.links)
@@ -317,9 +312,10 @@ class LiveTransport(RelayCore):
             self.rx_dropped += 1
         self._rx.append((peer, header, payload))
         if not self._drain_scheduled:
+            # One kick per drain: until it fires, the clock is awake.
             self._drain_scheduled = True
             self.clock.schedule_now(self._drain)
-        self.clock.kick()
+            self.clock.kick()
 
     def _drain(self) -> None:
         self._drain_scheduled = False
@@ -350,6 +346,7 @@ class LiveTransport(RelayCore):
         return {
             "messages_sent": self.messages_sent,
             "wire_bytes_sent": self.wire_bytes_sent,
+            "socket_writes": self.socket_writes,
             "rx_dropped": self.rx_dropped,
             "garbage_frames": self.garbage_frames,
             "garbage_streams": self.garbage_streams,

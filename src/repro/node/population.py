@@ -113,8 +113,9 @@ class Population:
         #: Live agents by slot (core + current transients).
         self.live: dict[int, Node] = {}
         self._targets: dict[int, int] = {}
-        #: Boundary bookkeeping: rounds whose winners are materialized.
-        self._materialized_through = 0
+        #: Boundary bookkeeping: the last round whose winners are
+        #: materialized.
+        self._materialized_round = 0
         self._rounds_target = 0
         # Lifecycle counters for summaries and the scale bench.
         self.materialized_total = 0
@@ -183,12 +184,16 @@ class Population:
     def start(self, rounds: int) -> list[Node]:
         """Start the core for a ``rounds``-round run; returns its agents.
 
-        Also materializes round 1's winners from the genesis state (the
-        construction-time analogue of the per-round boundary pass).
+        Also materializes the next round's winners from the core's
+        chain: round 1's from genesis on the first call, and on a later
+        call the round whose boundary pass the previous call's target
+        skipped.
         """
         self._rounds_target = rounds
         reference = self.live[self.core[0]].chain
-        self._materialize_round(1, reference)
+        next_round = reference.height + 1
+        if self._materialized_round < next_round <= rounds:
+            self._materialize_round(next_round, reference)
         for slot in self.core:
             self._targets[slot] = rounds
             self.live[slot].start(rounds)
@@ -203,16 +208,17 @@ class Population:
         gossip exists. The designated core agent's commit additionally
         runs the harness round hook.
         """
-        if round_number > self._materialized_through:
-            next_round = round_number + 1
-            if next_round <= self._rounds_target or self._rounds_target == 0:
-                self._materialize_round(next_round, node.chain)
-            self._materialized_through = round_number
+        next_round = round_number + 1
+        if next_round > self._materialized_round and (
+                next_round <= self._rounds_target
+                or self._rounds_target == 0):
+            self._materialize_round(next_round, node.chain)
         if node.index == self.core[0] and self._round_hook is not None:
             self._round_hook(round_number)
 
     def _materialize_round(self, round_number: int,
                            reference: Blockchain) -> None:
+        self._materialized_round = round_number
         if self._all_core:
             # No dormant stake: nothing to select, retire, or rewire —
             # and critically no RNG/event consumption (the pinned

@@ -222,6 +222,12 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
                          f"{batch['count']} drains",
                          f"mean {batch['mean']:.1f} msgs "
                          f"(max {batch['max']:.0f})"])
+        writes = gauges.get("live.socket_writes")
+        if writes:
+            frames = gauges.get("live.messages_sent", 0)
+            rows.append(["socket writes", f"{frames} frames / {writes} "
+                         f"writes", f"{frames / writes:.1f} frames per "
+                         f"write"])
         if "admission.admitted" in counters:
             rejected = sum(value for name, value in counters.items()
                            if name.startswith("admission.rejected."))

@@ -107,6 +107,15 @@ class TestLiveCluster:
         assert summary["conformance_ok"]
         assert summary["conformance.violations"] == 0
 
+    def test_socket_writes_are_harvested_and_carry_frames(self, cluster):
+        # One write per link per clock turn: never more writes than
+        # frames, and the merged trace's report shows the ratio.
+        summary = cluster.summary()
+        assert 0 < summary["live.socket_writes"] <= summary[
+            "live.messages_sent"]
+        _, snapshot = read_trace(cluster.merged_trace_path)
+        assert "frames per write" in render_report([], snapshot)
+
     def test_node_snapshot_carries_the_relay_cores_counter_families(
             self, cluster, sim_snapshot):
         """Same names from either substrate: the core emits them."""

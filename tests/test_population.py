@@ -149,6 +149,18 @@ class TestDormancy:
             if slot not in set(agg.population.core):
                 assert node.admission is not None
 
+    def test_a_second_run_rounds_materializes_the_skipped_boundary(self):
+        # The first call's target skips round 2's boundary pass at round
+        # 1's commit; the second call must run it, or round 2's
+        # committees stay dormant and the core halts at MaxSteps.
+        sim = Simulation(SimulationConfig(
+            num_users=200, seed=1, params=TEST_PARAMS.scaled(0.25),
+            population=aggregated(always_on_core=16, steps_ahead=8)))
+        sim.run_rounds(1)
+        sim.run_rounds(2)
+        assert [node.chain.height for node in sim.nodes] == [2] * 16
+        assert sim.all_chains_equal()
+
     @pytest.mark.slow
     def test_deep_round_stall_is_loud_and_steps_ahead_fixes_it(self):
         # Seed 1 contains a round that runs deeper than the default

@@ -5,22 +5,32 @@ pin that both the sim objects (``Environment``, ``NetworkInterface``,
 ``GossipNetwork``) and the live objects (``LiveClock``,
 ``LiveTransport``) structurally conform, and unit-test the live pieces
 that have no sim twin: wall-clock pacing, the kick, msg_id re-stamping,
-the bounded drain, the dedup generations, and the two fault hooks as a
-socket-less transport realizes them.
+the bounded drain, the dedup generations, the two fault hooks as a
+socket-less transport realizes them, and the turn rule: one clock turn
+fires every due entry, one socket write carries a link's turn.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 import time
+from typing import Callable
 
 import pytest
 
-from repro.experiments.harness import Simulation, SimulationConfig
+from repro.common.encoding import encode
+from repro.experiments.harness import (
+    Simulation,
+    SimulationConfig,
+    SubstrateConfig,
+)
 from repro.live.clock import LiveClock
-from repro.live.transport import MSG_ID_SEQ_BITS, LiveTransport
+from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
+from repro.live.node_main import NodeProcess
+from repro.live.transport import MSG_ID_SEQ_BITS, LiveTransport, PeerLink
 from repro.network.message import Envelope
-from repro.network.wire import ENVELOPE_HEADER, encode_envelope
+from repro.network.wire import ENVELOPE_HEADER, encode_envelope, encode_frame
 from repro.substrate import Clock, Fabric, Transport
 
 from tests.fixtures import live_transport
@@ -57,6 +67,23 @@ class _FakeLink:
 
     async def close(self) -> None:
         self.closed = True
+
+
+class _RecordingSocket:
+    """Just enough of an ``asyncio.Transport`` to count ``write`` calls."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+        self.closing = False
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
 
 
 class TestProtocolConformance:
@@ -127,6 +154,186 @@ class TestLiveClock:
             await clock.run_async(stop_when=lambda: False, deadline=1.0)
         with pytest.raises(RuntimeError, match="kaboom"):
             asyncio.run(run())
+
+
+class TestTurnRule:
+    """One clock turn fires every due entry, then yields once; a link
+    hands the socket everything its turn queued in one write."""
+
+    def test_a_turn_fires_due_entries_in_time_seq_order(self):
+        clock = LiveClock(tick=0.01)
+        fired: list[tuple[str, float]] = []
+
+        def mark(name: str) -> Callable[[], None]:
+            return lambda: fired.append((name, clock.now))
+
+        def first() -> None:
+            mark("a")()
+            clock.schedule_now(mark("c"))    # an immediate of this turn
+            clock.schedule(0.0, mark("d"))   # due now, behind "c"
+
+        clock.schedule(0.0, first)
+        clock.schedule_now(mark("b"))
+        clock.schedule(0.05, mark("later"))
+
+        async def run():
+            # Queued on the loop before the turn: runs only once it yields.
+            asyncio.get_running_loop().call_soon(mark("loop"))
+            await clock.run_async(stop_when=lambda: len(fired) == 6,
+                                  deadline=5.0)
+
+        asyncio.run(run())
+        assert [name for name, _ in fired] == ["a", "b", "c", "d", "loop",
+                                               "later"]
+        # One turn, one wall instant.
+        assert len({now for _, now in fired[:5]}) == 1
+        assert fired[5][1] >= 0.05
+
+    def test_ten_sends_in_one_turn_are_one_socket_write(self):
+        clock = LiveClock(tick=0.01)
+        transport = live_transport(0, clock)
+        sock = _RecordingSocket()
+        frames = [encode_frame(bytes([k]) * (k + 1)) for k in range(10)]
+        sent: list[bytes] = []
+
+        async def run():
+            link = PeerLink(transport, 1)
+            link.connection_made(sock)
+            for frame in frames:
+                clock.schedule_now(
+                    lambda frame=frame: (link.send(frame),
+                                         sent.append(frame)))
+            await clock.run_async(stop_when=lambda: len(sent) == 10)
+            assert sock.writes == []  # nothing written mid-turn
+            await asyncio.sleep(0)
+
+        asyncio.run(run())
+        assert sock.writes == [b"".join(frames)]
+        assert transport.socket_writes == 1
+
+    def test_kick_wakes_a_long_sleep_without_a_task_per_sleep(self):
+        clock = LiveClock(tick=30.0)
+        done: list[bool] = []
+
+        async def run():
+            task = asyncio.create_task(
+                clock.run_async(stop_when=lambda: bool(done)))
+            await asyncio.sleep(0.05)
+            parked = asyncio.all_tasks()
+            done.append(True)
+            clock.kick()
+            await asyncio.wait_for(task, timeout=5.0)
+            return parked, task
+
+        started = time.monotonic()
+        parked, task = asyncio.run(run())
+        assert time.monotonic() - started < 5.0
+        assert len(parked) == 2 and task in parked  # the run and main
+
+    def test_peer_closing_mid_turn_reaches_on_link_down_once(self):
+        clock = LiveClock(tick=0.01)
+        transport = live_transport(0, clock)
+        lost: list[int] = []
+        transport.on_link_down = lost.append
+
+        async def run():
+            ours, theirs = socket.socketpair()
+            link = PeerLink(transport, 1)
+            await asyncio.get_running_loop().create_connection(
+                lambda: link, sock=ours)
+            transport.add_link(link)
+
+            def turn() -> None:
+                link.send(encode_frame(b"x" * 64))
+                theirs.close()
+                link.send(encode_frame(b"y" * 64))
+
+            clock.schedule_now(turn)
+            await clock.run_async(stop_when=lambda: bool(lost),
+                                  deadline=5.0)
+            for _ in range(3):
+                link.send(encode_frame(b"z"))  # dropped, never raises
+                await asyncio.sleep(0.01)
+            assert link.closed
+            await transport.close()
+
+        asyncio.run(run())
+        assert lost == [1]
+
+    def test_a_flush_onto_a_closing_transport_marks_the_link_down(self):
+        clock = LiveClock(tick=0.01)
+        transport = live_transport(0, clock)
+        lost: list[int] = []
+        transport.on_link_down = lost.append
+        sock = _RecordingSocket()
+
+        async def run():
+            link = PeerLink(transport, 1)
+            link.connection_made(sock)
+            transport.add_link(link)
+            link.send(encode_frame(b"a"))
+            sock.closing = True
+            await asyncio.sleep(0)
+            link.send(encode_frame(b"b"))
+            await asyncio.sleep(0)
+            assert link.closed
+
+        asyncio.run(run())
+        assert lost == [1]
+        assert sock.writes == []
+        assert transport.socket_writes == 0
+
+
+class TestPeerHandshake:
+    """An accepted connection becomes a link at its ``peer-hello``."""
+
+    @staticmethod
+    def _process(tmp_path) -> NodeProcess:
+        cluster = LiveCluster(SimulationConfig(
+            num_users=3, params=LIVE_SMOKE_PARAMS,
+            substrate=SubstrateConfig(kind="live")))
+        cluster.runtime_dir = tmp_path
+        return NodeProcess(cluster._node_config(0, control="unused"))
+
+    @staticmethod
+    async def _connect(process, *chunks: bytes) -> bytes:
+        """Send ``chunks`` to the process's listener; what came back
+        before it closed, or ``b"?"`` if it kept the connection."""
+        path = await process._listen()
+        reader, writer = await asyncio.open_unix_connection(path)
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            await asyncio.sleep(0.05)
+        try:
+            answer = await asyncio.wait_for(reader.read(), timeout=0.2)
+        except TimeoutError:
+            answer = b"?"
+        writer.close()
+        await process.transport.close()
+        process._server.close()
+        await process._server.wait_closed()
+        return answer
+
+    def test_frames_behind_the_hello_reach_the_link(self, tmp_path):
+        process = self._process(tmp_path)
+        stream = encode_frame(encode({"type": "peer-hello", "index": 2}))
+        stream += b"".join(
+            encode_frame(encode_envelope(_envelope(b"o" * 32, msg_id=k)))
+            for k in (1, 2))
+        cut = len(stream) - 5  # the second gossip frame arrives split
+        answer = asyncio.run(self._connect(process, stream[:cut],
+                                           stream[cut:]))
+        assert answer == b"?"
+        assert list(process.transport.links) == [2]
+        assert [peer for peer, _, _ in process.transport._rx] == [2, 2]
+
+    def test_any_other_first_frame_drops_the_connection(self, tmp_path):
+        process = self._process(tmp_path)
+        answer = asyncio.run(self._connect(
+            process, encode_frame(encode({"type": "hello", "index": 2}))))
+        assert answer == b""
+        assert process.transport.links == {}
 
 
 class TestLiveTransport:
