@@ -285,7 +285,7 @@ def propose_equivocation(node: "Node", round_number: int, ctx: "BAContext",
     node.registry.register(variant)
     public = node.keypair.public
     announcement = make_priority_message(public, round_number, proof)
-    node._seen_priorities.add((public, round_number))
+    node.admission.own_priority(round_number)
     tracker.observe_priority(announcement, node.env)
     tracker.observe_block(base, node.env)
     node.interface.broadcast(priority_envelope(public, announcement))
@@ -306,7 +306,7 @@ def gossip_double_vote(node: "Node", vote: VoteMessage) -> None:
     second = make_vote(node.backend, node.keypair.secret, public,
                        vote.round_number, vote.step, vote.sorthash,
                        vote.sortproof, vote.prev_hash, other)
-    node._seen_votes.add((vote.voter, vote.round_number, vote.step))
+    node.admission.own_vote(vote)
     node.buffer.add(vote)
     for sent, half in zip((vote, second), _halves(node)):
         node.interface.send_to(vote_envelope(public, sent), half)

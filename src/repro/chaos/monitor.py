@@ -111,10 +111,10 @@ def audit_ingress(counters: dict[int, dict], config, *, now: float,
     """The ``ingress-bounds`` rule: post-run high-water marks within
     their budgets.
 
-    Under admission control every honest node's vote buffer must have
-    stayed inside ``config``'s budget for the whole run — a high-water
-    mark above it means the bound was enforced too late (or not at all)
-    and a flood grew state without limit. ``counters`` maps a node to
+    Every honest node's vote buffer must have stayed inside
+    ``config``'s budget for the whole run — a high-water mark above it
+    means the bound was enforced too late (or not at all) and a flood
+    grew state without limit. ``counters`` maps a node to
     its runtime numbers under registry names (its
     ``admission.buffer_high_water``), read the same way on either
     substrate. Given the sim's ``network``, every honest egress lane is
@@ -125,7 +125,7 @@ def audit_ingress(counters: dict[int, dict], config, *, now: float,
     budgets = config.runtime.admission_budgets()
     marks = [(index, "vote-buffer",
               numbers.get("admission.buffer_high_water", 0),
-              budgets.vote_buffer_budget if budgets else None)
+              budgets.vote_buffer_budget)
              for index, numbers in sorted(counters.items())]
     if network is not None:
         marks += [(index, "egress-lane", interface.egress_high_water,
@@ -143,22 +143,20 @@ def audit_ingress(counters: dict[int, dict], config, *, now: float,
 def sim_findings(sim, script) -> dict:
     """What a finished sim left behind, as ``render_verdict`` keywords.
 
-    A node crashed for good is held to no height; under admission
-    control, neither is one the network-wide quarantine still severs
-    (catch-up runs over gossip, so it cannot have learned what it
-    missed), and honest buffers are audited against their budgets.
+    A node crashed for good is held to no height, nor is one the
+    network-wide quarantine still severs (catch-up runs over gossip, so
+    it cannot have learned what it missed); honest buffers are audited
+    against their budgets.
     """
     now = sim.env.now
     gone = script.permanently_crashed()
     audits = audit_chains(sim.nodes, backend=sim.backend, now=now,
                           skip=gone)
-    unjudged = gone
-    if sim.quarantine_directory is not None:
-        audits += audit_ingress(
-            {node.index: node_counters(node) for node in sim.nodes},
-            sim.config, now=now, skip=gone | script.attacker_nodes(),
-            network=sim.network)
-        unjudged = gone | sim.quarantine_directory.quarantined
+    audits += audit_ingress(
+        {node.index: node_counters(node) for node in sim.nodes},
+        sim.config, now=now, skip=gone | script.attacker_nodes(),
+        network=sim.network)
+    unjudged = gone | sim.quarantine_directory.quarantined
     return {
         "audits": audits,
         "heights": [node.chain.height for node in sim.nodes],

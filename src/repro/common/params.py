@@ -49,8 +49,6 @@ class ProtocolParams:
     lambda_stepvar: float = 5.0
     # Maximum block payload in bytes (1 MByte default, as evaluated).
     block_size: int = 1_000_000
-    # Look-back period b for weights/keys (section 5.3), seconds.
-    lookback_b: float = 86_400.0
     # Recovery protocol kick-off interval (section 8.2), seconds.
     recovery_interval: float = 3600.0
     # Weight look-back in rounds (section 5.3): sortition at round r uses

@@ -126,8 +126,7 @@ class Simulation:
             peers_per_node=network_cfg.peers_per_node,
             bandwidth_bps=network_cfg.bandwidth_bps,
             seen_horizon_rounds=network_cfg.seen_horizon_rounds,
-            lane_budget_msgs=(budgets.egress_lane_budget
-                              if budgets is not None else None),
+            lane_budget_msgs=budgets.egress_lane_budget,
             obs=obs,
             # No dormant stake, no active set: a core that covers
             # everyone builds every interface up front and draws peers
@@ -136,15 +135,12 @@ class Simulation:
                             if core_size < total_nodes else None),
         )
 
-        #: Network-wide quarantine state (None when admission is off).
-        self.quarantine_directory: QuarantineDirectory | None = None
-        if budgets is not None:
-            self.quarantine_directory = QuarantineDirectory(
-                self.network, budgets, obs=obs)
+        #: Network-wide quarantine state.
+        self.quarantine_directory = QuarantineDirectory(
+            self.network, budgets, obs=obs)
 
         def on_commit(round_number: int) -> None:
-            if self.quarantine_directory is not None:
-                self.quarantine_directory.end_round(round_number)
+            self.quarantine_directory.end_round(round_number)
             if network_cfg.reshuffle_peers_each_round:
                 self.network.reshuffle_peers()
 
@@ -316,15 +312,13 @@ class Simulation:
                   "gossip.dup_elided": network.dup_elided,
                   "network.total_bytes_sent": network.total_bytes_sent}
         directory = self.quarantine_directory
-        if directory is not None:
-            interfaces = list(filter(None, network.interfaces))
-            counters["admission.egress_dropped"] = sum(
-                interface.egress_dropped for interface in interfaces)
-            counters["admission.quarantines"] = directory.quarantines
-            gauges["admission.egress_high_water"] = max(
-                interface.egress_high_water for interface in interfaces)
-            gauges["admission.quarantined_peers"] = len(
-                directory.quarantined)
+        interfaces = list(filter(None, network.interfaces))
+        counters["admission.egress_dropped"] = sum(
+            interface.egress_dropped for interface in interfaces)
+        counters["admission.quarantines"] = directory.quarantines
+        gauges["admission.egress_high_water"] = max(
+            interface.egress_high_water for interface in interfaces)
+        gauges["admission.quarantined_peers"] = len(directory.quarantined)
         for name, value in self.population.stats().items():
             gauges["population." + name] = value
         harvest(metrics, clock=self.env, cache=self.verification_cache,

@@ -124,6 +124,11 @@ class RelayCore:
         """Is ``msg_id`` in any dedup generation still kept?"""
         return msg_id in self._seen or self._held_before(msg_id)
 
+    def hold(self, msg_id: int) -> None:
+        """Mark ``msg_id`` held without accepting it: the admission gate
+        drops a copy every other copy of which it would drop alike."""
+        self._seen.add(msg_id)
+
     def _held_before(self, msg_id: int) -> bool:
         """Is ``msg_id`` in a generation older than the current one?"""
         for generation in self._seen_before:
@@ -203,12 +208,13 @@ class RelayCore:
         ingress = self.ingress
         if ingress is not None and not ingress(envelope, from_index):
             # Rejected at admission: never buffered, routed, or relayed.
-            # The msg_id deliberately is NOT marked held: a vote whose
-            # first copy arrives via a quarantined relayer must stay
-            # eligible on its other gossip paths, or blocking one bad
-            # neighbor would suppress honest traffic it happened to
-            # deliver first (verification stays cheap — the crypto cache
-            # memoizes the repeated checks).
+            # The msg_id deliberately is NOT marked held (unless the gate
+            # itself holds it, see :meth:`hold`): a vote whose first copy
+            # arrives via a quarantined relayer must stay eligible on its
+            # other gossip paths, or blocking one bad neighbor would
+            # suppress honest traffic it happened to deliver first
+            # (verification stays cheap — the crypto cache memoizes the
+            # repeated checks).
             if metrics is not None:
                 metrics.inc("gossip.ingress_rejected")
             return

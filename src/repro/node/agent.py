@@ -19,9 +19,11 @@ BA → IDLE, and the :class:`_Round` in flight) that kernel callbacks
 advance — a timer, a tracker wake-up, a decided count. A crash or a
 retirement cancels what the round owns and drops it.
 
-All incoming gossip is handled synchronously in the relay-policy callback
-(validate-before-relay, section 8.4); BA* consumes votes from the node's
-:class:`~repro.baplus.buffer.VoteBuffer`.
+Every incoming copy is judged once, by the node's message gate
+(:class:`~repro.runtime.admission.AdmissionControl`: validate-before-relay,
+one message per key per step, section 8.4), and then handled
+synchronously in the relay-policy callback; BA* consumes votes from the
+node's :class:`~repro.baplus.buffer.VoteBuffer`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from repro.common.errors import InvalidBlock, LedgerError, SimulationError
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend, KeyPair
 from repro.crypto.hashing import H
-from repro.ledger.arraystate import ArrayWeights
+from repro.ledger.arraystate import AccountIndex, ArrayWeights
 from repro.ledger.block import Block, empty_block, empty_block_hash, validate_block
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.mempool import Mempool
@@ -72,6 +74,11 @@ from repro.node.proposal import (
     make_priority_message,
 )
 from repro.node.registry import BlockRegistry, ContextKey
+from repro.runtime.admission import (
+    AdmissionConfig,
+    AdmissionControl,
+    QuarantineDirectory,
+)
 from repro.runtime.router import MessageRouter
 from repro.sim.loop import Environment, Timer
 from repro.sortition.roles import FINAL_STEP, proposer_role
@@ -159,7 +166,9 @@ class Node:
     def __init__(self, *, index: int, env: Environment, keypair: KeyPair,
                  backend: CryptoBackend, params: ProtocolParams,
                  chain: Blockchain, interface: NetworkInterface,
-                 registry: BlockRegistry, obs=None) -> None:
+                 registry: BlockRegistry, admission: AdmissionConfig,
+                 directory: QuarantineDirectory | None = None,
+                 index_of: AccountIndex | None = None, obs=None) -> None:
         self.index = index
         self.env = env
         self.keypair = keypair
@@ -168,7 +177,7 @@ class Node:
         self.chain = chain
         self.interface = interface
         self.registry = registry
-        self.buffer = VoteBuffer(env)
+        self.buffer = VoteBuffer(env, admission.vote_buffer_budget)
         self.mempool = Mempool()
         self.metrics = NodeMetrics()
         #: Where this node stands: IDLE, PROPOSAL or BA within a round,
@@ -183,11 +192,15 @@ class Node:
         #: Optional :class:`repro.obs.TraceBus`; ``None`` keeps every
         #: instrumentation site at a single attribute check.
         self.obs = obs
-        #: Optional :class:`repro.runtime.admission.AdmissionControl`
-        #: installed by :func:`repro.runtime.admission.attach_admission`;
-        #: the round loop notifies it at each commit so its per-round
-        #: state and peer-health decay stay in step.
-        self.admission = None
+        #: The node's one message gate: every delivered copy passes it
+        #: before the router sees it (validate-before-relay, one message
+        #: per key per step, section 8.4), and the round loop tells it of
+        #: each commit so its per-round tables and peer-health decay stay
+        #: in step.
+        self.admission = AdmissionControl(self, admission,
+                                          directory=directory,
+                                          index_of=index_of)
+        interface.ingress = self.admission.admit
         #: Optional :class:`repro.runtime.damping.RelayDamper` installed
         #: by :func:`repro.runtime.damping.attach_damping`: consulted on
         #: every accepted vote to skip forwarding once the local tally
@@ -204,8 +217,6 @@ class Node:
             obs=obs, node_id=index,
         )
         self._trackers: dict[int, ProposalTracker] = {}
-        self._seen_votes: set[tuple[bytes, int, str]] = set()
-        self._seen_priorities: set[tuple[bytes, int]] = set()
         #: The run: rounds toward ``_target`` height (``None``: no run),
         #: then perhaps toward ``_extend_to``. The round in flight owns at
         #: most one live timer, plus the counts it parked
@@ -248,57 +259,30 @@ class Node:
         """Process one received message; return True to relay it."""
         return self.router.dispatch(envelope)
 
+    # The gate (:attr:`admission`) passed every copy that reaches a
+    # handler: fresh round, valid signature, first of its key.
+
     def _handle_vote(self, vote: VoteMessage) -> bool:
-        key = (vote.voter, vote.round_number, vote.step)
-        if key in self._seen_votes:
-            # At most one relayed message per key per (round, step), §8.4.
-            return False
-        verdict = None
-        if self.admission is not None:
-            # Admission just passed this copy (stale round, signature)
-            # and, where it could, weighed it: take its verdict once.
-            verdict = self.admission.take_verdict(vote)
-        if verdict is None:
-            # With pipelining, the previous round's final-vote count is
-            # still live after commit; keep accepting its votes
-            # (one-round grace).
-            stale_horizon = self.chain.next_round
-            if self.params.pipeline_final_step:
-                stale_horizon -= 1
-            if vote.round_number < stale_horizon:
-                return False  # stale round
-            if not vote.verify_signature(self.backend):
-                return False
         if (vote.prev_hash != self.chain.tip_hash
                 and vote.round_number == self.chain.next_round):
             # A current-round vote extending a chain we don't hold:
             # evidence of a fork (section 8.2's passive monitoring).
             self.fork_monitor[vote.prev_hash] = (
                 self.fork_monitor.get(vote.prev_hash, 0) + 1)
-        self._seen_votes.add(key)
         self.buffer.add(vote)
         if self.damper is not None:
             # Quorum-trimmed relay: the vote is buffered and counted
             # locally either way; only the forward is skipped once this
             # key's tally has crossed its threshold.
-            return self.damper.should_relay(vote, verdict)
+            return self.damper.should_relay(vote)
         return True
 
     def _handle_priority(self, message: PriorityMessage) -> bool:
-        if message.round_number < self.chain.next_round:
-            return False
-        key = (message.proposer, message.round_number)
-        if key in self._seen_priorities:
-            return False
-        # The current round's context can fully validate it; a later
+        # The gate verified a current-round announcement; a later
         # round's is checked when that round begins.
-        checked = message.round_number == self.chain.next_round
-        if checked and not self._priority_valid(
-                message, self._current_context(message.round_number)):
-            return False
-        self._seen_priorities.add(key)
         tracker = self._tracker(message.round_number)
-        tracker.observe_priority(message, self.env, checked)
+        tracker.observe_priority(
+            message, self.env, message.round_number == self.chain.next_round)
         return True
 
     def _priority_valid(self, message: PriorityMessage,
@@ -308,8 +292,6 @@ class Node:
             ctx.weight_of(message.proposer), ctx.total_weight)
 
     def _handle_block(self, block: Block) -> bool:
-        if block.round_number < self.chain.next_round:
-            return False
         tracker = self._tracker(block.round_number)
         return tracker.observe_block(block, self.env)
 
@@ -322,7 +304,7 @@ class Node:
         return self.mempool.add(tx)
 
     def _gossip_vote(self, vote: VoteMessage) -> None:
-        self._seen_votes.add((vote.voter, vote.round_number, vote.step))
+        self.admission.own_vote(vote)
         self.buffer.add(vote)  # count our own vote
         if self.damper is not None:
             self.damper.observe_own(vote)
@@ -392,12 +374,9 @@ class Node:
         self.buffer.clear()
         self.mempool = Mempool()
         self._trackers.clear()
-        self._seen_votes.clear()
-        self._seen_priorities.clear()
         self.fork_monitor.clear()
         self._ctx_memo = None
-        if self.admission is not None:
-            self.admission.reset()
+        self.admission.reset()
         if self.damper is not None:
             self.damper.reset()
         self._stop(CRASHED)
@@ -796,7 +775,7 @@ class Node:
         self.registry.register(block)
         announcement = make_priority_message(self.keypair.public,
                                              round_number, proof)
-        self._seen_priorities.add((self.keypair.public, round_number))
+        self.admission.own_priority(round_number)
         tracker.observe_priority(announcement, self.env)
         tracker.observe_block(block, self.env)
         self.interface.broadcast(
@@ -865,23 +844,22 @@ class Node:
         if self.on_commit is not None:
             self.on_commit(round_number)
 
+    def horizon(self, round_number: int) -> int:
+        """The oldest round still live while ``round_number`` is the
+        newest: with pipelining the previous round's final-vote count
+        runs on past its commit (section 10.2), one round of grace."""
+        if self.params.pipeline_final_step:
+            return round_number - 1
+        return round_number
+
     def _prune(self, completed_round: int) -> None:
         """Drop per-round state older than the previous round."""
-        # With pipelining, the previous round's final-vote count may
-        # still be consuming its buffer bucket; keep one extra round.
-        horizon = completed_round
-        if self.params.pipeline_final_step:
-            horizon -= 1
+        horizon = self.horizon(completed_round)
         self.buffer.prune_before(horizon)
         self.registry.drop_contexts_before(horizon)
         for round_number in [r for r in self._trackers if r < horizon]:
             del self._trackers[round_number]
-        self._seen_votes = {key for key in self._seen_votes
-                            if key[1] >= horizon}
-        self._seen_priorities = {key for key in self._seen_priorities
-                                 if key[1] >= horizon}
         self.interface.end_round()
-        if self.admission is not None:
-            self.admission.end_round(completed_round)
+        self.admission.end_round(completed_round, horizon)
         if self.damper is not None:
-            self.damper.end_round(completed_round)
+            self.damper.end_round(horizon)

@@ -54,11 +54,7 @@ from repro.ledger.arraystate import AccountIndex
 from repro.ledger.blockchain import Blockchain
 from repro.node.agent import Node
 from repro.node.registry import BlockRegistry
-from repro.runtime.admission import (
-    AdmissionConfig,
-    QuarantineDirectory,
-    attach_admission,
-)
+from repro.runtime.admission import AdmissionConfig, QuarantineDirectory
 from repro.runtime.cache import VerificationCache
 from repro.runtime.damping import attach_damping
 
@@ -116,13 +112,10 @@ class RuntimeConfig:
     #: (seeds, balances, vote counting) still run per node. ``False``
     #: reproduces the pre-cache behavior bit-for-bit.
     use_verification_cache: bool = True
-    #: Install the :mod:`repro.runtime.admission` ingress layer on every
-    #: node: sortition-gated vote admission, bounded vote buffers and
-    #: egress lanes, peer health scoring, and a network quarantine
-    #: directory. On honest deployments the committed chain is
-    #: byte-identical with this on or off.
-    use_admission: bool = True
-    #: Budgets/weights for the admission layer (defaults when ``None``).
+    #: Budgets/weights of every node's message gate
+    #: (:mod:`repro.runtime.admission`: sortition-gated admission,
+    #: bounded vote buffers and egress lanes, peer health scoring, and a
+    #: network quarantine directory); defaults when ``None``.
     admission: AdmissionConfig | None = None
     #: Quorum-trimmed relay (:mod:`repro.runtime.damping`): every node
     #: stops forwarding votes for a ``(round, step, value)`` once its
@@ -131,13 +124,10 @@ class RuntimeConfig:
     relay_damping: bool = True
 
     def validate(self) -> None:
-        if self.admission is not None:
-            self.admission.validate()
+        self.admission_budgets().validate()
 
-    def admission_budgets(self) -> AdmissionConfig | None:
-        """The admission budgets in force; ``None`` with the gate off."""
-        if not self.use_admission:
-            return None
+    def admission_budgets(self) -> AdmissionConfig:
+        """The admission budgets in force."""
         return self.admission or AdmissionConfig()
 
 
@@ -421,11 +411,9 @@ def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
     node = Node(
         index=index, env=clock, keypair=genesis.keypairs[index],
         backend=backend, params=config.params, chain=chain,
-        interface=transport, registry=registry, obs=obs)
-    budgets = config.runtime.admission_budgets()
-    if budgets is not None:
-        attach_admission(node, budgets, directory=directory,
-                         index_of=genesis.index_of)
+        interface=transport, registry=registry,
+        admission=config.runtime.admission_budgets(), directory=directory,
+        index_of=genesis.index_of, obs=obs)
     if config.runtime.relay_damping:
         attach_damping(node)
     return node
@@ -443,20 +431,18 @@ PEAKS = ("high_water", "max_lag_s", ".now")
 def node_counters(node: Node) -> dict[str, int]:
     """One agent's runtime counters under their registry names.
 
-    The router's unknown-kind drops, and the admission gate's and relay
-    damper's tallies where the node has that layer (the vote buffer's
-    marks are the gate's: it sets the bound).
+    The router's unknown-kind drops, the admission gate's tallies (the
+    vote buffer's marks are the gate's: it sets the bound), and the
+    relay damper's where the node has one.
     """
-    counters = {"router.unknown_kind": node.router.unknown_kinds}
-    admission = node.admission
-    if admission is not None:
-        buffer = node.buffer
-        counters["admission.admitted"] = admission.admitted
-        for reason, count in admission.rejected.items():
-            counters["admission.rejected." + reason] = count
-        counters["admission.buffer_high_water"] = buffer.high_water
-        counters["admission.buffer_evicted"] = buffer.evicted
-        counters["admission.buffer_rejected"] = buffer.rejected
+    admission, buffer = node.admission, node.buffer
+    counters = {"router.unknown_kind": node.router.unknown_kinds,
+                "admission.admitted": admission.admitted}
+    for reason, count in admission.rejected.items():
+        counters["admission.rejected." + reason] = count
+    counters["admission.buffer_high_water"] = buffer.high_water
+    counters["admission.buffer_evicted"] = buffer.evicted
+    counters["admission.buffer_rejected"] = buffer.rejected
     damper = node.damper
     if damper is not None:
         counters["damping.suppressed"] = damper.suppressed

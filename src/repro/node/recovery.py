@@ -203,15 +203,7 @@ class RecoverySession:
 
     def _adopt(self, proposal: ForkProposal) -> None:
         node = self.node
-        if node.admission is not None:
-            # The rounds re-run after adoption are new executions; stale
-            # vote-dedup state would misread honest re-votes as
-            # equivocation (see AdmissionControl.on_chain_adopted).
-            node.admission.on_chain_adopted()
-        if node.damper is not None:
-            # Likewise: stale threshold crossings from the abandoned
-            # view could suppress votes the re-run rounds need.
-            node.damper.on_chain_adopted()
+        _new_view(node)
         if node.halted:
             node.phase = IDLE
         if proposal.tip_hash != node.chain.tip_hash:
@@ -224,10 +216,17 @@ class RecoverySession:
         # ``prune_before`` never remove them — drop them here or every
         # concluded recovery leaks its vote buckets forever.
         self.node.buffer.prune_at_or_above(RECOVERY_ROUND_BASE)
-        if self.node.admission is not None:
-            self.node.admission.on_chain_adopted()
-        if self.node.damper is not None:
-            self.node.damper.on_chain_adopted()
+        _new_view(self.node)
+
+
+def _new_view(node: Node) -> None:
+    """The rounds re-run after an adoption are new executions: nothing
+    the gate accepted before may score an honest re-vote as
+    equivocation, nor may stale threshold crossings suppress votes the
+    re-run rounds need."""
+    node.admission.on_chain_adopted()
+    if node.damper is not None:
+        node.damper.reset()
 
 
 def run_recovery(nodes: list[Node], pre_fork_round: int,

@@ -5,10 +5,11 @@ This package is the small runtime layer under the Algorand node: a
 (replacing hard-coded dispatch chains), a :class:`VerificationCache`
 that memoizes context-independent crypto checks across every node of a
 simulation (the paper's section 10.1 observation that verification
-dominates CPU, applied to the simulator itself), and an
-:class:`AdmissionControl` ingress layer that gates every delivered
-envelope on sortition proofs, duplicate/equivocation checks, and peer
-health before the router sees it. The cache is wired through
+dominates CPU, applied to the simulator itself), and
+the :class:`AdmissionControl` ingress layer — each node's one message
+gate — that judges every delivered envelope on sortition proofs,
+one-message-per-key, equivocation and peer health before the router
+sees it. The cache is wired through
 :class:`repro.crypto.backend.CachedBackend`, which works over both the
 real Ed25519 backend and the fast simulation backend.
 """
@@ -18,7 +19,6 @@ from repro.runtime.admission import (
     AdmissionControl,
     PeerHealth,
     QuarantineDirectory,
-    attach_admission,
 )
 from repro.runtime.cache import VerificationCache
 from repro.runtime.router import MessageRouter
@@ -30,5 +30,4 @@ __all__ = [
     "PeerHealth",
     "QuarantineDirectory",
     "VerificationCache",
-    "attach_admission",
 ]

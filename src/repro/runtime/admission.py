@@ -6,23 +6,29 @@ callback alone is a thin line of defense: every delivered message still
 costs the receiving node verification work, and messages whose validity
 *cannot yet be decided* — future-round votes, votes for proposals not yet
 seen — must be buffered and so become a memory-exhaustion vector ("the
-undecidable-messages DoS", see PAPERS.md). This module closes the gap
-with an explicit ingress layer in front of the router:
+undecidable-messages DoS", see PAPERS.md). This module is the node's one
+message gate, in front of the router:
 
+* **One message per key** — the gate's per-key tables are the node's
+  only ones: the first vote per ``(voter, round, step)`` and the first
+  priority announcement per ``(proposer, round)`` pass, every later copy
+  is dropped unrelayed (section 8.4), and the node's own votes and
+  announcements count as first.
 * **Sortition-gated admission** — a vote for the receiver's current round
   and chain tip is admitted only if its sortition proof verifies for the
-  claimed ``(round, step)`` committee (section 5.2's ``VerifySort``).
-  Votes that cannot be gated yet (future rounds, recovery rounds, foreign
-  tips) are *admitted undecided* but bounded by the vote-buffer budget —
-  rejecting them outright would break laggards and fork recovery, which
-  is precisely the liveness trap the undecidable-messages paper points
-  out.
+  claimed ``(round, step)`` committee (section 5.2's ``VerifySort``);
+  likewise a current-round priority announcement. Votes that cannot be
+  gated yet (future rounds, recovery rounds, foreign tips) are *admitted
+  undecided* but bounded by the vote-buffer budget — rejecting them
+  outright would break laggards and fork recovery, which is precisely
+  the liveness trap the undecidable-messages paper points out.
 * **Flood budgets** — each origin may contribute at most
   ``flood_budget_per_round`` admitted signature-valid votes per round;
   crossing the budget is itself an offense.
 * **A peer-health table** — deterministic scores for invalid signatures,
-  failed sortition proofs, duplicates, equivocation (self-certifying
-  :mod:`repro.baplus.accountability` evidence), and flooding, with decay,
+  failed sortition proofs, duplicates, equivocation (two conflicting
+  validly-signed statements under one key, caught against the gate's
+  own first-vote and first-block tables), and flooding, with decay,
   local quarantine, and a network-wide :class:`QuarantineDirectory` that
   severs gossip links once enough independent nodes report the same
   offender. Released users rejoin via the certificate-verified
@@ -46,10 +52,15 @@ flooding            the *origin*, counting only admitted signature-valid
                     votes whose ``voter`` matches the envelope origin.
 ==================  =======================================================
 
+After a fork adoption (section 8.2) the rounds re-run are new
+executions, so nothing accepted before it is evidence against anyone: a
+copy of an already-accepted ``(voter, round, step)`` or ``(proposer,
+round)`` is dropped, not relayed, and not scored
+(:meth:`AdmissionControl.on_chain_adopted`).
+
 Admission is pure synchronous computation: no randomness, no scheduling,
-no message sends. On an honest deployment it rejects exactly the
-messages the protocol handlers already refuse to buffer or relay, so the
-committed chain is byte-identical with admission on or off (tested).
+no message sends. On an honest deployment its only rejections are stale
+copies, and it neither scores nor quarantines anyone (tested).
 """
 
 from __future__ import annotations
@@ -68,11 +79,6 @@ if TYPE_CHECKING:
     from repro.ledger.arraystate import AccountIndex
     from repro.network.gossip import GossipNetwork
     from repro.node.agent import Node
-
-#: What admission found about one vote copy it let through:
-#: ``(vote, ctx, weight)``, ``ctx`` ``None`` (weight 0) when the vote could
-#: not be weighed here (future round, recovery round, foreign tip).
-VoteVerdict = tuple[VoteMessage, "BAContext | None", int]
 
 #: Offense kinds recognized by :class:`PeerHealth`.
 OFFENSES = ("invalid_signature", "failed_sortition", "duplicate",
@@ -298,17 +304,15 @@ def sortition_weight(node: "Node", vote: VoteMessage,
 
 
 class AdmissionControl:
-    """Per-node ingress filter installed on the gossip interface.
+    """A node's one message gate, installed on its gossip interface.
 
     ``admit(envelope, from_index)`` runs *after* duplicate suppression
     and *before* the router and any relay — a rejected
-    message costs the node one verification and is never amplified.
-
-    An admitted vote copy leaves its verdict behind —
-    ``(vote, ctx, weight)``, ``ctx`` ``None`` when the vote was not
-    decidable here — for the vote handler the same delivery reaches
-    next (:meth:`take_verdict`): it skips the checks made here, and the
-    relay damper reads the weight instead of weighing again.
+    message costs the node one verification and is never amplified, and
+    an admitted one reaches its handler already checked: the handlers
+    repeat none of the checks made here. Where a vote was weighed here,
+    its weight stays on the vote (its context receipt) for the relay
+    damper to read.
     """
 
     def __init__(self, node: "Node", config: AdmissionConfig,
@@ -324,18 +328,20 @@ class AdmissionControl:
         self.health = PeerHealth(config)
         self.admitted = 0
         self.rejected: dict[str, int] = {}
-        #: (voter, round, step) -> first admitted vote (dedup + equivocation).
-        self._first_vote: dict[tuple[bytes, int, str], VoteMessage] = {}
-        #: (proposer, round) seen priority announcements.
-        self._seen_priorities: set[tuple[bytes, int]] = set()
+        #: (voter, round, step) -> the vote accepted for it from a peer,
+        #: or ``None`` where no copy is held against it: the node's own
+        #: vote, one accepted before a fork adoption, or one of a
+        #: recovery round that has ended.
+        self._votes: dict[tuple[bytes, int, str], VoteMessage | None] = {}
+        #: (proposer, round) priority announcements accepted, own ones
+        #: included.
+        self._priorities: set[tuple[bytes, int]] = set()
         #: (proposer, round) -> first announced block hash.
         self._first_block: dict[tuple[bytes, int], bytes] = {}
         #: (proposer, round) pairs already caught equivocating.
         self._equivocators: set[tuple[bytes, int]] = set()
         #: Origin index -> admitted signature-valid votes this round.
         self._vote_counts: dict[int, int] = {}
-        #: The last admitted vote copy's verdict, until the handler takes it.
-        self._verdict: "VoteVerdict | None" = None
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -355,11 +361,20 @@ class AdmissionControl:
                                    peer=index, scope="local",
                                    offense=offense, round=round_number)
 
-    def _stale_horizon(self) -> int:
-        horizon = self.node.chain.next_round
-        if self.node.params.pipeline_final_step:
-            horizon -= 1
-        return horizon
+    def _drop_copy(self, envelope: Envelope) -> bool:
+        """Reject a copy of a taken key that nobody is scored for: every
+        other copy of ``envelope`` is as dead, so its id is held as an
+        accepted copy's is."""
+        self.node.interface.hold(envelope.msg_id)
+        return self._reject("duplicate")
+
+    def own_vote(self, vote: VoteMessage) -> None:
+        """The node cast ``vote``: its key is taken."""
+        self._votes[(vote.voter, vote.round_number, vote.step)] = None
+
+    def own_priority(self, round_number: int) -> None:
+        """The node announced its priority for ``round_number``."""
+        self._priorities.add((self.node.keypair.public, round_number))
 
     # -- the gate ------------------------------------------------------
 
@@ -386,9 +401,11 @@ class AdmissionControl:
     def _admit_vote(self, envelope: Envelope, from_index: int,
                     origin_index: int | None) -> bool:
         vote: VoteMessage = envelope.payload
-        if vote.round_number < self._stale_horizon():
+        node = self.node
+        chain = node.chain
+        if vote.round_number < node.horizon(chain.next_round):
             return self._reject("stale")
-        if not vote.verify_signature(self.node.backend):
+        if not vote.verify_signature(node.backend):
             self._penalize(from_index, "invalid_signature")
             return self._reject("invalid_signature")
         if vote.voter != envelope.origin:
@@ -398,24 +415,24 @@ class AdmissionControl:
             self._penalize(from_index, "invalid_signature")
             return self._reject("origin_mismatch")
         key = (vote.voter, vote.round_number, vote.step)
-        first = self._first_vote.get(key)
-        if first is not None:
-            if first.value == vote.value:
-                if from_index == origin_index:
-                    self._penalize(from_index, "duplicate")
-                return self._reject("duplicate")
-            self._penalize(origin_index, "equivocation")
-            return self._reject("equivocation")
-        chain = self.node.chain
-        ctx, weight = None, 0
+        if key in self._votes:
+            # At most one message per key per (round, step), section 8.4.
+            first = self._votes[key]
+            if first is None:
+                return self._drop_copy(envelope)
+            if first.value != vote.value:
+                self._penalize(origin_index, "equivocation")
+                return self._reject("equivocation")
+            if from_index == origin_index:
+                self._penalize(from_index, "duplicate")
+            return self._reject("duplicate")
         if (vote.round_number == chain.next_round
                 and vote.round_number < RECOVERY_ROUND_BASE
                 and vote.prev_hash == chain.tip_hash):
             # Fully decidable: same round, same tip -> same seed and
             # weight table. Gate on the sortition proof (section 5.2).
-            ctx = self.node._current_context(vote.round_number)
-            weight = sortition_weight(self.node, vote, ctx)
-            if weight == 0:
+            ctx = node._current_context(vote.round_number)
+            if sortition_weight(node, vote, ctx) == 0:
                 self._penalize(from_index, "failed_sortition")
                 return self._reject("failed_sortition")
         # Future-round, recovery, and foreign-tip votes are undecidable
@@ -427,38 +444,25 @@ class AdmissionControl:
             if count > self.config.flood_budget_per_round:
                 self._penalize(origin_index, "flood")
                 return self._reject("flood")
-        self._first_vote[key] = vote
+        self._votes[key] = vote
         self.admitted += 1
-        self._verdict = (vote, ctx, weight)
         return True
-
-    def take_verdict(self, vote: VoteMessage) -> "VoteVerdict | None":
-        """The verdict on the copy of ``vote`` just admitted, once.
-
-        ``None`` when the last admitted copy was of another vote object
-        — the handler was reached some other way and checks for itself.
-        """
-        verdict, self._verdict = self._verdict, None
-        if verdict is not None and verdict[0] is vote:
-            return verdict
-        return None
 
     def _admit_priority(self, envelope: Envelope, from_index: int) -> bool:
         message = envelope.payload
-        if message.round_number < self.node.chain.next_round:
+        node = self.node
+        if message.round_number < node.chain.next_round:
             return self._reject("stale")
-        key = (message.proposer, message.round_number)
-        if key in self._seen_priorities:
-            return self._reject("duplicate")
-        if message.round_number == self.node.chain.next_round:
-            ctx = self.node._current_context(message.round_number)
-            if not message.verify(
-                    self.node.backend, ctx.seed,
-                    self.node.params.tau_proposer,
-                    ctx.weight_of(message.proposer), ctx.total_weight):
-                self._penalize(from_index, "failed_sortition")
-                return self._reject("failed_sortition")
-        self._seen_priorities.add(key)
+        if (message.proposer, message.round_number) in self._priorities:
+            return self._drop_copy(envelope)
+        # The current round's context can fully validate it; a later
+        # round's is checked when that round begins.
+        if message.round_number == node.chain.next_round \
+                and not node._priority_valid(
+                    message, node._current_context(message.round_number)):
+            self._penalize(from_index, "failed_sortition")
+            return self._reject("failed_sortition")
+        self._priorities.add((message.proposer, message.round_number))
         self.admitted += 1
         return True
 
@@ -496,17 +500,16 @@ class AdmissionControl:
 
     # -- round hygiene -------------------------------------------------
 
-    def end_round(self, completed_round: int) -> None:
-        """Prune per-round state; mirrors ``Node._prune``'s horizon."""
-        horizon = completed_round
-        if self.node.params.pipeline_final_step:
-            horizon -= 1
+    def end_round(self, completed_round: int, horizon: int) -> None:
+        """Prune per-round state below ``horizon`` (``Node._prune``'s)."""
         self._vote_counts.clear()
-        self._first_vote = {
-            key: vote for key, vote in self._first_vote.items()
-            if horizon <= key[1] < RECOVERY_ROUND_BASE}
-        self._seen_priorities = {key for key in self._seen_priorities
-                                 if key[1] >= horizon}
+        # A recovery round's keys stay taken, with nothing left to hold
+        # a copy against: a concluded recovery is not revisited.
+        self._votes = {
+            key: vote if key[1] < RECOVERY_ROUND_BASE else None
+            for key, vote in self._votes.items() if key[1] >= horizon}
+        self._priorities = {key for key in self._priorities
+                            if key[1] >= horizon}
         self._first_block = {key: value
                              for key, value in self._first_block.items()
                              if key[1] >= horizon}
@@ -515,40 +518,25 @@ class AdmissionControl:
         self.health.end_round(completed_round)
 
     def on_chain_adopted(self) -> None:
-        """Forget per-round vote state after a recovery/catch-up adoption.
+        """Start a new view of every round after a fork adoption.
 
         Fork recovery (section 8.2) legitimately re-runs rounds: after
         adopting the winning fork, every participant votes *again* at
         round numbers it already voted in, generally for different
         values. Those re-votes are not equivocation — the node's entire
-        view of "round r" changed — so the dedup tables from the old
-        view must not be allowed to frame honest peers. Health scores
-        and counters survive; only round-keyed state is dropped.
+        view of "round r" changed — so nothing accepted in the old view
+        may frame an honest peer: its keys stay taken (a copy of one is
+        dropped, not relayed, and not scored), and the block and flood
+        tables start afresh. Health scores and counters survive.
         """
-        self._first_vote.clear()
-        self._seen_priorities.clear()
+        self._votes = dict.fromkeys(self._votes)
         self._first_block.clear()
         self._equivocators.clear()
         self._vote_counts.clear()
 
     def reset(self) -> None:
         """Drop volatile state (crash); counters survive as receipts."""
+        self._votes.clear()
+        self._priorities.clear()
         self.on_chain_adopted()
         self.health.reset()
-
-
-def attach_admission(node: "Node", config: AdmissionConfig | None = None,
-                     directory: QuarantineDirectory | None = None,
-                     index_of: "AccountIndex | None" = None
-                     ) -> AdmissionControl:
-    """Wire an :class:`AdmissionControl` onto ``node``'s interface."""
-    if config is None:
-        config = AdmissionConfig()
-    config.validate()
-    admission = AdmissionControl(node, config, directory=directory,
-                                 index_of=index_of)
-    node.admission = admission
-    node.interface.ingress = admission.admit
-    if config.vote_buffer_budget is not None:
-        node.buffer.budget_messages = config.vote_buffer_budget
-    return admission

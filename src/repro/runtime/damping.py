@@ -19,13 +19,13 @@ This module implements the damping decision:
   weight strictly exceeds the step threshold. Being pure, the Hypothesis
   suite drives it through arbitrary arrival orders directly.
 * :class:`RelayDamper` — the per-node wrapper consulted by
-  ``Node._handle_vote`` after a vote is accepted locally: it weighs the
-  vote with the same memoized ``VerifySort`` admission uses
-  (:func:`repro.runtime.admission.sortition_weight`) and answers "still
-  worth relaying?". Undecidable votes (future rounds, recovery rounds,
-  foreign tips) are never counted and always relayed — suppressing what
-  we cannot weigh is exactly the trap the undecidable-messages paper
-  warns about.
+  ``Node._handle_vote`` after a vote is accepted locally: it reads the
+  vote's weight the way admission took it
+  (:func:`repro.runtime.admission.sortition_weight`, whose receipt the
+  vote carries) and answers "still worth relaying?". Undecidable votes
+  (future rounds, recovery rounds, foreign tips) are never counted and
+  always relayed — suppressing what we cannot weigh is exactly the trap
+  the undecidable-messages paper warns about.
 
 Why safety holds (the FIFO argument, tested in
 ``tests/test_damping_equivalence.py``): a node suppresses a vote for a
@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.baplus.messages import COIN_HASH_CEILING, VoteMessage
-from repro.runtime.admission import VoteVerdict, sortition_weight
+from repro.runtime.admission import sortition_weight
 from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,7 +154,7 @@ class RelayDamper:
     """Per-node relay trimmer installed by :func:`attach_damping`.
 
     Consulted from ``Node._handle_vote`` *after* the vote passed the
-    dedup/staleness/signature checks and entered the local buffer — a
+    node's gate and entered the local buffer — a
     suppressed vote is still counted locally; only its forwarding is
     skipped. The node's own votes are observed via ``_gossip_vote`` so
     its tally matches what it has put on the wire.
@@ -182,8 +182,7 @@ class RelayDamper:
 
     # -- the decision --------------------------------------------------
 
-    def _weight(self, vote: VoteMessage,
-                verdict: VoteVerdict | None = None) -> int:
+    def _weight(self, vote: VoteMessage) -> int:
         """Committee weight if fully decidable here, else 0 (uncounted).
 
         Decidable means one of:
@@ -198,13 +197,10 @@ class RelayDamper:
 
         Anything else gets weight 0, which :meth:`DampingTally.observe`
         treats as "do not count" — and an uncounted vote is never
-        suppressed. Admission's test is admission's to make: a
-        ``verdict`` that weighed the vote is read, not repeated.
+        suppressed. A vote admission weighed is not weighed again: the
+        weight is read from the receipt the vote holds for that context.
         """
         round_number = vote.round_number
-        if verdict is not None and verdict[1] is not None:
-            self._ctx_cache[round_number] = verdict[1]
-            return verdict[2]
         chain = self.node.chain
         if round_number >= RECOVERY_ROUND_BASE:
             return 0
@@ -221,13 +217,9 @@ class RelayDamper:
             return sortition_weight(self.node, vote, ctx)
         return 0
 
-    def should_relay(self, vote: VoteMessage,
-                     verdict: VoteVerdict | None = None) -> bool:
-        """Weigh one accepted vote; False skips the forward.
-
-        ``verdict`` is admission's on this copy, when it has one.
-        """
-        weight = self._weight(vote, verdict)
+    def should_relay(self, vote: VoteMessage) -> bool:
+        """Weigh one accepted vote; False skips the forward."""
+        weight = self._weight(vote)
         suppress = self.tally.observe(
             vote.round_number, vote.step, vote.value, vote.voter,
             weight, vote.coin_hash(weight))
@@ -248,26 +240,17 @@ class RelayDamper:
 
     # -- round hygiene -------------------------------------------------
 
-    def end_round(self, completed_round: int) -> None:
-        """Prune per-round state; mirrors ``Node._prune``'s horizon."""
-        horizon = completed_round
-        if self.node.params.pipeline_final_step:
-            horizon -= 1
+    def end_round(self, horizon: int) -> None:
+        """Prune per-round state below ``horizon`` (``Node._prune``'s)."""
         self.tally.prune_before(horizon)
         for round_number in [r for r in self._ctx_cache if r < horizon]:
             del self._ctx_cache[round_number]
 
-    def on_chain_adopted(self) -> None:
-        """Forget tallies after a fork-recovery adoption.
-
-        The re-run rounds are new executions over a different context;
-        stale crossings could suppress votes the new executions need.
-        """
-        self.tally.clear()
-        self._ctx_cache.clear()
-
     def reset(self) -> None:
-        """Drop volatile state (crash); counters survive as receipts."""
+        """Drop volatile state (a crash, or a fork-recovery adoption:
+        the re-run rounds are new executions over a different context,
+        and stale crossings could suppress votes they need); counters
+        survive as receipts."""
         self.tally.clear()
         self._ctx_cache.clear()
 

@@ -4,8 +4,9 @@ Covers the :mod:`repro.runtime.admission` building blocks in isolation
 (config validation, peer-health scoring and decay, the network-wide
 quarantine directory), the bounded vote buffer's round-proximity
 eviction, the quarantine-aware peer reshuffle, the recovery-round vote
-leak regression, and the end-to-end determinism claim: an honest
-deployment commits a byte-identical chain with admission on or off.
+leak regression, the one-message-per-key rule across a fork adoption,
+and the end-to-end claim: on an honest deployment the gate rejects
+nothing but stale copies and quarantines nobody.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from repro.experiments.harness import (
     Simulation,
     SimulationConfig,
 )
-from repro.network.message import vote_envelope
+from repro.network.message import priority_envelope, vote_envelope
 from repro.node.deployment import node_counters
+from repro.node.proposal import PriorityMessage
 from repro.node.recovery import RECOVERY_ROUND_BASE, RecoverySession
 from repro.runtime.admission import (
     AdmissionConfig,
@@ -31,7 +33,8 @@ from repro.runtime.admission import (
 )
 from repro.sim.loop import Environment
 
-from tests.fixtures import run_sim, signed_vote
+from tests.fixtures import chain_hash, run_sim, signed_vote
+from tests.test_kernel_contract import GOLDEN_20_USERS_2_ROUNDS
 
 
 class TestAdmissionConfig:
@@ -253,14 +256,17 @@ class TestRecoveryVoteLeak:
 
     def test_close_clears_admission_dedup_state(self):
         """After recovery every participant legitimately re-votes rounds
-        it already voted in; stale dedup entries would frame honest peers
-        as equivocators."""
+        it already voted in; what the gate accepted before must not frame
+        honest peers as equivocators."""
         sim = Simulation(SimulationConfig(num_users=4, seed=3))
-        node = sim.nodes[0]
-        node.admission._first_vote[(b"k", 1, "1")] = _vote(1)
-        session = RecoverySession(node, pre_fork_round=0)
-        session.close()
-        assert node.admission._first_vote == {}
+        admission = sim.nodes[0].admission
+        before = signed_vote(sim, 2, 50, "1", value=H(b"old view"))
+        assert admission.admit(vote_envelope(before.voter, before), 2)
+        RecoverySession(sim.nodes[0], pre_fork_round=0).close()
+        revote = signed_vote(sim, 2, 50, "1", value=H(b"new view"))
+        assert not admission.admit(vote_envelope(revote.voter, revote), 2)
+        assert admission.rejected == {"duplicate": 1}
+        assert admission.health.scores == {}
 
 
 class TestAdmissionGate:
@@ -383,6 +389,66 @@ class TestAdmissionGate:
         assert node.admission.rejected["quarantined"] == 1
 
 
+class TestOneCopyPerKeyAcrossAdoption:
+    """The gate's per-key tables are the node's only ones. Before a fork
+    adoption a conflicting vote for an accepted key is equivocation;
+    after it, the same copy is dropped, not relayed and not scored —
+    and so is a second priority announcement per (proposer, round)."""
+
+    @staticmethod
+    def _receive(node, envelope, from_index: int = 4) -> bool:
+        """Deliver one copy; True if the node forwarded it."""
+        forwarded = []
+        node.interface._send = lambda sent, targets, raw=None: (
+            forwarded.append(sent))
+        node.interface.receive(envelope, from_index)
+        return forwarded == [envelope]
+
+    def test_conflicting_vote_scored_only_before_adoption(self):
+        sim = run_sim(0, num_users=6, seed=11)
+        node = sim.nodes[0]
+        admission = node.admission
+        first = signed_vote(sim, 2, 50, "1", value=H(b"v1"))
+        second = signed_vote(sim, 2, 50, "1", value=H(b"v2"))
+        assert self._receive(node, vote_envelope(first.voter, first))
+        copy = vote_envelope(second.voter, second)
+        assert not self._receive(node, copy)
+        assert admission.rejected == {"equivocation": 1}
+        scores = dict(admission.health.scores)
+        assert scores[2] > 0
+
+        admission.on_chain_adopted()
+        assert not self._receive(node, copy)
+        assert admission.rejected == {"equivocation": 1, "duplicate": 1}
+        assert admission.health.scores == scores  # nobody scored
+        assert node.buffer.messages(50, "1") == [first]
+        # Every other copy of it is as dead: its id is held.
+        assert node.interface.holds(copy.msg_id)
+
+    def test_second_priority_dropped_before_and_after_adoption(self):
+        sim = run_sim(0, num_users=6, seed=11)
+        node = sim.nodes[0]
+        admission = node.admission
+        proposer = sim.keypairs[2].public
+
+        def announcement(tag: bytes) -> PriorityMessage:
+            # A later round than the node's: admitted unverified.
+            return PriorityMessage(proposer=proposer, round_number=5,
+                                   vrf_hash=H(tag), vrf_proof=b"p",
+                                   sub_users=1, priority=H(b"p", tag))
+
+        first = announcement(b"first")
+        assert self._receive(node, priority_envelope(proposer, first))
+        assert not self._receive(
+            node, priority_envelope(proposer, announcement(b"second")))
+        admission.on_chain_adopted()
+        assert not self._receive(
+            node, priority_envelope(proposer, announcement(b"third")))
+        assert admission.rejected == {"duplicate": 2}
+        assert admission.health.scores == {}
+        assert node._tracker(5).best_priority == first
+
+
 class TestQuarantineTopology:
     def test_set_quarantined_severs_both_directions(self):
         sim = Simulation(SimulationConfig(num_users=10, seed=7))
@@ -418,32 +484,43 @@ class TestQuarantineTopology:
             assert 4 in network.interfaces[neighbor].neighbors
 
     def test_rng_path_unchanged_without_quarantine(self):
-        """Enabling the admission machinery must not perturb the honest
-        topology: same seed, same neighbor map, admission on or off."""
-        with_admission = Simulation(SimulationConfig(num_users=12, seed=9))
-        without = Simulation(SimulationConfig(
-            num_users=12, seed=9,
-            runtime=RuntimeConfig(use_admission=False)))
-        assert ([i.neighbors for i in with_admission.network.interfaces]
-                == [i.neighbors for i in without.network.interfaces])
+        """The admission machinery must not perturb the honest topology:
+        same seed, same neighbor maps through two rounds of reshuffles,
+        whatever the budgets (no quarantine ever fires)."""
+        def neighbor_maps(admission: AdmissionConfig) -> list:
+            sim = Simulation(SimulationConfig(
+                num_users=12, seed=9,
+                runtime=RuntimeConfig(admission=admission)))
+            maps = [[i.neighbors for i in sim.network.interfaces]]
+            sim.run_rounds(2)
+            maps.append([i.neighbors for i in sim.network.interfaces])
+            assert sim.summary()["admission.quarantines"] == 0
+            return maps
+
+        assert neighbor_maps(AdmissionConfig()) == neighbor_maps(
+            AdmissionConfig(vote_buffer_budget=None,
+                            egress_lane_budget=None,
+                            flood_budget_per_round=1_000_000,
+                            quarantine_threshold=1e9))
 
 
 class TestHonestDeterminism:
     def test_admission_is_transparent_on_honest_runs(self):
-        """Same seed, admission on vs off: byte-identical chains, zero
-        rejections (beyond none at all) and no quarantines."""
-        tips = {}
-        for use_admission in (True, False):
-            sim = run_sim(2, payments=12, num_users=10, seed=21,
-                          runtime=RuntimeConfig(
-                              use_admission=use_admission))
-            tips[use_admission] = [node.chain.tip_hash
-                                   for node in sim.nodes]
-            if use_admission:
-                summary = sim.summary()
-                assert summary["admission.quarantined_peers"] == 0
-                assert summary["admission.quarantines"] == 0
-        assert tips[True] == tips[False]
+        """On honest runs the gate's only rejections are stale copies,
+        nobody is quarantined, and the golden chains hold."""
+        runs = [(None, run_sim(2, payments=12, num_users=10, seed=21))]
+        runs += [(golden, run_sim(2, payments=10, num_users=20, seed=seed))
+                 for seed, golden in sorted(GOLDEN_20_USERS_2_ROUNDS.items())]
+        for golden, sim in runs:
+            assert sim.all_chains_equal()
+            if golden is not None:
+                assert chain_hash(sim) == golden
+            summary = sim.summary()
+            reasons = {name for name in summary
+                       if name.startswith("admission.rejected.")}
+            assert reasons == {"admission.rejected.stale"}
+            assert summary["admission.quarantined_peers"] == 0
+            assert summary["admission.quarantines"] == 0
 
     def test_same_seed_same_admission_counters(self):
         def run():

@@ -6,11 +6,7 @@ import pytest
 
 from repro.adversary import FilterChain, Partitioner
 from repro.chaos import FaultAction
-from repro.experiments.harness import (
-    RuntimeConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
 from repro.network.message import Envelope
 
 
@@ -110,35 +106,48 @@ class TestStrategyMechanics:
         assert len(sim.registry) == before + 2  # two versions registered
 
     def test_double_voter_emits_conflict(self):
-        # This test hand-crafts a vote with a fake sortition proof to
-        # exercise the strategy mechanics; admission would (correctly)
-        # reject it at ingress, so run the pre-admission wiring.
+        # A genuinely selected step-1 vote, so both versions pass every
+        # honest gate they reach first.
         sim = Simulation(
-            SimulationConfig(num_users=12, seed=14,
-                             runtime=RuntimeConfig(use_admission=False)),
+            SimulationConfig(num_users=12, seed=14),
             faults=[FaultAction(kind="double-vote", start=0.0,
                                 nodes=tuple(range(12)))])
-        node = sim.nodes[0]
         from repro.baplus.messages import make_vote
         from repro.crypto.hashing import H
+        from repro.sortition.roles import committee_role
+        from repro.sortition.selection import sortition
+        tau = sim.config.params.tau_step
+        for node in sim.nodes:
+            ctx = node._current_context(1)
+            proof = sortition(sim.backend, node.keypair.secret, ctx.seed,
+                              tau, committee_role(1, "1"),
+                              ctx.weight_of(node.keypair.public),
+                              ctx.total_weight)
+            if proof.j > 0:
+                break
+        else:
+            pytest.fail("nobody on round 1's step-1 committee")
         vote = make_vote(sim.backend, node.keypair.secret,
-                         node.keypair.public, 1, "1", H(b"s"), b"p",
-                         node.chain.tip_hash, H(b"value"))
+                         node.keypair.public, 1, "1", proof.vrf_hash,
+                         proof.vrf_proof, node.chain.tip_hash, H(b"value"))
         node.participant.gossip_vote(vote)
         sim.env.run(until=5.0)
-        # Some neighbor received the conflicting second vote.
+        # Some other node received one of the two votes.
         received = [
             v
-            for other in sim.nodes[1:]
+            for other in sim.nodes if other is not node
             for v in other.buffer.messages(1, "1")
             if v.voter == node.keypair.public
         ]
         values = {v.value for v in received}
         assert len(values) >= 1
-        # Across the whole network both values circulated.
+        # Across the whole network both values circulated, and nodes
+        # that saw both scored the voter's equivocation.
         all_values = {v.value for other in sim.nodes
                       for v in other.buffer.messages(1, "1")}
         assert len(all_values) == 2
+        assert any(other.admission.rejected.get("equivocation")
+                   for other in sim.nodes)
 
     def test_window_takes_the_seams_and_gives_them_back(self):
         """An attacker is an honest node with a seam taken over: inside

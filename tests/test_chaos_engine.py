@@ -264,22 +264,26 @@ class TestSimVerdictsPinned:
     quarantine when the run ends, which the verdict does not hold to
     the target). All six were re-recorded once more when a script
     became a ``SimulationConfig`` plus faults: only the ``scenario`` key
-    moved, which :class:`TestSimOutcomesPinned` checks.
+    moved, which :class:`TestSimOutcomesPinned` checks. And once more
+    when the admission gate stopped being optional: each verdict lost
+    exactly ``scenario.config.runtime.use_admission`` and
+    ``scenario.config.params.lookback_b`` (the unread look-back period),
+    and nothing else moved.
     """
 
     GOLDEN = [
         ("partition-heal", {"partition"},
-         "7e19810bb0018b8aabf65730147e2f1b6cb753671acea0bfe405f323f83a04a2"),
+         "9ca8e3a28702aa8183868d26bbbff5a44ab65b36e502597f3cb44414fbb767b0"),
         ("flood-recovery", {"flood", "spam"},
-         "7f4652a9ce26d074dc2d1a421bd1fef5f6180f36638ae0113e9b0386cb84fcf7"),
+         "8978243823cebe80ba1274a3a039f7296b5057ceabca558b14503a6e68b5cebc"),
         ("seed-101", {"crash", "delay", "loss"},
-         "c1d41c16107b415fa898cc6eca9e57891ba530c57233e0615505a52fb93fee03"),
+         "e55d63f3006b0760b809d6f15a4c480145e8483f4e96eb2277dca9c34c48b50e"),
         ("seed-105", {"duplicate", "partition", "reorder"},
-         "c71343127b0f1bbd4c344a4b3a18e52035b4933635f7b0750ce63fceafd1439a"),
+         "d4c8a4fc7fa8c80cc0f1fa4a35f8bf59e70be44f8a290c7764666062b3022293"),
         ("seed-111", {"delay", "dos", "reorder"},
-         "c3b0e3aea487c57cc01d25fbbfec39c8450527142cbe9a537361ca154f401e59"),
+         "220df16d33135d2a21e090ba085ff56256f44b6106b17ae2705b5a14ee1bf2bb"),
         ("byzantine-mix", {"equivocate", "double-vote", "silent"},
-         "7fedf72638e5c0721f5394b0fa3f356ccec8c0a2a058fb5210a9a7b8ea2c7dd8"),
+         "63fe43d13864c1875b94ae8cc46c17f4027403ca621cf9288033da9329eb30b0"),
     ]
 
     def test_the_five_scripts_cover_every_fault_kind(self):

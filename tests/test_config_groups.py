@@ -81,11 +81,11 @@ class TestFlatShims:
 
     def test_replace_with_nested_group(self):
         base = SimulationConfig(num_users=6,
-                                runtime=RuntimeConfig(use_admission=False))
+                                runtime=RuntimeConfig(relay_damping=False))
         swapped = dataclasses.replace(
             base, network=NetworkConfig(latency_model="uniform"))
         assert swapped.network.latency_model == "uniform"
-        assert swapped.runtime.use_admission is False
+        assert swapped.runtime.relay_damping is False
 
 
 class TestJsonRoundTrip:

@@ -161,7 +161,8 @@ class TestCleanTraces:
     def test_conformance_is_not_a_knob(self):
         with pytest.raises(TypeError):
             RuntimeConfig(conformance=False)
-        assert len(dataclasses.fields(RuntimeConfig)) == 4
+        # Cache, admission budgets, relay damping: the gate has no switch.
+        assert len(dataclasses.fields(RuntimeConfig)) == 3
 
 
 class TestNegativeTraces:

@@ -69,7 +69,7 @@ class TestLiveHonoursItsConfig:
                                 tmp_path)
         node = process.node
         assert isinstance(node.backend, CachedBackend)
-        assert node.admission is not None and node.damper is not None
+        assert node.damper is not None
         assert (node.buffer.budget_messages
                 == AdmissionConfig().vote_buffer_budget)
         assert process.monitor in process.bus._sinks  # traced => checked
@@ -78,10 +78,10 @@ class TestLiveHonoursItsConfig:
     def test_layers_switch_off(self, tmp_path):
         process = _node_process(_live(
             num_users=4, initial_balance=50,
-            runtime=RuntimeConfig(use_admission=False,
-                                  relay_damping=False)), tmp_path)
-        assert process.node.admission is None
+            runtime=RuntimeConfig(relay_damping=False)), tmp_path)
         assert process.node.damper is None
+        # The gate is not a layer: every node judges its copies.
+        assert process.transport.ingress == process.node.admission.admit
         process.bus.close()
 
     def test_queue_bounds_come_from_the_substrate_group(self, tmp_path):

@@ -81,28 +81,35 @@ GOLDEN_20_USERS_2_ROUNDS = {
 #: before. That moves *when* a held copy is counted (elided at transmit
 #: or dropped on landing), not what is decided about it: the drained
 #: totals (``DRAINED_16_USERS_4_ROUNDS``), the chains and the cache
-#: lookups did not move.
+#: lookups did not move. The cache lookups fell once, 1,403 -> 1,232 and
+#: 1,482 -> 1,273, when the admission gate became the node's one message
+#: gate: a current-round priority announcement is verified there only,
+#: no longer again by the priority handler.
 GOLDEN_WORK_20_USERS_2_ROUNDS = {
     1: {"events_processed": 20_573, "messages_delivered": 24_390,
-        "dup_elided": 13_058, "cache_lookups": 1_403},
+        "dup_elided": 13_058, "cache_lookups": 1_232},
     2: {"events_processed": 21_226, "messages_delivered": 23_984,
-        "dup_elided": 12_006, "cache_lookups": 1_482},
+        "dup_elided": 12_006, "cache_lookups": 1_273},
 }
 
 #: What the same runs ask of the hot path per copy: BA* contexts built,
-#: weight-table lookups, and content-keyed sortition-receipt questions.
-#: One context per tip per deployment, and a vote weighed once per
-#: context (admission hands its verdict to the handler and the damper;
-#: CountVotes reads the receipt the shared context keys). At the commit
+#: weight-table lookups, content-keyed sortition-receipt questions and
+#: priority-announcement checks. One context per tip per deployment, and
+#: a vote weighed once per context (admission weighs it, the damper and
+#: CountVotes read the receipt the shared context keys). At the commit
 #: before, every node built its own context each round and each vote was
 #: weighed by admission, again by the damper and again on every
 #: CountVotes pass: 40 / 12,637 / 11,935 (seed 1) and 40 / 13,448 /
-#: 12,670 (seed 2).
+#: 12,670 (seed 2). A priority announcement is verified once, by the
+#: node's one message gate: while the priority handler verified every
+#: current-round announcement again, this run made 382 (seed 1) and 458
+#: (seed 2) ``PriorityMessage.verify`` calls and 980 / 1,055 weight
+#: lookups.
 GOLDEN_CALLS_20_USERS_2_ROUNDS = {
-    1: {"BAContext.from_weights": 2, "ArrayWeights.get": 980,
-        "VoteMessage.committee_votes": 278},
-    2: {"BAContext.from_weights": 2, "ArrayWeights.get": 1_055,
-        "VoteMessage.committee_votes": 277},
+    1: {"BAContext.from_weights": 2, "ArrayWeights.get": 809,
+        "VoteMessage.committee_votes": 278, "PriorityMessage.verify": 211},
+    2: {"BAContext.from_weights": 2, "ArrayWeights.get": 846,
+        "VoteMessage.committee_votes": 277, "PriorityMessage.verify": 249},
 }
 
 
@@ -266,6 +273,7 @@ def test_golden_run_pays_once_per_copy(monkeypatch, seed):
     count(BAContext, "from_weights", bind=staticmethod)
     count(ArrayWeights, "get")
     count(VoteMessage, "committee_votes")
+    count(PriorityMessage, "verify")
     sim = run_sim(2, payments=10, num_users=20, seed=seed)
     assert chain_hash(sim) == GOLDEN_20_USERS_2_ROUNDS[seed]
     assert dict(calls) == GOLDEN_CALLS_20_USERS_2_ROUNDS[seed]

@@ -1,4 +1,9 @@
-"""Unit tests for Node message handling and relay policies (section 8.4)."""
+"""Unit tests for Node message handling and relay policies (section 8.4).
+
+A vote copy is judged by the node's one message gate (``admission``)
+and then handled; :func:`_deliver` takes it the way ``RelayCore``
+does.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,8 @@ from repro.crypto.hashing import H
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.ledger.transaction import make_transaction
 from repro.network.message import Envelope, vote_envelope
+from repro.sortition.roles import committee_role
+from repro.sortition.selection import sortition
 
 
 @pytest.fixture
@@ -17,51 +24,75 @@ def sim():
 
 
 def _vote_from(sim, node, round_number=1, step="1", value=None):
+    """``node``'s vote; a real committee proof for round 1, junk (and so
+    undecidable) for later rounds."""
+    ctx = node._current_context(1)
+    tau = sim.config.params.tau_step
+    proof = sortition(sim.backend, node.keypair.secret, ctx.seed, tau,
+                      committee_role(1, step),
+                      ctx.weight_of(node.keypair.public), ctx.total_weight)
     return make_vote(
         sim.backend, node.keypair.secret, node.keypair.public,
-        round_number, step, H(b"sorthash"), b"proof",
+        round_number, step, proof.vrf_hash, proof.vrf_proof,
         node.chain.tip_hash, value if value is not None else H(b"value"),
     )
+
+
+def _voter(sim):
+    """A node other than node 0 that sits on round 1's step-1 committee."""
+    for node in sim.nodes[1:]:
+        vote = _vote_from(sim, node)
+        ctx = sim.nodes[0]._current_context(1)
+        if vote.weigh(sim.backend, ctx, sim.config.params.tau_step):
+            return node
+    raise AssertionError("no committee member at this seed")
+
+
+def _deliver(node, vote, from_index=1) -> bool:
+    """One copy of ``vote`` through ``node``'s gate, then its handler."""
+    envelope = vote_envelope(vote.voter, vote)
+    return (node.admission.admit(envelope, from_index)
+            and node.handle_envelope(envelope))
 
 
 class TestVoteRelay:
     def test_valid_vote_buffered_and_relayed(self, sim):
         node = sim.nodes[0]
-        vote = _vote_from(sim, sim.nodes[1])
-        assert node.handle_envelope(vote_envelope(b"x", vote))
+        vote = _vote_from(sim, _voter(sim))
+        assert _deliver(node, vote)
         assert vote in node.buffer.messages(1, "1")
 
     def test_duplicate_key_not_relayed(self, sim):
         """At most one relayed message per (pk, round, step) — §8.4."""
         node = sim.nodes[0]
-        first = _vote_from(sim, sim.nodes[1], value=H(b"a"))
-        second = _vote_from(sim, sim.nodes[1], value=H(b"b"))
-        assert node.handle_envelope(vote_envelope(b"x", first))
-        assert not node.handle_envelope(vote_envelope(b"x", second))
+        voter = _voter(sim)
+        first = _vote_from(sim, voter, value=H(b"a"))
+        second = _vote_from(sim, voter, value=H(b"b"))
+        assert _deliver(node, first)
+        assert not _deliver(node, second)
         # Second message is not even buffered.
         assert len(node.buffer.messages(1, "1")) == 1
 
     def test_bad_signature_dropped(self, sim):
         node = sim.nodes[0]
-        vote = _vote_from(sim, sim.nodes[1])
+        vote = _vote_from(sim, _voter(sim))
         forged = make_vote(sim.backend, sim.nodes[2].keypair.secret,
-                           sim.nodes[1].keypair.public, 1, "1",
-                           vote.sorthash, vote.sortproof, vote.prev_hash,
-                           vote.value)
-        assert not node.handle_envelope(vote_envelope(b"x", forged))
+                           vote.voter, 1, "1", vote.sorthash,
+                           vote.sortproof, vote.prev_hash, vote.value)
+        assert not _deliver(node, forged)
         assert not node.buffer.messages(1, "1")
 
     def test_stale_round_dropped(self, sim):
         node = sim.nodes[0]
         vote = _vote_from(sim, sim.nodes[1], round_number=0)
-        assert not node.handle_envelope(vote_envelope(b"x", vote))
+        assert not _deliver(node, vote)
 
     def test_future_round_buffered(self, sim):
         """Nodes slightly behind still accept and relay future-round
         votes (steps are not synchronized across users, section 4)."""
         node = sim.nodes[0]
         vote = _vote_from(sim, sim.nodes[1], round_number=3)
-        assert node.handle_envelope(vote_envelope(b"x", vote))
+        assert _deliver(node, vote)
         assert vote in node.buffer.messages(3, "1")
 
 
@@ -118,7 +149,7 @@ class TestPruning:
         node = sim.nodes[0]
         # Buffers for round 1 are gone; nothing below round 2 remains.
         assert all(r >= 2 for r in node.buffer.rounds_buffered())
-        assert all(key[1] >= 2 for key in node._seen_votes)
+        assert all(key[1] >= 2 for key in node.admission._votes)
         assert all(r >= 2 for r in node._trackers)
 
 
