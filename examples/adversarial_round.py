@@ -52,8 +52,8 @@ def targeted_dos_attack() -> None:
     print("=" * 60)
     sim = Simulation(SimulationConfig(num_users=20, seed=6))
     controls = FilterChain(sim.network)
-    dos = TargetedDoS(controls, sim.env, reaction_time=1.5,
-                      restore_after=60.0)
+    dos = TargetedDoS(controls, sim.env, sim.population.index,
+                      reaction_time=1.5, restore_after=60.0)
     sim.submit_payments(40, note_bytes=16)
     sim.run_rounds(3, time_limit=900)
 

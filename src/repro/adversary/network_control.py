@@ -27,7 +27,7 @@ class TargetedDoS:
     done — committee members for later steps are fresh, unexposed users.
     """
 
-    def __init__(self, chain: FilterChain, env,
+    def __init__(self, chain: FilterChain, env, index_of,
                  reaction_time: float = 1.0,
                  restore_after: float | None = None,
                  max_concurrent: int = 2) -> None:
@@ -37,6 +37,10 @@ class TargetedDoS:
             raise ValueError("max_concurrent must be >= 1")
         self._chain = chain
         self._env = env
+        #: The deployment's key -> node index map (its
+        #: :class:`~repro.ledger.arraystate.AccountIndex`, or any mapping
+        #: with ``get``): who announced a priority.
+        self._index_of = index_of
         self.reaction_time = reaction_time
         self.restore_after = restore_after
         #: Adversary capacity: how many victims it can keep offline at
@@ -50,24 +54,12 @@ class TargetedDoS:
 
     def _watch(self, src: int, dst: int, envelope: Envelope) -> bool:
         if envelope.kind == "priority":
-            origin = self._origin_index(envelope)
+            origin = self._index_of.get(envelope.origin)
             if origin is not None and origin not in self._attacked:
                 self._attacked.add(origin)
                 self._env.schedule(self.reaction_time,
                                    lambda o=origin: self._strike(o))
         return False  # observing only; never drops by itself
-
-    def _origin_index(self, envelope: Envelope) -> int | None:
-        payload = envelope.payload
-        proposer = getattr(payload, "proposer", None)
-        if proposer is None:
-            return None
-        for index, iface in enumerate(self._chain.network.interfaces):
-            node = getattr(iface, "relay_policy", None)
-            owner = getattr(node, "__self__", None)
-            if owner is not None and owner.keypair.public == proposer:
-                return index
-        return None
 
     def _strike(self, victim: int) -> None:
         if self._active >= self.max_concurrent:

@@ -1,9 +1,11 @@
 """Gossip: the relay core, and the simulated network that carries it.
 
 :class:`RelayCore` (section 4 "Gossip protocol", section 8.4) is what
-one node *decides* about a message on either substrate — dedup, the
-order an arriving copy goes through, what is forwarded, the
-``gossip.*`` counters. How bytes travel is left to its two subclasses:
+one node *decides* about a message on either substrate. An arriving
+copy goes dedup → the node's hook (its gate, then its router) → hold →
+forward; the core keeps the dedup store, the ``gossip.*`` counters and
+the forward, and asks the node one question per copy. How bytes travel
+is left to its two subclasses:
 the sim's :class:`NetworkInterface` below, the live
 :class:`repro.live.transport.LiveTransport`.
 
@@ -58,18 +60,18 @@ DropFilter = Callable[[int, int, Envelope], bool]
 #: the message; more than one entry duplicates it (the copies share the
 #: msg_id, so receivers dedup them exactly like real gossip duplicates).
 LinkShaper = Callable[[int, int, Envelope, float], list[float]]
-RelayPolicy = Callable[[Envelope], bool]
-#: (envelope, from_index) -> admit? Runs after duplicate suppression and
-#: before the relay policy (see :mod:`repro.runtime.admission`).
-IngressPolicy = Callable[[Envelope, int], bool]
+#: (envelope, from_index) -> the node's one answer about a copy that
+#: survived dedup: ``None`` rejects it (its id is not held), ``False``
+#: keeps it, ``True`` keeps it and relays it.
+ReceiveHook = Callable[[Envelope, int], bool | None]
 
 #: Messages at or below this size use the urgent egress lane (votes,
 #: priority announcements, transactions) and never wait behind blocks.
 URGENT_MESSAGE_BYTES = 1500
 
 
-def _relay_everything(envelope: Envelope) -> bool:
-    """The :attr:`RelayCore.relay_policy` of a core no node is wired to."""
+def accept_and_relay(envelope: Envelope, from_index: int) -> bool:
+    """The :attr:`RelayCore.on_receive` of a core no node is wired to."""
     return True
 
 
@@ -77,10 +79,10 @@ class RelayCore:
     """What one node decides about a gossiped message, sim or live.
 
     An arriving copy (:meth:`receive`) goes through one fixed order:
-    duplicate check, admission gate (``ingress``, assigned by the
-    admission layer), mark held, ``relay_policy`` (assigned by the node:
-    the protocol layer's validation and its one-message-per-key-per-step
-    rule), forward to every neighbor but the deliverer. A byte-mover
+    duplicate check, the node's hook (:attr:`on_receive`, assigned by
+    the node: its admission gate — validation and one message per key
+    per step — then its router), mark held unless rejected, forward to
+    every neighbor but the deliverer if relayed. A byte-mover
     subclasses this, supplies :meth:`_send`, hands every arriving copy
     to :meth:`receive` and reports what it put on links to
     :meth:`_count_sent`.
@@ -98,14 +100,9 @@ class RelayCore:
                  obs: "TraceBus | None") -> None:
         self.index = index
         self.neighbors: list[int] = []
-        #: Protocol-layer validation: called before relaying a received
-        #: message; return False to accept locally but not forward.
-        self.relay_policy: RelayPolicy = _relay_everything
-        #: Optional admission gate (:mod:`repro.runtime.admission`):
-        #: called with ``(envelope, from_index)`` after duplicate
-        #: suppression; returning False drops the message before the
-        #: relay policy and any forwarding.
-        self.ingress: IngressPolicy | None = None
+        #: The node's one hook (:data:`ReceiveHook`), asked once per
+        #: copy that survives the duplicate check.
+        self.on_receive: ReceiveHook = accept_and_relay
         self.disconnected = False
         #: Logical bytes (the calibrated envelope sizes) and copies put
         #: on links, one per peer transmission on either substrate.
@@ -204,12 +201,12 @@ class RelayCore:
         if msg_id in self._seen or self._held_before(msg_id):
             self._count_duplicate()
             return
+        relay = self.on_receive(envelope, from_index)
         metrics = self._metrics
-        ingress = self.ingress
-        if ingress is not None and not ingress(envelope, from_index):
-            # Rejected at admission: never buffered, routed, or relayed.
-            # The msg_id deliberately is NOT marked held (unless the gate
-            # itself holds it, see :meth:`hold`): a vote whose first copy
+        if relay is None:
+            # Rejected: never buffered, routed, or relayed. The msg_id
+            # deliberately is NOT marked held (unless the gate itself
+            # holds it, see :meth:`hold`): a vote whose first copy
             # arrives via a quarantined relayer must stay eligible on its
             # other gossip paths, or blocking one bad neighbor would
             # suppress honest traffic it happened to deliver first
@@ -223,7 +220,7 @@ class RelayCore:
             metrics.inc("gossip.recv." + envelope.kind)
             metrics.inc("gossip.recv_bytes." + envelope.kind,
                         envelope.size)
-        if self.relay_policy(envelope):
+        if relay:
             if metrics is not None:
                 metrics.inc("gossip.relayed." + envelope.kind)
             self._send(envelope, [neighbor for neighbor in self.neighbors
@@ -293,8 +290,8 @@ class NetworkInterface(RelayCore):
         """Park the interface: silent, unreachable, its agent let go.
 
         Queued copies are dropped (a drain still on the event loop goes
-        idle) and both policy hooks return to their defaults: nothing
-        here keeps the retired node reachable. Parking is a round
+        idle) and the node's hook returns to the default: nothing here
+        keeps the retired node reachable. Parking is a round
         boundary for the dedup store: a retired agent is usually
         interrupted before its own ``_prune`` would roll it.
         """
@@ -303,8 +300,7 @@ class NetworkInterface(RelayCore):
         self._egress_urgent.clear()
         self._egress_bulk.clear()
         self.end_round()
-        self.ingress = None
-        self.relay_policy = _relay_everything
+        self.on_receive = accept_and_relay
 
     # --- Egress -----------------------------------------------------------
 

@@ -3,8 +3,8 @@
 The network layer treats protocol payloads as opaque; an envelope carries
 the routing metadata it needs: an id (for duplicate suppression — unique,
 in no particular order), the originator's public key, a message kind (so
-relay policies can rate-limit per kind), and the wire size in bytes
-(driving bandwidth costs).
+the receiving node can gate and route it per kind), and the wire size in
+bytes (driving bandwidth costs).
 """
 
 from __future__ import annotations

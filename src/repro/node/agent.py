@@ -19,11 +19,12 @@ BA → IDLE, and the :class:`_Round` in flight) that kernel callbacks
 advance — a timer, a tracker wake-up, a decided count. A crash or a
 retirement cancels what the round owns and drops it.
 
-Every incoming copy is judged once, by the node's message gate
+Every incoming copy is one question to :meth:`Node.receive`, the relay
+core's one hook: judged once by the node's message gate
 (:class:`~repro.runtime.admission.AdmissionControl`: validate-before-relay,
-one message per key per step, section 8.4), and then handled
-synchronously in the relay-policy callback; BA* consumes votes from the
-node's :class:`~repro.baplus.buffer.VoteBuffer`.
+one message per key per step, section 8.4), then handled synchronously
+by the router, whose answer is the relay decision; BA* consumes votes
+from the node's :class:`~repro.baplus.buffer.VoteBuffer`.
 """
 
 from __future__ import annotations
@@ -200,7 +201,6 @@ class Node:
         self.admission = AdmissionControl(self, admission,
                                           directory=directory,
                                           index_of=index_of)
-        interface.ingress = self.admission.admit
         #: Optional :class:`repro.runtime.damping.RelayDamper` installed
         #: by :func:`repro.runtime.damping.attach_damping`: consulted on
         #: every accepted vote to skip forwarding once the local tally
@@ -234,8 +234,6 @@ class Node:
         #: protocol extensions (fork recovery, chain sync) register their
         #: own kinds instead of monkey-patching the dispatch chain.
         self.router = MessageRouter()
-        if obs is not None:
-            self.router.metrics = obs.metrics
         self.router.register("vote", self._handle_vote)
         self.router.register("priority", self._handle_priority)
         self.router.register("block", self._handle_block)
@@ -247,16 +245,18 @@ class Node:
         #: hash we do not recognize reveal that their sender follows a
         #: different chain. Maps foreign prev_hash -> count seen.
         self.fork_monitor: dict[bytes, int] = {}
-        # Bound to the node (not router.dispatch directly): adversarial
-        # observers identify a victim node via relay_policy.__self__.
-        interface.relay_policy = self.handle_envelope
+        interface.on_receive = self.receive
 
     # ------------------------------------------------------------------
     # Gossip handling (synchronous, validate-before-relay)
     # ------------------------------------------------------------------
 
-    def handle_envelope(self, envelope: Envelope) -> bool:
-        """Process one received message; return True to relay it."""
+    def receive(self, envelope: Envelope, from_index: int) -> bool | None:
+        """The transport's one question about an arriving copy (§8.4):
+        ``None`` if the gate rejects it, else the router's relay
+        decision (``False`` keeps it, ``True`` also relays it)."""
+        if not self.admission.admit(envelope, from_index):
+            return None
         return self.router.dispatch(envelope)
 
     # The gate (:attr:`admission`) passed every copy that reaches a

@@ -194,7 +194,7 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
                      f"({counters.get('cache.negative_hits', 0)} negative)",
                      f"hit rate {hits / total:.3f}" if total else "unused"])
         dispatched = sum(value for name, value in counters.items()
-                         if name.startswith("router.dispatch."))
+                         if name.startswith("gossip.recv."))
         rows.append(["router", f"{dispatched} dispatched",
                      f"{counters.get('router.unknown_kind', 0)} "
                      f"unknown-kind drops"])

@@ -7,7 +7,8 @@ costs the receiving node verification work, and messages whose validity
 *cannot yet be decided* — future-round votes, votes for proposals not yet
 seen — must be buffered and so become a memory-exhaustion vector ("the
 undecidable-messages DoS", see PAPERS.md). This module is the node's one
-message gate, in front of the router:
+message gate, in front of the router in :meth:`Node.receive
+<repro.node.agent.Node.receive>`:
 
 * **One message per key** — the gate's per-key tables are the node's
   only ones: the first vote per ``(voter, round, step)`` and the first

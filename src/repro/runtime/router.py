@@ -4,9 +4,10 @@ The node used to route envelopes through a hard-coded ``if/elif`` chain
 plus an ad-hoc ``extra_handlers`` dict that protocol extensions (fork
 recovery, chain sync) mutated behind its back. :class:`MessageRouter`
 replaces both: every subsystem *registers* a handler for the message
-kinds it owns, and the network layer calls one dispatch entry point.
+kinds it owns, and the node's one receive hook calls one dispatch entry
+point for every copy its admission gate lets through.
 
-Handlers keep the relay-policy contract of section 8.4: they receive the
+Handlers keep the relay decision of section 8.4: they receive the
 envelope's payload, perform validate-before-relay, and return ``True``
 iff the message should be forwarded to neighbors. Unknown kinds are
 counted and dropped (never relayed) — gossip must not amplify messages
@@ -27,16 +28,15 @@ Handler = Callable[[Any], bool]
 class MessageRouter:
     """Kind -> handler dispatch table for gossip envelopes."""
 
-    __slots__ = ("_handlers", "unknown_kinds", "metrics")
+    __slots__ = ("_handlers", "unknown_kinds")
 
     def __init__(self) -> None:
         self._handlers: dict[str, Handler] = {}
-        #: Count of envelopes dropped for lack of a registered handler.
+        #: Count of envelopes dropped for lack of a registered handler
+        #: (harvested as ``router.unknown_kind``; what a handler takes
+        #: or relays is the relay core's ``gossip.recv.*`` /
+        #: ``gossip.relayed.*``).
         self.unknown_kinds = 0
-        #: Optional :class:`repro.obs.MetricsRegistry`: when set, every
-        #: dispatch/relay/unknown-kind is counted per message kind. The
-        #: default ``None`` keeps the hot path at one extra comparison.
-        self.metrics = None
 
     def register(self, kind: str, handler: Handler, *,
                  replace: bool = False) -> None:
@@ -66,19 +66,8 @@ class MessageRouter:
 
     def dispatch(self, envelope: Envelope) -> bool:
         """Route one envelope; returns the handler's relay decision."""
-        metrics = self.metrics
         handler = self._handlers.get(envelope.kind)
         if handler is None:
             self.unknown_kinds += 1
-            if metrics is not None:
-                metrics.inc("router.unknown_kind")
             return False
-        if metrics is not None:
-            metrics.inc("router.dispatch." + envelope.kind)
-        relay = handler(envelope.payload)
-        if metrics is not None:
-            if relay:
-                metrics.inc("router.relayed." + envelope.kind)
-            else:
-                metrics.inc("router.denied." + envelope.kind)
-        return relay
+        return handler(envelope.payload)

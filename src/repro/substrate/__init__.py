@@ -9,8 +9,9 @@ heap or a socket — they only ever used two object shapes:
   ``any_of``, ``schedule``, ``schedule_now``), and
 * a **transport** exposing the
   :class:`repro.network.gossip.RelayCore` surface (``broadcast``,
-  ``end_round``, plus the ``relay_policy``/``ingress``/``disconnected``
-  attachment points the node and admission gate assign into).
+  ``end_round``, ``hold``, ``disconnected``, plus the one
+  ``on_receive`` hook the node assigns: an arriving copy goes dedup →
+  the node's hook (gate → router) → hold → forward).
 
 This module names that implicit seam as explicit
 :class:`typing.Protocol` types — :class:`Clock` and :class:`Transport`,

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Protocol, runtime_checkable
 
-from repro.network.gossip import (
-    DropFilter,
-    IngressPolicy,
-    LinkShaper,
-    RelayPolicy,
-)
+from repro.network.gossip import DropFilter, LinkShaper, ReceiveHook
 from repro.network.message import Envelope
 
 
@@ -52,15 +47,16 @@ class Clock(Protocol):
 class Transport(Protocol):
     """The per-node message-passing surface.
 
-    ``broadcast`` pushes an envelope toward every peer in ``neighbors``;
-    the node wires itself in by *assigning* ``relay_policy``
-    (synchronous dispatch of arriving envelopes, return value = relay
-    decision), the admission gate by assigning ``ingress``
-    (accept/reject, asked after duplicate suppression and before the
-    relay policy, with the index of the peer that handed the copy
-    over), and calls ``end_round`` at each round boundary (bounded dedup).
-    Gossip metrics (``bytes_sent``/``messages_sent``) and liveness
-    (``disconnected``) round out the surface the runtime layers read.
+    ``broadcast`` pushes an envelope toward every peer in ``neighbors``.
+    An arriving copy goes dedup → the node's hook → hold → forward: the
+    node wires itself in by *assigning* ``on_receive``, asked once per
+    copy that survives dedup with ``(envelope, from_index)`` — its gate,
+    then its router — and answering rejected (``None``), kept
+    (``False``) or relayed (``True``). The gate may ``hold`` an id it
+    drops when every other copy would be dropped alike. The node calls
+    ``end_round`` at each round boundary (bounded dedup). Gossip metrics
+    (``bytes_sent``/``messages_sent``) and liveness (``disconnected``)
+    round out the surface the runtime layers read.
     """
 
     index: int
@@ -68,11 +64,11 @@ class Transport(Protocol):
     disconnected: bool
     bytes_sent: int
     messages_sent: int
-    # Assignment points (declared as attributes so implementations must
-    # expose them writable): the node's envelope handler and the
-    # admission gate.
-    relay_policy: RelayPolicy
-    ingress: IngressPolicy | None
+    # The one assignment point (declared as an attribute so
+    # implementations must expose it writable): the node's hook.
+    on_receive: ReceiveHook
+
+    def hold(self, msg_id: int) -> None: ...
 
     def broadcast(self, envelope: Envelope) -> None: ...
 

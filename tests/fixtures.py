@@ -11,7 +11,7 @@ Deduplicates the three shapes almost every integration test rebuilds:
   dataclasses (timestamps included), same round records, on every node;
 * :func:`signed_vote` — a validly-signed :class:`VoteMessage` from one
   of a simulation's users, with forgeable fields overridable per test;
-* :func:`record_received` — a recording ``relay_policy`` on every
+* :func:`record_received` — a recording ``on_receive`` hook on every
   interface of a bare gossip network (what each node accepted);
 * :func:`live_transport` — a socket-less :class:`LiveTransport` with the
   queue bounds a default deployment would hand it.
@@ -136,18 +136,19 @@ def assert_chains_byte_identical(one: Simulation, other: Simulation,
 
 
 def record_received(net, relay: bool = True) -> list[list]:
-    """Install a recording ``relay_policy`` on every interface of ``net``.
+    """Install a recording ``on_receive`` hook on every interface of
+    ``net``.
 
     Returns one list per interface, filled with the envelopes that
-    interface accepts (past duplicate suppression and ingress); each
-    policy answers ``relay``.
+    interface accepts (every copy past duplicate suppression); each
+    hook keeps what it is asked about and answers ``relay``.
     """
     received: list[list] = [[] for _ in net.interfaces]
     for interface, log in zip(net.interfaces, received):
-        def policy(envelope, log=log):
+        def on_receive(envelope, from_index, log=log):
             log.append(envelope)
             return relay
-        interface.relay_policy = policy
+        interface.on_receive = on_receive
     return received
 
 

@@ -13,6 +13,7 @@ import pytest
 from repro.adversary import FilterChain, Partitioner, TargetedDoS, isolate
 from repro.chaos import FaultAction, figure8_adversary
 from repro.experiments.harness import Simulation, SimulationConfig
+from repro.obs import TraceBus
 
 
 def _attacked(num_users: int, seed: int, attackers: int,
@@ -125,12 +126,18 @@ class TestTargetedDoS:
         """Participant replacement: DoS-ing each proposer after it speaks
         cannot stop Algorand — the proposer's job is already done and the
         committees of later steps are fresh users."""
-        sim = Simulation(SimulationConfig(num_users=16, seed=37))
+        bus = TraceBus()
+        sim = Simulation(SimulationConfig(num_users=16, seed=37), obs=bus)
         chain = FilterChain(sim.network)
-        dos = TargetedDoS(chain, sim.env, reaction_time=1.5,
-                          restore_after=30.0)
+        dos = TargetedDoS(chain, sim.env, sim.population.index,
+                          reaction_time=1.5, restore_after=30.0)
         sim.run_rounds(2, time_limit=600)
         assert dos.victims  # the attack actually fired
+        # Each victim is found from the announcement's origin key: a
+        # node that really proposed, not whoever relayed it.
+        proposers = {event["node"]
+                     for event in bus.events_of_kind("block_proposed")}
+        assert set(dos.victims) <= proposers
         assert len(sim.agreed_hashes(1)) == 1
         assert len(sim.agreed_hashes(2)) == 1
 
@@ -138,7 +145,8 @@ class TestTargetedDoS:
         sim = Simulation(SimulationConfig(num_users=4, seed=1))
         chain = FilterChain(sim.network)
         with pytest.raises(ValueError):
-            TargetedDoS(chain, sim.env, reaction_time=-1)
+            TargetedDoS(chain, sim.env, sim.population.index,
+                        reaction_time=-1)
 
 
 class TestIsolate:

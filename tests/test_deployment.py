@@ -81,7 +81,7 @@ class TestLiveHonoursItsConfig:
             runtime=RuntimeConfig(relay_damping=False)), tmp_path)
         assert process.node.damper is None
         # The gate is not a layer: every node judges its copies.
-        assert process.transport.ingress == process.node.admission.admit
+        assert process.transport.on_receive == process.node.receive
         process.bus.close()
 
     def test_queue_bounds_come_from_the_substrate_group(self, tmp_path):

@@ -279,6 +279,28 @@ def test_golden_run_pays_once_per_copy(monkeypatch, seed):
     assert dict(calls) == GOLDEN_CALLS_20_USERS_2_ROUNDS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(GOLDEN_20_USERS_2_ROUNDS))
+def test_one_count_per_fact(seed):
+    """Each fact about an arriving copy has one count, kept by the layer
+    that decides it: the relay core keeps what the gate admits and drops
+    what it rejects, the damper's suppressions are the core's damped
+    relays, and no router counter shadows ``gossip.*``."""
+    sim, bus = run_traced(2, payments=10, num_users=20, seed=seed)
+    assert chain_hash(sim) == GOLDEN_20_USERS_2_ROUNDS[seed]
+    counters = sim.summary()["obs"]["counters"]
+
+    def total(prefix: str) -> int:
+        return sum(value for name, value in counters.items()
+                   if name.startswith(prefix))
+
+    assert total("gossip.recv.") == counters["admission.admitted"] > 0
+    assert (counters["gossip.ingress_rejected"]
+            == total("admission.rejected.") > 0)
+    assert counters["gossip.damped.vote"] == counters["damping.suppressed"]
+    assert not [name for name in counters if name.startswith(
+        ("router.dispatch.", "router.relayed.", "router.denied."))]
+
+
 @pytest.mark.parametrize("seed", sorted(LATTICE_TIME_16_USERS_3_ROUNDS))
 def test_lattice_time_schedule(seed):
     sim = run_sim(3, payments=8, num_users=16, seed=seed,
@@ -650,10 +672,10 @@ def _flood(network_class, scenario):
     env, net = _bare(network_class)
     log: list[tuple] = []
     for index, interface in enumerate(net.interfaces):
-        def accept(envelope, index=index):
+        def accept(envelope, from_index, index=index):
             log.append((env.now, index, envelope.kind))
             return True
-        interface.relay_policy = accept
+        interface.on_receive = accept
     scenario(env, net)
     env.run()
     return (log, net.bytes_sent_per_node(), net.messages_delivered,

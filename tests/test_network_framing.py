@@ -311,7 +311,7 @@ class TestLiveIngressFuzz:
 
     Every payload ends in exactly one bucket: ``garbage_frames``,
     ``gossip.ingress_rejected`` (the real admission gate said no),
-    ``gossip.dup_dropped`` or delivered to the relay policy. CI reruns
+    ``gossip.dup_dropped`` or delivered past the gate. CI reruns
     this class with ``--hypothesis-seed=random``.
     """
 
@@ -320,9 +320,14 @@ class TestLiveIngressFuzz:
         bus = TraceBus()
         transport = live_transport(obs=bus)
         delivered = []
-        transport.ingress = sim.nodes[0].admission.admit
-        transport.relay_policy = lambda envelope: bool(
-            delivered.append(envelope))
+        admit = sim.nodes[0].admission.admit
+
+        def on_receive(envelope, from_index):
+            if not admit(envelope, from_index):
+                return None
+            delivered.append(envelope)
+            return False
+        transport.on_receive = on_receive
         transport._on_payload(1, payload)
         transport._drain()
         counters = bus.metrics.snapshot()["counters"]

@@ -48,11 +48,9 @@ def _voter(sim):
     raise AssertionError("no committee member at this seed")
 
 
-def _deliver(node, vote, from_index=1) -> bool:
+def _deliver(node, vote, from_index=1) -> bool | None:
     """One copy of ``vote`` through ``node``'s gate, then its handler."""
-    envelope = vote_envelope(vote.voter, vote)
-    return (node.admission.admit(envelope, from_index)
-            and node.handle_envelope(envelope))
+    return node.receive(vote_envelope(vote.voter, vote), from_index)
 
 
 class TestVoteRelay:
@@ -105,10 +103,10 @@ class TestTransactionRelay:
                               node.keypair.public, 1, 0)
         envelope = Envelope(origin=b"x", kind="tx", payload=tx,
                             size=tx.size)
-        assert node.handle_envelope(envelope)
+        assert node.receive(envelope, 1)
         assert tx.txid in node.mempool
         # Duplicate not relayed again.
-        assert not node.handle_envelope(envelope)
+        assert not node.receive(envelope, 1)
 
     def test_malformed_transaction_dropped(self, sim):
         node = sim.nodes[0]
@@ -121,7 +119,7 @@ class TestTransactionRelay:
                           signature=tx.signature)
         envelope = Envelope(origin=b"x", kind="tx", payload=forged,
                             size=forged.size)
-        assert not node.handle_envelope(envelope)
+        assert not node.receive(envelope, 1)
         assert len(node.mempool) == 0
 
 
@@ -130,7 +128,7 @@ class TestUnknownKinds:
         node = sim.nodes[0]
         envelope = Envelope(origin=b"x", kind="mystery", payload=None,
                             size=10)
-        assert not node.handle_envelope(envelope)
+        assert not node.receive(envelope, 1)
 
     def test_extra_handler_invoked(self, sim):
         node = sim.nodes[0]
@@ -139,7 +137,7 @@ class TestUnknownKinds:
             seen.append(payload) or True))
         envelope = Envelope(origin=b"x", kind="custom", payload="hello",
                             size=10)
-        assert node.handle_envelope(envelope)
+        assert node.receive(envelope, 1)
         assert seen == ["hello"]
 
 

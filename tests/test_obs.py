@@ -76,7 +76,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.inc("gossip.sent.vote", 2)
         registry.inc("gossip.sent.block")
-        registry.inc("router.dispatch.vote")
+        registry.inc("router.unknown_kind")
         assert registry.counters_with_prefix("gossip.sent.") == {
             "gossip.sent.block": 1, "gossip.sent.vote": 2}
 
@@ -192,7 +192,7 @@ class TestTracedSimulation:
         summary = sim.summary()
         assert summary["cache.hits"] > 0 and "cache.negative_hits" in summary
         assert summary["router.unknown_kind"] == 0
-        assert summary["obs"]["counters"]["router.dispatch.vote"] > 0
+        assert summary["obs"]["counters"]["gossip.recv.vote"] > 0
         assert summary["sortition.verifies"] > 0
 
 

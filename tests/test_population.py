@@ -38,6 +38,7 @@ from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block
 from repro.ledger.persistence import load_chain, save_chain
 from repro.ledger.transaction import make_transaction
+from repro.network.gossip import accept_and_relay
 from repro.node.agent import Node
 from repro.node.catchup import ChainSync, build_announcement
 from repro.node.deployment import fold_snapshots
@@ -413,8 +414,7 @@ class TestFootprint:
                    and iface.index not in population.live]
         assert len(retired) > 0
         for iface in retired:
-            assert iface.ingress is None
-            assert not hasattr(iface.relay_policy, "__self__")
+            assert iface.on_receive is accept_and_relay
 
     def test_a_dormant_account_has_no_interface(self, sim):
         built = [iface for iface in sim.network.interfaces

@@ -86,5 +86,7 @@ class TestForkMonitor:
             sim.backend, stranger.keypair.secret, stranger.keypair.public,
             node.chain.next_round, "1", H(b"sort"), b"proof",
             H(b"some-other-chain"), H(b"value"))
-        node.handle_envelope(vote_envelope(b"x", foreign))
+        # Undecidable (a foreign tip), so the gate admits it signed.
+        assert node.receive(vote_envelope(stranger.keypair.public,
+                                          foreign), 1)
         assert node.fork_monitor.get(H(b"some-other-chain")) == 1

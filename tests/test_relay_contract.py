@@ -41,14 +41,18 @@ class _Rig:
         self.bus = TraceBus()
         #: msg_ids handed up to the protocol layer, in order.
         self.accepted: list[int] = []
-        #: What the recording ``relay_policy`` answers.
+        #: Peers whose copies the recording hook rejects.
+        self.reject_from: set[int] = set()
+        #: What the recording hook answers to a copy it keeps.
         self.relay = True
 
     def _wire_in(self) -> None:
-        def policy(envelope) -> bool:
+        def on_receive(envelope, from_index) -> bool | None:
+            if from_index in self.reject_from:
+                return None
             self.accepted.append(envelope.msg_id)
             return self.relay
-        self.node.relay_policy = policy
+        self.node.on_receive = on_receive
 
     def held(self) -> int:
         node = self.node
@@ -123,7 +127,7 @@ class TestRelayContract:
 
     def test_rejected_copy_does_not_poison_the_dedup_store(self, rig_class):
         rig = rig_class()
-        rig.node.ingress = lambda envelope, from_index: from_index != 1
+        rig.reject_from = {1}
         rig.arrive(_message(7), 1)
         assert rig.accepted == [] and not rig.node.holds(7)
         rig.arrive(_message(7), 2)  # a later clean copy is admitted
@@ -200,7 +204,7 @@ def _script(rig: _Rig) -> dict:
     rig.node.broadcast(_message(1))
     rig.arrive(_message(2), 1)
     rig.arrive(_message(2), 3)
-    rig.node.ingress = lambda envelope, from_index: from_index != 1
+    rig.reject_from = {1}
     rig.arrive(_message(3), 1)
     rig.arrive(_message(3), 2)
     rig.relay = False

@@ -388,8 +388,8 @@ class TestChainSync:
             blocks=source.blocks[1:],
             certificates={},  # stripped certificates must fail replay
         )
-        relay = victim.handle_envelope(Envelope(
-            origin=b"adv", kind="chain", payload=forged, size=forged.size))
+        relay = victim.receive(Envelope(
+            origin=b"adv", kind="chain", payload=forged, size=forged.size), 1)
         assert relay is False
         assert victim.chain.height == 0
         assert sync.pending is None
@@ -436,9 +436,9 @@ class TestChainSync:
         plea = ChainRequest(height=0)
 
         def hear() -> bool:
-            return node.handle_envelope(Envelope(
+            return node.receive(Envelope(
                 origin=b"peer", kind="chainreq", payload=plea,
-                size=plea.size))
+                size=plea.size), 1)
 
         sync.request()
         sync.request()
@@ -450,9 +450,9 @@ class TestChainSync:
         assert (sync.requests_sent, sync.served) == (2, 2)
         # A requester at our height (or above) is not ours to answer.
         sim.env.run(until=sim.env.now + sync.cooldown)
-        node.handle_envelope(Envelope(
+        node.receive(Envelope(
             origin=b"peer", kind="chainreq",
-            payload=ChainRequest(height=2), size=plea.size))
+            payload=ChainRequest(height=2), size=plea.size), 1)
         assert sync.served == 2
 
     def test_stall_detector_requests_without_vote_evidence(self):

@@ -100,6 +100,20 @@ class TestProtocolConformance:
         assert isinstance(transport, Transport)
         assert isinstance(transport, Fabric)
 
+    def test_a_transport_has_one_hook_and_hold(self):
+        """The node assigns ``on_receive``, the gate calls ``hold``: an
+        object missing either is no transport."""
+        surface = {name: None for name in (
+            "index", "neighbors", "disconnected", "bytes_sent",
+            "messages_sent", "on_receive")}
+        surface.update({name: lambda self, *args: None
+                        for name in ("broadcast", "end_round", "hold")})
+        assert isinstance(type("Whole", (), surface)(), Transport)
+        for missing in ("on_receive", "hold"):
+            short = {name: value for name, value in surface.items()
+                     if name != missing}
+            assert not isinstance(type("Short", (), short)(), Transport)
+
 
 class TestLiveClock:
     def test_stop_when_is_required(self):
@@ -342,11 +356,18 @@ class TestLiveTransport:
         for peer in (1, 2):
             if peer != index:
                 transport.add_link(_FakeLink(peer))
-        #: Envelopes the transport accepted (a recording relay policy).
+        #: Envelopes the transport accepted (a recording hook that
+        #: relays what it keeps, and rejects while ``rejecting``).
         self.received = []
-        transport.relay_policy = (
-            lambda envelope: self.received.append(envelope) or True)
+        self.rejecting = False
+        transport.on_receive = self._record
         return transport
+
+    def _record(self, envelope, from_index) -> bool | None:
+        if self.rejecting:
+            return None
+        self.received.append(envelope)
+        return True
 
     def test_broadcast_restamps_msg_id_into_index_namespace(self):
         transport = self._transport(index=3)
@@ -381,11 +402,11 @@ class TestLiveTransport:
     def test_ingress_rejection_does_not_poison_seen(self):
         transport = self._transport()
         payload = encode_envelope(_envelope(b"o" * 32, msg_id=7))
-        transport.ingress = lambda envelope, from_index: False
+        self.rejecting = True
         transport._on_payload(1, payload)
         transport._drain()
         assert len(self.received) == 0
-        transport.ingress = None  # later clean copy must be admitted
+        self.rejecting = False  # later clean copy must be admitted
         transport._on_payload(2, payload)
         transport._drain()
         assert len(self.received) == 1

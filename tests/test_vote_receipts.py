@@ -339,9 +339,8 @@ def _outcome(vote_class, order: list[int]) -> tuple:
     for index in order:
         vote = votes[index]  # repeats re-offer the *same* instance
         envelope = vote_envelope(vote.voter, vote)
-        admitted = node.interface.ingress(envelope, 1)
-        decisions.append((admitted,
-                          admitted and node.handle_envelope(envelope)))
+        answer = node.receive(envelope, 1)  # None: the gate rejected it
+        decisions.append((answer is not None, bool(answer)))
     ctx = node._current_context(1)
     tallies = []
     for step in STEPS:
