@@ -58,8 +58,9 @@ def targeted_dos_attack() -> None:
     sim.run_rounds(3, time_limit=900)
 
     print(f"  proposers knocked offline: {sorted(set(dos.victims))}")
+    outcome = sim.outcome()
     for round_number in range(1, 4):
-        hashes = sim.agreed_hashes(round_number)
+        hashes = outcome.agreed_hashes(round_number)
         print(f"  round {round_number}: {len(hashes)} agreed hash(es)")
         assert len(hashes) == 1
     print("  -> every attacked proposer had already done its job; "

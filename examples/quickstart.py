@@ -40,8 +40,9 @@ def main() -> None:
     print()
 
     # Safety check the paper's way: one agreed hash per round, everywhere.
+    outcome = sim.outcome()
     for round_number in range(1, 4):
-        hashes = sim.agreed_hashes(round_number)
+        hashes = outcome.agreed_hashes(round_number)
         assert len(hashes) == 1, "fork detected!"
     print("no forks: every round has exactly one agreed block")
 

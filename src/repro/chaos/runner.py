@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.chaos.monitor import Violation, live_findings, sim_findings
+from repro.chaos.monitor import Violation, findings
 from repro.chaos.scenario import ScenarioScript
 from repro.conformance.machine import OUTCOME_RULES
 from repro.conformance.monitor import ConformanceMonitor
@@ -176,10 +176,8 @@ def run_scenario(script: ScenarioScript, *,
                               time_limit=derive_time_limit(script))
     except TimeoutError:
         pass  # the verdict names who fell short, and why
-    findings = (live_findings if script.config.substrate.kind == "live"
-                else sim_findings)
     verdict = render_verdict(script, deployment.conformance,
                              deployment=deployment,
-                             **findings(deployment, script))
+                             **findings(deployment.outcome(), script))
     bus.close()
     return verdict

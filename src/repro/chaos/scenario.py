@@ -99,6 +99,14 @@ LINK_FAULTS = frozenset({"delay", "loss", "duplicate", "reorder"})
 FAULT_RNG_TAG = 0xC4A05
 
 
+def attacker_nodes(actions: Iterable[FaultAction]) -> frozenset[int]:
+    """Nodes that run an :data:`ATTACKER_FAULTS` kind in ``actions`` —
+    not the victims a partition, delay, crash or DoS names."""
+    return frozenset(node for action in actions
+                     if action.kind in ATTACKER_FAULTS
+                     for node in action.nodes)
+
+
 class ScenarioError(ConfigError):
     """A scenario script or fault action failed validation."""
 
@@ -259,11 +267,7 @@ class ScenarioScript:
 
     def attacker_nodes(self) -> frozenset[int]:
         """Nodes that run an attacker kind (excluded from audits)."""
-        attackers: set[int] = set()
-        for action in self.actions:
-            if action.kind in ATTACKER_FAULTS:
-                attackers.update(action.nodes)
-        return frozenset(attackers)
+        return attacker_nodes(self.actions)
 
     # -- serialization -------------------------------------------------
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chaos.scenario import figure8_adversary
+from repro.chaos.scenario import attacker_nodes, figure8_adversary
 from repro.common.errors import NoSamplesError, SpecError
-from repro.experiments.harness import Simulation, SimulationConfig
 from repro.experiments.metrics import LatencySummary
 from repro.experiments.spec import ExperimentSpec
+from repro.node.deployment import RunOutcome, SimulationConfig
 
 #: Malicious-stake fractions swept by Figure 8.
 FIGURE8_FRACTIONS = [0.0, 0.05, 0.10, 0.15, 0.20]
@@ -36,23 +36,24 @@ class AdversarialPoint:
     empty_rounds: int     # attack cost: rounds forced to the empty block
 
 
-def measure_adversarial(sim: Simulation,
+def measure_adversarial(outcome: RunOutcome,
                         spec: ExperimentSpec) -> AdversarialPoint:
-    """Honest latency, agreement and empty rounds under ``spec.faults``."""
-    attackers = {node for action in spec.faults for node in action.nodes}
-    honest = [node for node in sim.nodes if node.index not in attackers]
+    """Honest latency, agreement and empty rounds under ``spec.faults``
+    (the victims a partition, delay, crash or DoS names are honest)."""
+    attackers = attacker_nodes(spec.faults)
+    honest = [run for index, run in outcome.runs.items()
+              if index not in attackers]
     samples = []
     agreed = True
     empty_rounds = 0
     for round_number in range(1, spec.rounds + 1):
-        hashes = {node.chain.block_at(round_number).block_hash
-                  for node in honest}
-        agreed = agreed and len(hashes) == 1
-        for node in honest:
-            record = node.metrics.round_record(round_number)
+        blocks = [run.blocks[round_number - 1] for run in honest]
+        agreed = agreed and len({block.block_hash for block in blocks}) == 1
+        for run in honest:
+            record = run.round_record(round_number)
             if record is not None:
                 samples.append(record.duration)
-        if honest[0].chain.block_at(round_number).is_empty:
+        if blocks[0].is_empty:
             empty_rounds += 1
     try:
         summary = LatencySummary.from_samples(samples)

@@ -82,7 +82,7 @@ def measure_costs(num_users: int = 40, *, rounds: int = 3, seed: int = 0,
     # Storage: every user stores every round unsharded; sharding by 10
     # divides the expectation.
     store = ShardedStore(10)
-    publics = [node.keypair.public for node in sim.nodes]
+    publics = [keypair.public for keypair in sim.keypairs]
     for round_number in range(1, rounds + 1):
         block = reference.block_at(round_number)
         certificate = reference.certificate_at(round_number)

@@ -36,7 +36,9 @@ from repro.node.agent import Node
 from repro.node.catchup import ChainSync
 from repro.node.deployment import (  # noqa: F401  (re-exported API)
     NetworkConfig,
+    NodeRun,
     PopulationConfig,
+    RunOutcome,
     RuntimeConfig,
     SimulationConfig,
     SubstrateConfig,
@@ -44,6 +46,7 @@ from repro.node.deployment import (  # noqa: F401  (re-exported API)
     derive_genesis,
     harvest,
     make_backend,
+    node_counters,
     payment_plan,
 )
 from repro.node.population import Population
@@ -273,22 +276,22 @@ class Simulation:
     # Result accessors
     # ------------------------------------------------------------------
 
-    def round_latencies(self, round_number: int) -> list[float]:
-        """Per-node completion time of ``round_number`` (seconds)."""
-        latencies = []
-        for node in self.nodes:
-            record = node.metrics.round_record(round_number)
-            if record is not None:
-                latencies.append(record.duration)
-        return latencies
-
-    def agreed_hashes(self, round_number: int) -> set[bytes]:
-        """Distinct block hashes committed at ``round_number`` (safety: 1)."""
-        return {
-            node.chain.block_at(round_number).block_hash
-            for node in self.nodes
-            if node.chain.height >= round_number
-        }
+    def outcome(self) -> RunOutcome:
+        """What the run left behind, read off the always-on core: one
+        :class:`~repro.node.deployment.NodeRun` per agent (its egress
+        lane's high-water mark among its counters), the clock, the
+        quarantined peers and the harvested snapshot."""
+        lanes = self.network.interfaces
+        snapshot = self._registry_snapshot()
+        return RunOutcome(
+            runs={node.index: NodeRun.of(node, {
+                      **node_counters(node),
+                      "admission.egress_high_water":
+                          lanes[node.index].egress_high_water})
+                  for node in self.nodes},
+            slots=len(self.nodes), now=self.env.now, backend=self.backend,
+            quarantined=self.quarantine_directory.quarantined,
+            snapshot={**snapshot["counters"], **snapshot["gauges"]})
 
     def all_chains_equal(self) -> bool:
         reference = self.nodes[0].chain
@@ -327,6 +330,14 @@ class Simulation:
                 conformance=self.conformance, counters=counters,
                 gauges=gauges)
 
+    def _registry_snapshot(self) -> dict:
+        """The bus snapshot of a traced run; an untraced run's harvest."""
+        if self.obs is not None:
+            return self.obs.snapshot()
+        metrics = MetricsRegistry()
+        self._harvest(metrics)
+        return metrics.snapshot()
+
     def summary(self) -> dict:
         """The harvested snapshot, flat: every runtime number under its
         registry name (``simloop.events_processed``, ``cache.hits``,
@@ -336,12 +347,7 @@ class Simulation:
         ``"obs"``. ``total_bytes_sent`` and ``conformance["ok"]`` are
         the names the benchmark reads.
         """
-        if self.obs is not None:
-            snapshot = self.obs.snapshot()
-        else:
-            metrics = MetricsRegistry()
-            self._harvest(metrics)
-            snapshot = metrics.snapshot()
+        snapshot = self._registry_snapshot()
         result: dict = {**snapshot["counters"], **snapshot["gauges"]}
         result["total_bytes_sent"] = result["network.total_bytes_sent"]
         if self.conformance is not None:

@@ -23,9 +23,14 @@ from dataclasses import dataclass
 
 from repro.common.errors import NoSamplesError
 from repro.common.params import ProtocolParams, TEST_PARAMS
-from repro.experiments.harness import NetworkConfig, PopulationConfig, Simulation, SimulationConfig
 from repro.experiments.metrics import LatencySummary
 from repro.experiments.spec import ExperimentSpec
+from repro.node.deployment import (
+    NetworkConfig,
+    PopulationConfig,
+    RunOutcome,
+    SimulationConfig,
+)
 
 #: Scaled-down populations standing in for the paper's 5K..50K sweep.
 FIGURE5_USERS = [40, 80, 160, 320]
@@ -46,17 +51,17 @@ class LatencyPoint:
     rounds_measured: int
 
 
-def measure_latency(sim: Simulation, spec: ExperimentSpec) -> LatencyPoint:
+def measure_latency(outcome: RunOutcome,
+                    spec: ExperimentSpec) -> LatencyPoint:
     """Summarize the completion latency of the run's last round."""
     last = spec.rounds
-    empties = sum(1 for node in sim.nodes
-                  if node.chain.block_at(last).is_empty)
-    finals = sum(
-        1 for node in sim.nodes
-        if node.metrics.round_record(last) is not None
-        and node.metrics.round_record(last).kind == "final")
+    runs = outcome.runs.values()
+    empties = sum(1 for run in runs if run.blocks[last - 1].is_empty)
+    records = [run.round_record(last) for run in runs]
+    finals = sum(1 for record in records
+                 if record is not None and record.kind == "final")
     try:
-        summary = LatencySummary.from_samples(sim.round_latencies(last))
+        summary = LatencySummary.from_samples(outcome.round_latencies(last))
     except NoSamplesError:
         summary = LatencySummary.empty()
     return LatencyPoint(

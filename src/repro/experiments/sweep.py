@@ -1,8 +1,10 @@
 """Run experiment points: one at a time, or a grid over worker processes.
 
 :func:`run_point` is the one way a point runs: build the spec's
-deployment with its faults, submit its payment batches, run its rounds,
-and take the measurement :data:`MEASURES` names.
+deployment with its faults (on the substrate its config names), submit
+its payment batches, run its rounds, and take the measurement
+:data:`MEASURES` names off the deployment's
+:class:`~repro.node.deployment.RunOutcome`.
 
 The paper runs its evaluation grid on 1,000 VMs; our reproduction used to
 run every grid point serially in one Python process, which made the
@@ -47,17 +49,18 @@ from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import SpecError
 from repro.experiments.adversarial import measure_adversarial
-from repro.experiments.harness import Simulation
 from repro.experiments.latency import measure_latency
 from repro.experiments.spec import ExperimentSpec, PointResult, spec_from_json
 from repro.experiments.throughput import measure_block_size
 from repro.experiments.timeouts import measure_timeouts
 from repro.experiments.traffic import measure_traffic
 from repro.experiments.waiting import measure_waiting
+from repro.node.deployment import deploy
 from repro.obs.bus import TraceBus
 
-#: Measure name -> what it reads off a finished run: ``(sim, spec) ->``
-#: a typed point dataclass.
+#: Measure name -> what it reads off a finished run: ``(outcome, spec)
+#: ->`` a typed point dataclass, where ``outcome`` is the deployment's
+#: :class:`~repro.node.deployment.RunOutcome` on either substrate.
 MEASURES: dict[str, Callable] = {
     "latency": measure_latency,
     "adversarial": measure_adversarial,
@@ -87,11 +90,11 @@ def run_point(spec: ExperimentSpec) -> PointResult:
     measure = _checked(spec)
     # The traffic census reads gossip counters off an event-less bus.
     obs = TraceBus(max_events=0) if spec.measure == "traffic" else None
-    sim = Simulation(spec.config, faults=spec.faults, obs=obs)
+    deployment = deploy(spec.config, faults=spec.faults, obs=obs)
     for count, note_bytes in spec.payments:
-        sim.submit_payments(count, note_bytes=note_bytes)
-    sim.run_rounds(spec.rounds)
-    return PointResult(spec=spec, point=measure(sim, spec))
+        deployment.submit_payments(count, note_bytes=note_bytes)
+    deployment.run_rounds(spec.rounds)
+    return PointResult(spec=spec, point=measure(deployment.outcome(), spec))
 
 
 @dataclass

@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.baselines.nakamoto import NakamotoConfig, throughput_bytes_per_hour
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
 from repro.experiments.spec import ExperimentSpec
+from repro.node.deployment import NetworkConfig, RunOutcome, SimulationConfig
 
 #: Scaled block-size sweep standing in for the paper's 1 KB..10 MB.
 FIGURE7_BLOCK_SIZES = [1_000, 10_000, 50_000, 100_000, 250_000]
@@ -44,10 +44,11 @@ class BlockSizePoint:
         return self.proposal_time + self.ba_time + self.final_step_time
 
 
-def measure_block_size(sim: Simulation,
+def measure_block_size(outcome: RunOutcome,
                        spec: ExperimentSpec) -> BlockSizePoint:
     """Median round segments of the run's last round."""
-    records = [node.metrics.round_record(spec.rounds) for node in sim.nodes]
+    records = [run.round_record(spec.rounds)
+               for run in outcome.runs.values()]
     records = [record for record in records if record is not None]
     payload = int(np.median([record.payload_bytes for record in records]))
     return BlockSizePoint(

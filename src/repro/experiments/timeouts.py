@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
 from repro.experiments.spec import ExperimentSpec
+from repro.node.deployment import NetworkConfig, RunOutcome, SimulationConfig
 
 
 @dataclass(frozen=True)
@@ -37,24 +37,17 @@ class TimeoutReport:
     rounds: int
 
 
-def measure_timeouts(sim: Simulation, spec: ExperimentSpec) -> TimeoutReport:
+def measure_timeouts(outcome: RunOutcome,
+                     spec: ExperimentSpec) -> TimeoutReport:
     """Compare the run's measured timings to its configured budgets."""
     params = spec.config.params
-    step_durations = [
-        seconds
-        for node in sim.nodes
-        for (_, _, seconds) in node.metrics.step_durations
-    ]
-    ba_completions = [
-        record.ba_done_time - record.start_time
-        for node in sim.nodes
-        for record in node.metrics.rounds
-    ]
-    proposal_durations = [
-        record.proposal_duration
-        for node in sim.nodes
-        for record in node.metrics.rounds
-    ]
+    runs = outcome.runs.values()
+    step_durations = [seconds for run in runs
+                      for (_, _, seconds) in run.step_durations]
+    records = [record for run in runs for record in run.rounds]
+    ba_completions = [record.ba_done_time - record.start_time
+                      for record in records]
+    proposal_durations = [record.proposal_duration for record in records]
     return TimeoutReport(
         step_p99=float(np.percentile(step_durations, 99)),
         lambda_step=params.lambda_step,

@@ -54,9 +54,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.params import TEST_PARAMS, ProtocolParams
-from repro.experiments.harness import RuntimeConfig, Simulation, SimulationConfig
 from repro.experiments.metrics import format_table
 from repro.experiments.spec import ExperimentSpec
+from repro.node.deployment import RunOutcome, RuntimeConfig, SimulationConfig
 
 #: Stake shapes the census sweeps.
 STAKE_SHAPES = ("uniform", "whale", "midtier")
@@ -157,15 +157,16 @@ class TrafficPoint:
     damped_per_round: float
 
 
-def measure_traffic(sim: Simulation, spec: ExperimentSpec) -> TrafficPoint:
+def measure_traffic(outcome: RunOutcome,
+                    spec: ExperimentSpec) -> TrafficPoint:
     """Read the run's gossip counters next to the analytical model."""
     config, rounds = spec.config, spec.rounds
-    metrics = sim.obs.metrics
+    snapshot = outcome.snapshot
     observed = {}
     for kind in ("priority", "block", "vote"):
         observed[kind] = {
             counter: round(
-                metrics.counter(f"gossip.{counter}.{kind}") / rounds, 1)
+                snapshot.get(f"gossip.{counter}.{kind}", 0) / rounds, 1)
             for counter in ("sent", "recv", "relayed")}
     return TrafficPoint(
         num_users=config.num_users,
@@ -174,7 +175,7 @@ def measure_traffic(sim: Simulation, spec: ExperimentSpec) -> TrafficPoint:
         analytic=analytical_census(config.make_balances(), config.params),
         observed=observed,
         damped_per_round=round(
-            metrics.counter("gossip.damped.vote") / rounds, 1),
+            snapshot.get("gossip.damped.vote", 0) / rounds, 1),
     )
 
 

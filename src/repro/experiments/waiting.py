@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import Simulation, SimulationConfig
 from repro.experiments.spec import ExperimentSpec
+from repro.node.deployment import RunOutcome, SimulationConfig
 
 #: Wait-window values (seconds) swept by the benchmark, spanning "far too
 #: short" to "comfortably padded" for the scaled WAN.
@@ -40,16 +40,13 @@ class WaitingPoint:
     rounds: int
 
 
-def measure_waiting(sim: Simulation, spec: ExperimentSpec) -> WaitingPoint:
+def measure_waiting(outcome: RunOutcome,
+                    spec: ExperimentSpec) -> WaitingPoint:
     """Empty-block share and median round latency over the run."""
-    reference = sim.nodes[0].chain
-    empty = sum(1 for r in range(1, spec.rounds + 1)
-                if reference.block_at(r).is_empty)
-    latencies = [
-        record.duration
-        for node in sim.nodes
-        for record in node.metrics.rounds
-    ]
+    runs = list(outcome.runs.values())
+    empty = sum(1 for block in runs[0].blocks[:spec.rounds]
+                if block.is_empty)
+    latencies = [record.duration for run in runs for record in run.rounds]
     params = spec.config.params
     return WaitingPoint(
         wait_seconds=params.lambda_priority + params.lambda_stepvar,

@@ -3,7 +3,8 @@
 :class:`LiveCluster` mirrors :class:`repro.experiments.harness.Simulation`
 for the live substrate: build it from a :class:`SimulationConfig` whose
 ``substrate.kind`` is ``"live"``, queue payments, call
-:meth:`run_rounds`, then read ``chains`` / :meth:`all_chains_equal` /
+:meth:`run_rounds`, then read :meth:`outcome` (the
+:class:`~repro.node.deployment.RunOutcome` a sim returns too) or
 :meth:`summary` — same verbs, real processes underneath.
 
 The coordinator owns a control socket (Unix domain or TCP, matching the
@@ -13,8 +14,9 @@ collect ``hello`` (listen addresses), broadcast ``peers`` (address map
 plus the gossip neighbor lists — a partial mesh when
 ``network.peers_per_node < n - 1``), await ``ready`` from everyone,
 broadcast ``start``, then await ``result`` messages carrying each
-node's chain as encoded block bytes plus its trace path and transport
-stats. Per-node JSONL traces are merged into one time-sorted file
+node's run (:meth:`~repro.node.deployment.NodeRun.to_record`: chain as
+encoded block bytes, stored seeds, certificate values, round records,
+step durations, metrics) plus its trace path. Per-node JSONL traces are merged into one time-sorted file
 suitable for ``python -m repro.conformance`` and, given ``obs=``, replayed
 through that bus as a sim would have emitted them.
 
@@ -65,10 +67,14 @@ from repro.common.errors import ConfigError
 from repro.common.params import LIVE_SMOKE_PARAMS
 from repro.conformance.monitor import ConformanceMonitor
 from repro.node.deployment import (
+    NodeRun,
+    RunOutcome,
     SimulationConfig,
     SubstrateConfig,
+    derive_genesis,
     fold,
     fold_snapshots,
+    make_backend,
 )
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.network.wire import decode_block
@@ -163,6 +169,8 @@ class LiveCluster:
                 lambda bus: self.conformance.harvest(bus.metrics))
         self.runtime_dir: Path | None = None
         self.merged_trace_path: Path | None = None
+        #: Scenario time of the merged trace's last record.
+        self.ended_at = 0.0
         self.results: dict[int, dict] = {}
         #: Every process's ``result`` metrics, folded.
         self.metrics: dict = {}
@@ -173,7 +181,7 @@ class LiveCluster:
         #: Each node's own start-up split from its ``ready`` message
         #: (the latest incarnation's, after a respawn).
         self.startup: dict[int, dict] = {}
-        self._payments = 0
+        self._payments: list[tuple[int, int]] = []
         #: Every trace file each node index wrote, in incarnation order.
         self._trace_paths: dict[int, list[str]] = {}
         self._expected_dead: set[int] = set()
@@ -182,15 +190,16 @@ class LiveCluster:
 
     # -- Simulation-shaped surface --------------------------------------
 
-    def submit_payments(self, count: int) -> None:
-        """Queue ``count`` payments for the next :meth:`run_rounds`.
+    def submit_payments(self, count: int, note_bytes: int = 0) -> None:
+        """Queue a batch of ``count`` payments for the next
+        :meth:`run_rounds`.
 
         Unlike the sim (which injects transactions directly), the live
         schedule is *replayed deterministically inside every node
-        process* from the shared seed; this just records the count the
+        process* from the shared seed; this just records the batch the
         ``start`` message will carry.
         """
-        self._payments += count
+        self._payments.append((count, note_bytes))
 
     def run_rounds(self, rounds: int,
                    time_limit: float | None = None) -> None:
@@ -201,6 +210,22 @@ class LiveCluster:
         """Byte-identical committed chains on every reporting process."""
         blocks = [self.results[i]["blocks"] for i in sorted(self.results)]
         return bool(blocks) and all(b == blocks[0] for b in blocks[1:])
+
+    def outcome(self) -> RunOutcome:
+        """What the run left behind, rebuilt from the processes'
+        ``result`` messages: their chains, seeds, certificates, round
+        records and counters, the last record of the merged trace, and
+        the folded metrics. Seeds verify on a backend holding every key
+        of the deployment (a backend verifies only keys it generated)."""
+        backend, _ = make_backend(self.config)
+        derive_genesis(self.config, backend)
+        return RunOutcome(
+            runs={index: NodeRun.from_record(index, result)
+                  for index, result in sorted(self.results.items())},
+            slots=self.num_nodes, now=self.ended_at, backend=backend,
+            snapshot=dict(self.metrics),
+            trace_path=(str(self.merged_trace_path)
+                        if self.merged_trace_path else None))
 
     def summary(self) -> dict:
         """The run's facts plus its node snapshots folded by the one rule
@@ -213,7 +238,7 @@ class LiveCluster:
             "transport": self.config.substrate.transport,
             "nodes": self.num_nodes,
             "rounds": self.rounds_run,
-            "payments": self._payments,
+            "payments": sum(count for count, _ in self._payments),
             "faults": [action.to_dict() for action in self.faults],
             "kills": list(self.kill_log),
             "missing_nodes": sorted(self._permanently_dead),
@@ -476,7 +501,7 @@ class LiveCluster:
                         or self.config.params.round_budget * (rounds + 1))
             self._start_message = {
                 "type": "start",
-                "payments": self._payments,
+                "payments": [list(batch) for batch in self._payments],
                 "rounds": rounds,
                 "deadline": deadline,
                 "faults": [action.to_dict() for action in self.faults],
@@ -629,6 +654,8 @@ class LiveCluster:
                                "nodes": list(action.nodes),
                                "window": window})
         events.sort(key=lambda record: float(record.get("t", 0.0)))
+        if events:
+            self.ended_at = float(events[-1].get("t", 0.0))
         out = Path(self.runtime_dir) / "merged.jsonl"
         snapshot = fold_snapshots(snapshots)
         with out.open("w", encoding="utf-8") as handle:

@@ -56,12 +56,12 @@ from repro.live.transport import LiveTransport, PeerLink
 from repro.network.wire import (
     FrameDecoder,
     WireError,
-    encode_block,
     encode_frame,
 )
 from repro.node.agent import IDLE, Node
 from repro.node.catchup import ChainSync
 from repro.node.deployment import (
+    NodeRun,
     SimulationConfig,
     build_node,
     derive_genesis,
@@ -298,29 +298,34 @@ class NodeProcess:
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         }
 
-    def _submit_payments(self, node: Node, count: int) -> None:
+    def _submit_payments(self, node: Node,
+                         batches: list[list[int]]) -> None:
         """Replay the cluster-wide schedule; submit only our share.
 
         Every process draws the identical RNG stream, so the schedule
         (sender k % n, seeded recipient draw, per-sender nonces) is the
         same everywhere — the live analogue of the sim harness's
-        ``submit_payments``. A rejoined process resubmits its share:
-        already-committed transactions die at assembly against state,
-        uncommitted ones get a second chance to gossip.
+        ``submit_payments``, one ``(count, note_bytes)`` batch per call.
+        A rejoined process resubmits its share: already-committed
+        transactions die at assembly against state, uncommitted ones get
+        a second chance to gossip.
         """
         keypairs = self.genesis.keypairs
+        rng = default_rng(self.config.seed)
         nonces: dict[int, int] = {}
-        for sender_index, recipient_index in payment_plan(
-                default_rng(self.config.seed), self.num_nodes, count):
-            nonce = nonces.get(sender_index, 0)
-            nonces[sender_index] = nonce + 1
-            if sender_index != self.index:
-                continue
-            keypair = keypairs[sender_index]
-            tx = make_transaction(
-                node.backend, keypair.secret, keypair.public,
-                keypairs[recipient_index].public, 1, nonce)
-            node.submit_transaction(tx)
+        for count, note_bytes in batches:
+            for sender_index, recipient_index in payment_plan(
+                    rng, self.num_nodes, count):
+                nonce = nonces.get(sender_index, 0)
+                nonces[sender_index] = nonce + 1
+                if sender_index != self.index:
+                    continue
+                keypair = keypairs[sender_index]
+                tx = make_transaction(
+                    node.backend, keypair.secret, keypair.public,
+                    keypairs[recipient_index].public, 1, nonce,
+                    note=bytes(note_bytes))
+                node.submit_transaction(tx)
 
     # -- main -----------------------------------------------------------
 
@@ -409,23 +414,22 @@ class NodeProcess:
         await self.clock.run_async(stop_when=lambda: not node.running,
                                    deadline=deadline)
         chain = node.chain
-        blocks = [encode_block(chain.block_at(r))
-                  for r in range(1, chain.height + 1)]
         verdict = self.monitor.verdict()
         snapshot = self.bus.snapshot()
+        run = NodeRun.of(node, {**snapshot["counters"],
+                                **snapshot["gauges"]})
         await send_message(writer, {
             "type": "result",
             "index": self.index,
             "incarnation": self.incarnation,
             "height": chain.height,
             "tip": chain.tip_hash,
-            "blocks": blocks,
             "halted": node.halted,
             "trace": cfg["trace"],
             "conformance_ok": verdict.ok,
             "dropped_events": (self.bus.dropped_events
                                + self.sink.dropped),
-            "metrics": {**snapshot["counters"], **snapshot["gauges"]},
+            **run.to_record(),
         })
         # Linger: keep the clock pumping — and with it gossip dispatch
         # and chain serving — until the coordinator's ``stop`` releases

@@ -24,6 +24,10 @@ configure and wire the *same* node instead of three look-alikes:
 * :func:`harvest` — the one reader of a node stack's runtime counters
   into its registry, on either substrate; :func:`node_counters` names
   one agent's, and :func:`fold` is how copies combine.
+* :class:`RunOutcome` — what a finished run left behind, one
+  :class:`NodeRun` per reporting node, the same shape on either
+  substrate: every post-run reader (chaos findings, experiment
+  measures) reads it.
 * :func:`payment_plan` — the one payment schedule both substrates'
   ``submit_payments`` draw from.
 * :func:`deploy` — the harness ``config.substrate`` selects.
@@ -32,7 +36,7 @@ configure and wire the *same* node instead of three look-alikes:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.encoding import encode
@@ -51,8 +55,10 @@ from repro.crypto.backend import (
 )
 from repro.crypto.hashing import H
 from repro.ledger.arraystate import AccountIndex
+from repro.ledger.block import Block
 from repro.ledger.blockchain import Blockchain
 from repro.node.agent import Node
+from repro.node.metrics import RoundRecord
 from repro.node.registry import BlockRegistry
 from repro.runtime.admission import AdmissionConfig, QuarantineDirectory
 from repro.runtime.cache import VerificationCache
@@ -327,9 +333,10 @@ def deploy(config: SimulationConfig, **kwargs):
     Returns a :class:`~repro.experiments.harness.Simulation` for
     ``kind="sim"`` (the default) or a
     :class:`~repro.live.cluster.LiveCluster` for ``kind="live"``; both
-    expose ``submit_payments`` / ``run_rounds`` / ``all_chains_equal``,
-    and both take ``faults=`` — so ``deploy(config, faults=[...])``
-    stands up a Byzantine deployment on either substrate.
+    expose ``submit_payments`` / ``run_rounds`` / ``outcome`` (one
+    :class:`RunOutcome`), and both take ``faults=`` — so
+    ``deploy(config, faults=[...])`` stands up a Byzantine deployment on
+    either substrate.
     """
     if config.substrate.kind == "live":
         from repro.live.cluster import LiveCluster
@@ -508,6 +515,143 @@ def harvest(metrics, *, clock, cache: VerificationCache | None,
         metrics.set_counter(name, value)
     for name, value in (gauges or {}).items():
         metrics.set_gauge(name, value)
+
+
+# ---------------------------------------------------------------------
+# The outcome: what a finished run left behind, read the same way
+# ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NodeRun:
+    """What one node holds once its run is over, on either substrate."""
+
+    index: int
+    #: Committed blocks, round 1 first.
+    blocks: tuple[Block, ...]
+    #: The stored seed of every round, genesis (round 0) first.
+    seeds: tuple[bytes, ...]
+    #: Per committed round: the value its certificate and its final
+    #: certificate certify (``None`` where the node holds none).
+    certified: tuple[tuple[bytes | None, bytes | None], ...]
+    rounds: tuple[RoundRecord, ...]
+    #: ``(round, step, seconds)`` of every vote count that returned.
+    step_durations: tuple[tuple[int, str, float], ...]
+    #: Its runtime numbers under registry names.
+    counters: dict
+
+    @property
+    def height(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def tip(self) -> bytes | None:
+        return self.blocks[-1].block_hash if self.blocks else None
+
+    def round_record(self, round_number: int) -> RoundRecord | None:
+        for record in self.rounds:
+            if record.round_number == round_number:
+                return record
+        return None
+
+    @classmethod
+    def of(cls, node: Node, counters: dict) -> "NodeRun":
+        """Read a node stack in this process."""
+        chain = node.chain
+        committed = range(1, chain.height + 1)
+
+        def value(certificate) -> bytes | None:
+            return getattr(certificate, "value", None)
+
+        return cls(
+            index=node.index,
+            blocks=tuple(chain.block_at(r) for r in committed),
+            seeds=tuple(chain.seed_of_round(r)
+                        for r in range(chain.height + 1)),
+            certified=tuple((value(chain.certificate_at(r)),
+                             value(chain.final_certificate_at(r)))
+                            for r in committed),
+            rounds=tuple(node.metrics.rounds),
+            step_durations=tuple(node.metrics.step_durations),
+            counters=counters)
+
+    def to_record(self) -> dict:
+        """Plain data for a ``result`` message (blocks as wire bytes)."""
+        from repro.network.wire import encode_block  # live only
+
+        return {
+            "blocks": [encode_block(block) for block in self.blocks],
+            "seeds": list(self.seeds),
+            "certified": [list(pair) for pair in self.certified],
+            "rounds": [list(dataclasses.astuple(record))
+                       for record in self.rounds],
+            "steps": [list(step) for step in self.step_durations],
+            "metrics": self.counters,
+        }
+
+    @classmethod
+    def from_record(cls, index: int, record: dict) -> "NodeRun":
+        """Rebuild a node process's run from its ``result`` message."""
+        from repro.network.wire import decode_block  # live only
+
+        return cls(
+            index=index,
+            blocks=tuple(decode_block(raw) for raw in record["blocks"]),
+            seeds=tuple(record["seeds"]),
+            certified=tuple(tuple(pair) for pair in record["certified"]),
+            rounds=tuple(RoundRecord(*fields)
+                         for fields in record["rounds"]),
+            step_durations=tuple(tuple(step) for step in record["steps"]),
+            counters=dict(record["metrics"]))
+
+
+@dataclass(frozen=True)
+class RunOutcome:
+    """A finished run, the same shape on either substrate.
+
+    Built on demand after ``run_rounds`` — ``Simulation.outcome()`` from
+    node objects, ``LiveCluster.outcome()`` from the processes' ``result``
+    messages — and read by every post-run reader: the chaos findings
+    and the experiment measures.
+    """
+
+    #: One run per node that reported, by index.
+    runs: dict[int, NodeRun]
+    #: Nodes the deployment ran; an index without a run reported nothing.
+    slots: int
+    #: The clock when the run ended.
+    now: float
+    #: A backend that verifies this deployment's keys (seed audits).
+    backend: CryptoBackend
+    #: Nodes the network-wide quarantine still severs (sim only).
+    quarantined: frozenset[int] = frozenset()
+    #: Every runtime number under its registry name, folded over nodes.
+    snapshot: dict = field(default_factory=dict)
+    #: The run's merged JSONL trace, where one was written.
+    trace_path: str | None = None
+
+    @property
+    def heights(self) -> list[int | None]:
+        """Chain height per node slot; ``None`` where nothing reported."""
+        return [self.runs[index].height if index in self.runs else None
+                for index in range(self.slots)]
+
+    def chains_equal(self) -> bool:
+        """Every reporting node holds the same chain."""
+        return len({(run.height, run.tip)
+                    for run in self.runs.values()}) == 1
+
+    def agreed_hashes(self, round_number: int) -> set[bytes]:
+        """Distinct block hashes committed at ``round_number`` (safety: 1)."""
+        return {run.blocks[round_number - 1].block_hash
+                for run in self.runs.values()
+                if run.height >= round_number}
+
+    def round_latencies(self, round_number: int) -> list[float]:
+        """Per-node completion time of ``round_number`` (seconds)."""
+        records = (run.round_record(round_number)
+                   for run in self.runs.values())
+        return [record.duration for record in records if record is not None]
 
 
 def payment_plan(rng, senders: int, count: int,

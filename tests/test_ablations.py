@@ -63,7 +63,7 @@ def test_committee_margin_buys_liveness_not_safety():
         sim = Simulation(SimulationConfig(num_users=20, seed=901,
                                           params=params))
         sim.run_rounds(4)
-        assert all(len(sim.agreed_hashes(r)) == 1 for r in range(1, 5))
+        assert all(len(sim.outcome().agreed_hashes(r)) == 1 for r in range(1, 5))
     assert (violation_probability(20, TEST_PARAMS.t_step, 1.0)
             > 50 * violation_probability(80, TEST_PARAMS.t_step, 1.0))
 

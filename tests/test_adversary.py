@@ -32,7 +32,7 @@ class TestEquivocatingProposer:
         sim.submit_payments(20)
         sim.run_rounds(2)
         for round_number in (1, 2):
-            assert len(sim.agreed_hashes(round_number)) == 1
+            assert len(sim.outcome().agreed_hashes(round_number)) == 1
 
     def test_equivocating_proposals_never_win(self):
         """When an equivocator holds the round's highest priority, honest
@@ -51,7 +51,7 @@ class TestDoubleVoting:
         sim = _attacked(16, 17, 3, "double-vote")
         sim.run_rounds(2)
         for round_number in (1, 2):
-            assert len(sim.agreed_hashes(round_number)) == 1
+            assert len(sim.outcome().agreed_hashes(round_number)) == 1
 
     def test_full_attack_figure8_shape(self):
         """The combined attack (Figure 8): latency may grow with the
@@ -61,9 +61,9 @@ class TestDoubleVoting:
             sim = Simulation(SimulationConfig(num_users=16, seed=23),
                              faults=figure8_adversary(range(16 - bad, 16)))
             sim.run_rounds(2)
-            assert len(sim.agreed_hashes(1)) == 1
-            assert len(sim.agreed_hashes(2)) == 1
-            latencies[bad] = max(sim.round_latencies(2))
+            assert len(sim.outcome().agreed_hashes(1)) == 1
+            assert len(sim.outcome().agreed_hashes(2)) == 1
+            latencies[bad] = max(sim.outcome().round_latencies(2))
         # Attack may slow rounds, but must stay within the BA* budget.
         assert latencies[3] < 120
 
@@ -73,7 +73,7 @@ class TestSilentStake:
         """Offline stake below the threshold margin: liveness holds."""
         sim = _attacked(20, 29, 2, "silent")
         sim.run_rounds(2)
-        assert len(sim.agreed_hashes(1)) == 1
+        assert len(sim.outcome().agreed_hashes(1)) == 1
         for node in sim.nodes[:18]:
             assert node.chain.height == 2
 
@@ -97,7 +97,7 @@ class TestPartitioner:
         sim.env.run(until=600.0, stop_when=lambda: not any(
             node.running for node in sim.nodes))
         assert all(node.chain.height == 1 for node in sim.nodes)
-        assert len(sim.agreed_hashes(1)) == 1
+        assert len(sim.outcome().agreed_hashes(1)) == 1
 
     def test_long_partition_halts_without_forking(self):
         """A partition outlasting MaxSteps * lambda_step makes BinaryBA*
@@ -138,8 +138,8 @@ class TestTargetedDoS:
         proposers = {event["node"]
                      for event in bus.events_of_kind("block_proposed")}
         assert set(dos.victims) <= proposers
-        assert len(sim.agreed_hashes(1)) == 1
-        assert len(sim.agreed_hashes(2)) == 1
+        assert len(sim.outcome().agreed_hashes(1)) == 1
+        assert len(sim.outcome().agreed_hashes(2)) == 1
 
     def test_reaction_time_validation(self):
         sim = Simulation(SimulationConfig(num_users=4, seed=1))

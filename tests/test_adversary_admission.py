@@ -58,7 +58,7 @@ def _assert_honest_progress(sim):
     for node in honest:
         assert node.chain.height >= ROUNDS
     for round_number in range(1, ROUNDS + 1):
-        assert len(sim.agreed_hashes(round_number)) == 1
+        assert len(sim.outcome().agreed_hashes(round_number)) == 1
     budget = sim.nodes[0].buffer.budget_messages
     for node in honest:
         assert node.buffer.high_water <= budget
@@ -133,7 +133,7 @@ class TestMaliciousQuarantine:
         for node in honest:
             assert node.chain.height >= ROUNDS
         for round_number in range(1, ROUNDS + 1):
-            assert len(sim.agreed_hashes(round_number)) == 1
+            assert len(sim.outcome().agreed_hashes(round_number)) == 1
         attackers = {12, 13, 14}
         caught = sum(
             node_counters(node).get("admission.rejected.equivocation", 0)

@@ -9,7 +9,9 @@ node stack are derived, so the substrates cannot drift apart again:
   of it, through ``SimulationConfig.to_json`` — not on defaults of its
   own (at the parent ``runtime.admission``, ``use_verification_cache``
   and ``conformance`` never reached the process);
-* both substrates draw payments from one schedule.
+* both substrates draw payments from one schedule;
+* a finished run reads the same on both: a live process's ``result``
+  record rebuilds exactly the run a sim reads off its node.
 
 Everything here is in-process: a ``NodeProcess`` is built from the
 config file its cluster would write, but nothing listens or dials.
@@ -30,7 +32,7 @@ from repro.experiments.harness import (
 )
 from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
 from repro.live.node_main import NodeProcess
-from repro.node.deployment import derive_genesis, payment_plan
+from repro.node.deployment import NodeRun, derive_genesis, payment_plan
 from repro.runtime.admission import AdmissionConfig
 
 
@@ -132,6 +134,27 @@ class TestOneGenesis:
                 for kp in genesis.keypairs] == [10, 10, 10, 0, 0]
 
 
+class TestOneOutcome:
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        sim = Simulation(SimulationConfig(num_users=6, seed=4))
+        sim.submit_payments(6)
+        sim.run_rounds(2)
+        return sim.outcome()
+
+    def test_a_result_record_rebuilds_the_run(self, outcome):
+        for index, run in outcome.runs.items():
+            assert NodeRun.from_record(index, run.to_record()) == run
+
+    def test_the_outcome_reads_one_chain(self, outcome):
+        assert outcome.heights == [2] * 6
+        assert outcome.chains_equal()
+        for round_number in (1, 2):
+            assert len(outcome.agreed_hashes(round_number)) == 1
+            assert len(outcome.round_latencies(round_number)) == 6
+        assert outcome.agreed_hashes(3) == set()
+
+
 class TestPaymentPlan:
     def test_round_robin_senders_never_pay_themselves(self):
         plan = list(payment_plan(np.random.default_rng(3), 5, 40))
@@ -158,7 +181,7 @@ class TestPaymentPlan:
         for index in (0, 3):
             process = _node_process(config, tmp_path, index=index)
             node, keys = process.node, process.genesis.keypairs
-            process._submit_payments(node, 10)
+            process._submit_payments(node, [(10, 0)])
             mine = [keys[recipient].public for sender, recipient in plan
                     if sender == index]
             assembled = node.mempool.assemble(node.chain.state, 10**6)

@@ -89,11 +89,11 @@ class TestHarnessEdges:
 
     def test_round_latencies_before_any_round(self):
         sim = Simulation(SimulationConfig(num_users=4, seed=6))
-        assert sim.round_latencies(1) == []
+        assert sim.outcome().round_latencies(1) == []
 
     def test_agreed_hashes_partial_progress(self):
         sim = Simulation(SimulationConfig(num_users=4, seed=6))
-        assert sim.agreed_hashes(1) == set()
+        assert sim.outcome().agreed_hashes(1) == set()
 
 
 class TestScaledParams:

@@ -6,10 +6,12 @@ and result shapes; the benchmarks exercise the real sweeps.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.chaos.scenario import FaultAction
 from repro.common.errors import NoSamplesError
 from repro.common.params import PAPER_PARAMS
 from repro.experiments.costs import expected_certificate_bytes, measure_costs
@@ -119,6 +121,18 @@ class TestRunners:
         assert point.agreed
         with pytest.raises(ValueError):
             adversarial_spec(0.5, 20, 0)
+
+    def test_a_delayed_victim_stays_honest(self):
+        """Only attacker kinds make a node malicious: the node a delay
+        slows down is a victim, and its latency is an honest sample."""
+        spec = adversarial_spec(0.2, 10, 3, rounds=1)
+        spec = dataclasses.replace(spec, faults=spec.faults + (
+            FaultAction(kind="delay", start=0.0, end=30.0, nodes=(0,),
+                        extra_delay=0.01),))
+        point = run_point(spec).point
+        assert point.malicious_users == 2
+        assert point.malicious_fraction == 0.2
+        assert point.summary.count == 8  # every honest node, victim too
 
     def test_costs_report_consistency(self):
         report = measure_costs(10, rounds=1, seed=4, payload_bytes=2_000)

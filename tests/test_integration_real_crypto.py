@@ -38,7 +38,7 @@ def real_sim():
 class TestRealCryptoRound:
     def test_agreement(self, real_sim):
         assert real_sim.all_chains_equal()
-        assert len(real_sim.agreed_hashes(1)) == 1
+        assert len(real_sim.outcome().agreed_hashes(1)) == 1
 
     def test_final_consensus(self, real_sim):
         assert real_sim.nodes[0].metrics.round_record(1).kind == "final"

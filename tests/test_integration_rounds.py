@@ -34,7 +34,7 @@ class TestSafety:
     def test_no_forks(self, three_round_sim):
         sim = three_round_sim
         for round_number in (1, 2, 3):
-            assert len(sim.agreed_hashes(round_number)) == 1
+            assert len(sim.outcome().agreed_hashes(round_number)) == 1
 
     def test_all_chains_identical(self, three_round_sim):
         assert three_round_sim.all_chains_equal()
@@ -71,7 +71,7 @@ class TestLiveness:
         couple of lambda_step (well under the timeout budget)."""
         sim = three_round_sim
         for round_number in (2, 3):
-            for latency in sim.round_latencies(round_number):
+            for latency in sim.outcome().round_latencies(round_number):
                 assert latency < (TEST_PARAMS.lambda_priority
                                   + TEST_PARAMS.lambda_stepvar
                                   + 3 * TEST_PARAMS.lambda_step)
@@ -134,7 +134,7 @@ class TestWeightedSortitionIntegration:
             num_users=20, seed=9, balances=balances))
         sim.run_rounds(2)
         assert sim.all_chains_equal()
-        assert len(sim.agreed_hashes(1)) == 1
+        assert len(sim.outcome().agreed_hashes(1)) == 1
 
     def test_zero_weight_users_cannot_vote(self):
         """Users with zero balance observe but never join committees."""
@@ -163,7 +163,7 @@ class TestBandwidthModel:
                 network=NetworkConfig(bandwidth_bps=5e6)))
             sim.submit_payments(120, note_bytes=note_bytes)
             sim.run_rounds(1)
-            latencies = sorted(sim.round_latencies(1))
+            latencies = sorted(sim.outcome().round_latencies(1))
             return latencies[len(latencies) // 2]
 
         small = median_latency(10)

@@ -15,21 +15,27 @@ Each cluster carries a :class:`TraceBus`, as a traced sim does: the
 merged trace is replayed through it, so ``cluster.conformance`` is the
 reference machines' verdict over every process.
 
+A finished cluster is read through its ``RunOutcome``, as a sim is: the
+chain audits run on ``result`` records (synthetic ones, built from a sim
+of the same deployment, need no processes), and a latency
+``ExperimentSpec`` whose config names the live substrate runs through
+``run_point`` unchanged.
+
 The 5-process scripted scenario sweep (the ``kill-partition`` builtin
-through :func:`run_scenario`) and the 5-process cluster with a
-dishonest process (Figure 8's adversary) are marked ``slow``; run with
-``-m slow``.
+through :func:`run_scenario`), the 5-process cluster with a dishonest
+process (Figure 8's adversary) and the 5-process latency point are
+marked ``slow``; run with ``-m slow``.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from repro.chaos.monitor import audit_ingress, live_findings
+from repro.chaos.monitor import audit_ingress, findings
 from repro.chaos.runner import run_scenario
 from repro.chaos.scenario import (
     FAULT_KINDS,
@@ -39,8 +45,14 @@ from repro.chaos.scenario import (
     figure8_adversary,
     kill_partition_scenario,
 )
+from repro.common.params import LIVE_SMOKE_PARAMS
 from repro.conformance.__main__ import main as conformance_main
+from repro.experiments.harness import Simulation
+from repro.experiments.latency import LatencyPoint, latency_spec
+from repro.experiments.spec import ExperimentSpec
+from repro.experiments.sweep import run_point
 from repro.node.deployment import (
+    NodeRun,
     RuntimeConfig,
     SimulationConfig,
     SubstrateConfig,
@@ -259,7 +271,7 @@ class TestSpammingProcessIsContained:
         script = ScenarioScript(name="spam", config=spammed_cluster.config,
                                 rounds=SPAM_ROUNDS,
                                 actions=spammed_cluster.faults)
-        assert live_findings(spammed_cluster, script)["audits"] == []
+        assert findings(spammed_cluster.outcome(), script)["audits"] == []
 
     def test_merged_trace_conforms(self, spammed_cluster):
         verdict = spammed_cluster.conformance.verdict()
@@ -282,31 +294,85 @@ class TestOneVocabulary:
             LiveCluster(_config(tmp_path), faults=[
                 FaultAction(kind=kind, start=0.0, end=1.0, **extra[kind])])
 
-    def test_live_runner_raises_the_sims_ingress_bounds_violation(self):
-        def result(high_water: int) -> dict:
-            return {"height": 1, "blocks": [b"block"],
-                    "metrics": {"admission.buffer_high_water": high_water}}
-
-        cluster = SimpleNamespace(
-            results={0: result(64), 1: result(65), 2: result(9000)},
-            obs=SimpleNamespace(events=[{"t": 3.0, "kind": "x"}]))
-        config = SimulationConfig(num_users=NODES, runtime=RuntimeConfig(
-            admission=AdmissionConfig(vote_buffer_budget=64)))
+    def test_live_runner_raises_the_sims_ingress_bounds_violation(
+            self, tmp_path):
+        config = dataclasses.replace(
+            _config(tmp_path), runtime=RuntimeConfig(
+                admission=AdmissionConfig(vote_buffer_budget=64)))
+        cluster = LiveCluster(config)
+        cluster.results = {
+            index: NodeRun(index=index, blocks=(), seeds=(b"genesis",),
+                           certified=(), rounds=(), step_durations=(),
+                           counters={"admission.buffer_high_water":
+                                     high_water}).to_record()
+            for index, high_water in enumerate((64, 65, 9000))}
+        cluster.ended_at = 3.0
         script = ScenarioScript(
             name="spammer", config=config,
             rounds=1, actions=(FaultAction(kind="spam", start=0.0,
                                            end=1.0, nodes=(2,),
                                            rate=10.0),))
-        (breach,) = live_findings(cluster, script)["audits"]
+        (breach,) = findings(cluster.outcome(), script)["audits"]
         # The sim's audit, over its nodes' marks under the same names.
         (sim_breach,) = audit_ingress(
             {index: {"admission.buffer_high_water": high_water}
              for index, high_water in enumerate((64, 65, 9000))},
-            config, now=3.0, skip=frozenset({2}),
-            network=SimpleNamespace(interfaces=[]))
+            config, now=3.0, skip=frozenset({2}))
         assert breach == sim_breach
         assert breach.invariant == "ingress-bounds"
         assert "node 1" in breach.detail and "65" in breach.detail
+
+
+@pytest.fixture(scope="module")
+def reported(tmp_path_factory):
+    """The live config and the ``result`` records its three processes
+    would send: the runs of the same deployment on the sim."""
+    config = _config(tmp_path_factory.mktemp("live-reported"))
+    sim = Simulation(dataclasses.replace(config, substrate=SubstrateConfig()))
+    sim.run_rounds(3)
+    return config, {index: run.to_record()
+                    for index, run in sim.outcome().runs.items()}
+
+
+class TestOneChainAudit:
+    """A live outcome gets the sim's three chain audits: the seed chain
+    and the certificate binding, not only the committed block bytes."""
+
+    def _audits(self, config, results) -> list:
+        cluster = LiveCluster(config)
+        cluster.results = results
+        script = ScenarioScript(name="audit", config=config, rounds=3)
+        return findings(cluster.outcome(), script)["audits"]
+
+    def test_honest_results_pass_every_audit(self, reported):
+        config, results = reported
+        assert self._audits(config, results) == []
+
+    def test_an_altered_stored_seed_breaks_the_seed_chain(self, reported):
+        config, results = reported
+        record = copy.deepcopy(results[1])
+        record["seeds"][2] = bytes(32)
+        (breach,) = self._audits(config, {**results, 1: record})
+        assert breach.invariant == "seed-chain"
+        assert "node 1 round 2" in breach.detail
+
+    def test_an_altered_certificate_breaks_the_binding(self, reported):
+        config, results = reported
+        record = copy.deepcopy(results[2])
+        assert record["certified"][0][0] is not None
+        record["certified"][0][0] = bytes(32)
+        (breach,) = self._audits(config, {**results, 2: record})
+        assert breach.invariant == "certificate-binding"
+        assert "node 2 round 1" in breach.detail
+
+
+class TestOneMeasureOnBothSubstrates:
+    def test_latency_point_on_three_processes(self, tmp_path):
+        spec = ExperimentSpec("latency", _config(tmp_path), rounds=2)
+        point = run_point(spec).point
+        assert isinstance(point, LatencyPoint)
+        assert point.num_users == NODES
+        assert point.summary.count == NODES
 
 
 class TestFailFastOrchestration:
@@ -423,3 +489,20 @@ class TestByzantineProcess:
         assert {peer for peer, _ in blamed} == {4}
         verdict = cluster.conformance.verdict()
         assert verdict.ok, verdict.violations
+
+
+@pytest.mark.slow
+class TestLatencyOnFiveProcesses:
+    """Figure 5's measure, unchanged, on five node processes (at the
+    live smoke scale: its lambdas and 40 units a user)."""
+
+    def test_latency_spec_runs_live(self, tmp_path):
+        spec = latency_spec(5, 7, params=LIVE_SMOKE_PARAMS)
+        spec = dataclasses.replace(spec, config=dataclasses.replace(
+            spec.config, initial_balance=40,
+            substrate=SubstrateConfig(kind="live",
+                                      runtime_dir=str(tmp_path))))
+        point = run_point(spec).point
+        assert isinstance(point, LatencyPoint)
+        assert point.num_users == 5
+        assert point.summary.count == 5

@@ -28,7 +28,7 @@ class TestPipelinedRounds:
         sim = pipelined_sim
         assert sim.all_chains_equal()
         for round_number in (1, 2, 3):
-            assert len(sim.agreed_hashes(round_number)) == 1
+            assert len(sim.outcome().agreed_hashes(round_number)) == 1
 
     def test_kinds_eventually_final(self, pipelined_sim):
         """The async final count still designates rounds final."""

@@ -58,7 +58,7 @@ class TestAutomaticRecovery:
         sim.run_rounds(1, time_limit=200.0)
         # Healthy run: daemons never fired a recovery.
         assert all(d.recoveries == 0 for d in daemons)
-        assert len(sim.agreed_hashes(1)) == 1
+        assert len(sim.outcome().agreed_hashes(1)) == 1
 
     def test_daemon_validation(self):
         sim = Simulation(SimulationConfig(num_users=4, seed=93,

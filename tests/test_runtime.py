@@ -234,8 +234,8 @@ class TestSimulationWiring:
                           for node in off.nodes}
             assert hashes_on == hashes_off
             assert len(hashes_on) == 1
-            assert (on.round_latencies(round_number)
-                    == off.round_latencies(round_number))
+            assert (on.outcome().round_latencies(round_number)
+                    == off.outcome().round_latencies(round_number))
         assert on.env.now == off.env.now
 
     def test_single_user_payments_no_crash(self):
@@ -294,7 +294,7 @@ class TestEquivocationNotLaundered:
                                        nodes=(13, 14, 15))])
         malicious_keys = {node.keypair.public for node in sim.nodes[13:16]}
         for round_number in (1, 2):
-            assert len(sim.agreed_hashes(round_number)) == 1
+            assert len(sim.outcome().agreed_hashes(round_number)) == 1
         honest = sim.nodes[:13]
         for node in honest:
             for block in node.chain.blocks[1:]:

@@ -50,7 +50,7 @@ def soak_sim():
 class TestSoak:
     def test_all_rounds_agree(self, soak_sim):
         for round_number in range(1, ROUNDS + 1):
-            assert len(soak_sim.agreed_hashes(round_number)) == 1
+            assert len(soak_sim.outcome().agreed_hashes(round_number)) == 1
 
     def test_chains_identical(self, soak_sim):
         assert soak_sim.all_chains_equal()
@@ -71,8 +71,8 @@ class TestSoak:
 
     def test_latency_stable_over_time(self, soak_sim):
         """No drift: late rounds are no slower than early ones."""
-        early = max(soak_sim.round_latencies(2))
-        late = max(soak_sim.round_latencies(ROUNDS))
+        early = max(soak_sim.outcome().round_latencies(2))
+        late = max(soak_sim.outcome().round_latencies(ROUNDS))
         assert late < 3 * early
 
     def test_state_bounded(self, soak_sim):

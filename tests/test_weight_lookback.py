@@ -69,7 +69,7 @@ class TestLookbackConsensus:
         sim.run_rounds(3)
         assert sim.all_chains_equal()
         for round_number in (1, 2, 3):
-            assert len(sim.agreed_hashes(round_number)) == 1
+            assert len(sim.outcome().agreed_hashes(round_number)) == 1
 
     def test_lookback_context_uses_old_weights(self):
         sim = Simulation(SimulationConfig(
