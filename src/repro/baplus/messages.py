@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.encoding import encode
 from repro.crypto.backend import CryptoBackend
-from repro.crypto.hashing import H, HASHLEN_BITS
+from repro.crypto.hashing import HASHLEN_BITS, hash_state
 from repro.sortition.roles import committee_role
 from repro.sortition.selection import verify_sort
 
@@ -29,15 +29,22 @@ COIN_HASH_CEILING = 1 << HASHLEN_BITS
 def coin_min_hash(sorthash: bytes, weight: int) -> int:
     """Algorithm 9's per-vote coin contribution: min H(sorthash || j).
 
-    One hash per selected sub-user. Weight 0 contributes nothing (the
-    ceiling).
+    One hash per selected sub-user, each finished from one state that
+    has absorbed ``sorthash``. Digests of one width order as their
+    integers do, so the minimum is taken over bytes and converted once.
+    Weight 0 contributes nothing (the ceiling).
     """
-    best = COIN_HASH_CEILING
+    if weight <= 0:
+        return COIN_HASH_CEILING
+    prefix = hash_state(sorthash)
+    best = None
     for j in range(1, weight + 1):
-        h = int.from_bytes(H(sorthash, j.to_bytes(8, "big")), "big")
-        if h < best:
-            best = h
-    return best
+        state = prefix.copy()
+        state.update(j.to_bytes(8, "big"))
+        digest = state.digest()
+        if best is None or digest < best:
+            best = digest
+    return int.from_bytes(best, "big")
 
 
 @dataclass(frozen=True)

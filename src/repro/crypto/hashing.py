@@ -29,6 +29,19 @@ def H(*parts: bytes) -> bytes:
     return digest.digest()
 
 
+def hash_state(*parts: bytes) -> "hashlib._Hash":
+    """The SHA-256 state after absorbing ``parts``.
+
+    For hashing many messages that share a prefix: ``copy()`` the state
+    and ``update`` each suffix, so the prefix is absorbed once.
+    ``hash_state(a).copy()`` updated with ``b`` digests to ``H(a, b)``.
+    """
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest
+
+
 def hash_to_int(data: bytes) -> int:
     """Interpret a hash as a big-endian integer in ``[0, HASH_DOMAIN)``."""
     return int.from_bytes(H(data), "big")

@@ -27,9 +27,9 @@ class Transaction:
     outside the dataclass fields, so a forged copy and
     ``dataclasses.replace(tx, ...)`` start with none: the canonical
     signing payload (asked for by ``verify_signature``, ``txid`` and
-    ``size``) and, once the transaction has crossed the wire in either
-    direction, its transport bytes (``_wire``, kept by
-    :mod:`repro.network.wire`).
+    ``size``), the signature verdict, and, once the transaction has
+    crossed the wire in either direction, its transport bytes
+    (``_wire``, kept by :mod:`repro.network.wire`).
     """
 
     sender: bytes
@@ -38,6 +38,10 @@ class Transaction:
     nonce: int
     note: bytes = b""
     signature: bytes = field(default=b"", compare=False)
+
+    # No verdict yet: a class-level default (not a dataclass field) that
+    # an instance's own receipt shadows.
+    _signature_valid = None
 
     def signing_payload(self) -> bytes:
         """Canonical bytes covered by the signature (computed once)."""
@@ -73,9 +77,17 @@ class Transaction:
             raise InvalidTransaction("sender and recipient must be non-empty")
 
     def verify_signature(self, backend: CryptoBackend) -> None:
-        """Raise :class:`InvalidTransaction` unless correctly signed."""
-        if not backend.is_valid_signature(
-                self.sender, self.signing_payload(), self.signature):
+        """Raise :class:`InvalidTransaction` unless correctly signed.
+
+        The backend is asked once per instance; the verdict depends on
+        the bytes alone, so every later check reads it back.
+        """
+        valid = self._signature_valid
+        if valid is None:
+            valid = backend.is_valid_signature(
+                self.sender, self.signing_payload(), self.signature)
+            object.__setattr__(self, "_signature_valid", valid)
+        if not valid:
             raise InvalidTransaction("bad transaction signature")
 
 

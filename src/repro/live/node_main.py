@@ -161,7 +161,7 @@ class NodeProcess:
         link.connection_made(sock)
         self.transport.add_link(link)
         for payload in extra:
-            self.transport._on_payload(peer, payload)
+            self.transport._on_payload(peer, payload, link.read_txs)
         link.data_received(residue)
         self._check_links()
 

@@ -11,7 +11,12 @@ little of a frame is touched. Ingress pays once per message: a frame's
 fixed-offset header is read first (one ``unpack_from``), a frame whose
 ``msg_id`` the core already holds is counted and dropped without its
 body ever being sliced out, let alone decoded, and a relay forwards the
-bytes it arrived as. Two live-only concerns are added:
+bytes it arrived as. A block is the one kind framed per link: each
+link keeps a table of the ``tx`` frames it carried in each direction,
+and a block frame names the transactions its link already carried
+instead of carrying them again (:class:`SentTxs`,
+:func:`repro.network.wire.encode_linked_block`). Two live-only concerns
+are added:
 
 * **Global msg_id uniqueness** — every process counts envelopes from
   zero, so locally-originated envelopes are re-stamped with an
@@ -33,8 +38,9 @@ in a clean run:
   :class:`repro.substrate.api.Fabric` for its own outbound links), so
   the one :class:`repro.chaos.faults.FaultInjector` compiles a fault
   schedule onto real sockets: a dropped copy is a frame that is never
-  written, a delayed one is ``clock.schedule(delay, link.send, frame)``,
-  a duplicated one is sent twice. The sockets themselves stay open — a
+  written, a delayed one is handed to its link when its timer fires
+  (and is gone if the link closed meanwhile), a duplicated one is sent
+  twice. The sockets themselves stay open — a
   partition is packets disappearing, nobody gets a FIN.
 * **Link-down notification** — when a link's socket is lost or its
   flush finds it closing (peer crashed, connection reset),
@@ -46,13 +52,19 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 from collections import deque
+from itertools import islice
 from typing import Callable
 
+from repro.ledger.transaction import Transaction
 from repro.live.clock import LiveClock
 from repro.network.gossip import DropFilter, LinkShaper, RelayCore
 from repro.network.message import Envelope
 from repro.network.wire import (
+    LINKED_BLOCK_CODE,
+    TX,
+    TX_CODE,
     EnvelopeHeader,
     FrameDecoder,
     WireError,
@@ -60,12 +72,53 @@ from repro.network.wire import (
     decode_envelope_header,
     encode_envelope,
     encode_frame,
+    encode_linked_block_envelope,
+    envelope_body,
 )
 
 #: Bits reserved for the per-process envelope sequence number; the node
 #: index occupies the bits above, making ids globally unique without
 #: coordination for clusters up to 2**23 nodes and 2**40 messages.
 MSG_ID_SEQ_BITS = 40
+
+#: ``tx`` frames a link remembers in each direction: a block frame can
+#: name a transaction among the link's last this-many ``tx`` frames.
+#: Also the size the transport's bytes -> instance map is pruned to.
+LINK_TX_WINDOW = 4096
+
+
+class SentTxs:
+    """The ``tx`` frames one link wrote, as its reader will count them.
+
+    :meth:`back` answers a block encoder's question — "did this link
+    carry these transaction bytes recently, and how many ``tx`` frames
+    ago?" — for the reader's window of the last :data:`LINK_TX_WINDOW`.
+    """
+
+    __slots__ = ("_seq", "_count")
+
+    def __init__(self) -> None:
+        #: Transaction bytes -> sequence number of their latest frame.
+        self._seq: dict[bytes, int] = {}
+        self._count = 0
+
+    def append(self, raw: bytes) -> None:
+        self._seq[raw] = self._count
+        self._count += 1
+        if len(self._seq) > 2 * LINK_TX_WINDOW:
+            # Forget what fell out of the window, once per window.
+            oldest = self._count - LINK_TX_WINDOW
+            self._seq = {key: seq for key, seq in self._seq.items()
+                         if seq >= oldest}
+
+    def back(self, raw: bytes) -> int:
+        """``n`` if ``raw`` went out ``n`` ``tx`` frames ago (1 is the
+        latest) within the window, else 0."""
+        seq = self._seq.get(raw)
+        if seq is None:
+            return 0
+        back = self._count - seq
+        return back if back <= LINK_TX_WINDOW else 0
 
 
 class PeerLink(asyncio.Protocol):
@@ -90,6 +143,12 @@ class PeerLink(asyncio.Protocol):
         self._down_notified = False
         #: Frames queued this turn, in send order.
         self._pending: list[bytes] = []
+        #: The link's two ``tx`` tables, kept in stream order: what
+        #: :meth:`send` wrote, and the bodies of the ``tx`` frames read
+        #: (newest last). A replaced link starts both afresh, and so
+        #: does the peer's end of the new connection.
+        self.sent_txs = SentTxs()
+        self.read_txs: deque[bytes] = deque(maxlen=LINK_TX_WINDOW)
 
     def connection_made(self, sock: asyncio.Transport) -> None:
         self.sock = sock
@@ -107,18 +166,22 @@ class PeerLink(asyncio.Protocol):
             self.sock.abort()
             return
         for payload in payloads:
-            self.transport._on_payload(self.peer, payload)
+            self.transport._on_payload(self.peer, payload, self.read_txs)
 
     def connection_lost(self, exc: Exception | None) -> None:
         self.closed = True
         self.transport._link_lost(self)
 
-    def send(self, frame: bytes) -> None:
+    def send(self, frame: bytes, tx: bytes | None = None) -> None:
+        """Queue ``frame``; ``tx`` is its transaction's bytes when it is
+        a ``tx`` frame."""
         if self.closed:
             return
         if not self._pending:
             asyncio.get_running_loop().call_soon(self._flush)
         self._pending.append(frame)
+        if tx is not None:
+            self.sent_txs.append(tx)
 
     def _flush(self) -> None:
         """Write the turn's frames in one call; a dead socket drops them."""
@@ -152,9 +215,12 @@ class LiveTransport(RelayCore):
                  incarnation: int = 0, obs=None) -> None:
         super().__init__(index, seen_horizon_rounds, obs)
         self.clock = clock
-        #: Actual frame bytes handed to the sockets (wire truth; the
-        #: core's ``bytes_sent`` is the logical size the sim charges).
+        #: Frame bytes the links accepted (wire truth; the core's
+        #: ``bytes_sent`` is the logical size the sim charges).
         self.wire_bytes_sent = 0
+        #: Block transactions sent as a reference to a ``tx`` frame the
+        #: link already carried, instead of as their bytes.
+        self.block_tx_refs = 0
         #: Socket ``write`` calls: one per link per clock turn that sent.
         self.socket_writes = 0
         self.drain_budget = drain_budget
@@ -179,8 +245,14 @@ class LiveTransport(RelayCore):
         self.reconnect_attempts = 0
         self.reconnects = 0
         self.links: dict[int, PeerLink] = {}
-        #: ``(peer, validated header, frame payload)`` awaiting a drain.
-        self._rx: deque[tuple[int, EnvelopeHeader, bytes]] = deque()
+        #: ``(peer, validated header, frame payload)`` awaiting a drain;
+        #: a linked block is queued decoded, as its envelope.
+        self._rx: deque[tuple[int, EnvelopeHeader,
+                              bytes | Envelope]] = deque()
+        #: Transaction bytes -> the instance this process holds for
+        #: them, so a linked block is handed those instances, receipts
+        #: and all. Pruned to the newest :data:`LINK_TX_WINDOW`.
+        self._txs: dict[bytes, Transaction] = {}
         self._drain_scheduled = False
         # A respawned process must not reuse its predecessor's msg_ids —
         # peers hold them in their dedup sets and would silently drop
@@ -241,9 +313,18 @@ class LiveTransport(RelayCore):
     def _send(self, envelope: Envelope, targets: list[int],
               raw: bytes | None = None) -> None:
         """Frame once — a relay's ``raw`` bytes as they arrived, no
-        re-encode — and queue the frame on each target's open link."""
-        frame = encode_frame(raw if raw is not None
-                             else encode_envelope(envelope))
+        re-encode — and queue the frame on each target's open link.
+
+        A block is the exception: it is framed per link when the link
+        takes it (:meth:`_put`).
+        """
+        tx = frame = None
+        if envelope.kind == "tx":
+            tx = TX.pack(envelope.payload)
+            self._hold(tx, envelope.payload)
+        if envelope.kind != "block":
+            frame = encode_frame(raw if raw is not None
+                                 else encode_envelope(envelope))
         shaped = (self.drop_filter is not None
                   or self.link_shaper is not None)
         sent = 0
@@ -252,22 +333,38 @@ class LiveTransport(RelayCore):
             if link is None or link.closed:
                 continue
             if shaped:
-                sent += self._send_shaped(link, frame, envelope)
+                sent += self._send_shaped(link, envelope, frame, tx)
             else:
-                link.send(frame)
+                self._put(link, envelope, frame, tx)
                 sent += 1
         if sent:
-            self.wire_bytes_sent += sent * len(frame)
             self._count_sent(envelope, sent)
 
-    def _send_shaped(self, link: PeerLink, frame: bytes,
-                     envelope: Envelope) -> int:
+    def _put(self, link: PeerLink, envelope: Envelope, frame: bytes | None,
+             tx: bytes | None) -> None:
+        """Hand ``link`` one copy and count the bytes it took; a late
+        copy whose link closed meanwhile is gone. A block is framed for
+        the link now: a transaction the link already carried as a
+        ``tx`` frame is named, not sent again."""
+        if link.closed:
+            return
+        if frame is None:
+            payload, named = encode_linked_block_envelope(
+                envelope, link.sent_txs.back)
+            frame = encode_frame(payload)
+            self.block_tx_refs += named
+        link.send(frame, tx)
+        self.wire_bytes_sent += len(frame)
+
+    def _send_shaped(self, link: PeerLink, envelope: Envelope,
+                     frame: bytes | None, tx: bytes | None) -> int:
         """One peer's copy through the fault hooks; returns copies sent.
 
         Same order as the sim fabric's ``_shaped_delays`` —
         ``drop_filter``, base delay (0.0: the socket is the latency),
         ``link_shaper``. A late copy rides the clock, whose
-        ``(time, seq)`` order keeps a link's equal delays in send order.
+        ``(time, seq)`` order keeps a link's equal delays in send order;
+        it reaches the link's ``tx`` table when it reaches the link.
         """
         src, dst = self.index, link.peer
         delays = [0.0]
@@ -283,14 +380,16 @@ class LiveTransport(RelayCore):
         for delay in delays:
             if delay > 0.0:
                 self.fault_delayed_frames += 1
-                self.clock.schedule(delay, link.send, frame)
+                self.clock.schedule(delay, functools.partial(
+                    self._put, link, envelope, frame, tx))
             else:
-                link.send(frame)
+                self._put(link, envelope, frame, tx)
         return len(delays)
 
     # -- receiving ------------------------------------------------------
 
-    def _on_payload(self, peer: int, payload: bytes) -> None:
+    def _on_payload(self, peer: int, payload: bytes,
+                    read_txs: deque[bytes] | None = None) -> None:
         """Socket reader handoff: header, dedup, enqueue, schedule a drain.
 
         Runs on the asyncio side (never inside a protocol callback);
@@ -298,19 +397,37 @@ class LiveTransport(RelayCore):
         which the clock fires like any other event. Only the
         fixed-offset header is read here; a copy of a message this node
         already holds stops at the dedup store and costs neither a
-        queue slot nor a look at its body.
+        queue slot nor a look at its body. Two exceptions keep the
+        link's ``read_txs`` table in stream order: a ``tx`` frame's
+        body joins it, duplicate or not, and a linked block is decoded
+        against it now — by drain time the table may have moved on.
         """
         try:
             header = decode_envelope_header(payload)
         except WireError:
             self.garbage_frames += 1
             return
+        code = header[1]
+        if code == TX_CODE and read_txs is not None:
+            raw = envelope_body(header, payload)
+            held = self._txs.get(raw)
+            # The table shares the held instance's bytes, not a copy.
+            read_txs.append(raw if held is None else TX.pack(held))
         if self._drop_duplicate(header[0]):
             return
+        body: bytes | Envelope = payload
+        if code == LINKED_BLOCK_CODE:
+            try:
+                body = decode_envelope_body(
+                    header, payload,
+                    functools.partial(self._resolve_tx, read_txs))
+            except WireError:
+                self.garbage_frames += 1
+                return
         if len(self._rx) >= self.rx_queue_limit:
             self._rx.popleft()
             self.rx_dropped += 1
-        self._rx.append((peer, header, payload))
+        self._rx.append((peer, header, body))
         if not self._drain_scheduled:
             # One kick per drain: until it fires, the clock is awake.
             self._drain_scheduled = True
@@ -328,17 +445,50 @@ class LiveTransport(RelayCore):
             self.clock.schedule_now(self._drain)
 
     def _deliver(self, from_peer: int, header: EnvelopeHeader,
-                 payload: bytes) -> None:
+                 payload: bytes | Envelope) -> None:
         """Decode one queued frame's body and hand it to the core."""
         if self._drop_duplicate(header[0]):
             # Two copies can sit in one drain: the second is caught here.
             return
+        if isinstance(payload, Envelope):
+            # A linked block, decoded on arrival; its bytes were the
+            # link's, so a relay frames it afresh.
+            self.receive(payload, from_peer)
+            return
         try:
-            envelope = decode_envelope_body(header, payload)
+            envelope = decode_envelope_body(header, payload,
+                                            hold=self._tx_instance)
         except WireError:
             self.garbage_frames += 1
             return
         self.receive(envelope, from_peer, raw=payload)
+
+    def _resolve_tx(self, read_txs: deque[bytes] | None,
+                    back: int) -> Transaction:
+        """The transaction a linked block names ``back`` ``tx`` frames
+        back on its link."""
+        if read_txs is None or not 0 < back <= len(read_txs):
+            raise WireError(f"linked block names tx frame {back} back; "
+                            f"the link holds "
+                            f"{0 if read_txs is None else len(read_txs)}")
+        return self._tx_instance(read_txs[-back])
+
+    def _tx_instance(self, raw: bytes) -> Transaction:
+        """The one instance for transaction bytes ``raw``: whichever of
+        its ``tx`` frame and a block naming it is decoded first builds
+        it, the other is handed it."""
+        tx = self._txs.get(raw)
+        if tx is None:
+            tx = TX.unpack(raw)
+            self._hold(raw, tx)
+        return tx
+
+    def _hold(self, raw: bytes, tx: Transaction) -> None:
+        txs = self._txs
+        txs[raw] = tx
+        if len(txs) > 2 * LINK_TX_WINDOW:
+            self._txs = dict(islice(txs.items(), len(txs) - LINK_TX_WINDOW,
+                                    None))
 
     def stats(self) -> dict:
         # ``bytes_sent`` is ``gossip.sent_bytes.*``'s; ``messages_sent``
@@ -346,6 +496,7 @@ class LiveTransport(RelayCore):
         return {
             "messages_sent": self.messages_sent,
             "wire_bytes_sent": self.wire_bytes_sent,
+            "block_tx_refs": self.block_tx_refs,
             "socket_writes": self.socket_writes,
             "rx_dropped": self.rx_dropped,
             "garbage_frames": self.garbage_frames,

@@ -22,6 +22,15 @@ canonical codec (:mod:`repro.common.encoding`), which is frozen.
   origin key, then the body. A receiver reads ``msg_id`` with one
   ``unpack_from`` and drops a copy it already holds without touching
   the body.
+* **Linked blocks** — what a live link carries for a gossiped block
+  (kind code :data:`LINKED_BLOCK_CODE`): :data:`BLOCK`'s head, then per
+  transaction either its bytes or an index naming a ``tx`` frame that
+  link already carried. The codec takes the writer's question as a
+  predicate and the reader's answer as a resolver; the tables behind
+  them are the link's (:mod:`repro.live.transport`). The envelope still
+  carries the block's logical ``size``, and the full :data:`BLOCK`
+  layout stays for chain files, catch-up ``chain`` messages and the
+  control ``result``.
 * **Framing** — :func:`encode_frame` and :class:`FrameDecoder`
   length-prefix payloads so they survive a TCP byte stream: reads may
   arrive split or coalesced arbitrarily, and the decoder reassembles
@@ -205,12 +214,15 @@ PRIORITY = Layout("priority", PriorityMessage, (
     ("proposer", BYTES), ("round_number", U64), ("vrf_hash", BYTES),
     ("vrf_proof", BYTES), ("sub_users", U64), ("priority", BYTES)))
 
-BLOCK = Layout("block", Block, (
+#: Every block field but the transactions.
+_BLOCK_HEAD = (
     ("round_number", U64), ("prev_hash", BYTES), ("timestamp", F64),
     ("seed", OPT_BYTES), ("seed_proof", OPT_BYTES),
     ("proposer", OPT_BYTES), ("proposer_vrf_hash", OPT_BYTES),
-    ("proposer_vrf_proof", OPT_BYTES), ("proposer_priority", OPT_BYTES),
-    ("transactions", [TX])), keeps_bytes=True)
+    ("proposer_vrf_proof", OPT_BYTES), ("proposer_priority", OPT_BYTES))
+
+BLOCK = Layout("block", Block, _BLOCK_HEAD + (("transactions", [TX]),),
+               keeps_bytes=True)
 
 CERT = Layout("cert", Certificate, (
     ("round_number", U64), ("step", STR), ("value", BYTES),
@@ -235,6 +247,73 @@ encode_block, decode_block = BLOCK.pack, BLOCK.unpack
 encode_certificate, decode_certificate = CERT.pack, CERT.unpack
 
 
+# --- Linked blocks (a block as one link carries it) -------------------------
+
+#: ``(tx bytes) -> n``: the transaction went out as the link's ``n``-th
+#: most recent ``tx`` frame, or 0 if the link must carry its bytes.
+Refer = Callable[[bytes], int]
+#: ``n -> Transaction``: the reader's side of :data:`Refer`; raises
+#: :class:`WireError` for an ``n`` it cannot resolve.
+Resolve = Callable[[int], Transaction]
+
+#: :data:`BLOCK`'s head with a u64 transaction count; per transaction a
+#: u32 ``n`` follows — 0 and the transaction's :data:`TX` bytes, or the
+#: :data:`Refer` answer that names it.
+_LINKED_HEAD = Layout("linked block", lambda *head: head, _BLOCK_HEAD + (
+    (lambda block: len(block.transactions), U64),))
+_REF = struct.Struct(">I")
+_INLINE = _REF.pack(0)
+
+
+def encode_linked_block(block: Block, refer: Refer) -> tuple[bytes, int]:
+    """``block`` for one link, and how many transactions it named.
+
+    The header fields are :data:`BLOCK`'s; a transaction ``refer`` finds
+    is named by its index, any other travels as its bytes.
+    """
+    parts = [_LINKED_HEAD.pack(block)]
+    named = 0
+    for tx in block.transactions:
+        raw = TX.pack(tx)
+        back = refer(raw)
+        if back:
+            parts.append(_REF.pack(back))
+            named += 1
+        else:
+            parts += (_INLINE, raw)
+    return b"".join(parts), named
+
+
+def decode_linked_block(data: bytes, pos: int, resolve: Resolve) -> Block:
+    """The linked block occupying exactly ``data[pos:]``.
+
+    A named transaction is whatever instance ``resolve`` hands back, so
+    it keeps its receipts; the block keeps no ``_wire`` — these bytes
+    are one link's, not the block's.
+    """
+    try:
+        head, pos = _LINKED_HEAD.unpack_from(data, pos, False)
+        transactions = []
+        for _ in range(head[-1]):
+            (back,) = _REF.unpack_from(data, pos)
+            pos += _REF.size
+            if back:
+                transactions.append(resolve(back))
+            else:
+                tx, pos = TX.unpack_from(data, pos, True)
+                transactions.append(tx)
+    except (struct.error, ValueError) as exc:  # incl. bad UTF-8
+        raise WireError(f"bad linked block payload: {exc}") from exc
+    if pos != len(data):
+        raise WireError("trailing bytes after linked block payload")
+    return Block(*head[:-1], transactions=tuple(transactions))
+
+
+def _no_table(back: int) -> Transaction:
+    raise WireError(f"linked block names tx frame {back} back, and no "
+                    f"link table was given")
+
+
 def wire_size(obj: Transaction | VoteMessage | PriorityMessage | Block
               | Certificate) -> int:
     """Exact encoded size of any protocol message."""
@@ -256,6 +335,10 @@ ENVELOPE_LAYOUTS: dict[str, tuple[int, Layout]] = {
 }
 _KIND_OF_CODE = {code: (kind, layout)
                  for kind, (code, layout) in ENVELOPE_LAYOUTS.items()}
+#: Kind code of a ``block`` envelope whose body is a linked block: what
+#: a live link carries, decodable only against that link's ``tx`` table.
+LINKED_BLOCK_CODE = 8
+TX_CODE = ENVELOPE_LAYOUTS["tx"][0]
 
 #: ``msg_id`` u64 at offset 0, kind code u8 at 8, logical size u32 at 9,
 #: origin length u8 at 13, body length u32 at 14; origin, then body.
@@ -279,7 +362,19 @@ def encode_envelope(envelope: Envelope) -> bytes:
             f"no wire layout for envelope kind {envelope.kind!r} "
             f"(known: {sorted(ENVELOPE_LAYOUTS)})")
     code, layout = entry
-    body = layout.pack(envelope.payload)
+    return _envelope_bytes(envelope, code, layout.pack(envelope.payload))
+
+
+def encode_linked_block_envelope(envelope: Envelope,
+                                 refer: Refer) -> tuple[bytes, int]:
+    """A ``block`` envelope for one link (:func:`encode_linked_block`),
+    and how many transactions it named. The header's ``size`` is still
+    the block's logical size."""
+    body, named = encode_linked_block(envelope.payload, refer)
+    return _envelope_bytes(envelope, LINKED_BLOCK_CODE, body), named
+
+
+def _envelope_bytes(envelope: Envelope, code: int, body: bytes) -> bytes:
     try:
         return b"".join((
             ENVELOPE_HEADER.pack(envelope.msg_id, code, envelope.size,
@@ -302,7 +397,7 @@ def decode_envelope_header(data: bytes) -> EnvelopeHeader:
     except struct.error as exc:
         raise WireError(f"bad envelope header: {exc}") from exc
     _, code, size, origin_length, body_length = header
-    if code not in _KIND_OF_CODE:
+    if code not in _KIND_OF_CODE and code != LINKED_BLOCK_CODE:
         raise WireError(f"unknown envelope kind code {code}")
     if not size:
         raise WireError("envelope size must be positive")
@@ -311,13 +406,32 @@ def decode_envelope_header(data: bytes) -> EnvelopeHeader:
     return header
 
 
-def decode_envelope_body(header: EnvelopeHeader, data: bytes) -> Envelope:
-    """Decode the body behind ``header``; returns a fresh ``Envelope``."""
+def envelope_body(header: EnvelopeHeader, data: bytes) -> bytes:
+    """The body bytes behind ``header`` (a ``tx`` frame's: the
+    transaction's :data:`TX` bytes)."""
+    return data[ENVELOPE_HEADER.size + header[3]:]
+
+
+def decode_envelope_body(
+        header: EnvelopeHeader, data: bytes, resolve: Resolve = _no_table,
+        hold: Callable[[bytes], Transaction] = TX.unpack) -> Envelope:
+    """Decode the body behind ``header``; returns a fresh ``Envelope``.
+
+    A linked block's named transactions come from ``resolve``; a ``tx``
+    body is handed to ``hold``, which may return an instance already
+    decoded from the same bytes.
+    """
     msg_id, code, size, origin_length, _ = header
-    kind, layout = _KIND_OF_CODE[code]
     body_at = ENVELOPE_HEADER.size + origin_length
-    return Envelope(origin=data[ENVELOPE_HEADER.size:body_at], kind=kind,
-                    payload=layout.unpack(data, body_at), size=size,
+    origin = data[ENVELOPE_HEADER.size:body_at]
+    if code == LINKED_BLOCK_CODE:
+        kind, payload = "block", decode_linked_block(data, body_at, resolve)
+    elif code == TX_CODE:
+        kind, payload = "tx", hold(data[body_at:])
+    else:
+        kind, layout = _KIND_OF_CODE[code]
+        payload = layout.unpack(data, body_at)
+    return Envelope(origin=origin, kind=kind, payload=payload, size=size,
                     msg_id=msg_id)
 
 

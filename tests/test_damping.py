@@ -12,6 +12,8 @@ longer exists.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baplus.messages import COIN_HASH_CEILING, coin_min_hash
 from repro.crypto.hashing import H
@@ -39,7 +41,24 @@ def _voter(i: int) -> bytes:
     return H(b"voter", bytes([i]))
 
 
+def reference_coin_min_hash(sorthash: bytes, weight: int) -> int:
+    """Algorithm 9 as written: one ``H(sorthash, j)`` and one integer
+    per sub-user, the minimum kept as an integer."""
+    best = COIN_HASH_CEILING
+    for j in range(1, weight + 1):
+        h = int.from_bytes(H(sorthash, j.to_bytes(8, "big")), "big")
+        if h < best:
+            best = h
+    return best
+
+
 class TestCoinMinHash:
+    @settings(max_examples=200, deadline=None)
+    @given(sorthash=st.binary(max_size=64), weight=st.integers(0, 64))
+    def test_matches_the_reference_loop(self, sorthash, weight):
+        assert (coin_min_hash(sorthash, weight)
+                == reference_coin_min_hash(sorthash, weight))
+
     def test_weight_zero_contributes_ceiling(self):
         assert coin_min_hash(H(b"s"), 0) == COIN_HASH_CEILING
 

@@ -84,12 +84,15 @@ GOLDEN_20_USERS_2_ROUNDS = {
 #: lookups did not move. The cache lookups fell once, 1,403 -> 1,232 and
 #: 1,482 -> 1,273, when the admission gate became the node's one message
 #: gate: a current-round priority announcement is verified there only,
-#: no longer again by the priority handler.
+#: no longer again by the priority handler. They fell again, 1,232 ->
+#: 852 and 1,273 -> 893, when a transaction kept its signature verdict
+#: on the instance: block validation at every node reads it back
+#: instead of asking the cache once per transaction per block.
 GOLDEN_WORK_20_USERS_2_ROUNDS = {
     1: {"events_processed": 20_573, "messages_delivered": 24_390,
-        "dup_elided": 13_058, "cache_lookups": 1_232},
+        "dup_elided": 13_058, "cache_lookups": 852},
     2: {"events_processed": 21_226, "messages_delivered": 23_984,
-        "dup_elided": 12_006, "cache_lookups": 1_273},
+        "dup_elided": 12_006, "cache_lookups": 893},
 }
 
 #: What the same runs ask of the hot path per copy: BA* contexts built,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +49,30 @@ class TestTransaction:
                               bob.public, 5, 0)
         with pytest.raises(InvalidTransaction):
             tx.verify_signature(backend)
+
+    def test_signature_verdict_is_a_receipt(self, backend, alice, bob):
+        """The backend is asked once per instance; a ``replace`` copy or
+        a forged copy asks afresh and gets its own verdict."""
+        asked = []
+        check = backend.is_valid_signature
+        backend.is_valid_signature = lambda *args: (
+            asked.append(args) or check(*args))
+        tx = make_transaction(backend, alice.secret, alice.public,
+                              bob.public, 5, 0)
+        tx.verify_signature(backend)
+        tx.verify_signature(backend)
+        assert len(asked) == 1
+        copy = dataclasses.replace(tx)
+        copy.verify_signature(backend)
+        assert len(asked) == 2
+        forged = dataclasses.replace(tx, amount=50)
+        for _ in range(2):
+            with pytest.raises(InvalidTransaction):
+                forged.verify_signature(backend)
+        assert len(asked) == 3
+        # The forgery's verdict stayed on the forgery.
+        tx.verify_signature(backend)
+        assert len(asked) == 3
 
     def test_shape_validation(self, backend, alice, bob):
         with pytest.raises(InvalidTransaction):

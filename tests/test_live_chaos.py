@@ -216,6 +216,14 @@ class TestPartitionedNodeCatchesUp:
         summary = partitioned_cluster.summary()
         assert summary["live.fault_dropped_frames"] >= 1
 
+    def test_link_tx_tables_agreed_through_the_faults(self,
+                                                      partitioned_cluster):
+        # A dropped frame reaches neither end's tx table, a doubled one
+        # both, twice: every block frame naming carried payments resolved.
+        summary = partitioned_cluster.summary()
+        assert summary["live.block_tx_refs"] > 0
+        assert summary["live.garbage_frames"] == 0
+
     def test_the_cut_left_the_sockets_open(self, partitioned_cluster):
         # A partition is frames vanishing at both senders; nobody gets a
         # FIN, so there is nothing to redial when it heals.

@@ -205,7 +205,14 @@ class TestSimulationWiring:
         sim = _run(cache_on=True)
         assert sim.verification_cache is not None
         # Gossip fan-out means most verifications repeat across nodes.
-        assert sim.verification_cache.hits > sim.verification_cache.misses
+        # A repeat on the same vote or transaction instance is answered
+        # by the instance's signature receipt and never reaches the
+        # cache; what does is every node checking the same VRF proof.
+        # Until transactions kept their verdict this run made 350 hits
+        # to 306 misses, 180 of the hits the same ten transactions'
+        # signatures asked again at each node.
+        cache = sim.verification_cache
+        assert (cache.hits, cache.misses) == (170, 306)
 
     def test_cache_disabled_leaves_backend_bare(self):
         sim = _run(cache_on=False)

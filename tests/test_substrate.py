@@ -62,7 +62,7 @@ class _FakeLink:
         self.closed = False
         self.frames: list[bytes] = []
 
-    def send(self, frame: bytes) -> None:
+    def send(self, frame: bytes, tx: bytes | None = None) -> None:
         self.frames.append(frame)
 
     async def close(self) -> None:
@@ -622,6 +622,22 @@ class TestLiveTransport:
             stop_when=lambda: len(link.frames) == 2, deadline=5.0))
         assert clock.now >= 0.05
         assert link.frames[0] == link.frames[1]
+
+    def test_a_late_copy_counts_its_bytes_only_if_its_link_takes_it(self):
+        """``wire_bytes_sent`` is what the links accepted: a copy the
+        shaper delays past its link's close is never written, so it is
+        never counted."""
+        transport = self._transport()
+        transport.link_shaper = (
+            lambda src, dst, envelope, base_delay: [0.05])
+        transport.broadcast(_envelope(b"o" * 32, msg_id=1))
+        assert transport.fault_delayed_frames == 2
+        assert transport.wire_bytes_sent == 0  # nothing taken yet
+        transport.links[1].closed = True
+        transport.clock.run()
+        assert transport.links[1].frames == []
+        (frame,) = transport.links[2].frames
+        assert transport.wire_bytes_sent == len(frame)
 
     def test_drop_filter_blocks_both_directions_of_a_cut(self):
         # Every process installs the same predicate and drops its *own*
