@@ -8,11 +8,12 @@ Two attacks from the paper, against one deployment each:
    BA* step — the ``equivocate`` and ``double-vote`` fault kinds on the
    four highest user slots, for the whole run. Expected outcome: honest chains never diverge; latency
    barely moves.
-2. **Targeted DoS on proposers** (section 8.4): the adversary watches for
-   priority announcements and knocks each proposer offline moments after
-   it speaks. Expected outcome: rounds keep completing — by the time a
-   proposer is identified, its job is done, and every later step uses
-   fresh committee members (participant replacement).
+2. **Targeted DoS on proposers** (section 8.4): the ``targeted-dos``
+   fault kind knocks each user in its reach offline moments after it
+   announces a priority, for the rest of the run. Expected outcome:
+   rounds keep completing — by the time a proposer is identified, its
+   job is done, and every later step uses fresh committee members
+   (participant replacement).
 
 Run:  python examples/adversarial_round.py
 """
@@ -20,8 +21,7 @@ Run:  python examples/adversarial_round.py
 from __future__ import annotations
 
 from repro import Simulation, SimulationConfig
-from repro.adversary import FilterChain, TargetedDoS
-from repro.chaos import figure8_adversary
+from repro.chaos import FaultAction, figure8_adversary
 
 
 def equivocation_attack() -> None:
@@ -50,14 +50,17 @@ def targeted_dos_attack() -> None:
     print("=" * 60)
     print("Attack 2: targeted DoS on revealed block proposers")
     print("=" * 60)
-    sim = Simulation(SimulationConfig(num_users=20, seed=6))
-    controls = FilterChain(sim.network)
-    dos = TargetedDoS(controls, sim.env, sim.population.index,
-                      reaction_time=1.5, restore_after=60.0)
+    # The attacker reaches six of the twenty users (under 1/3 of the
+    # stake) and strikes each 1.5 s after it speaks, until t = 900.
+    sim = Simulation(SimulationConfig(num_users=20, seed=6), faults=[
+        FaultAction(kind="targeted-dos", start=0.0, end=900.0,
+                    nodes=tuple(range(14, 20)), extra_delay=1.5)])
     sim.submit_payments(40, note_bytes=16)
     sim.run_rounds(3, time_limit=900)
 
-    print(f"  proposers knocked offline: {sorted(set(dos.victims))}")
+    victims = sorted(index for index, holds in sim.injector.holds.items()
+                     if holds)
+    print(f"  proposers knocked offline: {victims}")
     outcome = sim.outcome()
     for round_number in range(1, 4):
         hashes = outcome.agreed_hashes(round_number)

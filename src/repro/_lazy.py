@@ -2,8 +2,8 @@
 
 A package ``__init__`` that imports every public name eagerly makes
 ``import package.one_submodule`` cost the dependencies of *all* of them:
-a live node process used to load every figure runner, adversary strategy
-and the scipy-backed baselines to run a stack that names none of them.
+a live node process used to load every figure runner and the
+scipy-backed baselines to run a stack that names none of them.
 The packages with wide surfaces (``repro``, ``repro.experiments``,
 ``repro.chaos``, ``repro.live``) instead declare which submodule
 defines each public name and resolve a name the first time it is asked

@@ -1,12 +1,5 @@
 """BA*: the committee-based Byzantine agreement protocol (paper section 7)."""
 
-from repro.baplus.accountability import (
-    DoubleVoteEvidence,
-    EquivocationEvidence,
-    find_double_votes,
-    find_equivocations,
-    scan_buffer,
-)
 from repro.baplus.buffer import VoteBuffer
 from repro.baplus.certificate import (
     Certificate,
@@ -58,9 +51,4 @@ __all__ = [
     "verify_certificate",
     "votes_needed",
     "step_parameters",
-    "DoubleVoteEvidence",
-    "EquivocationEvidence",
-    "find_double_votes",
-    "find_equivocations",
-    "scan_buffer",
 ]

@@ -9,7 +9,8 @@ bounded period): message *dropping* goes through the fabric's
 already installed), message *timing* through its ``link_shaper``
 (:class:`ShaperChain`: delay spikes, duplication, reordering), and
 node-level faults act on the node objects — ``interface.disconnected``
-for a targeted DoS, the agent's fail-stop
+for ``dos`` and ``targeted-dos`` (the latter struck by a watch on the
+drop chain that never drops), the agent's fail-stop
 :meth:`~repro.node.agent.Node.crash` /
 :meth:`~repro.node.agent.Node.restart`, :func:`junk_vote_loop` for
 ``flood``/``spam``, and :data:`BYZANTINE_SEAMS` for the attackers that
@@ -27,9 +28,7 @@ offsets — and node-local kinds act only on hosted nodes.
 All randomness (loss and duplicate coins, reorder jitter) comes from the
 ``rng`` the caller seeds from the scenario seed, independent of the
 deployment's own RNG: adding a fault never perturbs the underlying
-deployment's random choices. A node process loads this module, so it
-must not import :mod:`repro.adversary` (which re-exports
-:class:`FilterChain` and :class:`Partitioner` from here).
+deployment's random choices.
 """
 
 from __future__ import annotations
@@ -212,6 +211,46 @@ class _WindowedLinkEffect:
         return delays
 
 
+class _ProposerWatch:
+    """``targeted-dos``: a drop-chain predicate that never drops.
+
+    While its window is open, the first ``priority`` envelope a victim
+    sends about itself arms a strike ``reaction`` seconds later; a
+    strike holds the victim disconnected until the window closes. Each
+    victim is struck at most once.
+    """
+
+    def __init__(self, injector: "FaultInjector", reaction: float,
+                 victims: list["Node"]) -> None:
+        self.injector = injector
+        self.reaction = reaction
+        self.victims = {node.keypair.public: node for node in victims}
+        self.struck: list["Node"] = []
+        self.active = False
+
+    def activate(self) -> None:
+        self.active = True
+
+    def deactivate(self) -> None:
+        self.active = False
+        self.injector.release(self.struck)
+        self.struck.clear()
+
+    def _strike(self, node: "Node") -> None:
+        if self.active:
+            self.struck.append(node)
+            self.injector.hold((node,))
+
+    def __call__(self, src: int, dst: int, envelope: Envelope) -> bool:
+        if self.active and envelope.kind == "priority":
+            node = self.victims.get(envelope.origin)
+            if node is not None and node.index == src:
+                del self.victims[envelope.origin]
+                self.injector.clock.schedule(
+                    self.reaction, partial(self._strike, node))
+        return False
+
+
 def junk_vote(node: "Node", kind: str, counter: int) -> VoteMessage:
     """The ``counter``-th junk vote of a ``flood`` or ``spam`` attacker.
 
@@ -349,6 +388,9 @@ class FaultInjector:
         self.rounds: int | None = None
         #: Hosted nodes a crash holds down until its scheduled restart.
         self.restarting: set[int] = set()
+        #: Per hosted node, the ``dos``/``targeted-dos`` windows that
+        #: hold it disconnected now.
+        self.holds: dict[int, int] = {}
         self.chain = FilterChain(fabric)
         self.shaper = ShaperChain(fabric)
 
@@ -383,6 +425,20 @@ class FaultInjector:
             self.clock.schedule(action.end - now,
                                 lambda: edge("fault_cleared", clear))
 
+    def hold(self, nodes: Iterable["Node"]) -> None:
+        """One more window holds each of ``nodes`` disconnected."""
+        for node in nodes:
+            self.holds[node.index] = self.holds.get(node.index, 0) + 1
+            node.interface.disconnected = True
+
+    def release(self, nodes: Iterable["Node"]) -> None:
+        """One window lets go of each of ``nodes``; a node reconnects
+        once no window holds it and it is not crashed."""
+        for node in nodes:
+            self.holds[node.index] -= 1
+            if not self.holds[node.index] and not node.crashed:
+                node.interface.disconnected = False
+
     def _install_action(self, action: FaultAction) -> None:
         if action.end is not None and action.end <= self.clock.now:
             return  # the window passed before this process (re)joined
@@ -401,12 +457,12 @@ class FaultInjector:
                 self.shaper.add(effect)
             self._arm(action, effect.activate, effect.deactivate)
         elif kind == "dos":
-            def disconnect(flag: bool) -> None:
-                for node in hosted:
-                    node.interface.disconnected = flag
-
-            self._arm(action, lambda: disconnect(True),
-                      lambda: disconnect(False))
+            self._arm(action, partial(self.hold, hosted),
+                      partial(self.release, hosted))
+        elif kind == "targeted-dos":
+            watch = _ProposerWatch(self, action.extra_delay, hosted)
+            self.chain.add(watch)
+            self._arm(action, watch.activate, watch.deactivate)
         elif kind in JUNK_FAULTS:
             self._arm(action)
             for node in hosted:
@@ -447,6 +503,10 @@ class FaultInjector:
             def restart() -> None:
                 for node in hosted:
                     self.restarting.discard(node.index)
-                    node.restart(self.rounds)
+                    node.revive()
+                    if self.holds.get(node.index):
+                        # Restarted inside a DoS window: still cut off.
+                        node.interface.disconnected = True
+                    node.rejoin(self.rounds)
 
             self._arm(action, crash, restart)

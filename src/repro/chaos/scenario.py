@@ -32,6 +32,12 @@ Fault vocabulary (the ``kind`` field):
     ``end=None`` crashes them for good.
 ``dos``
     Disconnect ``nodes`` (targeted denial of service) until ``end``.
+``targeted-dos``
+    Section 10.4's attack on proposers: inside the window, each of
+    ``nodes`` is disconnected ``extra_delay`` seconds after its own
+    priority announcement leaves it, and stays so until ``end``. The
+    attacker reaches only ``nodes``; the stake they hold counts toward
+    the 1/3 a script may take offline.
 
 The attacker kinds make ``nodes`` misbehave, for a window or (``end=None``)
 the whole run; otherwise they stay honest nodes that keep the chain:
@@ -77,8 +83,8 @@ from repro.node.deployment import SimulationConfig
 
 #: Every fault kind the injector knows how to compile.
 FAULT_KINDS = ("partition", "delay", "loss", "duplicate", "reorder",
-               "crash", "dos", "flood", "spam", "equivocate", "double-vote",
-               "silent")
+               "crash", "dos", "targeted-dos", "flood", "spam", "equivocate",
+               "double-vote", "silent")
 
 #: Kinds that run a junk-vote loop at ``rate`` votes per second.
 JUNK_FAULTS = frozenset({"flood", "spam"})
@@ -89,7 +95,7 @@ ATTACKER_FAULTS = JUNK_FAULTS | {"equivocate", "double-vote", "silent"}
 
 #: Kinds that act on the named nodes themselves, so whoever runs them
 #: must host those nodes.
-NODE_FAULTS = ATTACKER_FAULTS | {"crash", "dos"}
+NODE_FAULTS = ATTACKER_FAULTS | {"crash", "dos", "targeted-dos"}
 
 #: Kinds that mutate single deliveries on matching links.
 LINK_FAULTS = frozenset({"delay", "loss", "duplicate", "reorder"})
@@ -134,7 +140,8 @@ class FaultAction:
     #: Probability per delivery (``loss``/``duplicate``); votes per
     #: second (``flood``/``spam``).
     rate: float = 0.0
-    #: Added seconds per delivery (``delay``).
+    #: Added seconds per delivery (``delay``); the attacker's reaction
+    #: time (``targeted-dos``).
     extra_delay: float = 0.0
     #: Extra-delay spread in seconds (``reorder``; dup copy offset).
     jitter: float = 0.0
@@ -179,6 +186,9 @@ class FaultAction:
             raise ScenarioError(f"{self.kind}: rate must be in (0, 1]")
         if self.kind == "delay" and self.extra_delay <= 0:
             raise ScenarioError("delay: extra_delay must be positive")
+        if self.kind == "targeted-dos" and self.extra_delay < 0:
+            raise ScenarioError("targeted-dos: extra_delay (the attacker's "
+                                "reaction time) must be >= 0")
         if self.kind == "reorder" and self.jitter <= 0:
             raise ScenarioError("reorder: jitter must be positive")
 
@@ -240,16 +250,17 @@ class ScenarioScript:
             raise ScenarioError("liveness_bound must be positive")
         for action in self.actions:
             action.validate(users)
-        # Only crashes and attackers may last the whole run (end=None).
-        dishonest = {node for action in self.actions if action.end is None
-                     for node in action.nodes}
+        # Only crashes and attackers may last the whole run (end=None);
+        # a targeted DoS may strike anyone it reaches.
+        lost = {node for action in self.actions
+                if action.end is None or action.kind == "targeted-dos"
+                for node in action.nodes}
         stake = self.config.make_balances()
-        if dishonest and 3 * sum(stake[node] for node in dishonest) \
-                >= sum(stake):
+        if lost and 3 * sum(stake[node] for node in lost) >= sum(stake):
             raise ScenarioError(
-                "users crashed for good or attacking for the whole run "
-                "hold >= 1/3 of the stake, which forfeits the paper's "
-                "honest-majority assumption")
+                "users crashed for good, attacking for the whole run or "
+                "in a targeted DoS's reach hold >= 1/3 of the stake, which "
+                "forfeits the paper's honest-majority assumption")
 
     def last_heal_time(self) -> float:
         """When the final transient fault clears (0.0 when fault-free)."""

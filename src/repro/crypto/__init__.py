@@ -9,12 +9,6 @@ from repro.crypto.backend import (
     default_backend,
 )
 from repro.crypto.counting import CountingBackend, CryptoOpCounts
-from repro.crypto.ephemeral import (
-    EphemeralKey,
-    EphemeralKeyChain,
-    verify_ephemeral_key,
-)
-from repro.crypto.merkle import merkle_proof, merkle_root, verify_merkle
 from repro.crypto.hashing import H, HASHLEN_BITS, hash_fraction, hash_to_int
 
 __all__ = [
@@ -30,10 +24,4 @@ __all__ = [
     "default_backend",
     "CountingBackend",
     "CryptoOpCounts",
-    "EphemeralKey",
-    "EphemeralKeyChain",
-    "verify_ephemeral_key",
-    "merkle_root",
-    "merkle_proof",
-    "verify_merkle",
 ]

@@ -61,8 +61,8 @@ from repro.sortition.selection import SELECTION_STATS
 def check_faults(config: SimulationConfig,
                   faults: Iterable[FaultAction]) -> None:
     """Raise a ``ConfigError`` unless this deployment can run every
-    action: a crash, dos or attacker must name always-on agents, for
-    dormant pool stake has no node to act on."""
+    action: a crash, dos, targeted-dos or attacker must name always-on
+    agents, for dormant pool stake has no node to act on."""
     accounts = config.num_users + config.num_observers
     core = config.population.core_size(accounts)
     for action in faults:

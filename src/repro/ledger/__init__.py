@@ -9,12 +9,6 @@ from repro.ledger.block import (
 )
 from repro.ledger.blockchain import GENESIS_PREV_HASH, Blockchain, make_genesis
 from repro.ledger.mempool import Mempool
-from repro.ledger.persistence import (
-    chain_from_bytes,
-    chain_to_bytes,
-    load_chain,
-    save_chain,
-)
 from repro.ledger.storage import (
     PAPER_CERTIFICATE_BYTES,
     ShardedStore,
@@ -35,10 +29,6 @@ __all__ = [
     "make_genesis",
     "GENESIS_PREV_HASH",
     "Mempool",
-    "chain_to_bytes",
-    "chain_from_bytes",
-    "save_chain",
-    "load_chain",
     "Transaction",
     "make_transaction",
     "ShardedStore",

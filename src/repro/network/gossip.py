@@ -24,12 +24,12 @@ The uplink is a kernel callback (:meth:`NetworkInterface._drain`), not
 a process: queuing or relaying a message resumes no generator.
 
 Adversarial control: a ``drop_filter`` hook inspects every (src, dst,
-envelope) and may drop it — partitions and targeted DoS are built from
-this mechanism (see :mod:`repro.adversary`). A second hook,
-``link_shaper``, rewrites per-message delivery *times*: it receives the
-base one-way latency and returns the list of arrival delays, so delay
-spikes, duplication, and reordering faults (see :mod:`repro.chaos`) are
-expressed without touching the latency model.
+envelope) and may drop it — partitions, loss and the targeted DoS's
+watch for proposers are built from this mechanism (see
+:mod:`repro.chaos.faults`). A second hook, ``link_shaper``, rewrites
+per-message delivery *times*: it receives the base one-way latency and
+returns the list of arrival delays, so delay spikes, duplication, and
+reordering faults are expressed without touching the latency model.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The simulator moves Python objects and charges bandwidth using calibrated
 size constants (the paper's ~200-byte priority messages and ~250-byte
 votes). This module provides the real bytes a deployment puts on the
-wire: for size-constant calibration tests, for persisting chains, and for
-the live substrate (:mod:`repro.live`), whose node processes exchange
-them over real TCP/Unix-domain sockets.
+wire: for size-constant calibration tests and for the live substrate
+(:mod:`repro.live`), whose node processes exchange them over real
+TCP/Unix-domain sockets.
 
 This is the *transport* format and is free to evolve: nothing here is
 hashed or signed. Every hash and signature input goes through the
@@ -29,8 +29,8 @@ canonical codec (:mod:`repro.common.encoding`), which is frozen.
   predicate and the reader's answer as a resolver; the tables behind
   them are the link's (:mod:`repro.live.transport`). The envelope still
   carries the block's logical ``size``, and the full :data:`BLOCK`
-  layout stays for chain files, catch-up ``chain`` messages and the
-  control ``result``.
+  layout stays for catch-up ``chain`` messages and the control
+  ``result``.
 * **Framing** — :func:`encode_frame` and :class:`FrameDecoder`
   length-prefix payloads so they survive a TCP byte stream: reads may
   arrive split or coalesced arbitrarily, and the decoder reassembles
@@ -242,9 +242,8 @@ CHAIN = Layout(
      (lambda announcement: sorted(announcement.certificates.items()),
       [_FILED_CERT])))
 
-#: What persistence, the live control ``result`` and the benchmark call.
+#: What the live control ``result`` and the benchmark call.
 encode_block, decode_block = BLOCK.pack, BLOCK.unpack
-encode_certificate, decode_certificate = CERT.pack, CERT.unpack
 
 
 # --- Linked blocks (a block as one link carries it) -------------------------

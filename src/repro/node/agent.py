@@ -385,9 +385,16 @@ class Node:
                           round=self.chain.next_round)
 
     def restart(self, target_height: int) -> None:
-        """Rejoin after a :meth:`crash`: reconnect, catch up on what the
-        peers committed meanwhile (:meth:`rejoin`, section 8.3), and run
-        the current round like a bootstrapping user."""
+        """Rejoin after a :meth:`crash`: reconnect (:meth:`revive`),
+        catch up on what the peers committed meanwhile (:meth:`rejoin`,
+        section 8.3), and run the current round like a bootstrapping
+        user."""
+        self.revive()
+        self.rejoin(target_height)
+
+    def revive(self) -> None:
+        """The first half of :meth:`restart`: out of CRASHED and
+        reconnected, not yet running."""
         if not self.crashed:
             raise SimulationError(
                 f"node {self.index} is not crashed; cannot restart")
@@ -396,7 +403,6 @@ class Node:
         if self.obs is not None:
             self.obs.emit("node_restarted", node=self.index,
                           round=self.chain.next_round)
-        self.rejoin(target_height)
 
     def rejoin(self, target_height: int) -> None:
         """Run toward ``target_height`` once caught up: a node with a

@@ -8,10 +8,17 @@ nodes never diverge, while liveness degrades only gracefully.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.adversary import FilterChain, Partitioner, TargetedDoS, isolate
-from repro.chaos import FaultAction, figure8_adversary
+from repro.chaos import (
+    FaultAction,
+    ScenarioError,
+    ScenarioScript,
+    figure8_adversary,
+)
+from repro.chaos.faults import FilterChain, Partitioner
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.obs import TraceBus
 
@@ -121,38 +128,55 @@ class TestPartitioner:
             partition.schedule(sim.env, start=5.0, end=5.0)
 
 
+#: Four of sixteen users in reach, struck 1.5 s after they speak and
+#: held past the end of the run.
+PROPOSER_DOS = FaultAction(kind="targeted-dos", start=0.0, end=600.0,
+                           nodes=(12, 13, 14, 15), extra_delay=1.5)
+
+
 class TestTargetedDoS:
     def test_proposer_dos_does_not_stop_progress(self):
         """Participant replacement: DoS-ing each proposer after it speaks
         cannot stop Algorand — the proposer's job is already done and the
         committees of later steps are fresh users."""
         bus = TraceBus()
-        sim = Simulation(SimulationConfig(num_users=16, seed=37), obs=bus)
-        chain = FilterChain(sim.network)
-        dos = TargetedDoS(chain, sim.env, sim.population.index,
-                          reaction_time=1.5, restore_after=30.0)
+        sim = Simulation(SimulationConfig(num_users=16, seed=37), obs=bus,
+                         faults=[PROPOSER_DOS])
         sim.run_rounds(2, time_limit=600)
-        assert dos.victims  # the attack actually fired
-        # Each victim is found from the announcement's origin key: a
-        # node that really proposed, not whoever relayed it.
+        # The window outlasts the run, so every strike still holds.
+        victims = {index for index, holds in sim.injector.holds.items()
+                   if holds}
+        assert victims  # the attack actually fired
+        # A victim is struck for its own announcement: a node that
+        # really proposed, not whoever relayed it.
         proposers = {event["node"]
                      for event in bus.events_of_kind("block_proposed")}
-        assert set(dos.victims) <= proposers
+        assert victims <= proposers
+        assert all(sim.nodes[index].interface.disconnected
+                   for index in victims)
         assert len(sim.outcome().agreed_hashes(1)) == 1
         assert len(sim.outcome().agreed_hashes(2)) == 1
 
     def test_reaction_time_validation(self):
-        sim = Simulation(SimulationConfig(num_users=4, seed=1))
-        chain = FilterChain(sim.network)
-        with pytest.raises(ValueError):
-            TargetedDoS(chain, sim.env, sim.population.index,
-                        reaction_time=-1)
+        """A negative reaction time, no reach, no end, or a reach
+        holding >= 1/3 of the stake (6 of 16 equal users) is refused."""
+        config = SimulationConfig(num_users=16, seed=37)
+        ScenarioScript(name="targeted-dos", config=config,
+                       actions=(PROPOSER_DOS,)).validate()
+        for fields in ({"extra_delay": -1.0}, {"nodes": ()}, {"end": None},
+                       {"nodes": tuple(range(10, 16))}):
+            script = ScenarioScript(name="targeted-dos", config=config,
+                                    actions=(replace(PROPOSER_DOS,
+                                                     **fields),))
+            with pytest.raises(ScenarioError):
+                script.validate()
 
 
 class TestIsolate:
     def test_isolated_minority_stalls_but_majority_progresses(self):
-        sim = Simulation(SimulationConfig(num_users=20, seed=41))
-        isolate(sim.network, [18, 19])
+        sim = Simulation(SimulationConfig(num_users=20, seed=41), faults=[
+            FaultAction(kind="dos", start=0.0, end=1000.0,
+                        nodes=(18, 19))])
         online = sim.nodes[:18]
         for node in online:
             node.start(1)

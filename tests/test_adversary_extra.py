@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary import FilterChain, Partitioner
 from repro.chaos import FaultAction
+from repro.chaos.faults import FilterChain, Partitioner
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.network.message import Envelope
 

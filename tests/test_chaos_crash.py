@@ -165,3 +165,55 @@ class TestRunRoundsWaitsForARestart:
         assert [node.chain.height for node in sim.nodes] == [2] * 8
         assert not sim.nodes[2].running
         assert sim.all_chains_equal()
+
+
+class TestHeldDown:
+    """A node reconnects only when no ``dos``/``targeted-dos`` window
+    holds it and it is not crashed: a fault that clears never lets go
+    of a node another fault still holds down."""
+
+    def _started(self, *faults: FaultAction) -> Simulation:
+        sim = Simulation(SimulationConfig(num_users=8, seed=3),
+                         faults=list(faults))
+        sim.injector.rounds = 6
+        for node in sim.nodes:
+            node.start(6)
+        return sim
+
+    def test_overlapping_dos_windows_hold_until_the_last_clears(self):
+        sim = self._started(
+            FaultAction(kind="dos", start=0.2, end=3.0, nodes=(5,)),
+            FaultAction(kind="dos", start=1.0, end=20.0, nodes=(5,)))
+        interface = sim.nodes[5].interface
+        sim.env.run(until=10.0)
+        assert interface.disconnected
+        sim.env.run(until=21.0)
+        assert not interface.disconnected
+
+    def test_a_dos_clearing_leaves_a_crashed_node_cut_off(self):
+        sim = self._started(
+            FaultAction(kind="crash", start=1.0, end=40.0, nodes=(3,)),
+            FaultAction(kind="dos", start=0.5, end=5.0, nodes=(3,)))
+        node = sim.nodes[3]
+        sim.env.run(until=5.5)
+        asked = []
+        hook = node.interface.on_receive
+
+        def counted(envelope, from_index):
+            asked.append(envelope)
+            return hook(envelope, from_index)
+
+        node.interface.on_receive = counted
+        sim.env.run(until=39.0)
+        assert node.crashed and node.interface.disconnected
+        assert asked == []
+
+    def test_a_restart_inside_a_dos_window_stays_disconnected(self):
+        sim = self._started(
+            FaultAction(kind="crash", start=1.0, end=4.0, nodes=(3,)),
+            FaultAction(kind="dos", start=0.5, end=10.0, nodes=(3,)))
+        node = sim.nodes[3]
+        sim.env.run(until=6.0)
+        assert not node.crashed and node.interface.disconnected
+        sim.env.run(until=11.0)
+        assert not node.interface.disconnected

@@ -222,6 +222,17 @@ def _byzantine_mix() -> ScenarioScript:
                              nodes=(7,))))
 
 
+def _proposer_dos() -> ScenarioScript:
+    """Section 10.4's DoS of each proposer once it speaks, over a
+    ``dos`` window on one victim: two holds on one node."""
+    return ScenarioScript(
+        name="proposer-dos", config=SimulationConfig(num_users=16, seed=37),
+        rounds=3, payments=16,
+        actions=(FaultAction(kind="targeted-dos", start=0.0, end=20.0,
+                             nodes=(12, 13, 14, 15), extra_delay=1.5),
+                 FaultAction(kind="dos", start=2.0, end=8.0, nodes=(12,))))
+
+
 #: The pinned sim runs by id; together they arm every fault kind.
 PINNED = {
     "partition-heal": partition_heal_scenario,
@@ -230,6 +241,7 @@ PINNED = {
     "seed-105": lambda: generate_scenario(105),
     "seed-111": lambda: generate_scenario(111),
     "byzantine-mix": _byzantine_mix,
+    "proposer-dos": _proposer_dos,
 }
 
 
@@ -255,7 +267,7 @@ class TestSimVerdictsPinned:
     for byte — recorded before the sim and live injectors were merged
     (PR 18's parent) and stable across ``PYTHONHASHSEED``; the sixth,
     for the kinds that replace a node's seams, when those kinds joined
-    the vocabulary. Together the scripts arm every fault kind, so hook
+    the vocabulary, and the seventh when ``targeted-dos`` did. Together the scripts arm every fault kind, so hook
     order, the loss coins' place in the filter chain and the shared
     fault RNG stream are all under the hash. Four were re-recorded when
     the faulted sim began catching up over gossip instead of reading
@@ -284,6 +296,8 @@ class TestSimVerdictsPinned:
          "220df16d33135d2a21e090ba085ff56256f44b6106b17ae2705b5a14ee1bf2bb"),
         ("byzantine-mix", {"equivocate", "double-vote", "silent"},
          "63fe43d13864c1875b94ae8cc46c17f4027403ca621cf9288033da9329eb30b0"),
+        ("proposer-dos", {"targeted-dos", "dos"},
+         "2340745beede9f1fa4d7f803ad9be0f50087232434da59ed9991c8a7847c5747"),
     ]
 
     def test_the_five_scripts_cover_every_fault_kind(self):
@@ -348,9 +362,9 @@ class TestSimulationFaults:
         assert sim.network.drop_filter is None
         assert sim.network.link_shaper is None
 
-    @pytest.mark.parametrize("kind", ["crash", "dos", "flood", "spam",
-                                      "equivocate", "double-vote",
-                                      "silent"])
+    @pytest.mark.parametrize("kind", ["crash", "dos", "targeted-dos",
+                                      "flood", "spam", "equivocate",
+                                      "double-vote", "silent"])
     def test_node_fault_on_dormant_stake_is_a_config_error(self, kind):
         """Slot 10 is pool stake behind a 4-agent core: there is no node
         to act on, and the fault must not pass as a silent no-op."""

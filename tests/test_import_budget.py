@@ -2,16 +2,16 @@
 
 Every process that runs the protocol — a sim worker, each live node, the
 CLIs — used to pay ~1 s and ~67 MB for ``scipy.stats`` (one call site)
-and to load every experiment runner, adversary strategy and baseline
-through eager package ``__init__``\\ s. These tests pin the import graph
+and to load every experiment runner and baseline through eager package
+``__init__``\\ s. These tests pin the import graph
 from the outside, each case in a fresh interpreter so nothing another
 test imported can mask a regression:
 
 * the run-time stack never loads ``scipy`` or ``networkx`` (the
   ``analysis`` extra), even after a full simulated round;
 * ``repro.live.node_main`` loads none of ``repro.experiments``,
-  ``repro.adversary``, ``repro.baselines``, ``repro.analysis`` and stays
-  under a recorded module ceiling;
+  ``repro.baselines``, ``repro.analysis`` and stays under a recorded
+  module ceiling;
 * the lazy package surfaces still resolve every public name, and the
   CLIs behind them still start.
 """
@@ -32,10 +32,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 #: with a reason a node process can state.
 NODE_MAIN_REPRO_MODULES_CEILING = 75
 
-#: What a node process must not load: figure runners, network
-#: adversaries, the Nakamoto baseline, the committee analysis.
-NODE_MAIN_FORBIDDEN = ("repro.experiments", "repro.adversary",
-                       "repro.baselines", "repro.analysis")
+#: What a node process must not load: figure runners, the Nakamoto
+#: baseline, the committee analysis.
+NODE_MAIN_FORBIDDEN = ("repro.experiments", "repro.baselines",
+                       "repro.analysis")
 
 
 def run_python(*argv: str, check: bool = True

@@ -33,7 +33,6 @@ import numpy as np
 import pytest
 
 import repro.experiments.harness as harness
-from repro.adversary import FilterChain, Partitioner
 from repro.baplus.context import BAContext
 from repro.baplus.messages import VoteMessage
 from repro.chaos import (
@@ -42,6 +41,7 @@ from repro.chaos import (
     figure8_adversary,
     run_scenario,
 )
+from repro.chaos.faults import FilterChain, Partitioner
 from repro.common.params import TEST_PARAMS
 from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block

@@ -23,8 +23,8 @@ of the same deployment, need no processes), and a latency
 
 The 5-process scripted scenario sweep (the ``kill-partition`` builtin
 through :func:`run_scenario`), the 5-process cluster with a dishonest
-process (Figure 8's adversary) and the 5-process latency point are
-marked ``slow``; run with ``-m slow``.
+process (Figure 8's adversary), the 5-process ``targeted-dos`` run and
+the 5-process latency point are marked ``slow``; run with ``-m slow``.
 """
 
 from __future__ import annotations
@@ -293,6 +293,7 @@ class TestOneVocabulary:
                  "loss": {"rate": 0.5}, "duplicate": {"rate": 0.5},
                  "reorder": {"jitter": 0.1},
                  "crash": {"nodes": (2,)}, "dos": {"nodes": (2,)},
+                 "targeted-dos": {"nodes": (2,), "extra_delay": 0.5},
                  "flood": {"nodes": (2,), "rate": 10.0},
                  "spam": {"nodes": (2,), "rate": 10.0},
                  "equivocate": {"nodes": (2,)},
@@ -495,6 +496,32 @@ class TestByzantineProcess:
                   if event["kind"] == "peer_quarantined"}
         assert (4, "equivocation") in blamed
         assert {peer for peer, _ in blamed} == {4}
+        verdict = cluster.conformance.verdict()
+        assert verdict.ok, verdict.violations
+
+
+@pytest.mark.slow
+class TestProposerDoSProcess:
+    """Section 10.4's proposer DoS from scenario data on real sockets:
+    node 4's own injector cuts it off once it announces a priority and
+    lets it go when the window ends."""
+
+    def test_struck_proposer_rejoins_equal_chains(self, tmp_path):
+        cluster = LiveCluster(
+            default_live_config(5, runtime_dir=str(tmp_path)),
+            faults=[FaultAction(kind="targeted-dos", start=0.0, end=3.0,
+                                nodes=(4,), extra_delay=0.2)],
+            obs=TraceBus())
+        cluster.submit_payments(10)
+        cluster.run_rounds(4)
+        assert [result["height"] for result in
+                cluster.results.values()] == [4] * 5
+        assert cluster.all_chains_equal()
+        # The watch had something to strike: node 4 proposed in the
+        # window, early enough for the strike to land inside it.
+        assert any(event["node"] == 4 and event["t"] < 2.8
+                   for event in cluster.obs.events_of_kind(
+                       "block_proposed"))
         verdict = cluster.conformance.verdict()
         assert verdict.ok, verdict.violations
 

@@ -1,11 +1,9 @@
-"""Tests for passive observers, chain persistence, and peer reshuffle."""
+"""Tests for passive observers and peer reshuffle."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import LedgerError
-from repro.common.params import TEST_PARAMS
 from repro.experiments.harness import (
     NetworkConfig,
     Simulation,
@@ -13,12 +11,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.sweep import run_point
 from repro.experiments.waiting import waiting_spec
-from repro.ledger.persistence import (
-    chain_from_bytes,
-    chain_to_bytes,
-    load_chain,
-    save_chain,
-)
 
 
 class TestObservers:
@@ -86,59 +78,6 @@ class TestPeerReshuffle:
         sim.run_rounds(1)
         after = [tuple(iface.neighbors) for iface in sim.network.interfaces]
         assert before == after
-
-
-class TestPersistence:
-    @pytest.fixture(scope="class")
-    def finished(self):
-        sim = Simulation(SimulationConfig(num_users=12, seed=83))
-        sim.submit_payments(15)
-        sim.run_rounds(2)
-        return sim
-
-    def _balances(self, sim):
-        return {kp.public: sim.config.initial_balance
-                for kp in sim.keypairs}
-
-    def test_roundtrip(self, finished):
-        sim = finished
-        payload = chain_to_bytes(sim.nodes[0].chain)
-        restored = chain_from_bytes(
-            payload, initial_balances=self._balances(sim),
-            genesis_seed=sim.genesis_seed, params=TEST_PARAMS,
-            backend=sim.backend)
-        assert restored.tip_hash == sim.nodes[0].chain.tip_hash
-        assert restored.state.weights() == sim.nodes[0].chain.state.weights()
-
-    def test_file_roundtrip(self, finished, tmp_path):
-        sim = finished
-        path = tmp_path / "chain.bin"
-        written = save_chain(sim.nodes[0].chain, path)
-        assert written == path.stat().st_size
-        restored = load_chain(
-            path, initial_balances=self._balances(sim),
-            genesis_seed=sim.genesis_seed, params=TEST_PARAMS,
-            backend=sim.backend)
-        assert restored.height == 2
-
-    def test_garbage_rejected(self, finished):
-        with pytest.raises(LedgerError):
-            chain_from_bytes(
-                b"not a chain", initial_balances=self._balances(finished),
-                genesis_seed=finished.genesis_seed, params=TEST_PARAMS,
-                backend=finished.backend)
-
-    def test_tampered_payload_rejected(self, finished):
-        """Flipping one byte of the serialized chain must not produce a
-        quietly-different chain: either decode or revalidation fails."""
-        sim = finished
-        payload = bytearray(chain_to_bytes(sim.nodes[0].chain))
-        payload[len(payload) // 2] ^= 0x01
-        with pytest.raises(Exception):
-            chain_from_bytes(
-                bytes(payload), initial_balances=self._balances(sim),
-                genesis_seed=sim.genesis_seed, params=TEST_PARAMS,
-                backend=sim.backend)
 
 
 class TestWaitingPoint:

@@ -36,11 +36,10 @@ from repro.experiments.harness import (
 )
 from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block
-from repro.ledger.persistence import load_chain, save_chain
 from repro.ledger.transaction import make_transaction
 from repro.network.gossip import accept_and_relay
 from repro.node.agent import Node
-from repro.node.catchup import ChainSync, build_announcement
+from repro.node.catchup import ChainSync, build_announcement, replay_chain
 from repro.node.deployment import fold_snapshots
 from repro.runtime.admission import AdmissionControl
 from repro.runtime.damping import RelayDamper
@@ -338,8 +337,8 @@ class TestCatchUpKeepsTheIndex:
         node.chain = node.chain.fork_from(node.chain.blocks[1:2])
         return node
 
-    @pytest.mark.parametrize("path", ["announcement", "peers", "file"])
-    def test_adopted_chain_answers_the_pool(self, sim, path, tmp_path):
+    @pytest.mark.parametrize("path", ["announcement", "peers", "replay"])
+    def test_adopted_chain_answers_the_pool(self, sim, path):
         population = sim.population
         helper = sim.nodes[0].chain
         untouched = helper.replica()
@@ -355,9 +354,10 @@ class TestCatchUpKeepsTheIndex:
                 node.catchup.request()
                 sim.env.run(until=sim.env.now + 5.0)
             else:
-                save_chain(helper, tmp_path / "chain.bin")
-                node.catchup = SimpleNamespace(take_pending=lambda: load_chain(
-                    tmp_path / "chain.bin",
+                node.catchup = SimpleNamespace(take_pending=lambda: replay_chain(
+                    helper.blocks[1:],
+                    {r: helper.certificate_at(r)
+                     for r in range(1, helper.height + 1)},
                     initial_balances=node.chain.initial_balances,
                     genesis_seed=node.chain.genesis_seed,
                     params=node.params, backend=node.backend,

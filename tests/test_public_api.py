@@ -41,8 +41,8 @@ class TestPackageRoot:
     def test_all_subpackages_importable(self):
         import importlib
         for package in ("common", "crypto", "sortition", "ledger", "sim",
-                        "network", "baplus", "node", "adversary",
-                        "baselines", "analysis", "experiments",
+                        "network", "baplus", "node", "baselines",
+                        "analysis", "experiments",
                         "substrate", "live"):
             module = importlib.import_module(f"repro.{package}")
             assert module.__doc__, f"repro.{package} lacks a docstring"
@@ -51,8 +51,8 @@ class TestPackageRoot:
         """Every name in every subpackage __all__ must exist."""
         import importlib
         for package in ("common", "crypto", "sortition", "ledger", "sim",
-                        "network", "baplus", "node", "adversary",
-                        "baselines", "analysis", "experiments",
+                        "network", "baplus", "node", "baselines",
+                        "analysis", "experiments",
                         "substrate", "live"):
             module = importlib.import_module(f"repro.{package}")
             for name in getattr(module, "__all__", []):

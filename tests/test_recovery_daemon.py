@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.adversary import FilterChain, Partitioner
+from repro.chaos.faults import FilterChain, Partitioner
 from repro.common.params import TEST_PARAMS
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.node.recovery import RecoveryDaemon, attach_recovery_daemons
