@@ -121,8 +121,8 @@ class VoteMessage:
         The sub-user count ``j`` (0: not selected, or a bad proof) under
         the given sortition context. First sight — or a changed context —
         goes through the shared :class:`~repro.runtime.cache.
-        VerificationCache` when ``backend`` carries one, else straight
-        to :func:`~repro.sortition.selection.verify_sort`.
+        VerificationCache` when ``backend`` is one, else straight to
+        :func:`~repro.sortition.selection.verify_sort`.
         """
         receipt = self._weight_receipt
         if (receipt is not None and receipt[0] == seed
@@ -130,13 +130,13 @@ class VoteMessage:
                 and receipt[3] == total_weight):
             return receipt[4]
         role = committee_role(self.round_number, self.step)
-        cache = getattr(backend, "cache", None)
-        if cache is None:
+        memo = getattr(backend, "memo_sortition", None)
+        if memo is None:
             j = verify_sort(backend, self.voter, self.sorthash,
                             self.sortproof, seed, tau, role, weight,
                             total_weight)
         else:
-            j = cache.memo_sortition(
+            j = memo(
                 lambda: verify_sort(
                     backend, self.voter, self.sorthash, self.sortproof,
                     seed, tau, role, weight, total_weight),

@@ -14,7 +14,9 @@ Two interchangeable implementations of the same interface:
   verification with an equal-duration sleep.
 
 All higher layers (sortition, BA*, the ledger) speak only to this
-interface, so every experiment can run under either backend.
+interface, so every experiment can run under either backend. A
+deployment wraps its backend in the shared
+:class:`~repro.runtime.cache.VerificationCache`, itself a backend.
 """
 
 from __future__ import annotations
@@ -23,14 +25,10 @@ import hashlib
 import hmac
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.common.errors import CryptoError, SignatureError, VRFError
 from repro.crypto import ed25519, vrf
 from repro.crypto.hashing import sha512
-
-if TYPE_CHECKING:  # imported lazily to avoid a package cycle
-    from repro.runtime.cache import VerificationCache
 
 
 @dataclass(frozen=True)
@@ -180,46 +178,3 @@ class FastBackend(CryptoBackend):
         if not hmac.compare_digest(expected, proof):
             raise VRFError("VRF proof verification failed")
         return beta
-
-
-class CachedBackend(CryptoBackend):
-    """Backend wrapper memoizing verification through a shared cache.
-
-    Wrap the outermost backend of a simulation (including a
-    :class:`repro.crypto.counting.CountingBackend` — a cache hit then
-    never reaches the counter, mirroring a deployment where the relay
-    genuinely skips the verify). Key generation, signing, and VRF
-    evaluation are *not* cached: they are secret-key operations each node
-    performs for itself. Only :meth:`verify` and :meth:`vrf_verify` — the
-    context-independent checks every relay repeats — go through the
-    :class:`repro.runtime.cache.VerificationCache`.
-    """
-
-    def __init__(self, inner: CryptoBackend,
-                 cache: "VerificationCache") -> None:
-        self.inner = inner
-        self.cache = cache
-        self.name = f"cached({inner.name})"
-
-    def keypair(self, seed: bytes) -> KeyPair:
-        return self.inner.keypair(seed)
-
-    def sign(self, secret: bytes, message: bytes) -> bytes:
-        return self.inner.sign(secret, message)
-
-    def verify(self, public: bytes, message: bytes, signature: bytes) -> None:
-        self.cache.verify(self.inner, public, message, signature)
-
-    def vrf_prove(self, secret: bytes, alpha: bytes) -> tuple[bytes, bytes]:
-        return self.inner.vrf_prove(secret, alpha)
-
-    def vrf_outputs(self, secrets: list[bytes], alpha: bytes) -> list[bytes]:
-        return self.inner.vrf_outputs(secrets, alpha)
-
-    def vrf_verify(self, public: bytes, proof: bytes, alpha: bytes) -> bytes:
-        return self.cache.vrf_verify(self.inner, public, proof, alpha)
-
-
-def default_backend() -> CryptoBackend:
-    """Backend used when none is specified: fast, simulation-grade."""
-    return FastBackend()

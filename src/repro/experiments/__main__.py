@@ -8,8 +8,8 @@ Usage::
     python -m repro.experiments sweep --jobs 4   # raw grid -> merged JSON
 
 Artifacts are registered declaratively in :data:`ARTIFACTS`. Sweep-style
-artifacts (fig5, fig6, fig7, fig8, tab_throughput, tab_timeouts,
-tab_waiting) are
+artifacts (fig5, fig6, fig7, fig8, tab_throughput, tab_costs,
+tab_timeouts, tab_waiting) are
 expressed as a spec grid plus a renderer and route through the parallel
 sweep engine (:mod:`repro.experiments.sweep`); analytic artifacts are
 plain callables. The ``sweep`` subcommand exposes the engine directly:
@@ -35,7 +35,7 @@ from repro.baselines.nakamoto import NakamotoConfig, throughput_bytes_per_hour
 from repro.common.errors import SpecError
 from repro.common.params import PAPER_PARAMS
 from repro.experiments.adversarial import adversarial_spec, figure8_specs
-from repro.experiments.costs import expected_certificate_bytes, measure_costs
+from repro.experiments.costs import costs_spec, expected_certificate_bytes
 from repro.experiments.harness import PopulationConfig
 from repro.experiments.latency import figure5_specs, figure6_specs, latency_spec
 from repro.experiments.metrics import format_table
@@ -122,6 +122,22 @@ def _render_tab_throughput(results: list[dict]) -> str:
             f"Bitcoin (paper: ~750 MB/h, 125x)")
 
 
+def _render_tab_costs(results: list[dict]) -> str:
+    rows = []
+    for r in results:
+        rows += [["bandwidth / user",
+                  f"{r['mean_bandwidth_bits_per_sec'] / 1e6:.2f} Mbit/s"],
+                 ["certificate", f"{r['certificate_bytes'] / 1e3:.1f} KB "
+                                 f"({r['certificate_votes']:.0f} votes)"],
+                 ["certificate overhead", f"{r['certificate_overhead']:.0%}"],
+                 ["storage/round (10 shards)",
+                  f"{r['storage_per_round_sharded_10'] / 1e3:.1f} KB"]]
+    return (f"{format_table(['metric', 'measured'], rows)}\n"
+            f"paper-scale certificate (tau=2000): "
+            f"{expected_certificate_bytes(PAPER_PARAMS) / 1e3:.0f} KB "
+            f"(paper: ~300 KB)")
+
+
 def _render_tab_timeouts(results: list[dict]) -> str:
     rows = []
     for r in results:
@@ -157,22 +173,6 @@ def run_fig3(options: argparse.Namespace) -> None:
           f"{p.threshold:.3f}"] for p in points]))
     print(f"paper's starred point: tau=2000, T=0.685 at h=80% "
           f"(violation {check_paper_step_parameters():.1e})")
-
-
-def run_tab_costs(options: argparse.Namespace) -> None:
-    report = measure_costs(40, rounds=3, seed=500, payload_bytes=40_000)
-    print(format_table(["metric", "measured"], [
-        ["bandwidth / user",
-         f"{report.mean_bandwidth_bits_per_sec / 1e6:.2f} Mbit/s"],
-        ["certificate", f"{report.certificate_bytes / 1e3:.1f} KB "
-                        f"({report.certificate_votes:.0f} votes)"],
-        ["certificate overhead", f"{report.certificate_overhead:.0%}"],
-        ["storage/round (10 shards)",
-         f"{report.storage_per_round_sharded_10 / 1e3:.1f} KB"],
-    ]))
-    print(f"paper-scale certificate (tau=2000): "
-          f"{expected_certificate_bytes(PAPER_PARAMS) / 1e3:.0f} KB "
-          f"(paper: ~300 KB)")
 
 
 def run_tab_params(options: argparse.Namespace) -> None:
@@ -312,7 +312,8 @@ _ARTIFACT_LIST = [
                                          num_users=30),
              render=_render_tab_throughput),
     Artifact("tab_costs", "Section 10.3: per-user costs",
-             runner=run_tab_costs),
+             specs=lambda: [costs_spec(40, seed=500)],
+             render=_render_tab_costs),
     Artifact("tab_timeouts", "Section 10.5: timeout validation",
              specs=lambda: [timeouts_spec(40, seed=800)],
              render=_render_tab_timeouts),
@@ -357,6 +358,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: Options only some grids read: name -> (those grids, the default).
+_GRID_OPTIONS = {
+    "rounds": (("latency", "adversarial", "waiting"), 0),
+    "payload_bytes": (("latency",), 0),
+    "fractions": (("adversarial",), [0.0, 0.1, 0.2]),
+    "sizes": (("blocksize",), [1_000, 10_000, 50_000]),
+    "waits": (("waiting",), [0.5, 2.0]),
+    "population": (("latency",), "full"),
+    "core": (("latency",), 16),
+    "steps_ahead": (("latency",), 4),
+}
+
+
 def build_grid(args: argparse.Namespace) -> list[ExperimentSpec]:
     """Materialize the requested grid (axis values x seeds)."""
     specs: list[ExperimentSpec] = []
@@ -397,28 +411,35 @@ def sweep_main(argv: list[str]) -> int:
                              "default 8)")
     parser.add_argument("--seeds", type=_csv_ints, default=[0, 1, 2, 3],
                         help="seed axis; the grid is axis x seeds")
+    # Grid-specific options default to None so that one a grid does not
+    # read is an error, not silently dropped (see _GRID_OPTIONS).
     parser.add_argument("--fractions", type=_csv_floats,
-                        default=[0.0, 0.1, 0.2],
-                        help="malicious-stake axis (adversarial grid)")
+                        help="malicious-stake axis (adversarial grid; "
+                             "default 0,0.1,0.2)")
     parser.add_argument("--sizes", type=_csv_ints,
-                        default=[1_000, 10_000, 50_000],
-                        help="block-size axis (blocksize grid)")
-    parser.add_argument("--waits", type=_csv_floats, default=[0.5, 2.0],
-                        help="wait-window axis (waiting grid)")
-    parser.add_argument("--rounds", type=int, default=0,
-                        help="rounds per point (0 = grid default)")
-    parser.add_argument("--population", default="full",
-                        choices=["full", "aggregated"],
+                        help="block-size axis (blocksize grid; default "
+                             "1000,10000,50000)")
+    parser.add_argument("--waits", type=_csv_floats,
+                        help="wait-window axis (waiting grid; default "
+                             "0.5,2)")
+    parser.add_argument("--rounds", type=int,
+                        help="rounds per point (latency, adversarial and "
+                             "waiting grids; default: the grid's)")
+    parser.add_argument("--population", choices=["full", "aggregated"],
                         help="latency grid: agent representation "
-                             "(aggregated = stake pool + materialized "
-                             "sortition winners; reaches 10k+ users)")
-    parser.add_argument("--core", type=int, default=16,
-                        help="aggregated population: always-on agents")
-    parser.add_argument("--steps-ahead", type=int, default=4,
-                        dest="steps_ahead",
+                             "(default full; aggregated = stake pool + "
+                             "materialized sortition winners; reaches "
+                             "10k+ users)")
+    parser.add_argument("--core", type=int,
+                        help="aggregated population: always-on agents "
+                             "(default 16)")
+    parser.add_argument("--steps-ahead", type=int, dest="steps_ahead",
                         help="aggregated population: BinaryBA* steps "
-                             "covered by the per-round pool pass")
-    parser.add_argument("--payload-bytes", type=int, default=0)
+                             "covered by the per-round pool pass "
+                             "(default 4)")
+    parser.add_argument("--payload-bytes", type=int,
+                        help="latency grid: payment bytes per point "
+                             "(default 0)")
     parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes (1 = in-process serial)")
     parser.add_argument("--timeout", type=float, default=None,
@@ -439,6 +460,12 @@ def sweep_main(argv: list[str]) -> int:
     elif args.grid != "latency" and len(args.users) > 1:
         parser.error(f"--grid {args.grid} runs one population; "
                      f"got --users {','.join(map(str, args.users))}")
+    for name, (grids, default) in _GRID_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.grid not in grids:
+            parser.error(f"--grid {args.grid} does not read "
+                         f"--{name.replace('_', '-')}")
 
     try:
         specs = build_grid(args)

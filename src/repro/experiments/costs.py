@@ -6,10 +6,14 @@ The paper reports, for 50,000 users and 1 MByte blocks:
 * per-user communication independent of the total number of users
   (committee-sized, not population-sized);
 * 300 KByte certificates (~30% overhead on 1 MB blocks), reduced
-  proportionally by sharding (130 KB/block/user at 10 shards).
+  proportionally by sharding (130 KB/block/user at 10 shards);
+* CPU going mostly to verifying signatures and VRFs.
 
-We measure the same quantities from the simulation's byte counters and
-real certificates.
+One :func:`costs_spec` run (the ``costs`` measure) yields all of them:
+bytes from the sim network's counter, certificates and blocks from a
+node's committed chain, and the crypto operations that reached the
+deployment's backend (``crypto.*``, counted by its verification cache)
+priced at production per-op costs.
 """
 
 from __future__ import annotations
@@ -18,10 +22,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.params import ProtocolParams, TEST_PARAMS
-from repro.experiments.harness import NetworkConfig, Simulation, SimulationConfig
+from repro.common.errors import SpecError
+from repro.common.params import ProtocolParams
+from repro.experiments.spec import ExperimentSpec
 from repro.ledger.storage import ShardedStore
 from repro.network.message import VOTE_MESSAGE_BYTES
+from repro.node.deployment import (
+    NetworkConfig,
+    RunOutcome,
+    SimulationConfig,
+    derive_genesis,
+)
+
+#: Seconds per crypto operation in a production (C library)
+#: implementation, by its ``crypto.*`` counter.
+OP_SECONDS = {"crypto.signs": 25e-6, "crypto.verifies": 60e-6,
+              "crypto.vrf_proves": 100e-6, "crypto.vrf_verifies": 130e-6}
+
+
+def cpu_seconds(counters: dict) -> float:
+    """Estimated CPU time of the counted crypto operations."""
+    return sum(counters[name] * cost for name, cost in OP_SECONDS.items())
 
 
 @dataclass(frozen=True)
@@ -45,51 +66,35 @@ class CostReport:
     cpu_seconds_per_user_round: float
 
 
-def measure_costs(num_users: int = 40, *, rounds: int = 3, seed: int = 0,
-                  params: ProtocolParams | None = None,
-                  payload_bytes: int = 40_000) -> CostReport:
-    """Run a deployment and collect the section 10.3 cost metrics."""
-    from repro.crypto.backend import FastBackend
-    from repro.crypto.counting import CountingBackend
+def measure_costs(outcome: RunOutcome, spec: ExperimentSpec) -> CostReport:
+    """Read the section 10.3 cost metrics off a finished sim run."""
+    counters = outcome.snapshot
+    missing = [name for name in ("network.total_bytes_sent", *OP_SECONDS)
+               if name not in counters]
+    if missing:
+        raise SpecError(f"costs reads {missing} off the run: a sim "
+                        f"deployment with its verification cache on")
+    num_users, rounds = spec.config.num_users, spec.rounds
+    # Every key pair is a network slot: observers and dormant stake too.
+    publics = [keypair.public for keypair in
+               derive_genesis(spec.config, outcome.backend).keypairs]
+    mean_bytes = counters["network.total_bytes_sent"] / len(publics)
 
-    params = params if params is not None else TEST_PARAMS
-    counting = CountingBackend(FastBackend())
-    sim = Simulation(SimulationConfig(
-        num_users=num_users, params=params, seed=seed,
-        network=NetworkConfig(bandwidth_bps=20e6, latency_model="city"),
-    ), backend=counting)
-    for _ in range(rounds):
-        sim.submit_payments(min(200, num_users * 2),
-                            note_bytes=payload_bytes // 100)
-    sim.run_rounds(rounds)
-
-    duration = sim.env.now
-    bytes_sent = sim.network.bytes_sent_per_node()
-    mean_bytes = float(np.mean(bytes_sent))
-
-    certificate_sizes, certificate_votes, block_sizes = [], [], []
-    reference = sim.nodes[0].chain
-    for round_number in range(1, rounds + 1):
-        certificate = reference.certificate_at(round_number)
-        if certificate is not None:
-            certificate_sizes.append(certificate.size)
-            certificate_votes.append(len(certificate.votes))
-        block_sizes.append(reference.block_at(round_number).size)
-
-    certificate_bytes = float(np.mean(certificate_sizes))
-    block_bytes = float(np.mean(block_sizes))
+    reference = outcome.runs[0]
+    blocks = reference.blocks[:rounds]
+    votes = reference.certificate_votes[:rounds]
+    certificate_votes = [count for count in votes if count is not None]
+    certificate_bytes = float(np.mean(
+        [count * VOTE_MESSAGE_BYTES for count in certificate_votes]))
+    block_bytes = float(np.mean([block.size for block in blocks]))
 
     # Storage: every user stores every round unsharded; sharding by 10
     # divides the expectation.
     store = ShardedStore(10)
-    publics = [keypair.public for keypair in sim.keypairs]
-    for round_number in range(1, rounds + 1):
-        block = reference.block_at(round_number)
-        certificate = reference.certificate_at(round_number)
-        certificate_size = certificate.size if certificate else 0
+    for block, count in zip(blocks, votes):
         for public in publics:
-            store.record_block(public, block,
-                               certificate_bytes=certificate_size)
+            store.record_block(public, block, certificate_bytes=(
+                (count or 0) * VOTE_MESSAGE_BYTES))
     sharded = store.average_bytes_per_round(publics, rounds)
 
     user_rounds = num_users * rounds
@@ -97,7 +102,7 @@ def measure_costs(num_users: int = 40, *, rounds: int = 3, seed: int = 0,
         num_users=num_users,
         rounds=rounds,
         mean_bytes_sent_per_user=mean_bytes,
-        mean_bandwidth_bits_per_sec=mean_bytes * 8.0 / duration,
+        mean_bandwidth_bits_per_sec=mean_bytes * 8.0 / outcome.now,
         certificate_bytes=certificate_bytes,
         certificate_votes=float(np.mean(certificate_votes)),
         block_bytes=block_bytes,
@@ -105,10 +110,22 @@ def measure_costs(num_users: int = 40, *, rounds: int = 3, seed: int = 0,
         storage_per_round_unsharded=block_bytes + certificate_bytes,
         storage_per_round_sharded_10=sharded,
         verifications_per_user_round=(
-            counting.counts.total_verifications / user_rounds),
-        cpu_seconds_per_user_round=(
-            counting.counts.cpu_seconds() / user_rounds),
+            (counters["crypto.verifies"] + counters["crypto.vrf_verifies"])
+            / user_rounds),
+        cpu_seconds_per_user_round=cpu_seconds(counters) / user_rounds,
     )
+
+
+def costs_spec(num_users: int, seed: int, *, rounds: int = 3,
+               payload_bytes: int = 40_000) -> ExperimentSpec:
+    """One point: a 20 Mbit/s city-latency deployment, one batch of
+    payments per round carrying ``payload_bytes`` of notes."""
+    config = SimulationConfig(
+        num_users=num_users, seed=seed,
+        network=NetworkConfig(bandwidth_bps=20e6, latency_model="city"))
+    batch = (min(200, num_users * 2), payload_bytes // 100)
+    return ExperimentSpec("costs", config, rounds,
+                          payments=(batch,) * rounds)
 
 
 def expected_certificate_bytes(params: ProtocolParams) -> float:

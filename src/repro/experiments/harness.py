@@ -109,7 +109,7 @@ class Simulation:
         # that has touched them (snapshot determinism depends on it).
         self._selection_delta = SELECTION_STATS.delta_since(
             self._selection_baseline)
-        self.backend, self.verification_cache = make_backend(config, backend)
+        self.backend = make_backend(config, backend)
         self.rng = np.random.default_rng(config.seed)
         self.registry = BlockRegistry()
         genesis = derive_genesis(config, self.backend)
@@ -324,7 +324,7 @@ class Simulation:
         gauges["admission.quarantined_peers"] = len(directory.quarantined)
         for name, value in self.population.stats().items():
             gauges["population." + name] = value
-        harvest(metrics, clock=self.env, cache=self.verification_cache,
+        harvest(metrics, clock=self.env, backend=self.backend,
                 sortition=self._selection_delta,
                 agents=self.population.agent_counters(),
                 conformance=self.conformance, counters=counters,

@@ -49,6 +49,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import SpecError
 from repro.experiments.adversarial import measure_adversarial
+from repro.experiments.costs import measure_costs
 from repro.experiments.latency import measure_latency
 from repro.experiments.spec import ExperimentSpec, PointResult, spec_from_json
 from repro.experiments.throughput import measure_block_size
@@ -68,6 +69,7 @@ MEASURES: dict[str, Callable] = {
     "waiting": measure_waiting,
     "traffic": measure_traffic,
     "timeouts": measure_timeouts,
+    "costs": measure_costs,
 }
 
 #: How long the scheduler sleeps waiting for worker messages (seconds).

@@ -217,7 +217,7 @@ class LiveCluster:
         records and counters, the last record of the merged trace, and
         the folded metrics. Seeds verify on a backend holding every key
         of the deployment (a backend verifies only keys it generated)."""
-        backend, _ = make_backend(self.config)
+        backend = make_backend(self.config)
         derive_genesis(self.config, backend)
         return RunOutcome(
             runs={index: NodeRun.from_record(index, result)

@@ -241,7 +241,7 @@ class NodeProcess:
 
     def _build_node(self) -> Node:
         config = self.config
-        backend, self.verification_cache = make_backend(config)
+        backend = make_backend(config)
         self.genesis = derive_genesis(config, backend)
         # durable + line-buffered: a SIGKILL mid-run loses at most the
         # line being written, so the chaos coordinator can read a
@@ -271,7 +271,7 @@ class NodeProcess:
                    **self.chain_sync.stats()}.items()}
         gauges["live.max_lag_s"] = self.clock.max_lag
         harvest(bus.metrics, clock=self.clock,
-                cache=self.verification_cache,
+                backend=self.chain_sync.node.backend,
                 # One stack per process: the process-wide tallies are its.
                 sortition=SELECTION_STATS.as_dict(),
                 agents=node_counters(self.chain_sync.node),

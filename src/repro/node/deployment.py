@@ -47,12 +47,7 @@ from repro.common.errors import (
     PopulationError,
 )
 from repro.common.params import ProtocolParams, TEST_PARAMS
-from repro.crypto.backend import (
-    CachedBackend,
-    CryptoBackend,
-    FastBackend,
-    KeyPair,
-)
+from repro.crypto.backend import CryptoBackend, FastBackend, KeyPair
 from repro.crypto.hashing import H
 from repro.ledger.arraystate import AccountIndex
 from repro.ledger.block import Block
@@ -353,18 +348,14 @@ def deploy(config: SimulationConfig, **kwargs):
 
 
 def make_backend(config: SimulationConfig,
-                 inner: CryptoBackend | None = None
-                 ) -> tuple[CryptoBackend, VerificationCache | None]:
-    """The crypto backend nodes share, and its cache (``None`` if off).
-
-    The cache wraps outermost: a hit never reaches an inner
-    ``CountingBackend``'s tally, only its ``cache_hits`` mirror.
-    """
+                 inner: CryptoBackend | None = None) -> CryptoBackend:
+    """The crypto backend the nodes share: ``inner`` (fast by default)
+    wrapped in the :class:`VerificationCache` that memoizes its checks
+    and counts what reaches it, or bare when the cache is off."""
     inner = inner if inner is not None else FastBackend()
     if not config.runtime.use_verification_cache:
-        return inner, None
-    cache = VerificationCache(counts=getattr(inner, "counts", None))
-    return CachedBackend(inner, cache), cache
+        return inner
+    return VerificationCache(inner)
 
 
 @dataclass(frozen=True)
@@ -483,7 +474,7 @@ def fold_snapshots(snapshots) -> dict:
     return folded
 
 
-def harvest(metrics, *, clock, cache: VerificationCache | None,
+def harvest(metrics, *, clock, backend: CryptoBackend,
             sortition: dict[str, int], agents: dict[str, int],
             conformance=None, counters: dict | None = None,
             gauges: dict | None = None) -> None:
@@ -491,17 +482,21 @@ def harvest(metrics, *, clock, cache: VerificationCache | None,
 
     The one reader both substrates register on their bus: the kernel's
     ``simloop.*`` (a live clock is the same kernel), the verification
-    cache, this run's sortition tallies, the folded ``agents``
-    (:func:`node_counters`) and the conformance monitor's — then the
-    substrate's own ``counters``/``gauges`` (byte movers, population).
+    cache's look-ups (``cache.*``) and the crypto operations that
+    reached its inner backend (``crypto.*``), this run's sortition
+    tallies, the folded ``agents`` (:func:`node_counters`) and the
+    conformance monitor's — then the substrate's own
+    ``counters``/``gauges`` (byte movers, population).
     """
     for name in ("events_processed", "immediates_processed", "batch_walks",
                  "batch_deliveries", "now"):
         metrics.set_gauge("simloop." + name, getattr(clock, name))
-    if cache is not None:
+    if isinstance(backend, VerificationCache):
         for name in ("hits", "misses", "negative_hits"):
-            metrics.set_counter("cache." + name, getattr(cache, name))
-        metrics.set_gauge("cache.entries", len(cache))
+            metrics.set_counter("cache." + name, getattr(backend, name))
+        metrics.set_gauge("cache.entries", len(backend))
+        for name in ("signs", "verifies", "vrf_proves", "vrf_verifies"):
+            metrics.set_counter("crypto." + name, getattr(backend, name))
     for name, value in sortition.items():
         metrics.set_counter("sortition." + name, value)
     for name, value in agents.items():
@@ -539,6 +534,9 @@ class NodeRun:
     step_durations: tuple[tuple[int, str, float], ...]
     #: Its runtime numbers under registry names.
     counters: dict
+    #: Per committed round: the votes its certificate carries (``None``
+    #: where the node holds none).
+    certificate_votes: tuple[int | None, ...] = ()
 
     @property
     def height(self) -> int:
@@ -573,7 +571,10 @@ class NodeRun:
                             for r in committed),
             rounds=tuple(node.metrics.rounds),
             step_durations=tuple(node.metrics.step_durations),
-            counters=counters)
+            counters=counters,
+            certificate_votes=tuple(
+                None if certificate is None else len(certificate.votes)
+                for certificate in map(chain.certificate_at, committed)))
 
     def to_record(self) -> dict:
         """Plain data for a ``result`` message (blocks as wire bytes)."""
@@ -587,6 +588,7 @@ class NodeRun:
                        for record in self.rounds],
             "steps": [list(step) for step in self.step_durations],
             "metrics": self.counters,
+            "certificate_votes": list(self.certificate_votes),
         }
 
     @classmethod
@@ -602,7 +604,8 @@ class NodeRun:
             rounds=tuple(RoundRecord(*fields)
                          for fields in record["rounds"]),
             step_durations=tuple(tuple(step) for step in record["steps"]),
-            counters=dict(record["metrics"]))
+            counters=dict(record["metrics"]),
+            certificate_votes=tuple(record["certificate_votes"]))
 
 
 @dataclass(frozen=True)

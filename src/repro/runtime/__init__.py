@@ -9,9 +9,10 @@ dominates CPU, applied to the simulator itself), and
 the :class:`AdmissionControl` ingress layer — each node's one message
 gate — that judges every delivered envelope on sortition proofs,
 one-message-per-key, equivocation and peer health before the router
-sees it. The cache is wired through
-:class:`repro.crypto.backend.CachedBackend`, which works over both the
-real Ed25519 backend and the fast simulation backend.
+sees it. The cache is itself a
+:class:`~repro.crypto.backend.CryptoBackend` wrapping the real Ed25519
+backend or the fast simulation one, and counts the operations that
+reach it (section 10.3's CPU-cost proxy).
 """
 
 from repro.runtime.admission import (

@@ -21,15 +21,18 @@ What is safe to memoize and what is not:
   lookback, weight tables, one-vote-per-key-per-step, equivocation
   tracking, balance checks. Those stay per-node in the protocol layer.
 
-Hit/miss counters feed :class:`repro.crypto.counting.CryptoOpCounts` so
-the section 10.3 CPU-cost proxy can report how much verification work
-the cache removed.
+The cache *is* the deployment's crypto backend: it wraps the inner one
+(fast or Ed25519) and counts what it forwards — signs, VRF proves, and
+the verifies and VRF verifies that miss, so every miss is one inner
+check (``verifies + vrf_verifies == misses``). Those counts are the
+section 10.3 CPU-cost proxy (``crypto.*`` in a harvested snapshot).
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any
+
+from repro.crypto.backend import CryptoBackend, KeyPair
 
 #: Key-namespace tags: one cache holds every kind of check.
 _SIG = 0
@@ -37,23 +40,28 @@ _VRF = 1
 _SORT = 2
 
 
-class VerificationCache:
-    """Memo table for context-independent crypto checks.
+class VerificationCache(CryptoBackend):
+    """The memoizing, counting wrapper over a deployment's backend.
 
-    One instance is shared by every node of a simulation (plumbed through
-    :class:`repro.crypto.backend.CachedBackend`). Entries are bounded:
-    past ``max_entries`` the oldest quarter is evicted, which is harmless
-    (a miss merely re-verifies) and keeps adversarial floods of unique
-    invalid messages from growing memory without bound.
+    One instance is shared by every node of a simulation (one per live
+    process). Key generation, signing and VRF evaluation are secret-key
+    operations each node performs for itself: they are forwarded, never
+    memoized. Entries are bounded: past ``max_entries`` the oldest
+    quarter is evicted, which is harmless (a miss merely re-verifies)
+    and keeps adversarial floods of unique invalid messages from growing
+    memory without bound.
     """
 
-    __slots__ = ("_entries", "max_entries", "hits", "misses",
-                 "negative_hits", "sort_hits", "sort_misses", "counts")
+    __slots__ = ("inner", "name", "_entries", "max_entries", "hits",
+                 "misses", "negative_hits", "sort_hits", "sort_misses",
+                 "signs", "verifies", "vrf_proves", "vrf_verifies")
 
-    def __init__(self, max_entries: int = 1 << 18,
-                 counts: Any = None) -> None:
+    def __init__(self, inner: CryptoBackend,
+                 max_entries: int = 1 << 18) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
+        self.inner = inner
+        self.name = f"cached({inner.name})"
         self._entries: dict[tuple, tuple] = {}
         self.max_entries = max_entries
         self.hits = 0
@@ -69,24 +77,19 @@ class VerificationCache:
         #: bad VRF proof seen before) — the adversarial-flood share of
         #: the cache's work, reported separately in trace snapshots.
         self.negative_hits = 0
-        #: Optional :class:`repro.crypto.counting.CryptoOpCounts` (or any
-        #: object with ``cache_hits``/``cache_misses``) to mirror into.
-        self.counts = counts
+        #: Operations that reached ``inner`` (the CPU-cost proxy).
+        self.signs = 0
+        self.verifies = 0
+        self.vrf_proves = 0
+        self.vrf_verifies = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _record_hit(self) -> None:
-        self.hits += 1
-        if self.counts is not None:
-            self.counts.cache_hits += 1
-
     def _record_miss(self) -> None:
         self.misses += 1
-        if self.counts is not None:
-            self.counts.cache_misses += 1
         if len(self._entries) >= self.max_entries:
             drop = max(1, len(self._entries) // 4)
             for key in list(islice(iter(self._entries), drop)):
@@ -112,41 +115,59 @@ class VerificationCache:
             "entries": len(self._entries),
         }
 
+    # -- forwarded secret-key operations -------------------------------
+
+    def keypair(self, seed: bytes) -> KeyPair:
+        return self.inner.keypair(seed)
+
+    def sign(self, secret: bytes, message: bytes) -> bytes:
+        self.signs += 1
+        return self.inner.sign(secret, message)
+
+    def vrf_prove(self, secret: bytes, alpha: bytes) -> tuple[bytes, bytes]:
+        self.vrf_proves += 1
+        return self.inner.vrf_prove(secret, alpha)
+
+    def vrf_outputs(self, secrets: list[bytes], alpha: bytes) -> list[bytes]:
+        return self.inner.vrf_outputs(secrets, alpha)
+
     # -- memoized checks -----------------------------------------------
 
-    def verify(self, backend: Any, public: bytes, message: bytes,
+    def verify(self, public: bytes, message: bytes,
                signature: bytes) -> None:
-        """Memoized ``backend.verify``; re-raises cached failures."""
+        """Memoized ``inner.verify``; re-raises cached failures."""
         key = (_SIG, public, message, signature)
         entry = self._entries.get(key)
         if entry is not None:
-            self._record_hit()
+            self.hits += 1
             if entry[0] is not None:
                 self.negative_hits += 1
                 raise entry[0]
             return
         self._record_miss()
+        self.verifies += 1
         try:
-            backend.verify(public, message, signature)
+            self.inner.verify(public, message, signature)
         except Exception as exc:
             self._entries[key] = (exc,)
             raise
         self._entries[key] = (None,)
 
-    def vrf_verify(self, backend: Any, public: bytes, proof: bytes,
+    def vrf_verify(self, public: bytes, proof: bytes,
                    alpha: bytes) -> bytes:
-        """Memoized ``backend.vrf_verify``; re-raises cached failures."""
+        """Memoized ``inner.vrf_verify``; re-raises cached failures."""
         key = (_VRF, public, proof, alpha)
         entry = self._entries.get(key)
         if entry is not None:
-            self._record_hit()
+            self.hits += 1
             if entry[0] is not None:
                 self.negative_hits += 1
                 raise entry[0]
             return entry[1]
         self._record_miss()
+        self.vrf_verifies += 1
         try:
-            beta = backend.vrf_verify(public, proof, alpha)
+            beta = self.inner.vrf_verify(public, proof, alpha)
         except Exception as exc:
             self._entries[key] = (exc, None)
             raise

@@ -68,8 +68,8 @@ class TestArtifactRegistry:
         sweep_backed = {name: a for name, a in ARTIFACTS.items()
                         if a.specs is not None}
         assert set(sweep_backed) == {"fig5", "fig6", "fig7", "fig8",
-                                     "tab_throughput", "tab_timeouts",
-                                     "tab_waiting"}
+                                     "tab_throughput", "tab_costs",
+                                     "tab_timeouts", "tab_waiting"}
         for artifact in sweep_backed.values():
             specs = artifact.specs()
             assert specs and all(isinstance(s, ExperimentSpec)
@@ -127,3 +127,22 @@ class TestSweepSubcommand:
         points = json.loads(capsys.readouterr().out)["points"]
         assert [len(p["spec"]["faults"]) for p in points] == [0, 2]
         assert [p["result"]["malicious_users"] for p in points] == [0, 2]
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--grid", "blocksize", "--rounds", "5", "--sizes", "1000",
+          "--users", "6"], "--rounds"),
+        (["--grid", "adversarial", "--payload-bytes", "4000"],
+         "--payload-bytes"),
+        (["--grid", "waiting", "--population", "aggregated"],
+         "--population"),
+        (["--grid", "latency", "--sizes", "1000"], "--sizes"),
+    ])
+    def test_option_the_grid_does_not_read_rejected(self, argv, option,
+                                                    capsys):
+        """An option no spec of the grid reads is an error naming the
+        grid, never a sweep that silently runs on the grid's default."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", *argv, "--seeds", "0", "--quiet"])
+        assert exit_.value.code == 2
+        error = capsys.readouterr().err
+        assert f"--grid {argv[1]} does not read {option}" in error

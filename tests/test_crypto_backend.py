@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import CryptoError, SignatureError, VRFError
-from repro.crypto.backend import Ed25519Backend, FastBackend, default_backend
+from repro.crypto.backend import Ed25519Backend, FastBackend
 from repro.crypto.hashing import H
 
 
@@ -113,9 +113,6 @@ class TestFastBackendSpecifics:
         sig = b1.sign(kp.secret, b"m")
         with pytest.raises(CryptoError):
             b2.verify(kp.public, b"m", sig)
-
-    def test_default_backend_is_fast(self):
-        assert isinstance(default_backend(), FastBackend)
 
 
 def test_backends_cross_check_vrf_uniformity():

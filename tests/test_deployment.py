@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crypto.backend import CachedBackend, FastBackend
+from repro.crypto.backend import FastBackend
 from repro.experiments.harness import (
     NetworkConfig,
     RuntimeConfig,
@@ -34,6 +34,7 @@ from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
 from repro.live.node_main import NodeProcess
 from repro.node.deployment import NodeRun, derive_genesis, payment_plan
 from repro.runtime.admission import AdmissionConfig
+from repro.runtime.cache import VerificationCache
 
 
 def _live(**fields) -> SimulationConfig:
@@ -63,14 +64,13 @@ class TestLiveHonoursItsConfig:
         assert node.buffer.budget_messages == 7
         assert node.admission.config.vote_buffer_budget == 7
         assert isinstance(node.backend, FastBackend)  # bare: no cache
-        assert process.verification_cache is None
         process.bus.close()
 
     def test_defaults_match_the_sim_stack(self, tmp_path):
         process = _node_process(_live(num_users=4, initial_balance=50),
                                 tmp_path)
         node = process.node
-        assert isinstance(node.backend, CachedBackend)
+        assert isinstance(node.backend, VerificationCache)
         assert node.damper is not None
         assert (node.buffer.budget_messages
                 == AdmissionConfig().vote_buffer_budget)

@@ -12,11 +12,16 @@ import math
 import pytest
 
 from repro.chaos.scenario import FaultAction
-from repro.common.errors import NoSamplesError
+from repro.common.errors import NoSamplesError, SpecError
 from repro.common.params import PAPER_PARAMS
-from repro.experiments.costs import expected_certificate_bytes, measure_costs
+from repro.experiments.costs import (
+    costs_spec,
+    cpu_seconds,
+    expected_certificate_bytes,
+)
 from repro.experiments.harness import (
     NetworkConfig,
+    RuntimeConfig,
     Simulation,
     SimulationConfig,
 )
@@ -135,12 +140,32 @@ class TestRunners:
         assert point.summary.count == 8  # every honest node, victim too
 
     def test_costs_report_consistency(self):
-        report = measure_costs(10, rounds=1, seed=4, payload_bytes=2_000)
+        report = run_point(costs_spec(10, seed=4, rounds=1,
+                                      payload_bytes=2_000)).point
         assert report.mean_bytes_sent_per_user > 0
         assert report.certificate_votes > 0
         assert report.certificate_overhead > 0
         assert (report.storage_per_round_unsharded
                 > report.storage_per_round_sharded_10)
+        assert report.verifications_per_user_round > 0
+        assert report.cpu_seconds_per_user_round > 0
+
+    def test_costs_need_the_cache_counters(self):
+        """A run whose backend counted nothing has no CPU proxy: the
+        measure says so instead of reporting zero crypto work."""
+        spec = costs_spec(4, seed=4, rounds=1, payload_bytes=1_000)
+        spec = dataclasses.replace(spec, config=dataclasses.replace(
+            spec.config, runtime=RuntimeConfig(use_verification_cache=False)))
+        with pytest.raises(SpecError, match="crypto.verifies"):
+            run_point(spec)
+
+    def test_cpu_estimate_scales_with_ops(self):
+        def counts(verifies: int) -> dict:
+            return {"crypto.signs": 0, "crypto.verifies": verifies,
+                    "crypto.vrf_proves": 0, "crypto.vrf_verifies": 0}
+
+        assert cpu_seconds(counts(1000)) == pytest.approx(
+            100 * cpu_seconds(counts(10)))
 
     def test_priority_gossip_fast(self):
         assert measure_priority_gossip(20, seed=5) < 2.0

@@ -1,7 +1,7 @@
 """The printed figures and tables are pinned byte for byte.
 
 Tiny grids of every sweep-backed measure (latency, adversarial, block
-size, timeouts, waiting, traffic) go through the grid builders, the sweep engine
+size, timeouts, waiting, costs, traffic) go through the grid builders, the sweep engine
 and the renderers the ``python -m repro.experiments`` artifacts print
 with; the sha256 of each rendered text is compared to a recorded value.
 A change to how an experiment point is described, run or measured must
@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.__main__ import ARTIFACTS
 from repro.experiments.adversarial import figure8_specs
+from repro.experiments.costs import costs_spec
 from repro.experiments.latency import figure5_specs, figure6_specs
 from repro.experiments.sweep import run_point, run_sweep
 from repro.experiments.throughput import figure7_specs
@@ -33,6 +34,8 @@ GRIDS = {
     "tab_throughput": lambda: figure7_specs([2_000], seed=400, num_users=6),
     "tab_timeouts": lambda: [timeouts_spec(6, seed=800, rounds=2)],
     "tab_waiting": lambda: waiting_specs([0.1, 2.0], seed=10, num_users=6),
+    "tab_costs": lambda: [costs_spec(6, seed=500, rounds=2,
+                                     payload_bytes=4_000)],
 }
 
 #: sha256 of each rendered text.
@@ -45,6 +48,9 @@ DIGESTS = {
     "tab_timeouts": "758c03a1b8ef3e7b5c3f04d8192f5ba8933abd13f01ae406da5543ce85fa4f24",
     "tab_waiting": "42b709a66288c13307bff185fbed8311b6a02974e707b1741d5438cc12255c3e",
     "census": "a3a7fd1e07434c1ac2144f9df8c87d51a894c206b1cabfb9749d2d22848775d6",
+    # Recorded from the runner that built its own deployment, before the
+    # costs measure read its counters off the run's outcome.
+    "tab_costs": "2c47bac27ceae5a04d760debd1243b2a9682503806d18bfbff0116e998aa2309",
 }
 
 

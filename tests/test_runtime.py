@@ -17,8 +17,7 @@ import pytest
 
 from repro.chaos import FaultAction
 from repro.common.errors import NetworkError, SignatureError, VRFError
-from repro.crypto.backend import CachedBackend, FastBackend
-from repro.crypto.counting import CountingBackend, CryptoOpCounts
+from repro.crypto.backend import FastBackend
 from repro.experiments.harness import (
     PopulationConfig,
     RuntimeConfig,
@@ -93,93 +92,90 @@ class TestMessageRouter:
 
 
 @pytest.fixture
-def counting():
-    return CountingBackend(FastBackend())
+def cache():
+    return VerificationCache(FastBackend())
 
 
 @pytest.fixture
-def keypair(counting):
-    return counting.keypair(b"k" * 32)
+def keypair(cache):
+    return cache.keypair(b"k" * 32)
 
 
 class TestVerificationCache:
-    def test_signature_hit_miss_accounting(self, counting, keypair):
-        cache = VerificationCache(counts=counting.counts)
-        signature = counting.sign(keypair.secret, b"msg")
+    def test_signature_hit_miss_accounting(self, cache, keypair):
+        signature = cache.sign(keypair.secret, b"msg")
         for _ in range(3):
-            cache.verify(counting, keypair.public, b"msg", signature)
+            cache.verify(keypair.public, b"msg", signature)
         assert cache.misses == 1
         assert cache.hits == 2
-        assert counting.counts.verifies == 1  # inner reached once
-        assert counting.counts.cache_hits == 2
-        assert counting.counts.cache_misses == 1
-        assert counting.counts.verifications_avoided == 2
+        assert cache.verifies == 1  # inner reached once
         assert cache.hit_rate == pytest.approx(2 / 3)
 
-    def test_vrf_hit_returns_cached_beta(self, counting, keypair):
-        cache = VerificationCache()
-        beta, proof = counting.vrf_prove(keypair.secret, b"alpha")
-        first = cache.vrf_verify(counting, keypair.public, proof, b"alpha")
-        second = cache.vrf_verify(counting, keypair.public, proof, b"alpha")
+    def test_vrf_hit_returns_cached_beta(self, cache, keypair):
+        beta, proof = cache.vrf_prove(keypair.secret, b"alpha")
+        first = cache.vrf_verify(keypair.public, proof, b"alpha")
+        second = cache.vrf_verify(keypair.public, proof, b"alpha")
         assert first == second == beta
-        assert counting.counts.vrf_verifies == 1
+        assert cache.vrf_verifies == 1
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_negative_results_cached_and_reraised(self, counting, keypair):
-        cache = VerificationCache()
+    def test_negative_results_cached_and_reraised(self, cache, keypair):
         with pytest.raises(SignatureError):
-            cache.verify(counting, keypair.public, b"msg", b"forged")
+            cache.verify(keypair.public, b"msg", b"forged")
         with pytest.raises(SignatureError):
-            cache.verify(counting, keypair.public, b"msg", b"forged")
-        assert counting.counts.verifies == 1  # failure memoized too
+            cache.verify(keypair.public, b"msg", b"forged")
+        assert cache.verifies == 1  # failure memoized too
         with pytest.raises(VRFError):
-            cache.vrf_verify(counting, keypair.public, b"bogus", b"alpha")
+            cache.vrf_verify(keypair.public, b"bogus", b"alpha")
         with pytest.raises(VRFError):
-            cache.vrf_verify(counting, keypair.public, b"bogus", b"alpha")
-        assert counting.counts.vrf_verifies == 1
+            cache.vrf_verify(keypair.public, b"bogus", b"alpha")
+        assert cache.vrf_verifies == 1
+        assert cache.negative_hits == 2
 
-    def test_key_includes_message_bytes(self, counting, keypair):
+    def test_key_includes_message_bytes(self, cache, keypair):
         """A valid signature for message A must not validate message B."""
-        cache = VerificationCache()
-        signature = counting.sign(keypair.secret, b"message-a")
-        cache.verify(counting, keypair.public, b"message-a", signature)
+        signature = cache.sign(keypair.secret, b"message-a")
+        cache.verify(keypair.public, b"message-a", signature)
         with pytest.raises(SignatureError):
-            cache.verify(counting, keypair.public, b"message-b", signature)
+            cache.verify(keypair.public, b"message-b", signature)
         assert cache.hits == 0  # different inputs, different key
 
-    def test_eviction_bounds_entries(self, counting, keypair):
-        cache = VerificationCache(max_entries=8)
+    def test_eviction_bounds_entries(self):
+        cache = VerificationCache(FastBackend(), max_entries=8)
+        keypair = cache.keypair(b"k" * 32)
         for i in range(40):
             message = b"m%d" % i
-            signature = counting.sign(keypair.secret, message)
-            cache.verify(counting, keypair.public, message, signature)
+            signature = cache.sign(keypair.secret, message)
+            cache.verify(keypair.public, message, signature)
         assert len(cache) <= 8
 
-    def test_stats_shape(self):
-        cache = VerificationCache()
+    def test_stats_shape(self, cache):
         assert cache.stats() == {"hits": 0, "misses": 0, "negative_hits": 0,
                                  "sort_hits": 0, "sort_misses": 0,
                                  "hit_rate": 0.0, "entries": 0}
 
     def test_max_entries_validated(self):
         with pytest.raises(ValueError):
-            VerificationCache(max_entries=0)
+            VerificationCache(FastBackend(), max_entries=0)
 
 
 class TestCachedBackend:
-    def test_wraps_and_delegates(self, counting, keypair):
-        cache = VerificationCache(counts=counting.counts)
-        backend = CachedBackend(counting, cache)
-        assert backend.name == f"cached({counting.name})"
-        signature = backend.sign(keypair.secret, b"msg")
-        backend.verify(keypair.public, b"msg", signature)
-        backend.verify(keypair.public, b"msg", signature)
-        assert counting.counts.verifies == 1
+    def test_wraps_and_delegates(self, cache, keypair):
+        """The cache is the backend: signs and VRF proves pass through
+        to the inner one, repeated verifies stop at the cache."""
+        inner = cache.inner
+        assert cache.name == f"cached({inner.name})"
+        signature = cache.sign(keypair.secret, b"msg")
+        assert signature == inner.sign(keypair.secret, b"msg")
+        cache.verify(keypair.public, b"msg", signature)
+        cache.verify(keypair.public, b"msg", signature)
+        assert cache.verifies == 1
         assert cache.hits == 1
-        beta, proof = backend.vrf_prove(keypair.secret, b"alpha")
-        assert backend.vrf_verify(keypair.public, proof, b"alpha") == beta
-        assert backend.vrf_verify(keypair.public, proof, b"alpha") == beta
-        assert counting.counts.vrf_verifies == 1
+        beta, proof = cache.vrf_prove(keypair.secret, b"alpha")
+        assert cache.vrf_verify(keypair.public, proof, b"alpha") == beta
+        assert cache.vrf_verify(keypair.public, proof, b"alpha") == beta
+        assert cache.vrf_verifies == 1
+        assert (cache.signs, cache.vrf_proves) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +199,7 @@ def _run(cache_on: bool, *, seed: int = 7, rounds: int = 2,
 class TestSimulationWiring:
     def test_cache_enabled_by_default_and_hit(self):
         sim = _run(cache_on=True)
-        assert sim.verification_cache is not None
+        assert isinstance(sim.backend, VerificationCache)
         # Gossip fan-out means most verifications repeat across nodes.
         # A repeat on the same vote or transaction instance is answered
         # by the instance's signature receipt and never reaches the
@@ -211,23 +207,21 @@ class TestSimulationWiring:
         # Until transactions kept their verdict this run made 350 hits
         # to 306 misses, 180 of the hits the same ten transactions'
         # signatures asked again at each node.
-        cache = sim.verification_cache
+        cache = sim.backend
         assert (cache.hits, cache.misses) == (170, 306)
 
     def test_cache_disabled_leaves_backend_bare(self):
         sim = _run(cache_on=False)
-        assert sim.verification_cache is None
-        assert not isinstance(sim.backend, CachedBackend)
+        assert isinstance(sim.backend, FastBackend)
+        assert "crypto.verifies" not in sim.summary()
 
     def test_counting_backend_sees_only_misses(self):
-        counting = CountingBackend(FastBackend())
-        sim = _run(cache_on=True, backend=counting)
-        counts: CryptoOpCounts = counting.counts
-        cache = sim.verification_cache
-        assert counts.cache_hits == cache.hits
-        assert counts.cache_misses == cache.misses
+        summary = _run(cache_on=True).summary()
+        assert summary["crypto.verifies"] > 0
+        assert summary["crypto.signs"] > 0
         # Every cached check either hit or reached the inner backend.
-        assert counts.total_verifications == cache.misses
+        assert (summary["crypto.verifies"] + summary["crypto.vrf_verifies"]
+                == summary["cache.misses"])
 
     def test_identical_results_cache_on_vs_off(self):
         """The acceptance criterion: the cache is pure memoization —
@@ -259,8 +253,7 @@ class TestEquivocationNotLaundered:
         cached-valid signature to different bytes gets a rejection, even
         though the (public, signature) pair is already in the cache."""
         backend = FastBackend()
-        cache = VerificationCache()
-        cached = CachedBackend(backend, cache)
+        cached = VerificationCache(backend)
         kp = backend.keypair(b"e" * 32)
         signature = backend.sign(kp.secret, b"block-A")
         cached.verify(kp.public, b"block-A", signature)  # now cached valid
@@ -277,7 +270,7 @@ class TestEquivocationNotLaundered:
 
         from repro.baplus.messages import make_vote
 
-        backend = CachedBackend(FastBackend(), VerificationCache())
+        backend = VerificationCache(FastBackend())
         kp = backend.keypair(b"v" * 32)
         honest = make_vote(backend, kp.secret, kp.public, 3, "1",
                            b"sorthash", b"proof", b"prev", b"value-A")
@@ -307,7 +300,7 @@ class TestEquivocationNotLaundered:
             for block in node.chain.blocks[1:]:
                 assert block.proposer not in malicious_keys
         # The cache did real work during the adversarial run.
-        assert sim.verification_cache.hits > 0
+        assert sim.backend.hits > 0
 
 
 def _genesis_chain(sim: Simulation, node):

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SortitionError
-from repro.crypto.backend import CachedBackend, Ed25519Backend, FastBackend
-from repro.crypto.counting import CountingBackend
+from repro.crypto.backend import Ed25519Backend, FastBackend
 from repro.crypto.hashing import H
 from repro.common.encoding import encode
 from repro.runtime.cache import VerificationCache
@@ -122,14 +121,10 @@ class TestFractions:
                 vrf_hash, _ = backend.vrf_prove(secret, alpha)
                 assert fractions[slot] == hash_to_fraction(vrf_hash)
 
-    @pytest.mark.parametrize("wrap", ["fast", "cached", "counting",
-                                      "ed25519"])
+    @pytest.mark.parametrize("wrap", ["fast", "cached", "ed25519"])
     def test_one_sweep_is_bit_identical_to_the_per_slot_path(self, wrap):
         inner = Ed25519Backend() if wrap == "ed25519" else FastBackend()
-        backend = {"cached": lambda: CachedBackend(inner,
-                                                   VerificationCache()),
-                   "counting": lambda: CountingBackend(inner)}.get(
-            wrap, lambda: inner)()
+        backend = VerificationCache(inner) if wrap == "cached" else inner
         secrets, weights = make_pool(backend, 6 if wrap == "ed25519" else 40,
                                      np.random.default_rng(17))
         weights[1] = weights[-1] = 0

@@ -30,6 +30,7 @@ from repro.common.errors import (
 from repro.common.params import TEST_PARAMS, ProtocolParams
 from repro.experiments import sweep as sweep_module
 from repro.experiments.adversarial import figure8_specs
+from repro.experiments.costs import costs_spec
 from repro.experiments.harness import (
     NetworkConfig,
     PopulationConfig,
@@ -74,6 +75,7 @@ GRID_SPECS = [
     timeouts_spec(6, 0, rounds=1),
     latency_spec(30, 0, population=PopulationConfig(
         mode="aggregated", always_on_core=8)),
+    costs_spec(6, 0, rounds=1, payload_bytes=4_000),
 ]
 
 needs_fork = pytest.mark.skipif(
@@ -189,6 +191,17 @@ class TestSweepEngine:
         assert [o.index for o in parallel.outcomes] == list(
             range(len(TINY_GRID)))
         assert not serial.failures and not parallel.failures
+
+    def test_costs_grid_serial_vs_parallel_byte_identical(self):
+        """The section 10.3 table's point reads counters a worker
+        process harvests from its own deployment: any ``jobs`` merges
+        the same bytes."""
+        grid = [costs_spec(n, 500, rounds=1, payload_bytes=4_000)
+                for n in (6, 8)]
+        serial = run_sweep(grid, jobs=1)
+        parallel = run_sweep(grid, jobs=2)
+        assert not serial.failures and not parallel.failures
+        assert serial.merged_json() == parallel.merged_json()
 
     def test_merged_excludes_wall_time(self):
         report = run_sweep(TINY_GRID[:1], jobs=1)
@@ -415,9 +428,9 @@ class TestConfigValidation:
 class TestCleanupOfTestKinds:
     def test_registry_cleanup(self):
         """The test-only measures are registered per test and gone after
-        it: the measure table holds the six production measures."""
+        it: the measure table holds the seven production measures."""
         assert set(MEASURES) == {"latency", "adversarial", "block_size",
-                                 "waiting", "traffic", "timeouts"}
+                                 "waiting", "traffic", "timeouts", "costs"}
 
 
 class TestSweepDataShapes:
@@ -430,6 +443,7 @@ class TestSweepDataShapes:
             *waiting_specs([1.0], num_users=6, seed=1),
             census_specs(num_users=10, rounds=1)[0],
             timeouts_spec(6, 0, rounds=1),
+            costs_spec(6, 0, rounds=1, payload_bytes=4_000),
         ]
         report = run_sweep(specs, jobs=1)
         assert not report.failures
@@ -438,7 +452,7 @@ class TestSweepDataShapes:
         merged = report.merged()
         assert [p["spec"]["measure"] for p in merged["points"]] == [
             "latency", "adversarial", "block_size", "waiting", "traffic",
-            "timeouts"]
+            "timeouts", "costs"]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -113,7 +113,7 @@ class TestReceiptLifetime:
             assert vote.coin_hash(j) == coin_min_hash(vote.sorthash, j)
 
         ask()  # first sight: through the shared cache
-        cache = sim.verification_cache
+        cache = sim.backend
         traffic = (cache.hits, cache.misses, cache.sort_hits,
                    cache.sort_misses, SELECTION_STATS.verifies)
         ask()
