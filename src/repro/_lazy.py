@@ -5,9 +5,9 @@ A package ``__init__`` that imports every public name eagerly makes
 a live node process used to load every figure runner and the
 scipy-backed baselines to run a stack that names none of them.
 The packages with wide surfaces (``repro``, ``repro.experiments``,
-``repro.chaos``, ``repro.live``) instead declare which submodule
-defines each public name and resolve a name the first time it is asked
-for::
+``repro.chaos``, ``repro.live``, ``repro.baselines``) instead declare
+which submodule defines each public name and resolve a name the first
+time it is asked for::
 
     __getattr__, __dir__ = lazy_exports(__name__, {
         "repro.experiments.harness": ("Simulation", "SimulationConfig"),

@@ -1,11 +1,14 @@
-"""Seeded random scenario generation for chaos sweeps.
+"""Chaos scenarios as specs: the builtins and seeded generation.
 
-:func:`generate_scenario` draws a small fault timeline from a generator
-seeded by ``[seed, tag]`` — independent of both the simulation RNG and
-the injector's fault RNG, so the *shape* of scenario ``k`` never shifts
-when either of those evolves. The same seed always yields the same
-script (and therefore, through :func:`repro.chaos.runner.run_scenario`,
-a byte-identical verdict).
+Every builder here returns an :class:`~repro.experiments.spec.ExperimentSpec`
+whose measure is ``"chaos"``, which
+:func:`repro.experiments.sweep.run_point` runs like any other point.
+The builtins are the scripted smoke runs the CLI names
+(``--builtin``); :func:`generate_scenario` draws a small fault timeline
+from a generator seeded by ``[seed, tag]`` — independent of both the
+simulation RNG and the injector's fault RNG, so the *shape* of scenario
+``k`` never shifts when either of those evolves. The same seed always
+yields the same spec (and therefore a byte-identical verdict).
 
 Generated scenarios stay inside the paper's operating envelope on
 purpose: every fault heals (transient crashes restart, windows close by
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chaos.scenario import FaultAction, ScenarioScript
+from repro.chaos.scenario import FaultAction, figure8_adversary
+from repro.experiments.spec import LIVENESS_BOUND, ExperimentSpec
 from repro.node.deployment import SimulationConfig
 
 #: Seed-sequence spice for scenario generation (distinct from the
@@ -100,7 +104,8 @@ def _light_action(rng: np.random.Generator, kind: str,
 
 def generate_scenario(seed: int, *, num_users: int = 10, rounds: int = 2,
                       max_actions: int = 3,
-                      liveness_bound: float = 150.0) -> ScenarioScript:
+                      liveness_bound: float = LIVENESS_BOUND
+                      ) -> ExperimentSpec:
     """Draw one reproducible scenario for ``seed``."""
     rng = np.random.default_rng([seed, _GEN_RNG_TAG])
     count = int(rng.integers(1, max_actions + 1))
@@ -115,12 +120,125 @@ def generate_scenario(seed: int, *, num_users: int = 10, rounds: int = 2,
         else:
             kind = str(rng.choice(_LIGHT))
             actions.append(_light_action(rng, kind, num_users))
-    script = ScenarioScript(
-        name=f"gen-{seed}",
-        config=SimulationConfig(num_users=num_users, seed=seed),
+    spec = ExperimentSpec(
+        "chaos", SimulationConfig(num_users=num_users, seed=seed),
         rounds=rounds,
+        faults=tuple(sorted(actions, key=lambda a: (a.start, a.kind))),
         liveness_bound=liveness_bound,
-        actions=tuple(sorted(actions, key=lambda a: (a.start, a.kind))),
     )
-    script.validate()
-    return script
+    spec.validate()
+    return spec
+
+
+def partition_heal_scenario(*, num_users: int = 16, seed: int = 31,
+                            start: float = 0.0,
+                            end: float = 50.0) -> ExperimentSpec:
+    """The canonical smoke scenario: split in half, stall, heal, commit.
+
+    While partitioned neither half can reach a BA* quorum (thresholds
+    are calibrated to the full committee), so no block — and no fork —
+    can form; after healing the round completes within the liveness
+    bound. This is the weak-synchrony story of sections 3 and 8.3 in one
+    scripted timeline.
+    """
+    half = num_users // 2
+    return ExperimentSpec(
+        "chaos", SimulationConfig(num_users=num_users, seed=seed),
+        rounds=1,
+        faults=(
+            FaultAction(kind="partition", start=start, end=end,
+                        groups=(tuple(range(half)),
+                                tuple(range(half, num_users)))),
+        ),
+    )
+
+
+def flood_recovery_scenario(*, num_users: int = 15, seed: int = 47,
+                            start: float = 0.0,
+                            end: float = 40.0) -> ExperimentSpec:
+    """The ingress smoke scenario: 20% of peers flood, honest peers cope.
+
+    The last fifth of the deployment attacks from ``start`` to ``end``:
+    most spray invalid-signature votes (cheap junk), the final one sends
+    validly signed far-future votes (the undecidable-message DoS). The
+    verdict must show honest vote buffers and egress lanes inside their
+    budgets throughout (the ``ingress-bounds`` audit), no safety
+    violation, and rounds still committing after the flood stops.
+
+    Attackers never exceed the paper's 1/3 (being quarantined silences
+    an attacker's honest votes too): below seven users there is one,
+    running both attacks — the 5-process live cluster of 40-stake nodes
+    keeps 160/200 of its stake voting.
+    """
+    attackers = min(max(2, num_users // 5), (num_users - 1) // 3)
+    spammer = num_users - 1
+    flooders = range(num_users - attackers, spammer) or (spammer,)
+    actions = [
+        FaultAction(kind="flood", start=start, end=end, nodes=(node,),
+                    rate=60.0)
+        for node in flooders
+    ]
+    actions.append(FaultAction(kind="spam", start=start, end=end,
+                               nodes=(spammer,), rate=400.0))
+    return ExperimentSpec(
+        "chaos", SimulationConfig(num_users=num_users, seed=seed),
+        rounds=3,
+        faults=tuple(actions),
+    )
+
+
+def byzantine_scenario(*, num_users: int = 20, seed: int = 5,
+                       rounds: int = 2) -> ExperimentSpec:
+    """Figure 8's 20 % point: the highest fifth of the users equivocate
+    and double-vote for the whole run, and the verdict must still show
+    one chain, every round committed, and a conforming trace."""
+    return ExperimentSpec(
+        "chaos", SimulationConfig(num_users=num_users, seed=seed),
+        rounds=rounds, payments=((num_users, 0),),
+        faults=figure8_adversary(range(num_users - num_users // 5,
+                                       num_users)))
+
+
+def kill_partition_scenario(*, num_users: int = 5, seed: int = 11,
+                            rounds: int = 12) -> ExperimentSpec:
+    """The live-substrate smoke scenario: SIGKILL, rejoin, isolate, heal.
+
+    One node is crashed mid-run and restarted (on the live substrate
+    that is a real SIGKILL and a respawned process), then a different
+    node is partitioned off and healed. Both victims must rejoin via
+    certificate-verified catch-up (section 8.3) and the cluster must
+    still converge on byte-identical chains — the full weak-synchrony
+    recovery story on a deployment sized so that any single victim
+    leaves 80% of the stake online (BA* quorums keep forming). Its
+    config carries 40 units a user, the stake the live chaos scale is
+    sized for: at the sim's default 10 units, W = 50 < T·τ_step and no
+    step could reach quorum.
+
+    Timing: at the live chaos parameter scale
+    (:data:`~repro.chaos.scenario.LIVE_CHAOS_PARAMS`) the lambdas are
+    timeout *ceilings* — a healthy loopback round commits in well under
+    a second, so the windows here are tight: the crash covers roughly
+    rounds 2-8 and the partition starts near where a fast host finishes
+    its rounds. Recovery does not depend on that pacing, though:
+    finished processes linger and keep serving catch-up until the
+    coordinator releases them, so both victims converge even when the
+    survivors raced far ahead (and on slow hosts, where the windows
+    land mid-run, quorums keep forming throughout).
+    """
+    victim = num_users - 2
+    isolated = num_users - 1
+    return ExperimentSpec(
+        "chaos", SimulationConfig(num_users=num_users, seed=seed,
+                                  initial_balance=40),
+        rounds=rounds,
+        payments=((10, 0),),
+        liveness_bound=30.0,
+        faults=(
+            FaultAction(kind="crash", start=1.5, end=4.5,
+                        nodes=(victim,)),
+            FaultAction(kind="partition", start=6.0, end=9.0,
+                        groups=(tuple(node for node in range(num_users)
+                                      if node != isolated),
+                                (isolated,))),
+        ),
+    )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.chaos.scenario import attacker_nodes, permanently_crashed
 from repro.sortition.seed import accepted_seed
 
 
@@ -124,32 +125,33 @@ def audit_ingress(counters: dict[int, dict], config, *, now: float,
             and numbers.get(name, 0) > budget]
 
 
-def findings(outcome, script) -> dict:
+def findings(outcome, spec) -> dict:
     """What a finished run left behind, as ``render_verdict`` keywords.
 
     ``outcome`` is the run's :class:`~repro.node.deployment.RunOutcome`,
-    whichever substrate produced it. A node crashed for good is held to
-    no height, nor is one the network-wide quarantine still severs
-    (catch-up runs over gossip, so it cannot have learned what it
-    missed); honest buffers are audited against their budgets; a node
-    that reported nothing without being crashed for good is
-    ``missing``.
+    whichever substrate produced it, and ``spec`` the chaos
+    :class:`~repro.experiments.spec.ExperimentSpec` it ran. A node
+    crashed for good is held to no height, nor is one the network-wide
+    quarantine still severs (catch-up runs over gossip, so it cannot
+    have learned what it missed); honest buffers are audited against
+    their budgets; a node that reported nothing without being crashed
+    for good is ``missing``.
     """
     now = outcome.now
-    gone = script.permanently_crashed()
+    gone = permanently_crashed(spec.faults)
     runs = list(outcome.runs.values())
     audits = audit_chains(runs, backend=outcome.backend, now=now,
                           skip=gone)
     audits += audit_ingress(
-        {run.index: run.counters for run in runs}, script.config,
-        now=now, skip=gone | script.attacker_nodes())
+        {run.index: run.counters for run in runs}, spec.config,
+        now=now, skip=gone | attacker_nodes(spec.faults))
     unjudged = gone | outcome.quarantined
     return {
         "audits": audits,
         "heights": outcome.heights,
         "laggards": [run.index for run in runs
                      if run.index not in unjudged
-                     and run.height < script.rounds],
+                     and run.height < spec.rounds],
         "missing": [index for index in range(outcome.slots)
                     if index not in outcome.runs and index not in gone],
         "now": now,

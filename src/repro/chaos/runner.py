@@ -1,20 +1,20 @@
-"""Execute one chaos scenario end to end and render a verdict.
+"""The chaos measure: fold a finished run into a verdict.
 
-:func:`run_scenario` runs a script on whichever substrate its config
-names: a :class:`~repro.obs.TraceBus` (plus an optional JSONL trace
-file), the deployment :func:`~repro.node.deployment.deploy` builds with
-the script's faults and that bus — a deterministic
-:class:`~repro.experiments.harness.Simulation`, which checks every event
-online against the reference machines (:mod:`repro.conformance`), or a
-:class:`~repro.live.cluster.LiveCluster`, whose processes take real
-SIGKILLs and cut links and whose merged trace the same bus replays once
-they are done — then the script's payments and ``run_rounds`` until
-every node's run has ended, or the derived time limit, which the
-verdict then explains as a liveness or convergence violation.
+A chaos run is an :class:`~repro.experiments.spec.ExperimentSpec` with
+measure ``"chaos"``, run by :func:`repro.experiments.sweep.run_point`
+under a checking :class:`~repro.obs.TraceBus` on whichever substrate its
+config names — a :class:`~repro.experiments.harness.Simulation` checks
+every event online against the reference machines
+(:mod:`repro.conformance`), a :class:`~repro.live.cluster.LiveCluster`
+replays its merged trace through the same bus once its processes are
+done. :func:`measure_chaos` reads the run's
+:class:`~repro.node.deployment.RunOutcome`; a run that stalled is
+judged, its verdict naming the stall a liveness or convergence
+violation.
 
 Sim verdicts are deterministic: the simulation is seeded, the fault RNG
 is seeded, and :meth:`ChaosVerdict.to_json` serializes with sorted keys
-— re-running the same script yields byte-identical JSON (tested). On a
+— re-running the same spec yields byte-identical JSON (tested). On a
 live cluster the wall-clock timings (``sim_seconds``, violation
 timestamps) vary run to run, but the *judgments* — which invariants
 held, whether chains matched — are stable for a healthy host.
@@ -23,22 +23,20 @@ held, whether chains matched — are stable for a healthy host.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from repro.chaos.monitor import Violation, findings
-from repro.chaos.scenario import ScenarioScript
+from repro.chaos.scenario import last_heal_time
 from repro.conformance.machine import OUTCOME_RULES
 from repro.conformance.monitor import ConformanceMonitor
-from repro.node.deployment import deploy
-from repro.obs.bus import TraceBus
-from repro.obs.sink import JsonlTraceSink
 
 
 @dataclass
 class ChaosVerdict:
     """The outcome of one scenario run: green or red, with receipts."""
 
+    #: The run's spec, as its JSON.
     scenario: dict
     ok: bool
     violations: list[dict]
@@ -52,56 +50,29 @@ class ChaosVerdict:
     #: under their own names, the rest prefixed ``conformance:``) and
     #: gate ``ok`` like any invariant.
     conformance: dict | None = None
-    #: The run's :class:`~repro.experiments.harness.Simulation` or
-    #: :class:`~repro.live.cluster.LiveCluster`, for tests and
-    #: post-mortems; never serialized.
-    deployment: object | None = field(default=None, repr=False,
-                                      compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "ok": self.ok,
-            "violations": self.violations,
-            "heights": self.heights,
-            "converged": self.converged,
-            "sim_seconds": self.sim_seconds,
-            "events_seen": self.events_seen,
-            "conformance": self.conformance,
-        }
 
     def to_json(self) -> str:
         """Stable serialization: same scenario, same bytes."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def derive_time_limit(script: ScenarioScript) -> float:
-    """The script's ``time_limit``, or a generous ceiling: per-round
-    worst case + fault tail + liveness."""
-    if script.time_limit is not None:
-        return script.time_limit
-    return (script.config.params.round_budget * (script.rounds + 1)
-            + script.last_heal_time() + script.liveness_bound)
-
-
-def render_verdict(script: ScenarioScript, monitor: ConformanceMonitor,
+def render_verdict(spec, monitor: ConformanceMonitor,
                    audits: list[Violation], *,
                    heights: list, laggards: Sequence[int],
-                   missing: Sequence[int] = (), now: float,
-                   deployment: object | None = None) -> ChaosVerdict:
+                   missing: Sequence[int] = (), now: float) -> ChaosVerdict:
     """Fold a run's findings into its verdict — one rule, both substrates.
 
     ``monitor`` has seen the run's whole trace (online, or offline from
     a merged file); the liveness question is put to it here, with the
-    script's bound. Its outcome-rule breaches lead the verdict under
+    spec's bound. Its outcome-rule breaches lead the verdict under
     their bare names, the post-run ``audits`` of stored state follow,
     then every other machine rule as ``conformance:<rule>`` and
     ``missing``/``laggards`` nodes as ``convergence``; duplicates are
     dropped in first-seen order (liveness and convergence can name one
     stall twice).
     """
-    monitor.check_liveness(now, heal_time=script.last_heal_time(),
-                           bound=script.liveness_bound)
+    monitor.check_liveness(now, heal_time=last_heal_time(spec.faults),
+                           bound=spec.liveness_bound)
     conformance = monitor.verdict()
     violations: list[Violation] = []
     stepwise: list[Violation] = []
@@ -128,7 +99,7 @@ def render_verdict(script: ScenarioScript, monitor: ConformanceMonitor,
         violations.append(Violation(
             invariant="convergence", t=now,
             detail=(f"nodes {list(laggards[:5])}{ellipsis} below target "
-                    f"height {script.rounds} when the run ended at "
+                    f"height {spec.rounds} when the run ended at "
                     f"t={now:.2f}")))
     seen: set[tuple] = set()
     unique = []
@@ -138,7 +109,7 @@ def render_verdict(script: ScenarioScript, monitor: ConformanceMonitor,
             seen.add(key)
             unique.append(violation)
     return ChaosVerdict(
-        scenario=script.to_dict(),
+        scenario=spec.to_json(),
         ok=not unique,
         violations=[violation.to_dict() for violation in unique],
         heights=heights,
@@ -151,33 +122,13 @@ def render_verdict(script: ScenarioScript, monitor: ConformanceMonitor,
             "nodes": conformance.nodes,
             "violations": len(conformance.violations),
         },
-        deployment=deployment,
     )
 
 
-def run_scenario(script: ScenarioScript, *,
-                 trace_path: str | None = None) -> ChaosVerdict:
-    """Run ``script`` on the substrate its config names and return its
-    verdict (never raises on red).
-
-    Orchestration failures on a live cluster (a node dying when not
-    scripted to, a control-protocol breach) *do* raise — a broken
-    harness is not a red verdict, it is no verdict.
-    """
-    script.validate()
-    bus = TraceBus()
-    if trace_path is not None:
-        bus.add_sink(JsonlTraceSink(trace_path))
-    deployment = deploy(script.config, faults=script.actions, obs=bus)
-    if script.payments:
-        deployment.submit_payments(script.payments)
-    try:
-        deployment.run_rounds(script.rounds,
-                              time_limit=derive_time_limit(script))
-    except TimeoutError:
-        pass  # the verdict names who fell short, and why
-    verdict = render_verdict(script, deployment.conformance,
-                             deployment=deployment,
-                             **findings(deployment.outcome(), script))
-    bus.close()
-    return verdict
+def measure_chaos(outcome, spec) -> ChaosVerdict:
+    """The ``"chaos"`` measure: the verdict on a finished run, from its
+    :class:`~repro.node.deployment.RunOutcome` — the stored-state
+    audits of :func:`~repro.chaos.monitor.findings` and the checking
+    monitor that saw its trace (never raises on red)."""
+    return render_verdict(spec, outcome.conformance,
+                          **findings(outcome, spec))

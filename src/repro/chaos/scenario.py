@@ -1,14 +1,16 @@
 """Declarative chaos scenarios: a seeded timeline of fault actions.
 
-A :class:`ScenarioScript` is pure data — one deployment (a
+A chaos run is an :class:`~repro.experiments.spec.ExperimentSpec` whose
+measure is ``"chaos"`` — one deployment (a
 :class:`~repro.node.deployment.SimulationConfig`, seed and substrate
-included), how many rounds it runs and how many payments it carries,
-plus a list of :class:`FaultAction` entries, each a time window
+included), how many rounds it runs and which payments it carries, plus
+its ``faults``: :class:`FaultAction` entries, each a time window
 ``[start, end)`` on the run's clock (simulated seconds, or wall seconds
-on a live cluster) during which one fault is in force. The script never
-touches the network itself; :class:`repro.chaos.faults.FaultInjector`
-compiles it onto a :class:`~repro.experiments.harness.Simulation` or,
-per process, onto a live node.
+on a live cluster) during which one fault is in force. The actions never
+touch the network themselves; :class:`repro.chaos.faults.FaultInjector`
+compiles them onto a :class:`~repro.experiments.harness.Simulation` or,
+per process, onto a live node. This module holds the vocabulary and the
+rules a chaos spec must meet (:func:`check_scenario`).
 
 Fault vocabulary (the ``kind`` field):
 
@@ -37,7 +39,7 @@ Fault vocabulary (the ``kind`` field):
     ``nodes`` is disconnected ``extra_delay`` seconds after its own
     priority announcement leaves it, and stays so until ``end``. The
     attacker reaches only ``nodes``; the stake they hold counts toward
-    the 1/3 a script may take offline.
+    the 1/3 a scenario may take offline.
 
 The attacker kinds make ``nodes`` misbehave, for a window or (``end=None``)
 the whole run; otherwise they stay honest nodes that keep the chain:
@@ -65,21 +67,19 @@ For link faults (``delay``/``loss``/``duplicate``/``reorder``), an empty
 ``nodes`` tuple means *all* links; otherwise only links whose source or
 destination is listed are affected.
 
-Scripts serialize to/from JSON with stable key order — the config's
-``to_json()`` plus each action's ``to_dict()`` — so a scenario file is
-diffable and a verdict built from one is byte-reproducible; a key the
-loader does not know is a :class:`ScenarioError`, never dropped.
+A scenario file is its spec's JSON — the config's ``to_json()`` plus
+each action's ``to_dict()`` — so it is diffable and a verdict built from
+one is byte-reproducible; a key the loader does not know is an error,
+never dropped.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.common.errors import ConfigError
 from repro.common.params import LIVE_SMOKE_PARAMS
-from repro.node.deployment import SimulationConfig
 
 #: Every fault kind the injector knows how to compile.
 FAULT_KINDS = ("partition", "delay", "loss", "duplicate", "reorder",
@@ -115,13 +115,6 @@ def attacker_nodes(actions: Iterable[FaultAction]) -> frozenset[int]:
 
 class ScenarioError(ConfigError):
     """A scenario script or fault action failed validation."""
-
-
-def _known_keys(what: str, record: dict, cls: type) -> None:
-    """Raise unless every key of ``record`` names a field of ``cls``."""
-    unknown = set(record) - cls.__dataclass_fields__.keys()
-    if unknown:
-        raise ScenarioError(f"{what}: unknown key(s) {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,10 @@ class FaultAction:
 
     @classmethod
     def from_dict(cls, record: dict) -> "FaultAction":
-        _known_keys("fault action", record, cls)
+        unknown = set(record) - cls.__dataclass_fields__.keys()
+        if unknown:
+            raise ScenarioError(
+                f"fault action: unknown key(s) {sorted(unknown)}")
         return cls(
             kind=record["kind"],
             start=float(record["start"]),
@@ -223,162 +219,35 @@ class FaultAction:
         )
 
 
-@dataclass(frozen=True)
-class ScenarioScript:
-    """One chaos run: a deployment, its length and its fault timeline."""
-
-    name: str
-    config: SimulationConfig
-    rounds: int = 2
-    payments: int = 0
-    actions: tuple[FaultAction, ...] = ()
-    #: Seconds after the last fault heals within which a new block must
-    #: commit (the paper's weak-synchrony liveness promise, section 3).
-    liveness_bound: float = 150.0
-    #: Optional hard cap on the run's clock; ``None`` derives one from
-    #: the protocol parameters, fault windows, and the liveness bound.
-    time_limit: float | None = None
-
-    def validate(self) -> None:
-        self.config.validate()
-        users = self.config.num_users
-        if users < 4:
-            raise ScenarioError("scenario needs at least 4 users")
-        if self.rounds < 1:
-            raise ScenarioError("scenario needs at least 1 round")
-        if self.liveness_bound <= 0:
-            raise ScenarioError("liveness_bound must be positive")
-        for action in self.actions:
-            action.validate(users)
-        # Only crashes and attackers may last the whole run (end=None);
-        # a targeted DoS may strike anyone it reaches.
-        lost = {node for action in self.actions
-                if action.end is None or action.kind == "targeted-dos"
-                for node in action.nodes}
-        stake = self.config.make_balances()
-        if lost and 3 * sum(stake[node] for node in lost) >= sum(stake):
-            raise ScenarioError(
-                "users crashed for good, attacking for the whole run or "
-                "in a targeted DoS's reach hold >= 1/3 of the stake, which "
-                "forfeits the paper's honest-majority assumption")
-
-    def last_heal_time(self) -> float:
-        """When the final transient fault clears (0.0 when fault-free)."""
-        ends = [action.end for action in self.actions
-                if action.end is not None]
-        return max(ends, default=0.0)
-
-    def permanently_crashed(self) -> frozenset[int]:
-        """Nodes that crash and never restart (excluded from liveness)."""
-        gone: set[int] = set()
-        for action in self.actions:
-            if action.kind == "crash" and action.end is None:
-                gone.update(action.nodes)
-        return frozenset(gone)
-
-    def attacker_nodes(self) -> frozenset[int]:
-        """Nodes that run an attacker kind (excluded from audits)."""
-        return attacker_nodes(self.actions)
-
-    # -- serialization -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "config": self.config.to_json(),
-            "rounds": self.rounds,
-            "payments": self.payments,
-            "actions": [action.to_dict() for action in self.actions],
-            "liveness_bound": self.liveness_bound,
-            "time_limit": self.time_limit,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "ScenarioScript":
-        _known_keys("scenario", record, cls)
-        try:
-            script = cls(
-                name=str(record["name"]),
-                config=SimulationConfig.from_json(record["config"]),
-                rounds=int(record.get("rounds", 2)),
-                payments=int(record.get("payments", 0)),
-                actions=tuple(FaultAction.from_dict(action)
-                              for action in record.get("actions", ())),
-                liveness_bound=float(record.get("liveness_bound", 150.0)),
-                time_limit=(None if record.get("time_limit") is None
-                            else float(record["time_limit"])),
-            )
-        except (KeyError, TypeError) as error:
-            raise ScenarioError(
-                f"malformed scenario record: {error!r}") from None
-        script.validate()
-        return script
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioScript":
-        return cls.from_dict(json.loads(text))
+def last_heal_time(actions: Iterable[FaultAction]) -> float:
+    """When the final transient fault clears (0.0 when fault-free)."""
+    return max((action.end for action in actions
+                if action.end is not None), default=0.0)
 
 
-def partition_heal_scenario(*, num_users: int = 16, seed: int = 31,
-                            start: float = 0.0,
-                            end: float = 50.0) -> ScenarioScript:
-    """The canonical smoke scenario: split in half, stall, heal, commit.
-
-    While partitioned neither half can reach a BA* quorum (thresholds
-    are calibrated to the full committee), so no block — and no fork —
-    can form; after healing the round completes within the liveness
-    bound. This is the weak-synchrony story of sections 3 and 8.3 in one
-    scripted timeline.
-    """
-    half = num_users // 2
-    return ScenarioScript(
-        name="partition-heal",
-        config=SimulationConfig(num_users=num_users, seed=seed),
-        rounds=1,
-        actions=(
-            FaultAction(kind="partition", start=start, end=end,
-                        groups=(tuple(range(half)),
-                                tuple(range(half, num_users)))),
-        ),
-    )
+def permanently_crashed(actions: Iterable[FaultAction]) -> frozenset[int]:
+    """Nodes that crash and never restart (excluded from liveness)."""
+    return frozenset(node for action in actions
+                     if action.kind == "crash" and action.end is None
+                     for node in action.nodes)
 
 
-def flood_recovery_scenario(*, num_users: int = 15, seed: int = 47,
-                            start: float = 0.0,
-                            end: float = 40.0) -> ScenarioScript:
-    """The ingress smoke scenario: 20% of peers flood, honest peers cope.
-
-    The last fifth of the deployment attacks from ``start`` to ``end``:
-    most spray invalid-signature votes (cheap junk), the final one sends
-    validly signed far-future votes (the undecidable-message DoS). The
-    verdict must show honest vote buffers and egress lanes inside their
-    budgets throughout (the ``ingress-bounds`` audit), no safety
-    violation, and rounds still committing after the flood stops.
-
-    Attackers never exceed the paper's 1/3 (being quarantined silences
-    an attacker's honest votes too): below seven users there is one,
-    running both attacks — the 5-process live cluster of 40-stake nodes
-    keeps 160/200 of its stake voting.
-    """
-    attackers = min(max(2, num_users // 5), (num_users - 1) // 3)
-    spammer = num_users - 1
-    flooders = range(num_users - attackers, spammer) or (spammer,)
-    actions = [
-        FaultAction(kind="flood", start=start, end=end, nodes=(node,),
-                    rate=60.0)
-        for node in flooders
-    ]
-    actions.append(FaultAction(kind="spam", start=start, end=end,
-                               nodes=(spammer,), rate=400.0))
-    return ScenarioScript(
-        name="flood-recovery",
-        config=SimulationConfig(num_users=num_users, seed=seed),
-        rounds=3,
-        actions=tuple(actions),
-    )
+def check_scenario(config, actions: Iterable[FaultAction]) -> None:
+    """The chaos measure's own rules, once every action has passed its
+    checks: enough users for a committee, and the paper's honest
+    majority kept — only crashes and attackers may last the whole run
+    (``end=None``), and a targeted DoS may strike anyone it reaches."""
+    if config.num_users < 4:
+        raise ScenarioError("scenario needs at least 4 users")
+    lost = {node for action in actions
+            if action.end is None or action.kind == "targeted-dos"
+            for node in action.nodes}
+    stake = config.make_balances()
+    if lost and 3 * sum(stake[node] for node in lost) >= sum(stake):
+        raise ScenarioError(
+            "users crashed for good, attacking for the whole run or "
+            "in a targeted DoS's reach hold >= 1/3 of the stake, which "
+            "forfeits the paper's honest-majority assumption")
 
 
 def figure8_adversary(nodes: Iterable[int]) -> tuple[FaultAction, ...]:
@@ -389,68 +258,10 @@ def figure8_adversary(nodes: Iterable[int]) -> tuple[FaultAction, ...]:
                  for kind in ("equivocate", "double-vote") if nodes)
 
 
-def byzantine_scenario(*, num_users: int = 20, seed: int = 5,
-                       rounds: int = 2) -> ScenarioScript:
-    """Figure 8's 20 % point: the highest fifth of the users equivocate
-    and double-vote for the whole run, and the verdict must still show
-    one chain, every round committed, and a conforming trace."""
-    return ScenarioScript(
-        name="byzantine",
-        config=SimulationConfig(num_users=num_users, seed=seed),
-        rounds=rounds, payments=num_users, actions=figure8_adversary(
-            range(num_users - num_users // 5, num_users)))
-
-
 #: The live smoke parameters with the step budget tightened: a node
 #: stuck in a quorum-less round (its peers crashed or severed) burns
 #: through its steps in ~9 wall seconds and reaches the
 #: ConsensusHalted -> catch-up wait instead of spinning for the
 #: sim-scale 30 steps. Committee sizes are untouched: W = 200 at 5 users
-#: x 40 units, the stake :func:`kill_partition_scenario` carries.
+#: x 40 units, the stake the ``kill-partition`` builtin carries.
 LIVE_CHAOS_PARAMS = replace(LIVE_SMOKE_PARAMS, max_steps=12)
-
-
-def kill_partition_scenario(*, num_users: int = 5, seed: int = 11,
-                            rounds: int = 12) -> ScenarioScript:
-    """The live-substrate smoke scenario: SIGKILL, rejoin, isolate, heal.
-
-    One node is crashed mid-run and restarted (on the live substrate
-    that is a real SIGKILL and a respawned process), then a different
-    node is partitioned off and healed. Both victims must rejoin via
-    certificate-verified catch-up (section 8.3) and the cluster must
-    still converge on byte-identical chains — the full weak-synchrony
-    recovery story on a deployment sized so that any single victim
-    leaves 80% of the stake online (BA* quorums keep forming). Its
-    config carries 40 units a user, the stake the live chaos scale is
-    sized for: at the sim's default 10 units, W = 50 < T·τ_step and no
-    step could reach quorum.
-
-    Timing: at the live chaos parameter scale
-    (:data:`LIVE_CHAOS_PARAMS`) the lambdas are
-    timeout *ceilings* — a healthy loopback round commits in well under
-    a second, so the windows here are tight: the crash covers roughly
-    rounds 2-8 and the partition starts near where a fast host finishes
-    its rounds. Recovery does not depend on that pacing, though:
-    finished processes linger and keep serving catch-up until the
-    coordinator releases them, so both victims converge even when the
-    survivors raced far ahead (and on slow hosts, where the windows
-    land mid-run, quorums keep forming throughout).
-    """
-    victim = num_users - 2
-    isolated = num_users - 1
-    return ScenarioScript(
-        name="kill-partition",
-        config=SimulationConfig(num_users=num_users, seed=seed,
-                                initial_balance=40),
-        rounds=rounds,
-        payments=10,
-        liveness_bound=30.0,
-        actions=(
-            FaultAction(kind="crash", start=1.5, end=4.5,
-                        nodes=(victim,)),
-            FaultAction(kind="partition", start=6.0, end=9.0,
-                        groups=(tuple(node for node in range(num_users)
-                                      if node != isolated),
-                                (isolated,))),
-        ),
-    )

@@ -455,6 +455,10 @@ def sweep_main(argv: list[str]) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-point progress lines")
     args = parser.parse_args(argv)
+    if args.timeout is not None and not args.timeout > 0:
+        parser.error(f"--timeout must be > 0, got {args.timeout}")
+    if args.retries < 0:
+        parser.error(f"--retries must be >= 0, got {args.retries}")
     if args.users is None:
         args.users = [8, 10, 12] if args.grid == "latency" else [8]
     elif args.grid != "latency" and len(args.users) > 1:

@@ -280,7 +280,8 @@ class Simulation:
         """What the run left behind, read off the always-on core: one
         :class:`~repro.node.deployment.NodeRun` per agent (its egress
         lane's high-water mark among its counters), the clock, the
-        quarantined peers and the harvested snapshot."""
+        conformance monitor, the quarantined peers and the harvested
+        snapshot."""
         lanes = self.network.interfaces
         snapshot = self._registry_snapshot()
         return RunOutcome(
@@ -290,6 +291,7 @@ class Simulation:
                           lanes[node.index].egress_high_water})
                   for node in self.nodes},
             slots=len(self.nodes), now=self.env.now, backend=self.backend,
+            conformance=self.conformance,
             quarantined=self.quarantine_directory.quarantined,
             snapshot={**snapshot["counters"], **snapshot["gauges"]})
 

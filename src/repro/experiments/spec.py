@@ -12,10 +12,13 @@ point of every grid is one :class:`ExperimentSpec`:
   payment batches submitted before the run, and the
   :class:`~repro.chaos.scenario.FaultAction` windows in force;
 * ``measure`` — the name of the measurement taken afterwards
-  (:data:`repro.experiments.sweep.MEASURES`).
+  (:data:`repro.experiments.sweep.MEASURES`); a chaos scenario
+  (sections 3 and 8) is a spec whose measure is ``"chaos"``, whose
+  verdict is the measurement, and which alone reads ``liveness_bound``.
 
-The figure modules' grid builders turn axis values into these fields,
-and :func:`repro.experiments.sweep.run_point` runs any spec the same
+The figure modules' grid builders and the chaos builders
+(:mod:`repro.chaos.generate`) turn axis values into these fields, and
+:func:`repro.experiments.sweep.run_point` runs any spec the same
 way. Specs are frozen plain data: they pickle across process boundaries
 and serialize to canonical JSON (``config.to_json()`` plus
 ``FaultAction.to_dict()``), so the sweep engine can ship them to
@@ -31,9 +34,13 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chaos.scenario import FaultAction
+from repro.chaos.scenario import FaultAction, check_scenario
 from repro.common.errors import SpecError
 from repro.experiments.harness import SimulationConfig, check_faults
+
+#: Seconds after the last fault heals within which a new block must
+#: commit (the paper's weak-synchrony liveness promise, section 3).
+LIVENESS_BOUND = 150.0
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,7 @@ class ExperimentSpec:
     #: ``(count, note_bytes)`` payment batches submitted before the run.
     payments: tuple[tuple[int, int], ...] = ()
     faults: tuple[FaultAction, ...] = ()
+    liveness_bound: float = LIVENESS_BOUND
 
     def validate(self) -> None:
         """Raise a :class:`~repro.common.errors.ConfigError` on bad values."""
@@ -54,20 +62,28 @@ class ExperimentSpec:
         if any(count < 0 or note < 0 for count, note in self.payments):
             raise SpecError(
                 f"payment batches must be non-negative, got {self.payments}")
+        if self.liveness_bound <= 0:
+            raise SpecError("liveness_bound must be positive")
         self.config.validate()
         check_faults(self.config, self.faults)
+        if self.measure == "chaos":
+            check_scenario(self.config, self.faults)
 
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> dict:
-        """Plain-dict form: the config's JSON, the faults' dicts."""
-        return {
+        """Plain-dict form: the config's JSON, the faults' dicts, and
+        ``liveness_bound`` where it is not the default."""
+        record = {
             "measure": self.measure,
             "config": self.config.to_json(),
             "rounds": self.rounds,
             "payments": [list(batch) for batch in self.payments],
             "faults": [action.to_dict() for action in self.faults],
         }
+        if self.liveness_bound != LIVENESS_BOUND:
+            record["liveness_bound"] = self.liveness_bound
+        return record
 
     def canonical_json(self) -> str:
         """Deterministic one-line JSON (sorted keys, no whitespace)."""
@@ -81,6 +97,9 @@ class ExperimentSpec:
 
 def spec_from_json(record: dict) -> ExperimentSpec:
     """Rebuild a spec from :meth:`ExperimentSpec.to_json` output."""
+    if not isinstance(record, dict):
+        raise SpecError(f"a spec is a JSON object, not "
+                        f"{type(record).__name__}")
     unknown = set(record) - ExperimentSpec.__dataclass_fields__.keys()
     if unknown:
         raise SpecError(f"unknown spec field(s) {sorted(unknown)}")
@@ -93,6 +112,8 @@ def spec_from_json(record: dict) -> ExperimentSpec:
                            for count, note in record.get("payments", ())),
             faults=tuple(FaultAction.from_dict(action)
                          for action in record.get("faults", ())),
+            liveness_bound=float(record.get("liveness_bound",
+                                            LIVENESS_BOUND)),
         )
     except (KeyError, TypeError) as error:
         raise SpecError(f"malformed spec record: {error!r}") from None

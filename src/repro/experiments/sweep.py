@@ -4,7 +4,11 @@
 deployment with its faults (on the substrate its config names), submit
 its payment batches, run its rounds, and take the measurement
 :data:`MEASURES` names off the deployment's
-:class:`~repro.node.deployment.RunOutcome`.
+:class:`~repro.node.deployment.RunOutcome`. A chaos scenario is such a
+point too (measure ``"chaos"``): its run is checked by a
+:class:`~repro.obs.bus.TraceBus`, gets a time limit that leaves room
+for its fault windows and liveness bound, and a stall is judged in its
+verdict rather than raised.
 
 The paper runs its evaluation grid on 1,000 VMs; our reproduction used to
 run every grid point serially in one Python process, which made the
@@ -47,6 +51,8 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Iterable, Sequence
 
+from repro.chaos.runner import measure_chaos
+from repro.chaos.scenario import last_heal_time
 from repro.common.errors import SpecError
 from repro.experiments.adversarial import measure_adversarial
 from repro.experiments.costs import measure_costs
@@ -58,6 +64,7 @@ from repro.experiments.traffic import measure_traffic
 from repro.experiments.waiting import measure_waiting
 from repro.node.deployment import deploy
 from repro.obs.bus import TraceBus
+from repro.obs.sink import JsonlTraceSink
 
 #: Measure name -> what it reads off a finished run: ``(outcome, spec)
 #: ->`` a typed point dataclass, where ``outcome`` is the deployment's
@@ -70,6 +77,7 @@ MEASURES: dict[str, Callable] = {
     "traffic": measure_traffic,
     "timeouts": measure_timeouts,
     "costs": measure_costs,
+    "chaos": measure_chaos,
 }
 
 #: How long the scheduler sleeps waiting for worker messages (seconds).
@@ -87,16 +95,41 @@ def _checked(spec: ExperimentSpec) -> Callable:
     return MEASURES[spec.measure]
 
 
-def run_point(spec: ExperimentSpec) -> PointResult:
-    """Run one experiment point and take its measurement."""
+def run_point(spec: ExperimentSpec, *,
+              trace_path: str | None = None) -> PointResult:
+    """Run one experiment point and take its measurement.
+
+    A ``"chaos"`` point runs under a checking bus (writing its events to
+    ``trace_path``, if given) until its time limit, and its verdict
+    explains a stall; any other point that stalls raises
+    ``TimeoutError``.
+    """
     measure = _checked(spec)
-    # The traffic census reads gossip counters off an event-less bus.
-    obs = TraceBus(max_events=0) if spec.measure == "traffic" else None
+    chaos = spec.measure == "chaos"
+    if trace_path is not None and not chaos:
+        raise SpecError(f"a {spec.measure!r} point writes no trace")
+    time_limit = None
+    if chaos:
+        obs = TraceBus()
+        if trace_path is not None:
+            obs.add_sink(JsonlTraceSink(trace_path))
+        time_limit = (spec.config.params.round_budget * (spec.rounds + 1)
+                      + last_heal_time(spec.faults) + spec.liveness_bound)
+    else:
+        # The traffic census reads gossip counters off an event-less bus.
+        obs = TraceBus(max_events=0) if spec.measure == "traffic" else None
     deployment = deploy(spec.config, faults=spec.faults, obs=obs)
     for count, note_bytes in spec.payments:
         deployment.submit_payments(count, note_bytes=note_bytes)
-    deployment.run_rounds(spec.rounds)
-    return PointResult(spec=spec, point=measure(deployment.outcome(), spec))
+    try:
+        deployment.run_rounds(spec.rounds, time_limit=time_limit)
+    except TimeoutError:
+        if not chaos:
+            raise
+    result = PointResult(spec=spec, point=measure(deployment.outcome(), spec))
+    if chaos:
+        obs.close()
+    return result
 
 
 @dataclass

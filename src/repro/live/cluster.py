@@ -223,6 +223,7 @@ class LiveCluster:
             runs={index: NodeRun.from_record(index, result)
                   for index, result in sorted(self.results.items())},
             slots=self.num_nodes, now=self.ended_at, backend=backend,
+            conformance=self.conformance,
             snapshot=dict(self.metrics),
             trace_path=(str(self.merged_trace_path)
                         if self.merged_trace_path else None))

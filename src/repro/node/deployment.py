@@ -626,6 +626,9 @@ class RunOutcome:
     now: float
     #: A backend that verifies this deployment's keys (seed audits).
     backend: CryptoBackend
+    #: The ``ConformanceMonitor`` that checked the run's trace, where
+    #: the run was traced (the chaos measure's verdict reads it).
+    conformance: object | None = None
     #: Nodes the network-wide quarantine still severs (sim only).
     quarantined: frozenset[int] = frozenset()
     #: Every runtime number under its registry name, folded over nodes.

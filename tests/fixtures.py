@@ -4,6 +4,9 @@ Deduplicates the three shapes almost every integration test rebuilds:
 
 * :func:`run_sim` / :func:`run_traced` — build, fund and run a seeded
   :class:`~repro.experiments.harness.Simulation` in one call;
+* :func:`run_chaos` — ``run_point`` on a chaos spec, returning its
+  verdict together with the deployment it built, for tests that look
+  inside the run;
 * :func:`chain_hash` — one digest over every committed byte and round
   record, for golden-value tests;
 * :func:`assert_chains_byte_identical` — the byte-identity bar used by
@@ -23,10 +26,12 @@ directory is a package).
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 from repro.baplus.messages import VoteMessage, make_vote
 from repro.common.encoding import encode
 from repro.crypto.hashing import H
+from repro.experiments import sweep
 from repro.experiments.harness import (
     NetworkConfig,
     Simulation,
@@ -55,6 +60,22 @@ def run_traced(rounds: int, payments: int = 0,
     """:func:`run_sim` with a fresh :class:`TraceBus` attached."""
     bus = TraceBus()
     return run_sim(rounds, payments, obs=bus, **config), bus
+
+
+def run_chaos(spec, **kwargs):
+    """``run_point(spec, **kwargs)``'s verdict and the deployment it
+    built (a ``Simulation`` or a ``LiveCluster``)."""
+    built = []
+
+    def deploy(*args, **options):
+        built.append(real(*args, **options))
+        return built[-1]
+
+    real = sweep.deploy
+    with mock.patch.object(sweep, "deploy", deploy):
+        verdict = sweep.run_point(spec, **kwargs).point
+    (deployment,) = built
+    return verdict, deployment
 
 
 def forged_commit(node: int, round_number: int, block_hash: str,

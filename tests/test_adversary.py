@@ -12,14 +12,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import (
-    FaultAction,
-    ScenarioError,
-    ScenarioScript,
-    figure8_adversary,
-)
+from repro.chaos import FaultAction, ScenarioError, figure8_adversary
 from repro.chaos.faults import FilterChain, Partitioner
 from repro.experiments.harness import Simulation, SimulationConfig
+from repro.experiments.spec import ExperimentSpec
 from repro.obs import TraceBus
 
 
@@ -161,15 +157,14 @@ class TestTargetedDoS:
         """A negative reaction time, no reach, no end, or a reach
         holding >= 1/3 of the stake (6 of 16 equal users) is refused."""
         config = SimulationConfig(num_users=16, seed=37)
-        ScenarioScript(name="targeted-dos", config=config,
-                       actions=(PROPOSER_DOS,)).validate()
+        ExperimentSpec("chaos", config, 2,
+                       faults=(PROPOSER_DOS,)).validate()
         for fields in ({"extra_delay": -1.0}, {"nodes": ()}, {"end": None},
                        {"nodes": tuple(range(10, 16))}):
-            script = ScenarioScript(name="targeted-dos", config=config,
-                                    actions=(replace(PROPOSER_DOS,
-                                                     **fields),))
+            spec = ExperimentSpec("chaos", config, 2,
+                                  faults=(replace(PROPOSER_DOS, **fields),))
             with pytest.raises(ScenarioError):
-                script.validate()
+                spec.validate()
 
 
 class TestIsolate:

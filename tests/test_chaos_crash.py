@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import (FaultAction, ScenarioScript,
-                         kill_partition_scenario, run_scenario)
+from repro.chaos import FaultAction, kill_partition_scenario
+from repro.chaos.scenario import permanently_crashed
 from repro.common.errors import SimulationError
 from repro.experiments.harness import Simulation, SimulationConfig
-from tests.fixtures import run_traced
+from repro.experiments.spec import ExperimentSpec
+from repro.experiments.sweep import run_point
+from tests.fixtures import run_chaos, run_traced
 
 
 class TestCrashRestartUnit:
@@ -80,33 +82,31 @@ class TestCrashScenarios:
         # t=1.0 lands inside round 1's proposal/vote exchange; by the
         # t=8.0 restart the other seven nodes have finished both rounds,
         # so the victim can only converge by replaying their history.
-        script = ScenarioScript(
-            name="crash-mid-step",
-            config=SimulationConfig(num_users=8, seed=5), rounds=2,
-            actions=(FaultAction(kind="crash", start=1.0, end=8.0,
-                                 nodes=(2,)),))
-        verdict = run_scenario(script)
+        spec = ExperimentSpec(
+            "chaos", SimulationConfig(num_users=8, seed=5), rounds=2,
+            faults=(FaultAction(kind="crash", start=1.0, end=8.0,
+                                nodes=(2,)),))
+        verdict, sim = run_chaos(spec)
         assert verdict.ok, verdict.violations
         assert verdict.heights == [2] * 8
-        obs = verdict.deployment.obs
+        obs = sim.obs
         assert [e["node"] for e in obs.events_of_kind("node_crashed")] == [2]
         assert [e["node"] for e in obs.events_of_kind("node_restarted")] == [2]
         adopted = obs.events_of_kind("catchup_adopted")
         assert any(e["node"] == 2 and e["to_height"] == 2
                    for e in adopted)
         # Over gossip: the victim asked, and peers answered.
-        nodes = verdict.deployment.nodes
+        nodes = sim.nodes
         assert nodes[2].catchup.requests_sent >= 1
         assert sum(node.catchup.served for node in nodes) >= 1
 
     def test_permanent_crash_excluded_from_convergence(self):
-        script = ScenarioScript(
-            name="crash-forever",
-            config=SimulationConfig(num_users=12, seed=11), rounds=2,
-            actions=(FaultAction(kind="crash", start=1.0, end=None,
-                                 nodes=(5,)),))
-        assert script.permanently_crashed() == frozenset({5})
-        verdict = run_scenario(script)
+        spec = ExperimentSpec(
+            "chaos", SimulationConfig(num_users=12, seed=11), rounds=2,
+            faults=(FaultAction(kind="crash", start=1.0, end=None,
+                                nodes=(5,)),))
+        assert permanently_crashed(spec.faults) == frozenset({5})
+        verdict = run_point(spec).point
         assert verdict.ok, verdict.violations
         # The survivors converged; the corpse keeps its honest prefix.
         heights = verdict.heights
@@ -116,16 +116,15 @@ class TestCrashScenarios:
     def test_crash_during_partition_still_green(self):
         # Compound fault: half-split while a node is down, then both
         # clear. Safety must hold throughout, liveness after the heal.
-        script = ScenarioScript(
-            name="crash-in-partition",
-            config=SimulationConfig(num_users=10, seed=13), rounds=2,
-            actions=(
+        spec = ExperimentSpec(
+            "chaos", SimulationConfig(num_users=10, seed=13), rounds=2,
+            faults=(
                 FaultAction(kind="partition", start=0.5, end=10.0,
                             groups=((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))),
                 FaultAction(kind="crash", start=1.5, end=12.0,
                             nodes=(7,)),
             ))
-        verdict = run_scenario(script)
+        verdict = run_point(spec).point
         assert verdict.ok, verdict.violations
         assert verdict.heights == [2] * 10
 
@@ -134,10 +133,9 @@ class TestCrashScenarios:
         carries: the crashed node adopts what a peer served it before its
         first round after the restart, never by reading a peer's
         memory."""
-        verdict = run_scenario(kill_partition_scenario())
+        verdict, sim = run_chaos(kill_partition_scenario())
         assert verdict.ok, verdict.violations
         assert verdict.converged
-        sim = verdict.deployment
         obs = sim.obs
 
         def times(kind: str) -> list[float]:

@@ -12,18 +12,20 @@ import functools
 import hashlib
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.chaos import (FaultAction, ScenarioError, ScenarioScript,
-                         ShaperChain, Violation, flood_recovery_scenario,
-                         generate_scenario, partition_heal_scenario,
-                         run_scenario)
+from repro.chaos import (FaultAction, ScenarioError, ShaperChain,
+                         Violation, flood_recovery_scenario,
+                         generate_scenario, kill_partition_scenario,
+                         partition_heal_scenario)
 from repro.chaos.__main__ import main as chaos_main
 from repro.chaos.faults import _WindowedLinkEffect
 from repro.chaos.runner import render_verdict
+from repro.chaos.scenario import last_heal_time, permanently_crashed
 from repro.common.errors import ConfigError
 from repro.conformance import ConformanceMonitor
 from repro.experiments.harness import (
@@ -31,8 +33,11 @@ from repro.experiments.harness import (
     Simulation,
     SimulationConfig,
 )
+from repro.experiments.spec import ExperimentSpec, spec_from_json
+from repro.experiments.sweep import run_point
 from repro.network.message import Envelope
 from repro.obs.bus import TraceBus
+from repro.obs.sink import read_trace
 
 from tests.fixtures import forged_commit
 
@@ -41,16 +46,27 @@ def _envelope() -> Envelope:
     return Envelope(origin=b"o", kind="t", payload=None, size=10)
 
 
+def _chaos(config: SimulationConfig, *faults: FaultAction,
+           rounds: int = 2, **fields) -> ExperimentSpec:
+    """A chaos spec: ``config`` with ``faults``, run for ``rounds``."""
+    return ExperimentSpec("chaos", config, rounds, faults=faults, **fields)
+
+
+def _spec_file_text(spec: ExperimentSpec) -> str:
+    """What a scenario file holds: the spec's JSON."""
+    return json.dumps(spec.to_json(), indent=2, sort_keys=True)
+
+
 class TestScenarioScript:
     def test_json_round_trip_is_lossless(self):
-        script = generate_scenario(7)
-        assert ScenarioScript.from_json(script.to_json()) == script
+        spec = generate_scenario(7)
+        assert spec_from_json(json.loads(_spec_file_text(spec))) == spec
 
     def test_builtin_partition_heal_validates(self):
-        script = partition_heal_scenario()
-        script.validate()
-        assert script.last_heal_time() == 50.0
-        assert script.permanently_crashed() == frozenset()
+        spec = partition_heal_scenario()
+        spec.validate()
+        assert last_heal_time(spec.faults) == 50.0
+        assert permanently_crashed(spec.faults) == frozenset()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError, match="unknown fault kind"):
@@ -80,12 +96,11 @@ class TestScenarioScript:
                         groups=((0, 1), (1, 2))).validate(8)
 
     def test_permanent_crash_quorum_guard(self):
-        script = ScenarioScript(
-            name="too-many", config=SimulationConfig(num_users=6),
-            actions=(FaultAction(kind="crash", start=0.0, end=None,
-                                 nodes=(1, 2)),))
+        spec = _chaos(SimulationConfig(num_users=6),
+                      FaultAction(kind="crash", start=0.0, end=None,
+                                  nodes=(1, 2)))
         with pytest.raises(ScenarioError, match="1/3"):
-            script.validate()
+            spec.validate()
 
     @pytest.mark.parametrize("kind", ["silent", "equivocate"])
     def test_whole_run_attackers_count_against_the_honest_majority(
@@ -96,40 +111,52 @@ class TestScenarioScript:
         for end, nodes, fine in ((None, (3, 4, 5), False),
                                  (5.0, (3, 4, 5), True),
                                  (None, (5,), True)):
-            script = ScenarioScript(name="attackers", config=config,
-                                    actions=(FaultAction(kind, 0.0, end,
-                                                         nodes=nodes),))
+            spec = _chaos(config, FaultAction(kind, 0.0, end, nodes=nodes))
             if fine:
-                script.validate()
+                spec.validate()
             else:
                 with pytest.raises(ScenarioError, match="1/3"):
-                    script.validate()
+                    spec.validate()
 
     def test_the_guard_weighs_stake_not_heads(self):
         """One crashed user of six is a third of the stake when it holds
         a third of the money."""
-        script = ScenarioScript(
-            name="whale-down",
-            config=SimulationConfig(num_users=6,
-                                    balances=[10, 10, 10, 10, 10, 25]),
-            actions=(FaultAction(kind="crash", start=0.0, nodes=(5,)),))
+        spec = _chaos(SimulationConfig(num_users=6,
+                                       balances=[10, 10, 10, 10, 10, 25]),
+                      FaultAction(kind="crash", start=0.0, nodes=(5,)))
         with pytest.raises(ScenarioError, match="1/3"):
-            script.validate()
-        ScenarioScript(name="minnow-down", config=script.config,
-                       actions=(FaultAction(kind="crash", start=0.0,
-                                            nodes=(0,)),)).validate()
+            spec.validate()
+        _chaos(spec.config,
+               FaultAction(kind="crash", start=0.0, nodes=(0,))).validate()
+
+    def test_fewer_than_four_users_is_no_scenario(self):
+        """Any other measure may run three users; a chaos spec may not."""
+        config = SimulationConfig(num_users=3)
+        ExperimentSpec("latency", config, 1).validate()
+        with pytest.raises(ScenarioError, match="at least 4 users"):
+            _chaos(config).validate()
 
     def test_misspelled_scenario_key_is_rejected(self):
-        record = json.loads(partition_heal_scenario().to_json())
+        record = partition_heal_scenario().to_json()
         record["num_user"] = 5
-        with pytest.raises(ScenarioError, match="num_user"):
-            ScenarioScript.from_dict(record)
+        with pytest.raises(ConfigError, match="num_user"):
+            spec_from_json(record)
 
     def test_misspelled_config_key_is_rejected(self):
-        record = json.loads(partition_heal_scenario().to_json())
+        record = partition_heal_scenario().to_json()
         record["config"]["num_user"] = 5
-        with pytest.raises(ScenarioError, match="num_user"):
-            ScenarioScript.from_dict(record)
+        with pytest.raises(ConfigError, match="num_user"):
+            spec_from_json(record)
+
+    def test_only_a_nondefault_liveness_bound_is_serialized(self):
+        """Every spec written before the bound joined keeps its JSON and
+        its fingerprint."""
+        assert "liveness_bound" not in partition_heal_scenario().to_json()
+        kill = kill_partition_scenario()
+        assert kill.to_json()["liveness_bound"] == 30.0
+        assert spec_from_json(kill.to_json()).liveness_bound == 30.0
+        assert kill.fingerprint() != replace(
+            kill, liveness_bound=150.0).fingerprint()
 
     def test_misspelled_fault_key_is_rejected(self):
         """``node`` for ``nodes`` would leave the filter empty: loss on
@@ -210,27 +237,25 @@ class TestLinkEffects:
         assert chain._shape(0, 1, _envelope(), 0.5) == []
 
 
-def _byzantine_mix() -> ScenarioScript:
+def _byzantine_mix() -> ExperimentSpec:
     """Every seam-replacing kind: whole-run and windowed, one seam and
     both."""
-    return ScenarioScript(
-        name="byzantine-mix", config=SimulationConfig(num_users=10, seed=5),
-        rounds=2, payments=10,
-        actions=(FaultAction(kind="equivocate", start=0.0, nodes=(8,)),
-                 FaultAction(kind="double-vote", start=0.0, nodes=(8, 9)),
-                 FaultAction(kind="silent", start=1.0, end=6.0,
-                             nodes=(7,))))
+    return _chaos(SimulationConfig(num_users=10, seed=5),
+                  FaultAction(kind="equivocate", start=0.0, nodes=(8,)),
+                  FaultAction(kind="double-vote", start=0.0, nodes=(8, 9)),
+                  FaultAction(kind="silent", start=1.0, end=6.0,
+                              nodes=(7,)),
+                  rounds=2, payments=((10, 0),))
 
 
-def _proposer_dos() -> ScenarioScript:
+def _proposer_dos() -> ExperimentSpec:
     """Section 10.4's DoS of each proposer once it speaks, over a
     ``dos`` window on one victim: two holds on one node."""
-    return ScenarioScript(
-        name="proposer-dos", config=SimulationConfig(num_users=16, seed=37),
-        rounds=3, payments=16,
-        actions=(FaultAction(kind="targeted-dos", start=0.0, end=20.0,
-                             nodes=(12, 13, 14, 15), extra_delay=1.5),
-                 FaultAction(kind="dos", start=2.0, end=8.0, nodes=(12,))))
+    return _chaos(SimulationConfig(num_users=16, seed=37),
+                  FaultAction(kind="targeted-dos", start=0.0, end=20.0,
+                              nodes=(12, 13, 14, 15), extra_delay=1.5),
+                  FaultAction(kind="dos", start=2.0, end=8.0, nodes=(12,)),
+                  rounds=3, payments=((16, 0),))
 
 
 #: The pinned sim runs by id; together they arm every fault kind.
@@ -248,7 +273,7 @@ PINNED = {
 @functools.lru_cache(maxsize=None)
 def _pinned_verdict(name: str) -> str:
     """The verdict JSON of pinned run ``name`` (each runs once)."""
-    return run_scenario(PINNED[name]()).to_json()
+    return run_point(PINNED[name]()).point.to_json()
 
 
 def _cli_verdict(*argv: str) -> str:
@@ -262,7 +287,7 @@ def _cli_verdict(*argv: str) -> str:
 class TestSimVerdictsPinned:
     """The sim must not move under injector refactors.
 
-    ``sha256(run_scenario(script).to_json())`` — violations, heights,
+    ``sha256(run_point(spec).point.to_json())`` — violations, heights,
     ``sim_seconds``, ``events_seen`` and the conformance summary, byte
     for byte — recorded before the sim and live injectors were merged
     (PR 18's parent) and stable across ``PYTHONHASHSEED``; the sixth,
@@ -280,24 +305,27 @@ class TestSimVerdictsPinned:
     when the admission gate stopped being optional: each verdict lost
     exactly ``scenario.config.runtime.use_admission`` and
     ``scenario.config.params.lookback_b`` (the unread look-back period),
-    and nothing else moved.
+    and nothing else moved. All seven were re-recorded when a scenario
+    became a chaos ``ExperimentSpec``: the ``scenario`` key holds the
+    spec's JSON, and the verdict without it is byte-identical (the
+    outcome digests below, and proposer-dos's ``854c2f9f…``).
     """
 
     GOLDEN = [
         ("partition-heal", {"partition"},
-         "9ca8e3a28702aa8183868d26bbbff5a44ab65b36e502597f3cb44414fbb767b0"),
+         "1e84f3804287da4f8135085db9c35476e651e17c16836b70e8cb59f3ea1dac19"),
         ("flood-recovery", {"flood", "spam"},
-         "8978243823cebe80ba1274a3a039f7296b5057ceabca558b14503a6e68b5cebc"),
+         "8180bae852ea6c41de959218f02769341dbbbd43d587e8c9c19a6db26a128aef"),
         ("seed-101", {"crash", "delay", "loss"},
-         "e55d63f3006b0760b809d6f15a4c480145e8483f4e96eb2277dca9c34c48b50e"),
+         "03808a21a8afe028ad5d1f474236bcdd84eccd009b82226a3f375c3080b37a47"),
         ("seed-105", {"duplicate", "partition", "reorder"},
-         "d4c8a4fc7fa8c80cc0f1fa4a35f8bf59e70be44f8a290c7764666062b3022293"),
+         "0a8e502c98bb7628321b5e998087d7e34f382128afaccd8f6dffa18d5cbf82b4"),
         ("seed-111", {"delay", "dos", "reorder"},
-         "220df16d33135d2a21e090ba085ff56256f44b6106b17ae2705b5a14ee1bf2bb"),
+         "e9dc1737a3db10397761bdf9421b067ef5ce12ff97c545c246c2e0f9198340ff"),
         ("byzantine-mix", {"equivocate", "double-vote", "silent"},
-         "63fe43d13864c1875b94ae8cc46c17f4027403ca621cf9288033da9329eb30b0"),
+         "e5961091e913bcf600163b613989764ca9648ec97c4e88371a131d32eff4f628"),
         ("proposer-dos", {"targeted-dos", "dos"},
-         "2340745beede9f1fa4d7f803ad9be0f50087232434da59ed9991c8a7847c5747"),
+         "c27ac3ba7b1d4879d87c30f06e467cd1c161379b782b5857f9807c5e89dc6be1"),
     ]
 
     def test_the_five_scripts_cover_every_fault_kind(self):
@@ -308,7 +336,7 @@ class TestSimVerdictsPinned:
     @pytest.mark.parametrize("name,kinds,golden", GOLDEN,
                              ids=[name for name, _, _ in GOLDEN])
     def test_verdict_bytes_unchanged(self, name, kinds, golden):
-        assert {action.kind for action in PINNED[name]().actions} == kinds
+        assert {action.kind for action in PINNED[name]().faults} == kinds
         verdict = _pinned_verdict(name)
         assert json.loads(verdict)["ok"], verdict
         assert hashlib.sha256(verdict.encode()).hexdigest() == golden
@@ -368,17 +396,15 @@ class TestSimulationFaults:
     def test_node_fault_on_dormant_stake_is_a_config_error(self, kind):
         """Slot 10 is pool stake behind a 4-agent core: there is no node
         to act on, and the fault must not pass as a silent no-op."""
-        script = ScenarioScript(
-            name="dormant-attacker",
-            config=SimulationConfig(num_users=12, seed=3,
-                                    population=PopulationConfig(
-                                        mode="aggregated",
-                                        always_on_core=4)),
-            rounds=1,
-            actions=(FaultAction(kind=kind, start=0.0, end=5.0, nodes=(10,),
-                                 rate=50.0),))
+        spec = _chaos(
+            SimulationConfig(num_users=12, seed=3,
+                             population=PopulationConfig(
+                                 mode="aggregated", always_on_core=4)),
+            FaultAction(kind=kind, start=0.0, end=5.0, nodes=(10,),
+                        rate=50.0),
+            rounds=1)
         with pytest.raises(ConfigError, match="dormant"):
-            run_scenario(script)
+            run_point(spec)
 
     def test_link_fault_may_name_dormant_stake(self):
         sim = Simulation(
@@ -428,12 +454,11 @@ class TestVerdictRows:
                       forged_commit(0, 2, "cc" * 16, 2.0),
                       forged_commit(0, 1, "aa" * 16, 3.0),
                       {"t": 3.5, "kind": "gossip_sent", "node": 0}])
-        script = ScenarioScript(name="forged",
-                                config=SimulationConfig(num_users=2, seed=1),
-                                rounds=2, liveness_bound=100.0)
+        spec = _chaos(SimulationConfig(num_users=2, seed=1),
+                      liveness_bound=100.0)
         audit = Violation(invariant="prefix-consistency", t=4.0,
                           detail="forged")
-        verdict = render_verdict(script, monitor, [audit],
+        verdict = render_verdict(spec, monitor, [audit],
                                  heights=[2, 1], laggards=[1], now=4.0)
         assert not verdict.ok
         assert [row["invariant"] for row in verdict.violations] == [
@@ -447,21 +472,23 @@ class TestVerdictRows:
         assert verdict.conformance == {"ok": False, "events_checked": 4,
                                        "nodes": 2, "violations": 6}
 
-    def test_a_windowed_attacker_left_behind_does_not_converge(self):
+    def test_a_windowed_attacker_left_behind_does_not_converge(
+            self, tmp_path):
         """Only the network-wide quarantine excuses a laggard: a flooder
         whose window closed and whose quarantine ran out, but which
         stayed behind (a ``dos`` holds it off past the run), fails
         convergence."""
-        script = ScenarioScript(
-            name="flood-then-cut",
-            config=SimulationConfig(num_users=10, seed=3), rounds=3,
-            actions=(FaultAction(kind="flood", start=0.5, end=1.0,
-                                 nodes=(9,), rate=5.0),
-                     FaultAction(kind="dos", start=1.0, end=1000.0,
-                                 nodes=(9,))))
-        verdict = run_scenario(script)
-        directory = verdict.deployment.quarantine_directory
-        assert directory.quarantines == 1 and not directory.quarantined
+        spec = _chaos(SimulationConfig(num_users=10, seed=3),
+                      FaultAction(kind="flood", start=0.5, end=1.0,
+                                  nodes=(9,), rate=5.0),
+                      FaultAction(kind="dos", start=1.0, end=1000.0,
+                                  nodes=(9,)),
+                      rounds=3)
+        trace = tmp_path / "trace.jsonl"
+        verdict = run_point(spec, trace_path=str(trace)).point
+        _, snapshot = read_trace(trace)
+        assert snapshot["counters"]["admission.quarantines"] == 1
+        assert snapshot["gauges"]["admission.quarantined_peers"] == 0
         assert verdict.heights == [3] * 9 + [0]
         assert not verdict.converged
         assert [row["detail"] for row in verdict.violations
@@ -470,10 +497,9 @@ class TestVerdictRows:
             f"t={verdict.sim_seconds:.2f}"]
 
     def test_stalled_run_reads_liveness(self):
-        script = ScenarioScript(name="stalled",
-                                config=SimulationConfig(num_users=2, seed=1),
-                                rounds=1, liveness_bound=100.0)
-        verdict = render_verdict(script, ConformanceMonitor(), [],
+        spec = _chaos(SimulationConfig(num_users=2, seed=1), rounds=1,
+                      liveness_bound=100.0)
+        verdict = render_verdict(spec, ConformanceMonitor(), [],
                                  heights=[0, 0], laggards=[], now=200.0)
         assert [row["invariant"] for row in verdict.violations] == [
             "liveness"]
@@ -482,21 +508,20 @@ class TestVerdictRows:
 
 
 class TestChaosCli:
-    def test_scenario_file_run_writes_artifacts(self, tmp_path):
-        script = ScenarioScript(name="tiny",
-                                config=SimulationConfig(num_users=6, seed=3),
-                                rounds=1)
+    def test_scenario_file_run_writes_artifacts(self, tmp_path, capsys):
+        spec = _chaos(SimulationConfig(num_users=6, seed=3), rounds=1)
         scenario_path = tmp_path / "tiny.json"
-        scenario_path.write_text(script.to_json(), encoding="utf-8")
+        scenario_path.write_text(_spec_file_text(spec), encoding="utf-8")
         verdict_path = tmp_path / "verdict.json"
         trace_path = tmp_path / "trace.jsonl"
         rc = chaos_main([str(scenario_path),
                          "--verdict", str(verdict_path),
                          "--trace", str(trace_path)])
         assert rc == 0
+        assert f"[OK] {scenario_path}:" in capsys.readouterr().out
         verdict = json.loads(verdict_path.read_text(encoding="utf-8"))
         assert verdict["ok"] is True
-        assert verdict["scenario"]["name"] == "tiny"
+        assert spec_from_json(verdict["scenario"]) == spec
         assert trace_path.exists()
         assert trace_path.read_text(encoding="utf-8").count("\n") > 10
 
@@ -538,7 +563,7 @@ class TestChaosCli:
     def test_options_that_would_do_nothing_are_usage_errors(
             self, tmp_path, capsys, argv):
         scenario_path = tmp_path / "tiny.json"
-        scenario_path.write_text(partition_heal_scenario().to_json(),
+        scenario_path.write_text(_spec_file_text(partition_heal_scenario()),
                                  encoding="utf-8")
         argv = [str(scenario_path) if arg == "SCENARIO" else arg
                 for arg in argv]
@@ -546,3 +571,35 @@ class TestChaosCli:
             chaos_main(argv)
         assert exit_.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,rule", [
+        (["--sweep", "0"], "must be >= 1"),
+        (["--sweep", "-2"], "must be >= 1"),
+        (["--sweep", "1", "--users", "3"], "at least 4 users"),
+        (["--builtin", "partition-heal", "--users", "3"],
+         "at least 4 users"),
+        (["MISSING"], "No such file"),
+        (["GARBAGE"], "Expecting value"),
+        (["LATENCY"], "measure is 'chaos'"),
+        (["--seed", "5", "--base-seed", "9"], "--base-seed"),
+        (["SCENARIO", "--base-seed", "9"], "--base-seed"),
+    ])
+    def test_bad_input_is_a_usage_error_naming_the_rule(
+            self, tmp_path, capsys, argv, rule):
+        """Exit 1 means a violation: nothing that runs no scenario may
+        leave with it, nor with a traceback."""
+        files = {"MISSING": tmp_path / "missing.json",
+                 "GARBAGE": tmp_path / "garbage.json",
+                 "LATENCY": tmp_path / "latency.json",
+                 "SCENARIO": tmp_path / "tiny.json"}
+        files["GARBAGE"].write_text("not json", encoding="utf-8")
+        files["LATENCY"].write_text(_spec_file_text(ExperimentSpec(
+            "latency", SimulationConfig(num_users=6), 1)), encoding="utf-8")
+        files["SCENARIO"].write_text(
+            _spec_file_text(partition_heal_scenario()), encoding="utf-8")
+        argv = [str(files.get(arg, arg)) for arg in argv]
+        with pytest.raises(SystemExit) as exit_:
+            chaos_main(argv)
+        assert exit_.value.code == 2
+        error = capsys.readouterr().err
+        assert "usage:" in error and rule in error

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import generate_scenario, run_scenario
+from repro.chaos import generate_scenario
+from repro.experiments.sweep import run_point
 
 
 def _verdict(seed: int):
-    return run_scenario(generate_scenario(seed))
+    return run_point(generate_scenario(seed)).point
 
 
 class TestQuickSweep:
@@ -31,9 +32,9 @@ class TestQuickSweep:
         assert first == second
 
     def test_distinct_seeds_draw_distinct_scenarios(self, chaos_seeds):
-        scripts = {generate_scenario(seed).to_json()
-                   for seed in chaos_seeds}
-        assert len(scripts) == len(chaos_seeds)
+        specs = {generate_scenario(seed).canonical_json()
+                 for seed in chaos_seeds}
+        assert len(specs) == len(chaos_seeds)
 
 
 @pytest.mark.slow

@@ -114,6 +114,9 @@ class TestSweepSubcommand:
         ["--grid", "waiting", "--users", "8,10", "--waits", "0.5"],
         ["--grid", "adversarial", "--users", "10", "--fractions", "0.5"],
         ["--jobs", "0"],
+        ["--users", "6", "--retries", "-1"],
+        ["--users", "6", "--timeout", "-1"],
+        ["--users", "6", "--timeout", "0"],
     ])
     def test_bad_grid_rejected_with_usage(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import generate_scenario, run_scenario
+from repro.chaos import generate_scenario
 from repro.conformance import (
     OUTCOME_RULES,
     ClusterMachine,
@@ -42,6 +42,7 @@ from repro.experiments.harness import (
     Simulation,
     SimulationConfig,
 )
+from repro.experiments.sweep import run_point
 from repro.obs import (
     EVENT_KINDS,
     EventSchemaError,
@@ -539,7 +540,7 @@ class TestChaosConformance:
     def test_generated_scenarios_carry_conformance_section(self,
                                                            chaos_seeds):
         for seed in chaos_seeds[:3]:
-            verdict = run_scenario(generate_scenario(seed))
+            verdict = run_point(generate_scenario(seed)).point
             assert verdict.conformance is not None
             assert verdict.conformance["ok"], verdict.violations
             assert verdict.conformance["violations"] == 0
@@ -551,7 +552,7 @@ class TestChaosConformance:
         assert len(chaos_seeds) >= 20
         failures = []
         for seed in chaos_seeds:
-            verdict = run_scenario(generate_scenario(seed))
+            verdict = run_point(generate_scenario(seed)).point
             if (verdict.conformance is None
                     or not verdict.conformance["ok"]):
                 failures.append((seed, verdict.violations))

@@ -28,62 +28,54 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos.runner import run_scenario
-from repro.chaos.scenario import (
-    ScenarioScript,
-    flood_recovery_scenario,
-    partition_heal_scenario,
-)
+from repro.chaos import flood_recovery_scenario, partition_heal_scenario
 from repro.experiments.harness import (
     NetworkConfig,
     RuntimeConfig,
     SimulationConfig,
 )
+from repro.experiments.spec import ExperimentSpec
 
-from tests.fixtures import assert_chains_byte_identical
+from tests.fixtures import assert_chains_byte_identical, run_chaos
 
 #: The deterministic fabric: identical delivery times regardless of how
 #: many relays are in flight, so damping cannot shift any arrival.
 IDENTITY_FABRIC = NetworkConfig(latency_model="uniform", bandwidth_bps=None)
 
 
-def _clean_scenario(seed: int) -> ScenarioScript:
-    return ScenarioScript(name="clean",
-                          config=SimulationConfig(num_users=12, seed=seed),
-                          rounds=2, payments=8)
+def _clean_scenario(seed: int) -> ExperimentSpec:
+    return ExperimentSpec("chaos", SimulationConfig(num_users=12, seed=seed),
+                          rounds=2, payments=((8, 0),))
 
 
 FAMILIES = (_clean_scenario, partition_heal_scenario,
             flood_recovery_scenario)
 
 
-def _family(seed: int, index: int) -> ScenarioScript:
+def _family(seed: int, index: int) -> ExperimentSpec:
     builder = FAMILIES[index % len(FAMILIES)]
     if builder is _clean_scenario:
         return _clean_scenario(seed)
     return builder(seed=seed)
 
 
-def _assert_equivalent(script: ScenarioScript) -> None:
-    verdicts = {}
+def _assert_equivalent(spec: ExperimentSpec) -> None:
+    sims = {}
     for damping in (False, True):
-        verdict = run_scenario(replace(script, config=replace(
-            script.config, network=IDENTITY_FABRIC,
+        verdict, sims[damping] = run_chaos(replace(spec, config=replace(
+            spec.config, network=IDENTITY_FABRIC,
             runtime=RuntimeConfig(relay_damping=damping))))
-        assert verdict.ok, (script.name, damping, verdict.violations)
+        assert verdict.ok, (spec.faults, damping, verdict.violations)
         assert verdict.conformance is not None
-        assert verdict.conformance["ok"], (script.name, damping)
-        verdicts[damping] = verdict
-    assert_chains_byte_identical(verdicts[False].deployment,
-                                 verdicts[True].deployment, script.rounds)
+        assert verdict.conformance["ok"], (spec.faults, damping)
+    assert_chains_byte_identical(sims[False], sims[True], spec.rounds)
     # The equivalence must be a statement about damping *doing work*,
     # not about it sitting idle.
-    suppressed = sum(node.damper.suppressed
-                     for node in verdicts[True].deployment.nodes
+    suppressed = sum(node.damper.suppressed for node in sims[True].nodes
                      if node.damper is not None)
-    assert suppressed > 0, script.name
+    assert suppressed > 0, spec.faults
     assert all(getattr(node, "damper", None) is None
-               for node in verdicts[False].deployment.nodes)
+               for node in sims[False].nodes)
 
 
 class TestQuickEquivalence:
@@ -100,9 +92,10 @@ class TestFullEquivalenceSweep:
         assert len(chaos_seeds) >= 20
         failures = []
         for index, seed in enumerate(chaos_seeds):
-            script = _family(seed, index)
+            spec = _family(seed, index)
             try:
-                _assert_equivalent(script)
+                _assert_equivalent(spec)
             except AssertionError as exc:  # keep sweeping, report all
-                failures.append((seed, script.name, str(exc)[:200]))
+                failures.append((seed, FAMILIES[index % len(FAMILIES)]
+                                 .__name__, str(exc)[:200]))
         assert not failures, failures

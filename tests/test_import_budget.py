@@ -99,6 +99,7 @@ class TestRuntimeStackIsNumpyOnly:
         "repro.live.cluster", "repro.live.__main__",
         "repro.chaos.__main__", "repro.chaos.runner",
         "repro.conformance.__main__", "repro.obs.record",
+        "repro.experiments.sweep",
     ])
     def test_runtime_entry_points_need_no_scipy(self, module):
         assert heavy(modules_after(f"import {module}")) == []
@@ -106,7 +107,8 @@ class TestRuntimeStackIsNumpyOnly:
 
 class TestLazySurfaces:
     @pytest.mark.parametrize("package", [
-        "repro", "repro.experiments", "repro.chaos", "repro.live"])
+        "repro", "repro.experiments", "repro.chaos", "repro.live",
+        "repro.baselines"])
     def test_every_public_name_resolves(self, package):
         """``__all__``, ``dir()`` and attribute access agree."""
         run_python("-c", "\n".join([
@@ -130,7 +132,7 @@ class TestLazySurfaces:
             "from repro.experiments import ExperimentSpec, run_sweep",
             "from repro.experiments import sweep as sweep_module",
             "assert sweep_module.run_sweep is run_sweep",
-            "from repro.chaos import ScenarioScript, run_scenario",
+            "from repro.chaos import ChaosVerdict, generate_scenario",
             "from repro.live import LiveCluster, LIVE_SMOKE_PARAMS",
             "import repro",
             "assert repro.LiveCluster is LiveCluster",

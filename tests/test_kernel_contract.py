@@ -35,14 +35,10 @@ import pytest
 import repro.experiments.harness as harness
 from repro.baplus.context import BAContext
 from repro.baplus.messages import VoteMessage
-from repro.chaos import (
-    FaultAction,
-    ScenarioScript,
-    figure8_adversary,
-    run_scenario,
-)
+from repro.chaos import FaultAction, figure8_adversary
 from repro.chaos.faults import FilterChain, Partitioner
 from repro.common.params import TEST_PARAMS
+from repro.experiments.spec import ExperimentSpec
 from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block
 from repro.node.deployment import NetworkConfig, PopulationConfig
@@ -56,6 +52,7 @@ from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 from tests.fixtures import (
     chain_fingerprint,
     chain_hash,
+    run_chaos,
     run_sim,
     run_traced,
 )
@@ -343,13 +340,11 @@ def test_malicious_stake_schedule(seed):
 
 @pytest.mark.parametrize("seed", sorted(CRASH_RESYNC_8_USERS_2_ROUNDS))
 def test_crash_resync_schedule(seed):
-    verdict = run_scenario(ScenarioScript(
-        name="crash-mid-step",
-        config=harness.SimulationConfig(num_users=8, seed=seed),
-        rounds=2, payments=8,
-        actions=(FaultAction(kind="crash", start=1.0, end=8.0, nodes=(2,)),)))
+    verdict, sim = run_chaos(ExperimentSpec(
+        "chaos", harness.SimulationConfig(num_users=8, seed=seed),
+        rounds=2, payments=((8, 0),),
+        faults=(FaultAction(kind="crash", start=1.0, end=8.0, nodes=(2,)),)))
     assert verdict.ok, verdict.violations
-    sim = verdict.deployment
     assert [(event["node"], event["to_height"])
             for event in sim.obs.events_of_kind("catchup_adopted")] \
         == [(2, 1), (2, 2)]

@@ -22,7 +22,7 @@ of the same deployment, need no processes), and a latency
 ``run_point`` unchanged.
 
 The 5-process scripted scenario sweep (the ``kill-partition`` builtin
-through :func:`run_scenario`), the 5-process cluster with a dishonest
+through :func:`run_point`), the 5-process cluster with a dishonest
 process (Figure 8's adversary), the 5-process ``targeted-dos`` run and
 the 5-process latency point are marked ``slow``; run with ``-m slow``.
 """
@@ -35,15 +35,13 @@ import json
 
 import pytest
 
+from repro.chaos import kill_partition_scenario
 from repro.chaos.monitor import audit_ingress, findings
-from repro.chaos.runner import run_scenario
 from repro.chaos.scenario import (
     FAULT_KINDS,
     LIVE_CHAOS_PARAMS,
     FaultAction,
-    ScenarioScript,
     figure8_adversary,
-    kill_partition_scenario,
 )
 from repro.common.params import LIVE_SMOKE_PARAMS
 from repro.conformance.__main__ import main as conformance_main
@@ -61,6 +59,7 @@ from repro.live.cluster import LiveCluster, default_live_config
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink, read_trace
 from repro.runtime.admission import AdmissionConfig
+from tests.fixtures import run_chaos
 
 NODES = 3
 ROUNDS = 6
@@ -276,10 +275,10 @@ class TestSpammingProcessIsContained:
             metrics = spammed_cluster.results[index]["metrics"]
             assert (0 < metrics["admission.buffer_high_water"]
                     <= SPAM_BUFFER_BUDGET)
-        script = ScenarioScript(name="spam", config=spammed_cluster.config,
-                                rounds=SPAM_ROUNDS,
-                                actions=spammed_cluster.faults)
-        assert findings(spammed_cluster.outcome(), script)["audits"] == []
+        spec = ExperimentSpec("chaos", spammed_cluster.config,
+                              rounds=SPAM_ROUNDS,
+                              faults=spammed_cluster.faults)
+        assert findings(spammed_cluster.outcome(), spec)["audits"] == []
 
     def test_merged_trace_conforms(self, spammed_cluster):
         verdict = spammed_cluster.conformance.verdict()
@@ -316,12 +315,11 @@ class TestOneVocabulary:
                                      high_water}).to_record()
             for index, high_water in enumerate((64, 65, 9000))}
         cluster.ended_at = 3.0
-        script = ScenarioScript(
-            name="spammer", config=config,
-            rounds=1, actions=(FaultAction(kind="spam", start=0.0,
-                                           end=1.0, nodes=(2,),
-                                           rate=10.0),))
-        (breach,) = findings(cluster.outcome(), script)["audits"]
+        spec = ExperimentSpec(
+            "chaos", config, rounds=1,
+            faults=(FaultAction(kind="spam", start=0.0, end=1.0,
+                                nodes=(2,), rate=10.0),))
+        (breach,) = findings(cluster.outcome(), spec)["audits"]
         # The sim's audit, over its nodes' marks under the same names.
         (sim_breach,) = audit_ingress(
             {index: {"admission.buffer_high_water": high_water}
@@ -350,8 +348,8 @@ class TestOneChainAudit:
     def _audits(self, config, results) -> list:
         cluster = LiveCluster(config)
         cluster.results = results
-        script = ScenarioScript(name="audit", config=config, rounds=3)
-        return findings(cluster.outcome(), script)["audits"]
+        spec = ExperimentSpec("chaos", config, rounds=3)
+        return findings(cluster.outcome(), spec)["audits"]
 
     def test_honest_results_pass_every_audit(self, reported):
         config, results = reported
@@ -457,18 +455,18 @@ class TestKillPartitionScenarioSweep:
 
     @pytest.mark.parametrize("seed", [11, 29])
     def test_builtin_scenario_green(self, tmp_path, seed):
-        script = kill_partition_scenario(seed=seed)
-        script = dataclasses.replace(script, config=dataclasses.replace(
-            script.config, params=LIVE_CHAOS_PARAMS,
+        spec = kill_partition_scenario(seed=seed)
+        spec = dataclasses.replace(spec, config=dataclasses.replace(
+            spec.config, params=LIVE_CHAOS_PARAMS,
             substrate=SubstrateConfig(
                 kind="live", runtime_dir=str(tmp_path / f"seed-{seed}"))))
-        verdict = run_scenario(script)
+        verdict, cluster = run_chaos(spec)
         assert verdict.ok, verdict.violations
         assert verdict.converged
-        assert verdict.heights == [script.rounds] * script.config.num_users
+        assert verdict.heights == [spec.rounds] * spec.config.num_users
         assert verdict.conformance["ok"]
-        assert verdict.deployment.all_chains_equal()
-        kinds = [e["kind"] for e in verdict.deployment.obs.events]
+        assert cluster.all_chains_equal()
+        kinds = [e["kind"] for e in cluster.obs.events]
         assert "node_crashed" in kinds
         assert "node_restarted" in kinds
         assert "catchup_adopted" in kinds

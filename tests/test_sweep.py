@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.chaos import generate_scenario, kill_partition_scenario
 from repro.chaos.scenario import FaultAction
 from repro.common.errors import (
     BalancesError,
@@ -76,6 +77,7 @@ GRID_SPECS = [
     latency_spec(30, 0, population=PopulationConfig(
         mode="aggregated", always_on_core=8)),
     costs_spec(6, 0, rounds=1, payload_bytes=4_000),
+    kill_partition_scenario(),
 ]
 
 needs_fork = pytest.mark.skipif(
@@ -191,6 +193,20 @@ class TestSweepEngine:
         assert [o.index for o in parallel.outcomes] == list(
             range(len(TINY_GRID)))
         assert not serial.failures and not parallel.failures
+
+    def test_chaos_grid_serial_vs_parallel_byte_identical(self):
+        """Faulted, checked runs are shared-nothing too: a generated
+        chaos grid merges the same verdicts for any ``jobs``."""
+        grid = [generate_scenario(seed, num_users=6, rounds=1)
+                for seed in (101, 105, 111)]
+        serial = run_sweep(grid, jobs=1)
+        parallel = run_sweep(grid, jobs=2)
+        assert not serial.failures and not parallel.failures
+        assert serial.merged_json() == parallel.merged_json()
+        points = serial.merged()["points"]
+        assert [point["result"]["scenario"] for point in points] == [
+            spec.to_json() for spec in grid]
+        assert all(point["result"]["ok"] for point in points)
 
     def test_costs_grid_serial_vs_parallel_byte_identical(self):
         """The section 10.3 table's point reads counters a worker
@@ -428,9 +444,10 @@ class TestConfigValidation:
 class TestCleanupOfTestKinds:
     def test_registry_cleanup(self):
         """The test-only measures are registered per test and gone after
-        it: the measure table holds the seven production measures."""
+        it: the measure table holds the eight production measures."""
         assert set(MEASURES) == {"latency", "adversarial", "block_size",
-                                 "waiting", "traffic", "timeouts", "costs"}
+                                 "waiting", "traffic", "timeouts", "costs",
+                                 "chaos"}
 
 
 class TestSweepDataShapes:
@@ -444,6 +461,7 @@ class TestSweepDataShapes:
             census_specs(num_users=10, rounds=1)[0],
             timeouts_spec(6, 0, rounds=1),
             costs_spec(6, 0, rounds=1, payload_bytes=4_000),
+            generate_scenario(101, num_users=6, rounds=1),
         ]
         report = run_sweep(specs, jobs=1)
         assert not report.failures
@@ -452,7 +470,7 @@ class TestSweepDataShapes:
         merged = report.merged()
         assert [p["spec"]["measure"] for p in merged["points"]] == [
             "latency", "adversarial", "block_size", "waiting", "traffic",
-            "timeouts", "costs"]
+            "timeouts", "costs", "chaos"]
 
 
 @dataclasses.dataclass(frozen=True)
