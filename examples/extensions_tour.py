@@ -7,7 +7,9 @@ Two capabilities built on top of the round pipeline:
    agreement decision without ever being eligible to speak;
 2. **Accountability** (§2's detect-and-punish) — the admission gate of
    every honest node catches the attackers' conflicting votes and block
-   versions as they arrive, and counts them.
+   versions as they arrive, counts them, and blocks the offenders it
+   scores past its threshold — each node on its own, as a live process
+   does.
 
 Run:  python examples/extensions_tour.py
 """
@@ -45,10 +47,10 @@ def accountability_demo() -> None:
     for index in range(13):
         caught = outcome.runs[index].counters.get(
             "admission.rejected.equivocation", 0)
+        blocked = sorted(sim.nodes[index].admission.health.quarantined_until)
         print(f"  honest node {index:2d}: "
-              f"admission.rejected.equivocation = {caught}")
-    print(f"  attackers cut off by the network-wide quarantine: "
-          f"{sorted(outcome.quarantined)}")
+              f"admission.rejected.equivocation = {caught}, "
+              f"blocks {blocked} at its own gate")
 
 
 def main() -> None:

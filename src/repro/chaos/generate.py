@@ -165,8 +165,8 @@ def flood_recovery_scenario(*, num_users: int = 15, seed: int = 47,
     budgets throughout (the ``ingress-bounds`` audit), no safety
     violation, and rounds still committing after the flood stops.
 
-    Attackers never exceed the paper's 1/3 (being quarantined silences
-    an attacker's honest votes too): below seven users there is one,
+    Attackers never exceed the paper's 1/3 (a node that blocks an
+    attacker drops its honest votes too): below seven users there is one,
     running both attacks — the 5-process live cluster of 40-stake nodes
     keeps 160/200 of its stake voting.
     """

@@ -130,12 +130,10 @@ def findings(outcome, spec) -> dict:
 
     ``outcome`` is the run's :class:`~repro.node.deployment.RunOutcome`,
     whichever substrate produced it, and ``spec`` the chaos
-    :class:`~repro.experiments.spec.ExperimentSpec` it ran. A node
-    crashed for good is held to no height, nor is one the network-wide
-    quarantine still severs (catch-up runs over gossip, so it cannot
-    have learned what it missed); honest buffers are audited against
-    their budgets; a node that reported nothing without being crashed
-    for good is ``missing``.
+    :class:`~repro.experiments.spec.ExperimentSpec` it ran. Only a node
+    crashed for good is held to no height, an attacker included;
+    honest buffers are audited against their budgets; a node that
+    reported nothing without being crashed for good is ``missing``.
     """
     now = outcome.now
     gone = permanently_crashed(spec.faults)
@@ -145,13 +143,11 @@ def findings(outcome, spec) -> dict:
     audits += audit_ingress(
         {run.index: run.counters for run in runs}, spec.config,
         now=now, skip=gone | attacker_nodes(spec.faults))
-    unjudged = gone | outcome.quarantined
     return {
         "audits": audits,
         "heights": outcome.heights,
         "laggards": [run.index for run in runs
-                     if run.index not in unjudged
-                     and run.height < spec.rounds],
+                     if run.index not in gone and run.height < spec.rounds],
         "missing": [index for index in range(outcome.slots)
                     if index not in outcome.runs and index not in gone],
         "now": now,

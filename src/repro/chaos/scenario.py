@@ -56,7 +56,8 @@ the whole run; otherwise they stay honest nodes that keep the chain:
 ``flood``
     ``nodes`` broadcast ``rate`` invalid-signature votes per simulated
     second until ``end`` (link-level junk; admission control rejects it
-    at ingress and quarantines the senders).
+    at ingress, and each receiving node blocks the senders at its own
+    gate).
 ``spam``
     ``nodes`` broadcast ``rate`` validly signed far-future votes per
     simulated second until ``end`` (the "undecidable messages" DoS:

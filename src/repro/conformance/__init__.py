@@ -19,8 +19,10 @@ main safety net; byte-identical chains can still hide wrong
   recorded JSONL trace (CI artifacts, old runs, merged live traces).
 
 A traced run is a checked run: the harness attaches a monitor exactly
-when a simulation has a trace bus, a live node always; chaos verdicts
-are rendered from that monitor on either substrate.
+when a simulation has a trace bus, and a live cluster's coordinator
+always checks its merged trace with one (no node process checks its
+own); chaos verdicts are rendered from that monitor on either
+substrate.
 """
 
 from repro.conformance.machine import (

@@ -53,7 +53,6 @@ from repro.node.population import Population
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.admission import QuarantineDirectory
 from repro.sim.loop import Environment
 from repro.sortition.selection import SELECTION_STATS
 
@@ -122,14 +121,14 @@ class Simulation:
             latency = LatencyModel(total_nodes, self.rng)
         else:
             latency = UniformLatencyModel(network_cfg.uniform_latency)
-        budgets = config.runtime.admission_budgets()
         core_size = config.population.core_size(total_nodes)
         self.network = GossipNetwork(
             self.env, total_nodes, self.rng, latency,
             peers_per_node=network_cfg.peers_per_node,
             bandwidth_bps=network_cfg.bandwidth_bps,
             seen_horizon_rounds=network_cfg.seen_horizon_rounds,
-            lane_budget_msgs=budgets.egress_lane_budget,
+            lane_budget_msgs=(
+                config.runtime.admission_budgets().egress_lane_budget),
             obs=obs,
             # No dormant stake, no active set: a core that covers
             # everyone builds every interface up front and draws peers
@@ -138,22 +137,14 @@ class Simulation:
                             if core_size < total_nodes else None),
         )
 
-        #: Network-wide quarantine state.
-        self.quarantine_directory = QuarantineDirectory(
-            self.network, budgets, obs=obs)
-
-        def on_commit(round_number: int) -> None:
-            self.quarantine_directory.end_round(round_number)
-            if network_cfg.reshuffle_peers_each_round:
-                self.network.reshuffle_peers()
-
         #: Builds every agent: the always-on core now, each round's
         #: sortition winners among the dormant stake as they are drawn.
         self.population = Population(
             config, genesis, env=self.env, backend=self.backend,
             network=self.network, registry=self.registry,
-            obs=obs, directory=self.quarantine_directory,
-            round_hook=on_commit,
+            obs=obs,
+            round_hook=((lambda _round: self.network.reshuffle_peers())
+                        if network_cfg.reshuffle_peers_each_round else None),
         )
         #: The always-on core — everyone, under ``mode="full"``; the
         #: per-round transients live in ``population.live``.
@@ -280,8 +271,7 @@ class Simulation:
         """What the run left behind, read off the always-on core: one
         :class:`~repro.node.deployment.NodeRun` per agent (its egress
         lane's high-water mark among its counters), the clock, the
-        conformance monitor, the quarantined peers and the harvested
-        snapshot."""
+        conformance monitor and the harvested snapshot."""
         lanes = self.network.interfaces
         snapshot = self._registry_snapshot()
         return RunOutcome(
@@ -292,7 +282,6 @@ class Simulation:
                   for node in self.nodes},
             slots=len(self.nodes), now=self.env.now, backend=self.backend,
             conformance=self.conformance,
-            quarantined=self.quarantine_directory.quarantined,
             snapshot={**snapshot["counters"], **snapshot["gauges"]})
 
     def all_chains_equal(self) -> bool:
@@ -310,20 +299,17 @@ class Simulation:
     def _harvest(self, metrics: MetricsRegistry) -> None:
         """:func:`~repro.node.deployment.harvest` for this deployment,
         plus the sim's own numbers: the network's byte movers, the
-        egress lanes and quarantine directory, the population gauges."""
+        egress lanes, the population gauges."""
         network = self.network
         counters: dict = {}
         gauges = {"network.messages_delivered": network.messages_delivered,
                   "gossip.dup_elided": network.dup_elided,
                   "network.total_bytes_sent": network.total_bytes_sent}
-        directory = self.quarantine_directory
         interfaces = list(filter(None, network.interfaces))
         counters["admission.egress_dropped"] = sum(
             interface.egress_dropped for interface in interfaces)
-        counters["admission.quarantines"] = directory.quarantines
         gauges["admission.egress_high_water"] = max(
             interface.egress_high_water for interface in interfaces)
-        gauges["admission.quarantined_peers"] = len(directory.quarantined)
         for name, value in self.population.stats().items():
             gauges["population." + name] = value
         harvest(metrics, clock=self.env, backend=self.backend,
@@ -343,7 +329,7 @@ class Simulation:
     def summary(self) -> dict:
         """The harvested snapshot, flat: every runtime number under its
         registry name (``simloop.events_processed``, ``cache.hits``,
-        ``admission.quarantined_peers``, ...), the same names a live
+        ``admission.rejected.quarantined``, ...), the same names a live
         node's snapshot carries. A traced run's is its bus snapshot, so
         it has the event-time families too, and rides whole under
         ``"obs"``. ``total_bytes_sent`` and ``conformance["ok"]`` are

@@ -79,6 +79,7 @@ from repro.node.deployment import (
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.network.wire import decode_block
 from repro.obs.bus import TraceBus
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import read_trace, trace_losses
 
 _LOG_TAIL_LINES = 25
@@ -160,10 +161,13 @@ class LiveCluster:
         #: at its own ``t``, so its sinks (a JSONL file, ``conformance``)
         #: see what they would on the sim. ``None`` changes nothing.
         self.obs = obs
-        #: The reference-machine checker of that replay; ``None`` untraced.
-        self.conformance: ConformanceMonitor | None = None
+        #: The run's one reference-machine checker. It reads the merged
+        #: trace — every node's events, so the cross-node rules
+        #: (``unique-certificate``) can fire — through ``obs`` when one
+        #: is given; no node process checks on its own.
+        self.conformance = ConformanceMonitor(
+            registry=obs.metrics if obs is not None else MetricsRegistry())
         if obs is not None:
-            self.conformance = ConformanceMonitor(registry=obs.metrics)
             obs.add_sink(self.conformance)
             obs.add_harvester(
                 lambda bus: self.conformance.harvest(bus.metrics))
@@ -232,8 +236,12 @@ class LiveCluster:
         """The run's facts plus its node snapshots folded by the one rule
         (:func:`~repro.node.deployment.fold`), under the registry names
         a sim's ``summary()`` uses; ``per_node`` keeps each process's
-        own. ``wire_bytes_sent`` is the name the benchmark reads."""
+        own. ``conformance_ok`` and ``conformance.*`` are the verdict of
+        :attr:`conformance` over the merged trace. ``wire_bytes_sent``
+        is the name the benchmark reads."""
         heights = {i: r["height"] for i, r in sorted(self.results.items())}
+        checked = self.conformance.registry
+        self.conformance.harvest(checked)
         return {
             "substrate": "live",
             "transport": self.config.substrate.transport,
@@ -247,11 +255,11 @@ class LiveCluster:
             "chains_equal": self.all_chains_equal(),
             "tips": {i: r["tip"].hex()[:16]
                      for i, r in sorted(self.results.items())},
-            "conformance_ok": all(r["conformance_ok"]
-                                  for r in self.results.values()),
+            "conformance_ok": self.conformance.verdict().ok,
             "trace_events_dropped": sum(r["dropped_events"]
                                         for r in self.results.values()),
             **self.metrics,
+            **checked.counters_with_prefix("conformance."),
             "wire_bytes_sent": self.metrics.get("live.wire_bytes_sent", 0),
             "per_node": {i: dict(r["metrics"])
                          for i, r in sorted(self.results.items())},
@@ -666,7 +674,9 @@ class LiveCluster:
             handle.write(json.dumps(
                 {"type": "snapshot", "metrics": snapshot},
                 separators=(",", ":")) + "\n")
-        if self.obs is not None:
+        if self.obs is None:
+            self.conformance.feed(events)
+        else:
             stamp = 0.0
             self.obs.bind_clock(lambda: stamp)
             for record in events:

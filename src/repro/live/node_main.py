@@ -48,7 +48,6 @@ from numpy.random import default_rng
 from repro.chaos.faults import FaultInjector
 from repro.chaos.scenario import FAULT_RNG_TAG, FaultAction
 from repro.common.encoding import decode, encode
-from repro.conformance.monitor import ConformanceMonitor
 from repro.ledger.transaction import make_transaction
 from repro.live.clock import LiveClock
 from repro.live.control import ControlError, MessageStream, send_message
@@ -249,10 +248,6 @@ class NodeProcess:
         self.sink = JsonlTraceSink(self.cfg["trace"], buffer_lines=1,
                                    durable=True)
         self.bus.add_sink(self.sink)
-        #: Online reference-machine checker (a live node always has a
-        #: bus, and a traced run is a checked run).
-        self.monitor = ConformanceMonitor(registry=self.bus.metrics)
-        self.bus.add_sink(self.monitor)
         self.bus.add_harvester(self._harvest)
         node = build_node(
             config, self.genesis, self.index, clock=self.clock,
@@ -274,8 +269,7 @@ class NodeProcess:
                 backend=self.chain_sync.node.backend,
                 # One stack per process: the process-wide tallies are its.
                 sortition=SELECTION_STATS.as_dict(),
-                agents=node_counters(self.chain_sync.node),
-                conformance=self.monitor, gauges=gauges)
+                agents=node_counters(self.chain_sync.node), gauges=gauges)
 
     def _startup_report(self, build_began: float) -> dict:
         """Where this process's start-up went (the ``ready`` message).
@@ -389,13 +383,6 @@ class NodeProcess:
                 rng=default_rng([self.config.seed, FAULT_RNG_TAG,
                                  self.index])).install()
         if self.rejoin:
-            # Seed only the local conformance machine with the crash it
-            # cannot have witnessed (the coordinator synthesizes the
-            # real node_crashed into the merged trace at kill time);
-            # without this, node_restarted from IDLE would be flagged.
-            self.monitor.write_event({
-                "kind": "node_crashed", "node": self.index,
-                "round": node.chain.next_round, "t": self.clock.now})
             node.obs.emit("node_restarted", node=self.index,
                           round=node.chain.next_round)
             # The catch-up asks for the history we missed before the
@@ -414,7 +401,6 @@ class NodeProcess:
         await self.clock.run_async(stop_when=lambda: not node.running,
                                    deadline=deadline)
         chain = node.chain
-        verdict = self.monitor.verdict()
         snapshot = self.bus.snapshot()
         run = NodeRun.of(node, {**snapshot["counters"],
                                 **snapshot["gauges"]})
@@ -426,7 +412,6 @@ class NodeProcess:
             "tip": chain.tip_hash,
             "halted": node.halted,
             "trace": cfg["trace"],
-            "conformance_ok": verdict.ok,
             "dropped_events": (self.bus.dropped_events
                                + self.sink.dropped),
             **run.to_record(),

@@ -372,29 +372,6 @@ class NetworkInterface(RelayCore):
         self._network._transmit(self, item)
         self._drain()
 
-    def discard_egress_to(self, target: int) -> int:
-        """Purge queued-but-unsent items addressed to ``target``.
-
-        Called when ``target`` is severed mid-round (peer quarantine): a
-        message already queued for it would otherwise still transmit on
-        the dead link — ``receive`` only checks the *receiver's* state,
-        and a quarantined receiver is not ``disconnected``. Worse than
-        wasted bytes, the stray delivery mutates the quarantined peer's
-        dedup set while it is cut off, desyncing what it believes it has
-        seen from what the network will re-offer after its release.
-        Returns the number of items dropped.
-        """
-        dropped = 0
-        for lane in (self._egress_urgent, self._egress_bulk):
-            kept = [item for item in lane if item[1] != target]
-            if len(kept) != len(lane):
-                dropped += len(lane) - len(kept)
-                lane.clear()
-                lane.extend(kept)
-        if dropped and self._metrics is not None:
-            self._metrics.inc("gossip.egress_purged", dropped)
-        return dropped
-
     # --- Arrival ----------------------------------------------------------
 
     def _land(self, item: tuple[Envelope, int]) -> None:
@@ -471,9 +448,6 @@ class GossipNetwork:
         #: elided before they became an event (:attr:`dup_elided` of them).
         self.messages_delivered = 0
         self.dup_elided = 0
-        #: Nodes currently severed from the topology (peer quarantine);
-        #: maintained by :meth:`set_quarantined`.
-        self.quarantined: frozenset[int] = frozenset()
         #: Aggregated-population mode: only these slots participate in
         #: the gossip fabric. ``None`` (everyone always on) means every
         #: slot is live — and follows the original construction path
@@ -504,15 +478,12 @@ class GossipNetwork:
     def reshuffle_peers(self) -> None:
         """(Re)build the random peer graph (paper: new peers each round).
 
-        Dormant and quarantined nodes are excluded from both directions
-        of the new neighbor map: they neither draw peers nor get drawn.
-        Each eligible node draws once, in index order, from the others —
-        so an honest deployment's random choices do not depend on
-        whether the quarantine machinery is installed.
+        Dormant nodes are excluded from both directions of the new
+        neighbor map: they neither draw peers nor get drawn. Each
+        eligible node draws once, in index order, from the others.
         """
-        pool = (range(self.num_nodes) if self.active is None
-                else sorted(self.active))
-        eligible = [i for i in pool if i not in self.quarantined]
+        eligible = (list(range(self.num_nodes)) if self.active is None
+                    else sorted(self.active))
         adjacency: dict[int, set[int]] = {node: set() for node in eligible}
         m = len(eligible)
         k = min(self.peers_per_node, m - 1)
@@ -548,37 +519,6 @@ class GossipNetwork:
         for index in sorted(active - previous):
             self.interface(index).activate()
         self.reshuffle_peers()
-
-    def set_quarantined(self, indices) -> None:
-        """Update the severed-node set and repair the topology.
-
-        Newly quarantined nodes are cut out of the *current* graph in
-        place (both directions — no reshuffle, no RNG consumption);
-        releases rebuild the graph so freed peers rejoin symmetrically.
-        """
-        quarantined = frozenset(indices)
-        if quarantined == self.quarantined:
-            return
-        released = self.quarantined - quarantined
-        added = quarantined - self.quarantined
-        self.quarantined = quarantined
-        if released:
-            self.reshuffle_peers()
-            return
-        for node in added:
-            interface = self.interfaces[node]
-            for neighbor in interface.neighbors:
-                peer = self.interfaces[neighbor]
-                if node in peer.neighbors:
-                    peer.neighbors.remove(node)
-                # Severing the link must also purge traffic already
-                # queued for it, or the quarantined node keeps receiving
-                # (and dedup-marking) relays through a link that no
-                # longer exists — state it would carry back on rejoin.
-                peer.discard_egress_to(node)
-            interface.neighbors = []
-            interface._egress_urgent.clear()
-            interface._egress_bulk.clear()
 
     def _transmit(self, sender: NetworkInterface,
                   item: tuple[Envelope, int]) -> None:

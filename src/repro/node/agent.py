@@ -75,11 +75,7 @@ from repro.node.proposal import (
     make_priority_message,
 )
 from repro.node.registry import BlockRegistry, ContextKey
-from repro.runtime.admission import (
-    AdmissionConfig,
-    AdmissionControl,
-    QuarantineDirectory,
-)
+from repro.runtime.admission import AdmissionConfig, AdmissionControl
 from repro.runtime.router import MessageRouter
 from repro.sim.loop import Environment, Timer
 from repro.sortition.roles import FINAL_STEP, proposer_role
@@ -168,7 +164,6 @@ class Node:
                  backend: CryptoBackend, params: ProtocolParams,
                  chain: Blockchain, interface: NetworkInterface,
                  registry: BlockRegistry, admission: AdmissionConfig,
-                 directory: QuarantineDirectory | None = None,
                  index_of: AccountIndex | None = None, obs=None) -> None:
         self.index = index
         self.env = env
@@ -199,7 +194,6 @@ class Node:
         #: each commit so its per-round tables and peer-health decay stay
         #: in step.
         self.admission = AdmissionControl(self, admission,
-                                          directory=directory,
                                           index_of=index_of)
         #: Optional :class:`repro.runtime.damping.RelayDamper` installed
         #: by :func:`repro.runtime.damping.attach_damping`: consulted on

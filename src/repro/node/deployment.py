@@ -55,7 +55,7 @@ from repro.ledger.blockchain import Blockchain
 from repro.node.agent import Node
 from repro.node.metrics import RoundRecord
 from repro.node.registry import BlockRegistry
-from repro.runtime.admission import AdmissionConfig, QuarantineDirectory
+from repro.runtime.admission import AdmissionConfig
 from repro.runtime.cache import VerificationCache
 from repro.runtime.damping import attach_damping
 
@@ -115,8 +115,8 @@ class RuntimeConfig:
     use_verification_cache: bool = True
     #: Budgets/weights of every node's message gate
     #: (:mod:`repro.runtime.admission`: sortition-gated admission,
-    #: bounded vote buffers and egress lanes, peer health scoring, and a
-    #: network quarantine directory); defaults when ``None``.
+    #: bounded vote buffers and egress lanes, peer health scoring and
+    #: local quarantine); defaults when ``None``.
     admission: AdmissionConfig | None = None
     #: Quorum-trimmed relay (:mod:`repro.runtime.damping`): every node
     #: stops forwarding votes for a ``(round, step, value)`` once its
@@ -393,14 +393,11 @@ def derive_genesis(config: SimulationConfig,
 def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
                clock: Clock, transport: Transport,
                backend: CryptoBackend, registry: BlockRegistry,
-               obs=None, directory: QuarantineDirectory | None = None,
-               chain: Blockchain | None = None) -> Node:
+               obs=None, chain: Blockchain | None = None) -> Node:
     """Wire one node stack onto an injected clock and transport.
 
     ``chain`` defaults to a fresh genesis chain on the deployment's
     account index; the population passes replicas of one.
-    ``directory`` is the network-wide quarantine state (sim only: a live
-    node scores its peers locally and severs nobody else's links).
     """
     if chain is None:
         chain = Blockchain(genesis.initial_balances, genesis.seed,
@@ -410,7 +407,7 @@ def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
         index=index, env=clock, keypair=genesis.keypairs[index],
         backend=backend, params=config.params, chain=chain,
         interface=transport, registry=registry,
-        admission=config.runtime.admission_budgets(), directory=directory,
+        admission=config.runtime.admission_budgets(),
         index_of=genesis.index_of, obs=obs)
     if config.runtime.relay_damping:
         attach_damping(node)
@@ -629,8 +626,6 @@ class RunOutcome:
     #: The ``ConformanceMonitor`` that checked the run's trace, where
     #: the run was traced (the chaos measure's verdict reads it).
     conformance: object | None = None
-    #: Nodes the network-wide quarantine still severs (sim only).
-    quarantined: frozenset[int] = frozenset()
     #: Every runtime number under its registry name, folded over nodes.
     snapshot: dict = field(default_factory=dict)
     #: The run's merged JSONL trace, where one was written.

@@ -66,7 +66,6 @@ from repro.node.deployment import (
     node_counters,
 )
 from repro.node.registry import BlockRegistry
-from repro.runtime.admission import QuarantineDirectory
 from repro.sim.loop import Environment
 from repro.sortition.pool import pool_select
 from repro.sortition.roles import (
@@ -84,7 +83,6 @@ class Population:
     def __init__(self, config: SimulationConfig, genesis: Genesis, *,
                  env: Environment, backend: CryptoBackend,
                  network: GossipNetwork, registry: BlockRegistry, obs=None,
-                 directory: QuarantineDirectory | None = None,
                  round_hook: Callable[[int], None] | None = None) -> None:
         self.config = config
         self.genesis = genesis
@@ -95,10 +93,8 @@ class Population:
         self.registry = registry
         self.steps_ahead = config.population.steps_ahead
         self.obs = obs
-        self._directory = directory
-        #: Harness round hook (seen-set pruning, quarantine round end,
-        #: optional reshuffle) — invoked on the designated core agent's
-        #: (node 0's) commits.
+        #: Harness round hook (the optional peer reshuffle) — invoked on
+        #: the designated core agent's (node 0's) commits.
         self._round_hook = round_hook
 
         keypairs = genesis.keypairs
@@ -144,7 +140,6 @@ class Population:
             self.config, self.genesis, slot, clock=self.env,
             transport=self.network.interface(slot), backend=self.backend,
             registry=self.registry, obs=self.obs,
-            directory=self._directory,
             chain=source.replica() if source is not None else None)
         node.on_commit = (
             lambda round_number, _node=node: self.note_commit(

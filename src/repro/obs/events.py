@@ -97,8 +97,7 @@ EVENT_KINDS: dict[str, EventKind] = {k.name: k for k in [
     _kind("fault_cleared", "chaos fault injector",
           ("fault", "nodes", "window")),
     _kind("peer_quarantined", "admission layer",
-          ("peer", "round", "scope"),
-          ("node", "offense", "banned")),
+          ("node", "peer", "offense", "round")),
     _kind("sweep.point_done", "sweep engine",
           ("index", "measure", "ok", "attempts", "wall_time")),
 ]}

@@ -231,13 +231,11 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
         if "admission.admitted" in counters:
             rejected = sum(value for name, value in counters.items()
                            if name.startswith("admission.rejected."))
+            blocked = counters.get("admission.rejected.quarantined", 0)
             rows.append(["admission",
                          f"{counters.get('admission.admitted', 0)} admitted "
                          f"/ {rejected} rejected",
-                         f"{counters.get('admission.quarantines', 0)} "
-                         f"quarantines "
-                         f"({gauges.get('admission.quarantined_peers', 0)} "
-                         f"peers held at end)"])
+                         f"{blocked} from locally blocked peers"])
             rows.append(["ingress buffers",
                          f"vote high-water "
                          f"{gauges.get('admission.buffer_high_water', 0)} / "

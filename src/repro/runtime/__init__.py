@@ -19,7 +19,6 @@ from repro.runtime.admission import (
     AdmissionConfig,
     AdmissionControl,
     PeerHealth,
-    QuarantineDirectory,
 )
 from repro.runtime.cache import VerificationCache
 from repro.runtime.router import MessageRouter
@@ -29,6 +28,5 @@ __all__ = [
     "AdmissionControl",
     "MessageRouter",
     "PeerHealth",
-    "QuarantineDirectory",
     "VerificationCache",
 ]

@@ -1,4 +1,4 @@
-"""Resilient message ingress: admission control, flood budgets, quarantine.
+"""Resilient message ingress: admission control, flood budgets, local blocks.
 
 The paper bounds per-step traffic by relaying only validated messages and
 at most one message per key per step (sections 4 and 8.4), but a relay
@@ -29,12 +29,12 @@ message gate, in front of the router in :meth:`Node.receive
 * **A peer-health table** — deterministic scores for invalid signatures,
   failed sortition proofs, duplicates, equivocation (two conflicting
   validly-signed statements under one key, caught against the gate's
-  own first-vote and first-block tables), and flooding, with decay,
-  local quarantine, and a network-wide :class:`QuarantineDirectory` that
-  severs gossip links once enough independent nodes report the same
-  offender. Released users rejoin via the certificate-verified
-  catch-up over gossip (:class:`~repro.node.catchup.ChainSync`, section
-  8.3) — being severed never forfeits the chain, only the right to speak.
+  own first-vote and first-block tables), and flooding, with decay and
+  a local quarantine: while a peer is blocked, the gate rejects every
+  copy it sends or originates (``admission.rejected.quarantined``). The
+  defence is each node's own, the same on both substrates — no node
+  learns of another's blocks, and nobody is cut out of the topology, so
+  a blocked peer keeps the chain and only loses this node's ear.
 
 Blame assignment is framing-proof by construction:
 
@@ -66,7 +66,6 @@ copies, and it neither scores nor quarantines anyone (tested).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -78,7 +77,6 @@ from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 if TYPE_CHECKING:
     from repro.baplus.context import BAContext  # pragma: no cover - typing only
     from repro.ledger.arraystate import AccountIndex
-    from repro.network.gossip import GossipNetwork
     from repro.node.agent import Node
 
 #: Offense kinds recognized by :class:`PeerHealth`.
@@ -100,17 +98,10 @@ class AdmissionConfig:
     flood_budget_per_round: int = 512
     #: Local score at which a peer is quarantined by this node.
     quarantine_threshold: float = 8.0
-    #: Rounds a quarantine lasts (scaled by times served).
+    #: Rounds a local quarantine lasts.
     quarantine_rounds: int = 2
-    #: Network quarantines served before a permanent ban.
-    ban_after_quarantines: int = 3
     #: Per-round multiplicative score decay (forgiveness).
     decay_factor: float = 0.5
-    #: Fraction of nodes that must independently report an offender
-    #: before the directory severs its links (min 2). Kept low because
-    #: admission stops junk *before relay*: only an offender's direct
-    #: neighbors ever witness link-level offenses.
-    network_quarantine_fraction: float = 0.2
     #: Offense score weights.
     w_invalid_signature: float = 2.0
     w_failed_sortition: float = 2.0
@@ -130,13 +121,8 @@ class AdmissionConfig:
             raise ConfigError("quarantine_threshold must be positive")
         if self.quarantine_rounds < 1:
             raise ConfigError("quarantine_rounds must be >= 1")
-        if self.ban_after_quarantines < 1:
-            raise ConfigError("ban_after_quarantines must be >= 1")
         if not 0 <= self.decay_factor < 1:
             raise ConfigError("decay_factor must be in [0, 1)")
-        if not 0 < self.network_quarantine_fraction <= 1:
-            raise ConfigError(
-                "network_quarantine_fraction must be in (0, 1]")
 
     def weight_of(self, offense: str) -> float:
         if offense == "invalid_signature":
@@ -206,80 +192,6 @@ class PeerHealth:
         self.quarantined_until.clear()
 
 
-class QuarantineDirectory:
-    """Network-wide quarantine from independent per-node reports.
-
-    Nodes report offenders the moment their local health table blocks
-    them; once ``max(2, ceil(n * fraction))`` distinct reporters agree,
-    the directory severs the offender's gossip links (both directions,
-    via :meth:`repro.network.gossip.GossipNetwork.set_quarantined`) for
-    ``quarantine_rounds * times_served`` rounds — escalating, and a
-    permanent ban after ``ban_after_quarantines`` strikes. Releases
-    happen at round boundaries; the freed peer re-enters the topology at
-    the next reshuffle and catches up over gossip (section 8.3).
-
-    All state lives in insertion-ordered dicts over ints and every
-    decision happens at a commit boundary, so the directory is fully
-    deterministic.
-    """
-
-    def __init__(self, network: "GossipNetwork", config: AdmissionConfig,
-                 obs=None) -> None:
-        self.network = network
-        self.config = config
-        self.obs = obs
-        self._reports: dict[int, set[int]] = {}
-        self._until: dict[int, int] = {}
-        self._served: dict[int, int] = {}
-        self.banned: set[int] = set()
-        #: Total quarantine impositions (including escalations to bans).
-        self.quarantines = 0
-
-    @property
-    def quarantined(self) -> frozenset[int]:
-        return frozenset(self._until) | frozenset(self.banned)
-
-    def required_reports(self) -> int:
-        return max(2, math.ceil(self.network.num_nodes
-                                * self.config.network_quarantine_fraction))
-
-    def report(self, reporter: int, offender: int) -> None:
-        if offender in self.banned or offender in self._until:
-            return
-        self._reports.setdefault(offender, set()).add(reporter)
-
-    def end_round(self, completed_round: int) -> None:
-        """Impose new quarantines and release expired ones."""
-        changed = False
-        need = self.required_reports()
-        for offender in sorted(self._reports):
-            if offender in self._until or offender in self.banned:
-                continue
-            if len(self._reports[offender]) < need:
-                continue
-            served = self._served.get(offender, 0) + 1
-            self._served[offender] = served
-            if served >= self.config.ban_after_quarantines:
-                self.banned.add(offender)
-            else:
-                self._until[offender] = (
-                    completed_round
-                    + self.config.quarantine_rounds * served)
-            self.quarantines += 1
-            del self._reports[offender]
-            changed = True
-            if self.obs is not None:
-                self.obs.emit("peer_quarantined", peer=offender,
-                              scope="network", round=completed_round,
-                              banned=offender in self.banned)
-        for offender in sorted(self._until):
-            if completed_round >= self._until[offender]:
-                del self._until[offender]
-                changed = True
-        if changed:
-            self.network.set_quarantined(self.quarantined)
-
-
 def sortition_weight(node: "Node", vote: VoteMessage,
                      ctx: "BAContext") -> int:
     """Committee weight of ``vote`` under ``ctx``, one of ``node``'s
@@ -317,11 +229,9 @@ class AdmissionControl:
     """
 
     def __init__(self, node: "Node", config: AdmissionConfig,
-                 directory: QuarantineDirectory | None = None,
                  index_of: "AccountIndex | None" = None) -> None:
         self.node = node
         self.config = config
-        self.directory = directory
         #: Origin public key -> node index (for origin-blame offenses):
         #: the deployment's account index; without one nobody is blamed
         #: by origin.
@@ -354,13 +264,11 @@ class AdmissionControl:
         if index is None or index == self.node.index:
             return
         round_number = self.node.chain.next_round
-        if self.health.penalize(index, offense, round_number):
-            if self.directory is not None:
-                self.directory.report(self.node.index, index)
-            if self.node.obs is not None:
-                self.node.obs.emit("peer_quarantined", node=self.node.index,
-                                   peer=index, scope="local",
-                                   offense=offense, round=round_number)
+        if self.health.penalize(index, offense, round_number) \
+                and self.node.obs is not None:
+            self.node.obs.emit("peer_quarantined", node=self.node.index,
+                               peer=index, offense=offense,
+                               round=round_number)
 
     def _drop_copy(self, envelope: Envelope) -> bool:
         """Reject a copy of a taken key that nobody is scored for: every

@@ -1,12 +1,12 @@
 """Tests for the resilient-ingress layer: admission, budgets, quarantine.
 
 Covers the :mod:`repro.runtime.admission` building blocks in isolation
-(config validation, peer-health scoring and decay, the network-wide
-quarantine directory), the bounded vote buffer's round-proximity
-eviction, the quarantine-aware peer reshuffle, the recovery-round vote
-leak regression, the one-message-per-key rule across a fork adoption,
-and the end-to-end claim: on an honest deployment the gate rejects
-nothing but stale copies and quarantines nobody.
+(config validation, peer-health scoring, decay and local quarantine),
+the bounded vote buffer's round-proximity eviction, the recovery-round
+vote leak regression, the one-message-per-key rule across a fork
+adoption, and the end-to-end claims: the budgets do not perturb the
+honest peer reshuffle, and on an honest deployment the gate rejects
+nothing but stale copies and blocks nobody.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.baplus.messages import VoteMessage, make_vote
 from repro.common.errors import ConfigError
 from repro.crypto.hashing import H
 from repro.experiments.harness import (
+    NetworkConfig,
     RuntimeConfig,
     Simulation,
     SimulationConfig,
@@ -26,11 +27,7 @@ from repro.network.message import priority_envelope, vote_envelope
 from repro.node.deployment import node_counters
 from repro.node.proposal import PriorityMessage
 from repro.node.recovery import RECOVERY_ROUND_BASE, RecoverySession
-from repro.runtime.admission import (
-    AdmissionConfig,
-    PeerHealth,
-    QuarantineDirectory,
-)
+from repro.runtime.admission import AdmissionConfig, PeerHealth
 from repro.sim.loop import Environment
 
 from tests.fixtures import chain_hash, run_sim, signed_vote
@@ -47,9 +44,7 @@ class TestAdmissionConfig:
         ("flood_budget_per_round", 0),
         ("quarantine_threshold", 0.0),
         ("quarantine_rounds", 0),
-        ("ban_after_quarantines", 0),
         ("decay_factor", 1.0),
-        ("network_quarantine_fraction", 0.0),
     ])
     def test_rejects_bad_values(self, field, value):
         config = AdmissionConfig(**{field: value})
@@ -106,71 +101,6 @@ class TestPeerHealth:
         assert not health.is_blocked(1)
         assert health.scores == {}
         assert health.offense_counts == {}
-
-
-class _StubNetwork:
-    def __init__(self, num_nodes: int) -> None:
-        self.num_nodes = num_nodes
-        self.calls: list[frozenset[int]] = []
-
-    def set_quarantined(self, indices) -> None:
-        self.calls.append(frozenset(indices))
-
-
-class TestQuarantineDirectory:
-    def _directory(self, num_nodes=10, **overrides):
-        config = AdmissionConfig(**overrides)
-        network = _StubNetwork(num_nodes)
-        return QuarantineDirectory(network, config), network
-
-    def test_requires_independent_reporters(self):
-        directory, network = self._directory(
-            num_nodes=10, network_quarantine_fraction=0.3)
-        assert directory.required_reports() == 3
-        directory.report(0, 7)
-        directory.report(1, 7)
-        directory.end_round(1)
-        assert 7 not in directory.quarantined
-        directory.report(2, 7)
-        directory.end_round(2)
-        assert 7 in directory.quarantined
-        assert network.calls[-1] == frozenset({7})
-
-    def test_duplicate_reports_from_one_node_do_not_count(self):
-        directory, _ = self._directory(num_nodes=20)
-        for _ in range(10):
-            directory.report(0, 5)
-        directory.end_round(1)
-        assert 5 not in directory.quarantined
-
-    def test_escalation_and_ban(self):
-        directory, network = self._directory(
-            num_nodes=10, quarantine_rounds=2, ban_after_quarantines=3)
-        for strike in (1, 2):
-            directory.report(0, 4)
-            directory.report(1, 4)
-            directory.end_round(strike * 10)
-            # Term scales with times served: 2 rounds, then 4.
-            assert directory._until[4] == strike * 10 + 2 * strike
-            directory.end_round(strike * 10 + 2 * strike)
-            assert 4 not in directory.quarantined
-        directory.report(0, 4)
-        directory.report(1, 4)
-        directory.end_round(30)
-        assert 4 in directory.banned
-        assert 4 in directory.quarantined  # bans never expire
-        directory.end_round(99)
-        assert 4 in directory.banned
-        assert directory.quarantines == 3
-        assert network.calls[-1] == frozenset({4})
-
-    def test_reports_against_held_offender_are_dropped(self):
-        directory, _ = self._directory(num_nodes=10)
-        directory.report(0, 3)
-        directory.report(1, 3)
-        directory.end_round(1)
-        directory.report(2, 3)  # already serving; must not re-accumulate
-        assert 3 not in directory._reports
 
 
 def _vote(round_number: int, step: str = "1",
@@ -450,51 +380,21 @@ class TestOneCopyPerKeyAcrossAdoption:
 
 
 class TestQuarantineTopology:
-    def test_set_quarantined_severs_both_directions(self):
-        sim = Simulation(SimulationConfig(num_users=10, seed=7))
-        network = sim.network
-        victim = 3
-        assert network.interfaces[victim].neighbors  # connected before
-        network.set_quarantined({victim})
-        assert network.interfaces[victim].neighbors == []
-        for index, interface in enumerate(network.interfaces):
-            assert victim not in interface.neighbors, index
-
-    def test_reshuffle_excludes_quarantined_and_stays_symmetric(self):
-        sim = Simulation(SimulationConfig(num_users=10, seed=7))
-        network = sim.network
-        network.set_quarantined({2, 5})
-        network.reshuffle_peers()
-        for index, interface in enumerate(network.interfaces):
-            assert 2 not in interface.neighbors
-            assert 5 not in interface.neighbors
-            for neighbor in interface.neighbors:
-                assert index in network.interfaces[neighbor].neighbors, (
-                    f"{index} -> {neighbor} is one-directional")
-        assert network.interfaces[2].neighbors == []
-        assert network.interfaces[5].neighbors == []
-
-    def test_release_reconnects_the_freed_peer(self):
-        sim = Simulation(SimulationConfig(num_users=10, seed=7))
-        network = sim.network
-        network.set_quarantined({4})
-        network.set_quarantined(frozenset())
-        assert network.interfaces[4].neighbors
-        for neighbor in network.interfaces[4].neighbors:
-            assert 4 in network.interfaces[neighbor].neighbors
-
     def test_rng_path_unchanged_without_quarantine(self):
         """The admission machinery must not perturb the honest topology:
         same seed, same neighbor maps through two rounds of reshuffles,
-        whatever the budgets (no quarantine ever fires)."""
+        whatever the budgets (no node ever blocks a peer)."""
         def neighbor_maps(admission: AdmissionConfig) -> list:
             sim = Simulation(SimulationConfig(
                 num_users=12, seed=9,
+                network=NetworkConfig(reshuffle_peers_each_round=True),
                 runtime=RuntimeConfig(admission=admission)))
             maps = [[i.neighbors for i in sim.network.interfaces]]
             sim.run_rounds(2)
             maps.append([i.neighbors for i in sim.network.interfaces])
-            assert sim.summary()["admission.quarantines"] == 0
+            assert maps[1] != maps[0]  # the reshuffles ran
+            assert not any(node.admission.health.quarantined_until
+                           for node in sim.nodes)
             return maps
 
         assert neighbor_maps(AdmissionConfig()) == neighbor_maps(
@@ -507,7 +407,7 @@ class TestQuarantineTopology:
 class TestHonestDeterminism:
     def test_admission_is_transparent_on_honest_runs(self):
         """On honest runs the gate's only rejections are stale copies,
-        nobody is quarantined, and the golden chains hold."""
+        no node blocks a peer, and the golden chains hold."""
         runs = [(None, run_sim(2, payments=12, num_users=10, seed=21))]
         runs += [(golden, run_sim(2, payments=10, num_users=20, seed=seed))
                  for seed, golden in sorted(GOLDEN_20_USERS_2_ROUNDS.items())]
@@ -519,8 +419,9 @@ class TestHonestDeterminism:
             reasons = {name for name in summary
                        if name.startswith("admission.rejected.")}
             assert reasons == {"admission.rejected.stale"}
-            assert summary["admission.quarantined_peers"] == 0
-            assert summary["admission.quarantines"] == 0
+            assert not any(node.admission.health.scores
+                           or node.admission.health.quarantined_until
+                           for node in sim.nodes)
 
     def test_same_seed_same_admission_counters(self):
         def run():

@@ -3,13 +3,17 @@
 A 20%-Byzantine deployment — flooders, undecidable-message spammers, or
 the paper's section 10.4 equivocate-and-double-vote adversary — must not
 stop the honest majority: blocks keep committing, every honest buffer
-stays inside its budget, and the admission layer's quarantine machinery
-identifies exactly the attackers, never an honest peer.
+stays inside its budget, and each honest node's gate blocks exactly the
+attackers it meets, never an honest peer.
 """
 
 from __future__ import annotations
 
-from repro.chaos import FaultAction, figure8_adversary
+from repro.chaos import (
+    FaultAction,
+    figure8_adversary,
+    flood_recovery_scenario,
+)
 from repro.experiments.harness import (
     RuntimeConfig,
     Simulation,
@@ -17,7 +21,10 @@ from repro.experiments.harness import (
 )
 from repro.node.deployment import node_counters
 from repro.obs import TraceBus
+from repro.obs.report import render_report
 from repro.runtime.admission import AdmissionConfig
+
+from tests.fixtures import run_chaos
 
 ROUNDS = 2
 
@@ -68,27 +75,36 @@ def _assert_honest_progress(sim):
                 <= lane_budget)
 
 
+def _local_blocks(sim) -> set[int]:
+    """Every peer some honest node blocks at its own gate."""
+    return {index for node in _honest(sim)
+            for index in node.admission.health.quarantined_until}
+
+
 def _assert_only_attackers_blamed(sim):
+    """The attackers' honest neighbours block them at their own gates,
+    and no honest node blocks an honest peer."""
     attackers = _attackers(sim)
-    served = set(sim.quarantine_directory._served)
-    assert served, "no attacker was ever network-quarantined"
-    assert served <= attackers, f"honest nodes quarantined: {served}"
     for node in _honest(sim):
         locally_blocked = set(node.admission.health.quarantined_until)
         assert locally_blocked <= attackers, (
             f"node {node.index} blocked honest peers: "
             f"{locally_blocked - attackers}")
+        if attackers & set(sim.network.interfaces[node.index].neighbors):
+            assert locally_blocked, (
+                f"node {node.index} never blocked an attacking neighbour")
 
 
 class TestFloodingQuarantine:
     def test_flooders_quarantined_network_commits(self):
-        """Invalid-signature flooders (20% of peers) are cut off and the
-        honest majority keeps committing."""
+        """Invalid-signature flooders (20% of peers) are blocked by the
+        honest nodes they reach, and the honest majority keeps
+        committing."""
         sim = _run_attack([FLOOD])
         _assert_honest_progress(sim)
         _assert_only_attackers_blamed(sim)
         # Both flooders were caught, not just one.
-        assert set(sim.quarantine_directory._served) == {8, 9}
+        assert _local_blocks(sim) == {8, 9}
         # Their junk was rejected pre-relay: honest nodes never forwarded
         # a single invalid-signature vote.
         total_rejections = sum(
@@ -100,9 +116,33 @@ class TestFloodingQuarantine:
         def fingerprint():
             sim = _run_attack([FLOOD])
             return ([node.chain.tip_hash for node in sim.nodes[:8]],
-                    sorted(sim.quarantine_directory._served.items()))
+                    [sorted(node.admission.health.quarantined_until.items())
+                     for node in sim.nodes[:8]])
 
         assert fingerprint() == fingerprint()
+
+    def test_report_counts_the_local_blocks(self):
+        """The report's admission row reads the gate's own blocks, the
+        number both substrates have."""
+        bus = TraceBus()
+        _run_attack([FLOOD], obs=bus)
+        snapshot = bus.snapshot()
+        blocked = snapshot["counters"]["admission.rejected.quarantined"]
+        assert blocked > 0
+        (row,) = [line for line in render_report(bus.events,
+                                                 snapshot).splitlines()
+                  if line.startswith("admission")]
+        assert f"{blocked} from locally blocked peers" in row
+
+    def test_flood_recovery_leaves_no_node_behind(self):
+        """Nobody is cut out of the topology: under the flood scenario
+        every node, the attackers included, reaches the target while
+        honest gates drop what the blocked peers send."""
+        spec = flood_recovery_scenario()
+        verdict, sim = run_chaos(spec)
+        assert verdict.ok, verdict.violations
+        assert verdict.heights == [spec.rounds] * spec.config.num_users
+        assert sim.summary()["admission.rejected.quarantined"] > 0
 
 
 class TestSpamQuarantine:
@@ -114,7 +154,7 @@ class TestSpamQuarantine:
             admission=AdmissionConfig(flood_budget_per_round=32))
         _assert_honest_progress(sim)
         _assert_only_attackers_blamed(sim)
-        assert sim.quarantine_directory.quarantines >= 1
+        assert _local_blocks(sim)
         flood_rejections = sum(
             node.admission.rejected.get("flood", 0)
             for node in sim.nodes[:8])

@@ -157,12 +157,16 @@ OBSERVERS_20_USERS_2_ROUNDS = {
 #: seed 1 only node 18 commits round 2 itself, and the 19 others halt and
 #: adopt its chain through served requests (with no catch-up they ended
 #: at heights 0 and 1). Seed 2 sends requests nobody needs to answer and
-#: keeps its chain; the probes and polls add events.
+#: keeps its chain; the probes and polls add events. Seed 2 was
+#: re-recorded when the network-wide quarantine went: the honest tip is
+#: unchanged, and the four attackers, no longer cut out of the topology,
+#: now commit round 2 too (heights ``[2] * 20``, not ``[2] * 16 + [1] *
+#: 4``), in 23 simulated seconds instead of 196.
 MALICIOUS_4_OF_20_USERS_2_ROUNDS = {
     1: ("958057876ead195016e9d0822f0df9c174bc5e1de335c4cca0bebc127c53fb5f",
         63_953),
-    2: ("637ec857be74a5281e0336ab8f721e1da3ff0e78c177f61eaef4f997021677dd",
-        27_008),
+    2: ("b68509444747f079cb1f5d4517cc238af1f149626e3b8a762990cf106f1525fb",
+        28_545),
 }
 #: *Crash, restart, resync:* node 2 is down from t = 1 s to t = 8 s and
 #: can only converge by adopting its peers' replayed history twice, each
@@ -207,16 +211,18 @@ RECOVERY_DAEMONS_12_USERS = {
 #: their honest round. Recorded through the ``FaultInjector`` of the
 #: commit before the attacker kinds could last the whole run; no honest
 #: node asks for a chain, so the chains stand. The events the catch-up
-#: adds are its probes, and under ``flood`` the quarantined attackers'
-#: 90 s of polls before their halt stands.
+#: adds are its probes. The ``flood`` pins were re-recorded when the
+#: network-wide quarantine went: the honest tips are unchanged, and the
+#: two flooders, blocked only at the honest gates they reach, commit
+#: round 2 as well instead of polling for 190 s, cut off, at height 1.
 JUNK_RATES = {"flood": 96.0, "spam": 32.0}
 JUNK_VOTERS_2_OF_10_USERS_2_ROUNDS = {
     ("flood", 1): (
-        "0521f9b5141fef082ea2f34ff93027854b9f2a9414d1c61c17bc65ae94090cde",
-        11_093),
+        "b392129282095572b10ff80e12f953553700397e518c2ba4ef638893e731af34",
+        11_888),
     ("flood", 2): (
-        "02807f0088367f2b65edec7bd39bcbf73fd86d0a18d39d0d56d050615d942014",
-        9_329),
+        "5b1ffc8eb9f0c31544131ed84afdbe02659b87492914259e969d4334cd965072",
+        10_315),
     ("spam", 1): (
         "3414d60ec75bb1cb8a58e3e44ef5fa7599fd2839ccedc71d2c59d508d4cbad5c",
         14_847),

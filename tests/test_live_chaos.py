@@ -45,6 +45,7 @@ from repro.chaos.scenario import (
 )
 from repro.common.params import LIVE_SMOKE_PARAMS
 from repro.conformance.__main__ import main as conformance_main
+from repro.conformance.monitor import ConformanceMonitor
 from repro.experiments.harness import Simulation
 from repro.experiments.latency import LatencyPoint, latency_spec
 from repro.experiments.spec import ExperimentSpec
@@ -59,7 +60,7 @@ from repro.live.cluster import LiveCluster, default_live_config
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink, read_trace
 from repro.runtime.admission import AdmissionConfig
-from tests.fixtures import run_chaos
+from tests.fixtures import forged_commit, run_chaos
 
 NODES = 3
 ROUNDS = 6
@@ -410,7 +411,8 @@ class TestFailFastOrchestration:
 
 
 class TestTracedCluster:
-    """``LiveCluster(obs=)``: the merged trace, replayed through a bus."""
+    """The merged trace: checked by the run's one monitor, and replayed
+    through ``LiveCluster(obs=)``'s bus when one is given."""
 
     def _merge(self, tmp_path, bus, dropped: int) -> LiveCluster:
         node_trace = tmp_path / "trace-0.jsonl"
@@ -444,9 +446,29 @@ class TestTracedCluster:
         assert conformance_main([str(out), "--require-complete",
                                  "--quiet"]) == status
 
-    def test_no_bus_no_monitor(self, tmp_path):
+    def test_no_bus_still_one_monitor(self, tmp_path):
         cluster = LiveCluster(_config(tmp_path))
-        assert cluster.obs is None and cluster.conformance is None
+        assert cluster.obs is None
+        assert isinstance(cluster.conformance, ConformanceMonitor)
+        assert cluster.outcome().conformance is cluster.conformance
+
+    def test_nodes_committing_different_blocks_fail_the_run(self,
+                                                           tmp_path):
+        """Each node's own trace is consistent; only a checker that sees
+        both can tell that round 1 committed two blocks."""
+        for node, block in ((0, "aa"), (1, "bb")):
+            (tmp_path / f"trace-{node}.jsonl").write_text(json.dumps(
+                {"type": "event",
+                 **forged_commit(node, 1, block * 16, 1.0 + node)})
+                + "\n", encoding="utf-8")
+        cluster = LiveCluster(_config(tmp_path))
+        cluster.runtime_dir = tmp_path
+        cluster._trace_paths = {node: [str(tmp_path / f"trace-{node}.jsonl")]
+                                for node in (0, 1)}
+        cluster._merge_traces()
+        summary = cluster.summary()
+        assert summary["conformance_ok"] is False
+        assert summary["conformance.violation.unique-certificate"] == 1
 
 
 @pytest.mark.slow

@@ -27,10 +27,9 @@ ROUNDS = 3
 
 
 #: Registry names only the sim has: its population, its network's
-#: delivery and elision tallies, egress lanes and the network-wide
-#: quarantine directory.
+#: delivery and elision tallies and its egress lanes.
 SIM_ONLY = ("population.", "network.", "gossip.dup_elided",
-            "admission.egress_", "admission.quarantine")
+            "admission.egress_")
 #: The runtime families a node stack carries on either substrate.
 SHARED = ("cache.", "sortition.", "router.unknown_kind", "admission.",
           "damping.", "simloop.")
