@@ -7,8 +7,9 @@ logarithmic in the number of users [45]; the few users that land outside
 the giant component recover when peers reshuffle next round [22].
 
 These claims are measurable properties of the generated topology; this
-module measures them with :mod:`networkx` on graphs built by the same
-peer-selection rule as :class:`repro.network.gossip.GossipNetwork`.
+module measures them with :mod:`networkx` on graphs drawn by the
+simulator's own peer-selection rule,
+:func:`repro.network.gossip.draw_peers`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import MissingExtraError
+from repro.network.gossip import draw_peers
 
 try:
     import networkx as nx
@@ -27,18 +29,16 @@ except ModuleNotFoundError as error:
 
 def build_gossip_graph(num_nodes: int, peers_per_node: int,
                        rng: np.random.Generator) -> nx.Graph:
-    """The gossip topology: each node picks ``peers_per_node`` random
-    outgoing peers; edges are undirected (same rule as the simulator)."""
+    """The gossip topology the simulator draws from ``rng``
+    (:func:`~repro.network.gossip.draw_peers`), as an undirected graph."""
     if num_nodes < 2:
         raise ValueError("need at least 2 nodes")
     graph = nx.Graph()
     graph.add_nodes_from(range(num_nodes))
-    k = min(peers_per_node, num_nodes - 1)
-    for node in range(num_nodes):
-        peers = rng.choice(num_nodes - 1, size=k, replace=False)
-        for peer in peers:
-            target = int(peer) + (1 if peer >= node else 0)
-            graph.add_edge(node, target)
+    graph.add_edges_from(
+        (node, peer) for node, peers in draw_peers(
+            rng, list(range(num_nodes)), peers_per_node).items()
+        for peer in peers)
     return graph
 
 

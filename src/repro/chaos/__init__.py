@@ -20,8 +20,8 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
     from repro.chaos.faults import FaultInjector, ShaperChain
     from repro.chaos.generate import (
-        byzantine_scenario, flood_recovery_scenario, generate_scenario,
-        kill_partition_scenario, partition_heal_scenario,
+        byzantine_scenario, clean_scenario, flood_recovery_scenario,
+        generate_scenario, kill_partition_scenario, partition_heal_scenario,
     )
     from repro.chaos.monitor import Violation, audit_chains, audit_ingress
     from repro.chaos.runner import ChaosVerdict, measure_chaos
@@ -32,8 +32,9 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.chaos.faults": ("FaultInjector", "ShaperChain"),
     "repro.chaos.generate": (
-        "byzantine_scenario", "flood_recovery_scenario", "generate_scenario",
-        "kill_partition_scenario", "partition_heal_scenario",
+        "byzantine_scenario", "clean_scenario", "flood_recovery_scenario",
+        "generate_scenario", "kill_partition_scenario",
+        "partition_heal_scenario",
     ),
     "repro.chaos.monitor": ("Violation", "audit_chains", "audit_ingress"),
     "repro.chaos.runner": ("ChaosVerdict", "measure_chaos"),
@@ -53,6 +54,7 @@ __all__ = [
     "audit_chains",
     "audit_ingress",
     "byzantine_scenario",
+    "clean_scenario",
     "figure8_adversary",
     "flood_recovery_scenario",
     "generate_scenario",

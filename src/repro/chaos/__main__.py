@@ -2,6 +2,10 @@
 
 Examples::
 
+    # A plain deployment, traced and judged (add --substrate live to run
+    # it on node processes).
+    python -m repro.chaos --builtin clean --trace out/trace.jsonl
+
     # The canonical scripted smoke: split-brain, stall, heal, commit.
     python -m repro.chaos --builtin partition-heal --trace out/chaos.jsonl
 
@@ -43,6 +47,7 @@ from pathlib import Path
 
 from repro.chaos.generate import (
     byzantine_scenario,
+    clean_scenario,
     flood_recovery_scenario,
     generate_scenario,
     kill_partition_scenario,
@@ -55,6 +60,7 @@ from repro.experiments.sweep import run_point
 from repro.node.deployment import SubstrateConfig
 
 _BUILTINS = {
+    "clean": clean_scenario,
     "partition-heal": partition_heal_scenario,
     "flood": flood_recovery_scenario,
     "byzantine": byzantine_scenario,

@@ -21,6 +21,8 @@ a permanent quorum-killing split).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.chaos.scenario import FaultAction, figure8_adversary
@@ -128,6 +130,20 @@ def generate_scenario(seed: int, *, num_users: int = 10, rounds: int = 2,
     )
     spec.validate()
     return spec
+
+
+def clean_scenario(*, num_users: int = 10, seed: int = 7,
+                   rounds: int = 2) -> ExperimentSpec:
+    """A plain deployment, run and judged like any scenario: no faults,
+    two payments a user, and the default 10 units a user unless the
+    deployment would then hold fewer than ``tau_step`` units in all (an
+    ordinary step's whole committee: no step could reach quorum)."""
+    config = SimulationConfig(num_users=num_users, seed=seed)
+    stake = max(config.initial_balance,
+                -(-config.params.tau_step // num_users))
+    return ExperimentSpec(
+        "chaos", replace(config, initial_balance=stake),
+        rounds=rounds, payments=((2 * num_users, 0),))
 
 
 def partition_heal_scenario(*, num_users: int = 16, seed: int = 31,

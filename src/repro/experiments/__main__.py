@@ -228,34 +228,6 @@ def run_traffic_artifact(options: argparse.Namespace) -> None:
     run_traffic()
 
 
-def run_obs(options: argparse.Namespace) -> None:
-    """A traced 2-round run; ``--conformance`` adds the checker's verdict."""
-    from repro.experiments.harness import Simulation, SimulationConfig
-    from repro.obs import TraceBus
-    from repro.obs.report import render_report
-
-    bus = TraceBus()
-    sim = Simulation(SimulationConfig(num_users=12, seed=42), obs=bus)
-    sim.submit_payments(24)
-    sim.run_rounds(2)
-    print(render_report(bus.events, bus.snapshot()))
-    summary = sim.summary()
-    print(f"\nharness summary: {summary['simloop.events_processed']:,} "
-          f"events ({summary['simloop.immediates_processed']:,} "
-          f"immediate), {summary['network.messages_delivered']:,} "
-          f"messages delivered")
-    if options.conformance:
-        verdict = sim.conformance.verdict()
-        status = "CONFORMS" if verdict.ok else "VIOLATIONS"
-        print(f"\nconformance: {status} — {verdict.events_checked:,} "
-              f"events checked across {verdict.nodes} nodes, "
-              f"{len(verdict.violations)} violations")
-        for breach in verdict.violations[:10]:
-            print(f"  [{breach['rule']}] t={breach['t']:.3f} "
-                  f"node {breach['node']} round {breach['round']}: "
-                  f"{breach['detail']}")
-
-
 # ---------------------------------------------------------------------
 # The declarative artifact registry
 # ---------------------------------------------------------------------
@@ -328,8 +300,6 @@ _ARTIFACT_LIST = [
     Artifact("tab_scalability",
              "Section 8.4 topology + section 7 step counts",
              runner=run_tab_scalability),
-    Artifact("obs", "Observability: traced 2-round deployment + report",
-             runner=run_obs),
     Artifact("traffic",
              "Traffic census: analytical vs observed messages per round",
              runner=run_traffic_artifact),
@@ -522,9 +492,6 @@ def main(argv: list[str]) -> int:
                         help=f"one of: {', '.join(ARTIFACTS)}")
     parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for sweep-backed artifacts")
-    parser.add_argument("--conformance", action="store_true",
-                        help="obs artifact: also print the trace "
-                             "checker's verdict")
     args = parser.parse_args(argv)
     requested = args.artifacts or list(ARTIFACTS)
     unknown = [name for name in requested if name not in ARTIFACTS]

@@ -53,6 +53,7 @@ from repro.node.population import Population
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.cache import VerificationCache
 from repro.sim.loop import Environment
 from repro.sortition.selection import SELECTION_STATS
 
@@ -271,16 +272,20 @@ class Simulation:
         """What the run left behind, read off the always-on core: one
         :class:`~repro.node.deployment.NodeRun` per agent (its egress
         lane's high-water mark among its counters), the clock, the
-        conformance monitor and the harvested snapshot."""
+        conformance monitor, the harvested snapshot and the backend
+        under the cache (post-run audits are not the run's work)."""
         lanes = self.network.interfaces
         snapshot = self._registry_snapshot()
+        backend = self.backend
+        if isinstance(backend, VerificationCache):
+            backend = backend.inner
         return RunOutcome(
             runs={node.index: NodeRun.of(node, {
                       **node_counters(node),
                       "admission.egress_high_water":
                           lanes[node.index].egress_high_water})
                   for node in self.nodes},
-            slots=len(self.nodes), now=self.env.now, backend=self.backend,
+            slots=len(self.nodes), now=self.env.now, backend=backend,
             conformance=self.conformance,
             snapshot={**snapshot["counters"], **snapshot["gauges"]})
 

@@ -15,7 +15,8 @@ Entry points:
   :class:`~repro.experiments.harness.Simulation`: spawns N node
   processes plus a coordinator, submits payments, runs R rounds, and
   collects chains and JSONL traces over a control socket.
-* ``python -m repro.live`` — CLI wrapper around ``LiveCluster``.
+* ``python -m repro.chaos --builtin clean --substrate live`` — a plain
+  cluster run from the command line (any chaos spec runs here too).
 * ``python -m repro.live.node_main <config.json>`` — one node process
   (spawned by the cluster; not usually run by hand).
 

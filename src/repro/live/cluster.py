@@ -11,8 +11,8 @@ The coordinator owns a control socket (Unix domain or TCP, matching the
 gossip transport), spawns one ``python -m repro.live.node_main`` process
 per node, and walks the conversation in :mod:`repro.live.control`:
 collect ``hello`` (listen addresses), broadcast ``peers`` (address map
-plus the gossip neighbor lists — a partial mesh when
-``network.peers_per_node < n - 1``), await ``ready`` from everyone,
+plus the gossip neighbor lists — the graph a sim of the same config
+draws, :func:`gossip_neighbors`), await ``ready`` from everyone,
 broadcast ``start``, then await ``result`` messages carrying each
 node's run (:meth:`~repro.node.deployment.NodeRun.to_record`: chain as
 encoded block bytes, stored seeds, certificate values, round records,
@@ -62,21 +62,24 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from repro.chaos.scenario import FaultAction
 from repro.common.errors import ConfigError
-from repro.common.params import LIVE_SMOKE_PARAMS
+from repro.common.params import LIVE_SMOKE_PARAMS  # noqa: F401 (re-exported)
 from repro.conformance.monitor import ConformanceMonitor
 from repro.node.deployment import (
     NodeRun,
     RunOutcome,
     SimulationConfig,
-    SubstrateConfig,
     derive_genesis,
     fold,
     fold_snapshots,
     make_backend,
 )
 from repro.live.control import ControlError, MessageStream, send_message
+from repro.network.gossip import draw_peers
+from repro.network.latency import LatencyModel
 from repro.network.wire import decode_block
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
@@ -89,51 +92,26 @@ _LOG_TAIL_LINES = 25
 _EXIT_GRACE = 2.0
 
 
-def default_live_config(num_nodes: int = 5, *, seed: int = 7,
-                        transport: str = "uds",
-                        runtime_dir: str | None = None) -> SimulationConfig:
-    """A ready-to-run live cluster config (smoke-test scale)."""
-    return SimulationConfig(
-        num_users=num_nodes,
-        params=LIVE_SMOKE_PARAMS,
-        seed=seed,
-        initial_balance=40,
-        substrate=SubstrateConfig(kind="live", transport=transport,
-                                  runtime_dir=runtime_dir),
-    )
-
-
-def neighbor_map(num_nodes: int, peers_per_node: int) -> dict[str, list[int]]:
-    """Deterministic symmetric gossip topology from the network config.
-
-    ``peers_per_node >= n - 1`` is the full mesh (the historical live
-    default). Anything smaller becomes a ring with chords: node *i*
-    links to ``i +- k (mod n)`` for ``k = 1 .. ceil(p / 2)`` — always
-    connected, symmetric by construction, degree ``2 * ceil(p / 2)``.
-    """
-    n = num_nodes
-    if peers_per_node >= n - 1 or n <= 2:
-        return {str(i): [j for j in range(n) if j != i] for i in range(n)}
-    reach = max(1, (min(peers_per_node, n - 2) + 1) // 2)
-    out: dict[str, list[int]] = {}
-    for i in range(n):
-        peers = set()
-        for k in range(1, reach + 1):
-            peers.add((i + k) % n)
-            peers.add((i - k) % n)
-        peers.discard(i)
-        out[str(i)] = sorted(peers)
-    return out
+def gossip_neighbors(config: SimulationConfig) -> dict[str, list[int]]:
+    """The gossip graph a sim of ``config`` starts on, for the ``peers``
+    message: the sim's own draw (:func:`~repro.network.gossip.draw_peers`)
+    on its RNG stream, after the city draw its latency model makes first.
+    A live cluster keeps it for the whole run (no per-round reshuffle)."""
+    rng = np.random.default_rng(config.seed)
+    if config.network.latency_model == "city":
+        LatencyModel(config.num_users, rng)
+    graph = draw_peers(rng, list(range(config.num_users)),
+                       config.network.peers_per_node)
+    return {str(node): peers for node, peers in graph.items()}
 
 
 class LiveCluster:
     """N node processes + this coordinator, driven like a Simulation."""
 
-    def __init__(self, config: SimulationConfig | None = None, *,
+    def __init__(self, config: SimulationConfig, *,
                  faults: Sequence[FaultAction] = (),
                  node_overrides: dict[int, dict] | None = None,
                  obs: TraceBus | None = None) -> None:
-        config = config if config is not None else default_live_config()
         if config.substrate.kind != "live":
             raise ConfigError(
                 "LiveCluster requires substrate.kind == 'live' "
@@ -167,10 +145,11 @@ class LiveCluster:
         #: is given; no node process checks on its own.
         self.conformance = ConformanceMonitor(
             registry=obs.metrics if obs is not None else MetricsRegistry())
+        #: The nodes' trace snapshots folded, as ``merged.jsonl`` ends.
+        self._node_snapshot: dict = {}
         if obs is not None:
             obs.add_sink(self.conformance)
-            obs.add_harvester(
-                lambda bus: self.conformance.harvest(bus.metrics))
+            obs.add_harvester(self._harvest)
         self.runtime_dir: Path | None = None
         self.merged_trace_path: Path | None = None
         #: Scenario time of the merged trace's last record.
@@ -269,6 +248,14 @@ class LiveCluster:
                              if self.merged_trace_path else None),
             "runtime_dir": str(self.runtime_dir),
         }
+
+    def _harvest(self, bus: TraceBus) -> None:
+        """The bus's numbers: every node's, folded, then the checker's."""
+        for name, value in self._node_snapshot.get("counters", {}).items():
+            bus.metrics.set_counter(name, value)
+        for name, value in self._node_snapshot.get("gauges", {}).items():
+            bus.metrics.set_gauge(name, value)
+        self.conformance.harvest(bus.metrics)
 
     # -- orchestration --------------------------------------------------
 
@@ -449,8 +436,7 @@ class LiveCluster:
         self._writers: list[asyncio.StreamWriter] = []
         self._node_writers: dict[int, asyncio.StreamWriter] = {}
         self._collectors: dict[int, asyncio.Task] = {}
-        self._neighbors = neighbor_map(n,
-                                       self.config.network.peers_per_node)
+        self._neighbors = gossip_neighbors(self.config)
 
         async def on_connect(reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
@@ -666,7 +652,7 @@ class LiveCluster:
         if events:
             self.ended_at = float(events[-1].get("t", 0.0))
         out = Path(self.runtime_dir) / "merged.jsonl"
-        snapshot = fold_snapshots(snapshots)
+        snapshot = self._node_snapshot = fold_snapshots(snapshots)
         with out.open("w", encoding="utf-8") as handle:
             for record in events:
                 handle.write(json.dumps({"type": "event", **record},

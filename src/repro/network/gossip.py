@@ -70,6 +70,27 @@ ReceiveHook = Callable[[Envelope, int], bool | None]
 URGENT_MESSAGE_BYTES = 1500
 
 
+def draw_peers(rng: np.random.Generator, eligible: list[int],
+               peers_per_node: int) -> dict[int, list[int]]:
+    """Every node's sorted neighbors: each of ``eligible`` (ascending),
+    in order, draws ``peers_per_node`` distinct others from ``rng``, and
+    links are bidirectional. The one peer-selection rule: the sim, the
+    live coordinator and :mod:`repro.analysis.graph` all draw through it."""
+    adjacency: dict[int, set[int]] = {node: set() for node in eligible}
+    m = len(eligible)
+    k = min(peers_per_node, m - 1)
+    if k >= 1:
+        for position, node in enumerate(eligible):
+            peers = rng.choice(m - 1, size=k, replace=False)
+            for peer in peers:
+                # Map [0, m-2] onto eligible positions != position.
+                target = eligible[int(peer) + (1 if peer >= position
+                                               else 0)]
+                adjacency[node].add(target)
+                adjacency[target].add(node)
+    return {node: sorted(peers) for node, peers in adjacency.items()}
+
+
 def accept_and_relay(envelope: Envelope, from_index: int) -> bool:
     """The :attr:`RelayCore.on_receive` of a core no node is wired to."""
     return True
@@ -479,25 +500,13 @@ class GossipNetwork:
         """(Re)build the random peer graph (paper: new peers each round).
 
         Dormant nodes are excluded from both directions of the new
-        neighbor map: they neither draw peers nor get drawn. Each
-        eligible node draws once, in index order, from the others.
+        neighbor map: they neither draw peers nor get drawn.
         """
         eligible = (list(range(self.num_nodes)) if self.active is None
                     else sorted(self.active))
-        adjacency: dict[int, set[int]] = {node: set() for node in eligible}
-        m = len(eligible)
-        k = min(self.peers_per_node, m - 1)
-        if k >= 1:
-            for position, node in enumerate(eligible):
-                peers = self.rng.choice(m - 1, size=k, replace=False)
-                for peer in peers:
-                    # Map [0, m-2] onto eligible positions != position.
-                    target = eligible[int(peer) + (1 if peer >= position
-                                                   else 0)]
-                    adjacency[node].add(target)
-                    adjacency[target].add(node)
+        adjacency = draw_peers(self.rng, eligible, self.peers_per_node)
         for interface in filter(None, self.interfaces):
-            interface.neighbors = sorted(adjacency.get(interface.index, ()))
+            interface.neighbors = adjacency.get(interface.index, [])
 
     def set_active(self, indices) -> None:
         """Aggregated-population round boundary: swap the live slot set.

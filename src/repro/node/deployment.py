@@ -621,7 +621,8 @@ class RunOutcome:
     slots: int
     #: The clock when the run ended.
     now: float
-    #: A backend that verifies this deployment's keys (seed audits).
+    #: A backend that verifies this deployment's keys (seed audits)
+    #: and counts nothing into ``snapshot``.
     backend: CryptoBackend
     #: The ``ConformanceMonitor`` that checked the run's trace, where
     #: the run was traced (the chaos measure's verdict reads it).

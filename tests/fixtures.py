@@ -17,7 +17,9 @@ Deduplicates the three shapes almost every integration test rebuilds:
 * :func:`record_received` — a recording ``on_receive`` hook on every
   interface of a bare gossip network (what each node accepted);
 * :func:`live_transport` — a socket-less :class:`LiveTransport` with the
-  queue bounds a default deployment would hand it.
+  queue bounds a default deployment would hand it;
+* :func:`live_config` — a small live cluster's config at the smoke
+  scale.
 
 Import from tests as ``from tests.fixtures import run_sim`` (the tests
 directory is a package).
@@ -31,6 +33,7 @@ from unittest import mock
 from repro.baplus.messages import VoteMessage, make_vote
 from repro.common.encoding import encode
 from repro.crypto.hashing import H
+from repro.common.params import LIVE_SMOKE_PARAMS
 from repro.experiments import sweep
 from repro.experiments.harness import (
     NetworkConfig,
@@ -186,6 +189,16 @@ def live_transport(index: int = 0, clock: LiveClock | None = None,
               "seen_horizon_rounds": NetworkConfig.seen_horizon_rounds}
     return LiveTransport(index, clock if clock is not None else LiveClock(),
                          **{**bounds, **overrides})
+
+
+def live_config(num_nodes: int = 5, *, seed: int = 7,
+                runtime_dir: str | None = None) -> SimulationConfig:
+    """A live cluster of ``num_nodes`` processes at the smoke scale:
+    wall-clock lambdas and 40 units a user."""
+    return SimulationConfig(
+        num_users=num_nodes, seed=seed, params=LIVE_SMOKE_PARAMS,
+        initial_balance=40,
+        substrate=SubstrateConfig(kind="live", runtime_dir=runtime_dir))
 
 
 def signed_vote(sim: Simulation, voter_index: int, round_number: int,

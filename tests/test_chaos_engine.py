@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import (FaultAction, ScenarioError, ShaperChain,
-                         Violation, flood_recovery_scenario,
+                         Violation, clean_scenario, flood_recovery_scenario,
                          generate_scenario, kill_partition_scenario,
                          partition_heal_scenario)
 from repro.chaos.__main__ import main as chaos_main
@@ -37,6 +37,7 @@ from repro.experiments.spec import ExperimentSpec, spec_from_json
 from repro.experiments.sweep import run_point
 from repro.network.message import Envelope
 from repro.obs.bus import TraceBus
+from repro.obs.sink import read_trace
 
 from tests.fixtures import forged_commit
 
@@ -535,6 +536,36 @@ class TestChaosCli:
         assert verdict["ok"] and verdict["converged"]
         assert verdict["scenario"]["config"]["initial_balance"] == 40
 
+    @pytest.mark.parametrize("users", [4, 10])
+    def test_builtin_clean_is_green(self, tmp_path, users):
+        verdict_path = tmp_path / "verdict.json"
+        assert chaos_main(["--builtin", "clean", "--users", str(users),
+                           "--verdict", str(verdict_path)]) == 0
+        verdict = json.loads(verdict_path.read_text(encoding="utf-8"))
+        assert verdict["ok"] and verdict["converged"]
+        assert verdict["heights"] == [2] * users
+        assert verdict["scenario"]["faults"] == []
+        assert verdict["scenario"]["payments"] == [[2 * users, 0]]
+
+    def test_the_written_snapshot_counts_only_the_run(self, tmp_path):
+        """The verdict's seed-chain audit verifies VRF proofs after the
+        run; none of those checks may reach the trace's ``cache.*`` and
+        ``crypto.*`` numbers."""
+        trace_path = tmp_path / "trace.jsonl"
+        assert chaos_main(["--builtin", "clean", "--base-seed", "3",
+                           "--trace", str(trace_path)]) == 0
+        _, written = read_trace(trace_path)
+        spec = clean_scenario(seed=3)
+        sim = Simulation(spec.config, obs=TraceBus())
+        sim.submit_payments(spec.payments[0][0])
+        sim.run_rounds(spec.rounds)
+        run = sim.outcome().snapshot
+        assert run["cache.hits"] == 106
+        for name, value in {**written["counters"],
+                            **written["gauges"]}.items():
+            if name.startswith(("cache.", "crypto.")):
+                assert value == run[name], name
+
     def test_exactly_one_source_required(self):
         with pytest.raises(SystemExit):
             chaos_main([])
@@ -582,6 +613,7 @@ class TestChaosCli:
         (["LATENCY"], "measure is 'chaos'"),
         (["--seed", "5", "--base-seed", "9"], "--base-seed"),
         (["SCENARIO", "--base-seed", "9"], "--base-seed"),
+        (["--builtin", "clean", "--users", "3"], "at least 4 users"),
     ])
     def test_bad_input_is_a_usage_error_naming_the_rule(
             self, tmp_path, capsys, argv, rule):

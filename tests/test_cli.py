@@ -21,7 +21,7 @@ class TestCLI:
         assert set(ARTIFACTS) == {
             "fig3", "fig5", "fig6", "fig7", "fig8", "tab_throughput",
             "tab_costs", "tab_timeouts", "tab_params", "tab_related",
-            "tab_waiting", "tab_scalability", "obs", "traffic",
+            "tab_waiting", "tab_scalability", "traffic",
         }
 
     def test_related_artifact_runs(self, capsys):
@@ -57,10 +57,6 @@ class TestCLI:
                 main(argv)
             assert exit_.value.code == 2
             assert "usage:" in capsys.readouterr().err
-
-    def test_conformance_flag_prints_the_verdict(self, capsys):
-        assert main(["--conformance", "obs"]) == 0
-        assert "conformance: CONFORMS" in capsys.readouterr().out
 
 
 class TestArtifactRegistry:

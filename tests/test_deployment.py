@@ -9,7 +9,8 @@ node stack are derived, so the substrates cannot drift apart again:
   of it, through ``SimulationConfig.to_json`` — not on defaults of its
   own (at the parent ``runtime.admission``, ``use_verification_cache``
   and ``conformance`` never reached the process);
-* both substrates draw payments from one schedule;
+* both substrates draw payments from one schedule, and gossip over
+  one peer graph;
 * a finished run reads the same on both: a live process's ``result``
   record rebuilds exactly the run a sim reads off its node.
 
@@ -18,6 +19,8 @@ config file its cluster would write, but nothing listens or dials.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from repro.experiments.harness import (
     SimulationConfig,
     SubstrateConfig,
 )
-from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
+from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster, gossip_neighbors
 from repro.live.node_main import NodeProcess
 from repro.node.deployment import NodeRun, derive_genesis, payment_plan
 from repro.runtime.admission import AdmissionConfig
@@ -205,3 +208,18 @@ def test_live_cluster_ships_the_whole_config(tmp_path, balances):
     assert shipped == {
         "index": 1, "control": "unused", "runtime_dir": str(tmp_path),
         "trace": str(tmp_path / "trace-1-r2.jsonl"), "incarnation": 2}
+
+
+@pytest.mark.parametrize("latency_model", ["city", "uniform"])
+def test_live_cluster_gossips_on_the_sims_peer_graph(latency_model):
+    """A partial mesh: the coordinator ships each node the neighbors the
+    sim of the same config starts with."""
+    config = _live(num_users=8, seed=5, initial_balance=40,
+                   network=NetworkConfig(peers_per_node=2,
+                                         latency_model=latency_model))
+    sim = Simulation(dataclasses.replace(config,
+                                         substrate=SubstrateConfig()))
+    shipped = gossip_neighbors(config)
+    assert shipped == {str(interface.index): interface.neighbors
+                       for interface in sim.network.interfaces}
+    assert any(len(peers) < 7 for peers in shipped.values())

@@ -96,10 +96,8 @@ class TestRuntimeStackIsNumpyOnly:
         assert len(own) <= NODE_MAIN_REPRO_MODULES_CEILING, own
 
     @pytest.mark.parametrize("module", [
-        "repro.live.cluster", "repro.live.__main__",
-        "repro.chaos.__main__", "repro.chaos.runner",
-        "repro.conformance.__main__", "repro.obs.record",
-        "repro.experiments.sweep",
+        "repro.live.cluster", "repro.chaos.__main__", "repro.chaos.runner",
+        "repro.conformance.__main__", "repro.experiments.sweep",
     ])
     def test_runtime_entry_points_need_no_scipy(self, module):
         assert heavy(modules_after(f"import {module}")) == []

@@ -56,11 +56,11 @@ from repro.node.deployment import (
     SimulationConfig,
     SubstrateConfig,
 )
-from repro.live.cluster import LiveCluster, default_live_config
+from repro.live.cluster import LiveCluster
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink, read_trace
 from repro.runtime.admission import AdmissionConfig
-from tests.fixtures import forged_commit, run_chaos
+from tests.fixtures import forged_commit, live_config, run_chaos
 
 NODES = 3
 ROUNDS = 6
@@ -446,6 +446,29 @@ class TestTracedCluster:
         assert conformance_main([str(out), "--require-complete",
                                  "--quiet"]) == status
 
+    def test_the_bus_snapshot_carries_the_nodes_numbers(self, tmp_path):
+        """What ``merged.jsonl`` ends with is what the bus publishes:
+        counts summed, peaks maxed, each in its own section."""
+        for node, (hits, lag) in enumerate([(3, 0.5), (4, 0.25)]):
+            (tmp_path / f"trace-{node}.jsonl").write_text(json.dumps(
+                {"type": "snapshot", "metrics": {
+                    "counters": {"cache.hits": hits},
+                    "gauges": {"live.max_lag_s": lag}}}) + "\n",
+                encoding="utf-8")
+        bus = TraceBus()
+        cluster = LiveCluster(_config(tmp_path), obs=bus)
+        cluster.runtime_dir = tmp_path
+        cluster._trace_paths = {node: [str(tmp_path / f"trace-{node}.jsonl")]
+                                for node in (0, 1)}
+        merged = cluster._merge_traces()
+        snapshot = bus.close()
+        assert snapshot["counters"]["cache.hits"] == 7
+        assert snapshot["gauges"]["live.max_lag_s"] == 0.5
+        assert "conformance.events_checked" in snapshot["counters"]
+        _, written = read_trace(merged)
+        for section in ("counters", "gauges"):
+            assert written[section].items() <= snapshot[section].items()
+
     def test_no_bus_still_one_monitor(self, tmp_path):
         cluster = LiveCluster(_config(tmp_path))
         assert cluster.obs is None
@@ -501,7 +524,7 @@ class TestByzantineProcess:
 
     def test_honest_processes_commit_equal_chains(self, tmp_path):
         cluster = LiveCluster(
-            default_live_config(5, runtime_dir=str(tmp_path)),
+            live_config(5, runtime_dir=str(tmp_path)),
             faults=figure8_adversary([4]), obs=TraceBus())
         cluster.submit_payments(10)
         cluster.run_rounds(3)
@@ -528,7 +551,7 @@ class TestProposerDoSProcess:
 
     def test_struck_proposer_rejoins_equal_chains(self, tmp_path):
         cluster = LiveCluster(
-            default_live_config(5, runtime_dir=str(tmp_path)),
+            live_config(5, runtime_dir=str(tmp_path)),
             faults=[FaultAction(kind="targeted-dos", start=0.0, end=3.0,
                                 nodes=(4,), extra_delay=0.2)],
             obs=TraceBus())

@@ -14,11 +14,12 @@ import pytest
 
 from repro.conformance.monitor import ConformanceMonitor
 from repro.experiments.harness import Simulation
-from repro.live.cluster import LiveCluster, default_live_config
+from repro.live.cluster import LiveCluster
 from repro.node.deployment import SubstrateConfig
 from repro.obs import TraceBus
 from repro.obs.report import render_report
 from repro.obs.sink import read_trace
+from tests.fixtures import live_config
 
 pytestmark = pytest.mark.slow
 
@@ -38,7 +39,7 @@ SHARED = ("cache.", "sortition.", "router.unknown_kind", "admission.",
 @pytest.fixture(scope="module")
 def cluster(tmp_path_factory):
     runtime_dir = tmp_path_factory.mktemp("live-cluster")
-    config = default_live_config(NODES, seed=7,
+    config = live_config(NODES, seed=7,
                                  runtime_dir=str(runtime_dir))
     cluster = LiveCluster(config)
     cluster.submit_payments(20)

@@ -12,10 +12,10 @@ import json
 
 import pytest
 
+from repro.chaos.__main__ import main as chaos_main
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.obs import JsonlTraceSink, MetricsRegistry, TraceBus, read_trace
 from repro.obs.metrics import HistogramSummary
-from repro.obs.record import main as record_main
 from repro.obs.report import main as report_main
 from repro.obs.report import render_report, round_segments, traffic_by_kind
 
@@ -304,11 +304,12 @@ class TestReport:
 
 class TestRecordCLI:
     def test_records_playable_trace(self, tmp_path, capsys):
+        """A plain run's trace comes from the chaos CLI's clean builtin."""
         path = tmp_path / "rec.jsonl"
-        assert record_main(["--users", "6", "--rounds", "1", "--seed", "2",
-                            "--payments", "6", "--out", str(path)]) == 0
+        assert chaos_main(["--builtin", "clean", "--users", "6",
+                           "--base-seed", "2", "--trace", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "all chains equal: True" in out
+        assert "[OK] clean: heights=[2, 2, 2, 2, 2, 2]" in out
         events, snapshot = read_trace(path)
         assert events and snapshot is not None
         assert json.dumps(snapshot)  # snapshot is JSON-clean
