@@ -235,15 +235,23 @@ def permanently_crashed(actions: Iterable[FaultAction]) -> frozenset[int]:
 
 def check_scenario(config, actions: Iterable[FaultAction]) -> None:
     """The chaos measure's own rules, once every action has passed its
-    checks: enough users for a committee, and the paper's honest
-    majority kept — only crashes and attackers may last the whole run
-    (``end=None``), and a targeted DoS may strike anyone it reaches."""
+    checks: enough users for a committee, more stake than an ordinary
+    step's vote threshold (else no step can ever reach quorum), and the
+    paper's honest majority kept — only crashes and attackers may last
+    the whole run (``end=None``), and a targeted DoS may strike anyone
+    it reaches."""
     if config.num_users < 4:
         raise ScenarioError("scenario needs at least 4 users")
+    stake = config.make_balances()
+    threshold = config.params.step_vote_threshold
+    if sum(stake) <= threshold:
+        raise ScenarioError(
+            f"{config.num_users} users hold {sum(stake)} units in all, "
+            f"not more than a step's vote threshold ({threshold:g}): no "
+            "step can reach quorum; raise initial_balance or the users")
     lost = {node for action in actions
             if action.end is None or action.kind == "targeted-dos"
             for node in action.nodes}
-    stake = config.make_balances()
     if lost and 3 * sum(stake[node] for node in lost) >= sum(stake):
         raise ScenarioError(
             "users crashed for good, attacking for the whole run or "

@@ -12,13 +12,15 @@ node agent, BA*, sortition, admission, damping, and obs layers run
 Entry points:
 
 * :class:`~repro.live.cluster.LiveCluster` — the harness mirroring
-  :class:`~repro.experiments.harness.Simulation`: spawns N node
-  processes plus a coordinator, submits payments, runs R rounds, and
+  :class:`~repro.experiments.harness.Simulation`: forks N node
+  processes from one node server and coordinates them, submits payments, runs R rounds, and
   collects chains and JSONL traces over a control socket.
 * ``python -m repro.chaos --builtin clean --substrate live`` — a plain
   cluster run from the command line (any chaos spec runs here too).
-* ``python -m repro.live.node_main <config.json>`` — one node process
-  (spawned by the cluster; not usually run by hand).
+* ``python -m repro.live.node_main`` — the node server a cluster
+  starts once per run: it imports the node stack once and forks each
+  node process, which runs as ``python -m repro.live.node_main
+  <config.json>`` would (not usually run by hand).
 
 Wall-clock numbers from this substrate are **not comparable** to the
 virtual-time numbers from ``repro.sim`` — see ``docs/LIVE_MODE.md``.

@@ -8,8 +8,13 @@ for the live substrate: build it from a :class:`SimulationConfig` whose
 :meth:`summary` — same verbs, real processes underneath.
 
 The coordinator owns a control socket (Unix domain or TCP, matching the
-gossip transport), spawns one ``python -m repro.live.node_main`` process
-per node, and walks the conversation in :mod:`repro.live.control`:
+gossip transport) and starts one **node server** per run,
+``python -m repro.live.node_main`` with no config: it imports the node
+stack once and forks every node process from it, so the import is paid
+once, not once per node (:func:`repro.live.node_main.serve`). Each
+fork runs the node's ``main`` on its own config file and leaves
+through the interpreter's normal exit. The coordinator then walks the
+conversation in :mod:`repro.live.control`:
 collect ``hello`` (listen addresses), broadcast ``peers`` (address map
 plus the gossip neighbor lists — the graph a sim of the same config
 draws, :func:`gossip_neighbors`), await ``ready`` from everyone,
@@ -30,7 +35,7 @@ Chaos extensions (all inert when ``faults`` is empty):
   double-vote, silent) misbehaves from its own process.
 * ``crash`` faults are realized here: the coordinator SIGKILLs the
   victim's process at the window start and — if the window has an end —
-  respawns it as a fresh ``node_main`` with ``rejoin=True`` and a
+  respawns it as a fresh fork of the node server with ``rejoin=True`` and a
   ``clock_offset`` resuming scenario time, then re-admits it through
   the same hello/peers/ready/start conversation. The victim rebuilds
   its chain over gossip (:class:`repro.node.catchup.ChainSync`).
@@ -43,7 +48,9 @@ Chaos extensions (all inert when ``faults`` is empty):
 
 Any node process that dies when it is not scripted to — including
 before its first ``hello`` — aborts the whole run immediately with the
-tail of every node log attached (fail-fast, not a 30s timeout).
+tail of every node log attached (fail-fast, not a 30s timeout). So
+does the node server: its death kills every node it forked and raises
+with its own log tail.
 
 Every per-node artifact (configs, logs, traces, sockets, merged trace)
 lives under one runtime directory so a failed run leaves a complete
@@ -56,6 +63,7 @@ import asyncio
 import contextlib
 import json
 import os
+import signal
 import sys
 import tempfile
 import time
@@ -103,6 +111,129 @@ def gossip_neighbors(config: SimulationConfig) -> dict[str, list[int]]:
     graph = draw_peers(rng, list(range(config.num_users)),
                        config.network.peers_per_node)
     return {str(node): peers for node, peers in graph.items()}
+
+
+class _NodeHandle:
+    """One forked node process, as the coordinator sees it: its
+    ``returncode`` arrives on the node server's ``exit`` report."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None
+        self._reaped = asyncio.Event()
+
+    def reaped(self, returncode: int) -> None:
+        self.returncode = returncode
+        self._reaped.set()
+
+    async def wait(self) -> int:
+        await self._reaped.wait()
+        return self.returncode
+
+    def kill(self) -> None:
+        """SIGKILL by pid; the server reaps and reports it."""
+        if self.returncode is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+
+
+class _NodeServer:
+    """The run's one ``python -m repro.live.node_main`` (no config): it
+    imports the node stack once and forks every node process, respawns
+    included (:func:`repro.live.node_main.serve`).
+
+    ``on_failure`` is called once, with a ``RuntimeError`` naming the
+    server and carrying its log tail, if the server dies before
+    :meth:`close`; :meth:`close` kills every node it forked that is
+    still running, so none outlives the run, server or no server.
+    """
+
+    def __init__(self, proc: asyncio.subprocess.Process, log_path: Path,
+                 started_at: float, on_failure) -> None:
+        self.proc = proc
+        self.log_path = log_path
+        self.started_at = started_at
+        #: The server's own start-up split (its ``ready`` report).
+        self.startup: dict = {}
+        self._on_failure = on_failure
+        self._closing = False
+        self._waiting: list[asyncio.Future] = []
+        self._nodes: dict[int, _NodeHandle] = {}
+        self._reader = asyncio.create_task(self._read(),
+                                           name="node-server")
+
+    @classmethod
+    async def start(cls, env: dict, log_path: Path,
+                    on_failure) -> "_NodeServer":
+        started_at = time.time()
+        with open(log_path, "wb") as log:
+            proc = await asyncio.create_subprocess_exec(
+                sys.executable, "-m", "repro.live.node_main",
+                stdin=asyncio.subprocess.PIPE,
+                stdout=asyncio.subprocess.PIPE, stderr=log, env=env)
+        return cls(proc, log_path, started_at, on_failure)
+
+    async def spawn(self, cfg_path: Path, log_path: Path) -> _NodeHandle:
+        """Fork one node; its handle once the server reports the pid."""
+        forked = asyncio.get_running_loop().create_future()
+        self._waiting.append(forked)
+        request = json.dumps([str(cfg_path), str(log_path)]) + "\n"
+        try:
+            self.proc.stdin.write(request.encode())
+            await self.proc.stdin.drain()
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the reader reports the death through ``forked``
+        return await forked
+
+    async def _read(self) -> None:
+        while line := await self.proc.stdout.readline():
+            word, _, rest = line.decode().strip().partition(" ")
+            if word == "pid":
+                handle = _NodeHandle(int(rest))
+                self._nodes[handle.pid] = handle
+                forked = self._waiting.pop(0)
+                if not forked.cancelled():
+                    forked.set_result(handle)
+            elif word == "exit":
+                pid, returncode = map(int, rest.split())
+                self._nodes[pid].reaped(returncode)
+            elif word == "ready":
+                report = json.loads(rest)
+                imported_at = report.pop("imported_at")
+                self.startup = {
+                    "import_s": round(imported_at - self.started_at, 4),
+                    **report}
+        returncode = await self.proc.wait()
+        if self._closing:
+            return
+        try:
+            lines = self.log_path.read_text(errors="replace").splitlines()
+        except OSError:
+            lines = []
+        tail = "\n".join(lines[-_LOG_TAIL_LINES:]) or "(log empty)"
+        error = RuntimeError(
+            f"node server (pid {self.proc.pid}) exited (rc={returncode}) "
+            f"while the run needed it\n--- {self.log_path.name} ---\n"
+            f"{tail}")
+        for forked in self._waiting:
+            if not forked.done():
+                forked.set_exception(error)
+        self._on_failure(error)
+
+    async def close(self) -> None:
+        """Kill every node still running, then EOF on stdin: the server
+        reaps its children and leaves."""
+        self._closing = True
+        for handle in self._nodes.values():
+            handle.kill()
+        with contextlib.suppress(Exception):
+            self.proc.stdin.close()
+        try:
+            await asyncio.wait_for(self.proc.wait(), timeout=10.0)
+        except asyncio.TimeoutError:
+            self.proc.kill()
+            await self.proc.wait()
+        await self._reader
 
 
 class LiveCluster:
@@ -164,6 +295,8 @@ class LiveCluster:
         #: Each node's own start-up split from its ``ready`` message
         #: (the latest incarnation's, after a respawn).
         self.startup: dict[int, dict] = {}
+        #: The node server's: the import every node shares, once.
+        self.server_startup: dict = {}
         self._payments: list[tuple[int, int]] = []
         #: Every trace file each node index wrote, in incarnation order.
         self._trace_paths: dict[int, list[str]] = {}
@@ -244,6 +377,7 @@ class LiveCluster:
                          for i, r in sorted(self.results.items())},
             "startup": {i: dict(report)
                         for i, report in sorted(self.startup.items())},
+            "node_server": dict(self.server_startup),
             "merged_trace": (str(self.merged_trace_path)
                              if self.merged_trace_path else None),
             "runtime_dir": str(self.runtime_dir),
@@ -292,28 +426,30 @@ class LiveCluster:
 
     async def _spawn(self, index: int, control, *,
                      incarnation: int = 0,
-                     extra: dict | None = None) -> asyncio.subprocess.Process:
-        """Write a node config, start its process, arm its watcher."""
+                     extra: dict | None = None) -> _NodeHandle:
+        """Write a node config, fork its process, arm its watcher."""
         cfg = self._node_config(index, control, incarnation=incarnation)
         if extra:
             cfg.update(extra)
         # The node measures its import time from here (one host, one
-        # wall clock), so interpreter boot is inside it.
+        # wall clock): the fork, and the server's import if still busy.
         cfg["spawned_at"] = time.time()
         suffix = f"-r{incarnation}" if incarnation else ""
         cfg_path = self.runtime_dir / f"node-{index}{suffix}.json"
         cfg_path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
-        log = open(self.runtime_dir / f"node-{index}{suffix}.log", "wb")
-        self._log_files.append(log)
-        proc = await asyncio.create_subprocess_exec(
-            sys.executable, "-m", "repro.live.node_main", str(cfg_path),
-            stdout=log, stderr=log, env=self._env)
+        proc = await self._guarded(self._node_server.spawn(
+            cfg_path, self.runtime_dir / f"node-{index}{suffix}.log"))
         self._procs.append(proc)
         self._procs_by_index[index] = proc
         self._trace_paths.setdefault(index, []).append(cfg["trace"])
         self._watchers.append(asyncio.create_task(
             self._watch(index, proc), name=f"watch-{index}"))
         return proc
+
+    def _fail(self, error: Exception) -> None:
+        """Abort the run (fail-fast), unless it is already aborting."""
+        if not self._abort.done():
+            self._abort.set_exception(error)
 
     async def _watch(self, index: int, proc) -> None:
         """Fail-fast: an un-scripted process death aborts the run."""
@@ -326,7 +462,7 @@ class LiveCluster:
         if (self._abort.done() or index in self._expected_dead
                 or index in self._finished):
             return
-        self._abort.set_exception(RuntimeError(
+        self._fail(RuntimeError(
             f"node {index} exited (rc={proc.returncode}) before "
             f"delivering a result"))
 
@@ -429,9 +565,8 @@ class LiveCluster:
         self._abort: asyncio.Future = loop.create_future()
         self._started = False
         self._hello_queue: asyncio.Queue = asyncio.Queue()
-        self._procs: list[asyncio.subprocess.Process] = []
-        self._procs_by_index: dict[int, asyncio.subprocess.Process] = {}
-        self._log_files: list = []
+        self._procs: list[_NodeHandle] = []
+        self._procs_by_index: dict[int, _NodeHandle] = {}
         self._watchers: list[asyncio.Task] = []
         self._writers: list[asyncio.StreamWriter] = []
         self._node_writers: dict[int, asyncio.StreamWriter] = {}
@@ -461,6 +596,7 @@ class LiveCluster:
             control = [sub.host, server.sockets[0].getsockname()[1]]
 
         timeline: asyncio.Task | None = None
+        self._node_server: _NodeServer | None = None
         try:
             env = dict(os.environ)
             import repro
@@ -468,7 +604,10 @@ class LiveCluster:
             env["PYTHONPATH"] = (
                 src_root + os.pathsep + env["PYTHONPATH"]
                 if env.get("PYTHONPATH") else src_root)
-            self._env = env
+            # numpy's BLAS pool would be a second thread: no fork then.
+            env["OPENBLAS_NUM_THREADS"] = "1"
+            self._node_server = await _NodeServer.start(
+                env, self.runtime_dir / "node-server.log", self._fail)
             for i in range(n):
                 await self._spawn(i, control)
 
@@ -550,15 +689,13 @@ class LiveCluster:
                     task.cancel()
             if self._abort.done():
                 self._abort.exception()  # mark retrieved
-            for proc in self._procs:
-                if proc.returncode is None:
-                    proc.kill()
+            if self._node_server is not None:
+                await self._node_server.close()
+                self.server_startup = self._node_server.startup
             for writer in self._writers:
                 writer.close()
             server.close()
             await server.wait_closed()
-            for log in self._log_files:
-                log.close()
 
         self.results = results
         self.metrics = {}

@@ -1,10 +1,14 @@
-"""One live node process: ``python -m repro.live.node_main <config.json>``.
+"""One live node process, and the node server that forks them.
 
-Spawned by :class:`repro.live.cluster.LiveCluster`, one per node. The
-config file carries the deployment's :class:`SimulationConfig` as JSON
-(under ``"config"``) next to the facts only this process has — its
-index, the control address, its runtime directory and trace path, its
-incarnation. The process builds the exact stack the sim harness builds,
+``python -m repro.live.node_main`` with no argument is the **node
+server** :class:`repro.live.cluster.LiveCluster` starts once per run
+(:func:`serve`): it imports the node stack once, then forks one process
+per ``[cfg_path, log_path]`` line on its stdin, and each child runs
+:func:`main` on its config as ``python -m repro.live.node_main
+<config.json>`` would. The config file carries the deployment's
+:class:`SimulationConfig` as JSON (under ``"config"``) next to the
+facts only this process has — its index, the control address, its
+runtime directory and trace path, its incarnation. The process builds the exact stack the sim harness builds,
 with the same builder (:mod:`repro.node.deployment`), but on a
 :class:`LiveClock` and a :class:`LiveTransport`, then follows the
 control conversation in :mod:`repro.live.control`: hello → peers →
@@ -34,11 +38,17 @@ Robustness plumbing (all dormant in a clean run):
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
+import gc
 import json
+import os
 import resource
+import select
+import signal
 import sys
 import time
+import traceback
 from pathlib import Path
 
 # numpy >= 2 loads numpy.random on first attribute access (~20 ms):
@@ -74,8 +84,11 @@ from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
 from repro.sortition.selection import SELECTION_STATS
 
-#: Wall time at which the imports above finished (start-up report).
+#: Wall time at which the imports above finished.
 _IMPORTED_AT = time.time()
+#: Wall time at which this node's own code began: the fork, in a child
+#: of the node server (start-up report).
+_STARTED_AT = _IMPORTED_AT
 
 #: Reconnect backoff: first retry delay and cap (seconds).
 RECONNECT_BACKOFF_BASE = 0.25
@@ -274,16 +287,17 @@ class NodeProcess:
     def _startup_report(self, build_began: float) -> dict:
         """Where this process's start-up went (the ``ready`` message).
 
-        ``import_s`` runs from the coordinator's spawn stamp (same host,
-        same wall clock) to the end of this module's imports, so it
-        includes interpreter boot; ``build_s`` is keys + genesis + the
-        protocol stack; what is left of ``ready_s`` is the handshake —
-        mostly waiting for the slowest peer to say hello.
+        ``import_s`` runs from the coordinator's spawn request (same
+        host, same wall clock) to this node's code running: the fork,
+        plus the node server's imports if the request waited on them;
+        ``build_s`` is keys + genesis + the protocol stack; what is left
+        of ``ready_s`` is the handshake — mostly waiting for the slowest
+        peer to say hello.
         """
         now = time.time()
-        spawned_at = self.cfg.get("spawned_at", _IMPORTED_AT)
+        spawned_at = self.cfg.get("spawned_at", _STARTED_AT)
         return {
-            "import_s": round(_IMPORTED_AT - spawned_at, 4),
+            "import_s": round(_STARTED_AT - spawned_at, 4),
             "build_s": round(now - build_began, 4),
             "ready_s": round(now - spawned_at, 4),
             "modules_loaded": len(sys.modules),
@@ -457,13 +471,123 @@ class NodeProcess:
 
 def main(argv: list[str] | None = None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
+    if not argv:
+        # Returns only in a forked child, with that node's config.
+        argv = [serve()]
     if len(argv) != 1:
-        print("usage: python -m repro.live.node_main <config.json>",
+        print("usage: python -m repro.live.node_main [<config.json>]",
               file=sys.stderr)
         return 2
     cfg = json.loads(Path(argv[0]).read_text(encoding="utf-8"))
     asyncio.run(NodeProcess(cfg).run())
     return 0
+
+
+def serve() -> str:
+    """The node server: fork one node process per request.
+
+    The stack is imported once, here; ``gc.freeze()`` then moves every
+    object it made out of the collector's reach, so a child's
+    collections do not write to (and copy) the pages it shares with the
+    server. Forking is only safe from a single OS thread, so a server
+    with two (numpy's BLAS pool without ``OPENBLAS_NUM_THREADS=1``)
+    refuses to serve.
+
+    Protocol: the server writes ``ready <json>`` (its own start-up
+    split), then reads ``[cfg_path, log_path]`` JSON lines from stdin
+    and answers each with ``pid N`` once forked; it reaps its children
+    and writes ``exit N rc`` for each (``rc`` negative for a signal).
+    At stdin EOF it waits for the children still running, then leaves
+    with ``os._exit``, as it does on any error: no atexit hook of the
+    server runs. Only a forked child returns, with its config path, its
+    stdin on ``/dev/null`` and its stdout and stderr on its log; it
+    then runs as a node and leaves through the interpreter's normal
+    exit.
+    """
+    try:
+        cfg_path, log_path = _fork_on_request()
+    except BaseException:
+        # Interrupts included: the interpreter's normal exit would run
+        # the server's atexit hooks, which are the nodes' to run.
+        traceback.print_exc()
+        sys.stderr.flush()
+        os._exit(1)
+    global _STARTED_AT
+    _STARTED_AT = time.time()
+    # dup2 closes the server's stdin, its report pipe and its log.
+    devnull = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(devnull, 0)
+    os.close(devnull)
+    log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    os.dup2(log, 1)
+    os.dup2(log, 2)
+    os.close(log)
+    return cfg_path
+
+
+def _report(line: str) -> None:
+    """One line to the coordinator, unbuffered: a child never inherits
+    a half-written report."""
+    os.write(1, (line + "\n").encode())
+
+
+def _fork_on_request() -> tuple[str, str]:
+    """The server's loop; returns ``(cfg_path, log_path)`` in a child."""
+    gc.collect()
+    gc.freeze()
+    threads = len(os.listdir("/proc/self/task"))
+    if threads != 1:
+        raise RuntimeError(
+            f"node server: {threads} OS threads after imports; forking "
+            "needs exactly one (is OPENBLAS_NUM_THREADS=1 set?)")
+    _report("ready " + json.dumps({
+        "imported_at": _IMPORTED_AT,
+        "cpu_s": round(time.process_time(), 4),
+        "rss_mb": round(resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "modules_loaded": len(sys.modules),
+    }))
+    # SIGCHLD wakes the select below through this pipe.
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_r, False)
+    os.set_blocking(wake_w, False)
+    signal.signal(signal.SIGCHLD, lambda signum, frame: None)
+    signal.set_wakeup_fd(wake_w)
+    children: set[int] = set()
+    pending = b""
+    reading = True
+    while reading or children:
+        ready, _, _ = select.select([0, wake_r] if reading else [wake_r],
+                                    [], [])
+        if wake_r in ready:
+            with contextlib.suppress(BlockingIOError):
+                os.read(wake_r, 4096)
+        while children:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+            if pid == 0:
+                break
+            children.discard(pid)
+            _report(f"exit {pid} {os.waitstatus_to_exitcode(status)}")
+        if 0 not in ready:
+            continue
+        chunk = os.read(0, 65536)
+        if not chunk:
+            reading = False
+            continue
+        pending += chunk
+        *lines, pending = pending.split(b"\n")
+        for line in lines:
+            cfg_path, log_path = json.loads(line)
+            pid = os.fork()
+            if pid == 0:
+                signal.set_wakeup_fd(-1)
+                signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+                os.close(wake_r)
+                os.close(wake_w)
+                return cfg_path, log_path
+            children.add(pid)
+            _report(f"pid {pid}")
+    os._exit(0)
 
 
 if __name__ == "__main__":

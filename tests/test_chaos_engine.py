@@ -136,6 +136,17 @@ class TestScenarioScript:
         with pytest.raises(ScenarioError, match="at least 4 users"):
             _chaos(config).validate()
 
+    def test_stake_no_step_can_reach_quorum_with_is_no_scenario(self):
+        """Five users at the default 10 units hold 50, under an ordinary
+        step's T_step * tau_step; the same five at 11 units do not."""
+        config = SimulationConfig(num_users=5)
+        assert sum(config.make_balances()) <= \
+            config.params.step_vote_threshold
+        ExperimentSpec("latency", config, 1).validate()
+        with pytest.raises(ScenarioError, match="initial_balance"):
+            _chaos(config).validate()
+        _chaos(replace(config, initial_balance=11)).validate()
+
     def test_misspelled_scenario_key_is_rejected(self):
         record = partition_heal_scenario().to_json()
         record["num_user"] = 5
@@ -614,6 +625,8 @@ class TestChaosCli:
         (["--seed", "5", "--base-seed", "9"], "--base-seed"),
         (["SCENARIO", "--base-seed", "9"], "--base-seed"),
         (["--builtin", "clean", "--users", "3"], "at least 4 users"),
+        (["--builtin", "partition-heal", "--users", "5"],
+         "initial_balance"),
     ])
     def test_bad_input_is_a_usage_error_naming_the_rule(
             self, tmp_path, capsys, argv, rule):

@@ -32,6 +32,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import os
+import signal
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +413,112 @@ class TestFailFastOrchestration:
         for result in cluster.results.values():
             assert result["height"] == 3
         assert cluster.summary()["missing_nodes"] == [VICTIM]
+
+
+#: Put on a cluster's PYTHONPATH: every interpreter that starts says so
+#: on stderr, and every process that leaves through the interpreter's
+#: normal exit drops ``<pid>.exit`` -- the contract the benchmark's
+#: start-up hook (``bench/hooks/sitecustomize.py``) counts marks by.
+EXIT_HOOK = """\
+import atexit, os, sys
+if os.environ.get("EXIT_MARK_DIR"):
+    print("interpreter started by the exit hook", file=sys.stderr,
+          flush=True)
+    atexit.register(lambda: open(os.path.join(
+        os.environ["EXIT_MARK_DIR"], f"{os.getpid()}.exit"), "w").close())
+"""
+
+
+def _hooked(tmp_path, monkeypatch) -> Path:
+    """Install :data:`EXIT_HOOK` for clusters this test starts; returns
+    the directory the exit marks land in."""
+    hooks, marks = tmp_path / "hooks", tmp_path / "marks"
+    hooks.mkdir()
+    marks.mkdir()
+    (hooks / "sitecustomize.py").write_text(EXIT_HOOK, encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", str(hooks))
+    monkeypatch.setenv("EXIT_MARK_DIR", str(marks))
+    return marks
+
+
+def _gone(pid: int, wait: float = 2.0) -> bool:
+    """Whether ``pid`` stops running within ``wait`` seconds: no such
+    process, or a zombie an orphan's new parent has yet to reap."""
+    deadline = time.monotonic() + wait
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] in ("Z", "X"):
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+class TestNodeServer:
+    """Every node process is a fork of the run's one node server."""
+
+    def test_nodes_and_only_nodes_leave_through_a_normal_exit(
+            self, tmp_path, monkeypatch):
+        marks = _hooked(tmp_path, monkeypatch)
+        cluster = LiveCluster(_config(tmp_path))
+        cluster.submit_payments(2)
+        cluster.run_rounds(2, time_limit=60.0)
+        assert cluster.all_chains_equal()
+        pids = {proc.pid for proc in cluster._procs}
+        assert len(pids) == NODES
+        # The server's atexit hooks never run: no mark of its own.
+        assert {int(path.stem) for path in marks.glob("*.exit")} == pids
+        server = cluster.summary()["node_server"]
+        assert server["import_s"] > 0.0 and server["cpu_s"] > 0.0
+        assert server["rss_mb"] > 0.0
+
+    @pytest.mark.parametrize("when", ["before-spawn", "mid-run"])
+    def test_a_dead_server_aborts_the_run_and_takes_its_nodes(
+            self, tmp_path, monkeypatch, when):
+        _hooked(tmp_path, monkeypatch)
+        cluster = LiveCluster(_config(tmp_path))
+        killed_at: list[float] = []
+
+        def kill_server() -> None:
+            killed_at.append(time.monotonic())
+            os.kill(cluster._node_server.proc.pid, signal.SIGKILL)
+
+        if when == "before-spawn":
+            spawn = LiveCluster._spawn
+
+            async def spawn_then_kill(self, index, control, **kwargs):
+                proc = await spawn(self, index, control, **kwargs)
+                if index == 0:
+                    kill_server()
+                return proc
+
+            monkeypatch.setattr(LiveCluster, "_spawn", spawn_then_kill)
+        else:
+            def kill_once_ready() -> None:
+                deadline = time.monotonic() + 60.0
+                while (len(cluster.startup) < NODES
+                       and time.monotonic() < deadline):
+                    time.sleep(0.02)
+                kill_server()
+
+            threading.Thread(target=kill_once_ready, daemon=True).start()
+        cluster.submit_payments(2)
+        with pytest.raises(RuntimeError) as excinfo:
+            # Rounds enough that no node would finish on its own in the
+            # seconds ``_gone`` waits: the coordinator must kill them.
+            cluster.run_rounds(30, time_limit=120.0)
+        aborted_after = time.monotonic() - killed_at[0]
+        message = str(excinfo.value)
+        assert (f"node server (pid {cluster._node_server.proc.pid})"
+                in message)
+        assert "interpreter started by the exit hook" in message
+        assert aborted_after < cluster.config.substrate.connect_timeout
+        pids = [proc.pid for proc in cluster._procs]
+        assert len(pids) == (1 if when == "before-spawn" else NODES)
+        assert all(_gone(pid) for pid in pids), pids
 
 
 class TestTracedCluster:

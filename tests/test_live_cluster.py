@@ -161,12 +161,24 @@ class TestLiveCluster:
             for result in cluster.results.values())
 
     def test_summary_reports_each_nodes_startup(self, cluster):
-        """"Why did setup take that long" is answerable from summary()."""
-        startup = cluster.summary()["startup"]
+        """"Why did setup take that long" is answerable from summary():
+        each node's split, and the node server's import, paid once."""
+        summary = cluster.summary()
+        startup = summary["startup"]
         assert sorted(startup) == list(range(NODES))
+        server = summary["node_server"]
+        assert server["import_s"] > 0.0 and server["cpu_s"] > 0.0
+        assert server["rss_mb"] > 0.0
+        # A process that has loaded scipy has > 1,000 modules.
+        assert 0 < server["modules_loaded"] < 600
         for report in startup.values():
+            # Spawn request -> the fork running: the server's import at
+            # most (if the request waited on it), plus the fork.
             assert 0.0 < report["import_s"] <= report["ready_s"]
+            assert report["import_s"] < server["import_s"] + 1.0
             assert 0.0 < report["build_s"] <= report["ready_s"]
             assert report["rss_mb"] > 0.0
-            # A node process that has loaded scipy has > 1,000 modules.
             assert 0 < report["modules_loaded"] < 600
+        # Only a request sent while the server still imported waits.
+        assert min(report["import_s"] for report in startup.values()) \
+            < server["import_s"]
