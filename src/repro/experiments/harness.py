@@ -206,8 +206,8 @@ class Simulation:
             nonces[sender_index] = nonce + 1
             sender.submit_transaction(tx)
 
-    def run_rounds(self, rounds: int, time_limit: float | None = None,
-                   max_events: int | None = None) -> None:
+    def run_rounds(self, rounds: int,
+                   time_limit: float | None = None) -> None:
         """Start the always-on core and run until it reaches ``rounds``
         blocks; the population materializes and retires transient
         winners on its own at round boundaries.
@@ -235,8 +235,7 @@ class Simulation:
             # Generous per-round ceiling; hitting it is a test failure,
             # not silent truncation.
             limit = self.config.params.round_budget * (rounds + 1)
-        self.env.run(until=limit, max_events=max_events,
-                     stop_when=lambda: not pending)
+        self.env.run(until=limit, stop_when=lambda: not pending)
         self._selection_delta = SELECTION_STATS.delta_since(
             self._selection_baseline)
         if len(self.nodes) < self.population.num_accounts:

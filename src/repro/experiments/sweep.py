@@ -23,18 +23,14 @@ so that **parallel output is byte-identical to serial output**:
   scheduling order cannot leak into results;
 * **deterministic merge** — outcomes are reassembled in spec order and
   the merged artifact carries only spec-determined data (wall-clock
-  times live in the checkpoint and the obs registry, never in the
-  merged JSON);
+  times live in the checkpoint, never in the merged JSON);
 * **per-point timeout + retry-once-on-crash** — a worker that crashes
   or overruns its deadline is killed and the point retried
   (``retries`` times, default once); a point that keeps failing is
   recorded as a failure without sinking the sweep;
 * **JSONL checkpointing** — every finished point is appended to a
   checkpoint file keyed by the spec's fingerprint, so an interrupted
-  sweep resumes without recomputing finished points;
-* **obs integration** — per-point wall-time histograms and
-  completed/failed/retried/resumed counters on an optional
-  :class:`~repro.obs.bus.TraceBus`.
+  sweep resumes without recomputing finished points.
 
 Serial fallback: with ``jobs=1`` and no timeout the engine runs fully
 in-process (no multiprocessing at all), which is also the degenerate
@@ -286,15 +282,6 @@ class _Job:
     deadline: float | None
 
 
-def _default_context() -> multiprocessing.context.BaseContext:
-    # fork is markedly cheaper per point and available on the platforms
-    # CI runs on; spawn is the portable fallback (specs travel as JSON,
-    # so both work).
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
 # ---------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------
@@ -303,9 +290,7 @@ def _default_context() -> multiprocessing.context.BaseContext:
 def run_sweep(specs: Sequence[ExperimentSpec] | Iterable[ExperimentSpec],
               *, jobs: int = 1, timeout: float | None = None,
               retries: int = 1, checkpoint: str | None = None,
-              obs: TraceBus | None = None,
               progress: Callable[[PointOutcome, int], None] | None = None,
-              mp_context: multiprocessing.context.BaseContext | None = None,
               ) -> SweepReport:
     """Run every spec and merge outcomes deterministically in spec order.
 
@@ -343,53 +328,35 @@ def run_sweep(specs: Sequence[ExperimentSpec] | Iterable[ExperimentSpec],
             resumed += 1
         else:
             pending.append((index, spec))
-    if obs is not None and resumed:
-        obs.metrics.inc("sweep.points_resumed", resumed)
 
     def finish(outcome: PointOutcome) -> None:
         outcomes[outcome.index] = outcome
         if not outcome.resumed:
             writer.append(outcome)
-        if obs is not None:
-            obs.metrics.observe("sweep.point_wall_time", outcome.wall_time)
-            if outcome.ok:
-                obs.metrics.inc("sweep.points_completed")
-            else:
-                obs.metrics.inc("sweep.points_failed")
-            obs.emit("sweep.point_done", index=outcome.index,
-                     measure=outcome.spec.measure, ok=outcome.ok,
-                     attempts=outcome.attempts,
-                     wall_time=round(outcome.wall_time, 6))
         if progress is not None:
             progress(outcome, total)
 
     try:
         if jobs == 1 and timeout is None:
             for index, spec in pending:
-                finish(_run_serial(index, spec, retries, obs))
+                finish(_run_serial(index, spec, retries))
         elif pending:
             for outcome in _run_parallel(pending, jobs=jobs,
-                                         timeout=timeout, retries=retries,
-                                         obs=obs,
-                                         mp_context=mp_context):
+                                         timeout=timeout, retries=retries):
                 finish(outcome)
     finally:
         writer.close()
 
-    report = SweepReport(
+    return SweepReport(
         outcomes=[outcomes[index] for index in range(total)],
         jobs=jobs,
         wall_time=time.perf_counter() - started,
         resumed_points=resumed,
     )
-    if obs is not None:
-        obs.metrics.set_gauge("sweep.wall_time", report.wall_time)
-        obs.metrics.set_gauge("sweep.points_total", total)
-    return report
 
 
-def _run_serial(index: int, spec: ExperimentSpec, retries: int,
-                obs: TraceBus | None) -> PointOutcome:
+def _run_serial(index: int, spec: ExperimentSpec,
+                retries: int) -> PointOutcome:
     attempts = 0
     while True:
         attempts += 1
@@ -401,8 +368,6 @@ def _run_serial(index: int, spec: ExperimentSpec, retries: int,
                 wall_time=time.perf_counter() - start, attempts=attempts)
         except Exception as exc:
             if attempts <= retries:
-                if obs is not None:
-                    obs.metrics.inc("sweep.retries")
                 continue
             return PointOutcome(
                 index=index, spec=spec, result=None,
@@ -412,11 +377,14 @@ def _run_serial(index: int, spec: ExperimentSpec, retries: int,
 
 def _run_parallel(pending: list[tuple[int, ExperimentSpec]], *, jobs: int,
                   timeout: float | None, retries: int,
-                  obs: TraceBus | None,
-                  mp_context: multiprocessing.context.BaseContext | None,
                   ) -> Iterable[PointOutcome]:
     """Yield outcomes in completion order, at most ``jobs`` in flight."""
-    context = mp_context if mp_context is not None else _default_context()
+    # fork is markedly cheaper per point and available on the platforms
+    # CI runs on; spawn is the portable fallback (specs travel as JSON,
+    # so both work).
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
     queue: list[tuple[int, ExperimentSpec, int]] = [
         (index, spec, 0) for index, spec in pending]
     queue.reverse()  # pop() from the tail -> original order
@@ -450,8 +418,6 @@ def _run_parallel(pending: list[tuple[int, ExperimentSpec]], *, jobs: int,
 
     def retry_or_fail(job: _Job, error: str) -> PointOutcome | None:
         if job.attempts <= retries:
-            if obs is not None:
-                obs.metrics.inc("sweep.retries")
             launch(job.index, job.spec, job.attempts)
             return None
         return PointOutcome(

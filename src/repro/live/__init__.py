@@ -18,9 +18,10 @@ Entry points:
 * ``python -m repro.chaos --builtin clean --substrate live`` — a plain
   cluster run from the command line (any chaos spec runs here too).
 * ``python -m repro.live.node_main`` — the node server a cluster
-  starts once per run: it imports the node stack once and forks each
-  node process, which runs as ``python -m repro.live.node_main
-  <config.json>`` would (not usually run by hand).
+  starts once per run (it takes no argument): it imports the node stack
+  once and forks each node process, which runs
+  ``NodeProcess(cfg).run()`` on the config it was handed (not usually
+  run by hand).
 
 Wall-clock numbers from this substrate are **not comparable** to the
 virtual-time numbers from ``repro.sim`` — see ``docs/LIVE_MODE.md``.

@@ -12,7 +12,7 @@ gossip transport) and starts one **node server** per run,
 ``python -m repro.live.node_main`` with no config: it imports the node
 stack once and forks every node process from it, so the import is paid
 once, not once per node (:func:`repro.live.node_main.serve`). Each
-fork runs the node's ``main`` on its own config file and leaves
+fork runs ``NodeProcess(cfg).run()`` on its own config file and leaves
 through the interpreter's normal exit. The coordinator then walks the
 conversation in :mod:`repro.live.control`:
 collect ``hello`` (listen addresses), broadcast ``peers`` (address map
@@ -91,7 +91,7 @@ from repro.network.latency import LatencyModel
 from repro.network.wire import decode_block
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import read_trace, trace_losses
+from repro.obs.sink import read_trace
 
 _LOG_TAIL_LINES = 25
 
@@ -368,8 +368,6 @@ class LiveCluster:
             "tips": {i: r["tip"].hex()[:16]
                      for i, r in sorted(self.results.items())},
             "conformance_ok": self.conformance.verdict().ok,
-            "trace_events_dropped": sum(r["dropped_events"]
-                                        for r in self.results.values()),
             **self.metrics,
             **checked.counters_with_prefix("conformance."),
             "wire_bytes_sent": self.metrics.get("live.wire_bytes_sent", 0),
@@ -806,5 +804,4 @@ class LiveCluster:
                 fields = dict(record)
                 stamp = float(fields.pop("t", 0.0))
                 self.obs.emit(fields.pop("kind"), **fields)
-            self.obs.dropped_events += sum(trace_losses(snapshot))
         return out

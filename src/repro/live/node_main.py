@@ -1,12 +1,12 @@
 """One live node process, and the node server that forks them.
 
-``python -m repro.live.node_main`` with no argument is the **node
-server** :class:`repro.live.cluster.LiveCluster` starts once per run
-(:func:`serve`): it imports the node stack once, then forks one process
-per ``[cfg_path, log_path]`` line on its stdin, and each child runs
-:func:`main` on its config as ``python -m repro.live.node_main
-<config.json>`` would. The config file carries the deployment's
-:class:`SimulationConfig` as JSON (under ``"config"``) next to the
+``python -m repro.live.node_main`` (it takes no argument) is the
+**node server** :class:`repro.live.cluster.LiveCluster` starts once per
+run (:func:`serve`): it imports the node stack once, then forks one
+process per ``[cfg_path, log_path]`` line on its stdin, and each child
+runs ``NodeProcess(cfg).run()`` on the config it was handed. There is
+no other way to start a node process. The config file carries the
+deployment's :class:`SimulationConfig` as JSON (under ``"config"``) next to the
 facts only this process has — its index, the control address, its
 runtime directory and trace path, its incarnation. The process builds the exact stack the sim harness builds,
 with the same builder (:mod:`repro.node.deployment`), but on a
@@ -426,8 +426,6 @@ class NodeProcess:
             "tip": chain.tip_hash,
             "halted": node.halted,
             "trace": cfg["trace"],
-            "dropped_events": (self.bus.dropped_events
-                               + self.sink.dropped),
             **run.to_record(),
         })
         # Linger: keep the clock pumping — and with it gossip dispatch
@@ -471,14 +469,13 @@ class NodeProcess:
 
 def main(argv: list[str] | None = None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
-    if not argv:
-        # Returns only in a forked child, with that node's config.
-        argv = [serve()]
-    if len(argv) != 1:
-        print("usage: python -m repro.live.node_main [<config.json>]",
-              file=sys.stderr)
+    if argv:
+        print("usage: python -m repro.live.node_main  (the node server "
+              "takes no argument)", file=sys.stderr)
         return 2
-    cfg = json.loads(Path(argv[0]).read_text(encoding="utf-8"))
+    # Returns only in a forked child, with that node's config.
+    cfg_path = serve()
+    cfg = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
     asyncio.run(NodeProcess(cfg).run())
     return 0
 

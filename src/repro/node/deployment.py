@@ -459,16 +459,11 @@ def fold(totals: dict, numbers: dict) -> None:
 def fold_snapshots(snapshots) -> dict:
     """Registry snapshots of several node stacks, folded into one."""
     folded: dict = {"counters": {}, "gauges": {}}
-    dropped = 0
     for snapshot in snapshots:
         fold(folded["counters"], snapshot.get("counters", {}))
         fold(folded["gauges"], snapshot.get("gauges", {}))
-        dropped += snapshot.get("dropped_events", 0)
-    folded = {section: dict(sorted(numbers.items()))
-              for section, numbers in folded.items()}
-    if dropped:
-        folded["dropped_events"] = dropped
-    return folded
+    return {section: dict(sorted(numbers.items()))
+            for section, numbers in folded.items()}
 
 
 def harvest(metrics, *, clock, backend: CryptoBackend,

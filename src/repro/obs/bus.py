@@ -26,14 +26,15 @@ Event schema (see docs/OBSERVABILITY.md for the kind catalogue)::
 Events are kept in a bounded in-memory list (oldest runs are small; for
 long soaks attach a :class:`~repro.obs.sink.JsonlTraceSink` and lower
 ``max_events``); overflow increments :attr:`dropped_events` rather than
-growing without bound.
+growing without bound. The bound is on memory only: every sink still
+receives every event, so a trace file is exactly what its sinks wrote.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Protocol
 
-from repro.obs.events import validate_record, validation_default
+from repro.obs.events import validate_record
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -57,21 +58,20 @@ class TraceBus:
 
     def __init__(self, *, registry: MetricsRegistry | None = None,
                  max_events: int = 1_000_000,
-                 validate: bool | None = None) -> None:
+                 validate: bool = False) -> None:
         if max_events < 0:
             raise ValueError("max_events must be >= 0")
         self.metrics = registry if registry is not None else MetricsRegistry()
         #: Check every emitted record against the
-        #: :data:`repro.obs.events.EVENT_KINDS` catalogue. ``None``
-        #: resolves from the ``REPRO_OBS_VALIDATE`` environment variable
-        #: (off by default — the emit path is hot, and ad-hoc kinds are
+        #: :data:`repro.obs.events.EVENT_KINDS` catalogue (off by
+        #: default — the emit path is hot, and ad-hoc kinds are
         #: legitimate in unit tests).
-        self.validate = (validation_default() if validate is None
-                         else validate)
+        self.validate = validate
         #: In-memory event records, in emission order (bounded).
         self.events: list[dict] = []
         self.max_events = max_events
-        #: Events discarded because ``max_events`` was reached.
+        #: Events the in-memory list did not keep because ``max_events``
+        #: was reached (the sinks still received them).
         self.dropped_events = 0
         self._clock: Callable[[], float] = _default_clock
         self._sinks: list[TraceSink] = []
@@ -129,17 +129,7 @@ class TraceBus:
         """Run harvesters, then return the registry snapshot."""
         for harvester in self._harvesters:
             harvester(self)
-        sink_dropped = sum(getattr(sink, "dropped", 0)
-                           for sink in self._sinks)
-        if sink_dropped:
-            # A sink that sheds records makes the persisted trace an
-            # unsound input for offline analysis (conformance, reports);
-            # surface the loss as a first-class gauge.
-            self.metrics.set_gauge("obs.sink_dropped", sink_dropped)
-        snapshot = self.metrics.snapshot()
-        if self.dropped_events:
-            snapshot["dropped_events"] = self.dropped_events
-        return snapshot
+        return self.metrics.snapshot()
 
     def close(self) -> dict:
         """Final snapshot: append it to every sink and close them.

@@ -5,8 +5,7 @@ here (a test greps the source for literal kinds and asserts it). The catalogue
 serves two consumers:
 
 * :class:`~repro.obs.bus.TraceBus` — when constructed with
-  ``validate=True`` (or when the ``REPRO_OBS_VALIDATE`` environment
-  variable is set), every emitted record is checked against its kind's
+  ``validate=True``, every emitted record is checked against its kind's
   spec and a typo'd kind or missing field raises immediately instead of
   producing an event no downstream aggregation will ever match;
 * :mod:`repro.conformance` — the reference BA* state machine keys its
@@ -21,7 +20,6 @@ test suites turn it on explicitly for full simulation runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 
@@ -91,21 +89,14 @@ EVENT_KINDS: dict[str, EventKind] = {k.name: k for k in [
           ("node", "height")),
     _kind("population_boundary", "aggregated population",
           ("round", "winners", "fresh", "live")),
-    # -- chaos / admission / sweep -------------------------------------
+    # -- chaos / admission ---------------------------------------------
     _kind("fault_applied", "chaos fault injector",
           ("fault", "nodes", "window")),
     _kind("fault_cleared", "chaos fault injector",
           ("fault", "nodes", "window")),
     _kind("peer_quarantined", "admission layer",
           ("node", "peer", "offense", "round")),
-    _kind("sweep.point_done", "sweep engine",
-          ("index", "measure", "ok", "attempts", "wall_time")),
 ]}
-
-
-def validation_default() -> bool:
-    """Resolve the default for ``TraceBus(validate=None)`` from the env."""
-    return os.environ.get("REPRO_OBS_VALIDATE", "") not in ("", "0")
 
 
 def validate_record(record: dict) -> None:

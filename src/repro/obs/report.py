@@ -29,7 +29,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-from repro.obs.sink import read_trace, trace_losses
+from repro.obs.sink import read_trace
 
 #: Canonical display order for BA⋆ steps (numeric steps sort between).
 _STEP_ORDER = {"reduction_one": -2, "reduction_two": -1, "final": 1000}
@@ -132,14 +132,6 @@ def traffic_by_kind(counters: dict[str, int | float]) -> list[dict]:
 def render_report(events: list[dict], snapshot: dict | None) -> str:
     """The full report as one printable string."""
     sections: list[str] = []
-
-    ring_dropped, sink_dropped = trace_losses(snapshot)
-    if ring_dropped or sink_dropped:
-        sections.append(
-            "!! INCOMPLETE TRACE: "
-            f"{ring_dropped} events dropped by the in-memory ring buffer, "
-            f"{sink_dropped} dropped by bounded sinks — every aggregate "
-            "below undercounts; re-record with higher limits !!\n")
 
     segment_rows = round_segments(events)
     sections.append("== Per-round segments (seconds, mean across nodes) ==")

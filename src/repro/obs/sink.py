@@ -1,10 +1,13 @@
-"""JSONL trace persistence with bounded buffering.
+"""JSONL trace persistence.
 
 One trace file is a sequence of JSON objects, one per line:
 
-* ``{"type": "event", ...event fields...}`` — emitted in order;
+* ``{"type": "event", ...event fields...}`` — every emitted event, in
+  order;
 * ``{"type": "snapshot", "metrics": {...}}`` — the final registry
-  snapshot, appended by :meth:`repro.obs.bus.TraceBus.close`.
+  snapshot, appended by :meth:`repro.obs.bus.TraceBus.close`. A file
+  without it was never closed by its writer (a SIGKILLed process, or a
+  run that raised first): that is the one way a trace is incomplete.
 
 ``bytes`` values (block hashes, public keys) are hex-encoded on write so
 the file is plain text; :func:`read_trace` does *not* undo this — hex
@@ -32,25 +35,14 @@ class JsonlTraceSink:
     of ``buffer_lines`` entries, so a hot emitter costs one ``dumps``
     and a list append per event rather than a syscall. The buffer is
     flushed when full, on :meth:`write_snapshot`, and on :meth:`close`.
-
-    ``max_records`` optionally bounds the file: event records beyond the
-    bound are **counted, not written** — :attr:`dropped` reports the
-    loss, the bus surfaces it as the ``obs.sink_dropped`` gauge, and the
-    report/conformance CLIs warn that such a trace is incomplete. The
-    snapshot record is always written (it carries the loss accounting).
-    ``None`` (the default) keeps the file unbounded.
     """
 
     def __init__(self, path: str | Path, *, buffer_lines: int = 1024,
-                 max_records: int | None = None,
                  durable: bool = False) -> None:
         if buffer_lines < 1:
             raise ValueError("buffer_lines must be >= 1")
-        if max_records is not None and max_records < 0:
-            raise ValueError("max_records must be >= 0 or None")
         self.path = Path(path)
         self.buffer_lines = buffer_lines
-        self.max_records = max_records
         #: Push every flush through to the OS (``file.flush()``). Live
         #: node processes set this (with ``buffer_lines=1``) so a
         #: SIGKILL mid-run loses at most the line being written — the
@@ -59,25 +51,16 @@ class JsonlTraceSink:
         self.durable = durable
         self._buffer: list[str] = []
         self._file: IO[str] | None = self.path.open("w", encoding="utf-8")
-        #: Total records written (events + snapshot).
-        self.records_written = 0
-        #: Event records shed because ``max_records`` was reached.
-        self.dropped = 0
 
     def _write(self, record: dict) -> None:
         if self._file is None:
             raise ValueError(f"trace sink {self.path} is closed")
         self._buffer.append(json.dumps(record, default=_json_default,
                                        separators=(",", ":")))
-        self.records_written += 1
         if len(self._buffer) >= self.buffer_lines:
             self.flush()
 
     def write_event(self, record: dict) -> None:
-        if (self.max_records is not None
-                and self.records_written >= self.max_records):
-            self.dropped += 1
-            return
         self._write({"type": "event", **record})
 
     def write_snapshot(self, snapshot: dict) -> None:
@@ -133,11 +116,3 @@ def read_trace(path: str | Path, *,
             snapshot = record.get("metrics")
     return events, snapshot
 
-
-def trace_losses(snapshot: dict | None) -> tuple[int, int]:
-    """(ring-buffer drops, sink drops): events the recorded trace is
-    known to be missing, read from its snapshot."""
-    if not snapshot:
-        return (0, 0)
-    return (int(snapshot.get("dropped_events", 0) or 0),
-            int(snapshot.get("gauges", {}).get("obs.sink_dropped", 0) or 0))

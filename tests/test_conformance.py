@@ -50,7 +50,8 @@ from repro.obs import (
     TraceBus,
     read_trace,
 )
-from repro.obs.report import render_report, step_timings, trace_losses
+from repro.obs.report import main as report_main
+from repro.obs.report import render_report, step_timings
 
 from repro.sortition import roles
 
@@ -485,53 +486,55 @@ class TestEventCatalogue:
 
 
 class TestSinkOverflow:
-    """Satellite (b): bounded sinks drop loudly, never silently."""
+    """A trace is what its sinks wrote: bounding the bus's in-memory
+    list loses nothing from the file, and the one loss a file can have
+    is its missing closing snapshot."""
 
-    def test_bounded_sink_counts_drops(self, tmp_path):
-        bus = TraceBus()
-        sink = JsonlTraceSink(tmp_path / "t.jsonl", max_records=3)
-        bus.add_sink(sink)
-        for i in range(8):
-            bus.emit("round_start", node=0, round=i)
-        snapshot = bus.close()
-        assert sink.dropped == 5
-        assert snapshot["gauges"]["obs.sink_dropped"] == 5
-        events, stored = read_trace(tmp_path / "t.jsonl")
-        assert len(events) == 3
-        assert stored["gauges"]["obs.sink_dropped"] == 5
-
-    def test_report_warns_on_incomplete_trace(self, tmp_path):
-        bus = TraceBus()
-        bus.add_sink(JsonlTraceSink(tmp_path / "t.jsonl", max_records=2))
-        for i in range(5):
-            bus.emit("round_start", node=0, round=i)
+    def test_a_storeless_bus_writes_a_complete_trace(self, tmp_path,
+                                                     capsys):
+        # The bus that checks without storing: every event overflows the
+        # in-memory list, and every one still reaches the sink.
+        bus = TraceBus(max_events=0)
+        path = tmp_path / "t.jsonl"
+        bus.add_sink(JsonlTraceSink(path))
+        run_sim(2, payments=20, num_users=10, seed=3, obs=bus)
         bus.close()
-        events, snapshot = read_trace(tmp_path / "t.jsonl")
-        assert trace_losses(snapshot) == (0, 3)
-        report = render_report(events, snapshot)
-        assert "INCOMPLETE TRACE" in report
+        events, snapshot = read_trace(path)
+        assert bus.events == []
+        assert len(events) == bus.dropped_events > 0
+        assert snapshot is not None
+        assert conformance_main([str(path), "--require-complete"]) == 0
+        assert "INCOMPLETE" not in capsys.readouterr().out
+        assert report_main([str(path)]) == 0
+        assert "INCOMPLETE" not in capsys.readouterr().out
 
     def test_report_silent_on_complete_trace(self, clean_events, clean_run):
         _, bus = clean_run
         report = render_report(clean_events, bus.snapshot())
         assert "INCOMPLETE TRACE" not in report
 
-    def test_offline_checker_flags_incomplete(self, tmp_path, capsys):
-        bus = TraceBus()
-        bus.add_sink(JsonlTraceSink(tmp_path / "t.jsonl", max_records=1))
-        bus.emit("round_start", node=0, round=1)
-        bus.emit("proposal_resolved", node=0, round=1, empty=False,
-                 waited_s=0.1)
-        bus.close()
-        code = conformance_main([str(tmp_path / "t.jsonl"),
-                                 "--require-complete"])
+    def test_offline_checker_flags_incomplete(self, clean_events, tmp_path,
+                                              capsys):
+        # A writer killed before ``bus.close()`` leaves no snapshot line.
+        trace = _write_trace(tmp_path / "t.jsonl", clean_events)
+        lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[-1].startswith('{"type":"snapshot"')
+        trace.write_text("".join(lines[:-1]), encoding="utf-8")
+        verdict_path = tmp_path / "verdict.json"
+        code = conformance_main([str(trace), "--require-complete",
+                                 "--verdict", str(verdict_path)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "INCOMPLETE" in out
-
-    def test_sink_rejects_negative_bound(self, tmp_path):
-        with pytest.raises(Exception):
-            JsonlTraceSink(tmp_path / "t.jsonl", max_records=-1)
+        assert "CONFORMS" in out and "INCOMPLETE" in out
+        assert json.loads(verdict_path.read_text())["trace_complete"] is False
+        assert conformance_main([str(trace), "--quiet"]) == 0
+        assert "INCOMPLETE" in capsys.readouterr().out
+        # Killed mid-write: half the snapshot line is still incomplete.
+        trace.write_text("".join(lines[:-1]) + lines[-1][:40],
+                         encoding="utf-8")
+        assert conformance_main([str(trace), "--require-complete",
+                                 "--quiet"]) == 1
+        assert "INCOMPLETE" in capsys.readouterr().out
 
 
 class TestChaosConformance:

@@ -92,7 +92,6 @@ class TestLiveCluster:
         events, snapshot = read_trace(cluster.merged_trace_path)
         assert events, "merged trace must carry protocol events"
         assert snapshot is not None
-        assert int(snapshot.get("dropped_events", 0)) == 0
         monitor = ConformanceMonitor()
         monitor.feed(events)
         verdict = monitor.verdict()

@@ -227,15 +227,13 @@ class TestCountersOutliveAgents:
         two = {"counters": {"cache.hits": 4, "router.unknown_kind": 1},
                "gauges": {"admission.buffer_high_water": 4,
                           "live.max_lag_s": 0.25, "simloop.now": 3.0,
-                          "live.wire_bytes_sent": 50},
-               "dropped_events": 2}
+                          "live.wire_bytes_sent": 50}}
         assert fold_snapshots([one, two]) == {
             "counters": {"admission.admitted": 5, "cache.hits": 7,
                          "router.unknown_kind": 1},
             "gauges": {"admission.buffer_high_water": 7,
                        "live.max_lag_s": 0.5,
-                       "live.wire_bytes_sent": 150, "simloop.now": 3.0},
-            "dropped_events": 2}
+                       "live.wire_bytes_sent": 150, "simloop.now": 3.0}}
 
 
 class TestValidation:

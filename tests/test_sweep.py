@@ -55,7 +55,6 @@ from repro.experiments.throughput import figure7_specs
 from repro.experiments.timeouts import timeouts_spec
 from repro.experiments.traffic import census_specs
 from repro.experiments.waiting import waiting_specs
-from repro.obs.bus import TraceBus
 
 #: A grid tiny enough for the whole file to stay fast but large enough
 #: that parallel completion order differs from spec order.
@@ -280,16 +279,6 @@ class TestSweepEngine:
                 run_sweep([TINY_GRID[0], bad], jobs=1)
         assert ran == []
 
-    def test_obs_counters(self):
-        bus = TraceBus()
-        run_sweep(TINY_GRID[:2], jobs=1, obs=bus)
-        snapshot = bus.snapshot()
-        assert snapshot["counters"]["sweep.points_completed"] == 2
-        histogram = snapshot["histograms"]["sweep.point_wall_time"]
-        assert histogram["count"] == 2
-        kinds = [e["kind"] for e in bus.events]
-        assert kinds.count("sweep.point_done") == 2
-
     def test_progress_callback_sees_every_point(self):
         seen = []
         run_sweep(TINY_GRID, jobs=1,
@@ -332,8 +321,6 @@ CRASH = ExperimentSpec("_test_crash", TINY_CONFIG, 1)
 
 @needs_fork
 class TestCrashAndTimeout:
-    FORK = multiprocessing.get_context("fork")
-
     @pytest.fixture
     def crashes(self, monkeypatch, tmp_path):
         def register(times: int) -> None:
@@ -343,8 +330,7 @@ class TestCrashAndTimeout:
 
     def test_retry_once_recovers_from_crash(self, crashes):
         crashes(1)
-        report = run_sweep([CRASH], jobs=2, retries=1,
-                           mp_context=self.FORK)
+        report = run_sweep([CRASH], jobs=2, retries=1)
         outcome = report.outcomes[0]
         assert outcome.ok
         assert outcome.attempts == 2
@@ -353,8 +339,7 @@ class TestCrashAndTimeout:
     def test_persistent_crash_is_recorded_not_raised(self, crashes):
         crashes(99)
         good = latency_spec(6, 0, rounds=1)
-        report = run_sweep([CRASH, good], jobs=2, retries=1,
-                           mp_context=self.FORK)
+        report = run_sweep([CRASH, good], jobs=2, retries=1)
         crash, latency = report.outcomes
         assert not crash.ok
         assert crash.attempts == 2
@@ -364,19 +349,11 @@ class TestCrashAndTimeout:
     def test_timeout_kills_and_records(self, monkeypatch):
         monkeypatch.setitem(MEASURES, "_test_sleep", _sleep_measure)
         report = run_sweep([ExperimentSpec("_test_sleep", TINY_CONFIG, 1)],
-                           jobs=1, timeout=0.5, retries=0,
-                           mp_context=self.FORK)
+                           jobs=1, timeout=0.5, retries=0)
         outcome = report.outcomes[0]
         assert not outcome.ok
         assert "timeout" in outcome.error
         assert outcome.wall_time < 10.0
-
-    def test_retry_metrics(self, crashes):
-        crashes(1)
-        bus = TraceBus()
-        run_sweep([CRASH], jobs=1, retries=1, timeout=60.0, obs=bus,
-                  mp_context=self.FORK)
-        assert bus.metrics.counter("sweep.retries") == 1
 
 
 class TestConfigValidation:
