@@ -120,9 +120,7 @@ class VoteMessage:
 
         The sub-user count ``j`` (0: not selected, or a bad proof) under
         the given sortition context. First sight — or a changed context —
-        goes through the shared :class:`~repro.runtime.cache.
-        VerificationCache` when ``backend`` is one, else straight to
-        :func:`~repro.sortition.selection.verify_sort`.
+        runs :func:`~repro.sortition.selection.verify_sort`.
         """
         receipt = self._weight_receipt
         if (receipt is not None and receipt[0] == seed
@@ -130,18 +128,8 @@ class VoteMessage:
                 and receipt[3] == total_weight):
             return receipt[4]
         role = committee_role(self.round_number, self.step)
-        memo = getattr(backend, "memo_sortition", None)
-        if memo is None:
-            j = verify_sort(backend, self.voter, self.sorthash,
-                            self.sortproof, seed, tau, role, weight,
-                            total_weight)
-        else:
-            j = memo(
-                lambda: verify_sort(
-                    backend, self.voter, self.sorthash, self.sortproof,
-                    seed, tau, role, weight, total_weight),
-                self.voter, self.sorthash, self.sortproof, seed, tau,
-                role, weight, total_weight)
+        j = verify_sort(backend, self.voter, self.sorthash, self.sortproof,
+                        seed, tau, role, weight, total_weight)
         self._remember("_weight_receipt",
                        (seed, tau, weight, total_weight, j))
         return j

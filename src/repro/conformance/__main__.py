@@ -10,15 +10,18 @@ through its node machine, all of them through the cluster machine, the
 same :class:`~repro.conformance.monitor.ConformanceMonitor` a traced run
 carries online — and prints the verdict. Exit status: 0 when the trace
 conforms, 1 on any violation (or, with ``--require-complete``, on an
-incomplete trace), 2 on usage errors. CI runs this against the recorded
-smoke traces and uploads the verdict JSON as an artifact.
+incomplete trace), 2 on usage errors — a missing file, or one that is
+not a trace (an unreadable line before its last). CI runs this against
+the recorded smoke traces and uploads the verdict JSON as an artifact.
 
 A trace is what its sinks wrote: every emitted event reaches every sink.
 The one loss a trace can have is its end — the snapshot record its
 writer appends on close is missing (a SIGKILLed writer, or a run that
 raised before ``bus.close()``), so events may be missing before it too.
-Such a trace is flagged as incomplete: a clean verdict over it proves
-nothing.
+Such a trace is flagged as incomplete, and its verdict says so
+(``trace_complete``): a clean verdict over it proves nothing. Its
+``ok`` is the rules' unless ``--require-complete`` makes completeness
+one of them.
 """
 
 from __future__ import annotations
@@ -49,14 +52,19 @@ def main(argv: list[str] | None = None) -> int:
     if not path.exists():
         print(f"error: trace file {path} does not exist")
         return 2
-    # A writer killed mid-line leaves half a record at the end.
-    events, snapshot = read_trace(path, tolerate_truncation=True)
+    try:
+        # A writer killed mid-line leaves half a record at the end.
+        events, snapshot = read_trace(path, tolerate_truncation=True)
+    except ValueError as exc:  # garbage before the last line
+        print(f"error: {exc}")
+        return 2
 
     monitor = ConformanceMonitor()
     monitor.feed(events)
     complete = snapshot is not None
-    verdict = monitor.verdict(
-        trace_complete=complete or not args.require_complete)
+    verdict = monitor.verdict(trace_complete=complete)
+    if not args.require_complete:
+        verdict.ok = monitor.ok  # completeness reported, not required
 
     status = "CONFORMS" if monitor.ok else "VIOLATIONS"
     broken = sorted({violation.rule for violation in monitor.violations})

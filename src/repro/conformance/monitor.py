@@ -43,8 +43,8 @@ class ConformanceVerdict:
         #: them — an open interval at end-of-trace is not a violation).
         self.open_steps = open_steps
         #: False when the source trace lacks its closing snapshot (its
-        #: writer never closed it) and completeness was required: a
-        #: clean verdict over an incomplete trace is not a proof.
+        #: writer never closed it): a clean verdict over an incomplete
+        #: trace is not a proof.
         self.trace_complete = trace_complete
 
     def to_dict(self) -> dict:

@@ -15,8 +15,10 @@ Two interchangeable implementations of the same interface:
 
 All higher layers (sortition, BA*, the ledger) speak only to this
 interface, so every experiment can run under either backend. A
-deployment wraps its backend in the shared
-:class:`~repro.runtime.cache.VerificationCache`, itself a backend.
+backend counts the signs, verifies, VRF proves and VRF verifies it
+performs (section 10.3's CPU-cost proxy, ``crypto.*`` in a harvested
+snapshot); what is never asked twice is the messages' business — each
+message instance remembers its own verdicts (its *receipts*).
 """
 
 from __future__ import annotations
@@ -40,37 +42,72 @@ class KeyPair:
 
 
 class CryptoBackend(ABC):
-    """Signature + VRF operations used by the protocol."""
+    """Signature + VRF operations used by the protocol.
+
+    The four public operations count themselves, failed checks
+    included: ``signs``, ``verifies``, ``vrf_proves`` and
+    ``vrf_verifies`` are the operations this backend performed. A
+    subclass implements the underscored primitives and calls those for
+    its own internal work, so one operation counts once. ``keypair``
+    and ``vrf_outputs`` are not counted.
+    """
 
     name: str
+
+    def __init__(self) -> None:
+        self.signs = 0
+        self.verifies = 0
+        self.vrf_proves = 0
+        self.vrf_verifies = 0
 
     @abstractmethod
     def keypair(self, seed: bytes) -> KeyPair:
         """Deterministically derive a key pair from a 32-byte seed."""
 
-    @abstractmethod
     def sign(self, secret: bytes, message: bytes) -> bytes:
         """Sign ``message``; returns the signature bytes."""
+        self.signs += 1
+        return self._sign(secret, message)
 
-    @abstractmethod
     def verify(self, public: bytes, message: bytes, signature: bytes) -> None:
         """Raise :class:`SignatureError` unless the signature is valid."""
+        self.verifies += 1
+        self._verify(public, message, signature)
 
-    @abstractmethod
     def vrf_prove(self, secret: bytes, alpha: bytes) -> tuple[bytes, bytes]:
         """Evaluate the VRF on ``alpha``; returns ``(hash, proof)``.
 
         ``hash`` is the pseudorandom output (``beta``); ``proof`` lets
         anyone holding the public key verify it.
         """
+        self.vrf_proves += 1
+        return self._vrf_prove(secret, alpha)
 
-    @abstractmethod
     def vrf_verify(self, public: bytes, proof: bytes, alpha: bytes) -> bytes:
         """Verify a VRF proof and return its hash output.
 
         Raises:
             VRFError: if the proof does not verify for ``alpha``.
         """
+        self.vrf_verifies += 1
+        return self._vrf_verify(public, proof, alpha)
+
+    # The uncounted primitives behind the four operations above.
+
+    @abstractmethod
+    def _sign(self, secret: bytes, message: bytes) -> bytes: ...
+
+    @abstractmethod
+    def _verify(self, public: bytes, message: bytes,
+                signature: bytes) -> None: ...
+
+    @abstractmethod
+    def _vrf_prove(self, secret: bytes,
+                   alpha: bytes) -> tuple[bytes, bytes]: ...
+
+    @abstractmethod
+    def _vrf_verify(self, public: bytes, proof: bytes,
+                    alpha: bytes) -> bytes: ...
 
     def is_valid_signature(self, public: bytes, message: bytes,
                            signature: bytes) -> bool:
@@ -90,7 +127,7 @@ class CryptoBackend(ABC):
         win. Backends that can compute the outputs for less than a proof
         each override this.
         """
-        return [self.vrf_prove(secret, alpha)[0] for secret in secrets]
+        return [self._vrf_prove(secret, alpha)[0] for secret in secrets]
 
 
 class Ed25519Backend(CryptoBackend):
@@ -103,17 +140,18 @@ class Ed25519Backend(CryptoBackend):
             raise CryptoError("key seed must be 32 bytes")
         return KeyPair(secret=seed, public=ed25519.secret_to_public(seed))
 
-    def sign(self, secret: bytes, message: bytes) -> bytes:
+    def _sign(self, secret: bytes, message: bytes) -> bytes:
         return ed25519.sign(secret, message)
 
-    def verify(self, public: bytes, message: bytes, signature: bytes) -> None:
+    def _verify(self, public: bytes, message: bytes,
+                signature: bytes) -> None:
         ed25519.verify(public, message, signature)
 
-    def vrf_prove(self, secret: bytes, alpha: bytes) -> tuple[bytes, bytes]:
+    def _vrf_prove(self, secret: bytes, alpha: bytes) -> tuple[bytes, bytes]:
         proof = vrf.prove(secret, alpha)
         return vrf.proof_to_hash(proof), proof
 
-    def vrf_verify(self, public: bytes, proof: bytes, alpha: bytes) -> bytes:
+    def _vrf_verify(self, public: bytes, proof: bytes, alpha: bytes) -> bytes:
         return vrf.verify(public, proof, alpha)
 
 
@@ -131,6 +169,7 @@ class FastBackend(CryptoBackend):
     _PROOF_LEN = 64
 
     def __init__(self) -> None:
+        super().__init__()
         self._registry: dict[bytes, bytes] = {}
 
     def keypair(self, seed: bytes) -> KeyPair:
@@ -152,16 +191,17 @@ class FastBackend(CryptoBackend):
                 "generated (use one backend instance per simulation)"
             ) from None
 
-    def sign(self, secret: bytes, message: bytes) -> bytes:
+    def _sign(self, secret: bytes, message: bytes) -> bytes:
         return sha512(b"fast-sig", secret, message)[:self._SIG_LEN]
 
-    def verify(self, public: bytes, message: bytes, signature: bytes) -> None:
+    def _verify(self, public: bytes, message: bytes,
+                signature: bytes) -> None:
         secret = self._secret_for(public, SignatureError)
-        expected = self.sign(secret, message)
+        expected = self._sign(secret, message)
         if not hmac.compare_digest(expected, signature):
             raise SignatureError("signature mismatch")
 
-    def vrf_prove(self, secret: bytes, alpha: bytes) -> tuple[bytes, bytes]:
+    def _vrf_prove(self, secret: bytes, alpha: bytes) -> tuple[bytes, bytes]:
         beta = sha512(b"fast-vrf", secret, alpha)
         proof = sha512(b"fast-vrf-proof", secret, alpha)
         return beta, proof
@@ -172,9 +212,9 @@ class FastBackend(CryptoBackend):
         return [digest(b"fast-vrf" + secret + alpha).digest()
                 for secret in secrets]
 
-    def vrf_verify(self, public: bytes, proof: bytes, alpha: bytes) -> bytes:
+    def _vrf_verify(self, public: bytes, proof: bytes, alpha: bytes) -> bytes:
         secret = self._secret_for(public, VRFError)
-        beta, expected = self.vrf_prove(secret, alpha)
+        beta, expected = self._vrf_prove(secret, alpha)
         if not hmac.compare_digest(expected, proof):
             raise VRFError("VRF proof verification failed")
         return beta

@@ -11,9 +11,9 @@ The paper reports, for 50,000 users and 1 MByte blocks:
 
 One :func:`costs_spec` run (the ``costs`` measure) yields all of them:
 bytes from the sim network's counter, certificates and blocks from a
-node's committed chain, and the crypto operations that reached the
-deployment's backend (``crypto.*``, counted by its verification cache)
-priced at production per-op costs.
+node's committed chain, and the crypto operations the deployment's
+backend performed (``crypto.*``, counted by the backend itself) priced
+at production per-op costs.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def measure_costs(outcome: RunOutcome, spec: ExperimentSpec) -> CostReport:
                if name not in counters]
     if missing:
         raise SpecError(f"costs reads {missing} off the run: a sim "
-                        f"deployment with its verification cache on")
+                        f"deployment")
     num_users, rounds = spec.config.num_users, spec.rounds
     # Every key pair is a network slot: observers and dormant stake too.
     publics = [keypair.public for keypair in

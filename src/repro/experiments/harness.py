@@ -28,7 +28,7 @@ from repro.chaos.scenario import (
     ScenarioError,
 )
 from repro.conformance.monitor import ConformanceMonitor
-from repro.crypto.backend import CryptoBackend
+from repro.crypto.backend import CryptoBackend, FastBackend
 from repro.ledger.transaction import make_transaction
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
@@ -45,7 +45,6 @@ from repro.node.deployment import (  # noqa: F401  (re-exported API)
     deploy,
     derive_genesis,
     harvest,
-    make_backend,
     node_counters,
     payment_plan,
 )
@@ -53,7 +52,6 @@ from repro.node.population import Population
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.cache import VerificationCache
 from repro.sim.loop import Environment
 from repro.sortition.selection import SELECTION_STATS
 
@@ -109,7 +107,7 @@ class Simulation:
         # that has touched them (snapshot determinism depends on it).
         self._selection_delta = SELECTION_STATS.delta_since(
             self._selection_baseline)
-        self.backend = make_backend(config, backend)
+        self.backend = backend if backend is not None else FastBackend()
         self.rng = np.random.default_rng(config.seed)
         self.registry = BlockRegistry()
         genesis = derive_genesis(config, self.backend)
@@ -271,20 +269,16 @@ class Simulation:
         """What the run left behind, read off the always-on core: one
         :class:`~repro.node.deployment.NodeRun` per agent (its egress
         lane's high-water mark among its counters), the clock, the
-        conformance monitor, the harvested snapshot and the backend
-        under the cache (post-run audits are not the run's work)."""
+        conformance monitor, the harvested snapshot and the backend."""
         lanes = self.network.interfaces
         snapshot = self._registry_snapshot()
-        backend = self.backend
-        if isinstance(backend, VerificationCache):
-            backend = backend.inner
         return RunOutcome(
             runs={node.index: NodeRun.of(node, {
                       **node_counters(node),
                       "admission.egress_high_water":
                           lanes[node.index].egress_high_water})
                   for node in self.nodes},
-            slots=len(self.nodes), now=self.env.now, backend=backend,
+            slots=len(self.nodes), now=self.env.now, backend=self.backend,
             conformance=self.conformance,
             snapshot={**snapshot["counters"], **snapshot["gauges"]})
 
@@ -332,7 +326,7 @@ class Simulation:
 
     def summary(self) -> dict:
         """The harvested snapshot, flat: every runtime number under its
-        registry name (``simloop.events_processed``, ``cache.hits``,
+        registry name (``simloop.events_processed``, ``crypto.verifies``,
         ``admission.rejected.quarantined``, ...), the same names a live
         node's snapshot carries. A traced run's is its bus snapshot, so
         it has the event-time families too, and rides whole under

@@ -18,6 +18,7 @@ from repro.common.encoding import encode
 from repro.common.errors import InvalidBlock
 from repro.crypto.hashing import H
 from repro.ledger.transaction import Transaction
+from repro.sortition.seed import verify_seed
 
 if TYPE_CHECKING:
     from repro.crypto.backend import CryptoBackend
@@ -35,6 +36,8 @@ class Block:
     bytes keeps them on the instance (``_wire``, outside the dataclass
     fields — see :class:`repro.network.wire.Layout`), so relaying,
     catch-up serving and the end-of-run ``result`` never re-encode it.
+    It keeps its seed verdict the same way (:meth:`seed_valid`), so a
+    decoded copy and ``dataclasses.replace`` start with neither.
     """
 
     round_number: int
@@ -49,6 +52,10 @@ class Block:
     proposer_vrf_proof: bytes | None = None
     proposer_priority: bytes | None = None
     transactions: tuple[Transaction, ...] = field(default_factory=tuple)
+
+    # No verdict yet: a class-level default (not a dataclass field) that
+    # an instance's own receipt shadows.
+    _seed_receipt = None
 
     @property
     def is_empty(self) -> bool:
@@ -77,6 +84,26 @@ class Block:
     @cached_property
     def block_hash(self) -> bytes:
         return H(self.header_payload())
+
+    def seed_valid(self, backend: "CryptoBackend", previous_seed: bytes,
+                   round_number: int) -> bool:
+        """Whether this non-empty block's seed passes its proposer's VRF
+        proof on ``previous_seed || round_number`` (section 5.2).
+
+        Proposal validation and the commit ask it of one instance at
+        every node, so the verdict is remembered, keyed by
+        ``(previous_seed, round_number)``: another context recomputes.
+        """
+        receipt = self._seed_receipt
+        if (receipt is not None and receipt[0] == previous_seed
+                and receipt[1] == round_number):
+            return receipt[2]
+        valid = verify_seed(backend, self.proposer, self.seed,
+                            self.seed_proof, previous_seed, round_number)
+        # Frozen dataclass: bypass __setattr__.
+        object.__setattr__(self, "_seed_receipt",
+                           (previous_seed, round_number, valid))
+        return valid
 
     @cached_property
     def size(self) -> int:

@@ -76,6 +76,7 @@ from repro.chaos.scenario import FaultAction
 from repro.common.errors import ConfigError
 from repro.common.params import LIVE_SMOKE_PARAMS  # noqa: F401 (re-exported)
 from repro.conformance.monitor import ConformanceMonitor
+from repro.crypto.backend import FastBackend
 from repro.node.deployment import (
     NodeRun,
     RunOutcome,
@@ -83,7 +84,6 @@ from repro.node.deployment import (
     derive_genesis,
     fold,
     fold_snapshots,
-    make_backend,
 )
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.network.gossip import draw_peers
@@ -333,7 +333,7 @@ class LiveCluster:
         records and counters, the last record of the merged trace, and
         the folded metrics. Seeds verify on a backend holding every key
         of the deployment (a backend verifies only keys it generated)."""
-        backend = make_backend(self.config)
+        backend = FastBackend()
         derive_genesis(self.config, backend)
         return RunOutcome(
             runs={index: NodeRun.from_record(index, result)

@@ -58,6 +58,7 @@ from numpy.random import default_rng
 from repro.chaos.faults import FaultInjector
 from repro.chaos.scenario import FAULT_RNG_TAG, FaultAction
 from repro.common.encoding import decode, encode
+from repro.crypto.backend import FastBackend
 from repro.ledger.transaction import make_transaction
 from repro.live.clock import LiveClock
 from repro.live.control import ControlError, MessageStream, send_message
@@ -75,7 +76,6 @@ from repro.node.deployment import (
     build_node,
     derive_genesis,
     harvest,
-    make_backend,
     node_counters,
     payment_plan,
 )
@@ -253,7 +253,7 @@ class NodeProcess:
 
     def _build_node(self) -> Node:
         config = self.config
-        backend = make_backend(config)
+        backend = FastBackend()
         self.genesis = derive_genesis(config, backend)
         # durable + line-buffered: a SIGKILL mid-run loses at most the
         # line being written, so the chaos coordinator can read a

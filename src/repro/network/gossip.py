@@ -231,8 +231,8 @@ class RelayCore:
             # arrives via a quarantined relayer must stay eligible on its
             # other gossip paths, or blocking one bad neighbor would
             # suppress honest traffic it happened to deliver first
-            # (verification stays cheap — the crypto cache memoizes the
-            # repeated checks).
+            # (verification stays cheap — each message instance keeps its
+            # verdicts as receipts).
             if metrics is not None:
                 metrics.inc("gossip.ingress_rejected")
             return

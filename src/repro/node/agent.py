@@ -50,7 +50,12 @@ from repro.baplus.voting import (
     interrupt_counts,
 )
 from repro.common.encoding import encode
-from repro.common.errors import InvalidBlock, LedgerError, SimulationError
+from repro.common.errors import (
+    InvalidBlock,
+    InvalidTransaction,
+    LedgerError,
+    SimulationError,
+)
 from repro.common.params import ProtocolParams
 from repro.crypto.backend import CryptoBackend, KeyPair
 from repro.crypto.hashing import H
@@ -79,7 +84,7 @@ from repro.runtime.admission import AdmissionConfig, AdmissionControl
 from repro.runtime.router import MessageRouter
 from repro.sim.loop import Environment, Timer
 from repro.sortition.roles import FINAL_STEP, proposer_role
-from repro.sortition.seed import accepted_seed, propose_seed, verify_seed
+from repro.sortition.seed import accepted_seed, propose_seed
 from repro.sortition.selection import sortition
 
 
@@ -293,7 +298,7 @@ class Node:
         try:
             tx.check_shape()
             tx.verify_signature(self.backend)
-        except Exception:
+        except InvalidTransaction:
             return False
         return self.mempool.add(tx)
 
@@ -817,10 +822,9 @@ class Node:
             )
         except InvalidBlock:
             return False
-        return verify_seed(
-            self.backend, block.proposer, block.seed, block.seed_proof,
-            self.chain.seed_of_round(round_number - 1), round_number,
-        )
+        return block.seed_valid(
+            self.backend, self.chain.seed_of_round(round_number - 1),
+            round_number)
 
     # --- Commit --------------------------------------------------------
 

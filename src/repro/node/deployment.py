@@ -6,9 +6,9 @@ configure and wire the *same* node instead of three look-alikes:
 
 * :class:`SimulationConfig` — six scalars plus one frozen group per
   consuming layer: :class:`NetworkConfig` (gossip fabric),
-  :class:`RuntimeConfig` (verification cache, admission gate, relay
-  damping), :class:`PopulationConfig` (who is an always-on agent, who
-  dormant pool stake) and :class:`SubstrateConfig` (virtual time in
+  :class:`RuntimeConfig` (admission gate, relay damping),
+  :class:`PopulationConfig` (who is an always-on agent, who dormant
+  pool stake) and :class:`SubstrateConfig` (virtual time in
   one process, or OS processes over sockets). Each group owns its
   ``validate()``; :meth:`SimulationConfig.validate` adds the cross-field
   checks. :meth:`SimulationConfig.to_json` / ``from_json`` are what
@@ -47,7 +47,7 @@ from repro.common.errors import (
     PopulationError,
 )
 from repro.common.params import ProtocolParams, TEST_PARAMS
-from repro.crypto.backend import CryptoBackend, FastBackend, KeyPair
+from repro.crypto.backend import CryptoBackend, KeyPair
 from repro.crypto.hashing import H
 from repro.ledger.arraystate import AccountIndex
 from repro.ledger.block import Block
@@ -56,7 +56,6 @@ from repro.node.agent import Node
 from repro.node.metrics import RoundRecord
 from repro.node.registry import BlockRegistry
 from repro.runtime.admission import AdmissionConfig
-from repro.runtime.cache import VerificationCache
 from repro.runtime.damping import attach_damping
 
 if TYPE_CHECKING:  # typing only: a node process does not load repro.substrate
@@ -107,12 +106,6 @@ class NetworkConfig:
 class RuntimeConfig:
     """Runtime layers wrapped around every node."""
 
-    #: Share context-independent verification verdicts (VRF proofs,
-    #: envelope signatures) across nodes via a per-simulation
-    #: :class:`repro.runtime.VerificationCache`. Context-dependent checks
-    #: (seeds, balances, vote counting) still run per node. ``False``
-    #: reproduces the pre-cache behavior bit-for-bit.
-    use_verification_cache: bool = True
     #: Budgets/weights of every node's message gate
     #: (:mod:`repro.runtime.admission`: sortition-gated admission,
     #: bounded vote buffers and egress lanes, peer health scoring and
@@ -347,17 +340,6 @@ def deploy(config: SimulationConfig, **kwargs):
 # ---------------------------------------------------------------------
 
 
-def make_backend(config: SimulationConfig,
-                 inner: CryptoBackend | None = None) -> CryptoBackend:
-    """The crypto backend the nodes share: ``inner`` (fast by default)
-    wrapped in the :class:`VerificationCache` that memoizes its checks
-    and counts what reaches it, or bare when the cache is off."""
-    inner = inner if inner is not None else FastBackend()
-    if not config.runtime.use_verification_cache:
-        return inner
-    return VerificationCache(inner)
-
-
 @dataclass(frozen=True)
 class Genesis:
     """What all nodes of a deployment agree on before round 1."""
@@ -473,9 +455,8 @@ def harvest(metrics, *, clock, backend: CryptoBackend,
     """Write a node stack's runtime numbers into ``metrics``.
 
     The one reader both substrates register on their bus: the kernel's
-    ``simloop.*`` (a live clock is the same kernel), the verification
-    cache's look-ups (``cache.*``) and the crypto operations that
-    reached its inner backend (``crypto.*``), this run's sortition
+    ``simloop.*`` (a live clock is the same kernel), the operations the
+    crypto backend performed (``crypto.*``), this run's sortition
     tallies, the folded ``agents`` (:func:`node_counters`) and the
     conformance monitor's — then the substrate's own
     ``counters``/``gauges`` (byte movers, population).
@@ -483,12 +464,8 @@ def harvest(metrics, *, clock, backend: CryptoBackend,
     for name in ("events_processed", "immediates_processed", "batch_walks",
                  "batch_deliveries", "now"):
         metrics.set_gauge("simloop." + name, getattr(clock, name))
-    if isinstance(backend, VerificationCache):
-        for name in ("hits", "misses", "negative_hits"):
-            metrics.set_counter("cache." + name, getattr(backend, name))
-        metrics.set_gauge("cache.entries", len(backend))
-        for name in ("signs", "verifies", "vrf_proves", "vrf_verifies"):
-            metrics.set_counter("crypto." + name, getattr(backend, name))
+    for name in ("signs", "verifies", "vrf_proves", "vrf_verifies"):
+        metrics.set_counter("crypto." + name, getattr(backend, name))
     for name, value in sortition.items():
         metrics.set_counter("sortition." + name, value)
     for name, value in agents.items():
@@ -616,8 +593,8 @@ class RunOutcome:
     slots: int
     #: The clock when the run ended.
     now: float
-    #: A backend that verifies this deployment's keys (seed audits)
-    #: and counts nothing into ``snapshot``.
+    #: A backend that verifies this deployment's keys (seed audits);
+    #: ``snapshot`` was read before any audit.
     backend: CryptoBackend
     #: The ``ConformanceMonitor`` that checked the run's trace, where
     #: the run was traced (the chaos measure's verdict reads it).

@@ -37,7 +37,17 @@ def block_priority(vrf_hash: bytes, j: int) -> bytes:
 
 @dataclass(frozen=True)
 class PriorityMessage:
-    """The small, fast proposal announcement (priority + sortition proof)."""
+    """The small, fast proposal announcement (priority + sortition proof).
+
+    Every node on one tip asks the same question of one announcement,
+    so the instance carries its verdict as a *receipt*, the way a
+    :class:`~repro.baplus.messages.VoteMessage` carries its weight:
+    keyed by the sortition context ``(seed, tau, weight,
+    total_weight)``, so a context with another seed or weight recomputes
+    instead of inheriting. The receipt lives on the instance, outside
+    the dataclass fields: a decoded copy and ``dataclasses.replace``
+    start with none.
+    """
 
     proposer: bytes
     round_number: int
@@ -46,16 +56,28 @@ class PriorityMessage:
     sub_users: int
     priority: bytes
 
+    # No verdict yet: a class-level default (not a dataclass field) that
+    # an instance's own receipt shadows.
+    _verdict_receipt = None
+
     def verify(self, backend: CryptoBackend, seed: bytes, tau: float,
                weight: int, total_weight: int) -> bool:
         """Check the sortition proof and the claimed priority."""
+        receipt = self._verdict_receipt
+        if (receipt is not None and receipt[0] == seed
+                and receipt[1] == tau and receipt[2] == weight
+                and receipt[3] == total_weight):
+            return receipt[4]
         j = verify_sort(
             backend, self.proposer, self.vrf_hash, self.vrf_proof, seed,
             tau, proposer_role(self.round_number), weight, total_weight,
         )
-        if j == 0 or self.sub_users != j:
-            return False
-        return self.priority == block_priority(self.vrf_hash, j)
+        valid = (j != 0 and self.sub_users == j
+                 and self.priority == block_priority(self.vrf_hash, j))
+        # Frozen dataclass: bypass __setattr__.
+        object.__setattr__(self, "_verdict_receipt",
+                           (seed, tau, weight, total_weight, valid))
+        return valid
 
 
 def make_priority_message(proposer: bytes, round_number: int,

@@ -92,7 +92,7 @@ class TraceBus:
 
         Harvesters run at every :meth:`snapshot`; they exist so hot
         components can keep plain instance counters (``env.events_processed``,
-        ``cache.hits``) and only pay a registry write at read time.
+        ``backend.verifies``) and only pay a registry write at read time.
         """
         self._harvesters.append(harvester)
 

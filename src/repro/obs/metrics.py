@@ -1,6 +1,6 @@
 """Zero-dependency metrics registry: counters, gauges, summary histograms.
 
-Every ad-hoc counter in the codebase (VerificationCache hit/miss,
+Every ad-hoc counter in the codebase (crypto backend operations,
 MessageRouter unknown-kind drops, gossip per-kind traffic, event-loop
 fast-path tallies, sortition selections) funnels into one
 :class:`MetricsRegistry` so that experiment results, benchmarks, and the
@@ -20,7 +20,7 @@ Design constraints:
   (including the report CLI on a machine without numpy/scipy).
 
 Naming convention: dotted lowercase paths, ``<layer>.<what>[.<kind>]``,
-e.g. ``gossip.sent.vote``, ``router.unknown_kind``, ``cache.hits``.
+e.g. ``gossip.sent.vote``, ``router.unknown_kind``, ``crypto.verifies``.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class MetricsRegistry:
 
     def set_counter(self, name: str, value: int | float) -> None:
         """Overwrite counter ``name`` (harvesters mirroring an external
-        tally, e.g. ``VerificationCache.hits``, use this instead of
+        tally, e.g. ``CryptoBackend.verifies``, use this instead of
         double-counting with :meth:`inc`)."""
         self._counters[name] = value
 

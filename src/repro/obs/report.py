@@ -15,7 +15,7 @@ Prints, in order:
    observed durations (the §10.5 timeout-validation view).
 3. **Message traffic by kind** — per-kind gossip send/receive/relay
    counts and bytes (the §10.3 bandwidth-cost view).
-4. **Runtime counters** — verification-cache hits/misses/negatives,
+4. **Runtime counters** — crypto operations the backend performed,
    router dispatches and unknown-kind drops, event-loop fast-path
    tallies, sortition selections, and gossip hygiene stats.
 
@@ -178,13 +178,11 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
         gauges = snapshot.get("gauges", {})
         histograms = snapshot.get("histograms", {})
         rows = []
-        hits = counters.get("cache.hits", 0)
-        misses = counters.get("cache.misses", 0)
-        total = hits + misses
-        rows.append(["verification cache",
-                     f"{hits} hits / {misses} misses "
-                     f"({counters.get('cache.negative_hits', 0)} negative)",
-                     f"hit rate {hits / total:.3f}" if total else "unused"])
+        rows.append(["crypto",
+                     f"{counters.get('crypto.verifies', 0)} verifies / "
+                     f"{counters.get('crypto.vrf_verifies', 0)} VRF verifies",
+                     f"{counters.get('crypto.signs', 0)} signs / "
+                     f"{counters.get('crypto.vrf_proves', 0)} VRF proves"])
         dispatched = sum(value for name, value in counters.items()
                          if name.startswith("gossip.recv."))
         rows.append(["router", f"{dispatched} dispatched",

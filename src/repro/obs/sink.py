@@ -108,6 +108,8 @@ def read_trace(path: str | Path, *,
                 break
             raise ValueError(
                 f"{path}:{line_number}: invalid JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{line_number}: not a trace record")
         kind = record.get("type")
         if kind == "event":
             record.pop("type")

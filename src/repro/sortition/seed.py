@@ -14,6 +14,7 @@ round ``r`` uses the seed of round ``r - 1 - (r mod R)``.
 from __future__ import annotations
 
 from repro.common.encoding import encode
+from repro.common.errors import CryptoError
 from repro.crypto.backend import CryptoBackend
 from repro.crypto.hashing import H
 
@@ -37,7 +38,7 @@ def verify_seed(backend: CryptoBackend, public: bytes, seed: bytes,
     try:
         expected = backend.vrf_verify(
             public, proof, seed_input(previous_seed, round_number))
-    except Exception:
+    except CryptoError:
         return False
     return expected == seed
 
@@ -54,11 +55,10 @@ def accepted_seed(backend: CryptoBackend, block, previous_seed: bytes,
     Section 5.2's acceptance rule: an empty block, or one whose embedded
     seed fails its proposer's VRF proof, publishes the fallback hash;
     otherwise the block's own seed stands. ``block`` is a
-    :class:`repro.ledger.block.Block`.
+    :class:`repro.ledger.block.Block`, which remembers the verdict.
     """
-    if block.is_empty or not verify_seed(
-            backend, block.proposer, block.seed, block.seed_proof,
-            previous_seed, round_number):
+    if block.is_empty or not block.seed_valid(backend, previous_seed,
+                                              round_number):
         return fallback_seed(previous_seed, round_number)
     return block.seed
 

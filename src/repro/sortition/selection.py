@@ -43,7 +43,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from repro.common.errors import SortitionError
+from repro.common.errors import CryptoError, SortitionError
 from repro.crypto.backend import CryptoBackend
 
 
@@ -264,7 +264,7 @@ def verify_sort(backend: CryptoBackend, public: bytes, vrf_hash: bytes,
     stats.verifies += 1
     try:
         expected_hash = backend.vrf_verify(public, vrf_proof, seed + role)
-    except Exception:
+    except CryptoError:
         return 0
     if expected_hash != vrf_hash:
         return 0

@@ -97,8 +97,7 @@ class TestJsonRoundTrip:
             network=NetworkConfig(bandwidth_bps=None, peers_per_node=3,
                                   latency_model="uniform",
                                   seen_horizon_rounds=5),
-            runtime=RuntimeConfig(use_verification_cache=False,
-                                  relay_damping=False)),
+            runtime=RuntimeConfig(relay_damping=False)),
         SimulationConfig(
             num_users=3, balances=[5, 0, 2],
             runtime=RuntimeConfig(admission=AdmissionConfig(

@@ -163,8 +163,8 @@ class TestCleanTraces:
     def test_conformance_is_not_a_knob(self):
         with pytest.raises(TypeError):
             RuntimeConfig(conformance=False)
-        # Cache, admission budgets, relay damping: the gate has no switch.
-        assert len(dataclasses.fields(RuntimeConfig)) == 3
+        # Admission budgets, relay damping: the gate has no switch.
+        assert len(dataclasses.fields(RuntimeConfig)) == 2
 
 
 class TestNegativeTraces:
@@ -535,6 +535,33 @@ class TestSinkOverflow:
         assert conformance_main([str(trace), "--require-complete",
                                  "--quiet"]) == 1
         assert "INCOMPLETE" in capsys.readouterr().out
+
+    def test_a_cut_traces_verdict_says_so(self, clean_events, tmp_path):
+        # ``head -n -1``: the closing snapshot line is gone.
+        trace = _write_trace(tmp_path / "t.jsonl", clean_events)
+        lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        trace.write_text("".join(lines[:-1]), encoding="utf-8")
+        verdict_path = tmp_path / "verdict.json"
+        for flags, code, ok in (([], 0, True),
+                                (["--require-complete"], 1, False)):
+            assert conformance_main([str(trace), "--quiet", "--verdict",
+                                     str(verdict_path), *flags]) == code
+            verdict = json.loads(verdict_path.read_text(encoding="utf-8"))
+            assert verdict["trace_complete"] is False
+            assert verdict["violations"] == []
+            assert verdict["ok"] is ok
+
+    @pytest.mark.parametrize("garbage", ["{not json", "[1, 2]"])
+    def test_a_malformed_trace_is_a_usage_error(self, clean_events,
+                                                tmp_path, capsys, garbage):
+        trace = _write_trace(tmp_path / "t.jsonl", clean_events)
+        lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = garbage + "\n"
+        trace.write_text("".join(lines), encoding="utf-8")
+        assert conformance_main([str(trace)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("error: ")
+        assert f"{trace}:3:" in out[0]
 
 
 class TestChaosConformance:

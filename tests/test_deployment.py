@@ -7,8 +7,8 @@ node stack are derived, so the substrates cannot drift apart again:
   same keys, genesis seed and genesis ledger (zero balances included);
 * a live node runs on the config its coordinator was given — the whole
   of it, through ``SimulationConfig.to_json`` — not on defaults of its
-  own (at the parent ``runtime.admission``, ``use_verification_cache``
-  and ``conformance`` never reached the process);
+  own (``runtime.admission`` and ``conformance`` once never reached
+  the process);
 * both substrates draw payments from one schedule, and gossip over
   one peer graph;
 * a finished run reads the same on both: a live process's ``result``
@@ -37,7 +37,6 @@ from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster, gossip_neighbors
 from repro.live.node_main import NodeProcess
 from repro.node.deployment import NodeRun, derive_genesis, payment_plan
 from repro.runtime.admission import AdmissionConfig
-from repro.runtime.cache import VerificationCache
 
 
 def _live(**fields) -> SimulationConfig:
@@ -60,20 +59,18 @@ class TestLiveHonoursItsConfig:
         process = _node_process(_live(
             num_users=4, initial_balance=50,
             runtime=RuntimeConfig(
-                admission=AdmissionConfig(vote_buffer_budget=7),
-                use_verification_cache=False)),
+                admission=AdmissionConfig(vote_buffer_budget=7))),
             tmp_path)
         node = process.node
         assert node.buffer.budget_messages == 7
         assert node.admission.config.vote_buffer_budget == 7
-        assert isinstance(node.backend, FastBackend)  # bare: no cache
         process.bus.close()
 
     def test_defaults_match_the_sim_stack(self, tmp_path):
         process = _node_process(_live(num_users=4, initial_balance=50),
                                 tmp_path)
         node = process.node
-        assert isinstance(node.backend, VerificationCache)
+        assert isinstance(node.backend, FastBackend)
         assert node.damper is not None
         assert (node.buffer.budget_messages
                 == AdmissionConfig().vote_buffer_budget)

@@ -18,10 +18,10 @@ from repro.experiments.costs import (
     costs_spec,
     cpu_seconds,
     expected_certificate_bytes,
+    measure_costs,
 )
 from repro.experiments.harness import (
     NetworkConfig,
-    RuntimeConfig,
     Simulation,
     SimulationConfig,
 )
@@ -150,14 +150,18 @@ class TestRunners:
         assert report.verifications_per_user_round > 0
         assert report.cpu_seconds_per_user_round > 0
 
-    def test_costs_need_the_cache_counters(self):
-        """A run whose backend counted nothing has no CPU proxy: the
-        measure says so instead of reporting zero crypto work."""
+    def test_costs_need_the_crypto_counters(self):
+        """A run whose snapshot carries no backend counts has no CPU
+        proxy: the measure says so instead of reporting zero crypto
+        work."""
         spec = costs_spec(4, seed=4, rounds=1, payload_bytes=1_000)
-        spec = dataclasses.replace(spec, config=dataclasses.replace(
-            spec.config, runtime=RuntimeConfig(use_verification_cache=False)))
+        outcome = Simulation(spec.config).outcome()
+        assert outcome.snapshot["crypto.verifies"] == 0
+        outcome = dataclasses.replace(outcome, snapshot={
+            name: value for name, value in outcome.snapshot.items()
+            if not name.startswith("crypto.")})
         with pytest.raises(SpecError, match="crypto.verifies"):
-            run_point(spec)
+            measure_costs(outcome, spec)
 
     def test_cpu_estimate_scales_with_ops(self):
         def counts(verifies: int) -> dict:

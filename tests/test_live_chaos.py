@@ -563,7 +563,7 @@ class TestTracedCluster:
         for node, (hits, lag) in enumerate([(3, 0.5), (4, 0.25)]):
             (tmp_path / f"trace-{node}.jsonl").write_text(json.dumps(
                 {"type": "snapshot", "metrics": {
-                    "counters": {"cache.hits": hits},
+                    "counters": {"crypto.verifies": hits},
                     "gauges": {"live.max_lag_s": lag}}}) + "\n",
                 encoding="utf-8")
         bus = TraceBus()
@@ -573,7 +573,7 @@ class TestTracedCluster:
                                 for node in (0, 1)}
         merged = cluster._merge_traces()
         snapshot = bus.close()
-        assert snapshot["counters"]["cache.hits"] == 7
+        assert snapshot["counters"]["crypto.verifies"] == 7
         assert snapshot["gauges"]["live.max_lag_s"] == 0.5
         assert "conformance.events_checked" in snapshot["counters"]
         _, written = read_trace(merged)

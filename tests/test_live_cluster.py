@@ -32,7 +32,7 @@ ROUNDS = 3
 SIM_ONLY = ("population.", "network.", "gossip.dup_elided",
             "admission.egress_")
 #: The runtime families a node stack carries on either substrate.
-SHARED = ("cache.", "sortition.", "router.unknown_kind", "admission.",
+SHARED = ("crypto.", "sortition.", "router.unknown_kind", "admission.",
           "damping.", "simloop.")
 
 
@@ -141,7 +141,7 @@ class TestLiveCluster:
             assert not _names(live, SIM_ONLY)
             assert (names - _names(live, rejected)
                     == sim - _names(sim_snapshot, rejected))
-            assert live["counters"]["cache.hits"] > 0
+            assert live["counters"]["crypto.verifies"] > 0
             assert live["gauges"]["admission.buffer_high_water"] > 0
         assert cluster.metrics["damping.observed"] == sum(
             result["metrics"]["damping.observed"]
@@ -152,11 +152,11 @@ class TestLiveCluster:
         events, snapshot = read_trace(cluster.merged_trace_path)
         report = render_report(events, snapshot)
         table = report.split("== Runtime counters ==")[1]
-        for row in ("verification cache", "sortition", "admission",
+        for row in ("crypto", "sortition", "admission",
                     "ingress buffers"):
             assert f"\n{row} " in table, (row, table)
-        assert snapshot["counters"]["cache.hits"] == sum(
-            read_trace(result["trace"])[1]["counters"]["cache.hits"]
+        assert snapshot["counters"]["crypto.verifies"] == sum(
+            read_trace(result["trace"])[1]["counters"]["crypto.verifies"]
             for result in cluster.results.values())
 
     def test_summary_reports_each_nodes_startup(self, cluster):

@@ -61,9 +61,9 @@ class TestMetricsRegistry:
 
     def test_set_counter_overwrites(self):
         registry = MetricsRegistry()
-        registry.inc("cache.hits", 3)
-        registry.set_counter("cache.hits", 10)
-        assert registry.counter("cache.hits") == 10
+        registry.inc("crypto.verifies", 3)
+        registry.set_counter("crypto.verifies", 10)
+        assert registry.counter("crypto.verifies") == 10
 
     def test_gauges(self):
         registry = MetricsRegistry()
@@ -189,7 +189,8 @@ class TestTracedSimulation:
     def test_summary_surfaces_runtime_counters(self, traced):
         sim, _ = traced
         summary = sim.summary()
-        assert summary["cache.hits"] > 0 and "cache.negative_hits" in summary
+        assert summary["crypto.verifies"] > 0
+        assert summary["crypto.vrf_verifies"] > 0
         assert summary["router.unknown_kind"] == 0
         assert summary["obs"]["counters"]["gossip.recv.vote"] > 0
         assert summary["sortition.verifies"] > 0
@@ -203,7 +204,7 @@ class TestJsonlRoundTrip:
         bus.bind_clock(lambda: 1.25)
         bus.emit("commit", node=0, round=1, block_hash=b"\x00\xff")
         bus.emit("plain", value=3)
-        bus.metrics.inc("cache.hits", 9)
+        bus.metrics.inc("crypto.verifies", 9)
         bus.close()
         events, snapshot = read_trace(path)
         assert events == [
@@ -211,7 +212,7 @@ class TestJsonlRoundTrip:
              "block_hash": "00ff"},  # bytes are hex-encoded on write
             {"t": 1.25, "kind": "plain", "value": 3},
         ]
-        assert snapshot["counters"]["cache.hits"] == 9
+        assert snapshot["counters"]["crypto.verifies"] == 9
 
     def test_unknown_record_types_ignored(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -274,7 +275,8 @@ class TestReport:
                         and line.split()[1] == str(USERS)]
         assert len(segment_rows) == ROUNDS  # one aggregated row per round
         assert any("vote" in line for line in lines)
-        assert any("verification cache" in line for line in lines)
+        assert any(line.split()[:1] == ["crypto"] and "verifies" in line
+                   for line in lines)
 
     def test_render_report_empty_trace(self):
         report = render_report([], None)

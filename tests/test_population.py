@@ -220,16 +220,16 @@ class TestCountersOutliveAgents:
         assert admitted > sum(node.admission.admitted for node in sim.nodes)
 
     def test_node_snapshots_fold_by_the_same_rule(self):
-        one = {"counters": {"cache.hits": 3, "admission.admitted": 5},
+        one = {"counters": {"crypto.verifies": 3, "admission.admitted": 5},
                "gauges": {"admission.buffer_high_water": 7,
                           "live.max_lag_s": 0.5, "simloop.now": 2.0,
                           "live.wire_bytes_sent": 100}}
-        two = {"counters": {"cache.hits": 4, "router.unknown_kind": 1},
+        two = {"counters": {"crypto.verifies": 4, "router.unknown_kind": 1},
                "gauges": {"admission.buffer_high_water": 4,
                           "live.max_lag_s": 0.25, "simloop.now": 3.0,
                           "live.wire_bytes_sent": 50}}
         assert fold_snapshots([one, two]) == {
-            "counters": {"admission.admitted": 5, "cache.hits": 7,
+            "counters": {"admission.admitted": 5, "crypto.verifies": 7,
                          "router.unknown_kind": 1},
             "gauges": {"admission.buffer_high_water": 7,
                        "live.max_lag_s": 0.5,

@@ -1,14 +1,13 @@
-"""Tests for the message-path runtime: router, verification cache, wiring.
+"""Tests for the message-path runtime: router, wiring, laundering.
 
 Covers the refactor's safety claims:
 
 * routed dispatch preserves the validate-before-relay contract and
   rejects wiring bugs (double registration, unknown kinds);
-* the shared :class:`VerificationCache` memoizes only context-independent
-  checks, keyed by full verification inputs, so adversarial reuse of a
-  signature (or msg_id) on different contents can never launder a
-  verdict;
-* cache on vs off produces bit-identical simulated results.
+* the backend sees only the checks no message instance remembered, and
+  a verdict stays with the exact bytes and the instance it was made
+  for, so adversarial reuse of a signature (or msg_id) on different
+  contents can never launder one.
 """
 
 from __future__ import annotations
@@ -16,16 +15,15 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import FaultAction
-from repro.common.errors import NetworkError, SignatureError, VRFError
+from repro.common.errors import NetworkError, SignatureError
 from repro.crypto.backend import FastBackend
 from repro.experiments.harness import (
     PopulationConfig,
-    RuntimeConfig,
     Simulation,
     SimulationConfig,
 )
 from repro.network.message import Envelope
-from repro.runtime import MessageRouter, VerificationCache
+from repro.runtime import MessageRouter
 
 from tests.fixtures import signed_vote
 
@@ -87,108 +85,14 @@ class TestMessageRouter:
 
 
 # ---------------------------------------------------------------------------
-# VerificationCache
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def cache():
-    return VerificationCache(FastBackend())
-
-
-@pytest.fixture
-def keypair(cache):
-    return cache.keypair(b"k" * 32)
-
-
-class TestVerificationCache:
-    def test_signature_hit_miss_accounting(self, cache, keypair):
-        signature = cache.sign(keypair.secret, b"msg")
-        for _ in range(3):
-            cache.verify(keypair.public, b"msg", signature)
-        assert cache.misses == 1
-        assert cache.hits == 2
-        assert cache.verifies == 1  # inner reached once
-        assert cache.hit_rate == pytest.approx(2 / 3)
-
-    def test_vrf_hit_returns_cached_beta(self, cache, keypair):
-        beta, proof = cache.vrf_prove(keypair.secret, b"alpha")
-        first = cache.vrf_verify(keypair.public, proof, b"alpha")
-        second = cache.vrf_verify(keypair.public, proof, b"alpha")
-        assert first == second == beta
-        assert cache.vrf_verifies == 1
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_negative_results_cached_and_reraised(self, cache, keypair):
-        with pytest.raises(SignatureError):
-            cache.verify(keypair.public, b"msg", b"forged")
-        with pytest.raises(SignatureError):
-            cache.verify(keypair.public, b"msg", b"forged")
-        assert cache.verifies == 1  # failure memoized too
-        with pytest.raises(VRFError):
-            cache.vrf_verify(keypair.public, b"bogus", b"alpha")
-        with pytest.raises(VRFError):
-            cache.vrf_verify(keypair.public, b"bogus", b"alpha")
-        assert cache.vrf_verifies == 1
-        assert cache.negative_hits == 2
-
-    def test_key_includes_message_bytes(self, cache, keypair):
-        """A valid signature for message A must not validate message B."""
-        signature = cache.sign(keypair.secret, b"message-a")
-        cache.verify(keypair.public, b"message-a", signature)
-        with pytest.raises(SignatureError):
-            cache.verify(keypair.public, b"message-b", signature)
-        assert cache.hits == 0  # different inputs, different key
-
-    def test_eviction_bounds_entries(self):
-        cache = VerificationCache(FastBackend(), max_entries=8)
-        keypair = cache.keypair(b"k" * 32)
-        for i in range(40):
-            message = b"m%d" % i
-            signature = cache.sign(keypair.secret, message)
-            cache.verify(keypair.public, message, signature)
-        assert len(cache) <= 8
-
-    def test_stats_shape(self, cache):
-        assert cache.stats() == {"hits": 0, "misses": 0, "negative_hits": 0,
-                                 "sort_hits": 0, "sort_misses": 0,
-                                 "hit_rate": 0.0, "entries": 0}
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError):
-            VerificationCache(FastBackend(), max_entries=0)
-
-
-class TestCachedBackend:
-    def test_wraps_and_delegates(self, cache, keypair):
-        """The cache is the backend: signs and VRF proves pass through
-        to the inner one, repeated verifies stop at the cache."""
-        inner = cache.inner
-        assert cache.name == f"cached({inner.name})"
-        signature = cache.sign(keypair.secret, b"msg")
-        assert signature == inner.sign(keypair.secret, b"msg")
-        cache.verify(keypair.public, b"msg", signature)
-        cache.verify(keypair.public, b"msg", signature)
-        assert cache.verifies == 1
-        assert cache.hits == 1
-        beta, proof = cache.vrf_prove(keypair.secret, b"alpha")
-        assert cache.vrf_verify(keypair.public, proof, b"alpha") == beta
-        assert cache.vrf_verify(keypair.public, proof, b"alpha") == beta
-        assert cache.vrf_verifies == 1
-        assert (cache.signs, cache.vrf_proves) == (1, 1)
-
-
-# ---------------------------------------------------------------------------
 # Simulation wiring + determinism
 # ---------------------------------------------------------------------------
 
 
-def _run(cache_on: bool, *, seed: int = 7, rounds: int = 2,
-         num_users: int = 10, backend=None, faults=()) -> Simulation:
+def _run(*, seed: int = 7, rounds: int = 2, num_users: int = 10,
+         backend=None, faults=()) -> Simulation:
     sim = Simulation(
-        SimulationConfig(num_users=num_users, seed=seed,
-                         runtime=RuntimeConfig(
-                             use_verification_cache=cache_on)),
+        SimulationConfig(num_users=num_users, seed=seed),
         backend=backend, faults=faults,
     )
     sim.submit_payments(10)
@@ -197,47 +101,17 @@ def _run(cache_on: bool, *, seed: int = 7, rounds: int = 2,
 
 
 class TestSimulationWiring:
-    def test_cache_enabled_by_default_and_hit(self):
-        sim = _run(cache_on=True)
-        assert isinstance(sim.backend, VerificationCache)
-        # Gossip fan-out means most verifications repeat across nodes.
-        # A repeat on the same vote or transaction instance is answered
-        # by the instance's signature receipt and never reaches the
-        # cache; what does is every node checking the same VRF proof.
-        # Until transactions kept their verdict this run made 350 hits
-        # to 306 misses, 180 of the hits the same ten transactions'
-        # signatures asked again at each node.
-        cache = sim.backend
-        assert (cache.hits, cache.misses) == (170, 306)
-
-    def test_cache_disabled_leaves_backend_bare(self):
-        sim = _run(cache_on=False)
-        assert isinstance(sim.backend, FastBackend)
-        assert "crypto.verifies" not in sim.summary()
-
     def test_counting_backend_sees_only_misses(self):
-        summary = _run(cache_on=True).summary()
+        """Gossip fan-out means most verifications repeat across nodes;
+        every repeat asks the same message instance, whose receipt
+        answers it. The backend sees only the receipts' misses: 306
+        checks, what the deployment-wide cache this run once went
+        through counted as misses (with 170 hits besides)."""
+        summary = _run().summary()
         assert summary["crypto.verifies"] > 0
         assert summary["crypto.signs"] > 0
-        # Every cached check either hit or reached the inner backend.
         assert (summary["crypto.verifies"] + summary["crypto.vrf_verifies"]
-                == summary["cache.misses"])
-
-    def test_identical_results_cache_on_vs_off(self):
-        """The acceptance criterion: the cache is pure memoization —
-        same seed must produce the same blocks and the same timings."""
-        on = _run(cache_on=True, seed=11, rounds=2)
-        off = _run(cache_on=False, seed=11, rounds=2)
-        for round_number in (1, 2):
-            hashes_on = {node.chain.block_at(round_number).block_hash
-                         for node in on.nodes}
-            hashes_off = {node.chain.block_at(round_number).block_hash
-                          for node in off.nodes}
-            assert hashes_on == hashes_off
-            assert len(hashes_on) == 1
-            assert (on.outcome().round_latencies(round_number)
-                    == off.outcome().round_latencies(round_number))
-        assert on.env.now == off.env.now
+                == 306)
 
     def test_single_user_payments_no_crash(self):
         """num_users == 1 used to crash rng.integers(0); now a no-op."""
@@ -250,15 +124,14 @@ class TestSimulationWiring:
 class TestEquivocationNotLaundered:
     def test_shared_signature_never_validates_other_contents(self):
         """Unit-level laundering proof: an adversary re-attaching a
-        cached-valid signature to different bytes gets a rejection, even
-        though the (public, signature) pair is already in the cache."""
+        signature already verified valid to different bytes gets a
+        rejection."""
         backend = FastBackend()
-        cached = VerificationCache(backend)
         kp = backend.keypair(b"e" * 32)
         signature = backend.sign(kp.secret, b"block-A")
-        cached.verify(kp.public, b"block-A", signature)  # now cached valid
+        backend.verify(kp.public, b"block-A", signature)
         with pytest.raises(SignatureError):
-            cached.verify(kp.public, b"block-B", signature)
+            backend.verify(kp.public, b"block-B", signature)
 
     def test_forged_vote_never_inherits_an_instance_verdict(self):
         """The same proof one level up: verdicts memoized on a vote
@@ -270,7 +143,7 @@ class TestEquivocationNotLaundered:
 
         from repro.baplus.messages import make_vote
 
-        backend = VerificationCache(FastBackend())
+        backend = FastBackend()
         kp = backend.keypair(b"v" * 32)
         honest = make_vote(backend, kp.secret, kp.public, 3, "1",
                            b"sorthash", b"proof", b"prev", b"value-A")
@@ -285,11 +158,11 @@ class TestEquivocationNotLaundered:
             assert not forged.verify_signature(backend)  # memoized: False
         assert honest.verify_signature(backend)
 
-    def test_equivocating_proposer_with_cache(self):
-        """End-to-end: with the shared cache on, equivocators still never
-        win and safety holds — cached *crypto* verdicts do not bypass the
-        per-node equivocation tracking (context-dependent, uncached)."""
-        sim = _run(cache_on=True, seed=13, rounds=2, num_users=16,
+    def test_equivocating_proposer_with_receipts(self):
+        """End-to-end: equivocators still never win and safety holds —
+        the verdicts messages remember do not bypass the per-node
+        equivocation tracking (context-dependent, never remembered)."""
+        sim = _run(seed=13, rounds=2, num_users=16,
                    faults=[FaultAction(kind="equivocate", start=0.0,
                                        nodes=(13, 14, 15))])
         malicious_keys = {node.keypair.public for node in sim.nodes[13:16]}
@@ -299,8 +172,8 @@ class TestEquivocationNotLaundered:
         for node in honest:
             for block in node.chain.blocks[1:]:
                 assert block.proposer not in malicious_keys
-        # The cache did real work during the adversarial run.
-        assert sim.backend.hits > 0
+        # The backend did real work during the adversarial run.
+        assert sim.backend.vrf_verifies > 0
 
 
 def _genesis_chain(sim: Simulation, node):
@@ -348,7 +221,7 @@ def _buffer(node, committee) -> None:
 
 class TestChainSync:
     def test_timings_come_from_params(self):
-        sim = _run(cache_on=True, seed=5, rounds=1, num_users=10)
+        sim = _run(seed=5, rounds=1, num_users=10)
         sync = _sync(sim, sim.nodes[0])
         params = sim.config.params
         assert sync.poll_interval == max(0.25, params.lambda_step / 2)
@@ -361,7 +234,7 @@ class TestChainSync:
     def test_laggard_bootstraps_beyond_announcer_neighborhood(self):
         """Up-to-date nodes relay a matching announcement, so the flood
         reaches laggards that are not direct neighbors of the announcer."""
-        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        sim = _run(seed=5, rounds=2, num_users=12)
         laggard = sim.nodes[3]
         laggard.chain = _genesis_chain(sim, laggard)
         syncs = [_sync(sim, node) for node in sim.nodes]
@@ -379,7 +252,7 @@ class TestChainSync:
     def test_invalid_announcement_rejected_not_relayed(self):
         from repro.node.catchup import ChainAnnouncement
 
-        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        sim = _run(seed=5, rounds=2, num_users=12)
         victim = sim.nodes[5]
         victim.chain = _genesis_chain(sim, victim)
         sync = _sync(sim, victim)
@@ -396,7 +269,7 @@ class TestChainSync:
         assert sync.rejected == 1
 
     def test_close_unregisters(self):
-        sim = _run(cache_on=True, seed=5, rounds=1, num_users=10)
+        sim = _run(seed=5, rounds=1, num_users=10)
         node = sim.nodes[0]
         sync = _sync(sim, node)
         assert node.catchup is sync
@@ -409,7 +282,7 @@ class TestChainSync:
         sim.env.run()  # returns: the lag probe no longer re-arms
 
     def test_request_is_answered_by_peers_ahead(self):
-        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        sim = _run(seed=5, rounds=2, num_users=12)
         laggard = sim.nodes[3]
         laggard.chain = _genesis_chain(sim, laggard)
         syncs = [_sync(sim, node) for node in sim.nodes]
@@ -430,7 +303,7 @@ class TestChainSync:
     def test_cooldowns_throttle_requests_and_answers(self):
         from repro.node.catchup import ChainRequest
 
-        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        sim = _run(seed=5, rounds=2, num_users=12)
         node = sim.nodes[0]
         sync = _sync(sim, node)
         plea = ChainRequest(height=0)
@@ -458,7 +331,7 @@ class TestChainSync:
     def test_stall_detector_requests_without_vote_evidence(self):
         """Every peer has finished: no votes betray the lag, only the
         flat height of the one node still running does."""
-        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        sim = _run(seed=5, rounds=2, num_users=12)
         laggard = sim.nodes[3]
         laggard.chain = _genesis_chain(sim, laggard)
         syncs = [_sync(sim, node) for node in sim.nodes]
@@ -483,7 +356,7 @@ class TestChainSync:
         undecidable far-future votes) never weigh in, whoever signs."""
         from repro.baplus.certificate import votes_needed
 
-        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        sim = _run(seed=5, rounds=2, num_users=12)
         node = sim.nodes[0]
         sync = _sync(sim, node)
         probe = sync.poll_interval
@@ -532,7 +405,7 @@ class TestChainSync:
         assert sync.requests_sent == 1
 
     def test_lag_probe_stops_while_disconnected(self):
-        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        sim = _run(seed=5, rounds=2, num_users=12)
         node = sim.nodes[0]
         sync = _sync(sim, node)
         node.start(node.chain.height + 1)
@@ -546,7 +419,7 @@ class TestChainSync:
     def test_lag_probe_resumes_after_a_dos_window(self):
         """Disconnected is not dead: a ``dos`` window sets the same flag
         and the probe must still be ticking when it clears."""
-        sim = _run(cache_on=True, seed=5, rounds=2, num_users=12)
+        sim = _run(seed=5, rounds=2, num_users=12)
         laggard = sim.nodes[3]
         laggard.chain = _genesis_chain(sim, laggard)
         sync = _sync(sim, laggard)

@@ -112,15 +112,15 @@ class TestReceiptLifetime:
             assert vote.committee_votes(sim.backend, *context) == j
             assert vote.coin_hash(j) == coin_min_hash(vote.sorthash, j)
 
-        ask()  # first sight: through the shared cache
-        cache = sim.backend
-        traffic = (cache.hits, cache.misses, cache.sort_hits,
-                   cache.sort_misses, SELECTION_STATS.verifies)
+        ask()  # first sight: the backend checks
+        backend = sim.backend
+        traffic = (backend.verifies, backend.vrf_verifies,
+                   SELECTION_STATS.verifies)
         ask()
         ask()
-        # Not even a cache look-up the second and third time.
-        assert traffic == (cache.hits, cache.misses, cache.sort_hits,
-                           cache.sort_misses, SELECTION_STATS.verifies)
+        # Not one backend check the second and third time.
+        assert traffic == (backend.verifies, backend.vrf_verifies,
+                           SELECTION_STATS.verifies)
         assert _receipts(vote) == {"_signing_payload", "_signature_valid",
                                    "_weight_receipt", "_coin_receipt"}
 
@@ -170,7 +170,7 @@ class TestReceiptLifetime:
         # recomputation, the same answer.
         assert vote.committee_votes(sim.backend, ctx.seed, tau, weight,
                                     total) == j
-        assert SELECTION_STATS.verifies == before + 3  # shared-cache hit
+        assert SELECTION_STATS.verifies == before + 4
         assert vote.coin_hash(j) == coin_min_hash(vote.sorthash, j)
         assert vote.coin_hash(1) == coin_min_hash(vote.sorthash, 1)
 
@@ -209,9 +209,9 @@ class TestUndecidableVotesCarryNoWeight:
             ctx.total_weight, j)
         assert process_msg(sim.backend, ctx, _tau(sim, "1"),
                            vote) == (j, vote.value, vote.sorthash)
-        # admission -> handler -> damper -> process_msg: no VerifySort
-        # beyond what the shared cache already answered.
-        assert SELECTION_STATS.verifies == before
+        # admission -> handler -> damper -> process_msg: one VerifySort,
+        # admission's, for this bare copy.
+        assert SELECTION_STATS.verifies == before + 1
         junk = signed_vote(sim, 4, 1, "1")  # decidable, proof is junk
         assert not self._deliver(sim, junk)
         assert junk.__dict__["_weight_receipt"][-1] == 0
