@@ -44,7 +44,7 @@ Same protocol on real processes and sockets (live substrate)::
 Config knobs are grouped (``network=NetworkConfig(...)``,
 ``runtime=RuntimeConfig(...)``, ``population=PopulationConfig(...)``,
 ``substrate=SubstrateConfig(...)``) and the same config describes a
-deployment on either substrate (:mod:`repro.node.deployment`).
+deployment on either substrate (:mod:`repro.node.config`).
 """
 
 from typing import TYPE_CHECKING
@@ -55,21 +55,23 @@ __version__ = "1.1.0"
 
 if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
     from repro.common.params import PAPER_PARAMS, TEST_PARAMS, ProtocolParams
-    from repro.experiments.harness import (
-        NetworkConfig, PopulationConfig, RuntimeConfig, Simulation,
-        SimulationConfig, SubstrateConfig, deploy,
-    )
+    from repro.experiments.harness import Simulation
     from repro.live.cluster import LiveCluster
+    from repro.node.config import (
+        NetworkConfig, PopulationConfig, RuntimeConfig, SimulationConfig,
+        SubstrateConfig, deploy,
+    )
     from repro.obs.bus import TraceBus
     from repro.substrate.api import Clock, Transport
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.common.params": ("PAPER_PARAMS", "TEST_PARAMS", "ProtocolParams"),
-    "repro.experiments.harness": (
-        "NetworkConfig", "PopulationConfig", "RuntimeConfig", "Simulation",
+    "repro.experiments.harness": ("Simulation",),
+    "repro.live.cluster": ("LiveCluster",),
+    "repro.node.config": (
+        "NetworkConfig", "PopulationConfig", "RuntimeConfig",
         "SimulationConfig", "SubstrateConfig", "deploy",
     ),
-    "repro.live.cluster": ("LiveCluster",),
     "repro.obs.bus": ("TraceBus",),
     "repro.substrate.api": ("Clock", "Transport"),
 })

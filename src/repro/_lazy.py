@@ -3,10 +3,10 @@
 A package ``__init__`` that imports every public name eagerly makes
 ``import package.one_submodule`` cost the dependencies of *all* of them:
 a live node process used to load every figure runner and the
-scipy-backed baselines to run a stack that names none of them.
-The packages with wide surfaces (``repro``, ``repro.experiments``,
-``repro.chaos``, ``repro.live``, ``repro.baselines``) instead declare
-which submodule defines each public name and resolve a name the first
+scipy-backed baselines to run a stack that names none of them, and a
+live coordinator the whole node stack before it could start the node
+server that imports it too. Every package of ``repro`` instead declares
+which submodule defines each public name and resolves a name the first
 time it is asked for::
 
     __getattr__, __dir__ = lazy_exports(__name__, {

@@ -57,7 +57,7 @@ from repro.chaos.runner import ChaosVerdict
 from repro.chaos.scenario import LIVE_CHAOS_PARAMS
 from repro.experiments.spec import ExperimentSpec, spec_from_json
 from repro.experiments.sweep import run_point
-from repro.node.deployment import SubstrateConfig
+from repro.node.config import SubstrateConfig
 
 _BUILTINS = {
     "clean": clean_scenario,

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.chaos.scenario import FaultAction, figure8_adversary
 from repro.experiments.spec import LIVENESS_BOUND, ExperimentSpec
-from repro.node.deployment import SimulationConfig
+from repro.node.config import SimulationConfig
 
 #: Seed-sequence spice for scenario generation (distinct from the
 #: injector's fault-RNG tag, so generation and injection draw from

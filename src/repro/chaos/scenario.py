@@ -2,7 +2,7 @@
 
 A chaos run is an :class:`~repro.experiments.spec.ExperimentSpec` whose
 measure is ``"chaos"`` — one deployment (a
-:class:`~repro.node.deployment.SimulationConfig`, seed and substrate
+:class:`~repro.node.config.SimulationConfig`, seed and substrate
 included), how many rounds it runs and which payments it carries, plus
 its ``faults``: :class:`FaultAction` entries, each a time window
 ``[start, end)`` on the run's clock (simulated seconds, or wall seconds

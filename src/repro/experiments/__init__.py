@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
     from repro.experiments.costs import (
         CostReport, expected_certificate_bytes, measure_costs,
     )
-    from repro.experiments.harness import Simulation, SimulationConfig
+    from repro.experiments.harness import Simulation
     from repro.experiments.latency import (
         LatencyPoint, figure5_specs, figure6_specs, flatness,
     )
@@ -36,13 +36,14 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
         TimeoutReport, measure_priority_gossip, measure_timeouts,
     )
     from repro.experiments.waiting import WaitingPoint, waiting_specs
+    from repro.node.config import SimulationConfig
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.experiments.adversarial": ("AdversarialPoint", "figure8_specs"),
     "repro.experiments.costs": (
         "CostReport", "expected_certificate_bytes", "measure_costs",
     ),
-    "repro.experiments.harness": ("Simulation", "SimulationConfig"),
+    "repro.experiments.harness": ("Simulation",),
     "repro.experiments.latency": (
         "LatencyPoint", "figure5_specs", "figure6_specs", "flatness",
     ),
@@ -62,6 +63,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "TimeoutReport", "measure_priority_gossip", "measure_timeouts",
     ),
     "repro.experiments.waiting": ("WaitingPoint", "waiting_specs"),
+    "repro.node.config": ("SimulationConfig",),
 })
 
 __all__ = [

@@ -19,7 +19,8 @@ from repro.chaos.scenario import attacker_nodes, figure8_adversary
 from repro.common.errors import NoSamplesError, SpecError
 from repro.experiments.metrics import LatencySummary
 from repro.experiments.spec import ExperimentSpec
-from repro.node.deployment import RunOutcome, SimulationConfig
+from repro.node.config import SimulationConfig
+from repro.node.deployment import RunOutcome
 
 #: Malicious-stake fractions swept by Figure 8.
 FIGURE8_FRACTIONS = [0.0, 0.05, 0.10, 0.15, 0.20]

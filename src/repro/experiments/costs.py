@@ -27,12 +27,8 @@ from repro.common.params import ProtocolParams
 from repro.experiments.spec import ExperimentSpec
 from repro.ledger.storage import ShardedStore
 from repro.network.message import VOTE_MESSAGE_BYTES
-from repro.node.deployment import (
-    NetworkConfig,
-    RunOutcome,
-    SimulationConfig,
-    derive_genesis,
-)
+from repro.node.config import NetworkConfig, SimulationConfig
+from repro.node.deployment import RunOutcome, derive_genesis
 
 #: Seconds per crypto operation in a production (C library)
 #: implementation, by its ``crypto.*`` counter.

@@ -2,16 +2,16 @@
 
 One :class:`Simulation` owns an event loop, a gossip network, and a
 :class:`~repro.node.population.Population` of nodes sharing a genesis;
-experiments configure it through
-:class:`SimulationConfig` (see :mod:`repro.node.deployment` for the
-nested groups and the node builder) and read results from node metrics
-and the network's cost counters. Its ``faults`` — Byzantine users
+experiments configure it through :class:`SimulationConfig` (see
+:mod:`repro.node.config` for the nested groups and
+:mod:`repro.node.deployment` for the node builder) and read results
+from node metrics and the network's cost counters. Its ``faults`` — Byzantine users
 included — are :class:`~repro.chaos.scenario.FaultAction` windows.
 Everything is deterministic in ``config.seed``.
 
 The harness is the *sim-substrate* runner: one process, virtual time.
 Its live-substrate twin is :class:`repro.live.cluster.LiveCluster`;
-:func:`repro.node.deployment.deploy` picks between them by config.
+:func:`repro.node.config.deploy` picks between them by config.
 """
 
 from __future__ import annotations
@@ -34,15 +34,16 @@ from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
 from repro.node.agent import Node
 from repro.node.catchup import ChainSync
-from repro.node.deployment import (  # noqa: F401  (re-exported API)
+from repro.node.config import (  # noqa: F401  (re-exported API)
     NetworkConfig,
-    NodeRun,
     PopulationConfig,
-    RunOutcome,
     RuntimeConfig,
     SimulationConfig,
     SubstrateConfig,
-    deploy,
+)
+from repro.node.deployment import (
+    NodeRun,
+    RunOutcome,
     derive_genesis,
     harvest,
     node_counters,

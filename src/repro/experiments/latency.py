@@ -25,12 +25,8 @@ from repro.common.errors import NoSamplesError
 from repro.common.params import ProtocolParams, TEST_PARAMS
 from repro.experiments.metrics import LatencySummary
 from repro.experiments.spec import ExperimentSpec
-from repro.node.deployment import (
-    NetworkConfig,
-    PopulationConfig,
-    RunOutcome,
-    SimulationConfig,
-)
+from repro.node.config import NetworkConfig, PopulationConfig, SimulationConfig
+from repro.node.deployment import RunOutcome
 
 #: Scaled-down populations standing in for the paper's 5K..50K sweep.
 FIGURE5_USERS = [40, 80, 160, 320]

@@ -5,7 +5,7 @@ vs. user count (Fig. 5), contention (Fig. 6), block size (Fig. 7),
 malicious fraction (Fig. 8), proposal-wait window (section 6) — and every
 point of every grid is one :class:`ExperimentSpec`:
 
-* ``config`` — the :class:`~repro.node.deployment.SimulationConfig` of
+* ``config`` — the :class:`~repro.node.config.SimulationConfig` of
   the deployment, seed included, so a spec is also a reproducibility
   token;
 * ``rounds``, ``payments`` and ``faults`` — how long it runs, the

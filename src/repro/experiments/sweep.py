@@ -58,7 +58,7 @@ from repro.experiments.throughput import measure_block_size
 from repro.experiments.timeouts import measure_timeouts
 from repro.experiments.traffic import measure_traffic
 from repro.experiments.waiting import measure_waiting
-from repro.node.deployment import deploy
+from repro.node.config import deploy
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
 

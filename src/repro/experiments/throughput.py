@@ -23,7 +23,8 @@ import numpy as np
 from repro.baselines.nakamoto import NakamotoConfig, throughput_bytes_per_hour
 from repro.common.params import TEST_PARAMS
 from repro.experiments.spec import ExperimentSpec
-from repro.node.deployment import NetworkConfig, RunOutcome, SimulationConfig
+from repro.node.config import NetworkConfig, SimulationConfig
+from repro.node.deployment import RunOutcome
 
 #: Scaled block-size sweep standing in for the paper's 1 KB..10 MB.
 FIGURE7_BLOCK_SIZES = [1_000, 10_000, 50_000, 100_000, 250_000]

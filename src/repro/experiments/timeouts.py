@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.spec import ExperimentSpec
-from repro.node.deployment import NetworkConfig, RunOutcome, SimulationConfig
+from repro.node.config import NetworkConfig, SimulationConfig
+from repro.node.deployment import RunOutcome
 
 
 @dataclass(frozen=True)

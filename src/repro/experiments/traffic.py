@@ -56,7 +56,8 @@ from typing import Any
 from repro.common.params import TEST_PARAMS, ProtocolParams
 from repro.experiments.metrics import format_table
 from repro.experiments.spec import ExperimentSpec
-from repro.node.deployment import RunOutcome, RuntimeConfig, SimulationConfig
+from repro.node.config import RuntimeConfig, SimulationConfig
+from repro.node.deployment import RunOutcome
 
 #: Stake shapes the census sweeps.
 STAKE_SHAPES = ("uniform", "whale", "midtier")

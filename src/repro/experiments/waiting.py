@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.common.params import TEST_PARAMS
 from repro.experiments.spec import ExperimentSpec
-from repro.node.deployment import RunOutcome, SimulationConfig
+from repro.node.config import SimulationConfig
+from repro.node.deployment import RunOutcome
 
 #: Wait-window values (seconds) swept by the benchmark, spanning "far too
 #: short" to "comfortably padded" for the scaled WAN.

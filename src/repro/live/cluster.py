@@ -7,11 +7,16 @@ for the live substrate: build it from a :class:`SimulationConfig` whose
 :class:`~repro.node.deployment.RunOutcome` a sim returns too) or
 :meth:`summary` — same verbs, real processes underneath.
 
-The coordinator owns a control socket (Unix domain or TCP, matching the
-gossip transport) and starts one **node server** per run,
-``python -m repro.live.node_main`` with no config: it imports the node
-stack once and forks every node process from it, so the import is paid
-once, not once per node (:func:`repro.live.node_main.serve`). Each
+A run starts one **node server**, ``python -m repro.live.node_main``
+with no config: it imports the node stack once and forks every node
+process from it, so the import is paid once, not once per node
+(:func:`repro.live.node_main.serve`). The server is the first thing a
+run starts, and this module imports nothing a node runs before it:
+while the server imports on one core, the coordinator opens its control
+socket (Unix domain or TCP, matching the gossip transport), draws the
+gossip graph and queues its first fork request on the other. What
+the coordinator reads the results with (the wire codecs, the fold of
+:mod:`repro.node.deployment`) it loads once the results are in. Each
 fork runs ``NodeProcess(cfg).run()`` on its own config file and leaves
 through the interpreter's normal exit. The coordinator then walks the
 conversation in :mod:`repro.live.control`:
@@ -68,30 +73,22 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from repro.chaos.scenario import FaultAction
+# Nothing here loads numpy or the node stack: the node server imports
+# that while this process gets the run ready (``LiveCluster._run``).
 from repro.common.errors import ConfigError
 from repro.common.params import LIVE_SMOKE_PARAMS  # noqa: F401 (re-exported)
 from repro.conformance.monitor import ConformanceMonitor
-from repro.crypto.backend import FastBackend
-from repro.node.deployment import (
-    NodeRun,
-    RunOutcome,
-    SimulationConfig,
-    derive_genesis,
-    fold,
-    fold_snapshots,
-)
 from repro.live.control import ControlError, MessageStream, send_message
-from repro.network.gossip import draw_peers
-from repro.network.latency import LatencyModel
-from repro.network.wire import decode_block
-from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import read_trace
+
+if TYPE_CHECKING:
+    from repro.chaos.scenario import FaultAction
+    from repro.node.config import SimulationConfig
+    from repro.node.deployment import RunOutcome
+    from repro.obs.bus import TraceBus
 
 _LOG_TAIL_LINES = 25
 
@@ -104,7 +101,22 @@ def gossip_neighbors(config: SimulationConfig) -> dict[str, list[int]]:
     """The gossip graph a sim of ``config`` starts on, for the ``peers``
     message: the sim's own draw (:func:`~repro.network.gossip.draw_peers`)
     on its RNG stream, after the city draw its latency model makes first.
-    A live cluster keeps it for the whole run (no per-round reshuffle)."""
+    A live cluster keeps it for the whole run (no per-round reshuffle).
+
+    A coordinator that loads numpy here loads it with one BLAS thread:
+    numpy's BLAS pool would start a helper that spins through the node
+    server's import on the other core, and the draw needs no BLAS."""
+    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy  # noqa: F401
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    import numpy as np
+
+    from repro.network.gossip import draw_peers
+    from repro.network.latency import LatencyModel
+
     rng = np.random.default_rng(config.seed)
     if config.network.latency_model == "city":
         LatencyModel(config.num_users, rng)
@@ -149,12 +161,14 @@ class _NodeServer:
     """
 
     def __init__(self, proc: asyncio.subprocess.Process, log_path: Path,
-                 started_at: float, on_failure) -> None:
+                 started_at: float, coordinator: dict, on_failure) -> None:
         self.proc = proc
         self.log_path = log_path
         self.started_at = started_at
-        #: The server's own start-up split (its ``ready`` report).
-        self.startup: dict = {}
+        #: The start-up split: the coordinator's side at the spawn (its
+        #: CPU so far and modules loaded), then the server's own from
+        #: its ``ready`` report.
+        self.startup: dict = dict(coordinator)
         self._on_failure = on_failure
         self._closing = False
         self._waiting: list[asyncio.Future] = []
@@ -165,13 +179,15 @@ class _NodeServer:
     @classmethod
     async def start(cls, env: dict, log_path: Path,
                     on_failure) -> "_NodeServer":
+        coordinator = {"coordinator_cpu_s": round(time.process_time(), 4),
+                       "coordinator_modules": len(sys.modules)}
         started_at = time.time()
         with open(log_path, "wb") as log:
             proc = await asyncio.create_subprocess_exec(
                 sys.executable, "-m", "repro.live.node_main",
                 stdin=asyncio.subprocess.PIPE,
                 stdout=asyncio.subprocess.PIPE, stderr=log, env=env)
-        return cls(proc, log_path, started_at, on_failure)
+        return cls(proc, log_path, started_at, coordinator, on_failure)
 
     async def spawn(self, cfg_path: Path, log_path: Path) -> _NodeHandle:
         """Fork one node; its handle once the server reports the pid."""
@@ -200,9 +216,9 @@ class _NodeServer:
             elif word == "ready":
                 report = json.loads(rest)
                 imported_at = report.pop("imported_at")
-                self.startup = {
-                    "import_s": round(imported_at - self.started_at, 4),
-                    **report}
+                self.startup.update(
+                    import_s=round(imported_at - self.started_at, 4),
+                    **report)
         returncode = await self.proc.wait()
         if self._closing:
             return
@@ -333,6 +349,9 @@ class LiveCluster:
         records and counters, the last record of the merged trace, and
         the folded metrics. Seeds verify on a backend holding every key
         of the deployment (a backend verifies only keys it generated)."""
+        from repro.crypto.backend import FastBackend
+        from repro.node.deployment import NodeRun, RunOutcome, derive_genesis
+
         backend = FastBackend()
         derive_genesis(self.config, backend)
         return RunOutcome(
@@ -569,7 +588,6 @@ class LiveCluster:
         self._writers: list[asyncio.StreamWriter] = []
         self._node_writers: dict[int, asyncio.StreamWriter] = {}
         self._collectors: dict[int, asyncio.Task] = {}
-        self._neighbors = gossip_neighbors(self.config)
 
         async def on_connect(reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
@@ -583,19 +601,13 @@ class LiveCluster:
             await self._hello_queue.put(
                 (hello["index"], hello["address"], stream, writer))
 
-        if sub.transport == "uds":
-            control = str(self.runtime_dir / "ctrl.sock")
-            Path(control).unlink(missing_ok=True)
-            server = await asyncio.start_unix_server(on_connect,
-                                                     path=control)
-        else:
-            server = await asyncio.start_server(on_connect, host=sub.host,
-                                                port=0)
-            control = [sub.host, server.sockets[0].getsockname()[1]]
-
         timeline: asyncio.Task | None = None
+        server: asyncio.AbstractServer | None = None
         self._node_server: _NodeServer | None = None
         try:
+            # The server first: its import of the node stack is the
+            # longest step of start-up, and the rest of it (the control
+            # socket, the gossip graph) runs beside it on the other core.
             env = dict(os.environ)
             import repro
             src_root = str(Path(repro.__file__).resolve().parents[1])
@@ -606,6 +618,16 @@ class LiveCluster:
             env["OPENBLAS_NUM_THREADS"] = "1"
             self._node_server = await _NodeServer.start(
                 env, self.runtime_dir / "node-server.log", self._fail)
+            if sub.transport == "uds":
+                control = str(self.runtime_dir / "ctrl.sock")
+                Path(control).unlink(missing_ok=True)
+                server = await asyncio.start_unix_server(on_connect,
+                                                         path=control)
+            else:
+                server = await asyncio.start_server(
+                    on_connect, host=sub.host, port=0)
+                control = [sub.host, server.sockets[0].getsockname()[1]]
+            self._neighbors = gossip_neighbors(self.config)
             for i in range(n):
                 await self._spawn(i, control)
 
@@ -692,8 +714,14 @@ class LiveCluster:
                 self.server_startup = self._node_server.startup
             for writer in self._writers:
                 writer.close()
-            server.close()
-            await server.wait_closed()
+            if server is not None:
+                server.close()
+                await server.wait_closed()
+
+        # What this process reads the results with is the node stack;
+        # it loads here, once nothing waits on the coordinator.
+        from repro.network.wire import decode_block
+        from repro.node.deployment import fold
 
         self.results = results
         self.metrics = {}
@@ -755,6 +783,8 @@ class LiveCluster:
         checks read); a bus, if any, replays the same records and
         counts the same losses.
         """
+        from repro.node.deployment import fold_snapshots
+
         events: list[dict] = []
         snapshots: list[dict] = []
         kills_by_node: dict[int, list[float]] = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.common.encoding import decode, encode
-from repro.network.wire import FrameDecoder, WireError, encode_frame
+from repro.network.framing import FrameDecoder, WireError, encode_frame
 
 
 class ControlError(WireError):

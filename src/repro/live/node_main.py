@@ -63,16 +63,12 @@ from repro.ledger.transaction import make_transaction
 from repro.live.clock import LiveClock
 from repro.live.control import ControlError, MessageStream, send_message
 from repro.live.transport import LiveTransport, PeerLink
-from repro.network.wire import (
-    FrameDecoder,
-    WireError,
-    encode_frame,
-)
+from repro.network.framing import FrameDecoder, WireError, encode_frame
 from repro.node.agent import IDLE, Node
 from repro.node.catchup import ChainSync
+from repro.node.config import SimulationConfig
 from repro.node.deployment import (
     NodeRun,
-    SimulationConfig,
     build_node,
     derive_genesis,
     harvest,

@@ -60,18 +60,16 @@ from typing import Callable
 from repro.ledger.transaction import Transaction
 from repro.live.clock import LiveClock
 from repro.network.gossip import DropFilter, LinkShaper, RelayCore
+from repro.network.framing import FrameDecoder, WireError, encode_frame
 from repro.network.message import Envelope
 from repro.network.wire import (
     LINKED_BLOCK_CODE,
     TX,
     TX_CODE,
     EnvelopeHeader,
-    FrameDecoder,
-    WireError,
     decode_envelope_body,
     decode_envelope_header,
     encode_envelope,
-    encode_frame,
     encode_linked_block_envelope,
     envelope_body,
 )

@@ -1,22 +1,32 @@
 """Simulated gossip network: topology, latency model, message envelopes."""
 
-from repro.network.gossip import GossipNetwork, NetworkInterface
-from repro.network.latency import (
-    CITIES,
-    LatencyModel,
-    UniformLatencyModel,
-    base_latency_matrix,
-    great_circle_km,
-)
-from repro.network.message import (
-    Envelope,
-    PRIORITY_MESSAGE_BYTES,
-    VOTE_MESSAGE_BYTES,
-    block_envelope,
-    priority_envelope,
-    transaction_envelope,
-    vote_envelope,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
+    from repro.network.gossip import GossipNetwork, NetworkInterface
+    from repro.network.latency import (
+        CITIES, LatencyModel, UniformLatencyModel, base_latency_matrix,
+        great_circle_km,
+    )
+    from repro.network.message import (
+        Envelope, PRIORITY_MESSAGE_BYTES, VOTE_MESSAGE_BYTES, block_envelope,
+        priority_envelope, transaction_envelope, vote_envelope,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.network.gossip": ("GossipNetwork", "NetworkInterface"),
+    "repro.network.latency": (
+        "CITIES", "LatencyModel", "UniformLatencyModel", "base_latency_matrix",
+        "great_circle_km",
+    ),
+    "repro.network.message": (
+        "Envelope", "PRIORITY_MESSAGE_BYTES", "VOTE_MESSAGE_BYTES",
+        "block_envelope", "priority_envelope", "transaction_envelope",
+        "vote_envelope",
+    ),
+})
 
 __all__ = [
     "GossipNetwork",

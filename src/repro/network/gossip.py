@@ -40,11 +40,11 @@ from typing import TYPE_CHECKING, Callable, Protocol
 import numpy as np
 
 from repro.common.errors import NetworkError
-from repro.network.latency import BatchTerms
 from repro.network.message import Envelope
 from repro.sim.loop import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.latency import BatchTerms
     from repro.obs.bus import TraceBus
 
 

@@ -58,13 +58,8 @@ from repro.crypto.backend import CryptoBackend
 from repro.ledger.blockchain import Blockchain
 from repro.network.gossip import GossipNetwork
 from repro.node.agent import Node, sortition_weights
-from repro.node.deployment import (
-    Genesis,
-    SimulationConfig,
-    build_node,
-    fold,
-    node_counters,
-)
+from repro.node.config import SimulationConfig
+from repro.node.deployment import Genesis, build_node, fold, node_counters
 from repro.node.registry import BlockRegistry
 from repro.sim.loop import Environment
 from repro.sortition.pool import pool_select

@@ -14,15 +14,26 @@ instruments all guard on ``obs is not None``, so a simulation without a
 bus pays one attribute check per instrumented site.
 """
 
-from repro.obs.bus import TraceBus
-from repro.obs.events import (
-    EVENT_KINDS,
-    EventKind,
-    EventSchemaError,
-    validate_record,
-)
-from repro.obs.metrics import HistogramSummary, MetricsRegistry
-from repro.obs.sink import JsonlTraceSink, read_trace
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
+    from repro.obs.bus import TraceBus
+    from repro.obs.events import (
+        EVENT_KINDS, EventKind, EventSchemaError, validate_record,
+    )
+    from repro.obs.metrics import HistogramSummary, MetricsRegistry
+    from repro.obs.sink import JsonlTraceSink, read_trace
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.bus": ("TraceBus",),
+    "repro.obs.events": (
+        "EVENT_KINDS", "EventKind", "EventSchemaError", "validate_record",
+    ),
+    "repro.obs.metrics": ("HistogramSummary", "MetricsRegistry"),
+    "repro.obs.sink": ("JsonlTraceSink", "read_trace"),
+})
 
 __all__ = [
     "TraceBus",

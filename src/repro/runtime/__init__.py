@@ -9,12 +9,22 @@ one-message-per-key, equivocation and peer health before the router
 sees it.
 """
 
-from repro.runtime.admission import (
-    AdmissionConfig,
-    AdmissionControl,
-    PeerHealth,
-)
-from repro.runtime.router import MessageRouter
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
+    from repro.runtime.admission import (
+        AdmissionConfig, AdmissionControl, PeerHealth,
+    )
+    from repro.runtime.router import MessageRouter
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.admission": (
+        "AdmissionConfig", "AdmissionControl", "PeerHealth",
+    ),
+    "repro.runtime.router": ("MessageRouter",),
+})
 
 __all__ = [
     "AdmissionConfig",

@@ -69,13 +69,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.baplus.messages import VoteMessage
 from repro.common.errors import ConfigError
 from repro.network.message import Envelope
 from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 
 if TYPE_CHECKING:
     from repro.baplus.context import BAContext  # pragma: no cover - typing only
+    from repro.baplus.messages import VoteMessage
     from repro.ledger.arraystate import AccountIndex
     from repro.node.agent import Node
 

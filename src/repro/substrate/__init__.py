@@ -32,6 +32,15 @@ Both rows are checked against these protocols in
 (``RelayCore``: dedup, receive order, counters) and are byte-movers.
 """
 
-from repro.substrate.api import Clock, Fabric, Transport
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
+    from repro.substrate.api import Clock, Fabric, Transport
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.substrate.api": ("Clock", "Fabric", "Transport"),
+})
 
 __all__ = ["Clock", "Fabric", "Transport"]

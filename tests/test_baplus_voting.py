@@ -20,7 +20,7 @@ from repro.baplus.voting import (
 from repro.common.params import TEST_PARAMS
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
-from repro.node.deployment import PopulationConfig
+from repro.node.config import PopulationConfig
 from repro.node.population import Population
 from repro.node.recovery import RECOVERY_ROUND_BASE, run_recovery
 from repro.sim.loop import Environment, Timer

@@ -41,7 +41,7 @@ from repro.common.params import TEST_PARAMS
 from repro.experiments.spec import ExperimentSpec
 from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block
-from repro.node.deployment import NetworkConfig, PopulationConfig
+from repro.node.config import NetworkConfig, PopulationConfig
 from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
 from repro.network.message import Envelope

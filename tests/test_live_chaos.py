@@ -55,12 +55,8 @@ from repro.experiments.harness import Simulation
 from repro.experiments.latency import LatencyPoint, latency_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import run_point
-from repro.node.deployment import (
-    NodeRun,
-    RuntimeConfig,
-    SimulationConfig,
-    SubstrateConfig,
-)
+from repro.node.config import RuntimeConfig, SimulationConfig, SubstrateConfig
+from repro.node.deployment import NodeRun
 from repro.live.cluster import LiveCluster
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink, read_trace

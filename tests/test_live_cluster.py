@@ -15,7 +15,7 @@ import pytest
 from repro.conformance.monitor import ConformanceMonitor
 from repro.experiments.harness import Simulation
 from repro.live.cluster import LiveCluster
-from repro.node.deployment import SubstrateConfig
+from repro.node.config import SubstrateConfig
 from repro.obs import TraceBus
 from repro.obs.report import render_report
 from repro.obs.sink import read_trace
@@ -161,7 +161,8 @@ class TestLiveCluster:
 
     def test_summary_reports_each_nodes_startup(self, cluster):
         """"Why did setup take that long" is answerable from summary():
-        each node's split, and the node server's import, paid once."""
+        each node's split, the node server's import, paid once, and what
+        the coordinator had loaded when it spawned the server."""
         summary = cluster.summary()
         startup = summary["startup"]
         assert sorted(startup) == list(range(NODES))
@@ -170,6 +171,11 @@ class TestLiveCluster:
         assert server["rss_mb"] > 0.0
         # A process that has loaded scipy has > 1,000 modules.
         assert 0 < server["modules_loaded"] < 600
+        # The coordinator's side at the spawn. This coordinator is the
+        # test process, which loaded the node stack long before; that a
+        # fresh one spawns first is tests/test_import_budget.py's check.
+        assert server["coordinator_cpu_s"] > 0.0
+        assert server["coordinator_modules"] > 0
         for report in startup.values():
             # Spawn request -> the fork running: the server's import at
             # most (if the request waited on it), plus the fork.

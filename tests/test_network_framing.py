@@ -36,17 +36,19 @@ from repro.network.message import (
     VOTE_MESSAGE_BYTES,
     Envelope,
 )
-from repro.network.wire import (
-    ENVELOPE_HEADER,
-    ENVELOPE_LAYOUTS,
+from repro.network.framing import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     FrameDecoder,
     FrameSizeError,
     WireError,
+    encode_frame,
+)
+from repro.network.wire import (
+    ENVELOPE_HEADER,
+    ENVELOPE_LAYOUTS,
     decode_envelope,
     encode_envelope,
-    encode_frame,
 )
 from repro.node.catchup import ChainAnnouncement, ChainRequest
 from repro.node.proposal import PriorityMessage

@@ -16,6 +16,7 @@ from repro.experiments.harness import Simulation, SimulationConfig
 from repro.ledger.block import Block, empty_block
 from repro.ledger.transaction import Transaction, make_transaction
 from repro.network import wire
+from repro.network.framing import WireError
 from repro.network.message import (
     PRIORITY_MESSAGE_BYTES,
     VOTE_MESSAGE_BYTES,
@@ -30,7 +31,6 @@ from repro.network.wire import (
     TX,
     VOTE,
     Layout,
-    WireError,
     decode_block,
     decode_envelope,
     encode_block,

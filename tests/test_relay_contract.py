@@ -19,11 +19,8 @@ import pytest
 from repro.common.errors import NetworkError
 from repro.network.gossip import GossipNetwork, RelayCore
 from repro.network.latency import UniformLatencyModel
-from repro.network.wire import (
-    FrameDecoder,
-    decode_envelope_header,
-    encode_envelope,
-)
+from repro.network.framing import FrameDecoder
+from repro.network.wire import decode_envelope_header, encode_envelope
 from repro.obs import TraceBus
 from repro.sim.loop import Environment
 from tests.fixtures import live_transport

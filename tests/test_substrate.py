@@ -30,7 +30,8 @@ from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
 from repro.live.node_main import NodeProcess
 from repro.live.transport import MSG_ID_SEQ_BITS, LiveTransport, PeerLink
 from repro.network.message import Envelope
-from repro.network.wire import ENVELOPE_HEADER, encode_envelope, encode_frame
+from repro.network.framing import encode_frame
+from repro.network.wire import ENVELOPE_HEADER, encode_envelope
 from repro.substrate import Clock, Fabric, Transport
 
 from tests.fixtures import live_transport
