@@ -44,6 +44,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.chaos.generate import (
     byzantine_scenario,
@@ -53,11 +54,13 @@ from repro.chaos.generate import (
     kill_partition_scenario,
     partition_heal_scenario,
 )
-from repro.chaos.runner import ChaosVerdict
 from repro.chaos.scenario import LIVE_CHAOS_PARAMS
 from repro.experiments.spec import ExperimentSpec, spec_from_json
 from repro.experiments.sweep import run_point
 from repro.node.config import SubstrateConfig
+
+if TYPE_CHECKING:
+    from repro.chaos.runner import ChaosVerdict
 
 _BUILTINS = {
     "clean": clean_scenario,

@@ -22,12 +22,14 @@ a permanent quorum-killing split).
 from __future__ import annotations
 
 from dataclasses import replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.chaos.scenario import FaultAction, figure8_adversary
 from repro.experiments.spec import LIVENESS_BOUND, ExperimentSpec
 from repro.node.config import SimulationConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Seed-sequence spice for scenario generation (distinct from the
 #: injector's fault-RNG tag, so generation and injection draw from
@@ -58,7 +60,7 @@ def _pick_nodes(rng: np.random.Generator, num_users: int,
     """Choose distinct victims from 1..n-1 (node 0 stays untouched: it
     hosts the harness's end-of-round housekeeping hook and serves as the
     always-honest observer every test reads results from)."""
-    chosen = rng.choice(np.arange(1, num_users), size=count, replace=False)
+    chosen = rng.choice(range(1, num_users), size=count, replace=False)
     return tuple(sorted(int(node) for node in chosen))
 
 
@@ -109,6 +111,8 @@ def generate_scenario(seed: int, *, num_users: int = 10, rounds: int = 2,
                       liveness_bound: float = LIVENESS_BOUND
                       ) -> ExperimentSpec:
     """Draw one reproducible scenario for ``seed``."""
+    import numpy as np
+
     rng = np.random.default_rng([seed, _GEN_RNG_TAG])
     count = int(rng.integers(1, max_actions + 1))
     actions: list[FaultAction] = []

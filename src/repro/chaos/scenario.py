@@ -9,8 +9,9 @@ its ``faults``: :class:`FaultAction` entries, each a time window
 on a live cluster) during which one fault is in force. The actions never
 touch the network themselves; :class:`repro.chaos.faults.FaultInjector`
 compiles them onto a :class:`~repro.experiments.harness.Simulation` or,
-per process, onto a live node. This module holds the vocabulary and the
-rules a chaos spec must meet (:func:`check_scenario`).
+per process, onto a live node. This module holds the vocabulary, the
+check every deployment runs its faults through (:func:`check_faults`)
+and the rules a chaos spec must meet (:func:`check_scenario`).
 
 Fault vocabulary (the ``kind`` field):
 
@@ -231,6 +232,23 @@ def permanently_crashed(actions: Iterable[FaultAction]) -> frozenset[int]:
     return frozenset(node for action in actions
                      if action.kind == "crash" and action.end is None
                      for node in action.nodes)
+
+
+def check_faults(config, actions: Iterable[FaultAction]) -> None:
+    """Raise a ``ScenarioError`` unless this deployment, on either
+    substrate, can run every action: each passes its own checks, and a
+    crash, dos, targeted-dos or attacker names always-on agents, for
+    dormant pool stake has no node to act on."""
+    accounts = config.num_users + config.num_observers
+    core = config.population.core_size(accounts)
+    for action in actions:
+        action.validate(accounts)
+        dormant = [node for node in action.nodes if node >= core]
+        if action.kind in NODE_FAULTS and dormant:
+            raise ScenarioError(
+                f"{action.kind}: nodes {dormant} are dormant pool stake "
+                f"(the always-on core is slots 0..{core - 1}); a "
+                f"node-local fault needs always-on agents")
 
 
 def check_scenario(config, actions: Iterable[FaultAction]) -> None:

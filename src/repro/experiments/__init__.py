@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
     from repro.experiments.latency import (
         LatencyPoint, figure5_specs, figure6_specs, flatness,
     )
-    from repro.experiments.metrics import LatencySummary, format_table
+    from repro.experiments.metrics import LatencySummary
     from repro.experiments.spec import (
         ExperimentSpec, PointResult, spec_from_json,
     )
@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
     )
     from repro.experiments.waiting import WaitingPoint, waiting_specs
     from repro.node.config import SimulationConfig
+    from repro.obs.report import format_table
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.experiments.adversarial": ("AdversarialPoint", "figure8_specs"),
@@ -47,7 +48,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.experiments.latency": (
         "LatencyPoint", "figure5_specs", "figure6_specs", "flatness",
     ),
-    "repro.experiments.metrics": ("LatencySummary", "format_table"),
+    "repro.experiments.metrics": ("LatencySummary",),
     "repro.experiments.spec": (
         "ExperimentSpec", "PointResult", "spec_from_json",
     ),
@@ -64,6 +65,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.experiments.waiting": ("WaitingPoint", "waiting_specs"),
     "repro.node.config": ("SimulationConfig",),
+    "repro.obs.report": ("format_table",),
 })
 
 __all__ = [

@@ -38,7 +38,6 @@ from repro.experiments.adversarial import adversarial_spec, figure8_specs
 from repro.experiments.costs import costs_spec, expected_certificate_bytes
 from repro.experiments.harness import PopulationConfig
 from repro.experiments.latency import figure5_specs, figure6_specs, latency_spec
-from repro.experiments.metrics import format_table
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import PointOutcome, SweepReport, run_sweep
 from repro.experiments.throughput import (
@@ -50,6 +49,7 @@ from repro.experiments.throughput import (
 )
 from repro.experiments.timeouts import measure_priority_gossip, timeouts_spec
 from repro.experiments.waiting import waiting_spec, waiting_specs
+from repro.obs.report import format_table
 
 
 def _banner(title: str) -> None:

@@ -21,12 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.chaos.faults import FaultInjector
-from repro.chaos.scenario import (
-    FAULT_RNG_TAG,
-    NODE_FAULTS,
-    FaultAction,
-    ScenarioError,
-)
+from repro.chaos.scenario import FAULT_RNG_TAG, FaultAction, check_faults
 from repro.conformance.monitor import ConformanceMonitor
 from repro.crypto.backend import CryptoBackend, FastBackend
 from repro.ledger.transaction import make_transaction
@@ -55,23 +50,6 @@ from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.loop import Environment
 from repro.sortition.selection import SELECTION_STATS
-
-
-def check_faults(config: SimulationConfig,
-                  faults: Iterable[FaultAction]) -> None:
-    """Raise a ``ConfigError`` unless this deployment can run every
-    action: a crash, dos, targeted-dos or attacker must name always-on
-    agents, for dormant pool stake has no node to act on."""
-    accounts = config.num_users + config.num_observers
-    core = config.population.core_size(accounts)
-    for action in faults:
-        action.validate(accounts)
-        dormant = [node for node in action.nodes if node >= core]
-        if action.kind in NODE_FAULTS and dormant:
-            raise ScenarioError(
-                f"{action.kind}: nodes {dormant} are dormant pool stake "
-                f"(the always-on core is slots 0..{core - 1}); a "
-                f"node-local fault needs always-on agents")
 
 
 class Simulation:

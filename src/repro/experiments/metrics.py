@@ -55,19 +55,3 @@ class LatencySummary:
             "p75": round(self.p75, 2),
             "max": round(self.maximum, 2),
         }
-
-
-def format_table(headers: list[str], rows: list[list[object]]) -> str:
-    """Fixed-width ASCII table (benchmarks print these next to the
-    paper's numbers)."""
-    columns = [[str(h)] + [str(row[i]) for row in rows]
-               for i, h in enumerate(headers)]
-    widths = [max(len(cell) for cell in column) for column in columns]
-    lines = []
-    header_line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    lines.append(header_line)
-    lines.append("-" * len(header_line))
-    for row in rows:
-        lines.append("  ".join(str(cell).ljust(width)
-                               for cell, width in zip(row, widths)))
-    return "\n".join(lines)

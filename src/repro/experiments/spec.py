@@ -34,9 +34,9 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chaos.scenario import FaultAction, check_scenario
+from repro.chaos.scenario import FaultAction, check_faults, check_scenario
 from repro.common.errors import SpecError
-from repro.experiments.harness import SimulationConfig, check_faults
+from repro.node.config import SimulationConfig
 
 #: Seconds after the last fault heals within which a new block must
 #: commit (the paper's weak-synchrony liveness promise, section 3).

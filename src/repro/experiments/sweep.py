@@ -39,6 +39,7 @@ case the byte-identical guarantee is checked against.
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
@@ -47,41 +48,36 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Iterable, Sequence
 
-from repro.chaos.runner import measure_chaos
 from repro.chaos.scenario import last_heal_time
 from repro.common.errors import SpecError
-from repro.experiments.adversarial import measure_adversarial
-from repro.experiments.costs import measure_costs
-from repro.experiments.latency import measure_latency
 from repro.experiments.spec import ExperimentSpec, PointResult, spec_from_json
-from repro.experiments.throughput import measure_block_size
-from repro.experiments.timeouts import measure_timeouts
-from repro.experiments.traffic import measure_traffic
-from repro.experiments.waiting import measure_waiting
 from repro.node.config import deploy
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
 
-#: Measure name -> what it reads off a finished run: ``(outcome, spec)
-#: ->`` a typed point dataclass, where ``outcome`` is the deployment's
-#: :class:`~repro.node.deployment.RunOutcome` on either substrate.
-MEASURES: dict[str, Callable] = {
-    "latency": measure_latency,
-    "adversarial": measure_adversarial,
-    "block_size": measure_block_size,
-    "waiting": measure_waiting,
-    "traffic": measure_traffic,
-    "timeouts": measure_timeouts,
-    "costs": measure_costs,
-    "chaos": measure_chaos,
+#: Measure name -> the dotted path of what it reads off a finished run:
+#: ``(outcome, spec) ->`` a typed point dataclass, where ``outcome`` is
+#: the deployment's :class:`~repro.node.deployment.RunOutcome` on either
+#: substrate. A measure is imported once its run has returned: a live
+#: run's node server imports the node stack meanwhile, and nothing
+#: should compete with it for the CPU.
+MEASURES: dict[str, str] = {
+    "latency": "repro.experiments.latency.measure_latency",
+    "adversarial": "repro.experiments.adversarial.measure_adversarial",
+    "block_size": "repro.experiments.throughput.measure_block_size",
+    "waiting": "repro.experiments.waiting.measure_waiting",
+    "traffic": "repro.experiments.traffic.measure_traffic",
+    "timeouts": "repro.experiments.timeouts.measure_timeouts",
+    "costs": "repro.experiments.costs.measure_costs",
+    "chaos": "repro.chaos.runner.measure_chaos",
 }
 
 #: How long the scheduler sleeps waiting for worker messages (seconds).
 _POLL_SECONDS = 0.05
 
 
-def _checked(spec: ExperimentSpec) -> Callable:
-    """The measure of ``spec``, once the spec passed validation."""
+def _checked(spec: ExperimentSpec) -> str:
+    """The measure path of ``spec``, once the spec passed validation."""
     if not isinstance(spec, ExperimentSpec):
         raise SpecError(f"not an ExperimentSpec: {spec!r}")
     if spec.measure not in MEASURES:
@@ -100,7 +96,7 @@ def run_point(spec: ExperimentSpec, *,
     explains a stall; any other point that stalls raises
     ``TimeoutError``.
     """
-    measure = _checked(spec)
+    module, _, name = _checked(spec).rpartition(".")
     chaos = spec.measure == "chaos"
     if trace_path is not None and not chaos:
         raise SpecError(f"a {spec.measure!r} point writes no trace")
@@ -122,6 +118,7 @@ def run_point(spec: ExperimentSpec, *,
     except TimeoutError:
         if not chaos:
             raise
+    measure = getattr(importlib.import_module(module), name)
     result = PointResult(spec=spec, point=measure(deployment.outcome(), spec))
     if chaos:
         obs.close()

@@ -54,10 +54,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.params import TEST_PARAMS, ProtocolParams
-from repro.experiments.metrics import format_table
 from repro.experiments.spec import ExperimentSpec
 from repro.node.config import RuntimeConfig, SimulationConfig
 from repro.node.deployment import RunOutcome
+from repro.obs.report import format_table
 
 #: Stake shapes the census sweeps.
 STAKE_SHAPES = ("uniform", "whale", "midtier")

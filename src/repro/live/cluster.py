@@ -77,6 +77,7 @@ from typing import TYPE_CHECKING, Sequence
 
 # Nothing here loads numpy or the node stack: the node server imports
 # that while this process gets the run ready (``LiveCluster._run``).
+from repro.chaos.scenario import check_faults
 from repro.common.errors import ConfigError
 from repro.common.params import LIVE_SMOKE_PARAMS  # noqa: F401 (re-exported)
 from repro.conformance.monitor import ConformanceMonitor
@@ -123,6 +124,15 @@ def gossip_neighbors(config: SimulationConfig) -> dict[str, list[int]]:
     graph = draw_peers(rng, list(range(config.num_users)),
                        config.network.peers_per_node)
     return {str(node): peers for node, peers in graph.items()}
+
+
+def _log_tail(path: Path) -> str:
+    """The last lines of one process log ("" if it cannot be read)."""
+    try:
+        lines = path.read_text(errors="replace").splitlines()
+    except OSError:
+        return ""
+    return "\n".join(lines[-_LOG_TAIL_LINES:])
 
 
 class _NodeHandle:
@@ -172,7 +182,8 @@ class _NodeServer:
         self._on_failure = on_failure
         self._closing = False
         self._waiting: list[asyncio.Future] = []
-        self._nodes: dict[int, _NodeHandle] = {}
+        #: Every node process it forked, respawns included, by pid.
+        self.nodes: dict[int, _NodeHandle] = {}
         self._reader = asyncio.create_task(self._read(),
                                            name="node-server")
 
@@ -206,13 +217,13 @@ class _NodeServer:
             word, _, rest = line.decode().strip().partition(" ")
             if word == "pid":
                 handle = _NodeHandle(int(rest))
-                self._nodes[handle.pid] = handle
+                self.nodes[handle.pid] = handle
                 forked = self._waiting.pop(0)
                 if not forked.cancelled():
                     forked.set_result(handle)
             elif word == "exit":
                 pid, returncode = map(int, rest.split())
-                self._nodes[pid].reaped(returncode)
+                self.nodes[pid].reaped(returncode)
             elif word == "ready":
                 report = json.loads(rest)
                 imported_at = report.pop("imported_at")
@@ -222,15 +233,10 @@ class _NodeServer:
         returncode = await self.proc.wait()
         if self._closing:
             return
-        try:
-            lines = self.log_path.read_text(errors="replace").splitlines()
-        except OSError:
-            lines = []
-        tail = "\n".join(lines[-_LOG_TAIL_LINES:]) or "(log empty)"
         error = RuntimeError(
             f"node server (pid {self.proc.pid}) exited (rc={returncode}) "
             f"while the run needed it\n--- {self.log_path.name} ---\n"
-            f"{tail}")
+            f"{_log_tail(self.log_path) or '(log empty)'}")
         for forked in self._waiting:
             if not forked.done():
                 forked.set_exception(error)
@@ -240,7 +246,7 @@ class _NodeServer:
         """Kill every node still running, then EOF on stdin: the server
         reaps its children and leaves."""
         self._closing = True
-        for handle in self._nodes.values():
+        for handle in self.nodes.values():
             handle.kill()
         with contextlib.suppress(Exception):
             self.proc.stdin.close()
@@ -257,7 +263,6 @@ class LiveCluster:
 
     def __init__(self, config: SimulationConfig, *,
                  faults: Sequence[FaultAction] = (),
-                 node_overrides: dict[int, dict] | None = None,
                  obs: TraceBus | None = None) -> None:
         if config.substrate.kind != "live":
             raise ConfigError(
@@ -276,11 +281,7 @@ class LiveCluster:
         self.config = config
         self.num_nodes = config.num_users
         self.faults: tuple[FaultAction, ...] = tuple(faults)
-        for action in self.faults:
-            action.validate(self.num_nodes)
-        #: Per-node config overrides merged into the generated node
-        #: config files — test hooks (``exit_at_start``) and tuning.
-        self.node_overrides = dict(node_overrides or {})
+        check_faults(config, self.faults)
         #: Optional trace bus, as :class:`Simulation` takes one: once the
         #: run is over the merged trace is emitted through it, each record
         #: at its own ``t``, so its sinks (a JSONL file, ``conformance``)
@@ -414,29 +415,21 @@ class LiveCluster:
                      incarnation: int = 0) -> dict:
         """What one node process is told: the deployment's config, whole,
         plus the facts only the coordinator knows about this process."""
-        runtime_dir = str(self.runtime_dir)
         suffix = f"-r{incarnation}" if incarnation else ""
-        cfg = {
+        return {
             "config": self.config.to_json(),
             "index": index,
             "control": control,
-            "runtime_dir": runtime_dir,
-            "trace": str(Path(runtime_dir)
-                         / f"trace-{index}{suffix}.jsonl"),
+            "runtime_dir": str(self.runtime_dir),
+            "trace": str(self.runtime_dir / f"trace-{index}{suffix}.jsonl"),
             "incarnation": incarnation,
         }
-        cfg.update(self.node_overrides.get(index, {}))
-        return cfg
 
     def _log_tails(self) -> str:
         """Last lines of every node log — the post-mortem on failure."""
         pieces = []
         for path in sorted((self.runtime_dir or Path(".")).glob("node-*.log")):
-            try:
-                lines = path.read_text(errors="replace").splitlines()
-            except OSError:
-                continue
-            tail = "\n".join(lines[-_LOG_TAIL_LINES:])
+            tail = _log_tail(path)
             if tail.strip():
                 pieces.append(f"--- {path.name} ---\n{tail}")
         return "\n".join(pieces) if pieces else "(node logs empty)"
@@ -456,7 +449,6 @@ class LiveCluster:
         cfg_path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
         proc = await self._guarded(self._node_server.spawn(
             cfg_path, self.runtime_dir / f"node-{index}{suffix}.log"))
-        self._procs.append(proc)
         self._procs_by_index[index] = proc
         self._trace_paths.setdefault(index, []).append(cfg["trace"])
         self._watchers.append(asyncio.create_task(
@@ -507,35 +499,47 @@ class LiveCluster:
         self._finished.add(index)
         return result
 
-    async def _admit(self, index: int, *, deadline: float,
-                     rounds: int) -> None:
-        """hello -> peers -> ready -> start for one (re)spawned node."""
-        sub = self.config.substrate
-        hello_index, address, stream, writer = await self._guarded(
-            asyncio.wait_for(self._hello_queue.get(),
-                             timeout=sub.connect_timeout))
-        if hello_index != index:
-            raise ControlError(
-                f"expected hello from respawned node {index}, "
-                f"got node {hello_index}")
-        self._writers.append(writer)
-        self._node_writers[index] = writer
-        self._addresses[str(index)] = address
-        await send_message(writer, {"type": "peers",
-                                    "addresses": self._addresses,
-                                    "neighbors": self._neighbors})
-        ready = await self._guarded(stream.expect(
-            "ready", timeout=sub.connect_timeout))
-        self.startup[index] = ready["startup"]
-        self._expected_dead.discard(index)
-        await send_message(writer, dict(self._start_message,
-                                        deadline=deadline, rounds=rounds))
-        self._collectors[index] = asyncio.create_task(
-            self._collect(index, stream, deadline),
-            name=f"collect-{index}-respawn")
+    async def _admit(self, indices: Sequence[int], start: dict) -> None:
+        """hello -> peers -> ready -> start for a batch of (re)spawned
+        nodes: the whole cluster at boot, one victim at its respawn.
 
-    async def _crash_timeline(self, *, control, deadline: float,
-                              rounds: int) -> None:
+        Scenario t=0 is pinned on the first batch *before* its start
+        broadcast: every node's clock origin is therefore strictly
+        later, so node timestamps always trail coordinator-measured kill
+        times — the invariant the merged-trace event ordering rests on.
+        """
+        timeout = self.config.substrate.connect_timeout
+        streams: dict[int, MessageStream] = {}
+        for _ in indices:
+            index, address, stream, writer = await self._guarded(
+                asyncio.wait_for(self._hello_queue.get(), timeout=timeout))
+            if index not in indices:
+                raise ControlError(f"unexpected hello from node {index} "
+                                   f"(admitting {list(indices)})")
+            streams[index] = stream
+            self._writers.append(writer)
+            self._node_writers[index] = writer
+            self._addresses[str(index)] = address
+        peers = {"type": "peers", "addresses": self._addresses,
+                 "neighbors": self._neighbors}
+        for index in indices:
+            await send_message(self._node_writers[index], peers)
+        for index in indices:
+            ready = await self._guarded(streams[index].expect(
+                "ready", timeout=timeout))
+            self.startup[index] = ready["startup"]
+            self._expected_dead.discard(index)
+        if not self._started:
+            self._anchor = asyncio.get_running_loop().time()
+            self._started = True
+        for index in indices:
+            await send_message(self._node_writers[index], start)
+        for index in indices:
+            self._collectors[index] = asyncio.create_task(
+                self._collect(index, streams[index], start["deadline"]),
+                name=f"collect-{index}")
+
+    async def _crash_timeline(self, control, start: dict) -> None:
         """SIGKILL scripted victims; respawn + re-admit on window end."""
         actions = sorted(
             (action for action in self.faults if action.kind == "crash"),
@@ -570,7 +574,7 @@ class LiveCluster:
                 incarnation = len(self._trace_paths[index])
                 await self._spawn(index, control,
                                   incarnation=incarnation, extra=extra)
-                await self._admit(index, deadline=deadline, rounds=rounds)
+                await self._admit([index], start)
 
     async def _run(self, rounds: int, time_limit: float | None) -> None:
         sub = self.config.substrate
@@ -582,12 +586,21 @@ class LiveCluster:
         self._abort: asyncio.Future = loop.create_future()
         self._started = False
         self._hello_queue: asyncio.Queue = asyncio.Queue()
-        self._procs: list[_NodeHandle] = []
         self._procs_by_index: dict[int, _NodeHandle] = {}
         self._watchers: list[asyncio.Task] = []
         self._writers: list[asyncio.StreamWriter] = []
         self._node_writers: dict[int, asyncio.StreamWriter] = {}
         self._collectors: dict[int, asyncio.Task] = {}
+        self._addresses: dict[str, object] = {}
+        deadline = (time_limit
+                    or self.config.params.round_budget * (rounds + 1))
+        start = {
+            "type": "start",
+            "payments": [list(batch) for batch in self._payments],
+            "rounds": rounds,
+            "deadline": deadline,
+            "faults": [action.to_dict() for action in self.faults],
+        }
 
         async def on_connect(reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
@@ -631,51 +644,9 @@ class LiveCluster:
             for i in range(n):
                 await self._spawn(i, control)
 
-            self._addresses = {}
-            streams: dict[int, MessageStream] = {}
-            for _ in range(n):
-                index, address, stream, writer = await self._guarded(
-                    asyncio.wait_for(self._hello_queue.get(),
-                                     timeout=sub.connect_timeout))
-                streams[index] = stream
-                self._writers.append(writer)
-                self._node_writers[index] = writer
-                self._addresses[str(index)] = address
-            for index in range(n):
-                await send_message(self._node_writers[index],
-                                   {"type": "peers",
-                                    "addresses": self._addresses,
-                                    "neighbors": self._neighbors})
-            for index in range(n):
-                ready = await self._guarded(streams[index].expect(
-                    "ready", timeout=sub.connect_timeout))
-                self.startup[index] = ready["startup"]
-
-            deadline = (time_limit
-                        or self.config.params.round_budget * (rounds + 1))
-            self._start_message = {
-                "type": "start",
-                "payments": [list(batch) for batch in self._payments],
-                "rounds": rounds,
-                "deadline": deadline,
-                "faults": [action.to_dict() for action in self.faults],
-            }
-            # Scenario t=0 is pinned *before* the start broadcast: every
-            # node's clock origin is therefore strictly later, so node
-            # timestamps always trail coordinator-measured kill times —
-            # the invariant the merged-trace event ordering rests on.
-            self._anchor = loop.time()
-            self._started = True
-            for index in range(n):
-                await send_message(self._node_writers[index],
-                                   self._start_message)
-            for index in range(n):
-                self._collectors[index] = asyncio.create_task(
-                    self._collect(index, streams[index], deadline),
-                    name=f"collect-{index}")
+            await self._admit(range(n), start)
             timeline = asyncio.create_task(
-                self._crash_timeline(control=control, deadline=deadline,
-                                     rounds=rounds),
+                self._crash_timeline(control, start),
                 name="crash-timeline")
             await self._guarded(timeline)
             results: dict[int, dict] = {}
@@ -690,7 +661,8 @@ class LiveCluster:
                     continue
                 with contextlib.suppress(Exception):
                     await send_message(writer, {"type": "stop"})
-            live_procs = [p for p in self._procs if p.returncode is None]
+            live_procs = [p for p in self._node_server.nodes.values()
+                          if p.returncode is None]
             await asyncio.wait_for(
                 asyncio.gather(*(p.wait() for p in live_procs)),
                 timeout=30.0)

@@ -335,19 +335,18 @@ class NodeProcess:
 
     async def run(self) -> None:
         cfg = self.cfg
-        if cfg.get("exit_at_start"):
-            # Test hook (fail-fast orchestration): die before hello.
-            print(f"node {self.index}: exit_at_start requested",
-                  file=sys.stderr, flush=True)
-            raise SystemExit(17)
         timeout = self.config.substrate.connect_timeout
         address = await self._listen()
-        if self.config.substrate.transport == "uds":
-            reader, writer = await asyncio.open_unix_connection(
-                cfg["control"])
-        else:
-            reader, writer = await asyncio.open_connection(
-                cfg["control"][0], cfg["control"][1])
+        try:
+            if self.config.substrate.transport == "uds":
+                reader, writer = await asyncio.open_unix_connection(
+                    cfg["control"])
+            else:
+                reader, writer = await asyncio.open_connection(
+                    cfg["control"][0], cfg["control"][1])
+        except OSError as error:
+            raise ControlError(f"node {self.index}: no coordinator at "
+                               f"{cfg['control']}: {error}") from None
         control = MessageStream(reader)
         await send_message(writer, {"type": "hello", "index": self.index,
                                     "address": address})

@@ -35,8 +35,9 @@ from repro.obs.sink import read_trace
 _STEP_ORDER = {"reduction_one": -2, "reduction_two": -1, "final": 1000}
 
 
-def _table(headers: list[str], rows: list[list[object]]) -> str:
-    """Fixed-width ASCII table (stdlib clone of experiments.metrics)."""
+def format_table(headers: list[str], rows: list[list[object]]) -> str:
+    """Fixed-width ASCII table: this report's sections, and the
+    experiments CLI's, which prints them next to the paper's numbers."""
     columns = [[str(header)] + [str(row[i]) for row in rows]
                for i, header in enumerate(headers)]
     widths = [max(len(cell) for cell in column) for column in columns]
@@ -136,7 +137,7 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
     segment_rows = round_segments(events)
     sections.append("== Per-round segments (seconds, mean across nodes) ==")
     if segment_rows:
-        sections.append(_table(
+        sections.append(format_table(
             ["round", "nodes", "proposal", "ba_star", "final_step", "total",
              "final/tentative", "empty"],
             [[r["round"], r["nodes"], f"{r['proposal_s']:.3f}",
@@ -151,7 +152,7 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
     step_rows = step_timings(events)
     sections.append("\n== BA* step timings ==")
     if step_rows:
-        sections.append(_table(
+        sections.append(format_table(
             ["step", "samples", "threshold", "timeout", "interrupted",
              "mean_s", "max_s"],
             [[r["step"], r["samples"], r["threshold_reached"], r["timeouts"],
@@ -164,7 +165,7 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
     traffic_rows = traffic_by_kind(counters)
     sections.append("\n== Message traffic by kind ==")
     if traffic_rows:
-        sections.append(_table(
+        sections.append(format_table(
             ["kind", "sent", "sent_bytes", "recv", "recv_bytes", "relayed"],
             [[r["kind"], r["sent"], r["sent_bytes"], r["recv"],
               r["recv_bytes"], r["relayed"]] for r in traffic_rows]))
@@ -235,7 +236,7 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
                          f"evicted / "
                          f"{counters.get('admission.egress_dropped', 0)} "
                          f"lane-dropped"])
-        sections.append(_table(["subsystem", "volume", "detail"], rows))
+        sections.append(format_table(["subsystem", "volume", "detail"], rows))
 
     return "\n".join(sections)
 

@@ -27,7 +27,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.adversarial import adversarial_spec
 from repro.experiments.latency import flatness, latency_spec
-from repro.experiments.metrics import LatencySummary, format_table
+from repro.experiments.metrics import LatencySummary
 from repro.experiments.sweep import run_point
 from repro.experiments.throughput import (
     block_size_spec,
@@ -35,6 +35,7 @@ from repro.experiments.throughput import (
     throughput_table,
 )
 from repro.experiments.timeouts import measure_priority_gossip
+from repro.obs.report import format_table
 
 
 class TestLatencySummary:

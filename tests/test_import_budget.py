@@ -12,8 +12,9 @@ test imported can mask a regression:
 * ``repro.live.node_main`` loads none of ``repro.experiments``,
   ``repro.baselines``, ``repro.analysis`` and stays under a recorded
   module ceiling;
-* a live coordinator starts its node server before it loads numpy or
-  any of the node stack, so the two imports overlap;
+* a live coordinator, the chaos CLI's included, starts its node server
+  before it loads numpy or any of the node stack, so the two imports
+  overlap;
 * the lazy package surfaces still resolve every public name, and the
   CLIs behind them still start.
 """
@@ -130,6 +131,34 @@ class TestRuntimeStackIsNumpyOnly:
         assert "repro.live.cluster" in modules
         early = [name for name in ("numpy", "repro.node.agent",
                                    "repro.network.wire")
+                 if name in modules]
+        assert early == []
+
+    def test_chaos_cli_starts_the_node_server_before_the_node_stack(
+            self, tmp_path):
+        """The same order from ``python -m repro.chaos --substrate live``:
+        building the spec and checking it load no part of the node
+        stack, and the measure is imported only once the run is over."""
+        runtime_dir = str(tmp_path / "rt")
+        modules = json.loads(run_python("-c", "\n".join([
+            "import asyncio, json, sys",
+            "from repro.chaos.__main__ import main",
+            "seen = []",
+            "async def spawn(*args, **kwargs):",
+            "    seen.append(sorted(sys.modules))",
+            "    raise OSError('spawn recorded')",
+            "asyncio.create_subprocess_exec = spawn",
+            "try:",
+            "    main(['--builtin', 'clean', '--substrate', 'live',",
+            f"          '--users', '5', '--runtime-dir', {runtime_dir!r}])",
+            "except RuntimeError as error:",
+            "    assert 'spawn recorded' in str(error), error",
+            "print(json.dumps(seen[0]))",
+        ])).stdout.splitlines()[-1])
+        assert "repro.live.cluster" in modules
+        early = [name for name in ("numpy", "repro.node.agent",
+                                   "repro.network.wire",
+                                   "repro.experiments.harness")
                  if name in modules]
         assert early == []
 

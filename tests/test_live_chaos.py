@@ -93,11 +93,10 @@ def _config(runtime_dir, seed: int = 7, **groups) -> SimulationConfig:
     )
 
 
-def _run(runtime_dir, faults, *, seed: int = 7, node_overrides=None,
-         rounds: int = ROUNDS, **groups) -> LiveCluster:
+def _run(runtime_dir, faults, *, seed: int = 7, rounds: int = ROUNDS,
+         **groups) -> LiveCluster:
     cluster = LiveCluster(_config(runtime_dir, seed=seed, **groups),
-                          faults=faults, node_overrides=node_overrides,
-                          obs=TraceBus())
+                          faults=faults, obs=TraceBus())
     cluster.submit_payments(6)
     cluster.run_rounds(rounds, time_limit=120.0)
     return cluster
@@ -385,16 +384,27 @@ class TestOneMeasureOnBothSubstrates:
 
 
 class TestFailFastOrchestration:
-    def test_node_dying_at_startup_aborts_with_log_tail(self, tmp_path):
-        cluster = LiveCluster(
-            _config(tmp_path),
-            node_overrides={1: {"exit_at_start": True}})
+    def test_node_dying_at_startup_aborts_with_log_tail(
+            self, tmp_path, monkeypatch):
+        # Node 1 is told a control address that does not exist, so it
+        # dies before its hello.
+        missing = str(tmp_path / "no-such-control.sock")
+        node_config = LiveCluster._node_config
+
+        def misdirect(self, index, control, **kwargs):
+            cfg = node_config(self, index, control, **kwargs)
+            if index == 1:
+                cfg["control"] = missing
+            return cfg
+
+        monkeypatch.setattr(LiveCluster, "_node_config", misdirect)
+        cluster = LiveCluster(_config(tmp_path))
         with pytest.raises(RuntimeError) as excinfo:
             cluster.run_rounds(2, time_limit=30.0)
         message = str(excinfo.value)
         assert "node 1" in message
         # The abort must attach the victim's log tail, not just the rc.
-        assert "exit_at_start" in message
+        assert missing in message
 
     def test_scripted_permanent_crash_is_not_an_abort(self, tmp_path):
         cluster = LiveCluster(
@@ -463,7 +473,7 @@ class TestNodeServer:
         cluster.submit_payments(2)
         cluster.run_rounds(2, time_limit=60.0)
         assert cluster.all_chains_equal()
-        pids = {proc.pid for proc in cluster._procs}
+        pids = set(cluster._node_server.nodes)
         assert len(pids) == NODES
         # The server's atexit hooks never run: no mark of its own.
         assert {int(path.stem) for path in marks.glob("*.exit")} == pids
@@ -512,7 +522,7 @@ class TestNodeServer:
                 in message)
         assert "interpreter started by the exit hook" in message
         assert aborted_after < cluster.config.substrate.connect_timeout
-        pids = [proc.pid for proc in cluster._procs]
+        pids = list(cluster._node_server.nodes)
         assert len(pids) == (1 if when == "before-spawn" else NODES)
         assert all(_gone(pid) for pid in pids), pids
 

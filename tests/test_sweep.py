@@ -10,7 +10,6 @@ errors.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import multiprocessing
 import pickle
@@ -291,13 +290,17 @@ class TestSweepEngine:
 
 # ---------------------------------------------------------------------
 # Crash / timeout handling: test-only measures in the one measure table,
-# which a forked worker inherits.
+# by dotted path; a forked worker inherits the table and this module.
 # ---------------------------------------------------------------------
 
+#: ``(marker_dir, crash_times)`` of the registered ``_test_crash``.
+_CRASHES: tuple[str, int] = ("", 0)
 
-def _crash_measure(marker_dir, crash_times, sim, spec):
+
+def _crash_measure(sim, spec):
     """Crashes the worker until ``crash_times`` attempts have passed."""
     import os
+    marker_dir, crash_times = _CRASHES
     attempts_file = os.path.join(marker_dir, "attempts")
     attempts = 0
     if os.path.exists(attempts_file):
@@ -324,8 +327,9 @@ class TestCrashAndTimeout:
     @pytest.fixture
     def crashes(self, monkeypatch, tmp_path):
         def register(times: int) -> None:
-            monkeypatch.setitem(MEASURES, "_test_crash", functools.partial(
-                _crash_measure, str(tmp_path), times))
+            monkeypatch.setattr(f"{__name__}._CRASHES", (str(tmp_path), times))
+            monkeypatch.setitem(MEASURES, "_test_crash",
+                                f"{__name__}._crash_measure")
         return register
 
     def test_retry_once_recovers_from_crash(self, crashes):
@@ -347,7 +351,8 @@ class TestCrashAndTimeout:
         assert latency.ok  # one bad point never sinks the sweep
 
     def test_timeout_kills_and_records(self, monkeypatch):
-        monkeypatch.setitem(MEASURES, "_test_sleep", _sleep_measure)
+        monkeypatch.setitem(MEASURES, "_test_sleep",
+                            f"{__name__}._sleep_measure")
         report = run_sweep([ExperimentSpec("_test_sleep", TINY_CONFIG, 1)],
                            jobs=1, timeout=0.5, retries=0)
         outcome = report.outcomes[0]
