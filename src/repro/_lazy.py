@@ -5,9 +5,12 @@ A package ``__init__`` that imports every public name eagerly makes
 a live node process used to load every figure runner and the
 scipy-backed baselines to run a stack that names none of them, and a
 live coordinator the whole node stack before it could start the node
-server that imports it too. Every package of ``repro`` instead declares
-which submodule defines each public name and resolves a name the first
-time it is asked for::
+server that imports it too. So a package ``__init__`` imports nothing.
+Most are their docstring alone: their names are imported from the
+modules that define them. The five that something outside the tests
+imports through — ``repro``, ``repro.chaos``, ``repro.experiments``,
+``repro.obs`` and ``repro.sortition`` — declare which submodule defines
+each public name and resolve a name the first time it is asked for::
 
     __getattr__, __dir__ = lazy_exports(__name__, {
         "repro.experiments.harness": ("Simulation", "SimulationConfig"),

@@ -24,35 +24,3 @@ always checks its merged trace with one (no node process checks its
 own); chaos verdicts are rendered from that monitor on either
 substrate.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
-    from repro.conformance.machine import (
-        ClusterMachine, NodeMachine, OUTCOME_RULES, PROTOCOL_EVENT_KINDS,
-        Violation, step_order,
-    )
-    from repro.conformance.monitor import (
-        ConformanceMonitor, ConformanceVerdict,
-    )
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.conformance.machine": (
-        "ClusterMachine", "NodeMachine", "OUTCOME_RULES",
-        "PROTOCOL_EVENT_KINDS", "Violation", "step_order",
-    ),
-    "repro.conformance.monitor": ("ConformanceMonitor", "ConformanceVerdict"),
-})
-
-__all__ = [
-    "ClusterMachine",
-    "ConformanceMonitor",
-    "ConformanceVerdict",
-    "NodeMachine",
-    "OUTCOME_RULES",
-    "PROTOCOL_EVENT_KINDS",
-    "Violation",
-    "step_order",
-]

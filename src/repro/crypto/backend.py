@@ -59,6 +59,10 @@ class CryptoBackend(ABC):
         self.verifies = 0
         self.vrf_proves = 0
         self.vrf_verifies = 0
+        #: The sortition tallies of the selections made with this
+        #: backend (``sortition.*``), one deployment's: made by
+        #: :func:`repro.sortition.selection.selection_stats` on first use.
+        self.selection = None
 
     @abstractmethod
     def keypair(self, seed: bytes) -> KeyPair:

@@ -36,7 +36,6 @@ from repro.common.errors import SpecError
 from repro.common.params import PAPER_PARAMS
 from repro.experiments.adversarial import adversarial_spec, figure8_specs
 from repro.experiments.costs import costs_spec, expected_certificate_bytes
-from repro.experiments.harness import PopulationConfig
 from repro.experiments.latency import figure5_specs, figure6_specs, latency_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import PointOutcome, SweepReport, run_sweep
@@ -49,6 +48,7 @@ from repro.experiments.throughput import (
 )
 from repro.experiments.timeouts import measure_priority_gossip, timeouts_spec
 from repro.experiments.waiting import waiting_spec, waiting_specs
+from repro.node.config import PopulationConfig
 from repro.obs.report import format_table
 
 

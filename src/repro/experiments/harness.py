@@ -29,13 +29,7 @@ from repro.network.gossip import GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
 from repro.node.agent import Node
 from repro.node.catchup import ChainSync
-from repro.node.config import (  # noqa: F401  (re-exported API)
-    NetworkConfig,
-    PopulationConfig,
-    RuntimeConfig,
-    SimulationConfig,
-    SubstrateConfig,
-)
+from repro.node.config import SimulationConfig
 from repro.node.deployment import (
     NodeRun,
     RunOutcome,
@@ -49,7 +43,6 @@ from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.loop import Environment
-from repro.sortition.selection import SELECTION_STATS
 
 
 class Simulation:
@@ -79,13 +72,6 @@ class Simulation:
             obs.add_harvester(lambda bus: self._harvest(bus.metrics))
             self.conformance = ConformanceMonitor(registry=obs.metrics)
             obs.add_sink(self.conformance)
-        self._selection_baseline = SELECTION_STATS.as_dict()
-        # Captured at the end of each run_rounds: the process-global
-        # sortition tallies keep growing across simulations, so the
-        # per-run delta must be frozen while this sim is the only one
-        # that has touched them (snapshot determinism depends on it).
-        self._selection_delta = SELECTION_STATS.delta_since(
-            self._selection_baseline)
         self.backend = backend if backend is not None else FastBackend()
         self.rng = np.random.default_rng(config.seed)
         self.registry = BlockRegistry()
@@ -213,8 +199,6 @@ class Simulation:
             # not silent truncation.
             limit = self.config.params.round_budget * (rounds + 1)
         self.env.run(until=limit, stop_when=lambda: not pending)
-        self._selection_delta = SELECTION_STATS.delta_since(
-            self._selection_baseline)
         if len(self.nodes) < self.population.num_accounts:
             # A round that runs deeper than steps_ahead has dormant
             # later-step committees; the core then exhausts MaxSteps and
@@ -290,7 +274,6 @@ class Simulation:
         for name, value in self.population.stats().items():
             gauges["population." + name] = value
         harvest(metrics, clock=self.env, backend=self.backend,
-                sortition=self._selection_delta,
                 agents=self.population.agent_counters(),
                 conformance=self.conformance, counters=counters,
                 gauges=gauges)

@@ -26,25 +26,3 @@ Entry points:
 Wall-clock numbers from this substrate are **not comparable** to the
 virtual-time numbers from ``repro.sim`` — see ``docs/LIVE_MODE.md``.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
-    from repro.live.clock import LiveClock
-    from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
-    from repro.live.transport import LiveTransport
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.live.clock": ("LiveClock",),
-    "repro.live.cluster": ("LIVE_SMOKE_PARAMS", "LiveCluster"),
-    "repro.live.transport": ("LiveTransport",),
-})
-
-__all__ = [
-    "LiveClock",
-    "LiveCluster",
-    "LiveTransport",
-    "LIVE_SMOKE_PARAMS",
-]

@@ -750,10 +750,12 @@ class LiveCluster:
         with synthesized crash events at the measured kill times, and
         followed by their respawn's events; scripted faults contribute
         one ``fault_applied``/``fault_cleared`` pair each, mirroring
-        the sim injector. The merged snapshot is every trace's own
-        folded by the one rule, losses included (what completeness
-        checks read); a bus, if any, replays the same records and
-        counts the same losses.
+        the sim injector. A node that wrote no file merges as empty;
+        any other bad line, and a cut last line of an incarnation that
+        was not killed, raises the ``ValueError`` of
+        :func:`~repro.obs.sink.read_trace`, which names the file. The
+        merged snapshot is every trace's own folded by the one rule; a
+        bus, if any, replays the same records.
         """
         from repro.node.deployment import fold_snapshots
 
@@ -767,8 +769,8 @@ class LiveCluster:
             for incarnation, path in enumerate(self._trace_paths[index]):
                 try:
                     node_events, snapshot = read_trace(
-                        path, tolerate_truncation=True)
-                except (OSError, ValueError):
+                        path, tolerate_truncation=incarnation < len(kills))
+                except FileNotFoundError:
                     node_events, snapshot = [], None
                 events.extend(node_events)
                 snapshots.append(snapshot or {})

@@ -78,7 +78,6 @@ from repro.node.deployment import (
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink
-from repro.sortition.selection import SELECTION_STATS
 
 #: Wall time at which the imports above finished.
 _IMPORTED_AT = time.time()
@@ -276,8 +275,6 @@ class NodeProcess:
         gauges["live.max_lag_s"] = self.clock.max_lag
         harvest(bus.metrics, clock=self.clock,
                 backend=self.chain_sync.node.backend,
-                # One stack per process: the process-wide tallies are its.
-                sortition=SELECTION_STATS.as_dict(),
                 agents=node_counters(self.chain_sync.node), gauges=gauges)
 
     def _startup_report(self, build_began: float) -> dict:

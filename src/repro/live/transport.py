@@ -203,7 +203,7 @@ class PeerLink(asyncio.Protocol):
 class LiveTransport(RelayCore):
     """The live byte-mover: a node's gossip attachment over real sockets.
 
-    Satisfies :class:`repro.substrate.Transport` through the
+    Satisfies :class:`repro.substrate.api.Transport` through the
     :class:`~repro.network.gossip.RelayCore` it shares with the sim.
     """
 

@@ -40,6 +40,7 @@ from repro.node.agent import Node
 from repro.node.metrics import RoundRecord
 from repro.node.registry import BlockRegistry
 from repro.runtime.damping import attach_damping
+from repro.sortition.selection import selection_stats
 
 if TYPE_CHECKING:
     from repro.node.config import SimulationConfig
@@ -161,16 +162,16 @@ def fold_snapshots(snapshots) -> dict:
 
 
 def harvest(metrics, *, clock, backend: CryptoBackend,
-            sortition: dict[str, int], agents: dict[str, int],
-            conformance=None, counters: dict | None = None,
+            agents: dict[str, int], conformance=None,
+            counters: dict | None = None,
             gauges: dict | None = None) -> None:
     """Write a node stack's runtime numbers into ``metrics``.
 
     The one reader both substrates register on their bus: the kernel's
     ``simloop.*`` (a live clock is the same kernel), the operations the
-    crypto backend performed (``crypto.*``), this run's sortition
-    tallies, the folded ``agents`` (:func:`node_counters`) and the
-    conformance monitor's — then the substrate's own
+    crypto backend performed (``crypto.*``) and the selections made with
+    it (``sortition.*``), the folded ``agents`` (:func:`node_counters`)
+    and the conformance monitor's — then the substrate's own
     ``counters``/``gauges`` (byte movers, population).
     """
     for name in ("events_processed", "immediates_processed", "batch_walks",
@@ -178,7 +179,7 @@ def harvest(metrics, *, clock, backend: CryptoBackend,
         metrics.set_gauge("simloop." + name, getattr(clock, name))
     for name in ("signs", "verifies", "vrf_proves", "vrf_verifies"):
         metrics.set_counter("crypto." + name, getattr(backend, name))
-    for name, value in sortition.items():
+    for name, value in selection_stats(backend).as_dict().items():
         metrics.set_counter("sortition." + name, value)
     for name, value in agents.items():
         if name.endswith(PEAKS):

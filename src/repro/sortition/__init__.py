@@ -13,8 +13,8 @@ if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
         SeedChain, fallback_seed, propose_seed, selection_round, verify_seed,
     )
     from repro.sortition.selection import (
-        SELECTION_STATS, SelectionStats, SortitionProof, selection_probability,
-        sortition, sub_users_selected, verify_sort,
+        SelectionStats, SortitionProof, selection_probability, sortition,
+        sub_users_selected, verify_sort,
     )
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -27,14 +27,12 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "verify_seed",
     ),
     "repro.sortition.selection": (
-        "SELECTION_STATS", "SelectionStats", "SortitionProof",
-        "selection_probability", "sortition", "sub_users_selected",
-        "verify_sort",
+        "SelectionStats", "SortitionProof", "selection_probability",
+        "sortition", "sub_users_selected", "verify_sort",
     ),
 })
 
 __all__ = [
-    "SELECTION_STATS",
     "SelectionStats",
     "SortitionProof",
     "sortition",

@@ -37,8 +37,8 @@ import numpy as np
 from repro.common.errors import SortitionError
 from repro.crypto.backend import CryptoBackend
 from repro.sortition.selection import (
-    SELECTION_STATS,
     SortitionProof,
+    selection_stats,
     sub_users_selected,
 )
 
@@ -128,7 +128,7 @@ def pool_select(backend: CryptoBackend, secrets: list[bytes],
         candidate_slots = np.flatnonzero(screened)
 
     winners: dict[int, SortitionProof] = {}
-    stats = SELECTION_STATS
+    stats = selection_stats(backend)
     for slot in candidate_slots:
         slot = int(slot)
         vrf_hash, vrf_proof = backend.vrf_prove(secrets[slot], alpha)

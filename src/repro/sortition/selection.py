@@ -175,12 +175,13 @@ def _start_below_mode(target: float, w: int, odds: float
 
 
 class SelectionStats:
-    """Process-wide sortition tallies (observability).
+    """One deployment's sortition tallies (observability).
 
     Plain int increments — negligible next to the VRF work each call
-    already does — so they stay always-on. The harness snapshots the
-    tuple at simulation start and reports per-run *deltas*, which keeps
-    the numbers correct when multiple simulations run in one process.
+    already does — so they stay always-on. They live on the
+    deployment's crypto backend (:func:`selection_stats`), which every
+    selection call is handed, so two deployments in one process count
+    apart.
     """
 
     __slots__ = ("proves", "prove_selected", "subusers_selected",
@@ -213,16 +214,17 @@ class SelectionStats:
             "pool_selected": self.pool_selected,
         }
 
-    def delta_since(self, baseline: dict[str, int]) -> dict[str, int]:
-        """Per-run view: counts accumulated since ``baseline``."""
-        current = self.as_dict()
-        return {name: current[name] - baseline.get(name, 0)
-                for name in current}
 
+def selection_stats(backend: CryptoBackend) -> SelectionStats:
+    """The tallies of every selection made with ``backend``.
 
-#: The process-wide tally every :func:`sortition`/:func:`verify_sort`
-#: call updates.
-SELECTION_STATS = SelectionStats()
+    Made on first use: :mod:`repro.crypto` knows nothing of sortition,
+    so the backend only reserves the attribute.
+    """
+    stats = backend.selection
+    if stats is None:
+        stats = backend.selection = SelectionStats()
+    return stats
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ def sortition(backend: CryptoBackend, secret: bytes, seed: bytes,
     """Algorithm 1: privately check selection for ``role`` under ``seed``."""
     vrf_hash, vrf_proof = backend.vrf_prove(secret, seed + role)
     j = sub_users_selected(vrf_hash, weight, tau, total_weight)
-    stats = SELECTION_STATS
+    stats = selection_stats(backend)
     stats.proves += 1
     if j > 0:
         stats.prove_selected += 1
@@ -260,7 +262,7 @@ def verify_sort(backend: CryptoBackend, public: bytes, vrf_hash: bytes,
     Returns the number of selected sub-users, or ``0`` if the proof is
     invalid or the user was not selected.
     """
-    stats = SELECTION_STATS
+    stats = selection_stats(backend)
     stats.verifies += 1
     try:
         expected_hash = backend.vrf_verify(public, vrf_proof, seed + role)

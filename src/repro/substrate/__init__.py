@@ -13,10 +13,11 @@ heap or a socket — they only ever used two object shapes:
   ``on_receive`` hook the node assigns: an arriving copy goes dedup →
   the node's hook (gate → router) → hold → forward).
 
-This module names that implicit seam as explicit
-:class:`typing.Protocol` types — :class:`Clock` and :class:`Transport`,
-plus :class:`Fabric`, the two link hooks fault injection is written
-against — so a second execution substrate is a *swap*, not a fork:
+:mod:`repro.substrate.api` names that implicit seam as explicit
+:class:`typing.Protocol` types — :class:`~repro.substrate.api.Clock` and
+:class:`~repro.substrate.api.Transport`, plus
+:class:`~repro.substrate.api.Fabric`, the two link hooks fault injection
+is written against — so a second execution substrate is a *swap*, not a fork:
 
 ========== ============================== ===========================
 substrate  clock                          transport
@@ -31,16 +32,3 @@ Both rows are checked against these protocols in
 ``tests/test_substrate.py``; the two transports share one relay core
 (``RelayCore``: dedup, receive order, counters) and are byte-movers.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:  # what tooling sees; at run time names resolve on demand
-    from repro.substrate.api import Clock, Fabric, Transport
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.substrate.api": ("Clock", "Fabric", "Transport"),
-})
-
-__all__ = ["Clock", "Fabric", "Transport"]

@@ -35,12 +35,8 @@ from repro.common.encoding import encode
 from repro.crypto.hashing import H
 from repro.common.params import LIVE_SMOKE_PARAMS
 from repro.experiments import sweep
-from repro.experiments.harness import (
-    NetworkConfig,
-    Simulation,
-    SimulationConfig,
-    SubstrateConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import NetworkConfig, SubstrateConfig
 from repro.ledger.block import Block
 from repro.live.clock import LiveClock
 from repro.live.transport import LiveTransport

@@ -21,11 +21,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.common.params import PAPER_PARAMS, TEST_PARAMS
-from repro.experiments.harness import (
-    NetworkConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import NetworkConfig
 
 
 def _gossiped_bytes(*, promiscuous: bool) -> int:

@@ -17,12 +17,8 @@ from repro.baplus.buffer import VoteBuffer
 from repro.baplus.messages import VoteMessage, make_vote
 from repro.common.errors import ConfigError
 from repro.crypto.hashing import H
-from repro.experiments.harness import (
-    NetworkConfig,
-    RuntimeConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import NetworkConfig, RuntimeConfig
 from repro.network.message import priority_envelope, vote_envelope
 from repro.node.deployment import node_counters
 from repro.node.proposal import PriorityMessage

@@ -14,11 +14,8 @@ from repro.chaos import (
     figure8_adversary,
     flood_recovery_scenario,
 )
-from repro.experiments.harness import (
-    RuntimeConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import RuntimeConfig
 from repro.node.deployment import node_counters
 from repro.obs import TraceBus
 from repro.obs.report import render_report

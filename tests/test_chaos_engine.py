@@ -27,12 +27,9 @@ from repro.chaos.faults import _WindowedLinkEffect
 from repro.chaos.runner import render_verdict
 from repro.chaos.scenario import last_heal_time, permanently_crashed
 from repro.common.errors import ConfigError
-from repro.conformance import ConformanceMonitor
-from repro.experiments.harness import (
-    PopulationConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.conformance.monitor import ConformanceMonitor
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import PopulationConfig
 from repro.experiments.spec import ExperimentSpec, spec_from_json
 from repro.experiments.sweep import run_point
 from repro.network.message import Envelope

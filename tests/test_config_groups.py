@@ -23,11 +23,11 @@ from repro.common.errors import (
     PopulationError,
 )
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import (
+from repro.experiments.harness import SimulationConfig
+from repro.node.config import (
     NetworkConfig,
     PopulationConfig,
     RuntimeConfig,
-    SimulationConfig,
     SubstrateConfig,
 )
 from repro.runtime.admission import AdmissionConfig

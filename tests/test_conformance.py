@@ -28,20 +28,16 @@ from pathlib import Path
 import pytest
 
 from repro.chaos import generate_scenario
-from repro.conformance import (
+from repro.conformance import machine as specification
+from repro.conformance.machine import (
     OUTCOME_RULES,
     ClusterMachine,
-    ConformanceMonitor,
     NodeMachine,
 )
-from repro.conformance import machine as specification
+from repro.conformance.monitor import ConformanceMonitor
 from repro.conformance.__main__ import main as conformance_main
-from repro.experiments.harness import (
-    PopulationConfig,
-    RuntimeConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import PopulationConfig, RuntimeConfig
 from repro.experiments.sweep import run_point
 from repro.obs import (
     EVENT_KINDS,

@@ -23,7 +23,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conformance import ConformanceMonitor, NodeMachine
+from repro.conformance.machine import NodeMachine
+from repro.conformance.monitor import ConformanceMonitor
 
 EXAMPLES = 200
 

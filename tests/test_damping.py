@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.baplus.messages import COIN_HASH_CEILING, coin_min_hash
 from repro.crypto.hashing import H
-from repro.experiments.harness import NetworkConfig, RuntimeConfig
+from repro.node.config import NetworkConfig, RuntimeConfig
 from repro.runtime.damping import RECOVERY_ROUND_BASE, DampingTally
 
 from tests.fixtures import run_sim, run_traced

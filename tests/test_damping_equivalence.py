@@ -29,11 +29,8 @@ from dataclasses import replace
 import pytest
 
 from repro.chaos import flood_recovery_scenario, partition_heal_scenario
-from repro.experiments.harness import (
-    NetworkConfig,
-    RuntimeConfig,
-    SimulationConfig,
-)
+from repro.experiments.harness import SimulationConfig
+from repro.node.config import NetworkConfig, RuntimeConfig
 from repro.experiments.spec import ExperimentSpec
 
 from tests.fixtures import assert_chains_byte_identical, run_chaos

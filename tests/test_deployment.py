@@ -26,13 +26,8 @@ import numpy as np
 import pytest
 
 from repro.crypto.backend import FastBackend
-from repro.experiments.harness import (
-    NetworkConfig,
-    RuntimeConfig,
-    Simulation,
-    SimulationConfig,
-    SubstrateConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import NetworkConfig, RuntimeConfig, SubstrateConfig
 from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster, gossip_neighbors
 from repro.live.node_main import NodeProcess
 from repro.node.deployment import NodeRun, derive_genesis, payment_plan

@@ -20,11 +20,8 @@ from repro.experiments.costs import (
     expected_certificate_bytes,
     measure_costs,
 )
-from repro.experiments.harness import (
-    NetworkConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import NetworkConfig
 from repro.experiments.adversarial import adversarial_spec
 from repro.experiments.latency import flatness, latency_spec
 from repro.experiments.metrics import LatencySummary

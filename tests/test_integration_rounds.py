@@ -13,11 +13,8 @@ from repro.baplus.certificate import verify_certificate
 from repro.baplus.context import BAContext
 from repro.baplus.protocol import FINAL
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import (
-    NetworkConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import NetworkConfig
 
 
 @pytest.fixture(scope="module")

@@ -331,6 +331,46 @@ class TestOneVocabulary:
         assert "node 1" in breach.detail and "65" in breach.detail
 
 
+class TestTraceMerge:
+    def test_a_malformed_node_trace_fails_the_run(self, tmp_path):
+        """Garbage before a trace's last line is no truncated write: the
+        merge fails naming the file instead of merging that node as if
+        it had traced nothing. A node that wrote no file is still
+        merged as empty."""
+        event = {"t": 0.5, "kind": "note", "node": 0}
+        record = json.dumps({"type": "event", **event})
+        good, bad = tmp_path / "node-0.jsonl", tmp_path / "node-1.jsonl"
+        good.write_text(record + "\n")
+        bad.write_text(record + "\nnot json\n" + record + "\n")
+        missing = str(tmp_path / "node-2.jsonl")
+        cluster = LiveCluster(_config(tmp_path))
+        cluster.runtime_dir = tmp_path
+        cluster._trace_paths = {0: [str(good)], 1: [str(bad)],
+                                2: [missing]}
+        with pytest.raises(ValueError, match="node-1.jsonl:2"):
+            cluster._merge_traces()
+        cluster._trace_paths = {0: [str(good)], 2: [missing]}
+        events, _ = read_trace(cluster._merge_traces())
+        assert events == [event]
+
+    def test_only_a_killed_incarnation_may_end_mid_record(self, tmp_path):
+        """A SIGKILL can cut a trace's last line; a node that exited on
+        its own closed its file, so a cut line there fails the merge."""
+        event = {"t": 0.5, "kind": "note", "node": 0}
+        cut = tmp_path / "node-0.jsonl"
+        cut.write_text(json.dumps({"type": "event", **event})
+                       + '\n{"type": "snap')
+        cluster = LiveCluster(_config(tmp_path))
+        cluster.runtime_dir = tmp_path
+        cluster._trace_paths = {0: [str(cut)]}
+        with pytest.raises(ValueError, match="node-0.jsonl:2"):
+            cluster._merge_traces()
+        cluster.kill_log = [{"node": 0, "t": 1.0}]
+        events, _ = read_trace(cluster._merge_traces())
+        assert event in events
+        assert any(record["kind"] == "node_crashed" for record in events)
+
+
 @pytest.fixture(scope="module")
 def reported(tmp_path_factory):
     """The live config and the ``result`` records its three processes

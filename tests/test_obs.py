@@ -196,6 +196,22 @@ class TestTracedSimulation:
         assert summary["sortition.verifies"] > 0
 
 
+def test_interleaved_simulations_count_their_own_sortitions():
+    """Sortition tallies belong to the run, not the process: a
+    simulation built before another one ran reports what it reports
+    alone."""
+    def tallies(sim: Simulation) -> dict:
+        return {name: value for name, value in sim.summary().items()
+                if name.startswith("sortition.")}
+
+    config = SimulationConfig(num_users=USERS, seed=SEED)
+    first, second = Simulation(config), Simulation(config)
+    first.run_rounds(ROUNDS)
+    second.run_rounds(ROUNDS)
+    assert tallies(first)["sortition.proves"] > 0
+    assert tallies(second) == tallies(first)
+
+
 class TestJsonlRoundTrip:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"

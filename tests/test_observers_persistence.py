@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.harness import (
-    NetworkConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import NetworkConfig
 from repro.experiments.sweep import run_point
 from repro.experiments.waiting import waiting_spec
 

@@ -29,11 +29,8 @@ import pytest
 from repro.baplus.buffer import VoteBuffer
 from repro.common.errors import PopulationError
 from repro.common.params import TEST_PARAMS
-from repro.experiments.harness import (
-    PopulationConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import PopulationConfig
 from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block
 from repro.ledger.transaction import make_transaction

@@ -17,13 +17,10 @@ import pytest
 from repro.chaos import FaultAction
 from repro.common.errors import NetworkError, SignatureError
 from repro.crypto.backend import FastBackend
-from repro.experiments.harness import (
-    PopulationConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import PopulationConfig
 from repro.network.message import Envelope
-from repro.runtime import MessageRouter
+from repro.runtime.router import MessageRouter
 
 from tests.fixtures import signed_vote
 
@@ -185,7 +182,7 @@ def _genesis_chain(sim: Simulation, node):
 def _sync(sim: Simulation, node):
     """A :class:`ChainSync` on the sim substrate: virtual clock, gossip
     interface — the object a live process runs, made deterministic."""
-    from repro.node import ChainSync
+    from repro.node.catchup import ChainSync
     return ChainSync(node)
 
 

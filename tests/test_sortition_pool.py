@@ -17,8 +17,8 @@ from repro.crypto.hashing import H
 from repro.common.encoding import encode
 from repro.sortition.pool import pool_fractions, pool_select
 from repro.sortition.selection import (
-    SELECTION_STATS,
     hash_to_fraction,
+    selection_stats,
     sortition,
 )
 
@@ -145,13 +145,12 @@ class TestStats:
         rng = np.random.default_rng(5)
         secrets, weights = make_pool(backend, 25, rng)
         total = int(weights.sum())
-        before = SELECTION_STATS.as_dict()
         result = pool_select(backend, secrets, weights, 8.0, total,
                              H(b"s"), b"r")
-        delta = SELECTION_STATS.delta_since(before)
-        assert delta["pool_evaluations"] == result.evaluated
-        assert delta["pool_candidates"] == result.candidates
-        assert delta["pool_selected"] == len(result.winners)
+        stats = selection_stats(backend)
+        assert stats.pool_evaluations == result.evaluated
+        assert stats.pool_candidates == result.candidates
+        assert stats.pool_selected == len(result.winners)
 
     def test_invalid_inputs_rejected(self):
         backend = FastBackend()

@@ -20,11 +20,8 @@ from typing import Callable
 import pytest
 
 from repro.common.encoding import encode
-from repro.experiments.harness import (
-    Simulation,
-    SimulationConfig,
-    SubstrateConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import SubstrateConfig
 from repro.live.clock import LiveClock
 from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
 from repro.live.node_main import NodeProcess
@@ -32,7 +29,7 @@ from repro.live.transport import MSG_ID_SEQ_BITS, LiveTransport, PeerLink
 from repro.network.message import Envelope
 from repro.network.framing import encode_frame
 from repro.network.wire import ENVELOPE_HEADER, encode_envelope
-from repro.substrate import Clock, Fabric, Transport
+from repro.substrate.api import Clock, Fabric, Transport
 
 from tests.fixtures import live_transport
 

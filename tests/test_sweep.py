@@ -31,12 +31,8 @@ from repro.common.params import TEST_PARAMS, ProtocolParams
 from repro.experiments import sweep as sweep_module
 from repro.experiments.adversarial import figure8_specs
 from repro.experiments.costs import costs_spec
-from repro.experiments.harness import (
-    NetworkConfig,
-    PopulationConfig,
-    Simulation,
-    SimulationConfig,
-)
+from repro.experiments.harness import Simulation, SimulationConfig
+from repro.node.config import NetworkConfig, PopulationConfig
 from repro.experiments.latency import (
     LatencyPoint,
     figure5_specs,

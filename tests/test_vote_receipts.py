@@ -41,7 +41,7 @@ from repro.node import catchup
 from repro.node.agent import history_context
 from repro.runtime.admission import RECOVERY_ROUND_BASE
 from repro.sortition.roles import FINAL_STEP, committee_role
-from repro.sortition.selection import SELECTION_STATS, sortition
+from repro.sortition.selection import selection_stats, sortition
 from tests.fixtures import signed_vote
 
 USERS = 8
@@ -115,12 +115,12 @@ class TestReceiptLifetime:
         ask()  # first sight: the backend checks
         backend = sim.backend
         traffic = (backend.verifies, backend.vrf_verifies,
-                   SELECTION_STATS.verifies)
+                   selection_stats(backend).verifies)
         ask()
         ask()
         # Not one backend check the second and third time.
         assert traffic == (backend.verifies, backend.vrf_verifies,
-                           SELECTION_STATS.verifies)
+                           selection_stats(backend).verifies)
         assert _receipts(vote) == {"_signing_payload", "_signature_valid",
                                    "_weight_receipt", "_coin_receipt"}
 
@@ -152,12 +152,12 @@ class TestReceiptLifetime:
                               ctx.total_weight)
         assert vote.committee_votes(sim.backend, ctx.seed, tau, weight,
                                     total) == j
-        before = SELECTION_STATS.verifies
+        before = selection_stats(sim.backend).verifies
         # Another seed: the proof no longer verifies -> no weight, and
         # certainly not the j remembered for the real seed.
         assert vote.committee_votes(sim.backend, H(b"other-seed"), tau,
                                     weight, total) == 0
-        assert SELECTION_STATS.verifies == before + 1
+        assert selection_stats(sim.backend).verifies == before + 1
         # A weight table in which the voter holds nothing.
         assert vote.committee_votes(sim.backend, ctx.seed, tau, 0,
                                     total) == 0
@@ -165,12 +165,12 @@ class TestReceiptLifetime:
         diluted = vote.committee_votes(sim.backend, ctx.seed, tau, weight,
                                        total * 10_000)
         assert diluted < j
-        assert SELECTION_STATS.verifies == before + 3
+        assert selection_stats(sim.backend).verifies == before + 3
         # Back in the real context the single slot was overwritten: one
         # recomputation, the same answer.
         assert vote.committee_votes(sim.backend, ctx.seed, tau, weight,
                                     total) == j
-        assert SELECTION_STATS.verifies == before + 4
+        assert selection_stats(sim.backend).verifies == before + 4
         assert vote.coin_hash(j) == coin_min_hash(vote.sorthash, j)
         assert vote.coin_hash(1) == coin_min_hash(vote.sorthash, 1)
 
@@ -201,7 +201,7 @@ class TestUndecidableVotesCarryNoWeight:
     def test_decidable_vote_is_weighed_exactly_once(self):
         sim = _sim()
         vote, j = _selected_vote(sim)
-        before = SELECTION_STATS.verifies
+        before = selection_stats(sim.backend).verifies
         assert self._deliver(sim, vote)
         ctx = sim.nodes[0]._current_context(1)
         assert vote.__dict__["_weight_receipt"] == (
@@ -211,7 +211,7 @@ class TestUndecidableVotesCarryNoWeight:
                            vote) == (j, vote.value, vote.sorthash)
         # admission -> handler -> damper -> process_msg: one VerifySort,
         # admission's, for this bare copy.
-        assert SELECTION_STATS.verifies == before + 1
+        assert selection_stats(sim.backend).verifies == before + 1
         junk = signed_vote(sim, 4, 1, "1")  # decidable, proof is junk
         assert not self._deliver(sim, junk)
         assert junk.__dict__["_weight_receipt"][-1] == 0
