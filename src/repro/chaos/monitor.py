@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chaos.scenario import attacker_nodes, permanently_crashed
+from repro.runtime.admission import EGRESS_LANE_BUDGET
 from repro.sortition.seed import accepted_seed
 
 
@@ -106,23 +107,22 @@ def audit_ingress(counters: dict[int, dict], config, *, now: float,
     numbers under registry names (its ``admission.buffer_high_water``),
     read the same way on either substrate; a node whose numbers carry
     ``admission.egress_high_water`` (only the sim has egress lanes) has
-    its lane held to its budget too. ``skip`` names the attacker nodes
+    its lane held to :data:`~repro.runtime.admission.EGRESS_LANE_BUDGET`
+    too. ``skip`` names the attacker nodes
     (their own buffers are not part of the robustness claim) plus
     permanently crashed ones.
     """
-    budgets = config.runtime.admission_budgets()
     bounds = (("vote-buffer", "admission.buffer_high_water",
-               budgets.vote_buffer_budget),
+               config.runtime.vote_buffer_budget),
               ("egress-lane", "admission.egress_high_water",
-               budgets.egress_lane_budget))
+               EGRESS_LANE_BUDGET))
     return [Violation(
                 invariant="ingress-bounds", t=now,
                 detail=(f"node {index}: {what} high water "
                         f"{numbers[name]} exceeded budget {budget}"))
             for what, name, budget in bounds
             for index, numbers in sorted(counters.items())
-            if index not in skip and budget
-            and numbers.get(name, 0) > budget]
+            if index not in skip and numbers.get(name, 0) > budget]
 
 
 def findings(outcome, spec) -> dict:

@@ -42,6 +42,7 @@ from repro.node.population import Population
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.admission import EGRESS_LANE_BUDGET
 from repro.sim.loop import Environment
 
 
@@ -90,9 +91,7 @@ class Simulation:
             self.env, total_nodes, self.rng, latency,
             peers_per_node=network_cfg.peers_per_node,
             bandwidth_bps=network_cfg.bandwidth_bps,
-            seen_horizon_rounds=network_cfg.seen_horizon_rounds,
-            lane_budget_msgs=(
-                config.runtime.admission_budgets().egress_lane_budget),
+            lane_budget_msgs=EGRESS_LANE_BUDGET,
             obs=obs,
             # No dormant stake, no active set: a core that covers
             # everyone builds every interface up front and draws peers

@@ -81,7 +81,12 @@ from repro.chaos.scenario import check_faults
 from repro.common.errors import ConfigError
 from repro.common.params import LIVE_SMOKE_PARAMS  # noqa: F401 (re-exported)
 from repro.conformance.monitor import ConformanceMonitor
-from repro.live.control import ControlError, MessageStream, send_message
+from repro.live.control import (
+    CONNECT_TIMEOUT,
+    ControlError,
+    MessageStream,
+    send_message,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import read_trace
 
@@ -508,11 +513,11 @@ class LiveCluster:
         later, so node timestamps always trail coordinator-measured kill
         times — the invariant the merged-trace event ordering rests on.
         """
-        timeout = self.config.substrate.connect_timeout
         streams: dict[int, MessageStream] = {}
         for _ in indices:
             index, address, stream, writer = await self._guarded(
-                asyncio.wait_for(self._hello_queue.get(), timeout=timeout))
+                asyncio.wait_for(self._hello_queue.get(),
+                                 timeout=CONNECT_TIMEOUT))
             if index not in indices:
                 raise ControlError(f"unexpected hello from node {index} "
                                    f"(admitting {list(indices)})")
@@ -526,7 +531,7 @@ class LiveCluster:
             await send_message(self._node_writers[index], peers)
         for index in indices:
             ready = await self._guarded(streams[index].expect(
-                "ready", timeout=timeout))
+                "ready", timeout=CONNECT_TIMEOUT))
             self.startup[index] = ready["startup"]
             self._expected_dead.discard(index)
         if not self._started:
@@ -607,7 +612,7 @@ class LiveCluster:
             stream = MessageStream(reader)
             try:
                 hello = await stream.expect("hello",
-                                            timeout=sub.connect_timeout)
+                                            timeout=CONNECT_TIMEOUT)
             except ControlError:
                 writer.close()
                 return

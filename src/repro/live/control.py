@@ -30,6 +30,11 @@ from repro.common.encoding import decode, encode
 from repro.network.framing import FrameDecoder, WireError, encode_frame
 
 
+#: Seconds a node waits for its peers and the coordinator, and the
+#: coordinator for a node, before giving up.
+CONNECT_TIMEOUT = 30.0
+
+
 class ControlError(WireError):
     """The control conversation broke (bad frame, early EOF)."""
 

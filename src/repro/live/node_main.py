@@ -61,7 +61,12 @@ from repro.common.encoding import decode, encode
 from repro.crypto.backend import FastBackend
 from repro.ledger.transaction import make_transaction
 from repro.live.clock import LiveClock
-from repro.live.control import ControlError, MessageStream, send_message
+from repro.live.control import (
+    CONNECT_TIMEOUT,
+    ControlError,
+    MessageStream,
+    send_message,
+)
 from repro.live.transport import LiveTransport, PeerLink
 from repro.network.framing import FrameDecoder, WireError, encode_frame
 from repro.node.agent import IDLE, Node
@@ -139,13 +144,9 @@ class NodeProcess:
         self.clock.now = float(cfg.get("clock_offset", 0.0))
         self.bus = TraceBus()
         self.bus.bind_clock(lambda: self.clock.now)
-        substrate = self.config.substrate
         self.transport = LiveTransport(
-            self.index, self.clock,
-            drain_budget=substrate.drain_budget,
-            rx_queue_limit=substrate.rx_queue_limit,
-            seen_horizon_rounds=self.config.network.seen_horizon_rounds,
-            incarnation=self.incarnation, obs=self.bus)
+            self.index, self.clock, incarnation=self.incarnation,
+            obs=self.bus)
         self.transport.on_link_down = self._ensure_redial
         self._links_complete = asyncio.Event()
         self._server: asyncio.base_events.Server | None = None
@@ -332,7 +333,6 @@ class NodeProcess:
 
     async def run(self) -> None:
         cfg = self.cfg
-        timeout = self.config.substrate.connect_timeout
         address = await self._listen()
         try:
             if self.config.substrate.transport == "uds":
@@ -347,7 +347,7 @@ class NodeProcess:
         control = MessageStream(reader)
         await send_message(writer, {"type": "hello", "index": self.index,
                                     "address": address})
-        peers = await control.expect("peers", timeout=timeout)
+        peers = await control.expect("peers", timeout=CONNECT_TIMEOUT)
         self._peer_addresses = {
             int(peer_key): peer_address
             for peer_key, peer_address in peers["addresses"].items()
@@ -367,13 +367,13 @@ class NodeProcess:
                 await self._dial_peer(peer, self._peer_addresses[peer])
         if self.num_nodes > 1 and not self.rejoin:
             await asyncio.wait_for(self._links_complete.wait(),
-                                   timeout=timeout)
+                                   timeout=CONNECT_TIMEOUT)
         build_began = time.time()
         node = self._build_node()
         await send_message(writer, {
             "type": "ready", "index": self.index,
             "startup": self._startup_report(build_began)})
-        start = await control.expect("start", timeout=timeout)
+        start = await control.expect("start", timeout=CONNECT_TIMEOUT)
         rounds: int = start["rounds"]
         deadline = (start.get("deadline")
                     or self.params.round_budget * (rounds + 1))

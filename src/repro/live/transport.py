@@ -27,8 +27,8 @@ are added:
   burned into peers' dedup sets.
 * **Bounded, budgeted ingestion** — socket readers append to a bounded
   receive queue and schedule a drain on the clock; each drain processes
-  at most ``drain_budget`` envelopes before rescheduling itself, so one
-  chatty peer cannot starve protocol timers.
+  at most :data:`DRAIN_BUDGET` envelopes before rescheduling itself, so
+  one chatty peer cannot starve protocol timers.
 
 Three optional attachment points ride on the link layer, all ``None``
 in a clean run:
@@ -59,7 +59,12 @@ from typing import Callable
 
 from repro.ledger.transaction import Transaction
 from repro.live.clock import LiveClock
-from repro.network.gossip import DropFilter, LinkShaper, RelayCore
+from repro.network.gossip import (
+    SEEN_HORIZON_ROUNDS,
+    DropFilter,
+    LinkShaper,
+    RelayCore,
+)
 from repro.network.framing import FrameDecoder, WireError, encode_frame
 from repro.network.message import Envelope
 from repro.network.wire import (
@@ -83,6 +88,12 @@ MSG_ID_SEQ_BITS = 40
 #: name a transaction among the link's last this-many ``tx`` frames.
 #: Also the size the transport's bytes -> instance map is pruned to.
 LINK_TX_WINDOW = 4096
+
+#: Max envelopes handed to the node per inbox-drain pass; the rest wait
+#: for the next, so one chatty peer cannot starve timers.
+DRAIN_BUDGET = 128
+#: Bound on a node's receive queue (oldest dropped beyond it).
+RX_QUEUE_LIMIT = 4096
 
 
 class SentTxs:
@@ -208,8 +219,9 @@ class LiveTransport(RelayCore):
     """
 
     def __init__(self, index: int, clock: LiveClock, *,
-                 drain_budget: int, rx_queue_limit: int,
-                 seen_horizon_rounds: int,
+                 drain_budget: int = DRAIN_BUDGET,
+                 rx_queue_limit: int = RX_QUEUE_LIMIT,
+                 seen_horizon_rounds: int = SEEN_HORIZON_ROUNDS,
                  incarnation: int = 0, obs=None) -> None:
         super().__init__(index, seen_horizon_rounds, obs)
         self.clock = clock

@@ -68,6 +68,9 @@ ReceiveHook = Callable[[Envelope, int], bool | None]
 #: Messages at or below this size use the urgent egress lane (votes,
 #: priority announcements, transactions) and never wait behind blocks.
 URGENT_MESSAGE_BYTES = 1500
+#: Rounds of duplicate-suppression memory a node keeps before its
+#: current generation, on both substrates (:class:`RelayCore`).
+SEEN_HORIZON_ROUNDS = 2
 
 
 def draw_peers(rng: np.random.Generator, eligible: list[int],
@@ -117,8 +120,11 @@ class RelayCore:
     unrelayed. Ids need only be unique, not ordered.
     """
 
-    def __init__(self, index: int, seen_horizon_rounds: int,
-                 obs: "TraceBus | None") -> None:
+    def __init__(self, index: int,
+                 seen_horizon_rounds: int = SEEN_HORIZON_ROUNDS,
+                 obs: "TraceBus | None" = None) -> None:
+        if seen_horizon_rounds < 1:
+            raise NetworkError("seen_horizon_rounds must be >= 1")
         self.index = index
         self.neighbors: list[int] = []
         #: The node's one hook (:data:`ReceiveHook`), asked once per
@@ -439,7 +445,7 @@ class GossipNetwork:
                  rng: np.random.Generator, latency_model: SupportsLatency,
                  peers_per_node: int = 4,
                  bandwidth_bps: float | None = 20e6,
-                 seen_horizon_rounds: int = 2,
+                 seen_horizon_rounds: int = SEEN_HORIZON_ROUNDS,
                  lane_budget_msgs: int | None = None,
                  obs: "TraceBus | None" = None,
                  active_indices: "list[int] | None" = None) -> None:
@@ -447,8 +453,6 @@ class GossipNetwork:
             raise NetworkError("gossip network needs at least 2 nodes")
         if peers_per_node < 1:
             raise NetworkError("peers_per_node must be >= 1")
-        if seen_horizon_rounds < 1:
-            raise NetworkError("seen_horizon_rounds must be >= 1")
         self.env = env
         #: Optional :class:`repro.obs.TraceBus`; when ``None`` (the
         #: default) every instrumentation site below reduces to one

@@ -72,6 +72,7 @@ from repro.network.message import (
     transaction_envelope,
     vote_envelope,
 )
+from repro.node.config import RuntimeConfig
 from repro.node.metrics import NodeMetrics, RoundRecord
 from repro.node.proposal import (
     PriorityMessage,
@@ -80,7 +81,7 @@ from repro.node.proposal import (
     make_priority_message,
 )
 from repro.node.registry import BlockRegistry, ContextKey
-from repro.runtime.admission import AdmissionConfig, AdmissionControl
+from repro.runtime.admission import AdmissionControl
 from repro.runtime.router import MessageRouter
 from repro.sim.loop import Environment, Timer
 from repro.sortition.roles import FINAL_STEP, proposer_role
@@ -168,7 +169,7 @@ class Node:
     def __init__(self, *, index: int, env: Environment, keypair: KeyPair,
                  backend: CryptoBackend, params: ProtocolParams,
                  chain: Blockchain, interface: NetworkInterface,
-                 registry: BlockRegistry, admission: AdmissionConfig,
+                 registry: BlockRegistry, runtime: RuntimeConfig,
                  index_of: AccountIndex | None = None, obs=None) -> None:
         self.index = index
         self.env = env
@@ -178,7 +179,7 @@ class Node:
         self.chain = chain
         self.interface = interface
         self.registry = registry
-        self.buffer = VoteBuffer(env, admission.vote_buffer_budget)
+        self.buffer = VoteBuffer(env, runtime.vote_buffer_budget)
         self.mempool = Mempool()
         self.metrics = NodeMetrics()
         #: Where this node stands: IDLE, PROPOSAL or BA within a round,
@@ -198,8 +199,8 @@ class Node:
         #: per key per step, section 8.4), and the round loop tells it of
         #: each commit so its per-round tables and peer-health decay stay
         #: in step.
-        self.admission = AdmissionControl(self, admission,
-                                          index_of=index_of)
+        self.admission = AdmissionControl(
+            self, runtime.flood_budget_per_round, index_of=index_of)
         #: Optional :class:`repro.runtime.damping.RelayDamper` installed
         #: by :func:`repro.runtime.damping.attach_damping`: consulted on
         #: every accepted vote to skip forwarding once the local tally

@@ -12,6 +12,11 @@ process boundary: a live node runs on the coordinator's config, not on
 defaults of its own. :func:`deploy` builds the harness
 ``config.substrate`` selects.
 
+A setting is here only if some workload turns it; what every
+deployment runs alike is a constant of the layer that reads it
+(:mod:`repro.runtime.admission`, :mod:`repro.network.gossip`,
+:mod:`repro.live.transport`, :mod:`repro.live.control`).
+
 The description loads no part of the node stack: a live coordinator
 holds a config and starts its node server before it imports anything a
 node runs (:mod:`repro.live.cluster`). What the substrates build *from*
@@ -31,7 +36,6 @@ from repro.common.errors import (
     PopulationError,
 )
 from repro.common.params import ProtocolParams, TEST_PARAMS
-from repro.runtime.admission import AdmissionConfig
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,6 @@ class NetworkConfig:
     #: "Algorand replaces gossip peers each round, which helps users
     #: recover from being possibly disconnected").
     reshuffle_peers_each_round: bool = False
-    #: Rounds of gossip duplicate-suppression memory per node, on both
-    #: substrates (:class:`repro.network.gossip.RelayCore`).
-    seen_horizon_rounds: int = 2
 
     def validate(self) -> None:
         if self.bandwidth_bps is not None and self.bandwidth_bps <= 0:
@@ -67,22 +68,18 @@ class NetworkConfig:
         if self.peers_per_node < 1:
             raise ConfigError(
                 f"peers_per_node must be >= 1, got {self.peers_per_node}")
-        if (not isinstance(self.seen_horizon_rounds, int)
-                or self.seen_horizon_rounds < 1):
-            raise ConfigError(
-                f"seen_horizon_rounds must be an integer >= 1, "
-                f"got {self.seen_horizon_rounds!r}")
 
 
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Runtime layers wrapped around every node."""
 
-    #: Budgets/weights of every node's message gate
-    #: (:mod:`repro.runtime.admission`: sortition-gated admission,
-    #: bounded vote buffers and egress lanes, peer health scoring and
-    #: local quarantine); defaults when ``None``.
-    admission: AdmissionConfig | None = None
+    #: Max undecided votes a node buffers (round-proximity eviction
+    #: past it; :class:`repro.baplus.buffer.VoteBuffer`).
+    vote_buffer_budget: int = 4096
+    #: Admitted votes per origin per round at a node's gate; crossing it
+    #: is the ``flood`` offense (honest traffic is ~1 vote per step).
+    flood_budget_per_round: int = 512
     #: Quorum-trimmed relay (:mod:`repro.runtime.damping`): every node
     #: stops forwarding votes for a ``(round, step, value)`` once its
     #: local tally crosses the step threshold. The agreed blocks,
@@ -90,11 +87,10 @@ class RuntimeConfig:
     relay_damping: bool = True
 
     def validate(self) -> None:
-        self.admission_budgets().validate()
-
-    def admission_budgets(self) -> AdmissionConfig:
-        """The admission budgets in force."""
-        return self.admission or AdmissionConfig()
+        for name in ("vote_buffer_budget", "flood_budget_per_round"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -152,21 +148,13 @@ class SubstrateConfig:
     transport: str = "uds"
     #: TCP host nodes bind and dial; UDS mode ignores it.
     host: str = "127.0.0.1"
-    #: TCP base port; 0 lets the OS assign ephemeral ports (the
-    #: coordinator distributes the resulting address map, so 0 is safe
-    #: and avoids collisions between concurrent clusters).
+    #: TCP base port (node ``i`` binds ``base_port + i``); 0 lets the OS
+    #: assign ephemeral ports (the coordinator distributes the address
+    #: map, so 0 avoids collisions between concurrent clusters).
     base_port: int = 0
     #: Directory for UDS sockets and control files; ``None`` uses a
     #: fresh temporary directory per cluster.
     runtime_dir: str | None = None
-    #: Seconds a node waits for peers/coordinator before giving up.
-    connect_timeout: float = 30.0
-    #: Max envelopes handed to the node per inbox-drain pass; arrivals
-    #: beyond it stay queued for the next pass so one chatty peer
-    #: cannot starve timers.
-    drain_budget: int = 128
-    #: Bound on the per-node receive queue (oldest dropped beyond it).
-    rx_queue_limit: int = 4096
 
     def validate(self) -> None:
         if self.kind not in ("sim", "live"):
@@ -180,16 +168,6 @@ class SubstrateConfig:
         if self.base_port < 0 or self.base_port > 65535:
             raise ConfigError(
                 f"base_port must be in [0, 65535], got {self.base_port}")
-        if self.connect_timeout <= 0:
-            raise ConfigError(
-                f"connect_timeout must be positive, "
-                f"got {self.connect_timeout}")
-        if self.drain_budget < 1:
-            raise ConfigError(
-                f"drain_budget must be >= 1, got {self.drain_budget}")
-        if self.rx_queue_limit < 1:
-            raise ConfigError(
-                f"rx_queue_limit must be >= 1, got {self.rx_queue_limit}")
 
 
 @dataclass
@@ -235,10 +213,7 @@ class SimulationConfig:
         """
         data = dict(record)
         data["params"] = ProtocolParams(**data["params"])
-        runtime = dict(data["runtime"])
-        if runtime["admission"] is not None:
-            runtime["admission"] = AdmissionConfig(**runtime["admission"])
-        data["runtime"] = RuntimeConfig(**runtime)
+        data["runtime"] = RuntimeConfig(**data["runtime"])
         data["network"] = NetworkConfig(**data["network"])
         data["population"] = PopulationConfig(**data["population"])
         data["substrate"] = SubstrateConfig(**data["substrate"])
@@ -272,6 +247,11 @@ class SimulationConfig:
         self.runtime.validate()
         self.population.validate()
         self.substrate.validate()
+        base_port = self.substrate.base_port
+        if base_port and base_port + self.num_users - 1 > 65535:
+            raise ConfigError(f"base_port {base_port} has no room for "
+                              f"{self.num_users} nodes (node i binds "
+                              f"base_port + i <= 65535)")
         if self.population.mode == "aggregated" and self.num_observers:
             raise PopulationError(
                 "aggregated population does not support observers "

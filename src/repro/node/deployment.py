@@ -102,7 +102,7 @@ def build_node(config: SimulationConfig, genesis: Genesis, index: int, *,
         index=index, env=clock, keypair=genesis.keypairs[index],
         backend=backend, params=config.params, chain=chain,
         interface=transport, registry=registry,
-        admission=config.runtime.admission_budgets(),
+        runtime=config.runtime,
         index_of=genesis.index_of, obs=obs)
     if config.runtime.relay_damping:
         attach_damping(node)

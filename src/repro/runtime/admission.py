@@ -24,8 +24,9 @@ message gate, in front of the router in :meth:`Node.receive
   outright would break laggards and fork recovery, which is precisely
   the liveness trap the undecidable-messages paper points out.
 * **Flood budgets** — each origin may contribute at most
-  ``flood_budget_per_round`` admitted signature-valid votes per round;
-  crossing the budget is itself an offense.
+  ``flood_budget_per_round`` (a :class:`~repro.node.config.RuntimeConfig`
+  field) admitted signature-valid votes per round; crossing the budget
+  is itself an offense.
 * **A peer-health table** — deterministic scores for invalid signatures,
   failed sortition proofs, duplicates, equivocation (two conflicting
   validly-signed statements under one key, caught against the gate's
@@ -35,6 +36,8 @@ message gate, in front of the router in :meth:`Node.receive
   defence is each node's own, the same on both substrates — no node
   learns of another's blocks, and nobody is cut out of the topology, so
   a blocked peer keeps the chain and only loses this node's ear.
+  The scoring policy and the sim's egress-lane bound are the module
+  constants below, the same in every deployment.
 
 Blame assignment is framing-proof by construction:
 
@@ -66,10 +69,8 @@ copies, and it neither scores nor quarantines anyone (tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.common.errors import ConfigError
 from repro.network.message import Envelope
 from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 
@@ -79,91 +80,39 @@ if TYPE_CHECKING:
     from repro.ledger.arraystate import AccountIndex
     from repro.node.agent import Node
 
-#: Offense kinds recognized by :class:`PeerHealth`.
-OFFENSES = ("invalid_signature", "failed_sortition", "duplicate",
-            "equivocation", "flood")
-
-
-@dataclass
-class AdmissionConfig:
-    """Budgets and scoring weights of the ingress layer."""
-
-    #: Max buffered votes per node (round-proximity eviction past this).
-    vote_buffer_budget: int | None = 4096
-    #: Max queued messages per egress lane per interface (tail-drop).
-    egress_lane_budget: int | None = 10_000
-    #: Admitted signature-valid votes per origin per round; crossing it
-    #: is the ``flood`` offense. Honest traffic is two orders of
-    #: magnitude below this (a committee member sends ~1 vote per step).
-    flood_budget_per_round: int = 512
-    #: Local score at which a peer is quarantined by this node.
-    quarantine_threshold: float = 8.0
-    #: Rounds a local quarantine lasts.
-    quarantine_rounds: int = 2
-    #: Per-round multiplicative score decay (forgiveness).
-    decay_factor: float = 0.5
-    #: Offense score weights.
-    w_invalid_signature: float = 2.0
-    w_failed_sortition: float = 2.0
-    w_duplicate: float = 0.5
-    w_equivocation: float = 4.0
-
-    def validate(self) -> None:
-        if (self.vote_buffer_budget is not None
-                and self.vote_buffer_budget < 1):
-            raise ConfigError("vote_buffer_budget must be >= 1 or None")
-        if (self.egress_lane_budget is not None
-                and self.egress_lane_budget < 1):
-            raise ConfigError("egress_lane_budget must be >= 1 or None")
-        if self.flood_budget_per_round < 1:
-            raise ConfigError("flood_budget_per_round must be >= 1")
-        if self.quarantine_threshold <= 0:
-            raise ConfigError("quarantine_threshold must be positive")
-        if self.quarantine_rounds < 1:
-            raise ConfigError("quarantine_rounds must be >= 1")
-        if not 0 <= self.decay_factor < 1:
-            raise ConfigError("decay_factor must be in [0, 1)")
-
-    def weight_of(self, offense: str) -> float:
-        if offense == "invalid_signature":
-            return self.w_invalid_signature
-        if offense == "failed_sortition":
-            return self.w_failed_sortition
-        if offense == "duplicate":
-            return self.w_duplicate
-        if offense == "equivocation":
-            return self.w_equivocation
-        if offense == "flood":
-            # Over-budget flooding is unambiguous: jump straight to the
-            # threshold (decay otherwise never lets repeated sub-threshold
-            # penalties accumulate to it).
-            return self.quarantine_threshold
-        raise ValueError(f"unknown offense {offense!r}")
+#: Max queued messages per egress lane per sim interface (tail-drop).
+EGRESS_LANE_BUDGET = 10_000
+#: Local score at which a peer is quarantined by this node.
+QUARANTINE_THRESHOLD = 8.0
+#: Rounds a local quarantine lasts.
+QUARANTINE_ROUNDS = 2
+#: Per-round multiplicative score decay (forgiveness).
+SCORE_DECAY = 0.5
+#: Score of one offense, by kind. Over-budget flooding is unambiguous:
+#: it jumps straight to the threshold (decay otherwise never lets
+#: repeated sub-threshold penalties accumulate to it).
+OFFENSE_WEIGHTS = {"invalid_signature": 2.0, "failed_sortition": 2.0,
+                   "duplicate": 0.5, "equivocation": 4.0,
+                   "flood": QUARANTINE_THRESHOLD}
 
 
 class PeerHealth:
     """One node's deterministic reputation table over peer indices."""
 
-    def __init__(self, config: AdmissionConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.scores: dict[int, float] = {}
-        #: offense kind -> total times penalized (all peers).
-        self.offense_counts: dict[str, int] = {}
         #: peer index -> round at which the local quarantine lifts.
         self.quarantined_until: dict[int, int] = {}
 
     def penalize(self, index: int, offense: str,
                  round_number: int) -> bool:
         """Score one offense; returns True if ``index`` is newly blocked."""
-        self.offense_counts[offense] = (
-            self.offense_counts.get(offense, 0) + 1)
         if index in self.quarantined_until:
             return False
-        score = self.scores.get(index, 0.0) + self.config.weight_of(offense)
+        score = self.scores.get(index, 0.0) + OFFENSE_WEIGHTS[offense]
         self.scores[index] = score
-        if score >= self.config.quarantine_threshold:
-            self.quarantined_until[index] = (
-                round_number + self.config.quarantine_rounds)
+        if score >= QUARANTINE_THRESHOLD:
+            self.quarantined_until[index] = round_number + QUARANTINE_ROUNDS
             del self.scores[index]
             return True
         return False
@@ -173,13 +122,9 @@ class PeerHealth:
 
     def end_round(self, completed_round: int) -> None:
         """Decay scores and release expired local quarantines."""
-        decay = self.config.decay_factor
-        if decay:
-            self.scores = {index: score * decay
-                           for index, score in self.scores.items()
-                           if score * decay >= 0.01}
-        else:
-            self.scores.clear()
+        self.scores = {index: score * SCORE_DECAY
+                       for index, score in self.scores.items()
+                       if score * SCORE_DECAY >= 0.01}
         released = [index for index, until in self.quarantined_until.items()
                     if completed_round >= until]
         for index in released:
@@ -188,7 +133,6 @@ class PeerHealth:
     def reset(self) -> None:
         """Forget everything (a crashed node's volatile state)."""
         self.scores.clear()
-        self.offense_counts.clear()
         self.quarantined_until.clear()
 
 
@@ -228,15 +172,15 @@ class AdmissionControl:
     damper to read.
     """
 
-    def __init__(self, node: "Node", config: AdmissionConfig,
+    def __init__(self, node: "Node", flood_budget_per_round: int,
                  index_of: "AccountIndex | None" = None) -> None:
         self.node = node
-        self.config = config
+        self.flood_budget_per_round = flood_budget_per_round
         #: Origin public key -> node index (for origin-blame offenses):
         #: the deployment's account index; without one nobody is blamed
         #: by origin.
         self.index_of = index_of if index_of is not None else {}
-        self.health = PeerHealth(config)
+        self.health = PeerHealth()
         self.admitted = 0
         self.rejected: dict[str, int] = {}
         #: (voter, round, step) -> the vote accepted for it from a peer,
@@ -350,7 +294,7 @@ class AdmissionControl:
         if origin_index is not None:
             count = self._vote_counts.get(origin_index, 0) + 1
             self._vote_counts[origin_index] = count
-            if count > self.config.flood_budget_per_round:
+            if count > self.flood_budget_per_round:
                 self._penalize(origin_index, "flood")
                 return self._reject("flood")
         self._votes[key] = vote

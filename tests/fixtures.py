@@ -36,7 +36,7 @@ from repro.crypto.hashing import H
 from repro.common.params import LIVE_SMOKE_PARAMS
 from repro.experiments import sweep
 from repro.experiments.harness import Simulation, SimulationConfig
-from repro.node.config import NetworkConfig, SubstrateConfig
+from repro.node.config import SubstrateConfig
 from repro.ledger.block import Block
 from repro.live.clock import LiveClock
 from repro.live.transport import LiveTransport
@@ -176,15 +176,14 @@ def live_transport(index: int = 0, clock: LiveClock | None = None,
                    **overrides) -> LiveTransport:
     """A :class:`LiveTransport` with no sockets behind it.
 
-    The queue bounds and the dedup horizon have one default, on
-    :class:`SubstrateConfig` and :class:`NetworkConfig`; ``overrides``
-    replaces them (or passes ``obs``/``incarnation``).
+    The queue bounds and the dedup horizon are the module constants a
+    node process runs on (:data:`~repro.live.transport.DRAIN_BUDGET`,
+    :data:`~repro.live.transport.RX_QUEUE_LIMIT`,
+    :data:`~repro.network.gossip.SEEN_HORIZON_ROUNDS`) unless
+    ``overrides`` replaces them (or passes ``obs``/``incarnation``).
     """
-    bounds = {"drain_budget": SubstrateConfig.drain_budget,
-              "rx_queue_limit": SubstrateConfig.rx_queue_limit,
-              "seen_horizon_rounds": NetworkConfig.seen_horizon_rounds}
     return LiveTransport(index, clock if clock is not None else LiveClock(),
-                         **{**bounds, **overrides})
+                         **overrides)
 
 
 def live_config(num_nodes: int = 5, *, seed: int = 7,

@@ -1,7 +1,8 @@
 """Tests for the resilient-ingress layer: admission, budgets, quarantine.
 
 Covers the :mod:`repro.runtime.admission` building blocks in isolation
-(config validation, peer-health scoring, decay and local quarantine),
+(the two budgets' validation, the scoring policy's constants,
+peer-health scoring, decay and local quarantine),
 the bounded vote buffer's round-proximity eviction, the recovery-round
 vote leak regression, the one-message-per-key rule across a fork
 adoption, and the end-to-end claims: the budgets do not perturb the
@@ -23,80 +24,78 @@ from repro.network.message import priority_envelope, vote_envelope
 from repro.node.deployment import node_counters
 from repro.node.proposal import PriorityMessage
 from repro.node.recovery import RECOVERY_ROUND_BASE, RecoverySession
-from repro.runtime.admission import AdmissionConfig, PeerHealth
+from repro.runtime.admission import (
+    OFFENSE_WEIGHTS,
+    QUARANTINE_ROUNDS,
+    QUARANTINE_THRESHOLD,
+    SCORE_DECAY,
+    PeerHealth,
+)
 from repro.sim.loop import Environment
 
 from tests.fixtures import chain_hash, run_sim, signed_vote
 from tests.test_kernel_contract import GOLDEN_20_USERS_2_ROUNDS
 
 
-class TestAdmissionConfig:
-    def test_defaults_validate(self):
-        AdmissionConfig().validate()
+class TestAdmissionPolicy:
+    def test_default_budgets_validate(self):
+        RuntimeConfig().validate()
 
-    @pytest.mark.parametrize("field,value", [
-        ("vote_buffer_budget", 0),
-        ("egress_lane_budget", 0),
-        ("flood_budget_per_round", 0),
-        ("quarantine_threshold", 0.0),
-        ("quarantine_rounds", 0),
-        ("decay_factor", 1.0),
-    ])
-    def test_rejects_bad_values(self, field, value):
-        config = AdmissionConfig(**{field: value})
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("field", [
+        "vote_buffer_budget", "flood_budget_per_round"])
+    def test_rejects_a_zero_budget(self, field):
+        config = RuntimeConfig(**{field: 0})
+        with pytest.raises(ConfigError, match=field):
             config.validate()
 
     def test_flood_weight_hits_threshold_immediately(self):
         # Sub-threshold flood penalties would decay away between rounds
         # and an over-budget flooder would never be quarantined.
-        config = AdmissionConfig()
-        assert config.weight_of("flood") == config.quarantine_threshold
+        assert OFFENSE_WEIGHTS["flood"] == QUARANTINE_THRESHOLD
+        assert PeerHealth().penalize(4, "flood", 1)
 
     def test_unknown_offense_raises(self):
-        with pytest.raises(ValueError):
-            AdmissionConfig().weight_of("tardiness")
+        with pytest.raises(KeyError):
+            PeerHealth().penalize(4, "tardiness", 1)
 
 
 class TestPeerHealth:
     def test_scores_accumulate_to_quarantine(self):
-        health = PeerHealth(AdmissionConfig(quarantine_threshold=4.0,
-                                            w_invalid_signature=2.0))
-        assert not health.penalize(3, "invalid_signature", 1)
-        assert not health.is_blocked(3)
+        # Four invalid signatures (weight 2) reach the threshold (8).
+        health = PeerHealth()
+        for _ in range(3):
+            assert not health.penalize(3, "invalid_signature", 1)
+            assert not health.is_blocked(3)
         assert health.penalize(3, "invalid_signature", 1)  # newly blocked
         assert health.is_blocked(3)
         # Further offenses while blocked report nothing new.
         assert not health.penalize(3, "invalid_signature", 1)
 
     def test_quarantine_expires_after_configured_rounds(self):
-        health = PeerHealth(AdmissionConfig(quarantine_threshold=2.0,
-                                            quarantine_rounds=2))
-        health.penalize(5, "invalid_signature", 1)
-        health.end_round(1)
-        assert health.is_blocked(5)
-        health.end_round(2)
-        assert health.is_blocked(5)
-        health.end_round(3)
+        health = PeerHealth()
+        assert health.penalize(5, "flood", 1)
+        for completed in range(1, 1 + QUARANTINE_ROUNDS):
+            health.end_round(completed)
+            assert health.is_blocked(5)
+        health.end_round(1 + QUARANTINE_ROUNDS)
         assert not health.is_blocked(5)
 
     def test_decay_forgives_subthreshold_scores(self):
-        health = PeerHealth(AdmissionConfig(decay_factor=0.5))
-        health.penalize(2, "duplicate", 1)  # weight 0.5
-        assert health.scores[2] == 0.5
+        health = PeerHealth()
+        health.penalize(2, "duplicate", 1)
+        assert health.scores[2] == OFFENSE_WEIGHTS["duplicate"]
         health.end_round(1)
-        assert health.scores[2] == 0.25
+        assert health.scores[2] == OFFENSE_WEIGHTS["duplicate"] * SCORE_DECAY
         for completed in range(2, 10):
             health.end_round(completed)
         assert 2 not in health.scores  # dropped below the floor
 
     def test_reset_forgets_everything(self):
-        health = PeerHealth(AdmissionConfig(quarantine_threshold=1.0))
-        health.penalize(1, "equivocation", 1)
+        health = PeerHealth()
+        assert health.penalize(1, "flood", 1)
         health.reset()
         assert not health.is_blocked(1)
         assert health.scores == {}
-        assert health.offense_counts == {}
 
 
 def _vote(round_number: int, step: str = "1",
@@ -289,8 +288,7 @@ class TestAdmissionGate:
         assert node.admission.health.scores[2] > 0
 
     def test_flood_budget_blocks_origin(self):
-        sim = self._sim(runtime=RuntimeConfig(
-            admission=AdmissionConfig(flood_budget_per_round=5)))
+        sim = self._sim(runtime=RuntimeConfig(flood_budget_per_round=5))
         node = sim.nodes[0]
         keypair = sim.keypairs[2]
         for k in range(5):
@@ -380,11 +378,11 @@ class TestQuarantineTopology:
         """The admission machinery must not perturb the honest topology:
         same seed, same neighbor maps through two rounds of reshuffles,
         whatever the budgets (no node ever blocks a peer)."""
-        def neighbor_maps(admission: AdmissionConfig) -> list:
+        def neighbor_maps(runtime: RuntimeConfig) -> list:
             sim = Simulation(SimulationConfig(
                 num_users=12, seed=9,
                 network=NetworkConfig(reshuffle_peers_each_round=True),
-                runtime=RuntimeConfig(admission=admission)))
+                runtime=runtime))
             maps = [[i.neighbors for i in sim.network.interfaces]]
             sim.run_rounds(2)
             maps.append([i.neighbors for i in sim.network.interfaces])
@@ -393,11 +391,9 @@ class TestQuarantineTopology:
                            for node in sim.nodes)
             return maps
 
-        assert neighbor_maps(AdmissionConfig()) == neighbor_maps(
-            AdmissionConfig(vote_buffer_budget=None,
-                            egress_lane_budget=None,
-                            flood_budget_per_round=1_000_000,
-                            quarantine_threshold=1e9))
+        assert neighbor_maps(RuntimeConfig()) == neighbor_maps(
+            RuntimeConfig(vote_buffer_budget=1_000_000,
+                          flood_budget_per_round=1_000_000))
 
 
 class TestHonestDeterminism:

@@ -19,7 +19,6 @@ from repro.node.config import RuntimeConfig
 from repro.node.deployment import node_counters
 from repro.obs import TraceBus
 from repro.obs.report import render_report
-from repro.runtime.admission import AdmissionConfig
 
 from tests.fixtures import run_chaos
 
@@ -40,12 +39,12 @@ def _honest(sim) -> list:
     return [node for node in sim.nodes if node.index not in _attackers(sim)]
 
 
-def _run_attack(faults, *, num_users=10, seed=61, admission=None,
-                obs=None):
+def _run_attack(faults, *, num_users=10, seed=61,
+                runtime=RuntimeConfig(), obs=None):
     """Run a Byzantine sim until every honest node commits ROUNDS."""
     sim = Simulation(
         SimulationConfig(num_users=num_users, seed=seed,
-                         runtime=RuntimeConfig(admission=admission)),
+                         runtime=runtime),
         faults=faults, obs=obs)
     for node in sim.nodes:
         node.start(ROUNDS)
@@ -148,7 +147,7 @@ class TestSpamQuarantine:
         the per-origin flood budget is what catches the sender."""
         sim = _run_attack(
             [SPAM],
-            admission=AdmissionConfig(flood_budget_per_round=32))
+            runtime=RuntimeConfig(flood_budget_per_round=32))
         _assert_honest_progress(sim)
         _assert_only_attackers_blamed(sim)
         assert _local_blocks(sim)

@@ -323,24 +323,30 @@ class TestSimVerdictsPinned:
     soon as every node, attackers included, reaches the target. All
     seven were re-recorded when the deployment-wide verification cache
     went: each verdict lost exactly its on/off key under
-    ``scenario.config.runtime``, and nothing else moved.
+    ``scenario.config.runtime``, and nothing else moved. All seven were
+    re-recorded when the settings nobody turned became constants: under
+    ``scenario.config`` each verdict lost ``network.seen_horizon_rounds``
+    and ``substrate``'s ``connect_timeout``, ``drain_budget`` and
+    ``rx_queue_limit``, and ``runtime.admission`` (``null``) gave way to
+    ``runtime.vote_buffer_budget`` and ``runtime.flood_budget_per_round``
+    at their defaults; nothing else moved.
     """
 
     GOLDEN = [
         ("partition-heal", {"partition"},
-         "0901a927af2760c7b222d83f33f857974e257fde19357f962fbebbb708736bd6"),
+         "51a2d60b0ee50c166d5025977a580c96b71243a3857a0c7880f12075c8e24e7c"),
         ("flood-recovery", {"flood", "spam"},
-         "0e223eadc486ef0783b492210760c3a6c077386ad339ac48d1f1e3d0bd33dbc9"),
+         "316b1a5b53004622f0afd1af3f1b82f382ffbf8e813e5e5b87c922640ec33136"),
         ("seed-101", {"crash", "delay", "loss"},
-         "5c57247bf7af19b8c2c13df8c1d35035e7a35eff8352a96b377cb6ba5810d24a"),
+         "4c343da4a276609e903427ed85cc578affcd3b50a52ba3394a6a0c5175ef7f60"),
         ("seed-105", {"duplicate", "partition", "reorder"},
-         "0b9ded51172857c5833a6052b73501f5eef6cd5513d28a5d844a41c27c01bdee"),
+         "48faeda3e12c93f617a8bcd8007d840f86b5dcde58d4d58dde5b2bb9f7135695"),
         ("seed-111", {"delay", "dos", "reorder"},
-         "bf44f4c72ddbca8fdf144726408782a3e759a33d042688b74d299b75dfc639e5"),
+         "99216b3861bea8e844f56226f0fcb65dacca1282d1f6899311568686b6864d76"),
         ("byzantine-mix", {"equivocate", "double-vote", "silent"},
-         "c124d7ee3b6c48122df278f2539e507889c4972d47f7a7cb61f6d4d35fd382a8"),
+         "8ec660b1bbb36d1f59c7463b4c3660be9b950019b111652fffe14d8b133ee181"),
         ("proposer-dos", {"targeted-dos", "dos"},
-         "a7a3cc54538afcb0665bda47349ea13acfa34230e80863a118decb37d11145ef"),
+         "5abf18edc00b783dace4edee54f2b432a7b4477c6a7d5e163fc223e1876aa007"),
     ]
 
     def test_the_five_scripts_cover_every_fault_kind(self):

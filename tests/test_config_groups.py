@@ -30,7 +30,6 @@ from repro.node.config import (
     RuntimeConfig,
     SubstrateConfig,
 )
-from repro.runtime.admission import AdmissionConfig
 
 
 class TestNestedConstruction:
@@ -95,19 +94,17 @@ class TestJsonRoundTrip:
             num_users=7, seed=3, initial_balance=4,
             num_observers=1, params=TEST_PARAMS.scaled(0.25),
             network=NetworkConfig(bandwidth_bps=None, peers_per_node=3,
-                                  latency_model="uniform",
-                                  seen_horizon_rounds=5),
+                                  latency_model="uniform"),
             runtime=RuntimeConfig(relay_damping=False)),
         SimulationConfig(
             num_users=3, balances=[5, 0, 2],
-            runtime=RuntimeConfig(admission=AdmissionConfig(
-                vote_buffer_budget=7, egress_lane_budget=None))),
+            runtime=RuntimeConfig(vote_buffer_budget=7,
+                                  flood_budget_per_round=9)),
         SimulationConfig(
             population=PopulationConfig(mode="aggregated",
                                         always_on_core=4, steps_ahead=6),
             substrate=SubstrateConfig(kind="live", transport="tcp",
-                                      base_port=9000, runtime_dir="rt",
-                                      drain_budget=16, rx_queue_limit=64)),
+                                      base_port=9000, runtime_dir="rt")),
     ], ids=["defaults", "scalars-network-runtime", "balances-admission",
             "population-substrate"])
     def test_round_trip_through_json_text(self, config):
@@ -147,3 +144,51 @@ class TestValidation:
 
     def test_default_config_validates(self):
         SimulationConfig().validate()
+
+    def test_tcp_ports_must_fit_every_node(self):
+        """Node ``i`` binds ``base_port + i``: the last must be a port."""
+        def tcp(base_port: int) -> SimulationConfig:
+            return SimulationConfig(num_users=5, substrate=SubstrateConfig(
+                kind="live", transport="tcp", base_port=base_port))
+
+        tcp(65531).validate()
+        with pytest.raises(ConfigError, match="base_port 65532"):
+            tcp(65532).validate()
+        with pytest.raises(ConfigError, match="base_port 65534"):
+            tcp(65534).validate()
+
+
+def _leaves(record: dict, prefix: str = "") -> list[str]:
+    """The dotted names of ``record``'s non-dict values."""
+    names = []
+    for key, value in record.items():
+        if isinstance(value, dict):
+            names += _leaves(value, f"{prefix}{key}.")
+        else:
+            names.append(prefix + key)
+    return names
+
+
+class TestSurface:
+    """Every setting of a deployment outside ``params``, by name: a new
+    knob must be named here, and one nobody turns belongs in a module
+    constant of the layer that reads it."""
+
+    SETTINGS = [
+        "num_users", "seed", "initial_balance", "balances", "num_observers",
+        "network.bandwidth_bps", "network.latency_model",
+        "network.uniform_latency", "network.peers_per_node",
+        "network.reshuffle_peers_each_round",
+        "runtime.vote_buffer_budget", "runtime.flood_budget_per_round",
+        "runtime.relay_damping",
+        "population.mode", "population.always_on_core",
+        "population.steps_ahead",
+        "substrate.kind", "substrate.transport", "substrate.host",
+        "substrate.base_port", "substrate.runtime_dir",
+    ]
+
+    def test_the_settings_are_exactly_these(self):
+        record = SimulationConfig().to_json()
+        del record["params"]
+        assert sorted(_leaves(record)) == sorted(self.SETTINGS)
+        assert len(self.SETTINGS) == 21

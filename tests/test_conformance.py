@@ -159,8 +159,10 @@ class TestCleanTraces:
     def test_conformance_is_not_a_knob(self):
         with pytest.raises(TypeError):
             RuntimeConfig(conformance=False)
-        # Admission budgets, relay damping: the gate has no switch.
-        assert len(dataclasses.fields(RuntimeConfig)) == 2
+        # Two admission budgets, relay damping: the gate has no switch.
+        assert [field.name for field in dataclasses.fields(RuntimeConfig)] \
+            == ["vote_buffer_budget", "flood_budget_per_round",
+                "relay_damping"]
 
 
 class TestNegativeTraces:

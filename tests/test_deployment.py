@@ -7,7 +7,7 @@ node stack are derived, so the substrates cannot drift apart again:
   same keys, genesis seed and genesis ledger (zero balances included);
 * a live node runs on the config its coordinator was given — the whole
   of it, through ``SimulationConfig.to_json`` — not on defaults of its
-  own (``runtime.admission`` and ``conformance`` once never reached
+  own (the admission budgets and ``conformance`` once never reached
   the process);
 * both substrates draw payments from one schedule, and gossip over
   one peer graph;
@@ -31,7 +31,6 @@ from repro.node.config import NetworkConfig, RuntimeConfig, SubstrateConfig
 from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster, gossip_neighbors
 from repro.live.node_main import NodeProcess
 from repro.node.deployment import NodeRun, derive_genesis, payment_plan
-from repro.runtime.admission import AdmissionConfig
 
 
 def _live(**fields) -> SimulationConfig:
@@ -53,12 +52,12 @@ class TestLiveHonoursItsConfig:
     def test_runtime_group_reaches_the_node(self, tmp_path):
         process = _node_process(_live(
             num_users=4, initial_balance=50,
-            runtime=RuntimeConfig(
-                admission=AdmissionConfig(vote_buffer_budget=7))),
+            runtime=RuntimeConfig(vote_buffer_budget=7,
+                                  flood_budget_per_round=9)),
             tmp_path)
         node = process.node
         assert node.buffer.budget_messages == 7
-        assert node.admission.config.vote_buffer_budget == 7
+        assert node.admission.flood_budget_per_round == 9
         process.bus.close()
 
     def test_defaults_match_the_sim_stack(self, tmp_path):
@@ -68,7 +67,7 @@ class TestLiveHonoursItsConfig:
         assert isinstance(node.backend, FastBackend)
         assert node.damper is not None
         assert (node.buffer.budget_messages
-                == AdmissionConfig().vote_buffer_budget)
+                == RuntimeConfig().vote_buffer_budget)
         # Traced, but checked once per run, by the coordinator over the
         # merged trace: the process's only sink is its trace file.
         assert process.bus._sinks == [process.sink]
@@ -81,15 +80,6 @@ class TestLiveHonoursItsConfig:
         assert process.node.damper is None
         # The gate is not a layer: every node judges its copies.
         assert process.transport.on_receive == process.node.receive
-        process.bus.close()
-
-    def test_queue_bounds_come_from_the_substrate_group(self, tmp_path):
-        config = _live(num_users=3, initial_balance=70)
-        config.substrate = SubstrateConfig(kind="live", drain_budget=5,
-                                           rx_queue_limit=9)
-        process = _node_process(config, tmp_path)
-        transport = process.transport
-        assert (transport.drain_budget, transport.rx_queue_limit) == (5, 9)
         process.bus.close()
 
     def test_trace_opens_at_the_end_of_start_up(self, tmp_path):

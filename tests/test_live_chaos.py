@@ -58,9 +58,9 @@ from repro.experiments.sweep import run_point
 from repro.node.config import RuntimeConfig, SimulationConfig, SubstrateConfig
 from repro.node.deployment import NodeRun
 from repro.live.cluster import LiveCluster
+from repro.live.control import CONNECT_TIMEOUT
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink, read_trace
-from repro.runtime.admission import AdmissionConfig
 from tests.fixtures import forged_commit, live_config, run_chaos
 
 NODES = 3
@@ -141,8 +141,7 @@ def spammed_cluster(tmp_path_factory):
                 [FaultAction(kind="spam", start=0.0, end=60.0,
                              nodes=(VICTIM,), rate=600.0)],
                 rounds=SPAM_ROUNDS,
-                runtime=RuntimeConfig(admission=AdmissionConfig(
-                    vote_buffer_budget=SPAM_BUFFER_BUDGET)))
+                runtime=RuntimeConfig(vote_buffer_budget=SPAM_BUFFER_BUDGET))
 
 
 class TestKilledNodeCatchesUp:
@@ -270,8 +269,8 @@ class TestSpammingProcessIsContained:
 
     def test_honest_vote_buffers_stayed_inside_budget(self,
                                                       spammed_cluster):
-        budgets = spammed_cluster.config.runtime.admission_budgets()
-        assert budgets.vote_buffer_budget == SPAM_BUFFER_BUDGET
+        assert (spammed_cluster.config.runtime.vote_buffer_budget
+                == SPAM_BUFFER_BUDGET)
         for index in (0, 1):
             metrics = spammed_cluster.results[index]["metrics"]
             assert (0 < metrics["admission.buffer_high_water"]
@@ -306,8 +305,7 @@ class TestOneVocabulary:
     def test_live_runner_raises_the_sims_ingress_bounds_violation(
             self, tmp_path):
         config = dataclasses.replace(
-            _config(tmp_path), runtime=RuntimeConfig(
-                admission=AdmissionConfig(vote_buffer_budget=64)))
+            _config(tmp_path), runtime=RuntimeConfig(vote_buffer_budget=64))
         cluster = LiveCluster(config)
         cluster.results = {
             index: NodeRun(index=index, blocks=(), seeds=(b"genesis",),
@@ -561,7 +559,7 @@ class TestNodeServer:
         assert (f"node server (pid {cluster._node_server.proc.pid})"
                 in message)
         assert "interpreter started by the exit hook" in message
-        assert aborted_after < cluster.config.substrate.connect_timeout
+        assert aborted_after < CONNECT_TIMEOUT
         pids = list(cluster._node_server.nodes)
         assert len(pids) == (1 if when == "before-spawn" else NODES)
         assert all(_gone(pid) for pid in pids), pids

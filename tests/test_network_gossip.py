@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import NetworkError
-from repro.network.gossip import GossipNetwork
+from repro.network.gossip import GossipNetwork, RelayCore
 from repro.network.latency import (
     CITIES,
     LatencyModel,
@@ -246,6 +246,12 @@ class TestSeenPruning:
         with pytest.raises(NetworkError):
             GossipNetwork(env, 4, rng, UniformLatencyModel(0.01),
                           seen_horizon_rounds=0)
+        # Both byte movers get the check from the relay core; "keep
+        # every id forever" is gone.
+        with pytest.raises(NetworkError):
+            RelayCore(0, 0)
+        with pytest.raises(TypeError):
+            RelayCore(0, None)
 
     def test_prune_keeps_recent_ids(self):
         env, net = _network(10)

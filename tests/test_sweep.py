@@ -389,10 +389,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(num_users=4, network=NetworkConfig(
                 peers_per_node=0)).validate()
-        for horizon in (0, None):  # "keep every id forever" is gone
-            with pytest.raises(ConfigError):
-                SimulationConfig(num_users=4, network=NetworkConfig(
-                    seen_horizon_rounds=horizon)).validate()
 
     def test_simulation_init_validates(self):
         with pytest.raises(PopulationError):
