@@ -33,10 +33,6 @@ class Mempool:
     def __contains__(self, txid: bytes) -> bool:
         return txid in self._pool
 
-    @property
-    def size_bytes(self) -> int:
-        return self._bytes
-
     def add(self, tx: Transaction) -> bool:
         """Insert a transaction; returns False on duplicate or overflow."""
         if tx.txid in self._pool:

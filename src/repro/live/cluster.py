@@ -26,9 +26,11 @@ draws, :func:`gossip_neighbors`), await ``ready`` from everyone,
 broadcast ``start``, then await ``result`` messages carrying each
 node's run (:meth:`~repro.node.deployment.NodeRun.to_record`: chain as
 encoded block bytes, stored seeds, certificate values, round records,
-step durations, metrics) plus its trace path. Per-node JSONL traces are merged into one time-sorted file
-suitable for ``python -m repro.conformance`` and, given ``obs=``, replayed
-through that bus as a sim would have emitted them.
+step durations) plus its trace path, then ``stop`` every node and
+close the control connections once all answered ``stopped``. Per-node
+JSONL traces are merged into one time-sorted file suitable for ``python
+-m repro.conformance`` and, given ``obs=``, replayed through that bus.
+A node's counters are read once, at its trace's closing snapshot.
 
 Chaos extensions (all inert when ``faults`` is empty):
 
@@ -129,6 +131,11 @@ def gossip_neighbors(config: SimulationConfig) -> dict[str, list[int]]:
     graph = draw_peers(rng, list(range(config.num_users)),
                        config.network.peers_per_node)
     return {str(node): peers for node, peers in graph.items()}
+
+
+def _flat(snapshot: dict) -> dict:
+    """A registry snapshot's numbers by name, its two sections as one."""
+    return {**snapshot.get("counters", {}), **snapshot.get("gauges", {})}
 
 
 def _log_tail(path: Path) -> str:
@@ -298,7 +305,8 @@ class LiveCluster:
         #: is given; no node process checks on its own.
         self.conformance = ConformanceMonitor(
             registry=obs.metrics if obs is not None else MetricsRegistry())
-        #: The nodes' trace snapshots folded, as ``merged.jsonl`` ends.
+        #: Each node's closing snapshot, and their fold (merged.jsonl's).
+        self._snapshots: dict[int, dict] = {}
         self._node_snapshot: dict = {}
         if obs is not None:
             obs.add_sink(self.conformance)
@@ -308,8 +316,6 @@ class LiveCluster:
         #: Scenario time of the merged trace's last record.
         self.ended_at = 0.0
         self.results: dict[int, dict] = {}
-        #: Every process's ``result`` metrics, folded.
-        self.metrics: dict = {}
         self.chains: dict[int, list] = {}
         self.rounds_run = 0
         #: Measured kills: ``{"node": i, "t": scenario_seconds}``.
@@ -351,32 +357,35 @@ class LiveCluster:
 
     def outcome(self) -> RunOutcome:
         """What the run left behind, rebuilt from the processes'
-        ``result`` messages: their chains, seeds, certificates, round
-        records and counters, the last record of the merged trace, and
-        the folded metrics. Seeds verify on a backend holding every key
-        of the deployment (a backend verifies only keys it generated)."""
+        ``result`` messages (chains, seeds, certificates, round records)
+        and their closing snapshots (each run's counters, and their fold
+        as the outcome's), with the last record of the merged trace.
+        Seeds verify on a backend holding every key of the deployment (a
+        backend verifies only keys it generated)."""
         from repro.crypto.backend import FastBackend
         from repro.node.deployment import NodeRun, RunOutcome, derive_genesis
 
         backend = FastBackend()
         derive_genesis(self.config, backend)
         return RunOutcome(
-            runs={index: NodeRun.from_record(index, result)
+            runs={index: NodeRun.from_record(
+                      index, result, _flat(self._snapshots.get(index, {})))
                   for index, result in sorted(self.results.items())},
             slots=self.num_nodes, now=self.ended_at, backend=backend,
             conformance=self.conformance,
-            snapshot=dict(self.metrics),
+            snapshot=_flat(self._node_snapshot),
             trace_path=(str(self.merged_trace_path)
                         if self.merged_trace_path else None))
 
     def summary(self) -> dict:
-        """The run's facts plus its node snapshots folded by the one rule
-        (:func:`~repro.node.deployment.fold`), under the registry names
-        a sim's ``summary()`` uses; ``per_node`` keeps each process's
-        own. ``conformance_ok`` and ``conformance.*`` are the verdict of
-        :attr:`conformance` over the merged trace. ``wire_bytes_sent``
-        is the name the benchmark reads."""
+        """The run's facts plus the fold ``merged.jsonl`` ends with,
+        under the registry names a sim's ``summary()`` uses; ``per_node``
+        keeps each process's closing snapshot. ``conformance_ok`` and
+        ``conformance.*`` are the verdict of :attr:`conformance` over
+        the merged trace. ``wire_bytes_sent`` is the name the benchmark
+        reads."""
         heights = {i: r["height"] for i, r in sorted(self.results.items())}
+        numbers = _flat(self._node_snapshot)
         checked = self.conformance.registry
         self.conformance.harvest(checked)
         return {
@@ -393,11 +402,11 @@ class LiveCluster:
             "tips": {i: r["tip"].hex()[:16]
                      for i, r in sorted(self.results.items())},
             "conformance_ok": self.conformance.verdict().ok,
-            **self.metrics,
+            **numbers,
             **checked.counters_with_prefix("conformance."),
-            "wire_bytes_sent": self.metrics.get("live.wire_bytes_sent", 0),
-            "per_node": {i: dict(r["metrics"])
-                         for i, r in sorted(self.results.items())},
+            "wire_bytes_sent": numbers.get("live.wire_bytes_sent", 0),
+            "per_node": {i: _flat(self._snapshots.get(i, {}))
+                         for i in sorted(self.results)},
             "startup": {i: dict(report)
                         for i, report in sorted(self.startup.items())},
             "node_server": dict(self.server_startup),
@@ -513,7 +522,7 @@ class LiveCluster:
         later, so node timestamps always trail coordinator-measured kill
         times — the invariant the merged-trace event ordering rests on.
         """
-        streams: dict[int, MessageStream] = {}
+        streams = self._streams
         for _ in indices:
             index, address, stream, writer = await self._guarded(
                 asyncio.wait_for(self._hello_queue.get(),
@@ -596,6 +605,7 @@ class LiveCluster:
         self._writers: list[asyncio.StreamWriter] = []
         self._node_writers: dict[int, asyncio.StreamWriter] = {}
         self._collectors: dict[int, asyncio.Task] = {}
+        self._streams: dict[int, MessageStream] = {}
         self._addresses: dict[str, object] = {}
         deadline = (time_limit
                     or self.config.params.round_budget * (rounds + 1))
@@ -660,12 +670,19 @@ class LiveCluster:
                 if result is not None:
                     results[index] = result
             # Every result is in: release the lingering processes (they
-            # keep serving catch-up to late rejoiners until told to stop).
-            for index, writer in self._node_writers.items():
-                if index in self._permanently_dead:
-                    continue
+            # keep serving catch-up to late rejoiners until told to stop);
+            # nobody closes a gossip link before all answered ``stopped``.
+            async def stop(index: int) -> None:
                 with contextlib.suppress(Exception):
-                    await send_message(writer, {"type": "stop"})
+                    await send_message(self._node_writers[index],
+                                       {"type": "stop"})
+                    await self._streams[index].expect(
+                        "stopped", timeout=CONNECT_TIMEOUT)
+
+            await asyncio.gather(*(stop(index) for index in self._node_writers
+                                   if index not in self._permanently_dead))
+            for writer in self._writers:
+                writer.close()
             live_procs = [p for p in self._node_server.nodes.values()
                           if p.returncode is None]
             await asyncio.wait_for(
@@ -698,12 +715,8 @@ class LiveCluster:
         # What this process reads the results with is the node stack;
         # it loads here, once nothing waits on the coordinator.
         from repro.network.wire import decode_block
-        from repro.node.deployment import fold
 
         self.results = results
-        self.metrics = {}
-        for result in results.values():
-            fold(self.metrics, result["metrics"])
         self.rounds_run = rounds
         self.chains = {
             index: [decode_block(raw) for raw in result["blocks"]]
@@ -758,14 +771,16 @@ class LiveCluster:
         the sim injector. A node that wrote no file merges as empty;
         any other bad line, and a cut last line of an incarnation that
         was not killed, raises the ``ValueError`` of
-        :func:`~repro.obs.sink.read_trace`, which names the file. The
-        merged snapshot is every trace's own folded by the one rule; a
-        bus, if any, replays the same records.
+        :func:`~repro.obs.sink.read_trace`, which names the file; so
+        does a last trace without a closing snapshot from a node that
+        sent its ``result``. A node's counters are its last trace's
+        closing snapshot; the merged snapshot, read by :meth:`outcome`,
+        :meth:`summary` and the bus, folds those by the one rule.
         """
         from repro.node.deployment import fold_snapshots
 
         events: list[dict] = []
-        snapshots: list[dict] = []
+        self._snapshots = {}
         kills_by_node: dict[int, list[float]] = {}
         for record in self.kill_log:
             kills_by_node.setdefault(record["node"], []).append(record["t"])
@@ -778,10 +793,13 @@ class LiveCluster:
                 except FileNotFoundError:
                     node_events, snapshot = [], None
                 events.extend(node_events)
-                snapshots.append(snapshot or {})
                 if incarnation < len(kills):
                     events.extend(self._synthesize_crash_events(
                         index, node_events, kills[incarnation]))
+                elif snapshot is None and index in self._finished:
+                    raise ValueError(f"{path}: node {index} sent its result"
+                                     " but its trace has no snapshot")
+            self._snapshots[index] = snapshot or {}
         for action in self.faults:
             window = [action.start, action.end]
             events.append({"t": action.start, "kind": "fault_applied",
@@ -796,13 +814,13 @@ class LiveCluster:
         if events:
             self.ended_at = float(events[-1].get("t", 0.0))
         out = Path(self.runtime_dir) / "merged.jsonl"
-        snapshot = self._node_snapshot = fold_snapshots(snapshots)
+        self._node_snapshot = fold_snapshots(self._snapshots.values())
         with out.open("w", encoding="utf-8") as handle:
             for record in events:
                 handle.write(json.dumps({"type": "event", **record},
                                         separators=(",", ":")) + "\n")
             handle.write(json.dumps(
-                {"type": "snapshot", "metrics": snapshot},
+                {"type": "snapshot", "metrics": self._node_snapshot},
                 separators=(",", ":")) + "\n")
         if self.obs is None:
             self.conformance.feed(events)

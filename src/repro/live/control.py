@@ -12,14 +12,17 @@ message      direction  meaning
 ``peers``    co → node  full address map; start dialing
 ``ready``    node → co  all gossip links established
 ``start``    co → node  begin: payment count + target rounds
-``result``   node → co  final chain (block bytes), trace, stats
-``stop``     co → node  all results in; stop serving and exit
+``result``   node → co  final chain (block bytes), trace path
+``stop``     co → node  all results in; stop serving
+``stopped``  node → co  redials nobody; trace closed with its snapshot
 ===========  =========  ==========================================
 
 After ``result`` a node *lingers* — clock running, gossip links open,
 catch-up requests still answered — until ``stop`` (or control EOF)
 releases it. Fast finishers therefore stay useful to a chaos victim
-that rejoins after everyone else has already reached target height.
+that rejoins after everyone else has already reached target height. A
+node closes its gossip links only at control EOF, which comes once
+every released node answered ``stopped``: no peer redials it then.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ runtime directory and trace path, its incarnation. The process builds the exact 
 with the same builder (:mod:`repro.node.deployment`), but on a
 :class:`LiveClock` and a :class:`LiveTransport`, then follows the
 control conversation in :mod:`repro.live.control`: hello → peers →
-(dial/accept gossip links) → ready → start → run rounds → result.
+(dial/accept gossip links) → ready → start → run rounds → result →
+(linger) → stop → (redial nobody, close the trace) → stopped → EOF.
 
 Determinism across processes comes from construction, not luck: every
 process derives the same keypairs and genesis from the shared seed, and
@@ -23,7 +24,7 @@ Robustness plumbing (all dormant in a clean run):
 
 * **Reconnect** — a lost gossip link is redialed by the pair's dialer
   (the higher index) with capped exponential backoff and a fresh
-  ``peer-hello`` handshake, until the process shuts down.
+  ``peer-hello`` handshake, until the process receives ``stop``.
 * **Faults** — the ``start`` message may carry a scripted fault
   schedule; the one :class:`~repro.chaos.faults.FaultInjector` (the
   sim's) arms it on this node's clock, transport hooks and node.
@@ -407,9 +408,6 @@ class NodeProcess:
         await self.clock.run_async(stop_when=lambda: not node.running,
                                    deadline=deadline)
         chain = node.chain
-        snapshot = self.bus.snapshot()
-        run = NodeRun.of(node, {**snapshot["counters"],
-                                **snapshot["gauges"]})
         await send_message(writer, {
             "type": "result",
             "index": self.index,
@@ -418,45 +416,41 @@ class NodeProcess:
             "tip": chain.tip_hash,
             "halted": node.halted,
             "trace": cfg["trace"],
-            **run.to_record(),
+            **NodeRun.of(node, {}).to_record(),
         })
         # Linger: keep the clock pumping — and with it gossip dispatch
         # and chain serving — until the coordinator's ``stop`` releases
         # us. Without this, fast finishers exit the instant they reach
         # target height and a chaos victim rejoining later finds nobody
         # left to answer its catch-up requests.
-        release = asyncio.Event()
-
-        async def await_release() -> None:
-            try:
-                while True:
-                    message = await control.next()
-                    if message.get("type") == "stop":
-                        break
-            except ControlError:
-                pass  # coordinator gone == released
-            release.set()
+        async def until_stop() -> None:
+            with contextlib.suppress(ControlError):  # coordinator gone
+                while (await control.next())["type"] != "stop":
+                    pass
             self.clock.kick()
 
-        release_task = asyncio.create_task(await_release())
-        try:
-            await self.clock.run_async(stop_when=release.is_set,
+        release = asyncio.create_task(until_stop())
+        with contextlib.suppress(TimeoutError):  # orphaned: leave anyway
+            await self.clock.run_async(stop_when=release.done,
                                        deadline=deadline + 60.0)
-        except TimeoutError:
-            pass  # orphaned well past the run budget: just exit
-        release_task.cancel()
-        self.bus.close()
+        release.cancel()
+        # A clean departure: redial nobody, then the closing snapshot
+        # (the one read of our counters); links close at control EOF.
+        self.transport.on_link_down = None
         for task in list(self._redial_tasks.values()):
             task.cancel()
+        self.bus.close()
+        with contextlib.suppress(ControlError, OSError):
+            await send_message(writer, {"type": "stopped"})
+            while True:
+                await control.next(timeout=CONNECT_TIMEOUT)
         await self.transport.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         writer.close()
-        try:
+        with contextlib.suppress(Exception):
             await writer.wait_closed()
-        except Exception:
-            pass
 
 
 def main(argv: list[str] | None = None) -> int:

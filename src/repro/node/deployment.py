@@ -269,12 +269,12 @@ class NodeRun:
             "rounds": [list(dataclasses.astuple(record))
                        for record in self.rounds],
             "steps": [list(step) for step in self.step_durations],
-            "metrics": self.counters,
             "certificate_votes": list(self.certificate_votes),
         }
 
     @classmethod
-    def from_record(cls, index: int, record: dict) -> "NodeRun":
+    def from_record(cls, index: int, record: dict,
+                    counters: dict) -> "NodeRun":
         """Rebuild a node process's run from its ``result`` message."""
         from repro.network.wire import decode_block  # live only
 
@@ -286,7 +286,7 @@ class NodeRun:
             rounds=tuple(RoundRecord(*fields)
                          for fields in record["rounds"]),
             step_durations=tuple(tuple(step) for step in record["steps"]),
-            counters=dict(record["metrics"]),
+            counters=counters,
             certificate_votes=tuple(record["certificate_votes"]))
 
 
@@ -296,8 +296,8 @@ class RunOutcome:
 
     Built on demand after ``run_rounds`` — ``Simulation.outcome()`` from
     node objects, ``LiveCluster.outcome()`` from the processes' ``result``
-    messages — and read by every post-run reader: the chaos findings
-    and the experiment measures.
+    messages and closing snapshots — and read by every post-run reader:
+    the chaos findings and the experiment measures.
     """
 
     #: One run per node that reported, by index.

@@ -57,13 +57,6 @@ class MessageRouter:
         """Remove the handler for ``kind`` (no-op if absent)."""
         self._handlers.pop(kind, None)
 
-    def is_registered(self, kind: str) -> bool:
-        return kind in self._handlers
-
-    def kinds(self) -> frozenset[str]:
-        """The currently routable message kinds."""
-        return frozenset(self._handlers)
-
     def dispatch(self, envelope: Envelope) -> bool:
         """Route one envelope; returns the handler's relay decision."""
         handler = self._handlers.get(envelope.kind)

@@ -108,12 +108,6 @@ class SeedChain:
         """Record the next round's seed (round ``len(self)``)."""
         self._seeds.append(seed)
 
-    def truncate(self, length: int) -> None:
-        """Drop seeds from round ``length`` on (used when switching forks)."""
-        if length < 1:
-            raise ValueError("cannot truncate the genesis seed")
-        del self._seeds[length:]
-
     def selection_seed(self, round_number: int) -> bytes:
         """Seed to pass to sortition for ``round_number`` (section 5.2)."""
         return self._seeds[

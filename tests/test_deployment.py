@@ -131,7 +131,8 @@ class TestOneOutcome:
 
     def test_a_result_record_rebuilds_the_run(self, outcome):
         for index, run in outcome.runs.items():
-            assert NodeRun.from_record(index, run.to_record()) == run
+            assert NodeRun.from_record(index, run.to_record(),
+                                       run.counters) == run
 
     def test_the_outcome_reads_one_chain(self, outcome):
         assert outcome.heights == [2] * 6

@@ -99,12 +99,15 @@ class TestMempool:
         assert loser.txid not in pool
 
     def test_size_accounting(self, backend, users):
-        pool = Mempool()
         tx = _tx(backend, users[0], users[1], 1, 0)
-        pool.add(tx)
-        assert pool.size_bytes == tx.size
+        other = _tx(backend, users[1], users[0], 1, 0)
+        assert other.size == tx.size
+        pool = Mempool(max_bytes=tx.size)
+        assert pool.add(tx)
+        assert not pool.add(other)  # full: refused, not queued
+        assert other.txid not in pool
         pool.remove([tx.txid])
-        assert pool.size_bytes == 0
+        assert pool.add(other)  # the removal freed its bytes
 
     def test_invalid_max_bytes(self):
         with pytest.raises(ValueError):

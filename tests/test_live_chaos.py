@@ -103,9 +103,26 @@ def _run(runtime_dir, faults, *, seed: int = 7, rounds: int = ROUNDS,
 
 
 def _counters(cluster, index: int) -> dict:
-    """The metric counters node ``index`` wrote into its own trace."""
-    _, snapshot = read_trace(cluster.results[index]["trace"])
-    return snapshot["counters"]
+    """Node ``index``'s numbers: its trace's closing snapshot."""
+    return cluster.outcome().runs[index].counters
+
+
+def _reported(config, results: dict, counters: dict) -> LiveCluster:
+    """A cluster that got ``results`` as its processes' ``result``
+    messages and reads ``counters`` the way a run reads a node's: from
+    the closing snapshot of its trace, through the merge."""
+    runtime_dir = Path(config.substrate.runtime_dir)
+    cluster = LiveCluster(config)
+    cluster.runtime_dir = runtime_dir
+    for index, numbers in counters.items():
+        path = runtime_dir / f"trace-{index}.jsonl"
+        path.write_text(json.dumps({"type": "snapshot", "metrics": {
+            "counters": numbers, "gauges": {}}}) + "\n", encoding="utf-8")
+        cluster._trace_paths[index] = [str(path)]
+    cluster.results = results
+    cluster._finished = set(results)
+    cluster._merge_traces()
+    return cluster
 
 
 @pytest.fixture(scope="module")
@@ -160,10 +177,10 @@ class TestKilledNodeCatchesUp:
         assert killed_cluster.results[VICTIM]["incarnation"] == 1
 
     def test_victim_rebuilt_chain_via_catchup(self, killed_cluster):
-        metrics = killed_cluster.results[VICTIM]["metrics"]
+        metrics = _counters(killed_cluster, VICTIM)
         assert metrics["live.catchup_adopted"] >= 1
         served = sum(
-            killed_cluster.results[i]["metrics"]["live.catchup_served"]
+            _counters(killed_cluster, i)["live.catchup_served"]
             for i in range(NODES) if i != VICTIM)
         assert served >= 1
 
@@ -186,7 +203,7 @@ class TestKilledNodeCatchesUp:
     def test_respawned_victim_redialed_its_links(self, killed_cluster):
         # The victim is the highest index, i.e. the dialer of both its
         # links: its respawn goes through the backoff redial path.
-        metrics = killed_cluster.results[VICTIM]["metrics"]
+        metrics = _counters(killed_cluster, VICTIM)
         assert metrics["live.reconnects"] >= 1
         assert killed_cluster.summary()["live.reconnects"] >= 1
 
@@ -196,6 +213,9 @@ class TestKilledNodeCatchesUp:
         assert summary["live.catchup_adopted"] >= 1
         assert summary["live.catchup_served"] >= 1
         assert summary["chains_equal"]
+        runs = killed_cluster.outcome().runs
+        assert summary["per_node"] == {index: run.counters
+                                       for index, run in runs.items()}
         assert set(summary["per_node"]) == set(range(NODES))
         for metrics in summary["per_node"].values():
             assert "live.reconnect_attempts" in metrics
@@ -231,9 +251,8 @@ class TestPartitionedNodeCatchesUp:
     def test_duplicate_window_doubled_deliveries(self, partitioned_cluster):
         sent_late = dups = received = 0
         for index in range(NODES):
-            metrics = partitioned_cluster.results[index]["metrics"]
-            sent_late += metrics["live.fault_delayed_frames"]
             counters = _counters(partitioned_cluster, index)
+            sent_late += counters["live.fault_delayed_frames"]
             dups += counters["gossip.dup_dropped"]
             received += sum(count for name, count in counters.items()
                             if name.startswith("gossip.recv."))
@@ -272,7 +291,7 @@ class TestSpammingProcessIsContained:
         assert (spammed_cluster.config.runtime.vote_buffer_budget
                 == SPAM_BUFFER_BUDGET)
         for index in (0, 1):
-            metrics = spammed_cluster.results[index]["metrics"]
+            metrics = _counters(spammed_cluster, index)
             assert (0 < metrics["admission.buffer_high_water"]
                     <= SPAM_BUFFER_BUDGET)
         spec = ExperimentSpec("chaos", spammed_cluster.config,
@@ -306,13 +325,13 @@ class TestOneVocabulary:
             self, tmp_path):
         config = dataclasses.replace(
             _config(tmp_path), runtime=RuntimeConfig(vote_buffer_budget=64))
-        cluster = LiveCluster(config)
-        cluster.results = {
+        marks = {index: {"admission.buffer_high_water": high_water}
+                 for index, high_water in enumerate((64, 65, 9000))}
+        cluster = _reported(config, {
             index: NodeRun(index=index, blocks=(), seeds=(b"genesis",),
                            certified=(), rounds=(), step_durations=(),
-                           counters={"admission.buffer_high_water":
-                                     high_water}).to_record()
-            for index, high_water in enumerate((64, 65, 9000))}
+                           counters={}).to_record()
+            for index in marks}, marks)
         cluster.ended_at = 3.0
         spec = ExperimentSpec(
             "chaos", config, rounds=1,
@@ -320,10 +339,8 @@ class TestOneVocabulary:
                                 nodes=(2,), rate=10.0),))
         (breach,) = findings(cluster.outcome(), spec)["audits"]
         # The sim's audit, over its nodes' marks under the same names.
-        (sim_breach,) = audit_ingress(
-            {index: {"admission.buffer_high_water": high_water}
-             for index, high_water in enumerate((64, 65, 9000))},
-            config, now=3.0, skip=frozenset({2}))
+        (sim_breach,) = audit_ingress(marks, config, now=3.0,
+                                      skip=frozenset({2}))
         assert breach == sim_breach
         assert breach.invariant == "ingress-bounds"
         assert "node 1" in breach.detail and "65" in breach.detail
@@ -368,46 +385,73 @@ class TestTraceMerge:
         assert event in events
         assert any(record["kind"] == "node_crashed" for record in events)
 
+    def test_a_death_in_the_linger_fails_the_run(self, tmp_path):
+        """A node that sent its result closes its trace when it stops;
+        a last trace without the closing snapshot is a node that died
+        lingering, and its counters were never read: the merge fails
+        naming the file instead of folding the node as nothing."""
+        event = json.dumps({"type": "event", "t": 0.5, "kind": "note",
+                            "node": 1})
+        closed = json.dumps({"type": "snapshot", "metrics": {
+            "counters": {"crypto.verifies": 3}, "gauges": {}}})
+        (tmp_path / "node-0.jsonl").write_text(event + "\n" + closed + "\n")
+        (tmp_path / "node-1.jsonl").write_text(event + "\n")
+        cluster = LiveCluster(_config(tmp_path))
+        cluster.runtime_dir = tmp_path
+        cluster._trace_paths = {index: [str(tmp_path / f"node-{index}.jsonl")]
+                                for index in (0, 1)}
+        cluster._finished = {0, 1}
+        with pytest.raises(ValueError,
+                           match="node-1.jsonl: node 1 sent its result"):
+            cluster._merge_traces()
+        cluster._trace_paths[1] = [str(tmp_path / "node-9.jsonl")]
+        with pytest.raises(ValueError, match="node-9.jsonl"):
+            cluster._merge_traces()
+        cluster._finished = {0}
+        _, snapshot = read_trace(cluster._merge_traces())
+        assert snapshot["counters"] == {"crypto.verifies": 3}
+
 
 @pytest.fixture(scope="module")
 def reported(tmp_path_factory):
-    """The live config and the ``result`` records its three processes
-    would send: the runs of the same deployment on the sim."""
+    """The live config, the ``result`` records its three processes would
+    send and the counters their closing snapshots would hold: the runs
+    of the same deployment on the sim."""
     config = _config(tmp_path_factory.mktemp("live-reported"))
     sim = Simulation(dataclasses.replace(config, substrate=SubstrateConfig()))
     sim.run_rounds(3)
-    return config, {index: run.to_record()
-                    for index, run in sim.outcome().runs.items()}
+    runs = sim.outcome().runs
+    records = {index: run.to_record() for index, run in runs.items()}
+    counters = {index: run.counters for index, run in runs.items()}
+    return config, records, counters
 
 
 class TestOneChainAudit:
     """A live outcome gets the sim's three chain audits: the seed chain
     and the certificate binding, not only the committed block bytes."""
 
-    def _audits(self, config, results) -> list:
-        cluster = LiveCluster(config)
-        cluster.results = results
+    def _audits(self, config, results, counters) -> list:
+        cluster = _reported(config, results, counters)
         spec = ExperimentSpec("chaos", config, rounds=3)
         return findings(cluster.outcome(), spec)["audits"]
 
     def test_honest_results_pass_every_audit(self, reported):
-        config, results = reported
-        assert self._audits(config, results) == []
+        assert self._audits(*reported) == []
 
     def test_an_altered_stored_seed_breaks_the_seed_chain(self, reported):
-        config, results = reported
+        config, results, counters = reported
         record = copy.deepcopy(results[1])
         record["seeds"][2] = bytes(32)
-        (breach,) = self._audits(config, {**results, 1: record})
+        (breach,) = self._audits(config, {**results, 1: record}, counters)
         assert breach.invariant == "seed-chain"
         assert "node 1 round 2" in breach.detail
 
     def test_an_altered_certificate_breaks_the_binding(self, reported):
-        config, results = reported
+        config, results, counters = reported
         record = copy.deepcopy(results[2])
         assert record["certified"][0][0] is not None
         record["certified"][0][0] = bytes(32)
-        (breach,) = self._audits(config, {**results, 2: record})
+        (breach,) = self._audits(config, {**results, 2: record}, counters)
         assert breach.invariant == "certificate-binding"
         assert "node 2 round 1" in breach.detail
 

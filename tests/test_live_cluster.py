@@ -48,6 +48,15 @@ def cluster(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def four_rounds(tmp_path_factory):
+    """The same deployment, four rounds and no payments."""
+    cluster = LiveCluster(live_config(
+        NODES, seed=7, runtime_dir=str(tmp_path_factory.mktemp("live-4"))))
+    cluster.run_rounds(4)
+    return cluster
+
+
+@pytest.fixture(scope="module")
 def sim_snapshot(cluster):
     """The same config's run on the sim substrate, traced."""
     bus = TraceBus()
@@ -143,9 +152,10 @@ class TestLiveCluster:
                     == sim - _names(sim_snapshot, rejected))
             assert live["counters"]["crypto.verifies"] > 0
             assert live["gauges"]["admission.buffer_high_water"] > 0
-        assert cluster.metrics["damping.observed"] == sum(
-            result["metrics"]["damping.observed"]
-            for result in cluster.results.values())
+        outcome = cluster.outcome()
+        assert outcome.snapshot["damping.observed"] == sum(
+            run.counters["damping.observed"]
+            for run in outcome.runs.values())
 
     def test_report_on_the_merged_trace_has_the_runtime_table(
             self, cluster):
@@ -187,3 +197,31 @@ class TestLiveCluster:
         # Only a request sent while the server still imported waits.
         assert min(report["import_s"] for report in startup.values()) \
             < server["import_s"]
+
+
+class TestOneRead:
+    """A node's counters are read once, at its closing snapshot: the
+    outcome, the summary and the merged trace show one fold."""
+
+    def test_the_three_reads_are_one_fold(self, four_rounds):
+        outcome, summary = four_rounds.outcome(), four_rounds.summary()
+        _, merged = read_trace(four_rounds.merged_trace_path)
+        numbers = {**merged["counters"], **merged["gauges"]}
+        assert numbers and set(outcome.snapshot) == set(numbers)
+        for name, value in numbers.items():
+            assert outcome.snapshot[name] == summary[name] == value, name
+
+    def test_each_run_holds_its_own_closing_snapshot(self, four_rounds):
+        outcome, summary = four_rounds.outcome(), four_rounds.summary()
+        assert sorted(outcome.runs) == list(range(NODES))
+        for index, run in outcome.runs.items():
+            _, own = read_trace(four_rounds.results[index]["trace"])
+            assert run.counters == {**own["counters"], **own["gauges"]}
+            assert summary["per_node"][index] == run.counters
+
+    def test_a_clean_stop_redials_nobody(self, four_rounds):
+        """Read where it is written last, after every peer stopped."""
+        for index, result in four_rounds.results.items():
+            _, own = read_trace(result["trace"])
+            numbers = {**own["counters"], **own["gauges"]}
+            assert numbers["live.reconnect_attempts"] == 0, index

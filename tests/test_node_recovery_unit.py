@@ -7,6 +7,8 @@ import pytest
 from repro.crypto.hashing import H
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.ledger.block import empty_block
+from repro.network.message import Envelope
+from repro.node.deployment import node_counters
 from repro.node.recovery import ForkProposal, RecoverySession
 from repro.sortition.roles import fork_proposer_role
 from repro.sortition.selection import sortition
@@ -108,10 +110,13 @@ class TestRecoverySessionValidation:
         assert best.priority == max(p.priority for p in valid)
 
     def test_close_unregisters_handler(self, sim):
-        session = RecoverySession(sim.nodes[0], pre_fork_round=1)
-        assert sim.nodes[0].router.is_registered("fork")
+        node = sim.nodes[0]
+        session = RecoverySession(node, pre_fork_round=1)
+        unknown = node_counters(node)["router.unknown_kind"]
         session.close()
-        assert not sim.nodes[0].router.is_registered("fork")
+        fork = Envelope(origin=b"peer", kind="fork", payload=None, size=10)
+        assert node.router.dispatch(fork) is False
+        assert node_counters(node)["router.unknown_kind"] == unknown + 1
 
     def test_recovery_ctx_shared_across_nodes(self, sim):
         """All nodes on the same prefix derive identical recovery

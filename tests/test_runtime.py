@@ -19,6 +19,7 @@ from repro.common.errors import NetworkError, SignatureError
 from repro.crypto.backend import FastBackend
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.node.config import PopulationConfig
+from repro.node.deployment import node_counters
 from repro.network.message import Envelope
 from repro.runtime.router import MessageRouter
 
@@ -73,12 +74,12 @@ class TestMessageRouter:
     def test_unregister_and_introspection(self):
         router = MessageRouter()
         router.register("chain", lambda payload: True)
-        assert router.is_registered("chain")
-        assert router.kinds() == frozenset({"chain"})
+        assert router.dispatch(_envelope("chain")) is True
+        assert router.unknown_kinds == 0
         router.unregister("chain")
         router.unregister("chain")  # idempotent
-        assert not router.is_registered("chain")
         assert router.dispatch(_envelope("chain")) is False
+        assert router.unknown_kinds == 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +271,11 @@ class TestChainSync:
         node = sim.nodes[0]
         sync = _sync(sim, node)
         assert node.catchup is sync
-        assert node.router.is_registered("chain")
-        assert node.router.is_registered("chainreq")
+        unknown = node_counters(node)["router.unknown_kind"]
         sync.close()
-        assert not node.router.is_registered("chain")
-        assert not node.router.is_registered("chainreq")
+        for kind in ("chain", "chainreq"):
+            assert node.router.dispatch(_envelope(kind)) is False
+        assert node_counters(node)["router.unknown_kind"] == unknown + 2
         assert node.catchup is None
         sim.env.run()  # returns: the lag probe no longer re-arms
 

@@ -120,15 +120,6 @@ class TestSeedChain:
         # round 10: 10 - 1 - (10 % 4) = 7
         assert chain.selection_seed(10) == chain.seed_of_round(7)
 
-    def test_truncate_for_fork_switch(self):
-        chain = SeedChain(b"genesis", 1)
-        for r in range(1, 6):
-            chain.append(H(bytes([r])))
-        chain.truncate(3)
-        assert len(chain) == 3
-        with pytest.raises(ValueError):
-            chain.truncate(0)
-
     def test_empty_genesis_rejected(self):
         with pytest.raises(ValueError):
             SeedChain(b"", 10)
