@@ -83,27 +83,3 @@ def diameter_scaling(sizes: list[int] | None = None,
         sizes = [50, 200, 800, 3200]
     return [analyze_topology(n, peers_per_node, seed=seed + i)
             for i, n in enumerate(sizes)]
-
-
-def expected_dissemination_hops(num_nodes: int, peers_per_node: int = 4,
-                                seed: int = 0,
-                                samples: int = 20) -> float:
-    """Mean shortest-path length from random sources — gossip hop count.
-
-    Dissemination latency is (hops x per-hop latency); this is the hops
-    factor the paper's flat-latency scaling relies on.
-    """
-    rng = np.random.default_rng(seed)
-    graph = build_gossip_graph(num_nodes, peers_per_node, rng)
-    giant = graph.subgraph(
-        max(nx.connected_components(graph), key=len))
-    nodes = list(giant.nodes)
-    sources = rng.choice(len(nodes), size=min(samples, len(nodes)),
-                         replace=False)
-    total, count = 0.0, 0
-    for source_index in sources:
-        lengths = nx.single_source_shortest_path_length(
-            giant, nodes[int(source_index)])
-        total += sum(lengths.values())
-        count += len(lengths)
-    return total / count

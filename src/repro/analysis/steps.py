@@ -18,12 +18,10 @@ hash is adversarial (probability ``1 - h``) or the coin favors the
 adversary's split (probability ``1/2`` given an honest lowest hash). So
 each 3-step loop ends the attack with probability ``p = h/2``, giving an
 expected ``3 / p`` BinaryBA* steps plus the closing steps. This module
-computes those quantities and the tail probability of hitting MaxSteps.
+computes those quantities.
 """
 
 from __future__ import annotations
-
-import math
 
 #: Interactive steps in the common case: reduction (2) + BinaryBA* step 1
 #: + the final confirmation step (section 7 "Efficiency").
@@ -69,29 +67,3 @@ def expected_total_steps_worst_case(
     within expected 13 steps" — 2 + 11 at h -> 2/3.
     """
     return 2.0 + expected_binary_steps_worst_case(honest_fraction)
-
-
-def probability_exceeds_max_steps(max_steps: int = 150,
-                                  honest_fraction: float = 0.80) -> float:
-    """P[the splitting attack survives past MaxSteps] (Appendix C.3).
-
-    The attack must win every coin loop: ``(1 - h/2) ** (MaxSteps // 3)``.
-    """
-    if max_steps < 3:
-        raise ValueError("max_steps must be >= 3")
-    p = loop_success_probability(honest_fraction)
-    return (1.0 - p) ** (max_steps // 3)
-
-
-def max_steps_for_failure_probability(epsilon: float,
-                                      honest_fraction: float = 0.80) -> int:
-    """Smallest MaxSteps bounding the attack's survival below epsilon.
-
-    Inverse of :func:`probability_exceeds_max_steps`; the paper picks
-    MaxSteps = 150, comfortably beyond the 5e-9 regime it uses elsewhere.
-    """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    p = loop_success_probability(honest_fraction)
-    loops = math.ceil(math.log(epsilon) / math.log(1.0 - p))
-    return 3 * loops

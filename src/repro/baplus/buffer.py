@@ -107,9 +107,6 @@ class VoteBuffer:
         if (callback, arg) in parked:
             parked.remove((callback, arg))
 
-    def rounds_buffered(self) -> set[int]:
-        return {round_number for round_number, _ in self._buckets}
-
     def buckets_between(self, low: int, high: int
                         ) -> list[tuple[_Key, list[VoteMessage]]]:
         """``((round, step), votes)`` for the rounds ``low <= r < high``."""

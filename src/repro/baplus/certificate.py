@@ -21,7 +21,6 @@ from repro.baplus.messages import VoteMessage
 from repro.baplus.voting import process_msg
 from repro.common.errors import InvalidCertificate
 from repro.common.params import ProtocolParams
-from repro.network.message import VOTE_MESSAGE_BYTES
 from repro.sortition.roles import FINAL_STEP
 
 
@@ -47,14 +46,6 @@ class Certificate:
     value: bytes
     votes: tuple[VoteMessage, ...]
 
-    @property
-    def size(self) -> int:
-        """Approximate wire size in bytes (drives storage accounting)."""
-        return len(self.votes) * VOTE_MESSAGE_BYTES
-
-    @property
-    def is_final(self) -> bool:
-        return self.step == FINAL_STEP
 
 
 def build_certificate(buffer: VoteBuffer, ctx: BAContext, backend,

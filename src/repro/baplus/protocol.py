@@ -51,10 +51,6 @@ class AgreementResult:
     deciding_step: str
     steps_taken: int
 
-    @property
-    def is_final(self) -> bool:
-        return self.kind == FINAL
-
 
 def reduction(part: BAParticipant, ctx: BAContext, round_number: int,
               hblock: bytes, then: Callable[[bytes], None]) -> None:

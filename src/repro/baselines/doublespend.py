@@ -81,12 +81,6 @@ def confirmations_needed(q: float, risk: float = 1e-3,
     raise ValueError(f"no z <= {z_max} reaches risk {risk} at q={q}")
 
 
-def confirmation_latency_seconds(q: float, risk: float = 1e-3,
-                                 block_interval: float = 600.0) -> float:
-    """Expected wait (seconds) for Bitcoin to reach the target risk."""
-    return confirmations_needed(q, risk) * block_interval
-
-
 def speedup_table(qs: tuple[float, ...] = (0.05, 0.10, 0.25),
                   risk: float = 1e-3,
                   block_interval: float = 600.0,
@@ -105,10 +99,3 @@ def speedup_table(qs: tuple[float, ...] = (0.05, 0.10, 0.25),
             "speedup": bitcoin_wait / algorand_round,
         })
     return rows
-
-
-def risk_curve(q: float, z_values: range | None = None
-               ) -> list[tuple[int, float]]:
-    """(z, success probability) points for plotting the classic curve."""
-    zs = z_values if z_values is not None else range(0, 11)
-    return [(z, double_spend_probability(z, q)) for z in zs]

@@ -2,14 +2,9 @@
 
 The paper's throughput claim (section 10.2) is relative: "Bitcoin commits
 a 1 MByte block every 10 minutes, ... 6 MBytes of transactions per hour",
-and transactions confirm after 6 blocks (~1 hour). This module provides
-that baseline two ways:
-
-* analytically (:func:`expected_confirmation_latency`,
-  :func:`throughput_bytes_per_hour`), matching the paper's arithmetic;
-* as a small Monte-Carlo miner simulation (:class:`NakamotoSimulator`)
-  that also reproduces PoW's characteristic *fork rate* as a function of
-  block propagation delay — the phenomenon Algorand eliminates.
+and transactions confirm after 6 blocks (~1 hour). This module gives
+that baseline in closed form (:func:`throughput_bytes_per_hour`), the
+figure ``tab_throughput`` prints beside Algorand's.
 
 The model: block discoveries form a Poisson process with the configured
 mean interval; a discovery within ``propagation_delay`` of the previous
@@ -21,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class NakamotoConfig:
@@ -30,7 +23,6 @@ class NakamotoConfig:
 
     block_interval: float = 600.0          # seconds (10 minutes)
     block_size: int = 1_000_000            # bytes
-    confirmations: int = 6                 # blocks to wait [7]
     propagation_delay: float = 12.6        # seconds to reach most miners [18]
 
     def __post_init__(self) -> None:
@@ -38,19 +30,8 @@ class NakamotoConfig:
             raise ValueError("block_interval must be positive")
         if self.block_size <= 0:
             raise ValueError("block_size must be positive")
-        if self.confirmations < 1:
-            raise ValueError("confirmations must be >= 1")
         if self.propagation_delay < 0:
             raise ValueError("propagation_delay must be >= 0")
-
-
-def expected_confirmation_latency(config: NakamotoConfig) -> float:
-    """Mean seconds until a fresh transaction has k confirmations.
-
-    The transaction waits ~one full interval for inclusion (memoryless
-    arrival) plus ``confirmations - 1`` further blocks.
-    """
-    return config.block_interval * config.confirmations
 
 
 def throughput_bytes_per_hour(config: NakamotoConfig) -> float:
@@ -64,71 +45,3 @@ def fork_probability(config: NakamotoConfig) -> float:
     """P[next block is found before the previous one propagates]."""
     return 1.0 - math.exp(-config.propagation_delay
                           / config.block_interval)
-
-
-@dataclass(frozen=True)
-class NakamotoResult:
-    """Aggregate output of one Monte-Carlo run."""
-
-    blocks_mined: int
-    blocks_stale: int
-    mean_confirmation_latency: float
-    throughput_bytes_per_hour: float
-
-    @property
-    def fork_rate(self) -> float:
-        if self.blocks_mined == 0:
-            return 0.0
-        return self.blocks_stale / self.blocks_mined
-
-
-class NakamotoSimulator:
-    """Monte-Carlo Bitcoin: Poisson block discovery + propagation races."""
-
-    def __init__(self, config: NakamotoConfig | None = None) -> None:
-        self.config = config if config is not None else NakamotoConfig()
-
-    def run(self, num_blocks: int, rng: np.random.Generator,
-            transactions: int = 200) -> NakamotoResult:
-        """Mine ``num_blocks`` and measure confirmation latency.
-
-        ``transactions`` sample points arrive uniformly over the mining
-        period; each waits for inclusion in the next non-stale block plus
-        ``confirmations - 1`` successors.
-        """
-        if num_blocks < self.config.confirmations + 1:
-            raise ValueError("need more blocks than the confirmation depth")
-        config = self.config
-        intervals = rng.exponential(config.block_interval, size=num_blocks)
-        times = np.cumsum(intervals)
-        # A block is stale if it was found while its predecessor was still
-        # propagating (simultaneous-mining race).
-        stale = np.zeros(num_blocks, dtype=bool)
-        stale[1:] = intervals[1:] < config.propagation_delay
-        main_chain = times[~stale]
-
-        horizon = float(times[-1])
-        arrivals = rng.uniform(0, horizon * 0.5, size=transactions)
-        latencies = []
-        for arrival in arrivals:
-            index = int(np.searchsorted(main_chain, arrival))
-            confirm_index = index + config.confirmations - 1
-            if confirm_index < len(main_chain):
-                latencies.append(float(main_chain[confirm_index] - arrival))
-        committed_bytes = int((~stale).sum()) * config.block_size
-        hours = horizon / 3600.0
-        return NakamotoResult(
-            blocks_mined=num_blocks,
-            blocks_stale=int(stale.sum()),
-            mean_confirmation_latency=(
-                float(np.mean(latencies)) if latencies else float("nan")),
-            throughput_bytes_per_hour=committed_bytes / hours,
-        )
-
-
-def paper_comparison(algorand_bytes_per_hour: float,
-                     config: NakamotoConfig | None = None) -> float:
-    """Algorand-to-Bitcoin throughput ratio (the paper reports 125x)."""
-    baseline = throughput_bytes_per_hour(
-        config if config is not None else NakamotoConfig())
-    return algorand_bytes_per_hour / baseline

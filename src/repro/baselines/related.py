@@ -72,24 +72,3 @@ def comparison_rows(algorand: SystemProfile | None = None
     rows = [BITCOIN, HONEY_BADGER, BYZCOIN,
             algorand if algorand is not None else algorand_profile()]
     return sorted(rows, key=lambda profile: profile.latency_seconds)
-
-
-def dominates(a: SystemProfile, b: SystemProfile) -> bool:
-    """True if ``a`` is at least as good as ``b`` on every axis and
-    strictly better on at least one (latency and throughput compared
-    numerically; booleans compared as desirability)."""
-    at_least = (
-        a.latency_seconds <= b.latency_seconds
-        and a.throughput_bytes_per_sec >= b.throughput_bytes_per_sec
-        and (a.decentralized or not b.decentralized)
-        and (not a.forks_possible or b.forks_possible)
-        and (a.adaptive_adversary or not b.adaptive_adversary)
-    )
-    strictly = (
-        a.latency_seconds < b.latency_seconds
-        or a.throughput_bytes_per_sec > b.throughput_bytes_per_sec
-        or (a.decentralized and not b.decentralized)
-        or (not a.forks_possible and b.forks_possible)
-        or (a.adaptive_adversary and not b.adaptive_adversary)
-    )
-    return at_least and strictly

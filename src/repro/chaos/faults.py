@@ -11,10 +11,11 @@ already installed), message *timing* through its ``link_shaper``
 node-level faults act on the node objects — ``interface.disconnected``
 for ``dos`` and ``targeted-dos`` (the latter struck by a watch on the
 drop chain that never drops), the agent's fail-stop
-:meth:`~repro.node.agent.Node.crash` /
-:meth:`~repro.node.agent.Node.restart`, :func:`junk_vote_loop` for
-``flood``/``spam``, and :data:`BYZANTINE_SEAMS` for the attackers that
-take over an otherwise honest node's proposal or vote gossip.
+:meth:`~repro.node.agent.Node.crash` and its
+:meth:`~repro.node.agent.Node.revive` / ``rejoin``,
+:func:`junk_vote_loop` for ``flood``/``spam``, and
+:data:`BYZANTINE_SEAMS` for the attackers that take over an otherwise
+honest node's proposal or vote gossip.
 
 The fabric is any :class:`~repro.substrate.api.Fabric`: the sim's
 :class:`~repro.network.gossip.GossipNetwork`, where one injector hosts

@@ -120,15 +120,6 @@ def point_decompress(data: bytes) -> _Point:
     return _point_from_affine(x, y)
 
 
-def is_on_curve(point: _Point) -> bool:
-    """Check -x^2 + y^2 = 1 + d x^2 y^2 (projectively)."""
-    x, y, z, t = point
-    return (
-        (-x * x + y * y - z * z - D * t * t) % P == 0
-        and (x * y - z * t) % P == 0
-    )
-
-
 # --- Key generation, signing, verification (RFC 8032, section 5.1.5+) ----
 
 

@@ -42,25 +42,6 @@ def hash_state(*parts: bytes) -> "hashlib._Hash":
     return digest
 
 
-def hash_to_int(data: bytes) -> int:
-    """Interpret a hash as a big-endian integer in ``[0, HASH_DOMAIN)``."""
-    return int.from_bytes(H(data), "big")
-
-
-def hash_fraction(data: bytes) -> float:
-    """Map a hash to ``[0, 1)`` as ``hash / 2**hashlen`` (Algorithm 1).
-
-    Only the top 53 bits are used so the conversion is exact in a double
-    and the result is strictly below 1.0 (naive division can round
-    ``(2**256 - 1) / 2**256`` up to exactly 1.0).
-    """
-    if not data:
-        raise ValueError("empty hash")
-    padded = data[:8].ljust(8, b"\x00")
-    top = int.from_bytes(padded, "big") >> 11  # 53 bits
-    return top / float(1 << 53)
-
-
 def sha512(*parts: bytes) -> bytes:
     """SHA-512, used internally by Ed25519 and the VRF suite."""
     digest = hashlib.sha512()

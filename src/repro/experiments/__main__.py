@@ -36,7 +36,12 @@ from repro.common.errors import SpecError
 from repro.common.params import PAPER_PARAMS
 from repro.experiments.adversarial import adversarial_spec, figure8_specs
 from repro.experiments.costs import costs_spec, expected_certificate_bytes
-from repro.experiments.latency import figure5_specs, figure6_specs, latency_spec
+from repro.experiments.latency import (
+    figure5_specs,
+    figure6_specs,
+    flatness,
+    latency_spec,
+)
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import PointOutcome, SweepReport, run_sweep
 from repro.experiments.throughput import (
@@ -71,18 +76,13 @@ def _summary_row(result: dict) -> list[str]:
     return cells
 
 
-def _latency_flatness(results: list[dict]) -> float:
-    medians = [r["summary"]["median"] for r in results
-               if r["summary"]["median"] is not None]
-    return max(medians) / min(medians) if medians else float("nan")
-
-
 def _render_latency(results: list[dict]) -> str:
     table = format_table(
         ["users", "min", "p25", "median", "p75", "max"],
         [[r["num_users"]] + _summary_row(r) for r in results])
+    ratio = flatness([r["summary"]["median"] for r in results])
     return (f"{table}\nflatness (max/min median): "
-            f"{_latency_flatness(results):.2f} (paper: near-constant)")
+            f"{ratio:.2f} (paper: near-constant)")
 
 
 def _render_fig7(results: list[dict]) -> str:

@@ -109,11 +109,12 @@ def figure6_specs(users: list[int] | None = None, *, seed: int = 0,
     ]
 
 
-def flatness(points: list[LatencyPoint]) -> float:
-    """Max/min ratio of median latency across the sweep (1.0 == flat).
+def flatness(medians: list[float | None]) -> float:
+    """Max/min ratio of a sweep's median latencies (1.0 == flat).
 
-    The paper's claim is near-constant latency; the benchmarks assert
-    this stays small.
+    The paper's claim is near-constant latency. A point without a
+    median (no round finished) is skipped; with none at all the ratio is
+    nan.
     """
-    medians = [point.summary.median for point in points]
-    return max(medians) / min(medians)
+    known = [median for median in medians if median is not None]
+    return max(known) / min(known) if known else float("nan")

@@ -46,12 +46,3 @@ class LatencySummary:
         nan = math.nan
         return cls(minimum=nan, p25=nan, median=nan, p75=nan,
                    maximum=nan, mean=nan, count=0)
-
-    def row(self) -> dict[str, float]:
-        return {
-            "min": round(self.minimum, 2),
-            "p25": round(self.p25, 2),
-            "median": round(self.median, 2),
-            "p75": round(self.p75, 2),
-            "max": round(self.maximum, 2),
-        }

@@ -148,6 +148,3 @@ class PointResult:
     def data(self) -> dict:
         """The measurement as JSON-safe plain data."""
         return _jsonable(self.point)
-
-    def to_json(self) -> dict:
-        return {"spec": self.spec.to_json(), "result": self.data()}

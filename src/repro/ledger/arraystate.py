@@ -147,10 +147,6 @@ class ArrayWeights(Mapping[bytes, int]):
         """The raw (read-only) balance array, for the vectorized pool."""
         return self._balances
 
-    @property
-    def index(self) -> AccountIndex:
-        return self._index
-
     def floored_by(self, other: "ArrayWeights") -> "ArrayWeights":
         """Per-account minimum with ``other``, a snapshot on the same index.
 

@@ -86,10 +86,6 @@ class Blockchain:
         return len(self._blocks)
 
     @property
-    def last_block(self) -> Block:
-        return self._blocks[-1]
-
-    @property
     def tip_hash(self) -> bytes:
         return self._blocks[-1].block_hash
 
@@ -221,12 +217,3 @@ class Blockchain:
         clone._seeds = self._seeds.copy()
         clone._weight_history = list(self._weight_history)
         return clone
-
-    def shares_prefix_with(self, other: "Blockchain") -> int:
-        """Length of the common prefix (in blocks, counting genesis)."""
-        common = 0
-        for mine, theirs in zip(self._blocks, other._blocks):
-            if mine.block_hash != theirs.block_hash:
-                break
-            common += 1
-        return common

@@ -79,11 +79,6 @@ class FrameDecoder:
         self.frames_decoded = 0
         self.bytes_fed = 0
 
-    @property
-    def buffered(self) -> int:
-        """Bytes held waiting for the rest of a frame."""
-        return len(self._buffer)
-
     def residue(self) -> bytes:
         """The bytes of the incomplete frame held so far (a copy).
 

@@ -52,7 +52,6 @@ class SupportsLatency(Protocol):
     def latency(self, src: int, dst: int) -> float: ...
     def latencies(self, src: int, dsts: list[int]) -> list[float]: ...
     def batch_terms(self, src: int, n: int) -> BatchTerms: ...
-    def city_of(self, user_index: int) -> str: ...
 
 
 DropFilter = Callable[[int, int, Envelope], bool]
@@ -628,8 +627,3 @@ class GossipNetwork:
     @property
     def total_bytes_sent(self) -> int:
         return sum(i.bytes_sent for i in filter(None, self.interfaces))
-
-    def bytes_sent_per_node(self) -> list[int]:
-        """One entry per slot; a slot that was never active sent 0."""
-        return [iface.bytes_sent if iface is not None else 0
-                for iface in self.interfaces]

@@ -100,9 +100,6 @@ class LatencyModel:
         self._rng = rng
         self._jitter = jitter_fraction
 
-    def city_of(self, user_index: int) -> str:
-        return CITIES[self._city_of[user_index]][0]
-
     def latency(self, src: int, dst: int) -> float:
         """One-way latency sample between two users (with jitter)."""
         return self.latencies(src, [dst])[0]
@@ -151,9 +148,6 @@ class UniformLatencyModel:
             raise ValueError("latency must be >= 0")
         self._latency = latency
         self._terms: BatchTerms = ([latency], _OneCity(), None)
-
-    def city_of(self, user_index: int) -> str:
-        return "uniform"
 
     def latency(self, src: int, dst: int) -> float:
         return self._latency

@@ -297,15 +297,6 @@ def _no_table(back: int) -> Transaction:
                     f"link table was given")
 
 
-def wire_size(obj: Transaction | VoteMessage | PriorityMessage | Block
-              | Certificate) -> int:
-    """Exact encoded size of any protocol message."""
-    for layout in (TX, VOTE, PRIORITY, BLOCK, CERT):
-        if isinstance(obj, layout.build):
-            return len(layout.pack(obj))
-    raise TypeError(f"no wire format for {type(obj).__name__}")
-
-
 # --- Envelopes (gossip routing header + origin + body) ----------------------
 
 #: Envelope kind -> ``(kind code, body layout)``. A kind without a wire
@@ -417,7 +408,3 @@ def decode_envelope_body(
     return Envelope(origin=origin, kind=kind, payload=payload, size=size,
                     msg_id=msg_id)
 
-
-def decode_envelope(data: bytes) -> Envelope:
-    """Inverse of :func:`encode_envelope`; returns a fresh ``Envelope``."""
-    return decode_envelope_body(decode_envelope_header(data), data)

@@ -331,7 +331,7 @@ class Node:
         The run begins at the next event of this instant. Asked while a
         run is under way, the new target waits for that run to end and
         then begins a run of its own. A crashed node runs again only
-        through :meth:`restart`.
+        after :meth:`revive` and :meth:`rejoin`.
         """
         if self.crashed:
             return
@@ -384,17 +384,9 @@ class Node:
             self.obs.emit("node_crashed", node=self.index,
                           round=self.chain.next_round)
 
-    def restart(self, target_height: int) -> None:
-        """Rejoin after a :meth:`crash`: reconnect (:meth:`revive`),
-        catch up on what the peers committed meanwhile (:meth:`rejoin`,
-        section 8.3), and run the current round like a bootstrapping
-        user."""
-        self.revive()
-        self.rejoin(target_height)
-
     def revive(self) -> None:
-        """The first half of :meth:`restart`: out of CRASHED and
-        reconnected, not yet running."""
+        """Come back after a :meth:`crash`: out of CRASHED and
+        reconnected, not yet running (:meth:`rejoin` runs it again)."""
         if not self.crashed:
             raise SimulationError(
                 f"node {self.index} is not crashed; cannot restart")
@@ -405,8 +397,9 @@ class Node:
                           round=self.chain.next_round)
 
     def rejoin(self, target_height: int) -> None:
-        """Run toward ``target_height`` once caught up: a node with a
-        catch-up first asks for what it missed and waits for an answer
+        """Run toward ``target_height`` once caught up (section 8.3),
+        like a bootstrapping user: a node with a catch-up first asks for
+        what it missed and waits for an answer
         (``catchup.rejoin_polls`` polls), rather than burn timeouts on a
         round its peers finished long ago."""
         if self.catchup is None:

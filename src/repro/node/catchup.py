@@ -55,7 +55,7 @@ from repro.ledger.block import Block
 from repro.ledger.blockchain import Blockchain
 from repro.network.message import Envelope
 from repro.node.agent import history_context, sortition_weights
-from repro.sortition.roles import RECOVERY_ROUND_BASE
+from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 from repro.sortition.seed import accepted_seed, selection_round
 
 if TYPE_CHECKING:
@@ -129,7 +129,8 @@ def verify_final_safety(chain: Blockchain, *, backend: CryptoBackend,
     if round_number is None:
         return None
     certificate = chain.final_certificate_at(round_number)
-    if not isinstance(certificate, Certificate) or not certificate.is_final:
+    if (not isinstance(certificate, Certificate)
+            or certificate.step != FINAL_STEP):
         raise InvalidCertificate("stored final certificate is malformed")
     if certificate.value != chain.block_at(round_number).block_hash:
         raise InvalidCertificate(
@@ -214,13 +215,6 @@ class ChainSync:
         node.catchup = self
         self._probe = self.clock.schedule(self.poll_interval,
                                           self._lag_probe)
-
-    def close(self) -> None:
-        """Detach from the node: no handlers, no catch-up, no probe."""
-        self.node.router.unregister("chain")
-        self.node.router.unregister("chainreq")
-        self.node.catchup = None
-        self._probe.cancel()
 
     def stats(self) -> dict[str, int]:
         return {"catchup_served": self.served,

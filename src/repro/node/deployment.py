@@ -224,10 +224,6 @@ class NodeRun:
     def height(self) -> int:
         return len(self.blocks)
 
-    @property
-    def tip(self) -> bytes | None:
-        return self.blocks[-1].block_hash if self.blocks else None
-
     def round_record(self, round_number: int) -> RoundRecord | None:
         for record in self.rounds:
             if record.round_number == round_number:
@@ -322,11 +318,6 @@ class RunOutcome:
         """Chain height per node slot; ``None`` where nothing reported."""
         return [self.runs[index].height if index in self.runs else None
                 for index in range(self.slots)]
-
-    def chains_equal(self) -> bool:
-        """Every reporting node holds the same chain."""
-        return len({(run.height, run.tip)
-                    for run in self.runs.values()}) == 1
 
     def agreed_hashes(self, round_number: int) -> set[bytes]:
         """Distinct block hashes committed at ``round_number`` (safety: 1)."""

@@ -122,9 +122,6 @@ class TraceBus:
 
     # -- reading -------------------------------------------------------
 
-    def events_of_kind(self, kind: str) -> list[dict]:
-        return [event for event in self.events if event["kind"] == kind]
-
     def snapshot(self) -> dict:
         """Run harvesters, then return the registry snapshot."""
         for harvester in self._harvesters:

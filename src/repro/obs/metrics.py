@@ -103,12 +103,6 @@ class MetricsRegistry:
 
     # -- read paths ----------------------------------------------------
 
-    def counter(self, name: str) -> int | float:
-        return self._counters.get(name, 0)
-
-    def gauge(self, name: str) -> int | float | None:
-        return self._gauges.get(name)
-
     def counters_with_prefix(self, prefix: str) -> dict[str, int | float]:
         """All counters whose name starts with ``prefix`` (sorted)."""
         return {name: value

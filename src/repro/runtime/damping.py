@@ -88,9 +88,6 @@ class DampingTally:
         return (self.final_threshold if step == FINAL_STEP
                 else self.step_threshold)
 
-    def crossed(self, round_number: int, step: str, value: bytes) -> bool:
-        return (round_number, step, value) in self._crossed
-
     def observe(self, round_number: int, step: str, value: bytes,
                 voter: bytes, weight: int,
                 coin_hash: int = COIN_HASH_CEILING) -> bool:

@@ -115,13 +115,13 @@ class BatchSchedule:
         self._deliver = deliver
         self._skip = skip
         self._cursor = 0
+        # Nothing cancels a batch; the loop reads this off every entry.
         self.cancelled = False
         self.time = items[0][0]
 
     def _fire(self) -> None:
         items = self._items
-        # Off the heap while it fires: a cancel() issued by one of its
-        # own deliveries has no heap entry to retire.
+        # Off the heap while it fires.
         self._items = ()
         deliver = self._deliver
         cursor = start = self._cursor
@@ -143,16 +143,6 @@ class BatchSchedule:
             self._cursor = cursor
             self.time = time = items[cursor][0]
             heapq.heappush(env._heap, (time, self.seq, self))
-
-    def cancel(self) -> None:
-        """Drop all not-yet-delivered payloads."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self._deliver = self._skip = None
-        if self._items:  # queued in the heap
-            self._items = ()
-            self._env._heap_entry_died()
 
 
 class Environment:

@@ -235,10 +235,6 @@ class SortitionProof:
     vrf_proof: bytes
     j: int
 
-    @property
-    def selected(self) -> bool:
-        return self.j > 0
-
 
 def sortition(backend: CryptoBackend, secret: bytes, seed: bytes,
               tau: float, role: bytes, weight: int,

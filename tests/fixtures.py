@@ -54,6 +54,22 @@ def run_sim(rounds: int, payments: int = 0, *, obs: TraceBus | None = None,
     return sim
 
 
+def sent_bytes(network) -> list[int]:
+    """Bytes each slot sent; a slot that was never active sent 0."""
+    return [iface.bytes_sent if iface is not None else 0
+            for iface in network.interfaces]
+
+
+def events_of(bus: TraceBus, kind: str) -> list[dict]:
+    """The events of one kind a bus kept, in emission order."""
+    return [event for event in bus.events if event["kind"] == kind]
+
+
+def buffered_rounds(buffer) -> set[int]:
+    """The rounds a ``VoteBuffer`` holds a bucket for."""
+    return {key[0] for key, _ in buffer.buckets_between(0, 1 << 62)}
+
+
 def run_traced(rounds: int, payments: int = 0,
                **config) -> tuple[Simulation, TraceBus]:
     """:func:`run_sim` with a fresh :class:`TraceBus` attached."""

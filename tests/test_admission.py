@@ -33,7 +33,8 @@ from repro.runtime.admission import (
 )
 from repro.sim.loop import Environment
 
-from tests.fixtures import chain_hash, run_sim, signed_vote
+from tests.fixtures import (
+    buffered_rounds, chain_hash, run_sim, signed_vote)
 from tests.test_kernel_contract import GOLDEN_20_USERS_2_ROUNDS
 
 
@@ -160,7 +161,7 @@ class TestBoundedVoteBuffer:
         buffer.add(_vote(RECOVERY_ROUND_BASE))
         buffer.add(_vote(RECOVERY_ROUND_BASE + 1))
         buffer.prune_at_or_above(RECOVERY_ROUND_BASE)
-        assert buffer.rounds_buffered() == {2}
+        assert buffered_rounds(buffer) == {2}
         assert len(buffer) == 1
 
 
@@ -174,10 +175,10 @@ class TestRecoveryVoteLeak:
         session = RecoverySession(node, pre_fork_round=0)
         for attempt in range(3):
             node.buffer.add(_vote(RECOVERY_ROUND_BASE + attempt))
-        assert node.buffer.rounds_buffered() >= {RECOVERY_ROUND_BASE}
+        assert buffered_rounds(node.buffer) >= {RECOVERY_ROUND_BASE}
         session.close()
         assert all(r < RECOVERY_ROUND_BASE
-                   for r in node.buffer.rounds_buffered())
+                   for r in buffered_rounds(node.buffer))
 
     def test_close_clears_admission_dedup_state(self):
         """After recovery every participant legitimately re-votes rounds

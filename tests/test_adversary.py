@@ -18,6 +18,8 @@ from repro.experiments.harness import Simulation, SimulationConfig
 from repro.experiments.spec import ExperimentSpec
 from repro.obs import TraceBus
 
+from tests.fixtures import events_of
+
 
 def _attacked(num_users: int, seed: int, attackers: int,
               *kinds: str) -> Simulation:
@@ -146,7 +148,7 @@ class TestTargetedDoS:
         # A victim is struck for its own announcement: a node that
         # really proposed, not whoever relayed it.
         proposers = {event["node"]
-                     for event in bus.events_of_kind("block_proposed")}
+                     for event in events_of(bus, "block_proposed")}
         assert victims <= proposers
         assert all(sim.nodes[index].interface.disconnected
                    for index in victims)

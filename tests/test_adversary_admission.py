@@ -20,7 +20,7 @@ from repro.node.deployment import node_counters
 from repro.obs import TraceBus
 from repro.obs.report import render_report
 
-from tests.fixtures import run_chaos
+from tests.fixtures import events_of, run_chaos
 
 ROUNDS = 2
 
@@ -177,7 +177,7 @@ class TestMaliciousQuarantine:
         assert caught, "no conflicting vote was rejected as equivocation"
         # Every quarantine for equivocation names an actual attacker.
         blamed = {event["peer"]
-                  for event in bus.events_of_kind("peer_quarantined")
+                  for event in events_of(bus, "peer_quarantined")
                   if event.get("offense") == "equivocation"}
         assert blamed and blamed <= attackers
         # Local blocks (if any) must only ever name the attackers.

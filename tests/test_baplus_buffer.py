@@ -7,6 +7,8 @@ from repro.baplus.messages import VoteMessage
 from repro.node.metrics import NodeMetrics, RoundRecord
 from repro.sim.loop import Environment
 
+from tests.fixtures import buffered_rounds
+
 
 def _vote(round_number: int, step: str, voter: bytes = b"v") -> VoteMessage:
     return VoteMessage(voter=voter, round_number=round_number, step=step,
@@ -94,7 +96,7 @@ class TestVoteBuffer:
         for round_number in (1, 2, 3):
             buffer.add(_vote(round_number, "1"))
         buffer.prune_before(3)
-        assert buffer.rounds_buffered() == {3}
+        assert buffered_rounds(buffer) == {3}
         assert buffer.messages(1, "1") == []
 
     def test_live_bucket_iteration(self):

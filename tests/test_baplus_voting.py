@@ -24,7 +24,7 @@ from repro.node.config import PopulationConfig
 from repro.node.population import Population
 from repro.node.recovery import RECOVERY_ROUND_BASE, run_recovery
 from repro.sim.loop import Environment, Timer
-from tests.fixtures import run_sim, run_traced
+from tests.fixtures import events_of, run_sim, run_traced
 
 
 class Cluster:
@@ -317,7 +317,7 @@ class TestParkedCountLifetime:
         assert not _parked(victim.buffer)
         assert not _deadline_timers(sim.env, victim.participant)
         assert not victim.participant.counts
-        exits = [event for event in bus.events_of_kind("step_exit")
+        exits = [event for event in events_of(bus, "step_exit")
                  if event["node"] == victim.index
                  and event.get("interrupted")]
         assert [(e["round"], e["step"]) for e in exits] == [open_step]

@@ -17,7 +17,7 @@ from repro.common.errors import SimulationError
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import run_point
-from tests.fixtures import run_chaos, run_traced
+from tests.fixtures import events_of, run_chaos, run_traced
 
 
 class TestCrashRestartUnit:
@@ -51,28 +51,29 @@ class TestCrashRestartUnit:
     def test_restart_requires_a_crash(self):
         sim = Simulation(SimulationConfig(num_users=4, seed=9))
         with pytest.raises(SimulationError, match="not crashed"):
-            sim.nodes[1].restart(2)
+            sim.nodes[1].revive()
 
     def test_restart_in_the_instant_of_the_crash_runs_once(self):
         """The run start queued before the crash is stale: only the
-        restart's begins a round."""
+        rejoin's begins a round."""
         sim, bus = run_traced(0, num_users=8, seed=9)
         node = sim.nodes[1]
         for each in sim.nodes:
             each.start(1)
         node.crash()
-        node.restart(1)
+        node.revive()
+        node.rejoin(1)
         sim.env.run(until=60.0, stop_when=lambda: not any(
             each.running for each in sim.nodes))
         assert node.chain.height == 1
-        assert [event["round"] for event in bus.events_of_kind("round_start")
+        assert [event["round"] for event in events_of(bus, "round_start")
                 if event["node"] == node.index] == [1]
 
     def test_restart_reconnects(self):
         sim = Simulation(SimulationConfig(num_users=4, seed=9))
         node = sim.nodes[1]
         node.crash()
-        node.restart(1)
+        node.revive()
         assert not node.crashed
         assert not node.interface.disconnected
 
@@ -90,9 +91,9 @@ class TestCrashScenarios:
         assert verdict.ok, verdict.violations
         assert verdict.heights == [2] * 8
         obs = sim.obs
-        assert [e["node"] for e in obs.events_of_kind("node_crashed")] == [2]
-        assert [e["node"] for e in obs.events_of_kind("node_restarted")] == [2]
-        adopted = obs.events_of_kind("catchup_adopted")
+        assert [e["node"] for e in events_of(obs, "node_crashed")] == [2]
+        assert [e["node"] for e in events_of(obs, "node_restarted")] == [2]
+        adopted = events_of(obs, "catchup_adopted")
         assert any(e["node"] == 2 and e["to_height"] == 2
                    for e in adopted)
         # Over gossip: the victim asked, and peers answered.
@@ -139,7 +140,7 @@ class TestCrashScenarios:
         obs = sim.obs
 
         def times(kind: str) -> list[float]:
-            return [event["t"] for event in obs.events_of_kind(kind)
+            return [event["t"] for event in events_of(obs, kind)
                     if event["node"] == 3]
 
         (restarted,) = times("node_restarted")

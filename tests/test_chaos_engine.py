@@ -36,7 +36,7 @@ from repro.network.message import Envelope
 from repro.obs.bus import TraceBus
 from repro.obs.sink import read_trace
 
-from tests.fixtures import forged_commit
+from tests.fixtures import events_of, forged_commit
 
 
 def _envelope() -> Envelope:
@@ -448,10 +448,10 @@ class TestSimulationFaults:
                          obs=bus)
         assert sim.nodes[3].crashed
         sim.run_rounds(1)
-        assert [event["t"] for event in bus.events_of_kind("node_restarted")
+        assert [event["t"] for event in events_of(bus, "node_restarted")
                 if event["node"] == 3] == [1.0]
         assert all(event["t"] >= 1.0
-                   for event in bus.events_of_kind("round_start")
+                   for event in events_of(bus, "round_start")
                    if event["node"] == 3)
         assert sim.nodes[3].chain.height == 1
         assert sim.nodes[3].catchup.requests_sent >= 1

@@ -51,7 +51,7 @@ from repro.obs.report import render_report, step_timings
 
 from repro.sortition import roles
 
-from tests.fixtures import forged_commit, run_sim, run_traced
+from tests.fixtures import events_of, forged_commit, run_sim, run_traced
 
 USERS = 10
 ROUNDS = 3
@@ -120,7 +120,7 @@ class TestCleanTraces:
         verdict = sim.conformance.verdict()
         assert verdict.ok, verdict.violations
         # Retirement events flow through the machine's grace path.
-        assert bus.events_of_kind("agent_retired")
+        assert events_of(bus, "agent_retired")
 
     def test_offline_cli_round_trip(self, clean_events, tmp_path, capsys):
         trace = _write_trace(tmp_path / "trace.jsonl", clean_events)
@@ -208,6 +208,16 @@ class TestNegativeTraces:
         ]:
             violations.extend(machine.feed(event))
         assert [v.rule for v in violations] == ["vote-phase"]
+
+    def test_second_recovery_vote_in_a_step_is_caught(self):
+        """A recovery round's votes are checked on their own lane, in
+        any phase: a step's first vote_cast is legal, a second is not."""
+        machine = NodeMachine(0)
+        vote = {"kind": "vote_cast", "t": 1.0, "node": 0,
+                "round": roles.RECOVERY_ROUND_BASE + 1, "step": "1"}
+        assert machine.feed(vote) == []
+        assert [v.rule for v in machine.feed(dict(vote, t=2.0))] == [
+            "duplicate-vote"]
 
     def test_duplicate_commit_is_caught(self, clean_events):
         mutated = list(clean_events)

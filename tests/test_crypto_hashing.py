@@ -10,10 +10,9 @@ from repro.crypto.hashing import (
     H,
     HASH_DOMAIN,
     HASHLEN_BITS,
-    hash_fraction,
-    hash_to_int,
     sha512,
 )
+from repro.sortition.selection import hash_to_fraction
 
 
 class TestH:
@@ -40,18 +39,18 @@ class TestSha512:
 
 class TestConversions:
     def test_hash_to_int_range(self):
-        value = hash_to_int(b"anything")
+        value = int.from_bytes(H(b"anything"), "big")
         assert 0 <= value < HASH_DOMAIN
 
     def test_hash_fraction_range(self):
-        assert 0.0 <= hash_fraction(H(b"x")) < 1.0
+        assert 0.0 <= hash_to_fraction(H(b"x")) < 1.0
 
     def test_hash_fraction_extremes(self):
-        assert hash_fraction(bytes(32)) == 0.0
-        assert hash_fraction(b"\xff" * 32) < 1.0
+        assert hash_to_fraction(bytes(32)) == 0.0
+        assert hash_to_fraction(b"\xff" * 32) < 1.0
 
 
 @given(st.binary(max_size=64))
 def test_h_deterministic_property(data):
     assert H(data) == H(data)
-    assert 0.0 <= hash_fraction(H(data)) < 1.0
+    assert 0.0 <= hash_to_fraction(H(data)) < 1.0

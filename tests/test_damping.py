@@ -28,6 +28,12 @@ def _tally(step_threshold=10.0, final_threshold=20.0) -> DampingTally:
     return DampingTally(step_threshold, final_threshold)
 
 
+def _crossed(tally: DampingTally, round_number: int, step: str,
+             value: bytes) -> bool:
+    """Whether the tally holds ``value`` past its step's threshold."""
+    return (round_number, step, value) in tally._crossed
+
+
 def _voter(i: int) -> bytes:
     return H(b"voter", bytes([i]))
 
@@ -75,61 +81,61 @@ class TestDampingTally:
         # 6 + 5 = 11 > 10: the second vote crosses and still relays.
         assert not tally.observe(1, "1", V1, _voter(0), 6)
         assert not tally.observe(1, "1", V1, _voter(1), 5)
-        assert tally.crossed(1, "1", V1)
+        assert _crossed(tally, 1, "1", V1)
         # The first vote *after* the crossing is suppressed.
         assert tally.observe(1, "1", V1, _voter(2), 3)
 
     def test_exact_threshold_does_not_cross(self):
         tally = _tally()
         assert not tally.observe(1, "1", V1, _voter(0), 10)
-        assert not tally.crossed(1, "1", V1)
+        assert not _crossed(tally, 1, "1", V1)
         assert not tally.observe(1, "1", V1, _voter(1), 1)
-        assert tally.crossed(1, "1", V1)
+        assert _crossed(tally, 1, "1", V1)
 
     def test_voter_counted_once_per_step(self):
         tally = _tally()
         assert not tally.observe(1, "1", V1, _voter(0), 8)
         # The same voter again adds nothing — count_votes semantics.
         assert not tally.observe(1, "1", V1, _voter(0), 8)
-        assert not tally.crossed(1, "1", V1)
+        assert not _crossed(tally, 1, "1", V1)
         # Not even under a different value in the same (round, step).
         assert not tally.observe(1, "1", V2, _voter(0), 8)
         assert not tally.observe(1, "1", V2, _voter(1), 11)
-        assert tally.crossed(1, "1", V2)
+        assert _crossed(tally, 1, "1", V2)
 
     def test_values_accumulate_independently(self):
         tally = _tally()
         tally.observe(1, "1", V1, _voter(0), 6)
         tally.observe(1, "1", V2, _voter(1), 6)
-        assert not tally.crossed(1, "1", V1)
-        assert not tally.crossed(1, "1", V2)
+        assert not _crossed(tally, 1, "1", V1)
+        assert not _crossed(tally, 1, "1", V2)
         tally.observe(1, "1", V1, _voter(2), 6)
-        assert tally.crossed(1, "1", V1)
-        assert not tally.crossed(1, "1", V2)
+        assert _crossed(tally, 1, "1", V1)
+        assert not _crossed(tally, 1, "1", V2)
 
     def test_final_step_uses_final_threshold(self):
         from repro.sortition.roles import FINAL_STEP
         tally = _tally(step_threshold=10.0, final_threshold=20.0)
         tally.observe(1, FINAL_STEP, V1, _voter(0), 15)
-        assert not tally.crossed(1, FINAL_STEP, V1)
+        assert not _crossed(tally, 1, FINAL_STEP, V1)
         tally.observe(1, FINAL_STEP, V1, _voter(1), 6)
-        assert tally.crossed(1, FINAL_STEP, V1)
+        assert _crossed(tally, 1, FINAL_STEP, V1)
 
     def test_steps_and_rounds_are_independent_keys(self):
         tally = _tally()
         tally.observe(1, "1", V1, _voter(0), 11)
-        assert tally.crossed(1, "1", V1)
-        assert not tally.crossed(1, "2", V1)
-        assert not tally.crossed(2, "1", V1)
+        assert _crossed(tally, 1, "1", V1)
+        assert not _crossed(tally, 1, "2", V1)
+        assert not _crossed(tally, 2, "1", V1)
         # A crossed key in round 1 does not suppress round 2 votes.
         assert not tally.observe(2, "1", V1, _voter(1), 1)
 
     def test_weight_zero_never_counted_never_suppressed(self):
         tally = _tally()
         assert not tally.observe(1, "1", V1, _voter(0), 0)
-        assert not tally.crossed(1, "1", V1)
+        assert not _crossed(tally, 1, "1", V1)
         tally.observe(1, "1", V1, _voter(1), 11)
-        assert tally.crossed(1, "1", V1)
+        assert _crossed(tally, 1, "1", V1)
         # Undecidable votes relay even for a crossed key: at another
         # node they may carry weight this node cannot see.
         assert not tally.observe(1, "1", V1, _voter(2), 0)
@@ -138,12 +144,12 @@ class TestDampingTally:
         tally2 = _tally()
         tally2.observe(1, "1", V1, _voter(0), 0)
         tally2.observe(1, "1", V1, _voter(0), 11)
-        assert tally2.crossed(1, "1", V1)
+        assert _crossed(tally2, 1, "1", V1)
 
     def test_coin_minimum_exemption(self):
         tally = _tally()
         tally.observe(1, "1", V1, _voter(0), 11, coin_hash=500)
-        assert tally.crossed(1, "1", V1)
+        assert _crossed(tally, 1, "1", V1)
         # Higher coin hash after crossing: redundant, suppressed.
         assert tally.observe(1, "1", V1, _voter(1), 1, coin_hash=900)
         # A fresh minimum must keep propagating (Algorithm 9).
@@ -167,9 +173,9 @@ class TestDampingTally:
         tally.observe(3, "1", V1, _voter(1), 11)
         tally.observe(RECOVERY_ROUND_BASE + 1, "1", V1, _voter(2), 11)
         tally.prune_before(3)
-        assert not tally.crossed(1, "1", V1)
-        assert tally.crossed(3, "1", V1)
-        assert not tally.crossed(RECOVERY_ROUND_BASE + 1, "1", V1)
+        assert not _crossed(tally, 1, "1", V1)
+        assert _crossed(tally, 3, "1", V1)
+        assert not _crossed(tally, RECOVERY_ROUND_BASE + 1, "1", V1)
         assert all(k[0] == 3 for k in tally._counts)
         assert all(k[0] == 3 for k in tally._voters)
         assert all(k[0] == 3 for k in tally._coin_min)
@@ -178,12 +184,12 @@ class TestDampingTally:
         tally = _tally()
         tally.observe(1, "1", V1, _voter(0), 11, coin_hash=5)
         tally.clear()
-        assert not tally.crossed(1, "1", V1)
+        assert not _crossed(tally, 1, "1", V1)
         assert not tally._counts and not tally._voters
         assert not tally._coin_min
         # After clear the same coin hash is "fresh" again.
         tally.observe(1, "1", V1, _voter(1), 11, coin_hash=5)
-        assert tally.crossed(1, "1", V1)
+        assert _crossed(tally, 1, "1", V1)
 
 
 class TestRelayDamperWiring:
@@ -195,7 +201,7 @@ class TestRelayDamperWiring:
         assert suppressed > 0
         assert observed > 0
         # The census counter matches the per-node receipts exactly.
-        assert bus.metrics.counter("gossip.damped.vote") == suppressed
+        assert bus.metrics.snapshot()["counters"]["gossip.damped.vote"] == suppressed
 
     def test_damping_off_leaves_nodes_bare(self):
         sim = run_sim(1, num_users=8, seed=3,

@@ -136,7 +136,8 @@ class TestOneOutcome:
 
     def test_the_outcome_reads_one_chain(self, outcome):
         assert outcome.heights == [2] * 6
-        assert outcome.chains_equal()
+        assert len({run.blocks[-1].block_hash
+                    for run in outcome.runs.values()}) == 1
         for round_number in (1, 2):
             assert len(outcome.agreed_hashes(round_number)) == 1
             assert len(outcome.round_latencies(round_number)) == 6

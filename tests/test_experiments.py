@@ -14,6 +14,7 @@ import pytest
 from repro.chaos.scenario import FaultAction
 from repro.common.errors import NoSamplesError, SpecError
 from repro.common.params import PAPER_PARAMS
+from repro.experiments.__main__ import _summary_row
 from repro.experiments.costs import (
     costs_spec,
     cpu_seconds,
@@ -57,11 +58,15 @@ class TestLatencySummary:
         summary = LatencySummary.empty()
         assert summary.count == 0
         assert math.isnan(summary.median)
-        assert set(summary.row()) == {"min", "p25", "median", "p75", "max"}
+        assert math.isnan(summary.minimum) and math.isnan(summary.maximum)
 
     def test_row_rounding(self):
-        row = LatencySummary.from_samples([1.23456]).row()
-        assert row["median"] == 1.23
+        """The fig5/fig6 table rounds to 2 places; no median is 'nan'."""
+        summary = LatencySummary.from_samples([1.23456])
+        row = _summary_row({"summary": dataclasses.asdict(summary)})
+        assert row[2] == 1.23
+        blank = dict(dataclasses.asdict(summary), median=None)
+        assert _summary_row({"summary": blank})[2] == "nan"
 
 
 class TestFormatTable:
@@ -94,7 +99,10 @@ class TestRunners:
 
     def test_flatness_of_identical_points(self):
         point = run_point(latency_spec(10, 1, rounds=1)).point
-        assert flatness([point, point]) == 1.0
+        median = point.summary.median
+        assert flatness([median, median]) == 1.0
+        assert flatness([None, median, 2 * median]) == 2.0
+        assert math.isnan(flatness([None]))
 
     def test_block_size_point_segments_positive(self):
         point = run_point(block_size_spec(5_000, 10, 2)).point

@@ -31,7 +31,7 @@ class TestFinalCertificates:
             if record.kind == "final":
                 certificate = node.chain.final_certificate_at(round_number)
                 assert certificate is not None
-                assert certificate.is_final
+                assert certificate.step == FINAL_STEP
                 assert certificate.value == node.chain.block_at(
                     round_number).block_hash
 

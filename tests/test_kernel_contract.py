@@ -52,9 +52,11 @@ from repro.sortition.roles import FINAL_STEP, RECOVERY_ROUND_BASE
 from tests.fixtures import (
     chain_fingerprint,
     chain_hash,
+    events_of,
     run_chaos,
     run_sim,
     run_traced,
+    sent_bytes,
 )
 
 #: Unreachable objects a 10-user, 2-round run may leave for the cyclic
@@ -358,7 +360,7 @@ def test_crash_resync_schedule(seed):
         faults=(FaultAction(kind="crash", start=1.0, end=8.0, nodes=(2,)),)))
     assert verdict.ok, verdict.violations
     assert [(event["node"], event["to_height"])
-            for event in sim.obs.events_of_kind("catchup_adopted")] \
+            for event in events_of(sim.obs, "catchup_adopted")] \
         == [(2, 1), (2, 2)]
     assert ((chain_hash(sim), sim.env.events_processed)
             == CRASH_RESYNC_8_USERS_2_ROUNDS[seed])
@@ -511,7 +513,11 @@ def test_a_stopped_round_leaves_nothing_behind(wait, stop):
         node.start(3)
     if wait == "rejoin_wait":
         victim.crash()
-        sim.env.schedule(1.0, victim.restart, 3)
+
+        def restart() -> None:
+            victim.revive()
+            victim.rejoin(3)
+        sim.env.schedule(1.0, restart)
     sim.env.run(until=200.0, stop_when=lambda: WAITS[wait](victim))
     assert WAITS[wait](victim)
     if wait == "proposal_pulsed":
@@ -539,7 +545,7 @@ def test_a_stopped_round_leaves_nothing_behind(wait, stop):
     assert not _owned_timers(sim.env, victim)
     assert not _parked_waiters(victim)
     assert [(event["round"], event["step"])
-            for event in bus.events_of_kind("step_exit")
+            for event in events_of(bus, "step_exit")
             if event["node"] == victim.index
             and event.get("interrupted")] == open_steps
 
@@ -651,8 +657,8 @@ def test_elision_matches_per_copy_oracle(monkeypatch, network):
     assert isinstance(oracle.network, PerCopyNetwork)
     assert oracle.network.dup_elided == 0 < elided.network.dup_elided
     assert chain_fingerprint(elided) == chain_fingerprint(oracle)
-    assert (elided.network.bytes_sent_per_node()
-            == oracle.network.bytes_sent_per_node())
+    assert (sent_bytes(elided.network)
+            == sent_bytes(oracle.network))
     assert _gossip_counters(elided_bus) == _gossip_counters(oracle_bus)
     assert (elided.network.messages_delivered
             == oracle.network.messages_delivered)
@@ -688,7 +694,7 @@ def _flood(network_class, scenario):
         interface.on_receive = accept
     scenario(env, net)
     env.run()
-    return (log, net.bytes_sent_per_node(), net.messages_delivered,
+    return (log, sent_bytes(net), net.messages_delivered,
             net.rng.bit_generator.state)
 
 

@@ -141,7 +141,7 @@ class TestEquivalence:
         assert array.balance(keypairs[0].public) == 10
         assert clone.balance(keypairs[0].public) == 6
         # both resolve through the same shared index
-        assert clone.weights().index is array.weights().index
+        assert clone.weights()._index is array.weights()._index
 
     def test_a_copy_shares_the_buffer_until_one_side_writes(
             self, fast_backend, users):
@@ -238,5 +238,5 @@ class TestReplica:
         # same shared immutable history, separate mutable state
         assert replica.weights_at(0) is chain.weights_at(0)
         assert replica.state is not chain.state
-        assert (replica.state.weights().index
-                is chain.state.weights().index)
+        assert (replica.state.weights()._index
+                is chain.state.weights()._index)

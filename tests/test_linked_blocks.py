@@ -39,10 +39,13 @@ from repro.network.message import (
     block_envelope,
     transaction_envelope,
 )
+from repro.network.framing import WireError
 from repro.network.wire import (
     ENVELOPE_HEADER,
     TX,
     TX_CODE,
+    decode_envelope_body,
+    decode_envelope_header,
     encode_block,
     encode_envelope,
     encode_linked_block_envelope,
@@ -325,6 +328,14 @@ class TestUnresolvableReference:
         transport = live_transport()
         transport._on_payload(1, self._linked(_block([tx]), [tx]))
         assert transport.garbage_frames == 1
+
+    def test_decoding_without_a_link_table_raises(self):
+        """The codec's own default: a linked block decoded outside any
+        link has no table to name its transactions from."""
+        tx = _payments(1)[0]
+        payload = self._linked(_block([tx]), [tx])
+        with pytest.raises(WireError, match="no link table"):
+            decode_envelope_body(decode_envelope_header(payload), payload)
 
     def test_a_reference_to_a_garbage_tx_body_is_garbage(self):
         tx = _payments(1)[0]

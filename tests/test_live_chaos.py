@@ -61,7 +61,7 @@ from repro.live.cluster import LiveCluster
 from repro.live.control import CONNECT_TIMEOUT
 from repro.obs.bus import TraceBus
 from repro.obs.sink import JsonlTraceSink, read_trace
-from tests.fixtures import forged_commit, live_config, run_chaos
+from tests.fixtures import events_of, forged_commit, live_config, run_chaos
 
 NODES = 3
 ROUNDS = 6
@@ -762,8 +762,7 @@ class TestProposerDoSProcess:
         # The watch had something to strike: node 4 proposed in the
         # window, early enough for the strike to land inside it.
         assert any(event["node"] == 4 and event["t"] < 2.8
-                   for event in cluster.obs.events_of_kind(
-                       "block_proposed"))
+                   for event in events_of(cluster.obs, "block_proposed"))
         verdict = cluster.conformance.verdict()
         assert verdict.ok, verdict.violations
 

@@ -50,7 +50,7 @@ def _announcement(backend, round_number: int = 3):
         kp = backend.keypair(H(b"proposer", bytes([i])))
         proof = sortition(backend, kp.secret, SEED, TAU,
                           proposer_role(round_number), WEIGHT, TOTAL)
-        if proof.selected:
+        if proof.j > 0:
             return make_priority_message(kp.public, round_number, proof), kp
     raise AssertionError("no key selected; pick another seed")
 

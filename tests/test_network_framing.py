@@ -8,7 +8,7 @@ pin the two guarantees the transport relies on:
 * ``FrameDecoder`` recovers exactly the encoded frame sequence under
   any byte chunking (Hypothesis drives the chunk boundaries), and
 * every wire message kind survives a real socketpair round trip through
-  ``encode_envelope``/``decode_envelope`` inside frames, and
+  ``encode_envelope``/``decode_envelope_body`` inside frames, and
 * the live ingress path is *total*: whatever bytes sit inside a
   well-formed frame, ``LiveTransport._on_payload`` + ``_drain`` in front
   of a real ``AdmissionControl`` count them as garbage, reject them or
@@ -47,7 +47,8 @@ from repro.network.framing import (
 from repro.network.wire import (
     ENVELOPE_HEADER,
     ENVELOPE_LAYOUTS,
-    decode_envelope,
+    decode_envelope_body,
+    decode_envelope_header,
     encode_envelope,
 )
 from repro.node.catchup import ChainAnnouncement, ChainRequest
@@ -85,8 +86,12 @@ def _sample_envelopes(backend) -> list[Envelope]:
         Envelope(origin=alice.public, kind="block", payload=block,
                  size=1000, msg_id=(7 << 40) | 4),
         Envelope(origin=alice.public, kind="cert", payload=cert,
-                 size=cert.size, msg_id=(7 << 40) | 5),
+                 size=len(cert.votes) * VOTE_MESSAGE_BYTES, msg_id=(7 << 40) | 5),
     ]
+
+
+def _decode(data: bytes) -> Envelope:
+    return decode_envelope_body(decode_envelope_header(data), data)
 
 
 class TestFrameCodec:
@@ -125,10 +130,10 @@ class TestFrameCodec:
         frame = encode_frame(b"split-me")
         decoder = FrameDecoder()
         assert decoder.feed(frame[:3]) == []
-        assert decoder.buffered == 3
+        assert len(decoder.residue()) == 3
         assert decoder.residue() == frame[:3]
         assert decoder.feed(frame[3:]) == [b"split-me"]
-        assert decoder.buffered == 0
+        assert len(decoder.residue()) == 0
 
     def test_coalesced_frames(self):
         blob = encode_frame(b"one") + encode_frame(b"two") \
@@ -155,7 +160,7 @@ class TestFrameCodec:
             out.extend(decoder.feed(blob[position:position + step]))
             position += step
         assert out == payloads
-        assert decoder.buffered == 0
+        assert len(decoder.residue()) == 0
         assert decoder.bytes_fed == len(blob)
 
 
@@ -180,16 +185,16 @@ class TestFrameRobustnessFuzz:
         decoder = FrameDecoder()
         head = decoder.feed(stream[:cut])
         assert head == payloads[:len(head)]
-        assert decoder.buffered <= FRAME_HEADER.size + 64
+        assert len(decoder.residue()) <= FRAME_HEADER.size + 64
         # Handing the stream to a second decoder mid-frame (what the
         # peer-hello handshake does) loses nothing either.
         residue = decoder.residue()
-        assert len(residue) == decoder.buffered
+        assert len(residue) == len(decoder.residue())
         heir = FrameDecoder()
         assert head + heir.feed(residue + stream[cut:]) == payloads
-        assert heir.buffered == 0
+        assert len(heir.residue()) == 0
         assert head + decoder.feed(stream[cut:]) == payloads
-        assert decoder.buffered == 0
+        assert len(decoder.residue()) == 0
 
     @settings(max_examples=100, deadline=None)
     @given(length=st.integers(min_value=MAX_FRAME_BYTES + 1,
@@ -223,14 +228,14 @@ class TestFrameRobustnessFuzz:
         except FrameSizeError:
             return
         consumed = sum(FRAME_HEADER.size + len(f) for f in frames)
-        assert consumed + decoder.buffered == len(stream)
-        assert decoder.buffered <= FRAME_HEADER.size + decoder.max_bytes
+        assert consumed + len(decoder.residue()) == len(stream)
+        assert len(decoder.residue()) <= FRAME_HEADER.size + decoder.max_bytes
 
 
 class TestEnvelopeCodec:
     def test_every_kind_round_trips(self, backend):
         for envelope in _sample_envelopes(backend):
-            decoded = decode_envelope(encode_envelope(envelope))
+            decoded = _decode(encode_envelope(envelope))
             assert decoded.kind == envelope.kind
             assert decoded.origin == envelope.origin
             assert decoded.size == envelope.size
@@ -246,7 +251,7 @@ class TestEnvelopeCodec:
 
     def test_garbage_rejected(self):
         with pytest.raises(WireError):
-            decode_envelope(b"not an envelope")
+            _decode(b"not an envelope")
 
 
 class TestSocketRoundTrip:
@@ -264,7 +269,7 @@ class TestSocketRoundTrip:
                 data = right.recv(13)  # deliberately tiny, odd reads
                 if not data:
                     break
-                received.extend(decode_envelope(payload)
+                received.extend(_decode(payload)
                                 for payload in decoder.feed(data))
         finally:
             left.close()

@@ -17,6 +17,8 @@ from repro.network.message import Envelope, vote_envelope
 from repro.sortition.roles import committee_role
 from repro.sortition.selection import sortition
 
+from tests.fixtures import buffered_rounds
+
 
 @pytest.fixture
 def sim():
@@ -146,7 +148,7 @@ class TestPruning:
         sim.run_rounds(2)
         node = sim.nodes[0]
         # Buffers for round 1 are gone; nothing below round 2 remains.
-        assert all(r >= 2 for r in node.buffer.rounds_buffered())
+        assert all(r >= 2 for r in buffered_rounds(node.buffer))
         assert all(key[1] >= 2 for key in node.admission._votes)
         assert all(r >= 2 for r in node._trackers)
 

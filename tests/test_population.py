@@ -43,8 +43,10 @@ from repro.runtime.damping import RelayDamper
 
 from tests.fixtures import (
     chain_hash,
+    events_of,
     run_sim,
     run_traced,
+    sent_bytes,
 )
 from tests.reference_ledger import AccountState
 
@@ -282,7 +284,7 @@ class TestPaymentsUnderSharing:
         assert core.block_at(2).transactions
         assert core.block_at(3).transactions
         assert any(event["round"] == 3 and event["fresh"] > 0
-                   for event in bus.events_of_kind("population_boundary"))
+                   for event in events_of(bus, "population_boundary"))
         oracle = AccountState(core.initial_balances)
         expected = [dict(oracle.weights())]
         for r in (1, 2, 3):
@@ -321,8 +323,9 @@ class TestCatchUpKeepsTheIndex:
     """A chain adopted by catch-up is array-backed on the deployment's
     index, so the pool reads it like any replica."""
 
-    @pytest.fixture(scope="class")
+    @pytest.fixture
     def sim(self):
+        # One deployment per path: the catch-ups a path attaches stay.
         return run_sim(3, payments=40, population=aggregated(
             always_on_core=16, steps_ahead=8), **PAYING_CFG)
 
@@ -339,29 +342,24 @@ class TestCatchUpKeepsTheIndex:
         untouched = helper.replica()
         assert helper.block_at(2).transactions
         node = self._lagging(sim)
-        syncs: list[ChainSync] = []
-        try:
-            if path == "announcement":
-                syncs.append(ChainSync(node))
-                assert syncs[0]._on_announcement(build_announcement(helper))
-            elif path == "peers":
-                syncs = [ChainSync(each) for each in sim.nodes]
-                node.catchup.request()
-                sim.env.run(until=sim.env.now + 5.0)
-            else:
-                node.catchup = SimpleNamespace(take_pending=lambda: replay_chain(
-                    helper.blocks[1:],
-                    {r: helper.certificate_at(r)
-                     for r in range(1, helper.height + 1)},
-                    initial_balances=node.chain.initial_balances,
-                    genesis_seed=node.chain.genesis_seed,
-                    params=node.params, backend=node.backend,
-                    index=node.chain.index))
-            assert node._try_catch_up()
-        finally:
-            for sync in syncs:
-                sync.close()
-            node.catchup = None
+        if path == "announcement":
+            sync = ChainSync(node)
+            assert sync._on_announcement(build_announcement(helper))
+        elif path == "peers":
+            for each in sim.nodes:
+                ChainSync(each)
+            node.catchup.request()
+            sim.env.run(until=sim.env.now + 5.0)
+        else:
+            node.catchup = SimpleNamespace(take_pending=lambda: replay_chain(
+                helper.blocks[1:],
+                {r: helper.certificate_at(r)
+                 for r in range(1, helper.height + 1)},
+                initial_balances=node.chain.initial_balances,
+                genesis_seed=node.chain.genesis_seed,
+                params=node.params, backend=node.backend,
+                index=node.chain.index))
+        assert node._try_catch_up()
         adopted = node.chain
         assert adopted.height == 3 and adopted.tip_hash == helper.tip_hash
         assert adopted.index is population.index
@@ -369,7 +367,7 @@ class TestCatchUpKeepsTheIndex:
         for r in range(4):
             weights = adopted.weights_at(r)
             assert isinstance(weights, ArrayWeights)
-            assert weights.index is population.index
+            assert weights._index is population.index
             assert np.array_equal(weights.array[:200],
                                   helper.weights_at(r).array[:200])
         assert (population.select_round(4, adopted)
@@ -415,7 +413,7 @@ class TestFootprint:
         built = [iface for iface in sim.network.interfaces
                  if iface is not None]
         assert len(built) <= sim.population.stats()["materialized_total"]
-        per_node = sim.network.bytes_sent_per_node()
+        per_node = sent_bytes(sim.network)
         assert len(per_node) == 2000
         assert sum(per_node) == sim.network.total_bytes_sent > 0
 

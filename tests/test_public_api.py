@@ -87,8 +87,10 @@ class TestLatencyModelDetails:
 
     def test_city_assignment_stable(self):
         model = LatencyModel(30, np.random.default_rng(0))
-        assert model.city_of(7) == model.city_of(7)
-        assert model.city_of(7) in {name for name, _, _ in CITIES}
+        # batch_terms' second part is every user's city index.
+        city = model.batch_terms(0, 1)[1][7]
+        assert model.batch_terms(3, 1)[1][7] == city
+        assert 0 <= city < len(CITIES)
 
     def test_jitter_bounded_below(self):
         """Jitter must never produce a non-positive latency."""

@@ -19,7 +19,6 @@ from repro.common.errors import NetworkError, SignatureError
 from repro.crypto.backend import FastBackend
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.node.config import PopulationConfig
-from repro.node.deployment import node_counters
 from repro.network.message import Envelope
 from repro.runtime.router import MessageRouter
 
@@ -266,19 +265,6 @@ class TestChainSync:
         assert sync.pending is None
         assert sync.rejected == 1
 
-    def test_close_unregisters(self):
-        sim = _run(seed=5, rounds=1, num_users=10)
-        node = sim.nodes[0]
-        sync = _sync(sim, node)
-        assert node.catchup is sync
-        unknown = node_counters(node)["router.unknown_kind"]
-        sync.close()
-        for kind in ("chain", "chainreq"):
-            assert node.router.dispatch(_envelope(kind)) is False
-        assert node_counters(node)["router.unknown_kind"] == unknown + 2
-        assert node.catchup is None
-        sim.env.run()  # returns: the lag probe no longer re-arms
-
     def test_request_is_answered_by_peers_ahead(self):
         sim = _run(seed=5, rounds=2, num_users=12)
         laggard = sim.nodes[3]
@@ -411,8 +397,6 @@ class TestChainSync:
         node.interface.disconnected = True
         sim.env.run(until=sim.env.now + 5.0)
         assert sync.requests_sent == 0  # lagging, but nobody to ask
-        sync.close()
-        sim.env.run()  # returns: close() is what ends the probe
 
     def test_lag_probe_resumes_after_a_dos_window(self):
         """Disconnected is not dead: a ``dos`` window sets the same flag

@@ -197,15 +197,6 @@ class TestBatchSchedule:
         env.run()
         assert log == ["batch1", "timer2", "batch3"]
 
-    def test_cancel_drops_undelivered(self):
-        env = Environment()
-        log = []
-        batch = env.push_batch([(1.0, "a"), (5.0, "b")], log.append)
-        env.run(until=2)
-        batch.cancel()
-        env.run()
-        assert log == ["a"]
-
     def test_batch_keeps_its_transmit_order_across_rearms(self):
         """One (time, seq) identity per batch: ties resolve as if every
         payload had its own timer, scheduled back to back."""

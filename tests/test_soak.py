@@ -14,6 +14,8 @@ from repro.baplus.protocol import FINAL
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.ledger.transaction import make_transaction
 
+from tests.fixtures import buffered_rounds
+
 ROUNDS = 8
 
 
@@ -79,7 +81,7 @@ class TestSoak:
         """Pruning keeps per-node round state from accumulating."""
         for node in soak_sim.nodes:
             assert len(node._trackers) <= 3
-            assert len(node.buffer.rounds_buffered()) <= 3
+            assert len(buffered_rounds(node.buffer)) <= 3
 
     def test_weight_history_full_depth(self, soak_sim):
         """Snapshots exist for every round (look-back support)."""

@@ -176,7 +176,7 @@ class TestRunPoint:
         assert data["num_users"] == 8
         assert data["summary"]["median"] == result.point.summary.median
         # strict JSON: no NaN may leak into the payload
-        json.dumps(result.to_json(), allow_nan=False)
+        json.dumps(data, allow_nan=False)
 
 
 class TestSweepEngine:

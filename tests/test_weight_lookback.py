@@ -136,7 +136,7 @@ class TestLookbackConsensus:
             expected = {key: b for key, b in floored.items() if b}
             weights = sortition_weights(chain, params, round_number + 1)
             assert isinstance(weights, ArrayWeights) and weights.frozen
-            assert weights.index is chain.index
+            assert weights._index is chain.index
             assert dict(weights) == expected
             assert weights.total == sum(expected.values())
             assert len(weights) == len(expected)
