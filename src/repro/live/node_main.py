@@ -170,7 +170,7 @@ class NodeProcess:
         link.connection_made(sock)
         self.transport.add_link(link)
         for payload in extra:
-            self.transport._on_payload(peer, payload, link.read_txs)
+            self.transport._on_payload(peer, payload, link)
         link.data_received(residue)
         self._check_links()
 

@@ -15,8 +15,13 @@ bytes it arrived as. A block is the one kind framed per link: each
 link keeps a table of the ``tx`` frames it carried in each direction,
 and a block frame names the transactions its link already carried
 instead of carrying them again (:class:`SentTxs`,
-:func:`repro.network.wire.encode_linked_block`). Two live-only concerns
-are added:
+:func:`repro.network.wire.encode_linked_block`). No copy goes back to a
+peer that sent this node the same message: each link remembers the
+``msg_id`` of every frame it read, for as long as the core's dedup
+generations last, and :meth:`LiveTransport._send` leaves such a link
+out (``live.relay_skipped``). The window only prunes targets; whether a
+copy is new is still the core's :meth:`~RelayCore.holds`. Two
+live-only concerns are added:
 
 * **Global msg_id uniqueness** — every process counts envelopes from
   zero, so locally-originated envelopes are re-stamped with an
@@ -158,6 +163,11 @@ class PeerLink(asyncio.Protocol):
         #: does the peer's end of the new connection.
         self.sent_txs = SentTxs()
         self.read_txs: deque[bytes] = deque(maxlen=LINK_TX_WINDOW)
+        #: The ``msg_id`` of every frame read, one set per dedup
+        #: generation of the transport's core (newest first): the peer
+        #: holds each of those messages. A replaced link starts empty.
+        self.read_ids: deque[set[int]] = deque(
+            [set()], maxlen=transport.seen_horizon_rounds + 1)
 
     def connection_made(self, sock: asyncio.Transport) -> None:
         self.sock = sock
@@ -175,7 +185,7 @@ class PeerLink(asyncio.Protocol):
             self.sock.abort()
             return
         for payload in payloads:
-            self.transport._on_payload(self.peer, payload, self.read_txs)
+            self.transport._on_payload(self.peer, payload, self)
 
     def connection_lost(self, exc: Exception | None) -> None:
         self.closed = True
@@ -233,6 +243,9 @@ class LiveTransport(RelayCore):
         self.block_tx_refs = 0
         #: Socket ``write`` calls: one per link per clock turn that sent.
         self.socket_writes = 0
+        #: Copies not sent because the target's link had read a frame
+        #: of the same message: that peer already holds it.
+        self.relay_skipped = 0
         self.drain_budget = drain_budget
         self.rx_queue_limit = rx_queue_limit
         self.rx_dropped = 0
@@ -304,6 +317,12 @@ class LiveTransport(RelayCore):
                 and self.on_link_down is not None):
             self.on_link_down(link.peer)
 
+    def end_round(self) -> None:
+        """A new dedup generation, and a new read window on every link."""
+        super().end_round()
+        for link in self.links.values():
+            link.read_ids.appendleft(set())
+
     async def close(self) -> None:
         self.disconnected = True
         self.on_link_down = None
@@ -323,7 +342,9 @@ class LiveTransport(RelayCore):
     def _send(self, envelope: Envelope, targets: list[int],
               raw: bytes | None = None) -> None:
         """Frame once — a relay's ``raw`` bytes as they arrived, no
-        re-encode — and queue the frame on each target's open link.
+        re-encode — and queue the frame on each target's open link,
+        save a link that read a frame of this message: its peer holds
+        it already.
 
         A block is the exception: it is framed per link when the link
         takes it (:meth:`_put`).
@@ -337,10 +358,14 @@ class LiveTransport(RelayCore):
                                  else encode_envelope(envelope))
         shaped = (self.drop_filter is not None
                   or self.link_shaper is not None)
+        msg_id = envelope.msg_id
         sent = 0
         for peer in targets:
             link = self.links.get(peer)
             if link is None or link.closed:
+                continue
+            if any(msg_id in read for read in link.read_ids):
+                self.relay_skipped += 1
                 continue
             if shaped:
                 sent += self._send_shaped(link, envelope, frame, tx)
@@ -399,7 +424,7 @@ class LiveTransport(RelayCore):
     # -- receiving ------------------------------------------------------
 
     def _on_payload(self, peer: int, payload: bytes,
-                    read_txs: deque[bytes] | None = None) -> None:
+                    link: PeerLink | None = None) -> None:
         """Socket reader handoff: header, dedup, enqueue, schedule a drain.
 
         Runs on the asyncio side (never inside a protocol callback);
@@ -407,16 +432,22 @@ class LiveTransport(RelayCore):
         which the clock fires like any other event. Only the
         fixed-offset header is read here; a copy of a message this node
         already holds stops at the dedup store and costs neither a
-        queue slot nor a look at its body. Two exceptions keep the
-        link's ``read_txs`` table in stream order: a ``tx`` frame's
-        body joins it, duplicate or not, and a linked block is decoded
-        against it now — by drain time the table may have moved on.
+        queue slot nor a look at its body. ``link``, the one the frame
+        was read from, notes its ``msg_id``, duplicate or not. Two
+        exceptions keep the link's ``read_txs`` table in stream order:
+        a ``tx`` frame's body joins it, duplicate or not, and a linked
+        block is decoded against it now — by drain time the table may
+        have moved on.
         """
         try:
             header = decode_envelope_header(payload)
         except WireError:
             self.garbage_frames += 1
             return
+        read_txs = None
+        if link is not None:
+            link.read_ids[0].add(header[0])
+            read_txs = link.read_txs
         code = header[1]
         if code == TX_CODE and read_txs is not None:
             raw = envelope_body(header, payload)
@@ -508,6 +539,7 @@ class LiveTransport(RelayCore):
             "wire_bytes_sent": self.wire_bytes_sent,
             "block_tx_refs": self.block_tx_refs,
             "socket_writes": self.socket_writes,
+            "relay_skipped": self.relay_skipped,
             "rx_dropped": self.rx_dropped,
             "garbage_frames": self.garbage_frames,
             "garbage_streams": self.garbage_streams,

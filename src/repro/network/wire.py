@@ -21,7 +21,10 @@ canonical codec (:mod:`repro.common.encoding`), which is frozen.
 * **Envelope** — a fixed-offset header (:data:`ENVELOPE_HEADER`), the
   origin key, then the body. A receiver reads ``msg_id`` with one
   ``unpack_from`` and drops a copy it already holds without touching
-  the body.
+  the body. An origin that is the payload's own signer (a vote's
+  ``voter``, a transaction's ``sender``, a priority's or block's
+  ``proposer``) is not sent twice: the header's origin length is
+  :data:`ORIGIN_IS_SIGNER` and decoding reads the key off the payload.
 * **Linked blocks** — what a live link carries for a gossiped block
   (kind code :data:`LINKED_BLOCK_CODE`): :data:`BLOCK`'s head, then per
   transaction either its bytes or an index naming a ``tx`` frame that
@@ -314,8 +317,20 @@ _KIND_OF_CODE = {code: (kind, layout)
 LINKED_BLOCK_CODE = 8
 TX_CODE = ENVELOPE_LAYOUTS["tx"][0]
 
+#: Kind code -> the payload's signer, whose key an honest envelope's
+#: origin is. The three kinds without one always carry their origin.
+_SIGNER_OF_CODE: dict[int, Callable[[Any], bytes | None]] = {
+    1: attrgetter("sender"), 2: attrgetter("voter"),
+    3: attrgetter("proposer"), 4: attrgetter("proposer"),
+    LINKED_BLOCK_CODE: attrgetter("proposer"),
+}
+#: The origin length that stands for "the payload's signer": no origin
+#: bytes follow the header. An origin this long cannot be encoded.
+ORIGIN_IS_SIGNER = 0xFF
+
 #: ``msg_id`` u64 at offset 0, kind code u8 at 8, logical size u32 at 9,
-#: origin length u8 at 13, body length u32 at 14; origin, then body.
+#: origin length u8 at 13 (or :data:`ORIGIN_IS_SIGNER`), body length u32
+#: at 14; origin, then body.
 ENVELOPE_HEADER = struct.Struct(">QBIBI")
 
 #: What :data:`ENVELOPE_HEADER` unpacks to, validated:
@@ -349,11 +364,20 @@ def encode_linked_block_envelope(envelope: Envelope,
 
 
 def _envelope_bytes(envelope: Envelope, code: int, body: bytes) -> bytes:
+    origin = envelope.origin
+    signer = _SIGNER_OF_CODE.get(code)
     try:
+        if signer is not None and origin == signer(envelope.payload):
+            origin, origin_length = b"", ORIGIN_IS_SIGNER
+        else:
+            origin_length = len(origin)
+            if origin_length == ORIGIN_IS_SIGNER:
+                raise WireError(f"an origin of {ORIGIN_IS_SIGNER} bytes "
+                                f"reads as the payload's signer")
         return b"".join((
             ENVELOPE_HEADER.pack(envelope.msg_id, code, envelope.size,
-                                 len(envelope.origin), len(body)),
-            envelope.origin, body))
+                                 origin_length, len(body)),
+            origin, body))
     except (struct.error, TypeError) as exc:
         raise WireError(f"cannot encode envelope header: {exc}") from exc
 
@@ -375,6 +399,11 @@ def decode_envelope_header(data: bytes) -> EnvelopeHeader:
         raise WireError(f"unknown envelope kind code {code}")
     if not size:
         raise WireError("envelope size must be positive")
+    if origin_length == ORIGIN_IS_SIGNER:
+        if code not in _SIGNER_OF_CODE:
+            raise WireError(f"envelope kind code {code} has no signer to "
+                            f"stand for its origin")
+        origin_length = 0
     if ENVELOPE_HEADER.size + origin_length + body_length != len(data):
         raise WireError("envelope lengths do not add up to the frame")
     return header
@@ -383,7 +412,7 @@ def decode_envelope_header(data: bytes) -> EnvelopeHeader:
 def envelope_body(header: EnvelopeHeader, data: bytes) -> bytes:
     """The body bytes behind ``header`` (a ``tx`` frame's: the
     transaction's :data:`TX` bytes)."""
-    return data[ENVELOPE_HEADER.size + header[3]:]
+    return data[len(data) - header[4]:]
 
 
 def decode_envelope_body(
@@ -395,9 +424,10 @@ def decode_envelope_body(
     body is handed to ``hold``, which may return an instance already
     decoded from the same bytes.
     """
-    msg_id, code, size, origin_length, _ = header
-    body_at = ENVELOPE_HEADER.size + origin_length
-    origin = data[ENVELOPE_HEADER.size:body_at]
+    msg_id, code, size, origin_length, body_length = header
+    body_at = len(data) - body_length
+    origin = (data[ENVELOPE_HEADER.size:body_at]
+              if origin_length != ORIGIN_IS_SIGNER else None)
     if code == LINKED_BLOCK_CODE:
         kind, payload = "block", decode_linked_block(data, body_at, resolve)
     elif code == TX_CODE:
@@ -405,6 +435,11 @@ def decode_envelope_body(
     else:
         kind, layout = _KIND_OF_CODE[code]
         payload = layout.unpack(data, body_at)
+    if origin is None:
+        origin = _SIGNER_OF_CODE[code](payload)
+        if origin is None:
+            raise WireError("an empty block has no signer to stand for "
+                            "its origin")
     return Envelope(origin=origin, kind=kind, payload=payload, size=size,
                     msg_id=msg_id)
 

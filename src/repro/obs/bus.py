@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Protocol
 
-from repro.obs.events import validate_record
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -54,19 +53,13 @@ class TraceBus:
     """Structured event stream + metrics registry for one simulation."""
 
     __slots__ = ("metrics", "events", "max_events", "dropped_events",
-                 "_clock", "_sinks", "_harvesters", "closed", "validate")
+                 "_clock", "_sinks", "_harvesters", "closed")
 
     def __init__(self, *, registry: MetricsRegistry | None = None,
-                 max_events: int = 1_000_000,
-                 validate: bool = False) -> None:
+                 max_events: int = 1_000_000) -> None:
         if max_events < 0:
             raise ValueError("max_events must be >= 0")
         self.metrics = registry if registry is not None else MetricsRegistry()
-        #: Check every emitted record against the
-        #: :data:`repro.obs.events.EVENT_KINDS` catalogue (off by
-        #: default — the emit path is hot, and ad-hoc kinds are
-        #: legitimate in unit tests).
-        self.validate = validate
         #: In-memory event records, in emission order (bounded).
         self.events: list[dict] = []
         self.max_events = max_events
@@ -111,8 +104,6 @@ class TraceBus:
             record["step"] = step
         if fields:
             record.update(fields)
-        if self.validate:
-            validate_record(record)
         if len(self.events) < self.max_events:
             self.events.append(record)
         else:

@@ -4,18 +4,17 @@ Every ``obs.emit`` call site in the tree must use a kind registered
 here (a test greps the source for literal kinds and asserts it). The catalogue
 serves two consumers:
 
-* :class:`~repro.obs.bus.TraceBus` — when constructed with
-  ``validate=True``, every emitted record is checked against its kind's
-  spec and a typo'd kind or missing field raises immediately instead of
-  producing an event no downstream aggregation will ever match;
+* :func:`validate_record` — checks one record against its kind's spec,
+  so a typo'd kind or missing field raises instead of producing an
+  event no downstream aggregation will ever match; the catalogue tests
+  run it over every record a whole simulation kept;
 * :mod:`repro.conformance` — the reference BA* state machine keys its
   legal-transition tables on exactly these kinds, so an unregistered
   kind is by definition invisible to conformance checking.
 
-Validation is **off by default**: ad-hoc kinds are handy in unit tests
-and downstream tooling, and the emit path is hot enough that production
-runs should not pay a per-event schema check. The conformance and obs
-test suites turn it on explicitly for full simulation runs.
+The bus itself never validates: ad-hoc kinds are handy in unit tests
+and downstream tooling, and the emit path is hot enough that no run
+should pay a per-event schema check.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ EVENT_KINDS: dict[str, EventKind] = {k.name: k for k in [
 def validate_record(record: dict) -> None:
     """Raise :class:`EventSchemaError` if ``record`` is malformed.
 
-    ``record`` is the flat event dict the bus is about to publish
+    ``record`` is one flat event dict as the bus published it
     (``{"t": ..., "kind": ..., ...}``).
     """
     kind = record.get("kind")

@@ -218,7 +218,8 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
             frames = gauges.get("live.messages_sent", 0)
             rows.append(["socket writes", f"{frames} frames / {writes} "
                          f"writes", f"{frames / writes:.1f} frames per "
-                         f"write"])
+                         f"write / {gauges.get('live.relay_skipped', 0)} "
+                         f"relay-skipped"])
         if "admission.admitted" in counters:
             rejected = sum(value for name, value in counters.items()
                            if name.startswith("admission.rejected."))

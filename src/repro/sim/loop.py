@@ -121,8 +121,6 @@ class BatchSchedule:
 
     def _fire(self) -> None:
         items = self._items
-        # Off the heap while it fires.
-        self._items = ()
         deliver = self._deliver
         cursor = start = self._cursor
         time = self.time
@@ -138,8 +136,7 @@ class BatchSchedule:
         if skip is not None:
             while cursor < n and skip(items[cursor][1]):
                 cursor += 1
-        if cursor < n and not self.cancelled:
-            self._items = items
+        if cursor < n:
             self._cursor = cursor
             self.time = time = items[cursor][0]
             heapq.heappush(env._heap, (time, self.seq, self))

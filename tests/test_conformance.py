@@ -13,9 +13,9 @@ Five angles on :mod:`repro.conformance`:
 * the crash path closes every open step interval with an explicit
   ``interrupted`` step_exit (the stalling-committee regression);
 * the event catalogue is authoritative: every literal emit site in
-  ``src/`` uses a registered kind, and ``TraceBus(validate=True)``
-  rejects malformed records while accepting a whole simulation's worth
-  of real ones.
+  ``src/`` uses a registered kind, and ``validate_record`` rejects
+  malformed records while accepting every record of a whole
+  simulation's trace.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from repro.obs import (
     JsonlTraceSink,
     TraceBus,
     read_trace,
+    validate_record,
 )
 from repro.obs.report import main as report_main
 from repro.obs.report import render_report, step_timings
@@ -445,26 +446,35 @@ class TestEventCatalogue:
                     unregistered.append((str(path), kind))
         # chaos.faults._emit passes its kind through a variable; it is
         # covered by the fault_applied/fault_cleared catalogue entries
-        # and by the validating-bus simulation test below.
+        # and by the validated simulation test below.
         assert not unregistered, unregistered
 
     def test_fault_kinds_are_registered_for_the_indirect_site(self):
         assert "fault_applied" in EVENT_KINDS
         assert "fault_cleared" in EVENT_KINDS
 
+    @staticmethod
+    def _validate(bus: TraceBus) -> None:
+        """The catalogue's check, over every record the bus kept."""
+        for record in bus.events:
+            validate_record(record)
+
     def test_validating_bus_rejects_unknown_kind(self):
-        bus = TraceBus(validate=True)
+        bus = TraceBus()
+        bus.emit("no_such_kind", node=0)
         with pytest.raises(EventSchemaError, match="unregistered"):
-            bus.emit("no_such_kind", node=0)
+            self._validate(bus)
 
     def test_validating_bus_rejects_missing_fields(self):
-        bus = TraceBus(validate=True)
+        bus = TraceBus()
+        bus.emit("round_start", node=0)
         with pytest.raises(EventSchemaError, match="round"):
-            bus.emit("round_start", node=0)
+            self._validate(bus)
 
     def test_validating_bus_accepts_extras(self):
-        bus = TraceBus(validate=True)
+        bus = TraceBus()
         bus.emit("round_start", node=0, round=1, note="extra ok")
+        self._validate(bus)
         assert bus.events[-1]["note"] == "extra ok"
 
     def test_default_bus_does_not_validate(self):
@@ -475,20 +485,22 @@ class TestEventCatalogue:
     def test_full_simulation_passes_validation(self):
         # Every record a real deployment emits satisfies its schema —
         # this also covers the non-literal chaos emit site.
-        bus = TraceBus(validate=True)
+        bus = TraceBus()
         sim = Simulation(SimulationConfig(num_users=8, seed=3), obs=bus)
         sim.submit_payments(8)
         sim.run_rounds(2)
-        assert bus.events
+        assert bus.events and not bus.dropped_events
+        self._validate(bus)
 
     def test_chaos_run_passes_validation(self):
         from repro.chaos import FaultAction
-        bus = TraceBus(validate=True)
+        bus = TraceBus()
         sim = Simulation(SimulationConfig(num_users=8, seed=4),
                          faults=[FaultAction(kind="loss", start=0.5,
                                              end=2.0, rate=0.1)],
                          obs=bus)
         sim.run_rounds(1)
+        self._validate(bus)
         kinds = {e["kind"] for e in bus.events}
         assert "fault_applied" in kinds
 

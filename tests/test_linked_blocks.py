@@ -22,7 +22,7 @@ import dataclasses
 import random
 import socket
 import struct
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 
@@ -274,12 +274,12 @@ class TestUnresolvableReference:
     def _reader(carried: list[Transaction]):
         transport = live_transport()
         transport.on_receive = lambda envelope, _: True
-        read: deque[bytes] = deque(maxlen=LINK_TX_WINDOW)
+        link = PeerLink(transport, 1)
         for tx in carried:
             transport._on_payload(1, encode_envelope(_tx_envelope(tx)),
-                                  read)
+                                  link)
         transport._drain()
-        return transport, read
+        return transport, link
 
     @staticmethod
     def _linked(block: Block, carried: list[Transaction]) -> bytes:
@@ -293,11 +293,11 @@ class TestUnresolvableReference:
     @pytest.mark.parametrize("forged", [0xFFFFFFFF, 2, LINK_TX_WINDOW + 1])
     def test_a_forged_index_is_a_garbage_frame(self, forged):
         tx = _payments(1)[0]
-        transport, read = self._reader([tx])
+        transport, link = self._reader([tx])
         payload = self._linked(_block([tx]), [tx])
         assert payload.endswith(struct.pack(">I", 1))  # its one reference
         transport._on_payload(1, payload[:-4] + struct.pack(">I", forged),
-                              read)
+                              link)
         assert transport.garbage_frames == 1
         assert not transport._rx
 
@@ -308,19 +308,20 @@ class TestUnresolvableReference:
             sent.append(TX.pack(tx))
         assert sent.back(TX.pack(txs[0])) == 0  # out of the window: inline
         assert sent.back(TX.pack(txs[1])) == LINK_TX_WINDOW
-        read = deque((TX.pack(tx) for tx in txs), maxlen=LINK_TX_WINDOW)
         transport = live_transport()
+        link = PeerLink(transport, 1)
+        link.read_txs.extend(TX.pack(tx) for tx in txs)
         payload = self._linked(_block([txs[1]]), txs)
-        transport._on_payload(1, payload, read)
+        transport._on_payload(1, payload, link)
         assert transport.garbage_frames == 0
         forged = payload[:-4] + struct.pack(">I", LINK_TX_WINDOW + 1)
-        transport._on_payload(1, forged, read)
+        transport._on_payload(1, forged, link)
         assert transport.garbage_frames == 1
 
     def test_a_reference_the_reader_never_read_is_garbage(self):
         tx = _payments(1)[0]
-        transport, read = self._reader([])
-        transport._on_payload(1, self._linked(_block([tx]), [tx]), read)
+        transport, link = self._reader([])
+        transport._on_payload(1, self._linked(_block([tx]), [tx]), link)
         assert transport.garbage_frames == 1
 
     def test_a_frame_read_with_no_link_table_names_nothing(self):
@@ -339,13 +340,13 @@ class TestUnresolvableReference:
 
     def test_a_reference_to_a_garbage_tx_body_is_garbage(self):
         tx = _payments(1)[0]
-        transport, read = self._reader([])
+        transport, link = self._reader([])
         body = b"not a transaction"
         origin = ALICE.public
         transport._on_payload(1, ENVELOPE_HEADER.pack(
-            77, TX_CODE, 100, len(origin), len(body)) + origin + body, read)
-        assert list(read) == [body]
-        transport._on_payload(1, self._linked(_block([tx]), [tx]), read)
+            77, TX_CODE, 100, len(origin), len(body)) + origin + body, link)
+        assert list(link.read_txs) == [body]
+        transport._on_payload(1, self._linked(_block([tx]), [tx]), link)
         assert transport.garbage_frames == 1  # the block that names it
         transport._drain()
         assert transport.garbage_frames == 2  # and the tx frame itself
@@ -371,9 +372,9 @@ def test_decoding_a_linked_block_pays_nothing_per_transaction(monkeypatch):
             envelope.payload.txid  # as the mempool does on admission
         return True
     transport.on_receive = keep
-    read: deque[bytes] = deque(maxlen=LINK_TX_WINDOW)
+    link = PeerLink(transport, 1)
     for tx in carried:
-        transport._on_payload(1, encode_envelope(_tx_envelope(tx)), read)
+        transport._on_payload(1, encode_envelope(_tx_envelope(tx)), link)
     transport._drain()
     payload = TestUnresolvableReference._linked(
         _block(map(_bare, carried)), carried)
@@ -394,7 +395,7 @@ def test_decoding_a_linked_block_pays_nothing_per_transaction(monkeypatch):
                               transaction_module.encode))
     monkeypatch.setattr(block_module, "encode",
                         count("block.encode", block_module.encode))
-    transport._on_payload(1, payload, read)
+    transport._on_payload(1, payload, link)
     assert calls == DECODE_CALLS
     transport._drain()
     block = held[-1]

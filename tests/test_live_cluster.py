@@ -117,12 +117,16 @@ class TestLiveCluster:
 
     def test_socket_writes_are_harvested_and_carry_frames(self, cluster):
         # One write per link per clock turn: never more writes than
-        # frames, and the merged trace's report shows the ratio.
+        # frames, and the merged trace's report shows the ratio and the
+        # copies not sent back to a peer that sent them.
         summary = cluster.summary()
         assert 0 < summary["live.socket_writes"] <= summary[
             "live.messages_sent"]
+        assert summary["live.relay_skipped"] >= 0
         _, snapshot = read_trace(cluster.merged_trace_path)
-        assert "frames per write" in render_report([], snapshot)
+        report = render_report([], snapshot)
+        assert "frames per write" in report
+        assert "relay-skipped" in report
 
     def test_node_snapshot_carries_the_relay_cores_counter_families(
             self, cluster, sim_snapshot):

@@ -47,6 +47,7 @@ from repro.network.framing import (
 from repro.network.wire import (
     ENVELOPE_HEADER,
     ENVELOPE_LAYOUTS,
+    ORIGIN_IS_SIGNER,
     decode_envelope_body,
     decode_envelope_header,
     encode_envelope,
@@ -360,6 +361,14 @@ class TestLiveIngressFuzz:
         self._push(ENVELOPE_HEADER.pack(msg_id, code, size, len(origin),
                                         len(payload)) + origin + payload)
 
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.binary(max_size=256), msg_id=st.integers(0, 2**64 - 1),
+           code=st.integers(0, 255), size=st.integers(0, 2**32 - 1))
+    def test_arbitrary_body_whose_origin_is_its_signer_never_raises(
+            self, payload, msg_id, code, size):
+        self._push(ENVELOPE_HEADER.pack(msg_id, code, size, ORIGIN_IS_SIGNER,
+                                        len(payload)) + payload)
+
     @settings(max_examples=600, deadline=None)
     @given(which=st.integers(0, 6), at=st.integers(0, 2**30),
            byte=st.integers(0, 255))
@@ -393,7 +402,9 @@ class TestLiveIngressFuzz:
         the drain. A typed layout yields an int there or nothing."""
         vote_frame = bytearray(_ingress_corpus()[1][
             sorted(ENVELOPE_LAYOUTS).index("vote")])
-        round_at = ENVELOPE_HEADER.size + 32 + 4  # origin, voter length
+        header = decode_envelope_header(bytes(vote_frame))
+        # The body's head: the voter's length, then the round number.
+        round_at = len(vote_frame) - header[4] + 4
         vote_frame[round_at:round_at + 8] = b"xxxxxxxx"
         assert self._push(bytes(vote_frame)) == "rejected"
         hostile = encode(["wvote", b"v", "x", "y", 1, 2, 3, 4, 5])
@@ -401,6 +412,26 @@ class TestLiveIngressFuzz:
                                   250])) == "garbage"
         assert self._push(ENVELOPE_HEADER.pack(9, 2, 250, 32, len(hostile))
                           + b"o" * 32 + hostile) == "garbage"
+
+    def test_a_spoofed_origin_travels_and_is_rejected_as_one(self):
+        """An origin that is not the vote's voter is carried explicitly,
+        so admission still sees the mismatch."""
+        # Not the corpus's sim: its gate has quarantined peer 1 by now.
+        sim = run_sim(0, num_users=6, seed=11)
+        spoofed = sim.keypairs[2].public
+        frame = encode_envelope(Envelope(
+            origin=spoofed, kind="vote", payload=signed_vote(sim, 1, 1, "1"),
+            size=250, msg_id=(2 << 40) | 1))
+        header = decode_envelope_header(frame)
+        assert header[3] == len(spoofed)
+        assert decode_envelope_body(header, frame).origin == spoofed
+        admission = sim.nodes[0].admission
+        transport = live_transport()
+        transport.on_receive = lambda envelope, peer: (
+            False if admission.admit(envelope, peer) else None)
+        transport._on_payload(1, frame)
+        transport._drain()
+        assert admission.rejected == {"origin_mismatch": 1}
 
     def test_deeply_nested_frame_is_garbage_not_a_recursion_error(self):
         """~45 KB of nested list tags took the reader task down with an

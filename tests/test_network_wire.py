@@ -143,6 +143,11 @@ _MESSAGES = {"tx": _txs, "vote": _votes, "priority": _priorities,
              "chainreq": st.builds(ChainRequest, _u64)}
 
 
+#: The payload field naming a kind's signer, where it has one.
+_SIGNER_FIELD = {"tx": "sender", "vote": "voter", "priority": "proposer",
+                 "block": "proposer"}
+
+
 def _bare(message):
     """A field-for-field copy that carries no receipts."""
     if isinstance(message, Block):
@@ -162,9 +167,12 @@ class TestLayoutProperties:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), msg_id=_u64,
            size=st.integers(min_value=1, max_value=2**32 - 1),
-           origin=st.binary(max_size=64))
-    def test_round_trip(self, kind, data, msg_id, size, origin):
+           origin=st.binary(max_size=64), signed=st.booleans())
+    def test_round_trip(self, kind, data, msg_id, size, origin, signed):
         message = data.draw(_MESSAGES[kind])
+        signer = getattr(message, _SIGNER_FIELD.get(kind, ""), None)
+        if signed and signer is not None:
+            origin = signer
         layout = ENVELOPE_LAYOUTS[kind][1]
         raw = layout.pack(message)
         decoded = layout.unpack(raw)
@@ -178,6 +186,9 @@ class TestLayoutProperties:
         data = encode_envelope(envelope)
         assert decode_envelope_body(decode_envelope_header(data),
                                     data) == envelope
+        # The origin travels unless it is the payload's own signer.
+        carried = 0 if origin == signer else len(origin)
+        assert len(data) == wire.ENVELOPE_HEADER.size + carried + len(raw)
 
     @pytest.mark.parametrize("kind", sorted(_MESSAGES))
     @settings(max_examples=40, deadline=None)
@@ -191,6 +202,55 @@ class TestLayoutProperties:
             layout.unpack(raw[:-(1 + cut % len(raw))])
         with pytest.raises(WireError):
             layout.unpack(raw + extra)
+
+
+class TestOriginElision:
+    """What the round trip cannot draw: the empty block by name, and
+    the reserved origin length where it cannot stand for a signer."""
+
+    def test_the_empty_block_carries_its_origin(self):
+        block = empty_block(3, H(b"prev"))
+        assert block.proposer is None
+        envelope = Envelope(origin=H(b"relayer"), kind="block",
+                            payload=block, size=250, msg_id=7)
+        data = encode_envelope(envelope)
+        header = decode_envelope_header(data)
+        assert header[3] == 32
+        assert decode_envelope_body(header, data) == envelope
+
+    @staticmethod
+    def _signalled(kind: str, body: bytes) -> bytes:
+        return wire.ENVELOPE_HEADER.pack(
+            7, ENVELOPE_LAYOUTS[kind][0], 250, wire.ORIGIN_IS_SIGNER,
+            len(body)) + body
+
+    @pytest.mark.parametrize("kind", ["cert", "chain", "chainreq"])
+    def test_a_kind_without_a_signer_cannot_elide_its_origin(self, kind):
+        message = {"cert": Certificate(1, "1", H(b"v"), ()),
+                   "chain": ChainAnnouncement(blocks=(), certificates={}),
+                   "chainreq": ChainRequest(height=4)}[kind]
+        data = self._signalled(kind, ENVELOPE_LAYOUTS[kind][1].pack(message))
+        with pytest.raises(WireError, match="no signer"):
+            decode_envelope_header(data)
+
+    def test_an_empty_block_cannot_elide_its_origin(self):
+        data = self._signalled("block",
+                               encode_block(empty_block(3, H(b"prev"))))
+        with pytest.raises(WireError, match="empty block"):
+            decode_envelope_body(decode_envelope_header(data), data)
+
+    def test_an_origin_as_long_as_the_signal_cannot_be_encoded(
+            self, sample_vote):
+        origin = b"o" * wire.ORIGIN_IS_SIGNER
+        envelope = Envelope(origin=origin, kind="vote", payload=sample_vote,
+                            size=250, msg_id=7)
+        with pytest.raises(WireError, match="signer"):
+            encode_envelope(envelope)
+        # One byte shorter still travels.
+        shorter = dataclasses.replace(envelope, origin=origin[1:])
+        data = encode_envelope(shorter)
+        assert decode_envelope_body(decode_envelope_header(data),
+                                    data) == shorter
 
 
 class TestTypedFields:
@@ -380,12 +440,13 @@ class TestSizeCalibration:
         assert abs(len(encode_block(block)) - block.size) < 0.25 * block.size
 
     def test_a_vote_frame_is_mostly_fields(self, sample_vote):
-        """The envelope + layout framing stays a small constant."""
+        """The envelope + layout framing stays a small constant, and the
+        voter's key, the envelope's origin, travels once."""
         fields = sum(len(getattr(sample_vote, f.name))
                      for f in dataclasses.fields(sample_vote)
                      if f.name != "round_number") + 8
         envelope = Envelope(origin=sample_vote.voter, kind="vote",
                             payload=sample_vote, size=VOTE_MESSAGE_BYTES,
                             msg_id=1)
-        overhead = len(encode_envelope(envelope)) - fields - 32
+        overhead = len(encode_envelope(envelope)) - fields
         assert overhead == wire.ENVELOPE_HEADER.size + 7 * 4

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
+from collections import deque
 from typing import Callable
 
 import pytest
@@ -59,6 +60,8 @@ class _FakeLink:
         self.peer = peer
         self.closed = False
         self.frames: list[bytes] = []
+        self.read_txs: deque[bytes] = deque()
+        self.read_ids: deque[set[int]] = deque([set()])
 
     def send(self, frame: bytes, tx: bytes | None = None) -> None:
         self.frames.append(frame)
@@ -699,3 +702,77 @@ class TestLiveTransport:
         assert len(transport.links[0].frames) == 2
         assert len(transport.links[1].frames) == 1
         assert transport.fault_dropped_frames == 1
+
+
+class TestRelaySkip:
+    """No copy goes back to a peer whose link carried the message here."""
+
+    PEERS = (1, 2, 3, 4)
+
+    def _transport(self, verdicts=None) -> LiveTransport:
+        transport = live_transport(0)
+        for peer in self.PEERS:
+            transport.add_link(_FakeLink(peer))
+        answers = iter(verdicts or [])
+        transport.on_receive = lambda envelope, _: next(answers, True)
+        return transport
+
+    @staticmethod
+    def _read(transport: LiveTransport, peer: int, payload: bytes) -> None:
+        transport._on_payload(peer, payload, transport.links[peer])
+
+    @staticmethod
+    def _copies(transport: LiveTransport) -> list[int]:
+        return [len(transport.links[peer].frames)
+                for peer in TestRelaySkip.PEERS]
+
+    def test_a_relay_leaves_out_every_link_that_read_the_message(self):
+        transport = self._transport()
+        payload = encode_envelope(_envelope(b"o" * 32, msg_id=99))
+        self._read(transport, 1, payload)
+        self._read(transport, 2, payload)  # a duplicate by drain time
+        transport._drain()
+        assert self._copies(transport) == [0, 0, 1, 1]
+        # Peer 1 delivered it (never a target); peer 2's copy is skipped.
+        assert transport.relay_skipped == 1
+        assert transport.stats()["relay_skipped"] == 1
+        assert transport.messages_sent == 2
+
+    @pytest.mark.parametrize("replaced", [False, True])
+    def test_a_replaced_link_starts_with_an_empty_window(self, replaced):
+        # Peer 1's copy is rejected (its id stays unheld), peer 2's kept.
+        transport = self._transport(verdicts=[None, True])
+        payload = encode_envelope(_envelope(b"o" * 32, msg_id=99))
+        self._read(transport, 1, payload)
+        transport._drain()
+        if replaced:  # e.g. peer 1 restarted and dialed back
+            transport.add_link(_FakeLink(1))
+        self._read(transport, 2, payload)
+        transport._drain()
+        assert self._copies(transport) == [int(replaced), 0, 1, 1]
+        assert transport.relay_skipped == int(not replaced)
+
+    def test_the_window_lasts_as_long_as_the_dedup_generations(self):
+        """On a real link: a frame read off the socket is noted, and
+        the note rolls away with the core's dedup generations."""
+        transport = live_transport(0)
+        sock = _RecordingSocket()
+        envelope = _envelope(b"o" * 32, msg_id=99)
+
+        async def run() -> list[int]:
+            link = PeerLink(transport, 1)
+            link.connection_made(sock)
+            transport.add_link(link)
+            link.data_received(encode_frame(encode_envelope(envelope)))
+            writes = []
+            for rounds in (transport.seen_horizon_rounds, 1):
+                for _ in range(rounds):
+                    transport.end_round()
+                transport._send(envelope, [1])
+                await asyncio.sleep(0)
+                writes.append(len(sock.writes))
+            return writes
+
+        # Skipped while a kept generation read it, sent once it is gone.
+        assert asyncio.run(run()) == [0, 1]
+        assert transport.relay_skipped == 1
