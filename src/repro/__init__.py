@@ -47,9 +47,15 @@ Config knobs are grouped (``network=NetworkConfig(...)``,
 deployment on either substrate (:mod:`repro.node.config`).
 """
 
+import os
 from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
+
+# One BLAS thread unless the user asked for more: no array here is big
+# enough for OpenBLAS's pool to pay for its threads, which spin on the
+# other cores. Set before any ``repro`` module loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "1.1.0"
 

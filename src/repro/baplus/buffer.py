@@ -8,7 +8,7 @@ until explicitly pruned so that certificates can be assembled from past
 steps and passive observers can recount votes; pruning one drops whoever
 parked on it (a count left behind still ends at its own deadline).
 
-The buffer can be bounded (``budget_messages``): past the budget an
+The buffer is bounded (``budget_messages``): past the budget an
 incoming vote must displace a buffered one or be rejected. Eviction is
 by *round proximity* — the paper's "undecidable messages" (future-round
 and recovery votes that cannot be validated yet, the buffering DoS
@@ -33,13 +33,12 @@ _Key = tuple[int, str]
 class VoteBuffer:
     """Votes indexed by ``(round, step)``, and who waits for the next."""
 
-    def __init__(self, env: Environment,
-                 budget_messages: int | None = None) -> None:
+    def __init__(self, env: Environment, budget_messages: int) -> None:
         self._env = env
         self._buckets: dict[_Key, list[VoteMessage]] = defaultdict(list)
         #: ``(callback, arg)`` waiters per key, in the order they parked.
         self._parked: dict[_Key, list[tuple]] = {}
-        #: Maximum buffered votes across all buckets (None = unbounded).
+        #: Maximum buffered votes across all buckets.
         self.budget_messages = budget_messages
         #: Rounds at or below this are protected from eviction (the
         #: round currently being decided; set by the node's round loop).
@@ -55,8 +54,7 @@ class VoteBuffer:
     def add(self, vote: VoteMessage) -> bool:
         """Buffer ``vote``; False if the budget forced a rejection."""
         key = (vote.round_number, vote.step)
-        budget = self.budget_messages
-        if budget is not None and self._size >= budget:
+        if self._size >= self.budget_messages:
             if not self._evict_for(key):
                 self.rejected += 1
                 return False

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chaos.scenario import attacker_nodes, permanently_crashed
-from repro.runtime.admission import EGRESS_LANE_BUDGET
+from repro.network.gossip import EGRESS_LANE_BUDGET
 from repro.sortition.seed import accepted_seed
 
 
@@ -107,7 +107,7 @@ def audit_ingress(counters: dict[int, dict], config, *, now: float,
     numbers under registry names (its ``admission.buffer_high_water``),
     read the same way on either substrate; a node whose numbers carry
     ``admission.egress_high_water`` (only the sim has egress lanes) has
-    its lane held to :data:`~repro.runtime.admission.EGRESS_LANE_BUDGET`
+    its lane held to :data:`~repro.network.gossip.EGRESS_LANE_BUDGET`
     too. ``skip`` names the attacker nodes
     (their own buffers are not part of the robustness claim) plus
     permanently crashed ones.

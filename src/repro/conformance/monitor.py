@@ -27,6 +27,11 @@ from repro.conformance.machine import (
     Violation,
 )
 
+#: Violations a monitor records; beyond it it still checks, but only
+#: counts — a systematically wrong trace would otherwise accumulate one
+#: violation per event.
+MAX_VIOLATIONS = 1000
+
 
 class ConformanceVerdict:
     """Deterministic summary of one conformance check."""
@@ -65,15 +70,10 @@ class ConformanceVerdict:
 class ConformanceMonitor:
     """TraceBus sink replaying a run's stream through the machines."""
 
-    def __init__(self, *, registry=None,
-                 max_violations: int = 1000) -> None:
+    def __init__(self, *, registry=None) -> None:
         #: Optional :class:`repro.obs.metrics.MetricsRegistry` that
         #: receives ``conformance.*`` counters (usually ``bus.metrics``).
         self.registry = registry
-        #: Stop recording (not checking) beyond this many violations —
-        #: a systematically wrong trace would otherwise accumulate one
-        #: violation per event.
-        self.max_violations = max_violations
         self.machines: dict[int | None, NodeMachine] = {}
         self.cluster = ClusterMachine()
         self.violations: list[Violation] = []
@@ -108,7 +108,7 @@ class ConformanceMonitor:
 
     def _record(self, found: list[Violation]) -> None:
         for violation in found:
-            if len(self.violations) >= self.max_violations:
+            if len(self.violations) >= MAX_VIOLATIONS:
                 self.dropped_violations += 1
                 continue
             self.violations.append(violation)
@@ -156,7 +156,7 @@ class ConformanceMonitor:
                 "round": None, "step": None, "kind": "",
                 "phase": "", "detail":
                 f"{self.dropped_violations} further violation(s) beyond "
-                f"the max_violations={self.max_violations} cap"})
+                f"the {MAX_VIOLATIONS}-violation cap"})
         return ConformanceVerdict(
             ok=self.ok and trace_complete,
             events_checked=self.events_checked,

@@ -42,7 +42,6 @@ from repro.node.population import Population
 from repro.node.registry import BlockRegistry
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.admission import EGRESS_LANE_BUDGET
 from repro.sim.loop import Environment
 
 
@@ -91,13 +90,7 @@ class Simulation:
             self.env, total_nodes, self.rng, latency,
             peers_per_node=network_cfg.peers_per_node,
             bandwidth_bps=network_cfg.bandwidth_bps,
-            lane_budget_msgs=EGRESS_LANE_BUDGET,
-            obs=obs,
-            # No dormant stake, no active set: a core that covers
-            # everyone builds every interface up front and draws peers
-            # on the RNG sequence the pinned goldens were recorded on.
-            active_indices=(list(range(core_size))
-                            if core_size < total_nodes else None),
+            obs=obs, active_indices=range(core_size),
         )
 
         #: Builds every agent: the always-on core now, each round's

@@ -81,16 +81,16 @@ def measure_priority_gossip(num_users: int = 60, *,
     The paper measures ~1 s for 1 KB to 90% of Bitcoin's network and sets
     lambda_priority = 5 s; our WAN model should land in the same regime.
     """
-    import numpy as np_local
     from repro.network.gossip import GossipNetwork
     from repro.network.latency import LatencyModel
     from repro.network.message import Envelope
     from repro.sim.loop import Environment
 
     env = Environment()
-    rng = np_local.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    defaults = NetworkConfig()
     network = GossipNetwork(env, num_users, rng, LatencyModel(num_users, rng),
-                            bandwidth_bps=20e6)
+                            defaults.peers_per_node, defaults.bandwidth_bps)
     network.interfaces[0].broadcast(
         Envelope(origin=b"measure", kind="priority", payload=None, size=200))
     env.run()

@@ -16,14 +16,14 @@ from repro.common.errors import InvalidTransaction
 from repro.ledger.arraystate import ArrayState
 from repro.ledger.transaction import Transaction
 
+#: Byte-size cap of a node's pool: a transaction past it is refused.
+MEMPOOL_MAX_BYTES = 16_000_000
+
 
 class Mempool:
     """FIFO transaction pool with a byte-size cap."""
 
-    def __init__(self, max_bytes: int = 16_000_000) -> None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        self._max_bytes = max_bytes
+    def __init__(self) -> None:
         self._pool: OrderedDict[bytes, Transaction] = OrderedDict()
         self._bytes = 0
 
@@ -37,7 +37,7 @@ class Mempool:
         """Insert a transaction; returns False on duplicate or overflow."""
         if tx.txid in self._pool:
             return False
-        if self._bytes + tx.size > self._max_bytes:
+        if self._bytes + tx.size > MEMPOOL_MAX_BYTES:
             return False
         self._pool[tx.txid] = tx
         self._bytes += tx.size

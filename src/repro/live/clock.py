@@ -22,6 +22,10 @@ from typing import Callable
 
 from repro.sim.loop import Environment
 
+#: Longest uninterrupted sleep, in wall seconds: bounds how stale a
+#: ``stop_when`` or deadline check can get while the queues are idle.
+TICK = 0.25
+
 
 def _release(waiter: asyncio.Future) -> None:
     if not waiter.done():
@@ -31,11 +35,8 @@ def _release(waiter: asyncio.Future) -> None:
 class LiveClock(Environment):
     """The event kernel, paced against ``asyncio``'s wall clock."""
 
-    def __init__(self, tick: float = 0.25) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        #: Longest uninterrupted sleep; bounds how stale a ``stop_when``
-        #: or deadline check can get while the queues are idle.
-        self.tick = tick
         #: The future an idle :meth:`run_async` is parked on, if any.
         self._waiter: asyncio.Future | None = None
         #: Worst lateness observed between a timer's due time and the
@@ -48,7 +49,7 @@ class LiveClock(Environment):
 
         Called by the transport when a socket reader schedules a drain
         of the envelopes it enqueued; without the kick the loop would
-        finish its current sleep first, adding up to ``tick`` seconds
+        finish its current sleep first, adding up to :data:`TICK` seconds
         of delivery latency. A kick while no sleep is parked is moot:
         the next turn sees the work the kicker queued.
         """
@@ -97,8 +98,8 @@ class LiveClock(Environment):
                 if stop_when():
                     return
             due = self._next_time()
-            wait = self.tick if due is None else min(
-                due - (loop.time() - origin), self.tick)
+            wait = TICK if due is None else min(
+                due - (loop.time() - origin), TICK)
             if wait <= 0:
                 # Yield once so socket readers and link flushes run.
                 await asyncio.sleep(0)

@@ -109,17 +109,7 @@ def gossip_neighbors(config: SimulationConfig) -> dict[str, list[int]]:
     """The gossip graph a sim of ``config`` starts on, for the ``peers``
     message: the sim's own draw (:func:`~repro.network.gossip.draw_peers`)
     on its RNG stream, after the city draw its latency model makes first.
-    A live cluster keeps it for the whole run (no per-round reshuffle).
-
-    A coordinator that loads numpy here loads it with one BLAS thread:
-    numpy's BLAS pool would start a helper that spins through the node
-    server's import on the other core, and the draw needs no BLAS."""
-    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
-            import numpy  # noqa: F401
-        finally:
-            del os.environ["OPENBLAS_NUM_THREADS"]
+    A live cluster keeps it for the whole run (no per-round reshuffle)."""
     import numpy as np
 
     from repro.network.gossip import draw_peers

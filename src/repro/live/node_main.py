@@ -444,7 +444,7 @@ class NodeProcess:
             await send_message(writer, {"type": "stopped"})
             while True:
                 await control.next(timeout=CONNECT_TIMEOUT)
-        await self.transport.close()
+        self.transport.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

@@ -64,12 +64,8 @@ from typing import Callable
 
 from repro.ledger.transaction import Transaction
 from repro.live.clock import LiveClock
-from repro.network.gossip import (
-    SEEN_HORIZON_ROUNDS,
-    DropFilter,
-    LinkShaper,
-    RelayCore,
-)
+from repro.network import gossip
+from repro.network.gossip import DropFilter, LinkShaper, RelayCore
 from repro.network.framing import FrameDecoder, WireError, encode_frame
 from repro.network.message import Envelope
 from repro.network.wire import (
@@ -167,7 +163,7 @@ class PeerLink(asyncio.Protocol):
         #: generation of the transport's core (newest first): the peer
         #: holds each of those messages. A replaced link starts empty.
         self.read_ids: deque[set[int]] = deque(
-            [set()], maxlen=transport.seen_horizon_rounds + 1)
+            [set()], maxlen=gossip.SEEN_HORIZON_ROUNDS + 1)
 
     def connection_made(self, sock: asyncio.Transport) -> None:
         self.sock = sock
@@ -214,7 +210,7 @@ class PeerLink(asyncio.Protocol):
         self.sock.write(b"".join(frames))
         self.transport.socket_writes += 1
 
-    async def close(self) -> None:
+    def close(self) -> None:
         self._flush()  # what this turn queued still goes out
         self.closed = True
         if self.sock is not None:
@@ -229,11 +225,8 @@ class LiveTransport(RelayCore):
     """
 
     def __init__(self, index: int, clock: LiveClock, *,
-                 drain_budget: int = DRAIN_BUDGET,
-                 rx_queue_limit: int = RX_QUEUE_LIMIT,
-                 seen_horizon_rounds: int = SEEN_HORIZON_ROUNDS,
                  incarnation: int = 0, obs=None) -> None:
-        super().__init__(index, seen_horizon_rounds, obs)
+        super().__init__(index, obs)
         self.clock = clock
         #: Frame bytes the links accepted (wire truth; the core's
         #: ``bytes_sent`` is the logical size the sim charges).
@@ -246,8 +239,6 @@ class LiveTransport(RelayCore):
         #: Copies not sent because the target's link had read a frame
         #: of the same message: that peer already holds it.
         self.relay_skipped = 0
-        self.drain_budget = drain_budget
-        self.rx_queue_limit = rx_queue_limit
         self.rx_dropped = 0
         self.garbage_frames = 0
         self.garbage_streams = 0
@@ -286,28 +277,15 @@ class LiveTransport(RelayCore):
 
     # -- link management ------------------------------------------------
 
-    @staticmethod
-    def _close_soon(link: PeerLink) -> None:
-        """Schedule an async link close; drop it when no loop runs.
-
-        Outside a running event loop (unit tests poking the transport
-        synchronously) there is nothing to await the close — abandoning
-        it is fine, no socket exists there.
-        """
-        coro = link.close()
-        try:
-            asyncio.ensure_future(coro)
-        except RuntimeError:
-            coro.close()
-
     def add_link(self, link: PeerLink) -> None:
         stale = self.links.get(link.peer)
-        if stale is not None and stale is not link:
-            # Reconnect replaced a dead (or half-dead) link: close the
-            # old socket; its loss no longer reaches the owner.
-            self._close_soon(stale)
         self.links[link.peer] = link
         self.neighbors = sorted(self.links)
+        if stale is not None and stale is not link:
+            # Reconnect replaced a dead (or half-dead) link: close the
+            # old socket. The new link is in place first, so the old
+            # one's loss does not reach the owner.
+            stale.close()
 
     def _link_lost(self, link: PeerLink) -> None:
         if link._down_notified:
@@ -323,11 +301,11 @@ class LiveTransport(RelayCore):
         for link in self.links.values():
             link.read_ids.appendleft(set())
 
-    async def close(self) -> None:
+    def close(self) -> None:
         self.disconnected = True
         self.on_link_down = None
         for link in self.links.values():
-            await link.close()
+            link.close()
 
     # -- sending --------------------------------------------------------
 
@@ -465,7 +443,7 @@ class LiveTransport(RelayCore):
             except WireError:
                 self.garbage_frames += 1
                 return
-        if len(self._rx) >= self.rx_queue_limit:
+        if len(self._rx) >= RX_QUEUE_LIMIT:
             self._rx.popleft()
             self.rx_dropped += 1
         self._rx.append((peer, header, body))
@@ -477,7 +455,7 @@ class LiveTransport(RelayCore):
 
     def _drain(self) -> None:
         self._drain_scheduled = False
-        budget = self.drain_budget
+        budget = DRAIN_BUDGET
         while self._rx and budget > 0:
             budget -= 1
             self._deliver(*self._rx.popleft())

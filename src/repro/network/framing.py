@@ -37,22 +37,21 @@ class FrameSizeError(WireError):
 #: Frame header: 4-byte big-endian payload length.
 FRAME_HEADER = struct.Struct(">I")
 
-#: Default ceiling on one frame's payload. Generous against the largest
+#: Ceiling on one frame's payload. Generous against the largest
 #: legitimate message (a ~1 MB block plus envelope overhead) while small
 #: enough that a garbage length prefix is detected immediately instead
 #: of stalling a reader waiting for gigabytes that will never come.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 
-def encode_frame(payload: bytes,
-                 max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+def encode_frame(payload: bytes) -> bytes:
     """Length-prefix ``payload`` for transmission over a byte stream."""
     if not payload:
         raise FrameSizeError("cannot frame an empty payload")
-    if len(payload) > max_bytes:
+    if len(payload) > MAX_FRAME_BYTES:
         raise FrameSizeError(
             f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_bytes}-byte limit")
+            f"{MAX_FRAME_BYTES}-byte limit")
     return FRAME_HEADER.pack(len(payload)) + payload
 
 
@@ -61,20 +60,17 @@ class FrameDecoder:
 
     Feed raw stream bytes as they arrive (split or coalesced however the
     transport pleases); :meth:`feed` returns every complete payload the
-    new bytes finished. A length prefix of zero or beyond ``max_bytes``
-    raises :class:`FrameSizeError` — a desynced or malicious stream is
-    unrecoverable, so the connection must be dropped, not resynced. The
-    decoder never buffers more than one header plus ``max_bytes`` of an
-    incomplete frame, so a garbage length prefix cannot make it hoard
-    memory.
+    new bytes finished. A length prefix of zero or beyond
+    :data:`MAX_FRAME_BYTES` raises :class:`FrameSizeError` — a desynced
+    or malicious stream is unrecoverable, so the connection must be
+    dropped, not resynced. The decoder never buffers more than one
+    header plus :data:`MAX_FRAME_BYTES` of an incomplete frame, so a
+    garbage length prefix cannot make it hoard memory.
     """
 
-    __slots__ = ("max_bytes", "_buffer", "frames_decoded", "bytes_fed")
+    __slots__ = ("_buffer", "frames_decoded", "bytes_fed")
 
-    def __init__(self, max_bytes: int = MAX_FRAME_BYTES) -> None:
-        if max_bytes < 1:
-            raise WireError("max_bytes must be >= 1")
-        self.max_bytes = max_bytes
+    def __init__(self) -> None:
         self._buffer = bytearray()
         self.frames_decoded = 0
         self.bytes_fed = 0
@@ -99,16 +95,17 @@ class FrameDecoder:
         buffer += data
         frames: list[bytes] = []
         pos, available = 0, len(buffer)
+        max_bytes = MAX_FRAME_BYTES
         try:
             with memoryview(buffer) as view:
                 while available - pos >= FRAME_HEADER.size:
                     (length,) = FRAME_HEADER.unpack_from(view, pos)
                     if length == 0:
                         raise FrameSizeError("zero-length frame")
-                    if length > self.max_bytes:
+                    if length > max_bytes:
                         raise FrameSizeError(
                             f"frame length {length} exceeds the "
-                            f"{self.max_bytes}-byte limit (desynced or "
+                            f"{max_bytes}-byte limit (desynced or "
                             f"garbage stream)")
                     end = pos + FRAME_HEADER.size + length
                     if end > available:

@@ -35,7 +35,7 @@ reordering faults are expressed without touching the latency model.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -67,6 +67,8 @@ ReceiveHook = Callable[[Envelope, int], bool | None]
 #: Messages at or below this size use the urgent egress lane (votes,
 #: priority announcements, transactions) and never wait behind blocks.
 URGENT_MESSAGE_BYTES = 1500
+#: Max queued copies per egress lane per sim interface (tail-drop).
+EGRESS_LANE_BUDGET = 10_000
 #: Rounds of duplicate-suppression memory a node keeps before its
 #: current generation, on both substrates (:class:`RelayCore`).
 SEEN_HORIZON_ROUNDS = 2
@@ -112,18 +114,14 @@ class RelayCore:
 
     Dedup memory is one generation of message ids per round: the
     current one, where originated and accepted ids are marked, and the
-    ``seen_horizon_rounds`` before it; the node starts a fresh one at
-    each of its own round boundaries (:meth:`end_round`). A copy that
+    :data:`SEEN_HORIZON_ROUNDS` before it; the node starts a fresh one
+    at each of its own round boundaries (:meth:`end_round`). A copy that
     straggles in after its generation was forgotten is accepted once
     more, and the protocol layer's stale-round checks discard it
     unrelayed. Ids need only be unique, not ordered.
     """
 
-    def __init__(self, index: int,
-                 seen_horizon_rounds: int = SEEN_HORIZON_ROUNDS,
-                 obs: "TraceBus | None" = None) -> None:
-        if seen_horizon_rounds < 1:
-            raise NetworkError("seen_horizon_rounds must be >= 1")
+    def __init__(self, index: int, obs: "TraceBus | None" = None) -> None:
         self.index = index
         self.neighbors: list[int] = []
         #: The node's one hook (:data:`ReceiveHook`), asked once per
@@ -134,7 +132,6 @@ class RelayCore:
         #: on links, one per peer transmission on either substrate.
         self.bytes_sent = 0
         self.messages_sent = 0
-        self.seen_horizon_rounds = seen_horizon_rounds
         # Tracing is fixed at construction; cache the registry handle so
         # per-delivery guards are one attribute load.
         self._metrics = obs.metrics if obs is not None else None
@@ -168,7 +165,7 @@ class RelayCore:
         kept = self._seen_before
         kept.appendleft(self._seen)
         self._seen = set()
-        if len(kept) > self.seen_horizon_rounds:
+        if len(kept) > SEEN_HORIZON_ROUNDS:
             forgotten = kept.pop()
             if self._metrics is not None:
                 self._metrics.inc("gossip.pruned_ids", len(forgotten))
@@ -285,11 +282,8 @@ class NetworkInterface(RelayCore):
     """
 
     def __init__(self, network: "GossipNetwork", index: int) -> None:
-        super().__init__(index, network.seen_horizon_rounds, network.obs)
+        super().__init__(index, network.obs)
         self._network = network
-        #: Per-lane egress budget in messages (tail-drop past it);
-        #: ``None`` is unbounded (the pre-admission behavior).
-        self.lane_budget: int | None = network.lane_budget_msgs
         self.egress_dropped = 0
         self.egress_high_water = 0
         # Two egress lanes: small control messages (votes, priorities)
@@ -334,16 +328,17 @@ class NetworkInterface(RelayCore):
               raw: bytes | None = None) -> None:
         """Queue one copy per target on the envelope's egress lane.
 
-        Tail-drops past the lane budget — backpressure for the gossip
-        fabric: a node whose uplink cannot keep up (e.g. one being used
-        as a flood amplifier) sheds the *newest* traffic instead of
-        growing the queue without bound. High-water marks are per-lane
-        and audited by the chaos engine's ingress-bounds invariant.
+        Tail-drops past :data:`EGRESS_LANE_BUDGET` — backpressure for
+        the gossip fabric: a node whose uplink cannot keep up (e.g. one
+        being used as a flood amplifier) sheds the *newest* traffic
+        instead of growing the queue without bound. High-water marks are
+        per-lane and audited by the chaos engine's ingress-bounds
+        invariant.
         """
         lane = (self._egress_urgent if envelope.size <= URGENT_MESSAGE_BYTES
                 else self._egress_bulk)
-        budget = self.lane_budget
-        if budget is None or len(lane) + len(targets) <= budget:
+        budget = EGRESS_LANE_BUDGET
+        if len(lane) + len(targets) <= budget:
             lane.extend([(envelope, target) for target in targets])
         else:
             for target in targets:
@@ -423,7 +418,7 @@ class NetworkInterface(RelayCore):
         arrival. An id only an older generation holds is left alone —
         the receiver's next round boundary may forget it, and a
         forgotten id is accepted again — while one in the current
-        generation stays held for ``seen_horizon_rounds`` more
+        generation stays held for :data:`SEEN_HORIZON_ROUNDS` more
         boundaries. The sender has already paid for the copy (uplink
         time, ``bytes_sent``, latency draw).
         """
@@ -442,12 +437,9 @@ class GossipNetwork:
 
     def __init__(self, env: Environment, num_nodes: int,
                  rng: np.random.Generator, latency_model: SupportsLatency,
-                 peers_per_node: int = 4,
-                 bandwidth_bps: float | None = 20e6,
-                 seen_horizon_rounds: int = SEEN_HORIZON_ROUNDS,
-                 lane_budget_msgs: int | None = None,
+                 peers_per_node: int, bandwidth_bps: float | None,
                  obs: "TraceBus | None" = None,
-                 active_indices: "list[int] | None" = None) -> None:
+                 active_indices: "Iterable[int] | None" = None) -> None:
         if num_nodes < 2:
             raise NetworkError("gossip network needs at least 2 nodes")
         if peers_per_node < 1:
@@ -462,35 +454,23 @@ class GossipNetwork:
         self.latency_model = latency_model
         self.peers_per_node = peers_per_node
         self.bandwidth_bps = bandwidth_bps
-        #: Rounds of duplicate-suppression memory each node keeps.
-        self.seen_horizon_rounds = seen_horizon_rounds
-        #: Per-lane egress budget copied onto each interface at creation.
-        self.lane_budget_msgs = lane_budget_msgs
         self.drop_filter: DropFilter | None = None
         self.link_shaper: LinkShaper | None = None
         #: Copies that reached a receiver's duplicate check — landed, or
         #: elided before they became an event (:attr:`dup_elided` of them).
         self.messages_delivered = 0
         self.dup_elided = 0
-        #: Aggregated-population mode: only these slots participate in
-        #: the gossip fabric. ``None`` (everyone always on) means every
-        #: slot is live — and follows the original construction path
-        #: exactly (same first-drain order, same topology RNG
-        #: consumption).
-        self.active: frozenset[int] | None = (
-            frozenset(active_indices) if active_indices is not None
-            else None)
+        #: The slots that take part in the gossip fabric: every one
+        #: unless ``active_indices`` names the aggregated population's
+        #: core.
+        self.active = frozenset(range(num_nodes) if active_indices is None
+                                else active_indices)
         #: One entry per slot, ``None`` until the slot is first active:
         #: an account that was never an agent owns no relay state.
         self.interfaces: list[NetworkInterface | None] = [None] * num_nodes
-        for i in (range(num_nodes) if self.active is None
-                  else sorted(self.active)):
+        for i in sorted(self.active):
             self.interface(i).activate()
         self.reshuffle_peers()
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.interfaces)
 
     def interface(self, index: int) -> NetworkInterface:
         """Slot ``index``'s interface, built on first request."""
@@ -505,9 +485,8 @@ class GossipNetwork:
         Dormant nodes are excluded from both directions of the new
         neighbor map: they neither draw peers nor get drawn.
         """
-        eligible = (list(range(self.num_nodes)) if self.active is None
-                    else sorted(self.active))
-        adjacency = draw_peers(self.rng, eligible, self.peers_per_node)
+        adjacency = draw_peers(self.rng, sorted(self.active),
+                               self.peers_per_node)
         for interface in filter(None, self.interfaces):
             interface.neighbors = adjacency.get(interface.index, [])
 
@@ -517,15 +496,12 @@ class GossipNetwork:
         Newly active slots are brought online (first drain armed on
         first activation), dropped slots are parked, and the peer graph
         is rebuilt over the new active set. No-op when the set is
-        unchanged — in particular, an aggregated deployment whose core
-        covers the whole population never reshuffles here, keeping its
-        RNG stream identical to the ``active_indices=None`` construction.
+        unchanged: no RNG is drawn then.
         """
         active = frozenset(indices)
         if active == self.active:
             return
-        previous = self.active if self.active is not None else frozenset()
-        self.active = active
+        previous, self.active = self.active, active
         for index in sorted(previous - active):
             self.interfaces[index].deactivate()
         for index in sorted(active - previous):

@@ -79,6 +79,10 @@ def base_latency_matrix() -> np.ndarray:
     return matrix
 
 
+#: Standard deviation of a latency sample's multiplicative jitter, as a
+#: fraction of the base latency (factors are floored at 0.25).
+JITTER_FRACTION = 0.10
+
 #: ``(row, cities, factors)``: what one egress batch's latency samples
 #: are made of (:meth:`LatencyModel.batch_terms`).
 BatchTerms = tuple[list[float], Sequence[int], "list[float] | None"]
@@ -87,18 +91,14 @@ BatchTerms = tuple[list[float], Sequence[int], "list[float] | None"]
 class LatencyModel:
     """Assigns users to cities and answers per-pair latency queries."""
 
-    def __init__(self, num_users: int, rng: np.random.Generator,
-                 jitter_fraction: float = 0.10) -> None:
+    def __init__(self, num_users: int, rng: np.random.Generator) -> None:
         if num_users < 1:
             raise ValueError("num_users must be >= 1")
-        if not 0 <= jitter_fraction < 1:
-            raise ValueError("jitter_fraction must be in [0, 1)")
         # Lists: Python floats beat numpy on ~10-element egress batches.
         self._rows: list[list[float]] = base_latency_matrix().tolist()
         self._city_of: list[int] = rng.integers(
             0, len(CITIES), size=num_users).tolist()
         self._rng = rng
-        self._jitter = jitter_fraction
 
     def latency(self, src: int, dst: int) -> float:
         """One-way latency sample between two users (with jitter)."""
@@ -107,8 +107,6 @@ class LatencyModel:
     def latencies(self, src: int, dsts: list[int]) -> list[float]:
         """One :meth:`latency` sample per destination, in one draw."""
         row, cities, factors = self.batch_terms(src, len(dsts))
-        if factors is None:
-            return [row[cities[dst]] for dst in dsts]
         return [row[cities[dst]] * factor
                 for dst, factor in zip(dsts, factors)]
 
@@ -116,17 +114,14 @@ class LatencyModel:
         """The parts of ``n`` samples from ``src``, drawn at once.
 
         The base latency from ``src``'s city to each city, every user's
-        city, and one jitter factor per sample (``None`` without
-        jitter): sample ``i`` towards ``dst`` is ``row[cities[dst]] *
-        factors[i]``. ``standard_normal(n)`` consumes the stream exactly
-        like ``n`` scalar draws, so a batch is bit-identical to one
-        :meth:`latency` call per destination, in order, RNG state
-        included.
+        city, and one jitter factor per sample: sample ``i`` towards
+        ``dst`` is ``row[cities[dst]] * factors[i]``.
+        ``standard_normal(n)`` consumes the stream exactly like ``n``
+        scalar draws, so a batch is bit-identical to one :meth:`latency`
+        call per destination, in order, RNG state included.
         """
         row = self._rows[self._city_of[src]]
-        jitter = self._jitter
-        if jitter == 0:
-            return row, self._city_of, None
+        jitter = JITTER_FRACTION
         # max(0.25, 1 + jitter * z) without a call per sample.
         return row, self._city_of, [
             factor if (factor := 1.0 + jitter * z) > 0.25 else 0.25

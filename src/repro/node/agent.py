@@ -170,7 +170,7 @@ class Node:
                  backend: CryptoBackend, params: ProtocolParams,
                  chain: Blockchain, interface: NetworkInterface,
                  registry: BlockRegistry, runtime: RuntimeConfig,
-                 index_of: AccountIndex | None = None, obs=None) -> None:
+                 index_of: AccountIndex, obs=None) -> None:
         self.index = index
         self.env = env
         self.keypair = keypair
@@ -200,7 +200,7 @@ class Node:
         #: each commit so its per-round tables and peer-health decay stay
         #: in step.
         self.admission = AdmissionControl(
-            self, runtime.flood_budget_per_round, index_of=index_of)
+            self, runtime.flood_budget_per_round, index_of)
         #: Optional :class:`repro.runtime.damping.RelayDamper` installed
         #: by :func:`repro.runtime.damping.attach_damping`: consulted on
         #: every accepted vote to skip forwarding once the local tally

@@ -80,8 +80,6 @@ if TYPE_CHECKING:
     from repro.ledger.arraystate import AccountIndex
     from repro.node.agent import Node
 
-#: Max queued messages per egress lane per sim interface (tail-drop).
-EGRESS_LANE_BUDGET = 10_000
 #: Local score at which a peer is quarantined by this node.
 QUARANTINE_THRESHOLD = 8.0
 #: Rounds a local quarantine lasts.
@@ -173,13 +171,12 @@ class AdmissionControl:
     """
 
     def __init__(self, node: "Node", flood_budget_per_round: int,
-                 index_of: "AccountIndex | None" = None) -> None:
+                 index_of: "AccountIndex") -> None:
         self.node = node
         self.flood_budget_per_round = flood_budget_per_round
         #: Origin public key -> node index (for origin-blame offenses):
-        #: the deployment's account index; without one nobody is blamed
-        #: by origin.
-        self.index_of = index_of if index_of is not None else {}
+        #: the deployment's account index.
+        self.index_of = index_of
         self.health = PeerHealth()
         self.admitted = 0
         self.rejected: dict[str, int] = {}

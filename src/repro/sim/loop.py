@@ -87,8 +87,8 @@ class BatchSchedule:
     A batch keeps **one** ``seq`` for its whole life — the one it drew
     when it was scheduled — so every payload fires exactly where "one
     ``schedule()`` per payload, back to back" would have put it, however
-    often the walker re-arms. ``skip``, when given, is asked about each
-    payload as the walker advances to it: a payload it answers ``True``
+    often the walker re-arms. ``skip`` is asked about each payload as
+    the walker advances to it: a payload it answers ``True``
     for is dropped without ever becoming an event (the gossip layer
     skips copies whose receiver already holds the message). Because the
     key is stable, skipping cannot reorder the survivors.
@@ -106,7 +106,7 @@ class BatchSchedule:
     def __init__(self, env: "Environment", seq: int,
                  items: list[tuple[float, Any]],
                  deliver: Callable[[Any], None],
-                 skip: Callable[[Any], bool] | None = None) -> None:
+                 skip: Callable[[Any], bool]) -> None:
         self._env = env
         self.seq = seq
         # Stable sort: payloads with equal times keep caller order.
@@ -133,9 +133,8 @@ class BatchSchedule:
         env.batch_walks += 1
         env.batch_deliveries += cursor - start
         skip = self._skip
-        if skip is not None:
-            while cursor < n and skip(items[cursor][1]):
-                cursor += 1
+        while cursor < n and skip(items[cursor][1]):
+            cursor += 1
         if cursor < n:
             self._cursor = cursor
             self.time = time = items[cursor][0]
@@ -208,8 +207,7 @@ class Environment:
 
     def push_batch(self, records: list[tuple[float, Any]],
                    deliver: Callable[[Any], None],
-                   skip: Callable[[Any], bool] | None = None,
-                   ) -> BatchSchedule:
+                   skip: Callable[[Any], bool]) -> BatchSchedule:
         """Schedule ``deliver(payload)`` for each ``(time, payload)``.
 
         One :class:`BatchSchedule` walks the whole batch with a single
@@ -218,8 +216,8 @@ class Environment:
         none earlier than :attr:`now` — the caller's guarantee, not
         checked here (gossip egress adds non-negative offsets and
         latencies to ``now``). The batch takes the list over.
-        ``skip(payload)``, when given, is consulted each time the walker
-        advances past its first arrival; ``True`` drops that payload.
+        ``skip(payload)`` is consulted each time the walker advances
+        past its first arrival; ``True`` drops that payload.
         """
         seq = self._seq
         self._seq = seq + 1

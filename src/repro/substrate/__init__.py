@@ -5,8 +5,8 @@ cared whether time is virtual or wall-clock, or whether messages cross a
 heap or a socket — they only ever used two object shapes:
 
 * a **clock** exposing the :class:`repro.sim.loop.Environment` scheduling
-  API (``now``, ``process``, ``timeout``, ``event``, ``signal``,
-  ``any_of``, ``schedule``, ``schedule_now``), and
+  API (``now``, ``schedule``, ``schedule_now``: every protocol wait is a
+  callback on the timer queue), and
 * a **transport** exposing the
   :class:`repro.network.gossip.RelayCore` surface (``broadcast``,
   ``end_round``, ``hold``, ``disconnected``, plus the one

@@ -189,17 +189,18 @@ def record_received(net, relay: bool = True) -> list[list]:
 
 
 def live_transport(index: int = 0, clock: LiveClock | None = None,
-                   **overrides) -> LiveTransport:
+                   **options) -> LiveTransport:
     """A :class:`LiveTransport` with no sockets behind it.
 
     The queue bounds and the dedup horizon are the module constants a
     node process runs on (:data:`~repro.live.transport.DRAIN_BUDGET`,
     :data:`~repro.live.transport.RX_QUEUE_LIMIT`,
-    :data:`~repro.network.gossip.SEEN_HORIZON_ROUNDS`) unless
-    ``overrides`` replaces them (or passes ``obs``/``incarnation``).
+    :data:`~repro.network.gossip.SEEN_HORIZON_ROUNDS`); a test shrinks
+    one with ``monkeypatch.setattr`` on its module. ``options`` passes
+    ``obs``/``incarnation``.
     """
     return LiveTransport(index, clock if clock is not None else LiveClock(),
-                         **overrides)
+                         **options)
 
 
 def live_config(num_nodes: int = 5, *, seed: int = 7,

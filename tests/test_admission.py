@@ -137,7 +137,7 @@ class TestBoundedVoteBuffer:
         assert len(buffer.messages(3, "1")) == 2
 
     def test_high_water_tracks_peak_not_current(self):
-        buffer = VoteBuffer(Environment())
+        buffer = VoteBuffer(Environment(), RuntimeConfig().vote_buffer_budget)
         for round_number in (1, 2, 3):
             buffer.add(_vote(round_number))
         buffer.prune_before(3)
@@ -156,7 +156,7 @@ class TestBoundedVoteBuffer:
         assert [v.voter for v in bucket] == [b"a"]
 
     def test_prune_at_or_above(self):
-        buffer = VoteBuffer(Environment())
+        buffer = VoteBuffer(Environment(), RuntimeConfig().vote_buffer_budget)
         buffer.add(_vote(2))
         buffer.add(_vote(RECOVERY_ROUND_BASE))
         buffer.add(_vote(RECOVERY_ROUND_BASE + 1))

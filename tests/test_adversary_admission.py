@@ -15,6 +15,7 @@ from repro.chaos import (
     flood_recovery_scenario,
 )
 from repro.experiments.harness import Simulation, SimulationConfig
+from repro.network.gossip import EGRESS_LANE_BUDGET
 from repro.node.config import RuntimeConfig
 from repro.node.deployment import node_counters
 from repro.obs import TraceBus
@@ -66,9 +67,8 @@ def _assert_honest_progress(sim):
     for node in honest:
         assert node.buffer.high_water <= budget
     for node in honest:
-        lane_budget = sim.network.interfaces[node.index].lane_budget
         assert (sim.network.interfaces[node.index].egress_high_water
-                <= lane_budget)
+                <= EGRESS_LANE_BUDGET)
 
 
 def _local_blocks(sim) -> set[int]:

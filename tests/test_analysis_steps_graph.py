@@ -98,7 +98,8 @@ class TestGossipGraph:
         graph = build_gossip_graph(60, 4, rng)
         net = GossipNetwork(Environment(), 60,
                             np.random.default_rng(9),
-                            UniformLatencyModel(0.01), peers_per_node=4)
+                            UniformLatencyModel(0.01), peers_per_node=4,
+                            bandwidth_bps=20e6)
         graph_degrees = sorted(d for _, d in graph.degree())
         net_degrees = sorted(len(iface.neighbors)
                              for iface in net.interfaces)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.baplus.buffer import VoteBuffer
 from repro.baplus.messages import VoteMessage
+from repro.node.config import RuntimeConfig
 from repro.node.metrics import NodeMetrics, RoundRecord
 from repro.sim.loop import Environment
 
@@ -19,7 +20,7 @@ def _vote(round_number: int, step: str, voter: bytes = b"v") -> VoteMessage:
 class TestVoteBuffer:
     def test_bucket_indexing(self):
         env = Environment()
-        buffer = VoteBuffer(env)
+        buffer = VoteBuffer(env, RuntimeConfig().vote_buffer_budget)
         buffer.add(_vote(1, "1"))
         buffer.add(_vote(1, "2"))
         buffer.add(_vote(2, "1"))
@@ -30,7 +31,7 @@ class TestVoteBuffer:
 
     def test_add_wakes_parked_waiters_once_in_park_order(self):
         env = Environment()
-        buffer = VoteBuffer(env)
+        buffer = VoteBuffer(env, RuntimeConfig().vote_buffer_budget)
         woken = []
 
         def wake(tag):
@@ -55,7 +56,7 @@ class TestVoteBuffer:
 
     def test_unpark_withdraws_only_an_unscheduled_wake(self):
         env = Environment()
-        buffer = VoteBuffer(env)
+        buffer = VoteBuffer(env, RuntimeConfig().vote_buffer_budget)
         woken = []
         buffer.park((1, "1"), woken.append, "withdrawn")
         buffer.park((1, "1"), woken.append, "kept")
@@ -73,7 +74,7 @@ class TestVoteBuffer:
                 (lambda buffer: buffer.prune_at_or_above(2), (1, "1")),
                 (lambda buffer: buffer.clear(), None)]:
             env = Environment()
-            buffer = VoteBuffer(env)
+            buffer = VoteBuffer(env, RuntimeConfig().vote_buffer_budget)
             woken = []
             for key in [(1, "1"), (2, "1")]:
                 buffer.messages(*key)  # a count reads its bucket first
@@ -87,12 +88,12 @@ class TestVoteBuffer:
 
     def test_add_without_signal_waiters_is_fine(self):
         env = Environment()
-        buffer = VoteBuffer(env)
+        buffer = VoteBuffer(env, RuntimeConfig().vote_buffer_budget)
         buffer.add(_vote(1, "1"))  # nobody ever parked
 
     def test_prune_before(self):
         env = Environment()
-        buffer = VoteBuffer(env)
+        buffer = VoteBuffer(env, RuntimeConfig().vote_buffer_budget)
         for round_number in (1, 2, 3):
             buffer.add(_vote(round_number, "1"))
         buffer.prune_before(3)
@@ -103,7 +104,7 @@ class TestVoteBuffer:
         """CountVotes indexes into the live list; appends during
         iteration must be visible."""
         env = Environment()
-        buffer = VoteBuffer(env)
+        buffer = VoteBuffer(env, RuntimeConfig().vote_buffer_budget)
         bucket = buffer.messages(1, "1")
         buffer.add(_vote(1, "1", b"a"))
         assert len(bucket) == 1

@@ -31,6 +31,7 @@ from repro.crypto.hashing import H
 from repro.ledger.block import empty_block_hash
 from repro.network.message import VOTE_MESSAGE_BYTES
 from repro.network.wire import CERT
+from repro.node.config import RuntimeConfig
 from repro.sim.loop import Environment
 from repro.sortition.roles import FINAL_STEP
 
@@ -48,8 +49,9 @@ class ProtocolCluster:
         self.ctx = BAContext.from_weights(H(seed), weights, H(b"tip"))
         self.participants = [
             BAParticipant(env=self.env, params=params, backend=self.backend,
-                          buffer=VoteBuffer(self.env), keypair=kp,
-                          gossip_vote=self._broadcast)
+                          buffer=VoteBuffer(
+                              self.env, RuntimeConfig().vote_buffer_budget),
+                          keypair=kp, gossip_vote=self._broadcast)
             for kp in self.keypairs
         ]
 

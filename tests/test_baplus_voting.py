@@ -20,7 +20,7 @@ from repro.baplus.voting import (
 from repro.common.params import TEST_PARAMS
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
-from repro.node.config import PopulationConfig
+from repro.node.config import PopulationConfig, RuntimeConfig
 from repro.node.population import Population
 from repro.node.recovery import RECOVERY_ROUND_BASE, run_recovery
 from repro.sim.loop import Environment, Timer
@@ -40,7 +40,7 @@ class Cluster:
         self.ctx = BAContext.from_weights(H(b"seed"), weights, H(b"tip"))
         self.participants = []
         for kp in self.keypairs:
-            buffer = VoteBuffer(self.env)
+            buffer = VoteBuffer(self.env, RuntimeConfig().vote_buffer_budget)
             participant = BAParticipant(
                 env=self.env, params=params, backend=self.backend,
                 buffer=buffer, keypair=kp,

@@ -11,11 +11,13 @@ node process is configured from, so it must lose nothing.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import warnings
 
 import pytest
 
+from repro.baplus.buffer import VoteBuffer
 from repro.common.errors import (
     BalancesError,
     ConfigError,
@@ -23,13 +25,23 @@ from repro.common.errors import (
     PopulationError,
 )
 from repro.common.params import TEST_PARAMS
+from repro.conformance.monitor import ConformanceMonitor
 from repro.experiments.harness import SimulationConfig
+from repro.ledger.mempool import Mempool
+from repro.live.clock import LiveClock
+from repro.live.transport import LiveTransport, PeerLink
+from repro.network.framing import FrameDecoder, encode_frame
+from repro.network.gossip import GossipNetwork, NetworkInterface, RelayCore
+from repro.network.latency import LatencyModel
+from repro.node.agent import Node
 from repro.node.config import (
     NetworkConfig,
     PopulationConfig,
     RuntimeConfig,
     SubstrateConfig,
 )
+from repro.runtime.admission import AdmissionControl
+from repro.sim.loop import BatchSchedule, Environment
 
 
 class TestNestedConstruction:
@@ -192,3 +204,46 @@ class TestSurface:
         del record["params"]
         assert sorted(_leaves(record)) == sorted(self.SETTINGS)
         assert len(self.SETTINGS) == 21
+
+
+def _parameters(callable_) -> list[str]:
+    """``callable_``'s parameter names, a defaulted one as ``name=``."""
+    return [name + ("=" if parameter.default is not parameter.empty else "")
+            for name, parameter
+            in inspect.signature(callable_).parameters.items()]
+
+
+class TestConstructorSurface:
+    """What the layers under the config take, by name: the frame cap,
+    the lane and queue bounds, the drain budget, the dedup horizon, the
+    clock tick, the latency jitter, the mempool and violation caps are
+    module constants of the layer that reads them (a test shrinks one
+    with ``monkeypatch.setattr`` on that module), and no bound has an
+    unbounded ``None`` spelling. A new parameter must be named here."""
+
+    SURFACE = {
+        RelayCore: ["index", "obs="],
+        NetworkInterface: ["network", "index"],
+        GossipNetwork: ["env", "num_nodes", "rng", "latency_model",
+                        "peers_per_node", "bandwidth_bps", "obs=",
+                        "active_indices="],
+        LiveTransport: ["index", "clock", "incarnation=", "obs="],
+        PeerLink: ["transport", "peer"],
+        LiveClock: [],
+        FrameDecoder: [],
+        encode_frame: ["payload"],
+        LatencyModel: ["num_users", "rng"],
+        Mempool: [],
+        ConformanceMonitor: ["registry="],
+        VoteBuffer: ["env", "budget_messages"],
+        BatchSchedule: ["env", "seq", "items", "deliver", "skip"],
+        Environment().push_batch: ["records", "deliver", "skip"],
+        AdmissionControl: ["node", "flood_budget_per_round", "index_of"],
+        Node: ["index", "env", "keypair", "backend", "params", "chain",
+               "interface", "registry", "runtime", "index_of", "obs="],
+    }
+
+    @pytest.mark.parametrize("callable_", list(SURFACE),
+                             ids=lambda c: c.__qualname__)
+    def test_the_parameters_are_exactly_these(self, callable_):
+        assert _parameters(callable_) == self.SURFACE[callable_]

@@ -34,6 +34,7 @@ from repro.conformance.machine import (
     ClusterMachine,
     NodeMachine,
 )
+from repro.conformance import monitor as monitor_module
 from repro.conformance.monitor import ConformanceMonitor
 from repro.conformance.__main__ import main as conformance_main
 from repro.experiments.harness import Simulation, SimulationConfig
@@ -253,11 +254,12 @@ class TestNegativeTraces:
         assert breach.kind == "round_commit"
         assert "reduction_one" in breach.detail
 
-    def test_verdict_caps_violations(self, clean_events):
+    def test_verdict_caps_violations(self, clean_events, monkeypatch):
         # Feed the mutated trace into a tiny-capped monitor: recording
         # stops, checking does not, and the verdict says so.
         mutated = [e for e in clean_events if e["kind"] != "step_exit"]
-        monitor = ConformanceMonitor(max_violations=2)
+        monkeypatch.setattr(monitor_module, "MAX_VIOLATIONS", 2)
+        monitor = ConformanceMonitor()
         monitor.feed(mutated)
         verdict = monitor.verdict()
         assert not verdict.ok

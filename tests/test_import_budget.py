@@ -165,14 +165,32 @@ class TestRuntimeStackIsNumpyOnly:
     def test_coordinator_loads_numpy_with_one_blas_thread(self):
         """The coordinator's first numpy import runs beside the node
         server's: a BLAS helper thread would spin on the server's core.
-        The draw gets one thread, and the environment is left as found."""
+        ``import repro`` defaults BLAS to one thread, and the variable
+        stays set for whatever the process starts."""
         run_python("-c", "\n".join([
             "import os",
             "from repro import SimulationConfig",
             "from repro.live.cluster import gossip_neighbors",
             "gossip_neighbors(SimulationConfig(num_users=5, seed=1))",
             "assert len(os.listdir('/proc/self/task')) == 1",
-            "assert 'OPENBLAS_NUM_THREADS' not in os.environ",
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'",
+        ]))
+
+    def test_a_sim_process_runs_on_one_thread(self):
+        """A sim process (a sweep worker, a benchmark run) loads numpy
+        through the harness: one OS thread, no idle BLAS pool."""
+        run_python("-c", "\n".join([
+            "import os",
+            "import repro.experiments.harness",
+            "assert len(os.listdir('/proc/self/task')) == 1",
+        ]))
+
+    def test_a_users_blas_setting_wins(self):
+        run_python("-c", "\n".join([
+            "import os",
+            "os.environ['OPENBLAS_NUM_THREADS'] = '2'",
+            "import repro",
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'",
         ]))
 
     def test_summary_shows_both_sides_of_the_start_up_split(self, tmp_path):

@@ -42,7 +42,7 @@ from repro.experiments.spec import ExperimentSpec
 from repro.ledger.arraystate import ArrayWeights
 from repro.ledger.block import Block
 from repro.node.config import NetworkConfig, PopulationConfig
-from repro.network.gossip import GossipNetwork
+from repro.network.gossip import SEEN_HORIZON_ROUNDS, GossipNetwork
 from repro.network.latency import LatencyModel, UniformLatencyModel
 from repro.network.message import Envelope
 from repro.node.proposal import PriorityMessage
@@ -672,14 +672,13 @@ def test_golden_run_event_count_ceiling(seed):
 
 
 def _bare(network_class, num_nodes=12, seed=3, bandwidth=1e6,
-          latency_model=None, horizon=2):
+          latency_model=None):
     env = Environment()
     rng = np.random.default_rng(seed)
     if latency_model is None:
         latency_model = LatencyModel(num_nodes, rng)
     net = network_class(env, num_nodes, rng, latency_model,
-                        bandwidth_bps=bandwidth,
-                        seen_horizon_rounds=horizon)
+                        peers_per_node=4, bandwidth_bps=bandwidth)
     return env, net
 
 
@@ -772,8 +771,8 @@ class TestElisionEdgeCases:
         fresh = _envelope()
         receiver._seen.add(fresh.msg_id)
         assert sender._elide((fresh, receiver.index))
-        # ... and it outlives ``seen_horizon_rounds`` more boundaries.
-        for _ in range(net.seen_horizon_rounds):
+        # ... and it outlives SEEN_HORIZON_ROUNDS more boundaries.
+        for _ in range(SEEN_HORIZON_ROUNDS):
             receiver.end_round()
             assert receiver.holds(fresh.msg_id)
         assert not receiver.holds(old.msg_id)

@@ -7,6 +7,7 @@ import pytest
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
 from repro.ledger.arraystate import ArrayState
+from repro.ledger import mempool as mempool_module
 from repro.ledger.mempool import Mempool
 from repro.ledger.transaction import make_transaction
 
@@ -41,9 +42,10 @@ class TestMempool:
         assert not pool.add(tx)
         assert len(pool) == 1
 
-    def test_byte_cap(self, backend, users):
+    def test_byte_cap(self, backend, users, monkeypatch):
         tx = _tx(backend, users[0], users[1], 1, 0, note=b"\x00" * 100)
-        pool = Mempool(max_bytes=tx.size + 10)
+        monkeypatch.setattr(mempool_module, "MEMPOOL_MAX_BYTES", tx.size + 10)
+        pool = Mempool()
         assert pool.add(tx)
         assert not pool.add(_tx(backend, users[0], users[1], 1, 1,
                                 note=b"\x00" * 100))
@@ -98,17 +100,14 @@ class TestMempool:
         pool.prune_committed([winner], state)
         assert loser.txid not in pool
 
-    def test_size_accounting(self, backend, users):
+    def test_size_accounting(self, backend, users, monkeypatch):
         tx = _tx(backend, users[0], users[1], 1, 0)
         other = _tx(backend, users[1], users[0], 1, 0)
         assert other.size == tx.size
-        pool = Mempool(max_bytes=tx.size)
+        monkeypatch.setattr(mempool_module, "MEMPOOL_MAX_BYTES", tx.size)
+        pool = Mempool()
         assert pool.add(tx)
         assert not pool.add(other)  # full: refused, not queued
         assert other.txid not in pool
         pool.remove([tx.txid])
         assert pool.add(other)  # the removal freed its bytes
-
-    def test_invalid_max_bytes(self):
-        with pytest.raises(ValueError):
-            Mempool(max_bytes=0)

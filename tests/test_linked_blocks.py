@@ -95,7 +95,7 @@ class _Pair:
     """
 
     def __init__(self) -> None:
-        self.clock = LiveClock(tick=0.01)
+        self.clock = LiveClock()
         self.ends = [live_transport(index, self.clock) for index in (0, 1)]
         self.delivered: dict[int, list[Envelope]] = {0: [], 1: []}
         for end in self.ends:
@@ -125,7 +125,7 @@ class _Pair:
 
     async def close(self) -> None:
         for end in self.ends:
-            await end.close()
+            end.close()
         await asyncio.sleep(0)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import socket
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,7 @@ from repro.network.message import (
     VOTE_MESSAGE_BYTES,
     Envelope,
 )
+from repro.network import framing
 from repro.network.framing import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -110,14 +112,15 @@ class TestFrameCodec:
         with pytest.raises(WireError):
             encode_frame(b"")
 
-    def test_oversized_payload_rejected(self):
+    def test_oversized_payload_rejected(self, monkeypatch):
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 9)
         with pytest.raises(WireError):
-            encode_frame(b"x" * 10, max_bytes=9)
+            encode_frame(b"x" * 10)
 
     def test_decoder_rejects_oversized_header(self):
-        decoder = FrameDecoder(max_bytes=16)
+        decoder = FrameDecoder()
         with pytest.raises(WireError):
-            decoder.feed(FRAME_HEADER.pack(17) + b"x" * 17)
+            decoder.feed(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1) + b"x" * 17)
 
     def test_decoder_rejects_zero_length_frame(self):
         decoder = FrameDecoder()
@@ -223,14 +226,15 @@ class TestFrameRobustnessFuzz:
         """
         stream = bytearray(b"".join(encode_frame(p) for p in payloads))
         stream[flip % len(stream)] ^= 1 << bit
-        decoder = FrameDecoder(max_bytes=4096)
+        decoder = FrameDecoder()
         try:
-            frames = decoder.feed(bytes(stream))
+            with mock.patch.object(framing, "MAX_FRAME_BYTES", 4096):
+                frames = decoder.feed(bytes(stream))
         except FrameSizeError:
             return
         consumed = sum(FRAME_HEADER.size + len(f) for f in frames)
         assert consumed + len(decoder.residue()) == len(stream)
-        assert len(decoder.residue()) <= FRAME_HEADER.size + decoder.max_bytes
+        assert len(decoder.residue()) <= FRAME_HEADER.size + 4096
 
 
 class TestEnvelopeCodec:

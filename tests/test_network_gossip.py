@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.common.errors import NetworkError
-from repro.network.gossip import GossipNetwork, RelayCore
+from repro.network import latency as latency_module
+from repro.network.gossip import GossipNetwork
 from repro.network.latency import (
     CITIES,
+    JITTER_FRACTION,
     LatencyModel,
     UniformLatencyModel,
     base_latency_matrix,
@@ -63,16 +65,18 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             UniformLatencyModel(-1)
 
-    @pytest.mark.parametrize("jitter", [0.0, 0.1])
-    def test_vectorised_latencies_are_bit_identical(self, jitter):
+    @pytest.mark.parametrize("jitter", [0.0, JITTER_FRACTION])
+    def test_vectorised_latencies_are_bit_identical(self, jitter,
+                                                    monkeypatch):
         """``latencies`` is the egress batch's one-draw form of
         ``latency``: same floats to the last bit (compared as hex, so
         -0.0/NaN tricks cannot hide a slip) and the same RNG state
         afterwards, so mixing the two never forks a seeded run. Both
         work on Python floats; the elementwise numpy expression they
         replaced is the reference, at every batch size egress uses."""
-        scalar = LatencyModel(60, np.random.default_rng(7), jitter)
-        vector = LatencyModel(60, np.random.default_rng(7), jitter)
+        monkeypatch.setattr(latency_module, "JITTER_FRACTION", jitter)
+        scalar = LatencyModel(60, np.random.default_rng(7))
+        vector = LatencyModel(60, np.random.default_rng(7))
         reference_rng = np.random.default_rng(7)
         cities = reference_rng.integers(0, len(CITIES), size=60)
         matrix = base_latency_matrix()
@@ -82,10 +86,8 @@ class TestLatencyModel:
             dsts = [int(d) for d in picker.integers(60, size=size)]
             one_by_one = [scalar.latency(src, dst) for dst in dsts]
             at_once = vector.latencies(src, dsts)
-            reference = matrix[cities[src]][cities[dsts]]
-            if jitter:
-                reference = reference * np.maximum(
-                    0.25, 1.0 + jitter * reference_rng.standard_normal(size))
+            reference = matrix[cities[src]][cities[dsts]] * np.maximum(
+                0.25, 1.0 + jitter * reference_rng.standard_normal(size))
             assert all(type(value) is float for value in at_once)
             assert all(type(value) is float for value in one_by_one)
             assert ([value.hex() for value in at_once]
@@ -120,7 +122,7 @@ class TestTopology:
         env = Environment()
         with pytest.raises(NetworkError):
             GossipNetwork(env, 1, np.random.default_rng(0),
-                          UniformLatencyModel(0.01))
+                          UniformLatencyModel(0.01), 4, None)
 
 
 class TestFlooding:
@@ -239,19 +241,6 @@ class TestSeenPruning:
             held = [[iface.holds(envelope.msg_id) for envelope in batch]
                     for batch in rounds]
             assert held == [[False] * 3] * 2 + [[True] * 3] * 2
-
-    def test_invalid_horizon_rejected(self):
-        env = Environment()
-        rng = np.random.default_rng(0)
-        with pytest.raises(NetworkError):
-            GossipNetwork(env, 4, rng, UniformLatencyModel(0.01),
-                          seen_horizon_rounds=0)
-        # Both byte movers get the check from the relay core; "keep
-        # every id forever" is gone.
-        with pytest.raises(NetworkError):
-            RelayCore(0, 0)
-        with pytest.raises(TypeError):
-            RelayCore(0, None)
 
     def test_prune_keeps_recent_ids(self):
         env, net = _network(10)

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.common import errors
+from repro.network import latency as latency_module
 from repro.network.latency import CITIES, LatencyModel
 
 
@@ -92,20 +93,16 @@ class TestLatencyModelDetails:
         assert model.batch_terms(3, 1)[1][7] == city
         assert 0 <= city < len(CITIES)
 
-    def test_jitter_bounded_below(self):
+    def test_jitter_bounded_below(self, monkeypatch):
         """Jitter must never produce a non-positive latency."""
-        model = LatencyModel(30, np.random.default_rng(1),
-                             jitter_fraction=0.5)
+        monkeypatch.setattr(latency_module, "JITTER_FRACTION", 0.5)
+        model = LatencyModel(30, np.random.default_rng(1))
         samples = [model.latency(2, 20) for _ in range(200)]
         assert min(samples) > 0
 
-    def test_jitter_fraction_validated(self):
-        with pytest.raises(ValueError):
-            LatencyModel(10, np.random.default_rng(0), jitter_fraction=1.5)
-
-    def test_zero_jitter_deterministic(self):
-        model = LatencyModel(30, np.random.default_rng(2),
-                             jitter_fraction=0.0)
+    def test_zero_jitter_deterministic(self, monkeypatch):
+        monkeypatch.setattr(latency_module, "JITTER_FRACTION", 0.0)
+        model = LatencyModel(30, np.random.default_rng(2))
         assert model.latency(1, 5) == model.latency(1, 5)
 
     def test_population_validated(self):

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.common.errors import NetworkError
-from repro.network.gossip import GossipNetwork, RelayCore
+from repro.network import gossip
+from repro.network.gossip import SEEN_HORIZON_ROUNDS, GossipNetwork, RelayCore
 from repro.network.latency import UniformLatencyModel
 from repro.network.framing import FrameDecoder
 from repro.network.wire import decode_envelope_header, encode_envelope
@@ -62,14 +63,14 @@ class _Rig:
 
 
 class _SimRig(_Rig):
-    def __init__(self, horizon: int = 2) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.env = Environment()
         net = GossipNetwork(self.env, 1 + len(PEERS),
                             np.random.default_rng(0),
                             UniformLatencyModel(0.01),
                             peers_per_node=len(PEERS), bandwidth_bps=None,
-                            seen_horizon_rounds=horizon, obs=self.bus)
+                            obs=self.bus)
         self.node = net.interfaces[0]
         assert self.node.neighbors == list(PEERS)
         self._wire: dict[int, list[int]] = {peer: [] for peer in PEERS}
@@ -90,10 +91,9 @@ class _SimRig(_Rig):
 
 
 class _LiveRig(_Rig):
-    def __init__(self, horizon: int = 2) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.node = live_transport(0, obs=self.bus,
-                                   seen_horizon_rounds=horizon)
+        self.node = live_transport(0, obs=self.bus)
         for peer in PEERS:
             self.node.add_link(_FakeLink(peer))
         self._wire_in()
@@ -158,9 +158,11 @@ class TestRelayContract:
         assert rig.on_links() == {1: [], 2: [7], 3: [7]}
         assert rig.counters() == before
 
-    def test_id_is_held_for_the_horizon_after_receipt(self, rig_class):
+    def test_id_is_held_for_the_horizon_after_receipt(self, rig_class,
+                                                      monkeypatch):
         horizon = 3
-        rig = rig_class(horizon=horizon)
+        monkeypatch.setattr(gossip, "SEEN_HORIZON_ROUNDS", horizon)
+        rig = rig_class()
         rig.node.end_round()  # receipt, not creation, starts the count
         rig.arrive(_message(7), 1)
         for _ in range(horizon):
@@ -175,8 +177,8 @@ class TestRelayContract:
         assert rig.accepted == [7, 7]
 
     def test_dedup_state_stays_bounded(self, rig_class):
-        horizon, per_round = 2, 40
-        rig = rig_class(horizon=horizon)
+        horizon, per_round = SEEN_HORIZON_ROUNDS, 40
+        rig = rig_class()
         for boundary in range(50):
             for k in range(per_round):
                 rig.arrive(_message(boundary * per_round + k), 1)

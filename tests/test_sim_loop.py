@@ -8,6 +8,11 @@ from repro.common.errors import SimulationError
 from repro.sim.loop import Environment
 
 
+def _keep(payload) -> bool:
+    """A batch's ``skip`` that drops nothing."""
+    return False
+
+
 class TestScheduling:
     def test_timers_fire_in_order(self):
         env = Environment()
@@ -113,7 +118,7 @@ class TestDeadTimers:
     def test_compaction_keeps_batches_and_order(self):
         env = Environment()
         log = []
-        env.push_batch([(5.0, "b5"), (9.0, "b9")], log.append)
+        env.push_batch([(5.0, "b5"), (9.0, "b9")], log.append, _keep)
         doomed = [env.schedule(7.0, lambda: log.append("x"))
                   for _ in range(20)]
         env.schedule(6.0, lambda: log.append("t6"))
@@ -177,14 +182,14 @@ class TestBatchSchedule:
         env = Environment()
         log = []
         env.push_batch([(2.0, "b"), (1.0, "a"), (2.0, "c")],
-                       lambda p: log.append((env.now, p)))
+                       lambda p: log.append((env.now, p)), _keep)
         env.run()
         assert log == [(1.0, "a"), (2.0, "b"), (2.0, "c")]
 
     def test_same_time_payloads_share_one_event(self):
         env = Environment()
         log = []
-        env.push_batch([(1.0, i) for i in range(5)], log.append)
+        env.push_batch([(1.0, i) for i in range(5)], log.append, _keep)
         env.run()
         assert log == [0, 1, 2, 3, 4]
         assert env.events_processed == 1
@@ -192,7 +197,8 @@ class TestBatchSchedule:
     def test_interleaves_with_plain_timers(self):
         env = Environment()
         log = []
-        env.push_batch([(1.0, "batch1"), (3.0, "batch3")], log.append)
+        env.push_batch([(1.0, "batch1"), (3.0, "batch3")], log.append,
+                       _keep)
         env.schedule(2.0, lambda: log.append("timer2"))
         env.run()
         assert log == ["batch1", "timer2", "batch3"]
@@ -213,7 +219,7 @@ class TestBatchSchedule:
                 env.schedule(delay, deliver, payload)
 
         batched = run(lambda env, items, deliver:
-                      env.push_batch(items, deliver))
+                      env.push_batch(items, deliver, _keep))
         assert batched == run(per_payload)
         # The second batch re-armed first (at t=1), yet still fires last.
         assert batched[-2:] == ["first@3", "second@3"]
@@ -243,7 +249,8 @@ class TestBatchSchedule:
         import gc
 
         env = Environment()
-        batch = env.push_batch([(1.0, "a"), (2.0, "b")], lambda p: None)
+        batch = env.push_batch([(1.0, "a"), (2.0, "b")], lambda p: None,
+                               _keep)
         assert not any(referent is batch
                        for referent in gc.get_referents(batch))
 

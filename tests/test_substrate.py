@@ -13,8 +13,10 @@ fires every due entry, one socket write carries a link's turn.
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
 import time
+import warnings
 from collections import deque
 from typing import Callable
 
@@ -23,10 +25,13 @@ import pytest
 from repro.common.encoding import encode
 from repro.experiments.harness import Simulation, SimulationConfig
 from repro.node.config import SubstrateConfig
+from repro.live import clock as clock_module
+from repro.live import transport as transport_module
 from repro.live.clock import LiveClock
 from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
 from repro.live.node_main import NodeProcess
 from repro.live.transport import MSG_ID_SEQ_BITS, LiveTransport, PeerLink
+from repro.network.gossip import SEEN_HORIZON_ROUNDS
 from repro.network.message import Envelope
 from repro.network.framing import encode_frame
 from repro.network.wire import ENVELOPE_HEADER, encode_envelope
@@ -66,7 +71,7 @@ class _FakeLink:
     def send(self, frame: bytes, tx: bytes | None = None) -> None:
         self.frames.append(frame)
 
-    async def close(self) -> None:
+    def close(self) -> None:
         self.closed = True
 
 
@@ -124,7 +129,7 @@ class TestLiveClock:
             asyncio.run(run())
 
     def test_timers_fire_in_order_and_now_advances(self):
-        clock = LiveClock(tick=0.05)
+        clock = LiveClock()
         fired: list[tuple[str, float]] = []
         clock.schedule(0.03, lambda: fired.append(("b", clock.now)))
         clock.schedule(0.01, lambda: fired.append(("a", clock.now)))
@@ -136,14 +141,15 @@ class TestLiveClock:
         assert times[-1] >= 0.03  # wall clock actually elapsed
 
     def test_deadline_raises(self):
-        clock = LiveClock(tick=0.01)
+        clock = LiveClock()
         async def run():
             await clock.run_async(stop_when=lambda: False, deadline=0.05)
         with pytest.raises(TimeoutError, match="deadline"):
             asyncio.run(run())
 
-    def test_kick_interrupts_a_long_sleep(self):
-        clock = LiveClock(tick=30.0)  # would sleep half a minute idle
+    def test_kick_interrupts_a_long_sleep(self, monkeypatch):
+        monkeypatch.setattr(clock_module, "TICK", 30.0)
+        clock = LiveClock()  # would sleep half a minute idle
         done = []
 
         async def run():
@@ -159,7 +165,7 @@ class TestLiveClock:
         assert time.monotonic() - started < 5.0
 
     def test_callback_failure_propagates(self):
-        clock = LiveClock(tick=0.01)
+        clock = LiveClock()
 
         def boom():
             raise RuntimeError("kaboom")
@@ -176,7 +182,7 @@ class TestTurnRule:
     hands the socket everything its turn queued in one write."""
 
     def test_a_turn_fires_due_entries_in_time_seq_order(self):
-        clock = LiveClock(tick=0.01)
+        clock = LiveClock()
         fired: list[tuple[str, float]] = []
 
         def mark(name: str) -> Callable[[], None]:
@@ -205,7 +211,7 @@ class TestTurnRule:
         assert fired[5][1] >= 0.05
 
     def test_ten_sends_in_one_turn_are_one_socket_write(self):
-        clock = LiveClock(tick=0.01)
+        clock = LiveClock()
         transport = live_transport(0, clock)
         sock = _RecordingSocket()
         frames = [encode_frame(bytes([k]) * (k + 1)) for k in range(10)]
@@ -226,8 +232,10 @@ class TestTurnRule:
         assert sock.writes == [b"".join(frames)]
         assert transport.socket_writes == 1
 
-    def test_kick_wakes_a_long_sleep_without_a_task_per_sleep(self):
-        clock = LiveClock(tick=30.0)
+    def test_kick_wakes_a_long_sleep_without_a_task_per_sleep(
+            self, monkeypatch):
+        monkeypatch.setattr(clock_module, "TICK", 30.0)
+        clock = LiveClock()
         done: list[bool] = []
 
         async def run():
@@ -246,7 +254,7 @@ class TestTurnRule:
         assert len(parked) == 2 and task in parked  # the run and main
 
     def test_peer_closing_mid_turn_reaches_on_link_down_once(self):
-        clock = LiveClock(tick=0.01)
+        clock = LiveClock()
         transport = live_transport(0, clock)
         lost: list[int] = []
         transport.on_link_down = lost.append
@@ -270,13 +278,13 @@ class TestTurnRule:
                 link.send(encode_frame(b"z"))  # dropped, never raises
                 await asyncio.sleep(0.01)
             assert link.closed
-            await transport.close()
+            transport.close()
 
         asyncio.run(run())
         assert lost == [1]
 
     def test_a_flush_onto_a_closing_transport_marks_the_link_down(self):
-        clock = LiveClock(tick=0.01)
+        clock = LiveClock()
         transport = live_transport(0, clock)
         lost: list[int] = []
         transport.on_link_down = lost.append
@@ -325,7 +333,7 @@ class TestPeerHandshake:
         except TimeoutError:
             answer = b"?"
         writer.close()
-        await process.transport.close()
+        process.transport.close()
         process._server.close()
         await process._server.wait_closed()
         return answer
@@ -412,8 +420,9 @@ class TestLiveTransport:
         transport._drain()
         assert len(self.received) == 1
 
-    def test_rx_queue_bounded_drop_oldest(self):
-        transport = self._transport(rx_queue_limit=3)
+    def test_rx_queue_bounded_drop_oldest(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "RX_QUEUE_LIMIT", 3)
+        transport = self._transport()
         for msg_id in range(5):
             transport._on_payload(
                 1, encode_envelope(_envelope(b"o" * 32, msg_id=msg_id)))
@@ -508,8 +517,9 @@ class TestLiveTransport:
         transport._drain()
         assert len(self.received) == 1
 
-    def test_drain_budget_reschedules_backlog(self):
-        transport = self._transport(drain_budget=2)
+    def test_drain_budget_reschedules_backlog(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "DRAIN_BUDGET", 2)
+        transport = self._transport()
         for msg_id in range(5):
             transport._on_payload(
                 1, encode_envelope(_envelope(b"o" * 32, msg_id=msg_id)))
@@ -533,14 +543,37 @@ class TestLiveTransport:
         transport._link_lost(link)
         transport._link_lost(link)  # once per link
         assert lost == [1]
-        asyncio.run(transport.close())
+        transport.close()
         assert transport.on_link_down is None
+
+    def test_a_replaced_link_is_closed_at_once(self):
+        """A reconnect replaces peer 1's link outside any event loop:
+        the stale link is closed there and then, its socket with it,
+        nothing is left for a loop to await, and its loss is not
+        reported (the owner has the new link)."""
+        transport = live_transport(0)
+        lost: list[int] = []
+        transport.on_link_down = lost.append
+        sock = _RecordingSocket()
+        stale = PeerLink(transport, 1)
+        stale.connection_made(sock)
+        transport.add_link(stale)
+        fresh = PeerLink(transport, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            transport.add_link(fresh)
+            gc.collect()
+        assert stale.closed and sock.closing
+        assert transport.links == {1: fresh} and not fresh.closed
+        assert lost == []
+        assert [w for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
 
     # -- dedup generations ----------------------------------------------
 
     def test_end_round_bounds_the_dedup_state(self):
-        horizon, per_round = 2, 100
-        transport = self._transport(seen_horizon_rounds=horizon)
+        horizon, per_round = SEEN_HORIZON_ROUNDS, 100
+        transport = self._transport()
         for boundary in range(50):
             for k in range(per_round):
                 transport._on_payload(1, encode_envelope(_envelope(
@@ -609,7 +642,7 @@ class TestLiveTransport:
         assert counters["gossip.sent.priority"] == 1
 
     def test_link_shaper_two_delays_send_twice_the_second_later(self):
-        clock = LiveClock(tick=0.01)
+        clock = LiveClock()
         transport = live_transport(0, clock)
         link = _FakeLink(1)
         transport.add_link(link)
@@ -674,7 +707,7 @@ class TestLiveTransport:
 
         from repro.chaos import FaultAction, FaultInjector
 
-        clock = LiveClock(tick=0.01)
+        clock = LiveClock()
         transport = live_transport(2, clock)
         for peer in (0, 1):
             transport.add_link(_FakeLink(peer))
@@ -765,7 +798,7 @@ class TestRelaySkip:
             transport.add_link(link)
             link.data_received(encode_frame(encode_envelope(envelope)))
             writes = []
-            for rounds in (transport.seen_horizon_rounds, 1):
+            for rounds in (SEEN_HORIZON_ROUNDS, 1):
                 for _ in range(rounds):
                     transport.end_round()
                 transport._send(envelope, [1])

@@ -31,6 +31,7 @@ from repro.common.params import TEST_PARAMS
 from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
 from repro.ledger.block import empty_block_hash
+from repro.node.config import RuntimeConfig
 from repro.sim.loop import Environment
 from repro.sortition.roles import FINAL_STEP
 
@@ -52,8 +53,9 @@ class AdversarialCluster:
         for kp in self.keypairs:
             participant = BAParticipant(
                 env=self.env, params=PARAMS, backend=self.backend,
-                buffer=VoteBuffer(self.env), keypair=kp,
-                gossip_vote=None)  # patched below
+                buffer=VoteBuffer(self.env,
+                                  RuntimeConfig().vote_buffer_budget),
+                keypair=kp, gossip_vote=None)  # patched below
             self.participants.append(participant)
         self.index_of = {p.keypair.public: i
                          for i, p in enumerate(self.participants)}
