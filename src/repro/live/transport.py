@@ -11,17 +11,30 @@ little of a frame is touched. Ingress pays once per message: a frame's
 fixed-offset header is read first (one ``unpack_from``), a frame whose
 ``msg_id`` the core already holds is counted and dropped without its
 body ever being sliced out, let alone decoded, and a relay forwards the
-bytes it arrived as. A block is the one kind framed per link: each
-link keeps a table of the ``tx`` frames it carried in each direction,
-and a block frame names the transactions its link already carried
-instead of carrying them again (:class:`SentTxs`,
-:func:`repro.network.wire.encode_linked_block`). No copy goes back to a
-peer that sent this node the same message: each link remembers the
-``msg_id`` of every frame it read, for as long as the core's dedup
-generations last, and :meth:`LiveTransport._send` leaves such a link
-out (``live.relay_skipped``). The window only prunes targets; whether a
-copy is new is still the core's :meth:`~RelayCore.holds`. Two
-live-only concerns are added:
+bytes it arrived as. No copy goes back to a peer that sent this node
+the same message: each link remembers the ``msg_id`` of every frame it
+read, for as long as the core's dedup generations last, and
+:meth:`LiveTransport._send` leaves such a link out
+(``live.relay_skipped``). The window only prunes targets; whether a
+copy is new is still the core's :meth:`~RelayCore.holds`.
+
+A payment is the one kind a relay does not re-send at once. An
+originated ``tx`` is pushed to every peer; a relayed one goes out as an
+*announcement* — the envelope header alone, 22 bytes framed instead of
+~150 (:func:`repro.network.wire.encode_tx_announcement`) — and at
+least :data:`TX_PUSH_DELAY_S` later (one sweep a period pushes every
+payment that waited that long) the body follows to each announced peer
+whose link has still read nothing of that ``msg_id`` (neither the body
+nor the peer's own announcement). A read announcement is noted in the
+link's window and ``tx`` tables and goes no further: it is never
+queued, never reaches the core, and marks nothing held.
+
+A block is the one kind framed per link: a block frame names, in four
+bytes, each transaction the link has shown both ends hold — one this
+end wrote the body of, or one the peer wrote the body or an
+announcement of — and carries only the others' bytes (:class:`SentTxs`,
+:class:`ToldTxs`, :func:`repro.network.wire.encode_linked_block`).
+Two live-only concerns are added:
 
 * **Global msg_id uniqueness** — every process counts envelopes from
   zero, so locally-originated envelopes are re-stamped with an
@@ -71,12 +84,16 @@ from repro.network.message import Envelope
 from repro.network.wire import (
     LINKED_BLOCK_CODE,
     TX,
+    TX_ANNOUNCE,
+    TX_ANNOUNCE_CODE,
     TX_CODE,
+    WIRE_KINDS,
     EnvelopeHeader,
     decode_envelope_body,
     decode_envelope_header,
     encode_envelope,
     encode_linked_block_envelope,
+    encode_tx_announcement,
     envelope_body,
 )
 
@@ -89,6 +106,22 @@ MSG_ID_SEQ_BITS = 40
 #: name a transaction among the link's last this-many ``tx`` frames.
 #: Also the size the transport's bytes -> instance map is pruned to.
 LINK_TX_WINDOW = 4096
+
+#: A block frame's name for a transaction its *reader* put on the link
+#: (a body or an announcement) has this bit set, and the frame's
+#: position in the reader's stream of those below it, modulo 2**31.
+#: Without the bit a name counts ``tx`` frames back in the writer's own
+#: stream (:meth:`SentTxs.back`), from 1 to :data:`LINK_TX_WINDOW`.
+TOLD_BIT = 1 << 31
+
+#: Least seconds between a relay's announcement of a payment and the
+#: push of its body to the announced peers that have still said nothing
+#: of it; also the period of the sweep that pushes (so a body waits
+#: less than twice this). About twice the worst timer lag of a clean
+#: 5-process run (``live.max_lag_s`` ~0.13 s): a peer that relayed the
+#: payment too announced it to this node by then, so the body goes
+#: only where it is missing. Payments are off BA*'s critical path.
+TX_PUSH_DELAY_S = 0.25
 
 #: Max envelopes handed to the node per inbox-drain pass; the rest wait
 #: for the next, so one chatty peer cannot starve timers.
@@ -103,6 +136,9 @@ class SentTxs:
     :meth:`back` answers a block encoder's question — "did this link
     carry these transaction bytes recently, and how many ``tx`` frames
     ago?" — for the reader's window of the last :data:`LINK_TX_WINDOW`.
+    A link keeps a second one keyed by ``msg_id``: the ``tx`` frames
+    and announcements it read (``PeerLink.heard_txs``), whose position
+    a :data:`TOLD_BIT` name carries.
     """
 
     __slots__ = ("_seq", "_count")
@@ -131,6 +167,33 @@ class SentTxs:
         return back if back <= LINK_TX_WINDOW else 0
 
 
+class ToldTxs:
+    """Every ``tx`` frame and announcement one link wrote, by position.
+
+    The reader's side of a :data:`TOLD_BIT` name: the peer read the
+    frame at that position, so it knows this end holds the transaction.
+    Twice :data:`LINK_TX_WINDOW` are kept — the peer names within its
+    window of what it read, and what this end wrote since may still be
+    on its way.
+    """
+
+    __slots__ = ("_raws", "_count")
+
+    def __init__(self) -> None:
+        self._raws: deque[bytes] = deque(maxlen=2 * LINK_TX_WINDOW)
+        self._count = 0
+
+    def append(self, raw: bytes) -> None:
+        self._raws.append(raw)
+        self._count += 1
+
+    def at(self, position: int) -> bytes | None:
+        """The transaction written at ``position`` (modulo 2**31, the
+        latest such), or ``None`` if it is not kept."""
+        back = (self._count - 1 - position) % TOLD_BIT
+        return self._raws[-1 - back] if back < len(self._raws) else None
+
+
 class PeerLink(asyncio.Protocol):
     """One live connection, read and written by loop callbacks.
 
@@ -153,12 +216,16 @@ class PeerLink(asyncio.Protocol):
         self._down_notified = False
         #: Frames queued this turn, in send order.
         self._pending: list[bytes] = []
-        #: The link's two ``tx`` tables, kept in stream order: what
+        #: The link's ``tx`` tables, kept in stream order: the bodies
         #: :meth:`send` wrote, and the bodies of the ``tx`` frames read
-        #: (newest last). A replaced link starts both afresh, and so
-        #: does the peer's end of the new connection.
+        #: (newest last); the ids of the ``tx`` frames and announcements
+        #: read, and the transactions of those :meth:`send` wrote. A
+        #: replaced link starts all four afresh, and so does the peer's
+        #: end of the new connection.
         self.sent_txs = SentTxs()
         self.read_txs: deque[bytes] = deque(maxlen=LINK_TX_WINDOW)
+        self.heard_txs = SentTxs()
+        self.told_txs = ToldTxs()
         #: The ``msg_id`` of every frame read, one set per dedup
         #: generation of the transport's core (newest first): the peer
         #: holds each of those messages. A replaced link starts empty.
@@ -187,16 +254,19 @@ class PeerLink(asyncio.Protocol):
         self.closed = True
         self.transport._link_lost(self)
 
-    def send(self, frame: bytes, tx: bytes | None = None) -> None:
+    def send(self, frame: bytes, tx: bytes | None = None,
+             body: bool = True) -> None:
         """Queue ``frame``; ``tx`` is its transaction's bytes when it is
-        a ``tx`` frame."""
+        a ``tx`` frame, or (not ``body``) an announcement."""
         if self.closed:
             return
         if not self._pending:
             asyncio.get_running_loop().call_soon(self._flush)
         self._pending.append(frame)
         if tx is not None:
-            self.sent_txs.append(tx)
+            self.told_txs.append(tx)
+            if body:
+                self.sent_txs.append(tx)
 
     def _flush(self) -> None:
         """Write the turn's frames in one call; a dead socket drops them."""
@@ -229,11 +299,17 @@ class LiveTransport(RelayCore):
         super().__init__(index, obs)
         self.clock = clock
         #: Frame bytes the links accepted (wire truth; the core's
-        #: ``bytes_sent`` is the logical size the sim charges).
+        #: ``bytes_sent`` is the logical size the sim charges), in all
+        #: and by kind (:data:`~repro.network.wire.WIRE_KINDS`).
         self.wire_bytes_sent = 0
-        #: Block transactions sent as a reference to a ``tx`` frame the
-        #: link already carried, instead of as their bytes.
+        self.wire_bytes = dict.fromkeys(WIRE_KINDS, 0)
+        #: Block transactions sent as a name the link resolves, instead
+        #: of as their bytes.
         self.block_tx_refs = 0
+        #: Announcements handed to links, and the bodies pushed after
+        #: them to peers that had said nothing of the payment.
+        self.tx_announced = 0
+        self.tx_pushed_late = 0
         #: Socket ``write`` calls: one per link per clock turn that sent.
         self.socket_writes = 0
         #: Copies not sent because the target's link had read a frame
@@ -267,6 +343,14 @@ class LiveTransport(RelayCore):
         #: them, so a linked block is handed those instances, receipts
         #: and all. Pruned to the newest :data:`LINK_TX_WINDOW`.
         self._txs: dict[bytes, Transaction] = {}
+        #: Transaction bytes -> the ``msg_id`` they were sent under,
+        #: for those this process sent: a block names a payment its
+        #: peer announced by that id. Pruned with ``_txs``.
+        self._tx_ids: dict[bytes, int] = {}
+        #: Announced payments awaiting :meth:`_push_late`, oldest first:
+        #: ``(announced at, envelope, frame bytes, tx bytes, targets)``.
+        self._late: deque[tuple[float, Envelope, bytes, bytes,
+                                list[int]]] = deque()
         self._drain_scheduled = False
         # A respawned process must not reuse its predecessor's msg_ids —
         # peers hold them in their dedup sets and would silently drop
@@ -324,14 +408,19 @@ class LiveTransport(RelayCore):
         save a link that read a frame of this message: its peer holds
         it already.
 
-        A block is the exception: it is framed per link when the link
-        takes it (:meth:`_put`).
+        A relayed ``tx`` (one with ``raw``) is announced instead, and
+        its body waits for :meth:`_push_late`. A block is framed per
+        link when the link takes it (:meth:`_put`).
         """
+        kind = envelope.kind
         tx = frame = None
-        if envelope.kind == "tx":
+        if kind == "tx":
             tx = TX.pack(envelope.payload)
-            self._hold(tx, envelope.payload)
-        if envelope.kind != "block":
+            self._hold(tx, envelope.payload, envelope.msg_id)
+            if raw is not None:
+                kind = TX_ANNOUNCE
+                frame = encode_frame(encode_tx_announcement(envelope))
+        if frame is None and kind != "block":
             frame = encode_frame(raw if raw is not None
                                  else encode_envelope(envelope))
         shaped = (self.drop_filter is not None
@@ -346,30 +435,87 @@ class LiveTransport(RelayCore):
                 self.relay_skipped += 1
                 continue
             if shaped:
-                sent += self._send_shaped(link, envelope, frame, tx)
+                sent += self._send_shaped(link, kind, envelope, frame, tx)
             else:
-                self._put(link, envelope, frame, tx)
+                self._put(link, kind, envelope, frame, tx)
                 sent += 1
         if sent:
             self._count_sent(envelope, sent)
+        if kind == TX_ANNOUNCE:
+            self.tx_announced += sent
+            if not self._late:
+                self.clock.schedule(TX_PUSH_DELAY_S, self._push_late)
+            self._late.append((self.clock.now, envelope, raw, tx, targets))
 
-    def _put(self, link: PeerLink, envelope: Envelope, frame: bytes | None,
-             tx: bytes | None) -> None:
-        """Hand ``link`` one copy and count the bytes it took; a late
-        copy whose link closed meanwhile is gone. A block is framed for
-        the link now: a transaction the link already carried as a
-        ``tx`` frame is named, not sent again."""
+    def _push_late(self) -> None:
+        """The sweep: every :data:`TX_PUSH_DELAY_S` while payments wait,
+        the body of each announced at least that long ago goes to each
+        relay target whose link — the announced one, or one that
+        replaced it — has still read nothing of it. A peer that said it
+        holds the payment, or sent it here, gets nothing more; one
+        whose announcement the faults dropped gets the body. One sweep
+        a period, not a timer a payment: a burst of relays costs the
+        clock one turn."""
+        late = self._late
+        if self.disconnected:
+            late.clear()
+            return
+        shaped = (self.drop_filter is not None
+                  or self.link_shaper is not None)
+        now = self.clock.now
+        while late and late[0][0] + TX_PUSH_DELAY_S <= now:
+            _, envelope, raw, tx, targets = late.popleft()
+            frame = None
+            msg_id = envelope.msg_id
+            for peer in targets:
+                link = self.links.get(peer)
+                if (link is None or link.closed
+                        or any(msg_id in read for read in link.read_ids)):
+                    continue
+                if frame is None:
+                    frame = encode_frame(raw)
+                if shaped:
+                    self.tx_pushed_late += self._send_shaped(
+                        link, "tx", envelope, frame, tx)
+                else:
+                    self._put(link, "tx", envelope, frame, tx)
+                    self.tx_pushed_late += 1
+        if late:
+            self.clock.schedule(TX_PUSH_DELAY_S, self._push_late)
+
+    def _put(self, link: PeerLink, kind: str, envelope: Envelope,
+             frame: bytes | None, tx: bytes | None) -> None:
+        """Hand ``link`` one copy and count the bytes it took, by
+        ``kind``; a late copy whose link closed meanwhile is gone. A
+        block is framed for the link now: a transaction the link has
+        shown both ends hold is named, not sent again."""
         if link.closed:
             return
         if frame is None:
             payload, named = encode_linked_block_envelope(
-                envelope, link.sent_txs.back)
+                envelope, functools.partial(self._refer, link))
             frame = encode_frame(payload)
             self.block_tx_refs += named
-        link.send(frame, tx)
-        self.wire_bytes_sent += len(frame)
+        link.send(frame, tx, kind != TX_ANNOUNCE)
+        size = len(frame)
+        self.wire_bytes_sent += size
+        self.wire_bytes[kind] += size
 
-    def _send_shaped(self, link: PeerLink, envelope: Envelope,
+    def _refer(self, link: PeerLink, raw: bytes) -> int:
+        """``link``'s name for transaction ``raw`` in a block frame —
+        ``tx`` frames back if this end wrote its body, or the position
+        (with :data:`TOLD_BIT`) of the peer's body or announcement of
+        it that this end read — or 0: the frame carries its bytes."""
+        back = link.sent_txs.back(raw)
+        if back:
+            return back
+        heard = link.heard_txs
+        back = heard.back(self._tx_ids.get(raw))
+        if not back:
+            return 0
+        return TOLD_BIT | (heard._count - back) % TOLD_BIT
+
+    def _send_shaped(self, link: PeerLink, kind: str, envelope: Envelope,
                      frame: bytes | None, tx: bytes | None) -> int:
         """One peer's copy through the fault hooks; returns copies sent.
 
@@ -377,7 +523,9 @@ class LiveTransport(RelayCore):
         ``drop_filter``, base delay (0.0: the socket is the latency),
         ``link_shaper``. A late copy rides the clock, whose
         ``(time, seq)`` order keeps a link's equal delays in send order;
-        it reaches the link's ``tx`` table when it reaches the link.
+        it reaches the link's ``tx`` tables when it reaches the link.
+        An announcement is a copy like any other: the hooks are asked
+        about its envelope.
         """
         src, dst = self.index, link.peer
         delays = [0.0]
@@ -394,9 +542,9 @@ class LiveTransport(RelayCore):
             if delay > 0.0:
                 self.fault_delayed_frames += 1
                 self.clock.schedule(delay, functools.partial(
-                    self._put, link, envelope, frame, tx))
+                    self._put, link, kind, envelope, frame, tx))
             else:
-                self._put(link, envelope, frame, tx)
+                self._put(link, kind, envelope, frame, tx)
         return len(delays)
 
     # -- receiving ------------------------------------------------------
@@ -411,35 +559,36 @@ class LiveTransport(RelayCore):
         fixed-offset header is read here; a copy of a message this node
         already holds stops at the dedup store and costs neither a
         queue slot nor a look at its body. ``link``, the one the frame
-        was read from, notes its ``msg_id``, duplicate or not. Two
-        exceptions keep the link's ``read_txs`` table in stream order:
-        a ``tx`` frame's body joins it, duplicate or not, and a linked
-        block is decoded against it now — by drain time the table may
-        have moved on.
+        was read from, notes its ``msg_id``, duplicate or not. The
+        link's ``tx`` tables are kept in stream order: a ``tx`` frame
+        joins them, duplicate or not, and so does an announcement —
+        which goes no further — and a linked block is decoded against
+        them now: by drain time they may have moved on.
         """
         try:
             header = decode_envelope_header(payload)
         except WireError:
             self.garbage_frames += 1
             return
-        read_txs = None
+        msg_id, code = header[0], header[1]
         if link is not None:
-            link.read_ids[0].add(header[0])
-            read_txs = link.read_txs
-        code = header[1]
-        if code == TX_CODE and read_txs is not None:
-            raw = envelope_body(header, payload)
-            held = self._txs.get(raw)
-            # The table shares the held instance's bytes, not a copy.
-            read_txs.append(raw if held is None else TX.pack(held))
-        if self._drop_duplicate(header[0]):
+            link.read_ids[0].add(msg_id)
+            if code == TX_CODE:
+                link.heard_txs.append(msg_id)
+                raw = envelope_body(header, payload)
+                held = self._txs.get(raw)
+                # The table shares the held instance's bytes, not a copy.
+                link.read_txs.append(raw if held is None else TX.pack(held))
+            elif code == TX_ANNOUNCE_CODE:
+                link.heard_txs.append(msg_id)
+        if code == TX_ANNOUNCE_CODE or self._drop_duplicate(msg_id):
             return
         body: bytes | Envelope = payload
         if code == LINKED_BLOCK_CODE:
             try:
                 body = decode_envelope_body(
                     header, payload,
-                    functools.partial(self._resolve_tx, read_txs))
+                    functools.partial(self._resolve_tx, link))
             except WireError:
                 self.garbage_frames += 1
                 return
@@ -482,15 +631,25 @@ class LiveTransport(RelayCore):
             return
         self.receive(envelope, from_peer, raw=payload)
 
-    def _resolve_tx(self, read_txs: deque[bytes] | None,
-                    back: int) -> Transaction:
-        """The transaction a linked block names ``back`` ``tx`` frames
-        back on its link."""
-        if read_txs is None or not 0 < back <= len(read_txs):
-            raise WireError(f"linked block names tx frame {back} back; "
-                            f"the link holds "
-                            f"{0 if read_txs is None else len(read_txs)}")
-        return self._tx_instance(read_txs[-back])
+    def _resolve_tx(self, link: PeerLink | None,
+                    name: int) -> Transaction:
+        """The transaction a linked block read from ``link`` names: one
+        this end wrote the body or announcement of (:data:`TOLD_BIT`),
+        or ``name`` ``tx`` frames back in what the link read."""
+        if link is None:
+            raise WireError("linked block read from no link")
+        if name & TOLD_BIT:
+            raw = link.told_txs.at(name ^ TOLD_BIT)
+            if raw is None:
+                raise WireError(f"linked block names position "
+                                f"{name ^ TOLD_BIT} of what this end "
+                                f"wrote; it is not kept")
+            return self._tx_instance(raw)
+        read_txs = link.read_txs
+        if not 0 < name <= len(read_txs):
+            raise WireError(f"linked block names tx frame {name} back; "
+                            f"the link holds {len(read_txs)}")
+        return self._tx_instance(read_txs[-name])
 
     def _tx_instance(self, raw: bytes) -> Transaction:
         """The one instance for transaction bytes ``raw``: whichever of
@@ -502,12 +661,17 @@ class LiveTransport(RelayCore):
             self._hold(raw, tx)
         return tx
 
-    def _hold(self, raw: bytes, tx: Transaction) -> None:
+    def _hold(self, raw: bytes, tx: Transaction,
+              msg_id: int | None = None) -> None:
         txs = self._txs
         txs[raw] = tx
+        if msg_id is not None:
+            self._tx_ids[raw] = msg_id
         if len(txs) > 2 * LINK_TX_WINDOW:
-            self._txs = dict(islice(txs.items(), len(txs) - LINK_TX_WINDOW,
-                                    None))
+            self._txs = txs = dict(islice(
+                txs.items(), len(txs) - LINK_TX_WINDOW, None))
+            self._tx_ids = {key: value for key, value
+                            in self._tx_ids.items() if key in txs}
 
     def stats(self) -> dict:
         # ``bytes_sent`` is ``gossip.sent_bytes.*``'s; ``messages_sent``
@@ -515,7 +679,11 @@ class LiveTransport(RelayCore):
         return {
             "messages_sent": self.messages_sent,
             "wire_bytes_sent": self.wire_bytes_sent,
+            **{"wire_bytes." + kind: count
+               for kind, count in self.wire_bytes.items()},
             "block_tx_refs": self.block_tx_refs,
+            "tx_announced": self.tx_announced,
+            "tx_pushed_late": self.tx_pushed_late,
             "socket_writes": self.socket_writes,
             "relay_skipped": self.relay_skipped,
             "rx_dropped": self.rx_dropped,

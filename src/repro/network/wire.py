@@ -27,13 +27,19 @@ canonical codec (:mod:`repro.common.encoding`), which is frozen.
   :data:`ORIGIN_IS_SIGNER` and decoding reads the key off the payload.
 * **Linked blocks** — what a live link carries for a gossiped block
   (kind code :data:`LINKED_BLOCK_CODE`): :data:`BLOCK`'s head, then per
-  transaction either its bytes or an index naming a ``tx`` frame that
-  link already carried. The codec takes the writer's question as a
-  predicate and the reader's answer as a resolver; the tables behind
-  them are the link's (:mod:`repro.live.transport`). The envelope still
-  carries the block's logical ``size``, and the full :data:`BLOCK`
-  layout stays for catch-up ``chain`` messages and the control
-  ``result``.
+  transaction either its bytes or a four-byte name for a transaction
+  the link has shown both ends hold. The codec takes the writer's
+  question as a predicate and the reader's answer as a resolver; what
+  a name means, and the tables behind it, are the link's
+  (:mod:`repro.live.transport`). The envelope still carries the
+  block's logical ``size``, and the full :data:`BLOCK` layout stays
+  for catch-up ``chain`` messages and the control ``result``.
+* **Announcements** — what a live relay sends for a ``tx`` it holds
+  instead of the body (kind code :data:`TX_ANNOUNCE_CODE`, counted as
+  :data:`TX_ANNOUNCE`): the envelope header alone, with the payment's
+  ``msg_id`` and logical size, no origin and no body — 18 bytes, 22
+  framed. It never decodes to an :class:`Envelope`; a header that says
+  it carries an origin or a body is a :class:`WireError`.
 
 Frames — the length prefix that carries these payloads (and the control
 plane's) over a byte stream — are :mod:`repro.network.framing`'s.
@@ -235,8 +241,8 @@ encode_block, decode_block = BLOCK.pack, BLOCK.unpack
 
 # --- Linked blocks (a block as one link carries it) -------------------------
 
-#: ``(tx bytes) -> n``: the transaction went out as the link's ``n``-th
-#: most recent ``tx`` frame, or 0 if the link must carry its bytes.
+#: ``(tx bytes) -> n``: the link's u32 name for the transaction, or 0
+#: if the link must carry its bytes.
 Refer = Callable[[bytes], int]
 #: ``n -> Transaction``: the reader's side of :data:`Refer`; raises
 #: :class:`WireError` for an ``n`` it cannot resolve.
@@ -254,8 +260,8 @@ _INLINE = _REF.pack(0)
 def encode_linked_block(block: Block, refer: Refer) -> tuple[bytes, int]:
     """``block`` for one link, and how many transactions it named.
 
-    The header fields are :data:`BLOCK`'s; a transaction ``refer`` finds
-    is named by its index, any other travels as its bytes.
+    The header fields are :data:`BLOCK`'s; a transaction ``refer``
+    names travels as that name, any other as its bytes.
     """
     parts = [_LINKED_HEAD.pack(block)]
     named = 0
@@ -295,8 +301,8 @@ def decode_linked_block(data: bytes, pos: int, resolve: Resolve) -> Block:
     return Block(*head[:-1], transactions=tuple(transactions))
 
 
-def _no_table(back: int) -> Transaction:
-    raise WireError(f"linked block names tx frame {back} back, and no "
+def _no_table(name: int) -> Transaction:
+    raise WireError(f"linked block names transaction {name:#x}, and no "
                     f"link table was given")
 
 
@@ -316,6 +322,13 @@ _KIND_OF_CODE = {code: (kind, layout)
 #: a live link carries, decodable only against that link's ``tx`` table.
 LINKED_BLOCK_CODE = 8
 TX_CODE = ENVELOPE_LAYOUTS["tx"][0]
+#: Kind code of a relay's announcement of a ``tx`` it holds: the header
+#: alone (:func:`encode_tx_announcement`).
+TX_ANNOUNCE_CODE = 9
+#: The announcement's name wherever frames are counted by kind.
+TX_ANNOUNCE = "tx_announce"
+#: Every kind a live link carries, as its bytes are counted.
+WIRE_KINDS = (*ENVELOPE_LAYOUTS, TX_ANNOUNCE)
 
 #: Kind code -> the payload's signer, whose key an honest envelope's
 #: origin is. The three kinds without one always carry their origin.
@@ -363,6 +376,16 @@ def encode_linked_block_envelope(envelope: Envelope,
     return _envelope_bytes(envelope, LINKED_BLOCK_CODE, body), named
 
 
+def encode_tx_announcement(envelope: Envelope) -> bytes:
+    """The announcement of ``tx`` envelope ``envelope``: its header with
+    the same ``msg_id`` and ``size``, and no origin and no body."""
+    try:
+        return ENVELOPE_HEADER.pack(envelope.msg_id, TX_ANNOUNCE_CODE,
+                                    envelope.size, 0, 0)
+    except struct.error as exc:
+        raise WireError(f"cannot encode tx announcement: {exc}") from exc
+
+
 def _envelope_bytes(envelope: Envelope, code: int, body: bytes) -> bytes:
     origin = envelope.origin
     signer = _SIGNER_OF_CODE.get(code)
@@ -395,10 +418,13 @@ def decode_envelope_header(data: bytes) -> EnvelopeHeader:
     except struct.error as exc:
         raise WireError(f"bad envelope header: {exc}") from exc
     _, code, size, origin_length, body_length = header
-    if code not in _KIND_OF_CODE and code != LINKED_BLOCK_CODE:
+    if code not in _KIND_OF_CODE and code not in (LINKED_BLOCK_CODE,
+                                                  TX_ANNOUNCE_CODE):
         raise WireError(f"unknown envelope kind code {code}")
     if not size:
         raise WireError("envelope size must be positive")
+    if code == TX_ANNOUNCE_CODE and (origin_length or body_length):
+        raise WireError("a tx announcement carries no origin and no body")
     if origin_length == ORIGIN_IS_SIGNER:
         if code not in _SIGNER_OF_CODE:
             raise WireError(f"envelope kind code {code} has no signer to "
@@ -425,6 +451,8 @@ def decode_envelope_body(
     decoded from the same bytes.
     """
     msg_id, code, size, origin_length, body_length = header
+    if code == TX_ANNOUNCE_CODE:
+        raise WireError("a tx announcement has no body to decode")
     body_at = len(data) - body_length
     origin = (data[ENVELOPE_HEADER.size:body_at]
               if origin_length != ORIGIN_IS_SIGNER else None)

@@ -215,11 +215,26 @@ def render_report(events: list[dict], snapshot: dict | None) -> str:
                          f"(max {batch['max']:.0f})"])
         writes = gauges.get("live.socket_writes")
         if writes:
-            frames = gauges.get("live.messages_sent", 0)
+            # A late push is a frame beyond the copy the core counted.
+            frames = (gauges.get("live.messages_sent", 0)
+                      + gauges.get("live.tx_pushed_late", 0))
             rows.append(["socket writes", f"{frames} frames / {writes} "
                          f"writes", f"{frames / writes:.1f} frames per "
                          f"write / {gauges.get('live.relay_skipped', 0)} "
                          f"relay-skipped"])
+            rows.append(["tx announcements",
+                         f"{gauges.get('live.tx_announced', 0)} announced",
+                         f"{gauges.get('live.tx_pushed_late', 0)} bodies "
+                         f"pushed late"])
+            by_kind = sorted(
+                ((name.removeprefix("live.wire_bytes."), value)
+                 for name, value in gauges.items()
+                 if name.startswith("live.wire_bytes.") and value),
+                key=lambda item: -item[1])
+            total = gauges.get("live.wire_bytes_sent", 0)
+            rows.append(["wire bytes", f"{total} B", " / ".join(
+                f"{kind} {value} ({value / total:.0%})"
+                for kind, value in by_kind)])
         if "admission.admitted" in counters:
             rejected = sum(value for name, value in counters.items()
                            if name.startswith("admission.rejected."))

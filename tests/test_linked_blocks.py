@@ -1,11 +1,13 @@
 """Linked blocks: a live link carries each transaction once.
 
-A ``block`` frame on a live link names each transaction that link
-already carried as a ``tx`` frame by how many ``tx`` frames back it
-went, and carries only the others' bytes. Both ends of a link keep a
-table of its ``tx`` frames in stream order — the writer at
+A ``block`` frame on a live link names each transaction the link has
+shown both ends hold, and carries only the others' bytes: one the
+writer sent as a ``tx`` frame, by how many ``tx`` frames back it went,
+or one the reader sent the body or an announcement of, by that frame's
+position in the reader's writes. Both ends of a link keep tables of its
+``tx`` frames and announcements in stream order — the writer at
 ``PeerLink.send``, after the fault hooks; the reader as each frame is
-read, duplicates included — and a new link starts both afresh.
+read, duplicates included — and a new link starts them all afresh.
 
 These tests pin what the saving must not cost: a block decodes to the
 same hash and the same full-layout bytes, its transactions are the
@@ -33,7 +35,13 @@ from repro.crypto.hashing import H
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction, make_transaction
 from repro.live.clock import LiveClock
-from repro.live.transport import LINK_TX_WINDOW, PeerLink, SentTxs
+from repro.live.transport import (
+    LINK_TX_WINDOW,
+    TOLD_BIT,
+    TX_PUSH_DELAY_S,
+    PeerLink,
+    SentTxs,
+)
 from repro.network.message import (
     Envelope,
     block_envelope,
@@ -177,6 +185,72 @@ class TestRoundTrip:
             + 4 * len(txs) + 8
 
 
+class TestNamesThePeerGave:
+    """A block also names a payment its reader put on the link: one the
+    reader sent the body of, or announced. The reader resolves the name
+    from what it wrote."""
+
+    @staticmethod
+    def _from_elsewhere(end, tx: Transaction) -> None:
+        """``end`` reads ``tx``'s body from a third peer (no link of the
+        pair) and relays it: an announcement to its one neighbour."""
+        end._on_payload(2, encode_envelope(dataclasses.replace(
+            _tx_envelope(tx), msg_id=(9 << 40) | tx.nonce)))
+        end._drain()
+
+    def _run(self, share) -> _Pair:
+        txs = _payments(3)
+        block = _block(map(_bare, txs))
+
+        async def run():
+            pair = _Pair()
+            await pair.connect()
+            await share(pair, txs)
+            pair.ends[0].broadcast(_block_envelope(block))
+            await pair.settle(lambda: pair.blocks(1))
+            await pair.close()
+            return pair
+
+        pair = asyncio.run(run())
+        sender, receiver = pair.ends
+        assert sender.block_tx_refs == 3
+        (decoded,) = pair.blocks(1)
+        assert decoded.block_hash == block.block_hash
+        for tx in decoded.transactions:  # the reader's own instances
+            assert tx is receiver._txs[TX.pack(tx)]
+        assert receiver.garbage_frames == sender.garbage_frames == 0
+        return pair
+
+    def test_a_block_names_a_payment_the_peer_announced(self):
+        async def share(pair, txs):
+            for tx in txs:  # both ends get it elsewhere; each announces
+                for end in pair.ends:
+                    self._from_elsewhere(end, tx)
+            await pair.settle(lambda: all(
+                end.links[1 - end.index].heard_txs._count == 3
+                for end in pair.ends))
+            # Past the push delay: each end heard the other's, so no
+            # body follows.
+            late = pair.clock.now + TX_PUSH_DELAY_S
+            await pair.settle(lambda: pair.clock.now > late)
+
+        pair = self._run(share)
+        for end in pair.ends:
+            assert end.tx_announced == 3
+            assert end.tx_pushed_late == 0
+            assert end.wire_bytes["tx"] == 0  # no body crossed the link
+
+    def test_a_block_names_a_payment_the_peer_sent(self):
+        async def share(pair, txs):
+            for tx in txs:
+                pair.ends[1].broadcast(_tx_envelope(tx))
+            await pair.settle(lambda: len(pair.delivered[0]) == 3)
+
+        pair = self._run(share)
+        # The writer never sent these bodies: before, they went inline.
+        assert pair.ends[0].links[1].sent_txs._count == 0
+
+
 class TestShapedLinks:
     """The fault hooks act before ``PeerLink.send``: a dropped copy
     reaches neither table, a late one reaches both when it is sent,
@@ -317,6 +391,17 @@ class TestUnresolvableReference:
         forged = payload[:-4] + struct.pack(">I", LINK_TX_WINDOW + 1)
         transport._on_payload(1, forged, link)
         assert transport.garbage_frames == 1
+
+    @pytest.mark.parametrize("position", [0, 5, TOLD_BIT - 1])
+    def test_a_name_for_what_the_reader_never_wrote_is_garbage(
+            self, position):
+        tx = _payments(1)[0]
+        transport, link = self._reader([tx])
+        payload = self._linked(_block([tx]), [tx])
+        forged = payload[:-4] + struct.pack(">I", TOLD_BIT | position)
+        transport._on_payload(1, forged, link)
+        assert transport.stats()["garbage_frames"] == 1
+        assert not transport._rx
 
     def test_a_reference_the_reader_never_read_is_garbage(self):
         tx = _payments(1)[0]

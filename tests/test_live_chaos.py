@@ -69,6 +69,8 @@ ROUNDS = 6
 #: vanish without stalling the surviving quorum.
 BALANCES = [80, 80, 40]
 VICTIM = 2
+#: Payments each cluster is handed at start.
+PAYMENTS = 6
 
 
 def _chaos_params():
@@ -97,7 +99,7 @@ def _run(runtime_dir, faults, *, seed: int = 7, rounds: int = ROUNDS,
          **groups) -> LiveCluster:
     cluster = LiveCluster(_config(runtime_dir, seed=seed, **groups),
                           faults=faults, obs=TraceBus())
-    cluster.submit_payments(6)
+    cluster.submit_payments(PAYMENTS)
     cluster.run_rounds(rounds, time_limit=120.0)
     return cluster
 
@@ -242,6 +244,20 @@ class TestPartitionedNodeCatchesUp:
         summary = partitioned_cluster.summary()
         assert summary["live.block_tx_refs"] > 0
         assert summary["live.garbage_frames"] == 0
+        # Relays announce payments, and the hooks judge an announcement
+        # like any copy: the duplicate window doubles each one, and the
+        # cut drops both of a pair.
+        assert summary["live.tx_announced"] > 0
+        for index in range(NODES):
+            counters = _counters(partitioned_cluster, index)
+            assert counters["live.tx_announced"] % 2 == 0
+            assert counters["live.tx_pushed_late"] % 2 == 0
+            assert (counters["live.wire_bytes.tx_announce"]
+                    <= 22 * counters["live.tx_announced"])
+        # ... and every payment still commits.
+        committed = [tx for block in partitioned_cluster.chains[0]
+                     for tx in block.transactions]
+        assert len(committed) == len(set(committed)) == PAYMENTS
 
     def test_the_cut_left_the_sockets_open(self, partitioned_cluster):
         # A partition is frames vanishing at both senders; nobody gets a

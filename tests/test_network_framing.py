@@ -32,6 +32,7 @@ from repro.crypto.backend import FastBackend
 from repro.crypto.hashing import H
 from repro.ledger.block import Block, empty_block
 from repro.ledger.transaction import make_transaction
+from repro.live.transport import PeerLink
 from repro.network.message import (
     PRIORITY_MESSAGE_BYTES,
     VOTE_MESSAGE_BYTES,
@@ -50,9 +51,11 @@ from repro.network.wire import (
     ENVELOPE_HEADER,
     ENVELOPE_LAYOUTS,
     ORIGIN_IS_SIGNER,
+    TX_ANNOUNCE_CODE,
     decode_envelope_body,
     decode_envelope_header,
     encode_envelope,
+    encode_tx_announcement,
 )
 from repro.node.catchup import ChainAnnouncement, ChainRequest
 from repro.node.proposal import PriorityMessage
@@ -259,6 +262,30 @@ class TestEnvelopeCodec:
             _decode(b"not an envelope")
 
 
+class TestTxAnnouncement:
+    @settings(max_examples=200, deadline=None)
+    @given(msg_id=st.integers(0, 2**64 - 1), size=st.integers(1, 2**32 - 1),
+           chunk=st.integers(1, 30))
+    def test_round_trip(self, msg_id, size, chunk):
+        """Header only: the id and logical size of the payment it
+        announces, through a frame decoder in any chunking."""
+        tx = _sample_envelopes(FastBackend())[0]
+        assert tx.kind == "tx"
+        envelope = Envelope(origin=tx.origin, kind="tx", payload=tx.payload,
+                            size=size, msg_id=msg_id)
+        payload = encode_tx_announcement(envelope)
+        assert len(payload) == ENVELOPE_HEADER.size == 18
+        frame = encode_frame(payload)
+        decoder = FrameDecoder()
+        decoded = [part for at in range(0, len(frame), chunk)
+                   for part in decoder.feed(frame[at:at + chunk])]
+        assert decoded == [payload]
+        assert decode_envelope_header(payload) == (
+            msg_id, TX_ANNOUNCE_CODE, size, 0, 0)
+        with pytest.raises(WireError, match="no body to decode"):
+            decode_envelope_body(decode_envelope_header(payload), payload)
+
+
 class TestSocketRoundTrip:
     def test_every_kind_through_a_real_socket(self, backend):
         """All five kinds over one socketpair, read in tiny chunks."""
@@ -323,14 +350,16 @@ class TestLiveIngressFuzz:
 
     Every payload ends in exactly one bucket: ``garbage_frames``,
     ``gossip.ingress_rejected`` (the real admission gate said no),
-    ``gossip.dup_dropped`` or delivered past the gate. CI reruns
-    this class with ``--hypothesis-seed=random``.
+    ``gossip.dup_dropped``, delivered past the gate, or — a well-formed
+    ``tx`` announcement — noted in the link's tables and no further.
+    CI reruns this class with ``--hypothesis-seed=random``.
     """
 
     def _push(self, payload: bytes) -> str:
         sim, _ = _ingress_corpus()
         bus = TraceBus()
         transport = live_transport(obs=bus)
+        link = PeerLink(transport, 1)
         delivered = []
         admit = sim.nodes[0].admission.admit
 
@@ -340,14 +369,16 @@ class TestLiveIngressFuzz:
             delivered.append(envelope)
             return False
         transport.on_receive = on_receive
-        transport._on_payload(1, payload)
+        transport._on_payload(1, payload, link)
         transport._drain()
         counters = bus.metrics.snapshot()["counters"]
         outcome = {
             "garbage": transport.garbage_frames,
             "rejected": counters.get("gossip.ingress_rejected", 0),
             "duplicate": counters.get("gossip.dup_dropped", 0),
-            "delivered": len(delivered)}
+            "delivered": len(delivered),
+            # Read as a payment's id, with no body behind it.
+            "announced": link.heard_txs._count - len(link.read_txs)}
         assert sum(outcome.values()) == 1, outcome
         return max(outcome, key=outcome.get)
 
@@ -384,6 +415,20 @@ class TestLiveIngressFuzz:
         frame = bytearray(_ingress_corpus()[1][which])
         frame[at % len(frame)] = byte
         self._push(bytes(frame))
+
+    @settings(max_examples=200, deadline=None)
+    @given(msg_id=st.integers(0, 2**64 - 1), size=st.integers(1, 2**32 - 1),
+           origin=st.binary(max_size=40), body=st.binary(max_size=64))
+    def test_an_announcement_carrying_an_origin_or_a_body_is_garbage(
+            self, msg_id, size, origin, body):
+        payload = ENVELOPE_HEADER.pack(msg_id, TX_ANNOUNCE_CODE, size,
+                                       len(origin), len(body)) + origin + body
+        if origin or body:
+            with pytest.raises(WireError, match="no origin and no body"):
+                decode_envelope_header(payload)
+            assert self._push(payload) == "garbage"
+        else:
+            assert self._push(payload) == "announced"
 
     def test_every_clean_frame_gets_past_the_codec(self):
         for frame in _ingress_corpus()[1]:

@@ -30,11 +30,24 @@ from repro.live import transport as transport_module
 from repro.live.clock import LiveClock
 from repro.live.cluster import LIVE_SMOKE_PARAMS, LiveCluster
 from repro.live.node_main import NodeProcess
-from repro.live.transport import MSG_ID_SEQ_BITS, LiveTransport, PeerLink
+from repro.live.transport import (
+    MSG_ID_SEQ_BITS,
+    LiveTransport,
+    PeerLink,
+    SentTxs,
+    ToldTxs,
+)
 from repro.network.gossip import SEEN_HORIZON_ROUNDS
 from repro.network.message import Envelope
 from repro.network.framing import encode_frame
-from repro.network.wire import ENVELOPE_HEADER, encode_envelope
+from repro.network.wire import (
+    ENVELOPE_HEADER,
+    TX_ANNOUNCE_CODE,
+    TX_CODE,
+    WIRE_KINDS,
+    decode_envelope_header,
+    encode_envelope,
+)
 from repro.substrate.api import Clock, Fabric, Transport
 
 from tests.fixtures import live_transport
@@ -67,8 +80,11 @@ class _FakeLink:
         self.frames: list[bytes] = []
         self.read_txs: deque[bytes] = deque()
         self.read_ids: deque[set[int]] = deque([set()])
+        self.heard_txs = SentTxs()
+        self.told_txs = ToldTxs()
 
-    def send(self, frame: bytes, tx: bytes | None = None) -> None:
+    def send(self, frame: bytes, tx: bytes | None = None,
+             body: bool = True) -> None:
         self.frames.append(frame)
 
     def close(self) -> None:
@@ -809,3 +825,186 @@ class TestRelaySkip:
         # Skipped while a kept generation read it, sent once it is gone.
         assert asyncio.run(run()) == [0, 1]
         assert transport.relay_skipped == 1
+
+
+def _make_payment():
+    from repro.crypto.backend import FastBackend
+    from repro.crypto.hashing import H
+    from repro.ledger.transaction import make_transaction
+    backend = FastBackend()
+    alice, bob = (backend.keypair(H(name)) for name in (b"s-alice", b"s-bob"))
+    return make_transaction(backend, alice.secret, alice.public, bob.public,
+                            1, 0, note=b"n" * 40)
+
+
+_PAYMENT = _make_payment()
+
+
+class TestTxAnnounce:
+    """A relay announces a payment, and pushes its body only to a peer
+    that has not said it holds it (:data:`transport_module.
+    TX_PUSH_DELAY_S` later, on the synchronous clock)."""
+
+    PEERS = TestRelaySkip.PEERS
+
+    def _transport(self) -> LiveTransport:
+        transport = TestRelaySkip._transport(self)
+        self.delivered: list[Envelope] = []
+        transport.on_receive = (
+            lambda envelope, _: self.delivered.append(envelope) or True)
+        return transport
+
+    @staticmethod
+    def _tx_payload(msg_id: int = (7 << MSG_ID_SEQ_BITS) | 1) -> bytes:
+        return encode_envelope(Envelope(
+            origin=_PAYMENT.sender, kind="tx", payload=_PAYMENT,
+            size=_PAYMENT.size, msg_id=msg_id))
+
+    @staticmethod
+    def _announcement(payload: bytes) -> bytes:
+        msg_id, _, size, _, _ = ENVELOPE_HEADER.unpack_from(payload)
+        return ENVELOPE_HEADER.pack(msg_id, TX_ANNOUNCE_CODE, size, 0, 0)
+
+    def _relayed(self) -> tuple[LiveTransport, bytes]:
+        """Node 0 read a payment's body from peer 1 and relayed it."""
+        transport = self._transport()
+        payload = self._tx_payload()
+        TestRelaySkip._read(transport, 1, payload)
+        transport._drain()
+        return transport, payload
+
+    def _frames(self, transport: LiveTransport) -> dict[int, list[bytes]]:
+        return {peer: transport.links[peer].frames for peer in self.PEERS}
+
+    def test_a_relayed_tx_sends_only_announcements_at_first(self):
+        transport, payload = self._relayed()
+        announcement = encode_frame(self._announcement(payload))
+        assert len(announcement) == 22
+        assert self._frames(transport) == {
+            1: [], 2: [announcement], 3: [announcement], 4: [announcement]}
+        stats = transport.stats()
+        assert stats["tx_announced"] == 3
+        assert stats["tx_pushed_late"] == 0
+        assert stats["wire_bytes.tx_announce"] == 3 * 22
+        assert stats["wire_bytes.tx"] == 0
+        assert transport.messages_sent == 3  # three copies, as before
+
+    def test_after_the_delay_the_body_goes_only_where_nothing_was_read(self):
+        transport, payload = self._relayed()
+        # Peer 2 sent the body too; peer 3 announced it; peer 4 is silent.
+        TestRelaySkip._read(transport, 2, payload)
+        TestRelaySkip._read(transport, 3, self._announcement(payload))
+        transport._drain()
+        transport.clock.run()
+        assert transport.clock.now == transport_module.TX_PUSH_DELAY_S
+        announcement = encode_frame(self._announcement(payload))
+        assert self._frames(transport) == {
+            1: [], 2: [announcement], 3: [announcement],
+            4: [announcement, encode_frame(payload)]}
+        stats = transport.stats()
+        assert stats["tx_pushed_late"] == 1
+        assert stats["wire_bytes.tx"] == len(encode_frame(payload))
+        assert stats["wire_bytes_sent"] == sum(
+            stats["wire_bytes." + kind] for kind in WIRE_KINDS)
+        assert len(self.delivered) == 1
+
+    def test_an_originated_tx_is_pushed_at_once(self):
+        transport = self._transport()
+        transport.broadcast(Envelope(origin=_PAYMENT.sender, kind="tx",
+                                     payload=_PAYMENT, size=_PAYMENT.size))
+        frames = self._frames(transport)
+        assert all(len(sent) == 1 for sent in frames.values())
+        assert decode_envelope_header(frames[1][0][4:])[1] == TX_CODE
+        transport.clock.run()
+        assert all(len(sent) == 1 for sent in frames.values())
+        assert transport.tx_announced == transport.tx_pushed_late == 0
+
+    def test_an_announcement_is_noted_and_goes_no_further(self):
+        from repro.obs import TraceBus
+
+        bus = TraceBus()
+        transport = live_transport(0, obs=bus)
+        link = _FakeLink(1)
+        transport.add_link(link)
+        transport.on_receive = lambda envelope, _: pytest.fail(
+            "an announcement reached the node")
+        msg_id = decode_envelope_header(self._tx_payload())[0]
+        announcement = self._announcement(self._tx_payload())
+        for _ in range(2):
+            transport._on_payload(1, announcement, link)
+        assert not transport._rx
+        transport._drain()
+        assert not transport.holds(msg_id)
+        assert msg_id in link.read_ids[0]
+        assert link.heard_txs.back(msg_id) == 1
+        assert not link.read_txs  # no body was read
+        counters = bus.metrics.snapshot()["counters"]
+        assert "gossip.dup_dropped" not in counters
+        assert transport.garbage_frames == 0
+
+    def test_a_replaced_link_gets_the_body_again(self):
+        transport, payload = self._relayed()
+        for peer in (2, 3, 4):  # every peer says it holds the payment
+            TestRelaySkip._read(transport, peer, self._announcement(payload))
+        transport.add_link(_FakeLink(2))  # ... and peer 2 reconnects
+        transport.clock.run()
+        assert transport.links[2].frames == [encode_frame(payload)]
+        assert [len(transport.links[peer].frames) for peer in (3, 4)] \
+            == [1, 1]  # their announcement only
+        assert transport.tx_pushed_late == 1
+
+    def test_a_dropped_announcement_still_ends_with_the_body_delivered(self):
+        """The hooks judge an announcement like any copy: a doubled one
+        is sent twice, a dropped one costs a late push, not the
+        payment."""
+        dropped = []
+
+        def drop_first_to_2(src, dst, envelope):
+            if dst == 2 and not dropped:
+                dropped.append(envelope.msg_id)
+                return True
+            return False
+
+        transport = self._transport()
+        transport.drop_filter = drop_first_to_2
+        transport.link_shaper = (
+            lambda src, dst, envelope, base_delay: [0.0, 0.0]
+            if dst == 3 else [base_delay])
+        payload = self._tx_payload()
+        TestRelaySkip._read(transport, 1, payload)
+        transport._drain()
+        for peer in (3, 4):
+            TestRelaySkip._read(transport, peer, self._announcement(payload))
+        transport.clock.run()
+        announcement = encode_frame(self._announcement(payload))
+        assert self._frames(transport) == {
+            1: [], 2: [encode_frame(payload)],
+            3: [announcement, announcement], 4: [announcement]}
+        assert transport.fault_dropped_frames == 1
+        assert transport.tx_announced == 3  # two to peer 3, one to 4
+        assert transport.tx_pushed_late == 1
+
+    def test_one_sweep_a_period_pushes_what_waited_long_enough(self):
+        transport = self._transport()
+        delay = transport_module.TX_PUSH_DELAY_S
+        first, second = (self._tx_payload((7 << MSG_ID_SEQ_BITS) | n)
+                         for n in (1, 2))
+        TestRelaySkip._read(transport, 1, first)
+        transport._drain()
+        pushed = []
+
+        def relay_second() -> None:
+            TestRelaySkip._read(transport, 1, second)
+            transport._drain()
+
+        def look() -> None:
+            pushed.append((transport.clock.now, transport.tx_pushed_late))
+
+        transport.clock.schedule(delay / 2, relay_second)
+        for at in (1.1 * delay, 1.9 * delay, 2.1 * delay):
+            transport.clock.schedule(at, look)
+        transport.clock.run()
+        # The sweep at ``delay`` pushes the first payment to peers 2-4;
+        # the second, announced half a period later, waits for the next.
+        assert [count for _, count in pushed] == [3, 3, 6]
+        assert not transport._late
