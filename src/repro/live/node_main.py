@@ -357,6 +357,10 @@ class NodeProcess:
         self._neighbors = set(
             neighbor_map.get(str(self.index),
                              sorted(self._peer_addresses)))
+        if neighbor_map:
+            self.transport.graph = {int(node): frozenset(node_peers)
+                                    for node, node_peers
+                                    in neighbor_map.items()}
         for peer in sorted(self._neighbors):
             if peer >= self.index:
                 continue

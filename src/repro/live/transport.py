@@ -18,9 +18,12 @@ read, for as long as the core's dedup generations last, and
 (``live.relay_skipped``). The window only prunes targets; whether a
 copy is new is still the core's :meth:`~RelayCore.holds`.
 
-A payment is the one kind a relay does not re-send at once. An
-originated ``tx`` is pushed to every peer; a relayed one goes out as an
-*announcement* — the envelope header alone, 22 bytes framed instead of
+A payment is the one kind a relay does not always re-send at once. An
+originated ``tx`` is pushed to every peer, and so is a relayed one to a
+peer that does not link to the node it came from (the ``msg_id``'s
+namespace, below). A peer that does gets the body from that node
+itself, so a relay sends it an *announcement* instead — the envelope
+header and the payment's 16-byte digest, 38 bytes framed instead of
 ~150 (:func:`repro.network.wire.encode_tx_announcement`) — and at
 least :data:`TX_PUSH_DELAY_S` later (one sweep a period pushes every
 payment that waited that long) the body follows to each announced peer
@@ -32,8 +35,9 @@ queued, never reaches the core, and marks nothing held.
 A block is the one kind framed per link: a block frame names, in four
 bytes, each transaction the link has shown both ends hold — one this
 end wrote the body of, or one the peer wrote the body or an
-announcement of — and carries only the others' bytes (:class:`SentTxs`,
-:class:`ToldTxs`, :func:`repro.network.wire.encode_linked_block`).
+announcement of, matched by digest, never by an id the sender picks —
+and carries only the others' bytes (:class:`SentTxs`, :class:`ToldTxs`,
+:func:`repro.network.wire.encode_linked_block`).
 Two live-only concerns are added:
 
 * **Global msg_id uniqueness** — every process counts envelopes from
@@ -95,6 +99,7 @@ from repro.network.wire import (
     encode_linked_block_envelope,
     encode_tx_announcement,
     envelope_body,
+    tx_digest,
 )
 
 #: Bits reserved for the per-process envelope sequence number; the node
@@ -120,7 +125,9 @@ TOLD_BIT = 1 << 31
 #: less than twice this). About twice the worst timer lag of a clean
 #: 5-process run (``live.max_lag_s`` ~0.13 s): a peer that relayed the
 #: payment too announced it to this node by then, so the body goes
-#: only where it is missing. Payments are off BA*'s critical path.
+#: only where it is missing. An announced peer got the body from the
+#: payment's origin, so the wait delays a payment only where that copy
+#: was lost; a lag past it costs a redundant push, never a payment.
 TX_PUSH_DELAY_S = 0.25
 
 #: Max envelopes handed to the node per inbox-drain pass; the rest wait
@@ -136,15 +143,17 @@ class SentTxs:
     :meth:`back` answers a block encoder's question — "did this link
     carry these transaction bytes recently, and how many ``tx`` frames
     ago?" — for the reader's window of the last :data:`LINK_TX_WINDOW`.
-    A link keeps a second one keyed by ``msg_id``: the ``tx`` frames
-    and announcements it read (``PeerLink.heard_txs``), whose position
-    a :data:`TOLD_BIT` name carries.
+    A link keeps a second one keyed by
+    :func:`~repro.network.wire.tx_digest`: the ``tx`` frames and
+    announcements it read (``PeerLink.heard_txs``), whose position a
+    :data:`TOLD_BIT` name carries.
     """
 
     __slots__ = ("_seq", "_count")
 
     def __init__(self) -> None:
-        #: Transaction bytes -> sequence number of their latest frame.
+        #: Transaction bytes (or digest) -> sequence number of their
+        #: latest frame.
         self._seq: dict[bytes, int] = {}
         self._count = 0
 
@@ -218,10 +227,10 @@ class PeerLink(asyncio.Protocol):
         self._pending: list[bytes] = []
         #: The link's ``tx`` tables, kept in stream order: the bodies
         #: :meth:`send` wrote, and the bodies of the ``tx`` frames read
-        #: (newest last); the ids of the ``tx`` frames and announcements
-        #: read, and the transactions of those :meth:`send` wrote. A
-        #: replaced link starts all four afresh, and so does the peer's
-        #: end of the new connection.
+        #: (newest last); the digests of the ``tx`` frames and
+        #: announcements read, and the transactions of those
+        #: :meth:`send` wrote. A replaced link starts all four afresh,
+        #: and so does the peer's end of the new connection.
         self.sent_txs = SentTxs()
         self.read_txs: deque[bytes] = deque(maxlen=LINK_TX_WINDOW)
         self.heard_txs = SentTxs()
@@ -335,6 +344,9 @@ class LiveTransport(RelayCore):
         self.reconnect_attempts = 0
         self.reconnects = 0
         self.links: dict[int, PeerLink] = {}
+        #: Every node's gossip neighbours, as the cluster drew them;
+        #: ``None``: every node links to every other.
+        self.graph: dict[int, frozenset[int]] | None = None
         #: ``(peer, validated header, frame payload)`` awaiting a drain;
         #: a linked block is queued decoded, as its envelope.
         self._rx: deque[tuple[int, EnvelopeHeader,
@@ -343,12 +355,9 @@ class LiveTransport(RelayCore):
         #: them, so a linked block is handed those instances, receipts
         #: and all. Pruned to the newest :data:`LINK_TX_WINDOW`.
         self._txs: dict[bytes, Transaction] = {}
-        #: Transaction bytes -> the ``msg_id`` they were sent under,
-        #: for those this process sent: a block names a payment its
-        #: peer announced by that id. Pruned with ``_txs``.
-        self._tx_ids: dict[bytes, int] = {}
         #: Announced payments awaiting :meth:`_push_late`, oldest first:
-        #: ``(announced at, envelope, frame bytes, tx bytes, targets)``.
+        #: ``(announced at, envelope, body frame, tx bytes, announced
+        #: peers)``.
         self._late: deque[tuple[float, Envelope, bytes, bytes,
                                 list[int]]] = deque()
         self._drain_scheduled = False
@@ -408,25 +417,27 @@ class LiveTransport(RelayCore):
         save a link that read a frame of this message: its peer holds
         it already.
 
-        A relayed ``tx`` (one with ``raw``) is announced instead, and
-        its body waits for :meth:`_push_late`. A block is framed per
+        A relayed ``tx`` (one with ``raw``) is announced instead to a
+        target its origin pushes to (:meth:`_gets_from_origin`), and
+        the body waits for :meth:`_push_late`. A block is framed per
         link when the link takes it (:meth:`_put`).
         """
         kind = envelope.kind
-        tx = frame = None
+        msg_id = envelope.msg_id
+        tx = frame = announcement = None
         if kind == "tx":
             tx = TX.pack(envelope.payload)
-            self._hold(tx, envelope.payload, envelope.msg_id)
+            self._hold(tx, envelope.payload)
             if raw is not None:
-                kind = TX_ANNOUNCE
-                frame = encode_frame(encode_tx_announcement(envelope))
-        if frame is None and kind != "block":
+                announcement = encode_frame(
+                    encode_tx_announcement(envelope, tx_digest(tx)))
+        if kind != "block":
             frame = encode_frame(raw if raw is not None
                                  else encode_envelope(envelope))
         shaped = (self.drop_filter is not None
                   or self.link_shaper is not None)
-        msg_id = envelope.msg_id
         sent = 0
+        announced = []
         for peer in targets:
             link = self.links.get(peer)
             if link is None or link.closed:
@@ -434,23 +445,44 @@ class LiveTransport(RelayCore):
             if any(msg_id in read for read in link.read_ids):
                 self.relay_skipped += 1
                 continue
+            copy_kind, copy = kind, frame
+            if (announcement is not None
+                    and self._gets_from_origin(peer, msg_id)):
+                copy_kind, copy = TX_ANNOUNCE, announcement
+                announced.append(peer)
             if shaped:
-                sent += self._send_shaped(link, kind, envelope, frame, tx)
+                copies = self._send_shaped(link, copy_kind, envelope,
+                                           copy, tx)
             else:
-                self._put(link, kind, envelope, frame, tx)
-                sent += 1
+                self._put(link, copy_kind, envelope, copy, tx)
+                copies = 1
+            sent += copies
+            if copy_kind == TX_ANNOUNCE:
+                self.tx_announced += copies
         if sent:
             self._count_sent(envelope, sent)
-        if kind == TX_ANNOUNCE:
-            self.tx_announced += sent
+        if announced:
             if not self._late:
                 self.clock.schedule(TX_PUSH_DELAY_S, self._push_late)
-            self._late.append((self.clock.now, envelope, raw, tx, targets))
+            self._late.append((self.clock.now, envelope, frame, tx,
+                               announced))
+
+    def _gets_from_origin(self, peer: int, msg_id: int) -> bool:
+        """Whether ``peer`` is, or links to, the node whose namespace
+        ``msg_id`` is in: that node pushed its payment to ``peer``
+        itself, so a relay only announces it there. On a complete
+        graph every peer does; elsewhere a peer that does not gets the
+        body at once, as every other kind, and a payment crosses the
+        graph no slower than before."""
+        if self.graph is None:
+            return True
+        origin = msg_id >> MSG_ID_SEQ_BITS
+        return origin == peer or origin in self.graph.get(peer, ())
 
     def _push_late(self) -> None:
         """The sweep: every :data:`TX_PUSH_DELAY_S` while payments wait,
         the body of each announced at least that long ago goes to each
-        relay target whose link — the announced one, or one that
+        announced peer whose link — the announced one, or one that
         replaced it — has still read nothing of it. A peer that said it
         holds the payment, or sent it here, gets nothing more; one
         whose announcement the faults dropped gets the body. One sweep
@@ -464,16 +496,13 @@ class LiveTransport(RelayCore):
                   or self.link_shaper is not None)
         now = self.clock.now
         while late and late[0][0] + TX_PUSH_DELAY_S <= now:
-            _, envelope, raw, tx, targets = late.popleft()
-            frame = None
+            _, envelope, frame, tx, targets = late.popleft()
             msg_id = envelope.msg_id
             for peer in targets:
                 link = self.links.get(peer)
                 if (link is None or link.closed
                         or any(msg_id in read for read in link.read_ids)):
                     continue
-                if frame is None:
-                    frame = encode_frame(raw)
                 if shaped:
                     self.tx_pushed_late += self._send_shaped(
                         link, "tx", envelope, frame, tx)
@@ -505,12 +534,14 @@ class LiveTransport(RelayCore):
         """``link``'s name for transaction ``raw`` in a block frame —
         ``tx`` frames back if this end wrote its body, or the position
         (with :data:`TOLD_BIT`) of the peer's body or announcement of
-        it that this end read — or 0: the frame carries its bytes."""
+        it that this end read, found by digest: two payments a sender
+        put under one ``msg_id`` are two names — or 0: the frame
+        carries its bytes."""
         back = link.sent_txs.back(raw)
         if back:
             return back
         heard = link.heard_txs
-        back = heard.back(self._tx_ids.get(raw))
+        back = heard.back(tx_digest(raw))
         if not back:
             return 0
         return TOLD_BIT | (heard._count - back) % TOLD_BIT
@@ -574,13 +605,13 @@ class LiveTransport(RelayCore):
         if link is not None:
             link.read_ids[0].add(msg_id)
             if code == TX_CODE:
-                link.heard_txs.append(msg_id)
                 raw = envelope_body(header, payload)
+                link.heard_txs.append(tx_digest(raw))
                 held = self._txs.get(raw)
                 # The table shares the held instance's bytes, not a copy.
                 link.read_txs.append(raw if held is None else TX.pack(held))
             elif code == TX_ANNOUNCE_CODE:
-                link.heard_txs.append(msg_id)
+                link.heard_txs.append(envelope_body(header, payload))
         if code == TX_ANNOUNCE_CODE or self._drop_duplicate(msg_id):
             return
         body: bytes | Envelope = payload
@@ -661,17 +692,12 @@ class LiveTransport(RelayCore):
             self._hold(raw, tx)
         return tx
 
-    def _hold(self, raw: bytes, tx: Transaction,
-              msg_id: int | None = None) -> None:
+    def _hold(self, raw: bytes, tx: Transaction) -> None:
         txs = self._txs
         txs[raw] = tx
-        if msg_id is not None:
-            self._tx_ids[raw] = msg_id
         if len(txs) > 2 * LINK_TX_WINDOW:
-            self._txs = txs = dict(islice(
-                txs.items(), len(txs) - LINK_TX_WINDOW, None))
-            self._tx_ids = {key: value for key, value
-                            in self._tx_ids.items() if key in txs}
+            self._txs = dict(islice(txs.items(), len(txs) - LINK_TX_WINDOW,
+                                    None))
 
     def stats(self) -> dict:
         # ``bytes_sent`` is ``gossip.sent_bytes.*``'s; ``messages_sent``

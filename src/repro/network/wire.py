@@ -36,10 +36,13 @@ canonical codec (:mod:`repro.common.encoding`), which is frozen.
   for catch-up ``chain`` messages and the control ``result``.
 * **Announcements** — what a live relay sends for a ``tx`` it holds
   instead of the body (kind code :data:`TX_ANNOUNCE_CODE`, counted as
-  :data:`TX_ANNOUNCE`): the envelope header alone, with the payment's
-  ``msg_id`` and logical size, no origin and no body — 18 bytes, 22
-  framed. It never decodes to an :class:`Envelope`; a header that says
-  it carries an origin or a body is a :class:`WireError`.
+  :data:`TX_ANNOUNCE`): the envelope header, with the payment's
+  ``msg_id`` and logical size and no origin, then the payment's
+  :func:`tx_digest` as the body — 34 bytes, 38 framed. The digest, not
+  the ``msg_id`` a sender picks, is what names the payment in a linked
+  block. It never decodes to an :class:`Envelope`; a header that says
+  it carries an origin, or a body that is not a digest, is a
+  :class:`WireError`.
 
 Frames — the length prefix that carries these payloads (and the control
 plane's) over a byte stream — are :mod:`repro.network.framing`'s.
@@ -53,6 +56,7 @@ from typing import Any, Callable
 
 from repro.baplus.certificate import Certificate
 from repro.baplus.messages import VoteMessage
+from repro.crypto.hashing import H
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction
 from repro.network.framing import WireError
@@ -323,8 +327,11 @@ _KIND_OF_CODE = {code: (kind, layout)
 LINKED_BLOCK_CODE = 8
 TX_CODE = ENVELOPE_LAYOUTS["tx"][0]
 #: Kind code of a relay's announcement of a ``tx`` it holds: the header
-#: alone (:func:`encode_tx_announcement`).
+#: and the payment's digest (:func:`encode_tx_announcement`).
 TX_ANNOUNCE_CODE = 9
+#: Bytes of :func:`tx_digest`: 128 bits, so two payments that share one
+#: cost a search of about 2**64 signed payments.
+TX_DIGEST_SIZE = 16
 #: The announcement's name wherever frames are counted by kind.
 TX_ANNOUNCE = "tx_announce"
 #: Every kind a live link carries, as its bytes are counted.
@@ -376,12 +383,19 @@ def encode_linked_block_envelope(envelope: Envelope,
     return _envelope_bytes(envelope, LINKED_BLOCK_CODE, body), named
 
 
-def encode_tx_announcement(envelope: Envelope) -> bytes:
+def tx_digest(raw: bytes) -> bytes:
+    """The name of the transaction whose :data:`TX` bytes are ``raw``
+    in an announcement: a prefix of their hash."""
+    return H(raw)[:TX_DIGEST_SIZE]
+
+
+def encode_tx_announcement(envelope: Envelope, digest: bytes) -> bytes:
     """The announcement of ``tx`` envelope ``envelope``: its header with
-    the same ``msg_id`` and ``size``, and no origin and no body."""
+    the same ``msg_id`` and ``size`` and no origin, then ``digest``, its
+    transaction's :func:`tx_digest`."""
     try:
         return ENVELOPE_HEADER.pack(envelope.msg_id, TX_ANNOUNCE_CODE,
-                                    envelope.size, 0, 0)
+                                    envelope.size, 0, len(digest)) + digest
     except struct.error as exc:
         raise WireError(f"cannot encode tx announcement: {exc}") from exc
 
@@ -423,8 +437,10 @@ def decode_envelope_header(data: bytes) -> EnvelopeHeader:
         raise WireError(f"unknown envelope kind code {code}")
     if not size:
         raise WireError("envelope size must be positive")
-    if code == TX_ANNOUNCE_CODE and (origin_length or body_length):
-        raise WireError("a tx announcement carries no origin and no body")
+    if code == TX_ANNOUNCE_CODE and (origin_length
+                                     or body_length != TX_DIGEST_SIZE):
+        raise WireError(f"a tx announcement carries no origin and a "
+                        f"{TX_DIGEST_SIZE}-byte digest")
     if origin_length == ORIGIN_IS_SIGNER:
         if code not in _SIGNER_OF_CODE:
             raise WireError(f"envelope kind code {code} has no signer to "
@@ -437,7 +453,8 @@ def decode_envelope_header(data: bytes) -> EnvelopeHeader:
 
 def envelope_body(header: EnvelopeHeader, data: bytes) -> bytes:
     """The body bytes behind ``header`` (a ``tx`` frame's: the
-    transaction's :data:`TX` bytes)."""
+    transaction's :data:`TX` bytes; an announcement's: their
+    :func:`tx_digest`)."""
     return data[len(data) - header[4]:]
 
 

@@ -87,10 +87,12 @@ class RuntimeConfig:
     relay_damping: bool = True
 
     def validate(self) -> None:
-        for name in ("vote_buffer_budget", "flood_budget_per_round"):
-            if getattr(self, name) < 1:
+        # Every count here is a budget: at least one.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if type(value) is int and value < 1:
                 raise ConfigError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+                    f"{field.name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

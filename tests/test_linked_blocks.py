@@ -240,6 +240,38 @@ class TestNamesThePeerGave:
             assert end.tx_pushed_late == 0
             assert end.wire_bytes["tx"] == 0  # no body crossed the link
 
+    def test_two_payments_under_one_msg_id_are_two_names(self):
+        """A payer that hands each end a different payment under one
+        ``msg_id`` cannot make a block name the wrong one: each end's
+        announcement carries its own payment's digest, so the writer
+        finds no name for its payment and sends the bytes."""
+        ours, theirs = _payments(2)
+        block = _block([_bare(ours)])
+
+        async def run():
+            pair = _Pair()
+            await pair.connect()
+            for end, tx in zip(pair.ends, (ours, theirs)):
+                end._on_payload(2, encode_envelope(dataclasses.replace(
+                    _tx_envelope(tx), msg_id=9 << 40)))
+                end._drain()
+            await pair.settle(lambda: all(
+                end.links[1 - end.index].heard_txs._count == 1
+                for end in pair.ends))
+            pair.ends[0].broadcast(_block_envelope(block))
+            await pair.settle(lambda: pair.blocks(1))
+            await pair.close()
+            return pair
+
+        pair = asyncio.run(run())
+        sender, receiver = pair.ends
+        assert sender.tx_announced == receiver.tx_announced == 1
+        assert sender.block_tx_refs == 0
+        (decoded,) = pair.blocks(1)
+        assert decoded.block_hash == block.block_hash
+        assert decoded.transactions == (ours,)
+        assert receiver.garbage_frames == sender.garbage_frames == 0
+
     def test_a_block_names_a_payment_the_peer_sent(self):
         async def share(pair, txs):
             for tx in txs:

@@ -253,7 +253,7 @@ class TestPartitionedNodeCatchesUp:
             assert counters["live.tx_announced"] % 2 == 0
             assert counters["live.tx_pushed_late"] % 2 == 0
             assert (counters["live.wire_bytes.tx_announce"]
-                    <= 22 * counters["live.tx_announced"])
+                    <= 38 * counters["live.tx_announced"])
         # ... and every payment still commits.
         committed = [tx for block in partitioned_cluster.chains[0]
                      for tx in block.transactions]

@@ -51,11 +51,15 @@ from repro.network.wire import (
     ENVELOPE_HEADER,
     ENVELOPE_LAYOUTS,
     ORIGIN_IS_SIGNER,
+    TX,
     TX_ANNOUNCE_CODE,
+    TX_DIGEST_SIZE,
     decode_envelope_body,
     decode_envelope_header,
     encode_envelope,
     encode_tx_announcement,
+    envelope_body,
+    tx_digest,
 )
 from repro.node.catchup import ChainAnnouncement, ChainRequest
 from repro.node.proposal import PriorityMessage
@@ -267,23 +271,25 @@ class TestTxAnnouncement:
     @given(msg_id=st.integers(0, 2**64 - 1), size=st.integers(1, 2**32 - 1),
            chunk=st.integers(1, 30))
     def test_round_trip(self, msg_id, size, chunk):
-        """Header only: the id and logical size of the payment it
-        announces, through a frame decoder in any chunking."""
+        """The id and logical size of the payment it announces, and its
+        digest, through a frame decoder in any chunking."""
         tx = _sample_envelopes(FastBackend())[0]
         assert tx.kind == "tx"
         envelope = Envelope(origin=tx.origin, kind="tx", payload=tx.payload,
                             size=size, msg_id=msg_id)
-        payload = encode_tx_announcement(envelope)
-        assert len(payload) == ENVELOPE_HEADER.size == 18
+        digest = tx_digest(TX.pack(tx.payload))
+        payload = encode_tx_announcement(envelope, digest)
+        assert len(payload) == ENVELOPE_HEADER.size + TX_DIGEST_SIZE == 34
         frame = encode_frame(payload)
         decoder = FrameDecoder()
         decoded = [part for at in range(0, len(frame), chunk)
                    for part in decoder.feed(frame[at:at + chunk])]
         assert decoded == [payload]
-        assert decode_envelope_header(payload) == (
-            msg_id, TX_ANNOUNCE_CODE, size, 0, 0)
+        header = decode_envelope_header(payload)
+        assert header == (msg_id, TX_ANNOUNCE_CODE, size, 0, TX_DIGEST_SIZE)
+        assert envelope_body(header, payload) == digest
         with pytest.raises(WireError, match="no body to decode"):
-            decode_envelope_body(decode_envelope_header(payload), payload)
+            decode_envelope_body(header, payload)
 
 
 class TestSocketRoundTrip:
@@ -418,13 +424,16 @@ class TestLiveIngressFuzz:
 
     @settings(max_examples=200, deadline=None)
     @given(msg_id=st.integers(0, 2**64 - 1), size=st.integers(1, 2**32 - 1),
-           origin=st.binary(max_size=40), body=st.binary(max_size=64))
-    def test_an_announcement_carrying_an_origin_or_a_body_is_garbage(
+           origin=st.binary(max_size=40),
+           body=st.binary(min_size=TX_DIGEST_SIZE, max_size=TX_DIGEST_SIZE)
+           | st.binary(max_size=64))
+    def test_an_announcement_carrying_an_origin_or_more_than_a_digest_is_garbage(
             self, msg_id, size, origin, body):
+        """An announcement's body is a digest and nothing else."""
         payload = ENVELOPE_HEADER.pack(msg_id, TX_ANNOUNCE_CODE, size,
                                        len(origin), len(body)) + origin + body
-        if origin or body:
-            with pytest.raises(WireError, match="no origin and no body"):
+        if origin or len(body) != TX_DIGEST_SIZE:
+            with pytest.raises(WireError, match="no origin and a 16-byte"):
                 decode_envelope_header(payload)
             assert self._push(payload) == "garbage"
         else:

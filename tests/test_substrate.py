@@ -42,11 +42,14 @@ from repro.network.message import Envelope
 from repro.network.framing import encode_frame
 from repro.network.wire import (
     ENVELOPE_HEADER,
+    TX,
     TX_ANNOUNCE_CODE,
     TX_CODE,
     WIRE_KINDS,
     decode_envelope_header,
     encode_envelope,
+    envelope_body,
+    tx_digest,
 )
 from repro.substrate.api import Clock, Fabric, Transport
 
@@ -862,8 +865,10 @@ class TestTxAnnounce:
 
     @staticmethod
     def _announcement(payload: bytes) -> bytes:
-        msg_id, _, size, _, _ = ENVELOPE_HEADER.unpack_from(payload)
-        return ENVELOPE_HEADER.pack(msg_id, TX_ANNOUNCE_CODE, size, 0, 0)
+        header = decode_envelope_header(payload)
+        digest = tx_digest(envelope_body(header, payload))
+        return ENVELOPE_HEADER.pack(header[0], TX_ANNOUNCE_CODE, header[2],
+                                    0, len(digest)) + digest
 
     def _relayed(self) -> tuple[LiveTransport, bytes]:
         """Node 0 read a payment's body from peer 1 and relayed it."""
@@ -879,13 +884,13 @@ class TestTxAnnounce:
     def test_a_relayed_tx_sends_only_announcements_at_first(self):
         transport, payload = self._relayed()
         announcement = encode_frame(self._announcement(payload))
-        assert len(announcement) == 22
+        assert len(announcement) == 38
         assert self._frames(transport) == {
             1: [], 2: [announcement], 3: [announcement], 4: [announcement]}
         stats = transport.stats()
         assert stats["tx_announced"] == 3
         assert stats["tx_pushed_late"] == 0
-        assert stats["wire_bytes.tx_announce"] == 3 * 22
+        assert stats["wire_bytes.tx_announce"] == 3 * 38
         assert stats["wire_bytes.tx"] == 0
         assert transport.messages_sent == 3  # three copies, as before
 
@@ -936,11 +941,42 @@ class TestTxAnnounce:
         transport._drain()
         assert not transport.holds(msg_id)
         assert msg_id in link.read_ids[0]
-        assert link.heard_txs.back(msg_id) == 1
+        assert link.heard_txs.back(tx_digest(TX.pack(_PAYMENT))) == 1
         assert not link.read_txs  # no body was read
         counters = bus.metrics.snapshot()["counters"]
         assert "gossip.dup_dropped" not in counters
         assert transport.garbage_frames == 0
+
+    def test_a_peer_off_the_origins_links_gets_the_body_at_once(self):
+        """Only a peer that is, or links to, the payment's origin (the
+        ``msg_id``'s namespace, node 7 here) got the body from it: a
+        relay announces to that peer alone."""
+        transport = self._transport()
+        transport.graph = {1: frozenset({0, 7}), 2: frozenset({0, 7}),
+                           3: frozenset({0}), 4: frozenset({0})}
+        payload = self._tx_payload()
+        TestRelaySkip._read(transport, 1, payload)
+        transport._drain()
+        body, announcement = (encode_frame(payload),
+                              encode_frame(self._announcement(payload)))
+        assert self._frames(transport) == {
+            1: [], 2: [announcement], 3: [body], 4: [body]}
+        assert transport.tx_announced == 1
+        transport.clock.run()  # peer 2 said nothing: the body follows
+        assert self._frames(transport)[2] == [announcement, body]
+        assert transport.tx_pushed_late == 1
+
+    def test_the_origin_itself_is_announced_to(self):
+        transport = self._transport()
+        transport.graph = {1: frozenset({0}), 2: frozenset({0}),
+                           3: frozenset({0}), 4: frozenset({0})}
+        # Node 4's payment, whose copy reached this node through peer 1.
+        payload = self._tx_payload((4 << MSG_ID_SEQ_BITS) | 1)
+        TestRelaySkip._read(transport, 1, payload)
+        transport._drain()
+        frames = self._frames(transport)
+        assert frames[4] == [encode_frame(self._announcement(payload))]
+        assert frames[2] == frames[3] == [encode_frame(payload)]
 
     def test_a_replaced_link_gets_the_body_again(self):
         transport, payload = self._relayed()
