@@ -355,6 +355,10 @@ class LiveTransport(RelayCore):
         #: them, so a linked block is handed those instances, receipts
         #: and all. Pruned to the newest :data:`LINK_TX_WINDOW`.
         self._txs: dict[bytes, Transaction] = {}
+        #: Transaction bytes -> their :func:`~repro.network.wire.tx_digest`,
+        #: hashed once: a block frame looks up every transaction it
+        #: carries, on every link. Pruned like ``_txs``.
+        self._digests: dict[bytes, bytes] = {}
         #: Announced payments awaiting :meth:`_push_late`, oldest first:
         #: ``(announced at, envelope, body frame, tx bytes, announced
         #: peers)``.
@@ -430,7 +434,7 @@ class LiveTransport(RelayCore):
             self._hold(tx, envelope.payload)
             if raw is not None:
                 announcement = encode_frame(
-                    encode_tx_announcement(envelope, tx_digest(tx)))
+                    encode_tx_announcement(envelope, self._digest(tx)))
         if kind != "block":
             frame = encode_frame(raw if raw is not None
                                  else encode_envelope(envelope))
@@ -541,7 +545,7 @@ class LiveTransport(RelayCore):
         if back:
             return back
         heard = link.heard_txs
-        back = heard.back(tx_digest(raw))
+        back = heard.back(self._digest(raw))
         if not back:
             return 0
         return TOLD_BIT | (heard._count - back) % TOLD_BIT
@@ -606,7 +610,7 @@ class LiveTransport(RelayCore):
             link.read_ids[0].add(msg_id)
             if code == TX_CODE:
                 raw = envelope_body(header, payload)
-                link.heard_txs.append(tx_digest(raw))
+                link.heard_txs.append(self._digest(raw))
                 held = self._txs.get(raw)
                 # The table shares the held instance's bytes, not a copy.
                 link.read_txs.append(raw if held is None else TX.pack(held))
@@ -698,6 +702,18 @@ class LiveTransport(RelayCore):
         if len(txs) > 2 * LINK_TX_WINDOW:
             self._txs = dict(islice(txs.items(), len(txs) - LINK_TX_WINDOW,
                                     None))
+
+    def _digest(self, raw: bytes) -> bytes:
+        """:func:`~repro.network.wire.tx_digest` of ``raw``, from
+        ``_digests`` once it was hashed."""
+        digests = self._digests
+        digest = digests.get(raw)
+        if digest is None:
+            digest = digests[raw] = tx_digest(raw)
+            if len(digests) > 2 * LINK_TX_WINDOW:
+                self._digests = dict(islice(
+                    digests.items(), len(digests) - LINK_TX_WINDOW, None))
+        return digest
 
     def stats(self) -> dict:
         # ``bytes_sent`` is ``gossip.sent_bytes.*``'s; ``messages_sent``
